@@ -5,7 +5,8 @@ hosts — each with its own SSDs, caches, sharding plan and host resource
 pools — sharing one :class:`~repro.sim.kernel.Simulator` behind a
 front-end :class:`~repro.cluster.router.Router`.  It duck-types the
 single-server surface the workload layer drives (``.sim``, ``.models``,
-``.submit(model, batch, on_done=...)``, ``.stats.settled``), so every
+``.submit(model, batch, on_done=...)``, ``.stats.settled`` /
+``.stats.when_settled``), so every
 generator, scenario and trace in :mod:`repro.workload` runs against a
 fleet unchanged.
 
@@ -256,14 +257,9 @@ class _Call:
             return request
         self.done = True
         stats = self.cluster.stats
-        stats.logical_settled += 1
-        if request.state is RequestState.COMPLETE:
-            # Delivery happens synchronously at the winner's completion,
-            # so now - t_submit is the latency the caller saw.
-            stats.logical_completed += 1
-            stats.logical_latencies.append(self.cluster.sim.now - self.t_submit)
-        else:
-            stats.logical_failed += 1
+        # Delivery happens synchronously at the winner's completion, so
+        # now - t_submit is the latency the caller saw.
+        stats.record_logical_settle(request, self.cluster.sim.now - self.t_submit)
         if self.hedge_handle is not None:
             self.hedge_handle.cancel()
             self.hedge_handle = None

@@ -1,20 +1,26 @@
 """Fleet-wide serving metrics: per-host stats rolled into cluster totals.
 
-:class:`ClusterStats` owns only what no single host can account for —
+:class:`ClusterStats` owns what no single host can account for —
 router-level rejections, i.e. requests that never reached a host because
-no routable one existed (reason ``no_host``).  Everything else is
-aggregated **on read** from the per-host
-:class:`~repro.serving.stats.ServingStats` objects, so host and fleet
-views can never disagree: the fleet invariant
+no routable one existed (reason ``no_host``) — and counts the fleet's
+``submitted`` / ``completed`` / ``rejected`` / ``dropped`` **as they
+happen**: it joins every host's ``recorders`` and hears the same four
+``record_*`` calls as the host's own
+:class:`~repro.serving.stats.ServingStats`, so reading a fleet total, or
+waiting for the fleet to settle, is O(1) rather than a sum over hosts.
+Fleet and host windows agree while they are reset together
+(``Cluster.reset_stats()``; ``tests/cluster/test_fleet_counters.py``).
+Everything else is aggregated **on read** from the per-host stats.  The
+fleet invariant
 
 ::
 
     submitted == completed + rejected + dropped + inflight
 
-holds by construction whenever every host's does (router rejections
-count as submitted-and-rejected, mirroring how a single server accounts
-admission rejects), and ``tests/cluster`` audits exactly that through
-drains and failures.
+holds whenever every host's does (router rejections count as
+submitted-and-rejected, mirroring how a single server accounts admission
+rejects), and ``tests/cluster`` audits exactly that through drains and
+failures.
 
 Fleet percentiles are computed over the *merged* latency population —
 the number a fleet-wide SLO is written against — not an average of
@@ -29,15 +35,15 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from ..obs.resettable import register_resettable
-from ..serving.request import InferenceRequest
-from ..serving.stats import mean_ms
+from ..serving.request import InferenceRequest, RequestState
+from ..serving.stats import SettleSignal, mean_ms
 from ..sim.stats import rank_quantile, summarize_latencies
 from .node import ClusterNode
 
 __all__ = ["ClusterStats"]
 
 
-class ClusterStats:
+class ClusterStats(SettleSignal):
     """Cluster-level accounting over a fixed set of nodes.
 
     Public attributes are resettable counters (the PR-5 stats contract:
@@ -55,8 +61,11 @@ class ClusterStats:
         # *host* submissions for one *logical* request, so the host-sum
         # formula would overcount the workload's stop predicate.
         self.tolerance_active = False
+        self._settle_watch = None
         self.reset()
         register_resettable(self)
+        for node in self._nodes:
+            node.server.recorders.append(self)
 
     def reset(self) -> None:
         """Discard the cluster-level window (router rejections plus the
@@ -68,6 +77,11 @@ class ClusterStats:
         """
         self.router_rejected = 0
         self.rejects_by_reason: Dict[str, int] = {}
+        # Fleet arrivals / terminals (router rejections included).
+        self.submitted = 0
+        self.completed = 0
+        self.rejected = 0
+        self.dropped = 0
         # Tail tolerance (repro.faults.tolerance) — all zero unless the
         # cluster runs with a ToleranceConfig.
         self.logical_submitted = 0   # logical requests entering the router
@@ -92,7 +106,7 @@ class ClusterStats:
         self.reset()
 
     # ------------------------------------------------------------------
-    # Recording (called by the cluster front-end)
+    # Recording (called by the cluster front-end and by every host)
     # ------------------------------------------------------------------
     def record_router_reject(self, request: InferenceRequest) -> None:
         """A submission found no routable host and terminated at the
@@ -102,28 +116,41 @@ class ClusterStats:
         self.rejects_by_reason[reason] = (
             self.rejects_by_reason.get(reason, 0) + 1
         )
+        self.record_reject(request)
+
+    # The InferenceServer.recorders protocol, called by every host.
+    def record_arrival(self, request: InferenceRequest) -> None:
+        self.submitted += 1
+
+    def record_reject(self, request: InferenceRequest) -> None:
+        self.submitted += 1
+        self.rejected += 1
+        self._settle()
+
+    def record_drop(self, request: InferenceRequest) -> None:
+        self.dropped += 1
+        self._settle()
+
+    def record_completion(self, request: InferenceRequest) -> None:
+        self.completed += 1
+        self._settle()
+
+    def record_logical_settle(self, request: InferenceRequest, latency: float) -> None:
+        """Tolerance layer: one logical request got its final verdict,
+        ``latency`` seconds after the caller submitted it."""
+        self.logical_settled += 1
+        if request.state is RequestState.COMPLETE:
+            self.logical_completed += 1
+            self.logical_latencies.append(latency)
+        else:
+            self.logical_failed += 1
+        self._settle()
 
     # ------------------------------------------------------------------
     # Fleet aggregates (computed from the per-host stats on read)
     # ------------------------------------------------------------------
     def _sum(self, attr: str) -> int:
         return sum(getattr(n.stats, attr) for n in self._nodes)
-
-    @property
-    def submitted(self) -> int:
-        return self._sum("submitted") + self.router_rejected
-
-    @property
-    def completed(self) -> int:
-        return self._sum("completed")
-
-    @property
-    def rejected(self) -> int:
-        return self._sum("rejected") + self.router_rejected
-
-    @property
-    def dropped(self) -> int:
-        return self._sum("dropped")
 
     @property
     def inflight(self) -> int:
@@ -148,8 +175,8 @@ class ClusterStats:
 
     @property
     def settled(self) -> int:
-        """Terminal requests fleet-wide (the ``run_workload`` stop
-        predicate; router rejections settle instantly).
+        """Terminal requests fleet-wide (what ``run_workload`` waits on;
+        router rejections settle instantly).
 
         With tolerance active this is the *logical* count: one per
         router-level request, however many host attempts (retries,

@@ -27,6 +27,10 @@ __all__ = ["DirectMappedEmbeddingCache"]
 
 _HASH_MULT = 2654435761
 _TABLE_MULT = 97
+# insert_many batches up to this size take the per-row loop: ~1.2 us a
+# row against ~35 us flat for the np.unique + group_slices route
+# (crossover at 24-32 rows); one-row-per-page tables insert one row a page.
+_ELEMENTWISE_MAX = 16
 
 
 class DirectMappedEmbeddingCache:
@@ -154,9 +158,17 @@ class DirectMappedEmbeddingCache:
         of each row is inserted (the paper's firmware dedupes per page),
         later occurrences are ignored.  Conflict accounting matches the
         sequential outcome, including batch entries displacing each other
-        when distinct rows hash to one slot.
+        when distinct rows hash to one slot.  Small batches run exactly
+        that loop; larger ones the equivalent vector route.
         """
         if self.slots == 0 or len(rows) == 0:
+            return
+        if len(rows) <= _ELEMENTWISE_MAX:
+            seen = set()
+            for row, vector in zip(np.asarray(rows).tolist(), vectors):
+                if row not in seen:
+                    seen.add(row)
+                    self.insert(table_key, row, vector)
             return
         rows = np.ascontiguousarray(rows, dtype=np.int64)
         vectors = np.asarray(vectors)

@@ -18,7 +18,6 @@ import numpy as np
 from ..nvme.commands import NvmeCommand, NvmeCompletion, Opcode
 from ..nvme.queues import QueuePair
 from ..sim.kernel import Simulator
-from ..sim.stats import Accumulator
 from ..sim.units import us
 from ..ssd.device import SsdDevice
 
@@ -65,7 +64,6 @@ class UnvmeDriver:
         for qp in self._qpairs:
             qp.cq.set_notify(self._on_cq_post)
         self.commands_issued = 0
-        self.command_latency = Accumulator()
 
     # ------------------------------------------------------------------
     # Submission

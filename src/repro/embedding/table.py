@@ -42,6 +42,10 @@ class TablePageContent:
         slots = np.asarray(slots, dtype=np.int64)
         rpp = self.table.rows_per_page
         ranks = self.page_index * rpp + slots
+        if (self.page_index + 1) * rpp <= self.table.spec.rows:
+            # Every page but a table's last lies wholly inside it: no
+            # mask, no zero fill.
+            return self.table.get_rows(self.table.external_ids(ranks))
         out = np.zeros((slots.size, self.table.spec.dim), dtype=np.float32)
         in_range = ranks < self.table.spec.rows
         if np.any(in_range):

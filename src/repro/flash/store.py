@@ -28,11 +28,14 @@ class FlashStore:
         self.enforce_sequential = enforce_sequential
         self._content: Dict[int, Any] = {}
         # Virtual regions installed by the preload fast path: one entry per
-        # block, mapping to (region, first_region_offset).  Regions provide
-        # page content on demand so multi-GB tables need no per-page entries.
-        self._regions: Dict[int, tuple[Any, int]] = {}
+        # block, mapping to (region, first_region_offset, stride).  Regions
+        # provide page content on demand so multi-GB tables need no
+        # per-page entries.
+        self._regions: Dict[int, tuple[Any, int, int]] = {}
         # Next programmable page offset within each block (NAND requires
-        # in-order programming); block id -> next page index.
+        # in-order programming); block id -> next page index.  Storing
+        # content always leaves it >= 1 and only erase_block returns it
+        # to 0, so 0 means erased.
         self._write_point: Dict[int, int] = {}
         self.program_count = 0
         self.erase_count = 0
@@ -133,11 +136,7 @@ class FlashStore:
             raise FlashStoreError(f"block id {block_id} out of range")
         if block_id in self._regions:
             raise FlashStoreError(f"region already installed in block {block_id}")
-        first_ppn = self.geometry.first_ppn_of_block(block_id)
-        if self._write_point.get(block_id, 0) != 0 or any(
-            ppn in self._content
-            for ppn in range(first_ppn, first_ppn + self.geometry.pages_per_block)
-        ):
+        if self._write_point.get(block_id, 0) != 0:
             raise FlashStoreError(f"block {block_id} not erased")
         self._regions[block_id] = (region, first_offset, stride)
         self._write_point[block_id] = self.geometry.pages_per_block

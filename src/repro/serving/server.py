@@ -108,6 +108,9 @@ class InferenceServer:
             else system.config.max_inflight_requests
         )
         self.stats = ServingStats(self.sim)
+        # Who records this host's arrivals and terminal transitions: its
+        # own window, plus the fleet's ClusterStats once it joins a cluster.
+        self.recorders = [self.stats]
         self.admission = self.config.admission or AdmissionConfig()
         self.queue = RequestQueue(max_inflight, admission=self.admission)
         self.models: Dict[str, RecModel] = {}
@@ -480,26 +483,20 @@ class InferenceServer:
         if self.admission.deadline_drop and self.sim.now > request.deadline:
             # Arrived already expired: refuse rather than admit-and-drop.
             request.drop_reason = REASON_DEADLINE
-            request.state = RequestState.REJECTED
-            request.t_done = self.sim.now
-            self.stats.record_reject(request)
-            self._trace_reject(request)
-            if request.on_done is not None:
-                request.on_done(request)
-            return request
+            return self._reject(request)
         if not self.queue.offer(request):
-            request.state = RequestState.REJECTED
-            request.t_done = self.sim.now
-            self.stats.record_reject(request)
-            self._trace_reject(request)
-            if request.on_done is not None:
-                request.on_done(request)
-            return request
-        self.stats.record_arrival(request)
+            return self._reject(request)
+        for recorder in self.recorders:
+            recorder.record_arrival(request)
         self.scheduler.pump()
         return request
 
-    def _trace_reject(self, request: InferenceRequest) -> None:
+    def _reject(self, request: InferenceRequest) -> InferenceRequest:
+        """Terminate a submission that never took an admission slot."""
+        request.state = RequestState.REJECTED
+        request.t_done = self.sim.now
+        for recorder in self.recorders:
+            recorder.record_reject(request)
         tracer = self.sim.tracer
         if tracer is not None:
             tracer.event(
@@ -507,6 +504,29 @@ class InferenceServer:
                 request_id=request.request_id,
                 model=request.model,
                 reason=request.drop_reason or "capacity",
+            )
+        if request.on_done is not None:
+            request.on_done(request)
+        return request
+
+    def _drop(self, request: InferenceRequest, reason: str) -> None:
+        """Shed an admitted, undispatched request: DROPPED with ``reason``,
+        its admission slot freed.  The caller notifies ``on_done``."""
+        request.state = RequestState.DROPPED
+        request.drop_reason = reason
+        request.t_done = self.sim.now
+        request.t_drop = self.sim.now
+        self.queue.release(request.model)
+        for recorder in self.recorders:
+            recorder.record_drop(request)
+        tracer = self.sim.tracer
+        if tracer is not None:
+            tracer.event(
+                "drop",
+                request_id=request.request_id,
+                model=request.model,
+                reason=reason,
+                wait_s=request.drop_wait,
             )
 
     def _drop_if_expired(self, request: InferenceRequest) -> bool:
@@ -519,21 +539,7 @@ class InferenceServer:
         """
         if self.sim.now + self.admission.drop_headroom_s <= request.deadline:
             return False
-        request.state = RequestState.DROPPED
-        request.drop_reason = REASON_DEADLINE
-        request.t_done = self.sim.now
-        request.t_drop = self.sim.now
-        self.queue.release(request.model)
-        self.stats.record_drop(request)
-        tracer = self.sim.tracer
-        if tracer is not None:
-            tracer.event(
-                "drop",
-                request_id=request.request_id,
-                model=request.model,
-                reason=REASON_DEADLINE,
-                wait_s=request.drop_wait,
-            )
+        self._drop(request, REASON_DEADLINE)
         if request.on_done is not None:
             request.on_done(request)
         return True
@@ -560,7 +566,8 @@ class InferenceServer:
         request.state = RequestState.COMPLETE
         request.t_done = self.sim.now
         self.queue.release(request.model)
-        self.stats.record_completion(request)
+        for recorder in self.recorders:
+            recorder.record_completion(request)
         tracer = self.sim.tracer
         if tracer is not None:
             self._trace_request(tracer, request)
@@ -615,21 +622,7 @@ class InferenceServer:
             return False
         if not self.queue.remove(request):
             return False
-        request.state = RequestState.DROPPED
-        request.drop_reason = reason
-        request.t_done = self.sim.now
-        request.t_drop = self.sim.now
-        self.queue.release(request.model)
-        self.stats.record_drop(request)
-        tracer = self.sim.tracer
-        if tracer is not None:
-            tracer.event(
-                "drop",
-                request_id=request.request_id,
-                model=request.model,
-                reason=reason,
-                wait_s=request.drop_wait,
-            )
+        self._drop(request, reason)
         if reason == "timeout":
             self.stats.timeout_cancels += 1
         if request.on_done is not None:
@@ -647,22 +640,8 @@ class InferenceServer:
         invariant intact.  Returns how many requests were shed.
         """
         shed = self.queue.drain_queued()
-        tracer = self.sim.tracer
         for request in shed:
-            request.state = RequestState.DROPPED
-            request.drop_reason = reason
-            request.t_done = self.sim.now
-            request.t_drop = self.sim.now
-            self.queue.release(request.model)
-            self.stats.record_drop(request)
-            if tracer is not None:
-                tracer.event(
-                    "drop",
-                    request_id=request.request_id,
-                    model=request.model,
-                    reason=reason,
-                    wait_s=request.drop_wait,
-                )
+            self._drop(request, reason)
             if request.on_done is not None:
                 request.on_done(request)
         return len(shed)

@@ -17,13 +17,13 @@ by ``tests/serving/test_admission.py``::
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..obs.resettable import register_resettable
 from ..sim.stats import Accumulator, rank_quantile, summarize_latencies
 from .request import InferenceRequest
 
-__all__ = ["ServingStats", "mean_ms"]
+__all__ = ["ServingStats", "SettleSignal", "mean_ms"]
 
 
 def mean_ms(values_s: List[float]) -> float:
@@ -33,12 +33,37 @@ def mean_ms(values_s: List[float]) -> float:
     return sum(values_s) / len(values_s) * 1e3 if values_s else 0.0
 
 
-class ServingStats:
+class SettleSignal:
+    """Completion signal over a stats object's ``settled`` count.
+
+    ``run_workload`` arms it instead of polling ``settled`` after every
+    event; the owner calls :meth:`_settle` wherever it records a terminal
+    transition.  The armed watch is live wiring like ``inflight``: it
+    survives ``reset()`` and is ``None`` whenever no run is waiting.
+    """
+
+    _settle_watch: Optional[Tuple[int, Callable[[], None]]]
+
+    def when_settled(self, target: int, fire: Callable[[], None]) -> None:
+        """Call ``fire()`` once ``settled >= target`` (now, if it already
+        is).  One watch at a time."""
+        self._settle_watch = (target, fire)
+        self._settle()
+
+    def _settle(self) -> None:
+        watch = self._settle_watch
+        if watch is not None and self.settled >= watch[0]:
+            self._settle_watch = None
+            watch[1]()
+
+
+class ServingStats(SettleSignal):
     """Per-request latency and throughput accounting for one server."""
 
     def __init__(self, sim):
         self.sim = sim
         self.inflight = 0
+        self._settle_watch = None
         self.reset()
         register_resettable(self)
 
@@ -180,6 +205,7 @@ class ServingStats:
         self._bump(self.submitted_by_model, request.model)
         self._bump(self.rejected_by_model, request.model)
         self._bump(self.rejects_by_reason, request.drop_reason or "capacity")
+        self._settle()
 
     def record_drop(self, request: InferenceRequest) -> None:
         """An *admitted* request was shed before dispatch (QoS drop)."""
@@ -189,6 +215,7 @@ class ServingStats:
         self._bump(self.drops_by_reason, request.drop_reason or "deadline")
         if request.t_drop >= 0:
             self.drop_waits.append(request.drop_wait)
+        self._settle()
 
     def record_dispatch(self, requests: List[InferenceRequest]) -> None:
         self.batches_dispatched += 1
@@ -263,6 +290,7 @@ class ServingStats:
         else:
             self.deadline_misses += 1
         self.last_completion = request.t_done
+        self._settle()
 
     # ------------------------------------------------------------------
     # Derived metrics

@@ -229,7 +229,12 @@ class Simulator:
         return self._now
 
     def run_until(self, predicate: Callable[[], bool], limit: float = float("inf")) -> float:
-        """Run until ``predicate()`` is true (checked after each event)."""
+        """Run until ``predicate()`` is true (checked after each event).
+
+        Events run while ``now <= limit`` (the one that crosses it still
+        executes).  Raises :class:`SimError` if the predicate never held,
+        saying whether the heap drained or ``limit`` stopped the run.
+        """
         if predicate():
             return self._now
         heap = self._heap
@@ -248,9 +253,14 @@ class Simulator:
                 callback(arg)
             if predicate():
                 return self._now
-        if not predicate():
-            raise SimError("run_until: event heap drained before predicate held")
-        return self._now
+        if predicate():
+            return self._now
+        pending = self.pending_events
+        why = "limit reached" if pending else "event heap drained"
+        raise SimError(
+            f"run_until: {why} before predicate held "
+            f"(now={self._now}, limit={limit}, pending_events={pending})"
+        )
 
     @property
     def pending_events(self) -> int:

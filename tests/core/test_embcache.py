@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.embcache import DirectMappedEmbeddingCache
 
@@ -84,3 +85,66 @@ class TestDirectMapped:
                 cache.insert(0, row, vec(row))
         assert hits == 0
         assert cache.conflict_evictions >= 48
+
+
+def _resident(cache):
+    """Slot -> (table, row, vector) for every occupied slot."""
+    out = {}
+    for slot in np.flatnonzero(cache._tag_row != -1).tolist():
+        out[slot] = (
+            int(cache._tag_table[slot]),
+            int(cache._tag_row[slot]),
+            np.asarray(cache._get_value(slot)).tolist(),
+        )
+    return out
+
+
+class TestInsertManyMatchesInsertLoop:
+    """``insert_many`` picks its route (per-row loop or vector ops) on the
+    batch length alone; either way it must leave the cache exactly as a
+    sequential ``insert`` of each row's first occurrence would."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        slots=st.sampled_from([1, 3, 8, 64]),
+        mixed_width=st.booleans(),
+        batches=st.lists(
+            st.tuples(
+                st.integers(0, 2),                              # table key
+                st.lists(st.integers(0, 40), max_size=64),      # rows, repeats likely
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+    )
+    def test_state_and_counters_equal(self, slots, mixed_width, batches):
+        batched = DirectMappedEmbeddingCache(slots)
+        looped = DirectMappedEmbeddingCache(slots)
+        if mixed_width:
+            # A resident vector of another width forces per-slot storage.
+            for cache in (batched, looped):
+                cache.insert(9, 1, np.ones(2, dtype=np.float32))
+        stamp = 0.0
+        for table, rows in batches:
+            rows = np.asarray(rows, dtype=np.int64)
+            vectors = (
+                stamp + np.arange(rows.size * 4, dtype=np.float32)
+            ).reshape(rows.size, 4)
+            stamp += 1000.0
+            batched.insert_many(table, rows, vectors)
+            seen = set()
+            for i, row in enumerate(rows.tolist()):
+                if row not in seen:
+                    seen.add(row)
+                    looped.insert(table, row, vectors[i])
+            for cache in (batched, looped):
+                cache.probe_many(table, rows)
+            assert _resident(batched) == _resident(looped)
+            for counter in ("hits", "misses", "inserts", "conflict_evictions", "_occupied"):
+                assert getattr(batched, counter) == getattr(looped, counter), counter
+        assert (batched._values_obj is not None) == (looped._values_obj is not None)
+
+    def test_both_routes_are_exercised(self):
+        from repro.core import embcache
+
+        assert 0 < embcache._ELEMENTWISE_MAX < 64

@@ -92,6 +92,23 @@ class TestPageContent:
         out = last_page.vectors(np.array([5]))  # beyond table rows
         assert np.all(out == 0)
 
+    def test_full_and_tail_pages_agree_with_get_rows(self, system):
+        # Pages wholly inside the table skip the in-range mask; the last
+        # page keeps it.  Both must return exactly get_rows' values.
+        rows = 1300
+        table = make_table(system, rows=rows, dim=8, layout=Layout.PACKED, name="t")
+        rpp = table.rows_per_page
+        last = (rows - 1) // rpp
+        assert rows % rpp != 0 and last > 0, "need a partial last page"
+        slots = np.arange(rpp)
+        full = TablePageContent(table, last - 1).vectors(slots)
+        assert full.dtype == np.float32
+        assert np.array_equal(full, table.get_rows((last - 1) * rpp + slots))
+        tail = TablePageContent(table, last).vectors(slots)
+        live = rows - last * rpp
+        assert np.array_equal(tail[:live], table.get_rows(last * rpp + slots[:live]))
+        assert np.all(tail[live:] == 0)
+
     def test_region_bounds(self, system):
         table = make_table(system, rows=5, dim=8, layout=Layout.ONE_PER_PAGE, name="r")
         region = TableRegion(table)

@@ -101,6 +101,43 @@ class TestRegions:
         with pytest.raises(FlashStoreError):
             store.install_region(0, FakeRegion(8), 0)
 
+    @pytest.mark.parametrize("page", [0, 3, GEO.pages_per_block - 1])
+    def test_region_over_installed_page_rejected(self, store, page):
+        # install() bypasses program order, so the stray page may sit
+        # anywhere in the block — the erased check must still see it.
+        store.install(GEO.first_ppn_of_block(2) + page, b"stray")
+        with pytest.raises(FlashStoreError, match="not erased"):
+            store.install_region(2, FakeRegion(8), 0)
+
+    def test_region_accepted_again_after_erase(self, store):
+        store.install(GEO.first_ppn_of_block(2) + 5, b"stray")
+        store.program(GEO.first_ppn_of_block(3), b"a")
+        for block in (2, 3):
+            store.erase_block(block)
+            store.install_region(block, FakeRegion(8), 0)
+            assert store.read(GEO.first_ppn_of_block(block)) == "page-0"
+
+    def test_stored_content_always_raises_the_write_point(self):
+        """install_region tells "erased" from the block's write point alone
+        (no page scan), which is sound only while every way of storing
+        content leaves it >= 1 and erase alone returns it to 0."""
+        for enforce in (True, False):
+            store = FlashStore(GEO, enforce_sequential=enforce)
+            assert store.block_write_point(1) == 0
+            store.install(GEO.first_ppn_of_block(1), b"a")       # page 0
+            assert store.block_write_point(1) >= 1
+            store.program(GEO.first_ppn_of_block(2), b"b")
+            assert store.block_write_point(2) >= 1
+            store.install_region(3, FakeRegion(8), 0)
+            assert store.block_write_point(3) >= 1
+            for block in (1, 2, 3):
+                store.erase_block(block)
+                assert store.block_write_point(block) == 0
+                assert not any(
+                    store.is_programmed(GEO.first_ppn_of_block(block) + p)
+                    for p in range(GEO.pages_per_block)
+                )
+
     def test_double_region_rejected(self, store):
         store.install_region(0, FakeRegion(8), 0)
         with pytest.raises(FlashStoreError):

@@ -112,6 +112,33 @@ class TestPreload:
         die_b = ftl.geometry.die_index(b.channel, b.way)
         assert die_a != die_b
 
+    def test_preload_maps_once_per_die_with_exact_striping(self, sim, device, monkeypatch):
+        """The docstring's cost model: mapping updates per die, not per
+        block — with page k of die d still at logical offset d + k*D."""
+        ftl = device.ftl
+        geo = ftl.geometry
+        n = geo.dies * (2 * geo.pages_per_block + 3)   # 3 blocks on every die
+        batches = []
+        mapped = ftl.mapping.bulk_map_pairs
+        monkeypatch.setattr(
+            ftl.mapping, "bulk_map_pairs",
+            lambda lpns, ppns: batches.append(len(lpns)) or mapped(lpns, ppns),
+        )
+        ftl.preload_region(16, self.Region(n))
+        assert batches == [n // geo.dies] * geo.dies
+        ppns = ftl.mapping.lookup_many(np.arange(16, 16 + n))
+        dies = ppns // geo.pages_per_block // geo.blocks_per_die
+        assert np.array_equal(dies, np.arange(n) % geo.dies)
+        for die in range(geo.dies):
+            # Within a die, logical order is physical program order.
+            die_ppns = ppns[die::geo.dies]
+            assert np.all(np.diff(die_ppns) > 0)
+            assert np.all(die_ppns % geo.pages_per_block
+                          == np.arange(die_ppns.size) % geo.pages_per_block)
+        for lpn in (16, 17, 16 + n - 1):
+            assert ftl.flash.store.read(ftl.mapping.lookup(lpn)) == ("virt", lpn - 16)
+        ftl.mapping.check_consistency()
+
     def test_preload_beyond_logical_space_rejected(self, sim, device):
         ftl = device.ftl
         with pytest.raises(ValueError):

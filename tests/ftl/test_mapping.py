@@ -149,6 +149,37 @@ class TestBulkMap:
         table.check_consistency()
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    premapped=st.lists(st.integers(0, 95), max_size=8, unique=True),
+    lpns=st.lists(st.integers(0, 95), min_size=1, max_size=24),
+    data=st.data(),
+)
+def test_bulk_map_pairs_matches_sequential_map(premapped, lpns, data):
+    """Both routes — no duplicate LPN (the preload fast path) and the
+    last-write-wins dedupe — against map() issued pair by pair."""
+    ppns = data.draw(
+        st.lists(
+            st.integers(len(premapped), GEO.total_pages - 1),
+            min_size=len(lpns), max_size=len(lpns), unique=True,
+        )
+    )
+    bulk = MappingTable(GEO, logical_pages=96)
+    seq = MappingTable(GEO, logical_pages=96)
+    for ppn, lpn in enumerate(premapped):
+        bulk.map(lpn, ppn)
+        seq.map(lpn, ppn)
+    invalidated = bulk.bulk_map_pairs(
+        np.asarray(lpns, dtype=np.int64), np.asarray(ppns, dtype=np.int64)
+    )
+    seq_old = [seq.map(lpn, ppn) for lpn, ppn in zip(lpns, ppns)]
+    assert invalidated.tolist() == sorted(o for o in seq_old if o != UNMAPPED)
+    assert np.array_equal(bulk._l2p, seq._l2p)
+    assert np.array_equal(bulk._p2l, seq._p2l)
+    assert np.array_equal(bulk._valid_per_block, seq._valid_per_block)
+    bulk.check_consistency()
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     ops=st.lists(

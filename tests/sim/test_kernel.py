@@ -81,8 +81,24 @@ class TestScheduling:
         assert state["n"] == 10
 
     def test_run_until_raises_when_drained(self, sim):
-        with pytest.raises(SimError):
+        with pytest.raises(SimError, match="event heap drained") as err:
             sim.run_until(lambda: False)
+        assert "pending_events=0" in str(err.value)
+
+    def test_run_until_says_when_the_limit_stopped_it(self, sim):
+        # Regression: this used to claim "event heap drained" with two
+        # events still pending.
+        for t in (1e-6, 2e-6, 3e-6, 4e-6):
+            sim.schedule(t, lambda: None)
+        with pytest.raises(SimError, match="limit reached") as err:
+            sim.run_until(lambda: False, limit=1.5e-6)
+        message = str(err.value)
+        assert "drained" not in message
+        assert "limit=1.5e-06" in message
+        assert f"now={sim.now}" in message
+        assert "pending_events=2" in message
+        # The event that crosses the limit still runs.
+        assert sim.event_count == 2
 
     def test_event_count(self, sim):
         for _ in range(7):

@@ -70,6 +70,17 @@ def test_ci_runs_layout_bench_smoke():
     assert "shift_recovery_frac" in ci
 
 
+def test_ci_runs_the_benchmark_harness_tests_and_quick_smoke():
+    """perf/ sits outside ``testpaths``, so its own tests and the
+    every-workload ``correct: true`` check run only because CI names
+    them."""
+    ci = (REPO / ".github" / "workflows" / "ci.yml").read_text()
+    assert "python -m pytest perf -q" in ci
+    assert "python3 -m perf.run --quick --out perf_quick.json" in ci
+    assert "['correct'] is not True" in ci
+    assert "perf_quick.json" in (REPO / ".gitignore").read_text()
+
+
 def test_pyproject_declares_slow_marker_and_cov_extra():
     pyproject = (REPO / "pyproject.toml").read_text()
     assert 'slow' in pyproject and "markers" in pyproject
