@@ -14,12 +14,13 @@ Placement and replication: :meth:`register_model` places a model on a
 subset of hosts (default: all).  The first placed host registers the
 *original* :class:`~repro.models.base.RecModel`; every other host gets a
 :func:`replica_model` clone whose tables share the original's data
-arrays — the same sharing contract as a single server's replicated
-workers, so results are identical wherever a request lands, and a
-1-host cluster is bit-identical to the standalone server (the oracle
-regression in ``tests/cluster/test_cluster_oracle.py``).  Placing a hot
-model on extra hosts is the table-replication knob; read *spreading*
-within a placement is the router's job
+and heat profile — the same
+:meth:`~repro.embedding.table.EmbeddingTable.replica` a single server's
+replicated workers use, so results are identical wherever a request
+lands, and a 1-host cluster is bit-identical to the standalone server
+(the oracle regression in ``tests/cluster/test_cluster_oracle.py``).
+Placing a hot model on extra hosts is the table-replication knob; read
+*spreading* within a placement is the router's job
 (:class:`~repro.cluster.router.ConsistentHashRouter` ``spread``).
 
 The submit path adds **zero** simulator events and **zero** RNG draws:
@@ -36,7 +37,6 @@ from __future__ import annotations
 import copy
 from typing import Dict, List, Optional, Sequence
 
-from ..embedding.table import EmbeddingTable
 from ..faults.tolerance import (
     REASON_HEDGE,
     REASON_TIMEOUT,
@@ -285,20 +285,18 @@ class _Call:
 
 
 def replica_model(model: RecModel) -> RecModel:
-    """A shallow clone of ``model`` whose tables share the original's
-    data arrays.
+    """A shallow clone of ``model`` whose tables are
+    :meth:`~repro.embedding.table.EmbeddingTable.replica` copies.
 
     Each host registers its own :class:`RecModel` instance (a server
     refuses duplicate registrations, and per-host backends are built
-    from the instance's tables), but the *values* must match across the
-    fleet — same contract as a single server's replicated workers, which
-    share the primary tables' data the same way.
+    from the instance's tables), but the *values* — and, under a
+    frequency layout, the heat profile that packs them — must match
+    across the fleet: the same rule a single server applies to its
+    replicated workers.
     """
     clone = copy.copy(model)
-    clone.tables = {
-        f.name: EmbeddingTable(f.spec, data=model.tables[f.name].data)
-        for f in model.features
-    }
+    clone.tables = {name: table.replica() for name, table in model.tables.items()}
     return clone
 
 

@@ -6,8 +6,12 @@ QoS, seed — every host is configured identically from it) and adds the
 fleet dimensions: host count, router policy, per-model placement,
 user-keyed traffic (:class:`UserSpec`) and a timeline of
 :class:`HostEvent` drain/fail/restore actions.
-:func:`run_cluster_scenario` builds the fleet on one shared kernel,
-drives the same generators the standalone runner would, and returns a
+:func:`run_cluster_scenario` builds the fleet on one shared kernel and
+runs it through the standalone runner's own steps
+(:func:`~repro.workload.scenario.prepare_models` →
+:func:`~repro.workload.scenario.host_system` → register →
+:func:`~repro.workload.scenario.drive`), so every ``ScenarioSpec``
+feature means the same thing on a fleet, and returns a
 :class:`ClusterResult` with fleet, per-host and per-lane numbers.
 
 The oracle contract (``tests/cluster/test_cluster_oracle.py``): with
@@ -24,19 +28,20 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from ..core.engine import NdpEngineConfig
 from ..faults.injector import FaultInjector
 from ..faults.spec import FaultSpec
 from ..faults.tolerance import ToleranceConfig
-from ..host.system import build_system
 from ..models.base import RecModel
-from ..models.runner import required_capacity_pages
 from ..serving.server import InferenceServer
-from ..serving.updates import make_model_updatable
 from ..sim.kernel import Simulator
-from ..workload.generators import LoadGenerator, run_workload
-from ..workload.scenario import ScenarioSpec, TenantSpec
-from ..workload.updates import UpdateStream
+from ..workload.generators import LoadGenerator
+from ..workload.scenario import (
+    ScenarioSpec,
+    TenantSpec,
+    drive,
+    host_system,
+    prepare_models,
+)
 from .cluster import Cluster
 from .router import make_router
 from .stats import ClusterStats
@@ -221,40 +226,21 @@ def build_cluster(
 ) -> Cluster:
     """Construct the fleet a :class:`ClusterSpec` describes.
 
-    Every host gets its own system (same sizing rule as the standalone
-    runner: the largest placed model, NDP backpressure on) on one shared
-    kernel, and registers the scenario's models per the placement map —
-    original instance on the first placed host, data-sharing replicas
-    elsewhere.
+    The standalone runner's steps, N times on one shared kernel:
+    :func:`~repro.workload.scenario.prepare_models` once (before
+    placement, so every host's replica shares the update overlay and
+    carries the heat profile), one
+    :func:`~repro.workload.scenario.host_system` per host, then the
+    scenario's models registered per the placement map — original
+    instance on the first placed host, replicas elsewhere.
     """
     scenario = spec.scenario
-    by_name = (
-        dict(models)
-        if isinstance(models, Mapping)
-        else {model.name: model for model in models}
-    )
-    missing = [t.model for t in scenario.tenants if t.model not in by_name]
-    if missing:
-        raise KeyError(f"cluster {spec.name!r} names unknown models {missing}")
-    if scenario.updates is not None:
-        # Wrap before placement: every host's replica shares the
-        # canonical data object, so one commit is fleet-visible.
-        target = scenario.updates.model or scenario.tenants[0].model
-        make_model_updatable(by_name[target])
+    by_name = prepare_models(scenario, models)
     if sim is None:
         sim = Simulator()
-    capacity = max(
-        required_capacity_pages(by_name[t.model]) for t in scenario.tenants
-    )
     servers = [
         InferenceServer(
-            build_system(
-                min_capacity_pages=capacity,
-                ndp=NdpEngineConfig(
-                    queue_when_full=True, embcache_slots=spec.embcache_slots
-                ),
-                sim=sim,
-            ),
+            host_system(scenario, by_name, sim, spec.embcache_slots),
             scenario.serving_config(),
             name=f"host{index}",
         )
@@ -284,10 +270,7 @@ def _generators(
             for i, tenant in enumerate(scenario.tenants)
         ]
     population = spec.users.population()
-    generators: List[LoadGenerator] = []
-    for tenant in scenario.tenants:
-        generators.append(_user_generator(tenant, population))
-    return generators
+    return [_user_generator(tenant, population) for tenant in scenario.tenants]
 
 
 def _user_generator(
@@ -325,58 +308,34 @@ def run_cluster_scenario(
 ) -> ClusterResult:
     """Build, run and summarize one fleet scenario end-to-end.
 
-    Host events are planted into the shared kernel before traffic starts
-    (they fire at their absolute times while the workload runs), then
-    the standard :func:`~repro.workload.generators.run_workload` loop
-    drives the cluster front-end exactly as it would a single server.
+    :func:`build_cluster`, then what only a fleet has — host events and
+    the fleet fault schedule planted into the shared kernel before
+    traffic starts, user-keyed generators — then the same
+    :func:`~repro.workload.scenario.drive` that runs a single server.
     Deterministic for a fixed ``spec.scenario.seed``.
 
     ``tracer`` (a :class:`repro.obs.Tracer`) is installed on the shared
     kernel before any traffic; spans observe the run without perturbing
     it, so results are bit-identical with or without one.
     """
-    by_name = (
-        dict(models)
-        if isinstance(models, Mapping)
-        else {model.name: model for model in models}
-    )
-    cluster = build_cluster(spec, by_name)
+    cluster = build_cluster(spec, models)
     if tracer is not None:
         tracer.install(cluster.sim)
     for event in spec.host_events:
-        action = {
-            "drain": cluster.drain,
-            "fail": cluster.fail,
-            "restore": cluster.restore,
-        }[event.action]
+        # drain / fail / restore are the Cluster methods of the same name.
         cluster.sim.schedule_at(
-            event.t, lambda action=action, host=event.host: action(host)
+            event.t, lambda e=event: getattr(cluster, e.action)(e.host)
         )
     injector = None
     if spec.faults is not None:
         injector = FaultInjector(spec.faults)
         injector.arm_cluster(cluster)
-    update_engine = update_stream = None
-    if spec.scenario.updates is not None:
-        update_spec = spec.scenario.updates
-        target = update_spec.model or spec.scenario.tenants[0].model
-        update_engine = update_spec.make_engine(
-            [node.server for node in cluster.nodes]
-        )
-        update_stream = UpdateStream(
-            update_spec, by_name[target], seed=spec.scenario.seed
-        )
-        update_stream.schedule(cluster.sim, update_engine)
-    stats = run_workload(cluster, _generators(spec, by_name), seed=spec.scenario.seed)
-    if spec.tolerance is not None:
-        # run_workload stops at the *logical* settle; losing hedge /
-        # timed-out attempts may still hold device work — drain it so
-        # per-host stats are final and the fleet ends quiescent.
-        cluster.run_until_settled()
-    if update_stream is not None:
-        cluster.sim.run_until(
-            lambda: update_stream.done and update_engine.idle
-        )
+    stats, updates = drive(
+        cluster,
+        [node.server for node in cluster.nodes],
+        spec.scenario,
+        _generators(spec, cluster.models),
+    )
     return ClusterResult(
         spec=spec,
         cluster=cluster,
@@ -388,5 +347,5 @@ def run_cluster_scenario(
         tolerance=(
             stats.tolerance_summary() if spec.tolerance is not None else {}
         ),
-        updates={} if update_engine is None else update_engine.summary(),
+        updates=updates,
     )

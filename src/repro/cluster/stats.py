@@ -34,9 +34,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from ..obs.resettable import register_resettable
 from ..serving.request import InferenceRequest, RequestState
 from ..serving.stats import SettleSignal, mean_ms
+from ..sim.resettable import register_resettable
 from ..sim.stats import rank_quantile, summarize_latencies
 from .node import ClusterNode
 

@@ -20,7 +20,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from ..obs.resettable import register_resettable
+from ..sim.resettable import register_resettable
 from .vecops import group_slices
 
 __all__ = ["DirectMappedEmbeddingCache"]

@@ -22,7 +22,7 @@ from typing import Dict, Iterable, List, Optional
 
 import numpy as np
 
-from ..obs.resettable import register_resettable
+from ..sim.resettable import register_resettable
 
 __all__ = ["SetAssociativeLru", "StaticPartitionCache", "profile_hot_rows"]
 

@@ -153,8 +153,20 @@ class EmbeddingTable:
         return self.layout.external_ids(ranks)
 
     # ------------------------------------------------------------------
-    # Sharding
+    # Replication and sharding
     # ------------------------------------------------------------------
+    def replica(self) -> "EmbeddingTable":
+        """An unattached copy of this table for another device or host.
+
+        It shares the *data object* (values match everywhere and one
+        update commit is visible to every copy) and carries the heat
+        profile (replicas serve the same popularity, so each packs the
+        same layout on its own device).
+        """
+        clone = EmbeddingTable(self.spec, data=self.data)
+        clone._heat = self._heat  # never mutated in place; set_heat replaces it
+        return clone
+
     def row_shard(self, global_ids: np.ndarray, shard_index: int) -> "EmbeddingTable":
         """A shard-local table owning this table's rows ``global_ids``.
 

@@ -15,8 +15,8 @@ from typing import Any, Callable, Iterable, Optional
 import numpy as np
 
 from ..flash.array import FlashArray
-from ..obs.resettable import register_resettable
 from ..sim.kernel import Simulator
+from ..sim.resettable import register_resettable
 from .blocks import BlockManager, OutOfSpaceError
 from .cpu import FtlCpu, FtlCpuCosts
 from .gc import GarbageCollector

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Any, Dict, Optional
 
-from ..obs.resettable import register_resettable
+from ..sim.resettable import register_resettable
 
 __all__ = ["PageCache"]
 

@@ -12,10 +12,17 @@ Three layers, all passive with respect to the simulated timeline:
   (:func:`attribute_p99`, :func:`critical_path`) and Chrome/Perfetto +
   CSV export (``tools/trace_export.py``).
 
-:mod:`repro.obs.resettable` is the shared stats-reset registry every
-counter-bearing class registers into (see ``docs/OBSERVABILITY.md``).
+The stats-reset registry every counter-bearing class registers into
+lives below every tier that uses it, in :mod:`repro.sim.resettable`; it
+is re-exported here (see ``docs/OBSERVABILITY.md``).
 """
 
+from ..sim.resettable import (
+    clear_registry,
+    live_resettables,
+    register_resettable,
+    reset_all,
+)
 from .analysis import (
     SpanNode,
     attribute_p99,
@@ -38,12 +45,6 @@ from .metrics import (
     MetricsRegistry,
     PeriodicSampler,
     serving_probe,
-)
-from .resettable import (
-    clear_registry,
-    live_resettables,
-    register_resettable,
-    reset_all,
 )
 from .tracer import NULL_TRACER, Span, Tracer
 

@@ -28,12 +28,12 @@ The full lifecycle and knobs are documented in ``docs/SERVING.md``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Iterator, List, Optional
 
 import numpy as np
 
+from ..embedding.backends.base import SlsBackend
 from ..embedding.stage import EmbeddingStage
-from ..embedding.table import EmbeddingTable
 from ..host.system import System
 from ..models.base import Batch, RecModel
 from ..models.runner import BackendKind, RunnerConfig, build_backends
@@ -239,15 +239,8 @@ class InferenceServer:
             else:
                 device = self._device_for_shard(index)
                 tables = {
-                    f.name: EmbeddingTable(f.spec, data=model.tables[f.name].data)
-                    for f in model.features
+                    name: table.replica() for name, table in model.tables.items()
                 }
-                for f in model.features:
-                    # Replicas serve the same popularity, so they inherit
-                    # the primary's heat profile (and hence its layout).
-                    primary_heat = model.tables[f.name].heat
-                    if primary_heat is not None:
-                        tables[f.name].set_heat(primary_heat)
             backends, _caches, _partitions = build_backends(
                 model,
                 config,
@@ -649,6 +642,19 @@ class InferenceServer:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
+    def backends(self) -> Iterator[SlsBackend]:
+        """Every SLS backend behind this server's workers, across both
+        stage types (per-replica maps and per-shard maps of maps)."""
+        for pool in self.workers.values():
+            for worker in pool:
+                stage = worker.stage
+                if isinstance(stage, ShardedEmbeddingStage):
+                    by_table_maps = stage.backends_by_shard.values()
+                else:
+                    by_table_maps = (stage.backends,)
+                for by_table in by_table_maps:
+                    yield from by_table.values()
+
     def hostpool_summary(self) -> Dict[str, Dict[str, float]]:
         """Host resource model report: per-pool capacity, occupancy,
         wait and utilization (see :mod:`repro.serving.hostpool`)."""

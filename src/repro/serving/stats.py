@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..obs.resettable import register_resettable
+from ..sim.resettable import register_resettable
 from ..sim.stats import Accumulator, rank_quantile, summarize_latencies
 from .request import InferenceRequest
 
@@ -335,14 +335,11 @@ class ServingStats(SettleSignal):
         )
         return last - self.first_arrival
 
-    # Backwards-compatible private alias (pre-hostpool name).
-    _busy_span = busy_span
-
     def throughput_rps(self) -> float:
         """Completed requests per simulated second over the busy interval."""
         if self.completed == 0:
             return 0.0
-        span = self._busy_span()
+        span = self.busy_span()
         return self.completed / span if span > 0 else 0.0
 
     def goodput_rps(self) -> float:
@@ -353,7 +350,7 @@ class ServingStats(SettleSignal):
         """
         if self.goodput == 0:
             return 0.0
-        span = self._busy_span()
+        span = self.busy_span()
         return self.goodput / span if span > 0 else 0.0
 
     def mean_latency(self) -> float:

@@ -22,7 +22,9 @@ missing workload half of the serving story:
 * :mod:`repro.workload.scenario` — declarative multi-tenant mixes:
   :class:`TenantSpec` (model x client population x arrival process x
   SLO deadline x priority/quota) under one :class:`ScenarioSpec`, run
-  end-to-end by :func:`run_scenario`.
+  end-to-end by :func:`run_scenario` — itself :func:`prepare_models` →
+  :func:`host_system` → register → :func:`drive`, the one wiring path
+  the fleet runner in :mod:`repro.cluster` shares.
 
 QoS admission (deadline-aware early drop, per-model quotas, priority
 lanes) lives in :mod:`repro.serving.admission`; scenarios declare the
@@ -43,6 +45,9 @@ from .scenario import (
     ScenarioResult,
     ScenarioSpec,
     TenantSpec,
+    drive,
+    host_system,
+    prepare_models,
     run_scenario,
     tenant_samplers,
 )
@@ -62,6 +67,9 @@ __all__ = [
     "TenantSpec",
     "ScenarioSpec",
     "ScenarioResult",
+    "prepare_models",
+    "host_system",
+    "drive",
     "run_scenario",
     "tenant_samplers",
 ]

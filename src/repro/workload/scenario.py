@@ -30,6 +30,7 @@ from ..models.runner import BackendKind, required_capacity_pages
 from ..serving import AdmissionConfig, InferenceServer, ServingConfig, ServingStats
 from ..serving.sharding import RowShardPolicy
 from ..serving.updates import make_model_updatable
+from ..sim.kernel import Simulator
 from ..traces.locality import LocalityTraceGenerator
 from ..traces.powerlaw import ZipfTraceGenerator
 from .arrivals import ArrivalTrace
@@ -46,6 +47,9 @@ __all__ = [
     "TenantSpec",
     "ScenarioSpec",
     "ScenarioResult",
+    "prepare_models",
+    "host_system",
+    "drive",
     "run_scenario",
     "tenant_samplers",
 ]
@@ -295,6 +299,105 @@ class ScenarioResult:
         )
 
 
+def _update_target(scenario: ScenarioSpec) -> str:
+    return scenario.updates.model or scenario.tenants[0].model
+
+
+def prepare_models(
+    scenario: ScenarioSpec,
+    models: Union[Sequence[RecModel], Mapping[str, RecModel]],
+    sharding=None,
+) -> Dict[str, RecModel]:
+    """First step of every run: the scenario's models, by name, made
+    ready to register.
+
+    Everything that must happen to the *canonical* tables before any of
+    them is attached, sharded or replicated happens here, once: the
+    update overlay (replicas and row shards share the data object, so
+    one commit is visible on every device of every host) and, for
+    ``layout="frequency"``, the tenants' heat profiles
+    (:meth:`~repro.embedding.table.EmbeddingTable.replica` and
+    ``row_shard`` carry the profile, so every copy packs the same
+    layout).  The same histogram seeds a :class:`RowShardPolicy`'s
+    frequency-range partitioning.
+    """
+    by_name = (
+        dict(models)
+        if isinstance(models, Mapping)
+        else {model.name: model for model in models}
+    )
+    missing = [t.model for t in scenario.tenants if t.model not in by_name]
+    if missing:
+        raise KeyError(f"scenario {scenario.name!r} names unknown models {missing}")
+    if scenario.updates is not None:
+        make_model_updatable(by_name[_update_target(scenario)])
+    if scenario.layout == "frequency":
+        for name, per_table in _profile_tenant_heat(scenario, by_name).items():
+            for table_name, heat in per_table.items():
+                by_name[name].tables[table_name].set_heat(heat)
+                if isinstance(sharding, RowShardPolicy):
+                    sharding.profiles.setdefault(table_name, heat)
+    return by_name
+
+
+def host_system(
+    scenario: ScenarioSpec,
+    by_name: Mapping[str, RecModel],
+    sim: Optional[Simulator] = None,
+    embcache_slots: int = 0,
+) -> System:
+    """The one sizing rule: a single-SSD host large enough for
+    the scenario's largest model, device-side NDP backpressure on.
+    ``sim`` puts the host on a shared kernel (a fleet)."""
+    capacity = max(
+        required_capacity_pages(by_name[t.model]) for t in scenario.tenants
+    )
+    return build_system(
+        min_capacity_pages=capacity,
+        ndp=NdpEngineConfig(queue_when_full=True, embcache_slots=embcache_slots),
+        sim=sim,
+    )
+
+
+def drive(
+    front,
+    servers: Sequence[InferenceServer],
+    scenario: ScenarioSpec,
+    generators: Sequence[LoadGenerator],
+) -> Tuple[ServingStats, Dict[str, float]]:
+    """Last step: run a built, registered front end to quiescence.
+
+    ``front`` is whatever the generators submit to — one
+    :class:`InferenceServer` or a :class:`~repro.cluster.Cluster` —
+    and ``servers`` the hosts behind it.  Installs layout migration on
+    their devices, plants the update stream, drives the read traffic,
+    lets in-flight device work finish (a no-op unless losing hedge /
+    timed-out attempts are still running) and drains the update writes
+    scheduled past the last read.  Returns the front end's stats and
+    the update engine's gauges (empty without an update stream).
+
+    A caller that must act between build and run (``age_device``, a
+    custom ``RunnerConfig``) composes :func:`prepare_models`,
+    :func:`host_system` and this itself.
+    """
+    if scenario.layout == "frequency" and scenario.layout_migration_budget > 0:
+        _install_layout_migration(servers, scenario.layout_migration_budget)
+    engine = stream = None
+    if scenario.updates is not None:
+        engine = scenario.updates.make_engine(servers)
+        stream = UpdateStream(
+            scenario.updates,
+            front.models[_update_target(scenario)],
+            seed=scenario.seed,
+        )
+        stream.schedule(front.sim, engine)
+    stats = run_workload(front, generators, seed=scenario.seed)
+    front.run_until_settled()
+    if stream is not None:
+        front.sim.run_until(lambda: stream.done and engine.idle)
+    return stats, ({} if engine is None else engine.summary())
+
+
 def run_scenario(
     spec: ScenarioSpec,
     models: Union[Sequence[RecModel], Mapping[str, RecModel]],
@@ -307,8 +410,7 @@ def run_scenario(
 
     ``models`` supplies the actual :class:`RecModel` instances the
     tenant specs name (a sequence or a name-keyed mapping).  ``system``
-    defaults to a fresh single-SSD system sized for the largest model
-    with device-side NDP backpressure enabled; ``num_workers`` /
+    defaults to a fresh :func:`host_system`; ``num_workers`` /
     ``sharding`` pass through to ``register_model`` so scenarios can run
     against multi-SSD layouts too.  Deterministic for a fixed
     ``spec.seed``.
@@ -317,39 +419,9 @@ def run_scenario(
     system's simulator before any traffic: spans observe the run without
     perturbing it, so results are bit-identical with or without one.
     """
-    by_name = (
-        dict(models)
-        if isinstance(models, Mapping)
-        else {model.name: model for model in models}
-    )
-    missing = [t.model for t in spec.tenants if t.model not in by_name]
-    if missing:
-        raise KeyError(f"scenario {spec.name!r} names unknown models {missing}")
-    update_target: Optional[str] = None
-    if spec.updates is not None:
-        update_target = spec.updates.model or spec.tenants[0].model
-        # Wrap before registration: replicas and row shards share the
-        # canonical data object, so the overlay propagates everywhere.
-        make_model_updatable(by_name[update_target])
+    by_name = prepare_models(spec, models, sharding)
     if system is None:
-        capacity = max(
-            required_capacity_pages(by_name[t.model]) for t in spec.tenants
-        )
-        system = build_system(
-            min_capacity_pages=capacity,
-            ndp=NdpEngineConfig(queue_when_full=True),
-        )
-    heat_by_model: Dict[str, Dict[str, np.ndarray]] = {}
-    if spec.layout == "frequency":
-        heat_by_model = _profile_tenant_heat(spec, by_name)
-        for name, per_table in heat_by_model.items():
-            for table_name, heat in per_table.items():
-                by_name[name].tables[table_name].set_heat(heat)
-            if isinstance(sharding, RowShardPolicy):
-                # The same frequency histogram that packs pages also
-                # seeds RowShardPolicy's frequency-range partitioning.
-                for table_name, heat in per_table.items():
-                    sharding.profiles.setdefault(table_name, heat)
+        system = host_system(spec, by_name)
     server = InferenceServer(system, spec.serving_config())
     if tracer is not None:
         tracer.install(server.sim)
@@ -360,35 +432,20 @@ def run_scenario(
             num_workers=num_workers,
             sharding=sharding,
         )
-    if spec.layout == "frequency" and spec.layout_migration_budget > 0:
-        _install_layout_migration(server, spec.layout_migration_budget)
     generators = [
         tenant.to_generator(by_name[tenant.model], seed=spec.seed + 101 * i)
         for i, tenant in enumerate(spec.tenants)
     ]
     if spec.faults is not None:
         FaultInjector(spec.faults).arm_server(server)
-    update_engine = update_stream = None
-    if spec.updates is not None:
-        update_engine = spec.updates.make_engine(server)
-        update_stream = UpdateStream(
-            spec.updates, by_name[update_target], seed=spec.seed
-        )
-        update_stream.schedule(server.sim, update_engine)
-    stats = run_workload(server, generators, seed=spec.seed)
-    if update_stream is not None:
-        # Reads settled first; commit any update batches scheduled past
-        # the last read and let the device writes drain.
-        server.sim.run_until(
-            lambda: update_stream.done and update_engine.idle
-        )
+    stats, updates = drive(server, [server], spec, generators)
     return ScenarioResult(
         spec=spec,
         server=server,
         stats=stats,
         summary=stats.summary(),
         lanes=stats.lane_summary(),
-        updates={} if update_engine is None else update_engine.summary(),
+        updates=updates,
     )
 
 
@@ -430,7 +487,9 @@ def _profile_tenant_heat(
     return heat_by_model
 
 
-def _install_layout_migration(server: InferenceServer, budget_rows: int) -> None:
+def _install_layout_migration(
+    servers: Sequence[InferenceServer], budget_rows: int
+) -> None:
     """Wire GC-piggybacked re-packing for every heat-packed table.
 
     One :class:`LayoutMigrator` per device (installed as
@@ -440,32 +499,18 @@ def _install_layout_migration(server: InferenceServer, budget_rows: int) -> None
     as ``table.heat_tracker`` so the backend request funnel feeds it.
     """
     migrators: Dict[int, LayoutMigrator] = {}
-    seen: Dict[int, None] = {}
-    for table in _attached_backend_tables(server):
-        if table.layout is None or id(table) in seen:
-            continue
-        seen[id(table)] = None
-        tracker = HeatTracker(table.spec.rows, initial=table.heat)
-        table.heat_tracker = tracker
-        device = table.device
-        migrator = migrators.get(id(device))
-        if migrator is None:
-            migrator = migrators[id(device)] = LayoutMigrator(budget_rows)
-            device.ftl.layout_migrator = migrator
-        migrator.register(table, tracker)
-
-
-def _attached_backend_tables(server: InferenceServer):
-    """Every device-attached table behind the server's workers."""
-    for pool in server.workers.values():
-        for worker in pool:
-            stage = worker.stage
-            backend_maps = []
-            if hasattr(stage, "backends"):
-                backend_maps.append(stage.backends)
-            backend_maps.extend(getattr(stage, "backends_by_shard", []) or [])
-            for backends in backend_maps:
-                for backend in backends.values():
-                    table = getattr(backend, "table", None)
-                    if table is not None and getattr(table, "attached", False):
-                        yield table
+    seen = set()
+    for server in servers:
+        for backend in server.backends():
+            table = backend.table
+            if not table.attached or table.layout is None or id(table) in seen:
+                continue
+            seen.add(id(table))
+            tracker = HeatTracker(table.spec.rows, initial=table.heat)
+            table.heat_tracker = tracker
+            device = table.device
+            migrator = migrators.get(id(device))
+            if migrator is None:
+                migrator = migrators[id(device)] = LayoutMigrator(budget_rows)
+                device.ftl.layout_migrator = migrator
+            migrator.register(table, tracker)

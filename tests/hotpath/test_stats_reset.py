@@ -19,7 +19,7 @@ from repro.embedding.table import EmbeddingTable
 from repro.ftl.pagecache import PageCache
 from repro.host.system import build_system
 from repro.obs import reset_all
-from repro.obs.resettable import clear_registry, live_resettables
+from repro.sim.resettable import clear_registry, live_resettables
 from repro.sim.kernel import Simulator
 from repro.sim.stats import Breakdown
 from repro.serving.stats import ServingStats

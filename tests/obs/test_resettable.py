@@ -7,7 +7,7 @@ import gc
 import pytest
 
 from repro.obs import register_resettable, reset_all
-from repro.obs.resettable import clear_registry, live_resettables
+from repro.sim.resettable import clear_registry, live_resettables
 
 
 class _Stats:

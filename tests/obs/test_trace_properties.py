@@ -52,8 +52,9 @@ def nested_tree(draw, depth: int = 3):
                     )
                 )
                 for i in range(n):
-                    c_lo = lo + (hi - lo) * cuts[2 * i]
-                    c_hi = lo + (hi - lo) * cuts[2 * i + 1]
+                    # min(): lo + (hi - lo) * 1.0 can land one ulp above hi.
+                    c_lo = min(hi, lo + (hi - lo) * cuts[2 * i])
+                    c_hi = min(hi, lo + (hi - lo) * cuts[2 * i + 1])
                     if c_hi > c_lo:
                         children.append(subtree(c_lo, c_hi, level - 1))
         return (name, lo, hi, children)

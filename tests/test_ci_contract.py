@@ -8,6 +8,7 @@ ROADMAP still matches CI" guard.
 
 from __future__ import annotations
 
+import json
 import re
 from pathlib import Path
 
@@ -79,6 +80,19 @@ def test_ci_runs_the_benchmark_harness_tests_and_quick_smoke():
     assert "python3 -m perf.run --quick --out perf_quick.json" in ci
     assert "['correct'] is not True" in ci
     assert "perf_quick.json" in (REPO / ".gitignore").read_text()
+
+
+def test_committed_bench_reports_are_full_mode():
+    """CI's ``--smoke`` runs overwrite the reports in its workspace; what
+    is committed must be the full-size run the docs quote (the
+    gitignored, machine-specific reports are exempt)."""
+    ignored = set((REPO / ".gitignore").read_text().split())
+    committed = [
+        path for path in sorted(REPO.glob("BENCH_*.json")) if path.name not in ignored
+    ]
+    assert len(committed) >= 6, [path.name for path in committed]
+    modes = {path.name: json.loads(path.read_text())["mode"] for path in committed}
+    assert set(modes.values()) == {"full"}, modes
 
 
 def test_pyproject_declares_slow_marker_and_cov_extra():

@@ -1,0 +1,44 @@
+"""No upward imports: ``repro.obs`` is the passive top tier.
+
+Only ``repro.obs`` itself and ``repro.experiments`` may import it.  A
+lower layer that does (as six did through ``obs.resettable`` before it
+moved to ``repro.sim``) makes importing ``repro.ftl`` execute the whole
+tracing/export tier.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+MAY_IMPORT_OBS = ("repro.obs", "repro.experiments")
+
+
+def _imported_modules(path: Path):
+    """Absolute dotted names of everything ``path`` imports."""
+    parts = path.relative_to(SRC).with_suffix("").parts
+    package = parts[:-1]  # a package's __init__ resolves like its modules
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name
+        elif isinstance(node, ast.ImportFrom):
+            base = package[: len(package) - node.level + 1] if node.level else ()
+            module = ".".join(base + tuple(filter(None, [node.module])))
+            for alias in node.names:
+                yield f"{module}.{alias.name}"
+
+
+def test_no_lower_layer_imports_obs():
+    offenders = []
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        name = ".".join(path.relative_to(SRC).with_suffix("").parts)
+        if name.startswith(MAY_IMPORT_OBS):
+            continue
+        offenders += [
+            f"{name} imports {target}"
+            for target in _imported_modules(path)
+            if target == "repro.obs" or target.startswith("repro.obs.")
+        ]
+    assert not offenders, offenders
