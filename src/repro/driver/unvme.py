@@ -115,7 +115,7 @@ class UnvmeDriver:
         self._callbacks[cmd.cid] = (on_done, qp)
         self.commands_issued += 1
         # Submission cost: build SQE + doorbell write from the host thread.
-        self.sim.schedule(self.config.submit_cost_s, lambda: qp.sq.push(cmd))
+        self.sim.schedule_call(self.config.submit_cost_s, qp.sq.push, cmd)
 
     # ------------------------------------------------------------------
     # Completion (polling)

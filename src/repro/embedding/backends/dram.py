@@ -6,7 +6,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ...sim.kernel import Timeout
 from ...sim.stats import Breakdown
 from .base import SlsBackend, SlsOpResult, flatten_bags
 

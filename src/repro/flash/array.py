@@ -19,6 +19,7 @@ from ..sim.kernel import SimError, Simulator
 from ..sim.resources import Server
 from ..sim.stats import Accumulator
 from .geometry import FlashGeometry, PhysAddr
+from .reliability import ReadRetryModel, ReliabilityConfig, UncorrectableError
 from .store import FlashStore
 from .timing import FlashTiming
 
@@ -47,8 +48,8 @@ class FlashChannel:
     ):
         self.sim = sim
         self.channel_id = channel_id
-        self.timing = timing
         self.page_bytes = page_bytes
+        self.timing = timing
         self.bus = Server(sim, capacity=1, name=f"ch{channel_id}.bus")
         self.dies = [
             Server(sim, capacity=1, name=f"ch{channel_id}.die{w}") for w in range(ways)
@@ -56,6 +57,18 @@ class FlashChannel:
         self.reads = 0
         self.programs = 0
         self.erases = 0
+
+    @property
+    def timing(self) -> FlashTiming:
+        return self._timing
+
+    @timing.setter
+    def timing(self, timing: FlashTiming) -> None:
+        """Set the timing and the two per-page figures derived from it
+        (at construction, and when fault injection slows the device)."""
+        self._timing = timing
+        self.read_unit_s = timing.t_cmd_s + timing.t_read_s
+        self.page_xfer_s = timing.t_cmd_s + timing.transfer_time(self.page_bytes)
 
     # ------------------------------------------------------------------
     def read_page(self, way: int, on_done: DoneCallback, retries: int = 0) -> None:
@@ -65,24 +78,21 @@ class FlashChannel:
         tR on the die before the data transfer.
         """
         self.reads += 1
-        die = self.dies[way]
-        xfer = self.timing.t_cmd_s + self.timing.transfer_time(self.page_bytes)
+        xfer = self.page_xfer_s
         attempts = 1 + max(0, retries)
-        die.submit(
-            attempts * (self.timing.t_cmd_s + self.timing.t_read_s),
+        self.dies[way].submit(
+            attempts * self.read_unit_s,
             lambda: self.bus.submit(xfer, on_done),
         )
-
 
     def program_page(self, way: int, on_done: DoneCallback) -> None:
         self.programs += 1
         die = self.dies[way]
-        xfer = self.timing.t_cmd_s + self.timing.transfer_time(self.page_bytes)
-        self.bus.submit(xfer, lambda: die.submit(self.timing.t_program_s, on_done))
+        self.bus.submit(self.page_xfer_s, lambda: die.submit(self._timing.t_program_s, on_done))
 
     def erase_block(self, way: int, on_done: DoneCallback) -> None:
         self.erases += 1
-        self.dies[way].submit(self.timing.t_cmd_s + self.timing.t_erase_s, on_done)
+        self.dies[way].submit(self._timing.t_cmd_s + self._timing.t_erase_s, on_done)
 
     # ------------------------------------------------------------------
     @property
@@ -105,10 +115,8 @@ class FlashArray:
         sim: Simulator,
         geometry: Optional[FlashGeometry] = None,
         timing: Optional[FlashTiming] = None,
-        reliability: Optional["ReliabilityConfig"] = None,
+        reliability: Optional[ReliabilityConfig] = None,
     ):
-        from .reliability import ReadRetryModel, ReliabilityConfig
-
         self.sim = sim
         self.geometry = geometry or FlashGeometry()
         self.timing = timing or FlashTiming()
@@ -128,8 +136,6 @@ class FlashArray:
         Uncorrectable reads (reliability model) deliver ``None`` after the
         full retry sequence, as a real drive would report a media error.
         """
-        from .reliability import UncorrectableError
-
         addr = self.geometry.addr(ppn)
         start = self.sim.now
         store = self.store
@@ -164,8 +170,6 @@ class FlashArray:
         target die is mid-service the batch falls back to per-page issue
         (the queue interleaving is live state that cannot be precomputed).
         """
-        from .reliability import UncorrectableError
-
         n = len(ppns)
         if n == 0:
             return
@@ -260,9 +264,8 @@ class FlashArray:
         for i in merged_pages:
             channel = self.channels[die_ids[i] // ways]
             channel.reads += 1
-            xfer = self.timing.t_cmd_s + self.timing.transfer_time(channel.page_bytes)
             callbacks.append(
-                lambda bus=channel.bus, xfer=xfer, finish=make_finish(i): bus.submit(
+                lambda bus=channel.bus, xfer=channel.page_xfer_s, finish=make_finish(i): bus.submit(
                     xfer, finish
                 )
             )

@@ -37,24 +37,16 @@ class FlashGeometry:
             value = getattr(self, field_name)
             if value < 1:
                 raise ValueError(f"{field_name} must be >= 1, got {value}")
+        # Derived counts, worked out once (``addr`` and the FTL read them
+        # per page).  Not fields: equality, hash and repr stay those of
+        # the five above, and the frozen dataclass keeps them read-only.
+        derive = object.__setattr__
+        derive(self, "dies", self.channels * self.ways)
+        derive(self, "pages_per_die", self.blocks_per_die * self.pages_per_block)
+        derive(self, "total_blocks", self.dies * self.blocks_per_die)
+        derive(self, "total_pages", self.dies * self.pages_per_die)
 
     # ------------------------------------------------------------------
-    @property
-    def dies(self) -> int:
-        return self.channels * self.ways
-
-    @property
-    def pages_per_die(self) -> int:
-        return self.blocks_per_die * self.pages_per_block
-
-    @property
-    def total_blocks(self) -> int:
-        return self.dies * self.blocks_per_die
-
-    @property
-    def total_pages(self) -> int:
-        return self.dies * self.pages_per_die
-
     @property
     def capacity_bytes(self) -> int:
         return self.total_pages * self.page_bytes

@@ -70,16 +70,14 @@ class NvmeController:
             self._fetch_active[qid] = False
             return
 
-        def after_xfer() -> None:
-            self.ftl.cpu.host_core.submit(
-                self.ftl.cpu.costs.cmd_fetch_s, lambda: after_cpu()
-            )
-
         def after_cpu() -> None:
             self.commands_fetched += 1
             self.inflight += 1
             self._dispatch(qp, cmd)
             self._fetch_next(qid)
+
+        def after_xfer() -> None:
+            self.ftl.cpu.host_core.submit(self.ftl.cpu.costs.cmd_fetch_s, after_cpu)
 
         self.pcie.to_device(COMMAND_BYTES, after_xfer)
 

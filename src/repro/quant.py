@@ -24,15 +24,19 @@ class EmbDtype(Enum):
 
     @property
     def bytes_per_element(self) -> int:
-        return {EmbDtype.FP32: 4, EmbDtype.FP16: 2, EmbDtype.INT8: 1}[self]
+        return _BYTES_PER_ELEMENT[self]
 
     @property
     def numpy_dtype(self) -> np.dtype:
-        return {
-            EmbDtype.FP32: np.dtype(np.float32),
-            EmbDtype.FP16: np.dtype(np.float16),
-            EmbDtype.INT8: np.dtype(np.int8),
-        }[self]
+        return _NUMPY_DTYPE[self]
+
+
+_BYTES_PER_ELEMENT = {EmbDtype.FP32: 4, EmbDtype.FP16: 2, EmbDtype.INT8: 1}
+_NUMPY_DTYPE = {
+    EmbDtype.FP32: np.dtype(np.float32),
+    EmbDtype.FP16: np.dtype(np.float16),
+    EmbDtype.INT8: np.dtype(np.int8),
+}
 
 
 @dataclass(frozen=True)

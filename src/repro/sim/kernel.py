@@ -1,15 +1,20 @@
 """Discrete-event simulation kernel.
 
-The kernel is deliberately small: a time-ordered event heap, callback
-scheduling, and generator-based processes for control-heavy logic.  Hot
-paths (per-flash-page operations) use plain callbacks to keep Python
-overhead low; background loops (FTL polling, drivers) use processes.
+The kernel is deliberately small: a time-ordered event heap and callback
+scheduling.  Every layer above it — flash, FTL, NVMe, drivers, serving —
+is written as plain callbacks.
 
-Events are stored as plain ``[time, seq, callback]`` lists so the heap
-compares floats/ints in C without calling back into Python — at
+Events are stored as plain ``[time, seq, callback, arg]`` lists so the
+heap compares floats/ints in C without calling back into Python — at
 serving-scale event counts (millions per run) the comparison function is
-the single hottest call otherwise.  A cancelled event keeps its heap slot
-with its callback set to ``None``.
+the single hottest call otherwise.  ``seq`` is unique, so a comparison
+never reaches the callback.  A cancelled event keeps its heap slot with
+its callback set to ``None``.
+
+``Simulator._heap`` and ``Simulator._seq`` are shared with
+:mod:`repro.sim.resources`, the other half of the engine: a ``Server``
+pushes its completion events itself instead of paying a call into the
+kernel per job.  Nothing outside ``repro.sim`` touches them.
 
 Time is a float in **seconds**.  Helpers in :mod:`repro.sim.units` convert
 from microseconds/milliseconds.
@@ -18,13 +23,10 @@ from microseconds/milliseconds.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Generator, Iterable, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 __all__ = [
     "Simulator",
-    "Process",
-    "Signal",
-    "Timeout",
     "SimError",
     "ScheduleHandle",
 ]
@@ -46,7 +48,7 @@ class SimError(RuntimeError):
 class ScheduleHandle(list):
     """A scheduled event; returned by :meth:`Simulator.schedule`.
 
-    The handle *is* the heap entry (``[time, seq, callback]``) — no
+    The handle *is* the heap entry (``[time, seq, callback, arg]``) — no
     wrapper allocation per event.  ``list`` ordering keeps heap
     comparisons in C.
     """
@@ -69,7 +71,10 @@ class Simulator:
     """Event-driven simulator with a monotonically advancing clock."""
 
     def __init__(self, start_time: float = 0.0):
-        self._now = float(start_time)
+        # Current simulated time in seconds.  A plain attribute (reading
+        # it is the most frequent operation in a run) that only the
+        # kernel writes.
+        self.now = float(start_time)
         self._heap: list[list] = []
         self._seq = 0
         self._running = False
@@ -83,22 +88,20 @@ class Simulator:
     # ------------------------------------------------------------------
     # Clock and scheduling
     # ------------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        """Current simulated time in seconds."""
-        return self._now
-
     def schedule(self, delay: float, callback: Callable[[], None]) -> ScheduleHandle:
         """Run ``callback`` ``delay`` seconds from now (``delay >= 0``)."""
         if delay < 0:
             raise SimError(f"cannot schedule into the past (delay={delay})")
-        return self.schedule_at(self._now + delay, callback)
+        self._seq += 1
+        event = ScheduleHandle((self.now + delay, self._seq, callback, _NO_ARG))
+        heapq.heappush(self._heap, event)
+        return event
 
     def schedule_at(self, time: float, callback: Callable[[], None]) -> ScheduleHandle:
         """Run ``callback`` at absolute simulated ``time``."""
-        if time < self._now:
+        if time < self.now:
             raise SimError(
-                f"cannot schedule at {time} before current time {self._now}"
+                f"cannot schedule at {time} before current time {self.now}"
             )
         self._seq += 1
         event = ScheduleHandle((time, self._seq, callback, _NO_ARG))
@@ -107,17 +110,20 @@ class Simulator:
 
     def schedule_call(self, delay: float, fn: Callable[[Any], None], arg: Any) -> ScheduleHandle:
         """Like :meth:`schedule`, but runs ``fn(arg)`` — hot paths use this
-        to avoid allocating a closure per event (one ``Server`` job each).
+        to avoid allocating a closure per event.
         """
         if delay < 0:
             raise SimError(f"cannot schedule into the past (delay={delay})")
-        return self.schedule_call_at(self._now + delay, fn, arg)
+        self._seq += 1
+        event = ScheduleHandle((self.now + delay, self._seq, fn, arg))
+        heapq.heappush(self._heap, event)
+        return event
 
     def schedule_call_at(self, time: float, fn: Callable[[Any], None], arg: Any) -> ScheduleHandle:
         """Absolute-time form of :meth:`schedule_call`."""
-        if time < self._now:
+        if time < self.now:
             raise SimError(
-                f"cannot schedule at {time} before current time {self._now}"
+                f"cannot schedule at {time} before current time {self.now}"
             )
         self._seq += 1
         event = ScheduleHandle((time, self._seq, fn, arg))
@@ -141,9 +147,9 @@ class Simulator:
             return
         if len(callbacks) != n:
             raise SimError("schedule_batch: times/callbacks length mismatch")
-        if times[0] < self._now:
+        if times[0] < self.now:
             raise SimError(
-                f"cannot schedule at {times[0]} before current time {self._now}"
+                f"cannot schedule at {times[0]} before current time {self.now}"
             )
         seq = self._seq
         heap = self._heap
@@ -183,7 +189,7 @@ class Simulator:
             callback = event[_CALLBACK]
             if callback is None:
                 continue
-            self._now = event[_TIME]
+            self.now = event[_TIME]
             self.event_count += 1
             arg = event[_ARG]
             if arg is _NO_ARG:
@@ -196,10 +202,13 @@ class Simulator:
     def run(self, until: Optional[float] = None) -> float:
         """Run until the event heap drains or ``until`` is reached.
 
-        Returns the simulated time at which execution stopped.
+        Returns the simulated time at which execution stopped.  ``until``
+        may not lie before ``now``: the clock never rewinds.
         """
         if self._running:
             raise SimError("simulator is not reentrant")
+        if until is not None and until < self.now:
+            raise SimError(f"cannot run until {until} before current time {self.now}")
         self._running = True
         heap = self._heap
         pop = heapq.heappop
@@ -211,10 +220,10 @@ class Simulator:
                     pop(heap)
                     continue
                 if until is not None and head[_TIME] > until:
-                    self._now = until
+                    self.now = until
                     break
                 pop(heap)
-                self._now = head[_TIME]
+                self.now = head[_TIME]
                 self.event_count += 1
                 arg = head[_ARG]
                 if arg is _NO_ARG:
@@ -222,11 +231,11 @@ class Simulator:
                 else:
                     callback(arg)
             else:
-                if until is not None and until > self._now:
-                    self._now = until
+                if until is not None and until > self.now:
+                    self.now = until
         finally:
             self._running = False
-        return self._now
+        return self.now
 
     def run_until(self, predicate: Callable[[], bool], limit: float = float("inf")) -> float:
         """Run until ``predicate()`` is true (checked after each event).
@@ -236,15 +245,15 @@ class Simulator:
         saying whether the heap drained or ``limit`` stopped the run.
         """
         if predicate():
-            return self._now
+            return self.now
         heap = self._heap
         pop = heapq.heappop
-        while heap and self._now <= limit:
+        while heap and self.now <= limit:
             event = pop(heap)
             callback = event[_CALLBACK]
             if callback is None:
                 continue
-            self._now = event[_TIME]
+            self.now = event[_TIME]
             self.event_count += 1
             arg = event[_ARG]
             if arg is _NO_ARG:
@@ -252,123 +261,16 @@ class Simulator:
             else:
                 callback(arg)
             if predicate():
-                return self._now
+                return self.now
         if predicate():
-            return self._now
+            return self.now
         pending = self.pending_events
         why = "limit reached" if pending else "event heap drained"
         raise SimError(
             f"run_until: {why} before predicate held "
-            f"(now={self._now}, limit={limit}, pending_events={pending})"
+            f"(now={self.now}, limit={limit}, pending_events={pending})"
         )
 
     @property
     def pending_events(self) -> int:
         return sum(1 for e in self._heap if e[_CALLBACK] is not None)
-
-    # ------------------------------------------------------------------
-    # Processes
-    # ------------------------------------------------------------------
-    def process(self, generator: Generator[Any, Any, Any]) -> "Process":
-        """Start a generator-based process.
-
-        The generator may yield:
-          * ``Timeout(dt)`` — resume after ``dt`` simulated seconds,
-          * ``Signal`` — resume when the signal fires (receiving its value),
-          * another ``Process`` — resume when that process terminates.
-        """
-        proc = Process(self, generator)
-        self.call_soon(proc._resume_first)
-        return proc
-
-
-class Timeout:
-    """Yielded by a process to sleep for ``delay`` seconds."""
-
-    __slots__ = ("delay",)
-
-    def __init__(self, delay: float):
-        if delay < 0:
-            raise SimError(f"negative timeout {delay}")
-        self.delay = delay
-
-
-class Signal:
-    """A one-to-many wakeup primitive.
-
-    Processes or callbacks wait on the signal; :meth:`fire` wakes all current
-    waiters with an optional value.  Signals may fire repeatedly.
-    """
-
-    __slots__ = ("_sim", "_waiters", "name")
-
-    def __init__(self, sim: Simulator, name: str = "signal"):
-        self._sim = sim
-        self._waiters: list[Callable[[Any], None]] = []
-        self.name = name
-
-    def wait(self, callback: Callable[[Any], None]) -> None:
-        self._waiters.append(callback)
-
-    def fire(self, value: Any = None) -> None:
-        waiters, self._waiters = self._waiters, []
-        for waiter in waiters:
-            waiter(value)
-
-    @property
-    def waiter_count(self) -> int:
-        return len(self._waiters)
-
-
-class Process:
-    """A running generator-based process (see :meth:`Simulator.process`)."""
-
-    __slots__ = ("_sim", "_gen", "alive", "result", "_done_signal")
-
-    def __init__(self, sim: Simulator, gen: Generator[Any, Any, Any]):
-        self._sim = sim
-        self._gen = gen
-        self.alive = True
-        self.result: Any = None
-        self._done_signal = Signal(sim, "process-done")
-
-    def _resume_first(self) -> None:
-        self._advance(None)
-
-    def _advance(self, value: Any) -> None:
-        if not self.alive:
-            return
-        try:
-            yielded = self._gen.send(value)
-        except StopIteration as stop:
-            self.alive = False
-            self.result = stop.value
-            self._done_signal.fire(stop.value)
-            return
-        self._dispatch(yielded)
-
-    def _dispatch(self, yielded: Any) -> None:
-        if isinstance(yielded, Timeout):
-            self._sim.schedule(yielded.delay, lambda: self._advance(None))
-        elif isinstance(yielded, Signal):
-            yielded.wait(self._advance)
-        elif isinstance(yielded, Process):
-            if yielded.alive:
-                yielded._done_signal.wait(self._advance)
-            else:
-                self._sim.call_soon(lambda: self._advance(yielded.result))
-        else:
-            raise SimError(f"process yielded unsupported object {yielded!r}")
-
-    def join(self, callback: Callable[[Any], None]) -> None:
-        """Invoke ``callback(result)`` when the process terminates."""
-        if self.alive:
-            self._done_signal.wait(callback)
-        else:
-            self._sim.call_soon(lambda: callback(self.result))
-
-
-def drain(sim: Simulator, processes: Iterable[Process]) -> None:
-    """Run the simulator until every process in ``processes`` has finished."""
-    procs = list(processes)
-    sim.run_until(lambda: all(not p.alive for p in procs))

@@ -7,7 +7,6 @@ from typing import Dict, Iterable, List, Optional
 
 __all__ = [
     "Accumulator",
-    "TimeWeightedStat",
     "Breakdown",
     "rank_quantile",
     "summarize_latencies",
@@ -74,31 +73,6 @@ class Accumulator:
             f"Accumulator(n={self.count}, mean={self.mean:.4g}, "
             f"min={self.minimum:.4g}, max={self.maximum:.4g})"
         )
-
-
-class TimeWeightedStat:
-    """Time-weighted average of a piecewise-constant quantity (queue length)."""
-
-    def __init__(self, sim) -> None:
-        self._sim = sim
-        self._last_time = sim.now
-        self._last_value = 0.0
-        self._weighted_sum = 0.0
-        self._start = sim.now
-
-    def record(self, value: float) -> None:
-        now = self._sim.now
-        self._weighted_sum += self._last_value * (now - self._last_time)
-        self._last_time = now
-        self._last_value = value
-
-    def mean(self) -> float:
-        now = self._sim.now
-        span = now - self._start
-        if span <= 0:
-            return self._last_value
-        total = self._weighted_sum + self._last_value * (now - self._last_time)
-        return total / span
 
 
 class Breakdown:

@@ -1,26 +1,52 @@
-"""Queueing resources for the DES kernel.
+"""The parent commit's ``Server`` and ``BandwidthPipe``, kept verbatim.
 
-* :class:`Server` — a priority-FIFO single- or multi-server station with
-  per-job service times, used for contended hardware (FTL CPU cores,
-  flash dies and channel buses).
-* :class:`BandwidthPipe` — a link that serializes transfers (PCIe): a
-  one-server :class:`Server` plus propagation latency.
+Reference implementations the engine tests compare against (as
+``tests/workload/test_completion_signal.py`` keeps the polling loop):
+every job walks ``submit -> _start -> schedule_call -> schedule_call_at``
+and every pipe latency hop is a lambda that calls ``sim.schedule``.
+``repro.sim.resources`` must dispatch the same callbacks at the same
+instants in the same order, take the same event sequence numbers and
+raise on the same inputs; ``test_engine_equivalence.py`` holds it to
+that.  ``TimeWeightedStat`` rides along only because the old ``Server``
+records its queue length into one.
 
-Most events of a device run are ``Server`` completions, so a job costs
-one Python frame here and none in the kernel: ``submit`` (free server)
-and ``_finish`` (hand-off to the next queued job) push the completion
-event onto the simulator's heap themselves.
+Copied from commit 0223ff88fd73affb5599567aee3113458b2733aa; do not edit
+to follow ``src/``.
 """
 
 from __future__ import annotations
 
-from functools import partial
-from heapq import heappop, heappush
+import heapq
 from typing import Callable, Optional
 
-from .kernel import _NO_ARG, SimError, Simulator
+from repro.sim.kernel import SimError, Simulator
 
 __all__ = ["Server", "BandwidthPipe"]
+
+
+class TimeWeightedStat:
+    """Time-weighted average of a piecewise-constant quantity (queue length)."""
+
+    def __init__(self, sim) -> None:
+        self._sim = sim
+        self._last_time = sim.now
+        self._last_value = 0.0
+        self._weighted_sum = 0.0
+        self._start = sim.now
+
+    def record(self, value: float) -> None:
+        now = self._sim.now
+        self._weighted_sum += self._last_value * (now - self._last_time)
+        self._last_time = now
+        self._last_value = value
+
+    def mean(self) -> float:
+        now = self._sim.now
+        span = now - self._start
+        if span <= 0:
+            return self._last_value
+        total = self._weighted_sum + self._last_value * (now - self._last_time)
+        return total / span
 
 
 class Server:
@@ -31,8 +57,7 @@ class Server:
     completion callback runs when the service time elapses.  Priorities
     model firmware polling loops that refill hardware queues before doing
     deferrable computation (e.g. the FTL schedules flash page requests
-    ahead of SLS translation work).  Tracks utilization (``busy_time``)
-    and job counts; it keeps no queue-length history.
+    ahead of SLS translation work).  Tracks utilization and queue stats.
     """
 
     def __init__(self, sim: Simulator, capacity: int = 1, name: str = "server"):
@@ -47,8 +72,7 @@ class Server:
         self.jobs_started = 0
         self.jobs_completed = 0
         self.busy_time = 0.0
-        # The completion callback of every job, bound once.
-        self._on_finish = self._finish
+        self.queue_len_stat = TimeWeightedStat(sim)
 
     # ------------------------------------------------------------------
     def submit(
@@ -73,53 +97,41 @@ class Server:
         if service_time < 0:
             raise SimError(f"negative service time {service_time}")
         if self._busy < self.capacity:
-            if on_start is not None:
-                self._start(service_time, on_done, on_start)
-                return
-            self._busy += 1
-            self.jobs_started += 1
-            self.busy_time += service_time
-            # sim.schedule_call(service_time, self._finish, on_done), in
-            # this frame.
-            sim = self.sim
-            sim._seq += 1
-            heappush(sim._heap, [sim.now + service_time, sim._seq, self._on_finish, on_done])
+            self._start(service_time, on_done, on_start)
         elif on_start is not None:
             raise SimError("on_start jobs must be submitted to a free server")
         else:
             self._seq += 1
-            heappush(self._heap, (priority, self._seq, service_time, on_done))
+            heapq.heappush(self._heap, (priority, self._seq, service_time, on_done))
+            self.queue_len_stat.record(len(self._heap))
 
     def _start(
         self,
         service_time: float,
         on_done: Callable[[], None],
-        on_start: Callable[[], Optional[float]],
+        on_start: Optional[Callable[[], Optional[float]]] = None,
     ) -> None:
         self._busy += 1
         self.jobs_started += 1
         self.busy_time += service_time
+        if on_start is None:
+            self.sim.schedule_call(service_time, self._finish, on_done)
+            return
         # on_start may return an authoritative absolute end time (chains
         # accumulate it in scalar float order).
         end = on_start()
         if end is None:
-            self.sim.schedule_call(service_time, self._on_finish, on_done)
+            self.sim.schedule_call(service_time, self._finish, on_done)
         else:
-            self.sim.schedule_call_at(end, self._on_finish, on_done)
+            self.sim.schedule_call_at(end, self._finish, on_done)
 
     def _finish(self, on_done: Callable[[], None]) -> None:
+        self._busy -= 1
         self.jobs_completed += 1
         if self._heap:
-            # The server passes straight to the next queued job: _busy
-            # stays as it is.
-            _prio, _seq, service_time, callback = heappop(self._heap)
-            self.jobs_started += 1
-            self.busy_time += service_time
-            sim = self.sim
-            sim._seq += 1
-            heappush(sim._heap, [sim.now + service_time, sim._seq, self._on_finish, callback])
-        else:
-            self._busy -= 1
+            _prio, _seq, service_time, callback = heapq.heappop(self._heap)
+            self.queue_len_stat.record(len(self._heap))
+            self._start(service_time, callback)
         on_done()
 
     # ------------------------------------------------------------------
@@ -165,7 +177,6 @@ class BandwidthPipe:
         self.bandwidth = bandwidth_bytes_per_s
         self.latency = latency_s
         self._server = Server(sim, capacity=1, name=f"{name}.bus")
-        self._on_released = self._after_latency
         self.bytes_transferred = 0
 
     def transfer(self, size_bytes: int, on_done: Callable[[], None]) -> None:
@@ -175,15 +186,11 @@ class BandwidthPipe:
         self.bytes_transferred += size_bytes
         occupancy = size_bytes / self.bandwidth
         if self.latency > 0:
-            self._server.submit(occupancy, partial(self._on_released, on_done))
+            latency = self.latency
+            sim = self.sim
+            self._server.submit(occupancy, lambda: sim.schedule(latency, on_done))
         else:
             self._server.submit(occupancy, on_done)
-
-    def _after_latency(self, on_done: Callable[[], None]) -> None:
-        # sim.schedule(self.latency, on_done), in this frame.
-        sim = self.sim
-        sim._seq += 1
-        heappush(sim._heap, [sim.now + self.latency, sim._seq, on_done, _NO_ARG])
 
     @property
     def queue_length(self) -> int:

@@ -1,8 +1,8 @@
-"""Tests for the DES kernel: ordering, cancellation, processes."""
+"""Tests for the DES kernel: ordering, cancellation, the clock."""
 
 import pytest
 
-from repro.sim.kernel import Signal, SimError, Simulator, Timeout, drain
+from repro.sim.kernel import SimError
 
 
 class TestScheduling:
@@ -53,6 +53,24 @@ class TestScheduling:
         assert sim.now == pytest.approx(5e-6)
         sim.run()
         assert fired == [1, 2]
+
+    def test_run_until_a_past_time_is_refused(self, sim):
+        # Regression: run(until=3.0) at now == 6.0 with a later event
+        # pending set the clock back to 3.0, after which schedule_at(4.0)
+        # was accepted although 6.0 had already been simulated.
+        sim.schedule_at(6.0, lambda: None)
+        sim.schedule_at(9.0, lambda: None)
+        sim.run(until=6.0)
+        assert sim.now == 6.0
+        with pytest.raises(SimError, match="before current time"):
+            sim.run(until=3.0)
+        assert sim.now == 6.0
+        with pytest.raises(SimError):
+            sim.schedule_at(4.0, lambda: None)
+        # run(until=now) stays a no-op.
+        assert sim.run(until=6.0) == 6.0
+        assert sim.event_count == 1
+        assert sim.run() == 9.0
 
     def test_nested_scheduling(self, sim):
         order = []
@@ -111,102 +129,3 @@ class TestScheduling:
         sim.schedule(2e-6, lambda: None)
         h1.cancel()
         assert sim.pending_events == 1
-
-
-class TestProcesses:
-    def test_timeout_sequence(self, sim):
-        trace = []
-
-        def proc():
-            trace.append(sim.now)
-            yield Timeout(2e-6)
-            trace.append(sim.now)
-            yield Timeout(3e-6)
-            trace.append(sim.now)
-
-        sim.process(proc())
-        sim.run()
-        assert trace == pytest.approx([0.0, 2e-6, 5e-6])
-
-    def test_process_result_and_join(self, sim):
-        def worker():
-            yield Timeout(1e-6)
-            return 42
-
-        results = []
-        proc = sim.process(worker())
-        proc.join(results.append)
-        sim.run()
-        assert results == [42]
-        assert proc.result == 42
-        assert not proc.alive
-
-    def test_join_after_completion(self, sim):
-        def worker():
-            yield Timeout(1e-6)
-            return "done"
-
-        proc = sim.process(worker())
-        sim.run()
-        late = []
-        proc.join(late.append)
-        sim.run()
-        assert late == ["done"]
-
-    def test_wait_on_signal(self, sim):
-        signal = Signal(sim)
-        got = []
-
-        def waiter():
-            value = yield signal
-            got.append(value)
-
-        sim.process(waiter())
-        sim.schedule(4e-6, lambda: signal.fire("hello"))
-        sim.run()
-        assert got == ["hello"]
-
-    def test_signal_wakes_all_waiters(self, sim):
-        signal = Signal(sim)
-        got = []
-
-        def waiter(i):
-            value = yield signal
-            got.append((i, value))
-
-        for i in range(3):
-            sim.process(waiter(i))
-        sim.schedule(1e-6, lambda: signal.fire("x"))
-        sim.run()
-        assert sorted(got) == [(0, "x"), (1, "x"), (2, "x")]
-
-    def test_process_waits_on_process(self, sim):
-        trace = []
-
-        def child():
-            yield Timeout(5e-6)
-            return "child-result"
-
-        def parent():
-            value = yield sim.process(child())
-            trace.append((sim.now, value))
-
-        sim.process(parent())
-        sim.run()
-        assert trace == [(pytest.approx(5e-6), "child-result")]
-
-    def test_drain_runs_all(self, sim):
-        def worker(d):
-            yield Timeout(d)
-
-        procs = [sim.process(worker(i * 1e-6)) for i in range(1, 4)]
-        drain(sim, procs)
-        assert all(not p.alive for p in procs)
-
-    def test_invalid_yield_raises(self, sim):
-        def bad():
-            yield "nonsense"
-
-        sim.process(bad())
-        with pytest.raises(SimError):
-            sim.run()

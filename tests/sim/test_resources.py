@@ -1,9 +1,9 @@
-"""Tests for Server (priority queueing), Store, BandwidthPipe."""
+"""Tests for Server (priority queueing) and BandwidthPipe."""
 
 import pytest
 
 from repro.sim.kernel import SimError, Simulator
-from repro.sim.resources import BandwidthPipe, Server, Store
+from repro.sim.resources import BandwidthPipe, Server
 
 
 class TestServer:
@@ -76,44 +76,6 @@ class TestServer:
             server.submit(1e-6, lambda: None)
         assert server.queue_length == 4
         assert server.busy == 1
-
-
-class TestStore:
-    def test_put_then_get(self, sim):
-        store = Store(sim)
-        got = []
-        store.put("x")
-        store.get(got.append)
-        sim.run()
-        assert got == ["x"]
-
-    def test_get_blocks_until_put(self, sim):
-        store = Store(sim)
-        got = []
-        store.get(got.append)
-        sim.run()
-        assert got == []
-        store.put("later")
-        sim.run()
-        assert got == ["later"]
-
-    def test_fifo_order(self, sim):
-        store = Store(sim)
-        got = []
-        for i in range(3):
-            store.put(i)
-        for _ in range(3):
-            store.get(got.append)
-        sim.run()
-        assert got == [0, 1, 2]
-
-    def test_try_get(self, sim):
-        store = Store(sim)
-        ok, _ = store.try_get()
-        assert not ok
-        store.put(9)
-        ok, value = store.try_get()
-        assert ok and value == 9
 
 
 class TestBandwidthPipe:

@@ -6,11 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.sim.kernel import Simulator
 from repro.sim.stats import (
     Accumulator,
     Breakdown,
-    TimeWeightedStat,
     summarize_latencies,
 )
 
@@ -44,19 +42,6 @@ class TestAccumulator:
         acc = Accumulator()
         acc.extend([1.0, 2.0, 3.0, 4.0])
         assert acc.stdev == pytest.approx(math.sqrt(acc.variance))
-
-
-class TestTimeWeightedStat:
-    def test_weighted_mean(self):
-        sim = Simulator()
-        stat = TimeWeightedStat(sim)
-        stat.record(2.0)
-        sim.schedule(1.0, lambda: stat.record(4.0))
-        sim.run()
-        sim.schedule(1.0, lambda: None)
-        sim.run()
-        # 2.0 for 1s then 4.0 for 1s -> mean 3.0
-        assert stat.mean() == pytest.approx(3.0)
 
 
 class TestBreakdown:

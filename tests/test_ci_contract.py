@@ -9,7 +9,10 @@ ROADMAP still matches CI" guard.
 from __future__ import annotations
 
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -28,6 +31,25 @@ def test_ci_runs_the_same_tier1_command():
     ci = (REPO / ".github" / "workflows" / "ci.yml").read_text()
     assert TIER1_COMMAND in ci, "CI no longer runs the ROADMAP tier-1 command"
     assert "PYTHONPATH: src" in ci, "CI tier-1 step lost PYTHONPATH=src"
+
+
+def test_tier1_command_collects_the_bit_identity_pins():
+    """The benchmark-digest replay and the engine equivalence proof are
+    what tell a simulator-speed PR, in tier-1, that it moved a simulated
+    number: neither may be dropped, renamed out of collection or
+    slow-marked silently.  Collects the way the tier-1 command does (same
+    directory, same ``testpaths``), under the strictest filter in use."""
+    listing = subprocess.run(
+        [sys.executable, "-m", "pytest", "--collect-only", "-q", "-m", "not slow"],
+        cwd=REPO,
+        env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    digests = re.findall(r"^tests/test_perf_digests\.py::test_workload_replays\S*", listing, re.M)
+    assert len(digests) == 10, digests            # five workloads x seeds 13 and 7
+    assert "tests/sim/test_engine_equivalence.py::test_same_dispatch_sequence" in listing
 
 
 def test_ci_coverage_job_enforces_serving_floor():
