@@ -6,10 +6,11 @@ never-written pages.  All paths return float32 vectors, dequantizing as
 needed.
 
 :func:`extract_vectors` handles one page; :func:`extract_vectors_many`
-is the batch form the SSD read path uses — it groups an entire
-command's (page, slot) list so virtual pages of one table collapse into
-a single gather instead of one Python call per row (critical for
-ONE_PER_PAGE layouts, where every row is its own page).
+is the batch form the SSD read path and the NDP engine's per-entry
+gather use — it takes an entire command's or entry's (page, slot) list
+so virtual pages of one table collapse into a single gather instead of
+one Python call chain per page (critical for ONE_PER_PAGE layouts,
+where every row is its own page).
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from typing import Any, Mapping
 import numpy as np
 
 from ..quant import QuantSpec, decode_vectors
-from .vecops import group_slices
 
 __all__ = ["extract_vectors", "extract_vectors_many"]
 
@@ -65,6 +65,31 @@ def extract_vectors(
     return _extract_from_buffer(content, slots, vec_dim, rows_per_page, quant)
 
 
+def _table_vectors(table: Any, ranks: np.ndarray, vec_dim: int) -> np.ndarray:
+    """Canonical vectors stored at storage ``ranks`` of ``table``.
+
+    What ``TablePageContent.vectors`` returns page by page, for any
+    number of pages at once: the table's layout resolves each rank to
+    the row stored there, and ranks past the table's end (the tail of
+    its last page) are zero.
+    """
+
+    def gather(stored: np.ndarray) -> np.ndarray:
+        got = table.get_rows(table.external_ids(stored))
+        if got.shape != (stored.size, vec_dim):
+            raise ValueError("virtual page returned wrong vector shape")
+        return got
+
+    rows = table.spec.rows
+    if int(ranks.max()) < rows:
+        return gather(ranks)
+    out = np.zeros((ranks.size, vec_dim), dtype=np.float32)
+    in_range = ranks < rows
+    if np.any(in_range):
+        out[in_range] = gather(ranks[in_range])
+    return out
+
+
 def extract_vectors_many(
     contents_by_lpn: Mapping[int, Any],
     lpns: np.ndarray,
@@ -77,45 +102,33 @@ def extract_vectors_many(
 
     Equivalent to one :func:`extract_vectors` call per row with the row's
     page content (missing pages yield zero vectors, like ``None``
-    content), but grouped so each distinct page is touched once — and
-    virtual table pages (objects carrying ``table``/``page_index``) of
-    one table collapse into a single ``table.get_rows`` gather.
+    content), but each distinct page is looked at once — and when every
+    page is a virtual page of one table (objects carrying
+    ``table``/``page_index``; an NDP entry's pages, an SSD command's)
+    the whole batch is a single ``table.get_rows`` gather in input
+    order with no per-page numpy work.
     """
     lpns = np.asarray(lpns, dtype=np.int64)
     slots = np.asarray(slots, dtype=np.int64)
-    out = np.zeros((slots.size, vec_dim), dtype=np.float32)
     if slots.size == 0:
-        return out
+        return np.zeros((0, vec_dim), dtype=np.float32)
     if slots.min() < 0 or slots.max() >= rows_per_page:
         raise IndexError("slot out of page range")
-    uniq, order, bounds = group_slices(lpns)
-    # (table -> (row ids, output positions)) accumulated across pages.
-    virtual: dict[int, tuple[Any, list, list]] = {}
-    for gi, lpn in enumerate(uniq.tolist()):
-        content = contents_by_lpn.get(lpn)
-        if content is None:
-            continue
-        idx = order[bounds[gi] : bounds[gi + 1]]
-        table = getattr(content, "table", None)
-        page_index = getattr(content, "page_index", None)
-        if table is not None and page_index is not None:
-            entry = virtual.setdefault(id(table), (table, [], []))
-            entry[1].append(page_index * rows_per_page + slots[idx])
-            entry[2].append(idx)
-        elif getattr(content, "vectors", None) is not None:
-            out[idx] = content.vectors(slots[idx])
-        else:
-            out[idx] = _extract_from_buffer(
+    uniq, inverse = np.unique(lpns, return_inverse=True)
+    contents = [contents_by_lpn.get(lpn) for lpn in uniq.tolist()]
+    table = getattr(contents[0], "table", None)
+    if table is not None and all(
+        getattr(content, "table", None) is table for content in contents
+    ):
+        page_index = np.array([content.page_index for content in contents])
+        return _table_vectors(
+            table, page_index[inverse] * rows_per_page + slots, vec_dim
+        )
+    out = np.zeros((slots.size, vec_dim), dtype=np.float32)
+    for gi, content in enumerate(contents):
+        if content is not None:
+            idx = np.flatnonzero(inverse == gi)
+            out[idx] = extract_vectors(
                 content, slots[idx], vec_dim, rows_per_page, quant
             )
-    for table, row_chunks, idx_chunks in virtual.values():
-        rows = np.concatenate(row_chunks)
-        idx = np.concatenate(idx_chunks)
-        # Mirrors TablePageContent.vectors: out-of-range rows (tail of the
-        # last page) stay zero.
-        in_range = rows < table.spec.rows
-        vals = np.zeros((rows.size, vec_dim), dtype=np.float32)
-        if np.any(in_range):
-            vals[in_range] = table.get_rows(rows[in_range])
-        out[idx] = vals
     return out

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Deque, Dict, List, Optional
+from typing import Any, Callable, Deque, List, Optional, Tuple
 
 import numpy as np
 
@@ -51,6 +51,14 @@ class SlsRequestEntry:
     pages_total: int = 0
     pages_done: int = 0
     pages_inflight: int = 0
+    # Translated pages whose rows are not yet in the scratchpad:
+    # ``(work, page content)`` in completion order.  The engine extracts
+    # and accumulates them in one batch (``NdpSlsEngine._gather``).
+    gather_pending: List[Tuple[PageWork, Any]] = field(default_factory=list)
+
+    # ``(row_bytes, fixed_s, byte_s)`` of the per-page translate cost,
+    # read once when the config is processed.
+    translate_costs: Tuple[int, float, float] = (0, 0.0, 0.0)
 
     # Fast-path work resolved from the SSD-side embedding cache: dense
     # [n, dim] vectors and their accumulation targets (batch probe result).

@@ -11,9 +11,11 @@ is not a measured win (see ``benchmarks/bench_hotpath.py``).
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
-__all__ = ["segment_sum", "scatter_add_vectors", "group_slices"]
+__all__ = ["segment_sum", "scatter_add_vectors", "scatter_add_segments", "group_slices"]
 
 # Below this many rows a raw np.add.at beats argsort + reduceat (the
 # crossover measured on the hot-path microbenchmark is ~100-200 rows).
@@ -54,6 +56,27 @@ def scatter_add_vectors(out: np.ndarray, ids: np.ndarray, vectors: np.ndarray) -
     uniq, starts = np.unique(sorted_ids, return_index=True)
     sums = np.add.reduceat(vectors[order], starts, axis=0)
     out[uniq] += sums
+
+
+def scatter_add_segments(
+    out: np.ndarray, ids: np.ndarray, vectors: np.ndarray, sizes: Sequence[int]
+) -> None:
+    """:func:`scatter_add_vectors` once per consecutive segment of
+    ``sizes`` rows, bit for bit, in as few numpy calls as that allows.
+
+    ``np.add.at`` applies its rows one at a time in order, so segments
+    that would each take it are one call over their concatenation.  A
+    segment at the sort threshold sums itself *before* it is added to
+    ``out`` — another float32 grouping — so then every segment keeps its
+    own call.
+    """
+    if max(sizes) < _SORT_THRESHOLD:
+        np.add.at(out, ids, vectors)
+        return
+    lo = 0
+    for n in sizes:
+        scatter_add_vectors(out, ids[lo : lo + n], vectors[lo : lo + n])
+        lo += n
 
 
 def group_slices(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

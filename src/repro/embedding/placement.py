@@ -176,6 +176,9 @@ class LayoutMigrator:
                     ranks.size - min(ranks.size, keep_pages * rpp)
                 )
                 ranks = ranks[: keep_pages * rpp]
+            # Pages the NDP engine translated before this instant hold
+            # the rows they had then: read them before re-pointing ranks.
+            entry.table.device.ndp.flush_gathers()
             moved = layout.repack_ranks(ranks, entry.tracker.heat)
             if moved.size:
                 self.repacks += 1

@@ -19,7 +19,10 @@ module adds that write path on top of the serving stack with
   cache, NDP translation, SSD-side extraction — reads *through*
   ``table.get_rows`` (virtual :class:`TablePageContent` pages), so a
   written row's next read returns the new value on every backend with no
-  further work.
+  further work.  The NDP engine reads once per entry, not per page, so
+  just *before* the mutation it is told to read what its translated
+  pages still owe (:meth:`~repro.core.engine.NdpSlsEngine.flush_gathers`):
+  a page contributes the rows it held at its translate instant.
 
 * **Device write** — the dirty table pages are then rewritten through
   the real SSD write path (driver → NVMe WRITE carrying a
@@ -176,6 +179,11 @@ class EmbeddingUpdateEngine:
                 f"table {table_name!r} is not updatable; call "
                 f"make_model_updatable(model) before registering it"
             )
+        # 0) An NDP page translated before this instant contributes its
+        #    pre-commit rows: the engines read what they still owe now.
+        for server in holders:
+            for device in server.system.devices:
+                device.ndp.flush_gathers()
         # 1) Commit once into the shared canonical data: every replica and
         #    row shard reads through this object from the same instant.
         distinct = data.apply(rows, values)
@@ -247,8 +255,9 @@ class EmbeddingUpdateEngine:
         """Fix the materialized caches a backend fronts.
 
         The DRAM backend and every read-through layer (flash images, FTL
-        page cache, NDP translate, SSD extraction) need nothing: they
-        gather from ``table.get_rows`` at op time.
+        page cache, SSD extraction) need nothing: they gather from
+        ``table.get_rows`` at op time.  (NDP translate reads through too,
+        but per entry — ``apply_update`` flushed it before the commit.)
         """
         if isinstance(backend, DramSlsBackend):
             return

@@ -1,70 +1,45 @@
-"""The RecSSD NDP SLS engine: the paper's core contribution.
+"""The parent commit's ``NdpSlsEngine``, kept verbatim: one
+``extract_vectors -> scatter_add_vectors -> insert_many`` chain per
+flash page, inside the page's own ``apply`` event.
 
-Implements the lifetime in Figure 7.  A write-like NVMe command carries
-the SLS configuration (step 1a); config processing buckets the sorted
-input list by flash page, probing the SSD-side embedding cache as a fast
-path (steps 2a/2b); a scheduling layer feeds per-entry page requests into
-the low-level page machinery round-robin so concurrent SLS requests share
-flash bandwidth fairly (step 3a), consulting the FTL page cache (step
-3b); completed pages trigger the translation step (steps 4-5), which pays
-its CPU time page by page and extracts and accumulates the needed
-vectors into the result scratchpad once per entry (``_gather``); and a
-read-like command returns the accumulated result pages (steps 1b/6).
+The reference ``tests/core/test_engine_equivalence.py`` holds
+``repro.core.engine`` to (as ``tests/sim/reference_resources.py`` is for
+the event engine): values are read page by page at each translate
+instant, pages are bucketed with copies and interleaved across channels
+by draining a dict of deques round-robin, and the translate cost is
+recomputed from ``cfg`` and ``ftl.cpu.costs`` per page.
+``repro.core.engine`` must produce the same scratchpad bytes, cache
+state, counters, payloads, instants and event count.
+
+``NdpEngineConfig`` and ``SlsResultPayload`` are imported, not copied
+(plain data, and the driver type-checks neither); the only addition is
+the no-op ``flush_gathers`` at the very end, which the update and
+migration call sites now invoke on every engine.
+
+Copied from commit b2c2e28463cbf3bfae06942808e12e2fb65d4935; do not edit
+to follow ``src/``.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Any, Callable, Deque, Dict, Optional
 
 import numpy as np
 
-from ..ftl.ftl import GreedyFtl
-from ..nvme.commands import NvmeCommand, SlbaCodec, Status
-from ..sim.kernel import Simulator
-from ..sim.stats import Breakdown
-from .config import SlsConfig
-from .embcache import DirectMappedEmbeddingCache
-from .extract import extract_vectors, extract_vectors_many
-from .request import PageWork, SlsRequestEntry, SlsState
-from .vecops import scatter_add_segments, scatter_add_vectors
+from repro.core.config import SlsConfig
+from repro.core.embcache import DirectMappedEmbeddingCache
+from repro.core.engine import NdpEngineConfig, SlsResultPayload
+from repro.core.extract import extract_vectors
+from repro.core.request import PageWork, SlsRequestEntry, SlsState
+from repro.core.vecops import scatter_add_vectors
+from repro.ftl.ftl import GreedyFtl
+from repro.nvme.commands import NvmeCommand, SlbaCodec, Status
+from repro.sim.kernel import Simulator
 
-__all__ = ["NdpEngineConfig", "NdpSlsEngine", "SlsResultPayload"]
+__all__ = ["NdpSlsEngine"]
 
 CompleteFn = Callable[[Any, Status], None]
-
-
-@dataclass
-class SlsResultPayload:
-    """Returned by the result-read command."""
-
-    values: np.ndarray          # float32 [num_results, vec_dim]
-    breakdown: Breakdown
-    flash_pages_read: int
-    page_cache_hits: int
-    emb_cache_hits: int
-    uncorrectable_pages: int = 0
-
-
-@dataclass(frozen=True)
-class NdpEngineConfig:
-    max_entries: int = 32                  # pending-SLS-request buffer size
-    inflight_pages_window: int = 128       # page requests outstanding to flash
-    process_chunk_pairs: int = 512         # config-processing CPU granularity
-    embcache_slots: int = 0                # 0 disables the SSD-side cache
-    use_page_cache: bool = True            # step 3b fast path
-    # When the entry buffer is full, hold further config-write commands
-    # device-side (the NVMe command stays outstanding, so queue depth
-    # provides natural backpressure) instead of failing them.  Serving
-    # workloads enable this; the default preserves the prototype's
-    # reject-on-overflow behaviour.
-    queue_when_full: bool = False
-    # Bound on commands held by queue_when_full; beyond it the engine
-    # rejects again.  Held commands occupy driver qpair slots, so this
-    # must stay below the aggregate queue depth (default 8x64) or the
-    # result reads that free entries can never issue.
-    max_queued_configs: int = 64
 
 
 class NdpSlsEngine:
@@ -180,10 +155,6 @@ class NdpSlsEngine:
         """Reformat inputs, probe the embedding cache, bucket by flash page."""
         entry.state = SlsState.PROCESSING
         cfg = entry.config
-        costs = self.ftl.cpu.costs
-        entry.translate_costs = (
-            cfg.row_bytes, costs.sls_translate_fixed_s, costs.sls_translate_byte_s
-        )
         pairs = cfg.pairs
         rows = pairs[:, 0]
         result_ids = pairs[:, 1]
@@ -211,16 +182,17 @@ class NdpSlsEngine:
             page_idx = rows // cfg.rows_per_page
             slots = rows % cfg.rows_per_page
             uniq_pages, starts = np.unique(page_idx, return_index=True)
-            lpns = entry.table_base_lpn + uniq_pages
-            bounds = starts.tolist() + [rows.size]
-            # Views, not copies: ``slots`` belongs to this entry and
-            # nothing writes ``cfg.pairs``.
-            works = [
-                PageWork(lpn=lpn, slots=slots[lo:hi], result_ids=result_ids[lo:hi])
-                for lpn, lo, hi in zip(lpns.tolist(), bounds, bounds[1:])
-            ]
-            order = self._interleave_by_channel(lpns).tolist()
-            entry.pending_pages.extend(works[i] for i in order)
+            bounds = list(starts) + [rows.size]
+            for i, page in enumerate(uniq_pages):
+                lo, hi = bounds[i], bounds[i + 1]
+                entry.pending_pages.append(
+                    PageWork(
+                        lpn=int(entry.table_base_lpn + page),
+                        slots=slots[lo:hi].copy(),
+                        result_ids=result_ids[lo:hi].copy(),
+                    )
+                )
+        self._interleave_by_channel(entry)
         entry.pages_total = len(entry.pending_pages)
         entry.cache_work_pending = (
             entry.cache_vectors is not None and len(entry.cache_vectors) > 0
@@ -230,6 +202,7 @@ class NdpSlsEngine:
         # translation interleave with processing on the single FTL core.
         total_pairs = cfg.num_inputs
         chunk = self.config.process_chunk_pairs
+        costs = self.ftl.cpu.costs
 
         def run_chunk(done_pairs: int) -> None:
             if done_pairs >= total_pairs:
@@ -289,28 +262,36 @@ class NdpSlsEngine:
                 cmd.data, rid, table_base_lba // self.ftl.lbas_per_page, done
             )
 
-    def _interleave_by_channel(self, lpns: np.ndarray) -> np.ndarray:
-        """Issue order of an entry's pages: round-robin across flash channels.
+    def _interleave_by_channel(self, entry: SlsRequestEntry) -> None:
+        """Reorder page work round-robin across flash channels.
 
         The prototype feeds page requests into the FTL's per-channel
         request queues, which drain independently; issuing page-sorted
         requests through a single window would serialize on one die at a
         time (table pages are contiguous within a block).  Interleaving by
-        channel reproduces the per-channel-queue parallelism: turn ``k``
-        takes the ``k``-th page of every channel that still has one, in
-        channel order.  Returns positions into ``lpns``.
+        channel reproduces the per-channel-queue parallelism.
         """
-        if lpns.size < 2:
-            return np.arange(lpns.size)
+        if len(entry.pending_pages) < 2:
+            return
         geometry = self.ftl.geometry
+        works = list(entry.pending_pages)
+        lpns = np.fromiter((w.lpn for w in works), dtype=np.int64, count=len(works))
         ppns = self.ftl.mapping.lookup_many(lpns)
         dies = (ppns // geometry.pages_per_block) // geometry.blocks_per_die
         channels = np.where(ppns >= 0, dies // geometry.ways, 0)
-        by_channel = np.argsort(channels, kind="stable")
-        grouped = channels[by_channel]
-        turn = np.empty(lpns.size, dtype=np.int64)
-        turn[by_channel] = np.arange(lpns.size) - np.searchsorted(grouped, grouped)
-        return np.lexsort((channels, turn))
+        buckets: Dict[int, Deque[PageWork]] = {}
+        for work, channel in zip(works, channels.tolist()):
+            buckets.setdefault(channel, deque()).append(work)
+        interleaved: Deque[PageWork] = deque()
+        queues = [buckets[c] for c in sorted(buckets)]
+        while queues:
+            remaining = []
+            for q in queues:
+                interleaved.append(q.popleft())
+                if q:
+                    remaining.append(q)
+            queues = remaining
+        entry.pending_pages = interleaved
 
     def _fail_entry(self, entry: SlsRequestEntry, reason: str) -> None:
         entry.state = SlsState.FAILED
@@ -331,8 +312,6 @@ class NdpSlsEngine:
         entry.cpu_translation += cost
 
         def apply() -> None:
-            # Pages translated before this chunk add to a result id first.
-            self._gather(entry)
             scatter_add_vectors(entry.scratchpad, ids, vectors)
             entry.cache_work_pending = False
             self._maybe_finish(entry)
@@ -387,23 +366,29 @@ class NdpSlsEngine:
     # Translation (steps 4-5)
     # ------------------------------------------------------------------
     def _translate(self, entry: SlsRequestEntry, work: PageWork, content: Any) -> None:
-        row_bytes, fixed_s, byte_s = entry.translate_costs
-        nbytes = work.slots.size * row_bytes
-        cost = fixed_s + nbytes * byte_s
+        cfg = entry.config
+        costs = self.ftl.cpu.costs
+        nbytes = work.slots.size * cfg.row_bytes
+        cost = costs.sls_translate_fixed_s + nbytes * costs.sls_translate_byte_s
         entry.cpu_translation += cost
 
         def apply() -> None:
             if content is None:
                 # Uncorrectable read: the page's rows contribute zeros
-                # and must NOT be inserted into the embedding cache,
-                # which would serve zeros for those rows long after the
-                # fault clears.
+                # (extract_vectors' None contract) and must NOT be
+                # inserted into the embedding cache, which would serve
+                # zeros for those rows long after the fault clears.
                 entry.uncorrectable_pages += 1
             else:
-                entry.gather_pending.append((work, content))
+                vectors = extract_vectors(
+                    content, work.slots, cfg.vec_dim, cfg.rows_per_page, cfg.quant
+                )
+                scatter_add_vectors(entry.scratchpad, work.result_ids, vectors)
                 if self.emb_cache.slots > 0:
-                    # The insert decides which later probes hit.
-                    self._gather(entry)
+                    page_row0 = (work.lpn - entry.table_base_lpn) * cfg.rows_per_page
+                    self.emb_cache.insert_many(
+                        entry.table_base_lpn, page_row0 + work.slots, vectors
+                    )
             entry.pages_done += 1
             entry.pages_inflight -= 1
             self._maybe_finish(entry)
@@ -411,61 +396,10 @@ class NdpSlsEngine:
         entry.pages_inflight += 1
         self.ftl.cpu.ftl_core.submit(cost, apply, priority=1)
 
-    def _gather(self, entry: SlsRequestEntry) -> None:
-        """Extract every translated page's rows in one batch and accumulate.
-
-        ``_translate`` charges each page's CPU time at its own instant;
-        the values are read here, at the first instant anyone can
-        observe them: when the entry's work is done, at once when the
-        embedding cache is on, before a cache-hit chunk accumulates, and
-        — through :meth:`flush_gathers` — before the table's values or
-        layout change.  Pages accumulate in completion order, so every
-        float32 sum is the one page-at-a-time accumulation gives.
-        """
-        pending = entry.gather_pending
-        if not pending:
-            return
-        entry.gather_pending = []
-        cfg = entry.config
-        page_format = (cfg.vec_dim, cfg.rows_per_page, cfg.quant)
-        if len(pending) == 1:
-            # One page (always, with the embedding cache on): its own
-            # arrays, no concatenation and no grouping.
-            ((work, content),) = pending
-            lpns, slots, result_ids = work.lpn, work.slots, work.result_ids
-            sizes = (slots.size,)
-            vectors = extract_vectors(content, slots, *page_format)
-        else:
-            works, contents = zip(*pending)
-            page_lpns = [work.lpn for work in works]
-            sizes = [work.slots.size for work in works]
-            lpns = np.repeat(page_lpns, sizes)
-            slots = np.concatenate([work.slots for work in works])
-            result_ids = np.concatenate([work.result_ids for work in works])
-            vectors = extract_vectors_many(
-                dict(zip(page_lpns, contents)), lpns, slots, *page_format
-            )
-        scatter_add_segments(entry.scratchpad, result_ids, vectors, sizes)
-        if self.emb_cache.slots > 0:
-            table_key = entry.table_base_lpn
-            ranks = (lpns - table_key) * cfg.rows_per_page + slots
-            self.emb_cache.insert_many(table_key, ranks, vectors)
-
-    def flush_gathers(self) -> None:
-        """Read now what every translated page still owes its entry.
-
-        Whoever is about to change a table's values or layout under this
-        device (an update commit, a layout re-pack) calls this first: a
-        page contributes the rows it held at its translate instant.
-        """
-        for entry in self.entries.values():
-            self._gather(entry)
-
     # ------------------------------------------------------------------
     def _maybe_finish(self, entry: SlsRequestEntry) -> None:
         if entry.state is not SlsState.GATHERING or not entry.work_done:
             return
-        self._gather(entry)
         entry.state = SlsState.COMPLETE
         entry.t_work_done = self.sim.now
         self.requests_completed += 1
@@ -522,3 +456,7 @@ class NdpSlsEngine:
     @property
     def active_requests(self) -> int:
         return len(self.entries)
+
+    # -- not in the parent ------------------------------------------------
+    def flush_gathers(self) -> None:
+        """Nothing is ever owed: every page's values were read in its ``apply``."""

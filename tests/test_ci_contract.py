@@ -34,9 +34,10 @@ def test_ci_runs_the_same_tier1_command():
 
 
 def test_tier1_command_collects_the_bit_identity_pins():
-    """The benchmark-digest replay and the engine equivalence proof are
+    """The benchmark-digest replay and the equivalence proofs (event
+    engine, NDP gather-per-entry and the instant it reads a value) are
     what tell a simulator-speed PR, in tier-1, that it moved a simulated
-    number: neither may be dropped, renamed out of collection or
+    number: none may be dropped, renamed out of collection or
     slow-marked silently.  Collects the way the tier-1 command does (same
     directory, same ``testpaths``), under the strictest filter in use."""
     listing = subprocess.run(
@@ -49,7 +50,14 @@ def test_tier1_command_collects_the_bit_identity_pins():
     ).stdout
     digests = re.findall(r"^tests/test_perf_digests\.py::test_workload_replays\S*", listing, re.M)
     assert len(digests) == 10, digests            # five workloads x seeds 13 and 7
-    assert "tests/sim/test_engine_equivalence.py::test_same_dispatch_sequence" in listing
+    for pin in (
+        "tests/sim/test_engine_equivalence.py::test_same_dispatch_sequence",
+        "tests/core/test_engine_equivalence.py::test_same_results_as_the_per_page_engine",
+        "tests/core/test_engine_equivalence.py::test_a_second_gather_adds_to_a_nonzero_scratchpad",
+        "tests/core/test_engine_value_instant.py::test_update_commit_between_two_translates",
+        "tests/core/test_engine_value_instant.py::test_repack_between_two_translates",
+    ):
+        assert pin in listing, pin
 
 
 def test_ci_coverage_job_enforces_serving_floor():
