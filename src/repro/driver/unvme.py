@@ -5,6 +5,13 @@ polls for completions and uses the maximum number of threads/command
 queues.  We model per-command submission and completion-handling costs
 and the queue-depth backpressure of the qpairs; polling pickup is
 immediate (dedicated spinning threads).
+
+Commands issued back to back (one SLS op's block reads) reach their
+submission queues at one instant, ``submit_cost_s`` later.  They ride one
+event — a *train* — that pushes each onto its SQ in issue order; a
+command joins the open train only while nothing else has been scheduled
+since, which is exactly when its own event would have run straight after
+the train's.
 """
 
 from __future__ import annotations
@@ -54,6 +61,8 @@ class UnvmeDriver:
             device.create_qpair(self.config.queue_depth)
             for _ in range(self.config.num_qpairs)
         ]
+        # qids are device-global: a second driver's pairs do not start at 1.
+        self._qpair_of: Dict[int, QueuePair] = {qp.qid: qp for qp in self._qpairs}
         self._callbacks: Dict[int, tuple[CompletionCallback, QueuePair]] = {}
         self._backlog: Deque[tuple[NvmeCommand, CompletionCallback]] = deque()
         # Open ``nvme.cmd`` spans by cid (tracing only; empty otherwise).
@@ -61,6 +70,11 @@ class UnvmeDriver:
         # to survive the submit -> deliver gap here.
         self._cmd_spans: Dict[int, object] = {}
         self._rr = 0
+        # The open doorbell train: its (sq, cmd) pairs, the instant they
+        # were issued and the event that will push them; None once it ran.
+        self._train: Optional[List[tuple]] = None
+        self._train_issued_at = 0.0
+        self._train_event = None
         for qp in self._qpairs:
             qp.cq.set_notify(self._on_cq_post)
         self.commands_issued = 0
@@ -115,13 +129,32 @@ class UnvmeDriver:
         self._callbacks[cmd.cid] = (on_done, qp)
         self.commands_issued += 1
         # Submission cost: build SQE + doorbell write from the host thread.
-        self.sim.schedule_call(self.config.submit_cost_s, qp.sq.push, cmd)
+        sim = self.sim
+        train = self._train
+        if (
+            train is not None
+            and self._train_issued_at == sim.now
+            and sim.is_latest(self._train_event)
+        ):
+            train.append((qp.sq, cmd))
+            return
+        self._train = train = [(qp.sq, cmd)]
+        self._train_issued_at = sim.now
+        self._train_event = sim.schedule_call(
+            self.config.submit_cost_s, self._ring_doorbells, train
+        )
+
+    def _ring_doorbells(self, train: List[tuple]) -> None:
+        if train is self._train:
+            self._train = None
+        for sq, cmd in train:
+            sq.push(cmd)
 
     # ------------------------------------------------------------------
     # Completion (polling)
     # ------------------------------------------------------------------
     def _on_cq_post(self, qid: int) -> None:
-        qp = self._qpairs[qid - 1]
+        qp = self._qpair_of[qid]
         cpl = qp.cq.poll()
         if cpl is None:
             return

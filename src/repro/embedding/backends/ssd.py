@@ -6,10 +6,15 @@ read per (deduplicated) block run through the user-space driver, extracts
 the vectors as payloads return, and accumulates on the host CPU.  An
 optional host-DRAM LRU cache filters lookups first (Fig 10 baseline).
 
-The default hot path is batch-first: the cache filter, LBA-span
-grouping, per-command vector extraction and cache refill all run as
-numpy array operations — no per-row Python between the serving layer
-and the driver.  ``vectorized=False`` selects the scalar reference
+The default hot path is batch-first: the cache filter and LBA-span
+grouping run as numpy array operations, and a completed command only
+notes which slice of the op's rows it delivered — the op gathers its
+miss vectors once, sums them into the result once (at its last
+completion) and hands each refill to the host cache to make before the
+cache is next looked at.  No per-row Python between the serving layer
+and the driver, and no numpy call per command.  (The per-command route
+this replaced is ``tests/embedding/reference_ssd_backend.py``.)
+``vectorized=False`` selects the scalar reference
 implementation (identical simulated behaviour, kept for the
 golden-equivalence tests and the hot-path benchmark's "before" side).
 """
@@ -21,7 +26,12 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ...core.extract import extract_vectors, extract_vectors_many
-from ...core.vecops import group_slices, scatter_add_vectors, segment_sum
+from ...core.vecops import (
+    group_slices,
+    scatter_add_segments,
+    scatter_add_vectors,
+    segment_sum,
+)
 from ...sim.stats import Breakdown
 from ..caches import SetAssociativeLru
 from ..table import EmbeddingTable, TablePageContent
@@ -117,77 +127,106 @@ class SsdSlsBackend(SlsBackend):
         base_lpn = (table.base_lba * table.lba_bytes) // page_bytes
         quant = table.spec.quant
         dim = table.spec.dim
+        row_bytes = table.spec.row_bytes
+        host_cache = self.host_cache
 
-        # Miss vectors, pre-gathered once for the whole op.  Valid whenever
-        # a command's pages are this table's virtual (preloaded) images —
-        # extraction from those is definitionally ``table.get_rows``, so
-        # the per-command work collapses to an array slice.  Commands whose
-        # pages were rewritten through the IO path (raw buffers) fall back
-        # to true extraction.
-        prefetch: List[Optional[np.ndarray]] = [None] if (
-            rows.size and int(rows.min()) >= 0 and int(rows.max()) < table.spec.rows
-        ) else []
+        # A command's members are one slice of the span-grouped order, so
+        # in that order everything a completion touches is a view.
+        rows_m = rows[member_order]
+        rids_m = rids[member_order]
+        position = np.arange(rows.size)
 
-        def prefetched() -> np.ndarray:
-            if prefetch[0] is None:
-                prefetch[0] = table.get_rows(rows)
-            return prefetch[0]
+        # Miss vectors, gathered once for the whole op at its first
+        # fast-route completion.  Valid whenever a command's pages are
+        # this table's virtual (preloaded) images — extraction from those
+        # is definitionally ``table.get_rows`` — so such a completion only
+        # notes its slice: the sum is owed to ``values`` and the refill to
+        # the host cache.  Commands with an uncorrectable page, or pages
+        # rewritten through the IO path (raw buffers), take the slow
+        # route: true extraction, summed and refilled on the spot.
+        gather_ok = int(rows.min()) >= 0 and int(rows.max()) < table.spec.rows
+        gathered: List[np.ndarray] = []
+        owed: List[Tuple[int, int]] = []         # completion order
 
-        def make_handler(member_idx: np.ndarray):
+        def settle() -> None:
+            """Sum the owed slices into ``values`` exactly as one
+            ``scatter_add_vectors`` per command, in completion order."""
+            if not owed:
+                return
+            if len(owed) == 1:
+                a, b = owed[0]
+                which = slice(a, b)
+            else:
+                which = np.concatenate([position[a:b] for a, b in owed])
+            scatter_add_segments(
+                values, rids_m[which], gathered[0][which], [b - a for a, b in owed]
+            )
+            owed.clear()
+
+        def slow_route(segments, a: int, b: int) -> int:
+            got_rows = rows_m[a:b]
+            got_srows = srows[member_order[a:b]]
+            got_rids = rids_m[a:b]
+            bad_lpns = [seg.lpn for seg in segments if seg.content is None]
+            if bad_lpns:
+                # Uncorrectable pages: their rows contribute zeros and
+                # must not be inserted into the host cache (that would
+                # pin zeros past the fault).  Count them for quality
+                # accounting; the op still completes.
+                ok = ~np.isin(
+                    base_lpn + got_srows // rpp,
+                    np.asarray(bad_lpns, dtype=np.int64),
+                )
+                stats["uncorrectable_rows"] = stats.get(
+                    "uncorrectable_rows", 0.0
+                ) + float(got_rows.size - int(np.count_nonzero(ok)))
+                got_rows = got_rows[ok]
+                got_srows = got_srows[ok]
+                got_rids = got_rids[ok]
+            if got_rows.size:
+                if len(segments) == 1:
+                    # Single-page command (every non-coalesced command):
+                    # one direct extract, no grouping machinery.
+                    vecs = extract_vectors(
+                        segments[0].content, got_srows % rpp, dim, rpp, quant
+                    )
+                else:
+                    content_by_lpn = {seg.lpn: seg.content for seg in segments}
+                    vecs = extract_vectors_many(
+                        content_by_lpn,
+                        base_lpn + got_srows // rpp,
+                        got_srows % rpp,
+                        dim,
+                        rpp,
+                        quant,
+                    )
+                settle()        # float32 sums keep completion order
+                scatter_add_vectors(values, got_rids, vecs)
+                if host_cache is not None:
+                    host_cache.insert_many(got_rows, vecs)
+            return got_rows.size
+
+        def make_handler(a: int, b: int):
             def handle(cpl) -> None:
                 if not cpl.ok:
                     raise RuntimeError(f"baseline SLS read failed: {cpl.status}")
-                got_rows = rows[member_idx]
-                got_srows = srows[member_idx]
-                got_rids = rids[member_idx]
                 segments = cpl.payload.segments
-                bad_lpns = [seg.lpn for seg in segments if seg.content is None]
-                if bad_lpns:
-                    # Uncorrectable pages: their rows contribute zeros and
-                    # must not be inserted into the host cache (that would
-                    # pin zeros past the fault).  Count them for quality
-                    # accounting; the op still completes.
-                    ok = ~np.isin(
-                        base_lpn + got_srows // rpp,
-                        np.asarray(bad_lpns, dtype=np.int64),
-                    )
-                    stats["uncorrectable_rows"] = stats.get(
-                        "uncorrectable_rows", 0.0
-                    ) + float(got_rows.size - int(np.count_nonzero(ok)))
-                    got_rows = got_rows[ok]
-                    got_srows = got_srows[ok]
-                    got_rids = got_rids[ok]
-                if got_rows.size:
-                    if not bad_lpns and prefetch and all(
-                        type(seg.content) is TablePageContent
-                        and seg.content.table is table
-                        for seg in segments
-                    ):
-                        vecs = prefetched()[member_idx]
-                    elif len(segments) == 1:
-                        # Single-page command (every non-coalesced command):
-                        # one direct extract, no grouping machinery.
-                        vecs = extract_vectors(
-                            segments[0].content, got_srows % rpp, dim, rpp, quant
-                        )
-                    else:
-                        content_by_lpn = {seg.lpn: seg.content for seg in segments}
-                        vecs = extract_vectors_many(
-                            content_by_lpn,
-                            base_lpn + got_srows // rpp,
-                            got_srows % rpp,
-                            dim,
-                            rpp,
-                            quant,
-                        )
-                    scatter_add_vectors(values, got_rids, vecs)
-                    if self.host_cache is not None:
-                        self.host_cache.insert_many(got_rows, vecs)
-                pending["accumulate_cost"] += host_cpu.accumulate_time(
-                    got_rows.size, table.spec.row_bytes
-                )
+                if gather_ok and all(
+                    type(seg.content) is TablePageContent and seg.content.table is table
+                    for seg in segments
+                ):
+                    if not gathered:
+                        gathered.append(table.get_rows(rows_m))
+                    owed.append((a, b))
+                    if host_cache is not None:
+                        host_cache.insert_later(rows_m[a:b], gathered[0][a:b])
+                    n_rows = b - a
+                else:
+                    n_rows = slow_route(segments, a, b)
+                pending["accumulate_cost"] += host_cpu.accumulate_time(n_rows, row_bytes)
                 pending["n"] -= 1
                 if pending["n"] == 0:
+                    settle()
                     io_wait = sim.now - start
                     breakdown.add("io_wait", io_wait)
                     breakdown.add("host_accumulate", pending["accumulate_cost"])
@@ -203,8 +242,9 @@ class SsdSlsBackend(SlsBackend):
 
             return handle
 
+        edges = bounds.tolist()
         for slba, nlb, lo, hi in commands:
-            driver.read(slba, nlb, make_handler(member_order[bounds[lo] : bounds[hi]]))
+            driver.read(slba, nlb, make_handler(edges[lo], edges[hi]))
 
     def _plan_command_ranges(
         self, span_first: np.ndarray, span_nlb: np.ndarray

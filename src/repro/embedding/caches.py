@@ -14,6 +14,13 @@ a handful of vector operations (``lookup_many`` / ``insert_many`` /
 key -> slot dict.  The behaviour is bit-identical to the scalar
 reference in :mod:`repro.embedding.caches_scalar` (see
 ``tests/hotpath/test_cache_equivalence.py``).
+
+The LRU's refills may be *owed*: ``insert_later`` only records a batch,
+and everything owed lands, in the order it was handed over, as one
+``insert_many`` before the next method or property that reads or writes
+tags, stamps, values or ``evictions`` does anything else.  No caller can
+tell an owed refill from one already made — in particular an
+``invalidate`` always finds the refill it is meant to drop.
 """
 
 from __future__ import annotations
@@ -35,6 +42,9 @@ class SetAssociativeLru:
     (the LRU order), and ``_values`` the cached vectors, lazily allocated
     from the first inserted value's shape/dtype (one cache caches one
     table's vectors).  Keys must be non-negative integers.
+
+    Everything below that touches that state (or ``evictions``, which a
+    refill moves) starts by settling what ``insert_later`` left owed.
     """
 
     def __init__(self, capacity: int, ways: int = 16):
@@ -59,11 +69,39 @@ class SetAssociativeLru:
             list(range(self.ways - 1, -1, -1)) for _ in range(self.sets)
         ]
         self._counter = 0
+        # Refill batches handed over by insert_later and not yet made.
+        self._owed_keys: List[np.ndarray] = []
+        self._owed_values: List[np.ndarray] = []
         self.hits = 0
         self.misses = 0
-        self.evictions = 0
+        self._evictions = 0
         self.invalidations = 0
         register_resettable(self)
+
+    # ------------------------------------------------------------------
+    # Owed refills
+    # ------------------------------------------------------------------
+    def insert_later(self, keys: np.ndarray, values: np.ndarray) -> None:
+        """``insert_many(keys, values)``, made no later than the next look
+        at the cache.  The arrays are kept, not copied: the caller must
+        not write to them afterwards."""
+        if self.capacity and keys.size:
+            self._owed_keys.append(keys)
+            self._owed_values.append(values)
+
+    def _settle(self) -> None:
+        keys, values = self._owed_keys, self._owed_values
+        self._owed_keys, self._owed_values = [], []
+        if len(keys) == 1:
+            self.insert_many(keys[0], values[0])
+        else:
+            self.insert_many(np.concatenate(keys), np.concatenate(values))
+
+    @property
+    def evictions(self) -> int:
+        if self._owed_keys:
+            self._settle()
+        return self._evictions
 
     # ------------------------------------------------------------------
     def _ensure_storage(self, value: np.ndarray) -> None:
@@ -82,6 +120,8 @@ class SetAssociativeLru:
     # Scalar interface
     # ------------------------------------------------------------------
     def lookup(self, key: int) -> Optional[np.ndarray]:
+        if self._owed_keys:
+            self._settle()
         slot = self._slot_of.get(key)
         if slot is None:
             self.misses += 1
@@ -94,6 +134,8 @@ class SetAssociativeLru:
     def insert(self, key: int, value: np.ndarray) -> None:
         if self.capacity == 0:
             return
+        if self._owed_keys:
+            self._settle()
         self._ensure_storage(value)
         self._counter += 1
         slot = self._slot_of.get(key)
@@ -111,7 +153,7 @@ class SetAssociativeLru:
             w = int(np.argmin(self._stamps[s]))
             victim = int(self._tags[s, w])
             del self._slot_of[victim]
-            self.evictions += 1
+            self._evictions += 1
         self._tags[s, w] = key
         slot = s * self.ways + w
         self._slot_of[key] = slot
@@ -124,6 +166,8 @@ class SetAssociativeLru:
         the next way allocated in that set; returns whether the key was
         resident.
         """
+        if self._owed_keys:
+            self._settle()
         slot = self._slot_of.pop(key, None)
         if slot is None:
             return False
@@ -152,6 +196,8 @@ class SetAssociativeLru:
         self.hits += 1
 
     def __contains__(self, key: int) -> bool:
+        if self._owed_keys:
+            self._settle()
         return key in self._slot_of
 
     # ------------------------------------------------------------------
@@ -167,6 +213,8 @@ class SetAssociativeLru:
         last probe's recency wins — which is what element-order fancy
         assignment produces.
         """
+        if self._owed_keys:
+            self._settle()
         keys = np.ascontiguousarray(keys, dtype=np.int64)
         n = keys.size
         if self.capacity == 0 or not self._slot_of or n == 0:
@@ -198,6 +246,8 @@ class SetAssociativeLru:
         ``hits += #hit-elements + #repeat-misses`` and ``misses +=
         #unique-missing-keys``.
         """
+        if self._owed_keys:
+            self._settle()
         keys = np.ascontiguousarray(keys, dtype=np.int64)
         n = keys.size
         if self.capacity == 0 or not self._slot_of or n == 0:
@@ -230,6 +280,8 @@ class SetAssociativeLru:
         """
         if self.capacity == 0 or keys.size == 0:
             return
+        if self._owed_keys:
+            self._settle()
         if keys.size < 4:
             # Tiny refills (single-page commands): per-key insert beats the
             # array bookkeeping below.
@@ -258,6 +310,8 @@ class SetAssociativeLru:
     # ------------------------------------------------------------------
     @property
     def occupancy(self) -> int:
+        if self._owed_keys:
+            self._settle()
         return len(self._slot_of)
 
     @property
@@ -266,9 +320,11 @@ class SetAssociativeLru:
         return self.hits / total if total else 0.0
 
     def reset_stats(self) -> None:
+        if self._owed_keys:
+            self._settle()          # an owed refill's evictions predate the reset
         self.hits = 0
         self.misses = 0
-        self.evictions = 0
+        self._evictions = 0
         self.invalidations = 0
 
     # ------------------------------------------------------------------
@@ -276,10 +332,14 @@ class SetAssociativeLru:
     # ------------------------------------------------------------------
     def contents(self) -> Dict[int, np.ndarray]:
         """Key -> value snapshot."""
+        if self._owed_keys:
+            self._settle()
         return {key: self._values[slot] for key, slot in self._slot_of.items()}
 
     def recency_order(self) -> List[List[int]]:
         """Per-set keys from least- to most-recently used."""
+        if self._owed_keys:
+            self._settle()
         out: List[List[int]] = []
         for s in range(self.sets):
             occupied = np.flatnonzero(self._tags[s] != -1)

@@ -13,8 +13,10 @@ its callback set to ``None``.
 
 ``Simulator._heap`` and ``Simulator._seq`` are shared with
 :mod:`repro.sim.resources`, the other half of the engine: a ``Server``
-pushes its completion events itself instead of paying a call into the
-kernel per job.  Nothing outside ``repro.sim`` touches them.
+or a ``BandwidthPipe`` pushes its events itself instead of paying a call
+into the kernel per job.  Nothing outside ``repro.sim`` touches them
+(``tests/test_layering.py``); a layer that needs to know whether its
+event is still the newest asks :meth:`Simulator.is_latest`.
 
 Time is a float in **seconds**.  Helpers in :mod:`repro.sim.units` convert
 from microseconds/milliseconds.
@@ -173,6 +175,17 @@ class Simulator:
                 seq += 1
                 heap.append([t, seq, callbacks[i], _NO_ARG])
         self._seq = seq
+
+    def is_latest(self, handle: ScheduleHandle) -> bool:
+        """Whether nothing has been scheduled since ``handle`` was.
+
+        Events at one instant run in scheduling order, so work appended
+        to the latest event's callback runs exactly where an event
+        scheduled now, for that same instant, would: no other event can
+        sort between them.  (``handle`` may already have run; whether it
+        is still pending is the caller's to know.)
+        """
+        return handle[_SEQ] == self._seq
 
     def call_soon(self, callback: Callable[[], None]) -> ScheduleHandle:
         """Run ``callback`` at the current time, after pending same-time events."""

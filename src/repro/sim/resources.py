@@ -3,18 +3,18 @@
 * :class:`Server` — a priority-FIFO single- or multi-server station with
   per-job service times, used for contended hardware (FTL CPU cores,
   flash dies and channel buses).
-* :class:`BandwidthPipe` — a link that serializes transfers (PCIe): a
-  one-server :class:`Server` plus propagation latency.
+* :class:`BandwidthPipe` — a link that serializes transfers (PCIe):
+  FIFO occupancy plus propagation latency, in closed form.
 
 Most events of a device run are ``Server`` completions, so a job costs
 one Python frame here and none in the kernel: ``submit`` (free server)
 and ``_finish`` (hand-off to the next queued job) push the completion
-event onto the simulator's heap themselves.
+event onto the simulator's heap themselves.  A pipe transfer is one
+event: its delivery, pushed when the transfer is admitted.
 """
 
 from __future__ import annotations
 
-from functools import partial
 from heapq import heappop, heappush
 from typing import Callable, Optional
 
@@ -146,9 +146,19 @@ class Server:
 class BandwidthPipe:
     """A link that serializes transfers at a fixed bandwidth plus latency.
 
-    Models a PCIe link or a flash-channel bus: transfers queue FIFO, each
+    Models one direction of the PCIe link: transfers queue FIFO, each
     occupying the link for ``size / bandwidth`` and completing after an
     additional propagation ``latency`` (latency does not occupy the link).
+
+    One priority, one server and service times known on arrival make the
+    whole timeline known when a transfer is admitted, so ``transfer``
+    pushes the delivery event itself and nothing runs when the bus frees.
+    Every instant is the one a one-server :class:`Server` followed by a
+    latency hop would produce (same float operations, same order — the
+    staged pipe is kept in ``tests/sim/reference_resources.py``); the
+    delivery takes its place among *same-instant* events of other
+    resources from the admission rather than from the bus-finish, which
+    ``tests/sim/test_pipe_ties.py`` shows no workload can observe.
     """
 
     def __init__(
@@ -164,8 +174,9 @@ class BandwidthPipe:
         self.name = name
         self.bandwidth = bandwidth_bytes_per_s
         self.latency = latency_s
-        self._server = Server(sim, capacity=1, name=f"{name}.bus")
-        self._on_released = self._after_latency
+        # When the bus finishes the last admitted transfer.
+        self._free_at = sim.now
+        self.busy_time = 0.0
         self.bytes_transferred = 0
 
     def transfer(self, size_bytes: int, on_done: Callable[[], None]) -> None:
@@ -174,20 +185,18 @@ class BandwidthPipe:
             raise SimError(f"negative transfer size {size_bytes}")
         self.bytes_transferred += size_bytes
         occupancy = size_bytes / self.bandwidth
-        if self.latency > 0:
-            self._server.submit(occupancy, partial(self._on_released, on_done))
-        else:
-            self._server.submit(occupancy, on_done)
-
-    def _after_latency(self, on_done: Callable[[], None]) -> None:
-        # sim.schedule(self.latency, on_done), in this frame.
+        self.busy_time += occupancy
         sim = self.sim
+        now = sim.now
+        free_at = self._free_at
+        self._free_at = end = (free_at if free_at > now else now) + occupancy
         sim._seq += 1
-        heappush(sim._heap, [sim.now + self.latency, sim._seq, on_done, _NO_ARG])
-
-    @property
-    def queue_length(self) -> int:
-        return self._server.queue_length
+        heappush(sim._heap, [end + self.latency, sim._seq, on_done, _NO_ARG])
 
     def utilization(self) -> float:
-        return self._server.utilization()
+        """Fraction of elapsed time the bus is occupied by the transfers
+        admitted so far (queued ones count from admission)."""
+        span = self.sim.now
+        if span <= 0:
+            return 0.0
+        return self.busy_time / span

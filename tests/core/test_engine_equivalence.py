@@ -31,11 +31,11 @@ from repro.core.engine import NdpEngineConfig, NdpSlsEngine
 from repro.embedding.placement import HeatTracker, LayoutMigrator
 from repro.embedding.spec import Layout, TableSpec
 from repro.host.system import build_system
-from repro.models.base import RecModel, SparseFeature
 from repro.models.runner import BackendKind
 from repro.quant import EmbDtype, QuantSpec
 from repro.serving import EmbeddingUpdateEngine, InferenceServer, make_model_updatable
 
+from ..conftest import OneTableModel
 from . import reference_engine as reference
 
 PAGE_BYTES = 16 * 1024
@@ -46,19 +46,6 @@ ENGINE_COUNTERS = (
     "_inflight_pages", "active_requests",
 )
 CACHE_COUNTERS = ("hits", "misses", "conflict_evictions", "inserts", "invalidations", "occupancy")
-
-
-class OneTableModel(RecModel):
-    """The least a server registers: one sparse feature, no dense tower."""
-
-    def __init__(self, spec: TableSpec):
-        super().__init__("eq", 4, [SparseFeature(spec=spec, lookups=4)], seed=7)
-
-    def forward(self, dense, emb_values):
-        return np.zeros(dense.shape[0], dtype=np.float32)
-
-    def dense_time(self, batch_size, cpu):
-        return 0.0
 
 
 @dataclass(frozen=True)

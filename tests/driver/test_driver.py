@@ -53,6 +53,28 @@ class TestDriver:
         assert driver.outstanding == 0
 
 
+class TestSecondDriverOnOneDevice:
+    """qids are device-global (``SsdDevice.create_qpair`` counts every
+    pair the device has), so a second driver's pairs do not start at 1:
+    its completions must be looked up by qid, not by position."""
+
+    @pytest.mark.parametrize("first,second", [(2, 2), (1, 4)])
+    def test_completions_reach_the_driver_that_issued_them(self, sim, first, second):
+        # (2, 2): qid 3 used to index past the second driver's two pairs.
+        # (1, 4): qid 2 used to poll the pair with qid 3, find nothing
+        # and drop the completion — no callback, no error.
+        device = small_ssd(sim)
+        UnvmeDriver(sim, device, DriverConfig(num_qpairs=first, queue_depth=4))
+        driver = UnvmeDriver(sim, device, DriverConfig(num_qpairs=second, queue_depth=4))
+        assert [qp.qid for qp in driver._qpairs] == list(range(first + 1, first + second + 1))
+        done = []
+        for i in range(3):
+            driver.read(i, 1, done.append)
+        sim.run()
+        assert len(done) == 3 and all(cpl.ok for cpl in done)
+        assert driver.outstanding == 0
+
+
 class TestNdpSession:
     def test_rid_allocation_recycles(self, sim):
         from repro.host.system import System

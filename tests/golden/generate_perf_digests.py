@@ -1,17 +1,28 @@
 """Regenerate ``perf_digests.json``: what every benchmark workload
 produces on the simulated clock at ``scale=0.1``.
 
-Run this ONLY on a commit whose simulated numbers are trusted, and never
-in a change that claims the simulator got faster — such a change has to
-replay the file it found:
+The rule: **digests replay, event counts may be refreshed by a PR that
+names the fused hops.**  ``sim_digest`` and ``completed`` say what the
+simulation computed; a change that claims the simulator got faster has
+to replay the ones it found.  ``sim_events`` says how many events that
+took, and a change that fuses events (and says which, in ``CHANGES.md``)
+re-records it with
+
+    PYTHONPATH=src python -m tests.golden.generate_perf_digests --events-only
+
+which refuses to write unless every digest and completed count equals
+the file's.  Without the flag everything is recorded afresh — ONLY on a
+commit whose simulated numbers are trusted:
 
     PYTHONPATH=src python -m tests.golden.generate_perf_digests
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import subprocess
+import sys
 from pathlib import Path
 
 from perf.workloads import WORKLOADS, observe, run, setup
@@ -40,18 +51,43 @@ def _git(*args: str) -> str:
 
 
 def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument(
+        "--events-only",
+        action="store_true",
+        help="re-record sim_events; refuse unless every digest replays",
+    )
+    events_only = parser.parse_args().events_only
     commit = _git("rev-parse", "HEAD")
-    dirty = _git("status", "--porcelain", "--", "src")
-    golden = {
-        "generated_at_commit": commit,
-        "src_unchanged_since_commit": not dirty,
-        "scale": SCALE,
-        "workloads": {},
-    }
+    if events_only:
+        golden = json.loads(GOLDEN_PATH.read_text())
+        # The digests keep their provenance; the counts are those of the
+        # working tree on top of this commit.
+        golden["sim_events_refreshed_on_top_of_commit"] = commit
+    else:
+        dirty = _git("status", "--porcelain", "--", "src")
+        golden = {
+            "generated_at_commit": commit,
+            "src_unchanged_since_commit": not dirty,
+            "scale": SCALE,
+            "workloads": {},
+        }
+    moved = []
     for workload in WORKLOADS:
         for seed in SEEDS:
-            print(f"recording {workload.name} seed {seed} ...")
-            golden["workloads"][f"{workload.name}/seed{seed}"] = record(workload, seed)
+            key = f"{workload.name}/seed{seed}"
+            print(f"recording {key} ...")
+            seen = record(workload, seed)
+            if events_only:
+                found = golden["workloads"][key]
+                moved += [
+                    f"{key}: {field} {found[field]} -> {seen[field]}"
+                    for field in ("sim_digest", "completed")
+                    if seen[field] != found[field]
+                ]
+            golden["workloads"][key] = seen
+    if moved:
+        sys.exit("refusing to write, a simulated result moved:\n  " + "\n  ".join(moved))
     GOLDEN_PATH.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
     print(f"wrote {GOLDEN_PATH}")
 

@@ -129,3 +129,26 @@ class TestScheduling:
         sim.schedule(2e-6, lambda: None)
         h1.cancel()
         assert sim.pending_events == 1
+
+    def test_is_latest_until_anything_else_is_scheduled(self, sim):
+        from repro.sim.resources import BandwidthPipe, Server
+
+        first = sim.schedule(1e-6, lambda: None)
+        assert sim.is_latest(first)
+        second = sim.schedule_call_at(5e-7, lambda _: None, "earlier, but scheduled later")
+        assert sim.is_latest(second) and not sim.is_latest(first)
+        # The engine's own pushes count: a Server job, a pipe transfer
+        # and a batch each take sequence numbers.
+        for schedule_something in (
+            lambda: Server(sim).submit(1e-6, lambda: None),
+            lambda: BandwidthPipe(sim, 1e9).transfer(64, lambda: None),
+            lambda: sim.schedule_batch([2e-6], [lambda: None]),
+        ):
+            latest = sim.schedule(1e-6, lambda: None)
+            assert sim.is_latest(latest)
+            schedule_something()
+            assert not sim.is_latest(latest)
+        # Running an event schedules nothing: still the latest, though gone.
+        last = sim.schedule(0.0, lambda: None)
+        sim.step()
+        assert sim.is_latest(last)

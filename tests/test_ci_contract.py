@@ -35,9 +35,11 @@ def test_ci_runs_the_same_tier1_command():
 
 def test_tier1_command_collects_the_bit_identity_pins():
     """The benchmark-digest replay and the equivalence proofs (event
-    engine, NDP gather-per-entry and the instant it reads a value) are
-    what tell a simulator-speed PR, in tier-1, that it moved a simulated
-    number: none may be dropped, renamed out of collection or
+    engine and one-event pipe with the tie census it rests on, doorbell
+    train, NDP gather-per-entry and the instant it reads a value, SSD
+    accumulate-once-per-op and when its refills and value read happen)
+    are what tell a simulator-speed PR, in tier-1, that it moved a
+    simulated number: none may be dropped, renamed out of collection or
     slow-marked silently.  Collects the way the tier-1 command does (same
     directory, same ``testpaths``), under the strictest filter in use."""
     listing = subprocess.run(
@@ -51,7 +53,15 @@ def test_tier1_command_collects_the_bit_identity_pins():
     digests = re.findall(r"^tests/test_perf_digests\.py::test_workload_replays\S*", listing, re.M)
     assert len(digests) == 10, digests            # five workloads x seeds 13 and 7
     for pin in (
-        "tests/sim/test_engine_equivalence.py::test_same_dispatch_sequence",
+        "tests/sim/test_engine_equivalence.py::test_same_dispatch_sequence_counters_and_errors",
+        "tests/sim/test_engine_equivalence.py::test_pipe_laws_hold_on_every_stream",
+        "tests/sim/test_engine_equivalence.py::test_same_dispatch_sequence_when_no_delivery_ties",
+        "tests/sim/test_pipe_ties.py::test_no_delivery_shares_its_instant_with_another_event",
+        "tests/driver/test_doorbell_train.py::test_same_pushes_observations_and_completions",
+        "tests/embedding/test_ssd_backend_equivalence.py::test_same_results_as_the_per_command_backend",
+        "tests/embedding/test_ssd_refill_coherence.py::test_a_refill_never_outlives_the_invalidation_of_its_row",
+        "tests/embedding/test_ssd_refill_coherence.py::test_values_are_those_of_the_first_completion",
+        "tests/embedding/test_ssd_refill_coherence.py::test_counters_read_right_after_the_last_completion_are_settled",
         "tests/core/test_engine_equivalence.py::test_same_results_as_the_per_page_engine",
         "tests/core/test_engine_equivalence.py::test_a_second_gather_adds_to_a_nonzero_scratchpad",
         "tests/core/test_engine_value_instant.py::test_update_commit_between_two_translates",

@@ -1,14 +1,21 @@
-"""No upward imports: ``repro.obs`` is the passive top tier.
+"""Layering rules the source tree is held to.
 
-Only ``repro.obs`` itself and ``repro.experiments`` may import it.  A
-lower layer that does (as six did through ``obs.resettable`` before it
-moved to ``repro.sim``) makes importing ``repro.ftl`` execute the whole
+No upward imports: ``repro.obs`` is the passive top tier.  Only
+``repro.obs`` itself and ``repro.experiments`` may import it.  A lower
+layer that does (as six did through ``obs.resettable`` before it moved
+to ``repro.sim``) makes importing ``repro.ftl`` execute the whole
 tracing/export tier.
+
+The event heap belongs to ``repro.sim``: ``Simulator._heap`` and
+``Simulator._seq`` are shared between the kernel and its resources and
+with nobody else (``kernel.py`` says so).  A layer that wants to know
+about event order asks through a public query (``Simulator.is_latest``).
 """
 
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -41,4 +48,19 @@ def test_no_lower_layer_imports_obs():
             for target in _imported_modules(path)
             if target == "repro.obs" or target.startswith("repro.obs.")
         ]
+    assert not offenders, offenders
+
+
+def test_only_repro_sim_touches_the_event_heap():
+    # Any ``<expr>._heap`` / ``<expr>._seq`` on something other than
+    # ``self``: an object's own private queue (``Server`` and the FTL
+    # have them) is its business, somebody else's is not.
+    foreign = re.compile(r"(?<!\bself)\._(?:heap|seq)\b")
+    offenders = [
+        f"{path.relative_to(SRC)}:{number}: {line.strip()}"
+        for path in sorted((SRC / "repro").rglob("*.py"))
+        if "sim" not in path.relative_to(SRC / "repro").parts[:1]
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if foreign.search(line)
+    ]
     assert not offenders, offenders

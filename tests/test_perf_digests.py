@@ -2,11 +2,15 @@
 
 ``tests/golden/perf_digests.json`` holds, for every ``perf`` workload at
 ``scale=0.1`` on seeds 13 and 7, the ``sim_digest`` (sha256 over the
-sorted latencies and ``stats.summary()``), the simulator's event count
-and the completed count, recorded before the event-engine fast path
-changed any file under ``src/`` (the commit is in the file).  A change
-meant only to make the simulator faster learns here, not in the
-benchmark run, that it moved a simulated number.
+sorted latencies and ``stats.summary()``), the completed count and the
+simulator's event count.  The rule: **digests replay, event counts may
+be refreshed by a PR that names the fused hops** — a change meant only
+to make the simulator faster learns here, not in the benchmark run, that
+it moved a simulated number, and one that dispatches fewer events for
+the same numbers re-records ``sim_events`` alone
+(``generate_perf_digests --events-only``, which refuses if a digest
+moved).  The file names the commit the digests come from and the one the
+counts were last refreshed on top of.
 """
 
 from __future__ import annotations
