@@ -7,16 +7,23 @@ compare per probe.  Entries are whole embedding vectors keyed by
 
 Tags live in dense int64 arrays and vectors in one float32 block, so the
 NDP engine probes a whole SLS config's input list in a few vector ops
-(:meth:`probe_many`) and installs a returned page's vectors in one
-scatter (:meth:`insert_many`) — both bit-equivalent to the element-wise
-loops they replaced.  Caches holding mixed vector widths (multiple
-models with different embedding dims on one device) transparently fall
-back to per-slot object storage.
+(:meth:`probe_many`) — bit-equivalent to the element-wise loop it
+replaced.  Caches holding mixed vector widths (multiple models with
+different embedding dims on one device) transparently fall back to
+per-slot object storage.
+
+An insert has two halves.  :meth:`insert_tags` claims the rows' slots —
+everything that decides which later probe hits, and every counter —
+and :meth:`fill_many` stores the vectors of the rows that still hold
+theirs.  The NDP engine tags at a page's translate instant and fills at
+its entry's gather; in between the vectors are *owed*, and the cache
+never hands one out: every reader first calls :attr:`settle`, the
+tagger's promise to fill what it owes.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -27,9 +34,9 @@ __all__ = ["DirectMappedEmbeddingCache"]
 
 _HASH_MULT = 2654435761
 _TABLE_MULT = 97
-# insert_many batches up to this size take the per-row loop: ~1.2 us a
+# insert_tags batches up to this size take the per-row loop: ~1 us a
 # row against ~35 us flat for the np.unique + group_slices route
-# (crossover at 24-32 rows); one-row-per-page tables insert one row a page.
+# (crossover at 24-32 rows); one-row-per-page tables tag one row a page.
 _ELEMENTWISE_MAX = 16
 
 
@@ -50,6 +57,8 @@ class DirectMappedEmbeddingCache:
         self.conflict_evictions = 0
         self.inserts = 0
         self.invalidations = 0
+        # Called before any vector is read: fills what insert_tags left owed.
+        self.settle: Optional[Callable[[], None]] = None
         register_resettable(self)
 
     # ------------------------------------------------------------------
@@ -86,6 +95,8 @@ class DirectMappedEmbeddingCache:
         if self.slots == 0:
             self.misses += 1
             return None
+        if self.settle is not None:
+            self.settle()
         slot = self._slot(table_key, row)
         if self._tag_row[slot] == row and self._tag_table[slot] == table_key:
             self.hits += 1
@@ -94,22 +105,7 @@ class DirectMappedEmbeddingCache:
         return None
 
     def insert(self, table_key: int, row: int, vector: np.ndarray) -> None:
-        if self.slots == 0:
-            return
-        self._ensure_storage(vector)
-        slot = self._slot(table_key, row)
-        old_row = self._tag_row[slot]
-        if old_row == -1:
-            self._occupied += 1
-        elif old_row != row or self._tag_table[slot] != table_key:
-            self.conflict_evictions += 1
-        self._tag_table[slot] = table_key
-        self._tag_row[slot] = row
-        if self._values_obj is not None:
-            self._values_obj[slot] = np.asarray(vector)
-        else:
-            self._values[slot] = vector
-        self.inserts += 1
+        self.insert_many(table_key, [row], np.asarray(vector)[None])
 
     # ------------------------------------------------------------------
     # Batch interface
@@ -127,6 +123,8 @@ class DirectMappedEmbeddingCache:
         if self.slots == 0 or self._occupied == 0 or n == 0:
             self.misses += n
             return np.zeros(n, dtype=bool), None
+        if self.settle is not None:
+            self.settle()
         slots = self._slots_of(table_key, rows)
         hit_mask = (self._tag_row[slots] == rows) & (self._tag_table[slots] == table_key)
         n_hits = int(np.count_nonzero(hit_mask))
@@ -154,29 +152,45 @@ class DirectMappedEmbeddingCache:
     def insert_many(self, table_key: int, rows: np.ndarray, vectors: np.ndarray) -> None:
         """Insert rows in order, skipping repeats of a row within the batch.
 
-        Equivalent to the engine's translation loop: the first occurrence
-        of each row is inserted (the paper's firmware dedupes per page),
-        later occurrences are ignored.  Conflict accounting matches the
-        sequential outcome, including batch entries displacing each other
-        when distinct rows hash to one slot.  Small batches run exactly
-        that loop; larger ones the equivalent vector route.
+        Equivalent to one ``insert`` per first occurrence of a row (the
+        paper's firmware dedupes per page); later occurrences are ignored.
+        """
+        self.insert_tags(table_key, rows)
+        self.fill_many(table_key, rows, vectors)
+
+    def insert_tags(self, table_key: int, rows: np.ndarray) -> None:
+        """Claim the slots of ``rows`` in order; their vectors are owed.
+
+        The tag half of ``insert_many``: the first occurrence of each
+        row takes its slot, later occurrences are ignored.  Conflict
+        accounting matches the sequential outcome, including batch
+        entries displacing each other when distinct rows hash to one
+        slot.  Small batches run exactly that loop; larger ones the
+        equivalent vector route.
         """
         if self.slots == 0 or len(rows) == 0:
             return
         if len(rows) <= _ELEMENTWISE_MAX:
+            tag_table, tag_row = self._tag_table, self._tag_row
             seen = set()
-            for row, vector in zip(np.asarray(rows).tolist(), vectors):
-                if row not in seen:
-                    seen.add(row)
-                    self.insert(table_key, row, vector)
+            for row in np.asarray(rows).tolist():
+                if row in seen:
+                    continue
+                seen.add(row)
+                slot = self._slot(table_key, row)
+                old_row = tag_row[slot]
+                if old_row == -1:
+                    self._occupied += 1
+                elif old_row != row or tag_table[slot] != table_key:
+                    self.conflict_evictions += 1
+                tag_table[slot] = table_key
+                tag_row[slot] = row
+            self.inserts += len(seen)
             return
         rows = np.ascontiguousarray(rows, dtype=np.int64)
-        vectors = np.asarray(vectors)
-        self._ensure_storage(vectors[0])
         # First occurrence of each row, preserving arrival order.
         _uniq, first = np.unique(rows, return_index=True)
-        perm = np.sort(first)
-        urows = rows[perm]
+        urows = rows[np.sort(first)]
         slots = self._slots_of(table_key, urows)
         uniq_slots, order, bounds = group_slices(slots)
         counts = np.diff(bounds)
@@ -196,10 +210,29 @@ class DirectMappedEmbeddingCache:
         self.conflict_evictions += conflicts
         self.inserts += int(urows.size)
         self._occupied += int(np.count_nonzero(~occupied))
-        last_positions = order[bounds[1:] - 1]
         self._tag_table[uniq_slots] = table_key
-        self._tag_row[uniq_slots] = urows[last_positions]
-        value_src = perm[last_positions]
+        self._tag_row[uniq_slots] = urows[order[bounds[1:] - 1]]
+
+    def fill_many(self, table_key: int, rows: np.ndarray, vectors: np.ndarray) -> None:
+        """Store the vectors owed to ``rows`` since their ``insert_tags``.
+
+        Only a row that still holds its slot is written (the first
+        occurrence's vector, as ``insert`` per first occurrence stores);
+        where another row has taken the slot since, the vector is
+        dropped — that row's tagger owes the slot's vector now.
+        """
+        if self.slots == 0 or len(rows) == 0:
+            return
+        rows = np.ascontiguousarray(rows, dtype=np.int64)
+        vectors = np.asarray(vectors)
+        self._ensure_storage(vectors[0])
+        slots = self._slots_of(table_key, rows)
+        held = np.flatnonzero(
+            (self._tag_row[slots] == rows) & (self._tag_table[slots] == table_key)
+        )
+        # One row holds a slot, so a repeated slot is a repeated row.
+        uniq_slots, first = np.unique(slots[held], return_index=True)
+        value_src = held[first]
         if self._values_obj is not None:
             for s, v in zip(uniq_slots.tolist(), value_src.tolist()):
                 self._values_obj[s] = vectors[v]

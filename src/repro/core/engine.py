@@ -7,9 +7,10 @@ path (steps 2a/2b); a scheduling layer feeds per-entry page requests into
 the low-level page machinery round-robin so concurrent SLS requests share
 flash bandwidth fairly (step 3a), consulting the FTL page cache (step
 3b); completed pages trigger the translation step (steps 4-5), which pays
-its CPU time page by page and extracts and accumulates the needed
-vectors into the result scratchpad once per entry (``_gather``); and a
-read-like command returns the accumulated result pages (steps 1b/6).
+its CPU time and claims its rows' embedding-cache slots page by page,
+and extracts, accumulates and caches the needed vectors once per entry
+(``_gather``); and a read-like command returns the accumulated result
+pages (steps 1b/6).
 """
 
 from __future__ import annotations
@@ -88,6 +89,9 @@ class NdpSlsEngine:
         self.down = False
         self.entries: Dict[int, SlsRequestEntry] = {}
         self.emb_cache = DirectMappedEmbeddingCache(self.config.embcache_slots)
+        # Translated pages tag the cache at once and owe it their vectors
+        # until their entry's gather; no reader sees one missing.
+        self.emb_cache.settle = self.flush_gathers
         # Round-robin feed order across entries with pending pages.
         self._feed_queue: Deque[SlsRequestEntry] = deque()
         self._inflight_pages = 0
@@ -216,7 +220,7 @@ class NdpSlsEngine:
             # Views, not copies: ``slots`` belongs to this entry and
             # nothing writes ``cfg.pairs``.
             works = [
-                PageWork(lpn=lpn, slots=slots[lo:hi], result_ids=result_ids[lo:hi])
+                PageWork(lpn, slots[lo:hi], result_ids[lo:hi], rows[lo:hi])
                 for lpn, lo, hi in zip(lpns.tolist(), bounds, bounds[1:])
             ]
             order = self._interleave_by_channel(lpns).tolist()
@@ -401,9 +405,9 @@ class NdpSlsEngine:
                 entry.uncorrectable_pages += 1
             else:
                 entry.gather_pending.append((work, content))
-                if self.emb_cache.slots > 0:
-                    # The insert decides which later probes hit.
-                    self._gather(entry)
+                # The tags decide which later probes hit; the vectors
+                # follow at the entry's gather.
+                self.emb_cache.insert_tags(entry.table_base_lpn, work.ranks)
             entry.pages_done += 1
             entry.pages_inflight -= 1
             self._maybe_finish(entry)
@@ -416,11 +420,14 @@ class NdpSlsEngine:
 
         ``_translate`` charges each page's CPU time at its own instant;
         the values are read here, at the first instant anyone can
-        observe them: when the entry's work is done, at once when the
-        embedding cache is on, before a cache-hit chunk accumulates, and
-        — through :meth:`flush_gathers` — before the table's values or
-        layout change.  Pages accumulate in completion order, so every
-        float32 sum is the one page-at-a-time accumulation gives.
+        observe them: when the entry's work is done, before a cache-hit
+        chunk accumulates, and — through :meth:`flush_gathers` — before
+        the table's values or layout change and before the embedding
+        cache hands out a vector.  Pages accumulate in completion order,
+        so every float32 sum is the one page-at-a-time accumulation
+        gives; the cache stores a vector only where the page's tag still
+        stands, and as no gather outlives a change to the table, every
+        entry owing one ``(table, rank)`` fills in the same bytes.
         """
         pending = entry.gather_pending
         if not pending:
@@ -429,10 +436,9 @@ class NdpSlsEngine:
         cfg = entry.config
         page_format = (cfg.vec_dim, cfg.rows_per_page, cfg.quant)
         if len(pending) == 1:
-            # One page (always, with the embedding cache on): its own
-            # arrays, no concatenation and no grouping.
+            # One page: its own arrays, no concatenation and no grouping.
             ((work, content),) = pending
-            lpns, slots, result_ids = work.lpn, work.slots, work.result_ids
+            slots, result_ids = work.slots, work.result_ids
             sizes = (slots.size,)
             vectors = extract_vectors(content, slots, *page_format)
         else:
@@ -447,16 +453,16 @@ class NdpSlsEngine:
             )
         scatter_add_segments(entry.scratchpad, result_ids, vectors, sizes)
         if self.emb_cache.slots > 0:
-            table_key = entry.table_base_lpn
-            ranks = (lpns - table_key) * cfg.rows_per_page + slots
-            self.emb_cache.insert_many(table_key, ranks, vectors)
+            ranks = np.concatenate([work.ranks for work, _content in pending])
+            self.emb_cache.fill_many(entry.table_base_lpn, ranks, vectors)
 
     def flush_gathers(self) -> None:
         """Read now what every translated page still owes its entry.
 
         Whoever is about to change a table's values or layout under this
         device (an update commit, a layout re-pack) calls this first: a
-        page contributes the rows it held at its translate instant.
+        page contributes the rows it held at its translate instant.  So
+        does every reader of the embedding cache (its ``settle``).
         """
         for entry in self.entries.values():
             self._gather(entry)

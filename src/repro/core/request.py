@@ -37,6 +37,7 @@ class PageWork:
     lpn: int
     slots: np.ndarray       # row index within the page, per pair
     result_ids: np.ndarray  # accumulation destination, per pair
+    ranks: Optional[np.ndarray] = None  # storage rank in the table, per pair
 
 
 @dataclass

@@ -143,7 +143,11 @@ class SsdSlsBackend(SlsBackend):
         # notes its slice: the sum is owed to ``values`` and the refill to
         # the host cache.  Commands with an uncorrectable page, or pages
         # rewritten through the IO path (raw buffers), take the slow
-        # route: true extraction, summed and refilled on the spot.
+        # route: true extraction, summed and refilled on the spot.  An
+        # update batch committed after the gather has invalidated its
+        # rows in the host cache; a refill made later than that re-reads
+        # its rows, so it cannot put the pre-commit vectors back (the
+        # op's own sum keeps what it gathered).
         gather_ok = int(rows.min()) >= 0 and int(rows.max()) < table.spec.rows
         gathered: List[np.ndarray] = []
         owed: List[Tuple[int, int]] = []         # completion order
@@ -217,9 +221,13 @@ class SsdSlsBackend(SlsBackend):
                 ):
                     if not gathered:
                         gathered.append(table.get_rows(rows_m))
+                        pending["gathered_at"] = table.data.commits
                     owed.append((a, b))
                     if host_cache is not None:
-                        host_cache.insert_later(rows_m[a:b], gathered[0][a:b])
+                        refill = gathered[0][a:b]
+                        if table.data.commits != pending["gathered_at"]:
+                            refill = table.get_rows(rows_m[a:b])
+                        host_cache.insert_later(rows_m[a:b], refill)
                     n_rows = b - a
                 else:
                     n_rows = slow_route(segments, a, b)

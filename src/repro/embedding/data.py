@@ -31,6 +31,9 @@ class TableData(ABC):
 
     rows: int
     dim: int
+    # Update batches committed into these rows so far: whoever keeps
+    # vectors it read earlier compares this to know they may be stale.
+    commits = 0
 
     @abstractmethod
     def get_rows(self, ids: np.ndarray) -> np.ndarray:
@@ -118,6 +121,10 @@ class UpdatableTableData(TableData):
         self._overlay: dict = {}
         self.updates_applied = 0
         self.rows_written = 0
+
+    @property
+    def commits(self) -> int:
+        return self.updates_applied
 
     @property
     def overlay_rows(self) -> int:
@@ -208,6 +215,10 @@ class MappedTableData(TableData):
         self.global_ids = global_ids
         self.rows = int(global_ids.size)
         self.dim = parent.dim
+
+    @property
+    def commits(self) -> int:
+        return self.parent.commits
 
     def get_rows(self, ids: np.ndarray) -> np.ndarray:
         ids = self._check_ids(ids)

@@ -134,18 +134,23 @@ class MappingTable:
         old_mapped = old_ppns[old_ppns != UNMAPPED]
         if old_mapped.size:
             self._p2l[old_mapped] = UNMAPPED
-            blocks = old_mapped // self.geometry.pages_per_block
-            np.add.at(self._valid_per_block, blocks, -1)
+            blocks = self._count_valid(old_mapped, -1)
             if np.any(self._valid_per_block[blocks] < 0):
                 raise AssertionError("valid count underflow in bulk_map_pairs")
         self._l2p[win_lpns] = win_ppns
         self._p2l[win_ppns] = win_lpns
-        np.add.at(
-            self._valid_per_block,
-            win_ppns // self.geometry.pages_per_block,
-            1,
-        )
+        self._count_valid(win_ppns, 1)
         return np.sort(np.concatenate([old_mapped, dead_ppns]))
+
+    def _count_valid(self, ppns: np.ndarray, sign: int) -> np.ndarray:
+        """Add ``sign`` to the valid count of its block once per page of
+        ``ppns`` (a batch is mostly many pages of few blocks: one counted
+        add per block, not ``np.add.at``); returns the distinct blocks."""
+        blocks, pages = np.unique(
+            ppns // self.geometry.pages_per_block, return_counts=True
+        )
+        self._valid_per_block[blocks] += sign * pages
+        return blocks
 
     def _invalidate_ppn(self, ppn: int) -> None:
         self._p2l[ppn] = UNMAPPED

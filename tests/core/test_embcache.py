@@ -87,6 +87,68 @@ class TestDirectMapped:
         assert cache.conflict_evictions >= 48
 
 
+class InsertAtOnceModel:
+    """The cache as plain Python: a dict ``slot -> (table, row, vector)``
+    where a page's vectors are stored with its tags, one ``insert`` per
+    first occurrence of a row.  Shares nothing with ``embcache`` but the
+    slot hash."""
+
+    def __init__(self, slots):
+        self.slots = slots
+        self.resident = {}
+        self.hits = self.misses = self.inserts = 0
+        self.conflict_evictions = self.invalidations = 0
+
+    def _slot(self, table, row):
+        return (row * 2654435761 + table * 97) % self.slots
+
+    def insert_many(self, table, rows, vectors):
+        seen = set()
+        for row, vector in zip(rows, vectors):
+            if row in seen:
+                continue
+            seen.add(row)
+            slot = self._slot(table, row)
+            if slot in self.resident and self.resident[slot][:2] != (table, row):
+                self.conflict_evictions += 1
+            self.resident[slot] = (table, row, np.asarray(vector).tolist())
+            self.inserts += 1
+
+    def probe_many(self, table, rows):
+        """``(hit mask, hit vectors)`` as lists."""
+        mask, vectors = [], []
+        for row in rows:
+            held = self.resident.get(self._slot(table, row), (None, None))
+            mask.append(held[:2] == (table, row))
+            if mask[-1]:
+                vectors.append(held[2])
+        self.hits += len(vectors)
+        self.misses += len(rows) - len(vectors)
+        return mask, vectors
+
+    def invalidate_many(self, table, rows):
+        for row in set(rows):
+            slot = self._slot(table, row)
+            if slot in self.resident and self.resident[slot][:2] == (table, row):
+                del self.resident[slot]
+                self.invalidations += 1
+
+    @property
+    def occupancy(self):
+        return len(self.resident)
+
+
+COUNTERS = ("hits", "misses", "inserts", "conflict_evictions", "invalidations", "occupancy")
+
+
+def _tags(cache):
+    """Slot -> (table, row) for every occupied slot."""
+    return {
+        slot: (int(cache._tag_table[slot]), int(cache._tag_row[slot]))
+        for slot in np.flatnonzero(cache._tag_row != -1).tolist()
+    }
+
+
 def _resident(cache):
     """Slot -> (table, row, vector) for every occupied slot."""
     out = {}
@@ -120,10 +182,12 @@ class TestInsertManyMatchesInsertLoop:
     def test_state_and_counters_equal(self, slots, mixed_width, batches):
         batched = DirectMappedEmbeddingCache(slots)
         looped = DirectMappedEmbeddingCache(slots)
+        model = InsertAtOnceModel(slots)
         if mixed_width:
             # A resident vector of another width forces per-slot storage.
             for cache in (batched, looped):
                 cache.insert(9, 1, np.ones(2, dtype=np.float32))
+            model.insert_many(9, [1], [np.ones(2)])
         stamp = 0.0
         for table, rows in batches:
             rows = np.asarray(rows, dtype=np.int64)
@@ -137,14 +201,124 @@ class TestInsertManyMatchesInsertLoop:
                 if row not in seen:
                     seen.add(row)
                     looped.insert(table, row, vectors[i])
+            model.insert_many(table, rows.tolist(), vectors)
             for cache in (batched, looped):
                 cache.probe_many(table, rows)
-            assert _resident(batched) == _resident(looped)
-            for counter in ("hits", "misses", "inserts", "conflict_evictions", "_occupied"):
-                assert getattr(batched, counter) == getattr(looped, counter), counter
+            model.probe_many(table, rows.tolist())
+            assert _resident(batched) == _resident(looped) == model.resident
+            for counter in COUNTERS:
+                assert (
+                    getattr(batched, counter) == getattr(looped, counter) == getattr(model, counter)
+                ), counter
         assert (batched._values_obj is not None) == (looped._values_obj is not None)
 
     def test_both_routes_are_exercised(self):
         from repro.core import embcache
 
         assert 0 < embcache._ELEMENTWISE_MAX < 64
+
+
+# ----------------------------------------------------------------------
+# Tags at the page, vectors at the gather
+# ----------------------------------------------------------------------
+def _vector(table, row, version, dim):
+    return np.full(dim, table * 4096 + row + version / 4, dtype=np.float32)
+
+
+ROW = st.integers(0, 40)
+# Short pages (the per-row loop) and pages past _ELEMENTWISE_MAX (the vector route).
+ROWS = st.one_of(st.lists(ROW, min_size=1, max_size=8), st.lists(ROW, min_size=17, max_size=24))
+STEP = st.one_of(
+    st.tuples(st.just("page"), st.integers(0, 3), ROWS),            # entry, its page's rows
+    st.tuples(st.just("gather"), st.integers(0, 3), st.none()),     # entry
+    st.tuples(st.just("rewrite"), st.integers(0, 2), ROWS),         # table, rows committed
+    st.tuples(st.just("probe"), st.integers(0, 2), ROWS),           # table, rows probed
+)
+
+
+class TestTagsNowVectorsAtTheGather:
+    """Four interleaved "entries" (entry ``e`` reads table ``e % 3``) tag
+    the cache page by page with ``insert_tags`` and fill what they owe
+    with one ``fill_many`` per gather; everything owed is filled, entry
+    by entry in a drawn order, before a probe (the cache's ``settle``)
+    and before rows are rewritten and invalidated.  Against
+    :class:`InsertAtOnceModel`, which stores each page's vectors with
+    its tags: tags and counters equal after every step, hit masks, hit
+    vectors and resident vectors at every probe."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        slots=st.integers(1, 40),
+        narrow_table=st.booleans(),
+        steps=st.lists(st.tuples(STEP, st.permutations(range(4))), min_size=1, max_size=30),
+    )
+    def test_same_tags_counters_and_hit_vectors(self, slots, narrow_table, steps):
+        cache = DirectMappedEmbeddingCache(slots)
+        model = InsertAtOnceModel(slots)
+        # Table 2 may hold narrower vectors: the per-slot storage fallback.
+        dims = {0: 4, 1: 4, 2: 2 if narrow_table else 4}
+        versions = {}
+        owed = {entry: [] for entry in range(4)}
+        fills = []
+
+        def gather(entry):
+            pages, owed[entry] = owed[entry], []
+            if pages:
+                rows, vectors = zip(*pages)
+                cache.fill_many(entry % 3, np.concatenate(rows), np.concatenate(vectors))
+                fills.append(entry)
+
+        settle_order = []
+        cache.settle = lambda: [gather(entry) for entry in settle_order]
+        for (kind, who, rows), order in steps:
+            settle_order[:] = order
+            if kind == "page":
+                table = who % 3
+                vectors = np.stack(
+                    [_vector(table, row, versions.get((table, row), 0), dims[table]) for row in rows]
+                )
+                cache.insert_tags(table, np.asarray(rows))
+                owed[who].append((np.asarray(rows), vectors))
+                model.insert_many(table, rows, vectors)
+            elif kind == "gather":
+                gather(who)
+            elif kind == "rewrite":
+                cache.settle()
+                for row in rows:
+                    versions[(who, row)] = versions.get((who, row), 0) + 1
+                cache.invalidate_many(who, np.asarray(rows))
+                model.invalidate_many(who, rows)
+            else:
+                mask, vectors = cache.probe_many(who, np.asarray(rows))
+                want_mask, want_vectors = model.probe_many(who, rows)
+                assert mask.tolist() == want_mask
+                assert ([] if vectors is None else vectors.tolist()) == want_vectors
+                assert not any(owed.values())
+                assert _resident(cache) == model.resident
+            assert _tags(cache) == {slot: held[:2] for slot, held in model.resident.items()}
+            for counter in COUNTERS:
+                assert getattr(cache, counter) == getattr(model, counter), counter
+        cache.settle()
+        assert _resident(cache) == model.resident
+
+    def test_an_owed_vector_is_dropped_once_another_row_holds_the_slot(self):
+        cache = DirectMappedEmbeddingCache(8)       # rows 8 apart share a slot
+        cache.insert_tags(0, np.array([3]))
+        cache.insert_many(0, np.array([11]), np.stack([vec(11)]))
+        cache.fill_many(0, np.array([3]), np.stack([vec(3)]))
+        assert cache.lookup(0, 3) is None
+        assert cache.lookup(0, 11)[0] == 11.0
+        assert cache.conflict_evictions == 1 and cache.inserts == 2
+
+    @pytest.mark.parametrize("reader", ["lookup", "lookup_many", "probe_many"])
+    def test_every_reader_settles_first(self, reader):
+        cache = DirectMappedEmbeddingCache(8)
+        cache.insert(0, 1, vec(1))                   # storage exists: unfilled reads as zeros
+        cache.insert_tags(0, np.array([2]))
+        cache.settle = lambda: cache.fill_many(0, np.array([2]), np.stack([vec(2)]))
+        got = {
+            "lookup": lambda: cache.lookup(0, 2),
+            "lookup_many": lambda: cache.lookup_many(0, np.array([2]))[1][0],
+            "probe_many": lambda: cache.probe_many(0, np.array([2]))[1][0],
+        }[reader]()
+        assert got[0] == 2.0

@@ -7,12 +7,14 @@ flight — and runs it on two fresh systems, one with the reference engine
 swapped in.  Drawn across: bags (empty, duplicated, a page with >= 128
 pairs), ``Layout``, dtype, heat / no heat (``FrequencyLayout``), a
 partially filled last page, raw-buffer pages (``attach_via_io``), ``None``
-(uncorrectable) pages, the device embedding cache off / small / large,
-and more ops than the two-entry buffer holds (``queue_when_full``).
+(uncorrectable) pages, the device embedding cache off / 8 slots (mostly
+conflicts) / small / large, looks into that cache while pages are
+translated and not yet gathered, and more ops than the two-entry buffer
+holds (``queue_when_full``).
 Compared with ``==``: every ``SlsResultPayload`` field (the scratchpad
 as bytes), each op's host-side timing, the embedding cache's tags,
-vectors and counters, the engine's counters, ``sim.now`` and
-``sim.event_count``.
+vectors and counters and what each mid-run look found, the engine's
+counters, ``sim.now`` and ``sim.event_count``.
 
 The channel interleave (``np.lexsort`` against the dict of deques) has
 its own property at the end.
@@ -73,6 +75,7 @@ class Program:
     dense_page: bool                        # an op with >= 128 pairs on page 0
     ops: Tuple[Op, ...]
     changes: Tuple[Change, ...]
+    cache_reads: Tuple[Tuple[int, int], ...] = ()   # (at_us, index of the op whose ranks are looked up)
 
 
 RANK = st.integers(0, 1 << 16)
@@ -94,7 +97,7 @@ def programs(draw) -> Program:
         dim=draw(st.sampled_from([4, 16])),
         heat_seed=draw(st.sampled_from([None, 0, 1, 2])),
         via_io=draw(st.booleans()),
-        embcache_slots=draw(st.sampled_from([0, 0, 0, 64, 4096])),
+        embcache_slots=draw(st.sampled_from([0, 0, 0, 8, 8, 64, 4096])),
         bad_pages=tuple(draw(st.lists(st.integers(0, 47), max_size=2))),
         dense_page=draw(st.booleans()),
         ops=tuple(
@@ -111,6 +114,9 @@ def programs(draw) -> Program:
                 tuple(draw(st.lists(RANK, min_size=1, max_size=4))),
             )
             for _ in range(draw(st.sampled_from([0, 1, 2, 3, 4])))
+        ),
+        cache_reads=tuple(
+            draw(st.lists(st.tuples(AT_US, st.integers(0, 3)), max_size=3))
         ),
     )
 
@@ -190,8 +196,19 @@ def run(program: Program, engine_cls) -> dict:
         else:
             migrator.on_block_reclaimed((base_lpn + ranks // rpp).tolist())
 
+    looks = []
+
+    def look(op: Op) -> None:
+        ranks = np.unique(np.asarray(sum(op.bags, ()), dtype=np.int64) % rows)
+        mask, vectors = device.ndp.emb_cache.lookup_many(base_lpn, ranks)
+        looks.append(
+            (sim.now, mask.tobytes(), [None if v is None else v.tobytes() for v in vectors])
+        )
+
     for op in ops:
         sim.schedule_at(start + op.at_us * US, lambda op=op: submit(op))
+    for at_us, index in program.cache_reads:
+        sim.schedule_at(start + at_us * US, lambda op=ops[index % len(ops)]: look(op))
     for index, what in enumerate(program.changes):
         sim.schedule_at(start + what.at_us * US, lambda w=what, i=index: change(w, i))
     sim.run_until(lambda: len(done) == len(ops))
@@ -200,6 +217,7 @@ def run(program: Program, engine_cls) -> dict:
     engine, cache = device.ndp, device.ndp.emb_cache
     return {
         "ops": done,
+        "cache_looks": looks,
         "now": sim.now,
         "events": sim.event_count,
         "engine": {name: getattr(engine, name) for name in ENGINE_COUNTERS},

@@ -11,7 +11,11 @@ instants.  Everything else (command planning, ``_finish``, the scalar
 twin) is inherited from ``src/``.
 
 Copied from commit ce0b2752faea3761a0d03fd27667ae24ad84d4f2; do not edit
-to follow ``src/``.
+to follow ``src/``.  One correction since: the copy shared a bug with
+``src/`` (a command completing after an update commit refilled the host
+LRU from the op's earlier pre-gather, putting back the vectors the
+commit had just invalidated), and was fixed along with it — such a
+command re-reads its rows for the refill; its sum is as it was.
 """
 
 from __future__ import annotations
@@ -106,6 +110,7 @@ class PerCommandSsdSlsBackend(SsdSlsBackend):
         def prefetched() -> np.ndarray:
             if prefetch[0] is None:
                 prefetch[0] = table.get_rows(rows)
+                pending["gathered_at"] = table.data.commits
             return prefetch[0]
 
         def make_handler(member_idx: np.ndarray):
@@ -133,12 +138,14 @@ class PerCommandSsdSlsBackend(SsdSlsBackend):
                     got_srows = got_srows[ok]
                     got_rids = got_rids[ok]
                 if got_rows.size:
+                    stale = False
                     if not bad_lpns and prefetch and all(
                         type(seg.content) is TablePageContent
                         and seg.content.table is table
                         for seg in segments
                     ):
                         vecs = prefetched()[member_idx]
+                        stale = pending["gathered_at"] != table.data.commits
                     elif len(segments) == 1:
                         # Single-page command (every non-coalesced command):
                         # one direct extract, no grouping machinery.
@@ -157,7 +164,9 @@ class PerCommandSsdSlsBackend(SsdSlsBackend):
                         )
                     scatter_add_vectors(values, got_rids, vecs)
                     if self.host_cache is not None:
-                        self.host_cache.insert_many(got_rows, vecs)
+                        self.host_cache.insert_many(
+                            got_rows, table.get_rows(got_rows) if stale else vecs
+                        )
                 pending["accumulate_cost"] += host_cpu.accumulate_time(
                     got_rows.size, table.spec.row_bytes
                 )

@@ -141,3 +141,32 @@ def test_counters_read_right_after_the_last_completion_are_settled(read_first):
     assert sorted(got["contents"]) == sorted(want)
     for key in want:
         assert np.array_equal(got["contents"][key], want[key])
+
+
+@pytest.mark.parametrize("vectorized", [True, False])
+def test_a_refill_after_a_commit_holds_the_committed_rows(vectorized):
+    """The commit invalidates rows whose reads are still in flight; when
+    they complete, the refill must not put the pre-commit vectors back
+    (the vectorized op gathered them at its first completion)."""
+    server, model, backend = ssd_server(host_cache_entries=256)
+    backend.vectorized = vectorized
+    (table_name,) = model.tables
+    table, sim = backend.table, server.system.sim
+    rows = np.array([5, 911, 1822, 2733, 3644])
+    completed = log_completions(backend)
+    box = []
+    backend.start([np.array([r]) for r in rows], box.append)
+    sim.run_until(lambda: len(completed) >= 1)
+    late = np.array([r for r in rows.tolist() if r not in completed])
+    assert late.size == rows.size - 1
+    new = (table.get_rows(late) + np.float32(1.5)).astype(np.float32)
+    updates = EmbeddingUpdateEngine(server)
+    assert updates.apply_update(model.name, table_name, late, new) == late.size
+    sim.run_until(lambda: bool(box))
+    sim.run()                                          # the update's page writes
+
+    for row, vector in zip(late.tolist(), new):
+        assert np.array_equal(backend.host_cache.lookup(row), vector)
+    again = backend.run_sync([np.array([r]) for r in rows])
+    assert again.stats["cache_hits"] == rows.size
+    assert np.array_equal(again.values, table.get_rows(rows))

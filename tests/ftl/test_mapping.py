@@ -137,6 +137,22 @@ class TestBulkMap:
             assert seq.lookup(lpn) == table.lookup(lpn)
         assert sorted(o for o in seq_old if o != UNMAPPED) == invalidated.tolist()
 
+    def test_bulk_map_pairs_counts_every_page_of_a_block(self, table):
+        # A batch is many pages of few blocks: each block's valid count
+        # moves once per page, as np.add.at over the repeated block ids
+        # did — when mapping and when the remap invalidates them.
+        per_block = GEO.pages_per_block
+        lpns = np.arange(2 * per_block + 3, dtype=np.int64)
+        table.bulk_map_pairs(lpns, lpns + per_block)           # blocks 1, 2 and 3 pages of 3
+        want = np.zeros(GEO.total_blocks, dtype=np.int64)
+        np.add.at(want, (lpns + per_block) // per_block, 1)
+        assert table._valid_per_block.tolist() == want.tolist()
+        assert want[1:4].tolist() == [per_block, per_block, 3]
+        table.bulk_map_pairs(lpns, lpns + 5 * per_block)        # all of them move
+        assert [table.valid_pages_in_block(b) for b in (1, 2, 3)] == [0, 0, 0]
+        assert [table.valid_pages_in_block(b) for b in (5, 6, 7)] == [per_block, per_block, 3]
+        table.check_consistency()
+
     def test_bulk_map_pairs_returns_old_ppns_of_remapped_lpns(self, table):
         table.bulk_map_pairs(
             np.array([1, 2], dtype=np.int64), np.array([10, 11], dtype=np.int64)

@@ -36,7 +36,8 @@ def test_ci_runs_the_same_tier1_command():
 def test_tier1_command_collects_the_bit_identity_pins():
     """The benchmark-digest replay and the equivalence proofs (event
     engine and one-event pipe with the tie census it rests on, doorbell
-    train, NDP gather-per-entry and the instant it reads a value, SSD
+    train, NDP gather-per-entry, the instant it reads a value and what
+    its embedding cache shows while a vector is owed, SSD
     accumulate-once-per-op and when its refills and value read happen)
     are what tell a simulator-speed PR, in tier-1, that it moved a
     simulated number: none may be dropped, renamed out of collection or
@@ -66,6 +67,12 @@ def test_tier1_command_collects_the_bit_identity_pins():
         "tests/core/test_engine_equivalence.py::test_a_second_gather_adds_to_a_nonzero_scratchpad",
         "tests/core/test_engine_value_instant.py::test_update_commit_between_two_translates",
         "tests/core/test_engine_value_instant.py::test_repack_between_two_translates",
+        "tests/core/test_engine_value_instant.py::test_another_entry_hits_a_row_translated_but_not_yet_gathered",
+        "tests/core/test_engine_value_instant.py::test_a_look_into_the_cache_finds_the_vector_of_a_translated_page",
+        "tests/core/test_engine_value_instant.py::test_a_conflicting_row_takes_the_slot_while_the_vector_is_owed",
+        "tests/core/test_engine_value_instant.py::test_a_commit_rewrites_a_row_whose_vector_is_owed",
+        "tests/core/test_embcache.py::TestTagsNowVectorsAtTheGather::test_same_tags_counters_and_hit_vectors",
+        "tests/embedding/test_ssd_refill_coherence.py::test_a_refill_after_a_commit_holds_the_committed_rows",
     ):
         assert pin in listing, pin
 
