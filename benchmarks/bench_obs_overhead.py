@@ -1,17 +1,17 @@
 """Observability overhead benchmark: tracing-enabled vs disabled wall clock.
 
-Like ``bench_hotpath.py`` this measures *wall-clock* simulator
-performance, not simulated metrics: the contract of ``repro.obs`` is
-that tracing is zero-cost when disabled (a single ``is None`` check per
-instrumentation site) and cheap when enabled (append-only span records,
-no event scheduling, no RNG draws).  Both halves are pinned here:
+This measures *wall-clock* simulator performance, not simulated
+metrics: the contract of ``repro.obs`` is that tracing is zero-cost when
+disabled (a single ``is None`` check per instrumentation site) and cheap
+when enabled (append-only span records, no event scheduling, no RNG
+draws).  Both halves are pinned here:
 
 * the traced and untraced runs of the same fixed-seed scenario must
   produce **identical simulated summaries** (the bit-identity oracle,
   asserted in every mode), and
 * the traced run's wall-clock overhead over the untraced run must stay
   **<= 15%** (asserted in full mode; smoke sizes are too noisy for a
-  stable ratio, matching the hotpath bench's policy).
+  stable ratio).
 
 Run standalone (writes ``BENCH_obs.json``)::
 

@@ -5,22 +5,10 @@ fast mode, attaches the headline metrics to ``benchmark.extra_info`` and
 asserts the paper's qualitative claims (a benchmark whose shape is wrong
 is worse than a slow one).
 
-Profiling recipe for perf PRs
------------------------------
-
-Wall-clock work on the simulator should start from a profile, not a
-guess.  Any benchmark in this directory doubles as a profiling driver::
-
-    PYTHONPATH=src python -m cProfile -o out.prof benchmarks/bench_hotpath.py --smoke
-    python -c "import pstats; pstats.Stats('out.prof').sort_stats('tottime').print_stats(25)"
-
-Read ``tottime`` first (self time: the interpreter hot spots) and
-``cumtime`` second (who drives them).  The hot-path contract lives in
-``bench_hotpath.py``: the scalar reference paths
-(``SsdSlsBackend(vectorized=False)``, ``ftl.batch_reads=False``,
-``caches_scalar``) are kept in-tree precisely so a perf change can be
-measured as a before/after ratio with bit-identical simulated results —
-keep it that way for future optimizations.
+Wall-clock claims are not made here: ``perf/`` (``python3 -m perf.run``,
+``BENCHMARK.json``) records absolute ``host_req_per_s`` per commit, and
+``python3 -m perf.run --workload ssd_serve --trace 1`` gives the
+per-layer profile a perf PR starts from.
 """
 
 from __future__ import annotations

@@ -6,7 +6,7 @@ segment-reduce when the indices are (or can cheaply be made) sorted.
 The SLS backends almost always hold bag-sorted result ids, so the hot
 paths use :func:`segment_sum` / :func:`scatter_add_vectors` and keep
 ``np.add.at`` only for the small unsorted scatters where sorting first
-is not a measured win (see ``benchmarks/bench_hotpath.py``).
+is not a measured win.
 """
 
 from __future__ import annotations

@@ -10,9 +10,9 @@ statically pinned in host DRAM instead (Section 4.2).
 Both caches are array-native: tags, LRU stamps and values live in dense
 numpy storage so the serving hot path can probe a whole batch of rows in
 a handful of vector operations (``lookup_many`` / ``insert_many`` /
-``partition_mask``), while the scalar entry points stay O(1) through a
-key -> slot dict.  The behaviour is bit-identical to the scalar
-reference in :mod:`repro.embedding.caches_scalar` (see
+``partition_mask``), while the LRU's per-key entry points stay O(1)
+through a key -> slot dict.  The behaviour is bit-identical to the
+dict-model caches kept in ``tests/embedding/reference_caches.py`` (see
 ``tests/hotpath/test_cache_equivalence.py``).
 
 The LRU's refills may be *owed*: ``insert_later`` only records a batch,
@@ -185,16 +185,6 @@ class SetAssociativeLru:
                 dropped += 1
         return dropped
 
-    def record_sequential_hit(self) -> None:
-        """Credit a hit that sequential execution would have produced.
-
-        A batch-oriented operator probes all lookups before any fetch
-        completes; a repeat of a just-missed row later in the same batch
-        would have hit under the real system's streaming execution, so the
-        backend credits it explicitly.
-        """
-        self.hits += 1
-
     def __contains__(self, key: int) -> bool:
         if self._owed_keys:
             self._settle()
@@ -236,11 +226,13 @@ class SetAssociativeLru:
         return hit_mask, self._values[slots]
 
     def probe_filter(self, keys: np.ndarray) -> tuple[np.ndarray, Optional[np.ndarray]]:
-        """Batch form of the SSD backend's sequential cache filter.
+        """The SSD backend's cache filter, as one batch.
 
-        Equivalent to, per element in order: skip (and credit a
-        sequential hit for) repeats of a key that already missed earlier
-        in the batch; otherwise ``lookup``.  Returns ``(hit_mask,
+        Equivalent to, per element in order: skip, and credit a hit for,
+        a repeat of a key that already missed earlier in the batch (a
+        batch operator probes every lookup before any fetch completes;
+        under the real system's streaming execution the repeat would
+        have hit); otherwise ``lookup``.  Returns ``(hit_mask,
         vectors_for_hits)``.  Membership cannot change mid-batch, so the
         hit mask is a pure membership test; stats decompose as
         ``hits += #hit-elements + #repeat-misses`` and ``misses +=
@@ -328,7 +320,7 @@ class SetAssociativeLru:
         self.invalidations = 0
 
     # ------------------------------------------------------------------
-    # Equivalence-test hooks (mirror the scalar reference's)
+    # Equivalence-test hooks (mirror the dict-model reference's)
     # ------------------------------------------------------------------
     def contents(self) -> Dict[int, np.ndarray]:
         """Key -> value snapshot."""
@@ -364,8 +356,8 @@ def profile_hot_rows(trace_rows: Iterable[np.ndarray], capacity: int) -> np.ndar
 class StaticPartitionCache:
     """Read-only host partition holding profiled-hot rows of one table.
 
-    Membership is a sorted-array ``searchsorted`` (vectorized across a
-    whole batch of rows); a key dict backs the scalar ``lookup``.
+    Membership is a sorted-array ``searchsorted``, vectorized across a
+    whole batch of rows.
     """
 
     def __init__(self, rows: np.ndarray, vectors: np.ndarray):
@@ -373,7 +365,6 @@ class StaticPartitionCache:
         if vectors.shape[0] != rows.size:
             raise ValueError("rows/vectors length mismatch")
         self._vectors = np.asarray(vectors, dtype=np.float32)
-        self._index: Dict[int, int] = {int(r): i for i, r in enumerate(rows)}
         order = np.argsort(rows, kind="stable")
         self._sorted_rows = rows[order]
         self._sorted_to_idx = order
@@ -389,14 +380,6 @@ class StaticPartitionCache:
             table.get_rows(hot) if hot.size else np.zeros((0, table.spec.dim), np.float32)
         )
         return cls(hot, vectors)
-
-    def lookup(self, row: int) -> Optional[np.ndarray]:
-        idx = self._index.get(row)
-        if idx is None:
-            self.misses += 1
-            return None
-        self.hits += 1
-        return self._vectors[idx]
 
     def _positions(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(insertion_pos, member_mask) of ``rows`` in the sorted id array."""

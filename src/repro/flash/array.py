@@ -274,7 +274,7 @@ class FlashArray:
         # the whole chain, exactly as behind its individual jobs.
         for d, pages in per_die.items():
             server = die_servers[d]
-            # Sequential accumulation matches the scalar event cascade's
+            # Sequential accumulation matches the per-page event cascade's
             # float associativity; the on_start hook pins the server-free
             # instant to exactly the last page's completion.
             last_end = start

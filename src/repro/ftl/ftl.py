@@ -69,9 +69,6 @@ class GreedyFtl:
             self, self.config.gc_low_watermark, self.config.gc_high_watermark
         )
         self.wear = WearLeveler(self, self.config.wear_threshold)
-        # Batched multi-page read path (False = scalar per-page reference,
-        # used by the golden-equivalence tests and benchmark baselines).
-        self.batch_reads = True
         # Stats
         self.host_page_reads = 0
         self.host_page_writes = 0
@@ -167,12 +164,9 @@ class GreedyFtl:
         Cache probes, mapping lookups and the flash fan-out run batched:
         one ``lookup_many`` per command and one die chain per (channel,
         way) group via :meth:`FlashArray.read_many`, instead of one
-        closure per page.  ``batch_reads=False`` selects the scalar
-        per-page reference path (golden-equivalence tests compare both).
+        closure per page.  (The per-page cascade this replaced is
+        ``tests/ftl/reference_read_pages.py``.)
         """
-        if not self.batch_reads:
-            self._read_pages_scalar(lpns, on_done)
-            return
         if not lpns:
             self.sim.call_soon(lambda: on_done([]))
             return
@@ -211,66 +205,6 @@ class GreedyFtl:
                     on_done(contents)
 
             self.flash.read_many(ppns[mapped], page_done)
-
-        self.cpu.ftl_core.submit(cpu_cost, after_cpu)
-
-    def _read_pages_scalar(
-        self, lpns: list[int], on_done: Callable[[list[Any]], None]
-    ) -> None:
-        """Scalar reference for :meth:`read_pages` (one closure per page).
-
-        Kept verbatim as the golden baseline the batch path must match in
-        simulated time and stats; ``benchmarks/bench_hotpath.py`` also
-        times it as the "before" side.
-        """
-        if not lpns:
-            self.sim.call_soon(lambda: on_done([]))
-            return
-        if len(lpns) == 1:
-            self.read_page(lpns[0], lambda content, _hit: on_done([content]))
-            return
-        self.host_page_reads += len(lpns)
-        costs = self.cpu.costs
-        contents: list[Any] = [None] * len(lpns)
-        # Probe the cache up front; misses go to flash after the CPU cost.
-        miss_indices: list[int] = []
-        for i, lpn in enumerate(lpns):
-            hit, content = self.page_cache.lookup(lpn)
-            if hit:
-                contents[i] = content
-            else:
-                miss_indices.append(i)
-        base = costs.io_miss_s if miss_indices else costs.io_hit_s
-        cpu_cost = base + (len(lpns) - 1) * costs.io_extra_page_s
-
-        def after_cpu() -> None:
-            if not miss_indices:
-                on_done(contents)
-                return
-            remaining = {"n": len(miss_indices)}
-            for i in miss_indices:
-                lpn = lpns[i]
-                ppn = self.mapping.lookup(lpn)
-                if ppn == UNMAPPED:
-                    contents[i] = None
-                    remaining["n"] -= 1
-                    continue
-                self.flash_page_reads += 1
-
-                def make(i: int, lpn: int):
-                    def cb(content: Any) -> None:
-                        contents[i] = content
-                        if content is not None:  # don't cache uncorrectable reads
-                            self.page_cache.insert(lpn, content)
-                        remaining["n"] -= 1
-                        if remaining["n"] == 0:
-                            on_done(contents)
-
-                    return cb
-
-                self.flash.read(ppn, make(i, lpn))
-            if remaining["n"] == 0:
-                on_done(contents)
 
         self.cpu.ftl_core.submit(cpu_cost, after_cpu)
 

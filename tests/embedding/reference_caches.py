@@ -1,12 +1,12 @@
-"""Scalar (OrderedDict/dict) reference caches — the golden baseline.
+"""The parent commit's ``repro.embedding.caches_scalar``, kept verbatim: the
+dict-model host caches (an ``OrderedDict`` per LRU set, a plain dict for
+the static partition) that the array caches in
+:mod:`repro.embedding.caches` must match in hit/miss sequence, eviction
+and invalidation counts, final contents and LRU recency order on any
+operation sequence (``tests/hotpath/``, ``test_cache_invalidate.py``).
 
-These are the pre-vectorization implementations of the host-side caches,
-kept verbatim as the behavioural reference: the array-based caches in
-:mod:`repro.embedding.caches` must produce identical hit/miss sequences,
-eviction counts and final contents on any operation sequence
-(``tests/hotpath/test_cache_equivalence.py``), and
-``benchmarks/bench_hotpath.py`` times them as the "before" side of the
-speedup report.  Do not optimize this module.
+Copied from commit ce681c24a305dd25b8c466047358b64ea22bfe43; do not edit
+to follow ``src/``.
 """
 
 from __future__ import annotations

@@ -7,8 +7,9 @@ member rows, sums them into the op's result with one
 notes a slice per completion and does each of those once per op (the
 refill: once per cache access); ``test_ssd_backend_equivalence.py``
 holds it to the same result bytes, stats, breakdown, cache state and
-instants.  Everything else (command planning, ``_finish``, the scalar
-twin) is inherited from ``src/``.
+instants.  Everything else (command planning, ``_finish``) is inherited
+from ``src/``; the override is named ``_start`` since the dispatcher
+that chose between it and a scalar twin went.
 
 Copied from commit ce0b2752faea3761a0d03fd27667ae24ad84d4f2; do not edit
 to follow ``src/``.  One correction since: the copy shared a bug with
@@ -35,7 +36,7 @@ __all__ = ["PerCommandSsdSlsBackend"]
 
 
 class PerCommandSsdSlsBackend(SsdSlsBackend):
-    def _start_vectorized(
+    def _start(
         self, bags: Sequence[np.ndarray], on_done: Callable[[SlsOpResult], None]
     ) -> None:
         sim = self.system.sim

@@ -15,10 +15,8 @@ import pytest
 
 from repro.core.embcache import DirectMappedEmbeddingCache
 from repro.embedding.caches import SetAssociativeLru, StaticPartitionCache
-from repro.embedding.caches_scalar import (
-    ScalarSetAssociativeLru,
-    ScalarStaticPartitionCache,
-)
+
+from .reference_caches import ScalarSetAssociativeLru, ScalarStaticPartitionCache
 
 
 def _vec(seed: int, dim: int = 8) -> np.ndarray:

@@ -49,13 +49,6 @@ class TestSetAssociativeLru:
         assert cache.lookup(1) is None
         assert 1 not in cache
 
-    def test_sequential_hit_credit(self):
-        cache = SetAssociativeLru(4)
-        cache.lookup(3)
-        cache.record_sequential_hit()
-        assert cache.hits == 1 and cache.misses == 1
-        assert cache.hit_rate == pytest.approx(0.5)
-
     @given(
         keys=st.lists(st.integers(0, 40), min_size=1, max_size=300),
     )
@@ -91,10 +84,10 @@ class TestStaticPartition:
             table, [np.array([7, 7, 9])], capacity=1
         )
         assert partition.size == 1
-        got = partition.lookup(7)
-        assert got is not None
+        assert list(partition.partition_mask(np.array([7]))) == [True]
+        got = partition.vectors_for(np.array([7]))[0]
         assert np.allclose(got, table.get_rows(np.array([7]))[0], rtol=1e-6)
-        assert partition.lookup(9) is None
+        assert list(partition.partition_mask(np.array([9]))) == [False]
         assert partition.hits == 1 and partition.misses == 1
 
     def test_partition_mask(self, system):
@@ -114,8 +107,7 @@ class TestStaticPartition:
         partition = StaticPartitionCache.from_profile(
             table, [np.array([0])], capacity=1
         )
-        partition.lookup(0)
-        partition.lookup(1)
+        partition.partition_mask(np.array([0, 1]))
         assert partition.hit_rate == pytest.approx(0.5)
         partition.reset_stats()
         assert partition.hit_rate == 0.0

@@ -18,12 +18,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.embedding.caches_scalar import ScalarSetAssociativeLru
 from repro.host.system import build_system
 from repro.models.runner import BackendKind, RunnerConfig, required_capacity_pages
 from repro.serving import EmbeddingUpdateEngine, InferenceServer, make_model_updatable
 
 from ..serving.conftest import toy_model
+from .reference_caches import ScalarSetAssociativeLru
 
 
 def ssd_server(host_cache_entries: int):
@@ -143,13 +143,11 @@ def test_counters_read_right_after_the_last_completion_are_settled(read_first):
         assert np.array_equal(got["contents"][key], want[key])
 
 
-@pytest.mark.parametrize("vectorized", [True, False])
-def test_a_refill_after_a_commit_holds_the_committed_rows(vectorized):
+def test_a_refill_after_a_commit_holds_the_committed_rows():
     """The commit invalidates rows whose reads are still in flight; when
     they complete, the refill must not put the pre-commit vectors back
-    (the vectorized op gathered them at its first completion)."""
+    (the op gathered them at its first completion)."""
     server, model, backend = ssd_server(host_cache_entries=256)
-    backend.vectorized = vectorized
     (table_name,) = model.tables
     table, sim = backend.table, server.system.sim
     rows = np.array([5, 911, 1822, 2733, 3644])

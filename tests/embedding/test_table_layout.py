@@ -87,10 +87,9 @@ class TestBackendsUnderLayout:
         "make_backend",
         [
             lambda system, table: SsdSlsBackend(system, table),
-            lambda system, table: SsdSlsBackend(system, table, vectorized=False),
             lambda system, table: NdpSlsBackend(system, table),
         ],
-        ids=["ssd-vectorized", "ssd-scalar", "ndp"],
+        ids=["ssd", "ndp"],
     )
     def test_values_match_reference(self, make_backend, rng):
         system = build_system(min_capacity_pages=512)

@@ -13,7 +13,8 @@ import pytest
 
 from repro.core.embcache import DirectMappedEmbeddingCache
 from repro.embedding.caches import SetAssociativeLru, StaticPartitionCache
-from repro.embedding.caches_scalar import (
+
+from ..embedding.reference_caches import (
     ScalarSetAssociativeLru,
     ScalarStaticPartitionCache,
 )
@@ -37,7 +38,8 @@ def assert_lru_state_equal(ref: ScalarSetAssociativeLru, arr: SetAssociativeLru)
 
 
 def scalar_filter(cache, keys):
-    """The SSD backend's sequential cache-filter loop (reference form)."""
+    """The sequential cache-filter loop of the scalar SSD backend (in
+    ``src/`` until commit ce681c2), which ``probe_filter`` batches."""
     hit_mask = np.zeros(keys.size, dtype=bool)
     hit_vecs = []
     missed = set()

@@ -1,11 +1,12 @@
-"""The vectorized hot path must reproduce the scalar path's simulated numbers.
+"""The hot path must keep reproducing the simulated numbers it was born with.
 
-``hotpath_golden.json`` was recorded with the scalar (pre-vectorization)
-implementations of the caches, SLS backends and FTL read path.  Replaying
-the same fixed-seed scenarios must yield the *exact* same simulated
-times, stats and device counters — the batch rewrite is a wall-clock
-optimization, not a model change.  Accumulated float32 values may differ
-in summation order only, hence allclose.
+``hotpath_golden.json`` was recorded on the scalar (pre-vectorization)
+implementations of the caches, SLS backends and FTL read path.  Those
+are gone from ``src/`` — what is left of them is history and the
+reference files under ``tests/`` — and this replay is what holds the one
+remaining path to them: the same fixed-seed scenarios must yield the
+*exact* same simulated times, stats and device counters.  Accumulated
+float32 values may differ in summation order only, hence allclose.
 """
 
 from __future__ import annotations

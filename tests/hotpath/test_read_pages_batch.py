@@ -1,10 +1,11 @@
-"""Batched Ftl.read_pages vs the scalar per-page reference, randomized.
+"""Batched Ftl.read_pages vs the per-page reference, randomized.
 
 Two identically-built systems run the same randomized multi-page read
 sequences — mixing mapped, unmapped, cached and duplicate pages, plus
-pages rewritten through the IO path — with ``batch_reads`` on and off.
-Completion times, contents, and every FTL/flash/page-cache counter must
-match exactly.
+pages rewritten through the IO path — one through ``Ftl.read_pages``,
+one through the per-page cascade it replaced
+(``tests/ftl/reference_read_pages.py``).  Completion times, contents,
+and every FTL/flash/page-cache counter must match exactly.
 """
 
 from __future__ import annotations
@@ -18,12 +19,23 @@ from repro.flash.reliability import ReadRetryModel, ReliabilityConfig
 from repro.host.system import build_system
 from repro.nvme.payload import page_content_to_bytes
 
+from ..ftl.reference_read_pages import read_pages_scalar
 
-def build(batch_reads, page_cache_pages=64):
+
+def build(page_cache_pages=64):
     system = build_system(
         min_capacity_pages=1 << 16, page_cache_pages=page_cache_pages
     )
-    system.device.ftl.batch_reads = batch_reads
+    # The size of every ``read_many`` batch: the fan-out only the batched
+    # path has, which is how a test knows each side ran its own path.
+    flash = system.device.flash
+    read_many, flash.batches = flash.read_many, []
+
+    def counting_read_many(ppns, on_page):
+        flash.batches.append(len(ppns))
+        read_many(ppns, on_page)
+
+    flash.read_many = counting_read_many
     table = EmbeddingTable(
         TableSpec(name="t", rows=4096, dim=16, layout=Layout.PACKED)
     )
@@ -31,11 +43,19 @@ def build(batch_reads, page_cache_pages=64):
     return system, table
 
 
-def read_pages_sync(system, lpns):
+def read_pages_sync(system, lpns, reference=False):
     done = []
-    system.device.ftl.read_pages(list(lpns), done.append)
+    if reference:
+        read_pages_scalar(system.device.ftl, list(lpns), done.append)
+    else:
+        system.device.ftl.read_pages(list(lpns), done.append)
     system.sim.run_until(lambda: bool(done))
     return system.sim.now, done[0]
+
+
+def assert_each_side_ran_its_own_path(sys_reference, sys_batched):
+    assert sys_reference.device.flash.batches == []
+    assert max(sys_batched.device.flash.batches) >= 2
 
 
 def content_fingerprint(contents):
@@ -66,8 +86,8 @@ def ftl_counters(system):
 @pytest.mark.parametrize("seed", range(5))
 @pytest.mark.parametrize("page_cache_pages", [64, 8])
 def test_read_pages_equivalence(seed, page_cache_pages):
-    sys_s, table_s = build(False, page_cache_pages)
-    sys_v, table_v = build(True, page_cache_pages)
+    sys_s, table_s = build(page_cache_pages)
+    sys_v, table_v = build(page_cache_pages)
     ftl = sys_v.device.ftl
     base_lpn = table_v.base_lba // ftl.lbas_per_page
     n_pages = table_v.spec.table_pages(table_v.page_bytes)
@@ -77,30 +97,21 @@ def test_read_pages_equivalence(seed, page_cache_pages):
         # +4 pushes some lpns past the table into unmapped space; repeats
         # and re-reads exercise the cache path.
         lpns = (base_lpn + rng.integers(0, n_pages + 4, size=size)).tolist()
-        t_s, c_s = read_pages_sync(sys_s, lpns)
+        t_s, c_s = read_pages_sync(sys_s, lpns, reference=True)
         t_v, c_v = read_pages_sync(sys_v, lpns)
         assert t_s == t_v
         assert content_fingerprint(c_s) == content_fingerprint(c_v)
         assert ftl_counters(sys_s) == ftl_counters(sys_v)
+    assert_each_side_ran_its_own_path(sys_s, sys_v)
 
 
-@pytest.mark.parametrize("seed", range(3))
-@pytest.mark.parametrize("fail_p", [0.05, 0.5])
-def test_read_pages_equivalence_under_read_errors(seed, fail_p):
-    """Retry latency and uncorrectable losses match scalar vs vector.
-
-    With a lossy reliability model, each page read draws retries (extra
-    cmd+tR holds on the die) or gives up past the budget (content None).
-    The batched path must consume the reliability RNG stream in the same
-    page order as the scalar cascade, so with same-seed models both
-    modes produce identical completion times, None patterns, and retry /
-    uncorrectable counters.
-    """
+def run_under_read_errors(seed, fail_p, page_cache_pages):
+    """Ten random commands on a per-page and a batched system with
+    same-seed lossy flash, compared after each; returns the per-page
+    system and each command's ``(lpns, fingerprint)``."""
     systems = []
-    for batch in (False, True):
-        # No page cache: every read reaches the flash, so the reliability
-        # stream is exercised on each page in both modes.
-        system, table = build(batch, page_cache_pages=0)
+    for _side in ("reference", "batched"):
+        system, table = build(page_cache_pages=page_cache_pages)
         system.device.flash.reliability = ReadRetryModel(
             ReliabilityConfig(
                 read_fail_probability=fail_p, max_read_retries=3, seed=77
@@ -112,16 +123,16 @@ def test_read_pages_equivalence_under_read_errors(seed, fail_p):
     base_lpn = table_s.base_lba // ftl.lbas_per_page
     n_pages = table_s.spec.table_pages(table_s.page_bytes)
     rng = np.random.default_rng(seed)
-    saw_loss = False
+    commands = []
     for _ in range(10):
         size = int(rng.integers(2, 16))
         lpns = (base_lpn + rng.integers(0, n_pages, size=size)).tolist()
-        t_s, c_s = read_pages_sync(sys_s, lpns)
+        t_s, c_s = read_pages_sync(sys_s, lpns, reference=True)
         t_v, c_v = read_pages_sync(sys_v, lpns)
         assert t_s == t_v
         prints = content_fingerprint(c_s)
         assert prints == content_fingerprint(c_v)
-        saw_loss = saw_loss or any(p is None for p in prints)
+        commands.append((lpns, prints))
         assert ftl_counters(sys_s) == ftl_counters(sys_v)
         for a, b in (
             (sys_s.device.flash.reliability, sys_v.device.flash.reliability),
@@ -133,18 +144,51 @@ def test_read_pages_equivalence_under_read_errors(seed, fail_p):
             sys_s.device.flash.uncorrectable_reads
             == sys_v.device.flash.uncorrectable_reads
         )
+    assert_each_side_ran_its_own_path(sys_s, sys_v)
+    return sys_s, commands
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("fail_p", [0.05, 0.5])
+def test_read_pages_equivalence_under_read_errors(seed, fail_p):
+    """Retry latency and uncorrectable losses match per-page vs batched.
+
+    With a lossy reliability model, each page read draws retries (extra
+    cmd+tR holds on the die) or gives up past the budget (content None).
+    The batched path must consume the reliability RNG stream in the same
+    page order as the per-page cascade, so with same-seed models both
+    sides produce identical completion times, None patterns, and retry /
+    uncorrectable counters.
+    """
+    # No page cache: every read reaches the flash, so the reliability
+    # stream is exercised on each page on both sides.
+    sys_s, commands = run_under_read_errors(seed, fail_p, page_cache_pages=0)
     # The equivalence must have been exercised on actual failures.
     assert sys_s.device.flash.reliability.retries > 0
     if fail_p >= 0.5:
-        assert saw_loss
+        assert any(p is None for _lpns, prints in commands for p in prints)
         assert sys_s.device.flash.uncorrectable_reads > 0
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_read_pages_equivalence_when_a_lost_page_is_asked_for_again(seed):
+    """A page the flash gave up on must not enter the page cache: a later
+    command naming it goes back to the flash, and draws again, on both
+    sides (the cache holds the whole table, so every page read is a hit)."""
+    _sys_s, commands = run_under_read_errors(seed, fail_p=0.5, page_cache_pages=64)
+    lost = set()
+    asked_again = False
+    for lpns, prints in commands:
+        asked_again = asked_again or bool(lost.intersection(lpns))
+        lost.update(lpn for lpn, p in zip(lpns, prints) if p is None)
+    assert asked_again
+
+
 def test_read_pages_after_io_write():
-    """Pages rewritten through the IO path return raw buffers in both modes."""
+    """Pages rewritten through the IO path return raw buffers on both sides."""
     results = {}
-    for batch in (False, True):
-        system, table = build(batch)
+    for reference in (True, False):
+        system, table = build()
         ftl = system.device.ftl
         base_lpn = table.base_lba // ftl.lbas_per_page
         lbas_per_page = ftl.lbas_per_page
@@ -154,7 +198,11 @@ def test_read_pages_after_io_write():
             table.base_lba + 2 * lbas_per_page, lbas_per_page, payload, done.append
         )
         system.sim.run_until(lambda: bool(done))
-        t, contents = read_pages_sync(system, [base_lpn + 1, base_lpn + 2, base_lpn + 3])
+        t, contents = read_pages_sync(
+            system, [base_lpn + 1, base_lpn + 2, base_lpn + 3], reference
+        )
         raw = page_content_to_bytes(contents[1], table.page_bytes)
-        results[batch] = (t, content_fingerprint(contents), raw.sum())
-    assert results[False] == results[True]
+        results[reference] = (t, content_fingerprint(contents), raw.sum())
+        # One fan-out of two on the batched side: the written page is cached.
+        assert system.device.flash.batches == ([] if reference else [2])
+    assert results[True] == results[False]

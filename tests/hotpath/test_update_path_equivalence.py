@@ -1,4 +1,4 @@
-"""Write/invalidate hot path: vectorized vs scalar reference, randomized.
+"""Write/invalidate hot path: batch array code vs per-row references, randomized.
 
 The live-update commit path is all batch array code — sorted-overlay
 ``UpdatableTableData.apply``/``get_rows``, ``invalidate_many`` on the
@@ -7,8 +7,8 @@ on the NDP partition cache.  Each batch operation must be
 indistinguishable — in returned values, hit/miss/invalidation stats,
 final contents and LRU recency order — from the equivalent sequence of
 scalar operations on the per-row reference implementations
-(``repro.embedding.caches_scalar``, ``UpdatableTableData`` in
-``vectorized=False`` mode, and plain per-key ``invalidate`` loops).
+(``tests/embedding/reference_caches.py``, the dict overlay below, and
+plain per-key ``invalidate`` loops).
 """
 
 from __future__ import annotations
@@ -18,11 +18,12 @@ import pytest
 
 from repro.core.embcache import DirectMappedEmbeddingCache
 from repro.embedding.caches import SetAssociativeLru, StaticPartitionCache
-from repro.embedding.caches_scalar import (
+from repro.embedding.data import DenseTableData, UpdatableTableData
+
+from ..embedding.reference_caches import (
     ScalarSetAssociativeLru,
     ScalarStaticPartitionCache,
 )
-from repro.embedding.data import DenseTableData, UpdatableTableData
 
 
 def vec(x, dim=4):
@@ -155,6 +156,41 @@ class TestDirectMappedInvalidateEquivalence:
             assert np.array_equal(vecs_ref, vecs_vec)
 
 
+class DictOverlayTableData:
+    """The dict-backed, per-row side of ``UpdatableTableData`` that
+    ``vectorized=False`` selected until commit ce681c2: the bodies of its
+    four branches, verbatim (input checks ran before them, shared)."""
+
+    def __init__(self, base):
+        self.base = base
+        self._overlay: dict = {}
+        self.updates_applied = 0
+        self.rows_written = 0
+
+    @property
+    def overlay_rows(self) -> int:
+        return len(self._overlay)
+
+    def written_ids(self) -> np.ndarray:
+        return np.asarray(sorted(self._overlay), dtype=np.int64)
+
+    def apply(self, ids: np.ndarray, values: np.ndarray) -> int:
+        self.updates_applied += 1
+        distinct = len({int(g) for g in ids})
+        for i in range(ids.size):
+            self._overlay[int(ids[i])] = values[i].copy()
+        self.rows_written += distinct
+        return distinct
+
+    def get_rows(self, ids: np.ndarray) -> np.ndarray:
+        out = self.base.get_rows(ids)
+        for i in range(ids.size):
+            vec = self._overlay.get(int(ids[i]))
+            if vec is not None:
+                out[i] = vec
+        return out
+
+
 class TestUpdatableDataEquivalence:
     @pytest.mark.parametrize("seed", range(6))
     def test_apply_get_rows_matches_dict_reference(self, seed):
@@ -163,7 +199,7 @@ class TestUpdatableDataEquivalence:
         rng = np.random.default_rng(seed)
         base = DenseTableData.random(256, 4, seed=seed)
         vecd = UpdatableTableData(base)
-        ref = UpdatableTableData(base, vectorized=False)
+        ref = DictOverlayTableData(base)
         for _ in range(40):
             n = int(rng.integers(1, 20))
             ids = rng.integers(0, 256, size=n).astype(np.int64)
@@ -180,11 +216,10 @@ class TestUpdatableDataEquivalence:
 
     def test_empty_and_shape_checks_match(self):
         base = DenseTableData.random(16, 4, seed=0)
-        for mode in (True, False):
-            data = UpdatableTableData(base, vectorized=mode)
-            assert data.apply(np.empty(0, np.int64), np.empty((0, 4), np.float32)) == 0
-            assert data.updates_applied == 0
-            with pytest.raises(ValueError):
-                data.apply(np.asarray([1]), np.zeros((2, 4), np.float32))
-            with pytest.raises(IndexError):
-                data.apply(np.asarray([99]), np.zeros((1, 4), np.float32))
+        data = UpdatableTableData(base)
+        assert data.apply(np.empty(0, np.int64), np.empty((0, 4), np.float32)) == 0
+        assert data.updates_applied == 0
+        with pytest.raises(ValueError):
+            data.apply(np.asarray([1]), np.zeros((2, 4), np.float32))
+        with pytest.raises(IndexError):
+            data.apply(np.asarray([99]), np.zeros((1, 4), np.float32))

@@ -40,9 +40,13 @@ def test_tier1_command_collects_the_bit_identity_pins():
     its embedding cache shows while a vector is owed, SSD
     accumulate-once-per-op and when its refills and value read happen)
     are what tell a simulator-speed PR, in tier-1, that it moved a
-    simulated number: none may be dropped, renamed out of collection or
-    slow-marked silently.  Collects the way the tier-1 command does (same
-    directory, same ``testpaths``), under the strictest filter in use."""
+    simulated number; the ``hotpath_golden.json`` replays and the three
+    suites that hold the one remaining hot path to the scalar twins it
+    once ran beside (batched ``read_pages``, ``probe_filter``, the NDP
+    partition split) are what deleting those twins rests on.  None may be
+    dropped, renamed out of collection or slow-marked silently.  Collects
+    the way the tier-1 command does (same directory, same ``testpaths``),
+    under the strictest filter in use."""
     listing = subprocess.run(
         [sys.executable, "-m", "pytest", "--collect-only", "-q", "-m", "not slow"],
         cwd=REPO,
@@ -53,6 +57,12 @@ def test_tier1_command_collects_the_bit_identity_pins():
     ).stdout
     digests = re.findall(r"^tests/test_perf_digests\.py::test_workload_replays\S*", listing, re.M)
     assert len(digests) == 10, digests            # five workloads x seeds 13 and 7
+    replays = re.findall(
+        r"^tests/hotpath/test_golden_equivalence\.py::test_scenario_matches_golden\[\S+\]",
+        listing,
+        re.M,
+    )
+    assert len(replays) == 8, replays
     for pin in (
         "tests/sim/test_engine_equivalence.py::test_same_dispatch_sequence_counters_and_errors",
         "tests/sim/test_engine_equivalence.py::test_pipe_laws_hold_on_every_stream",
@@ -73,6 +83,9 @@ def test_tier1_command_collects_the_bit_identity_pins():
         "tests/core/test_engine_value_instant.py::test_a_commit_rewrites_a_row_whose_vector_is_owed",
         "tests/core/test_embcache.py::TestTagsNowVectorsAtTheGather::test_same_tags_counters_and_hit_vectors",
         "tests/embedding/test_ssd_refill_coherence.py::test_a_refill_after_a_commit_holds_the_committed_rows",
+        "tests/hotpath/test_read_pages_batch.py::test_read_pages_equivalence_under_read_errors",
+        "tests/hotpath/test_cache_equivalence.py::TestSetAssociativeLruEquivalence::test_probe_filter_matches_backend_loop",
+        "tests/embedding/test_backends.py::TestNdpBackend::test_split_partition_matches_a_per_bag_oracle",
     ):
         assert pin in listing, pin
 

@@ -10,6 +10,10 @@ The event heap belongs to ``repro.sim``: ``Simulator._heap`` and
 ``Simulator._seq`` are shared between the kernel and its resources and
 with nobody else (``kernel.py`` says so).  A layer that wants to know
 about event order asks through a public query (``Simulator.is_latest``).
+
+One path per job: the hot path's scalar twins and the ``vectorized=`` /
+``batch_reads`` switches that selected them are gone; what a suite still
+compares against lives under ``tests/``, out of ``src/``'s reach.
 """
 
 from __future__ import annotations
@@ -62,5 +66,32 @@ def test_only_repro_sim_touches_the_event_heap():
         if "sim" not in path.relative_to(SRC / "repro").parts[:1]
         for number, line in enumerate(path.read_text().splitlines(), 1)
         if foreign.search(line)
+    ]
+    assert not offenders, offenders
+
+
+def test_no_switch_selects_a_twin_implementation():
+    offenders = []
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        if path.stem.endswith("_scalar"):
+            offenders.append(f"{path.relative_to(SRC)}: module named for a scalar twin")
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                named = args.posonlyargs + args.args + args.kwonlyargs
+                offenders += [
+                    f"{path.relative_to(SRC)}:{node.lineno}: {node.name}({arg.arg}=)"
+                    for arg in named
+                    if arg.arg in ("vectorized", "batch_reads")
+                ]
+    assert not offenders, offenders
+
+
+def test_src_never_imports_from_tests():
+    offenders = [
+        f"{path.relative_to(SRC)} imports {target}"
+        for path in sorted(SRC.rglob("*.py"))
+        for target in _imported_modules(path)
+        if target == "tests" or target.startswith("tests.")
     ]
     assert not offenders, offenders
