@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Deque, Dict, Optional
 
 import numpy as np
@@ -66,6 +67,51 @@ class NdpEngineConfig:
     # must stay below the aggregate queue depth (default 8x64) or the
     # result reads that free entries can never issue.
     max_queued_configs: int = 64
+
+
+@dataclass(slots=True, eq=False)
+class _PageJob:
+    """One :class:`PageWork` of one entry from its scheduling job to its
+    translate (steps 3-5): the stage callbacks are its bound methods, so a
+    page in flight is this record and the bound method queued for it.  The
+    entry never refers back to it."""
+
+    engine: "NdpSlsEngine"
+    entry: SlsRequestEntry
+    work: PageWork
+    content: Any = None
+
+    def after_sched(self) -> None:
+        engine = self.engine
+        if engine.config.use_page_cache:
+            hit, content = engine.ftl.page_cache.peek(self.work.lpn)
+            if hit:
+                self.entry.page_cache_hits += 1
+                self.returned(content)
+                return
+        self.entry.flash_pages_read += 1
+        engine.ftl.ndp_read_mapped_page(self.work.lpn, self.returned)
+
+    def returned(self, content: Any) -> None:
+        self.content = content
+        self.engine._page_returned(self)
+
+    def after_translate(self) -> None:
+        entry = self.entry
+        if self.content is None:
+            # Uncorrectable read: the page's rows contribute zeros
+            # and must NOT be inserted into the embedding cache,
+            # which would serve zeros for those rows long after the
+            # fault clears.
+            entry.uncorrectable_pages += 1
+        else:
+            entry.gather_pending.append((self.work, self.content))
+            # The tags decide which later probes hit; the vectors
+            # follow at the entry's gather.
+            self.engine.emb_cache.insert_tags(entry.table_base_lpn, self.work.ranks)
+        entry.pages_done += 1
+        entry.pages_inflight -= 1
+        self.engine._maybe_finish(entry)
 
 
 class NdpSlsEngine:
@@ -230,35 +276,33 @@ class NdpSlsEngine:
             entry.cache_vectors is not None and len(entry.cache_vectors) > 0
         )
 
-        # Pay the per-pair scan cost in chunks so page scheduling and
-        # translation interleave with processing on the single FTL core.
-        total_pairs = cfg.num_inputs
-        chunk = self.config.process_chunk_pairs
+        self._process_chunk(entry, 0)
 
-        def run_chunk(done_pairs: int) -> None:
-            if done_pairs >= total_pairs:
-                finish_processing()
-                return
-            n = min(chunk, total_pairs - done_pairs)
-            cost = n * costs.sls_pair_s
-            entry.cpu_config_process += cost
-            self.ftl.cpu.ftl_core.submit(
-                cost, lambda: run_chunk(done_pairs + n), priority=1
-            )
+    def _process_chunk(self, entry: SlsRequestEntry, done_pairs: int) -> None:
+        """Pay the per-pair scan cost in chunks so page scheduling and
+        translation interleave with processing on the single FTL core."""
+        remaining = entry.config.num_inputs - done_pairs
+        if remaining <= 0:
+            self._finish_processing(entry)
+            return
+        n = min(self.config.process_chunk_pairs, remaining)
+        cost = n * self.ftl.cpu.costs.sls_pair_s
+        entry.cpu_config_process += cost
+        # The continuation names a method, never itself: a closure that
+        # does is a cycle, entry and all, that only the cyclic collector
+        # frees.
+        self.ftl.cpu.ftl_core.submit(
+            cost, partial(self._process_chunk, entry, done_pairs + n), priority=1
+        )
 
-        def finish_processing() -> None:
-            entry.t_processed = self.sim.now
-            entry.state = SlsState.GATHERING
-            if entry.pages_total:
-                self._feed_queue.append(entry)
-            self._accumulate_cache_hits(entry)
-            self._pump()
-            self._maybe_finish(entry)
-
-        if total_pairs == 0:
-            finish_processing()
-        else:
-            run_chunk(0)
+    def _finish_processing(self, entry: SlsRequestEntry) -> None:
+        entry.t_processed = self.sim.now
+        entry.state = SlsState.GATHERING
+        if entry.pages_total:
+            self._feed_queue.append(entry)
+        self._accumulate_cache_hits(entry)
+        self._pump()
+        self._maybe_finish(entry)
 
     def _account_active_change(self) -> None:
         """Update the overlap clock and concurrency gauges on entry add/remove."""
@@ -363,57 +407,29 @@ class NdpSlsEngine:
             self._issue_page(entry, work)
 
     def _issue_page(self, entry: SlsRequestEntry, work: PageWork) -> None:
-        costs = self.ftl.cpu.costs
+        self.ftl.cpu.ftl_core.submit(
+            self.ftl.cpu.costs.sls_page_sched_s, _PageJob(self, entry, work).after_sched
+        )
 
-        def after_sched() -> None:
-            if self.config.use_page_cache:
-                hit, content = self.ftl.page_cache.peek(work.lpn)
-                if hit:
-                    entry.page_cache_hits += 1
-                    self._page_returned(entry, work, content)
-                    return
-            entry.flash_pages_read += 1
-            self.ftl.ndp_read_mapped_page(
-                work.lpn, lambda content: self._page_returned(entry, work, content)
-            )
-
-        self.ftl.cpu.ftl_core.submit(costs.sls_page_sched_s, after_sched)
-
-    def _page_returned(self, entry: SlsRequestEntry, work: PageWork, content: Any) -> None:
+    def _page_returned(self, page: "_PageJob") -> None:
         # The inflight window bounds *flash* occupancy; once the page data is
         # back on-chip the window slot frees so flash reads overlap with the
         # CPU-side translation backlog.
         self._inflight_pages -= 1
         self._pump()
-        self._translate(entry, work, content)
+        self._translate(page)
 
     # ------------------------------------------------------------------
     # Translation (steps 4-5)
     # ------------------------------------------------------------------
-    def _translate(self, entry: SlsRequestEntry, work: PageWork, content: Any) -> None:
+    def _translate(self, page: "_PageJob") -> None:
+        entry = page.entry
         row_bytes, fixed_s, byte_s = entry.translate_costs
-        nbytes = work.slots.size * row_bytes
+        nbytes = page.work.slots.size * row_bytes
         cost = fixed_s + nbytes * byte_s
         entry.cpu_translation += cost
-
-        def apply() -> None:
-            if content is None:
-                # Uncorrectable read: the page's rows contribute zeros
-                # and must NOT be inserted into the embedding cache,
-                # which would serve zeros for those rows long after the
-                # fault clears.
-                entry.uncorrectable_pages += 1
-            else:
-                entry.gather_pending.append((work, content))
-                # The tags decide which later probes hit; the vectors
-                # follow at the entry's gather.
-                self.emb_cache.insert_tags(entry.table_base_lpn, work.ranks)
-            entry.pages_done += 1
-            entry.pages_inflight -= 1
-            self._maybe_finish(entry)
-
         entry.pages_inflight += 1
-        self.ftl.cpu.ftl_core.submit(cost, apply, priority=1)
+        self.ftl.cpu.ftl_core.submit(cost, page.after_translate, priority=1)
 
     def _gather(self, entry: SlsRequestEntry) -> None:
         """Extract every translated page's rows in one batch and accumulate.

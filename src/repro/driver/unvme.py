@@ -154,17 +154,17 @@ class UnvmeDriver:
     # Completion (polling)
     # ------------------------------------------------------------------
     def _on_cq_post(self, qid: int) -> None:
-        qp = self._qpair_of[qid]
-        cpl = qp.cq.poll()
+        cpl = self._qpair_of[qid].cq.poll()
         if cpl is None:
             return
-        self.sim.schedule(
-            self.config.complete_cost_s, lambda: self._deliver(qp, cpl)
-        )
+        self.sim.schedule_call(self.config.complete_cost_s, self._deliver, cpl)
 
-    def _deliver(self, qp: QueuePair, cpl: NvmeCompletion) -> None:
-        qp.outstanding -= 1
+    def _deliver(self, cpl: NvmeCompletion) -> None:
         entry = self._callbacks.pop(cpl.cid, None)
+        if entry is None:
+            raise RuntimeError(f"completion for unknown cid {cpl.cid}")
+        on_done, qp = entry
+        qp.outstanding -= 1
         tracer = self.sim.tracer
         if tracer is not None:
             span = self._cmd_spans.pop(cpl.cid, None)
@@ -172,9 +172,6 @@ class UnvmeDriver:
                 span.attrs["status"] = cpl.status.name
                 tracer.end(span)
         self._drain_backlog()
-        if entry is None:
-            raise RuntimeError(f"completion for unknown cid {cpl.cid}")
-        on_done, _qp = entry
         on_done(cpl)
 
     def _drain_backlog(self) -> None:

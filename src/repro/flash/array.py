@@ -11,6 +11,8 @@ IOPS/channel figure from the paper.
 from __future__ import annotations
 
 import heapq
+from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, List, Optional
 
 import numpy as np
@@ -33,6 +35,51 @@ def _die_noop() -> None:
     # Aggregate die-chain occupancy job: per-page work is scheduled
     # separately; this job only holds the server.
     pass
+
+
+# One record per queued page: its bound methods are the stage callbacks,
+# and as it never refers to itself the last stage returning frees it.
+
+
+@dataclass(slots=True, eq=False)
+class _PageRead:
+    """Die phase (tR) -> bus phase (transfer) -> data on-chip."""
+
+    array: "FlashArray"
+    bus: Server
+    xfer: float  # as the channel had it at submit
+    ppn: int
+    failed: bool
+    start: float
+    on_done: ReadCallback
+
+    def die_done(self) -> None:
+        self.bus.submit(self.xfer, self.bus_done)
+
+    def bus_done(self) -> None:
+        array = self.array
+        array.read_latency.add(array.sim.now - self.start)
+        self.on_done(None if self.failed else array.store.read(self.ppn))
+
+
+@dataclass(slots=True, eq=False)
+class _PageProgram:
+    """Bus phase (data in) -> die phase (tPROG) -> store updated."""
+
+    array: "FlashArray"
+    channel: "FlashChannel"
+    die: Server
+    ppn: int
+    content: Any
+    on_done: DoneCallback
+
+    def bus_done(self) -> None:
+        # tPROG is the channel's when the data has arrived, not at submit.
+        self.die.submit(self.channel.timing.t_program_s, self.die_done)
+
+    def die_done(self) -> None:
+        self.array.store.program(self.ppn, self.content)
+        self.on_done()
 
 
 class FlashChannel:
@@ -69,30 +116,6 @@ class FlashChannel:
         self._timing = timing
         self.read_unit_s = timing.t_cmd_s + timing.t_read_s
         self.page_xfer_s = timing.t_cmd_s + timing.transfer_time(self.page_bytes)
-
-    # ------------------------------------------------------------------
-    def read_page(self, way: int, on_done: DoneCallback, retries: int = 0) -> None:
-        """Simulate a page read on ``way`` (timing only; data handled above).
-
-        ``retries`` extra read-retry attempts each cost another command +
-        tR on the die before the data transfer.
-        """
-        self.reads += 1
-        xfer = self.page_xfer_s
-        attempts = 1 + max(0, retries)
-        self.dies[way].submit(
-            attempts * self.read_unit_s,
-            lambda: self.bus.submit(xfer, on_done),
-        )
-
-    def program_page(self, way: int, on_done: DoneCallback) -> None:
-        self.programs += 1
-        die = self.dies[way]
-        self.bus.submit(self.page_xfer_s, lambda: die.submit(self._timing.t_program_s, on_done))
-
-    def erase_block(self, way: int, on_done: DoneCallback) -> None:
-        self.erases += 1
-        self.dies[way].submit(self._timing.t_cmd_s + self._timing.t_erase_s, on_done)
 
     # ------------------------------------------------------------------
     @property
@@ -137,8 +160,6 @@ class FlashArray:
         full retry sequence, as a real drive would report a media error.
         """
         addr = self.geometry.addr(ppn)
-        start = self.sim.now
-        store = self.store
         try:
             retries = self.reliability.retries_for_read()
             failed = False
@@ -146,12 +167,14 @@ class FlashArray:
             retries = self.reliability.config.max_read_retries
             failed = True
             self.uncorrectable_reads += 1
-
-        def finish() -> None:
-            self.read_latency.add(self.sim.now - start)
-            on_done(None if failed else store.read(ppn))
-
-        self.channels[addr.channel].read_page(addr.way, finish, retries=retries)
+        channel = self.channels[addr.channel]
+        channel.reads += 1
+        read = _PageRead(
+            self, channel.bus, channel.page_xfer_s, ppn, failed, self.sim.now, on_done
+        )
+        # Each retry costs another command + tR on the die before the
+        # data transfer.
+        channel.dies[addr.way].submit((1 + retries) * channel.read_unit_s, read.die_done)
 
     def read_many(
         self, ppns: "np.ndarray", on_page: Callable[[int, Any], None]
@@ -288,21 +311,25 @@ class FlashArray:
     def program(self, ppn: int, content: Any, on_done: DoneCallback) -> None:
         """Program ``content`` into page ``ppn`` (store updated at completion)."""
         addr = self.geometry.addr(ppn)
-
-        def finish() -> None:
-            self.store.program(ppn, content)
-            on_done()
-
-        self.channels[addr.channel].program_page(addr.way, finish)
+        channel = self.channels[addr.channel]
+        channel.programs += 1
+        channel.bus.submit(
+            channel.page_xfer_s,
+            _PageProgram(self, channel, channel.dies[addr.way], ppn, content, on_done).bus_done,
+        )
 
     def erase(self, block_id: int, on_done: DoneCallback) -> None:
-        channel, way, _block = self.geometry.block_addr(block_id)
+        channel_id, way, _block = self.geometry.block_addr(block_id)
+        channel = self.channels[channel_id]
+        channel.erases += 1
+        timing = channel.timing
+        channel.dies[way].submit(
+            timing.t_cmd_s + timing.t_erase_s, partial(self._erased, block_id, on_done)
+        )
 
-        def finish() -> None:
-            self.store.erase_block(block_id)
-            on_done()
-
-        self.channels[channel].erase_block(way, finish)
+    def _erased(self, block_id: int, on_done: DoneCallback) -> None:
+        self.store.erase_block(block_id)
+        on_done()
 
     # ------------------------------------------------------------------
     @property

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Iterable, Optional
 
 import numpy as np
@@ -28,6 +29,65 @@ __all__ = ["FtlConfig", "GreedyFtl"]
 
 ReadDone = Callable[[Any, bool], None]  # (content, cache_hit)
 Done = Callable[[], None]
+
+
+# A page in flight is one record whose bound methods are the stage
+# callbacks (a single deferred call is a ``partial``).
+
+
+@dataclass(slots=True, eq=False)
+class _PageRead:
+    """``read_page``, or ``read_pages`` of a single page (``listed``: the
+    caller wants ``[content]`` back, not ``(content, cache_hit)``)."""
+
+    ftl: "GreedyFtl"
+    lpn: int
+    on_done: Callable
+    listed: bool
+    ppn: int = UNMAPPED
+    content: Any = None
+
+    def cached(self) -> None:
+        self.deliver(self.content, True)
+
+    def after_cpu(self) -> None:
+        ftl = self.ftl
+        ftl.flash_page_reads += 1
+        ftl.flash.read(self.ppn, self.after_flash)
+
+    def after_flash(self, content: Any) -> None:
+        # None means the flash gave up (uncorrectable read): caching
+        # it would turn a transient fault into a permanent zero-page.
+        if content is not None:
+            self.ftl.page_cache.insert(self.lpn, content)
+        self.deliver(content, False)
+
+    def deliver(self, content: Any, hit: bool) -> None:
+        if self.listed:
+            self.on_done([content])
+        else:
+            self.on_done(content, hit)
+
+
+@dataclass(slots=True, eq=False)
+class _PageWrite:
+    """A host page write: accept -> allocate (or stall) -> program -> remap."""
+
+    ftl: "GreedyFtl"
+    lpn: int
+    content: Any
+    on_done: Done
+    ppn: int = UNMAPPED
+
+    def after_cpu(self) -> None:
+        self.ftl._do_write(self)
+
+    def after_program(self) -> None:
+        ftl = self.ftl
+        ftl.mapping.map(self.lpn, self.ppn)
+        ftl.page_cache.insert(self.lpn, self.content)
+        self.on_done()
+        ftl.gc.maybe_collect(ftl._die_of_ppn(self.ppn))
 
 
 @dataclass(frozen=True)
@@ -75,7 +135,7 @@ class GreedyFtl:
         self.flash_page_reads = 0
         self.write_stalls = 0
         self._erases_since_wear_check = 0
-        self._stalled_writes: list[tuple[int, Any, Done]] = []
+        self._stalled_writes: list[_PageWrite] = []
         # Blocks currently being migrated by GC or wear leveling; the other
         # service must not pick them as victims concurrently.
         self.migrating_blocks: set[int] = set()
@@ -129,29 +189,18 @@ class GreedyFtl:
         ``on_done(content, cache_hit)`` runs after firmware + flash time.
         Unmapped pages return ``None`` content via the fast path.
         """
+        self._read_one(_PageRead(self, lpn, on_done, False))
+
+    def _read_one(self, read: _PageRead) -> None:
         self.host_page_reads += 1
         costs = self.cpu.costs
-        hit, content = self.page_cache.lookup(lpn)
-        if hit:
-            self.cpu.ftl_core.submit(costs.io_hit_s, lambda: on_done(content, True))
-            return
-        ppn = self.mapping.lookup(lpn)
-        if ppn == UNMAPPED:
-            self.cpu.ftl_core.submit(costs.io_hit_s, lambda: on_done(None, True))
-            return
-
-        def after_cpu() -> None:
-            self.flash_page_reads += 1
-            self.flash.read(ppn, after_flash)
-
-        def after_flash(content: Any) -> None:
-            # None means the flash gave up (uncorrectable read): caching
-            # it would turn a transient fault into a permanent zero-page.
-            if content is not None:
-                self.page_cache.insert(lpn, content)
-            on_done(content, False)
-
-        self.cpu.ftl_core.submit(costs.io_miss_s, after_cpu)
+        hit, read.content = self.page_cache.lookup(read.lpn)
+        if not hit:
+            read.ppn = self.mapping.lookup(read.lpn)
+            if read.ppn != UNMAPPED:
+                self.cpu.ftl_core.submit(costs.io_miss_s, read.after_cpu)
+                return
+        self.cpu.ftl_core.submit(costs.io_hit_s, read.cached)
 
     def read_pages(self, lpns: list[int], on_done: Callable[[list[Any]], None]) -> None:
         """Read several logical pages of one command (batch fast path).
@@ -171,7 +220,7 @@ class GreedyFtl:
             self.sim.call_soon(lambda: on_done([]))
             return
         if len(lpns) == 1:
-            self.read_page(lpns[0], lambda content, _hit: on_done([content]))
+            self._read_one(_PageRead(self, lpns[0], on_done, True))
             return
         self.host_page_reads += len(lpns)
         costs = self.cpu.costs
@@ -216,46 +265,35 @@ class GreedyFtl:
         if not 0 <= lpn < self.logical_pages:
             raise IndexError(f"lpn {lpn} out of logical range")
         self.host_page_writes += 1
+        self.cpu.ftl_core.submit(
+            self.cpu.costs.write_accept_s, _PageWrite(self, lpn, content, on_done).after_cpu
+        )
 
-        def after_cpu() -> None:
-            self._do_write(lpn, content, on_done)
-
-        self.cpu.ftl_core.submit(self.cpu.costs.write_accept_s, after_cpu)
-
-    def _do_write(self, lpn: int, content: Any, on_done: Done) -> None:
+    def _do_write(self, write: _PageWrite) -> None:
         if not self.blocks.can_allocate(reserve=1):
             # Write stall: all dies are down to the GC reserve.  Queue the
             # write and kick collection; it resumes when a block frees up.
             self.write_stalls += 1
-            self._stalled_writes.append((lpn, content, on_done))
+            self._stalled_writes.append(write)
             for die in range(self.geometry.dies):
                 self.gc.maybe_collect(die)
             return
-        ppn = self.blocks.allocate_page(reserve=1)
-        die = self._die_of_ppn(ppn)
-
-        def after_program() -> None:
-            self.mapping.map(lpn, ppn)
-            self.page_cache.insert(lpn, content)
-            on_done()
-            self.gc.maybe_collect(die)
-
-        self.program_page(ppn, content, after_program)
+        write.ppn = self.blocks.allocate_page(reserve=1)
+        self.program_page(write.ppn, write.content, write.after_program)
 
     def program_page(self, ppn: int, content: Any, on_done: Done) -> None:
         """Issue a flash program with per-block in-flight accounting."""
         block_id = ppn // self.geometry.pages_per_block
         self._inflight_programs[block_id] = self._inflight_programs.get(block_id, 0) + 1
+        self.flash.program(ppn, content, partial(self._program_done, block_id, on_done))
 
-        def after_program() -> None:
-            count = self._inflight_programs.get(block_id, 0) - 1
-            if count <= 0:
-                self._inflight_programs.pop(block_id, None)
-            else:
-                self._inflight_programs[block_id] = count
-            on_done()
-
-        self.flash.program(ppn, content, after_program)
+    def _program_done(self, block_id: int, on_done: Done) -> None:
+        count = self._inflight_programs.get(block_id, 0) - 1
+        if count <= 0:
+            self._inflight_programs.pop(block_id, None)
+        else:
+            self._inflight_programs[block_id] = count
+        on_done()
 
     def block_erasable(self, block_id: int) -> bool:
         """True when no programs are queued/active against the block."""
@@ -264,8 +302,7 @@ class GreedyFtl:
     def notify_blocks_released(self) -> None:
         """Resume stalled writes after GC/wear leveling frees blocks."""
         while self._stalled_writes and self.blocks.can_allocate(reserve=1):
-            lpn, content, on_done = self._stalled_writes.pop(0)
-            self._do_write(lpn, content, on_done)
+            self._do_write(self._stalled_writes.pop(0))
 
     def _die_of_ppn(self, ppn: int) -> int:
         addr = self.geometry.addr(ppn)

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, List
 
+from .mover import PageMove
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .ftl import GreedyFtl
 
@@ -104,56 +106,14 @@ class GarbageCollector:
             self._move_page(die, lpn, move_done)
 
     def _move_page(self, die: int, lpn: int, on_done) -> None:
-        ftl = self.ftl
-        old_ppn = ftl.mapping.lookup(lpn)
+        # Within the victim's die, reserve included.  Should that be
+        # consumed mid-migration (e.g. a victim with more valid pages than
+        # one block's remnant), the move goes cross-die rather than
+        # wedging the collector.
+        PageMove(self, lpn, on_done, die=die, reserve=0).start()
 
-        def stale() -> bool:
-            # Foreground traffic may rewrite the lpn at any yield point of
-            # this migration.  Once it does, the copy we hold is stale:
-            # abort before paying for an allocation + program that could
-            # never be remapped (and, worse, would remap the lpn back to
-            # stale content if only checked before our own callbacks ran).
-            return ftl.mapping.lookup(lpn) != old_ppn
-
-        def after_read(content) -> None:
-            if stale():
-                self.moves_aborted += 1
-                on_done()
-                return
-            ftl.cpu.ftl_core.submit(
-                ftl.cpu.costs.gc_page_move_s, lambda: after_cpu(content), priority=2
-            )
-
-        def after_cpu(content) -> None:
-            from .blocks import OutOfSpaceError
-
-            if stale():
-                self.moves_aborted += 1
-                on_done()
-                return
-            try:
-                new_ppn = ftl.blocks.allocate_page(die)
-            except OutOfSpaceError:
-                # The die's reserve was consumed mid-migration (e.g. a
-                # victim with more valid pages than one block's remnant);
-                # migrate cross-die rather than wedging the collector.
-                new_ppn = ftl.blocks.allocate_page()
-
-            def after_program() -> None:
-                # Last line of defense: the rewrite may land between the
-                # allocate and this completion.  The programmed page is
-                # then garbage (never mapped, reclaimed on the next erase
-                # of its block) but the mapping stays correct.
-                if stale():
-                    self.moves_aborted += 1
-                else:
-                    ftl.mapping.map(lpn, new_ppn)
-                    self.pages_moved += 1
-                on_done()
-
-            ftl.program_page(new_ppn, content, after_program)
-
-        ftl.flash.read(old_ppn, after_read)
+    def page_moved(self) -> None:
+        self.pages_moved += 1
 
     def _erase_victim(self, die: int, victim: int, span=None, lpns=None) -> None:
         ftl = self.ftl

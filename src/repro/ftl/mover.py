@@ -1,0 +1,79 @@
+"""The page mover garbage collection and wear leveling share.
+
+Relocating one valid page is flash read -> FTL CPU -> allocate + program
+-> remap, and foreground traffic may rewrite the lpn at any of the three
+yield points.  Once it does, the copy in hand is stale: the move aborts
+before paying for an allocation + program that could never be remapped
+(and, worse, would remap the lpn back to stale content if only checked
+before the mover's own callbacks ran).
+
+A move in flight is one :class:`PageMove` whose bound methods are the
+stage callbacks.  Its owner says where the copy should land (``die``,
+``reserve``: its first :meth:`BlockManager.allocate_page`; out of space
+there, any page anywhere) and counts: ``moves_aborted``, ``page_moved()``.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Any, Callable, Optional
+
+from .blocks import OutOfSpaceError
+from .mapping import UNMAPPED
+
+__all__ = ["PageMove"]
+
+
+@dataclass(slots=True, eq=False)
+class PageMove:
+    owner: Any  # GarbageCollector or WearLeveler
+    lpn: int
+    on_done: Callable[[], None]
+    die: Optional[int]
+    reserve: int
+    old_ppn: int = UNMAPPED
+    new_ppn: int = UNMAPPED
+    content: Any = None
+
+    def start(self) -> None:
+        ftl = self.owner.ftl
+        self.old_ppn = ftl.mapping.lookup(self.lpn)
+        ftl.flash.read(self.old_ppn, self.after_read)
+
+    def stale(self) -> bool:
+        return self.owner.ftl.mapping.lookup(self.lpn) != self.old_ppn
+
+    def abort(self) -> None:
+        self.owner.moves_aborted += 1
+        self.on_done()
+
+    def after_read(self, content: Any) -> None:
+        if self.stale():
+            self.abort()
+            return
+        self.content = content
+        cpu = self.owner.ftl.cpu
+        cpu.ftl_core.submit(cpu.costs.gc_page_move_s, self.after_cpu, priority=2)
+
+    def after_cpu(self) -> None:
+        if self.stale():
+            self.abort()
+            return
+        ftl = self.owner.ftl
+        try:
+            self.new_ppn = ftl.blocks.allocate_page(self.die, self.reserve)
+        except OutOfSpaceError:
+            self.new_ppn = ftl.blocks.allocate_page()
+        ftl.program_page(self.new_ppn, self.content, self.after_program)
+
+    def after_program(self) -> None:
+        # Last line of defense: the rewrite may land between the allocate
+        # and this completion.  The programmed page is then garbage (never
+        # mapped, reclaimed on the next erase of its block) but the
+        # mapping stays correct.
+        if self.stale():
+            self.abort()
+            return
+        self.owner.ftl.mapping.map(self.lpn, self.new_ppn)
+        self.owner.page_moved()
+        self.on_done()

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
+from .mover import PageMove
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .ftl import GreedyFtl
 
@@ -98,45 +100,10 @@ class WearLeveler:
             self._move_page(lpn, move_done)
 
     def _move_page(self, lpn: int, on_done) -> None:
-        ftl = self.ftl
-        old_ppn = ftl.mapping.lookup(lpn)
+        # Background service: stay above the per-die GC reserve when
+        # possible; a mid-migration squeeze may dip into it (the erase at
+        # the end of this migration returns a block immediately).
+        PageMove(self, lpn, on_done, die=None, reserve=1).start()
 
-        def stale() -> bool:
-            # Same mid-migration rewrite race as GC page moves: abort as
-            # soon as the lpn no longer points at the page we copied.
-            return ftl.mapping.lookup(lpn) != old_ppn
-
-        def after_read(content) -> None:
-            if stale():
-                self.moves_aborted += 1
-                on_done()
-                return
-            ftl.cpu.ftl_core.submit(
-                ftl.cpu.costs.gc_page_move_s, lambda: after_cpu(content), priority=2
-            )
-
-        def after_cpu(content) -> None:
-            from .blocks import OutOfSpaceError
-
-            if stale():
-                self.moves_aborted += 1
-                on_done()
-                return
-            # Background service: stay above the per-die GC reserve when
-            # possible; a mid-migration squeeze may dip into it (the erase
-            # at the end of this migration returns a block immediately).
-            try:
-                new_ppn = ftl.blocks.allocate_page(reserve=1)
-            except OutOfSpaceError:
-                new_ppn = ftl.blocks.allocate_page()
-
-            def after_program() -> None:
-                if stale():
-                    self.moves_aborted += 1
-                else:
-                    ftl.mapping.map(lpn, new_ppn)
-                on_done()
-
-            ftl.program_page(new_ppn, content, after_program)
-
-        ftl.flash.read(old_ppn, after_read)
+    def page_moved(self) -> None:
+        """Wear leveling counts blocks (``migrations``), not pages."""

@@ -7,6 +7,8 @@ commands to the attached SLS engine, DMAs data, and posts completions.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional
 
 import numpy as np
@@ -33,6 +35,115 @@ from .queues import QueuePair
 __all__ = ["NvmeController"]
 
 
+# One record per unit of work waiting in a queue: its bound methods are
+# the stage callbacks (a single deferred call is a ``partial``).
+
+
+@dataclass(slots=True, eq=False)
+class _Fetch:
+    """The fetch state of one queue pair.  Fetches are serial per SQ, so
+    this lives as long as the pair and holds the command being fetched."""
+
+    ctrl: "NvmeController"
+    qp: QueuePair
+    active: bool = False
+    cmd: Optional[NvmeCommand] = None
+
+    def after_xfer(self) -> None:
+        cpu = self.ctrl.ftl.cpu
+        cpu.host_core.submit(cpu.costs.cmd_fetch_s, self.after_cpu)
+
+    def after_cpu(self) -> None:
+        ctrl = self.ctrl
+        ctrl.commands_fetched += 1
+        ctrl.inflight += 1
+        ctrl._dispatch(self.qp, self.cmd)
+        ctrl._fetch_next(self.qp.qid)
+
+
+@dataclass(slots=True, eq=False)
+class _Read:
+    """A conventional read: pages from the FTL -> DMA -> completion."""
+
+    ctrl: "NvmeController"
+    qp: QueuePair
+    cmd: NvmeCommand
+    lpns: List[int]
+    tracer: Any
+    span: Any
+    payload: Optional[ReadPayload] = None
+
+    def on_contents(self, contents: List[Any]) -> None:
+        if self.span is not None:
+            self.tracer.end(self.span)
+        cmd = self.cmd
+        lba_bytes = self.ctrl.ftl.config.lba_bytes
+        page_bytes = self.ctrl.ftl.page_bytes
+        total_bytes = cmd.nlb * lba_bytes
+        start_byte = cmd.slba * lba_bytes
+        end_byte = start_byte + total_bytes
+        segments: List[ReadSegment] = []
+        for lpn, content in zip(self.lpns, contents):
+            page_start = lpn * page_bytes
+            seg_start = max(start_byte, page_start)
+            seg_end = min(end_byte, page_start + page_bytes)
+            segments.append(
+                ReadSegment(
+                    lpn=lpn,
+                    content=content,
+                    offset=seg_start - page_start,
+                    nbytes=seg_end - seg_start,
+                )
+            )
+        self.payload = ReadPayload(segments=segments, nbytes=total_bytes)
+        self.ctrl.dma_to_host(total_bytes, self.data_sent)
+
+    def data_sent(self) -> None:
+        self.ctrl.complete(self.qp, self.cmd, self.payload)
+
+
+@dataclass(slots=True, eq=False)
+class _Write:
+    """A write command whose pages are on their way into the FTL."""
+
+    ctrl: "NvmeController"
+    qp: QueuePair
+    cmd: NvmeCommand
+    remaining: int
+    tracer: Any
+    span: Any
+    base_lpn: int = 0  # of a page-image write
+
+    def images_arrived(self) -> None:
+        ftl = self.ctrl.ftl
+        for i, content in enumerate(self.cmd.data.contents):
+            ftl.write_page(self.base_lpn + i, content, self.page_written)
+
+    def page_written(self) -> None:
+        self.remaining -= 1
+        if self.remaining == 0:
+            if self.span is not None:
+                self.tracer.end(self.span)
+            self.ctrl.complete(self.qp, self.cmd, None)
+
+
+@dataclass(slots=True, eq=False)
+class _Completion:
+    """Completion CPU time -> CQ entry over PCIe -> posted."""
+
+    ctrl: "NvmeController"
+    qp: QueuePair
+    cpl: NvmeCompletion
+
+    def after_cpu(self) -> None:
+        self.ctrl.pcie.to_host(COMPLETION_BYTES, self.post)
+
+    def post(self) -> None:
+        self.ctrl.inflight -= 1
+        self.cpl.complete_time = self.ctrl.sim.now
+        self.qp.cq.post(self.cpl)
+
+
 class NvmeController:
     """Bridges queue pairs to the FTL / NDP engine over a PCIe link."""
 
@@ -46,7 +157,7 @@ class NvmeController:
         self.reads_served = 0
         self.writes_served = 0
         self.inflight = 0
-        self._fetch_active: Dict[int, bool] = {}
+        self._fetch: Dict[int, _Fetch] = {}
 
     # ------------------------------------------------------------------
     # Queue registration / doorbells
@@ -55,31 +166,22 @@ class NvmeController:
         if qp.qid in self.qpairs:
             raise ValueError(f"qpair {qp.qid} already attached")
         self.qpairs[qp.qid] = qp
-        self._fetch_active[qp.qid] = False
+        self._fetch[qp.qid] = _Fetch(self, qp)
         qp.sq.set_doorbell(self._doorbell)
 
     def _doorbell(self, qid: int) -> None:
-        if not self._fetch_active[qid]:
-            self._fetch_active[qid] = True
+        fetch = self._fetch[qid]
+        if not fetch.active:
+            fetch.active = True
             self._fetch_next(qid)
 
     def _fetch_next(self, qid: int) -> None:
-        qp = self.qpairs[qid]
-        cmd = qp.sq.pop()
-        if cmd is None:
-            self._fetch_active[qid] = False
+        fetch = self._fetch[qid]
+        fetch.cmd = fetch.qp.sq.pop()
+        if fetch.cmd is None:
+            fetch.active = False
             return
-
-        def after_cpu() -> None:
-            self.commands_fetched += 1
-            self.inflight += 1
-            self._dispatch(qp, cmd)
-            self._fetch_next(qid)
-
-        def after_xfer() -> None:
-            self.ftl.cpu.host_core.submit(self.ftl.cpu.costs.cmd_fetch_s, after_cpu)
-
-        self.pcie.to_device(COMMAND_BYTES, after_xfer)
+        self.pcie.to_device(COMMAND_BYTES, fetch.after_xfer)
 
     # ------------------------------------------------------------------
     # Dispatch
@@ -117,17 +219,11 @@ class NvmeController:
     # Conventional read
     # ------------------------------------------------------------------
     def _do_read(self, qp: QueuePair, cmd: NvmeCommand) -> None:
-        lba_bytes = self.ftl.config.lba_bytes
         if cmd.slba + cmd.nlb > self.ftl.logical_lbas:
             self.complete(qp, cmd, None, Status.LBA_OUT_OF_RANGE)
             return
         self.reads_served += 1
         lpns = list(self.ftl.lpn_range_for_lbas(cmd.slba, cmd.nlb))
-        total_bytes = cmd.nlb * lba_bytes
-        start_byte = cmd.slba * lba_bytes
-        end_byte = start_byte + total_bytes
-        page_bytes = self.ftl.page_bytes
-
         tracer = self.sim.tracer
         read_span = None
         if tracer is not None:
@@ -136,31 +232,7 @@ class NvmeController:
                 parent=getattr(cmd, "obs_span", None),
                 pages=len(lpns),
             )
-
-        def on_contents(contents: List[Any]) -> None:
-            if read_span is not None:
-                tracer.end(read_span)
-            segments: List[ReadSegment] = []
-            for lpn, content in zip(lpns, contents):
-                page_start = lpn * page_bytes
-                seg_start = max(start_byte, page_start)
-                seg_end = min(end_byte, page_start + page_bytes)
-                segments.append(
-                    ReadSegment(
-                        lpn=lpn,
-                        content=content,
-                        offset=seg_start - page_start,
-                        nbytes=seg_end - seg_start,
-                    )
-                )
-            payload = ReadPayload(segments=segments, nbytes=total_bytes)
-
-            def after_dma_setup() -> None:
-                self.pcie.to_host(total_bytes, lambda: self.complete(qp, cmd, payload))
-
-            self.ftl.cpu.host_core.submit(self.ftl.cpu.costs.dma_setup_s, after_dma_setup)
-
-        self.ftl.read_pages(lpns, on_contents)
+        self.ftl.read_pages(lpns, _Read(self, qp, cmd, lpns, tracer, read_span).on_contents)
 
     # ------------------------------------------------------------------
     # TRIM (dataset management deallocate): drop mappings for whole pages
@@ -226,8 +298,6 @@ class NvmeController:
             self.complete(qp, cmd, None, Status.INVALID_FIELD)
             return
         self.writes_served += 1
-        base_lpn = cmd.slba // lbas_per_page
-        remaining = len(payload.contents)
         tracer = self.sim.tracer
         write_span = None
         if tracer is not None:
@@ -236,20 +306,10 @@ class NvmeController:
                 parent=getattr(cmd, "obs_span", None),
                 pages=len(payload.contents),
             )
-
-        def page_written() -> None:
-            nonlocal remaining
-            remaining -= 1
-            if remaining == 0:
-                if write_span is not None:
-                    tracer.end(write_span)
-                self.complete(qp, cmd, None)
-
-        def after_data() -> None:
-            for i, content in enumerate(payload.contents):
-                self.ftl.write_page(base_lpn + i, content, page_written)
-
-        self.pcie.to_device(total_bytes, after_data)
+        write = _Write(
+            self, qp, cmd, len(payload.contents), tracer, write_span, cmd.slba // lbas_per_page
+        )
+        self.pcie.to_device(total_bytes, write.images_arrived)
 
     def _write_pages(self, qp: QueuePair, cmd: NvmeCommand, data: np.ndarray) -> None:
         lba_bytes = self.ftl.config.lba_bytes
@@ -257,7 +317,6 @@ class NvmeController:
         start_byte = cmd.slba * lba_bytes
         end_byte = start_byte + data.size
         lpns = list(self.ftl.lpn_range_for_lbas(cmd.slba, cmd.nlb))
-        remaining = len(lpns)
         tracer = self.sim.tracer
         write_span = None
         if tracer is not None:
@@ -266,15 +325,7 @@ class NvmeController:
                 parent=getattr(cmd, "obs_span", None),
                 pages=len(lpns),
             )
-
-        def page_written() -> None:
-            nonlocal remaining
-            remaining -= 1
-            if remaining == 0:
-                if write_span is not None:
-                    tracer.end(write_span)
-                self.complete(qp, cmd, None)
-
+        page_written = _Write(self, qp, cmd, len(lpns), tracer, write_span).page_written
         for lpn in lpns:
             page_start = lpn * page_bytes
             seg_start = max(start_byte, page_start)
@@ -303,16 +354,12 @@ class NvmeController:
     # DMA helpers for the NDP engine
     # ------------------------------------------------------------------
     def dma_to_host(self, nbytes: int, on_done: Callable[[], None]) -> None:
-        def after_setup() -> None:
-            self.pcie.to_host(nbytes, on_done)
-
-        self.ftl.cpu.host_core.submit(self.ftl.cpu.costs.dma_setup_s, after_setup)
+        cpu = self.ftl.cpu
+        cpu.host_core.submit(cpu.costs.dma_setup_s, partial(self.pcie.to_host, nbytes, on_done))
 
     def dma_to_device(self, nbytes: int, on_done: Callable[[], None]) -> None:
-        def after_setup() -> None:
-            self.pcie.to_device(nbytes, on_done)
-
-        self.ftl.cpu.host_core.submit(self.ftl.cpu.costs.dma_setup_s, after_setup)
+        cpu = self.ftl.cpu
+        cpu.host_core.submit(cpu.costs.dma_setup_s, partial(self.pcie.to_device, nbytes, on_done))
 
     # ------------------------------------------------------------------
     # Completion
@@ -324,18 +371,6 @@ class NvmeController:
         payload: Any = None,
         status: Status = Status.SUCCESS,
     ) -> None:
-        def after_cpu() -> None:
-            self.pcie.to_host(COMPLETION_BYTES, post)
-
-        def post() -> None:
-            self.inflight -= 1
-            qp.cq.post(
-                NvmeCompletion(
-                    cid=cmd.cid,
-                    status=status,
-                    payload=payload,
-                    complete_time=self.sim.now,
-                )
-            )
-
-        self.ftl.cpu.host_core.submit(self.ftl.cpu.costs.cmd_complete_s, after_cpu)
+        cpu = self.ftl.cpu
+        cpl = NvmeCompletion(cid=cmd.cid, status=status, payload=payload)
+        cpu.host_core.submit(cpu.costs.cmd_complete_s, _Completion(self, qp, cpl).after_cpu)

@@ -6,6 +6,7 @@ import pytest
 from repro.driver.ndp import NdpSlsSession
 from repro.driver.sync import sync_read, sync_sls, sync_write
 from repro.driver.unvme import DriverConfig, UnvmeDriver
+from repro.nvme.commands import NvmeCompletion
 from repro.sim.kernel import Simulator
 from repro.ssd.presets import small_ssd
 
@@ -51,6 +52,17 @@ class TestDriver:
         assert driver.outstanding == 20
         sim.run_until(lambda: len(order) == 20)
         assert driver.outstanding == 0
+
+    def test_unknown_cid_raises_and_touches_nothing(self, stack):
+        # The queue pair comes from the cid's entry, so an unknown cid is
+        # refused before any pair's count or the backlog is touched.
+        _sim, _device, driver = stack
+        for i in range(20):
+            driver.read(i % 4, 1, lambda c: None)
+        before = [qp.outstanding for qp in driver._qpairs], len(driver._backlog)
+        with pytest.raises(RuntimeError, match="unknown cid"):
+            driver._deliver(NvmeCompletion(cid=1 << 40))
+        assert ([qp.outstanding for qp in driver._qpairs], len(driver._backlog)) == before
 
 
 class TestSecondDriverOnOneDevice:

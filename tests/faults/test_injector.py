@@ -108,6 +108,26 @@ class TestFailSlow:
         assert twice_failed == pytest.approx(once_failed, rel=1e-12)
         assert repaired == pytest.approx(healthy, rel=1e-9)
 
+    def test_a_swap_mid_operation_charges_what_each_phase_read_when(self):
+        """A program reads tPROG when its bus phase *ends*; a read keeps
+        the bus transfer time it was submitted with."""
+        system, _ = build_mapped_system()
+        flash = system.device.ftl.flash
+        healthy = flash.timing
+        xfer = healthy.t_cmd_s + healthy.transfer_time(flash.geometry.page_bytes)
+        read_unit = healthy.t_cmd_s + healthy.t_read_s
+        # Lands inside the program's bus phase and the read's die phase.
+        arm(system, [FaultEvent(t=min(xfer, read_unit) / 2, kind="fail_slow", factor=10.0)])
+        programmed, read = [], []
+        free_ppn = system.device.ftl.blocks.allocate_page()
+        read_ppn = system.device.ftl.mapping.lookup(flash.geometry.ways)  # the next channel
+        assert flash.geometry.addr(free_ppn).channel != flash.geometry.addr(read_ppn).channel
+        flash.program(free_ppn, b"x", lambda: programmed.append(system.sim.now))
+        flash.read(read_ppn, lambda _content: read.append(system.sim.now))
+        system.sim.run()
+        assert programmed == [xfer + 10.0 * healthy.t_program_s]
+        assert read == [read_unit + xfer]
+
     def test_restore_without_fault_is_a_noop(self):
         system, _ = build_mapped_system()
         injector = arm(system, [FaultEvent(t=1.0, kind="restore_speed")])

@@ -43,8 +43,12 @@ def test_tier1_command_collects_the_bit_identity_pins():
     simulated number; the ``hotpath_golden.json`` replays and the three
     suites that hold the one remaining hot path to the scalar twins it
     once ran beside (batched ``read_pages``, ``probe_filter``, the NDP
-    partition split) are what deleting those twins rests on.  None may be
-    dropped, renamed out of collection or slow-marked silently.  Collects
+    partition split) are what deleting those twins rests on; and the
+    object pins (no cycle of ours after any of the five workloads, an SLS
+    entry freed without the collector, containers per queued unit, no
+    closure on the per-unit path) keep host time from drifting back into
+    CPython's cyclic collector, which no simulated number shows.  None may
+    be dropped, renamed out of collection or slow-marked silently.  Collects
     the way the tier-1 command does (same directory, same ``testpaths``),
     under the strictest filter in use."""
     listing = subprocess.run(
@@ -63,6 +67,10 @@ def test_tier1_command_collects_the_bit_identity_pins():
         re.M,
     )
     assert len(replays) == 8, replays
+    cycles = re.findall(
+        r"^tests/test_gc_budget\.py::test_run_leaves_no_cycle_of_ours\[\S+\]", listing, re.M
+    )
+    assert len(cycles) == 5, cycles               # one per benchmark workload
     for pin in (
         "tests/sim/test_engine_equivalence.py::test_same_dispatch_sequence_counters_and_errors",
         "tests/sim/test_engine_equivalence.py::test_pipe_laws_hold_on_every_stream",
@@ -86,6 +94,9 @@ def test_tier1_command_collects_the_bit_identity_pins():
         "tests/hotpath/test_read_pages_batch.py::test_read_pages_equivalence_under_read_errors",
         "tests/hotpath/test_cache_equivalence.py::TestSetAssociativeLruEquivalence::test_probe_filter_matches_backend_loop",
         "tests/embedding/test_backends.py::TestNdpBackend::test_split_partition_matches_a_per_bag_oracle",
+        "tests/core/test_engine_lifetime.py::test_entry_is_dead_after_its_result_read_with_the_collector_off",
+        "tests/test_gc_budget.py::test_containers_alive_per_queued_unit",
+        "tests/test_layering.py::test_the_per_unit_path_builds_no_closure",
     ):
         assert pin in listing, pin
 

@@ -14,6 +14,16 @@ about event order asks through a public query (``Simulator.is_latest``).
 One path per job: the hot path's scalar twins and the ``vectorized=`` /
 ``batch_reads`` switches that selected them are gone; what a suite still
 compares against lives under ``tests/``, out of ``src/``'s reach.
+
+One record per unit of work in flight: the functions every flash page,
+FTL page and NVMe command passes through build no closure.  What waits in
+a queue is a small ``__slots__`` record whose bound methods are the stage
+callbacks — a ``def`` or ``lambda`` per stage is 3-6 GC-tracked
+containers per queued page, which CPython's cyclic collector then walks
+on every pass (``tests/test_gc_budget.py`` holds the counts).  And
+``src/`` leaves the collector alone: its thresholds are the process's,
+not a library's to flip (``docs/ARCHITECTURE.md``, *Kernel*, has the
+measurement).
 """
 
 from __future__ import annotations
@@ -93,5 +103,99 @@ def test_src_never_imports_from_tests():
         for path in sorted(SRC.rglob("*.py"))
         for target in _imported_modules(path)
         if target == "tests" or target.startswith("tests.")
+    ]
+    assert not offenders, offenders
+
+
+# Per module, the functions on the per-page / per-command path; ``Class.*``
+# holds every method of a record class to the rule.
+CLOSURE_FREE = {
+    "repro/flash/array.py": (
+        "FlashArray.read", "FlashArray.program", "FlashArray.erase",
+        "FlashArray._erased", "_PageRead.*", "_PageProgram.*",
+    ),
+    "repro/ftl/ftl.py": (
+        "GreedyFtl.read_page", "GreedyFtl._read_one", "GreedyFtl.write_page",
+        "GreedyFtl._do_write", "GreedyFtl.program_page", "GreedyFtl._program_done",
+        "_PageRead.*", "_PageWrite.*",
+    ),
+    "repro/ftl/mover.py": ("PageMove.*",),
+    "repro/ftl/gc.py": ("GarbageCollector._move_page",),
+    "repro/ftl/wear.py": ("WearLeveler._move_page",),
+    "repro/nvme/controller.py": (
+        "NvmeController._fetch_next", "NvmeController._do_read", "NvmeController.complete",
+        "NvmeController.dma_to_host", "NvmeController.dma_to_device",
+        "NvmeController._do_write_images",
+        "_Fetch.*", "_Read.*", "_Write.*", "_Completion.*",
+    ),
+    "repro/driver/unvme.py": ("UnvmeDriver._on_cq_post", "UnvmeDriver._deliver"),
+    "repro/core/engine.py": (
+        "NdpSlsEngine._issue_page", "NdpSlsEngine._page_returned", "NdpSlsEngine._translate",
+        "_PageJob.*",
+    ),
+}
+
+
+def _closure_offenders(source: str, names) -> list:
+    """Which of ``names`` build a closure (or are missing) in ``source``."""
+    classes = {
+        node.name: {
+            item.name: item for item in node.body if isinstance(item, ast.FunctionDef)
+        }
+        for node in ast.parse(source).body
+        if isinstance(node, ast.ClassDef)
+    }
+    offenders = []
+    for name in names:
+        owner, method = name.split(".")
+        methods = classes.get(owner, {})
+        held = methods if method == "*" else {method: methods.get(method)}
+        if not held:
+            offenders.append(f"{name}: no such class")
+        for method, node in held.items():
+            if node is None:
+                offenders.append(f"{owner}.{method}: no such function")
+                continue
+            offenders += [
+                f"{owner}.{method}:{inner.lineno}: {type(inner).__name__}"
+                for inner in ast.walk(node)
+                if inner is not node
+                and isinstance(inner, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+            ]
+    return offenders
+
+
+def test_the_per_unit_path_builds_no_closure():
+    offenders = [
+        f"{module}: {offender}"
+        for module, names in CLOSURE_FREE.items()
+        for offender in _closure_offenders((SRC / module).read_text(), names)
+    ]
+    assert not offenders, offenders
+
+
+def test_the_closure_rule_sees_a_planted_lambda_and_a_renamed_function():
+    module = "repro/driver/unvme.py"
+    source = (SRC / module).read_text()
+    hop = "schedule_call(self.config.complete_cost_s, self._deliver, cpl)"
+    assert hop in source
+    planted = source.replace(
+        hop, "schedule(self.config.complete_cost_s, lambda: self._deliver(cpl))"
+    )
+    assert _closure_offenders(planted, CLOSURE_FREE[module]) == [
+        f"UnvmeDriver._on_cq_post:{source[: source.index(hop)].count(chr(10)) + 1}: Lambda"
+    ]
+    renamed = source.replace("def _on_cq_post(", "def _on_post(")
+    assert _closure_offenders(renamed, CLOSURE_FREE[module]) == [
+        "UnvmeDriver._on_cq_post: no such function"
+    ]
+
+
+def test_src_leaves_the_collector_alone():
+    offenders = [
+        f"{path.relative_to(SRC)} imports {target}"
+        for path in sorted(SRC.rglob("*.py"))
+        for target in _imported_modules(path)
+        if target == "gc" or target.startswith("gc.")
     ]
     assert not offenders, offenders

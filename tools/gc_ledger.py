@@ -1,0 +1,179 @@
+#!/usr/bin/env python3
+"""What CPython's cyclic collector costs a benchmark run, and why.
+
+The collector is triggered by allocations of GC-tracked containers
+(functions, cells, bound methods, lists, tuples, instances) and each pass
+pays per young *survivor*, not per piece of garbage: a page waiting in a
+device queue that is built out of ten closures costs ten objects in every
+pass until it leaves.  ``perf.run``'s per-layer split cannot see this (a
+pass is charged to whichever function happened to allocate), so this
+script prints, per benchmark workload:
+
+* collector passes per generation, seconds inside the collector and their
+  share of ``perf.workloads.run`` (timed with ``gc.callbacks``), and how
+  many objects the passes freed;
+* what a collector-free run at 1/5 size leaves that only the
+  collector could free, restricted to ``repro``'s own objects (cycles:
+  the aim is none);
+
+and once, the GC-tracked containers one *queued* unit of work keeps alive
+(:func:`unit_counts`).  ``tests/test_gc_budget.py`` pins the last two.
+
+Pass counts move by a few with what the process allocated earlier (1,590
+against 1,597 for one workload between two scripts): they are bounds to
+compare against, not goldens.  Seconds are host time on a box that
+drifts; compare shares, or two trees run back to back.
+
+Usage (from the repo root; ``perf`` is imported as a library)::
+
+    PYTHONPATH=src python tools/gc_ledger.py             # all five, seed 13
+    PYTHONPATH=src python tools/gc_ledger.py --seed 7
+    PYTHONPATH=src python tools/gc_ledger.py --units-only
+"""
+
+from __future__ import annotations
+
+import argparse
+import gc
+import sys
+import time
+import types
+from pathlib import Path
+from typing import Callable, Dict, List
+
+_ROOT = Path(__file__).resolve().parent.parent
+for _path in (_ROOT, _ROOT / "src"):
+    if str(_path) not in sys.path:
+        sys.path.insert(0, str(_path))
+
+from perf.workloads import WORKLOADS, run, setup  # noqa: E402
+from repro.sim.kernel import Simulator  # noqa: E402
+from repro.ssd.presets import small_ssd  # noqa: E402
+
+__all__ = ["collector_ledger", "repro_garbage", "unit_counts"]
+
+CENSUS_SCALE = 0.2  # the collector-free run holds everything it allocates
+
+
+def collector_ledger(workload, seed: int) -> Dict[str, object]:
+    """One fresh full-size build, then ``run`` under ``gc.callbacks``."""
+    passes = [0, 0, 0]
+    inside = {"seconds": 0.0, "collected": 0, "since": 0.0}
+
+    def on_gc(phase: str, info: Dict[str, int]) -> None:
+        if phase == "start":
+            inside["since"] = time.perf_counter()
+        else:
+            inside["seconds"] += time.perf_counter() - inside["since"]
+            inside["collected"] += info["collected"]
+            passes[info["generation"]] += 1
+
+    gc.collect()
+    built = setup(workload, seed)
+    gc.callbacks.append(on_gc)
+    try:
+        started = time.perf_counter()
+        run(built)
+        run_s = time.perf_counter() - started
+    finally:
+        gc.callbacks.remove(on_gc)
+    return {
+        "passes": passes,
+        "gc_s": inside["seconds"],
+        "run_s": run_s,
+        "collected": inside["collected"],
+    }
+
+
+def _module_of(obj: object) -> str:
+    if isinstance(obj, types.CellType):
+        try:
+            obj = obj.cell_contents
+        except ValueError:  # empty cell
+            return ""
+    # An instance finds its class's ``__module__``; a function has its own.
+    return str(getattr(obj, "__module__", ""))
+
+
+def repro_garbage(workload, seed: int, scale: float) -> List[object]:
+    """Build and run with the collector off, then collect once and return
+    what it found unreachable among ``repro``'s instances, functions and
+    cell contents.  (numpy's first ufunc call leaves some 300 stdlib
+    objects from ``ast.literal_eval`` / ``inspect``; those are not ours.)
+    """
+    flags, enabled = gc.get_debug(), gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        built = setup(workload, seed, scale)
+        run(built)
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        return [obj for obj in gc.garbage if _module_of(obj).startswith("repro")]
+    finally:
+        gc.set_debug(flags)
+        del gc.garbage[:]
+        if enabled:
+            gc.enable()
+
+
+def _noop(*_args: object) -> None:
+    pass
+
+
+def _containers_per_call(issue: Callable[[], None], n: int) -> float:
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        before = gc.get_count()[0]
+        for _ in range(n):
+            issue()
+        return (gc.get_count()[0] - before) / n
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def unit_counts(n: int = 1000) -> Dict[str, float]:
+    """GC-tracked containers alive per unit after queueing ``n`` of each on
+    a small device *without running the simulator*: the record, the bound
+    method that is its next stage, and the queue entry holding it."""
+    device = small_ssd(Simulator())
+    ftl = device.ftl
+    ftl.preload_pages(0, [b"\0" * ftl.page_bytes])
+    ppn = ftl.mapping.lookup(0)
+    return {
+        "FlashArray.read": _containers_per_call(lambda: ftl.flash.read(ppn, _noop), n),
+        "Ftl.read_pages([lpn])": _containers_per_call(lambda: ftl.read_pages([0], _noop), n),
+        "gc page move": _containers_per_call(lambda: ftl.gc._move_page(0, 0, _noop), n),
+    }
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--seed", type=int, default=13)
+    parser.add_argument("--units-only", action="store_true")
+    args = parser.parse_args()
+    if not args.units_only:
+        print(
+            f"{'workload':16s} seed  passes gen0+gen1+gen2   gc_s   run_s  share"
+            f"  collected  repro objects left at {CENSUS_SCALE:g}x"
+        )
+        for workload in WORKLOADS:
+            row = collector_ledger(workload, args.seed)
+            ours = repro_garbage(workload, args.seed, CENSUS_SCALE)
+            g0, g1, g2 = row["passes"]
+            print(
+                f"{workload.name:16s} {args.seed:4d}  {g0:6d} + {g1:4d} + {g2:3d}  "
+                f"{row['gc_s']:7.3f} {row['run_s']:7.3f} {row['gc_s'] / row['run_s']:6.1%}"
+                f"  {row['collected']:9d}  {len(ours)}"
+            )
+        print()
+    print("containers alive per queued unit (collector off, simulator not run):")
+    for unit, count in unit_counts().items():
+        print(f"  {unit:24s} {count:g}")
+
+
+if __name__ == "__main__":
+    main()
