@@ -5,11 +5,16 @@ was first recorded on the hostpool PR's default, legacy-bit-identical
 configuration):
 
     PYTHONPATH=src python -m tests.golden.generate_serving_golden
+
+Scenario names as arguments re-record only those keys and leave every
+other recorded scenario as it is (how a PR adds a pin without touching
+the ones it has to replay).
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 
 from .serving_scenarios import SCENARIOS
@@ -18,10 +23,11 @@ GOLDEN_PATH = Path(__file__).parent / "serving_golden.json"
 
 
 def main() -> None:
-    golden = {}
-    for name, fn in SCENARIOS.items():
+    only = sys.argv[1:]
+    golden = json.loads(GOLDEN_PATH.read_text()) if only else {}
+    for name in only or SCENARIOS:
         print(f"recording {name} ...")
-        golden[name] = fn()
+        golden[name] = SCENARIOS[name]()
     GOLDEN_PATH.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
     print(f"wrote {GOLDEN_PATH}")
 

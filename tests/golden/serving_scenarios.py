@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from typing import Any, Dict
 
+from repro.serving import RowShardPolicy
 from repro.workload import ScenarioSpec, TenantSpec, run_scenario
 
 from ..serving.conftest import toy_model
@@ -117,7 +118,56 @@ def bounded_host_pools() -> Dict[str, Any]:
     return _record(result)
 
 
+def _placed(name: str, seed: int, num_workers: int, sharding) -> Dict[str, Any]:
+    """Open overload on several devices behind a two-worker host SLS
+    pool: the bounded pool is where a merge's worker acquisition shows
+    (``sls_ops``, ``mean_sls_wait_ms``) next to the per-shard credit."""
+    spec = ScenarioSpec(
+        name=name,
+        tenants=(
+            TenantSpec(
+                model="m",
+                arrival="open",
+                rate=3000.0,
+                n_requests=24,
+                batch_size=2,
+            ),
+        ),
+        backend="ndp",
+        max_batch_requests=4,
+        host_sls_workers=2,
+        seed=seed,
+    )
+    result = run_scenario(
+        spec,
+        [toy_model("m", num_tables=3, seed=3)],
+        num_workers=num_workers,
+        sharding=sharding,
+    )
+    return {
+        "summary": {key: result.summary[key] for key in SUMMARY_KEYS},
+        "host": result.server.hostpool_summary(),
+        "shards": {
+            model: {str(shard): row for shard, row in per_shard.items()}
+            for model, per_shard in result.stats.shard_summary().items()
+        },
+    }
+
+
+def replicate_three_devices() -> Dict[str, Any]:
+    """Whole-model replicas on three devices, batches round-robin."""
+    return _placed("golden-replicate3", 29, 3, None)
+
+
+def row_shard_two_devices() -> Dict[str, Any]:
+    """Every table row-split over two devices: scatter, partial sums,
+    and a host-side merge that has to win a pool worker."""
+    return _placed("golden-rowshard2", 31, 2, RowShardPolicy(threshold_rows=1024))
+
+
 SCENARIOS = {
     "mixed_tenants_default_pools": mixed_tenants_default_pools,
     "bounded_host_pools": bounded_host_pools,
+    "replicate_three_devices": replicate_three_devices,
+    "row_shard_two_devices": row_shard_two_devices,
 }
