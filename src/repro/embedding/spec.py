@@ -61,9 +61,6 @@ class TableSpec:
         per_page = self.rows_per_page(page_bytes)
         return -(-self.rows // per_page)
 
-    def with_name(self, name: str) -> "TableSpec":
-        return TableSpec(name, self.rows, self.dim, self.quant, self.layout)
-
     def shard(self, shard_index: int, rows: int) -> "TableSpec":
         """Spec for one row shard of this table.
 

@@ -350,10 +350,6 @@ class EmbeddingTable:
             table_rows=self.spec.rows,
         )
 
-    @property
-    def total_lookups_hint(self) -> int:
-        return self.spec.rows
-
     def __repr__(self) -> str:
         return (
             f"EmbeddingTable({self.spec.name}, rows={self.spec.rows}, "

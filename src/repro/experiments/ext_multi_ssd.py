@@ -72,17 +72,15 @@ def _build_sharded(n_devices: int, kind: str) -> tuple[System, EmbeddingStage]:
     system = System(cosmos_plus_config(min_capacity_pages=per_device_pages))
     for _ in range(n_devices - 1):
         system.add_device(cosmos_plus_config(min_capacity_pages=per_device_pages))
-    backends = {}
+    backends = {shard: {} for shard in range(n_devices)}
     for i in range(NUM_TABLES):
         table = EmbeddingTable(
             TableSpec(f"shard{i}", rows=TABLE_ROWS, dim=DIM, layout=Layout.ONE_PER_PAGE),
             seed=100 + i,
         )
         table.attach(system.devices[i % n_devices])
-        if kind == "ndp":
-            backends[table.spec.name] = NdpSlsBackend(system, table)
-        else:
-            backends[table.spec.name] = SsdSlsBackend(system, table)
+        backend_cls = NdpSlsBackend if kind == "ndp" else SsdSlsBackend
+        backends[i % n_devices][table.spec.name] = backend_cls(system, table)
     return system, EmbeddingStage(backends)
 
 

@@ -35,10 +35,6 @@ class FlashTiming:
         """Channel-bus occupancy for moving ``size_bytes`` to/from a die."""
         return size_bytes / self.channel_bw_bytes_s
 
-    def read_service_time(self, page_bytes: int) -> float:
-        """Unloaded latency of a full page read (die + bus, no queueing)."""
-        return self.t_cmd_s + self.t_read_s + self.transfer_time(page_bytes)
-
     def sustained_read_ios_per_channel(self, page_bytes: int) -> float:
         """Pipelined page reads/s on one channel (bus-bound with >=2 ways)."""
         return 1.0 / (self.t_cmd_s + self.transfer_time(page_bytes))

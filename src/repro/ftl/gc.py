@@ -32,6 +32,8 @@ class GarbageCollector:
         self.moves_aborted = 0
         self.blocks_reclaimed = 0
         self.stalls = 0
+        # Every move's success hook: bound once, not once per moved page.
+        self._on_moved = self._page_moved
 
     def reset_stats(self) -> None:
         """Clear the GC gauges benchmarks read (not collection state)."""
@@ -110,9 +112,11 @@ class GarbageCollector:
         # consumed mid-migration (e.g. a victim with more valid pages than
         # one block's remnant), the move goes cross-die rather than
         # wedging the collector.
-        PageMove(self, lpn, on_done, die=die, reserve=0).start()
+        PageMove(
+            self, lpn, on_done, die=die, reserve=0, on_moved=self._on_moved
+        ).start()
 
-    def page_moved(self) -> None:
+    def _page_moved(self) -> None:
         self.pages_moved += 1
 
     def _erase_victim(self, die: int, victim: int, span=None, lpns=None) -> None:

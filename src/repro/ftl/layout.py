@@ -68,11 +68,6 @@ class RowLayout:
         ranks = self.storage_ids(np.asarray(ids, dtype=np.int64))
         return ranks // self.rows_per_page, ranks % self.rows_per_page
 
-    def pages_of(self, ids: np.ndarray) -> np.ndarray:
-        """Distinct page indices covering ``ids``."""
-        ranks = self.storage_ids(np.asarray(ids, dtype=np.int64))
-        return np.unique(ranks // self.rows_per_page)
-
 
 class ModuloLayout(RowLayout):
     """Identity layout: rank == external id (the legacy placement)."""

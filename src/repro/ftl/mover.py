@@ -10,27 +10,33 @@ before the mover's own callbacks ran).
 A move in flight is one :class:`PageMove` whose bound methods are the
 stage callbacks.  Its owner says where the copy should land (``die``,
 ``reserve``: its first :meth:`BlockManager.allocate_page`; out of space
-there, any page anywhere) and counts: ``moves_aborted``, ``page_moved()``.
+there, any page anywhere), counts ``moves_aborted``, and passes what a
+completed move should tell it as data: ``on_moved``, or ``None``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Optional, Union
 
 from .blocks import OutOfSpaceError
 from .mapping import UNMAPPED
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from .gc import GarbageCollector
+    from .wear import WearLeveler
 
 __all__ = ["PageMove"]
 
 
 @dataclass(slots=True, eq=False)
 class PageMove:
-    owner: Any  # GarbageCollector or WearLeveler
+    owner: Union["GarbageCollector", "WearLeveler"]
     lpn: int
     on_done: Callable[[], None]
     die: Optional[int]
     reserve: int
+    on_moved: Optional[Callable[[], None]]
     old_ppn: int = UNMAPPED
     new_ppn: int = UNMAPPED
     content: Any = None
@@ -75,5 +81,6 @@ class PageMove:
             self.abort()
             return
         self.owner.ftl.mapping.map(self.lpn, self.new_ppn)
-        self.owner.page_moved()
+        if self.on_moved is not None:
+            self.on_moved()
         self.on_done()

@@ -103,7 +103,6 @@ class WearLeveler:
         # Background service: stay above the per-die GC reserve when
         # possible; a mid-migration squeeze may dip into it (the erase at
         # the end of this migration returns a block immediately).
-        PageMove(self, lpn, on_done, die=None, reserve=1).start()
-
-    def page_moved(self) -> None:
-        """Wear leveling counts blocks (``migrations``), not pages."""
+        # on_moved=None: wear leveling counts blocks (``migrations``), not
+        # pages.
+        PageMove(self, lpn, on_done, die=None, reserve=1, on_moved=None).start()

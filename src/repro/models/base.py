@@ -34,9 +34,6 @@ class SparseFeature:
     def name(self) -> str:
         return self.spec.name
 
-    def results_per_sample(self) -> int:
-        return self.lookups if self.sequence else 1
-
 
 @dataclass
 class Batch:

@@ -17,9 +17,10 @@ load shape against the simulated stack:
 * :mod:`repro.serving.sharding` — cross-SSD placement policies
   (:class:`~repro.serving.sharding.ReplicatePolicy`,
   :class:`~repro.serving.sharding.TableShardPolicy`,
-  :class:`~repro.serving.sharding.RowShardPolicy`) and the
-  scatter-gather stage that splits one coalesced batch across the
-  devices owning its table pieces and merges partial sums host-side.
+  :class:`~repro.serving.sharding.RowShardPolicy`): plans, as data,
+  of which table piece lives on which device.  The one
+  :class:`~repro.embedding.stage.EmbeddingStage` scatters a coalesced
+  batch to the pieces, and merges partial sums host-side.
 * :mod:`repro.serving.hostpool` — the host resource model: a bounded
   dense-stage NN worker pool and a bounded host SLS worker pool
   (per-table DRAM gathers and NDP host split/merge hold workers instead
@@ -64,7 +65,6 @@ from .sharding import (
     ModuloRowMapping,
     ReplicatePolicy,
     RowShardPolicy,
-    ShardedEmbeddingStage,
     ShardingPolicy,
     ShardPlan,
     TablePlacement,
@@ -99,7 +99,6 @@ __all__ = [
     "TablePlacement",
     "ModuloRowMapping",
     "LookupRowMapping",
-    "ShardedEmbeddingStage",
     "DenseServiceModel",
     "DenseWorkerPool",
     "HostResourceModel",

@@ -7,9 +7,9 @@ and CPU contention bite:
 
 * **Host SLS workers.**  Per-table DRAM gathers and the host-side NDP
   split/merge all overlap for no cost — the
-  :class:`~repro.embedding.stage.EmbeddingStage` launches every table's
-  SLS op concurrently (the seed's "pool of SLS workers" abstraction,
-  with the pool implicitly infinite).  Under heavy serving concurrency a
+  :class:`~repro.embedding.stage.EmbeddingStage` launches every table
+  piece's SLS op concurrently (the seed's "pool of SLS workers"
+  abstraction, with the pool implicitly infinite).  Under heavy serving concurrency a
   real host has a fixed complement of SLS threads; once they are all
   busy, further per-table gathers *queue* instead of overlapping.
 * **Dense-stage NN workers.**  The dense tower ran on a single
@@ -24,9 +24,10 @@ This module makes both resources explicit and bounded:
   Each in-flight per-table SLS operation (a DRAM gather, a COTS-SSD
   read+gather, an NDP split/command/merge) holds one worker from launch
   to completion, the way a synchronous host thread drives one SLS op at
-  a time; :class:`~repro.serving.sharding.ShardedEmbeddingStage`'s
-  host-side merge must also win a worker (queueing-only, zero service
-  time).  ``workers=None`` (default) is an infinite pool: acquisitions
+  a time; the host-side merge of a batch whose stage holds pieces on
+  more than one shard must also win a worker (queueing-only, zero
+  service time) — a replica, or a plan that lands on one shard, has
+  nothing to gather and holds none.  ``workers=None`` (default) is an infinite pool: acquisitions
   are granted synchronously and nothing queues — bit-identical to the
   seed's free overlap, gauges aside.
 * :class:`DenseWorkerPool` — a pool of ``workers`` dense-stage NN

@@ -216,9 +216,6 @@ class RequestQueue:
     def queued(self) -> int:
         return sum(len(lane) for lane in self._lanes.values())
 
-    def queued_for(self, model: str) -> int:
-        return len(self._lanes.get(model, ()))
-
     def __len__(self) -> int:
         return self.queued
 

@@ -6,24 +6,22 @@ gap between RecSSD and the COTS baseline grows with lookups per command)
 — while keeping *multiple* coalesced batches outstanding so the device
 sees genuinely overlapping SLS commands.
 
-Each model owns one or more :class:`ModelWorker` dispatch targets.  In
-replicate mode a worker is the model's full tables wired to SLS backends
-on one attached SSD (or host DRAM) and coalesced batches round-robin
-across the per-device workers.  In sharded mode
-(:mod:`repro.serving.sharding`) the model has a single worker whose
-stage is a :class:`~repro.serving.sharding.ShardedEmbeddingStage`: each
-coalesced batch *scatters* into per-shard sub-batches dispatched
-concurrently to every device owning a table piece, and the partial sums
-*gather* host-side.  Either way the scheduler only sees the
-``stage.start(bags_by_table, on_done)`` contract; per-shard work is
-credited to :class:`~repro.serving.stats.ServingStats` from the result's
-``per_shard`` breakdown (scatter-gather) or the worker's device index
-(replicate).
+Each model owns one or more :class:`ModelWorker` dispatch targets, one
+per plan its placement policy returned (:mod:`repro.serving.sharding`):
+a whole-model replica per attached SSD, with coalesced batches
+round-robin across them, or one worker whose stage holds table pieces on
+several devices, so each batch *scatters* to them and the partial sums
+*gather* host-side.  The scheduler sees neither difference: every worker
+holds an :class:`~repro.embedding.stage.EmbeddingStage`, and
+:meth:`BatchScheduler._batch_done` credits
+:class:`~repro.serving.stats.ServingStats` in one pass over the pieces
+in the result's ``per_shard``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -74,26 +72,18 @@ class SchedulerConfig:
 
 
 class ModelWorker:
-    """One dispatch target: a model's SLS backends on one device — or,
-    for a sharded registration, its scatter-gather stage spanning every
-    device (``device_index`` is ``-1`` then; ``stage`` is any object
-    honouring ``start(bags_by_table, on_done)``)."""
+    """One dispatch target: the stage holding one plan's pieces of a
+    model, and the batches it has outstanding."""
 
-    def __init__(self, model: RecModel, stage: EmbeddingStage, device_index: int = 0):
+    def __init__(self, model: RecModel, stage: EmbeddingStage):
         self.model = model
         self.stage = stage
-        self.device_index = device_index
         self.inflight_batches = 0
         self.batches_done = 0
 
-    @property
-    def sharded(self) -> bool:
-        return self.device_index < 0
-
     def __repr__(self) -> str:
-        device = "sharded" if self.sharded else f"device={self.device_index}"
         return (
-            f"ModelWorker({self.model.name}, {device}, "
+            f"ModelWorker({self.model.name}, shards={list(self.stage.by_shard)}, "
             f"inflight={self.inflight_batches})"
         )
 
@@ -253,9 +243,43 @@ class BatchScheduler:
         now = self.sim.now
         if batch_span is not None and self.sim.tracer is not None:
             self.sim.tracer.end(batch_span)
-        self._record_shard_work(worker, result)
-        self._record_fault_work(result)
-        missing = getattr(result, "missing_by_table", None)
+        # One pass over the pieces that ran: each shard's work is
+        # credited to the device that did it, and the fault counters
+        # (all-zero under healthy operation — no counter moves then) are
+        # folded in on the way.
+        stats = self.stats
+        model = worker.model.name
+        lost_rows = lost_pages = fallbacks = 0.0
+        for shard, pieces in result.per_shard.items():
+            lookups = cache_hits = 0.0
+            first, last = inf, -inf
+            for op in pieces.values():
+                op_stats = op.stats
+                lookups += op_stats.get("lookups", 0.0)
+                # Every cache layer a backend reports: host LRU (ssd),
+                # device emb-cache + host partition (ndp).
+                cache_hits += (
+                    op_stats.get("cache_hits", 0.0)
+                    + op_stats.get("emb_cache_hits", 0.0)
+                    + op_stats.get("partition_hits", 0.0)
+                )
+                lost_rows += op_stats.get("uncorrectable_rows", 0.0)
+                lost_pages += op_stats.get("uncorrectable_pages", 0.0)
+                fallbacks += op_stats.get("ndp_fallback", 0.0)
+                if op.start_time < first:
+                    first = op.start_time
+                if op.end_time > last:
+                    last = op.end_time
+            stats.record_shard_work(
+                model, shard, lookups, len(pieces), last - first, cache_hits
+            )
+        if lost_rows:
+            stats.uncorrectable_rows += lost_rows
+        if lost_pages:
+            stats.uncorrectable_pages += lost_pages
+        if fallbacks:
+            stats.ndp_fallbacks += int(fallbacks)
+        missing = result.missing_by_table
         for request, span in zip(requests, spans):
             request.t_emb_done = now
             request.values = {
@@ -276,59 +300,3 @@ class BatchScheduler:
         self.on_batch_done(requests)
         # A batch slot just freed; pull in whatever queued behind it.
         self.pump()
-
-    @staticmethod
-    def _op_cache_hits(stats: Dict[str, float]) -> float:
-        """Cache-served lookups of one SLS op, across every cache layer a
-        backend reports: host LRU (ssd), device emb-cache + host
-        partition (ndp).  Keys a backend does not report count as 0."""
-        return (
-            stats.get("cache_hits", 0.0)
-            + stats.get("emb_cache_hits", 0.0)
-            + stats.get("partition_hits", 0.0)
-        )
-
-    def _record_fault_work(self, result: EmbStageResult) -> None:
-        """Fold the batch's fault accounting (uncorrectable reads, NDP
-        fallback ops) into the serving stats.  All-zero under healthy
-        operation — no counters move and no stats keys exist then."""
-        rows = result.stat_total("uncorrectable_rows")
-        pages = result.stat_total("uncorrectable_pages")
-        fallbacks = result.stat_total("ndp_fallback")
-        if rows:
-            self.stats.uncorrectable_rows += rows
-        if pages:
-            self.stats.uncorrectable_pages += pages
-        if fallbacks:
-            self.stats.ndp_fallbacks += int(fallbacks)
-
-    def _record_shard_work(self, worker: ModelWorker, result: EmbStageResult) -> None:
-        """Credit the batch's embedding work to the device(s) that ran it."""
-        model = worker.model.name
-        if result.per_shard:
-            for shard, pieces in result.per_shard.items():
-                self.stats.record_shard_work(
-                    model,
-                    shard,
-                    lookups=sum(r.stats.get("lookups", 0.0) for r in pieces.values()),
-                    sub_ops=len(pieces),
-                    busy_s=(
-                        max(r.end_time for r in pieces.values())
-                        - min(r.start_time for r in pieces.values())
-                    ),
-                    cache_hits=sum(
-                        self._op_cache_hits(r.stats) for r in pieces.values()
-                    ),
-                )
-        else:
-            self.stats.record_shard_work(
-                model,
-                worker.device_index,
-                lookups=result.stat_total("lookups"),
-                sub_ops=len(result.per_table),
-                busy_s=result.latency,
-                cache_hits=sum(
-                    self._op_cache_hits(r.stats)
-                    for r in result.per_table.values()
-                ),
-            )

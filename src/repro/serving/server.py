@@ -18,11 +18,14 @@ tower on the (serialized) host NN workers — the serving shape the paper
 evaluates, with per-request p50/p95/p99 tracked in :class:`ServingStats`.
 
 ``register_model(..., num_workers=N, sharding=policy)`` spreads one
-model over N SSDs: whole-model replication (default, batches
-round-robin), or table/row sharding from
-:mod:`repro.serving.sharding`, where every coalesced batch scatters to
-the devices owning its table pieces and partial sums gather host-side.
-The full lifecycle and knobs are documented in ``docs/SERVING.md``.
+model over N SSDs.  The policy (:mod:`repro.serving.sharding`) returns
+placement plans — N whole-model replicas by default, or one plan of
+table/row pieces across the devices — and registration walks every plan
+through the same path into the same
+:class:`~repro.embedding.stage.EmbeddingStage`: a coalesced batch goes
+to the pieces its worker's stage holds, and partial sums gather
+host-side where there are any.  The full lifecycle and knobs are
+documented in ``docs/SERVING.md``.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from .hostpool import HostResourceModel
 from .queue import RequestQueue
 from .request import InferenceRequest, RequestState
 from .scheduler import BatchScheduler, ModelWorker, SchedulerConfig
-from .sharding import ReplicatePolicy, ShardedEmbeddingStage, ShardingPolicy
+from .sharding import ReplicatePolicy, ShardingPolicy
 from .stats import ServingStats
 
 __all__ = ["ServingConfig", "InferenceServer", "run_offered_load"]
@@ -172,22 +175,24 @@ class InferenceServer:
         """Wire ``model``'s tables to ``kind`` backends and accept its traffic.
 
         ``num_workers`` > 1 spreads the model across that many attached
-        SSDs (devices are added to the system as needed); ``sharding``
-        picks how:
+        SSDs (devices are added to the system as needed).  ``sharding``
+        decides where each table piece lives, as
+        :class:`~repro.serving.sharding.ShardPlan` data; every plan
+        becomes one :class:`ModelWorker` through the same steps:
 
         * ``None`` or :class:`~repro.serving.sharding.ReplicatePolicy`
-          (the default, bit-identical legacy behaviour) — whole-model
-          replicas, one :class:`ModelWorker` per device, coalesced
-          batches round-robin across them.  Replicas share the primary
-          tables' data source, so results are identical.  DRAM backends
-          ignore the device count but still gain concurrent dispatch
-          slots per extra worker.
+          (the default) — one plan per device, each placing every table
+          whole there: whole-model replicas, coalesced batches
+          round-robin across them.  Replicas share the primary tables'
+          data source, so results are identical.  DRAM backends ignore
+          the device count but still gain concurrent dispatch slots per
+          extra worker.
         * :class:`~repro.serving.sharding.TableShardPolicy` /
-          :class:`~repro.serving.sharding.RowShardPolicy` — tables (or
-          rows of large tables) are partitioned across the devices and
-          the model gets a single scatter-gather worker: every coalesced
-          batch fans out to the devices owning its table pieces and the
-          partial sums merge host-side.  See ``docs/SERVING.md``.
+          :class:`~repro.serving.sharding.RowShardPolicy` — one plan:
+          tables (or rows of large tables) are partitioned across the
+          devices, every coalesced batch fans out to the devices owning
+          its table pieces and the partial sums merge host-side.  See
+          ``docs/SERVING.md``.
         """
         if model.name in self.models:
             raise ValueError(f"model {model.name!r} already registered")
@@ -196,101 +201,26 @@ class InferenceServer:
         config = runner_config or RunnerConfig(kind=kind)
         if config.kind is not kind:
             raise ValueError("runner_config.kind must match kind")
-        if sharding is not None and not isinstance(sharding, ReplicatePolicy):
-            pool = self._register_sharded(
-                model, kind, config, num_workers, partition_profiles, sharding
-            )
-        else:
-            pool = self._register_replicated(
-                model, kind, config, num_workers, partition_profiles
-            )
-        self.models[model.name] = model
-        self.workers[model.name] = pool
-        return pool
-
-    def _register_replicated(
-        self,
-        model: RecModel,
-        kind: BackendKind,
-        config: RunnerConfig,
-        num_workers: int,
-        partition_profiles,
-    ) -> List[ModelWorker]:
-        """Legacy path: one full-model worker per device, round-robin."""
+        plans = (sharding or ReplicatePolicy()).plans(model, num_workers)
+        features_by_name = {f.name: f for f in model.features}
+        for plan in plans:
+            plan.validate(list(features_by_name))
         # Validate everything up front: a rejected registration must not
         # leave added devices, attached replicas or inflated projections
         # behind (devices added by add_device cannot be removed again).
         pending_entries: Dict[int, int] = {}  # device index -> increment
         if kind is BackendKind.NDP:
-            for index in range(num_workers):
-                self._check_ndp_capacity(model, index, pending_entries)
-            if config.partition_entries > 0:
-                for feature in model.features:
-                    if (partition_profiles or {}).get(feature.name) is None:
-                        raise ValueError(
-                            f"partition requested but no profile for "
-                            f"{feature.name}"
+            for plan in plans:
+                for shard in range(plan.num_shards):
+                    pieces = len(plan.tables_on(shard))
+                    if pieces:
+                        self._check_ndp_capacity(
+                            model, shard, pending_entries, pieces
                         )
-        pool: List[ModelWorker] = []
-        for index in range(num_workers):
-            if kind is BackendKind.DRAM or index == 0:
-                device = self.system.device
-                tables = model.tables
-            else:
-                device = self._device_for_shard(index)
-                tables = {
-                    name: table.replica() for name, table in model.tables.items()
-                }
-            backends, _caches, _partitions = build_backends(
-                model,
-                config,
-                self.system,
-                device=device,
-                tables=tables,
-                partition_profiles=partition_profiles,
-            )
-            pool.append(
-                ModelWorker(
-                    model,
-                    EmbeddingStage(backends, sls_pool=self.hostpool.sls),
-                    device_index=index,
-                )
-            )
-        self._commit_ndp_projection(pending_entries)
-        return pool
-
-    def _register_sharded(
-        self,
-        model: RecModel,
-        kind: BackendKind,
-        config: RunnerConfig,
-        num_workers: int,
-        partition_profiles,
-        sharding: ShardingPolicy,
-    ) -> List[ModelWorker]:
-        """Scatter-gather path: table/row pieces spread over the devices.
-
-        The model gets one :class:`ModelWorker` whose stage is a
-        :class:`~repro.serving.sharding.ShardedEmbeddingStage`; the
-        scheduler's ``max_inflight_batches_per_worker`` then bounds the
-        number of concurrently-scattered batches.
-        """
-        plan = sharding.plan(model, num_workers)
-        plan.validate([f.name for f in model.features])
-        pieces_by_shard = {
-            shard: plan.tables_on(shard) for shard in range(num_workers)
-        }
-        # Upfront validation, same contract as the replicate path.
-        pending_entries: Dict[int, int] = {}
-        if kind is BackendKind.NDP:
-            for shard, names in pieces_by_shard.items():
-                if names:
-                    self._check_ndp_capacity(
-                        model, shard, pending_entries, tables_per_batch=len(names)
-                    )
             if config.partition_entries > 0:
+                row_split = {name for plan in plans for name in plan.mappings()}
                 for feature in model.features:
-                    if plan.placements[feature.name].mapping is not None:
+                    if feature.name in row_split:
                         raise ValueError(
                             f"partition_entries is not supported for "
                             f"row-sharded tables ({feature.name!r}); use "
@@ -301,43 +231,55 @@ class InferenceServer:
                             f"partition requested but no profile for "
                             f"{feature.name}"
                         )
-        features_by_name = {f.name: f for f in model.features}
-        backends_by_shard: Dict[int, Dict[str, object]] = {}
-        for shard in range(num_workers):
-            names = pieces_by_shard[shard]
-            if not names:
-                continue
-            device = (
-                self.system.device
-                if (kind is BackendKind.DRAM or shard == 0)
-                else self._device_for_shard(shard)
+        # The primary table instance goes to a table's first whole
+        # placement (results stay bit-identical to one device); later
+        # whole placements get replicas, which share its data source.
+        primary_placed = set()
+        pool: List[ModelWorker] = []
+        for plan in plans:
+            by_shard: Dict[int, Dict[str, SlsBackend]] = {}
+            for shard in range(plan.num_shards):
+                names = plan.tables_on(shard)
+                if not names:
+                    continue
+                tables = {}
+                for name in names:
+                    mapping = plan.placements[name].mapping
+                    if mapping is not None:
+                        tables[name] = model.tables[name].row_shard(
+                            mapping.global_ids(shard), shard
+                        )
+                    elif name in primary_placed:
+                        tables[name] = model.tables[name].replica()
+                    else:
+                        primary_placed.add(name)
+                        tables[name] = model.tables[name]
+                by_shard[shard], _caches, _partitions = build_backends(
+                    model,
+                    config,
+                    self.system,
+                    # DRAM backends sit on no device: a shard is only a
+                    # dispatch slot and a stats key for them.
+                    device=(
+                        None
+                        if kind is BackendKind.DRAM
+                        else self._device_for_shard(shard)
+                    ),
+                    tables=tables,
+                    partition_profiles=partition_profiles,
+                    features=[features_by_name[name] for name in names],
+                )
+            stage = EmbeddingStage(
+                by_shard, sls_pool=self.hostpool.sls, mappings=plan.mappings()
             )
-            tables = {}
-            for name in names:
-                placement = plan.placements[name]
-                if placement.mapping is None:
-                    # Whole table: the primary instance lives on (only)
-                    # its home device, keeping results bit-identical.
-                    tables[name] = model.tables[name]
-                else:
-                    tables[name] = model.tables[name].row_shard(
-                        placement.mapping.global_ids(shard), shard
-                    )
-            backends, _caches, _partitions = build_backends(
-                model,
-                config,
-                self.system,
-                device=device,
-                tables=tables,
-                partition_profiles=partition_profiles,
-                features=[features_by_name[name] for name in names],
+            pool.append(ModelWorker(model, stage))
+        for index, count in pending_entries.items():
+            self._projected_ndp_entries[index] = (
+                self._projected_ndp_entries.get(index, 0) + count
             )
-            backends_by_shard[shard] = backends
-        self._commit_ndp_projection(pending_entries)
-        stage = ShardedEmbeddingStage(
-            plan, backends_by_shard, sls_pool=self.hostpool.sls
-        )
-        return [ModelWorker(model, stage, device_index=-1)]
+        self.models[model.name] = model
+        self.workers[model.name] = pool
+        return pool
 
     def _device_for_shard(self, index: int):
         """The ``index``-th attached SSD, adding clones of the primary's
@@ -346,18 +288,12 @@ class InferenceServer:
             self.system.add_device(self.system.device.config)
         return self.system.devices[index]
 
-    def _commit_ndp_projection(self, pending_entries: Dict[int, int]) -> None:
-        for index, count in pending_entries.items():
-            self._projected_ndp_entries[index] = (
-                self._projected_ndp_entries.get(index, 0) + count
-            )
-
     def _check_ndp_capacity(
         self,
         model: RecModel,
         device_index: int,
         pending_entries: Dict[int, int],
-        tables_per_batch: Optional[int] = None,
+        tables_per_batch: int,
     ) -> None:
         """Fail registration, not serving, when the NDP buffer can overflow.
 
@@ -367,10 +303,9 @@ class InferenceServer:
         surfaces as a hard :class:`~repro.driver.ndp.NdpError` mid-run.
         The scheduler keeps at most ``max_inflight_batches_per_worker``
         batches outstanding per worker; each batch puts one SLS op per
-        table *piece* on the device — all the model's tables for a
-        replica, or ``tables_per_batch`` (the pieces a shard plan places
-        there) for a sharded registration.  Refuse registrations that
-        could exceed the device's capacity.  Projections are keyed by
+        table *piece* on the device — ``tables_per_batch``, the pieces
+        one plan places there (all the model's tables for a replica).
+        Refuse registrations that could exceed the device's capacity.  Projections are keyed by
         device index (the device may not exist yet; ones added later
         clone the primary's config); increments accumulate in
         ``pending_entries`` and are committed by the caller on success.
@@ -380,8 +315,6 @@ class InferenceServer:
         else:
             device_config = self.system.device.config
         engine_config = device_config.ndp
-        if tables_per_batch is None:
-            tables_per_batch = len(model.features)
         pending_entries[device_index] = pending_entries.get(
             device_index, 0
         ) + tables_per_batch * self.config.max_inflight_batches_per_worker
@@ -643,17 +576,10 @@ class InferenceServer:
     # Introspection
     # ------------------------------------------------------------------
     def backends(self) -> Iterator[SlsBackend]:
-        """Every SLS backend behind this server's workers, across both
-        stage types (per-replica maps and per-shard maps of maps)."""
+        """Every SLS backend behind this server's workers."""
         for pool in self.workers.values():
             for worker in pool:
-                stage = worker.stage
-                if isinstance(stage, ShardedEmbeddingStage):
-                    by_table_maps = stage.backends_by_shard.values()
-                else:
-                    by_table_maps = (stage.backends,)
-                for by_table in by_table_maps:
-                    yield from by_table.values()
+                yield from worker.stage.backends()
 
     def hostpool_summary(self) -> Dict[str, Dict[str, float]]:
         """Host resource model report: per-pool capacity, occupancy,

@@ -1,53 +1,47 @@
-"""Cross-SSD table sharding policies and the scatter-gather embedding stage.
+"""Cross-SSD placement policies: which table piece lives on which device.
 
-``register_model(num_workers=N)`` historically *replicated* a whole model
-onto N attached SSDs; throughput scaled only because coalesced batches
-round-robined across full copies.  This module instead spreads the
-*tables* — and, for the large ones, the *rows* — across devices, the way
-RecNMP-style systems scale embedding capacity and parallelism beyond one
-device:
+``register_model(num_workers=N, sharding=policy)`` spreads one model
+over N attached SSDs.  A policy only *decides*: it returns
+:class:`ShardPlan` data — one plan per dispatch target
+(:class:`~repro.serving.scheduler.ModelWorker`) — and
+``InferenceServer.register_model`` walks every plan the same way, into
+the same :class:`~repro.embedding.stage.EmbeddingStage`, which scatters,
+launches and gathers (RecNMP fans one gather-reduce out to N ranks and
+merges the partial sums through the same path whatever N is):
 
-* :class:`ReplicatePolicy` — the legacy behaviour (whole-model copies,
-  round-robin batches).  Kept as the default and bit-identical baseline.
-* :class:`TableShardPolicy` — each table lives wholly on exactly one
-  device, assigned greedily so per-device load (bytes or traffic)
-  balances.  Every table's batched SLS op is unchanged — it just runs on
-  its home device — so pooled results equal replicate mode exactly on
-  the order-deterministic DRAM backend and up to device-side float32
-  accumulation order on ssd/ndp (page-arrival order shifts when tables
-  spread out; the same caveat the repo's bit-for-bit backend checks
-  carry).
-* :class:`RowShardPolicy` — tables at or above ``threshold_rows`` are
-  partitioned row-wise across all devices (modulo hash by default, or
-  frequency ranges when a traffic profile is supplied, after RecFlash's
-  frequency-based data mapping); smaller tables are whole-assigned like
-  :class:`TableShardPolicy`.  Each device returns partial sums, merged
-  host-side, so per-bag float accumulation order changes — results are
-  equal to replicate mode up to float32 summation order.
+* :class:`ReplicatePolicy` (the default) — N plans, plan *i* placing
+  every table whole on shard *i*: whole-model copies, coalesced batches
+  round-robin across them, throughput scales because batches overlap.
+* :class:`TableShardPolicy` — one N-shard plan; each table lives wholly
+  on exactly one device, assigned greedily so per-device load (bytes or
+  traffic) balances.  Every table's batched SLS op is unchanged — it
+  just runs on its home device — so pooled results equal replicate mode
+  exactly on the order-deterministic DRAM backend and up to device-side
+  float32 accumulation order on ssd/ndp (page-arrival order shifts when
+  tables spread out; the same caveat the repo's bit-for-bit backend
+  checks carry).
+* :class:`RowShardPolicy` — one N-shard plan; tables at or above
+  ``threshold_rows`` are partitioned row-wise across all devices (modulo
+  hash by default, or frequency ranges when a traffic profile is
+  supplied, after RecFlash's frequency-based data mapping); smaller
+  tables are whole-assigned like :class:`TableShardPolicy`.  Each device
+  returns partial sums, merged host-side, so per-bag float accumulation
+  order changes — results are equal to replicate mode up to float32
+  summation order.
 
-:class:`ShardedEmbeddingStage` is the scatter-gather executor the
-:class:`~repro.serving.scheduler.BatchScheduler` drives: it splits one
-coalesced batch's bags into per-shard sub-batches with shard-local ids
-(one vectorized :func:`~repro.core.vecops.group_slices` pass), dispatches
-them concurrently to every device's backend (dram | ssd | ndp), and
-merges the partial sums host-side.  The shard-local id remapping
-invariant it relies on lives in
-:meth:`~repro.embedding.table.EmbeddingTable.row_shard`.
+The shard-local id remapping invariant a row split relies on lives in
+:meth:`~repro.embedding.table.EmbeddingTable.row_shard`; the split of
+a batch's bags by a mapping is
+:func:`~repro.embedding.stage.scatter_bags`.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-
-from ..core.vecops import group_slices
-from ..embedding.backends.base import SlsBackend, SlsOpResult, flatten_bags
-from ..embedding.stage import EmbStageResult
-from ..embedding.table import EmbeddingTable
-from ..sim.stats import Breakdown
 
 __all__ = [
     "RowMapping",
@@ -59,8 +53,6 @@ __all__ = [
     "ReplicatePolicy",
     "TableShardPolicy",
     "RowShardPolicy",
-    "scatter_bags",
-    "ShardedEmbeddingStage",
 ]
 
 
@@ -214,7 +206,8 @@ class TablePlacement:
 
 @dataclass(frozen=True)
 class ShardPlan:
-    """A complete model→devices placement produced by a policy."""
+    """One dispatch target's placement: every table of the model, each
+    whole on one shard or row-split over several."""
 
     num_shards: int
     mode: str  # "replicate" | "table" | "row"
@@ -225,6 +218,14 @@ class ShardPlan:
         return [
             name for name, p in self.placements.items() if shard in p.shards
         ]
+
+    def mappings(self) -> Dict[str, RowMapping]:
+        """The row-split tables' mappings, by table name."""
+        return {
+            name: p.mapping
+            for name, p in self.placements.items()
+            if p.mapping is not None
+        }
 
     def validate(self, feature_names: Sequence[str]) -> None:
         if set(self.placements) != set(feature_names):
@@ -249,28 +250,31 @@ class ShardingPolicy(ABC):
     name = "base"
 
     @abstractmethod
-    def plan(self, model, num_shards: int) -> ShardPlan:
-        """Place ``model``'s tables on ``num_shards`` devices."""
+    def plans(self, model, num_shards: int) -> List[ShardPlan]:
+        """Place ``model``'s tables on ``num_shards`` devices: one plan
+        per dispatch target, each covering every table."""
 
 
 class ReplicatePolicy(ShardingPolicy):
-    """Whole-model replication per device — the pre-sharding behaviour.
+    """Whole-model replication: one one-shard plan per device.
 
-    The serving layer special-cases this policy onto the original
-    replicate path (one :class:`~repro.serving.scheduler.ModelWorker`
-    per device, full tables each, batches round-robin), so results are
-    bit-identical to ``register_model`` without a policy.
+    Plan *i* places every table whole on shard *i*, so the model gets
+    one :class:`~repro.serving.scheduler.ModelWorker` per device, full
+    tables each, batches round-robin — what ``register_model`` does
+    without a policy.
     """
 
     name = "replicate"
 
-    def plan(self, model, num_shards: int) -> ShardPlan:
-        # Descriptive only (every device holds a full copy); the server
-        # never routes replicate-mode dispatch through a plan.
-        placements = {
-            f.name: TablePlacement(f.name, (0,), None) for f in model.features
-        }
-        return ShardPlan(num_shards, "replicate", placements)
+    def plans(self, model, num_shards: int) -> List[ShardPlan]:
+        return [
+            ShardPlan(
+                num_shards,
+                "replicate",
+                {f.name: TablePlacement(f.name, (shard,)) for f in model.features},
+            )
+            for shard in range(num_shards)
+        ]
 
 
 def _table_weight(feature, balance_by: str) -> float:
@@ -320,6 +324,9 @@ class TableShardPolicy(ShardingPolicy):
             for name, shard in home.items()
         }
         return ShardPlan(num_shards, "table", placements)
+
+    def plans(self, model, num_shards: int) -> List[ShardPlan]:
+        return [self.plan(model, num_shards)]
 
 
 class RowShardPolicy(ShardingPolicy):
@@ -378,278 +385,5 @@ class RowShardPolicy(ShardingPolicy):
             placements[name] = TablePlacement(name, (shard,), None)
         return ShardPlan(num_shards, "row", placements)
 
-
-# ----------------------------------------------------------------------
-# Scatter: split one batch's bags into per-shard sub-bags
-# ----------------------------------------------------------------------
-def scatter_bags(
-    bags: Sequence[np.ndarray], mapping: RowMapping
-) -> Dict[int, List[np.ndarray]]:
-    """Split per-result bags into shard-local per-result bags.
-
-    Returns only the shards that received at least one lookup; each
-    shard's value is ``len(bags)`` bags of *shard-local* ids (possibly
-    empty bags), in the same order, so a shard's partial SLS lines up
-    row-for-row with the merged result.  One vectorized pass: flatten,
-    group by owning shard (:func:`~repro.core.vecops.group_slices` —
-    stable, so within a shard the bag order and intra-bag id order are
-    preserved), remap to local ids, split back into bags.
-    """
-    rows, rids = flatten_bags(bags)
-    if rows.size == 0:
-        return {}
-    shard_keys = mapping.shard_of(rows)
-    local = mapping.local_ids(rows)
-    uniq, order, bounds = group_slices(shard_keys)
-    out: Dict[int, List[np.ndarray]] = {}
-    for i, shard in enumerate(uniq):
-        members = order[bounds[i] : bounds[i + 1]]  # ascending positions
-        counts = np.bincount(rids[members], minlength=len(bags))
-        out[int(shard)] = np.split(local[members], np.cumsum(counts)[:-1])
-    return out
-
-
-# ----------------------------------------------------------------------
-# Gather: the scatter-gather embedding stage
-# ----------------------------------------------------------------------
-class ShardedEmbeddingStage:
-    """Scatter-gather executor over per-shard SLS backends.
-
-    Drop-in for :class:`~repro.embedding.stage.EmbeddingStage` from the
-    scheduler's point of view (same ``start(bags_by_table, on_done)``
-    contract, same :class:`EmbStageResult`), but one batch fans out to
-    every device owning a piece of any requested table and the partial
-    sums merge host-side.  ``per_shard`` on the result carries the
-    per-device partial results for stats.
-
-    ``backends_by_shard[s][table_name]`` is the backend serving table
-    piece ``table_name`` on device ``s`` (shard tables for row-split
-    placements, full tables for whole placements).
-
-    ``sls_pool`` (optional — the server's
-    :class:`~repro.serving.hostpool.HostSlsPool`) bounds the host SLS
-    workers: each per-shard per-table sub-op holds one worker from
-    launch to completion, and the host-side *merge* of the partial sums
-    must also win a worker (zero service time, queueing-only) before the
-    batch can finish — under heavy concurrency the scatter-gather
-    overlap is no longer free.  ``None`` keeps the legacy free overlap.
-    """
-
-    def __init__(
-        self,
-        plan: ShardPlan,
-        backends_by_shard: Dict[int, Dict[str, SlsBackend]],
-        sls_pool=None,
-    ):
-        if not backends_by_shard or not any(backends_by_shard.values()):
-            raise ValueError("need at least one shard backend")
-        self.plan = plan
-        self.backends_by_shard = backends_by_shard
-        self.sls_pool = sls_pool
-        sims = {
-            id(b.system.sim)
-            for shard in backends_by_shard.values()
-            for b in shard.values()
-        }
-        if len(sims) != 1:
-            raise ValueError("all shard backends must share one simulator")
-        self.sim = next(
-            b.system.sim
-            for shard in backends_by_shard.values()
-            for b in shard.values()
-        )
-        self.dims = {
-            name: b.table.spec.dim
-            for shard in backends_by_shard.values()
-            for name, b in shard.items()
-        }
-
-    # ------------------------------------------------------------------
-    def start(
-        self,
-        bags_by_table: Dict[str, Sequence[np.ndarray]],
-        on_done: Callable[[EmbStageResult], None],
-    ) -> None:
-        unknown = set(bags_by_table) - set(self.plan.placements)
-        if unknown:
-            raise KeyError(f"no placement for tables {sorted(unknown)}")
-        start = self.sim.now
-        tracer = self.sim.tracer
-        n_bags = {name: len(bags) for name, bags in bags_by_table.items()}
-
-        # ---- scatter: (shard, table) -> shard-local bags -------------
-        # Sub-batches owed to an unavailable (fail-stopped) device are
-        # skipped instead of dispatched: the batch completes as a partial
-        # sum and ``missing_by_table`` records which bags lost lookups —
-        # graceful degradation rather than a failed batch.
-        jobs: List[Tuple[int, str, List[np.ndarray]]] = []
-        skipped: Dict[str, List[np.ndarray]] = {}
-
-        def skip(name: str, sub_bags: Sequence[np.ndarray]) -> None:
-            affected = np.flatnonzero(
-                np.asarray(
-                    [np.asarray(b).size for b in sub_bags], dtype=np.int64
-                )
-            )
-            if affected.size:
-                skipped.setdefault(name, []).append(affected)
-
-        for name, bags in bags_by_table.items():
-            placement = self.plan.placements[name]
-            if placement.mapping is None:
-                shard = placement.shards[0]
-                if self.backends_by_shard[shard][name].available:
-                    jobs.append((shard, name, list(bags)))
-                else:
-                    skip(name, bags)
-            else:
-                for shard, sub in scatter_bags(bags, placement.mapping).items():
-                    if self.backends_by_shard[shard][name].available:
-                        jobs.append((shard, name, sub))
-                    else:
-                        skip(name, sub)
-        missing_by_table = {
-            name: np.unique(np.concatenate(chunks))
-            for name, chunks in skipped.items()
-        }
-
-        per_shard: Dict[int, Dict[str, SlsOpResult]] = {}
-        pending = {"n": len(jobs)}
-
-        def merge() -> None:
-            values: Dict[str, np.ndarray] = {}
-            per_table: Dict[str, SlsOpResult] = {}
-            breakdown = Breakdown()
-            for name in bags_by_table:
-                pieces = [
-                    (shard, results[name])
-                    for shard, results in sorted(per_shard.items())
-                    if name in results
-                ]
-                per_table[name] = self._merge_table(name, n_bags[name], pieces)
-                values[name] = per_table[name].values
-                breakdown.merge(per_table[name].breakdown)
-            on_done(
-                EmbStageResult(
-                    values=values,
-                    per_table=per_table,
-                    start_time=start,
-                    end_time=self.sim.now,
-                    breakdown=breakdown,
-                    per_shard=per_shard,
-                    missing_by_table=missing_by_table,
-                )
-            )
-
-        def finish() -> None:
-            # The host-side gather is host SLS work too: with a bounded
-            # pool it must win a worker (queueing-only, zero service
-            # time) before the partial sums merge and the batch finishes.
-            if self.sls_pool is None:
-                merge()
-                return
-
-            merge_span = (
-                tracer.begin("shard.merge") if tracer is not None else None
-            )
-
-            def pooled_merge() -> None:
-                if merge_span is not None:
-                    tracer.end(merge_span)
-                self.sls_pool.release()
-                merge()
-
-            self.sls_pool.acquire(pooled_merge)
-
-        if not jobs:
-            self.sim.call_soon(finish)
-            return
-
-        def job_done(
-            shard: int, name: str, result: SlsOpResult, job_span=None
-        ) -> None:
-            if job_span is not None:
-                tracer.end(job_span)
-            per_shard.setdefault(shard, {})[name] = result
-            pending["n"] -= 1
-            if pending["n"] == 0:
-                finish()
-
-        # Scatter-gather tracing: one ``shard.job`` span per (shard,
-        # table) sub-op, opened at scatter (so a bounded SLS pool's
-        # queueing shows inside it) and pushed around the backend launch
-        # so the backend's ``sls_op`` span parents under it.
-        for shard, name, sub_bags in jobs:
-            backend = self.backends_by_shard[shard][name]
-            job_span = (
-                tracer.begin("shard.job", shard=shard, table=name)
-                if tracer is not None
-                else None
-            )
-            if self.sls_pool is None:
-                if job_span is not None:
-                    tracer.push(job_span)
-                backend.start(
-                    sub_bags,
-                    lambda result, _s=shard, _n=name, _j=job_span: job_done(
-                        _s, _n, result, _j
-                    ),
-                )
-                if job_span is not None:
-                    tracer.pop()
-                continue
-
-            # One host SLS worker per sub-op, held launch-to-completion.
-            def launch(_s=shard, _n=name, _b=backend, _bags=sub_bags,
-                       _j=job_span):
-                def op_done(result, _s=_s, _n=_n, _j=_j):
-                    self.sls_pool.release()
-                    job_done(_s, _n, result, _j)
-
-                if _j is not None:
-                    tracer.push(_j)
-                _b.start(_bags, op_done)
-                if _j is not None:
-                    tracer.pop()
-
-            self.sls_pool.acquire(launch)
-
-    def _merge_table(
-        self, name: str, n_bags: int, pieces: List[Tuple[int, SlsOpResult]]
-    ) -> SlsOpResult:
-        """Gather: one table's partial sums from its shards, merged.
-
-        Whole-table pieces pass through untouched (bit-identical to the
-        unsharded op).  Row-shard partials add in ascending shard order —
-        deterministic, but a different float32 accumulation order than
-        the unsharded sum, hence the documented "equal up to summation
-        order" contract.
-        """
-        if len(pieces) == 1 and self.plan.placements[name].mapping is None:
-            return pieces[0][1]
-        values = np.zeros((n_bags, self.dims[name]), dtype=np.float32)
-        breakdown = Breakdown()
-        stats: Dict[str, float] = {}
-        start = min((r.start_time for _, r in pieces), default=self.sim.now)
-        end = max((r.end_time for _, r in pieces), default=self.sim.now)
-        for _, result in pieces:
-            values += result.values
-            breakdown.merge(result.breakdown)
-            for key, value in result.stats.items():
-                stats[key] = stats.get(key, 0.0) + value
-        stats["shards"] = float(len(pieces))
-        return SlsOpResult(
-            values=values,
-            start_time=start,
-            end_time=end,
-            breakdown=breakdown,
-            stats=stats,
-        )
-
-    def run_sync(
-        self, bags_by_table: Dict[str, Sequence[np.ndarray]]
-    ) -> EmbStageResult:
-        box: List[EmbStageResult] = []
-        self.start(bags_by_table, box.append)
-        self.sim.run_until(lambda: bool(box))
-        return box[0]
+    def plans(self, model, num_shards: int) -> List[ShardPlan]:
+        return [self.plan(model, num_shards)]

@@ -353,11 +353,6 @@ class ServingStats(SettleSignal):
         span = self.busy_span()
         return self.goodput / span if span > 0 else 0.0
 
-    def mean_latency(self) -> float:
-        acc = Accumulator()
-        acc.extend(self.latencies)
-        return acc.mean
-
     def summary(self) -> Dict[str, float]:
         """Headline numbers (latencies in milliseconds)."""
         lat = summarize_latencies(self.latencies)

@@ -51,7 +51,7 @@ worked GC-interference example.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Union
 
 import numpy as np
 
@@ -60,7 +60,6 @@ from ..embedding.data import UpdatableTableData
 from ..embedding.table import EmbeddingTable, TablePageContent
 from ..nvme.payload import PageImagePayload
 from .server import InferenceServer
-from .sharding import ShardedEmbeddingStage
 
 __all__ = [
     "make_model_updatable",
@@ -208,46 +207,19 @@ class EmbeddingUpdateEngine:
             for server in holders:
                 server.stats.update_batches += 1
                 server.stats.update_rows += distinct
-                for backend, local_rows in self._backends_of(
-                    server, model_name, table_name, rows
-                ):
-                    self._cohere_backend(server, backend, local_rows)
-                    table = backend.table
-                    if table.attached and id(table) not in seen_tables:
-                        seen_tables[id(table)] = None
-                        self._enqueue_page_writes(server, table, local_rows)
+                # Every placed piece of the table that holds any of the
+                # rows, with the rows as that piece numbers them.
+                for worker in server.workers[model_name]:
+                    for backend, local_rows in worker.stage.route(table_name, rows):
+                        self._cohere_backend(server, backend, local_rows)
+                        table = backend.table
+                        if table.attached and id(table) not in seen_tables:
+                            seen_tables[id(table)] = None
+                            self._enqueue_page_writes(server, table, local_rows)
         finally:
             if commit_ctx is not None:
                 commit_ctx.__exit__(None, None, None)
         return distinct
-
-    def _backends_of(
-        self,
-        server: InferenceServer,
-        model_name: str,
-        table_name: str,
-        rows: np.ndarray,
-    ) -> Iterator[Tuple[object, np.ndarray]]:
-        """Yield ``(backend, local_rows)`` for every placed piece of the
-        table on ``server`` that holds any of ``rows``."""
-        for worker in server.workers[model_name]:
-            stage = worker.stage
-            if isinstance(stage, ShardedEmbeddingStage):
-                placement = stage.plan.placements[table_name]
-                if placement.mapping is None:
-                    shard = placement.shards[0]
-                    yield stage.backends_by_shard[shard][table_name], rows
-                else:
-                    shard_of = placement.mapping.shard_of(rows)
-                    for shard in placement.shards:
-                        sel = rows[shard_of == shard]
-                        if sel.size:
-                            yield (
-                                stage.backends_by_shard[shard][table_name],
-                                placement.mapping.local_ids(sel),
-                            )
-            else:
-                yield stage.backends[table_name], rows
 
     def _cohere_backend(
         self, server: InferenceServer, backend, local_rows: np.ndarray

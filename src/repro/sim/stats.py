@@ -111,9 +111,6 @@ class Breakdown:
             return {k: 0.0 for k in self.components}
         return {k: v / total for k, v in self.components.items()}
 
-    def as_us(self) -> Dict[str, float]:
-        return {k: v * 1e6 for k, v in self.components.items()}
-
     def copy(self) -> "Breakdown":
         return Breakdown(dict(self.components))
 

@@ -127,14 +127,6 @@ class LocalityTraceGenerator:
             for i in range(n_samples)
         ]
 
-    def generate_batches(
-        self, n_batches: int, batch_size: int, lookups_per_sample: int
-    ) -> List[List[np.ndarray]]:
-        return [
-            self.generate_bags(batch_size, lookups_per_sample)
-            for _ in range(n_batches)
-        ]
-
     @property
     def unique_rows_seen(self) -> int:
         return self._fresh_counter

@@ -142,10 +142,6 @@ class UpdateStream:
             self.values.append(values)
 
     @property
-    def total_updates(self) -> int:
-        return self.spec.n_updates
-
-    @property
     def done(self) -> bool:
         """All batches committed (device writes may still be in flight)."""
         return self.applied >= self.spec.n_updates

@@ -52,7 +52,7 @@ def ndp_server(embcache_slots, heat=None):
     )
     server.register_model(model, BackendKind.NDP)
     (name,) = model.tables
-    table = server.workers[model.name][0].stage.backends[name].table
+    table = server.workers[model.name][0].stage.by_shard[0][name].table
     return server, model, table
 
 

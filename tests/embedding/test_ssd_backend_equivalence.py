@@ -133,9 +133,9 @@ def run(program: Program, backend_cls, spy=None) -> dict:
         ),
     )
     stage = server.workers[model.name][0].stage
-    built = stage.backends["t"]
+    built = stage.by_shard[0]["t"]
     assert type(built) is SsdSlsBackend
-    backend = stage.backends["t"] = backend_cls(
+    backend = stage.by_shard[0]["t"] = backend_cls(
         system, table, host_cache=built.host_cache, coalesce=built.coalesce
     )
     cache = backend.host_cache

@@ -37,7 +37,7 @@ def ssd_server(host_cache_entries: int):
         RunnerConfig(kind=BackendKind.SSD, host_cache_entries=host_cache_entries),
     )
     (name,) = model.tables
-    backend = server.workers[model.name][0].stage.backends[name]
+    backend = server.workers[model.name][0].stage.by_shard[0][name]
     assert backend.table.rows_per_page == 1
     return server, model, backend
 

@@ -219,11 +219,11 @@ class TestReadErrors:
 class TestNdpCrash:
     def _backend(self, server, model="toy"):
         worker = server.workers[model][0]
-        return next(iter(worker.stage.backends.values()))
+        return next(worker.stage.backends())
 
     def _fallback_ops(self, server, model="toy"):
         worker = server.workers[model][0]
-        return sum(b.fallback_ops for b in worker.stage.backends.values())
+        return sum(b.fallback_ops for b in worker.stage.backends())
 
     def test_crash_falls_back_to_host_path_and_restores(self):
         server = build_server(toy_model(), kind=BackendKind.NDP)
@@ -244,7 +244,7 @@ class TestNdpCrash:
         assert self._fallback_ops(server) == stats.ndp_fallbacks
         # After the restore some ops ran on the engine again.
         assert self._fallback_ops(server) < stats.batches_dispatched * len(
-            server.workers["toy"][0].stage.backends
+            server.workers["toy"][0].stage.by_shard[0]
         )
         assert not server.system.device.ndp.down
 
@@ -338,6 +338,42 @@ class TestDeviceDown:
         assert any(np.all(v == 0.0) for v in request.values.values())
         assert any(np.any(v != 0.0) for v in request.values.values())
         assert all(np.isfinite(v).all() for v in request.values.values())
+
+    @pytest.mark.parametrize("num_workers", [1, 2])
+    @pytest.mark.parametrize("kind", [BackendKind.SSD, BackendKind.NDP])
+    def test_replica_on_a_down_device_degrades_and_recovers(self, kind, num_workers):
+        """A replica is a plan like any other: the same ``available``
+        check skips its pieces (it used to answer in full from a
+        fail-stopped device).  No failover to a healthy replica."""
+        model = toy_model()
+        server = build_server(model, kind=kind, num_workers=num_workers)
+        victim = server.system.devices[num_workers - 1]
+        rng = np.random.default_rng(5)
+
+        def one_round():
+            # Settled one at a time, batches round-robin: request i runs
+            # on replica i.
+            requests = []
+            for _ in range(num_workers):
+                requests.append(server.submit("toy", model.sample_batch(rng, 2)))
+                server.run_until_settled()
+            assert all(r.state is RequestState.COMPLETE for r in requests)
+            return requests
+
+        victim.down = True
+        *healthy, lost = one_round()
+        assert lost.degraded and lost.missing_bags == 2 * len(model.features)
+        assert all(np.all(v == 0.0) for v in lost.values.values())
+        for request in healthy:
+            assert not request.degraded and request.missing_bags == 0
+            assert all(np.any(v != 0.0) for v in request.values.values())
+        assert server.stats.degraded == 1
+
+        victim.down = False
+        for request in one_round():
+            assert not request.degraded and request.missing_bags == 0
+            assert all(np.any(v != 0.0) for v in request.values.values())
+        assert server.stats.degraded == 1
 
 
 class TestScenarioIntegration:

@@ -48,7 +48,7 @@ class TestNdpOverlap:
         for _ in range(6):
             server.submit(model.name, model.sample_batch(rng, 1))
         server.run_until_settled()
-        backends = server.workers[model.name][0].stage.backends
+        backends = server.workers[model.name][0].stage.by_shard[0]
         # Two outstanding coalesced batches -> each table backend saw
         # overlapping operations.
         assert max(b.max_inflight for b in backends.values()) >= 2

@@ -31,6 +31,7 @@ from repro.serving import (
     RowShardPolicy,
     ServingConfig,
     ServingStats,
+    TableShardPolicy,
     run_offered_load,
 )
 from repro.sim.kernel import Simulator
@@ -345,6 +346,25 @@ class TestHostContention:
         assert server.scheduler.inflight_batches_total == 1
         server.run_until_settled()
         assert server.stats.completed == 6
+
+    @pytest.mark.parametrize("num_workers, merges", [(1, 0), (2, 1)])
+    def test_a_merge_holds_a_worker_only_when_the_stage_gathers(
+        self, num_workers, merges
+    ):
+        """Pieces on two shards: every batch's merge wins a worker after
+        its table ops.  A plan that lands every piece on one shard has
+        nothing to gather and acquires none (it used to)."""
+        server = build_server(
+            toy_model(),
+            serving_config=ServingConfig(host_sls_workers=4),
+            num_workers=num_workers,
+            sharding=TableShardPolicy(),
+        )
+        stats = run_offered_load(
+            server, {"toy": RATE}, n_requests=N_REQUESTS, batch_size=2, seed=7
+        )
+        tables = len(server.models["toy"].features)
+        assert stats.sls_ops == stats.batches_dispatched * (tables + merges)
 
     def test_dense_workers_validation(self):
         with pytest.raises(ValueError, match="dense_workers"):

@@ -26,7 +26,7 @@ from repro.serving import (
     TableShardPolicy,
     run_offered_load,
 )
-from repro.serving.sharding import scatter_bags
+from repro.embedding.stage import scatter_bags
 
 from .conftest import build_server, toy_model
 
@@ -131,6 +131,20 @@ class TestRowMappings:
 # Policy plans
 # ----------------------------------------------------------------------
 class TestPlans:
+    def test_replicate_is_one_whole_model_plan_per_device(self):
+        model = toy_model(num_tables=3)
+        plans = ReplicatePolicy().plans(model, 3)
+        assert len(plans) == 3
+        for shard, plan in enumerate(plans):
+            plan.validate([f.name for f in model.features])
+            assert plan.mode == "replicate" and not plan.mappings()
+            assert [len(plan.tables_on(s)) for s in range(3)] == [
+                3 if s == shard else 0 for s in range(3)
+            ]
+        # The placing policies are one plan spanning every device.
+        assert len(TableShardPolicy().plans(model, 3)) == 1
+        assert len(RowShardPolicy(threshold_rows=1024).plans(model, 3)) == 1
+
     def test_table_policy_places_each_table_once(self):
         model = toy_model(num_tables=5)
         plan = TableShardPolicy().plan(model, 3)

@@ -47,7 +47,10 @@ def test_tier1_command_collects_the_bit_identity_pins():
     object pins (no cycle of ours after any of the five workloads, an SLS
     entry freed without the collector, containers per queued unit, no
     closure on the per-unit path) keep host time from drifting back into
-    CPython's cyclic collector, which no simulated number shows.  None may
+    CPython's cyclic collector, which no simulated number shows; and the
+    one-stage rules, the multi-device golden runs behind a bounded host
+    pool and the replica-on-a-down-device regression are what folding
+    replication into the sharded registration path rests on.  None may
     be dropped, renamed out of collection or slow-marked silently.  Collects
     the way the tier-1 command does (same directory, same ``testpaths``),
     under the strictest filter in use."""
@@ -71,6 +74,13 @@ def test_tier1_command_collects_the_bit_identity_pins():
         r"^tests/test_gc_budget\.py::test_run_leaves_no_cycle_of_ours\[\S+\]", listing, re.M
     )
     assert len(cycles) == 5, cycles               # one per benchmark workload
+    down = re.findall(
+        r"^tests/faults/test_injector\.py::TestDeviceDown::"
+        r"test_replica_on_a_down_device_degrades_and_recovers\[\S+\]",
+        listing,
+        re.M,
+    )
+    assert len(down) == 4, down                   # ssd, ndp x one and two replicas
     for pin in (
         "tests/sim/test_engine_equivalence.py::test_same_dispatch_sequence_counters_and_errors",
         "tests/sim/test_engine_equivalence.py::test_pipe_laws_hold_on_every_stream",
@@ -97,16 +107,22 @@ def test_tier1_command_collects_the_bit_identity_pins():
         "tests/core/test_engine_lifetime.py::test_entry_is_dead_after_its_result_read_with_the_collector_off",
         "tests/test_gc_budget.py::test_containers_alive_per_queued_unit",
         "tests/test_layering.py::test_the_per_unit_path_builds_no_closure",
+        "tests/test_layering.py::test_one_embedding_stage_and_nobody_asks_which",
+        "tests/test_layering.py::test_the_stage_rules_see_a_second_stage_a_switch_and_a_closure",
+        "tests/serving/test_serving_golden.py::test_scenario_matches_golden[replicate_three_devices]",
+        "tests/serving/test_serving_golden.py::test_scenario_matches_golden[row_shard_two_devices]",
     ):
         assert pin in listing, pin
 
 
 def test_ci_coverage_job_enforces_serving_floor():
     """The coverage job measures the serving tiers — including the
-    live-update write path's workload and FTL halves — with a >=85%
-    floor and uploads the report as an artifact."""
+    live-update write path's workload and FTL halves, and the
+    scatter-gather stage the serving layer dispatches through — with a
+    >=85% floor and uploads the report as an artifact."""
     ci = (REPO / ".github" / "workflows" / "ci.yml").read_text()
     assert "--cov=repro.serving" in ci
+    assert "--cov=repro.embedding.stage" in ci
     assert "--cov=repro.cluster" in ci
     assert "--cov=repro.workload" in ci
     assert "--cov=repro.ftl" in ci

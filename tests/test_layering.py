@@ -24,6 +24,13 @@ on every pass (``tests/test_gc_budget.py`` holds the counts).  And
 ``src/`` leaves the collector alone: its thresholds are the process's,
 not a library's to flip (``docs/ARCHITECTURE.md``, *Kernel*, has the
 measurement).
+
+One embedding stage: where a table piece lives is data the stage holds,
+so a replica, a table-sharded and a row-sharded registration run the
+same class.  A second ``*EmbeddingStage``, an ``isinstance`` against one
+or a ``device_index`` compared with 0 (the old "-1 means sharded"
+sentinel) is the fork coming back; the stage's per-batch records are
+held to the per-unit closure rule too.
 """
 
 from __future__ import annotations
@@ -133,6 +140,7 @@ CLOSURE_FREE = {
         "NdpSlsEngine._issue_page", "NdpSlsEngine._page_returned", "NdpSlsEngine._translate",
         "_PageJob.*",
     ),
+    "repro/embedding/stage.py": ("EmbeddingStage.start", "_Batch.*", "_Piece.*"),
 }
 
 
@@ -199,3 +207,92 @@ def test_src_leaves_the_collector_alone():
         if target == "gc" or target.startswith("gc.")
     ]
     assert not offenders, offenders
+
+
+def _stage_classes(sources) -> list:
+    """``path: Class`` for every class named ``*EmbeddingStage``."""
+    return [
+        f"{path}: {node.name}"
+        for path, source in sorted(sources.items())
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ClassDef) and node.name.endswith("EmbeddingStage")
+    ]
+
+
+def _named(node: ast.AST) -> str:
+    return getattr(node, "id", None) or getattr(node, "attr", None) or ""
+
+
+def _stage_switches(path: str, source: str) -> list:
+    """Code that asks which kind of stage (or worker) it was handed."""
+    offenders = []
+    for node in ast.walk(ast.parse(source)):
+        if (
+            isinstance(node, ast.Call)
+            and _named(node.func) == "isinstance"
+            and len(node.args) == 2
+        ):
+            kinds = getattr(node.args[1], "elts", [node.args[1]])
+            if any(_named(kind).endswith("EmbeddingStage") for kind in kinds):
+                offenders.append(f"{path}:{node.lineno}: isinstance against a stage")
+        elif isinstance(node, ast.Compare):
+            sides = [node.left, *node.comparators]
+            if any(_named(side) == "device_index" for side in sides) and any(
+                isinstance(side, ast.Constant) and side.value == 0 for side in sides
+            ):
+                offenders.append(f"{path}:{node.lineno}: device_index compared with 0")
+    return offenders
+
+
+def _src_sources() -> dict:
+    return {
+        str(path.relative_to(SRC)): path.read_text()
+        for path in sorted((SRC / "repro").rglob("*.py"))
+    }
+
+
+def test_one_embedding_stage_and_nobody_asks_which():
+    sources = _src_sources()
+    assert _stage_classes(sources) == ["repro/embedding/stage.py: EmbeddingStage"]
+    offenders = [
+        offender
+        for path, source in sources.items()
+        for offender in _stage_switches(path, source)
+    ]
+    assert not offenders, offenders
+
+
+def test_the_stage_rules_see_a_second_stage_a_switch_and_a_closure():
+    sources = _src_sources()
+    fork = "repro/serving/sharding.py"
+    planted = dict(sources)
+    planted[fork] += "\n\nclass ShardedEmbeddingStage(EmbeddingStage):\n    pass\n"
+    assert _stage_classes(planted) == [
+        "repro/embedding/stage.py: EmbeddingStage",
+        f"{fork}: ShardedEmbeddingStage",
+    ]
+
+    server = "repro/serving/server.py"
+    hop = "yield from worker.stage.backends()"
+    assert hop in sources[server]
+    line = sources[server][: sources[server].index(hop)].count("\n") + 1
+    for switch, finding in (
+        ("isinstance(worker.stage, (EmbeddingStage, list))", "isinstance against a stage"),
+        ("isinstance(worker.stage, sharding.ShardedEmbeddingStage)", "isinstance against a stage"),
+        ("worker.device_index < 0", "device_index compared with 0"),
+        ("0 == device_index", "device_index compared with 0"),
+    ):
+        mutant = sources[server].replace(hop, f"if {switch}: {hop}")
+        assert _stage_switches(server, mutant) == [f"{server}:{line}: {finding}"]
+    assert _stage_switches(server, sources[server]) == []
+
+    stage = "repro/embedding/stage.py"
+    hop = "pool.acquire(piece.launch)"
+    assert hop in sources[stage]
+    line = sources[stage][: sources[stage].index(hop)].count("\n") + 1
+    mutant = sources[stage].replace(hop, "pool.acquire(lambda: piece.launch())")
+    assert _closure_offenders(mutant, CLOSURE_FREE[stage]) == [
+        f"EmbeddingStage.start:{line}: Lambda"
+    ]
+    renamed = sources[stage].replace("class _Piece:", "class _Job:")
+    assert _closure_offenders(renamed, CLOSURE_FREE[stage]) == ["_Piece.*: no such class"]

@@ -65,7 +65,7 @@ class TestFleetHonoursLayout:
         for node in result.cluster.nodes:
             # Walk the stage directly: the assertion must not depend on
             # the iterator this PR introduces.
-            backends = node.server.workers["toy"][0].stage.backends
+            backends = node.server.workers["toy"][0].stage.by_shard[0]
             assert len(backends) == 2
             for backend in backends.values():
                 table = backend.table
