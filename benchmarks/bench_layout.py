@@ -60,6 +60,7 @@ from repro.host.system import System, build_system
 from repro.models.dlrm import DlrmConfig, DlrmModel
 from repro.models.runner import BackendKind, required_capacity_pages
 from repro.serving import InferenceServer, age_device, make_model_updatable
+from repro.sim.stats import summarize_latencies
 from repro.ssd.presets import small_ssd_config
 from repro.traces.powerlaw import ZipfTraceGenerator
 from repro.workload import (
@@ -256,13 +257,12 @@ def run_shift_cell(mode: str, n_requests: int, n_probe: int) -> Dict[str, float]
     server.sim.run()  # drain background GC (and any final re-packs)
 
     assert stats.submitted == stats.completed + stats.rejected + stats.dropped
-    latencies_ms = np.asarray(stats.latencies) * 1e3
     ftl = system.device.ftl
     row: Dict[str, float] = {
         "mode": mode,
         "completed": float(stats.completed),
         "pages_per_bag": _probe_pages_per_bag(table, n_probe),
-        "p99_ms": float(np.percentile(latencies_ms, 99)),
+        "p99_ms": summarize_latencies(stats.latencies)["p99_ms"],
         "gc_runs": float(ftl.gc.runs),
         "gc_blocks_reclaimed": float(ftl.gc.blocks_reclaimed),
         "aged_min_free_blocks_per_die": aging["min_free_blocks_per_die"],

@@ -39,12 +39,11 @@ import sys
 from pathlib import Path
 from typing import Dict, List, Optional
 
-import numpy as np
-
 from repro.host.system import build_system
 from repro.models.dlrm import DlrmConfig, DlrmModel
 from repro.models.runner import BackendKind, required_capacity_pages
 from repro.serving import InferenceServer, age_device, make_model_updatable
+from repro.sim.stats import summarize_latencies
 from repro.workload import (
     OpenLoopGenerator,
     UpdateStream,
@@ -125,17 +124,17 @@ def run_cell(
 
     assert stats.inflight == 0
     assert stats.submitted == stats.completed + stats.rejected + stats.dropped
-    latencies_ms = np.asarray(stats.latencies) * 1e3
+    lat = summarize_latencies(stats.latencies)
     ftl = system.device.ftl
     row: Dict[str, float] = {
         "update_rate": update_rate,
         "policy": policy if update_rate > 0 else "none",
         "read_rate": READ_RATE,
         "completed": float(stats.completed),
-        "p50_ms": float(np.percentile(latencies_ms, 50)),
-        "p95_ms": float(np.percentile(latencies_ms, 95)),
-        "p99_ms": float(np.percentile(latencies_ms, 99)),
-        "max_ms": float(latencies_ms.max()),
+        "p50_ms": lat["p50_ms"],
+        "p95_ms": lat["p95_ms"],
+        "p99_ms": lat["p99_ms"],
+        "max_ms": lat["max_ms"],
         "gc_runs": float(ftl.gc.runs),
         "gc_pages_moved": float(ftl.gc.pages_moved),
         "host_page_writes": float(ftl.host_page_writes),

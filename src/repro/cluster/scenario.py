@@ -142,7 +142,7 @@ class ClusterSpec:
     def __post_init__(self) -> None:
         if self.n_hosts < 1:
             raise ValueError("n_hosts must be >= 1")
-        make_router(self.router)  # ValueError early for unknown policies
+        self.make_router()  # ValueError early: unknown policy, bad options
         hosts = {f"host{i}" for i in range(self.n_hosts)}
         for event in self.host_events:
             if event.host not in hosts:

@@ -10,8 +10,10 @@ happen**: it joins every host's ``recorders`` and hears the same four
 waiting for the fleet to settle, is O(1) rather than a sum over hosts.
 Fleet and host windows agree while they are reset together
 (``Cluster.reset_stats()``; ``tests/cluster/test_fleet_counters.py``).
-Everything else is aggregated **on read** from the per-host stats.  The
-fleet invariant
+It also owns the tolerance layer's logical view (including which latency
+population :meth:`ClusterStats.latencies` returns), the fleet-only
+``summary()`` keys, ``tolerance_summary()`` and ``per_host_summary()``.
+The fleet invariant
 
 ::
 
@@ -22,10 +24,14 @@ submitted-and-rejected, mirroring how a single server accounts admission
 rejects), and ``tests/cluster`` audits exactly that through drains and
 failures.
 
-Fleet percentiles are computed over the *merged* latency population —
-the number a fleet-wide SLO is written against — not an average of
-per-host percentiles, which would understate the tail of an imbalanced
-fleet.  The fleet cache hit rate is likewise lookup-weighted:
+**A fleet is its hosts, merged.**  Every other number — percentiles,
+busy span, throughput, goodput, cache hit rate, lane table, the headline
+``summary()`` keys — is the definition in :mod:`repro.serving.stats`
+applied, on read, to the hosts' windows in node order; this module holds
+no copy of a formula.  So fleet percentiles are over the *merged*
+latency population — the number a fleet-wide SLO is written against, not
+an average of per-host percentiles, which would understate the tail of
+an imbalanced fleet — and the fleet cache hit rate is lookup-weighted,
 ``sum(hits) / sum(lookups)`` across hosts, the locality metric
 consistent-hash routing is judged on in ``benchmarks/bench_cluster.py``.
 """
@@ -35,9 +41,9 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from ..serving.request import InferenceRequest, RequestState
-from ..serving.stats import SettleSignal, mean_ms
+from ..serving import stats as host_stats
+from ..serving.stats import SettleSignal
 from ..sim.resettable import register_resettable
-from ..sim.stats import rank_quantile, summarize_latencies
 from .node import ClusterNode
 
 __all__ = ["ClusterStats"]
@@ -55,6 +61,9 @@ class ClusterStats(SettleSignal):
     def __init__(self, sim, nodes: Sequence[ClusterNode]):
         self.sim = sim
         self._nodes = list(nodes)
+        # The hosts' windows in node order — what every derived metric
+        # in repro.serving.stats is applied to.
+        self._windows = [node.stats for node in self._nodes]
         # Wiring, not a counter: True while the cluster front-end runs
         # with a ToleranceConfig, switching ``settled`` to logical
         # (per-call) accounting — retried/hedged attempts are extra
@@ -150,7 +159,7 @@ class ClusterStats(SettleSignal):
     # Fleet aggregates (computed from the per-host stats on read)
     # ------------------------------------------------------------------
     def _sum(self, attr: str) -> int:
-        return sum(getattr(n.stats, attr) for n in self._nodes)
+        return sum(getattr(w, attr) for w in self._windows)
 
     @property
     def inflight(self) -> int:
@@ -168,10 +177,6 @@ class ClusterStats(SettleSignal):
     @property
     def missing_bags(self) -> int:
         return self._sum("missing_bags")
-
-    @property
-    def deadline_misses(self) -> int:
-        return self._sum("deadline_misses")
 
     @property
     def settled(self) -> int:
@@ -198,84 +203,44 @@ class ClusterStats(SettleSignal):
         """
         if self.tolerance_active:
             return list(self.logical_latencies)
-        merged: List[float] = []
-        for node in self._nodes:
-            merged.extend(node.stats.latencies)
-        return merged
+        return [latency for w in self._windows for latency in w.latencies]
 
+    # A fleet is its hosts, merged: each number below is the host
+    # definition applied to the hosts' windows.
     def percentile(self, q: float) -> float:
-        """Exact fleet-wide latency quantile in seconds (merged
-        population, the repo's shared rank rule)."""
-        return rank_quantile(sorted(self.latencies()), q)
+        return host_stats.latency_quantile(self.latencies(), q)
 
     def total_lookups(self) -> float:
-        return sum(n.stats.total_lookups() for n in self._nodes)
+        return host_stats.shard_total(self._windows, "shard_lookups")
 
     def total_cache_hits(self) -> float:
-        return sum(n.stats.total_cache_hits() for n in self._nodes)
+        return host_stats.shard_total(self._windows, "shard_cache_hits")
 
     def cache_hit_rate(self) -> float:
-        """Lookup-weighted cache-served fraction across the fleet."""
-        lookups = self.total_lookups()
-        return self.total_cache_hits() / lookups if lookups > 0 else 0.0
+        return host_stats.cache_hit_rate(self._windows)
 
     def busy_span(self) -> float:
-        """Earliest host arrival to latest host completion; 0.0 before
-        any arrival anywhere."""
-        firsts = [
-            n.stats.first_arrival
-            for n in self._nodes
-            if n.stats.first_arrival is not None
-        ]
-        if not firsts:
-            return 0.0
-        lasts = [
-            n.stats.last_completion
-            for n in self._nodes
-            if n.stats.last_completion is not None
-        ]
-        last = max(lasts) if lasts else self.sim.now
-        return last - min(firsts)
+        return host_stats.busy_span(self._windows)
 
     def throughput_rps(self) -> float:
-        if self.completed == 0:
-            return 0.0
-        span = self.busy_span()
-        return self.completed / span if span > 0 else 0.0
+        return host_stats.rate_rps(self.completed, self._windows)
 
     def goodput_rps(self) -> float:
-        if self.goodput == 0:
-            return 0.0
-        span = self.busy_span()
-        return self.goodput / span if span > 0 else 0.0
+        return host_stats.rate_rps(self.goodput, self._windows)
+
+    def lane_summary(self) -> Dict[str, Dict[str, float]]:
+        return host_stats.lane_summary(self._windows)
 
     # ------------------------------------------------------------------
     # Reports
     # ------------------------------------------------------------------
     def summary(self) -> Dict[str, float]:
-        """Fleet headline numbers — the same keys a single server's
-        :meth:`~repro.serving.stats.ServingStats.summary` reports (so
-        cluster and standalone results compare column-for-column), plus
-        fleet-only gauges."""
-        lat = summarize_latencies(self.latencies())
-        queue_delays: List[float] = []
-        for node in self._nodes:
-            queue_delays.extend(node.stats.queue_delays)
+        """Fleet headline numbers — the keys a single server's
+        :meth:`~repro.serving.stats.ServingStats.summary` shares with a
+        fleet (so cluster and standalone results compare
+        column-for-column), plus fleet-only gauges."""
         return {
-            "submitted": float(self.submitted),
-            "completed": float(self.completed),
-            "rejected": float(self.rejected),
-            "dropped": float(self.dropped),
-            "goodput": float(self.goodput),
-            "throughput_rps": self.throughput_rps(),
-            "goodput_rps": self.goodput_rps(),
-            "mean_ms": lat["mean_ms"],
-            "p50_ms": lat["p50_ms"],
-            "p95_ms": lat["p95_ms"],
-            "p99_ms": lat["p99_ms"],
-            "max_ms": lat["max_ms"],
-            "mean_queue_delay_ms": mean_ms(queue_delays),
-            # Fleet-only gauges.
+            **host_stats.headline_summary(self, self._windows, self.latencies()),
             "hosts": float(len(self._nodes)),
             "router_rejected": float(self.router_rejected),
             "cache_hit_rate": self.cache_hit_rate(),
@@ -308,40 +273,6 @@ class ClusterStats(SettleSignal):
         name — the per-node view a fleet dashboard shows next to the
         cluster totals."""
         return {n.name: n.stats.summary() for n in self._nodes}
-
-    def lane_summary(self) -> Dict[str, Dict[str, float]]:
-        """Per-model terminal counts and tail latency, merged across
-        hosts (a model's lane spans every host it is placed on)."""
-        counts = (
-            "submitted",
-            "completed",
-            "rejected",
-            "dropped",
-            "goodput",
-        )
-        models: set = set()
-        for node in self._nodes:
-            models.update(node.stats.submitted_by_model)
-        out: Dict[str, Dict[str, float]] = {}
-        for model in sorted(models):
-            row: Dict[str, float] = {key: 0.0 for key in counts}
-            merged: List[float] = []
-            for node in self._nodes:
-                stats = node.stats
-                row["submitted"] += stats.submitted_by_model.get(model, 0)
-                row["completed"] += stats.completed_by_model.get(model, 0)
-                row["rejected"] += stats.rejected_by_model.get(model, 0)
-                row["dropped"] += stats.dropped_by_model.get(model, 0)
-                row["goodput"] += stats.goodput_by_model.get(model, 0)
-                merged.extend(stats.latencies_by_model.get(model, []))
-            merged.sort()
-            row["goodput_frac"] = (
-                row["goodput"] / row["submitted"] if row["submitted"] else 0.0
-            )
-            row["p50_ms"] = rank_quantile(merged, 0.50) * 1e3
-            row["p95_ms"] = rank_quantile(merged, 0.95) * 1e3
-            out[model] = row
-        return out
 
     def __repr__(self) -> str:
         return (

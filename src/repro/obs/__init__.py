@@ -1,12 +1,13 @@
-"""``repro.obs`` — observability: tracing, metrics, attribution.
+"""``repro.obs`` — observability: tracing, sampling, attribution.
 
 Three layers, all passive with respect to the simulated timeline:
 
 * :mod:`repro.obs.tracer` — sim-time spans with parent/child causality
   (``Tracer().install(sim)``; every instrumentation site is a no-op
   while ``sim.tracer is None``).
-* :mod:`repro.obs.metrics` — named counters/gauges/histograms plus the
-  opt-in :class:`PeriodicSampler` time series.
+* :mod:`repro.obs.metrics` — the opt-in :class:`PeriodicSampler`: a
+  read-only probe over the counters objects keep as attributes
+  (:func:`serving_probe`), sampled into a sim-time series.
 * :mod:`repro.obs.analysis` / :mod:`repro.obs.export` — request-tree
   reconstruction, exact exclusive-time latency attribution
   (:func:`attribute_p99`, :func:`critical_path`) and Chrome/Perfetto +
@@ -38,24 +39,13 @@ from .export import (
     write_chrome_trace,
     write_csv,
 )
-from .metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    PeriodicSampler,
-    serving_probe,
-)
+from .metrics import PeriodicSampler, serving_probe
 from .tracer import NULL_TRACER, Span, Tracer
 
 __all__ = [
     "Span",
     "Tracer",
     "NULL_TRACER",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
     "PeriodicSampler",
     "serving_probe",
     "register_resettable",

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
+from ..sim.stats import rank_quantile
 from .tracer import Span, Tracer
 
 __all__ = [
@@ -194,13 +195,6 @@ def critical_path(tree: SpanNode) -> List[Dict[str, float]]:
     return path
 
 
-def _rank_threshold(values: List[float], pct: float) -> float:
-    """The repo's rank-based percentile: sorted, ``ceil(p*n/100) - 1``."""
-    ordered = sorted(values)
-    rank = -(-int(pct * len(ordered)) // 100) - 1
-    return ordered[min(max(rank, 0), len(ordered) - 1)]
-
-
 def attribute_p99(
     trace: Union[Tracer, Iterable[Span]],
     pct: float = 99.0,
@@ -208,11 +202,13 @@ def attribute_p99(
     """Decompose the tail cohort's latency into per-stage exclusive time.
 
     Builds the request trees, takes the cohort of requests whose
-    end-to-end latency is >= the rank-based ``pct`` percentile, and sums
-    each request's exact exclusive-time decomposition.  The returned
-    ``stages`` mapping (name -> seconds, descending) sums to
-    ``cohort_latency_s`` within float epsilon, and ``dominant`` names
-    the stage that ate the tail.
+    end-to-end latency is >= the ``pct`` percentile — picked by
+    :func:`~repro.sim.stats.rank_quantile`, so ``pct=99`` thresholds at
+    the p99 that ``ServingStats.percentile(0.99)`` and every
+    ``summary()`` report — and sums each request's exact exclusive-time
+    decomposition.  The returned ``stages`` mapping (name -> seconds,
+    descending) sums to ``cohort_latency_s`` within float epsilon, and
+    ``dominant`` names the stage that ate the tail.
     """
     trees = build_request_trees(trace)
     if not trees:
@@ -226,7 +222,7 @@ def attribute_p99(
             "dominant": None,
         }
     latencies = [t.span.duration for t in trees]
-    threshold = _rank_threshold(latencies, pct)
+    threshold = rank_quantile(sorted(latencies), pct / 100)
     cohort = [t for t in trees if t.span.duration >= threshold]
     stages: Dict[str, float] = {}
     cohort_latency = 0.0

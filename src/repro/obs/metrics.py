@@ -1,10 +1,12 @@
-"""Named counters/gauges/histograms and a sim-time periodic sampler.
+"""A sim-time periodic sampler over the counters objects already keep.
 
-The :class:`MetricsRegistry` is the aggregate side of ``repro.obs``:
-where the tracer records *individual* causally-linked intervals, the
-registry holds *named* running values — counters (monotonic within a
-reset window), gauges (last-write-wins), and histograms (full sample
-lists with the repo's rank-based percentile rule).
+A counter in this repo is an attribute on the object that owns it
+(``ServingStats.completed``, ``ftl.gc.runs``, ``flash.page_reads``):
+bumped with ``+= 1`` where the thing happens, cleared by that object's
+``reset_stats()`` (:mod:`repro.sim.resettable`), read by name.  There is
+no instrument class between the bump and the attribute — an ``inc()``
+call per bump is host time on the hot paths and buys nothing a probe
+cannot read.
 
 The :class:`PeriodicSampler` turns live gauges into *time series*: every
 ``period_s`` simulated seconds it calls a probe callable, which returns a
@@ -24,156 +26,9 @@ callable returning a mapping works.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
-__all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "PeriodicSampler",
-    "serving_probe",
-]
-
-
-class Counter:
-    """A monotonically-increasing count (within a reset window)."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str):
-        self.name = name
-        self.value = 0.0
-
-    def inc(self, amount: float = 1.0) -> None:
-        if amount < 0:
-            raise ValueError(f"counter {self.name!r}: negative increment")
-        self.value += amount
-
-    def reset_stats(self) -> None:
-        self.value = 0.0
-
-    def __repr__(self) -> str:
-        return f"Counter({self.name!r}, {self.value})"
-
-
-class Gauge:
-    """A last-write-wins instantaneous value with a peak memory."""
-
-    __slots__ = ("name", "value", "peak")
-
-    def __init__(self, name: str):
-        self.name = name
-        self.value = 0.0
-        self.peak = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = value
-        if value > self.peak:
-            self.peak = value
-
-    def reset_stats(self) -> None:
-        self.value = 0.0
-        self.peak = 0.0
-
-    def __repr__(self) -> str:
-        return f"Gauge({self.name!r}, {self.value}, peak={self.peak})"
-
-
-class Histogram:
-    """A full sample list with rank-based percentiles (the repo's rule:
-    sorted values, index ``ceil(p/100 * n) - 1``)."""
-
-    __slots__ = ("name", "values")
-
-    def __init__(self, name: str):
-        self.name = name
-        self.values: List[float] = []
-
-    def observe(self, value: float) -> None:
-        self.values.append(value)
-
-    @property
-    def count(self) -> int:
-        return len(self.values)
-
-    @property
-    def mean(self) -> float:
-        return sum(self.values) / len(self.values) if self.values else 0.0
-
-    def percentile(self, p: float) -> float:
-        if not self.values:
-            return 0.0
-        ordered = sorted(self.values)
-        rank = max(0, -(-int(p * len(ordered)) // 100) - 1)
-        return ordered[min(rank, len(ordered) - 1)]
-
-    def reset_stats(self) -> None:
-        self.values.clear()
-
-    def __repr__(self) -> str:
-        return f"Histogram({self.name!r}, n={len(self.values)})"
-
-
-class MetricsRegistry:
-    """Named metrics, created on first use and listed deterministically."""
-
-    def __init__(self) -> None:
-        self._metrics: Dict[str, Any] = {}
-
-    def _get(self, name: str, cls):
-        metric = self._metrics.get(name)
-        if metric is None:
-            metric = cls(name)
-            self._metrics[name] = metric
-        elif not isinstance(metric, cls):
-            raise TypeError(
-                f"metric {name!r} already registered as "
-                f"{type(metric).__name__}, not {cls.__name__}"
-            )
-        return metric
-
-    def counter(self, name: str) -> Counter:
-        return self._get(name, Counter)
-
-    def gauge(self, name: str) -> Gauge:
-        return self._get(name, Gauge)
-
-    def histogram(self, name: str) -> Histogram:
-        return self._get(name, Histogram)
-
-    def names(self) -> List[str]:
-        return sorted(self._metrics)
-
-    def as_dict(self) -> Dict[str, float]:
-        """Scalar snapshot: counters/gauges by value, histograms by count
-        plus mean/p50/p99 derived keys."""
-        out: Dict[str, float] = {}
-        for name in self.names():
-            metric = self._metrics[name]
-            if isinstance(metric, Histogram):
-                out[f"{name}.count"] = float(metric.count)
-                out[f"{name}.mean"] = metric.mean
-                out[f"{name}.p50"] = metric.percentile(50)
-                out[f"{name}.p99"] = metric.percentile(99)
-            else:
-                out[name] = metric.value
-        return out
-
-    def reset(self) -> None:
-        for metric in self._metrics.values():
-            metric.reset_stats()
-
-    reset_stats = reset
-
-    def __len__(self) -> int:
-        return len(self._metrics)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._metrics
-
-    def __repr__(self) -> str:
-        return f"MetricsRegistry({self.names()})"
+__all__ = ["PeriodicSampler", "serving_probe"]
 
 
 class PeriodicSampler:

@@ -114,13 +114,7 @@ class _SpanContext:
 
 
 class Tracer:
-    """Collects spans and instant events against a simulator's clock.
-
-    Also owns an optional :class:`~repro.obs.metrics.MetricsRegistry`
-    (``tracer.metrics``) so instrumentation sites can bump named counters
-    alongside spans without a second plumbing path; it is created lazily
-    on first access and never affects the timeline.
-    """
+    """Collects spans and instant events against a simulator's clock."""
 
     def __init__(self) -> None:
         self.sim = None
@@ -128,7 +122,6 @@ class Tracer:
         self.events: List[Span] = []
         self._stack: List[Span] = []
         self._next_sid = 1
-        self._metrics = None
 
     # ------------------------------------------------------------------
     # installation
@@ -148,14 +141,6 @@ class Tracer:
     @property
     def now(self) -> float:
         return self.sim.now if self.sim is not None else 0.0
-
-    @property
-    def metrics(self):
-        if self._metrics is None:
-            from .metrics import MetricsRegistry
-
-            self._metrics = MetricsRegistry()
-        return self._metrics
 
     # ------------------------------------------------------------------
     # span lifecycle
@@ -258,8 +243,6 @@ class Tracer:
             raise RuntimeError("cannot reset a tracer with open stack spans")
         self.spans.clear()
         self.events.clear()
-        if self._metrics is not None:
-            self._metrics.reset()
 
     def __len__(self) -> int:
         return len(self.spans) + len(self.events)

@@ -58,7 +58,7 @@ from .hostpool import (
 )
 from .queue import RequestQueue
 from .request import InferenceRequest, RequestState
-from .scheduler import BatchScheduler, ModelWorker, SchedulerConfig
+from .scheduler import BatchScheduler, ModelWorker
 from .server import InferenceServer, ServingConfig, run_offered_load
 from .sharding import (
     LookupRowMapping,
@@ -86,7 +86,6 @@ __all__ = [
     "RequestQueue",
     "BatchScheduler",
     "ModelWorker",
-    "SchedulerConfig",
     "ServingStats",
     "InferenceServer",
     "ServingConfig",

@@ -295,8 +295,6 @@ class HostResourceModel:
         if dense_workers is not None and dense_workers < 0:
             raise ValueError("dense_workers must be None or >= 0 (0 = unbounded)")
         self.stats = stats
-        self.host_sls_workers = host_sls_workers
-        self.dense_workers = dense_workers
         self.service_model = DenseServiceModel(
             host_cpu, dense_time_scale, dense_service_s_by_model
         )

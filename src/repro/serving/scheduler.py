@@ -20,9 +20,8 @@ in the result's ``per_shard``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import inf
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Tuple
 
 import numpy as np
 
@@ -32,43 +31,13 @@ from .queue import RequestQueue
 from .request import InferenceRequest, RequestState
 from .stats import ServingStats
 
-__all__ = ["SchedulerConfig", "ModelWorker", "BatchScheduler"]
+if TYPE_CHECKING:
+    from .server import ServingConfig
+
+__all__ = ["ModelWorker", "BatchScheduler"]
 
 # name -> (row_lo, row_hi) of one request inside a coalesced stage batch
 Spans = Dict[str, Tuple[int, int]]
-
-
-@dataclass(frozen=True)
-class SchedulerConfig:
-    # Most requests coalesced into one batched SLS op per table.
-    max_batch_requests: int = 8
-    # Coalesced batches a single worker keeps outstanding.  >=2 keeps the
-    # device busy while a finished batch's results post-process.
-    max_inflight_batches_per_worker: int = 2
-    # Optional *global* cap on concurrently dispatched batches across all
-    # models/workers — a bounded host dispatch pool.  None (default) is
-    # the seed behaviour (per-worker limits only).  With a cap, freed
-    # slots are re-awarded through the queue's priority-class scan, which
-    # is what makes priority lanes arbitrate a real shared resource.
-    max_inflight_batches_total: Optional[int] = None
-    # Host SLS worker pool size (repro.serving.hostpool.HostSlsPool):
-    # dispatch additionally requires a free host SLS worker, and every
-    # per-table (per-shard) SLS op holds one worker launch-to-completion.
-    # None (default) is the seed behaviour — an infinite pool.
-    host_sls_workers: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.max_batch_requests < 1:
-            raise ValueError("max_batch_requests must be >= 1")
-        if self.max_inflight_batches_per_worker < 1:
-            raise ValueError("max_inflight_batches_per_worker must be >= 1")
-        if (
-            self.max_inflight_batches_total is not None
-            and self.max_inflight_batches_total < 1
-        ):
-            raise ValueError("max_inflight_batches_total must be >= 1")
-        if self.host_sls_workers is not None and self.host_sls_workers < 1:
-            raise ValueError("host_sls_workers must be None or >= 1")
 
 
 class ModelWorker:
@@ -103,7 +72,7 @@ class BatchScheduler:
         queue: RequestQueue,
         workers: Dict[str, List[ModelWorker]],
         stats: ServingStats,
-        config: SchedulerConfig,
+        config: ServingConfig,
         on_batch_done: Callable[[List[InferenceRequest]], None],
         on_expired: Callable[[InferenceRequest], bool] | None = None,
         host_sls=None,
@@ -112,6 +81,8 @@ class BatchScheduler:
         self.queue = queue
         self.workers = workers
         self.stats = stats
+        # Reads max_batch_requests and the two max_inflight_batches_*
+        # bounds; the SLS bound lives only in the ``host_sls`` pool.
         self.config = config
         self.on_batch_done = on_batch_done
         # QoS hook (deadline-aware early drop): inspects each request as
@@ -120,18 +91,7 @@ class BatchScheduler:
         self.on_expired = on_expired
         # Host SLS worker pool (repro.serving.hostpool.HostSlsPool) the
         # dispatched batches' table ops run on; dispatch requires a free
-        # worker.  None (or an unbounded pool) never gates.  The config
-        # knob and the pool must agree — a bound declared in the config
-        # with no pool enforcing it (or a mismatched pool) would silently
-        # diverge from the declared behaviour.
-        if config.host_sls_workers is not None and (
-            host_sls is None or host_sls.workers != config.host_sls_workers
-        ):
-            raise ValueError(
-                f"SchedulerConfig.host_sls_workers={config.host_sls_workers} "
-                f"but the scheduler was given "
-                f"{'no host_sls pool' if host_sls is None else f'a pool of {host_sls.workers}'}"
-            )
+        # worker.  None (or an unbounded pool) never gates.
         self.host_sls = host_sls
         self.inflight_batches_total = 0
         self._rr_worker: Dict[str, int] = {}

@@ -44,7 +44,7 @@ from .admission import REASON_DEADLINE, AdmissionConfig
 from .hostpool import HostResourceModel
 from .queue import RequestQueue
 from .request import InferenceRequest, RequestState
-from .scheduler import BatchScheduler, ModelWorker, SchedulerConfig
+from .scheduler import BatchScheduler, ModelWorker
 from .sharding import ReplicatePolicy, ShardingPolicy
 from .stats import ServingStats
 
@@ -55,7 +55,10 @@ __all__ = ["ServingConfig", "InferenceServer", "run_offered_load"]
 class ServingConfig:
     # None defers to SystemConfig.max_inflight_requests.
     max_inflight_requests: Optional[int] = None
+    # Most requests coalesced into one batched SLS op per table.
     max_batch_requests: int = 8
+    # Coalesced batches a single worker keeps outstanding.  >=2 keeps the
+    # device busy while a finished batch's results post-process.
     max_inflight_batches_per_worker: int = 2
     # Global cap on concurrently dispatched batches across all models (a
     # bounded host dispatch pool); None = per-worker limits only.  Freed
@@ -86,6 +89,16 @@ class ServingConfig:
     # (scaled linearly with batch size) for contention studies.
     dense_time_scale: float = 1.0
     dense_service_s_by_model: Optional[Dict[str, float]] = None
+
+    def __post_init__(self) -> None:
+        for name in (
+            "max_batch_requests",
+            "max_inflight_batches_per_worker",
+            "max_inflight_batches_total",
+        ):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be >= 1")
 
 
 class InferenceServer:
@@ -135,16 +148,7 @@ class InferenceServer:
             self.queue,
             self.workers,
             self.stats,
-            SchedulerConfig(
-                max_batch_requests=self.config.max_batch_requests,
-                max_inflight_batches_per_worker=(
-                    self.config.max_inflight_batches_per_worker
-                ),
-                max_inflight_batches_total=(
-                    self.config.max_inflight_batches_total
-                ),
-                host_sls_workers=self.config.host_sls_workers,
-            ),
+            self.config,
             on_batch_done=self._batch_done,
             on_expired=(
                 self._drop_if_expired if self.admission.deadline_drop else None

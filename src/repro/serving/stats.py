@@ -13,17 +13,35 @@ The core invariant, preserved through every admission path and audited
 by ``tests/serving/test_admission.py``::
 
     submitted == completed + rejected + dropped + inflight
+
+Recording is per host (:class:`ServingStats`, one window per server);
+every *derived* number is defined once, at the bottom of this module,
+over a sequence of host windows — a host applies it to ``[self]``, a
+fleet (:class:`repro.cluster.stats.ClusterStats`) to its hosts' windows
+— and every percentile is a sample picked by
+:func:`repro.sim.stats.rank_quantile`.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..sim.resettable import register_resettable
 from ..sim.stats import Accumulator, rank_quantile, summarize_latencies
 from .request import InferenceRequest
 
-__all__ = ["ServingStats", "SettleSignal", "mean_ms"]
+__all__ = [
+    "ServingStats",
+    "SettleSignal",
+    "mean_ms",
+    "latency_quantile",
+    "shard_total",
+    "cache_hit_rate",
+    "busy_span",
+    "rate_rps",
+    "headline_summary",
+    "lane_summary",
+]
 
 
 def mean_ms(values_s: List[float]) -> float:
@@ -301,75 +319,35 @@ class ServingStats(SettleSignal):
         dropped)."""
         return self.completed + self.rejected + self.dropped
 
+    # Each derived number below is the shared definition at the bottom
+    # of this module applied to this one window.
     def total_lookups(self) -> float:
-        """Embedding lookups served across all models and shards."""
-        return sum(
-            sum(per_shard.values()) for per_shard in self.shard_lookups.values()
-        )
+        return shard_total([self], "shard_lookups")
 
     def total_cache_hits(self) -> float:
-        """Lookups the embedding caches absorbed (host LRU, device
-        emb-cache, NDP partition) across all models and shards."""
-        return sum(
-            sum(per_shard.values())
-            for per_shard in self.shard_cache_hits.values()
-        )
+        return shard_total([self], "shard_cache_hits")
 
     def cache_hit_rate(self) -> float:
-        """Cache-served fraction of all embedding lookups (0.0 when no
-        lookups were dispatched or no cache is configured)."""
-        lookups = self.total_lookups()
-        return self.total_cache_hits() / lookups if lookups > 0 else 0.0
+        return cache_hit_rate([self])
 
     def percentile(self, q: float) -> float:
-        """Exact latency quantile in seconds (the repo's shared rank rule)."""
-        return rank_quantile(sorted(self.latencies), q)
+        return latency_quantile(self.latencies, q)
 
     def busy_span(self) -> float:
-        """First arrival to last completion (the throughput/utilization
-        window); 0.0 before any arrival."""
-        if self.first_arrival is None:
-            return 0.0
-        last = (
-            self.last_completion if self.last_completion is not None else self.sim.now
-        )
-        return last - self.first_arrival
+        return busy_span([self])
 
     def throughput_rps(self) -> float:
         """Completed requests per simulated second over the busy interval."""
-        if self.completed == 0:
-            return 0.0
-        span = self.busy_span()
-        return self.completed / span if span > 0 else 0.0
+        return rate_rps(self.completed, [self])
 
     def goodput_rps(self) -> float:
-        """Within-deadline completions per simulated second.
-
-        Requests without an SLO deadline (``deadline == inf``) always
-        complete in time, so for no-QoS runs goodput equals throughput.
-        """
-        if self.goodput == 0:
-            return 0.0
-        span = self.busy_span()
-        return self.goodput / span if span > 0 else 0.0
+        """Within-deadline completions per simulated second."""
+        return rate_rps(self.goodput, [self])
 
     def summary(self) -> Dict[str, float]:
         """Headline numbers (latencies in milliseconds)."""
-        lat = summarize_latencies(self.latencies)
         return {
-            "submitted": float(self.submitted),
-            "completed": float(self.completed),
-            "rejected": float(self.rejected),
-            "dropped": float(self.dropped),
-            "goodput": float(self.goodput),
-            "throughput_rps": self.throughput_rps(),
-            "goodput_rps": self.goodput_rps(),
-            "mean_ms": lat["mean_ms"],
-            "p50_ms": lat["p50_ms"],
-            "p95_ms": lat["p95_ms"],
-            "p99_ms": lat["p99_ms"],
-            "max_ms": lat["max_ms"],
-            "mean_queue_delay_ms": mean_ms(self.queue_delays),
+            **headline_summary(self, [self], self.latencies),
             "max_inflight": float(self.max_inflight),
             "mean_batch_requests": self.requests_per_batch.mean,
             # Host resource model: time spent waiting for a dense NN
@@ -431,31 +409,7 @@ class ServingStats(SettleSignal):
         }
 
     def lane_summary(self) -> Dict[str, Dict[str, float]]:
-        """Per-model (per-lane/tenant) QoS breakdown.
-
-        One row per model that submitted anything: terminal counts, the
-        goodput fraction of submissions, and the lane's own p50/p95
-        latency — the numbers an SLO dashboard would show per tenant.
-        """
-        out: Dict[str, Dict[str, float]] = {}
-        for model in sorted(self.submitted_by_model):
-            submitted = self.submitted_by_model[model]
-            lane_lat = sorted(self.latencies_by_model.get(model, []))
-            out[model] = {
-                "submitted": float(submitted),
-                "completed": float(self.completed_by_model.get(model, 0)),
-                "rejected": float(self.rejected_by_model.get(model, 0)),
-                "dropped": float(self.dropped_by_model.get(model, 0)),
-                "goodput": float(self.goodput_by_model.get(model, 0)),
-                "goodput_frac": (
-                    self.goodput_by_model.get(model, 0) / submitted
-                    if submitted
-                    else 0.0
-                ),
-                "p50_ms": rank_quantile(lane_lat, 0.50) * 1e3,
-                "p95_ms": rank_quantile(lane_lat, 0.95) * 1e3,
-            }
-        return out
+        return lane_summary([self])
 
     def shard_summary(self) -> Dict[str, Dict[int, Dict[str, float]]]:
         """Per-model, per-shard work breakdown: batches, SLS ops, lookups,
@@ -482,3 +436,118 @@ class ServingStats(SettleSignal):
             f"tput={s['throughput_rps']:.1f}rps, p50={s['p50_ms']:.2f}ms, "
             f"p95={s['p95_ms']:.2f}ms, p99={s['p99_ms']:.2f}ms)"
         )
+
+
+# ----------------------------------------------------------------------
+# Derived metrics, defined once over a sequence of host windows
+# ----------------------------------------------------------------------
+# Sums run window by window in sequence order, so ``[self]`` reproduces
+# the host's own float results bit for bit.
+
+
+def latency_quantile(latencies_s: List[float], q: float) -> float:
+    """Exact quantile ``q`` in [0, 1] of a latency population, in seconds
+    (:func:`~repro.sim.stats.rank_quantile`, the only rank rule)."""
+    return rank_quantile(sorted(latencies_s), q)
+
+
+def shard_total(windows: Sequence[ServingStats], attr: str) -> float:
+    """One per-shard map (``shard_lookups``: embedding lookups served;
+    ``shard_cache_hits``: those the host LRU, device emb-cache or NDP
+    partition absorbed) summed across all hosts, models and shards."""
+    return sum(
+        sum(sum(per_shard.values()) for per_shard in getattr(w, attr).values())
+        for w in windows
+    )
+
+
+def cache_hit_rate(windows: Sequence[ServingStats]) -> float:
+    """Lookup-weighted cache-served fraction of all embedding lookups
+    (0.0 when no lookups were dispatched or no cache is configured)."""
+    lookups = shard_total(windows, "shard_lookups")
+    return shard_total(windows, "shard_cache_hits") / lookups if lookups > 0 else 0.0
+
+
+def busy_span(windows: Sequence[ServingStats]) -> float:
+    """Earliest arrival to latest completion (the throughput/utilization
+    window); 0.0 before any arrival, and up to now while nothing has
+    completed."""
+    firsts = [w.first_arrival for w in windows if w.first_arrival is not None]
+    if not firsts:
+        return 0.0
+    lasts = [w.last_completion for w in windows if w.last_completion is not None]
+    last = max(lasts) if lasts else windows[0].sim.now
+    return last - min(firsts)
+
+
+def rate_rps(count: int, windows: Sequence[ServingStats]) -> float:
+    """``count`` requests per simulated second over the busy span."""
+    span = busy_span(windows)
+    return count / span if span > 0 else 0.0
+
+
+def headline_summary(
+    counts, windows: Sequence[ServingStats], latencies_s: List[float]
+) -> Dict[str, float]:
+    """The keys a host and a fleet summary share (latencies in ms).
+
+    ``counts`` owns ``goodput`` and the as-they-happen ``submitted`` /
+    ``completed`` / ``rejected`` / ``dropped`` counters — the host window
+    itself, or the fleet's ``ClusterStats`` (whose counts include router
+    rejections); ``latencies_s`` is the population the SLO is judged on
+    (a fleet under tail tolerance passes its logical view).
+
+    Requests without an SLO deadline (``deadline == inf``) always
+    complete in time, so for no-QoS runs goodput equals throughput.
+    """
+    lat = summarize_latencies(latencies_s)
+    return {
+        "submitted": float(counts.submitted),
+        "completed": float(counts.completed),
+        "rejected": float(counts.rejected),
+        "dropped": float(counts.dropped),
+        "goodput": float(counts.goodput),
+        "throughput_rps": rate_rps(counts.completed, windows),
+        "goodput_rps": rate_rps(counts.goodput, windows),
+        "mean_ms": lat["mean_ms"],
+        "p50_ms": lat["p50_ms"],
+        "p95_ms": lat["p95_ms"],
+        "p99_ms": lat["p99_ms"],
+        "max_ms": lat["max_ms"],
+        "mean_queue_delay_ms": mean_ms(
+            [delay for w in windows for delay in w.queue_delays]
+        ),
+    }
+
+
+_LANE_COUNTS = ("submitted", "completed", "rejected", "dropped", "goodput")
+
+
+def lane_summary(windows: Sequence[ServingStats]) -> Dict[str, Dict[str, float]]:
+    """Per-model (per-lane/tenant) QoS breakdown, merged across hosts (a
+    model's lane spans every host it is placed on).
+
+    One row per model that submitted anything: terminal counts, the
+    goodput fraction of submissions, and the lane's own p50/p95
+    latency — the numbers an SLO dashboard would show per tenant.
+    """
+    out: Dict[str, Dict[str, float]] = {}
+    for model in sorted({m for w in windows for m in w.submitted_by_model}):
+        row = {
+            key: float(
+                sum(getattr(w, f"{key}_by_model").get(model, 0) for w in windows)
+            )
+            for key in _LANE_COUNTS
+        }
+        lane_lat = sorted(
+            latency
+            for w in windows
+            for latency in w.latencies_by_model.get(model, ())
+        )
+        row["goodput_frac"] = (
+            row["goodput"] / row["submitted"] if row["submitted"] else 0.0
+        )
+        row["p50_ms"] = rank_quantile(lane_lat, 0.50) * 1e3
+        row["p95_ms"] = rank_quantile(lane_lat, 0.95) * 1e3
+        out[model] = row
+    return out

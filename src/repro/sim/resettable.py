@@ -3,7 +3,7 @@
 Benchmarks follow a warm-up / ``reset_stats()`` / measure pattern, and
 before this module each counter-bearing class (``ServingStats``,
 ``ClusterStats``, the embedding/page caches, the FTL and its GC/wear
-gauges, metrics registries) had to be found and reset individually —
+gauges) had to be found and reset individually —
 ``tests/hotpath/test_stats_reset.py`` introspected each class ad hoc,
 and a new gauge added to any of them silently escaped the audit.
 

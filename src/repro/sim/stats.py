@@ -16,9 +16,13 @@ __all__ = [
 def rank_quantile(sorted_values: List[float], q: float) -> float:
     """Quantile ``q`` in [0, 1] of an ascending-sorted list.
 
-    Picks index ``round(q * (n - 1))`` — the repo's historical percentile
-    rule (shared by every latency report), not the textbook nearest-rank
-    ``ceil(q * n)`` definition.
+    Picks index ``round(q * (n - 1))`` — the only rank rule: every
+    percentile this repo reports (``summary()`` dicts, goldens, ``perf``
+    digests, the ``benchmarks/``, ``obs.analysis.attribute_p99``'s cohort
+    threshold) is a sample this function picked.  It is not the textbook
+    nearest-rank ``ceil(q * n)`` and it does not interpolate;
+    ``tests/test_layering.py`` keeps a second rule out of ``src/`` and
+    ``benchmarks/``.
     """
     if not 0.0 <= q <= 1.0:
         raise ValueError("q must be in [0, 1]")
@@ -124,20 +128,18 @@ class Breakdown:
 
 
 def summarize_latencies(latencies_s: List[float]) -> Dict[str, float]:
-    """Convenience summary used by experiment reports (values in ms)."""
+    """Mean / min / max / p50 / p95 / p99 / count of a latency population
+    in seconds, reported in ms — one sort, percentiles by
+    :func:`rank_quantile`."""
     acc = Accumulator()
     acc.extend(latencies_s)
     ordered = sorted(latencies_s)
-
-    def pct(p: float) -> float:
-        return rank_quantile(ordered, p)
-
     return {
         "mean_ms": acc.mean * 1e3,
         "min_ms": (acc.minimum if acc.count else 0.0) * 1e3,
         "max_ms": (acc.maximum if acc.count else 0.0) * 1e3,
-        "p50_ms": pct(0.50) * 1e3,
-        "p95_ms": pct(0.95) * 1e3,
-        "p99_ms": pct(0.99) * 1e3,
+        "p50_ms": rank_quantile(ordered, 0.50) * 1e3,
+        "p95_ms": rank_quantile(ordered, 0.95) * 1e3,
+        "p99_ms": rank_quantile(ordered, 0.99) * 1e3,
         "count": float(acc.count),
     }

@@ -303,6 +303,22 @@ class TestPlacement:
         with pytest.raises(ValueError, match="action"):
             HostEvent(t=0.1, host="host0", action="reboot")
 
+    @pytest.mark.parametrize(
+        "options, match",
+        [
+            (dict(router="least_loaded", least_loaded_by="bogus"), "load signal"),
+            (dict(router="consistent_hash", router_vnodes=0), "vnodes"),
+            (dict(router="consistent_hash", router_spread=0), "spread"),
+        ],
+        ids=["least_loaded_by", "router_vnodes", "router_spread"],
+    )
+    def test_router_options_validated_at_construction(self, options, match):
+        """The spec builds the router it describes, options included —
+        not a default-option router of the same name — so a bad option
+        fails here rather than later inside ``build_cluster``."""
+        with pytest.raises(ValueError, match=match):
+            ClusterSpec(name="bad", scenario=open_scenario(), **options)
+
 
 class TestClusterResetAudit:
     """The PR-5 reset-audit convention extended to the cluster tier:

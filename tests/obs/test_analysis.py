@@ -12,6 +12,7 @@ from repro.obs import (
     critical_path,
     exclusive_times,
 )
+from repro.sim.stats import rank_quantile
 
 
 def _tree_tracer() -> Tracer:
@@ -124,10 +125,13 @@ def test_attribute_p99_empty_and_cohort():
     )
 
 
-def test_attribute_pct_50_covers_upper_half():
+def test_attribute_pct_50_is_the_shared_rank_rule():
+    """The threshold is what ``ServingStats.percentile(0.5)`` returns for
+    the same four latencies (``rank_quantile``: index round(0.5 * 3) = 2),
+    not the ceil rule this function used to carry (index 1, cohort 3)."""
     tr = Tracer()
     for i in range(4):
         tr.add("request", 0.0, float(i + 1))
     report = attribute_p99(tr, pct=50.0)
-    assert report["threshold_s"] == 2.0
-    assert report["cohort"] == 3  # durations 2, 3, 4
+    assert report["threshold_s"] == rank_quantile([1.0, 2.0, 3.0, 4.0], 0.5) == 3.0
+    assert report["cohort"] == 2  # durations 3, 4

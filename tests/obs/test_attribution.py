@@ -32,7 +32,7 @@ from repro.workload import (
     run_workload,
 )
 
-from ..serving.conftest import toy_model
+from ..serving.conftest import build_server, toy_model
 
 EPS = 1e-9
 
@@ -80,6 +80,31 @@ def test_p99_stages_sum_to_cohort_latency(cluster_trace):
     ) < EPS
     # Exclusive time is a partition: no stage can be negative.
     assert all(v >= 0.0 for v in report["stages"].values())
+
+
+def test_p99_threshold_is_the_p99_serving_stats_reports():
+    """The cohort ``attribute_p99`` explains is cut at the p99 every
+    ``summary()`` prints: one rank rule (``rank_quantile``), not a private
+    one.  At n=60 the old ceil rule picked index 59 (the maximum, a cohort
+    of one) where ``ServingStats.percentile(0.99)`` picks index 58."""
+    model = toy_model()
+    server = build_server(model)
+    tracer = Tracer().install(server.sim)
+    generator = OpenLoopGenerator(
+        model.name, rate=2000.0, n_requests=60, batch_size=2
+    )
+    stats = run_workload(server, generator, seed=3)
+    assert stats.completed == 60
+    report = attribute_p99(tracer)
+    assert report["requests"] == 60
+    assert report["threshold_s"] == stats.percentile(0.99)
+    assert report["threshold_s"] * 1e3 == stats.summary()["p99_ms"]
+    assert report["cohort"] == 2
+    # Any percentile, same rule.
+    for pct in (50.0, 95.0):
+        assert attribute_p99(tracer, pct)["threshold_s"] == stats.percentile(
+            pct / 100
+        )
 
 
 def _aged_device_trace(update_rate: float) -> Tracer:

@@ -1,79 +1,11 @@
-"""Metrics registry and periodic sampler unit tests."""
+"""Periodic sampler and serving probe unit tests."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.obs import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    PeriodicSampler,
-    serving_probe,
-)
+from repro.obs import PeriodicSampler, serving_probe
 from repro.sim.kernel import Simulator
-
-
-def test_counter_monotonic():
-    c = Counter("reqs")
-    c.inc()
-    c.inc(2.5)
-    assert c.value == 3.5
-    with pytest.raises(ValueError):
-        c.inc(-1)
-    c.reset_stats()
-    assert c.value == 0.0
-
-
-def test_gauge_tracks_peak():
-    g = Gauge("depth")
-    g.set(3)
-    g.set(7)
-    g.set(2)
-    assert g.value == 2 and g.peak == 7
-    g.reset_stats()
-    assert g.value == 0.0 and g.peak == 0.0
-
-
-def test_histogram_rank_percentiles():
-    h = Histogram("lat")
-    for v in [5.0, 1.0, 3.0, 2.0, 4.0]:
-        h.observe(v)
-    assert h.count == 5
-    assert h.mean == 3.0
-    assert h.percentile(50) == 3.0
-    assert h.percentile(99) == 5.0
-    assert h.percentile(100) == 5.0
-    h.reset_stats()
-    assert h.count == 0 and h.percentile(50) == 0.0
-
-
-def test_registry_create_on_first_use_and_type_guard():
-    reg = MetricsRegistry()
-    c = reg.counter("a")
-    assert reg.counter("a") is c
-    reg.gauge("g").set(4)
-    reg.histogram("h").observe(1.0)
-    with pytest.raises(TypeError):
-        reg.gauge("a")
-    assert reg.names() == ["a", "g", "h"]
-    assert "a" in reg and "zzz" not in reg
-    assert len(reg) == 3
-
-
-def test_registry_as_dict_flattens_histograms():
-    reg = MetricsRegistry()
-    reg.counter("n").inc(2)
-    reg.histogram("lat").observe(1.0)
-    reg.histogram("lat").observe(3.0)
-    d = reg.as_dict()
-    assert d["n"] == 2.0
-    assert d["lat.count"] == 2.0
-    assert d["lat.mean"] == 2.0
-    assert d["lat.p99"] == 3.0
-    reg.reset()
-    assert reg.as_dict()["n"] == 0.0
 
 
 def test_sampler_ticks_on_sim_clock():

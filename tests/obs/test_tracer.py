@@ -110,11 +110,3 @@ def test_null_tracer_is_inert():
     assert NULL_TRACER.events == []
     with pytest.raises(RuntimeError):
         NULL_TRACER.install(Simulator())
-
-
-def test_metrics_lazy_property():
-    tracer = Tracer()
-    registry = tracer.metrics
-    registry.counter("c").inc()
-    assert tracer.metrics is registry
-    assert tracer.metrics.counter("c").value == 1.0

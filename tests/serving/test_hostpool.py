@@ -372,26 +372,19 @@ class TestHostContention:
                 toy_model(), serving_config=ServingConfig(dense_workers=-1)
             )
 
-    def test_scheduler_rejects_config_pool_mismatch(self):
-        """A bound declared in SchedulerConfig must come with a pool
-        enforcing it — no silently-ignored knob."""
-        from repro.serving import BatchScheduler, RequestQueue, SchedulerConfig
-        from repro.sim.kernel import Simulator
-
-        sim = Simulator()
-        stats = ServingStats(sim)
-        config = SchedulerConfig(host_sls_workers=2)
-        with pytest.raises(ValueError, match="host_sls"):
-            BatchScheduler(
-                sim, RequestQueue(4), {}, stats, config,
-                on_batch_done=lambda requests: None,
-            )
-        with pytest.raises(ValueError, match="host_sls"):
-            BatchScheduler(
-                sim, RequestQueue(4), {}, stats, config,
-                on_batch_done=lambda requests: None,
-                host_sls=HostSlsPool(sim, 1, stats),
-            )
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "max_batch_requests",
+            "max_inflight_batches_per_worker",
+            "max_inflight_batches_total",
+        ],
+    )
+    def test_batching_bounds_validated_where_they_are_set(self, field):
+        """The scheduler reads these off the ServingConfig it is handed;
+        the range checks sit on that config, not on a copy of it."""
+        with pytest.raises(ValueError, match=field):
+            ServingConfig(**{field: 0})
 
 
 # ----------------------------------------------------------------------

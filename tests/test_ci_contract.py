@@ -50,7 +50,12 @@ def test_tier1_command_collects_the_bit_identity_pins():
     CPython's cyclic collector, which no simulated number shows; and the
     one-stage rules, the multi-device golden runs behind a bounded host
     pool and the replica-on-a-down-device regression are what folding
-    replication into the sharded registration path rests on.  None may
+    replication into the sharded registration path rests on; and the
+    fleet-is-its-hosts-merged property, the one-rank-rule layering rules
+    and the two construction-time regressions (``attribute_p99``'s
+    threshold is the p99 ``summary()`` prints, a ``ClusterSpec`` builds
+    the router it describes) are what one definition per derived number
+    rests on.  None may
     be dropped, renamed out of collection or slow-marked silently.  Collects
     the way the tier-1 command does (same directory, same ``testpaths``),
     under the strictest filter in use."""
@@ -81,6 +86,13 @@ def test_tier1_command_collects_the_bit_identity_pins():
         re.M,
     )
     assert len(down) == 4, down                   # ssd, ndp x one and two replicas
+    router_options = re.findall(
+        r"^tests/cluster/test_cluster\.py::TestPlacement::"
+        r"test_router_options_validated_at_construction\[\S+\]",
+        listing,
+        re.M,
+    )
+    assert len(router_options) == 3, router_options   # one per router option
     for pin in (
         "tests/sim/test_engine_equivalence.py::test_same_dispatch_sequence_counters_and_errors",
         "tests/sim/test_engine_equivalence.py::test_pipe_laws_hold_on_every_stream",
@@ -111,6 +123,12 @@ def test_tier1_command_collects_the_bit_identity_pins():
         "tests/test_layering.py::test_the_stage_rules_see_a_second_stage_a_switch_and_a_closure",
         "tests/serving/test_serving_golden.py::test_scenario_matches_golden[replicate_three_devices]",
         "tests/serving/test_serving_golden.py::test_scenario_matches_golden[row_shard_two_devices]",
+        "tests/cluster/test_fleet_counters.py::test_fleet_counters_equal_the_sum_over_hosts",
+        "tests/cluster/test_fleet_counters.py::test_fleet_derived_metrics_are_the_shared_definition_over_its_hosts",
+        "tests/test_layering.py::test_a_number_is_computed_one_way",
+        "tests/test_layering.py::test_the_one_way_rules_see_a_second_rank_rule_a_fleet_fork_and_an_instrument",
+        "tests/obs/test_attribution.py::test_p99_threshold_is_the_p99_serving_stats_reports",
+        "tests/obs/test_analysis.py::test_attribute_pct_50_is_the_shared_rank_rule",
     ):
         assert pin in listing, pin
 

@@ -31,6 +31,16 @@ same class.  A second ``*EmbeddingStage``, an ``isinstance`` against one
 or a ``device_index`` compared with 0 (the old "-1 means sharded"
 sentinel) is the fork coming back; the stage's per-batch records are
 held to the per-unit closure rule too.
+
+A number is computed one way: ``repro.sim.stats.rank_quantile`` is the
+only rank rule, so no interpolating ``np.percentile`` / ``np.quantile``
+/ ``statistics.quantiles`` under ``src/`` or ``benchmarks/`` (a second
+rule reports a different sample as "p99": at n=60 index 58 vs 59).  A
+fleet's derived numbers are ``repro.serving.stats``'s definitions over
+its hosts' windows, so ``cluster/stats.py`` never ranks or summarizes a
+population itself.  And a counter is an attribute on the object that
+owns it: ``repro.obs`` exports no instrument class (``inc`` / ``set`` /
+``observe``) for a hot path to call per bump.
 """
 
 from __future__ import annotations
@@ -296,3 +306,118 @@ def test_the_stage_rules_see_a_second_stage_a_switch_and_a_closure():
     ]
     renamed = sources[stage].replace("class _Piece:", "class _Job:")
     assert _closure_offenders(renamed, CLOSURE_FREE[stage]) == ["_Piece.*: no such class"]
+
+
+BENCHMARKS = SRC.parent / "benchmarks"
+SECOND_RANK_RULE = re.compile(
+    r"\b(?:np|numpy)\.(?:nan)?(?:percentile|quantile)\b"
+    r"|\bstatistics\.quantiles\b"
+    r"|\bfrom\s+(?:numpy|statistics)\s+import\b.*\b(?:percentile|quantiles?)\b"
+)
+
+
+def _second_rank_rules(sources) -> list:
+    return [
+        f"{path}:{number}: {line.strip()}"
+        for path, source in sources.items()
+        for number, line in enumerate(source.splitlines(), 1)
+        if SECOND_RANK_RULE.search(line)
+    ]
+
+
+def _ranks_or_summarizes(path: str, source: str) -> list:
+    """Every mention (import, call, attribute) of the rank rule or the
+    latency summary in one module's code — docstrings do not count."""
+    offenders = []
+    for node in ast.walk(ast.parse(source)):
+        name = (
+            node.name.rpartition(".")[2]
+            if isinstance(node, ast.alias)
+            else _named(node)
+        )
+        if name in ("rank_quantile", "summarize_latencies"):
+            offenders.append(f"{path}:{node.lineno}: {name}")
+    return offenders
+
+
+def _instrument_classes(exports: dict) -> list:
+    return sorted(
+        name
+        for name, obj in exports.items()
+        if isinstance(obj, type)
+        and any(hasattr(obj, method) for method in ("inc", "set", "observe"))
+    )
+
+
+def _obs_exports() -> dict:
+    import repro.obs
+
+    return {name: getattr(repro.obs, name) for name in repro.obs.__all__}
+
+
+def _rank_rule_sources() -> dict:
+    sources = _src_sources()
+    sources.update(
+        (f"benchmarks/{path.name}", path.read_text())
+        for path in sorted(BENCHMARKS.glob("*.py"))
+    )
+    return sources
+
+
+FLEET_STATS = "repro/cluster/stats.py"
+
+
+def test_a_number_is_computed_one_way():
+    sources = _rank_rule_sources()
+    assert any(path.startswith("benchmarks/") for path in sources)
+    assert _second_rank_rules(sources) == []
+    assert _ranks_or_summarizes(FLEET_STATS, sources[FLEET_STATS]) == []
+    assert _instrument_classes(_obs_exports()) == []
+
+
+def test_the_one_way_rules_see_a_second_rank_rule_a_fleet_fork_and_an_instrument():
+    sources = _rank_rule_sources()
+    bench = "benchmarks/bench_updates.py"
+    hop = 'lat = summarize_latencies(stats.latencies)'
+    assert hop in sources[bench]
+    line = sources[bench][: sources[bench].index(hop)].count("\n") + 1
+    for second in (
+        "np.percentile(stats.latencies, 99)",
+        "numpy.quantile(stats.latencies, 0.99)",
+        "statistics.quantiles(stats.latencies, n=100)[98]",
+    ):
+        planted = dict(sources)
+        planted[bench] = sources[bench].replace(hop, f"p99 = {second}")
+        assert _second_rank_rules(planted) == [f"{bench}:{line}: p99 = {second}"]
+    planted = dict(sources)
+    planted["repro/sim/stats.py"] += "\nfrom statistics import mean, quantiles\n"
+    assert len(_second_rank_rules(planted)) == 1
+
+    hop = "return host_stats.latency_quantile(self.latencies(), q)"
+    assert hop in sources[FLEET_STATS]
+    line = sources[FLEET_STATS][: sources[FLEET_STATS].index(hop)].count("\n") + 1
+    for fork, name in (
+        ("return rank_quantile(sorted(self.latencies()), q)", "rank_quantile"),
+        ("return sim_stats.summarize_latencies(self.latencies())['p99_ms']",
+         "summarize_latencies"),
+    ):
+        mutant = sources[FLEET_STATS].replace(hop, fork)
+        assert _ranks_or_summarizes(FLEET_STATS, mutant) == [
+            f"{FLEET_STATS}:{line}: {name}"
+        ]
+    imported = sources[FLEET_STATS].replace(
+        "from .node import ClusterNode",
+        "from ..sim.stats import rank_quantile as pick\nfrom .node import ClusterNode",
+    )
+    assert len(_ranks_or_summarizes(FLEET_STATS, imported)) == 1
+
+    class Counter:
+        def inc(self):
+            pass
+
+    class Sampler:
+        def start(self):
+            pass
+
+    exports = dict(_obs_exports(), Counter=Counter, Sampler=Sampler)
+    assert _instrument_classes(exports) == ["Counter"]
