@@ -1,5 +1,7 @@
-"""RecSSD's contribution: the in-FTL NDP SparseLengthsSum engine."""
+"""RecSSD's contribution: the in-FTL NDP SparseLengthsSum engine, and the
+operator's ``(indices, lengths)`` input (:class:`Bags`) every layer reads."""
 
+from .bags import Bags
 from .config import CONFIG_HEADER_BYTES, PAIR_BYTES, SlsConfig, build_pairs
 from .embcache import DirectMappedEmbeddingCache
 from .engine import NdpEngineConfig, NdpSlsEngine, SlsResultPayload
@@ -7,6 +9,7 @@ from .extract import extract_vectors
 from .request import PageWork, SlsRequestEntry, SlsState
 
 __all__ = [
+    "Bags",
     "CONFIG_HEADER_BYTES",
     "PAIR_BYTES",
     "SlsConfig",

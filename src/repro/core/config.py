@@ -15,30 +15,29 @@ from typing import Optional
 import numpy as np
 
 from ..quant import EmbDtype, QuantSpec
+from .bags import Bags
 
-__all__ = ["SlsConfig", "CONFIG_HEADER_BYTES", "PAIR_BYTES", "build_pairs"]
+__all__ = ["SlsConfig", "CONFIG_HEADER_BYTES", "PAIR_BYTES", "build_pairs", "sorted_pairs"]
 
 CONFIG_HEADER_BYTES = 64
 PAIR_BYTES = 8  # (input_id: u32, result_id: u32)
 
 
-def build_pairs(bags: list[np.ndarray]) -> np.ndarray:
+def sorted_pairs(ids: np.ndarray, rids: np.ndarray) -> np.ndarray:
+    """``[n, 2]`` (input_id, result_id) pairs sorted by input id, then
+    result id — the page-ordered scan of Section 4.3."""
+    pairs = np.stack([ids, rids], axis=1)
+    return pairs[np.lexsort((rids, ids))]
+
+
+def build_pairs(bags) -> np.ndarray:
     """Build a sorted (input_id, result_id) pair array from per-result bags.
 
     ``bags[r]`` holds the input ids accumulated into result ``r`` — one bag
     per (sample, table) lookup set, exactly the SparseLengthsSum layout.
     """
-    ids = []
-    results = []
-    for result_id, bag in enumerate(bags):
-        bag = np.asarray(bag, dtype=np.int64).reshape(-1)
-        ids.append(bag)
-        results.append(np.full(bag.size, result_id, dtype=np.int64))
-    if not ids:
-        return np.zeros((0, 2), dtype=np.int64)
-    pairs = np.stack([np.concatenate(ids), np.concatenate(results)], axis=1)
-    order = np.lexsort((pairs[:, 1], pairs[:, 0]))
-    return pairs[order]
+    bags = Bags.of(bags)
+    return sorted_pairs(bags.ids, bags.rids)
 
 
 @dataclass

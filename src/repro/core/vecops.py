@@ -15,7 +15,13 @@ from typing import Sequence
 
 import numpy as np
 
-__all__ = ["segment_sum", "scatter_add_vectors", "scatter_add_segments", "group_slices"]
+__all__ = [
+    "segment_sum",
+    "segment_sum_offsets",
+    "scatter_add_vectors",
+    "scatter_add_segments",
+    "group_slices",
+]
 
 # Below this many rows a raw np.add.at beats argsort + reduceat (the
 # crossover measured on the hot-path microbenchmark is ~100-200 rows).
@@ -27,14 +33,26 @@ def segment_sum(vectors: np.ndarray, ids: np.ndarray, n_out: int) -> np.ndarray:
 
     ``ids`` must be ascending (duplicates allowed).  Empty buckets stay
     zero.  Equivalent to ``np.add.at(out, ids, vectors)`` but runs as one
-    ``np.add.reduceat`` pass.
+    ``np.add.reduceat`` pass.  A caller that holds the bucket boundaries
+    already (:class:`~repro.core.bags.Bags`) passes them to
+    :func:`segment_sum_offsets` instead of having them searched for.
     """
-    out = np.zeros((n_out, vectors.shape[1]), dtype=vectors.dtype)
-    if ids.size == 0:
-        return out
     starts = np.searchsorted(ids, np.arange(n_out, dtype=ids.dtype))
-    counts = np.diff(np.append(starts, ids.size))
-    nonempty = counts > 0
+    return segment_sum_offsets(vectors, np.append(starts, ids.size))
+
+
+def segment_sum_offsets(vectors: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Sum ``vectors[offsets[i]:offsets[i + 1]]`` into row ``i``.
+
+    ``offsets`` ascends from 0 to ``len(vectors)``; an empty segment's
+    row stays zero.  The reduce starts where :func:`segment_sum` would
+    have found them, so both forms give the same float32 sums bit for bit.
+    """
+    starts = offsets[:-1]
+    nonempty = offsets[1:] > starts
+    if starts.size and nonempty.all():
+        return np.add.reduceat(vectors, starts, axis=0)
+    out = np.zeros((starts.size, vectors.shape[1]), dtype=vectors.dtype)
     if nonempty.any():
         out[nonempty] = np.add.reduceat(vectors, starts[nonempty], axis=0)
     return out

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Sequence
+from typing import Callable, Dict, List
 
 import numpy as np
 
+from ...core.bags import Bags, BagsLike
 from ...host.system import System
 from ...sim.stats import Breakdown
 from ..table import EmbeddingTable
@@ -35,17 +36,10 @@ class SlsOpResult:
         return self.end_time - self.start_time
 
 
-def flatten_bags(bags: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+def flatten_bags(bags: BagsLike) -> tuple[np.ndarray, np.ndarray]:
     """Return (rows, result_ids) flattened from per-result bags."""
-    rows: List[np.ndarray] = []
-    rids: List[np.ndarray] = []
-    for i, bag in enumerate(bags):
-        bag = np.asarray(bag, dtype=np.int64).reshape(-1)
-        rows.append(bag)
-        rids.append(np.full(bag.size, i, dtype=np.int64))
-    if not rows:
-        return np.zeros(0, np.int64), np.zeros(0, np.int64)
-    return np.concatenate(rows), np.concatenate(rids)
+    bags = Bags.of(bags)
+    return bags.ids, bags.rids
 
 
 class SlsBackend(ABC):
@@ -63,10 +57,13 @@ class SlsBackend(ABC):
         self.inflight = 0
         self.max_inflight = 0
 
-    def start(
-        self, bags: Sequence[np.ndarray], on_done: Callable[[SlsOpResult], None]
-    ) -> None:
-        """Begin the operation; ``on_done(result)`` fires at completion."""
+    def start(self, bags: BagsLike, on_done: Callable[[SlsOpResult], None]) -> None:
+        """Begin the operation; ``on_done(result)`` fires at completion.
+
+        The one conversion on this path: ``_start`` and everything below
+        it read ``bags.ids`` / ``.offsets`` / ``.rids``.
+        """
+        bags = Bags.of(bags)
         self.ops += 1
         self.inflight += 1
         if self.inflight > self.max_inflight:
@@ -79,7 +76,7 @@ class SlsBackend(ABC):
         # where the layout currently stores it.
         tracker = getattr(self.table, "heat_tracker", None)
         if tracker is not None:
-            tracker.record(flatten_bags(bags)[0])
+            tracker.record(bags.ids)
 
         # Observability choke point: every backend kind (dram, ssd, ndp)
         # funnels through here, so one ``sls_op`` span covers them all.
@@ -108,9 +105,7 @@ class SlsBackend(ABC):
             self._start(bags, finished)
 
     @abstractmethod
-    def _start(
-        self, bags: Sequence[np.ndarray], on_done: Callable[[SlsOpResult], None]
-    ) -> None:
+    def _start(self, bags: Bags, on_done: Callable[[SlsOpResult], None]) -> None:
         """Backend-specific implementation behind :meth:`start`."""
 
     @property
@@ -129,7 +124,7 @@ class SlsBackend(ABC):
         self.ops = 0
         self.max_inflight = self.inflight
 
-    def run_sync(self, bags: Sequence[np.ndarray]) -> SlsOpResult:
+    def run_sync(self, bags: BagsLike) -> SlsOpResult:
         box: List[SlsOpResult] = []
         self.start(bags, box.append)
         self.system.sim.run_until(lambda: bool(box))

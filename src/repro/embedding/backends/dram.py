@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable
 
-import numpy as np
-
+from ...core.bags import Bags
 from ...sim.stats import Breakdown
-from .base import SlsBackend, SlsOpResult, flatten_bags
+from .base import SlsBackend, SlsOpResult
 
 __all__ = ["DramSlsBackend"]
 
@@ -15,16 +14,16 @@ __all__ = ["DramSlsBackend"]
 class DramSlsBackend(SlsBackend):
     """Tables resident in host DRAM; latency from the host cost model."""
 
-    def _start(self, bags: Sequence[np.ndarray], on_done: Callable[[SlsOpResult], None]) -> None:
+    def _start(self, bags: Bags, on_done: Callable[[SlsOpResult], None]) -> None:
         sim = self.system.sim
         start = sim.now
-        rows, _rids = flatten_bags(bags)
         values = self.table.ref_sls(bags)
+        n_lookups = bags.ids.size
         latency = self.system.host_cpu.dram_sls_time(
-            n_lookups=int(rows.size), row_bytes=self.table.spec.row_bytes
+            n_lookups=n_lookups, row_bytes=self.table.spec.row_bytes
         )
         breakdown = Breakdown({"host_gather": latency})
-        stats = {"lookups": float(rows.size)}
+        stats = {"lookups": float(n_lookups)}
 
         def finish() -> None:
             on_done(

@@ -7,21 +7,22 @@ partial sums are merged on the host — exactly the post-processing step
 the paper describes.
 
 The hot/cold split runs batch-first: one vectorized membership probe
-over the flattened bags, a segment-sum for the per-bag hot partials, and
-a boundary split for the cold remainder — no per-bag Python loop.
+over the flat ids, a segment-sum for the per-bag hot partials, and
+``Bags.select`` for the cold remainder — no per-bag Python loop.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, Optional
 
 import numpy as np
 
+from ...core.bags import Bags
 from ...core.vecops import segment_sum
 from ...sim.stats import Breakdown
 from ..caches import StaticPartitionCache
 from ..table import EmbeddingTable
-from .base import SlsBackend, SlsOpResult, flatten_bags
+from .base import SlsBackend, SlsOpResult
 
 __all__ = ["NdpSlsBackend"]
 
@@ -43,21 +44,22 @@ class NdpSlsBackend(SlsBackend):
     # ------------------------------------------------------------------
     def _split_partition(
         self,
-        bags: Sequence[np.ndarray],
+        bags: Bags,
         partial: np.ndarray,
         breakdown: Breakdown,
         stats: Dict[str, float],
-    ) -> tuple[List[np.ndarray], float]:
+    ) -> tuple[Bags, float]:
         """Host half of Section 4.2: sum profiled-hot rows host-side.
 
         Fills ``partial`` with the per-result hot sums and returns the cold
-        remainder bags plus the host CPU time the split cost.
+        remainder (the same bags, hot ids removed) plus the host CPU time
+        the split cost.
         """
-        host_cpu = self.system.host_cpu
-        table = self.table
+        cold = bags
         host_cost = 0.0
+        partition_hits = 0
         if self.partition is not None:
-            rows, rids = flatten_bags(bags)
+            rows = bags.ids
             mask = self.partition.partition_mask(rows)
             hot_rows = rows[mask]
             partition_hits = int(hot_rows.size)
@@ -65,27 +67,19 @@ class NdpSlsBackend(SlsBackend):
                 # rids ascend (bags flatten in order), so the per-bag hot
                 # sums are one segment reduce.
                 partial += segment_sum(
-                    self.partition.vectors_for(hot_rows), rids[mask], len(bags)
+                    self.partition.vectors_for(hot_rows), bags.rids[mask], len(bags)
                 )
-            cold_rows = rows[~mask]
-            if len(bags):
-                cold_counts = np.bincount(rids[~mask], minlength=len(bags))
-                cold_bags = np.split(cold_rows, np.cumsum(cold_counts)[:-1])
-            else:
-                cold_bags = []
-            host_cost = host_cpu.accumulate_time(partition_hits, table.spec.row_bytes)
+            cold = bags.select(~mask)
+            host_cost = self.system.host_cpu.accumulate_time(
+                partition_hits, self.table.spec.row_bytes
+            )
             breakdown.add("host_partition", host_cost)
-            total_lookups = int(rows.size)
-        else:
-            cold_bags = [np.asarray(b, dtype=np.int64).reshape(-1) for b in bags]
-            total_lookups = int(sum(b.size for b in cold_bags))
-            partition_hits = 0
-        stats["lookups"] = float(total_lookups)
+        stats["lookups"] = float(bags.ids.size)
         stats["partition_hits"] = float(partition_hits)
-        stats["cold_lookups"] = float(sum(b.size for b in cold_bags))
-        return list(cold_bags), host_cost
+        stats["cold_lookups"] = float(cold.ids.size)
+        return cold, host_cost
 
-    def _start(self, bags: Sequence[np.ndarray], on_done: Callable[[SlsOpResult], None]) -> None:
+    def _start(self, bags: Bags, on_done: Callable[[SlsOpResult], None]) -> None:
         device = getattr(self.table, "device", None)
         if device is not None and getattr(device.ndp, "down", False):
             self._start_fallback(bags, on_done)
@@ -99,7 +93,7 @@ class NdpSlsBackend(SlsBackend):
         n_results = len(bags)
         partial = np.zeros((n_results, table.spec.dim), dtype=np.float32)
 
-        cold_bags, split_cost = self._split_partition(bags, partial, breakdown, stats)
+        cold, split_cost = self._split_partition(bags, partial, breakdown, stats)
         host_cost = host_cpu.config.op_overhead_s + split_cost
 
         if stats["cold_lookups"] == 0:
@@ -118,7 +112,7 @@ class NdpSlsBackend(SlsBackend):
             sim.schedule(host_cost, finish_local)
             return
 
-        config = table.make_sls_config(cold_bags)
+        config = table.make_sls_config(cold)
 
         def ndp_done(payload, timing) -> None:
             breakdown.merge(payload.breakdown)
@@ -148,9 +142,7 @@ class NdpSlsBackend(SlsBackend):
         self.system.session_for(self.table.device).sls(config, ndp_done)
 
     # ------------------------------------------------------------------
-    def _start_fallback(
-        self, bags: Sequence[np.ndarray], on_done: Callable[[SlsOpResult], None]
-    ) -> None:
+    def _start_fallback(self, bags: Bags, on_done: Callable[[SlsOpResult], None]) -> None:
         """NDP engine down: serve via the host-orchestrated SSD read path.
 
         Graceful degradation, not failure — the data is still on the

@@ -18,10 +18,11 @@ this replaced is ``tests/embedding/reference_ssd_backend.py``.)
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ...core.bags import Bags
 from ...core.extract import extract_vectors, extract_vectors_many
 from ...core.vecops import (
     group_slices,
@@ -32,7 +33,7 @@ from ...core.vecops import (
 from ...sim.stats import Breakdown
 from ..caches import SetAssociativeLru
 from ..table import EmbeddingTable, TablePageContent
-from .base import SlsBackend, SlsOpResult, flatten_bags
+from .base import SlsBackend, SlsOpResult
 
 __all__ = ["SsdSlsBackend"]
 
@@ -52,13 +53,13 @@ class SsdSlsBackend(SlsBackend):
         self.max_coalesce_lbas = max_coalesce_lbas
 
     # ------------------------------------------------------------------
-    def _start(self, bags: Sequence[np.ndarray], on_done: Callable[[SlsOpResult], None]) -> None:
+    def _start(self, bags: Bags, on_done: Callable[[SlsOpResult], None]) -> None:
         sim = self.system.sim
         driver = self.system.driver_for(self.table.device)
         host_cpu = self.system.host_cpu
         table = self.table
         start = sim.now
-        rows, rids = flatten_bags(bags)
+        rows, rids = bags.ids, bags.rids
         # Before the cache sees them: -1 is its empty-tag value, and an id
         # past the table can land in the last page's padding.
         table.data._check_ids(rows)

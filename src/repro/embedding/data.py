@@ -37,7 +37,8 @@ class TableData(ABC):
 
     @abstractmethod
     def get_rows(self, ids: np.ndarray) -> np.ndarray:
-        """Return float32 ``[len(ids), dim]``; ids must be in range."""
+        """Return a fresh float32 ``[len(ids), dim]`` array the caller may
+        keep and write into; ids must be in range."""
 
     def _check_ids(self, ids: np.ndarray) -> np.ndarray:
         ids = np.asarray(ids, dtype=np.int64)
@@ -64,7 +65,7 @@ class DenseTableData(TableData):
 
     def get_rows(self, ids: np.ndarray) -> np.ndarray:
         ids = self._check_ids(ids)
-        return self.values[ids].copy()
+        return self.values[ids]  # fancy index: already a copy
 
 
 class VirtualTableData(TableData):
@@ -86,7 +87,7 @@ class VirtualTableData(TableData):
 
     def get_rows(self, ids: np.ndarray) -> np.ndarray:
         ids = self._check_ids(ids)
-        out = self._pool[ids % self._pool.shape[0]].copy()
+        out = self._pool[ids % self._pool.shape[0]]  # fancy index: already a copy
         stamp = ((ids * _HASH_MULT + self.seed) % _STAMP_PRIME).astype(np.float32)
         out[:, 0] = stamp / _STAMP_PRIME - 0.5
         return out

@@ -12,9 +12,10 @@ DRAM).  A model on one device, a whole-model replica, tables spread over
 devices and rows spread over devices are the same stage holding
 different pieces:
 
-* **scatter** — only a table with a row mapping is split: its bags
-  become per-shard bags of shard-local ids (:func:`scatter_bags`); a
-  whole table's bags go to its one piece as they are;
+* **scatter** — only a table with a row mapping is split: its
+  :class:`~repro.core.bags.Bags` become per-shard ``Bags`` of
+  shard-local ids (:func:`scatter_bags`); a whole table's go to its one
+  piece as they are;
 * **launch** — one loop for every piece: a piece whose device is
   fail-stopped (``backend.available``) is skipped and the bags that lost
   lookups are recorded, the rest each hold one host SLS worker from
@@ -35,13 +36,14 @@ batch, and a link back would be a cycle per batch for the collector.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Mapping, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Mapping, Tuple
 
 import numpy as np
 
+from ..core.bags import Bags, BagsLike
 from ..core.vecops import group_slices
 from ..sim.stats import Breakdown
-from .backends.base import SlsBackend, SlsOpResult, flatten_bags
+from .backends.base import SlsBackend, SlsOpResult
 
 __all__ = ["EmbStageResult", "EmbeddingStage", "scatter_bags"]
 
@@ -74,7 +76,7 @@ class EmbStageResult:
         return sum(r.stats.get(key, 0.0) for r in self.per_table.values())
 
 
-def scatter_bags(bags: Sequence[np.ndarray], mapping) -> Dict[int, List[np.ndarray]]:
+def scatter_bags(bags: BagsLike, mapping) -> Dict[int, Bags]:
     """Split per-result bags into shard-local per-result bags.
 
     ``mapping`` answers ``shard_of(ids)`` and ``local_ids(ids)`` (a
@@ -82,23 +84,22 @@ def scatter_bags(bags: Sequence[np.ndarray], mapping) -> Dict[int, List[np.ndarr
     shards that received at least one lookup; each shard's value is
     ``len(bags)`` bags of *shard-local* ids (possibly empty bags), in the
     same order, so a shard's partial SLS lines up row-for-row with the
-    merged result.  One vectorized pass: flatten, group by owning shard
-    (:func:`~repro.core.vecops.group_slices` — stable, so within a shard
-    the bag order and intra-bag id order are preserved), remap to local
-    ids, split back into bags.
+    merged result.  One vectorized pass over the flat ids: group by
+    owning shard (:func:`~repro.core.vecops.group_slices` — stable, so
+    within a shard the bag order and intra-bag id order are preserved),
+    remap to local ids, and :meth:`Bags.select` each shard's members.
     """
-    rows, rids = flatten_bags(bags)
+    bags = Bags.of(bags)
+    rows = bags.ids
     if rows.size == 0:
         return {}
-    shard_keys = mapping.shard_of(rows)
-    local = mapping.local_ids(rows)
-    uniq, order, bounds = group_slices(shard_keys)
-    out: Dict[int, List[np.ndarray]] = {}
-    for i, shard in enumerate(uniq):
-        members = order[bounds[i] : bounds[i + 1]]  # ascending positions
-        counts = np.bincount(rids[members], minlength=len(bags))
-        out[int(shard)] = np.split(local[members], np.cumsum(counts)[:-1])
-    return out
+    uniq, order, bounds = group_slices(mapping.shard_of(rows))
+    local = Bags(mapping.local_ids(rows), bags.offsets, bags.rids)
+    edges = bounds.tolist()
+    return {
+        shard: local.select(order[lo:hi])  # ascending positions
+        for shard, lo, hi in zip(uniq.tolist(), edges, edges[1:])
+    }
 
 
 @dataclass(slots=True, eq=False)
@@ -108,7 +109,7 @@ class _Batch:
     stage: "EmbeddingStage"
     pool: Any  # the stage's sls_pool, as it was when the batch started
     tracer: Any  # the simulator's, when this stage's fan-out is traced
-    bags_by_table: Mapping[str, Sequence[np.ndarray]]
+    bags_by_table: Mapping[str, Bags]
     on_done: Callable[[EmbStageResult], None]
     start: float
     per_shard: Dict[int, Dict[str, SlsOpResult]]
@@ -173,7 +174,7 @@ class _Piece:
     shard: int
     name: str
     backend: SlsBackend
-    bags: Sequence[np.ndarray]
+    bags: Bags
     span: Any = None
 
     def launch(self) -> None:
@@ -264,12 +265,14 @@ class EmbeddingStage:
     # ------------------------------------------------------------------
     def start(
         self,
-        bags_by_table: Mapping[str, Sequence[np.ndarray]],
+        bags_by_table: Mapping[str, BagsLike],
         on_done: Callable[[EmbStageResult], None],
     ) -> None:
         if not bags_by_table.keys() <= self.homes.keys():
             unknown = set(bags_by_table) - set(self.homes)
             raise KeyError(f"no backend for tables {sorted(unknown)}")
+        # The one conversion on this path (a ``Bags`` passes through).
+        bags_by_table = {name: Bags.of(bags) for name, bags in bags_by_table.items()}
         sim = self.sim
         pool = self.sls_pool
         tracer = sim.tracer if self.gathers else None
@@ -292,7 +295,7 @@ class EmbeddingStage:
                 if backend.available:
                     launches.append(_Piece(batch, shard, name, backend, sub))
                     continue
-                lost = np.flatnonzero([np.asarray(bag).size for bag in sub])
+                lost = np.flatnonzero(np.diff(sub.offsets))
                 if lost.size:
                     skipped.setdefault(name, []).append(lost)
         for name, chunks in skipped.items():
@@ -355,7 +358,7 @@ class EmbeddingStage:
             stats=stats,
         )
 
-    def run_sync(self, bags_by_table: Mapping[str, Sequence[np.ndarray]]) -> EmbStageResult:
+    def run_sync(self, bags_by_table: Mapping[str, BagsLike]) -> EmbStageResult:
         box: List[EmbStageResult] = []
         self.start(bags_by_table, box.append)
         self.sim.run_until(lambda: bool(box))

@@ -9,13 +9,15 @@ same object provides the canonical in-DRAM reference result
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from ..core.config import SlsConfig, build_pairs
+from ..core.bags import Bags, BagsLike
+from ..core.config import SlsConfig, sorted_pairs
+from ..core.vecops import segment_sum_offsets
 from ..ftl.layout import FrequencyLayout, RowLayout
-from ..quant import decode_vectors, encode_vectors
+from ..quant import EmbDtype, decode_vectors, encode_vectors
 from ..ssd.device import SsdDevice
 from .data import MappedTableData, TableData, VirtualTableData
 from .spec import Layout, TableSpec
@@ -305,44 +307,39 @@ class EmbeddingTable:
     # ------------------------------------------------------------------
     def get_rows(self, ids: np.ndarray) -> np.ndarray:
         raw = self.data.get_rows(ids)
-        return decode_vectors(encode_vectors(raw, self.spec.quant), self.spec.quant)
+        quant = self.spec.quant
+        if quant.dtype is EmbDtype.FP32:
+            # The FP32 round trip is the identity, and ``raw`` is already
+            # a fresh array (the ``TableData.get_rows`` contract).
+            return np.asarray(raw, dtype=np.float32)
+        return decode_vectors(encode_vectors(raw, quant), quant)
 
-    def ref_sls(self, bags: Sequence[np.ndarray]) -> np.ndarray:
+    def ref_sls(self, bags: BagsLike) -> np.ndarray:
         """In-DRAM reference SparseLengthsSum over per-result bags.
 
-        One gather + segment reduce over the flattened bags (the DRAM
-        backend's hot path at serving scale).
+        One gather over the flat ids + one segment reduce at the bag
+        offsets (the DRAM backend's hot path at serving scale).
         """
-        from ..core.vecops import segment_sum
-        from .backends.base import flatten_bags
-
-        rows, rids = flatten_bags(bags)
-        if rows.size == 0:
+        bags = Bags.of(bags)
+        if bags.ids.size == 0:
             return np.zeros((len(bags), self.spec.dim), dtype=np.float32)
-        return segment_sum(self.get_rows(rows), rids, len(bags))
+        return segment_sum_offsets(self.get_rows(bags.ids), bags.offsets)
 
     # ------------------------------------------------------------------
     # NDP config construction
     # ------------------------------------------------------------------
-    def make_sls_config(self, bags: Sequence[np.ndarray]) -> SlsConfig:
+    def make_sls_config(self, bags: BagsLike) -> SlsConfig:
         if not self.attached:
             raise RuntimeError("table must be attached before issuing SLS")
-        if self.layout is None:
-            bags = [np.asarray(b) for b in bags]
-        else:
-            # The device addresses storage ranks: translate each bag so
-            # the NDP engine's page math (rank // rows_per_page) walks
-            # the heat-packed placement.  Pairs then sort by rank — the
-            # page-ordered scan the weak SSD CPU needs.
-            bags = [
-                self.storage_ids(np.asarray(b, dtype=np.int64).reshape(-1))
-                for b in bags
-            ]
-        pairs = build_pairs(bags)
+        bags = Bags.of(bags)
+        # The device addresses storage ranks: with a layout the ids are
+        # translated so the NDP engine's page math (rank //
+        # rows_per_page) walks the heat-packed placement.  Pairs then
+        # sort by rank — the page-ordered scan the weak SSD CPU needs.
         return SlsConfig(
             table_base_lba=self.base_lba,
             request_id=0,  # assigned by the driver session
-            pairs=pairs,
+            pairs=sorted_pairs(self.storage_ids(bags.ids), bags.rids),
             num_results=len(bags),
             vec_dim=self.spec.dim,
             quant=self.spec.quant,

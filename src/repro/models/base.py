@@ -4,10 +4,11 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, Optional, Sequence
 
 import numpy as np
 
+from ..core.bags import Bags, BagsLike, as_ids
 from ..embedding.spec import TableSpec
 from ..embedding.table import EmbeddingTable
 from ..host.cpu import HostCpu
@@ -34,11 +35,25 @@ class SparseFeature:
     def name(self) -> str:
         return self.spec.name
 
+    @property
+    def bags_per_sample(self) -> int:
+        """Result rows one sample contributes to this feature's SLS."""
+        return self.lookups if self.sequence else 1
+
 
 @dataclass
 class Batch:
+    """One request's inputs.
+
+    ``bags[table]`` is that table's SparseLengthsSum input as
+    ``(ids, offsets)`` — a :class:`~repro.core.bags.Bags`, which still
+    reads as the sequence of per-result id arrays (``len``, iteration,
+    indexing).  A hand-built batch may pass such a sequence instead; the
+    serving layer flattens it once (``Bags.of``).
+    """
+
     dense: np.ndarray                       # [B, dense_in] float32
-    bags: Dict[str, List[np.ndarray]]       # table name -> per-result bags
+    bags: Dict[str, BagsLike]               # table name -> per-result bags
     batch_size: int
     # Originating user (None = anonymous).  Locality-aware routers
     # (repro.cluster) key placement on it so repeat users land on hosts
@@ -77,21 +92,23 @@ class RecModel(ABC):
     ) -> Batch:
         """Draw a batch; ``samplers`` overrides per-feature index sources."""
         dense = rng.standard_normal((batch_size, self.dense_in)).astype(np.float32)
-        bags: Dict[str, List[np.ndarray]] = {}
+        bags: Dict[str, Bags] = {}
         for feature in self.features:
             sampler = (samplers or {}).get(feature.name) or uniform_sampler(
                 feature.spec.rows, rng
             )
-            rows = np.asarray(
-                sampler(batch_size * feature.lookups), dtype=np.int64
+            # One flat draw per feature, cut into bags where it lands: a
+            # sequence feature keeps every id its own bag.
+            n_ids = batch_size * feature.lookups
+            rows = as_ids(sampler(n_ids))
+            if rows.size != n_ids:
+                raise ValueError(
+                    f"sampler for {feature.name!r} returned {rows.size} ids, "
+                    f"not the {n_ids} asked for"
+                )
+            bags[feature.name] = Bags.uniform(
+                rows, batch_size * feature.bags_per_sample
             )
-            if feature.sequence:
-                bags[feature.name] = [rows[i : i + 1] for i in range(rows.size)]
-            else:
-                bags[feature.name] = [
-                    rows[i * feature.lookups : (i + 1) * feature.lookups]
-                    for i in range(batch_size)
-                ]
         return Batch(dense=dense, bags=bags, batch_size=batch_size)
 
     # ------------------------------------------------------------------

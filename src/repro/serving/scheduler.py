@@ -25,6 +25,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Tuple
 
 import numpy as np
 
+from ..core.bags import Bags
 from ..embedding.stage import EmbeddingStage, EmbStageResult
 from ..models.base import RecModel
 from .queue import RequestQueue
@@ -149,18 +150,22 @@ class BatchScheduler:
     # ------------------------------------------------------------------
     def _dispatch(self, worker: ModelWorker, requests: List[InferenceRequest]) -> None:
         now = self.sim.now
-        merged: Dict[str, List] = {f.name: [] for f in worker.model.features}
-        spans: List[Spans] = []
         for request in requests:
             request.state = RequestState.DISPATCHED
             request.t_dispatch = now
-            span: Spans = {}
-            for name, bags in request.batch.bags.items():
-                lane = merged[name]
-                lo = len(lane)
-                lane.extend(bags)
-                span[name] = (lo, len(lane))
-            spans.append(span)
+        # Coalesce: per table, the requests' bags end to end; each request
+        # keeps the (lo, hi) bag rows that are its own.  One request is
+        # the common case and its Bags pass through as they are.
+        merged: Dict[str, Bags] = {}
+        spans: List[Spans] = [{} for _ in requests]
+        for feature in worker.model.features:
+            name = feature.name
+            parts = [request.batch.bags[name] for request in requests]
+            merged[name] = Bags.concat(parts)
+            lo = 0
+            for span, part in zip(spans, parts):
+                span[name] = (lo, lo + len(part))
+                lo += len(part)
         self.stats.record_dispatch(requests)
         worker.inflight_batches += 1
         self.inflight_batches_total += 1

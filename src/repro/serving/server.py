@@ -130,6 +130,9 @@ class InferenceServer:
         self.admission = self.config.admission or AdmissionConfig()
         self.queue = RequestQueue(max_inflight, admission=self.admission)
         self.models: Dict[str, RecModel] = {}
+        # model -> table -> result rows per sample: what ``submit`` holds
+        # a batch's tables and bag counts to.
+        self._bags_per_sample: Dict[str, Dict[str, int]] = {}
         self.workers: Dict[str, List[ModelWorker]] = {}
         # Host resource model: the bounded (or pass-through) host SLS
         # worker pool the embedding stages run per-table ops on, and the
@@ -282,6 +285,9 @@ class InferenceServer:
                 self._projected_ndp_entries.get(index, 0) + count
             )
         self.models[model.name] = model
+        self._bags_per_sample[model.name] = {
+            f.name: f.bags_per_sample for f in model.features
+        }
         self.workers[model.name] = pool
         return pool
 
@@ -388,14 +394,23 @@ class InferenceServer:
         """
         if model_name not in self.models:
             raise KeyError(f"model {model_name!r} not registered")
-        expected = {f.name for f in self.models[model_name].features}
-        if set(batch.bags) != expected:
-            # Catch it here: admitted-then-crashed would leak the admission
-            # slot and can surface the KeyError from an unrelated dispatch.
+        # Catch a malformed batch here: admitted-then-crashed would leak
+        # the admission slot and can surface the error (a KeyError at
+        # dispatch, a reshape ValueError in ``model.forward``) from an
+        # unrelated request's event.
+        per_sample = self._bags_per_sample[model_name]
+        if batch.bags.keys() != per_sample.keys():
             raise ValueError(
                 f"batch tables {sorted(batch.bags)} do not match model "
-                f"{model_name!r} features {sorted(expected)}"
+                f"{model_name!r} features {sorted(per_sample)}"
             )
+        for name, count in per_sample.items():
+            if len(batch.bags[name]) != batch.batch_size * count:
+                raise ValueError(
+                    f"batch of {batch.batch_size} has {len(batch.bags[name])} "
+                    f"bags for table {name!r} of model {model_name!r}, "
+                    f"not {batch.batch_size * count}"
+                )
         if deadline is None:
             slo = self.admission.slo_for(model_name)
             deadline = self.sim.now + slo if slo is not None else float("inf")

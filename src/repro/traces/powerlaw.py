@@ -36,7 +36,10 @@ class ZipfTraceGenerator:
     def generate(self, n_lookups: int) -> np.ndarray:
         u = self._rng.random(n_lookups)
         ranks = np.searchsorted(self._cdf, u, side="left")
-        return self._perm[np.clip(ranks, 0, self.table_rows - 1)].astype(np.int64)
+        # Ranks are int64 and non-negative already; the bound keeps the
+        # gather in range whatever the cdf's last entry rounded to.
+        np.minimum(ranks, self.table_rows - 1, out=ranks)
+        return self._perm[ranks]
 
     def generate_bags(self, n_samples: int, lookups_per_sample: int) -> List[np.ndarray]:
         flat = self.generate(n_samples * lookups_per_sample)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.core.bags import Bags
 from repro.embedding.backends import DramSlsBackend, NdpSlsBackend, SsdSlsBackend
 from repro.embedding.caches import SetAssociativeLru, StaticPartitionCache
 from repro.embedding.spec import Layout, TableSpec
@@ -193,7 +194,7 @@ class TestNdpBackend:
         partial = np.zeros((len(bags), 8), dtype=np.float32)
         breakdown, stats = Breakdown(), {}
         cold_bags, cost = NdpSlsBackend(system, table, partition)._split_partition(
-            bags, partial, breakdown, stats
+            Bags.of(bags), partial, breakdown, stats
         )
 
         want_partial, want_cold, hits = np.zeros_like(partial), [], 0

@@ -62,6 +62,41 @@ class TestVirtualData:
         assert not np.array_equal(a.get_rows(np.array([5])), b.get_rows(np.array([5])))
 
 
+class TestGetRowsHandsBackItsOwnArray:
+    """``get_rows`` returns a fresh array the caller may write into; a
+    fancy-index result already is one, so the ``.copy()`` on top of it
+    bought nothing.  Values against the parent's expression, written out."""
+
+    IDS = np.array([0, 5, 5, 999, 64, 0])
+
+    def test_virtual_rows_are_the_parents_and_nobody_elses(self):
+        from repro.embedding.data import _HASH_MULT, _STAMP_PRIME
+
+        data = VirtualTableData(1000, 16, seed=3, pool_rows=64)
+        want = data._pool[self.IDS % data._pool.shape[0]].copy()
+        stamp = ((self.IDS * _HASH_MULT + data.seed) % _STAMP_PRIME).astype(np.float32)
+        want[:, 0] = stamp / _STAMP_PRIME - 0.5
+        got = data.get_rows(self.IDS)
+        assert got.dtype == np.float32 and np.array_equal(got, want)
+        pool = data._pool.copy()
+        assert not np.shares_memory(got, data._pool) and got.flags.writeable
+        got[:] = 7.0
+        assert np.array_equal(data._pool, pool)
+        assert np.array_equal(data.get_rows(self.IDS), want)
+
+    def test_dense_rows_are_a_copy(self):
+        values = np.random.default_rng(0).standard_normal((1000, 4)).astype(np.float32)
+        data = DenseTableData(values.copy())
+        got = data.get_rows(self.IDS)
+        assert np.array_equal(got, values[self.IDS])
+        assert not np.shares_memory(got, data.values) and got.flags.writeable
+        got[:] = 7.0
+        assert np.array_equal(data.values, values)
+        one = data.get_rows(np.int64(3))        # a scalar id still copies
+        one[:] = 7.0
+        assert np.array_equal(data.values, values)
+
+
 class TestDenseData:
     def test_roundtrip(self):
         values = np.random.default_rng(0).standard_normal((10, 4)).astype(np.float32)

@@ -5,7 +5,7 @@ import pytest
 
 from repro.embedding.spec import Layout, TableSpec
 from repro.embedding.table import EmbeddingTable, TablePageContent, TableRegion
-from repro.quant import EmbDtype, QuantSpec
+from repro.quant import EmbDtype, QuantSpec, decode_vectors, encode_vectors
 
 from ..conftest import make_table
 
@@ -70,6 +70,24 @@ class TestReference:
         rows = table.get_rows(np.array([3]))
         # Canonical values are on the quantization grid.
         assert np.allclose(rows * 64, np.round(rows * 64), atol=1e-5)
+
+
+    @pytest.mark.parametrize("dtype", list(EmbDtype))
+    def test_get_rows_is_the_quantization_round_trip(self, dtype):
+        """FP32 skips the encode/decode round trip (the identity plus two
+        copies); the values are the parent's expression all the same, in
+        a fresh float32 array."""
+        table = EmbeddingTable(
+            TableSpec("t", 256, 8, quant=QuantSpec(dtype=dtype)), seed=2
+        )
+        ids = np.array([0, 7, 7, 255, 31])
+        raw = table.data.get_rows(ids)
+        want = decode_vectors(encode_vectors(raw, table.spec.quant), table.spec.quant)
+        got = table.get_rows(ids)
+        assert got.dtype == np.float32 and got.flags.writeable
+        assert np.array_equal(got, want)
+        got[:] = 7.0                              # the caller's to write into
+        assert np.array_equal(table.get_rows(ids), want)
 
 
 class TestPageContent:

@@ -2,6 +2,9 @@
 
 import numpy as np
 
+from repro.core.bags import Bags
+from repro.models.base import Batch
+from repro.models.runner import BackendKind
 from repro.serving import ServingConfig
 
 from .conftest import build_server, toy_model
@@ -51,6 +54,64 @@ class TestCoalescing:
                 assert np.allclose(
                     request.values[name], expected, rtol=1e-4, atol=1e-5
                 ), name
+
+    def test_ragged_requests_coalesce_and_get_their_own_rows_back(self):
+        """Requests of different batch sizes and ragged bags, some holding
+        lists of arrays and some a ``Bags``, merged by ``Bags.concat``:
+        the spans ``_dispatch`` records slice each one's bags out of what
+        the stage was handed, and its rows out of the result — on DRAM,
+        bit for bit what the request would have got alone."""
+        model = toy_model()
+        server = build_server(
+            model, BackendKind.DRAM,
+            ServingConfig(max_batch_requests=8, max_inflight_batches_per_worker=1),
+        )
+        rng = np.random.default_rng(5)
+        handed, recorded = [], []
+        (worker,) = server.workers[model.name]
+        start, batch_done = worker.stage.start, server.scheduler._batch_done
+
+        def spy_start(bags_by_table, on_done):
+            handed.append(bags_by_table)
+            start(bags_by_table, on_done)
+
+        def spy_batch_done(worker, requests, spans, result, batch_span=None):
+            recorded.append((requests, spans))
+            batch_done(worker, requests, spans, result, batch_span)
+
+        worker.stage.start = spy_start
+        server.scheduler._batch_done = spy_batch_done
+
+        def ragged(batch_size, as_bags):
+            bags = {}
+            for feature in model.features:
+                lists = [
+                    rng.integers(0, feature.spec.rows, size=rng.integers(0, 6))
+                    for _ in range(batch_size)
+                ]
+                bags[feature.name] = Bags.of(lists) if as_bags else lists
+            dense = np.zeros((batch_size, model.dense_in), np.float32)
+            return Batch(dense=dense, bags=bags, batch_size=batch_size)
+
+        requests = [
+            server.submit(model.name, ragged(size, as_bags))
+            for size, as_bags in ((1, True), (3, False), (1, False), (2, True), (4, False))
+        ]
+        server.run_until_settled()
+        # The first went alone (its Bags untouched); the rest coalesced.
+        assert [len(group) for group, _spans in recorded] == [1, 4]
+        assert handed[0][model.features[0].name] is requests[0].batch.bags[model.features[0].name]
+        for merged, (group, spans) in zip(handed, recorded):
+            for request, span in zip(group, spans):
+                for name, (lo, hi) in span.items():
+                    own = request.batch.bags[name]
+                    assert hi - lo == len(own) == request.batch.batch_size
+                    assert all(
+                        np.array_equal(a, b) for a, b in zip(merged[name][lo:hi], own)
+                    )
+                    assert np.array_equal(
+                        request.values[name], model.tables[name].ref_sls(own)
+                    )
 
     def test_fifo_dispatch_order_within_model(self):
         model = toy_model()

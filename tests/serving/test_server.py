@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.host.system import SystemConfig
+from repro.models.base import Batch, SparseFeature
 from repro.models.runner import BackendKind
 from repro.serving import RequestState, ServingConfig, run_offered_load
 
@@ -13,8 +14,6 @@ from .conftest import build_server, toy_model
 class TestLifecycle:
     def test_submit_unregistered_model_raises(self):
         server = build_server(toy_model())
-        from repro.models.base import Batch
-
         with pytest.raises(KeyError):
             server.submit(
                 "nope",
@@ -34,6 +33,48 @@ class TestLifecycle:
         request = server.submit("a", model_a.sample_batch(rng, 1))
         server.run_until_settled()
         assert request.state is RequestState.COMPLETE
+
+    def test_submit_rejects_a_wrong_bag_count(self):
+        """One bag too few used to be admitted and dispatched; with
+        ``compute_outputs`` the model's ``forward`` then raised out of the
+        event loop and the admission slot was never released."""
+        model = toy_model()
+        sequence = toy_model(name="seq")
+        pooled = sequence.features[1]
+        sequence.features[1] = SparseFeature(pooled.spec, pooled.lookups, sequence=True)
+        server = build_server(
+            [model, sequence], BackendKind.DRAM, ServingConfig(compute_outputs=True)
+        )
+        rng = np.random.default_rng(0)
+        table = model.features[0].name
+
+        short = model.sample_batch(rng, 2)
+        short.bags[table] = short.bags[table][:1]
+        with pytest.raises(ValueError, match=f"has 1 bags for table {table!r}.*not 2"):
+            server.submit(model.name, short)
+        long = model.sample_batch(rng, 2)
+        long.bags[table] = list(long.bags[table]) + [np.array([0])]
+        with pytest.raises(ValueError, match="has 3 bags"):
+            server.submit(model.name, long)
+        # A sequence feature owes one bag per lookup, not one per sample.
+        pooled_shape = sequence.sample_batch(rng, 2)
+        pooled_shape.bags[pooled.name] = model.sample_batch(rng, 2).bags[table]
+        with pytest.raises(ValueError, match=f"has 2 bags for table {pooled.name!r}.*not 16"):
+            server.submit(sequence.name, pooled_shape)
+        assert server.queue.inflight == 0  # nothing admitted, nothing leaked
+
+        served = [
+            server.submit(model.name, model.sample_batch(rng, 2)),
+            # A hand-built batch may still hold plain lists of arrays.
+            server.submit(model.name, Batch(
+                dense=np.zeros((1, 16), np.float32),
+                bags={f.name: [np.array([1, 2, 3])] for f in model.features},
+                batch_size=1,
+            )),
+        ]
+        server.run_until_settled()
+        assert all(r.state is RequestState.COMPLETE for r in served)
+        assert server.queue.inflight == 0
 
     def test_request_timestamps_ordered(self):
         model = toy_model()

@@ -55,7 +55,11 @@ def test_tier1_command_collects_the_bit_identity_pins():
     and the two construction-time regressions (``attribute_p99``'s
     threshold is the p99 ``summary()`` prints, a ``ClusterSpec`` builds
     the router it describes) are what one definition per derived number
-    rests on.  None may
+    rests on; and the frozen per-bag plumbing the ``Bags`` readers are
+    held to bit for bit, the two submit-time refusals (a wrong bag count,
+    non-integer ids), the nobody-walks-bag-by-bag rule and what a queued
+    request keeps alive are what carrying SLS input as ``(ids, offsets)``
+    end to end rests on.  None may
     be dropped, renamed out of collection or slow-marked silently.  Collects
     the way the tier-1 command does (same directory, same ``testpaths``),
     under the strictest filter in use."""
@@ -129,6 +133,15 @@ def test_tier1_command_collects_the_bit_identity_pins():
         "tests/test_layering.py::test_the_one_way_rules_see_a_second_rank_rule_a_fleet_fork_and_an_instrument",
         "tests/obs/test_attribution.py::test_p99_threshold_is_the_p99_serving_stats_reports",
         "tests/obs/test_analysis.py::test_attribute_pct_50_is_the_shared_rank_rule",
+        "tests/embedding/test_bags_reference.py::test_ref_sls_matches_the_parents_sums_bit_for_bit",
+        "tests/embedding/test_bags_reference.py::test_scatter_bags_matches_the_np_split_version",
+        "tests/embedding/test_bags_reference.py::test_make_sls_config_pairs_match_with_and_without_a_layout",
+        "tests/embedding/test_bags_reference.py::test_the_reference_is_the_per_bag_code_and_src_is_not",
+        "tests/core/test_bags.py::TestIdsAreIntegers::test_float_ids_are_refused_not_truncated",
+        "tests/serving/test_server.py::TestLifecycle::test_submit_rejects_a_wrong_bag_count",
+        "tests/test_layering.py::test_nobody_but_bags_of_walks_bag_by_bag",
+        "tests/test_layering.py::test_the_per_bag_rule_sees_a_planted_loop",
+        "tests/test_gc_budget.py::test_what_a_queued_request_keeps_alive",
     ):
         assert pin in listing, pin
 
@@ -141,6 +154,7 @@ def test_ci_coverage_job_enforces_serving_floor():
     ci = (REPO / ".github" / "workflows" / "ci.yml").read_text()
     assert "--cov=repro.serving" in ci
     assert "--cov=repro.embedding.stage" in ci
+    assert "--cov=repro.core.bags" in ci
     assert "--cov=repro.cluster" in ci
     assert "--cov=repro.workload" in ci
     assert "--cov=repro.ftl" in ci

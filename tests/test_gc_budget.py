@@ -19,7 +19,7 @@ from perf.workloads import BY_NAME
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 
-from gc_ledger import repro_garbage, unit_counts  # noqa: E402
+from gc_ledger import repro_garbage, request_counts, unit_counts  # noqa: E402
 
 SCALE = 0.1
 SEED = 13
@@ -40,3 +40,20 @@ def test_containers_alive_per_queued_unit():
     assert counts["FlashArray.read"] <= 4, counts
     assert counts["Ftl.read_pages([lpn])"] <= 6, counts
     assert counts["gc page move"] <= 6, counts
+
+
+def test_what_a_queued_request_keeps_alive():
+    """Six containers (the ``Batch``, its ``bags`` dict, one ``Bags`` per
+    table, the request, its ``values`` dict) and ~1.5 kB on CPython 3.11:
+    each table's bags are one id array behind one slotted record.  As a
+    list of two views of it they are as many containers — numpy arrays
+    are not GC-tracked — but a 112-byte array header per bag on top of
+    the list: ~480 bytes more per queued request (2,028 at the parent
+    against 1,516), whatever the interpreter's own object sizes."""
+    counts = request_counts()
+    as_lists = request_counts(as_lists=True)
+    assert counts["containers"] <= as_lists["containers"], (counts, as_lists)
+    assert as_lists["bytes"] - counts["bytes"] >= 400, (counts, as_lists)
+    if sys.version_info >= (3, 11):     # 3.10 gives every instance a dict
+        assert counts["containers"] <= 6.5, counts
+        assert counts["bytes"] <= 1600, counts

@@ -41,6 +41,16 @@ its hosts' windows, so ``cluster/stats.py`` never ranks or summarizes a
 population itself.  And a counter is an attribute on the object that
 owns it: ``repro.obs`` exports no instrument class (``inc`` / ``set`` /
 ``observe``) for a hot path to call per bump.
+
+SLS input is ``(ids, offsets)`` end to end: one ``repro.core.bags.Bags``
+made where the ids are drawn, read flat by every layer below.  Under
+``core``, ``embedding``, ``serving`` and ``models`` no loop or
+comprehension walks bag by bag except ``Bags.of`` (the one flatten) and
+``Bags.__iter__`` (the sequence protocol tests and ``perf/checks.py``
+read), and ``flatten_bags`` / ``build_pairs`` — the public spellings of
+``Bags.of`` — hold no loop at all.  A per-bag ``np.asarray`` +
+``np.full`` + ``np.concatenate`` in each of six layers was 40 % of
+``dram_serve``'s calls.
 """
 
 from __future__ import annotations
@@ -306,6 +316,143 @@ def test_the_stage_rules_see_a_second_stage_a_switch_and_a_closure():
     ]
     renamed = sources[stage].replace("class _Piece:", "class _Job:")
     assert _closure_offenders(renamed, CLOSURE_FREE[stage]) == ["_Piece.*: no such class"]
+
+
+# Where SLS input travels as one ``Bags`` record.  ``Bags.of`` is the
+# only place a list of per-result arrays is walked (and ``__iter__`` the
+# only place one is handed back out); everybody else reads the flat
+# ``ids`` / ``offsets`` / ``rids``.
+PER_BAG_FREE = ("core", "embedding", "serving", "models")
+BAGS = "repro/core/bags.py"
+MAY_WALK_BAGS = {(BAGS, "Bags.of"), (BAGS, "Bags.__iter__")}
+LOOP_FREE = {
+    "repro/embedding/backends/base.py": "flatten_bags",
+    "repro/core/config.py": "build_pairs",
+}
+_LOOPS = (ast.For, ast.AsyncFor, ast.While)
+_COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+_WRAPPERS = ("enumerate", "zip", "reversed", "list", "tuple", "iter", "range", "len")
+
+
+def _names_bags(name: str, plural: bool) -> bool:
+    stem = "bags" if plural else "bag"
+    return name == stem or name.endswith("_" + stem)
+
+
+def _iterated(node: ast.AST):
+    """What a loop's iterable walks, through ``enumerate`` / ``zip`` /
+    ``range(len(...))`` and the like: the innermost expressions."""
+    if isinstance(node, ast.Call) and _named(node.func) in _WRAPPERS:
+        for arg in node.args:
+            yield from _iterated(arg)
+    elif isinstance(node, ast.Subscript):
+        yield from _iterated(node.value)
+    else:
+        yield node
+
+
+def _per_bag_loops(path: str, source: str) -> list:
+    """``path:line: scope`` of every loop or comprehension that walks
+    something named ``bags`` / ``*_bags`` or binds a ``bag`` / ``*_bag``."""
+    offenders = []
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            walks = []
+            if isinstance(child, (ast.For, ast.AsyncFor)):
+                walks = [(child.target, child.iter)]
+            elif isinstance(child, _COMPREHENSIONS):
+                walks = [(gen.target, gen.iter) for gen in child.generators]
+            for target, iterable in walks:
+                bound = [_named(name) for name in ast.walk(target)]
+                walked = [_named(expr) for expr in _iterated(iterable)]
+                if any(_names_bags(name, plural=False) for name in bound) or any(
+                    _names_bags(name, plural=True) for name in walked
+                ):
+                    if (path, scope) not in MAY_WALK_BAGS:
+                        offenders.append(f"{path}:{child.lineno}: {scope or '<module>'}")
+            visit(child, inner)
+
+    visit(ast.parse(source), "")
+    return offenders
+
+
+def _loops_in(source: str, function: str) -> list:
+    (node,) = [
+        node
+        for node in ast.parse(source).body
+        if isinstance(node, ast.FunctionDef) and node.name == function
+    ]
+    return [
+        f"{function}:{inner.lineno}: {type(inner).__name__}"
+        for inner in ast.walk(node)
+        if isinstance(inner, _LOOPS + _COMPREHENSIONS)
+    ]
+
+
+def _per_bag_sources() -> dict:
+    return {
+        path: source
+        for path, source in _src_sources().items()
+        if path.split("/")[1] in PER_BAG_FREE
+    }
+
+
+def test_nobody_but_bags_of_walks_bag_by_bag():
+    sources = _per_bag_sources()
+    assert BAGS in sources and len(sources) > 30
+    offenders = [
+        offender
+        for path, source in sources.items()
+        for offender in _per_bag_loops(path, source)
+    ]
+    assert not offenders, offenders
+    # The allowance is used: without it the one flatten is an offender.
+    unallowed = _per_bag_loops("elsewhere.py", sources[BAGS])
+    assert [found.rpartition(": ")[2] for found in unallowed] == ["Bags.of"]
+    for path, function in LOOP_FREE.items():
+        assert _loops_in(sources[path], function) == []
+
+
+def test_the_per_bag_rule_sees_a_planted_loop():
+    sources = _per_bag_sources()
+    dram = "repro/embedding/backends/dram.py"
+    hop = "n_lookups = bags.ids.size"
+    assert hop in sources[dram]
+    line = sources[dram][: sources[dram].index(hop)].count("\n") + 1
+    for loop in (
+        "n_lookups = sum(bag.size for bag in bags)",
+        "n_lookups = sum([len(b) for b in cold_bags])",
+        "n_lookups = sum(bags[i].size for i in range(len(bags)))",
+        "n_lookups = sum(x.size for _, x in enumerate(request.batch.bags[name]))",
+        "n_lookups = sum(len(one_bag) for one_bag in zip(things, others))",
+    ):
+        planted = sources[dram].replace(hop, loop)
+        assert _per_bag_loops(dram, planted) == [f"{dram}:{line}: DramSlsBackend._start"], loop
+    # Per table, per shard and per request are not per bag.
+    for fine in (
+        "n_lookups = sum(len(bags) for name, bags in bags_by_table.items())",
+        "n_lookups = sum(len(part) for part in parts)",
+        "n_lookups = len([name for name in request.batch.bags.keys()])",
+    ):
+        assert _per_bag_loops(dram, sources[dram].replace(hop, fine)) == [], fine
+    # Bags.of's walk, anywhere else in its own module, is an offender.
+    moved = sources[BAGS].replace("    def of(cls, bags", "    def flatten(cls, bags")
+    assert [o.rpartition(": ")[2] for o in _per_bag_loops(BAGS, moved)] == ["Bags.flatten"]
+
+    base = "repro/embedding/backends/base.py"
+    hop = "    bags = Bags.of(bags)\n    return bags.ids, bags.rids"
+    assert hop in sources[base]
+    looped = sources[base].replace(
+        hop, "    rows = [as_ids(b) for b in bags]\n    return np.concatenate(rows), None"
+    )
+    assert [o.partition(":")[0] for o in _loops_in(looped, "flatten_bags")] == ["flatten_bags"]
+    assert _per_bag_loops(base, looped) == [
+        f"{base}:{sources[base][: sources[base].index(hop)].count(chr(10)) + 1}: flatten_bags"
+    ]
 
 
 BENCHMARKS = SRC.parent / "benchmarks"

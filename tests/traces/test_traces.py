@@ -106,6 +106,19 @@ class TestZipf:
         trace = ZipfTraceGenerator(50, 1.0, seed=0).generate(1000)
         assert trace.min() >= 0 and trace.max() < 50
 
+    @pytest.mark.parametrize("rows, alpha", [(50, 1.0), (4096, 0.8), (1, 2.0)])
+    def test_generate_is_the_clip_and_cast_it_replaced(self, rows, alpha):
+        """An in-place ``np.minimum`` on the already-int64 ranks for
+        ``np.clip(...)`` + ``.astype(np.int64)``: same draws, same ids."""
+        ours = ZipfTraceGenerator(rows, alpha, seed=6)
+        theirs = ZipfTraceGenerator(rows, alpha, seed=6)
+        for n in (0, 1, 16, 1000):
+            u = theirs._rng.random(n)
+            ranks = np.searchsorted(theirs._cdf, u, side="left")
+            want = theirs._perm[np.clip(ranks, 0, rows - 1)].astype(np.int64)
+            got = ours.generate(n)
+            assert got.dtype == np.int64 and np.array_equal(got, want)
+
 
 class TestAnalysis:
     def test_unique_fraction_edges(self):

@@ -17,7 +17,9 @@ script prints, per benchmark workload:
   the aim is none);
 
 and once, the GC-tracked containers one *queued* unit of work keeps alive
-(:func:`unit_counts`).  ``tests/test_gc_budget.py`` pins the last two.
+(:func:`unit_counts`) and what one queued *request* does, in containers
+and traced bytes (:func:`request_counts`).  ``tests/test_gc_budget.py``
+pins the last three.
 
 Pass counts move by a few with what the process allocated earlier (1,590
 against 1,597 for one workload between two scripts): they are bounds to
@@ -37,6 +39,7 @@ import argparse
 import gc
 import sys
 import time
+import tracemalloc
 import types
 from pathlib import Path
 from typing import Callable, Dict, List
@@ -46,11 +49,15 @@ for _path in (_ROOT, _ROOT / "src"):
     if str(_path) not in sys.path:
         sys.path.insert(0, str(_path))
 
-from perf.workloads import WORKLOADS, run, setup  # noqa: E402
+import numpy as np  # noqa: E402
+
+from perf.workloads import BATCH_SIZE, MODEL, WORKLOADS, bench_model, run, setup  # noqa: E402
+from repro.host.system import build_system  # noqa: E402
+from repro.serving import InferenceServer, ServingConfig  # noqa: E402
 from repro.sim.kernel import Simulator  # noqa: E402
 from repro.ssd.presets import small_ssd  # noqa: E402
 
-__all__ = ["collector_ledger", "repro_garbage", "unit_counts"]
+__all__ = ["collector_ledger", "repro_garbage", "unit_counts", "request_counts"]
 
 CENSUS_SCALE = 0.2  # the collector-free run holds everything it allocates
 
@@ -150,6 +157,46 @@ def unit_counts(n: int = 1000) -> Dict[str, float]:
     }
 
 
+def request_counts(n: int = 1000, as_lists: bool = False) -> Dict[str, float]:
+    """What one *queued* request keeps alive: ``n`` requests drawn by
+    ``sample_batch`` and admitted by ``submit`` on a DRAM server whose one
+    batch slot is taken, simulator not run.  GC-tracked containers are
+    what a collector pass walks (the ``Batch``, its ``bags`` dict, one
+    record per table, the request and its ``values`` dict); numpy arrays
+    are not tracked, so what holding fewer of them saves shows in the
+    bytes ``tracemalloc`` traces per request (numpy reports its buffers
+    to it) — the part of peak RSS that grows with the queue.
+
+    ``as_lists`` queues the same batches with each table's bags as a
+    list of per-bag views, the shape a hand-built batch may still have:
+    the yardstick a ``Bags`` is measured against, on this interpreter."""
+    model = bench_model(4096)
+    config = ServingConfig(max_inflight_requests=n + 8, max_inflight_batches_per_worker=1)
+    server = InferenceServer(build_system(), config)
+    server.register_model(model, "dram")
+    rng = np.random.default_rng(0)
+
+    def submit() -> None:
+        batch = model.sample_batch(rng, BATCH_SIZE)
+        if as_lists:
+            batch.bags = {name: list(bags) for name, bags in batch.bags.items()}
+        held.append(server.submit(MODEL, batch))
+
+    held: List[object] = []
+    for _ in range(8):  # takes the batch slot; fills the per-shape caches
+        submit()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        containers = _containers_per_call(submit, n)
+        traced = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert server.queue.inflight == n + 8 and all(r.t_dispatch < 0 for r in held[-n:])
+    return {"containers": containers, "bytes": traced / n}
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, default=13)
@@ -173,6 +220,9 @@ def main() -> None:
     print("containers alive per queued unit (collector off, simulator not run):")
     for unit, count in unit_counts().items():
         print(f"  {unit:24s} {count:g}")
+    for unit, as_lists in (("queued request", False), ("  with bags as lists", True)):
+        queued = request_counts(as_lists=as_lists)
+        print(f"  {unit:24s} {queued['containers']:g}  ({queued['bytes']:,.0f} traced bytes)")
 
 
 if __name__ == "__main__":
