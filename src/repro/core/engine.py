@@ -28,7 +28,7 @@ from ..sim.kernel import Simulator
 from ..sim.stats import Breakdown
 from .config import SlsConfig
 from .embcache import DirectMappedEmbeddingCache
-from .extract import extract_vectors, extract_vectors_many
+from .extract import extract_vectors_paged
 from .request import PageWork, SlsRequestEntry, SlsState
 from .vecops import scatter_add_segments, scatter_add_vectors
 
@@ -69,32 +69,50 @@ class NdpEngineConfig:
     max_queued_configs: int = 64
 
 
-@dataclass(slots=True, eq=False)
-class _PageJob:
-    """One :class:`PageWork` of one entry from its scheduling job to its
-    translate (steps 3-5): the stage callbacks are its bound methods, so a
-    page in flight is this record and the bound method queued for it.  The
-    entry never refers back to it."""
+@dataclass(slots=True, eq=False, kw_only=True)
+class _PageJob(PageWork):
+    """A :class:`PageWork` of one entry from its bucket to its translate
+    (steps 2b-5).  ``_process_config`` builds it, translate cost and all,
+    and it waits in the entry's ``pending_pages``; from ``_pump`` on the
+    stage callbacks are its bound methods, one frame each, so a page in
+    flight is this record and the bound method queued for it.  The entry
+    refers to it only while it waits: before it is issued, and from its
+    translate to the entry's next gather."""
 
     engine: "NdpSlsEngine"
     entry: SlsRequestEntry
-    work: PageWork
+    translate_s: float
     content: Any = None
 
     def after_sched(self) -> None:
         engine = self.engine
+        lpn = self.lpn
         if engine.config.use_page_cache:
-            hit, content = engine.ftl.page_cache.peek(self.work.lpn)
+            hit, content = engine.ftl.page_cache.peek(lpn)
             if hit:
                 self.entry.page_cache_hits += 1
                 self.returned(content)
                 return
-        self.entry.flash_pages_read += 1
-        engine.ftl.ndp_read_mapped_page(self.work.lpn, self.returned)
+        # Counted where flash is touched: an unmapped (TRIMmed) page
+        # comes back as ``None`` without a read.
+        if engine.ftl.ndp_read_mapped_page(lpn, self.returned):
+            self.entry.flash_pages_read += 1
 
     def returned(self, content: Any) -> None:
         self.content = content
-        self.engine._page_returned(self)
+        engine = self.engine
+        # The inflight window bounds *flash* occupancy; once the page data is
+        # back on-chip the window slot frees so flash reads overlap with the
+        # CPU-side translation backlog.
+        engine._inflight_pages -= 1
+        if engine._feed_queue:
+            engine._pump()
+        # Translation (steps 4-5): pay the page's CPU time now, read its
+        # values at the entry's gather.
+        entry = self.entry
+        entry.cpu_translation += self.translate_s
+        entry.pages_inflight += 1
+        engine.ftl.cpu.ftl_core.submit(self.translate_s, self.after_translate, priority=1)
 
     def after_translate(self) -> None:
         entry = self.entry
@@ -105,13 +123,64 @@ class _PageJob:
             # fault clears.
             entry.uncorrectable_pages += 1
         else:
-            entry.gather_pending.append((self.work, self.content))
-            # The tags decide which later probes hit; the vectors
-            # follow at the entry's gather.
-            self.engine.emb_cache.insert_tags(entry.table_base_lpn, self.work.ranks)
+            entry.gather_pending.append((self, self.content))
+            emb_cache = self.engine.emb_cache
+            if emb_cache.slots > 0:
+                # The tags decide which later probes hit; the vectors
+                # follow at the entry's gather.
+                emb_cache.insert_tags(entry.table_base_lpn, self.ranks)
         entry.pages_done += 1
         entry.pages_inflight -= 1
-        self.engine._maybe_finish(entry)
+        if entry.pages_done == entry.pages_total:
+            self.engine._maybe_finish(entry)
+
+
+@dataclass(slots=True, eq=False)
+class _Command:
+    """One NDP command of one entry while the engine holds it: the stages
+    of the write-like half (step 1a: ``after_alloc``, ``config_written``)
+    and of the read-like half (steps 1b/6: ``deliver``, ``after_stage``,
+    ``result_sent``) are its bound methods."""
+
+    engine: "NdpSlsEngine"
+    entry: SlsRequestEntry
+    done: CompleteFn
+
+    def after_alloc(self) -> None:
+        entry = self.entry
+        entry.state = SlsState.CONFIG_TRANSFER
+        self.engine.controller.dma_to_device(entry.config.encoded_bytes, self.config_written)
+
+    def config_written(self) -> None:
+        engine = self.engine
+        self.entry.t_config_written = engine.sim.now
+        # The write-like command completes once the SSD holds the config;
+        # processing continues asynchronously inside the FTL.
+        self.done(None, Status.SUCCESS)
+        engine._process_config(self.entry)
+
+    def deliver(self) -> None:
+        if self.entry.state is SlsState.FAILED:
+            self.engine._release_entry(self.entry.request_id)
+            self.done(None, Status.INVALID_FIELD)
+            return
+        self.engine._stage_results(self)
+
+    def after_stage(self) -> None:
+        self.engine.controller.dma_to_host(self.entry.config.result_bytes, self.result_sent)
+
+    def result_sent(self) -> None:
+        entry = self.entry
+        self.engine._release_entry(entry.request_id)
+        payload = SlsResultPayload(
+            values=entry.scratchpad,
+            breakdown=entry.breakdown(),
+            flash_pages_read=entry.flash_pages_read,
+            page_cache_hits=entry.page_cache_hits,
+            emb_cache_hits=entry.emb_cache_hits,
+            uncorrectable_pages=entry.uncorrectable_pages,
+        )
+        self.done(payload, Status.SUCCESS)
 
 
 class NdpSlsEngine:
@@ -210,30 +279,15 @@ class NdpSlsEngine:
         self.entries[request_id] = entry
         self.requests_started += 1
         self._account_active_change()
-        costs = self.ftl.cpu.costs
-
-        def after_alloc() -> None:
-            entry.state = SlsState.CONFIG_TRANSFER
-            self.controller.dma_to_device(sls_config.encoded_bytes, after_dma)
-
-        def after_dma() -> None:
-            entry.t_config_written = self.sim.now
-            # The write-like command completes once the SSD holds the config;
-            # processing continues asynchronously inside the FTL.
-            done(None, Status.SUCCESS)
-            self._process_config(entry)
-
-        self.ftl.cpu.ftl_core.submit(costs.sls_entry_alloc_s, after_alloc)
+        self.ftl.cpu.ftl_core.submit(
+            self.ftl.cpu.costs.sls_entry_alloc_s, _Command(self, entry, done).after_alloc
+        )
 
     # ------------------------------------------------------------------
     def _process_config(self, entry: SlsRequestEntry) -> None:
         """Reformat inputs, probe the embedding cache, bucket by flash page."""
         entry.state = SlsState.PROCESSING
         cfg = entry.config
-        costs = self.ftl.cpu.costs
-        entry.translate_costs = (
-            cfg.row_bytes, costs.sls_translate_fixed_s, costs.sls_translate_byte_s
-        )
         pairs = cfg.pairs
         rows = pairs[:, 0]
         result_ids = pairs[:, 1]
@@ -255,22 +309,34 @@ class NdpSlsEngine:
                 rows = rows[keep]
                 result_ids = result_ids[keep]
 
-        # Bucket misses by page (input is sorted by id, so pages come out
-        # grouped; np.unique gives the page boundaries directly).
+        # Bucket misses by page.  The input is sorted by id, so a page
+        # starts wherever the page index differs from its neighbour's;
+        # each bucket is the page's record for the rest of its life.
         if rows.size:
             page_idx = rows // cfg.rows_per_page
             slots = rows % cfg.rows_per_page
-            uniq_pages, starts = np.unique(page_idx, return_index=True)
-            lpns = entry.table_base_lpn + uniq_pages
-            bounds = starts.tolist() + [rows.size]
+            starts = np.flatnonzero(page_idx[1:] != page_idx[:-1]) + 1
+            bounds = [0, *starts.tolist(), rows.size]
+            lpns = entry.table_base_lpn + page_idx[bounds[:-1]]
+            costs = self.ftl.cpu.costs
+            row_bytes = cfg.row_bytes
+            fixed_s, byte_s = costs.sls_translate_fixed_s, costs.sls_translate_byte_s
             # Views, not copies: ``slots`` belongs to this entry and
             # nothing writes ``cfg.pairs``.
-            works = [
-                PageWork(lpn, slots[lo:hi], result_ids[lo:hi], rows[lo:hi])
+            jobs = [
+                _PageJob(
+                    lpn,
+                    slots[lo:hi],
+                    result_ids[lo:hi],
+                    rows[lo:hi],
+                    engine=self,
+                    entry=entry,
+                    translate_s=fixed_s + ((hi - lo) * row_bytes) * byte_s,
+                )
                 for lpn, lo, hi in zip(lpns.tolist(), bounds, bounds[1:])
             ]
             order = self._interleave_by_channel(lpns).tolist()
-            entry.pending_pages.extend(works[i] for i in order)
+            entry.pending_pages.extend([jobs[i] for i in order])
         entry.pages_total = len(entry.pending_pages)
         entry.cache_work_pending = (
             entry.cache_vectors is not None and len(entry.cache_vectors) > 0
@@ -373,68 +439,47 @@ class NdpSlsEngine:
         if entry.cache_vectors is None or len(entry.cache_vectors) == 0:
             entry.cache_work_pending = False
             return
-        vectors = entry.cache_vectors
-        ids = entry.cache_result_ids
-        cost = len(ids) * self.ftl.cpu.costs.sls_cache_hit_vec_s
+        cost = len(entry.cache_result_ids) * self.ftl.cpu.costs.sls_cache_hit_vec_s
         entry.cpu_translation += cost
+        self.ftl.cpu.ftl_core.submit(
+            cost, partial(self._apply_cache_hits, entry), priority=1
+        )
 
-        def apply() -> None:
-            # Pages translated before this chunk add to a result id first.
-            self._gather(entry)
-            scatter_add_vectors(entry.scratchpad, ids, vectors)
-            entry.cache_work_pending = False
-            self._maybe_finish(entry)
-
-        self.ftl.cpu.ftl_core.submit(cost, apply, priority=1)
+    def _apply_cache_hits(self, entry: SlsRequestEntry) -> None:
+        # Pages translated before this chunk add to a result id first.
+        self._gather(entry)
+        scatter_add_vectors(entry.scratchpad, entry.cache_result_ids, entry.cache_vectors)
+        entry.cache_work_pending = False
+        self._maybe_finish(entry)
 
     # ------------------------------------------------------------------
     # Page scheduling layer (step 3): RR feed into the page machinery.
     # ------------------------------------------------------------------
     def _pump(self) -> None:
-        while (
-            self._inflight_pages < self.config.inflight_pages_window
-            and self._feed_queue
-        ):
-            entry = self._feed_queue.popleft()
-            if not entry.pending_pages:
+        feed = self._feed_queue
+        window = self.config.inflight_pages_window
+        cpu = self.ftl.cpu
+        submit, sched_s = cpu.ftl_core.submit, cpu.costs.sls_page_sched_s
+        while self._inflight_pages < window and feed:
+            entry = feed.popleft()
+            pending = entry.pending_pages
+            if not pending:
                 continue
-            work = entry.pending_pages.popleft()
-            if entry.pending_pages:
+            page = pending.popleft()
+            if pending:
                 # Round-robin: move the entry to the back so concurrent SLS
                 # requests interleave page by page (fair sharing, Sec 4.1).
-                self._feed_queue.append(entry)
+                feed.append(entry)
             self._inflight_pages += 1
-            self._issue_page(entry, work)
-
-    def _issue_page(self, entry: SlsRequestEntry, work: PageWork) -> None:
-        self.ftl.cpu.ftl_core.submit(
-            self.ftl.cpu.costs.sls_page_sched_s, _PageJob(self, entry, work).after_sched
-        )
-
-    def _page_returned(self, page: "_PageJob") -> None:
-        # The inflight window bounds *flash* occupancy; once the page data is
-        # back on-chip the window slot frees so flash reads overlap with the
-        # CPU-side translation backlog.
-        self._inflight_pages -= 1
-        self._pump()
-        self._translate(page)
+            submit(sched_s, page.after_sched)
 
     # ------------------------------------------------------------------
-    # Translation (steps 4-5)
+    # Translation, the numeric half (steps 4-5)
     # ------------------------------------------------------------------
-    def _translate(self, page: "_PageJob") -> None:
-        entry = page.entry
-        row_bytes, fixed_s, byte_s = entry.translate_costs
-        nbytes = page.work.slots.size * row_bytes
-        cost = fixed_s + nbytes * byte_s
-        entry.cpu_translation += cost
-        entry.pages_inflight += 1
-        self.ftl.cpu.ftl_core.submit(cost, page.after_translate, priority=1)
-
     def _gather(self, entry: SlsRequestEntry) -> None:
         """Extract every translated page's rows in one batch and accumulate.
 
-        ``_translate`` charges each page's CPU time at its own instant;
+        ``_PageJob.returned`` charges each page's CPU time at its own instant;
         the values are read here, at the first instant anyone can
         observe them: when the entry's work is done, before a cache-hit
         chunk accumulates, and — through :meth:`flush_gathers` — before
@@ -450,27 +495,27 @@ class NdpSlsEngine:
             return
         entry.gather_pending = []
         cfg = entry.config
-        page_format = (cfg.vec_dim, cfg.rows_per_page, cfg.quant)
-        if len(pending) == 1:
-            # One page: its own arrays, no concatenation and no grouping.
-            ((work, content),) = pending
-            slots, result_ids = work.slots, work.result_ids
-            sizes = (slots.size,)
-            vectors = extract_vectors(content, slots, *page_format)
-        else:
-            works, contents = zip(*pending)
-            page_lpns = [work.lpn for work in works]
-            sizes = [work.slots.size for work in works]
-            lpns = np.repeat(page_lpns, sizes)
-            slots = np.concatenate([work.slots for work in works])
-            result_ids = np.concatenate([work.result_ids for work in works])
-            vectors = extract_vectors_many(
-                dict(zip(page_lpns, contents)), lpns, slots, *page_format
-            )
-        scatter_add_segments(entry.scratchpad, result_ids, vectors, sizes)
+        works, contents = zip(*pending)
+        base_lpn = entry.table_base_lpn
+        slots = [work.slots for work in works]
+        ranks = np.concatenate([work.ranks for work in works])
+        vectors = extract_vectors_paged(
+            contents,
+            [work.lpn - base_lpn for work in works],
+            slots,
+            ranks,
+            cfg.vec_dim,
+            cfg.rows_per_page,
+            cfg.quant,
+        )
+        scatter_add_segments(
+            entry.scratchpad,
+            np.concatenate([work.result_ids for work in works]),
+            vectors,
+            [page_slots.size for page_slots in slots],
+        )
         if self.emb_cache.slots > 0:
-            ranks = np.concatenate([work.ranks for work, _content in pending])
-            self.emb_cache.fill_many(entry.table_base_lpn, ranks, vectors)
+            self.emb_cache.fill_many(base_lpn, ranks, vectors)
 
     def flush_gathers(self) -> None:
         """Read now what every translated page still owes its entry.
@@ -505,40 +550,17 @@ class NdpSlsEngine:
             done(None, Status.INVALID_FIELD)
             return
 
-        def deliver() -> None:
-            if entry.state is SlsState.FAILED:
-                self._release_entry(entry.request_id)
-                done(None, Status.INVALID_FIELD)
-                return
-            self._stage_results(entry, done)
-
+        read = _Command(self, entry, done)
         if entry.state is SlsState.COMPLETE or entry.state is SlsState.FAILED:
-            deliver()
+            read.deliver()
         else:
-            entry.result_waiters.append(deliver)
+            entry.result_waiters.append(read.deliver)
 
-    def _stage_results(self, entry: SlsRequestEntry, done: CompleteFn) -> None:
-        cfg = entry.config
-        n_pages = cfg.result_pages(self.ftl.page_bytes)
-        costs = self.ftl.cpu.costs
-        stage_cost = n_pages * costs.sls_result_page_s
-
-        def after_stage() -> None:
-            self.controller.dma_to_host(cfg.result_bytes, after_dma)
-
-        def after_dma() -> None:
-            self._release_entry(entry.request_id)
-            payload = SlsResultPayload(
-                values=entry.scratchpad,
-                breakdown=entry.breakdown(),
-                flash_pages_read=entry.flash_pages_read,
-                page_cache_hits=entry.page_cache_hits,
-                emb_cache_hits=entry.emb_cache_hits,
-                uncorrectable_pages=entry.uncorrectable_pages,
-            )
-            done(payload, Status.SUCCESS)
-
-        self.ftl.cpu.ftl_core.submit(stage_cost, after_stage, priority=1)
+    def _stage_results(self, read: _Command) -> None:
+        n_pages = read.entry.config.result_pages(self.ftl.page_bytes)
+        self.ftl.cpu.ftl_core.submit(
+            n_pages * self.ftl.cpu.costs.sls_result_page_s, read.after_stage, priority=1
+        )
 
     # ------------------------------------------------------------------
     @property

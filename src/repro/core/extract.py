@@ -5,23 +5,25 @@ tables), a raw byte buffer written through the IO path, or ``None`` for
 never-written pages.  All paths return float32 vectors, dequantizing as
 needed.
 
-:func:`extract_vectors` handles one page; :func:`extract_vectors_many`
-is the batch form the SSD read path and the NDP engine's per-entry
-gather use — it takes an entire command's or entry's (page, slot) list
-so virtual pages of one table collapse into a single gather instead of
-one Python call chain per page (critical for ONE_PER_PAGE layouts,
-where every row is its own page).
+:func:`extract_vectors` handles one page.  The two batch forms take an
+entire command's or entry's pages so virtual pages of one table collapse
+into a single gather instead of one Python call chain per page (critical
+for ONE_PER_PAGE layouts, where every row is its own page):
+:func:`extract_vectors_many` takes a flat (page, slot) list and groups it
+(the SSD read path); :func:`extract_vectors_paged` takes pages and their
+slot arrays as the caller already grouped them, and the storage ranks it
+already holds (the NDP engine's per-entry gather).
 """
 
 from __future__ import annotations
 
-from typing import Any, Mapping
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
 from ..quant import QuantSpec, decode_vectors
 
-__all__ = ["extract_vectors", "extract_vectors_many"]
+__all__ = ["extract_vectors", "extract_vectors_many", "extract_vectors_paged"]
 
 
 def _extract_from_buffer(
@@ -132,3 +134,42 @@ def extract_vectors_many(
                 content, slots[idx], vec_dim, rows_per_page, quant
             )
     return out
+
+
+def extract_vectors_paged(
+    contents: Sequence[Any],
+    page_indices: Sequence[int],
+    slots: Sequence[np.ndarray],
+    ranks: np.ndarray,
+    vec_dim: int,
+    rows_per_page: int,
+    quant: QuantSpec,
+) -> np.ndarray:
+    """Batch extract, page by page: ``slots[i]`` of page ``contents[i]``,
+    blocks concatenated in that order.
+
+    ``page_indices[i]`` is where the caller expects page ``i`` to sit in
+    its table, and ``ranks`` the concatenation of ``page_indices[i] *
+    rows_per_page + slots[i]`` — the storage ranks a caller that
+    bucketed rows into pages already holds.  When every page is a
+    virtual page of one table *and is the page the caller expects*
+    (``content.page_index``, never the LPN it was read from, says which
+    rows a virtual page holds) the batch is one gather at ``ranks``, with
+    no per-page numpy work.  Anything else — a raw buffer, ``None``,
+    two tables, a virtual page found somewhere else — is one
+    :func:`extract_vectors` per page, with its slot-range and shape
+    checks.
+    """
+    table = getattr(contents[0], "table", None)
+    if table is not None:
+        for content, page_index in zip(contents, page_indices):
+            if getattr(content, "table", None) is not table or content.page_index != page_index:
+                break
+        else:
+            return _table_vectors(table, ranks, vec_dim)
+    return np.concatenate(
+        [
+            extract_vectors(content, page_slots, vec_dim, rows_per_page, quant)
+            for content, page_slots in zip(contents, slots)
+        ]
+    )

@@ -30,7 +30,7 @@ class SlsState(Enum):
     FAILED = "failed"
 
 
-@dataclass
+@dataclass(slots=True, eq=False)
 class PageWork:
     """The inputs of one request that live on one flash page."""
 
@@ -56,10 +56,6 @@ class SlsRequestEntry:
     # ``(work, page content)`` in completion order.  The engine extracts
     # and accumulates them in one batch (``NdpSlsEngine._gather``).
     gather_pending: List[Tuple[PageWork, Any]] = field(default_factory=list)
-
-    # ``(row_bytes, fixed_s, byte_s)`` of the per-page translate cost,
-    # read once when the config is processed.
-    translate_costs: Tuple[int, float, float] = (0, 0.0, 0.0)
 
     # Fast-path work resolved from the SSD-side embedding cache: dense
     # [n, dim] vectors and their accumulation targets (batch probe result).

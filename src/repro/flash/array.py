@@ -159,7 +159,11 @@ class FlashArray:
         Uncorrectable reads (reliability model) deliver ``None`` after the
         full retry sequence, as a real drive would report a media error.
         """
-        addr = self.geometry.addr(ppn)
+        geometry = self.geometry
+        if not 0 <= ppn < geometry.total_pages:
+            raise ValueError(f"ppn {ppn} out of range [0, {geometry.total_pages})")
+        # geometry.addr(ppn)'s channel and way, without the PhysAddr.
+        die = ppn // geometry.pages_per_die
         try:
             retries = self.reliability.retries_for_read()
             failed = False
@@ -167,14 +171,16 @@ class FlashArray:
             retries = self.reliability.config.max_read_retries
             failed = True
             self.uncorrectable_reads += 1
-        channel = self.channels[addr.channel]
+        channel = self.channels[die // geometry.ways]
         channel.reads += 1
         read = _PageRead(
             self, channel.bus, channel.page_xfer_s, ppn, failed, self.sim.now, on_done
         )
         # Each retry costs another command + tR on the die before the
         # data transfer.
-        channel.dies[addr.way].submit((1 + retries) * channel.read_unit_s, read.die_done)
+        channel.dies[die % geometry.ways].submit(
+            (1 + retries) * channel.read_unit_s, read.die_done
+        )
 
     def read_many(
         self, ppns: "np.ndarray", on_page: Callable[[int, Any], None]

@@ -313,13 +313,17 @@ class GreedyFtl:
     # The SLS scheduling layer pays its own (cheaper) per-page CPU cost and
     # calls this to touch flash directly, exploiting internal parallelism.
     # ------------------------------------------------------------------
-    def ndp_read_mapped_page(self, lpn: int, on_done: Callable[[Any], None]) -> None:
+    def ndp_read_mapped_page(self, lpn: int, on_done: Callable[[Any], None]) -> bool:
+        """``on_done(content)`` with the page's content; returns whether a
+        flash read was issued for it (an unmapped page is ``None`` without
+        one)."""
         ppn = self.mapping.lookup(lpn)
         if ppn == UNMAPPED:
             self.sim.call_soon(lambda: on_done(None))
-            return
+            return False
         self.flash_page_reads += 1
         self.flash.read(ppn, on_done)
+        return True
 
     # ------------------------------------------------------------------
     # Maintenance

@@ -79,6 +79,22 @@ class TestBreakdownAndStats:
         payload, _ = sync_sls(system.sim, system.ndp_session, table.make_sls_config(bags))
         assert payload.flash_pages_read == 4  # one row per page layout
 
+    def test_a_trimmed_page_reads_as_zeros_and_counts_no_flash_read(self):
+        """Regression: the read was counted before the mapping lookup found
+        the LPN unmapped, so the payload (and ``flash_pages_per_lookup``,
+        Fig 8's ``flash_pages``) reported a flash read the FTL never made."""
+        system, table = make_stack()
+        ftl = system.device.ftl
+        ftl.trim_page(table.base_lba // ftl.lbas_per_page + 2)
+        reads_before = ftl.flash_page_reads
+        bags = [np.array([0, 1, 3]), np.array([2])]
+        payload, _ = sync_sls(system.sim, system.ndp_session, table.make_sls_config(bags))
+        assert payload.flash_pages_read == ftl.flash_page_reads - reads_before == 3
+        assert np.allclose(payload.values[0], table.ref_sls(bags)[0], rtol=1e-5, atol=1e-6)
+        assert not payload.values[1].any()
+        # A deallocated page is reported with the lost ones (as today).
+        assert payload.uncorrectable_pages == 1
+
     def test_page_cache_fast_path(self):
         system, table = make_stack()
         bags = [np.array([0, 1, 2, 3])]

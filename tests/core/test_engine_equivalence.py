@@ -16,6 +16,12 @@ as bytes), each op's host-side timing, the embedding cache's tags,
 vectors and counters and what each mid-run look found, the engine's
 counters, ``sim.now`` and ``sim.event_count``.
 
+Three pinned entries say which route the per-entry extractor
+(``extract_vectors_paged``) took and hold each to the reference: one
+gather for an entry of virtual pages, a call per content as soon as one
+page is a raw buffer, and a call per content when a virtual page is not
+the page its LPN says — ``content.page_index`` names a page's rows.
+
 The channel interleave (``np.lexsort`` against the dict of deques) has
 its own property at the end.
 """
@@ -29,15 +35,17 @@ from typing import Optional, Tuple
 import numpy as np
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.core import extract
 from repro.core.engine import NdpEngineConfig, NdpSlsEngine
 from repro.embedding.placement import HeatTracker, LayoutMigrator
 from repro.embedding.spec import Layout, TableSpec
+from repro.embedding.table import TablePageContent
 from repro.host.system import build_system
 from repro.models.runner import BackendKind
 from repro.quant import EmbDtype, QuantSpec
 from repro.serving import EmbeddingUpdateEngine, InferenceServer, make_model_updatable
 
-from ..conftest import OneTableModel
+from ..conftest import OneTableModel, make_table
 from . import reference_engine as reference
 
 PAGE_BYTES = 16 * 1024
@@ -121,6 +129,29 @@ def programs(draw) -> Program:
     )
 
 
+def install_engine(system, engine_cls) -> None:
+    device = system.device
+    device.ndp = engine_cls(
+        system.sim, device.ftl, device.controller, device.codec, device.config.ndp
+    )
+    device.controller.ndp_engine = device.ndp
+
+
+def engine_and_cache_state(engine) -> dict:
+    cache = engine.emb_cache
+    return {
+        "engine": {name: getattr(engine, name) for name in ENGINE_COUNTERS},
+        "entries": len(engine.entries),
+        "cache": {name: getattr(cache, name) for name in CACHE_COUNTERS},
+        "cache_tags": (cache._tag_table.tobytes(), cache._tag_row.tobytes()),
+        "cache_vectors": [
+            cache.lookup(tag, row).tobytes()
+            for tag, row in zip(cache._tag_table.tolist(), cache._tag_row.tolist())
+            if tag >= 0
+        ],
+    }
+
+
 def run(program: Program, engine_cls) -> dict:
     quant = QuantSpec(dtype=program.dtype)
     rpp = TableSpec("t", 1, program.dim, quant, program.layout).rows_per_page(PAGE_BYTES)
@@ -142,8 +173,7 @@ def run(program: Program, engine_cls) -> dict:
     )
     sim, device = system.sim, system.device
     assert device.ftl.page_bytes == PAGE_BYTES
-    device.ndp = engine_cls(sim, device.ftl, device.controller, device.codec, device.config.ndp)
-    device.controller.ndp_engine = device.ndp
+    install_engine(system, engine_cls)
     if program.via_io:
         table.attach_via_io(system)
     server = InferenceServer(system)
@@ -214,21 +244,12 @@ def run(program: Program, engine_cls) -> dict:
     sim.run_until(lambda: len(done) == len(ops))
     sim.run()           # the update page writes still in flight
 
-    engine, cache = device.ndp, device.ndp.emb_cache
     return {
         "ops": done,
         "cache_looks": looks,
         "now": sim.now,
         "events": sim.event_count,
-        "engine": {name: getattr(engine, name) for name in ENGINE_COUNTERS},
-        "entries": len(engine.entries),
-        "cache": {name: getattr(cache, name) for name in CACHE_COUNTERS},
-        "cache_tags": (cache._tag_table.tobytes(), cache._tag_row.tobytes()),
-        "cache_vectors": [
-            cache.lookup(tag, row).tobytes()
-            for tag, row in zip(cache._tag_table.tolist(), cache._tag_row.tolist())
-            if tag >= 0
-        ],
+        **engine_and_cache_state(device.ndp),
         "updates": updates.summary(),
         "repacks": (migrator.repacks, migrator.rows_repacked, migrator.cache_invalidations),
         "layout": None if table.layout is None else table.layout.external_ids(np.arange(rows)).tobytes(),
@@ -270,6 +291,126 @@ def test_a_second_gather_adds_to_a_nonzero_scratchpad(monkeypatch):
     got = run(program, NdpSlsEngine)
     assert any(big >= 128 and pages > 1 and nonzero for big, pages, nonzero in gathers), gathers
     assert got == run(program, reference.NdpSlsEngine)
+
+
+ENTRY_PAGES = 5
+ENTRY_RPP = 256     # float32, dim 16, packed
+
+
+def run_one_entry(engine_cls, rewritten=None, delivered=None) -> dict:
+    """One SLS op over all five pages of a packed table.  ``rewritten``: a
+    page written through the IO path first (a raw buffer from then on);
+    ``delivered``: ``{page: make(table)}``, what the flash read hands the
+    engine for that page instead of its own content."""
+    system = build_system(min_capacity_pages=1 << 12, ndp=NdpEngineConfig(embcache_slots=64))
+    sim, device = system.sim, system.device
+    install_engine(system, engine_cls)
+    table = make_table(system, rows=ENTRY_PAGES * ENTRY_RPP, dim=16, layout=Layout.PACKED)
+    assert table.rows_per_page == ENTRY_RPP
+    lbas_per_page = device.ftl.lbas_per_page
+    base_lpn = table.base_lba // lbas_per_page
+    if rewritten is not None:
+        written = []
+        system.driver.write(
+            table.base_lba + rewritten * lbas_per_page,
+            lbas_per_page,
+            TablePageContent(table, rewritten).materialize(),
+            written.append,
+        )
+        sim.run_until(lambda: bool(written))
+        assert written[0].ok
+        device.ftl.page_cache.invalidate(base_lpn + rewritten)    # read it from flash
+    swapped = {base_lpn + page: make(table) for page, make in (delivered or {}).items()}
+    read_page = device.ftl.ndp_read_mapped_page
+    device.ftl.ndp_read_mapped_page = lambda lpn, on_done: read_page(
+        lpn, (lambda _content: on_done(swapped[lpn])) if lpn in swapped else on_done
+    )
+    # Bag p reads three rows of page p; the last bag reads every page.
+    in_page = np.array([1, 7, ENTRY_RPP - 1])
+    bags = [page * ENTRY_RPP + in_page for page in range(ENTRY_PAGES)]
+    bags.append(np.arange(ENTRY_PAGES) * ENTRY_RPP + 2)
+    done = []
+    system.session_for(device).sls(
+        table.make_sls_config(bags), lambda payload, timing: done.append((payload, timing))
+    )
+    sim.run()
+    ((payload, timing),) = done
+    return {
+        "values": payload.values.tobytes(),
+        "breakdown": payload.breakdown.components,
+        "counters": (
+            payload.flash_pages_read, payload.page_cache_hits,
+            payload.emb_cache_hits, payload.uncorrectable_pages,
+        ),
+        "timing": (timing.submit_time, timing.config_done_time, timing.result_time),
+        "now": sim.now,
+        "events": sim.event_count,
+        **engine_and_cache_state(device.ndp),
+        "table": table,
+        "array": payload.values,
+    }
+
+
+def spy_on_the_extractor(monkeypatch) -> dict:
+    """Count the calls of either route of ``extract_vectors_paged`` (the
+    reference engine holds its own ``extract_vectors``, bound at import)."""
+    calls = {"one gather": 0, "per content": 0}
+    table_vectors, extract_vectors = extract._table_vectors, extract.extract_vectors
+
+    def one_gather(*args):
+        calls["one gather"] += 1
+        return table_vectors(*args)
+
+    def per_content(*args):
+        calls["per content"] += 1
+        return extract_vectors(*args)
+
+    monkeypatch.setattr(extract, "_table_vectors", one_gather)
+    monkeypatch.setattr(extract, "extract_vectors", per_content)
+    return calls
+
+
+def assert_same_as_reference(got: dict, **planted) -> None:
+    want = run_one_entry(reference.NdpSlsEngine, **planted)
+    for key in want:
+        if key not in ("table", "array"):
+            assert got[key] == want[key], key
+
+
+def test_an_entry_of_virtual_pages_is_one_gather(monkeypatch):
+    calls = spy_on_the_extractor(monkeypatch)
+    got = run_one_entry(NdpSlsEngine)
+    assert calls == {"one gather": 1, "per content": 0}
+    assert got["counters"] == (ENTRY_PAGES, 0, 0, 0)
+    assert_same_as_reference(got)
+
+
+def test_a_raw_page_and_a_lost_page_take_the_per_content_route(monkeypatch):
+    """Pages 0, 2 and 4 virtual, page 1 rewritten through the IO path, page
+    3 uncorrectable: one ``extract_vectors`` for each page that came back."""
+    planted = dict(rewritten=1, delivered={3: lambda _table: None})
+    calls = spy_on_the_extractor(monkeypatch)
+    got = run_one_entry(NdpSlsEngine, **planted)
+    assert calls == {"one gather": 0, "per content": ENTRY_PAGES - 1}
+    assert got["counters"] == (ENTRY_PAGES, 0, 0, 1)
+    assert not got["array"][3].any()
+    assert_same_as_reference(got, **planted)
+
+
+def test_a_virtual_page_found_at_another_lpn_gives_its_own_rows(monkeypatch):
+    """All five contents are virtual pages of the one table, but LPN 2
+    holds page 4: its rows are page 4's (``content.page_index``), as the
+    reference reads them — not the ranks the entry bucketed for LPN 2."""
+    planted = dict(delivered={2: lambda table: TablePageContent(table, 4)})
+    calls = spy_on_the_extractor(monkeypatch)
+    got = run_one_entry(NdpSlsEngine, **planted)
+    assert calls == {"one gather": 0, "per content": ENTRY_PAGES}
+    table = got["table"]
+    page4 = table.ref_sls([4 * ENTRY_RPP + np.array([1, 7, ENTRY_RPP - 1])])[0]
+    page2 = table.ref_sls([2 * ENTRY_RPP + np.array([1, 7, ENTRY_RPP - 1])])[0]
+    assert np.allclose(got["array"][2], page4, rtol=1e-5, atol=1e-6)
+    assert not np.allclose(got["array"][2], page2, rtol=1e-5, atol=1e-6)
+    assert_same_as_reference(got, **planted)
 
 
 @settings(max_examples=60, deadline=None)

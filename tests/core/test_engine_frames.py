@@ -1,0 +1,67 @@
+"""What one more flash page costs an SLS op, in Python frames.
+
+The engine's host time scales with pages per op (16 on the bench model,
+150-350 on the paper's RM1-RM3), and a frame is the unit of that cost
+the interpreter never hides: ``sys.setprofile`` reports one ``call`` per
+Python function entered.  One op over 64 and one over 192 one-row pages
+differ by 128 pages and nothing else, so the difference is what a page
+costs from its bucket at config time to its translate — engine, FTL CPU
+queue, mapping lookup, flash die and bus, kernel dispatch.  The count
+depends on no clock and, with the collector off (a plugin's
+``gc.callbacks`` entry is a Python frame per pass), repeats exactly.
+"""
+
+import gc
+import sys
+
+import numpy as np
+
+from .test_engine import make_stack
+
+# 24.5: 8 in the four Server jobs (sched, die, bus, translate), 2 record
+# constructors (the page, its flash read), 3 stage callbacks, 11 in ftl /
+# flash / the virtual page, and a `_pump` for every page past the 128-page
+# window.  One more hop per stage is 25.5.
+FRAMES_PER_PAGE = 25
+
+
+def python_calls(run) -> int:
+    calls = 0
+
+    def on_event(_frame, event, _arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    enabled = gc.isenabled()
+    gc.disable()
+    sys.setprofile(on_event)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+        if enabled:
+            gc.enable()
+    return calls
+
+
+def frames_for_one_op(pages: int) -> int:
+    system, table = make_stack()
+    config = table.make_sls_config([np.arange(pages)])
+    payloads = []
+
+    def one_op() -> None:
+        # No stop predicate: ``run_until`` would call one per event.
+        system.ndp_session.sls(config, lambda payload, _timing: payloads.append(payload))
+        system.sim.run()
+
+    calls = python_calls(one_op)
+    assert payloads[0].flash_pages_read == pages
+    return calls
+
+
+def test_a_page_costs_a_bounded_number_of_frames():
+    small, large = frames_for_one_op(64), frames_for_one_op(192)
+    assert (small, large) == (frames_for_one_op(64), frames_for_one_op(192))
+    per_page = (large - small) / 128
+    assert per_page <= FRAMES_PER_PAGE, per_page

@@ -59,7 +59,11 @@ def test_tier1_command_collects_the_bit_identity_pins():
     held to bit for bit, the two submit-time refusals (a wrong bag count,
     non-integer ids), the nobody-walks-bag-by-bag rule and what a queued
     request keeps alive are what carrying SLS input as ``(ids, offsets)``
-    end to end rests on.  None may
+    end to end rests on; and the frame budget of one more NDP page, the
+    trimmed-page regression (a flash read is counted where flash is
+    touched) and the three pinned entries that say which route the
+    per-entry extractor took are what a page record built once and a
+    gather over the ranks the entry holds rest on.  None may
     be dropped, renamed out of collection or slow-marked silently.  Collects
     the way the tier-1 command does (same directory, same ``testpaths``),
     under the strictest filter in use."""
@@ -142,6 +146,14 @@ def test_tier1_command_collects_the_bit_identity_pins():
         "tests/test_layering.py::test_nobody_but_bags_of_walks_bag_by_bag",
         "tests/test_layering.py::test_the_per_bag_rule_sees_a_planted_loop",
         "tests/test_gc_budget.py::test_what_a_queued_request_keeps_alive",
+        "tests/core/test_engine_frames.py::test_a_page_costs_a_bounded_number_of_frames",
+        "tests/core/test_engine.py::TestBreakdownAndStats::"
+        "test_a_trimmed_page_reads_as_zeros_and_counts_no_flash_read",
+        "tests/core/test_engine_equivalence.py::test_an_entry_of_virtual_pages_is_one_gather",
+        "tests/core/test_engine_equivalence.py::"
+        "test_a_raw_page_and_a_lost_page_take_the_per_content_route",
+        "tests/core/test_engine_equivalence.py::"
+        "test_a_virtual_page_found_at_another_lpn_gives_its_own_rows",
     ):
         assert pin in listing, pin
 

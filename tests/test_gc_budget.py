@@ -35,11 +35,17 @@ def test_run_leaves_no_cycle_of_ours(name):
 
 def test_containers_alive_per_queued_unit():
     """One record, the bound method that is its next stage and the queue
-    entry — not a closure per stage (the closure chains held 14, 13, 28)."""
+    entry — not a closure per stage (the closure chains held 14, 13, 28).
+    An NDP page waiting for its scheduling job is those three and no
+    fourth (the job *is* the ``PageWork``); an admitted SLS op is its
+    entry, the entry's three queues and those three (its six closures and
+    their cells made it 14)."""
     counts = unit_counts()
     assert counts["FlashArray.read"] <= 4, counts
     assert counts["Ftl.read_pages([lpn])"] <= 6, counts
     assert counts["gc page move"] <= 6, counts
+    assert counts["NDP page in flight"] <= 3.5, counts
+    assert counts["SLS op in flight"] <= 7.5, counts
 
 
 def test_what_a_queued_request_keeps_alive():

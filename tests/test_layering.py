@@ -157,8 +157,9 @@ CLOSURE_FREE = {
     ),
     "repro/driver/unvme.py": ("UnvmeDriver._on_cq_post", "UnvmeDriver._deliver"),
     "repro/core/engine.py": (
-        "NdpSlsEngine._issue_page", "NdpSlsEngine._page_returned", "NdpSlsEngine._translate",
-        "_PageJob.*",
+        "NdpSlsEngine._admit", "NdpSlsEngine.handle_result_read",
+        "NdpSlsEngine._stage_results", "NdpSlsEngine._accumulate_cache_hits",
+        "NdpSlsEngine._pump", "_PageJob.*", "_Command.*",
     ),
     "repro/embedding/stage.py": ("EmbeddingStage.start", "_Batch.*", "_Piece.*"),
 }
@@ -216,6 +217,15 @@ def test_the_closure_rule_sees_a_planted_lambda_and_a_renamed_function():
     renamed = source.replace("def _on_cq_post(", "def _on_post(")
     assert _closure_offenders(renamed, CLOSURE_FREE[module]) == [
         "UnvmeDriver._on_cq_post: no such function"
+    ]
+    # The SLS op too: its stages are a record's bound methods.
+    module = "repro/core/engine.py"
+    source = (SRC / module).read_text()
+    hop = "_Command(self, entry, done).after_alloc"
+    assert source.count(hop) == 1
+    planted = source.replace(hop, "lambda: _Command(self, entry, done).after_alloc()")
+    assert _closure_offenders(planted, CLOSURE_FREE[module]) == [
+        f"NdpSlsEngine._admit:{source[: source.index(hop)].count(chr(10)) + 1}: Lambda"
     ]
 
 

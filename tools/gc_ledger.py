@@ -52,7 +52,11 @@ for _path in (_ROOT, _ROOT / "src"):
 import numpy as np  # noqa: E402
 
 from perf.workloads import BATCH_SIZE, MODEL, WORKLOADS, bench_model, run, setup  # noqa: E402
+from repro.core.engine import NdpEngineConfig  # noqa: E402
+from repro.embedding.spec import TableSpec  # noqa: E402
+from repro.embedding.table import EmbeddingTable  # noqa: E402
 from repro.host.system import build_system  # noqa: E402
+from repro.nvme.commands import NvmeCommand, Opcode  # noqa: E402
 from repro.serving import InferenceServer, ServingConfig  # noqa: E402
 from repro.sim.kernel import Simulator  # noqa: E402
 from repro.ssd.presets import small_ssd  # noqa: E402
@@ -142,18 +146,65 @@ def _containers_per_call(issue: Callable[[], None], n: int) -> float:
             gc.enable()
 
 
+def _ndp_stack(n: int):
+    """A system whose NDP engine admits ``n`` ops and windows ``n`` pages,
+    and a one-row-per-page table of ``n`` rows on it."""
+    ndp = NdpEngineConfig(max_entries=n, inflight_pages_window=n)
+    system = build_system(min_capacity_pages=1 << 12, ndp=ndp)
+    table = EmbeddingTable(TableSpec(name="t", rows=n, dim=16))
+    table.attach(system.device)
+    return system, table
+
+
+def _containers_per_ndp_page(n: int) -> float:
+    """Containers alive once an SLS op's pages are all waiting for their
+    scheduling job on ``ftl_core``, per page: two ops that differ by ``n``
+    pages and nothing else."""
+    few = 24
+
+    def queued(pages: int) -> float:
+        system, table = _ndp_stack(few + n)
+        engine = system.device.ndp
+        config = table.make_sls_config([np.arange(pages)])
+
+        def one_op() -> None:
+            system.ndp_session.sls(config, _noop)
+            system.sim.run_until(lambda: engine._inflight_pages == pages)
+
+        return _containers_per_call(one_op, 1)
+
+    return (queued(few + n) - queued(few)) / n
+
+
 def unit_counts(n: int = 1000) -> Dict[str, float]:
     """GC-tracked containers alive per unit after queueing ``n`` of each on
     a small device *without running the simulator*: the record, the bound
-    method that is its next stage, and the queue entry holding it."""
+    method that is its next stage, and the queue entry holding it.  An NDP
+    page is queued by its op, so there the simulator runs up to the pump
+    that queues them (plus its ``PageWork``: the arrays themselves are not
+    tracked); an SLS op is counted as admitted — the entry, its three
+    queues, the command record, its next stage and the queue entry."""
     device = small_ssd(Simulator())
     ftl = device.ftl
     ftl.preload_pages(0, [b"\0" * ftl.page_bytes])
     ppn = ftl.mapping.lookup(0)
+    system, table = _ndp_stack(n)
+    engine, codec = system.device.ndp, system.device.codec
+    config = table.make_sls_config([np.arange(4)])
+    rids = iter(range(n))
+
+    def admit_sls_op() -> None:
+        slba = codec.encode(table.base_lba, next(rids))
+        engine.handle_config_write(
+            NvmeCommand(opcode=Opcode.WRITE, slba=slba, nlb=1, data=config, ndp=True), _noop
+        )
+
     return {
         "FlashArray.read": _containers_per_call(lambda: ftl.flash.read(ppn, _noop), n),
         "Ftl.read_pages([lpn])": _containers_per_call(lambda: ftl.read_pages([0], _noop), n),
         "gc page move": _containers_per_call(lambda: ftl.gc._move_page(0, 0, _noop), n),
+        "NDP page in flight": _containers_per_ndp_page(n),
+        "SLS op in flight": _containers_per_call(admit_sls_op, n),
     }
 
 
