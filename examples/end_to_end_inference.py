@@ -10,7 +10,8 @@ and NDP is what makes them usable for the embedding-dominated class.
 
 import numpy as np
 
-from repro.models import BackendKind, ModelRunner, RunnerConfig, build_model
+from repro.models import BackendKind, RunnerConfig, build_model
+from repro.serving.runner import ModelRunner
 
 
 def run_model(name: str, batch_size: int = 32, n_batches: int = 3) -> None:

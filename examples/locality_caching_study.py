@@ -17,7 +17,8 @@ import numpy as np
 
 from repro.core.engine import NdpEngineConfig
 from repro.experiments.common import locality_samplers
-from repro.models import BackendKind, ModelRunner, RunnerConfig, build_model
+from repro.models import BackendKind, RunnerConfig, build_model
+from repro.serving.runner import ModelRunner
 
 
 def study(k: int, batch_size: int = 16, n_batches: int = 4) -> None:

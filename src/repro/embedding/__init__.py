@@ -1,4 +1,4 @@
-"""Embedding layer: tables, layouts, caches, SLS backends, pipelines."""
+"""Embedding layer: tables, layouts, caches, SLS backends, the embedding stage."""
 
 from .backends import (
     DramSlsBackend,
@@ -10,7 +10,6 @@ from .backends import (
 )
 from .caches import SetAssociativeLru, StaticPartitionCache, profile_hot_rows
 from .data import DenseTableData, TableData, VirtualTableData
-from .pipeline import InferencePipeline, PipelineBatchRecord, PipelineResult
 from .placement import HeatTracker, LayoutMigrator, heat_from_rows, profile_heat
 from .spec import Layout, TableSpec
 from .stage import EmbeddingStage, EmbStageResult
@@ -29,9 +28,6 @@ __all__ = [
     "DenseTableData",
     "TableData",
     "VirtualTableData",
-    "InferencePipeline",
-    "PipelineBatchRecord",
-    "PipelineResult",
     "HeatTracker",
     "LayoutMigrator",
     "heat_from_rows",

@@ -72,9 +72,6 @@ class EmbStageResult:
     def latency(self) -> float:
         return self.end_time - self.start_time
 
-    def stat_total(self, key: str) -> float:
-        return sum(r.stats.get(key, 0.0) for r in self.per_table.values())
-
 
 def scatter_bags(bags: BagsLike, mapping) -> Dict[int, Bags]:
     """Split per-result bags into shard-local per-result bags.

@@ -21,7 +21,8 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from ..core.engine import NdpEngineConfig
-from ..models import BackendKind, ModelRunner, RunnerConfig, build_model
+from ..models import BackendKind, RunnerConfig, build_model
+from ..serving.runner import ModelRunner
 from .common import ExperimentResult, locality_samplers, speedup
 
 __all__ = ["run"]

@@ -16,9 +16,10 @@ from typing import Sequence
 
 import numpy as np
 
-from ..models import BackendKind, DlrmConfig, DlrmModel, ModelRunner, RunnerConfig
+from ..models import BackendKind, DlrmConfig, DlrmModel, RunnerConfig
 from ..quant import EmbDtype, QuantSpec
 from ..embedding.spec import Layout, TableSpec
+from ..serving.runner import ModelRunner
 from .common import ExperimentResult, speedup
 
 __all__ = ["run_feature_quant", "run_indices_tables", "run"]

@@ -12,8 +12,9 @@ from typing import Sequence
 
 import numpy as np
 
-from ..models import BackendKind, ModelRunner, RunnerConfig, build_model
+from ..models import BackendKind, RunnerConfig, build_model
 from ..models.zoo import MODEL_NAMES
+from ..serving.runner import ModelRunner
 from .common import ExperimentResult, speedup
 
 __all__ = ["run"]

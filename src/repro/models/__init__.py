@@ -1,4 +1,4 @@
-"""Recommendation model zoo and execution harness."""
+"""Recommendation model zoo and the backend wiring its tables run on."""
 
 from .base import Batch, IndexSampler, RecModel, SparseFeature, uniform_sampler
 from .dien import DienConfig, DienModel
@@ -6,13 +6,7 @@ from .din import DinConfig, DinModel
 from .dlrm import DlrmConfig, DlrmModel
 from .layers import AttentionUnit, GruLayer, Mlp, relu, sigmoid
 from .ncf import NcfConfig, NcfModel
-from .runner import (
-    BackendKind,
-    ModelRunner,
-    ModelRunResult,
-    RunnerConfig,
-    required_capacity_pages,
-)
+from .runner import BackendKind, RunnerConfig, required_capacity_pages
 from .widedeep import MultiTaskWideDeepModel, WideDeepConfig, WideDeepModel
 from .zoo import (
     EMBEDDING_DOMINATED,
@@ -43,8 +37,6 @@ __all__ = [
     "NcfConfig",
     "NcfModel",
     "BackendKind",
-    "ModelRunner",
-    "ModelRunResult",
     "RunnerConfig",
     "required_capacity_pages",
     "MultiTaskWideDeepModel",

@@ -1,10 +1,10 @@
-"""Model execution: wires a model's tables to storage backends and runs
-batches through the serial or pipelined inference loop.
+"""Model wiring: a model's tables on storage backends, the per-run knobs,
+and the device size the tables need (``repro.serving.runner`` runs them).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, Optional, Sequence
 
@@ -12,19 +12,12 @@ import numpy as np
 
 from ..embedding.backends import DramSlsBackend, NdpSlsBackend, SsdSlsBackend
 from ..embedding.caches import SetAssociativeLru, StaticPartitionCache
-from ..embedding.pipeline import InferencePipeline, PipelineResult
-from ..embedding.stage import EmbeddingStage, EmbStageResult
 from ..embedding.table import EmbeddingTable
-from ..host.system import System, build_system
-from .base import Batch, RecModel
+from ..host.system import System
+from ..ssd.presets import preload_capacity_pages
+from .base import RecModel
 
-__all__ = [
-    "BackendKind",
-    "RunnerConfig",
-    "ModelRunResult",
-    "ModelRunner",
-    "build_backends",
-]
+__all__ = ["BackendKind", "RunnerConfig", "build_backends", "required_capacity_pages"]
 
 
 class BackendKind(str, Enum):
@@ -48,32 +41,11 @@ class RunnerConfig:
     prewarm_page_cache: bool = False
 
 
-@dataclass
-class ModelRunResult:
-    pipeline: PipelineResult
-    outputs: List[np.ndarray]
-    emb_results: List[EmbStageResult]
-
-    @property
-    def steady_latency(self) -> float:
-        return self.pipeline.steady_state_latency
-
-    @property
-    def mean_emb_latency(self) -> float:
-        return self.pipeline.mean_emb_latency
-
-    @property
-    def mean_dense_latency(self) -> float:
-        return self.pipeline.mean_dense_latency
-
-    def stat_total(self, key: str) -> float:
-        return sum(r.stat_total(key) for r in self.emb_results)
-
-
 def required_capacity_pages(model: RecModel, page_bytes: int = 16 * 1024) -> int:
-    total = sum(f.spec.table_pages(page_bytes) for f in model.features)
-    # Alignment padding (one slot minimum per table) plus free-space slack.
-    return int(total * 1.3) + 64 * 1024
+    pages = [f.spec.table_pages(page_bytes) for f in model.features]
+    # Alignment padding (one slot minimum per table) plus free-space
+    # slack, or what preloading the tables reserves, whichever is more.
+    return max(int(sum(pages) * 1.3) + 64 * 1024, preload_capacity_pages(pages))
 
 
 def build_backends(
@@ -84,7 +56,7 @@ def build_backends(
     tables: Optional[Dict[str, "EmbeddingTable"]] = None,
     partition_profiles: Optional[Dict[str, List[np.ndarray]]] = None,
     features: Optional[Sequence] = None,
-) -> tuple[Dict[str, object], Dict[str, SetAssociativeLru], Dict[str, StaticPartitionCache]]:
+) -> Dict[str, object]:
     """Construct one SLS backend per model table on ``system``.
 
     ``device`` selects which attached SSD serves the tables (default: the
@@ -92,17 +64,13 @@ def build_backends(
     serving layer replicates/shards models across devices this way).
     ``features`` restricts construction to a subset of the model's sparse
     features — the shard-aware path builds only the table pieces a given
-    device owns (keys of ``tables`` and the returned dicts stay the
-    *feature* names even when a shard table's spec is suffixed).  Returns
-    ``(backends, host_caches, partitions)``; the cache dicts are only
-    populated for the backend kinds that use them.
+    device owns (keys of ``tables`` and the returned dict stay the
+    *feature* names even when a shard table's spec is suffixed).
     """
     device = device if device is not None else system.device
     tables = tables if tables is not None else model.tables
     features = list(features) if features is not None else model.features
     backends: Dict[str, object] = {}
-    host_caches: Dict[str, SetAssociativeLru] = {}
-    partitions: Dict[str, StaticPartitionCache] = {}
     for feature in features:
         table = tables[feature.name]
         if config.kind is BackendKind.DRAM:
@@ -123,7 +91,6 @@ def build_backends(
             cache = None
             if config.host_cache_entries > 0:
                 cache = SetAssociativeLru(config.host_cache_entries, ways=16)
-                host_caches[feature.name] = cache
             backends[feature.name] = SsdSlsBackend(
                 system, table, host_cache=cache, coalesce=config.coalesce
             )
@@ -138,95 +105,5 @@ def build_backends(
                 partition = StaticPartitionCache.from_profile(
                     table, profile, config.partition_entries
                 )
-                partitions[feature.name] = partition
             backends[feature.name] = NdpSlsBackend(system, table, partition=partition)
-    return backends, host_caches, partitions
-
-
-class ModelRunner:
-    def __init__(
-        self,
-        model: RecModel,
-        config: RunnerConfig,
-        system: Optional[System] = None,
-        partition_profiles: Optional[Dict[str, List[np.ndarray]]] = None,
-        page_cache_pages: int = 16 * 1024,
-        ndp_engine_config=None,
-    ):
-        self.model = model
-        self.config = config
-        if system is None:
-            system = build_system(
-                min_capacity_pages=required_capacity_pages(model),
-                page_cache_pages=page_cache_pages,
-                ndp=ndp_engine_config,
-            )
-        self.system = system
-        backends, self.host_caches, self.partitions = build_backends(
-            model, config, system, partition_profiles=partition_profiles
-        )
-        self.stage = EmbeddingStage(backends)
-        if config.prewarm_page_cache and config.kind is not BackendKind.DRAM:
-            self._prewarm_page_cache()
-
-    def _prewarm_page_cache(self) -> None:
-        from ..embedding.spec import Layout
-        from ..embedding.table import TablePageContent
-
-        cache = self.system.device.ftl.page_cache
-        lbas_per_page = self.system.device.ftl.lbas_per_page
-        for feature in self.model.features:
-            table = self.model.tables[feature.name]
-            if table.spec.layout is not Layout.PACKED or not table.attached:
-                continue
-            n_pages = table.spec.table_pages(table.page_bytes)
-            if n_pages > cache.capacity - cache.size:
-                continue
-            base_lpn = table.base_lba // lbas_per_page
-            for page_index in range(n_pages):
-                cache.insert(base_lpn + page_index, TablePageContent(table, page_index))
-        cache.reset_stats()
-
-    # ------------------------------------------------------------------
-    def run_batches(self, batches: Sequence[Batch]) -> ModelRunResult:
-        outputs: List[Optional[np.ndarray]] = [None] * len(batches)
-        cpu = self.system.host_cpu
-
-        def dense_time_fn(i: int, emb_res: EmbStageResult) -> float:
-            if self.config.compute_outputs:
-                # Models reshape sequence features themselves via feature_values.
-                outputs[i] = self.model.forward(batches[i].dense, emb_res.values)
-            return self.model.dense_time(batches[i].batch_size, cpu)
-
-        pipeline = InferencePipeline(
-            self.stage, dense_time_fn, pipelined=self.config.pipelined
-        )
-        result = pipeline.run(
-            [b.bags for b in batches],
-            warmup=self.config.warmup_batches,
-            keep_results=True,
-        )
-        emb_results = [r.emb_result for r in result.records if r.emb_result]
-        return ModelRunResult(
-            pipeline=result,
-            outputs=[o for o in outputs if o is not None],
-            emb_results=emb_results,
-        )
-
-    # ------------------------------------------------------------------
-    def host_cache_hit_rate(self) -> float:
-        caches = list(self.host_caches.values())
-        hits = sum(c.hits for c in caches)
-        total = sum(c.hits + c.misses for c in caches)
-        return hits / total if total else 0.0
-
-    def partition_hit_rate(self) -> float:
-        parts = list(self.partitions.values())
-        hits = sum(p.hits for p in parts)
-        total = sum(p.hits + p.misses for p in parts)
-        return hits / total if total else 0.0
-
-    def ssd_emb_cache_hit_rate(self) -> float:
-        cache = self.system.device.ndp.emb_cache
-        total = cache.hits + cache.misses
-        return cache.hits / total if total else 0.0
+    return backends

@@ -35,6 +35,8 @@ load shape against the simulated stack:
   Poisson experiments (a thin front-end over :mod:`repro.workload`,
   which adds closed-loop clients, trace replay and declarative
   multi-tenant scenarios).
+* :class:`~repro.serving.runner.ModelRunner` — the paper figures' runs:
+  a list of batches through a server with one batch in flight.
 
 See ``docs/SERVING.md`` for the request lifecycle walkthrough and the
 "Workloads & QoS" guide, ``examples/serving_demo.py`` /
@@ -58,6 +60,7 @@ from .hostpool import (
 )
 from .queue import RequestQueue
 from .request import InferenceRequest, RequestState
+from .runner import ModelRunner, ModelRunResult
 from .scheduler import BatchScheduler, ModelWorker
 from .server import InferenceServer, ServingConfig, run_offered_load
 from .sharding import (
@@ -90,6 +93,8 @@ __all__ = [
     "InferenceServer",
     "ServingConfig",
     "run_offered_load",
+    "ModelRunner",
+    "ModelRunResult",
     "ShardingPolicy",
     "ReplicatePolicy",
     "TableShardPolicy",

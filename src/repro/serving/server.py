@@ -36,7 +36,9 @@ from typing import Dict, Iterator, List, Optional
 import numpy as np
 
 from ..embedding.backends.base import SlsBackend
+from ..embedding.spec import Layout
 from ..embedding.stage import EmbeddingStage
+from ..embedding.table import TablePageContent
 from ..host.system import System
 from ..models.base import Batch, RecModel
 from ..models.runner import BackendKind, RunnerConfig, build_backends
@@ -261,7 +263,7 @@ class InferenceServer:
                     else:
                         primary_placed.add(name)
                         tables[name] = model.tables[name]
-                by_shard[shard], _caches, _partitions = build_backends(
+                by_shard[shard] = build_backends(
                     model,
                     config,
                     self.system,
@@ -280,6 +282,8 @@ class InferenceServer:
                 by_shard, sls_pool=self.hostpool.sls, mappings=plan.mappings()
             )
             pool.append(ModelWorker(model, stage))
+        if config.prewarm_page_cache and kind is not BackendKind.DRAM:
+            self._prewarm_page_caches(pool)
         for index, count in pending_entries.items():
             self._projected_ndp_entries[index] = (
                 self._projected_ndp_entries.get(index, 0) + count
@@ -290,6 +294,26 @@ class InferenceServer:
         }
         self.workers[model.name] = pool
         return pool
+
+    @staticmethod
+    def _prewarm_page_caches(pool: List[ModelWorker]) -> None:
+        """Fill each device's page cache with its PACKED pieces that fit."""
+        caches = {}
+        for worker in pool:
+            for backend in worker.stage.backends():
+                table = backend.table
+                ftl = table.device.ftl
+                cache = caches.setdefault(id(ftl), ftl.page_cache)
+                if table.spec.layout is not Layout.PACKED:
+                    continue
+                n_pages = table.spec.table_pages(table.page_bytes)
+                if n_pages > cache.capacity - cache.size:
+                    continue
+                base_lpn = table.base_lba // ftl.lbas_per_page
+                for page_index in range(n_pages):
+                    cache.insert(base_lpn + page_index, TablePageContent(table, page_index))
+        for cache in caches.values():
+            cache.reset_stats()
 
     def _device_for_shard(self, index: int):
         """The ``index``-th attached SSD, adding clones of the primary's

@@ -1,10 +1,10 @@
-"""Multi-table embedding stage and the two-stage inference pipeline."""
+"""Multi-table embedding stage (the two-stage pipeline's tests run the
+runner: ``tests/models/test_runner.py::TestPipelining``)."""
 
 import numpy as np
 import pytest
 
 from repro.embedding.backends import DramSlsBackend, NdpSlsBackend
-from repro.embedding.pipeline import InferencePipeline
 from repro.embedding.stage import EmbeddingStage
 
 from ..conftest import make_table, random_bags
@@ -71,61 +71,3 @@ class TestStage:
         with pytest.raises(ValueError, match="no row mapping"):
             EmbeddingStage({0: backends, 1: backends})
 
-
-class TestPipeline:
-    def _batches(self, stage, n, rng, bag_size=8):
-        return [
-            {name: random_bags(rng, 512, 4, bag_size) for name in stage.by_shard[0]}
-            for _ in range(n)
-        ]
-
-    def test_pipelined_hides_shorter_stage(self, system):
-        stage = make_stage(system, n_tables=2)
-        rng = np.random.default_rng(2)
-        batches = self._batches(stage, 6, rng)
-        dense_time = 20e-3  # much larger than the emb stage
-
-        pipelined = InferencePipeline(stage, lambda i, r: dense_time).run(batches)
-        steady = pipelined.steady_state_latency
-        assert steady == pytest.approx(dense_time, rel=0.15)
-
-    def test_serial_adds_stages(self, system):
-        stage = make_stage(system, n_tables=2)
-        rng = np.random.default_rng(3)
-        batches = self._batches(stage, 4, rng)
-        dense_time = 5e-3
-        serial = InferencePipeline(
-            stage, lambda i, r: dense_time, pipelined=False
-        ).run(batches)
-        emb = serial.mean_emb_latency
-        assert serial.steady_state_latency == pytest.approx(
-            emb + dense_time, rel=0.2
-        )
-
-    def test_pipeline_not_slower_than_serial(self, system):
-        """Same (stateless DRAM) stage: pipelining can only help."""
-        stage = make_stage(system, n_tables=2, kind="dram")
-        rng = np.random.default_rng(4)
-        batches = self._batches(stage, 6, rng, bag_size=24)
-        dense_time = 2e-3
-        t_pipe = InferencePipeline(stage, lambda i, r: dense_time).run(batches)
-        rng = np.random.default_rng(4)
-        batches = self._batches(stage, 6, rng, bag_size=24)
-        t_serial = InferencePipeline(
-            stage, lambda i, r: dense_time, pipelined=False
-        ).run(batches)
-        assert t_pipe.steady_state_latency <= t_serial.steady_state_latency * 1.05
-
-    def test_records_ordered_and_complete(self, system):
-        stage = make_stage(system, n_tables=1)
-        rng = np.random.default_rng(5)
-        batches = self._batches(stage, 5, rng)
-        result = InferencePipeline(stage, lambda i, r: 1e-3).run(batches)
-        assert [r.index for r in result.records] == list(range(5))
-        assert all(r.emb_latency > 0 for r in result.records)
-        assert result.total_time > 0
-
-    def test_empty_batches_rejected(self, system):
-        stage = make_stage(system, n_tables=1)
-        with pytest.raises(ValueError):
-            InferencePipeline(stage, lambda i, r: 0.0).run([])

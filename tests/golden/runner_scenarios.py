@@ -1,0 +1,144 @@
+"""Fixed-seed ``ModelRunner`` runs with fully recorded outcomes.
+
+``runner_golden.json`` pins the one-shot path the paper figures (Figs 6,
+9, 10, 11) run on: a tiny DLRM over DRAM, SSD and NDP tables, pipelined
+and serial, with a host LRU, an NDP static partition, the device
+embedding cache, a prewarmed page cache on PACKED tables and a longer
+warm-up.  Each scenario records the three latencies the figures read,
+the simulated clock and event count at the end of the run, the three hit
+rates and a digest of the model outputs — floats as ``float.hex``, so
+the replay compares bit for bit.
+
+Regenerate (ONLY on a commit whose runner is trusted) with:
+
+    PYTHONPATH=src python -m tests.golden.generate_runner_golden
+"""
+
+from __future__ import annotations
+
+import hashlib
+from typing import Any, Callable, Dict
+
+import numpy as np
+
+from repro.core.engine import NdpEngineConfig
+from repro.embedding.spec import Layout
+from repro.models import BackendKind, RunnerConfig
+from repro.models.dlrm import DlrmConfig, DlrmModel
+from repro.serving.runner import ModelRunner
+
+__all__ = ["SCENARIOS"]
+
+
+def tiny_model(packed: bool = False) -> DlrmModel:
+    return DlrmModel(
+        DlrmConfig(
+            name="tiny",
+            dense_in=8,
+            bottom_mlp=(16,),
+            top_mlp=(16,),
+            num_tables=2,
+            table_rows=4096 if packed else 256,
+            dim=8,
+            lookups=8 if packed else 4,
+            layout=Layout.PACKED if packed else Layout.ONE_PER_PAGE,
+        ),
+        seed=3,
+    )
+
+
+def _record(runner: ModelRunner, result) -> Dict[str, Any]:
+    digest = hashlib.sha256()
+    for output in result.outputs:
+        digest.update(np.ascontiguousarray(output).tobytes())
+    sim = runner.system.sim
+    return {
+        "steady_latency": result.steady_latency.hex(),
+        "mean_emb_latency": result.mean_emb_latency.hex(),
+        "mean_dense_latency": result.mean_dense_latency.hex(),
+        "sim_now": sim.now.hex(),
+        "sim_events": sim.event_count,
+        "host_cache_hit_rate": float(runner.host_cache_hit_rate()).hex(),
+        "partition_hit_rate": float(runner.partition_hit_rate()).hex(),
+        "ssd_emb_cache_hit_rate": float(runner.ssd_emb_cache_hit_rate()).hex(),
+        "outputs": len(result.outputs),
+        "outputs_sha256": digest.hexdigest(),
+    }
+
+
+def _run(
+    config: RunnerConfig,
+    n_batches: int = 4,
+    batch_size: int = 8,
+    packed: bool = False,
+    partition: bool = False,
+    embcache_slots: int = 0,
+) -> Callable[[], Dict[str, Any]]:
+    def scenario() -> Dict[str, Any]:
+        rng = np.random.default_rng(11)
+        batches = [
+            tiny_model(packed).sample_batch(rng, batch_size) for _ in range(n_batches)
+        ]
+        model = tiny_model(packed)
+        profiles = None
+        if partition:
+            profiles = {
+                f.name: [rng.integers(0, f.spec.rows, size=256)] for f in model.features
+            }
+        runner = ModelRunner(
+            model,
+            config,
+            partition_profiles=profiles,
+            ndp_engine_config=(
+                NdpEngineConfig(embcache_slots=embcache_slots) if embcache_slots else None
+            ),
+        )
+        return _record(runner, runner.run_batches(batches))
+
+    return scenario
+
+
+DRAM, SSD, NDP = BackendKind.DRAM, BackendKind.SSD, BackendKind.NDP
+
+SCENARIOS = {
+    "dram_pipelined": _run(RunnerConfig(DRAM)),
+    "dram_serial": _run(RunnerConfig(DRAM, pipelined=False)),
+    # More batches than SystemConfig.max_inflight_requests (64), all
+    # handed over at once.
+    "dram_pipelined_100_batches": _run(RunnerConfig(DRAM), n_batches=100, batch_size=2),
+    "ssd_pipelined": _run(RunnerConfig(SSD)),
+    "ssd_pipelined_host_lru_warmup2": _run(
+        RunnerConfig(SSD, host_cache_entries=64, warmup_batches=2), n_batches=5
+    ),
+    "ssd_serial_host_lru": _run(RunnerConfig(SSD, host_cache_entries=64, pipelined=False)),
+    "ssd_pipelined_prewarm_packed": _run(
+        RunnerConfig(SSD, prewarm_page_cache=True), packed=True
+    ),
+    "ssd_serial_prewarm_packed": _run(
+        RunnerConfig(SSD, pipelined=False, prewarm_page_cache=True), packed=True
+    ),
+    "ssd_serial_no_outputs": _run(
+        RunnerConfig(SSD, pipelined=False, compute_outputs=False)
+    ),
+    "ndp_pipelined": _run(RunnerConfig(NDP)),
+    "ndp_serial": _run(RunnerConfig(NDP, pipelined=False)),
+    "ndp_pipelined_partition": _run(
+        RunnerConfig(NDP, partition_entries=32), partition=True
+    ),
+    "ndp_serial_partition_embcache": _run(
+        RunnerConfig(NDP, partition_entries=32, pipelined=False),
+        partition=True,
+        embcache_slots=256,
+    ),
+    "ndp_serial_embcache": _run(
+        RunnerConfig(NDP, pipelined=False), embcache_slots=256
+    ),
+    "ndp_pipelined_embcache_warmup2": _run(
+        RunnerConfig(NDP, warmup_batches=2), n_batches=5, embcache_slots=256
+    ),
+    "ndp_serial_prewarm_packed": _run(
+        RunnerConfig(NDP, pipelined=False, prewarm_page_cache=True), packed=True
+    ),
+    # One batch: the steady latency falls back to finish time over count.
+    "ndp_one_batch": _run(RunnerConfig(NDP), n_batches=1),
+}

@@ -4,8 +4,9 @@ on DRAM, baseline-SSD and NDP backends (small batches; marked slow)."""
 import numpy as np
 import pytest
 
-from repro.models import BackendKind, ModelRunner, RunnerConfig, build_model
+from repro.models import BackendKind, RunnerConfig, build_model
 from repro.models.zoo import MODEL_NAMES
+from repro.serving.runner import ModelRunner
 
 pytestmark = pytest.mark.slow
 

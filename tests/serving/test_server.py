@@ -306,3 +306,56 @@ class TestOfferedLoadAndDeterminism:
     def test_other_backends_serve_too(self, kind):
         stats = self._run(kind=kind)
         assert stats.completed + stats.rejected == 30
+
+
+def _packed_model(name: str = "pk"):
+    from repro.embedding.spec import Layout
+    from repro.models.dlrm import DlrmConfig, DlrmModel
+
+    return DlrmModel(
+        DlrmConfig(
+            name=name, dense_in=8, bottom_mlp=(16,), top_mlp=(16,),
+            num_tables=2, table_rows=4096, dim=8, lookups=8, layout=Layout.PACKED,
+        ),
+        seed=3,
+    )
+
+
+class TestPrewarmAtRegistration:
+    """``RunnerConfig(prewarm_page_cache=True)`` is honoured by
+    registration itself, on every device a table piece is placed on."""
+
+    def _serve(self, kind, num_workers):
+        from repro.host.system import build_system
+        from repro.models.runner import RunnerConfig, required_capacity_pages
+        from repro.serving import InferenceServer
+
+        model = _packed_model()
+        system = build_system(min_capacity_pages=required_capacity_pages(model))
+        server = InferenceServer(system)
+        server.register_model(
+            model,
+            kind,
+            runner_config=RunnerConfig(kind, prewarm_page_cache=True),
+            num_workers=num_workers,
+        )
+        warmed = [d.ftl.page_cache.size for d in system.devices]
+        rng = np.random.default_rng(5)
+        requests = [
+            server.submit(model.name, model.sample_batch(rng, 4))
+            for _ in range(num_workers)
+        ]
+        server.run_until_settled()
+        assert all(r.state is RequestState.COMPLETE for r in requests)
+        return system, warmed
+
+    @pytest.mark.parametrize("kind", [BackendKind.SSD, BackendKind.NDP])
+    def test_first_request_reads_no_flash_page(self, kind):
+        system, warmed = self._serve(kind, num_workers=1)
+        assert system.device.flash.total_reads() == 0
+        assert warmed == [16]  # two PACKED tables of 8 pages
+
+    def test_a_replicated_registration_warms_every_device(self):
+        system, warmed = self._serve(BackendKind.SSD, num_workers=2)
+        assert [d.flash.total_reads() for d in system.devices] == [0, 0]
+        assert warmed == [16, 16]

@@ -63,7 +63,13 @@ def test_tier1_command_collects_the_bit_identity_pins():
     trimmed-page regression (a flash read is counted where flash is
     touched) and the three pinned entries that say which route the
     per-entry extractor took are what a page record built once and a
-    gather over the ranks the entry holds rest on.  None may
+    gather over the ranks the entry holds rest on; and the runner
+    golden recorded on the runner's own pipeline, the three registration
+    regressions (a model with more NDP ops than engine entries refused
+    at construction, prewarm honoured by registration on every device,
+    small tables sized by the blocks preload reserves) and the
+    one-execution-path rule are what the paper figures running on the
+    serving path rest on.  None may
     be dropped, renamed out of collection or slow-marked silently.  Collects
     the way the tier-1 command does (same directory, same ``testpaths``),
     under the strictest filter in use."""
@@ -101,7 +107,24 @@ def test_tier1_command_collects_the_bit_identity_pins():
         re.M,
     )
     assert len(router_options) == 3, router_options   # one per router option
+    runner = re.findall(
+        r"^tests/serving/test_runner_golden\.py::test_scenario_matches_golden\[\S+\]",
+        listing,
+        re.M,
+    )
+    assert len(runner) == 17, runner
     for pin in (
+        "tests/serving/test_runner_golden.py::test_golden_names_the_clean_commit_it_was_recorded_at",
+        "tests/models/test_runner.py::TestRegistration::"
+        "test_more_tables_than_ndp_entries_is_refused_at_construction",
+        "tests/serving/test_server.py::TestPrewarmAtRegistration::"
+        "test_first_request_reads_no_flash_page[ssd]",
+        "tests/serving/test_server.py::TestPrewarmAtRegistration::"
+        "test_a_replicated_registration_warms_every_device",
+        "tests/models/test_capacity.py::test_attach_never_runs_out_of_blocks",
+        "tests/test_layering.py::test_one_execution_path",
+        "tests/test_layering.py::"
+        "test_the_one_path_rule_sees_a_planted_start_a_dense_timing_and_a_pipeline",
         "tests/sim/test_engine_equivalence.py::test_same_dispatch_sequence_counters_and_errors",
         "tests/sim/test_engine_equivalence.py::test_pipe_laws_hold_on_every_stream",
         "tests/sim/test_engine_equivalence.py::test_same_dispatch_sequence_when_no_delivery_ties",

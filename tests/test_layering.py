@@ -42,6 +42,14 @@ population itself.  And a counter is an attribute on the object that
 owns it: ``repro.obs`` exports no instrument class (``inc`` / ``set`` /
 ``observe``) for a hot path to call per bump.
 
+One execution path: the paper figures' runs and the serving stack are
+one code.  A batch reaches an embedding stage only through
+``BatchScheduler._dispatch`` (``EmbeddingStage.run_sync`` is the
+one-batch call experiments make on a bare stage), a dense stage is timed
+only by ``DenseServiceModel.service_s``, and ``repro.embedding`` holds no
+``pipeline`` module — a second driver with its own dense timeline is the
+twin ``ModelRunner`` used to run on.
+
 SLS input is ``(ids, offsets)`` end to end: one ``repro.core.bags.Bags``
 made where the ids are drawn, read flat by every layer below.  Under
 ``core``, ``embedding``, ``serving`` and ``models`` no loop or
@@ -326,6 +334,109 @@ def test_the_stage_rules_see_a_second_stage_a_switch_and_a_closure():
     ]
     renamed = sources[stage].replace("class _Piece:", "class _Job:")
     assert _closure_offenders(renamed, CLOSURE_FREE[stage]) == ["_Piece.*: no such class"]
+
+
+MAY_START_A_STAGE = {
+    ("repro/serving/scheduler.py", "BatchScheduler._dispatch"),
+    ("repro/embedding/stage.py", "EmbeddingStage.run_sync"),
+}
+MAY_TIME_DENSE = {("repro/serving/hostpool.py", "DenseServiceModel.service_s")}
+
+
+def _is_stage(receiver: ast.AST, scope: str) -> bool:
+    name = _named(receiver)
+    return name.lower().endswith("stage") or (
+        name == "self" and scope.startswith("EmbeddingStage.")
+    )
+
+
+def _calls(sources, method: str, receiver=lambda node, scope: True) -> list:
+    """``(path, line, scope)`` of every ``<receiver>.method(...)`` call."""
+    found = []
+
+    def visit(path: str, node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            func = getattr(child, "func", None)
+            if (
+                isinstance(child, ast.Call)
+                and isinstance(func, ast.Attribute)
+                and func.attr == method
+                and receiver(func.value, scope)
+            ):
+                found.append((path, child.lineno, scope or "<module>"))
+            visit(path, child, inner)
+
+    for path, source in sources.items():
+        visit(path, ast.parse(source), "")
+    return found
+
+
+def _second_paths(sources) -> list:
+    """Stage starts and dense timings outside their one caller, and any
+    ``pipeline`` module under ``repro/embedding``."""
+    strays = [
+        f"{path}:{line}: {scope}"
+        for allowed, found in (
+            (MAY_START_A_STAGE, _calls(sources, "start", _is_stage)),
+            (MAY_TIME_DENSE, _calls(sources, "dense_time")),
+        )
+        for path, line, scope in found
+        if (path, scope) not in allowed
+    ]
+    return strays + [
+        f"{path}: a pipeline module"
+        for path in sources
+        if path.startswith("repro/embedding/") and Path(path).stem == "pipeline"
+    ]
+
+
+def test_one_execution_path():
+    sources = _src_sources()
+    assert _second_paths(sources) == []
+    # The allowances are used: each allowed caller is where it is named.
+    assert {(p, s) for p, _, s in _calls(sources, "start", _is_stage)} == MAY_START_A_STAGE
+    assert {(p, s) for p, _, s in _calls(sources, "dense_time")} == MAY_TIME_DENSE
+
+
+def test_the_one_path_rule_sees_a_planted_start_a_dense_timing_and_a_pipeline():
+    sources = _src_sources()
+
+    def line_of(path: str, hop: str) -> int:
+        assert sources[path].count(hop) == 1, hop
+        return sources[path][: sources[path].index(hop)].count("\n") + 1
+
+    runner = "repro/serving/runner.py"
+    hop = "server.run_until_settled()"
+    for planted in (
+        "self.server.workers[name][0].stage.start(batches[0].bags, print)",
+        "worker_stage.start(batches[0].bags, print)",
+    ):
+        mutant = dict(sources, **{runner: sources[runner].replace(hop, planted)})
+        assert _second_paths(mutant) == [
+            f"{runner}:{line_of(runner, hop)}: ModelRunner.run_batches"
+        ], planted
+    hop = "service_s(self.model, request.batch.batch_size)"
+    mutant = dict(
+        sources,
+        **{runner: sources[runner].replace(hop, "self.model.dense_time(1, self.system.host_cpu)")},
+    )
+    assert _second_paths(mutant) == [f"{runner}:{line_of(runner, hop)}: ModelRunner.run_batches"]
+
+    # The stage's own ``self.start`` counts outside ``run_sync`` too.
+    stage = "repro/embedding/stage.py"
+    hop = "            yield from by_table.values()"
+    mutant = dict(
+        sources,
+        **{stage: sources[stage].replace(hop, hop + "\n        self.start({}, print)")},
+    )
+    assert _second_paths(mutant) == [f"{stage}:{line_of(stage, hop) + 1}: EmbeddingStage.backends"]
+
+    assert _second_paths(dict(sources, **{"repro/embedding/pipeline.py": ""})) == [
+        "repro/embedding/pipeline.py: a pipeline module"
+    ]
 
 
 # Where SLS input travels as one ``Bags`` record.  ``Bags.of`` is the
