@@ -360,7 +360,7 @@ def _host_scenario(
     rate: float,
     n_requests: int,
     seed: int,
-    dense_workers: Optional[int] = None,
+    dense_workers: int = 1,
     host_sls_workers: Optional[int] = None,
 ) -> ScenarioSpec:
     """One open-loop tenant with the host resource model under study.

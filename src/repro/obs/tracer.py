@@ -7,7 +7,7 @@ itself with ``tracer = sim.tracer`` / ``if tracer is not None`` — when no
 tracer is installed the entire subsystem costs one attribute load per
 site.  A tracer NEVER schedules simulator events and NEVER draws random
 numbers: with tracing on or off, the event timeline and every simulated
-number are bit-identical (pinned by ``tests/obs/test_bit_identity.py``).
+number are bit-identical (pinned by ``tests/test_golden.py``).
 
 Spans
 -----

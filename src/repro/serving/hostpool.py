@@ -37,10 +37,10 @@ This module makes both resources explicit and bounded:
   computed closed-form at submit time (a heap of worker-free instants);
   with one worker the arithmetic — ``start = max(now, busy_until)`` —
   reduces *exactly* to the legacy serialized timeline, which is why
-  ``dense_workers=None`` (the legacy default, mapped onto one worker)
-  stays bit-identical to the pre-hostpool server.  ``dense_workers=0``
-  means unbounded: every dense job starts immediately, the idealized
-  host the seed silently assumed for SLS but never offered for dense.
+  the default of one worker stays bit-identical to the pre-hostpool
+  server.  ``dense_workers=0`` means unbounded: every dense job starts
+  immediately, the idealized host the seed silently assumed for SLS but
+  never offered for dense.
 * :class:`DenseServiceModel` — per-model dense service times with
   batch-size scaling: :meth:`~repro.models.base.RecModel.dense_time`
   (already batch-scaled via the host CPU's GEMM model) times an optional
@@ -208,8 +208,8 @@ class DenseWorkerPool:
     job's start is computed closed-form against a heap of worker-free
     instants — no extra simulator events, and with one worker the exact
     ``max(now, busy_until)`` arithmetic of the legacy serialized dense
-    stage (the bit-identity the ``dense_workers=None`` default relies
-    on).  ``workers=None`` is unbounded: every job starts immediately.
+    stage (the bit-identity the one-worker default relies on).
+    ``workers=None`` is unbounded: every job starts immediately.
     """
 
     def __init__(
@@ -272,12 +272,11 @@ class HostResourceModel:
     * ``host_sls_workers`` — ``None`` (default) keeps the seed's
       infinite overlap of per-table gathers and NDP host split/merge,
       bit-identically; an int bounds the pool.
-    * ``dense_workers`` — ``None`` (default) keeps the legacy single
-      serialized host NN timeline bit-identically (implemented as a
-      one-worker pool whose arithmetic reduces to it); an int ``k >= 1``
-      is a pool of ``k`` workers; ``0`` means unbounded (every dense job
-      starts immediately — the idealized host, the "∞" point of the
-      contention sweeps).
+    * ``dense_workers`` — ``1`` (default) is the legacy single
+      serialized host NN timeline, bit-identically (a one-worker pool's
+      arithmetic reduces to it); ``k`` is a pool of ``k`` workers; ``0``
+      means unbounded (every dense job starts immediately — the
+      idealized host, the "∞" point of the contention sweeps).
     * ``dense_time_scale`` / ``dense_service_s_by_model`` — see
       :class:`DenseServiceModel`.
     """
@@ -288,24 +287,17 @@ class HostResourceModel:
         stats: ServingStats,
         host_cpu: HostCpu,
         host_sls_workers: Optional[int] = None,
-        dense_workers: Optional[int] = None,
+        dense_workers: int = 1,
         dense_time_scale: float = 1.0,
         dense_service_s_by_model: Optional[Mapping[str, float]] = None,
     ):
-        if dense_workers is not None and dense_workers < 0:
-            raise ValueError("dense_workers must be None or >= 0 (0 = unbounded)")
         self.stats = stats
         self.service_model = DenseServiceModel(
             host_cpu, dense_time_scale, dense_service_s_by_model
         )
         self.sls = HostSlsPool(sim, host_sls_workers, stats)
-        if dense_workers is None:
-            dense_capacity: Optional[int] = 1   # legacy serialized timeline
-        elif dense_workers == 0:
-            dense_capacity = None               # unbounded
-        else:
-            dense_capacity = dense_workers
-        self.dense = DenseWorkerPool(sim, dense_capacity, stats, self.service_model)
+        # 0 workers is the unbounded pool.
+        self.dense = DenseWorkerPool(sim, dense_workers or None, stats, self.service_model)
 
     def summary(self) -> Dict[str, Dict[str, float]]:
         """Capacity, occupancy, wait and utilization per pool (the host

@@ -80,12 +80,12 @@ class ServingConfig:
     # bounds concurrent per-table SLS ops (DRAM gathers, NDP host
     # split/merge) on a shared host worker pool; None (default) keeps
     # the seed's infinite overlap bit-identically.  dense_workers sizes
-    # the dense-stage NN worker pool: None (default) keeps the legacy
-    # single serialized host NN timeline bit-identically, k >= 1 is a
-    # pool of k workers, 0 means unbounded (every dense job starts
-    # immediately — the "∞" point of host-contention sweeps).
+    # the dense-stage NN worker pool: one (default) is the serialized
+    # host NN timeline, k is a pool of k workers, 0 means unbounded
+    # (every dense job starts immediately — the "∞" point of
+    # host-contention sweeps).
     host_sls_workers: Optional[int] = None
-    dense_workers: Optional[int] = None
+    dense_workers: int = 1
     # Dense service-time model: a global multiplier on each model's
     # dense_time(), and optional per-sample overrides by model name
     # (scaled linearly with batch size) for contention studies.
@@ -97,10 +97,18 @@ class ServingConfig:
             "max_batch_requests",
             "max_inflight_batches_per_worker",
             "max_inflight_batches_total",
+            "host_sls_workers",
         ):
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if self.dense_workers < 0:
+            raise ValueError("dense_workers must be >= 0 (0 = unbounded)")
+        if self.dense_time_scale <= 0:
+            raise ValueError("dense_time_scale must be positive")
+        for model, service in (self.dense_service_s_by_model or {}).items():
+            if service <= 0:
+                raise ValueError(f"dense service override for {model!r} must be positive")
 
 
 class InferenceServer:

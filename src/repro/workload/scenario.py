@@ -186,7 +186,7 @@ class ScenarioSpec:
     # dense NN worker pools.  Defaults keep the seed's behaviour
     # bit-identically; dense_workers=0 means unbounded ("∞" sweeps).
     host_sls_workers: Optional[int] = None
-    dense_workers: Optional[int] = None
+    dense_workers: int = 1
     dense_time_scale: float = 1.0
     deadline_drop: bool = False
     drop_headroom_s: float = 0.0

@@ -2,36 +2,32 @@
 
 import pytest
 
-from repro.experiments import fig3_reuse, fig4_locality, fig5_sls, fig8_breakdown
-from repro.experiments import table1_params
+from repro.experiments import fig8_breakdown, table1_params
 from repro.experiments.cli import REGISTRY, run_experiment
 
 
 class TestFig3:
-    def test_power_law_concentration(self):
-        result = fig3_reuse.run(fast=True)
-        for row in result.rows:
+    def test_power_law_concentration(self, fig3):
+        for row in fig3.rows:
             # "a few hundred pages capture 30% of reuses"
             assert row["pages_for_30pct"] < 1000
             # "caching a few thousand pages can extend reuse over 50%"
             assert row["pages_for_50pct"] < 10_000
             assert row["pages_for_30pct"] < row["pages_for_50pct"] < row["pages_for_80pct"]
 
-    def test_larger_pages_fewer_distinct(self):
-        result = fig3_reuse.run(fast=True)
-        distinct = result.column("distinct_pages")
+    def test_larger_pages_fewer_distinct(self, fig3):
+        distinct = fig3.column("distinct_pages")
         assert distinct[0] > distinct[1] > distinct[2]
 
 
 class TestFig4:
-    def test_hit_rate_spread_and_capacity_trend(self):
-        result = fig4_locality.run(fast=True)
-        hits = [float(r["hit_rate"]) for r in result.rows]
+    def test_hit_rate_spread_and_capacity_trend(self, fig4):
+        hits = [float(r["hit_rate"]) for r in fig4.rows]
         assert min(hits) < 0.10   # "under 10%"
         assert max(hits) > 0.90   # "over 90%"
         # Hit rate grows with capacity for each table.
         by_table = {}
-        for row in result.rows:
+        for row in fig4.rows:
             by_table.setdefault(row["table"], []).append(
                 (row["cache_mb"], row["hit_rate"])
             )
@@ -40,23 +36,20 @@ class TestFig4:
             rates = [h for _mb, h in entries]
             assert all(a <= b + 1e-9 for a, b in zip(rates, rates[1:]))
 
-    def test_16mb_captures_half_of_reuse(self):
-        result = fig4_locality.run(fast=True)
-        for row in result.rows:
+    def test_16mb_captures_half_of_reuse(self, fig4):
+        for row in fig4.rows:
             if row["cache_mb"] >= 16:
                 assert float(row["reuse_capture"]) >= 0.4
 
 
 class TestFig5:
-    def test_ssd_orders_of_magnitude_slower(self):
-        result = fig5_sls.run(fast=True, table_rows=1 << 18)
-        for row in result.rows:
+    def test_ssd_orders_of_magnitude_slower(self, fig5):
+        for row in fig5.rows:
             if row["batch"] >= 8:
                 assert float(row["slowdown"]) > 100.0
 
-    def test_latency_grows_with_batch(self):
-        result = fig5_sls.run(fast=True, table_rows=1 << 18)
-        ssd = [float(r["ssd_ms"]) for r in result.rows]
+    def test_latency_grows_with_batch(self, fig5):
+        ssd = [float(r["ssd_ms"]) for r in fig5.rows]
         assert ssd == sorted(ssd)
 
 
@@ -111,6 +104,6 @@ class TestRegistry:
         with pytest.raises(SystemExit):
             run_experiment("fig99")
 
-    def test_to_text_renders(self):
-        text = fig3_reuse.run(fast=True).to_text()
+    def test_to_text_renders(self, fig3):
+        text = fig3.to_text()
         assert "fig3" in text and "page_size" in text

@@ -79,20 +79,19 @@ class TestFig10:
 
 
 class TestFig11:
-    def test_feature_size_decreases_ndp_benefit(self):
-        result = fig11_sensitivity.run_feature_quant(fast=True)
+    def test_feature_size_decreases_ndp_benefit(self, fig11_feature_quant):
         fp32 = sorted(
             (int(r["dim"]), float(r["ndp_speedup"]))
-            for r in result.rows
+            for r in fig11_feature_quant.rows
             if r["dtype"] == "fp32"
         )
         assert fp32[0][1] > fp32[-1][1]
 
-    def test_quantization_recovers_ndp_benefit(self):
-        result = fig11_sensitivity.run_feature_quant(fast=True)
-        dim = max(int(r["dim"]) for r in result.rows)
-        fp32 = [r for r in result.rows if r["dtype"] == "fp32" and r["dim"] == dim][0]
-        int8 = [r for r in result.rows if r["dtype"] == "int8" and r["dim"] == dim][0]
+    def test_quantization_recovers_ndp_benefit(self, fig11_feature_quant):
+        rows = fig11_feature_quant.rows
+        dim = max(int(r["dim"]) for r in rows)
+        fp32 = [r for r in rows if r["dtype"] == "fp32" and r["dim"] == dim][0]
+        int8 = [r for r in rows if r["dtype"] == "int8" and r["dim"] == dim][0]
         assert float(int8["ndp_speedup"]) > float(fp32["ndp_speedup"])
 
     def test_ndp_speedup_positive_across_sweeps(self):

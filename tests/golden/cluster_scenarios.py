@@ -7,62 +7,23 @@ serves what: fleet summary, per-host splits, route counts and the
 consistent-hash displacement gauges are all compared exactly (every
 recorded number is deterministic simulated arithmetic; the hash ring is
 PYTHONHASHSEED-independent by construction).
-
-Regenerate (ONLY on a commit whose cluster path is trusted) with:
-
-    PYTHONPATH=src python -m tests.golden.generate_cluster_golden
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Dict
 
 from repro.cluster import ClusterSpec, HostEvent, UserSpec, run_cluster_scenario
-from repro.workload import ScenarioSpec, TenantSpec
 
 from ..serving.conftest import toy_model
+from .serving_scenarios import COMMON_KEYS, open_spec
 
 __all__ = ["SCENARIOS"]
 
-SUMMARY_KEYS = (
-    "submitted",
-    "completed",
-    "rejected",
-    "dropped",
-    "goodput",
-    "p50_ms",
-    "p95_ms",
-    "p99_ms",
-    "mean_ms",
-    "max_ms",
-    "throughput_rps",
-    "goodput_rps",
-    "mean_queue_delay_ms",
-    "hosts",
-    "router_rejected",
-    "cache_hit_rate",
-)
+SUMMARY_KEYS = COMMON_KEYS + ("hosts", "router_rejected", "cache_hit_rate")
 
 HOST_KEYS = ("submitted", "completed", "dropped", "p50_ms", "p95_ms")
-
-
-def _base_scenario() -> ScenarioSpec:
-    return ScenarioSpec(
-        name="golden-cluster",
-        tenants=(
-            TenantSpec(
-                model="toy",
-                arrival="open",
-                rate=3000.0,
-                n_requests=48,
-                batch_size=2,
-                slo_s=0.05,
-            ),
-        ),
-        backend="ndp",
-        max_batch_requests=4,
-        seed=29,
-    )
 
 
 def _cluster_spec(router: str) -> ClusterSpec:
@@ -71,7 +32,7 @@ def _cluster_spec(router: str) -> ClusterSpec:
     AND the drain redistribution path is pinned."""
     return ClusterSpec(
         name=f"golden-{router}",
-        scenario=_base_scenario(),
+        scenario=open_spec("golden-cluster", "toy", 29, n_requests=48, slo_s=0.05),
         n_hosts=2,
         router=router,
         router_spread=1,
@@ -107,24 +68,11 @@ def _record(result) -> Dict[str, Any]:
     return record
 
 
-def _run(router: str) -> Dict[str, Any]:
-    return _record(run_cluster_scenario(_cluster_spec(router), [toy_model()]))
-
-
-def round_robin() -> Dict[str, Any]:
-    return _run("round_robin")
-
-
-def least_loaded() -> Dict[str, Any]:
-    return _run("least_loaded")
-
-
-def consistent_hash() -> Dict[str, Any]:
-    return _run("consistent_hash")
+def _run(router: str, tracer=None) -> Dict[str, Any]:
+    return _record(run_cluster_scenario(_cluster_spec(router), [toy_model()], tracer=tracer))
 
 
 SCENARIOS = {
-    "round_robin": round_robin,
-    "least_loaded": least_loaded,
-    "consistent_hash": consistent_hash,
+    router: partial(_run, router)
+    for router in ("round_robin", "least_loaded", "consistent_hash")
 }

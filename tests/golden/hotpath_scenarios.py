@@ -4,13 +4,9 @@ The vectorized hot path (array caches, batched FTL reads, bulk event
 scheduling) must leave every *simulated* number unchanged: op latencies,
 component breakdowns, cache hit/miss/eviction counts, device counters.
 These scenarios were recorded on the scalar implementation and replayed
-against the vectorized one; `tests/hotpath/test_golden_equivalence.py`
-asserts the outcomes still match `hotpath_golden.json` exactly (times,
-counters) or to float tolerance (accumulated values).
-
-Regenerate the golden file with:
-
-    PYTHONPATH=src python -m tests.golden.generate_hotpath_golden
+against the vectorized one; the replay holds them to `hotpath_golden.json`
+exactly (times, counters) or to float tolerance (``values_sum``: float32
+accumulation order may legitimately differ).
 """
 
 from __future__ import annotations
@@ -28,7 +24,7 @@ from repro.embedding.spec import Layout, TableSpec
 from repro.embedding.table import EmbeddingTable
 from repro.host.system import build_system
 
-__all__ = ["SCENARIOS", "run_scenario"]
+__all__ = ["SCENARIOS"]
 
 
 def _zipf_bags(rng: np.random.Generator, n_bags: int, bag_size: int, rows: int, a: float):
@@ -64,7 +60,9 @@ def _device_counters(system) -> Dict[str, float]:
     }
 
 
-def _record_ops(backend, all_bags) -> Dict[str, Any]:
+def _record(system, backend, all_bags, device: bool = True, **caches) -> Dict[str, Any]:
+    """Run the ops one by one; then the caches' counters, the device's
+    and the clock."""
     ops: List[Dict[str, Any]] = []
     for bags in all_bags:
         result = backend.run_sync(bags)
@@ -80,7 +78,18 @@ def _record_ops(backend, all_bags) -> Dict[str, Any]:
                 "values_shape": list(result.values.shape),
             }
         )
-    return {"ops": ops}
+    out: Dict[str, Any] = {"ops": ops}
+    out.update((name, _cache_stats(cache)) for name, cache in caches.items())
+    if device:
+        out["device"] = _device_counters(system)
+    out["final_time"] = system.sim.now
+    return out
+
+
+def _attached(system, spec: TableSpec) -> EmbeddingTable:
+    table = EmbeddingTable(spec)
+    table.attach(system.device)
+    return table
 
 
 # ----------------------------------------------------------------------
@@ -88,79 +97,52 @@ def _record_ops(backend, all_bags) -> Dict[str, Any]:
 # ----------------------------------------------------------------------
 def scenario_ssd_cache() -> Dict[str, Any]:
     system = build_system(min_capacity_pages=1 << 17)
-    table = EmbeddingTable(TableSpec(name="t", rows=50_000, dim=32))
-    table.attach(system.device)
+    table = _attached(system, TableSpec(name="t", rows=50_000, dim=32))
     cache = SetAssociativeLru(2048, ways=16)
     backend = SsdSlsBackend(system, table, host_cache=cache)
     rng = np.random.default_rng(7)
     all_bags = [_zipf_bags(rng, 48, 32, 50_000, 1.3) for _ in range(4)]
-    out = _record_ops(backend, all_bags)
-    out["host_cache"] = _cache_stats(cache)
-    out["device"] = _device_counters(system)
-    out["final_time"] = system.sim.now
-    return out
+    return _record(system, backend, all_bags, host_cache=cache)
 
 
 def scenario_ssd_coalesce_packed() -> Dict[str, Any]:
     system = build_system(min_capacity_pages=1 << 16)
-    table = EmbeddingTable(
-        TableSpec(name="p", rows=8192, dim=16, layout=Layout.PACKED)
-    )
-    table.attach(system.device)
+    table = _attached(system, TableSpec(name="p", rows=8192, dim=16, layout=Layout.PACKED))
     backend = SsdSlsBackend(system, table, coalesce=True, max_coalesce_lbas=32)
     rng = np.random.default_rng(11)
     all_bags = [_clustered_bags(rng, 24, 32, 8192) for _ in range(3)]
-    out = _record_ops(backend, all_bags)
-    out["device"] = _device_counters(system)
-    out["final_time"] = system.sim.now
-    return out
+    return _record(system, backend, all_bags)
 
 
 def scenario_ssd_nocache() -> Dict[str, Any]:
     system = build_system(min_capacity_pages=1 << 16)
-    table = EmbeddingTable(TableSpec(name="n", rows=4096, dim=8))
-    table.attach(system.device)
+    table = _attached(system, TableSpec(name="n", rows=4096, dim=8))
     backend = SsdSlsBackend(system, table)
     rng = np.random.default_rng(3)
     all_bags = [_zipf_bags(rng, 16, 24, 4096, 1.2) for _ in range(2)]
-    out = _record_ops(backend, all_bags)
-    out["device"] = _device_counters(system)
-    out["final_time"] = system.sim.now
-    return out
+    return _record(system, backend, all_bags)
 
 
 def scenario_ndp_partition() -> Dict[str, Any]:
     system = build_system(min_capacity_pages=1 << 17)
-    table = EmbeddingTable(TableSpec(name="t", rows=30_000, dim=32))
-    table.attach(system.device)
+    table = _attached(system, TableSpec(name="t", rows=30_000, dim=32))
     rng = np.random.default_rng(13)
     profile = _zipf_bags(rng, 32, 32, 30_000, 1.3)
     partition = StaticPartitionCache.from_profile(table, profile, capacity=512)
     backend = NdpSlsBackend(system, table, partition=partition)
     all_bags = [_zipf_bags(rng, 24, 32, 30_000, 1.3) for _ in range(3)]
-    out = _record_ops(backend, all_bags)
-    out["partition"] = _cache_stats(partition)
-    out["device"] = _device_counters(system)
-    out["final_time"] = system.sim.now
-    return out
+    return _record(system, backend, all_bags, partition=partition)
 
 
 def scenario_ndp_embcache() -> Dict[str, Any]:
     system = build_system(
         min_capacity_pages=1 << 16, ndp=NdpEngineConfig(embcache_slots=4096)
     )
-    table = EmbeddingTable(
-        TableSpec(name="e", rows=16_384, dim=16, layout=Layout.PACKED)
-    )
-    table.attach(system.device)
+    table = _attached(system, TableSpec(name="e", rows=16_384, dim=16, layout=Layout.PACKED))
     backend = NdpSlsBackend(system, table)
     rng = np.random.default_rng(17)
     all_bags = [_zipf_bags(rng, 24, 32, 16_384, 1.4) for _ in range(3)]
-    out = _record_ops(backend, all_bags)
-    out["emb_cache"] = _cache_stats(system.device.ndp.emb_cache)
-    out["device"] = _device_counters(system)
-    out["final_time"] = system.sim.now
-    return out
+    return _record(system, backend, all_bags, emb_cache=system.device.ndp.emb_cache)
 
 
 def scenario_dram() -> Dict[str, Any]:
@@ -169,9 +151,7 @@ def scenario_dram() -> Dict[str, Any]:
     backend = DramSlsBackend(system, table)
     rng = np.random.default_rng(5)
     all_bags = [_zipf_bags(rng, 32, 40, 10_000, 1.2) for _ in range(2)]
-    out = _record_ops(backend, all_bags)
-    out["final_time"] = system.sim.now
-    return out
+    return _record(system, backend, all_bags, device=False)
 
 
 def scenario_ssd_raw_io() -> Dict[str, Any]:
@@ -188,19 +168,13 @@ def scenario_ssd_raw_io() -> Dict[str, Any]:
     backend = SsdSlsBackend(system, table, host_cache=SetAssociativeLru(256, ways=16))
     rng = np.random.default_rng(23)
     all_bags = [_zipf_bags(rng, 16, 16, 2000, 1.3) for _ in range(2)]
-    out = _record_ops(backend, all_bags)
-    out["device"] = _device_counters(system)
-    out["final_time"] = system.sim.now
-    return out
+    return _record(system, backend, all_bags)
 
 
 def scenario_read_pages_direct() -> Dict[str, Any]:
     """Drive Ftl.read_pages directly: mapped, unmapped and cached pages."""
     system = build_system(min_capacity_pages=1 << 16)
-    table = EmbeddingTable(
-        TableSpec(name="rp", rows=4096, dim=16, layout=Layout.PACKED)
-    )
-    table.attach(system.device)
+    table = _attached(system, TableSpec(name="rp", rows=4096, dim=16, layout=Layout.PACKED))
     ftl = system.device.ftl
     base_lpn = table.base_lba // ftl.lbas_per_page
     n_pages = table.spec.table_pages(table.page_bytes)
@@ -237,7 +211,3 @@ SCENARIOS = {
     "ssd_raw_io": scenario_ssd_raw_io,
     "read_pages_direct": scenario_read_pages_direct,
 }
-
-
-def run_scenario(name: str) -> Dict[str, Any]:
-    return SCENARIOS[name]()

@@ -7,11 +7,9 @@ embedding cache, a prewarmed page cache on PACKED tables and a longer
 warm-up.  Each scenario records the three latencies the figures read,
 the simulated clock and event count at the end of the run, the three hit
 rates and a digest of the model outputs — floats as ``float.hex``, so
-the replay compares bit for bit.
-
-Regenerate (ONLY on a commit whose runner is trusted) with:
-
-    PYTHONPATH=src python -m tests.golden.generate_runner_golden
+the replay compares bit for bit.  It was recorded on the runner that
+drove its own two-stage pipeline, before it became a client of
+``InferenceServer``.
 """
 
 from __future__ import annotations

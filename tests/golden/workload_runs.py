@@ -1,0 +1,137 @@
+"""The benchmark workloads at 1/10 size, each run once per process under
+a census of its event instants.
+
+The ``digests`` family (``perf_digests.json``) records, for every
+``perf`` workload on seeds 13 and 7, the ``sim_digest`` (sha256 over the
+sorted latencies and ``stats.summary()``), the completed count and the
+simulator's event count: digests replay, and only the event count may be
+refreshed, by a change that names the hops it fused.
+
+``tests/sim/test_pipe_ties.py`` reads the census of the same runs.  It
+is taken test-side: deliveries are recognised by wrapping the callback
+handed to ``BandwidthPipe.transfer``, and every dispatched event is seen
+by giving the kernel module a ``heapq`` whose ``heappop`` reports what
+it popped.  Nothing in ``src/`` knows, and no simulated number moves.
+"""
+
+from __future__ import annotations
+
+import heapq
+from contextlib import contextmanager
+from functools import lru_cache, partial
+from typing import Dict, Iterator, Tuple
+
+from perf.workloads import BY_NAME, WORKLOADS, observe, run, setup
+from repro.sim import kernel
+from repro.sim.resources import BandwidthPipe
+
+SCALE = 0.1
+SEEDS = (13, 7)
+
+
+class Delivery:
+    """A transfer's ``on_done``, remembering which pipe delivers it."""
+
+    __slots__ = ("pipe", "on_done")
+
+    def __init__(self, pipe, on_done):
+        self.pipe = pipe
+        self.on_done = on_done
+
+    def __call__(self) -> None:
+        self.on_done()
+
+
+def describe(callback, arg) -> str:
+    if type(callback) is Delivery:
+        return f"delivery of {callback.pipe.name!r}"
+    owner = getattr(callback, "__self__", None)
+    what = getattr(callback, "__qualname__", type(callback).__name__)
+    return f"{what} of {getattr(owner, 'name', owner)!r} ({arg!r})"
+
+
+class Census:
+    """Groups dispatched events by instant; keeps the groups in which a
+    delivery met anything but deliveries of its own pipe.  An event is
+    held as its ``(callback, arg)`` until its instant closes; only a
+    kept group is ever put into words (:meth:`report`)."""
+
+    heappush = staticmethod(heapq.heappush)
+
+    def __init__(self):
+        self.instant = None
+        self.group = []         # (callback, arg) of the current instant
+        self.ties = []          # (instant, group)
+        self.deliveries = 0
+        self.events = 0
+
+    def heappop(self, heap):
+        event = heapq.heappop(heap)
+        time, _seq, callback, arg = event
+        if callback is None:                    # cancelled: never dispatched
+            return event
+        if time != self.instant:
+            self.close()
+            self.instant = time
+        self.events += 1
+        if type(callback) is Delivery:
+            self.deliveries += 1
+        self.group.append((callback, arg))
+        return event
+
+    def close(self) -> None:
+        group = self.group
+        if len(group) > 1 and len({
+            callback.pipe if type(callback) is Delivery else None for callback, _ in group
+        }) > 1:                                 # a delivery and something else
+            self.ties.append((self.instant, group))
+        self.group = []
+
+    def report(self) -> str:
+        return "\n".join(
+            f"t={instant!r}: " + " | ".join(describe(*event) for event in group)
+            for instant, group in self.ties
+        )
+
+
+@contextmanager
+def census_installed() -> Iterator[Census]:
+    census = Census()
+    transfer = BandwidthPipe.transfer
+    BandwidthPipe.transfer = lambda pipe, size_bytes, on_done: transfer(
+        pipe, size_bytes, Delivery(pipe, on_done)
+    )
+    kernel.heapq = census
+    try:
+        yield census
+    finally:
+        BandwidthPipe.transfer = transfer
+        kernel.heapq = heapq
+        census.close()
+
+
+@lru_cache(maxsize=None)
+def observed(name: str, seed: int) -> Tuple[Dict[str, object], Census]:
+    """Set up, run and observe one workload the way ``perf.run`` does,
+    under a census; the record and the census it left."""
+    with census_installed() as census:
+        built = setup(BY_NAME[name], seed, SCALE)
+        run(built)
+    seen = observe(built)
+    record = {
+        "sim_digest": seen.digest,
+        "sim_events": built.sim.event_count,
+        "completed": seen.completed,
+    }
+    return record, census
+
+
+def _record(name: str, seed: int) -> Dict[str, object]:
+    return dict(observed(name, seed)[0])
+
+
+SCENARIOS = {
+    f"{workload.name}/seed{seed}": partial(_record, workload.name, seed)
+    for workload in WORKLOADS
+    for seed in SEEDS
+}

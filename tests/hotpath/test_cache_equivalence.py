@@ -28,6 +28,7 @@ def assert_lru_state_equal(ref: ScalarSetAssociativeLru, arr: SetAssociativeLru)
     assert ref.hits == arr.hits
     assert ref.misses == arr.misses
     assert ref.evictions == arr.evictions
+    assert ref.invalidations == arr.invalidations
     assert ref.occupancy == arr.occupancy
     ref_contents = ref.contents()
     arr_contents = arr.contents()

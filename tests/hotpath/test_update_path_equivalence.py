@@ -24,24 +24,7 @@ from ..embedding.reference_caches import (
     ScalarSetAssociativeLru,
     ScalarStaticPartitionCache,
 )
-
-
-def vec(x, dim=4):
-    return np.full(dim, float(x), dtype=np.float32)
-
-
-def assert_lru_state_equal(ref: ScalarSetAssociativeLru, arr: SetAssociativeLru):
-    assert ref.hits == arr.hits
-    assert ref.misses == arr.misses
-    assert ref.evictions == arr.evictions
-    assert ref.invalidations == arr.invalidations
-    assert ref.occupancy == arr.occupancy
-    ref_contents = ref.contents()
-    arr_contents = arr.contents()
-    assert sorted(ref_contents) == sorted(arr_contents)
-    for key in ref_contents:
-        assert np.array_equal(ref_contents[key], arr_contents[key]), key
-    assert ref.recency_order() == arr.recency_order()
+from .test_cache_equivalence import assert_lru_state_equal, vec
 
 
 class TestLruInvalidateEquivalence:

@@ -3,7 +3,7 @@
 The tentpole contract of the hostpool PR, pinned here:
 
 * **Oracle regression** — with ``host_sls_workers=None`` and
-  ``dense_workers=None`` (the defaults), serving output is bit-identical
+  ``dense_workers=1`` (the defaults), serving output is bit-identical
   to the pre-hostpool server.  The oracle is the verbatim legacy code
   path reconstructed at runtime: the scheduler/stages stripped of their
   pool hooks and the legacy ``_dense_busy_until`` completion loop
@@ -145,8 +145,8 @@ class TestOracleBitIdentity:
                 np.testing.assert_array_equal(a.values[name], b.values[name])
 
     def test_dense_workers_one_matches_default_exactly(self):
-        """``dense_workers=1`` is the same serialized timeline the
-        ``None`` default (and the pre-PR server) runs."""
+        """``dense_workers=1`` is the default: the serialized timeline
+        the pre-hostpool server runs."""
         one = build_server(
             toy_model(), serving_config=ServingConfig(dense_workers=1)
         )
@@ -385,6 +385,21 @@ class TestHostContention:
         the range checks sit on that config, not on a copy of it."""
         with pytest.raises(ValueError, match=field):
             ServingConfig(**{field: 0})
+
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [
+            ("dense_workers", -1, "dense_workers"),
+            ("host_sls_workers", 0, "host_sls_workers"),
+            ("dense_time_scale", 0.0, "dense_time_scale"),
+            ("dense_service_s_by_model", {"m": -1.0}, "override for 'm'"),
+        ],
+        ids=["dense_workers", "host_sls_workers", "dense_time_scale", "service_override"],
+    )
+    def test_host_model_refused_where_it_is_set(self, field, value, match):
+        """Refused when the config is built, not when a server reads it."""
+        with pytest.raises(ValueError, match=match):
+            ServingConfig(**{field: value})
 
 
 # ----------------------------------------------------------------------

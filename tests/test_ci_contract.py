@@ -15,6 +15,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from .golden import FAMILIES, case_id
+
 REPO = Path(__file__).resolve().parent.parent
 TIER1_COMMAND = "python -m pytest -x -q"
 
@@ -30,6 +32,7 @@ def test_roadmap_documents_tier1_command():
 def test_ci_runs_the_same_tier1_command():
     ci = (REPO / ".github" / "workflows" / "ci.yml").read_text()
     assert TIER1_COMMAND in ci, "CI no longer runs the ROADMAP tier-1 command"
+    assert f"{TIER1_COMMAND} --durations=15" in ci, "CI tier-1 step stopped printing its budget"
     assert "PYTHONPATH: src" in ci, "CI tier-1 step lost PYTHONPATH=src"
 
 
@@ -69,8 +72,10 @@ def test_tier1_command_collects_the_bit_identity_pins():
     at construction, prewarm honoured by registration on every device,
     small tables sized by the blocks preload reserves) and the
     one-execution-path rule are what the paper figures running on the
-    serving path rest on.  None may
-    be dropped, renamed out of collection or slow-marked silently.  Collects
+    serving path rest on.  Every golden replay is checked by one loop
+    over the registry (``tests/golden``): each family's envelope and
+    every (family, scenario, variant) it declares.  None may be dropped,
+    renamed out of collection or slow-marked silently.  Collects
     the way the tier-1 command does (same directory, same ``testpaths``),
     under the strictest filter in use."""
     listing = subprocess.run(
@@ -81,14 +86,14 @@ def test_tier1_command_collects_the_bit_identity_pins():
         text=True,
         check=True,
     ).stdout
-    digests = re.findall(r"^tests/test_perf_digests\.py::test_workload_replays\S*", listing, re.M)
-    assert len(digests) == 10, digests            # five workloads x seeds 13 and 7
-    replays = re.findall(
-        r"^tests/hotpath/test_golden_equivalence\.py::test_scenario_matches_golden\[\S+\]",
-        listing,
-        re.M,
-    )
-    assert len(replays) == 8, replays
+    collected = set(listing.splitlines())
+    for family_name, family in FAMILIES.items():
+        cases = [f"test_every_file_has_the_envelope_and_every_scenario[{family_name}]"] + [
+            f"test_scenario_replays_its_recorded_entry[{case_id(family_name, name, variant)}]"
+            for name, variant, _build in family.cases()
+        ]
+        for case in cases:
+            assert f"tests/test_golden.py::{case}" in collected, case
     cycles = re.findall(
         r"^tests/test_gc_budget\.py::test_run_leaves_no_cycle_of_ours\[\S+\]", listing, re.M
     )
@@ -107,14 +112,7 @@ def test_tier1_command_collects_the_bit_identity_pins():
         re.M,
     )
     assert len(router_options) == 3, router_options   # one per router option
-    runner = re.findall(
-        r"^tests/serving/test_runner_golden\.py::test_scenario_matches_golden\[\S+\]",
-        listing,
-        re.M,
-    )
-    assert len(runner) == 17, runner
     for pin in (
-        "tests/serving/test_runner_golden.py::test_golden_names_the_clean_commit_it_was_recorded_at",
         "tests/models/test_runner.py::TestRegistration::"
         "test_more_tables_than_ndp_entries_is_refused_at_construction",
         "tests/serving/test_server.py::TestPrewarmAtRegistration::"
@@ -152,8 +150,6 @@ def test_tier1_command_collects_the_bit_identity_pins():
         "tests/test_layering.py::test_the_per_unit_path_builds_no_closure",
         "tests/test_layering.py::test_one_embedding_stage_and_nobody_asks_which",
         "tests/test_layering.py::test_the_stage_rules_see_a_second_stage_a_switch_and_a_closure",
-        "tests/serving/test_serving_golden.py::test_scenario_matches_golden[replicate_three_devices]",
-        "tests/serving/test_serving_golden.py::test_scenario_matches_golden[row_shard_two_devices]",
         "tests/cluster/test_fleet_counters.py::test_fleet_counters_equal_the_sum_over_hosts",
         "tests/cluster/test_fleet_counters.py::test_fleet_derived_metrics_are_the_shared_definition_over_its_hosts",
         "tests/test_layering.py::test_a_number_is_computed_one_way",
