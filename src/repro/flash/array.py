@@ -10,14 +10,11 @@ IOPS/channel figure from the paper.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable, List, Optional
 
-import numpy as np
-
-from ..sim.kernel import SimError, Simulator
+from ..sim.kernel import Simulator
 from ..sim.resources import Server
 from ..sim.stats import Accumulator
 from .geometry import FlashGeometry, PhysAddr
@@ -29,12 +26,6 @@ __all__ = ["FlashChannel", "FlashArray"]
 
 ReadCallback = Callable[[Any], None]
 DoneCallback = Callable[[], None]
-
-
-def _die_noop() -> None:
-    # Aggregate die-chain occupancy job: per-page work is scheduled
-    # separately; this job only holds the server.
-    pass
 
 
 # One record per queued page: its bound methods are the stage callbacks,
@@ -181,138 +172,6 @@ class FlashArray:
         channel.dies[die % geometry.ways].submit(
             (1 + retries) * channel.read_unit_s, read.die_done
         )
-
-    def read_many(
-        self, ppns: "np.ndarray", on_page: Callable[[int, Any], None]
-    ) -> None:
-        """Batch read: ``on_page(i, content)`` fires as page ``i`` lands on-chip.
-
-        Timing-equivalent to calling :meth:`read` once per page at this
-        instant (the retry draws happen in page order, so the reliability
-        RNG stream matches): each die serializes its pages' tR phases and
-        every completed tR claims the shared channel bus for the data
-        transfer.  All die-phase completion times are computed up front —
-        a k-way virtual merge reproduces the event heap's exact ordering,
-        including same-instant ties — then bulk-pushed in one
-        :meth:`Simulator.schedule_batch` pass, with a single aggregate
-        occupancy job per die standing in for its page chain.  If any
-        target die is mid-service the batch falls back to per-page issue
-        (the queue interleaving is live state that cannot be precomputed).
-        """
-        n = len(ppns)
-        if n == 0:
-            return
-        if n == 1:
-            self.read(int(ppns[0]), lambda content: on_page(0, content))
-            return
-        ppns = np.ascontiguousarray(ppns, dtype=np.int64)
-        geometry = self.geometry
-        if ppns.min() < 0 or ppns.max() >= geometry.total_pages:
-            raise ValueError("ppn out of range")
-        sim = self.sim
-        start = sim.now
-        store = self.store
-        dies = (ppns // geometry.pages_per_block) // geometry.blocks_per_die
-        retries = [0] * n
-        failed = [False] * n
-        max_retries = self.reliability.config.max_read_retries
-        for i in range(n):
-            try:
-                retries[i] = self.reliability.retries_for_read()
-            except UncorrectableError:
-                retries[i] = max_retries
-                failed[i] = True
-                self.uncorrectable_reads += 1
-
-        def make_finish(i: int) -> DoneCallback:
-            ppn = int(ppns[i])
-            if failed[i]:
-                def finish_failed() -> None:
-                    self.read_latency.add(sim.now - start)
-                    on_page(i, None)
-                return finish_failed
-
-            def finish() -> None:
-                self.read_latency.add(sim.now - start)
-                on_page(i, store.read(ppn))
-
-            return finish
-
-        ways = geometry.ways
-        die_ids = dies.tolist()
-        # Page indices per die, in arrival (lpn) order.
-        per_die: dict[int, list[int]] = {}
-        for i, d in enumerate(die_ids):
-            per_die.setdefault(d, []).append(i)
-
-        die_servers = {
-            d: self.channels[d // ways].dies[d % ways] for d in per_die
-        }
-        if any(not server.idle for server in die_servers.values()):
-            # Live queue state on a die: issue per page, exactly as read().
-            unit = self.timing.t_cmd_s + self.timing.t_read_s
-            xfer = self.timing.t_cmd_s + self.timing.transfer_time(
-                self.geometry.page_bytes
-            )
-            for i, d in enumerate(die_ids):
-                channel = self.channels[d // ways]
-                channel.reads += 1
-                bus = channel.bus
-                finish = make_finish(i)
-                channel.dies[d % ways].submit(
-                    (1 + retries[i]) * unit,
-                    lambda bus=bus, finish=finish: bus.submit(xfer, finish),
-                )
-            return
-
-        # All dies idle: every chain starts now.  Virtual-merge the die
-        # timelines to recover the exact (time, seq) order the per-page
-        # event cascade would produce: the first page of each die is
-        # scheduled at submit time in lpn order, each later page when its
-        # predecessor completes.
-        unit = self.timing.t_cmd_s + self.timing.t_read_s
-        merged_times: list[float] = []
-        merged_pages: list[int] = []
-        heap: list[tuple[float, int, int, int]] = []  # (time, vseq, die, pos)
-        for d, pages in per_die.items():
-            first = pages[0]
-            heap.append((start + (1 + retries[first]) * unit, first, d, 0))
-        heapq.heapify(heap)
-        vseq = n  # later pages schedule strictly after the initial wave
-        while heap:
-            t, _s, d, pos = heapq.heappop(heap)
-            pages = per_die[d]
-            merged_times.append(t)
-            merged_pages.append(pages[pos])
-            if pos + 1 < len(pages):
-                nxt = pages[pos + 1]
-                heapq.heappush(heap, (t + (1 + retries[nxt]) * unit, vseq, d, pos + 1))
-                vseq += 1
-
-        callbacks: list[Callable[[], None]] = []
-        for i in merged_pages:
-            channel = self.channels[die_ids[i] // ways]
-            channel.reads += 1
-            callbacks.append(
-                lambda bus=channel.bus, xfer=channel.page_xfer_s, finish=make_finish(i): bus.submit(
-                    xfer, finish
-                )
-            )
-        sim.schedule_batch(merged_times, callbacks)
-        # One aggregate occupancy job per die: later arrivals queue behind
-        # the whole chain, exactly as behind its individual jobs.
-        for d, pages in per_die.items():
-            server = die_servers[d]
-            # Sequential accumulation matches the per-page event cascade's
-            # float associativity; the on_start hook pins the server-free
-            # instant to exactly the last page's completion.
-            last_end = start
-            for i in pages:
-                last_end = last_end + (1 + retries[i]) * unit
-            total = sum((1 + retries[i]) * unit for i in pages)
-            server.jobs_started += len(pages) - 1
-            server.jobs_completed += len(pages) - 1
-            server.submit(total, _die_noop, on_start=lambda end=last_end: end)
 
     def program(self, ppn: int, content: Any, on_done: DoneCallback) -> None:
         """Program ``content`` into page ``ppn`` (store updated at completion)."""

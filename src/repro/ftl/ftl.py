@@ -70,6 +70,40 @@ class _PageRead:
 
 
 @dataclass(slots=True, eq=False)
+class _PagesRead:
+    """``read_pages`` of several pages: one firmware cost for the command,
+    then one flash read per mapped miss; ``on_done`` gets every page's
+    content once the last read lands."""
+
+    ftl: "GreedyFtl"
+    lpns: list[int]
+    on_done: Callable[[list[Any]], None]
+    contents: list[Any]
+    misses: list[int]
+    pending: int = 0
+
+    def after_cpu(self) -> None:
+        ftl = self.ftl
+        lookup, read = ftl.mapping.lookup, ftl.flash.read
+        for i in self.misses:
+            ppn = lookup(self.lpns[i])
+            if ppn != UNMAPPED:
+                self.pending += 1
+                ftl.flash_page_reads += 1
+                read(ppn, partial(self.after_flash, i))
+        if not self.pending:
+            self.on_done(self.contents)
+
+    def after_flash(self, i: int, content: Any) -> None:
+        self.contents[i] = content
+        if content is not None:  # don't cache uncorrectable reads
+            self.ftl.page_cache.insert(self.lpns[i], content)
+        self.pending -= 1
+        if not self.pending:
+            self.on_done(self.contents)
+
+
+@dataclass(slots=True, eq=False)
 class _PageWrite:
     """A host page write: accept -> allocate (or stall) -> program -> remap."""
 
@@ -203,59 +237,33 @@ class GreedyFtl:
         self.cpu.ftl_core.submit(costs.io_hit_s, read.cached)
 
     def read_pages(self, lpns: list[int], on_done: Callable[[list[Any]], None]) -> None:
-        """Read several logical pages of one command (batch fast path).
+        """Read the logical pages of one command; ``on_done(contents)``.
 
         The firmware pays the full command cost once plus a small per-extra-
         page cost (mapping lookup + channel-queue fill), so large sequential
         commands stream at near-flash bandwidth instead of per-page command
-        cost — matching the prototype's ~1.3GB/s sequential envelope.
-
-        Cache probes, mapping lookups and the flash fan-out run batched:
-        one ``lookup_many`` per command and one die chain per (channel,
-        way) group via :meth:`FlashArray.read_many`, instead of one
-        closure per page.  (The per-page cascade this replaced is
-        ``tests/ftl/reference_read_pages.py``.)
+        cost — matching the prototype's ~1.3GB/s sequential envelope.  Each
+        page probes the page cache; once the firmware is done, each miss
+        that is mapped is one :meth:`FlashArray.read`, issued in page order.
         """
         if not lpns:
-            self.sim.call_soon(lambda: on_done([]))
+            self.sim.call_soon(partial(on_done, []))
             return
         if len(lpns) == 1:
             self._read_one(_PageRead(self, lpns[0], on_done, True))
             return
         self.host_page_reads += len(lpns)
+        read = _PagesRead(self, lpns, on_done, [None] * len(lpns), [])
+        lookup, contents, misses = self.page_cache.lookup, read.contents, read.misses
+        for i, lpn in enumerate(lpns):
+            hit, contents[i] = lookup(lpn)
+            if not hit:
+                misses.append(i)
         costs = self.cpu.costs
-        hits, contents = self.page_cache.lookup_many(lpns)
-        miss_indices = [i for i, hit in enumerate(hits) if not hit]
-        base = costs.io_miss_s if miss_indices else costs.io_hit_s
-        cpu_cost = base + (len(lpns) - 1) * costs.io_extra_page_s
-
-        def after_cpu() -> None:
-            if not miss_indices:
-                on_done(contents)
-                return
-            miss_lpns = np.asarray([lpns[i] for i in miss_indices], dtype=np.int64)
-            ppns = self.mapping.lookup_many(miss_lpns)
-            mapped = ppns != UNMAPPED
-            flash_indices = [i for i, m in zip(miss_indices, mapped.tolist()) if m]
-            if not flash_indices:
-                on_done(contents)
-                return
-            self.flash_page_reads += len(flash_indices)
-            remaining = {"n": len(flash_indices)}
-            page_cache = self.page_cache
-
-            def page_done(j: int, content: Any) -> None:
-                i = flash_indices[j]
-                contents[i] = content
-                if content is not None:  # don't cache uncorrectable reads
-                    page_cache.insert(lpns[i], content)
-                remaining["n"] -= 1
-                if remaining["n"] == 0:
-                    on_done(contents)
-
-            self.flash.read_many(ppns[mapped], page_done)
-
-        self.cpu.ftl_core.submit(cpu_cost, after_cpu)
+        base = costs.io_miss_s if misses else costs.io_hit_s
+        self.cpu.ftl_core.submit(
+            base + (len(lpns) - 1) * costs.io_extra_page_s, read.after_cpu
+        )
 
     # ------------------------------------------------------------------
     # Foreground write path

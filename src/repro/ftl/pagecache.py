@@ -44,34 +44,6 @@ class PageCache:
         self.misses += 1
         return False, None
 
-    def lookup_many(self, lpns: list[int]) -> tuple[list[bool], list[Any]]:
-        """Probe a batch of LPNs; equivalent to :meth:`lookup` in order.
-
-        Returns aligned (hit, content) lists.  One method call replaces
-        the FTL read path's per-page probe loop; the LRU bookkeeping is
-        inherently per-key so the body stays a loop over the (small,
-        per-command) batch.
-        """
-        if self.capacity == 0:
-            self.misses += len(lpns)
-            return [False] * len(lpns), [None] * len(lpns)
-        entries = self._entries
-        hits: list[bool] = []
-        contents: list[Any] = []
-        n_hits = 0
-        for lpn in lpns:
-            if lpn in entries:
-                n_hits += 1
-                entries.move_to_end(lpn)
-                hits.append(True)
-                contents.append(entries[lpn])
-            else:
-                hits.append(False)
-                contents.append(None)
-        self.hits += n_hits
-        self.misses += len(lpns) - n_hits
-        return hits, contents
-
     def peek(self, lpn: int) -> tuple[bool, Any]:
         """Probe without recency update or stat counting."""
         if lpn in self._entries:

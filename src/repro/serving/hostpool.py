@@ -96,10 +96,10 @@ class DenseServiceModel:
         scale: float = 1.0,
         service_s_by_model: Optional[Mapping[str, float]] = None,
     ):
-        if scale <= 0:
+        if not scale > 0:
             raise ValueError("dense_time_scale must be positive")
         for name, service in (service_s_by_model or {}).items():
-            if service <= 0:
+            if not service > 0:
                 raise ValueError(
                     f"dense service override for {name!r} must be positive"
                 )

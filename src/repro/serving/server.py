@@ -104,10 +104,10 @@ class ServingConfig:
                 raise ValueError(f"{name} must be >= 1")
         if self.dense_workers < 0:
             raise ValueError("dense_workers must be >= 0 (0 = unbounded)")
-        if self.dense_time_scale <= 0:
+        if not self.dense_time_scale > 0:
             raise ValueError("dense_time_scale must be positive")
         for model, service in (self.dense_service_s_by_model or {}).items():
-            if service <= 0:
+            if not service > 0:
                 raise ValueError(f"dense service override for {model!r} must be positive")
 
 

@@ -25,7 +25,7 @@ from microseconds/milliseconds.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Optional
 
 __all__ = [
     "Simulator",
@@ -92,7 +92,7 @@ class Simulator:
     # ------------------------------------------------------------------
     def schedule(self, delay: float, callback: Callable[[], None]) -> ScheduleHandle:
         """Run ``callback`` ``delay`` seconds from now (``delay >= 0``)."""
-        if delay < 0:
+        if not delay >= 0:
             raise SimError(f"cannot schedule into the past (delay={delay})")
         self._seq += 1
         event = ScheduleHandle((self.now + delay, self._seq, callback, _NO_ARG))
@@ -101,7 +101,7 @@ class Simulator:
 
     def schedule_at(self, time: float, callback: Callable[[], None]) -> ScheduleHandle:
         """Run ``callback`` at absolute simulated ``time``."""
-        if time < self.now:
+        if not time >= self.now:
             raise SimError(
                 f"cannot schedule at {time} before current time {self.now}"
             )
@@ -114,67 +114,12 @@ class Simulator:
         """Like :meth:`schedule`, but runs ``fn(arg)`` — hot paths use this
         to avoid allocating a closure per event.
         """
-        if delay < 0:
+        if not delay >= 0:
             raise SimError(f"cannot schedule into the past (delay={delay})")
         self._seq += 1
         event = ScheduleHandle((self.now + delay, self._seq, fn, arg))
         heapq.heappush(self._heap, event)
         return event
-
-    def schedule_call_at(self, time: float, fn: Callable[[Any], None], arg: Any) -> ScheduleHandle:
-        """Absolute-time form of :meth:`schedule_call`."""
-        if time < self.now:
-            raise SimError(
-                f"cannot schedule at {time} before current time {self.now}"
-            )
-        self._seq += 1
-        event = ScheduleHandle((time, self._seq, fn, arg))
-        heapq.heappush(self._heap, event)
-        return event
-
-    def schedule_batch(
-        self, times: Sequence[float], callbacks: Sequence[Callable[[], None]]
-    ) -> None:
-        """Bulk-schedule ``callbacks[i]`` at absolute ``times[i]``.
-
-        ``times`` must be ascending (callers hold pre-sorted per-batch
-        timelines, e.g. one flash die group's page completions) and not in
-        the past.  When the heap is empty the sorted batch *is* a valid
-        heap and is installed in one pass; otherwise events are pushed
-        individually, still without per-event Python wrappers, handle
-        allocation, or revalidation.
-        """
-        n = len(times)
-        if n == 0:
-            return
-        if len(callbacks) != n:
-            raise SimError("schedule_batch: times/callbacks length mismatch")
-        if times[0] < self.now:
-            raise SimError(
-                f"cannot schedule at {times[0]} before current time {self.now}"
-            )
-        seq = self._seq
-        heap = self._heap
-        if heap:
-            push = heapq.heappush
-            prev = times[0]
-            for i in range(n):
-                t = times[i]
-                if t < prev:
-                    raise SimError("schedule_batch: times must be ascending")
-                prev = t
-                seq += 1
-                push(heap, [t, seq, callbacks[i], _NO_ARG])
-        else:
-            prev = times[0]
-            for i in range(n):
-                t = times[i]
-                if t < prev:
-                    raise SimError("schedule_batch: times must be ascending")
-                prev = t
-                seq += 1
-                heap.append([t, seq, callbacks[i], _NO_ARG])
-        self._seq = seq
 
     def is_latest(self, handle: ScheduleHandle) -> bool:
         """Whether nothing has been scheduled since ``handle`` was.

@@ -52,30 +52,15 @@ class Server:
 
     # ------------------------------------------------------------------
     def submit(
-        self,
-        service_time: float,
-        on_done: Callable[[], None],
-        priority: int = 0,
-        on_start: Optional[Callable[[], Optional[float]]] = None,
+        self, service_time: float, on_done: Callable[[], None], priority: int = 0
     ) -> None:
-        """Enqueue a job needing ``service_time`` seconds of a server.
-
-        ``on_start`` (if given) runs at the instant the job claims a
-        server and may return an absolute completion time overriding
-        ``now + service_time`` — aggregate chain jobs (the batched flash
-        read path) use it to pin the server-free instant to a
-        sequentially-accumulated timeline, keeping float results
-        bit-identical to per-job submission.  An end time computed at
-        submit time is stale once the job has waited in the queue, so
-        ``on_start`` jobs must start immediately (callers check
-        ``idle``); queueing one is an error.
-        """
-        if service_time < 0:
+        """Enqueue a job needing ``service_time`` seconds of a server;
+        ``on_done()`` runs when it completes.  Every job is one start, one
+        completion and one completion event, so ``jobs_started -
+        jobs_completed == busy`` at every instant."""
+        if not service_time >= 0:
             raise SimError(f"negative service time {service_time}")
         if self._busy < self.capacity:
-            if on_start is not None:
-                self._start(service_time, on_done, on_start)
-                return
             self._busy += 1
             self.jobs_started += 1
             self.busy_time += service_time
@@ -84,28 +69,9 @@ class Server:
             sim = self.sim
             sim._seq += 1
             heappush(sim._heap, [sim.now + service_time, sim._seq, self._on_finish, on_done])
-        elif on_start is not None:
-            raise SimError("on_start jobs must be submitted to a free server")
         else:
             self._seq += 1
             heappush(self._heap, (priority, self._seq, service_time, on_done))
-
-    def _start(
-        self,
-        service_time: float,
-        on_done: Callable[[], None],
-        on_start: Callable[[], Optional[float]],
-    ) -> None:
-        self._busy += 1
-        self.jobs_started += 1
-        self.busy_time += service_time
-        # on_start may return an authoritative absolute end time (chains
-        # accumulate it in scalar float order).
-        end = on_start()
-        if end is None:
-            self.sim.schedule_call(service_time, self._on_finish, on_done)
-        else:
-            self.sim.schedule_call_at(end, self._on_finish, on_done)
 
     def _finish(self, on_done: Callable[[], None]) -> None:
         self.jobs_completed += 1
@@ -181,7 +147,7 @@ class BandwidthPipe:
 
     def transfer(self, size_bytes: int, on_done: Callable[[], None]) -> None:
         """Move ``size_bytes`` through the link, then call ``on_done``."""
-        if size_bytes < 0:
+        if not size_bytes >= 0:
             raise SimError(f"negative transfer size {size_bytes}")
         self.bytes_transferred += size_bytes
         occupancy = size_bytes / self.bandwidth

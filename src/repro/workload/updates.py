@@ -39,8 +39,7 @@ class UpdateStreamSpec:
     subset of that model's tables (default: round-robin over all of
     them via uniform choice).  ``zipf_alpha`` skews which rows are
     rewritten (hot rows retrain most often in production); ``None``
-    picks rows uniformly.  ``value_scale`` scales the normal-drawn
-    replacement vectors.  ``policy`` / ``min_gap_s`` / ``defer_s`` /
+    picks rows uniformly.  ``policy`` / ``min_gap_s`` / ``defer_s`` /
     ``max_defer_s`` configure the device write scheduling
     (:class:`~repro.serving.updates.EmbeddingUpdateEngine`).  The
     stream's RNG is ``scenario seed + seed_offset``, independent of the
@@ -53,7 +52,6 @@ class UpdateStreamSpec:
     model: Optional[str] = None
     tables: Optional[Tuple[str, ...]] = None
     zipf_alpha: Optional[float] = None
-    value_scale: float = 1.0
     policy: str = "interleave"
     min_gap_s: float = 0.0
     defer_s: float = 200e-6
@@ -135,8 +133,7 @@ class UpdateStream:
                     0, feature_spec.rows, size=spec.rows_per_update
                 ).astype(np.int64)
             values = rng.normal(
-                scale=spec.value_scale,
-                size=(spec.rows_per_update, feature_spec.dim),
+                size=(spec.rows_per_update, feature_spec.dim)
             ).astype(np.float32)
             self.rows.append(rows)
             self.values.append(values)

@@ -5,7 +5,6 @@ import pytest
 from repro.flash.array import FlashArray
 from repro.flash.geometry import FlashGeometry
 from repro.flash.timing import FlashTiming
-from repro.sim.kernel import Simulator
 
 GEO = FlashGeometry(channels=2, ways=2, blocks_per_die=4, pages_per_block=8,
                     page_bytes=4096)
@@ -147,39 +146,3 @@ class TestSustainedThroughput:
         ios = timing.sustained_read_ios_per_channel(16 * 1024)
         assert 8_000 <= ios <= 12_000  # ~10K IOPS/channel (Sec 5)
 
-
-class TestReadMany:
-    def test_matches_sequential_reads_when_idle(self, sim):
-        """read_many on idle dies = the same reads issued individually."""
-        import numpy as np
-
-        a = FlashArray(sim, GEO, TIM)
-        b = FlashArray(Simulator(), GEO, TIM)
-        ppns = [0, 1, GEO.pages_per_die, 2 * GEO.pages_per_die, 2]
-        done_a, done_b = [], []
-        a.read_many(np.asarray(ppns), lambda i, c: done_a.append((i, a.sim.now)))
-        for i, ppn in enumerate(ppns):
-            b.read(ppn, lambda c, i=i: done_b.append((i, b.sim.now)))
-        sim.run()
-        b.sim.run()
-        assert done_a == done_b
-        assert a.total_reads() == b.total_reads() == len(ppns)
-        assert a.channel_load() == b.channel_load()
-
-    def test_busy_die_fallback_matches_sequential(self, sim):
-        """With a die mid-service, the batch falls back to per-page issue."""
-        import numpy as np
-
-        a = FlashArray(sim, GEO, TIM)
-        b = FlashArray(Simulator(), GEO, TIM)
-        done_a, done_b = [], []
-        a.read(0, lambda c: done_a.append(("first", a.sim.now)))
-        b.read(0, lambda c: done_b.append(("first", b.sim.now)))
-        ppns = [0, 1, GEO.pages_per_die]
-        a.read_many(np.asarray(ppns), lambda i, c: done_a.append((i, a.sim.now)))
-        for i, ppn in enumerate(ppns):
-            b.read(ppn, lambda c, i=i: done_b.append((i, b.sim.now)))
-        sim.run()
-        b.sim.run()
-        assert done_a == done_b
-        assert a.total_reads() == b.total_reads() == 4

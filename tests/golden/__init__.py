@@ -25,6 +25,7 @@ from functools import partial
 from pathlib import Path
 from typing import Callable, Dict, Iterator, List, Mapping, Tuple
 
+from repro.experiments import calibration
 from repro.obs import Tracer
 
 from . import cluster_scenarios, hotpath_scenarios, runner_scenarios, serving_scenarios
@@ -109,6 +110,12 @@ def traced(scenarios: Mapping[str, Callable[..., dict]]) -> Dict[str, Builder]:
     return {name: partial(replay, build) for name, build in scenarios.items()}
 
 
+def calibration_fast() -> dict:
+    """The §5 envelope in fast mode: the only experiment whose NVMe
+    commands span many flash pages (128 KB sequential reads)."""
+    return {row["metric"]: row["measured"].hex() for row in calibration.run(fast=True).rows}
+
+
 FAMILIES: Dict[str, Family] = {
     "hotpath": Family("hotpath_golden.json", hotpath_scenarios.SCENARIOS, loose=("values_sum",)),
     "serving": Family(
@@ -126,6 +133,7 @@ FAMILIES: Dict[str, Family] = {
     ),
     "updates": Family("updates_golden.json", serving_scenarios.UPDATES),
     "runner": Family("runner_golden.json", runner_scenarios.SCENARIOS),
+    "calibration": Family("calibration_golden.json", {"fast": calibration_fast}),
     "digests": Family(
         "perf_digests.json",
         workload_runs.SCENARIOS,

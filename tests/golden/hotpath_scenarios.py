@@ -1,12 +1,14 @@
 """Fixed-seed hot-path scenarios with fully recorded simulated outcomes.
 
-The vectorized hot path (array caches, batched FTL reads, bulk event
-scheduling) must leave every *simulated* number unchanged: op latencies,
-component breakdowns, cache hit/miss/eviction counts, device counters.
-These scenarios were recorded on the scalar implementation and replayed
-against the vectorized one; the replay holds them to `hotpath_golden.json`
-exactly (times, counters) or to float tolerance (``values_sum``: float32
-accumulation order may legitimately differ).
+The vectorized hot path (array caches, batched cache probes) must leave
+every *simulated* number unchanged: op latencies, component breakdowns,
+cache hit/miss/eviction counts, device counters.  These scenarios were
+recorded on the scalar implementation and replayed against the
+vectorized one; the replay holds them to `hotpath_golden.json` exactly
+(times, counters) or to float tolerance (``values_sum``: float32
+accumulation order may legitimately differ).  ``ssd_coalesce_packed``
+and ``read_pages_direct`` issue multi-page FTL reads, which are one
+flash read per page, in page order, as they were when recorded.
 """
 
 from __future__ import annotations

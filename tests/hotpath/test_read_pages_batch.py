@@ -1,10 +1,10 @@
-"""Batched Ftl.read_pages vs the per-page reference, randomized.
+"""Ftl.read_pages vs the frozen per-page reference, randomized.
 
 Two identically-built systems run the same randomized multi-page read
 sequences — mixing mapped, unmapped, cached and duplicate pages, plus
 pages rewritten through the IO path — one through ``Ftl.read_pages``,
-one through the per-page cascade it replaced
-(``tests/ftl/reference_read_pages.py``).  Completion times, contents,
+one through the per-page cascade kept in
+``tests/ftl/reference_read_pages.py``.  Completion times, contents,
 and every FTL/flash/page-cache counter must match exactly.
 """
 
@@ -26,16 +26,6 @@ def build(page_cache_pages=64):
     system = build_system(
         min_capacity_pages=1 << 16, page_cache_pages=page_cache_pages
     )
-    # The size of every ``read_many`` batch: the fan-out only the batched
-    # path has, which is how a test knows each side ran its own path.
-    flash = system.device.flash
-    read_many, flash.batches = flash.read_many, []
-
-    def counting_read_many(ppns, on_page):
-        flash.batches.append(len(ppns))
-        read_many(ppns, on_page)
-
-    flash.read_many = counting_read_many
     table = EmbeddingTable(
         TableSpec(name="t", rows=4096, dim=16, layout=Layout.PACKED)
     )
@@ -51,11 +41,6 @@ def read_pages_sync(system, lpns, reference=False):
         system.device.ftl.read_pages(list(lpns), done.append)
     system.sim.run_until(lambda: bool(done))
     return system.sim.now, done[0]
-
-
-def assert_each_side_ran_its_own_path(sys_reference, sys_batched):
-    assert sys_reference.device.flash.batches == []
-    assert max(sys_batched.device.flash.batches) >= 2
 
 
 def content_fingerprint(contents):
@@ -102,15 +87,14 @@ def test_read_pages_equivalence(seed, page_cache_pages):
         assert t_s == t_v
         assert content_fingerprint(c_s) == content_fingerprint(c_v)
         assert ftl_counters(sys_s) == ftl_counters(sys_v)
-    assert_each_side_ran_its_own_path(sys_s, sys_v)
 
 
 def run_under_read_errors(seed, fail_p, page_cache_pages):
-    """Ten random commands on a per-page and a batched system with
+    """Ten random commands on a reference and a ``read_pages`` system with
     same-seed lossy flash, compared after each; returns the per-page
     system and each command's ``(lpns, fingerprint)``."""
     systems = []
-    for _side in ("reference", "batched"):
+    for _side in ("reference", "read_pages"):
         system, table = build(page_cache_pages=page_cache_pages)
         system.device.flash.reliability = ReadRetryModel(
             ReliabilityConfig(
@@ -144,19 +128,18 @@ def run_under_read_errors(seed, fail_p, page_cache_pages):
             sys_s.device.flash.uncorrectable_reads
             == sys_v.device.flash.uncorrectable_reads
         )
-    assert_each_side_ran_its_own_path(sys_s, sys_v)
     return sys_s, commands
 
 
 @pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("fail_p", [0.05, 0.5])
 def test_read_pages_equivalence_under_read_errors(seed, fail_p):
-    """Retry latency and uncorrectable losses match per-page vs batched.
+    """Retry latency and uncorrectable losses match the reference.
 
     With a lossy reliability model, each page read draws retries (extra
     cmd+tR holds on the die) or gives up past the budget (content None).
-    The batched path must consume the reliability RNG stream in the same
-    page order as the per-page cascade, so with same-seed models both
+    ``read_pages`` must consume the reliability RNG stream in the same
+    page order as the reference, so with same-seed models both
     sides produce identical completion times, None patterns, and retry /
     uncorrectable counters.
     """
@@ -203,6 +186,4 @@ def test_read_pages_after_io_write():
         )
         raw = page_content_to_bytes(contents[1], table.page_bytes)
         results[reference] = (t, content_fingerprint(contents), raw.sum())
-        # One fan-out of two on the batched side: the written page is cached.
-        assert system.device.flash.batches == ([] if reference else [2])
     assert results[True] == results[False]

@@ -20,6 +20,8 @@ The tentpole contract of the hostpool PR, pinned here:
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -266,6 +268,10 @@ class TestDenseWorkerPool:
             DenseServiceModel(None, scale=0.0)
         with pytest.raises(ValueError, match="override"):
             DenseServiceModel(None, service_s_by_model={"m": -1.0})
+        with pytest.raises(ValueError, match="dense_time_scale"):
+            DenseServiceModel(None, scale=math.nan)
+        with pytest.raises(ValueError, match="override"):
+            DenseServiceModel(None, service_s_by_model={"m": math.nan})
 
 
 # ----------------------------------------------------------------------
@@ -393,8 +399,13 @@ class TestHostContention:
             ("host_sls_workers", 0, "host_sls_workers"),
             ("dense_time_scale", 0.0, "dense_time_scale"),
             ("dense_service_s_by_model", {"m": -1.0}, "override for 'm'"),
+            ("dense_time_scale", math.nan, "dense_time_scale"),
+            ("dense_service_s_by_model", {"m": math.nan}, "override for 'm'"),
         ],
-        ids=["dense_workers", "host_sls_workers", "dense_time_scale", "service_override"],
+        ids=[
+            "dense_workers", "host_sls_workers", "dense_time_scale", "service_override",
+            "dense_time_scale_nan", "service_override_nan",
+        ],
     )
     def test_host_model_refused_where_it_is_set(self, field, value, match):
         """Refused when the config is built, not when a server reads it."""

@@ -4,9 +4,9 @@ for the event-engine fast path and for the one-event pipe transfer.
 
 Hypothesis draws job streams in which same-instant ties are the common
 case — zero and repeated service times, capacities 1-3, two priorities,
-``on_start`` chain jobs, submits issued from inside completion callbacks,
-and bad inputs mixed in — and each stream runs on both implementations
-against a fresh simulator.
+submits issued from inside completion callbacks, and bad inputs mixed
+in — and each stream runs on both implementations against a fresh
+simulator.
 
 * A stream without transfers (``Server`` only): the dispatch sequence
   ``(sim.now, job id)``, the event count and every counter are equal,
@@ -48,18 +48,14 @@ SIZES = (0, 4096, 4096, 16384, 3, -1)
 # makes the bus-finish the delivery.
 BANDWIDTHS = (3.2e9, 1e9 / 3)
 LATENCIES = (0.0, 1e-6, 0.013)
-# An on_start job's authoritative end, relative to its start: None keeps
-# ``now + service_time``; the negative one lands in the past.
-CHAIN_ENDS = (None, None, 0.0, 1e-6, 0.3, -1.0)
 
 
 @dataclass(frozen=True)
 class Op:
-    kind: str                   # "job" | "chain" | "xfer"
+    kind: str                   # "job" | "xfer"
     target: int                 # resource index (taken modulo the count)
     amount: float               # service time, or bytes for a transfer
     priority: int
-    chain_end: Optional[float]
     at: float                   # issue time, for a root op
     parent: Optional[int]       # issued from inside this op's completion
 
@@ -83,7 +79,7 @@ def programs(draw, transfers: bool) -> Program:
             )
         )
     )
-    kinds = ("job", "job", "chain", "xfer", "xfer") if transfers else ("job", "job", "job", "chain")
+    kinds = ("job", "job", "xfer", "xfer") if transfers else ("job",)
     ops = []
     for i in range(draw(st.integers(1, 24))):
         kind = draw(st.sampled_from(kinds))
@@ -93,7 +89,6 @@ def programs(draw, transfers: bool) -> Program:
                 target=draw(st.integers(0, 1)),
                 amount=draw(st.sampled_from(SIZES if kind == "xfer" else SERVICE_TIMES)),
                 priority=draw(st.integers(0, 1)),
-                chain_end=draw(st.sampled_from(CHAIN_ENDS)),
                 at=draw(st.sampled_from(TIMES)),
                 parent=draw(st.one_of(st.none(), st.integers(0, i - 1))) if i else None,
             )
@@ -120,17 +115,10 @@ def execute(resources, program: Program):
             for child in children[i]:
                 issue(child)
 
-        def on_start() -> Optional[float]:
-            log.append((sim.now, f"start {i}"))
-            return None if op.chain_end is None else sim.now + op.chain_end
-
         try:
             if op.kind == "xfer":
                 pipes[op.target % len(pipes)].transfer(op.amount, done)
                 admitted[op.target % len(pipes)].append((sim.now, op.amount, i))
-            elif op.kind == "chain":
-                # Unconditionally: a busy server must refuse it.
-                servers[op.target % len(servers)].submit(op.amount, done, on_start=on_start)
             else:
                 servers[op.target % len(servers)].submit(op.amount, done, priority=op.priority)
         except SimError as error:
@@ -188,7 +176,7 @@ def test_pipe_laws_hold_on_every_stream(program):
 def a_delivery_ties(program: Program, seen) -> bool:
     """Whether a delivery shares its float instant with anything but
     deliveries of its own pipe: another pipe's delivery, a job completion
-    or start, or a root issue."""
+    or a root issue."""
     pipe_of = {
         i: op.target % len(program.pipes)
         for i, op in enumerate(program.ops)
@@ -222,8 +210,8 @@ def test_same_dispatch_sequence_when_no_delivery_ties(program):
 
 def test_streams_exercise_every_path():
     """The generator is not vacuous: one fixed stream reaches the free,
-    queued, hand-off, chain, latency-hop and refusal paths."""
-    job = partial(Op, "job", 0, priority=0, chain_end=None, at=0.0, parent=None)
+    queued, hand-off, latency-hop and refusal paths."""
+    job = partial(Op, "job", 0, priority=0, at=0.0, parent=None)
     program = Program(
         capacities=(1,),
         pipes=((4e9, 0.1),),
@@ -231,11 +219,10 @@ def test_streams_exercise_every_path():
             job(amount=0.3),                                        # free server
             job(amount=0.1, priority=1),                            # queued
             job(amount=0.1),                                        # queued, jumps ahead
-            Op("chain", 0, 0.1, 0, 0.3, 0.0, None),                 # refused: busy
-            Op("chain", 0, 0.1, 0, 0.3, 0.0, 1),                    # idle by then: starts
-            Op("xfer", 0, 3, 0, None, 0.0, 2),                      # from a callback
+            Op("job", 0, 0.3, 0, 0.0, 1),                           # from a callback
+            Op("xfer", 0, 3, 0, 0.0, 2),                            # from a callback
             job(amount=-1.0),                                       # refused: negative
-            Op("xfer", 0, -1, 0, None, 0.0, None),                  # refused: negative
+            Op("xfer", 0, -1, 0, 0.0, None),                        # refused: negative
         ),
     )
     seen = execute(engine, program)
@@ -243,11 +230,10 @@ def test_streams_exercise_every_path():
     assert seen.pop("event_count") == staged.pop("event_count") - 1     # the latency hop
     assert seen == staged
     events = [what for _, what in seen["log"]]
-    assert [e for e in events if isinstance(e, int)] == [0, 2, 1, 5, 4]
-    assert sum(isinstance(e, str) and e.startswith("raised") for e in events) == 3
-    assert "start 4" in events
-    # Chain job 4 started at 0.3 + 0.1 + 0.1 and was pinned to end 0.3 later.
-    assert seen["log"][-1] == (0.3 + 0.1 + 0.1 + 0.3, 4)
+    assert [e for e in events if isinstance(e, int)] == [0, 2, 1, 4, 3]
+    assert sum(isinstance(e, str) and e.startswith("raised") for e in events) == 2
+    # Job 3 took the server its parent freed at 0.3 + 0.1 + 0.1.
+    assert seen["log"][-1] == (0.3 + 0.1 + 0.1 + 0.3, 3)
 
 
 @pytest.mark.parametrize("resources", [engine, reference], ids=["engine", "reference"])

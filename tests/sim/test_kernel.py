@@ -1,5 +1,7 @@
 """Tests for the DES kernel: ordering, cancellation, the clock."""
 
+import math
+
 import pytest
 
 from repro.sim.kernel import SimError
@@ -35,6 +37,23 @@ class TestScheduling:
         sim.run()
         with pytest.raises(SimError):
             sim.schedule_at(0.0, lambda: None)
+
+    @pytest.mark.parametrize(
+        "schedule",
+        [
+            lambda sim: sim.schedule(math.nan, print),
+            lambda sim: sim.schedule_at(math.nan, print),
+            lambda sim: sim.schedule_call(math.nan, print, "arg"),
+        ],
+        ids=["schedule", "schedule_at", "schedule_call"],
+    )
+    def test_nan_time_refused(self, sim, schedule):
+        """A NaN time compares false with everything, so the heap would
+        run it ahead of finite events that are due earlier."""
+        sim.schedule(1e-6, lambda: None)
+        with pytest.raises(SimError):
+            schedule(sim)
+        assert sim.pending_events == 1
 
     def test_cancellation(self, sim):
         fired = []
@@ -135,14 +154,13 @@ class TestScheduling:
 
         first = sim.schedule(1e-6, lambda: None)
         assert sim.is_latest(first)
-        second = sim.schedule_call_at(5e-7, lambda _: None, "earlier, but scheduled later")
+        second = sim.schedule_at(5e-7, lambda: None)  # earlier, but scheduled later
         assert sim.is_latest(second) and not sim.is_latest(first)
-        # The engine's own pushes count: a Server job, a pipe transfer
-        # and a batch each take sequence numbers.
+        # The engine's own pushes count: a Server job and a pipe
+        # transfer each take sequence numbers.
         for schedule_something in (
             lambda: Server(sim).submit(1e-6, lambda: None),
             lambda: BandwidthPipe(sim, 1e9).transfer(64, lambda: None),
-            lambda: sim.schedule_batch([2e-6], [lambda: None]),
         ):
             latest = sim.schedule(1e-6, lambda: None)
             assert sim.is_latest(latest)

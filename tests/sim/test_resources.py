@@ -1,5 +1,7 @@
 """Tests for Server (priority queueing) and BandwidthPipe."""
 
+import math
+
 import pytest
 
 from repro.sim.kernel import SimError, Simulator
@@ -66,6 +68,12 @@ class TestServer:
         with pytest.raises(SimError):
             server.submit(-1e-6, lambda: None)
 
+    def test_nan_service_time_rejected(self, sim):
+        server = Server(sim)
+        with pytest.raises(SimError):
+            server.submit(math.nan, lambda: None)
+        assert server.busy_time == 0.0 and server.idle
+
     def test_zero_capacity_rejected(self, sim):
         with pytest.raises(SimError):
             Server(sim, capacity=0)
@@ -109,6 +117,12 @@ class TestBandwidthPipe:
         pipe.transfer(877, lambda: None)
         sim.run()
         assert pipe.bytes_transferred == 1000
+
+    def test_nan_transfer_size_rejected(self, sim):
+        pipe = BandwidthPipe(sim, bandwidth_bytes_per_s=1e6)
+        with pytest.raises(SimError):
+            pipe.transfer(math.nan, lambda: None)
+        assert pipe.busy_time == 0.0 and sim.pending_events == 0
 
     def test_bad_bandwidth_rejected(self, sim):
         with pytest.raises(SimError):

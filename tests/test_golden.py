@@ -3,7 +3,8 @@
 The families (``tests/golden/__init__.py``) pin the hot path recorded on
 the deleted scalar code, the serving and live-update timelines, one
 fleet run per router, the paper figures' runner recorded on its own
-pipeline and the benchmark workloads' digests.  A replay reproduces
+pipeline, the §5 calibration rows (the only experiment whose NVMe reads
+span many flash pages) and the benchmark workloads' digests.  A replay reproduces
 every recorded value exactly; only ``hotpath``'s float32 ``values_sum``
 compares to 1e-4.  Variants replay against the same entries: the serving
 and cluster runs with a tracer installed, and the golden-mixed run with
@@ -21,7 +22,7 @@ from .golden import FAMILIES, case_id, differences
 
 # Written by the generator on a clean src/ (the others were re-nested
 # into the envelope and say so with ``false``).
-RECORDED_CLEAN = {"runner", "digests"}
+RECORDED_CLEAN = {"runner", "calibration", "digests"}
 
 
 @lru_cache(maxsize=None)

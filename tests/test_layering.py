@@ -10,6 +10,11 @@ The event heap belongs to ``repro.sim``: ``Simulator._heap`` and
 ``Simulator._seq`` are shared between the kernel and its resources and
 with nobody else (``kernel.py`` says so).  A layer that wants to know
 about event order asks through a public query (``Simulator.is_latest``).
+So do a resource's counters: ``jobs_started``, ``jobs_completed``,
+``busy_time`` and ``bytes_transferred`` are written only by the
+``Server`` / ``BandwidthPipe`` that owns them, one job or transfer at a
+time, so ``jobs_started - jobs_completed == busy`` and the utilisation
+they give hold with no exception a caller made by hand.
 
 One path per job: the hot path's scalar twins and the ``vectorized=`` /
 ``batch_reads`` switches that selected them are gone; what a suite still
@@ -115,6 +120,58 @@ def test_only_repro_sim_touches_the_event_heap():
     assert not offenders, offenders
 
 
+RESOURCE_COUNTERS = ("jobs_started", "jobs_completed", "busy_time", "bytes_transferred")
+
+
+def _counter_writes(sources) -> list:
+    """``path:line: counter`` of every assignment (or ``setattr``) to a
+    resource counter outside ``repro/sim``."""
+    offenders = []
+    for path, source in sources.items():
+        if path.startswith("repro/sim/"):
+            continue
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+                targets = getattr(node, "targets", None) or [node.target]
+                names = [
+                    leaf.attr
+                    for target in targets
+                    for leaf in ast.walk(target)
+                    if isinstance(leaf, ast.Attribute)
+                ]
+            elif isinstance(node, ast.Call) and _named(node.func) == "setattr":
+                names = [arg.value for arg in node.args[1:2] if isinstance(arg, ast.Constant)]
+            else:
+                continue
+            offenders += [
+                f"{path}:{node.lineno}: {name}" for name in names if name in RESOURCE_COUNTERS
+            ]
+    return offenders
+
+
+def test_only_repro_sim_writes_a_resource_counter():
+    assert _counter_writes(_src_sources()) == []
+
+
+def test_the_counter_rule_sees_planted_writes():
+    sources = _src_sources()
+    flash = "repro/flash/array.py"
+    hop = "        channel.reads += 1\n"
+    assert sources[flash].count(hop) == 1
+    line = sources[flash][: sources[flash].index(hop)].count("\n") + 2
+    for write, name in (
+        ("channel.bus.jobs_started += 2", "jobs_started"),
+        ("channel.dies[0].jobs_completed -= 1", "jobs_completed"),
+        ("channel.bus.busy_time, channel.reads = 0.0, 0", "busy_time"),
+        ("setattr(channel.bus, 'bytes_transferred', 0)", "bytes_transferred"),
+    ):
+        planted = dict(sources, **{flash: sources[flash].replace(hop, f"{hop}        {write}\n")})
+        assert _counter_writes(planted) == [f"{flash}:{line}: {name}"], write
+    # The owners write them, and only the owners are exempt.
+    owner = _counter_writes({"repro/elsewhere.py": sources["repro/sim/resources.py"]})
+    assert {found.rpartition(": ")[2] for found in owner} == set(RESOURCE_COUNTERS)
+
+
 def test_no_switch_selects_a_twin_implementation():
     offenders = []
     for path in sorted((SRC / "repro").rglob("*.py")):
@@ -150,9 +207,9 @@ CLOSURE_FREE = {
         "FlashArray._erased", "_PageRead.*", "_PageProgram.*",
     ),
     "repro/ftl/ftl.py": (
-        "GreedyFtl.read_page", "GreedyFtl._read_one", "GreedyFtl.write_page",
-        "GreedyFtl._do_write", "GreedyFtl.program_page", "GreedyFtl._program_done",
-        "_PageRead.*", "_PageWrite.*",
+        "GreedyFtl.read_page", "GreedyFtl._read_one", "GreedyFtl.read_pages",
+        "GreedyFtl.write_page", "GreedyFtl._do_write", "GreedyFtl.program_page",
+        "GreedyFtl._program_done", "_PageRead.*", "_PagesRead.*", "_PageWrite.*",
     ),
     "repro/ftl/mover.py": ("PageMove.*",),
     "repro/ftl/gc.py": ("GarbageCollector._move_page",),
