@@ -159,6 +159,52 @@ class TestPreload:
         assert got == [None]
 
 
+class TestReadPages:
+    def test_one_flash_read_per_mapped_miss_in_page_order(self, sim, device, monkeypatch):
+        """Cached and unmapped pages cost no flash read; the others are
+        one ``FlashArray.read`` each, issued in the command's page order."""
+        ftl = device.ftl
+        ftl.preload_region(0, TestPreload.Region(8))
+        read_page_sync(sim, ftl, 5)   # now cached
+        unmapped = ftl.logical_pages - 1
+        lpns = [6, 5, 0, unmapped, 3, 0]
+        issued = []
+        flash_read = ftl.flash.read
+        monkeypatch.setattr(
+            ftl.flash, "read",
+            lambda ppn, on_done: issued.append(ppn) or flash_read(ppn, on_done),
+        )
+        reads_before = ftl.flash_page_reads
+        got = []
+        ftl.read_pages(lpns, got.append)
+        sim.run_until(lambda: bool(got))
+        assert issued == [ftl.mapping.lookup(lpn) for lpn in (6, 0, 3, 0)]
+        assert ftl.flash_page_reads - reads_before == 4
+        assert got == [[("virt", 6), ("virt", 5), ("virt", 0), None,
+                        ("virt", 3), ("virt", 0)]]
+
+    def test_die_counters_balance_behind_a_busy_die(self, sim, device):
+        """Pages queued behind a die mid-service are plain die jobs: at
+        every event, each die has ``jobs_started - jobs_completed == busy``."""
+        ftl = device.ftl
+        dies = ftl.geometry.dies
+        ftl.preload_region(0, TestPreload.Region(4 * dies))
+        servers = [die for ch in ftl.flash.channels for die in ch.dies]
+        first, got = [], []
+        ftl.read_page(0, lambda content, hit: first.append(content))
+        sim.run_until(lambda: servers[0].busy > 0)
+        ftl.read_pages([dies, 0, 2 * dies, 1], got.append)
+        max_queued = 0
+        while sim.step():
+            for die in servers:
+                assert die.jobs_started - die.jobs_completed == die.busy
+            max_queued = max(max_queued, servers[0].queue_length)
+        assert max_queued > 0
+        assert first == [("virt", 0)]
+        assert got == [[("virt", dies), ("virt", 0), ("virt", 2 * dies), ("virt", 1)]]
+        assert all(die.idle for die in servers)
+
+
 class TestAddressHelpers:
     def test_lpn_range_for_lbas(self, device):
         ftl = device.ftl
