@@ -386,8 +386,8 @@ class GreedyFtl:
         exploit full channel parallelism.  Costs one O(1) region entry
         per reserved block and one vectorized mapping update per die;
         only numpy touches individual pages.  (Per die, not per table:
-        sized on the 4-host benchmark cell, one whole-table update took
-        the same time and raised peak RSS from 130 to 152 MB.)
+        on the 4-host benchmark cell, 2-vCPU Xeon, one whole-table update
+        raised set-up from 0.14 to 0.18 s and peak RSS from 90 to 109 MB.)
         """
         pages_needed = int(region.page_count)
         if pages_needed <= 0:

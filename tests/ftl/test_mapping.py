@@ -1,11 +1,16 @@
 """Mapping table invariants, including a property-based operation fuzz."""
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.flash.geometry import FlashGeometry
 from repro.ftl.mapping import UNMAPPED, MappingTable
+from repro.host.system import build_system
+from repro.models.dlrm import DlrmConfig, DlrmModel
+from repro.models.runner import required_capacity_pages
 
 GEO = FlashGeometry(channels=2, ways=2, blocks_per_die=4, pages_per_block=8,
                     page_bytes=512)
@@ -19,8 +24,10 @@ def table():
 class TestBasics:
     def test_unmapped_by_default(self, table):
         assert table.lookup(0) == UNMAPPED
-        assert not table.is_mapped(0)
+        assert table.is_mapped(0) is False
         assert table.mapped_count == 0
+        table.map(0, 3)
+        assert table.is_mapped(0) is True
 
     def test_map_and_lookup(self, table):
         assert table.map(3, 17) == UNMAPPED
@@ -56,6 +63,17 @@ class TestBasics:
     def test_logical_larger_than_physical_rejected(self):
         with pytest.raises(ValueError):
             MappingTable(GEO, logical_pages=GEO.total_pages + 1)
+
+    @pytest.mark.parametrize("total_pages", [2**31, 2**33])
+    def test_geometry_past_int32_refused_before_allocating(self, total_pages):
+        geo = FlashGeometry(channels=1, ways=1, pages_per_block=128,
+                            blocks_per_die=total_pages // 128)
+        assert geo.total_pages == total_pages
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"2\*\*31 - 1"):
+            MappingTable(geo, logical_pages=1)
+        # Filling even the 2**31-entry P2L (8 GB) would take seconds.
+        assert time.perf_counter() - start < 1.0
 
     def test_valid_lpns_in_block(self, table):
         table.map(1, 0)
@@ -163,6 +181,61 @@ class TestBulkMap:
         assert out.tolist() == [10, 11]
         assert table.lookup(1) == 21 and table.lookup(2) == 20
         table.check_consistency()
+
+
+class TestCheckConsistency:
+    """Each planted corruption breaks one leg of the bijection or the
+    block counts; the checker names it."""
+
+    def test_leaked_reverse_entry_with_its_block_count_caught(self, table):
+        # A P2L entry nothing maps to, its block count bumped to match:
+        # a forward-only check and a count taken from P2L both pass it.
+        table.map(5, 10)
+        table._p2l[20] = 5
+        table._valid_per_block[20 // GEO.pages_per_block] += 1
+        with pytest.raises(AssertionError, match="p2l/l2p mismatch at ppn=20 lpn=5"):
+            table.check_consistency()
+
+    def test_forward_entry_without_reverse_caught(self, table):
+        table.map(5, 10)
+        table._p2l[10] = UNMAPPED
+        table._valid_per_block[10 // GEO.pages_per_block] -= 1
+        with pytest.raises(AssertionError, match="l2p/p2l mismatch at lpn=5 ppn=10"):
+            table.check_consistency()
+
+    def test_block_count_drift_caught(self, table):
+        table.map(5, 10)
+        table._valid_per_block[3] += 1
+        with pytest.raises(AssertionError, match="valid counts"):
+            table.check_consistency()
+
+
+def test_benchmark_sized_device_keeps_4_byte_entries():
+    """The device a two-table, 409,600-row one-per-page model gets from the
+    public path: mapping entries are 4 bytes, scalar reads are Python
+    ``int`` / ``bool`` and the bulk return stays int64."""
+    model = DlrmModel(
+        DlrmConfig(name="m", dense_in=4, bottom_mlp=(4,), top_mlp=(4,),
+                   num_tables=2, table_rows=409_600, dim=16, lookups=1)
+    )
+    device = build_system(min_capacity_pages=required_capacity_pages(model)).device
+    for table in model.tables.values():
+        table.attach(device)
+    mapping = device.ftl.mapping
+    assert mapping.geometry.total_pages == 1_417_216
+    assert mapping.mapped_count == 2 * 409_600
+    assert mapping._l2p.nbytes + mapping._p2l.nbytes == 4 * (
+        mapping.logical_pages + mapping.geometry.total_pages
+    )
+    lpn = int(np.flatnonzero(mapping._l2p != UNMAPPED)[-1])
+    ppn = mapping.lookup(lpn)
+    assert type(ppn) is int and type(mapping.reverse(ppn)) is int
+    assert mapping.reverse(ppn) == lpn
+    assert mapping.is_mapped(lpn) is True
+    free = np.flatnonzero(mapping._p2l == UNMAPPED)[-1:]
+    old = mapping.bulk_map_pairs(np.array([lpn]), free)
+    assert old.dtype == np.int64 and old.tolist() == [ppn]
+    mapping.check_consistency()
 
 
 @settings(max_examples=100, deadline=None)
