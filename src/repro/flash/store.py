@@ -9,7 +9,8 @@ again, and pages are programmed sequentially within a block.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from itertools import repeat
+from typing import Any, Dict, Optional, Sequence
 
 from .geometry import FlashGeometry
 
@@ -118,25 +119,36 @@ class FlashStore:
         self._content[ppn] = content
 
     def install_region(
-        self, block_id: int, region: Any, first_offset: int, stride: int = 1
+        self, block_ids: Sequence[int], region: Any, first_offset: int,
+        stride: int = 1,
     ) -> None:
-        """Install a virtual region covering one whole block.
+        """Install a virtual region covering whole blocks, one entry each.
 
-        ``region.page_content(offset)`` supplies the content of the page at
-        ``first_offset + page_in_block * stride``; ``region.page_count``
-        bounds valid offsets.  The stride lets preloaded tables stripe
-        logical pages across dies exactly like the log-structured write
-        path would (consecutive logical pages on consecutive dies).
-        Regions back preloaded embedding tables, avoiding per-page
-        dictionary entries for multi-million-page tables.
+        ``region.page_content(offset)`` supplies the content of page ``j``
+        of the ``k``-th block at ``first_offset + (k * pages_per_block +
+        j) * stride``; ``region.page_count`` bounds valid offsets.  The
+        stride lets preloaded tables stripe logical pages across dies
+        exactly like the log-structured write path would (consecutive
+        logical pages on consecutive dies).  Regions back preloaded
+        embedding tables, avoiding per-page dictionary entries for
+        multi-million-page tables.  Every block must be erased: a write
+        point of 0, which an installed region also raises.
         """
         if stride < 1:
             raise FlashStoreError("stride must be >= 1")
-        if not 0 <= block_id < self.geometry.total_blocks:
-            raise FlashStoreError(f"block id {block_id} out of range")
-        if block_id in self._regions:
-            raise FlashStoreError(f"region already installed in block {block_id}")
-        if self._write_point.get(block_id, 0) != 0:
-            raise FlashStoreError(f"block {block_id} not erased")
-        self._regions[block_id] = (region, first_offset, stride)
-        self._write_point[block_id] = self.geometry.pages_per_block
+        if min(block_ids) < 0 or max(block_ids) >= self.geometry.total_blocks:
+            raise FlashStoreError(
+                f"block ids outside [0, {self.geometry.total_blocks})"
+            )
+        if len(set(block_ids)) != len(block_ids):
+            raise FlashStoreError("block ids repeat a block")
+        for block_id in self._write_point.keys() & block_ids:
+            if self._write_point[block_id] != 0:
+                raise FlashStoreError(f"block {block_id} not erased")
+        per_block = self.geometry.pages_per_block
+        step = per_block * stride
+        offsets = range(first_offset, first_offset + len(block_ids) * step, step)
+        self._regions.update(
+            zip(block_ids, zip(repeat(region), offsets, repeat(stride)))
+        )
+        self._write_point.update(dict.fromkeys(block_ids, per_block))

@@ -90,29 +90,33 @@ class BlockManager:
         self._active_page[die] = 0
         return block_id
 
-    def reserve_blocks(self, count: int) -> List[int]:
-        """Take ``count`` whole free blocks round-robin across dies (preload)."""
-        taken: List[int] = []
-        die = 0
-        misses = 0
-        while len(taken) < count:
-            if self._free[die]:
-                block_id = self._free[die].popleft()
-                self._used.add(block_id)
-                taken.append(block_id)
-                misses = 0
-            else:
-                misses += 1
-                if misses >= self.geometry.dies:
-                    # Roll back so a failed reservation leaves state unchanged.
-                    for block_id in taken:
-                        self._used.discard(block_id)
-                        self._free[block_id // self.geometry.blocks_per_die].append(block_id)
-                    raise OutOfSpaceError(
-                        f"cannot reserve {count} blocks ({len(taken)} available)"
-                    )
-            die = (die + 1) % self.geometry.dies
-        return taken
+    def reserve_blocks(self, count: int) -> List[List[int]]:
+        """Take ``count`` whole free blocks round-robin across dies (preload).
+
+        Round ``r`` takes the next free block of every die that still has
+        one, die 0 first, until ``count`` are taken.  Returns each die's
+        blocks in the order taken (empty for a die that gave none);
+        refuses, changing nothing, when fewer than ``count`` are free.
+        """
+        free = np.array([len(queue) for queue in self._free])
+        if count > free.sum():
+            raise OutOfSpaceError(
+                f"cannot reserve {count} blocks ({free.sum()} available)"
+            )
+        # taken_by_round[r]: blocks taken once rounds 0..r are complete.
+        # Take every round that fits whole, then one more block from each
+        # of the first dies that still have one.
+        taken_by_round = np.minimum(free[:, None], np.arange(1, free.max() + 1)).sum(0)
+        rounds = int(np.searchsorted(taken_by_round, count, side="right"))
+        takes = np.minimum(free, rounds)
+        takes[np.flatnonzero(free > rounds)[: count - takes.sum()]] += 1
+        per_die = [
+            [queue.popleft() for _ in range(take)]
+            for queue, take in zip(self._free, takes.tolist())
+        ]
+        for blocks in per_die:
+            self._used.update(blocks)
+        return per_die
 
     # ------------------------------------------------------------------
     # Reclamation

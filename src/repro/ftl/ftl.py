@@ -11,9 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
+from itertools import zip_longest
 from typing import Any, Callable, Iterable, Optional
-
-import numpy as np
 
 from ..flash.array import FlashArray
 from ..sim.kernel import Simulator
@@ -364,9 +363,10 @@ class GreedyFtl:
         if lpn_start + pages_needed > self.logical_pages:
             raise ValueError("preload exceeds logical space")
         blocks_needed = math.ceil(pages_needed / self.geometry.pages_per_block)
-        block_ids = self.blocks.reserve_blocks(blocks_needed)
+        # Fill the blocks in the order they were taken: round by round.
+        rounds = zip_longest(*self.blocks.reserve_blocks(blocks_needed))
         idx = 0
-        for block_id in block_ids:
+        for block_id in (b for row in rounds for b in row if b is not None):
             base_ppn = self.geometry.first_ppn_of_block(block_id)
             for page in range(self.geometry.pages_per_block):
                 if idx >= pages_needed:
@@ -383,11 +383,15 @@ class GreedyFtl:
         ``region`` provides ``page_count`` and ``page_content(offset)``.
         Consecutive logical pages are striped across dies exactly as the
         log-structured write path would place them, so sequential reads
-        exploit full channel parallelism.  Costs one O(1) region entry
-        per reserved block and one vectorized mapping update per die;
-        only numpy touches individual pages.  (Per die, not per table:
-        on the 4-host benchmark cell, 2-vCPU Xeon, one whole-table update
-        raised set-up from 0.14 to 0.18 s and peak RSS from 90 to 109 MB.)
+        exploit full channel parallelism.  Each die's share is a run: one
+        ``install_region`` over its blocks (an O(1) entry each) and one
+        ``map_strided`` (a strided L2P slice, a P2L row per block); only
+        numpy touches individual pages and nothing sorts them.  (Per die,
+        not per table, so temporaries stay one die's share: 0.08 MB for a
+        409,600-page table on the benchmark device, where a whole-table
+        int64 run took 12.9 MB and raised the 4-host cell's peak RSS from
+        90 to 102 MB.  On that cell, 2-vCPU Xeon, set-up fell from 0.17 s
+        with per-die (lpn, ppn) pairs to 0.055 s.)
         """
         pages_needed = int(region.page_count)
         if pages_needed <= 0:
@@ -402,38 +406,25 @@ class GreedyFtl:
         stripe_dies = min(dies, pages_needed)
         pages_per_die = math.ceil(pages_needed / stripe_dies)
         blocks_needed = stripe_dies * math.ceil(pages_per_die / per_block)
-        block_ids = self.blocks.reserve_blocks(blocks_needed)
-        # reserve_blocks hands out blocks round-robin across dies; group
-        # them per die so die d serves logical pages d, d+D, d+2D, ...
-        per_die_blocks: dict[int, list[int]] = {}
-        for block_id in block_ids:
-            die = block_id // self.geometry.blocks_per_die
-            per_die_blocks.setdefault(die, []).append(block_id)
-        die_order = sorted(per_die_blocks)
-        n_dies = len(die_order)
-        for d_idx, die in enumerate(die_order):
-            # Logical offsets served by this die: d_idx, d_idx + n_dies, ...
+        # The dies that gave blocks, in die order: the d-th of them serves
+        # logical pages d, d+D, d+2D, ...
+        per_die_blocks = [
+            (die, blocks)
+            for die, blocks in enumerate(self.blocks.reserve_blocks(blocks_needed))
+            if blocks
+        ]
+        n_dies = len(per_die_blocks)
+        for d_idx, (die, blocks) in enumerate(per_die_blocks):
             die_pages = (pages_needed - d_idx + n_dies - 1) // n_dies
-            consumed = 0
-            die_ppns = []
-            for block_id in per_die_blocks[die]:
-                if consumed >= die_pages:
-                    break
-                count = min(per_block, die_pages - consumed)
-                self.flash.store.install_region(
-                    block_id, region, d_idx + consumed * n_dies, stride=n_dies
-                )
-                base_ppn = self.geometry.first_ppn_of_block(block_id)
-                die_ppns.append(np.arange(base_ppn, base_ppn + count, dtype=np.int64))
-                consumed += count
-            if consumed < die_pages:
+            die_blocks = blocks[: -(-die_pages // per_block)]
+            if len(die_blocks) * per_block < die_pages:
                 raise OutOfSpaceError(
                     f"die {die} reserved too few blocks for preload "
-                    f"({consumed}/{die_pages} pages)"
+                    f"({len(die_blocks) * per_block}/{die_pages} pages)"
                 )
-            offsets = d_idx + np.arange(die_pages, dtype=np.int64) * n_dies
-            self.mapping.bulk_map_pairs(
-                lpn_start + offsets, np.concatenate(die_ppns)
+            self.flash.store.install_region(die_blocks, region, d_idx, stride=n_dies)
+            self.mapping.map_strided(
+                lpn_start + d_idx, n_dies, die_blocks, die_pages
             )
         return pages_needed
 

@@ -11,6 +11,8 @@ geometry may hold at most ``2**31 - 1`` pages — 32 TB of 16 KB pages.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from ..flash.geometry import FlashGeometry
@@ -19,13 +21,6 @@ __all__ = ["MappingTable", "UNMAPPED"]
 
 UNMAPPED = -1
 _MAX_PAGES = 2**31 - 1
-
-
-def _has_duplicates(values: np.ndarray) -> bool:
-    """Sort + adjacent compare: on a preload-sized batch ``np.unique``
-    (numpy 2's hash path) costs ~10x this."""
-    ordered = np.sort(values)
-    return bool(np.any(ordered[1:] == ordered[:-1]))
 
 
 class MappingTable:
@@ -98,77 +93,59 @@ class MappingTable:
             self._l2p[lpn] = UNMAPPED
         return old_ppn
 
-    def bulk_map(self, lpn_start: int, ppns: np.ndarray) -> np.ndarray:
-        """Vectorized mapping of consecutive LPNs onto ``ppns`` (preload)."""
-        ppns = np.asarray(ppns, dtype=np.int64)
-        return self.bulk_map_pairs(
-            np.arange(lpn_start, lpn_start + ppns.size, dtype=np.int64), ppns
-        )
+    def map_strided(
+        self, lpn_start: int, stride: int, blocks: Sequence[int], pages: int
+    ) -> None:
+        """Map the ``pages`` LPNs ``lpn_start, lpn_start + stride, ...``
+        onto the pages of ``blocks`` in order, each block filled from its
+        first page and only the last one partly: one die's share of a
+        striped preload.
 
-    def bulk_map_pairs(self, lpns: np.ndarray, ppns: np.ndarray) -> np.ndarray:
-        """Vectorized mapping of (lpn, ppn) pairs; last write wins.
-
-        Target PPNs must be unmapped (they are freshly allocated pages),
-        but target LPNs may already be mapped — their old physical pages
-        are invalidated exactly as :meth:`map` would.  Duplicate LPNs
-        within one batch take the *last* pair, mirroring the sequential
-        semantics of issuing :meth:`map` per pair; the physical pages the
-        earlier duplicates would have occupied are dead on arrival.
-
-        Returns the sorted array of invalidated PPNs (previous mappings
-        of remapped LPNs plus dead intra-batch duplicates), the bulk
-        analogue of :meth:`map`'s old-PPN return.
+        The result is :meth:`map` issued page by page, with its checks:
+        LPNs and blocks in range, target pages distinct and unmapped, and
+        an already-mapped LPN's old page invalidated.  ``blocks`` holds
+        exactly the ``ceil(pages / pages_per_block)`` target blocks.  L2P
+        is one strided slice and P2L one row per block, so the work is a
+        few numpy passes over the pages; the distinct-target check is
+        O(blocks) when ``blocks`` ascends and sorts them only when not.
         """
-        lpns = np.asarray(lpns, dtype=np.int64)
-        ppns = np.asarray(ppns, dtype=np.int64)
-        if lpns.size != ppns.size:
-            raise ValueError("lpns/ppns length mismatch")
-        if lpns.size == 0:
-            return np.zeros(0, dtype=np.int64)
-        if lpns.min() < 0 or lpns.max() >= self.logical_pages:
-            raise IndexError("bulk_map lpn range out of bounds")
-        if ppns.min() < 0 or ppns.max() >= self.geometry.total_pages:
-            raise IndexError("bulk_map ppn out of bounds")
-        if _has_duplicates(ppns):
-            raise ValueError("bulk_map duplicate target ppns in batch")
-        if np.any(self._p2l[ppns] != UNMAPPED):
-            raise ValueError("bulk_map target ppns already mapped")
-        win_lpns, win_ppns = lpns, ppns
-        dead_ppns = ppns[:0]
-        if _has_duplicates(lpns):
-            # Last write wins: keep the final occurrence of each LPN.  The
-            # first index into the reversed array is the last index into
-            # the original one.
-            rev_first = np.unique(lpns[::-1], return_index=True)[1]
-            winner_idx = np.sort(lpns.size - 1 - rev_first)
-            win_lpns = lpns[winner_idx]
-            win_ppns = ppns[winner_idx]
-            # PPNs of losing duplicates never become valid.
-            dead_mask = np.ones(lpns.size, dtype=bool)
-            dead_mask[winner_idx] = False
-            dead_ppns = ppns[dead_mask]
-        # Invalidate prior mappings of remapped LPNs (same as map()).
-        old_ppns = self._l2p[win_lpns]
-        old_mapped = old_ppns[old_ppns != UNMAPPED]
-        if old_mapped.size:
-            self._p2l[old_mapped] = UNMAPPED
-            blocks = self._count_valid(old_mapped, -1)
-            if np.any(self._valid_per_block[blocks] < 0):
-                raise AssertionError("valid count underflow in bulk_map_pairs")
-        self._l2p[win_lpns] = win_ppns
-        self._p2l[win_ppns] = win_lpns
-        self._count_valid(win_ppns, 1)
-        return np.sort(np.concatenate([old_mapped, dead_ppns], dtype=np.int64))
-
-    def _count_valid(self, ppns: np.ndarray, sign: int) -> np.ndarray:
-        """Add ``sign`` to the valid count of its block once per page of
-        ``ppns`` (a batch is mostly many pages of few blocks: one counted
-        add per block, not ``np.add.at``); returns the distinct blocks."""
-        blocks, pages = np.unique(
-            ppns // self.geometry.pages_per_block, return_counts=True
-        )
-        self._valid_per_block[blocks] += sign * pages
-        return blocks
+        per_block = self.geometry.pages_per_block
+        blocks = np.asarray(blocks, dtype=np.int64)
+        full, tail = divmod(pages, per_block)
+        if pages < 1 or stride < 1:
+            raise ValueError("map_strided needs pages >= 1 and stride >= 1")
+        if blocks.size != full + (tail > 0):
+            raise ValueError(f"{pages} pages fill {full + (tail > 0)} blocks, "
+                             f"not {blocks.size}")
+        lpn_stop = lpn_start + (pages - 1) * stride + 1
+        if lpn_start < 0 or lpn_stop > self.logical_pages:
+            raise IndexError("map_strided lpn range out of bounds")
+        if blocks.min() < 0 or blocks.max() >= self.geometry.total_blocks:
+            raise IndexError("map_strided block out of bounds")
+        if np.any(blocks[1:] <= blocks[:-1]):
+            ordered = np.sort(blocks)
+            if np.any(ordered[1:] == ordered[:-1]):
+                raise ValueError("map_strided duplicate target blocks")
+        p2l = self._p2l.reshape(-1, per_block)          # a row per block
+        if np.any(p2l[blocks].reshape(-1)[:pages] != UNMAPPED):
+            raise ValueError("map_strided target ppns already mapped")
+        l2p = self._l2p[lpn_start:lpn_stop:stride]
+        old = l2p[l2p != UNMAPPED]
+        if old.size:
+            self._p2l[old] = UNMAPPED
+            np.subtract.at(self._valid_per_block, old // per_block, 1)
+            if np.any(self._valid_per_block < 0):
+                raise AssertionError("valid count underflow in map_strided")
+        first_ppns = (blocks * per_block).astype(np.int32)
+        in_block = np.arange(per_block, dtype=np.int32)
+        np.add(first_ppns[:full, None], in_block,
+               out=l2p[: full * per_block].reshape(full, per_block))
+        l2p[full * per_block :] = first_ppns[full:] + in_block[:tail]
+        lpns = np.arange(lpn_start, lpn_stop, stride, dtype=np.int32)
+        p2l[blocks[:full]] = lpns[: full * per_block].reshape(full, per_block)
+        p2l[blocks[full:], :tail] = lpns[full * per_block :]
+        self._valid_per_block[blocks[:full]] += per_block
+        self._valid_per_block[blocks[full:]] += tail
 
     def _invalidate_ppn(self, ppn: int) -> None:
         self._p2l[ppn] = UNMAPPED

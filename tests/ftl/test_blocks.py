@@ -1,6 +1,7 @@
 """Block manager: striping, reservation, reclamation, wear accounting."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.flash.geometry import FlashGeometry
 from repro.ftl.blocks import BlockManager, OutOfSpaceError
@@ -50,12 +51,13 @@ class TestAllocation:
 class TestReservation:
     def test_reserve_round_robin(self, blocks):
         taken = blocks.reserve_blocks(GEO.dies)
-        dies = {b // GEO.blocks_per_die for b in taken}
-        assert dies == set(range(GEO.dies))
+        assert [[b // GEO.blocks_per_die for b in die] for die in taken] == [
+            [d] for d in range(GEO.dies)
+        ]
         assert blocks.total_free_blocks == GEO.total_blocks - GEO.dies
 
     def test_reserved_blocks_not_allocated(self, blocks):
-        taken = set(blocks.reserve_blocks(4))
+        taken = {b for die in blocks.reserve_blocks(4) for b in die}
         for _ in range(GEO.total_pages - 4 * GEO.pages_per_block):
             ppn = blocks.allocate_page()
             assert ppn // GEO.pages_per_block not in taken
@@ -66,25 +68,55 @@ class TestReservation:
             blocks.reserve_blocks(GEO.total_blocks + 1)
         assert blocks.total_free_blocks == free_before
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        free=st.permutations(range(GEO.total_blocks)).flatmap(
+            lambda order: st.integers(0, len(order)).map(lambda n: order[:n])
+        ),
+        count=st.integers(0, GEO.total_blocks),
+    )
+    def test_reserve_matches_block_by_block_round_robin(self, free, count):
+        """Uneven, out-of-order free lists: each die gives what taking one
+        block per die per round, die 0 first, takes."""
+        blocks = BlockManager(GEO)
+        blocks.reserve_blocks(GEO.total_blocks)
+        for block in free:
+            blocks.release_block(block)
+        queues = [list(q) for q in blocks._free]
+        if count > len(free):
+            with pytest.raises(OutOfSpaceError):
+                blocks.reserve_blocks(count)
+            assert [list(q) for q in blocks._free] == queues
+            return
+        want = [[] for _ in queues]
+        die = 0
+        for _ in range(count):
+            while not queues[die]:
+                die = (die + 1) % GEO.dies
+            want[die].append(queues[die].pop(0))
+            die = (die + 1) % GEO.dies
+        assert blocks.reserve_blocks(count) == want
+        assert [list(q) for q in blocks._free] == queues
+        assert blocks.total_free_blocks == len(free) - count
+
 
 class TestReclamation:
     def test_release_returns_to_pool_and_counts_erase(self, blocks):
-        taken = blocks.reserve_blocks(1)[0]
+        [taken] = blocks.reserve_blocks(1)[0]
         free_before = blocks.total_free_blocks
         blocks.release_block(taken)
         assert blocks.total_free_blocks == free_before + 1
         assert blocks.erase_counts[taken] == 1
 
     def test_wear_spread(self, blocks):
-        taken = blocks.reserve_blocks(1)[0]
+        [taken] = blocks.reserve_blocks(1)[0]
         for _ in range(5):
             blocks.release_block(taken)
-            taken = blocks.reserve_blocks(1)[0] if False else taken
         assert blocks.wear_spread() == 5
 
     def test_closed_blocks_excludes_active(self, blocks):
         blocks.allocate_page(die=0)  # opens an active block on die 0
-        reserved = blocks.reserve_blocks(1)[0]
+        [reserved] = blocks.reserve_blocks(1)[0]
         closed = blocks.closed_blocks()
         assert reserved in closed
         active = [b for b in blocks.used_blocks() if b not in closed]

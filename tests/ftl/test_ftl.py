@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.sim.kernel import Simulator
 from repro.ssd.presets import small_ssd
@@ -112,31 +113,80 @@ class TestPreload:
         die_b = ftl.geometry.die_index(b.channel, b.way)
         assert die_a != die_b
 
-    def test_preload_maps_once_per_die_with_exact_striping(self, sim, device, monkeypatch):
-        """The docstring's cost model: mapping updates per die, not per
-        block — with page k of die d still at logical offset d + k*D."""
+    @settings(max_examples=60, deadline=None)
+    @given(
+        pages=st.integers(1, 4 * (5 * 16 + 3)),
+        lpn_start=st.integers(0, 400),
+        premapped=st.lists(st.integers(0, 767), max_size=12, unique=True),
+        free_order=st.permutations(range(16)),
+    )
+    @example(pages=3, lpn_start=5, premapped=[], free_order=list(range(16)))
+    @example(pages=4 * 35, lpn_start=16, premapped=[17, 40],
+             free_order=list(range(16)))
+    def test_preload_matches_per_page_stripe_oracle(
+        self, pages, lpn_start, premapped, free_order
+    ):
+        """Page for page, preload is ``map`` under the stripe rule: the
+        dies its reserved blocks sit on, in die order, take logical
+        offsets round robin, and within a die logical order is program
+        order through its blocks.  Grid: page counts below ``dies`` and
+        off any multiple of ``dies`` or ``pages_per_block``, a non-zero
+        start, LPNs already mapped, free lists out of block order."""
+        ftl, oracle = (small_ssd(Simulator()).ftl for _ in range(2))
+        for device_ftl in (ftl, oracle):
+            # Take every block, then give ten per die back in
+            # ``free_order``: each die's free list is out of block order.
+            geo = device_ftl.geometry
+            device_ftl.blocks.reserve_blocks(geo.total_blocks)
+            for i in free_order[:10]:
+                for die in range(geo.dies):
+                    device_ftl.blocks.release_block(die * geo.blocks_per_die + i)
+            for lpn in premapped:
+                device_ftl.mapping.map(lpn, device_ftl.blocks.allocate_page())
+        region = self.Region(pages)
+        assert ftl.preload_region(lpn_start, region) == pages
+
+        geo, per_block = oracle.geometry, oracle.geometry.pages_per_block
+        stripe = min(geo.dies, pages)
+        per_die = -(-pages // stripe)
+        dies = [blocks for blocks in
+                oracle.blocks.reserve_blocks(stripe * -(-per_die // per_block))
+                if blocks]
+        regions = {}
+        for offset in range(pages):
+            k = offset // len(dies)
+            block = dies[offset % len(dies)][k // per_block]
+            if k % per_block == 0:
+                regions[block] = (offset, len(dies))
+            oracle.mapping.map(lpn_start + offset,
+                               geo.first_ppn_of_block(block) + k % per_block)
+
+        mapping, want = ftl.mapping, oracle.mapping
+        assert np.array_equal(mapping._l2p, want._l2p)
+        assert np.array_equal(mapping._p2l, want._p2l)
+        assert np.array_equal(mapping._valid_per_block, want._valid_per_block)
+        store = ftl.flash.store
+        assert {b: (first, stride) for b, (r, first, stride) in store._regions.items()
+                if r is region} == regions
+        assert all(store.block_write_point(b) == per_block for b in regions)
+        assert ftl.blocks.used_blocks() == oracle.blocks.used_blocks()
+        for offset in range(pages):
+            ppn = mapping.lookup(lpn_start + offset)
+            assert store.read(ppn) == ("virt", offset)
+        mapping.check_consistency()
+
+    def test_preload_pages_fills_blocks_in_the_order_taken(self, sim, device):
+        """A round over every die, then die 0 and die 1 again."""
         ftl = device.ftl
         geo = ftl.geometry
-        n = geo.dies * (2 * geo.pages_per_block + 3)   # 3 blocks on every die
-        batches = []
-        mapped = ftl.mapping.bulk_map_pairs
-        monkeypatch.setattr(
-            ftl.mapping, "bulk_map_pairs",
-            lambda lpns, ppns: batches.append(len(lpns)) or mapped(lpns, ppns),
-        )
-        ftl.preload_region(16, self.Region(n))
-        assert batches == [n // geo.dies] * geo.dies
-        ppns = ftl.mapping.lookup_many(np.arange(16, 16 + n))
-        dies = ppns // geo.pages_per_block // geo.blocks_per_die
-        assert np.array_equal(dies, np.arange(n) % geo.dies)
-        for die in range(geo.dies):
-            # Within a die, logical order is physical program order.
-            die_ppns = ppns[die::geo.dies]
-            assert np.all(np.diff(die_ppns) > 0)
-            assert np.all(die_ppns % geo.pages_per_block
-                          == np.arange(die_ppns.size) % geo.pages_per_block)
-        for lpn in (16, 17, 16 + n - 1):
-            assert ftl.flash.store.read(ftl.mapping.lookup(lpn)) == ("virt", lpn - 16)
+        per_block = geo.pages_per_block
+        n = (geo.dies + 1) * per_block + 2
+        assert ftl.preload_pages(5, [("page", i) for i in range(n)]) == n
+        firsts = [ftl.mapping.lookup(5 + k * per_block) for k in range(geo.dies + 2)]
+        rounds = [d * geo.blocks_per_die for d in range(geo.dies)] + [1, geo.blocks_per_die + 1]
+        assert firsts == [geo.first_ppn_of_block(b) for b in rounds]
+        for lpn in (5, 6, 5 + n - 1):
+            assert ftl.flash.store.read(ftl.mapping.lookup(lpn)) == ("page", lpn - 5)
         ftl.mapping.check_consistency()
 
     def test_preload_beyond_logical_space_rejected(self, sim, device):

@@ -1,6 +1,8 @@
 """Mapping table invariants, including a property-based operation fuzz."""
 
+import hashlib
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -89,97 +91,85 @@ class TestBasics:
         assert table.min_valid_block([0, 1]) == 1
 
 
-class TestBulkMap:
-    def test_bulk_map_contiguous(self, table):
-        ppns = np.arange(8, 16, dtype=np.int64)
-        table.bulk_map(10, ppns)
-        for i, ppn in enumerate(ppns):
-            assert table.lookup(10 + i) == ppn
-            assert table.reverse(int(ppn)) == 10 + i
+class TestMapStrided:
+    def test_contiguous_lpns_fill_blocks_in_order(self, table):
+        table.map_strided(10, 1, [1], 8)
+        for i in range(8):
+            assert table.lookup(10 + i) == 8 + i
+            assert table.reverse(8 + i) == 10 + i
         table.check_consistency()
 
-    def test_bulk_map_pairs_strided(self, table):
-        lpns = np.array([0, 4, 8, 12], dtype=np.int64)
-        ppns = np.array([3, 2, 1, 0], dtype=np.int64)
-        table.bulk_map_pairs(lpns, ppns)
-        assert table.lookup(4) == 2
+    def test_strided_lpns_onto_blocks_in_given_order(self, table):
+        # Blocks need not ascend (a free list after release); a partial
+        # last block takes its first pages.
+        table.map_strided(2, 4, [3, 1], 11)
+        assert [table.lookup(2 + 4 * k) for k in range(11)] == (
+            list(range(24, 32)) + [8, 9, 10]
+        )
+        assert table.lookup(6) == 25 and table.reverse(10) == 2 + 4 * 10
+        assert table.mapped_count == 11
         table.check_consistency()
 
-    def test_bulk_map_remaps_mapped_lpn_like_map(self, table):
-        # Remapping an already-mapped lpn mirrors map(): the old ppn is
-        # invalidated and returned.
+    def test_remap_invalidates_old_like_map(self, table):
+        # Remapping an already-mapped lpn mirrors map(): the old ppn and
+        # its block's count are released.
         table.map(10, 5)
-        old = table.bulk_map(10, np.array([6], dtype=np.int64))
-        assert old.tolist() == [5]
-        assert table.lookup(10) == 6
+        table.map_strided(10, 1, [2], 1)
+        assert table.lookup(10) == 16
         assert table.reverse(5) == UNMAPPED
+        assert table.valid_pages_in_block(0) == 0
         table.check_consistency()
 
-    def test_bulk_map_rejects_occupied_ppn(self, table):
+    def test_occupied_or_repeated_target_refused_unchanged(self, table):
         table.map(10, 5)
-        with pytest.raises(ValueError):
-            table.bulk_map(20, np.array([5], dtype=np.int64))
-        with pytest.raises(ValueError):
-            table.bulk_map_pairs(
-                np.array([20, 21], dtype=np.int64),
-                np.array([7, 7], dtype=np.int64),  # duplicate target ppn
-            )
-
-    def test_bulk_map_bounds(self, table):
-        with pytest.raises(IndexError):
-            table.bulk_map(95, np.array([1, 2], dtype=np.int64))
-
-    def test_bulk_map_pairs_duplicate_lpns_last_write_wins(self, table):
-        # Regression: a batch carrying the same lpn twice used to leave
-        # the loser's ppn in p2l and its block's valid count inflated
-        # (check_consistency() tripped); last-write-wins must match the
-        # sequential map() semantics exactly.
-        lpns = np.array([7, 3, 7, 3, 9], dtype=np.int64)
-        ppns = np.array([0, 1, 2, 3, 4], dtype=np.int64)
-        invalidated = table.bulk_map_pairs(lpns, ppns)
-        assert table.lookup(7) == 2
-        assert table.lookup(3) == 3
-        assert table.lookup(9) == 4
-        # Losing duplicates' ppns are dead on arrival.
-        assert invalidated.tolist() == [0, 1]
-        assert table.reverse(0) == UNMAPPED
-        assert table.reverse(1) == UNMAPPED
-        assert table.mapped_count == 3
+        before = table._l2p.copy(), table._p2l.copy(), table._valid_per_block.copy()
+        with pytest.raises(ValueError, match="already mapped"):
+            table.map_strided(20, 1, [0], 6)          # pages 0-5 include ppn 5
+        with pytest.raises(ValueError, match="duplicate"):
+            table.map_strided(20, 1, [3, 2, 3], 17)   # duplicate target block
+        assert all(np.array_equal(a, b) for a, b in zip(
+            before, (table._l2p, table._p2l, table._valid_per_block)))
+        table.map_strided(20, 1, [0], 5)              # pages 0-4 are free
         table.check_consistency()
 
-        # Shadow-model equivalence against sequential map() on a fresh
-        # table (same pairs, one at a time).
-        seq = MappingTable(GEO, logical_pages=96)
-        seq_old = [seq.map(int(l), int(p)) for l, p in zip(lpns, ppns)]
-        for lpn in (7, 3, 9):
-            assert seq.lookup(lpn) == table.lookup(lpn)
-        assert sorted(o for o in seq_old if o != UNMAPPED) == invalidated.tolist()
+    @pytest.mark.parametrize("lpn_start, stride, blocks, pages", [
+        (95, 1, [0], 2),                 # last lpn past logical space
+        (3, 31, [0], 4),                 # 3 + 3 * 31 = 96
+        (-1, 1, [0], 1),
+        (0, 1, [GEO.total_blocks], 1),   # first ppn past the geometry
+        (0, 1, [0, -1], 9),
+    ])
+    def test_out_of_range_lpn_or_ppn_refused(self, table, lpn_start, stride,
+                                             blocks, pages):
+        with pytest.raises(IndexError):
+            table.map_strided(lpn_start, stride, blocks, pages)
+        assert table.mapped_count == 0
 
-    def test_bulk_map_pairs_counts_every_page_of_a_block(self, table):
-        # A batch is many pages of few blocks: each block's valid count
-        # moves once per page, as np.add.at over the repeated block ids
-        # did — when mapping and when the remap invalidates them.
+    def test_block_count_must_fit_the_pages(self, table):
+        with pytest.raises(ValueError, match="fill 2 blocks, not 1"):
+            table.map_strided(0, 1, [0], 9)
+        with pytest.raises(ValueError, match="fill 1 blocks, not 2"):
+            table.map_strided(0, 1, [0, 1], 8)
+
+    def test_counts_every_page_of_a_block(self, table):
+        # Each block's valid count moves once per page — when mapping and
+        # when a remap invalidates them.
         per_block = GEO.pages_per_block
-        lpns = np.arange(2 * per_block + 3, dtype=np.int64)
-        table.bulk_map_pairs(lpns, lpns + per_block)           # blocks 1, 2 and 3 pages of 3
-        want = np.zeros(GEO.total_blocks, dtype=np.int64)
-        np.add.at(want, (lpns + per_block) // per_block, 1)
-        assert table._valid_per_block.tolist() == want.tolist()
-        assert want[1:4].tolist() == [per_block, per_block, 3]
-        table.bulk_map_pairs(lpns, lpns + 5 * per_block)        # all of them move
+        table.map_strided(0, 1, [1, 2, 3], 2 * per_block + 3)
+        assert table._valid_per_block[1:4].tolist() == [per_block, per_block, 3]
+        table.map_strided(0, 1, [5, 6, 7], 2 * per_block + 3)   # all of them move
         assert [table.valid_pages_in_block(b) for b in (1, 2, 3)] == [0, 0, 0]
         assert [table.valid_pages_in_block(b) for b in (5, 6, 7)] == [per_block, per_block, 3]
         table.check_consistency()
 
-    def test_bulk_map_pairs_returns_old_ppns_of_remapped_lpns(self, table):
-        table.bulk_map_pairs(
-            np.array([1, 2], dtype=np.int64), np.array([10, 11], dtype=np.int64)
-        )
-        out = table.bulk_map_pairs(
-            np.array([2, 1], dtype=np.int64), np.array([20, 21], dtype=np.int64)
-        )
-        assert out.tolist() == [10, 11]
-        assert table.lookup(1) == 21 and table.lookup(2) == 20
+    def test_remaps_some_lpns_of_a_run(self, table):
+        table.map(1, 11)
+        table.map(3, 10)
+        table.map_strided(1, 1, [2], 3)
+        assert [table.lookup(lpn) for lpn in (1, 2, 3)] == [16, 17, 18]
+        assert table.reverse(10) == table.reverse(11) == UNMAPPED
+        assert table.valid_pages_in_block(1) == 0
+        assert table.valid_pages_in_block(2) == 3
         table.check_consistency()
 
 
@@ -210,20 +200,37 @@ class TestCheckConsistency:
             table.check_consistency()
 
 
-def test_benchmark_sized_device_keeps_4_byte_entries():
-    """The device a two-table, 409,600-row one-per-page model gets from the
-    public path: mapping entries are 4 bytes, scalar reads are Python
-    ``int`` / ``bool`` and the bulk return stays int64."""
-    model = DlrmModel(
+BENCH_TABLE_ROWS = 409_600
+
+
+@pytest.fixture
+def bench_model():
+    """A two-table, 409,600-row one-per-page model: its tables fill the
+    benchmark device (1,417,216 pages, 32 dies of 256-page blocks)."""
+    return DlrmModel(
         DlrmConfig(name="m", dense_in=4, bottom_mlp=(4,), top_mlp=(4,),
-                   num_tables=2, table_rows=409_600, dim=16, lookups=1)
+                   num_tables=2, table_rows=BENCH_TABLE_ROWS, dim=16, lookups=1)
     )
-    device = build_system(min_capacity_pages=required_capacity_pages(model)).device
-    for table in model.tables.values():
+
+
+@pytest.fixture
+def bench_device(bench_model):
+    """The benchmark-sized device from the public path, both tables
+    attached."""
+    device = build_system(
+        min_capacity_pages=required_capacity_pages(bench_model)
+    ).device
+    for table in bench_model.tables.values():
         table.attach(device)
-    mapping = device.ftl.mapping
+    return device
+
+
+def test_benchmark_sized_device_keeps_4_byte_entries(bench_device):
+    """Mapping entries are 4 bytes and scalar reads are Python ``int`` /
+    ``bool``."""
+    mapping = bench_device.ftl.mapping
     assert mapping.geometry.total_pages == 1_417_216
-    assert mapping.mapped_count == 2 * 409_600
+    assert mapping.mapped_count == 2 * BENCH_TABLE_ROWS
     assert mapping._l2p.nbytes + mapping._p2l.nbytes == 4 * (
         mapping.logical_pages + mapping.geometry.total_pages
     )
@@ -232,41 +239,94 @@ def test_benchmark_sized_device_keeps_4_byte_entries():
     assert type(ppn) is int and type(mapping.reverse(ppn)) is int
     assert mapping.reverse(ppn) == lpn
     assert mapping.is_mapped(lpn) is True
-    free = np.flatnonzero(mapping._p2l == UNMAPPED)[-1:]
-    old = mapping.bulk_map_pairs(np.array([lpn]), free)
-    assert old.dtype == np.int64 and old.tolist() == [ppn]
+    free = int(np.flatnonzero(mapping._p2l == UNMAPPED)[-1])
+    assert mapping.map(lpn, free) == ppn
     mapping.check_consistency()
+
+
+def test_benchmark_device_state_after_preload_is_pinned(bench_device):
+    """L2P, P2L, valid counts, region entries, write points and used
+    blocks after preload, as recorded on the per-pair mapping update that
+    the strided one replaced."""
+    ftl = bench_device.ftl
+    mapping, store = ftl.mapping, ftl.flash.store
+    digest = hashlib.sha256()
+    for entries in (mapping._l2p, mapping._p2l, mapping._valid_per_block):
+        digest.update(entries.tobytes())
+    regions = sorted((block, region.table.spec.name, first, stride)
+                     for block, (region, first, stride) in store._regions.items())
+    digest.update(repr(regions).encode())
+    digest.update(repr(sorted(store._write_point.items())).encode())
+    digest.update(repr(ftl.blocks.used_blocks()).encode())
+    assert digest.hexdigest() == (
+        "6beec27e2a09b2eb8011c1d47a40f33e4485f41a13f9825409c436236e826ea0"
+    )
+
+
+def test_preloading_a_benchmark_table_keeps_temporaries_small(bench_model):
+    """Per-die runs, not a whole-table batch: preloading one
+    409,600-page table allocates under 2 MB that it frees again (per-die
+    runs take 0.08 MB, the per-die pairs they replaced 0.7 MB, a
+    whole-table int64 run 12.9 MB)."""
+    device = build_system(
+        min_capacity_pages=required_capacity_pages(bench_model)
+    ).device
+    first, second = bench_model.tables.values()
+    first.attach(device)
+    tracemalloc.start()
+    try:
+        second.attach(device)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert device.ftl.mapping.mapped_count == 2 * BENCH_TABLE_ROWS
+    assert peak - retained <= 2 * 1024 * 1024
 
 
 @settings(max_examples=100, deadline=None)
 @given(
     premapped=st.lists(st.integers(0, 95), max_size=8, unique=True),
-    lpns=st.lists(st.integers(0, 95), min_size=1, max_size=24),
+    stride=st.integers(1, 6),
+    pages=st.integers(1, 3 * GEO.pages_per_block),
     data=st.data(),
 )
-def test_bulk_map_pairs_matches_sequential_map(premapped, lpns, data):
-    """Both routes — no duplicate LPN (the preload fast path) and the
-    last-write-wins dedupe — against map() issued pair by pair."""
-    ppns = data.draw(
-        st.lists(
-            st.integers(len(premapped), GEO.total_pages - 1),
-            min_size=len(lpns), max_size=len(lpns), unique=True,
-        )
-    )
-    bulk = MappingTable(GEO, logical_pages=96)
+def test_map_strided_matches_sequential_map(premapped, stride, pages, data):
+    """Against map() issued page by page: the same L2P, P2L and valid
+    counts, or — when a target page is taken — a refusal that leaves the
+    table as it was."""
+    pages = min(pages, (96 - 1) // stride + 1)
+    lpn_start = data.draw(st.integers(0, 95 - (pages - 1) * stride))
+    n_blocks = -(-pages // GEO.pages_per_block)
+    blocks = data.draw(st.lists(st.integers(0, GEO.total_blocks - 1),
+                                min_size=n_blocks, max_size=n_blocks, unique=True))
+    taken = data.draw(st.lists(st.integers(0, GEO.total_pages - 1),
+                               min_size=len(premapped), max_size=len(premapped),
+                               unique=True))
+    strided = MappingTable(GEO, logical_pages=96)
     seq = MappingTable(GEO, logical_pages=96)
-    for ppn, lpn in enumerate(premapped):
-        bulk.map(lpn, ppn)
+    for lpn, ppn in zip(premapped, taken):
+        strided.map(lpn, ppn)
         seq.map(lpn, ppn)
-    invalidated = bulk.bulk_map_pairs(
-        np.asarray(lpns, dtype=np.int64), np.asarray(ppns, dtype=np.int64)
-    )
-    seq_old = [seq.map(lpn, ppn) for lpn, ppn in zip(lpns, ppns)]
-    assert invalidated.tolist() == sorted(o for o in seq_old if o != UNMAPPED)
-    assert np.array_equal(bulk._l2p, seq._l2p)
-    assert np.array_equal(bulk._p2l, seq._p2l)
-    assert np.array_equal(bulk._valid_per_block, seq._valid_per_block)
-    bulk.check_consistency()
+    targets = [
+        (lpn_start + k * stride,
+         blocks[k // GEO.pages_per_block] * GEO.pages_per_block + k % GEO.pages_per_block)
+        for k in range(pages)
+    ]
+    if any(seq.reverse(ppn) != UNMAPPED for _lpn, ppn in targets):
+        before = strided._l2p.copy(), strided._p2l.copy()
+        with pytest.raises(ValueError, match="already mapped"):
+            strided.map_strided(lpn_start, stride, blocks, pages)
+        assert np.array_equal(strided._l2p, before[0])
+        assert np.array_equal(strided._p2l, before[1])
+        strided.check_consistency()
+        return
+    strided.map_strided(lpn_start, stride, blocks, pages)
+    for lpn, ppn in targets:
+        seq.map(lpn, ppn)
+    assert np.array_equal(strided._l2p, seq._l2p)
+    assert np.array_equal(strided._p2l, seq._p2l)
+    assert np.array_equal(strided._valid_per_block, seq._valid_per_block)
+    strided.check_consistency()
 
 
 @settings(max_examples=50, deadline=None)
