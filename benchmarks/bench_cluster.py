@@ -36,15 +36,15 @@ from __future__ import annotations
 import json
 import sys
 from pathlib import Path
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from repro.cluster import (
     ClusterSpec,
-    HostEvent,
     UserSpec,
     replica_model,
     run_cluster_scenario,
 )
+from repro.faults import FaultEvent, FaultSpec
 from repro.models.dlrm import DlrmConfig, DlrmModel
 from repro.workload import ScenarioSpec, TenantSpec
 
@@ -86,7 +86,7 @@ def fleet_model() -> DlrmModel:
     )
 
 
-def _scenario() -> ScenarioSpec:
+def _scenario(faults: Optional[FaultSpec] = None) -> ScenarioSpec:
     return ScenarioSpec(
         name="bench-cluster",
         tenants=(
@@ -101,19 +101,21 @@ def _scenario() -> ScenarioSpec:
         backend="ndp",
         max_inflight_requests=512,
         seed=SEED,
+        faults=faults,
     )
 
 
-def _cluster_spec(router: str, spread: int = 1, host_events=()) -> ClusterSpec:
+def _cluster_spec(
+    router: str, spread: int = 1, faults: Optional[FaultSpec] = None
+) -> ClusterSpec:
     return ClusterSpec(
         name=f"bench-{router}",
-        scenario=_scenario(),
+        scenario=_scenario(faults),
         n_hosts=N_HOSTS,
         router=router,
         router_spread=spread,
         users=UserSpec(n_users=N_USERS, alpha=1.05, seed=3),
         embcache_slots=EMBCACHE_SLOTS,
-        host_events=tuple(host_events),
     )
 
 
@@ -149,11 +151,11 @@ def _row(result) -> Dict[str, object]:
 def run_all(smoke: bool) -> Dict[str, object]:
     base = fleet_model()
 
-    def run(router: str, spread: int = 1, host_events=()):
+    def run(router: str, spread: int = 1, faults=None):
         # Each run gets a fresh fleet; replica_model shares the base
         # model's table data so only backends rebuild between runs.
         return run_cluster_scenario(
-            _cluster_spec(router, spread=spread, host_events=host_events),
+            _cluster_spec(router, spread=spread, faults=faults),
             [replica_model(base)],
         )
 
@@ -188,7 +190,9 @@ def run_all(smoke: bool) -> Dict[str, object]:
     drained = run(
         "consistent_hash",
         spread=SPREAD,
-        host_events=(HostEvent(t=0.005, host="host2", action="drain"),),
+        faults=FaultSpec(
+            events=(FaultEvent(t=0.005, kind="host_drain", host="host2"),)
+        ),
     )
     drain_row = _row(drained)
     host2 = drained.cluster.node("host2")

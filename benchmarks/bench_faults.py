@@ -124,13 +124,13 @@ def _spec(
         backend="ndp",
         max_inflight_requests=512,
         seed=SEED,
+        faults=faults,
     )
     return ClusterSpec(
         name=f"bench-faults-{name}",
         scenario=scenario,
         n_hosts=N_HOSTS,
         router="consistent_hash",
-        faults=faults,
         tolerance=tolerance,
     )
 

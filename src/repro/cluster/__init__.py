@@ -21,7 +21,6 @@ from .router import (
 from .scenario import (
     ClusterResult,
     ClusterSpec,
-    HostEvent,
     UserSpec,
     build_cluster,
     run_cluster_scenario,
@@ -40,7 +39,6 @@ __all__ = [
     "ClusterSpec",
     "ClusterStats",
     "ConsistentHashRouter",
-    "HostEvent",
     "LeastLoadedRouter",
     "NodeState",
     "REASON_NO_HOST",

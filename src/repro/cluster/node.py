@@ -5,8 +5,9 @@ A :class:`ClusterNode` wraps one :class:`~repro.serving.InferenceServer`
 sim kernel) with the routing-facing state the front-end needs: a stable
 name, a lifecycle state (UP / DRAINING / DOWN) and cheap load gauges.
 
-Lifecycle semantics (driven by :class:`~repro.cluster.cluster.Cluster`
-or scheduled from a :class:`~repro.cluster.scenario.HostEvent`):
+Lifecycle semantics (driven by :class:`~repro.cluster.cluster.Cluster`;
+in a scenario, scheduled by the ``host_drain`` / ``host_fail`` /
+``host_restore`` events of the fault schedule):
 
 * **UP** — routable; the steady state.
 * **DRAINING** — excluded from routing; everything already admitted

@@ -4,8 +4,10 @@ A :class:`ClusterSpec` wraps one single-host
 :class:`~repro.workload.scenario.ScenarioSpec` (tenants, server knobs,
 QoS, seed — every host is configured identically from it) and adds the
 fleet dimensions: host count, router policy, per-model placement,
-user-keyed traffic (:class:`UserSpec`) and a timeline of
-:class:`HostEvent` drain/fail/restore actions.
+user-keyed traffic (:class:`UserSpec`) and tail tolerance.  The fault
+schedule is the scenario's own ``faults``: on a fleet every event names
+its host, and a host's drain, fail and restore are the ``host_drain`` /
+``host_fail`` / ``host_restore`` fault kinds.
 :func:`run_cluster_scenario` builds the fleet on one shared kernel and
 runs it through the standalone runner's own steps
 (:func:`~repro.workload.scenario.prepare_models` →
@@ -15,7 +17,7 @@ feature means the same thing on a fleet, and returns a
 :class:`ClusterResult` with fleet, per-host and per-lane numbers.
 
 The oracle contract (``tests/cluster/test_cluster_oracle.py``): with
-``n_hosts=1``, ``router="round_robin"``, no users and no events, this
+``n_hosts=1``, ``router="round_robin"``, no users and no faults, this
 runner reproduces :func:`~repro.workload.scenario.run_scenario`
 **bit-identically** — same per-host systems (one), same generator
 seeds, same RNG draw order, zero extra sim events on the submit path —
@@ -29,7 +31,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..faults.injector import FaultInjector
-from ..faults.spec import FaultSpec
 from ..faults.tolerance import ToleranceConfig
 from ..models.base import RecModel
 from ..serving.server import InferenceServer
@@ -53,14 +54,11 @@ from .users import (
 
 __all__ = [
     "UserSpec",
-    "HostEvent",
     "ClusterSpec",
     "ClusterResult",
     "build_cluster",
     "run_cluster_scenario",
 ]
-
-_ACTIONS = ("drain", "fail", "restore")
 
 
 @dataclass(frozen=True)
@@ -83,38 +81,17 @@ class UserSpec:
 
 
 @dataclass(frozen=True)
-class HostEvent:
-    """One lifecycle action at an absolute simulated time.
-
-    ``drain`` = graceful (admitted work finishes, no losses); ``fail`` =
-    fail-stop (queued backlog shed as DROPPED ``host_down``);
-    ``restore`` = back in the rotation.
-    """
-
-    t: float
-    host: str
-    action: str
-
-    def __post_init__(self) -> None:
-        if self.t < 0:
-            raise ValueError("event time must be >= 0")
-        if self.action not in _ACTIONS:
-            raise ValueError(
-                f"unknown host action {self.action!r} (use {_ACTIONS})"
-            )
-
-
-@dataclass(frozen=True)
 class ClusterSpec:
     """A whole fleet experiment as data.
 
     ``scenario`` configures every host identically (admission, batching,
-    host pools, backend) and carries the tenants and seed.  ``placement``
-    maps model names to host-index tuples (models absent from it go on
-    every host) — placing a hot model on more hosts is the replication
-    knob.  ``embcache_slots`` sizes the per-device NDP embedding cache
-    (0 = off, the standalone default) — the cache whose hit rate
-    locality-aware routing is measured on.
+    host pools, backend) and carries the tenants, seed and fault
+    schedule; every fault event must name a host of this fleet.
+    ``placement`` maps model names to host-index tuples (models absent
+    from it go on every host) — placing a hot model on more hosts is the
+    replication knob.  ``embcache_slots`` sizes the per-device NDP
+    embedding cache (0 = off, the standalone default) — the cache whose
+    hit rate locality-aware routing is measured on.
     """
 
     name: str
@@ -126,14 +103,8 @@ class ClusterSpec:
     router_spread: int = 1
     placement: Optional[Mapping[str, Tuple[int, ...]]] = None
     users: Optional[UserSpec] = None
-    host_events: Tuple[HostEvent, ...] = ()
     num_workers: int = 1
     embcache_slots: int = 0
-    # Fault schedule for the whole fleet (repro.faults): host-scoped
-    # events name a host; device-scoped events must too.  Lives here —
-    # not on the wrapped ScenarioSpec, whose faults field is for
-    # standalone runs and is rejected in a cluster context.
-    faults: Optional[FaultSpec] = None
     # Tail tolerance (timeouts / retries / hedging / circuit breaker)
     # for the cluster front-end.  None keeps submit bit-identical to
     # the pre-fault-layer cluster.
@@ -144,30 +115,18 @@ class ClusterSpec:
             raise ValueError("n_hosts must be >= 1")
         self.make_router()  # ValueError early: unknown policy, bad options
         hosts = {f"host{i}" for i in range(self.n_hosts)}
-        for event in self.host_events:
+        faults = self.scenario.faults
+        for event in faults.events if faults is not None else ():
+            if event.host is None:
+                raise ValueError(
+                    f"cluster fault event {event.kind!r}@{event.t} "
+                    f"must name a host"
+                )
             if event.host not in hosts:
                 raise ValueError(
-                    f"event targets unknown host {event.host!r} "
+                    f"fault event targets unknown host {event.host!r} "
                     f"(fleet has {self.n_hosts} hosts)"
                 )
-        if self.scenario.faults is not None:
-            raise ValueError(
-                "put the fault schedule on ClusterSpec.faults, not the "
-                "wrapped ScenarioSpec — cluster fault events must name "
-                "their target host"
-            )
-        if self.faults is not None:
-            for event in self.faults.events:
-                if event.host is None:
-                    raise ValueError(
-                        f"cluster fault event {event.kind!r}@{event.t} "
-                        f"must name a host"
-                    )
-                if event.host not in hosts:
-                    raise ValueError(
-                        f"fault event targets unknown host {event.host!r} "
-                        f"(fleet has {self.n_hosts} hosts)"
-                    )
         tenants = {t.model for t in self.scenario.tenants}
         for model, indices in (self.placement or {}).items():
             if model not in tenants:
@@ -308,9 +267,9 @@ def run_cluster_scenario(
 ) -> ClusterResult:
     """Build, run and summarize one fleet scenario end-to-end.
 
-    :func:`build_cluster`, then what only a fleet has — host events and
-    the fleet fault schedule planted into the shared kernel before
-    traffic starts, user-keyed generators — then the same
+    :func:`build_cluster`, then what only a fleet has — the scenario's
+    fault schedule, host lifecycle included, armed on the whole fleet
+    before traffic starts, and user-keyed generators — then the same
     :func:`~repro.workload.scenario.drive` that runs a single server.
     Deterministic for a fixed ``spec.scenario.seed``.
 
@@ -321,14 +280,9 @@ def run_cluster_scenario(
     cluster = build_cluster(spec, models)
     if tracer is not None:
         tracer.install(cluster.sim)
-    for event in spec.host_events:
-        # drain / fail / restore are the Cluster methods of the same name.
-        cluster.sim.schedule_at(
-            event.t, lambda e=event: getattr(cluster, e.action)(e.host)
-        )
     injector = None
-    if spec.faults is not None:
-        injector = FaultInjector(spec.faults)
+    if spec.scenario.faults is not None:
+        injector = FaultInjector(spec.scenario.faults)
         injector.arm_cluster(cluster)
     stats, updates = drive(
         cluster,

@@ -74,7 +74,7 @@ class UserPopulation:
     ):
         if n_users < 1:
             raise ValueError("n_users must be >= 1")
-        if alpha < 0:
+        if not alpha >= 0:
             raise ValueError("alpha must be >= 0")
         if not 0.0 <= reuse <= 1.0:
             raise ValueError("reuse must be in [0, 1]")

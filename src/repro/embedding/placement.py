@@ -156,7 +156,7 @@ class LayoutMigrator:
         lpn_arr = np.asarray(list(lpns), dtype=np.int64)
         for entry in self.entries:
             layout = entry.table.layout
-            if layout is None or not hasattr(layout, "repack_ranks"):
+            if layout is None:
                 continue
             in_table = (lpn_arr >= entry.base_lpn) & (
                 lpn_arr < entry.base_lpn + entry.num_pages

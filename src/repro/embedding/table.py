@@ -16,7 +16,7 @@ import numpy as np
 from ..core.bags import Bags, BagsLike
 from ..core.config import SlsConfig, sorted_pairs
 from ..core.vecops import segment_sum_offsets
-from ..ftl.layout import FrequencyLayout, RowLayout
+from ..ftl.layout import FrequencyLayout
 from ..quant import EmbDtype, decode_vectors, encode_vectors
 from ..ssd.device import SsdDevice
 from .data import MappedTableData, TableData, VirtualTableData
@@ -107,7 +107,7 @@ class EmbeddingTable:
         # Row -> page layout.  None keeps the legacy identity placement
         # (row i at rank i) with zero per-op overhead; ``set_heat``
         # before ``attach`` selects heat-ordered packing instead.
-        self.layout: Optional[RowLayout] = None
+        self.layout: Optional[FrequencyLayout] = None
         self._heat: Optional[np.ndarray] = None
         # Online heat tracker (repro.embedding.placement.HeatTracker);
         # backends record accessed rows here when one is installed.

@@ -67,9 +67,11 @@ class FaultInjector:
     def arm_server(self, server) -> None:
         """Arm on a standalone :class:`InferenceServer`.
 
-        Host-scoped events are invalid here (there is no fleet)."""
+        The one place a standalone run refuses an event that names a
+        host (host lifecycle kinds always do): there is no fleet.  All
+        are checked before any is scheduled."""
         for event in self.spec.events:
-            if event.host_scoped or event.host is not None:
+            if event.host is not None:
                 raise ValueError(
                     f"{event.kind} (host={event.host!r}) needs a cluster"
                 )

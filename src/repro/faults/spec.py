@@ -4,9 +4,10 @@ RecSSD's latency story assumes every SSD and NDP engine is healthy; at
 fleet scale the tail is dominated by the *unhealthy* minority — the
 fail-slow drive whose reads take 10x, the die whose pages stop
 correcting, the NDP engine that wedges.  A :class:`FaultSpec` is a
-schedule of :class:`FaultEvent` entries attached to a
-:class:`~repro.workload.scenario.ScenarioSpec` (single host) or a
-:class:`~repro.cluster.scenario.ClusterSpec` (fleet); the
+schedule of :class:`FaultEvent` entries, set as
+:class:`~repro.workload.scenario.ScenarioSpec` ``faults`` — the one
+schedule of every run, a single host or the fleet a
+:class:`~repro.cluster.scenario.ClusterSpec` wraps the scenario in; the
 :class:`~repro.faults.injector.FaultInjector` arms the schedule on the
 sim kernel and applies each event at its simulated time.
 
@@ -33,15 +34,18 @@ Fault kinds (``FaultEvent.kind``):
                           unavailable and sharded stages degrade (partial
                           sums, ``missing_bags`` accounting).
 ``device_up``             Bring the SSD back.
-``host_fail``             Cluster only: fail-stop a host (shed queued work).
-``host_drain``            Cluster only: drain a host gracefully.
+``host_fail``             Cluster only: fail-stop a host (shed queued work,
+                          exactly once).
+``host_drain``            Cluster only: drain a host gracefully (no new
+                          routes; admitted work completes).
 ``host_restore``          Cluster only: return a host to the rotation.
 ========================  ====================================================
 
 Device-scoped kinds address ``(host, device)``: ``host`` names a cluster
 node (must be ``None`` for single-host scenarios) and ``device`` indexes
 into that host's ``System.devices``.  Host-scoped kinds are only valid
-in a cluster context.  All events are deterministic: timing swaps are
+in a cluster context, and the injector is the one scheduler of host
+lifecycle.  All events are deterministic: timing swaps are
 pure arithmetic and ``read_errors`` draws from its own seeded stream, so
 fixed-seed faulty runs are bit-reproducible.
 """
@@ -83,7 +87,7 @@ class FaultEvent:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.t < 0:
+        if not self.t >= 0:
             raise ValueError("fault time must be >= 0")
         if self.kind not in FAULT_KINDS:
             raise ValueError(
@@ -91,7 +95,7 @@ class FaultEvent:
             )
         if self.device < 0:
             raise ValueError("device index must be >= 0")
-        if self.kind == "fail_slow" and self.factor <= 1.0:
+        if self.kind == "fail_slow" and not self.factor > 1.0:
             raise ValueError("fail_slow factor must be > 1")
         if self.kind == "read_errors" and not (0.0 < self.fraction < 1.0):
             # Upper bound matches ReliabilityConfig's: p == 1.0 would

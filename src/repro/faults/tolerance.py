@@ -56,13 +56,13 @@ class BreakerConfig:
     probe_after_s: float = 0.05
 
     def __post_init__(self) -> None:
-        if self.latency_threshold_s <= 0:
+        if not self.latency_threshold_s > 0:
             raise ValueError("latency_threshold_s must be positive")
         if not 0.0 < self.ewma_alpha <= 1.0:
             raise ValueError("ewma_alpha must be in (0, 1]")
         if self.min_samples < 1:
             raise ValueError("min_samples must be >= 1")
-        if self.probe_after_s <= 0:
+        if not self.probe_after_s > 0:
             raise ValueError("probe_after_s must be positive")
 
 
@@ -77,13 +77,13 @@ class ToleranceConfig:
     breaker: Optional[BreakerConfig] = None
 
     def __post_init__(self) -> None:
-        if self.timeout_s is not None and self.timeout_s <= 0:
+        if self.timeout_s is not None and not self.timeout_s > 0:
             raise ValueError("timeout_s must be positive")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
-        if self.backoff_s < 0:
+        if not self.backoff_s >= 0:
             raise ValueError("backoff_s must be >= 0")
-        if self.hedge_after_s is not None and self.hedge_after_s <= 0:
+        if self.hedge_after_s is not None and not self.hedge_after_s > 0:
             raise ValueError("hedge_after_s must be positive")
 
     def describe(self) -> Dict[str, object]:

@@ -4,7 +4,7 @@ from .blocks import BlockManager, OutOfSpaceError
 from .cpu import FtlCpu, FtlCpuCosts
 from .ftl import FtlConfig, GreedyFtl
 from .gc import GarbageCollector
-from .layout import FrequencyLayout, ModuloLayout, RowLayout
+from .layout import FrequencyLayout
 from .mapping import UNMAPPED, MappingTable
 from .pagecache import PageCache
 from .wear import WearLeveler
@@ -18,8 +18,6 @@ __all__ = [
     "GreedyFtl",
     "GarbageCollector",
     "FrequencyLayout",
-    "ModuloLayout",
-    "RowLayout",
     "MappingTable",
     "UNMAPPED",
     "PageCache",

@@ -3,10 +3,10 @@
 A layout is a bijection between a table's *external* row ids (what the
 model looks up) and *internal* storage ranks (the order rows are packed
 into flash pages: rank ``r`` lives in page ``r // rows_per_page``, slot
-``r % rows_per_page``).  The legacy placement is the identity
-(:class:`ModuloLayout`): row ``i`` sits at rank ``i``, which is the
-implicit row-major layout every pre-layout version of this codebase
-used.
+``r % rows_per_page``).  The legacy placement is the identity: row
+``i`` sits at rank ``i``, the implicit row-major layout every
+pre-layout version of this codebase used, and a table without a layout
+(``EmbeddingTable.layout is None``) keeps it.
 
 :class:`FrequencyLayout` is RecSSD's answer to the under-utilized-read
 problem (PAPER.md Section 4 / Fig. 4): each flash page read returns
@@ -28,9 +28,8 @@ Invariants (pinned by ``tests/ftl/test_layout.py``):
 
 * ``storage_ids`` is a permutation of ``[0, rows)`` and
   ``external_ids`` is its exact inverse (round trip is the identity);
-* uniform (or all-zero) heat reproduces the legacy modulo layout
-  bit-identically, so enabling the machinery with no profile is a
-  no-op.
+* uniform (or all-zero) heat reproduces the identity bit-identically,
+  so enabling the machinery with no profile is a no-op.
 """
 
 from __future__ import annotations
@@ -39,47 +38,10 @@ from typing import Optional
 
 import numpy as np
 
-__all__ = ["RowLayout", "ModuloLayout", "FrequencyLayout"]
+__all__ = ["FrequencyLayout"]
 
 
-class RowLayout:
-    """Base bijection: external row id <-> internal storage rank."""
-
-    def __init__(self, rows: int, rows_per_page: int):
-        if rows < 1:
-            raise ValueError("rows must be >= 1")
-        if rows_per_page < 1:
-            raise ValueError("rows_per_page must be >= 1")
-        self.rows = rows
-        self.rows_per_page = rows_per_page
-
-    # -- bijection ------------------------------------------------------
-    def storage_ids(self, ids: np.ndarray) -> np.ndarray:
-        """Internal rank of each external row id."""
-        raise NotImplementedError
-
-    def external_ids(self, ranks: np.ndarray) -> np.ndarray:
-        """External row id stored at each internal rank."""
-        raise NotImplementedError
-
-    # -- derived addressing --------------------------------------------
-    def location(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(page_index, slot) of each external row id."""
-        ranks = self.storage_ids(np.asarray(ids, dtype=np.int64))
-        return ranks // self.rows_per_page, ranks % self.rows_per_page
-
-
-class ModuloLayout(RowLayout):
-    """Identity layout: rank == external id (the legacy placement)."""
-
-    def storage_ids(self, ids: np.ndarray) -> np.ndarray:
-        return np.asarray(ids, dtype=np.int64)
-
-    def external_ids(self, ranks: np.ndarray) -> np.ndarray:
-        return np.asarray(ranks, dtype=np.int64)
-
-
-class FrequencyLayout(RowLayout):
+class FrequencyLayout:
     """Heat-ordered packing with in-place re-pack support.
 
     ``_ext_of[rank]`` holds the external id stored at ``rank``;
@@ -90,7 +52,12 @@ class FrequencyLayout(RowLayout):
 
     def __init__(self, ext_of: np.ndarray, rows_per_page: int):
         ext_of = np.asarray(ext_of, dtype=np.int64)
-        super().__init__(int(ext_of.size), rows_per_page)
+        if ext_of.size < 1:
+            raise ValueError("rows must be >= 1")
+        if rows_per_page < 1:
+            raise ValueError("rows_per_page must be >= 1")
+        self.rows = int(ext_of.size)
+        self.rows_per_page = rows_per_page
         self._ext_of = ext_of.copy()
         self._rank_of = np.empty(self.rows, dtype=np.int64)
         self._rank_of[self._ext_of] = np.arange(self.rows, dtype=np.int64)
@@ -107,8 +74,7 @@ class FrequencyLayout(RowLayout):
         """Pack rows by descending heat (stable: ties keep id order).
 
         ``None`` or uniform heat therefore yields the identity
-        permutation — the zero-heat oracle the tests pin against the
-        legacy modulo layout.
+        permutation — the zero-heat oracle the tests pin.
         """
         if heat is None:
             ext_of = np.arange(rows, dtype=np.int64)
@@ -123,9 +89,11 @@ class FrequencyLayout(RowLayout):
 
     # -- bijection ------------------------------------------------------
     def storage_ids(self, ids: np.ndarray) -> np.ndarray:
+        """Internal rank of each external row id."""
         return self._rank_of[np.asarray(ids, dtype=np.int64)]
 
     def external_ids(self, ranks: np.ndarray) -> np.ndarray:
+        """External row id stored at each internal rank."""
         return self._ext_of[np.asarray(ranks, dtype=np.int64)]
 
     # -- online migration ----------------------------------------------

@@ -19,14 +19,6 @@ __all__ = ["SystemConfig", "System", "build_system"]
 class SystemConfig:
     host_cpu: HostCpuConfig = field(default_factory=HostCpuConfig)
     driver: DriverConfig = field(default_factory=DriverConfig)
-    # Host-side admission limit: how many inference requests the serving
-    # layer (repro.serving) keeps in flight (queued + dispatched) before
-    # rejecting new arrivals.  Per system, across all models.
-    max_inflight_requests: int = 64
-
-    def __post_init__(self) -> None:
-        if self.max_inflight_requests < 1:
-            raise ValueError("max_inflight_requests must be >= 1")
 
 
 class System:

@@ -6,7 +6,7 @@ lanes rotate round-robin, the host-side analogue of the NDP engine's
 step-3a round-robin page feed: no model's traffic can starve another's.
 
 Admission counts every live request — queued *and* dispatched — against
-``max_inflight`` (the :class:`~repro.host.system.SystemConfig`
+``max_inflight`` (the :class:`~repro.serving.server.ServingConfig`
 ``max_inflight_requests`` knob); :meth:`release` frees a slot when a
 request completes.  Arrivals beyond the limit are rejected rather than
 buffered without bound, keeping tail latency finite under overload.

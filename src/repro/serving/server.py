@@ -11,7 +11,7 @@ Usage::
     print(server.stats.summary())
 
 The server accepts many in-flight requests (bounded by
-``SystemConfig.max_inflight_requests``), coalesces same-model requests
+``ServingConfig.max_inflight_requests``), coalesces same-model requests
 into batched SLS operations, dispatches them concurrently across the
 registered backends and attached SSDs, and runs each request's dense
 tower on the (serialized) host NN workers — the serving shape the paper
@@ -55,8 +55,9 @@ __all__ = ["ServingConfig", "InferenceServer", "run_offered_load"]
 
 @dataclass(frozen=True)
 class ServingConfig:
-    # None defers to SystemConfig.max_inflight_requests.
-    max_inflight_requests: Optional[int] = None
+    # Admission limit: requests in flight (queued + dispatched) across
+    # all models; arrivals beyond it are rejected.
+    max_inflight_requests: int = 64
     # Most requests coalesced into one batched SLS op per table.
     max_batch_requests: int = 8
     # Coalesced batches a single worker keeps outstanding.  >=2 keeps the
@@ -94,6 +95,7 @@ class ServingConfig:
 
     def __post_init__(self) -> None:
         for name in (
+            "max_inflight_requests",
             "max_batch_requests",
             "max_inflight_batches_per_worker",
             "max_inflight_batches_total",
@@ -128,17 +130,14 @@ class InferenceServer:
         self.system = system
         self.config = config or ServingConfig()
         self.sim = system.sim
-        max_inflight = (
-            self.config.max_inflight_requests
-            if self.config.max_inflight_requests is not None
-            else system.config.max_inflight_requests
-        )
         self.stats = ServingStats(self.sim)
         # Who records this host's arrivals and terminal transitions: its
         # own window, plus the fleet's ClusterStats once it joins a cluster.
         self.recorders = [self.stats]
         self.admission = self.config.admission or AdmissionConfig()
-        self.queue = RequestQueue(max_inflight, admission=self.admission)
+        self.queue = RequestQueue(
+            self.config.max_inflight_requests, admission=self.admission
+        )
         self.models: Dict[str, RecModel] = {}
         # model -> table -> result rows per sample: what ``submit`` holds
         # a batch's tables and bag counts to.

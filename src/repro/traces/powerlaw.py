@@ -21,7 +21,7 @@ class ZipfTraceGenerator:
     def __init__(self, table_rows: int, alpha: float, seed: int = 0):
         if table_rows < 1:
             raise ValueError("table_rows must be >= 1")
-        if alpha <= 0:
+        if not alpha > 0:
             raise ValueError("alpha must be positive")
         self.table_rows = table_rows
         self.alpha = alpha

@@ -177,7 +177,7 @@ class ScenarioSpec:
     name: str
     tenants: Tuple[TenantSpec, ...]
     backend: str = "ndp"                 # dram | ssd | ndp
-    max_inflight_requests: Optional[int] = None
+    max_inflight_requests: int = 64
     max_batch_requests: int = 8
     max_inflight_batches_per_worker: int = 2
     max_inflight_batches_total: Optional[int] = None
@@ -191,8 +191,10 @@ class ScenarioSpec:
     deadline_drop: bool = False
     drop_headroom_s: float = 0.0
     seed: int = 0
-    # Fault schedule (repro.faults) for this standalone server's devices.
-    # Host-scoped events are a cluster concept and are rejected here.
+    # Fault schedule (repro.faults), the one for every run.  Standalone,
+    # events address this server's devices and name no host (the
+    # injector refuses one before traffic starts); on a fleet every event
+    # names its host, host_drain / host_fail / host_restore included.
     faults: Optional[FaultSpec] = None
     # Live embedding update stream (repro.workload.updates) interleaved
     # with the tenants' read traffic.  None keeps the read-only timeline
@@ -228,13 +230,6 @@ class ScenarioSpec:
                     f"update stream targets {self.updates.model!r} but the "
                     f"scenario's tenants are {names}"
                 )
-        if self.faults is not None:
-            for event in self.faults.events:
-                if event.host is not None or event.host_scoped:
-                    raise ValueError(
-                        f"standalone scenario fault {event.kind!r}@{event.t} "
-                        f"cannot target a host — use ClusterSpec.faults"
-                    )
 
     @property
     def backend_kind(self) -> BackendKind:

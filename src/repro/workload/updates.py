@@ -59,13 +59,13 @@ class UpdateStreamSpec:
     seed_offset: int = 7919
 
     def __post_init__(self) -> None:
-        if self.rate <= 0:
+        if not self.rate > 0:
             raise ValueError("update rate must be positive")
         if self.n_updates < 1:
             raise ValueError("n_updates must be >= 1")
         if self.rows_per_update < 1:
             raise ValueError("rows_per_update must be >= 1")
-        if self.zipf_alpha is not None and self.zipf_alpha <= 0:
+        if self.zipf_alpha is not None and not self.zipf_alpha > 0:
             raise ValueError("zipf_alpha must be positive")
         if self.policy not in UPDATE_POLICIES:
             raise ValueError(f"policy must be one of {UPDATE_POLICIES}")

@@ -18,12 +18,13 @@ from repro.cluster import (
     REASON_NO_HOST,
     ClusterSpec,
     ClusterStats,
-    HostEvent,
+    UserPopulation,
     UserSpec,
     build_cluster,
     replica_model,
     run_cluster_scenario,
 )
+from repro.faults import FaultEvent, FaultSpec
 from repro.serving.request import RequestState
 from repro.workload import ScenarioSpec, TenantSpec
 
@@ -47,6 +48,16 @@ def open_scenario(
         backend="ndp",
         seed=seed,
         **kwargs,
+    )
+
+
+def lifecycle(*events) -> FaultSpec:
+    """Host lifecycle as fault events: ``("drain", t, host)`` and the like."""
+    return FaultSpec(
+        events=tuple(
+            FaultEvent(t=t, kind=f"host_{action}", host=host)
+            for action, t, host in events
+        )
     )
 
 
@@ -127,10 +138,12 @@ class TestLifecycle:
     def test_drain_diverts_traffic_and_loses_nothing(self):
         spec = ClusterSpec(
             name="drain",
-            scenario=open_scenario(rate=2000.0, n_requests=40),
+            scenario=open_scenario(
+                rate=2000.0, n_requests=40,
+                faults=lifecycle(("drain", 0.005, "host1")),
+            ),
             n_hosts=2,
             router="round_robin",
-            host_events=(HostEvent(t=0.005, host="host1", action="drain"),),
         )
         result = run_cluster_scenario(spec, [toy_model()])
         stats = result.stats
@@ -149,11 +162,11 @@ class TestLifecycle:
         spec = ClusterSpec(
             name="fail",
             scenario=open_scenario(
-                rate=50000.0, n_requests=60, max_inflight_requests=64
+                rate=50000.0, n_requests=60, max_inflight_requests=64,
+                faults=lifecycle(("fail", 0.0015, "host1")),
             ),
             n_hosts=2,
             router="round_robin",
-            host_events=(HostEvent(t=0.0015, host="host1", action="fail"),),
         )
         result = run_cluster_scenario(spec, [toy_model()])
         stats = result.stats
@@ -172,13 +185,14 @@ class TestLifecycle:
     def test_restore_returns_host_to_rotation(self):
         spec = ClusterSpec(
             name="restore",
-            scenario=open_scenario(rate=1000.0, n_requests=60),
+            scenario=open_scenario(
+                rate=1000.0, n_requests=60,
+                faults=lifecycle(
+                    ("drain", 0.001, "host1"), ("restore", 0.030, "host1")
+                ),
+            ),
             n_hosts=2,
             router="round_robin",
-            host_events=(
-                HostEvent(t=0.001, host="host1", action="drain"),
-                HostEvent(t=0.030, host="host1", action="restore"),
-            ),
         )
         result = run_cluster_scenario(spec, [toy_model()])
         host1 = result.cluster.node("host1")
@@ -189,6 +203,25 @@ class TestLifecycle:
         assert 0 < host1.stats.submitted < host0.stats.submitted
         assert result.stats.completed == 60
         assert fleet_conserves(result.stats)
+
+    def test_lifecycle_events_are_logged_at_their_instants(self):
+        spec = ClusterSpec(
+            name="logged",
+            scenario=open_scenario(
+                rate=1000.0, n_requests=30,
+                faults=lifecycle(
+                    ("drain", 0.004, "host1"), ("restore", 0.009, "host1")
+                ),
+            ),
+            n_hosts=2,
+        )
+        log = run_cluster_scenario(spec, [toy_model()]).fault_log
+        assert log == [
+            {"t": 0.004, "kind": "host_drain", "host": "host1", "device": 0,
+             "detail": None},
+            {"t": 0.009, "kind": "host_restore", "host": "host1", "device": 0,
+             "detail": None},
+        ]
 
     def test_no_routable_host_rejects_at_router(self):
         cluster = build_cluster(
@@ -296,12 +329,16 @@ class TestPlacement:
         with pytest.raises(ValueError, match="unknown host"):
             ClusterSpec(
                 name="bad",
-                scenario=open_scenario(),
+                scenario=open_scenario(faults=lifecycle(("drain", 0.1, "host7"))),
                 n_hosts=2,
-                host_events=(HostEvent(t=0.1, host="host7", action="drain"),),
             )
-        with pytest.raises(ValueError, match="action"):
-            HostEvent(t=0.1, host="host0", action="reboot")
+        with pytest.raises(ValueError, match="kind"):
+            lifecycle(("reboot", 0.1, "host0"))
+
+    @pytest.mark.parametrize("alpha", [-0.5, float("nan")])
+    def test_user_population_alpha_must_be_a_number_at_least_zero(self, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            UserPopulation(8, alpha=alpha)
 
     @pytest.mark.parametrize(
         "options, match",
@@ -329,16 +366,17 @@ class TestClusterResetAudit:
     def _served_cluster(self):
         spec = ClusterSpec(
             name="audit",
-            scenario=open_scenario(rate=3000.0, n_requests=30),
+            scenario=open_scenario(
+                rate=3000.0, n_requests=30,
+                faults=lifecycle(
+                    ("drain", 0.004, "host1"), ("restore", 0.008, "host1")
+                ),
+            ),
             n_hosts=2,
             router="consistent_hash",
             router_spread=2,
             users=UserSpec(n_users=32, seed=9),
             embcache_slots=256,
-            host_events=(
-                HostEvent(t=0.004, host="host1", action="drain"),
-                HostEvent(t=0.008, host="host1", action="restore"),
-            ),
         )
         return run_cluster_scenario(spec, [toy_model()]).cluster
 

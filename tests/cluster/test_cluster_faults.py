@@ -99,16 +99,19 @@ class TestFaultGaugeResetAudit:
     def _tolerant_cluster(self):
         spec = ClusterSpec(
             name="audit-faults",
-            scenario=open_scenario(rate=3000.0, n_requests=40),
-            n_hosts=3,
-            faults=FaultSpec(
-                events=(
-                    FaultEvent(
-                        t=0.0, kind="fail_slow", host="host0", factor=30.0
-                    ),
-                    FaultEvent(t=0.02, kind="host_fail", host="host0"),
-                )
+            scenario=open_scenario(
+                rate=3000.0,
+                n_requests=40,
+                faults=FaultSpec(
+                    events=(
+                        FaultEvent(
+                            t=0.0, kind="fail_slow", host="host0", factor=30.0
+                        ),
+                        FaultEvent(t=0.02, kind="host_fail", host="host0"),
+                    )
+                ),
             ),
+            n_hosts=3,
             tolerance=ToleranceConfig(
                 timeout_s=0.004,
                 max_retries=2,

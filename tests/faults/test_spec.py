@@ -6,7 +6,10 @@ import pytest
 
 from repro.cluster import ClusterSpec
 from repro.faults import FAULT_KINDS, FaultEvent, FaultSpec
-from repro.workload import ScenarioSpec, TenantSpec
+from repro.serving import InferenceServer
+from repro.workload import ScenarioSpec, TenantSpec, run_scenario
+
+from ..serving.conftest import toy_model
 
 
 def open_scenario(**kwargs) -> ScenarioSpec:
@@ -51,6 +54,16 @@ class TestFaultEvent:
             with pytest.raises(ValueError, match="host"):
                 FaultEvent(t=0.0, kind=kind)
 
+    @pytest.mark.parametrize("kind", ["fail_slow", "host_drain"])
+    def test_nan_time_rejected(self, kind):
+        host = "host0" if kind.startswith("host_") else None
+        with pytest.raises(ValueError, match="time"):
+            FaultEvent(t=float("nan"), kind=kind, host=host)
+
+    def test_nan_factor_rejected(self):
+        with pytest.raises(ValueError, match="factor"):
+            FaultEvent(t=0.0, kind="fail_slow", factor=float("nan"))
+
     def test_negative_device_rejected(self):
         with pytest.raises(ValueError, match="device"):
             FaultEvent(t=0.0, kind="fail_slow", device=-1)
@@ -74,21 +87,9 @@ class TestFaultSpec:
 
 
 class TestSpecPlumbing:
-    def test_scenario_rejects_host_scoped_faults(self):
-        with pytest.raises(ValueError, match="ClusterSpec"):
-            open_scenario(
-                faults=FaultSpec(
-                    events=(FaultEvent(t=0.1, kind="host_fail", host="host0"),)
-                )
-            )
-
-    def test_scenario_rejects_host_addressed_device_faults(self):
-        with pytest.raises(ValueError, match="ClusterSpec"):
-            open_scenario(
-                faults=FaultSpec(
-                    events=(FaultEvent(t=0.1, kind="fail_slow", host="host0"),)
-                )
-            )
+    """``ScenarioSpec.faults`` is the one schedule of every run.  A
+    standalone run refuses a host-naming event in the injector, before
+    traffic; a fleet refuses an event that names no host of it."""
 
     def test_scenario_accepts_device_faults(self):
         spec = open_scenario(
@@ -96,31 +97,58 @@ class TestSpecPlumbing:
         )
         assert spec.faults and len(spec.faults.events) == 1
 
-    def test_cluster_rejects_faults_on_wrapped_scenario(self):
-        scenario = open_scenario(
-            faults=FaultSpec(events=(FaultEvent(t=0.1, kind="fail_slow"),))
-        )
-        with pytest.raises(ValueError, match="ClusterSpec.faults"):
-            ClusterSpec(name="bad", scenario=scenario, n_hosts=2)
+    def test_standalone_run_refuses_a_host_naming_event_before_traffic(
+        self, monkeypatch
+    ):
+        submitted = []
+        submit = InferenceServer.submit
 
-    def test_cluster_fault_events_must_name_known_hosts(self):
+        def counting_submit(server, *args, **kwargs):
+            submitted.append(args[0])
+            return submit(server, *args, **kwargs)
+
+        monkeypatch.setattr(InferenceServer, "submit", counting_submit)
+        for event in (
+            FaultEvent(t=0.0, kind="host_fail", host="host0"),
+            FaultEvent(t=0.0, kind="fail_slow", host="host0"),
+        ):
+            # The spec holds it (a fleet would run it); the run refuses it.
+            spec = open_scenario(faults=FaultSpec(events=(event,)))
+            with pytest.raises(ValueError, match="needs a cluster"):
+                run_scenario(spec, [toy_model()])
+        assert submitted == []
+        # The counter sees traffic when there is some.
+        run_scenario(open_scenario(), [toy_model()])
+        assert len(submitted) == 8
+
+    def test_cluster_refuses_a_fault_on_an_unknown_host(self):
+        for event in (
+            FaultEvent(t=0.1, kind="fail_slow", host="host9"),
+            FaultEvent(t=0.1, kind="host_drain", host="host2"),
+        ):
+            with pytest.raises(ValueError, match="unknown host"):
+                ClusterSpec(
+                    name="ghost",
+                    scenario=open_scenario(faults=FaultSpec(events=(event,))),
+                    n_hosts=2,
+                )
+
+    def test_cluster_refuses_a_device_event_naming_no_host(self):
         with pytest.raises(ValueError, match="must name a host"):
             ClusterSpec(
                 name="anon",
-                scenario=open_scenario(),
-                n_hosts=2,
-                faults=FaultSpec(
-                    events=(FaultEvent(t=0.1, kind="fail_slow"),)
+                scenario=open_scenario(
+                    faults=FaultSpec(events=(FaultEvent(t=0.1, kind="fail_slow"),))
                 ),
-            )
-        with pytest.raises(ValueError, match="unknown host"):
-            ClusterSpec(
-                name="ghost",
-                scenario=open_scenario(),
                 n_hosts=2,
-                faults=FaultSpec(
-                    events=(
-                        FaultEvent(t=0.1, kind="fail_slow", host="host9"),
-                    )
-                ),
             )
+        named = FaultSpec(
+            events=(
+                FaultEvent(t=0.1, kind="host_drain", host="host1"),
+                FaultEvent(t=0.1, kind="fail_slow", host="host0"),
+            )
+        )
+        spec = ClusterSpec(
+            name="named", scenario=open_scenario(faults=named), n_hosts=2
+        )
+        assert spec.scenario.faults is named

@@ -12,6 +12,7 @@ arbitrary random fault schedules.
 from __future__ import annotations
 
 from types import SimpleNamespace
+from typing import Optional
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -72,6 +73,19 @@ class TestBreakerConfig:
             BreakerConfig(latency_threshold_s=0.01, min_samples=0)
         with pytest.raises(ValueError, match="probe_after_s"):
             BreakerConfig(latency_threshold_s=0.01, probe_after_s=0.0)
+
+    @pytest.mark.parametrize("field", ["latency_threshold_s", "probe_after_s"])
+    def test_nan_rejected(self, field):
+        """NaN compares false both ways: a NaN threshold never ejects."""
+        knobs = dict(latency_threshold_s=0.01, probe_after_s=0.05)
+        knobs[field] = float("nan")
+        with pytest.raises(ValueError, match=field):
+            BreakerConfig(**knobs)
+
+    @pytest.mark.parametrize("field", ["timeout_s", "backoff_s", "hedge_after_s"])
+    def test_tolerance_config_rejects_nan(self, field):
+        with pytest.raises(ValueError, match=field):
+            ToleranceConfig(**{field: float("nan")})
 
     def test_tolerance_config_validation(self):
         with pytest.raises(ValueError, match="timeout_s"):
@@ -157,6 +171,7 @@ def cluster_spec(
     n_requests: int = 40,
     seed: int = 11,
     router: str = "round_robin",
+    faults: Optional[FaultSpec] = None,
     **cluster_kwargs,
 ) -> ClusterSpec:
     scenario = ScenarioSpec(
@@ -167,6 +182,7 @@ def cluster_spec(
             ),
         ),
         seed=seed,
+        faults=faults,
     )
     return ClusterSpec(
         name=name,

@@ -1,20 +1,20 @@
-"""Layout bijection invariants: permutation property and modulo oracle."""
+"""Layout bijection invariants: permutation property and identity oracle."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.ftl.layout import FrequencyLayout, ModuloLayout
+from repro.ftl.layout import FrequencyLayout
 
 
 class TestValidation:
     def test_rejects_empty_table(self):
-        with pytest.raises(ValueError):
-            ModuloLayout(0, 4)
+        with pytest.raises(ValueError, match="rows"):
+            FrequencyLayout.from_heat(None, rows=0, rows_per_page=4)
 
     def test_rejects_bad_rows_per_page(self):
-        with pytest.raises(ValueError):
-            ModuloLayout(8, 0)
+        with pytest.raises(ValueError, match="rows_per_page"):
+            FrequencyLayout.from_heat(None, rows=8, rows_per_page=0)
 
     def test_rejects_heat_size_mismatch(self):
         with pytest.raises(ValueError):
@@ -22,25 +22,23 @@ class TestValidation:
 
 
 class TestZeroHeatOracle:
-    """Uniform (or absent) heat must reproduce the legacy modulo layout
-    bit-identically — enabling the machinery with no profile is a no-op."""
+    """Uniform (or absent) heat must reproduce the identity placement (a
+    table with no layout) bit-identically — enabling the machinery with
+    no profile is a no-op."""
 
     @pytest.mark.parametrize("heat", [None, np.zeros(24), np.full(24, 3.5)])
     def test_uniform_heat_is_identity(self, heat):
         freq = FrequencyLayout.from_heat(heat, rows=24, rows_per_page=4)
-        legacy = ModuloLayout(24, 4)
         ids = np.arange(24, dtype=np.int64)
-        assert np.array_equal(freq.storage_ids(ids), legacy.storage_ids(ids))
-        assert np.array_equal(freq.external_ids(ids), legacy.external_ids(ids))
-        for a, b in zip(freq.location(ids), legacy.location(ids)):
-            assert np.array_equal(a, b)
+        assert np.array_equal(freq.storage_ids(ids), ids)
+        assert np.array_equal(freq.external_ids(ids), ids)
 
     def test_hot_rows_share_low_pages(self):
         heat = np.zeros(16)
         heat[[3, 11, 7, 14]] = [4.0, 3.0, 2.0, 1.0]
         layout = FrequencyLayout.from_heat(heat, rows=16, rows_per_page=4)
-        pages, _slots = layout.location(np.array([3, 11, 7, 14]))
-        assert pages.tolist() == [0, 0, 0, 0]
+        ranks = layout.storage_ids(np.array([3, 11, 7, 14]))
+        assert (ranks // 4).tolist() == [0, 0, 0, 0]
 
 
 @settings(max_examples=80, deadline=None)
@@ -62,7 +60,7 @@ def test_heat_packed_layout_is_a_permutation(rows, rows_per_page, seed, repacks)
         ids = np.arange(rows, dtype=np.int64)
         ranks = layout.storage_ids(ids)
         assert np.array_equal(np.sort(ranks), ids)  # every row exactly once
-        pages, slots = layout.location(ids)
+        pages, slots = np.divmod(ranks, rows_per_page)
         assert np.array_equal(
             layout.external_ids(pages * rows_per_page + slots), ids
         )

@@ -14,7 +14,8 @@ from __future__ import annotations
 from functools import partial
 from typing import Any, Dict
 
-from repro.cluster import ClusterSpec, HostEvent, UserSpec, run_cluster_scenario
+from repro.cluster import ClusterSpec, UserSpec, run_cluster_scenario
+from repro.faults import FaultEvent, FaultSpec
 
 from ..serving.conftest import toy_model
 from .serving_scenarios import COMMON_KEYS, open_spec
@@ -30,18 +31,22 @@ def _cluster_spec(router: str) -> ClusterSpec:
     """The one scenario all three goldens share: user-keyed traffic on 2
     hosts with a mid-run drain+restore, so policies diverge on locality
     AND the drain redistribution path is pinned."""
+    drain_restore = FaultSpec(
+        events=(
+            FaultEvent(t=0.004, kind="host_drain", host="host1"),
+            FaultEvent(t=0.009, kind="host_restore", host="host1"),
+        )
+    )
     return ClusterSpec(
         name=f"golden-{router}",
-        scenario=open_spec("golden-cluster", "toy", 29, n_requests=48, slo_s=0.05),
+        scenario=open_spec(
+            "golden-cluster", "toy", 29, n_requests=48, slo_s=0.05, faults=drain_restore
+        ),
         n_hosts=2,
         router=router,
         router_spread=1,
         users=UserSpec(n_users=48, alpha=1.1, seed=7),
         embcache_slots=256,
-        host_events=(
-            HostEvent(t=0.004, host="host1", action="drain"),
-            HostEvent(t=0.009, host="host1", action="restore"),
-        ),
     )
 
 

@@ -101,8 +101,8 @@ DRAM, SSD, NDP = BackendKind.DRAM, BackendKind.SSD, BackendKind.NDP
 SCENARIOS = {
     "dram_pipelined": _run(RunnerConfig(DRAM)),
     "dram_serial": _run(RunnerConfig(DRAM, pipelined=False)),
-    # More batches than SystemConfig.max_inflight_requests (64), all
-    # handed over at once.
+    # More batches than the default admission limit (64,
+    # ServingConfig.max_inflight_requests), all handed over at once.
     "dram_pipelined_100_batches": _run(RunnerConfig(DRAM), n_batches=100, batch_size=2),
     "ssd_pipelined": _run(RunnerConfig(SSD)),
     "ssd_pipelined_host_lru_warmup2": _run(

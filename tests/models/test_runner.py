@@ -6,6 +6,7 @@ import pytest
 
 from repro.models import BackendKind, RunnerConfig, build_model
 from repro.models.dlrm import DlrmConfig, DlrmModel
+from repro.serving import ServingConfig
 from repro.serving.runner import ModelRunner
 
 TINY = DlrmConfig(
@@ -188,9 +189,9 @@ class TestPipelining:
             runner.run_batches([])
 
     def test_more_batches_than_the_admission_limit(self):
-        """All handed over at once, past SystemConfig.max_inflight_requests."""
+        """All handed over at once, past the default admission limit."""
         runner = ModelRunner(tiny_model(), RunnerConfig(kind=BackendKind.DRAM))
-        limit = runner.system.config.max_inflight_requests
+        limit = ServingConfig().max_inflight_requests
         result = runner.run_batches(make_batches(limit + 36, 1))
         assert len(result.outputs) == limit + 36
         assert runner.server.stats.rejected == 0

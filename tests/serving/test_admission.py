@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.host.system import SystemConfig
 from repro.models.base import Batch
 from repro.serving import (
     REASON_CAPACITY,
@@ -281,8 +280,9 @@ class TestServerQuotasAndPriorities:
         admission = AdmissionConfig(quota_by_model={"a": 2})
         server = build_server(
             [model_a, model_b],
-            serving_config=ServingConfig(admission=admission),
-            system_config=SystemConfig(max_inflight_requests=16),
+            serving_config=ServingConfig(
+                max_inflight_requests=16, admission=admission
+            ),
         )
         rng = np.random.default_rng(0)
         for _ in range(5):

@@ -128,7 +128,7 @@ class TestAdmissionControl:
         model = toy_model()
         server = build_server(
             model,
-            system_config=SystemConfig(max_inflight_requests=4),
+            serving_config=ServingConfig(max_inflight_requests=4),
         )
         assert server.queue.max_inflight == 4
         rng = np.random.default_rng(0)
@@ -141,14 +141,9 @@ class TestAdmissionControl:
         assert server.stats.completed == 4
         assert server.stats.rejected == 6
 
-    def test_serving_config_overrides_system_limit(self):
-        model = toy_model()
-        server = build_server(
-            model,
-            serving_config=ServingConfig(max_inflight_requests=2),
-            system_config=SystemConfig(max_inflight_requests=64),
-        )
-        assert server.queue.max_inflight == 2
+    def test_admission_limit_must_be_at_least_one(self):
+        with pytest.raises(ValueError, match="max_inflight_requests"):
+            ServingConfig(max_inflight_requests=0)
 
     def test_register_rejects_overflow_prone_ndp_config(self):
         """Without queue_when_full, a registration that could overflow the
@@ -262,7 +257,7 @@ class TestAdmissionControl:
     def test_slots_recycle_after_completion(self):
         model = toy_model()
         server = build_server(
-            model, system_config=SystemConfig(max_inflight_requests=2)
+            model, serving_config=ServingConfig(max_inflight_requests=2)
         )
         rng = np.random.default_rng(0)
         first = [

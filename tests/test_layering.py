@@ -64,6 +64,14 @@ read), and ``flatten_bags`` / ``build_pairs`` — the public spellings of
 ``Bags.of`` — hold no loop at all.  A per-bag ``np.asarray`` +
 ``np.full`` + ``np.concatenate`` in each of six layers was 40 % of
 ``dram_serve``'s calls.
+
+Host lifecycle has one scheduler: a fleet's drain, fail and restore are
+``host_drain`` / ``host_fail`` / ``host_restore`` events on
+``ScenarioSpec.faults``, so under ``src/`` only the fault injector calls
+a cluster's (or a node's) ``drain`` / ``fail`` / ``restore`` — besides
+the ``Cluster`` methods of those names, which hand the call to the node.
+A loop of its own over lifecycle events (``HostEvent`` was one) is the
+second schedule coming back.
 """
 
 from __future__ import annotations
@@ -746,3 +754,96 @@ def test_the_one_way_rules_see_a_second_rank_rule_a_fleet_fork_and_an_instrument
 
     exports = dict(_obs_exports(), Counter=Counter, Sampler=Sampler)
     assert _instrument_classes(exports) == ["Counter"]
+
+
+LIFECYCLE = ("drain", "fail", "restore")
+INJECTOR = "repro/faults/injector.py"
+MAY_CALL_LIFECYCLE = {
+    (INJECTOR, f"FaultInjector._do_host_{action}") for action in LIFECYCLE
+} | {("repro/cluster/cluster.py", f"Cluster.{action}") for action in LIFECYCLE}
+
+
+def _holds_hosts(receiver: ast.AST, scope: str = "") -> bool:
+    """A cluster, a node (``nodes[i]`` too), or ``<anything>.node(...)``."""
+    while isinstance(receiver, ast.Subscript):
+        receiver = receiver.value
+    if isinstance(receiver, ast.Call):
+        return _named(receiver.func) == "node"
+    return _named(receiver).lower().endswith(("cluster", "node", "nodes"))
+
+
+def _lifecycle_calls(sources) -> list:
+    """``(path, line, scope)`` of every ``drain`` / ``fail`` / ``restore``
+    call on a cluster or a node."""
+    return sorted(
+        found
+        for action in LIFECYCLE
+        for found in _calls(sources, action, _holds_hosts)
+    )
+
+
+def _second_lifecycle_schedules(sources) -> list:
+    """Lifecycle calls outside their allowed callers, and any
+    ``getattr(<cluster or node>, ...)(...)`` — a lifecycle call by name."""
+    strays = [
+        f"{path}:{line}: {scope}"
+        for path, line, scope in _lifecycle_calls(sources)
+        if (path, scope) not in MAY_CALL_LIFECYCLE
+    ]
+    for path, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            func = getattr(node, "func", None)
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(func, ast.Call)
+                and _named(func.func) == "getattr"
+                and func.args
+                and _holds_hosts(func.args[0])
+            ):
+                strays.append(f"{path}:{node.lineno}: getattr")
+    return strays
+
+
+def test_host_lifecycle_has_one_scheduler():
+    sources = _src_sources()
+    assert _second_lifecycle_schedules(sources) == []
+    # The allowances are used: each allowed caller is where it is named.
+    assert {(p, s) for p, _, s in _lifecycle_calls(sources)} == MAY_CALL_LIFECYCLE
+
+
+def test_the_lifecycle_rule_sees_a_planted_loop_and_direct_calls():
+    sources = _src_sources()
+    runner = "repro/cluster/scenario.py"
+    hop = "        injector.arm_cluster(cluster)\n"
+    assert sources[runner].count(hop) == 1
+    line = sources[runner][: sources[runner].index(hop)].count("\n") + 2
+    # The deleted HostEvent loop, over lifecycle fault events.
+    loop = (
+        "        for e in spec.scenario.faults.events:\n"
+        "            cluster.sim.schedule_at(e.t, lambda e=e: "
+        "getattr(cluster, e.kind[5:])(e.host))\n"
+    )
+    mutant = dict(sources, **{runner: sources[runner].replace(hop, hop + loop)})
+    assert _second_lifecycle_schedules(mutant) == [f"{runner}:{line + 1}: getattr"]
+    for call in (
+        'cluster.drain("host1")',
+        'cluster.node("host1").fail()',
+        "cluster.nodes[0].restore()",
+        "node.drain()",
+    ):
+        mutant = dict(sources, **{runner: sources[runner].replace(hop, f"{hop}        {call}\n")})
+        assert _second_lifecycle_schedules(mutant) == [
+            f"{runner}:{line}: run_cluster_scenario"
+        ], call
+    # A drain on anything else (a queue) is not a lifecycle call.
+    unrelated = dict(sources, **{runner: sources[runner].replace(hop, f"{hop}        queue.drain()\n")})
+    assert _second_lifecycle_schedules(unrelated) == []
+    # The injector's allowance is by handler: a new caller there is a stray.
+    injector = sources[INJECTOR]
+    handler, call = "    def _do_host_drain(", "cluster.drain(event.host)"
+    assert injector.count(handler) == injector.count(call) == 1
+    call_line = injector[: injector.index(call)].count("\n") + 1
+    moved = dict(sources, **{INJECTOR: injector.replace(handler, "    def _do_host_park(")})
+    assert _second_lifecycle_schedules(moved) == [
+        f"{INJECTOR}:{call_line}: FaultInjector._do_host_park"
+    ]

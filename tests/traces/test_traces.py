@@ -102,6 +102,12 @@ class TestZipf:
         b = ZipfTraceGenerator(1000, 1.0, seed=4).generate(100)
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, float("nan")])
+    def test_rejects_alpha_that_is_not_positive(self, alpha):
+        # A NaN alpha would draw the same row every time.
+        with pytest.raises(ValueError, match="alpha"):
+            ZipfTraceGenerator(50, alpha, seed=0)
+
     def test_bounds(self):
         trace = ZipfTraceGenerator(50, 1.0, seed=0).generate(1000)
         assert trace.min() >= 0 and trace.max() < 50

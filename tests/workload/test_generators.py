@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.serving import run_offered_load
+from repro.serving import ServingConfig, run_offered_load
 from repro.workload import (
     ArrivalTrace,
     ClosedLoopGenerator,
@@ -138,11 +138,9 @@ class TestClosedLoop:
     def test_self_throttles_instead_of_queueing(self):
         """Closed-loop offered load adapts to service speed: no rejects,
         no unbounded queue, even with a tiny admission limit."""
-        from repro.host.system import SystemConfig
-
         model = toy_model()
         server = build_server(
-            model, system_config=SystemConfig(max_inflight_requests=4)
+            model, serving_config=ServingConfig(max_inflight_requests=4)
         )
         gen = ClosedLoopGenerator(
             model.name, num_clients=4, requests_per_client=5

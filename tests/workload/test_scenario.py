@@ -7,6 +7,7 @@ from repro.workload import (
     ArrivalTrace,
     ScenarioSpec,
     TenantSpec,
+    UpdateStreamSpec,
     run_scenario,
     tenant_samplers,
 )
@@ -46,6 +47,13 @@ class TestSpecValidation:
                 tenants=(open_tenant(),),
                 backend="gpu",
             )
+
+    @pytest.mark.parametrize("field", ["rate", "zipf_alpha"])
+    @pytest.mark.parametrize("value", [0.0, float("nan")])
+    def test_update_stream_rate_and_skew_must_be_positive(self, field, value):
+        knobs = {"rate": 500.0, "n_updates": 4, field: value}
+        with pytest.raises(ValueError, match=field):
+            UpdateStreamSpec(**knobs)
 
     def test_total_requests(self):
         spec = ScenarioSpec(

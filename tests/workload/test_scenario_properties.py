@@ -161,36 +161,42 @@ def test_tenantspec_runs_unchanged_on_host_pools(dense_workers):
 # population percentiles stay monotone.
 # ----------------------------------------------------------------------
 
-from repro.cluster import ClusterSpec, HostEvent, UserSpec  # noqa: E402
+from repro.cluster import ClusterSpec, UserSpec  # noqa: E402
 from repro.cluster import run_cluster_scenario  # noqa: E402
+from repro.faults import FaultEvent, FaultSpec  # noqa: E402
 
 
 def host_event_strategy(n_hosts: int):
     return st.builds(
-        HostEvent,
+        FaultEvent,
         t=st.sampled_from([0.001, 0.003, 0.008]),
+        kind=st.sampled_from(["host_drain", "host_fail", "host_restore"]),
         host=st.sampled_from([f"host{i}" for i in range(n_hosts)]),
-        action=st.sampled_from(["drain", "fail", "restore"]),
     )
 
 
 def cluster_spec_strategy():
     # Keep the per-host knobs modest (the fleet multiplies everything).
-    scenario = st.builds(
-        ScenarioSpec,
-        name=st.just("prop-fleet"),
-        tenants=st.tuples(tenant_strategy(0), tenant_strategy(1)),
-        backend=st.sampled_from(["dram", "ndp"]),
-        max_inflight_requests=st.sampled_from([8, 64]),
-        max_batch_requests=st.sampled_from([2, 8]),
-        deadline_drop=st.booleans(),
-        seed=st.integers(0, 2**16),
-    )
+    def scenario(n_hosts: int):
+        return st.builds(
+            ScenarioSpec,
+            name=st.just("prop-fleet"),
+            tenants=st.tuples(tenant_strategy(0), tenant_strategy(1)),
+            backend=st.sampled_from(["dram", "ndp"]),
+            max_inflight_requests=st.sampled_from([8, 64]),
+            max_batch_requests=st.sampled_from([2, 8]),
+            deadline_drop=st.booleans(),
+            seed=st.integers(0, 2**16),
+            faults=st.lists(host_event_strategy(n_hosts), max_size=2).map(
+                lambda events: FaultSpec(events=tuple(events))
+            ),
+        )
+
     return st.integers(1, 3).flatmap(
         lambda n_hosts: st.builds(
             ClusterSpec,
             name=st.just("prop-cluster"),
-            scenario=scenario,
+            scenario=scenario(n_hosts),
             n_hosts=st.just(n_hosts),
             router=st.sampled_from(
                 ["round_robin", "least_loaded", "consistent_hash"]
@@ -200,9 +206,6 @@ def cluster_spec_strategy():
                 [None, UserSpec(n_users=32, alpha=1.1, reuse=0.8, seed=3)]
             ),
             embcache_slots=st.sampled_from([0, 128]),
-            host_events=st.lists(
-                host_event_strategy(n_hosts), max_size=2
-            ).map(tuple),
         )
     )
 
