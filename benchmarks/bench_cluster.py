@@ -125,7 +125,7 @@ def _row(result) -> Dict[str, object]:
     assert stats.submitted == stats.completed + stats.rejected + stats.dropped, (
         "fleet conservation violated"
     )
-    router = result.cluster.router
+    router = result.front.router
     row: Dict[str, object] = {
         key: result.summary[key]
         for key in (
@@ -195,10 +195,10 @@ def run_all(smoke: bool) -> Dict[str, object]:
         ),
     )
     drain_row = _row(drained)
-    host2 = drained.cluster.node("host2")
+    host2 = drained.front.node("host2")
     other_submitted = [
         node.stats.submitted
-        for node in drained.cluster.nodes
+        for node in drained.front.nodes
         if node.name != "host2"
     ]
     drain_row["drained_host_submitted"] = host2.stats.submitted

@@ -166,10 +166,10 @@ def _row(result) -> Dict[str, object]:
         )
     }
     row["per_host_completed"] = {
-        node.name: node.stats.completed for node in result.cluster.nodes
+        node.name: node.stats.completed for node in result.front.nodes
     }
-    if result.tolerance:
-        row["tolerance"] = result.tolerance
+    if result.front.tolerance is not None:
+        row["tolerance"] = stats.tolerance_summary()
     if result.fault_log:
         row["fault_log"] = result.fault_log
     return row

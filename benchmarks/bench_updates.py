@@ -37,19 +37,12 @@ from __future__ import annotations
 import json
 import sys
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-from repro.host.system import build_system
 from repro.models.dlrm import DlrmConfig, DlrmModel
-from repro.models.runner import BackendKind, required_capacity_pages
-from repro.serving import InferenceServer, age_device, make_model_updatable
+from repro.serving import age_device
 from repro.sim.stats import summarize_latencies
-from repro.workload import (
-    OpenLoopGenerator,
-    UpdateStream,
-    UpdateStreamSpec,
-    run_workload,
-)
+from repro.workload import ScenarioSpec, TenantSpec, UpdateStreamSpec, run, setup
 
 try:
     from conftest import run_once  # pytest-benchmark path (rootdir import)
@@ -94,33 +87,34 @@ def run_cell(
     update_rate: float, policy: str, n_requests: int
 ) -> Dict[str, float]:
     """One (update rate, policy) cell on a freshly built + aged device."""
-    model = _model()
-    make_model_updatable(model)
-    system = build_system(min_capacity_pages=required_capacity_pages(model))
-    server = InferenceServer(system)
-    server.register_model(model, BackendKind.SSD)
-    aging = age_device(system)
-
-    engine = None
-    stream: Optional[UpdateStream] = None
+    updates = None
     if update_rate > 0:
         duration = n_requests / READ_RATE
-        spec = UpdateStreamSpec(
+        updates = UpdateStreamSpec(
             rate=update_rate,
             n_updates=max(1, int(update_rate * duration)),
             rows_per_update=ROWS_PER_UPDATE,
             policy=policy,
         )
-        engine = spec.make_engine(server)
-        stream = UpdateStream(spec, model, seed=SEED)
-        stream.schedule(server.sim, engine)
-
-    generator = OpenLoopGenerator(
-        model.name, rate=READ_RATE, n_requests=n_requests, batch_size=2
+    spec = ScenarioSpec(
+        name=f"updates-{policy}@{update_rate:.0f}",
+        tenants=(
+            TenantSpec(
+                model="m",
+                rate=READ_RATE,
+                n_requests=n_requests,
+                batch_size=2,
+            ),
+        ),
+        backend="ssd",
+        seed=SEED,
+        updates=updates,
     )
-    stats = run_workload(server, generator, seed=SEED)
-    if engine is not None:
-        server.sim.run_until(lambda: stream.done and engine.idle)
+    built = setup(spec, [_model()])
+    system = built.front.system
+    aging = age_device(system)
+    result = run(built)
+    stats = result.stats
 
     assert stats.inflight == 0
     assert stats.submitted == stats.completed + stats.rejected + stats.dropped
@@ -140,8 +134,8 @@ def run_cell(
         "host_page_writes": float(ftl.host_page_writes),
         "aged_min_free_blocks_per_die": aging["min_free_blocks_per_die"],
     }
-    if engine is not None:
-        summary = engine.summary()
+    if updates is not None:
+        summary = result.updates
         assert summary["update_writes_completed"] == summary["update_pages_written"]
         row.update(summary)
     return row

@@ -138,7 +138,7 @@ def host_contention_demo() -> None:
         )
         result = run_scenario(spec, [make_model("rt", 3)])
         s = result.summary
-        host = result.server.hostpool_summary()["dense"]
+        host = result.front.hostpool_summary()["dense"]
         print(
             f"  dense_workers={label:3}  p99={s['p99_ms']:6.2f}ms  "
             f"dense wait {s['mean_dense_wait_ms']:5.2f}ms  "

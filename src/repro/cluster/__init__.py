@@ -5,7 +5,8 @@ SSDs, caches, sharding plan and host pools — share one sim kernel
 behind a front-end router.  The :class:`Cluster` duck-types the
 single-server surface, so :mod:`repro.workload` generators, scenarios
 and traces drive a fleet unchanged; :class:`ClusterSpec` /
-:func:`run_cluster_scenario` is the declarative front door.  See
+:func:`setup_cluster` (run by :func:`repro.workload.run`, or both as
+:func:`run_cluster_scenario`) is the declarative front door.  See
 ``docs/SERVING.md`` (Cluster tier) for the full model and knobs.
 """
 
@@ -19,11 +20,11 @@ from .router import (
     make_router,
 )
 from .scenario import (
-    ClusterResult,
     ClusterSpec,
     UserSpec,
     build_cluster,
     run_cluster_scenario,
+    setup_cluster,
 )
 from .stats import ClusterStats
 from .users import (
@@ -35,7 +36,6 @@ from .users import (
 __all__ = [
     "Cluster",
     "ClusterNode",
-    "ClusterResult",
     "ClusterSpec",
     "ClusterStats",
     "ConsistentHashRouter",
@@ -52,4 +52,5 @@ __all__ = [
     "make_router",
     "replica_model",
     "run_cluster_scenario",
+    "setup_cluster",
 ]

@@ -8,13 +8,15 @@ user-keyed traffic (:class:`UserSpec`) and tail tolerance.  The fault
 schedule is the scenario's own ``faults``: on a fleet every event names
 its host, and a host's drain, fail and restore are the ``host_drain`` /
 ``host_fail`` / ``host_restore`` fault kinds.
-:func:`run_cluster_scenario` builds the fleet on one shared kernel and
-runs it through the standalone runner's own steps
+:func:`setup_cluster` builds the fleet on one shared kernel through the
+standalone set-up's own steps
 (:func:`~repro.workload.scenario.prepare_models` →
-:func:`~repro.workload.scenario.host_system` → register →
-:func:`~repro.workload.scenario.drive`), so every ``ScenarioSpec``
-feature means the same thing on a fleet, and returns a
-:class:`ClusterResult` with fleet, per-host and per-lane numbers.
+:func:`~repro.workload.scenario.host_system` → register → generators →
+fault arming), so every ``ScenarioSpec`` feature means the same thing
+on a fleet, and :func:`~repro.workload.scenario.run` — the one that
+runs a single server — drives it to a
+:class:`~repro.workload.scenario.RunResult` with fleet, per-host and
+per-lane numbers.  :func:`run_cluster_scenario` is the two in one call.
 
 The oracle contract (``tests/cluster/test_cluster_oracle.py``): with
 ``n_hosts=1``, ``router="round_robin"``, no users and no faults, this
@@ -27,8 +29,8 @@ single-host stack.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Mapping, Optional, Sequence, Tuple, Union
 
 from ..faults.injector import FaultInjector
 from ..faults.tolerance import ToleranceConfig
@@ -37,15 +39,16 @@ from ..serving.server import InferenceServer
 from ..sim.kernel import Simulator
 from ..workload.generators import LoadGenerator
 from ..workload.scenario import (
+    Built,
+    RunResult,
     ScenarioSpec,
     TenantSpec,
-    drive,
     host_system,
     prepare_models,
+    run,
 )
 from .cluster import Cluster
 from .router import make_router
-from .stats import ClusterStats
 from .users import (
     UserClosedLoopGenerator,
     UserOpenLoopGenerator,
@@ -55,8 +58,8 @@ from .users import (
 __all__ = [
     "UserSpec",
     "ClusterSpec",
-    "ClusterResult",
     "build_cluster",
+    "setup_cluster",
     "run_cluster_scenario",
 ]
 
@@ -73,6 +76,15 @@ class UserSpec:
     alpha: float = 1.05
     reuse: float = 1.0
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        # UserPopulation's own rules, checked when the spec is written.
+        if self.n_users < 1:
+            raise ValueError("n_users must be >= 1")
+        if not self.alpha >= 0:
+            raise ValueError("alpha must be >= 0")
+        if not 0.0 <= self.reuse <= 1.0:
+            raise ValueError("reuse must be in [0, 1]")
 
     def population(self) -> UserPopulation:
         return UserPopulation(
@@ -149,35 +161,6 @@ class ClusterSpec:
         )
 
 
-@dataclass
-class ClusterResult:
-    """One fleet run: the cluster it built and what happened."""
-
-    spec: ClusterSpec
-    cluster: Cluster
-    stats: ClusterStats
-    summary: Dict[str, float]
-    per_host: Dict[str, Dict[str, float]] = field(default_factory=dict)
-    lanes: Dict[str, Dict[str, float]] = field(default_factory=dict)
-    # Fault runs only (both empty otherwise): the injector's event log
-    # and the tolerance layer's retry/hedge/breaker/degradation gauges.
-    fault_log: List[Dict] = field(default_factory=list)
-    tolerance: Dict[str, float] = field(default_factory=dict)
-    # Update-stream gauges (empty when the scenario ran without one).
-    updates: Dict[str, float] = field(default_factory=dict)
-
-    def host(self, name: str) -> Dict[str, float]:
-        return self.per_host[name]
-
-    def __repr__(self) -> str:
-        return (
-            f"ClusterResult({self.spec.name}, hosts={self.spec.n_hosts}, "
-            f"router={self.spec.router}, "
-            f"completed={self.summary['completed']:.0f}, "
-            f"p99={self.summary['p99_ms']:.2f}ms)"
-        )
-
-
 def build_cluster(
     spec: ClusterSpec,
     models: Union[Sequence[RecModel], Mapping[str, RecModel]],
@@ -217,19 +200,29 @@ def build_cluster(
     return cluster
 
 
-def _generators(
+def setup_cluster(
     spec: ClusterSpec,
-    by_name: Mapping[str, RecModel],
-) -> List[LoadGenerator]:
+    models: Union[Sequence[RecModel], Mapping[str, RecModel]],
+) -> Built:
+    """The set-up half of a fleet run: :func:`build_cluster`, then what
+    only a fleet has — the scenario's fault schedule, host lifecycle
+    included, armed on the whole fleet, and user-keyed generators when
+    ``spec.users`` is set.  :func:`~repro.workload.scenario.run` drives
+    the result exactly as it drives a single server.
+    """
+    cluster = build_cluster(spec, models)
     scenario = spec.scenario
+    injector = None
+    if scenario.faults is not None:
+        injector = FaultInjector(scenario.faults)
+        injector.arm_cluster(cluster)
     if spec.users is None:
-        # Bit-identical to run_scenario's generator construction.
-        return [
-            tenant.to_generator(by_name[tenant.model], seed=scenario.seed + 101 * i)
-            for i, tenant in enumerate(scenario.tenants)
-        ]
-    population = spec.users.population()
-    return [_user_generator(tenant, population) for tenant in scenario.tenants]
+        generators = scenario.generators(cluster.models)
+    else:
+        population = spec.users.population()
+        generators = [_user_generator(t, population) for t in scenario.tenants]
+    servers = [node.server for node in cluster.nodes]
+    return Built(scenario, cluster, servers, generators, injector)
 
 
 def _user_generator(
@@ -264,42 +257,7 @@ def run_cluster_scenario(
     spec: ClusterSpec,
     models: Union[Sequence[RecModel], Mapping[str, RecModel]],
     tracer=None,
-) -> ClusterResult:
-    """Build, run and summarize one fleet scenario end-to-end.
-
-    :func:`build_cluster`, then what only a fleet has — the scenario's
-    fault schedule, host lifecycle included, armed on the whole fleet
-    before traffic starts, and user-keyed generators — then the same
-    :func:`~repro.workload.scenario.drive` that runs a single server.
-    Deterministic for a fixed ``spec.scenario.seed``.
-
-    ``tracer`` (a :class:`repro.obs.Tracer`) is installed on the shared
-    kernel before any traffic; spans observe the run without perturbing
-    it, so results are bit-identical with or without one.
-    """
-    cluster = build_cluster(spec, models)
-    if tracer is not None:
-        tracer.install(cluster.sim)
-    injector = None
-    if spec.scenario.faults is not None:
-        injector = FaultInjector(spec.scenario.faults)
-        injector.arm_cluster(cluster)
-    stats, updates = drive(
-        cluster,
-        [node.server for node in cluster.nodes],
-        spec.scenario,
-        _generators(spec, cluster.models),
-    )
-    return ClusterResult(
-        spec=spec,
-        cluster=cluster,
-        stats=stats,
-        summary=stats.summary(),
-        per_host=stats.per_host_summary(),
-        lanes=stats.lane_summary(),
-        fault_log=list(injector.stats.log) if injector is not None else [],
-        tolerance=(
-            stats.tolerance_summary() if spec.tolerance is not None else {}
-        ),
-        updates=updates,
-    )
+) -> RunResult:
+    """Build, run and summarize one fleet scenario end-to-end:
+    ``run(setup_cluster(...), tracer)``."""
+    return run(setup_cluster(spec, models), tracer)

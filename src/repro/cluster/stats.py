@@ -12,7 +12,7 @@ Fleet and host windows agree while they are reset together
 (``Cluster.reset_stats()``; ``tests/cluster/test_fleet_counters.py``).
 It also owns the tolerance layer's logical view (including which latency
 population :meth:`ClusterStats.latencies` returns), the fleet-only
-``summary()`` keys, ``tolerance_summary()`` and ``per_host_summary()``.
+``summary()`` keys and ``tolerance_summary()``.
 The fleet invariant
 
 ::
@@ -267,12 +267,6 @@ class ClusterStats(SettleSignal):
             "degraded": float(self.degraded),
             "missing_bags": float(self.missing_bags),
         }
-
-    def per_host_summary(self) -> Dict[str, Dict[str, float]]:
-        """Each host's own :meth:`ServingStats.summary`, keyed by host
-        name — the per-node view a fleet dashboard shows next to the
-        cluster totals."""
-        return {n.name: n.stats.summary() for n in self._nodes}
 
     def __repr__(self) -> str:
         return (

@@ -53,7 +53,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..models.dlrm import DlrmConfig, DlrmModel
 from ..traces.analysis import interarrival_stats
-from ..workload import ScenarioResult, ScenarioSpec, TenantSpec, run_scenario
+from ..workload import RunResult, ScenarioSpec, TenantSpec, run_scenario
 from .common import ExperimentResult
 
 __all__ = [
@@ -200,7 +200,7 @@ def run_admission_policy(
     calibration: Dict[str, float],
     n_requests: int = 96,
     seed: int = 0,
-) -> Tuple[Dict[str, object], ScenarioResult]:
+) -> Tuple[Dict[str, object], RunResult]:
     """One overload run under ``policy``; returns (report row, result).
 
     All three policies see the same total offered rate
@@ -411,7 +411,7 @@ def run_host_contention(
                 ),
                 [_qos_model()],
             )
-            host = result.server.hostpool_summary()["dense"]
+            host = result.front.hostpool_summary()["dense"]
             rows.append(
                 {
                     "kind": "hostpool",
@@ -441,7 +441,7 @@ def run_host_contention(
             ),
             [_qos_model()],
         )
-        host = result.server.hostpool_summary()["host_sls"]
+        host = result.front.hostpool_summary()["host_sls"]
         rows.append(
             {
                 "kind": "hostpool",

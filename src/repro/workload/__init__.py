@@ -22,9 +22,11 @@ missing workload half of the serving story:
 * :mod:`repro.workload.scenario` — declarative multi-tenant mixes:
   :class:`TenantSpec` (model x client population x arrival process x
   SLO deadline x priority/quota) under one :class:`ScenarioSpec`, run
-  end-to-end by :func:`run_scenario` — itself :func:`prepare_models` →
-  :func:`host_system` → register → :func:`drive`, the one wiring path
-  the fleet runner in :mod:`repro.cluster` shares.
+  end-to-end by :func:`run_scenario` — itself ``run(setup(...))``:
+  :func:`setup` builds the server (:func:`prepare_models` →
+  :func:`host_system` → register → generators → fault arming) and
+  :func:`run`, which the fleet's :func:`repro.cluster.setup_cluster`
+  shares, drives it and returns one :class:`RunResult`.
 
 QoS admission (deadline-aware early drop, per-model quotas, priority
 lanes) lives in :mod:`repro.serving.admission`; scenarios declare the
@@ -38,17 +40,18 @@ from .generators import (
     ClosedLoopGenerator,
     LoadGenerator,
     OpenLoopGenerator,
-    TraceReplayGenerator,
     run_workload,
 )
 from .scenario import (
-    ScenarioResult,
+    Built,
+    RunResult,
     ScenarioSpec,
     TenantSpec,
-    drive,
     host_system,
     prepare_models,
+    run,
     run_scenario,
+    setup,
     tenant_samplers,
 )
 from .updates import UpdateStream, UpdateStreamSpec
@@ -62,14 +65,15 @@ __all__ = [
     "LoadGenerator",
     "OpenLoopGenerator",
     "ClosedLoopGenerator",
-    "TraceReplayGenerator",
     "run_workload",
     "TenantSpec",
     "ScenarioSpec",
-    "ScenarioResult",
+    "Built",
+    "RunResult",
     "prepare_models",
     "host_system",
-    "drive",
+    "setup",
+    "run",
     "run_scenario",
     "tenant_samplers",
 ]

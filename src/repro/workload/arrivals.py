@@ -48,9 +48,11 @@ class ArrivalTrace:
     ``times`` must be non-negative and ascending.  Build one from an
     arrival process (:meth:`poisson`, :meth:`uniform`), from recorded
     gaps (:meth:`from_gaps`), or directly from the ``t_arrival`` stamps
-    of a finished run's requests — then hand it to
-    :class:`~repro.workload.generators.TraceReplayGenerator` (or
-    ``run_offered_load(arrivals=...)``) to replay the exact sequence.
+    of a finished run's requests — then hand its ``times`` to
+    :class:`~repro.workload.generators.OpenLoopGenerator` as ``arrivals``
+    (or to ``run_offered_load(arrivals=...)``), or the trace to a
+    ``"replay"`` :class:`~repro.workload.scenario.TenantSpec`, to replay
+    the exact sequence.
     """
 
     model: str

@@ -1,4 +1,5 @@
-"""Client models: open-loop, closed-loop and trace-replay load generation.
+"""Client models: open-loop (drawn or replayed) and closed-loop load
+generation.
 
 Every generator speaks one interface — :meth:`LoadGenerator.schedule`
 plants its submissions (or its clients) into a server's simulator, and
@@ -7,21 +8,21 @@ make — so :func:`run_workload` can drive any mix of them against one
 :class:`~repro.serving.InferenceServer` and stop when every submission
 reached a terminal state (complete, rejected or dropped).
 
-The three client models and what they measure:
+The two client models and what they measure:
 
 * :class:`OpenLoopGenerator` — arrivals fire on their own clock
   (Poisson or deterministic), regardless of how the server keeps up.
   The right model for *overload* studies: offered load can exceed
-  capacity, so queues grow and admission policy matters.
+  capacity, so queues grow and admission policy matters.  Given
+  ``arrivals`` (an :class:`~repro.workload.arrivals.ArrivalTrace`'s
+  ``times``) it replays a recorded/pre-generated trace verbatim.
 * :class:`ClosedLoopGenerator` — ``num_clients`` synchronous clients,
   each with at most one request outstanding: submit, wait for the
   answer, think, repeat.  Offered load self-throttles to the server's
   speed (the classic interactive-client model), so latency-vs-load
   curves come from sweeping the population, not a rate knob.
-* :class:`TraceReplayGenerator` — replays a recorded/pre-generated
-  :class:`~repro.workload.arrivals.ArrivalTrace` verbatim.
 
-All three draw lookup ids through the model's ``sample_batch`` —
+Both draw lookup ids through the model's ``sample_batch`` —
 pass :mod:`repro.traces` generators (``LocalityTraceGenerator.generate``
 / ``ZipfTraceGenerator.generate``) as per-table ``samplers`` to push Fig
 3/4-shaped id streams through the full serving path (see
@@ -43,13 +44,11 @@ from typing import Dict, List, Optional, Sequence, Union
 import numpy as np
 
 from ..models.base import IndexSampler
-from .arrivals import ArrivalTrace
 
 __all__ = [
     "LoadGenerator",
     "OpenLoopGenerator",
     "ClosedLoopGenerator",
-    "TraceReplayGenerator",
     "run_workload",
 ]
 
@@ -170,30 +169,6 @@ class OpenLoopGenerator(LoadGenerator):
             sim.schedule_at(
                 arrival, lambda b=batch: self._submit(server, b)
             )
-
-
-class TraceReplayGenerator(OpenLoopGenerator):
-    """Replay an :class:`ArrivalTrace` through the serving path.
-
-    Arrival times come verbatim from the trace (offsets applied from the
-    simulator's current time); lookup ids come from ``samplers`` — pass
-    locality/power-law generators from :mod:`repro.traces` to replay the
-    paper's Fig 3/4 trace shapes as real serving load.
-    """
-
-    def __init__(
-        self,
-        trace: ArrivalTrace,
-        batch_size: int = 1,
-        samplers: Samplers = None,
-    ):
-        super().__init__(
-            trace.model,
-            batch_size=batch_size,
-            samplers=samplers,
-            arrivals=trace.times,
-        )
-        self.trace = trace
 
 
 class ClosedLoopGenerator(LoadGenerator):

@@ -2,10 +2,15 @@
 
 A :class:`ScenarioSpec` names everything one serving experiment needs —
 N models x client populations x arrival processes x SLO deadlines x
-QoS policy — as plain data, and :func:`run_scenario` turns it into a
-configured :class:`~repro.serving.InferenceServer`, the matching
-:mod:`repro.workload.generators`, one deterministic run, and a
-:class:`ScenarioResult` with overall and per-tenant (per-lane) numbers.
+QoS policy — as plain data.  Every run has two halves: :func:`setup`
+turns the spec into a configured :class:`~repro.serving.InferenceServer`,
+its registered models, the matching :mod:`repro.workload.generators`
+and the armed fault schedule (a :class:`Built`, nothing submitted yet);
+:func:`run` drives any :class:`Built` — this server, or the fleet
+:func:`repro.cluster.setup_cluster` builds — to quiescence and returns
+one :class:`RunResult` with overall, per-host and per-tenant (per-lane)
+numbers.  :func:`run_scenario` is ``run(setup(...))``; a caller that must
+act in between (``age_device``) calls the two halves itself.
 
 One tenant == one registered model == one queue lane: the admission
 config's per-model SLO/priority/quota maps are assembled from the
@@ -15,8 +20,8 @@ reports each tenant's goodput and tail latency.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -27,7 +32,7 @@ from ..faults.spec import FaultSpec
 from ..host.system import System, build_system
 from ..models.base import IndexSampler, RecModel
 from ..models.runner import BackendKind, required_capacity_pages
-from ..serving import AdmissionConfig, InferenceServer, ServingConfig, ServingStats
+from ..serving import AdmissionConfig, InferenceServer, ServingConfig
 from ..serving.sharding import RowShardPolicy
 from ..serving.updates import make_model_updatable
 from ..sim.kernel import Simulator
@@ -39,17 +44,18 @@ from .generators import (
     ClosedLoopGenerator,
     LoadGenerator,
     OpenLoopGenerator,
-    TraceReplayGenerator,
     run_workload,
 )
 
 __all__ = [
     "TenantSpec",
     "ScenarioSpec",
-    "ScenarioResult",
+    "Built",
+    "RunResult",
     "prepare_models",
     "host_system",
-    "drive",
+    "setup",
+    "run",
     "run_scenario",
     "tenant_samplers",
 ]
@@ -120,7 +126,7 @@ class TenantSpec:
     def __post_init__(self) -> None:
         if self.arrival not in ("open", "closed", "replay"):
             raise ValueError(f"unknown arrival model {self.arrival!r}")
-        if self.arrival == "open" and (self.rate <= 0 or self.n_requests < 1):
+        if self.arrival == "open" and (not self.rate > 0 or self.n_requests < 1):
             raise ValueError(f"open tenant {self.model!r} needs rate and n_requests")
         if self.arrival == "closed" and (
             self.num_clients < 1 or self.requests_per_client < 1
@@ -131,8 +137,18 @@ class TenantSpec:
             )
         if self.arrival == "replay" and self.trace is None:
             raise ValueError(f"replay tenant {self.model!r} needs a trace")
-        if self.slo_s is not None and self.slo_s <= 0:
+        if not self.rate >= 0:
+            raise ValueError("rate must be >= 0")
+        if not self.think_time_s >= 0:
+            raise ValueError("think_time_s must be >= 0")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
+        if self.slo_s is not None and not self.slo_s > 0:
             raise ValueError("slo_s must be positive")
+        if self.locality_k is not None and not self.locality_k >= 0:
+            raise ValueError("locality_k must be >= 0")
+        if self.zipf_alpha is not None and not self.zipf_alpha > 0:
+            raise ValueError("zipf_alpha must be positive")
 
     @property
     def total_requests(self) -> int:
@@ -165,8 +181,11 @@ class TenantSpec:
                 batch_size=self.batch_size,
                 samplers=samplers,
             )
-        return TraceReplayGenerator(
-            self.trace, batch_size=self.batch_size, samplers=samplers
+        return OpenLoopGenerator(
+            self.model,
+            arrivals=self.trace.times,
+            batch_size=self.batch_size,
+            samplers=samplers,
         )
 
 
@@ -218,6 +237,10 @@ class ScenarioSpec:
             raise ValueError("layout_profile_batches must be >= 0")
         if self.layout_migration_budget < 0:
             raise ValueError("layout_migration_budget must be >= 0")
+        if not self.dense_time_scale > 0:
+            raise ValueError("dense_time_scale must be positive")
+        if not self.drop_headroom_s >= 0:
+            raise ValueError("drop_headroom_s must be >= 0")
         if not self.tenants:
             raise ValueError("scenario needs at least one tenant")
         names = [t.model for t in self.tenants]
@@ -268,29 +291,68 @@ class ScenarioSpec:
     def total_requests(self) -> int:
         return sum(t.total_requests for t in self.tenants)
 
+    def generators(self, by_name: Mapping[str, RecModel]) -> List[LoadGenerator]:
+        """One generator per tenant, tenant ``i`` seeded ``seed + 101 * i``."""
+        return [
+            tenant.to_generator(by_name[tenant.model], seed=self.seed + 101 * i)
+            for i, tenant in enumerate(self.tenants)
+        ]
+
 
 @dataclass
-class ScenarioResult:
-    """One scenario run: the server it built and what happened."""
+class Built:
+    """A run after set-up and before traffic: ``sim.now == 0`` and
+    nothing submitted.
 
-    spec: ScenarioSpec
-    server: InferenceServer
-    stats: ServingStats
+    What differs between a standalone server and a fleet is decided by
+    the set-up function that made this (:func:`setup` or
+    :func:`repro.cluster.setup_cluster`) and carried as data, so
+    :func:`run` drives both one way.  ``front`` is what the generators
+    submit to — one :class:`InferenceServer` or a
+    :class:`~repro.cluster.Cluster` — ``servers`` the hosts behind it and
+    ``injector`` the armed fault schedule (``None`` without one).  A
+    caller that must act between set-up and run (``age_device``) does so
+    on these objects.
+    """
+
+    scenario: ScenarioSpec
+    front: object
+    servers: List[InferenceServer]
+    generators: List[LoadGenerator]
+    injector: Optional[FaultInjector]
+
+
+@dataclass
+class RunResult:
+    """One settled run, standalone or fleet: the front end it drove and
+    what happened.
+
+    ``stats`` is the front end's own (a
+    :class:`~repro.serving.stats.ServingStats`, or a fleet's
+    :class:`~repro.cluster.stats.ClusterStats`); ``per_host`` is each
+    host's own summary by name (a standalone server is ``host0``) and
+    ``lanes`` each tenant's.  ``fault_log`` is what the fault schedule
+    applied and when, ``updates`` the update engine's gauges; both are
+    empty when the scenario has no faults or no update stream.
+    """
+
+    front: object
+    stats: object
     summary: Dict[str, float]
-    lanes: Dict[str, Dict[str, float]] = field(default_factory=dict)
-    # Update-stream gauges (EmbeddingUpdateEngine.summary()); empty when
-    # the scenario ran without an update stream.
-    updates: Dict[str, float] = field(default_factory=dict)
+    per_host: Dict[str, Dict[str, float]]
+    lanes: Dict[str, Dict[str, float]]
+    fault_log: List[Dict]
+    updates: Dict[str, float]
 
     def lane(self, model: str) -> Dict[str, float]:
         return self.lanes[model]
 
     def __repr__(self) -> str:
         return (
-            f"ScenarioResult({self.spec.name}, "
+            f"RunResult(hosts={len(self.per_host)}, "
             f"completed={self.summary['completed']:.0f}, "
             f"goodput={self.summary['goodput']:.0f}, "
-            f"p95={self.summary['p95_ms']:.2f}ms)"
+            f"p99={self.summary['p99_ms']:.2f}ms)"
         )
 
 
@@ -354,43 +416,79 @@ def host_system(
     )
 
 
-def drive(
-    front,
-    servers: Sequence[InferenceServer],
-    scenario: ScenarioSpec,
-    generators: Sequence[LoadGenerator],
-) -> Tuple[ServingStats, Dict[str, float]]:
-    """Last step: run a built, registered front end to quiescence.
+def setup(
+    spec: ScenarioSpec,
+    models: Union[Sequence[RecModel], Mapping[str, RecModel]],
+    system: Optional[System] = None,
+    num_workers: int = 1,
+    sharding=None,
+) -> Built:
+    """The set-up half of a standalone run: one server, built and
+    registered, its generators made and its fault schedule armed.
 
-    ``front`` is whatever the generators submit to — one
-    :class:`InferenceServer` or a :class:`~repro.cluster.Cluster` —
-    and ``servers`` the hosts behind it.  Installs layout migration on
-    their devices, plants the update stream, drives the read traffic,
-    lets in-flight device work finish (a no-op unless losing hedge /
-    timed-out attempts are still running) and drains the update writes
-    scheduled past the last read.  Returns the front end's stats and
-    the update engine's gauges (empty without an update stream).
-
-    A caller that must act between build and run (``age_device``, a
-    custom ``RunnerConfig``) composes :func:`prepare_models`,
-    :func:`host_system` and this itself.
+    ``models`` supplies the actual :class:`RecModel` instances the
+    tenant specs name (a sequence or a name-keyed mapping).  ``system``
+    defaults to a fresh :func:`host_system`; ``num_workers`` /
+    ``sharding`` pass through to ``register_model`` so scenarios can run
+    against multi-SSD layouts too.
     """
+    by_name = prepare_models(spec, models, sharding)
+    if system is None:
+        system = host_system(spec, by_name)
+    server = InferenceServer(system, spec.serving_config())
+    for tenant in spec.tenants:
+        server.register_model(
+            by_name[tenant.model],
+            spec.backend_kind,
+            num_workers=num_workers,
+            sharding=sharding,
+        )
+    injector = None
+    if spec.faults is not None:
+        injector = FaultInjector(spec.faults)
+        injector.arm_server(server)
+    return Built(spec, server, [server], spec.generators(by_name), injector)
+
+
+def run(built: Built, tracer=None) -> RunResult:
+    """The run half of every run: drive a :class:`Built` to quiescence.
+
+    Installs ``tracer`` (a :class:`repro.obs.Tracer`) on the front end's
+    simulator, layout migration on the hosts' devices and the update
+    stream on the kernel, drives the read traffic, lets in-flight device
+    work finish (a no-op unless losing hedge / timed-out attempts are
+    still running) and drains the update writes scheduled past the last
+    read.  Deterministic for a fixed scenario seed; spans observe the
+    run without perturbing it, so results are bit-identical with or
+    without a tracer.
+    """
+    scenario, front = built.scenario, built.front
+    if tracer is not None:
+        tracer.install(front.sim)
     if scenario.layout == "frequency" and scenario.layout_migration_budget > 0:
-        _install_layout_migration(servers, scenario.layout_migration_budget)
+        _install_layout_migration(built.servers, scenario.layout_migration_budget)
     engine = stream = None
     if scenario.updates is not None:
-        engine = scenario.updates.make_engine(servers)
+        engine = scenario.updates.make_engine(built.servers)
         stream = UpdateStream(
             scenario.updates,
             front.models[_update_target(scenario)],
             seed=scenario.seed,
         )
         stream.schedule(front.sim, engine)
-    stats = run_workload(front, generators, seed=scenario.seed)
+    stats = run_workload(front, built.generators, seed=scenario.seed)
     front.run_until_settled()
     if stream is not None:
         front.sim.run_until(lambda: stream.done and engine.idle)
-    return stats, ({} if engine is None else engine.summary())
+    return RunResult(
+        front=front,
+        stats=stats,
+        summary=stats.summary(),
+        per_host={server.name: server.stats.summary() for server in built.servers},
+        lanes=stats.lane_summary(),
+        fault_log=[] if built.injector is None else list(built.injector.stats.log),
+        updates={} if engine is None else engine.summary(),
+    )
 
 
 def run_scenario(
@@ -400,48 +498,10 @@ def run_scenario(
     num_workers: int = 1,
     sharding=None,
     tracer=None,
-) -> ScenarioResult:
-    """Build, run and summarize one scenario end-to-end.
-
-    ``models`` supplies the actual :class:`RecModel` instances the
-    tenant specs name (a sequence or a name-keyed mapping).  ``system``
-    defaults to a fresh :func:`host_system`; ``num_workers`` /
-    ``sharding`` pass through to ``register_model`` so scenarios can run
-    against multi-SSD layouts too.  Deterministic for a fixed
-    ``spec.seed``.
-
-    ``tracer`` (a :class:`repro.obs.Tracer`) is installed on the
-    system's simulator before any traffic: spans observe the run without
-    perturbing it, so results are bit-identical with or without one.
-    """
-    by_name = prepare_models(spec, models, sharding)
-    if system is None:
-        system = host_system(spec, by_name)
-    server = InferenceServer(system, spec.serving_config())
-    if tracer is not None:
-        tracer.install(server.sim)
-    for tenant in spec.tenants:
-        server.register_model(
-            by_name[tenant.model],
-            spec.backend_kind,
-            num_workers=num_workers,
-            sharding=sharding,
-        )
-    generators = [
-        tenant.to_generator(by_name[tenant.model], seed=spec.seed + 101 * i)
-        for i, tenant in enumerate(spec.tenants)
-    ]
-    if spec.faults is not None:
-        FaultInjector(spec.faults).arm_server(server)
-    stats, updates = drive(server, [server], spec, generators)
-    return ScenarioResult(
-        spec=spec,
-        server=server,
-        stats=stats,
-        summary=stats.summary(),
-        lanes=stats.lane_summary(),
-        updates=updates,
-    )
+) -> RunResult:
+    """Build, run and summarize one scenario end-to-end:
+    ``run(setup(...), tracer)``."""
+    return run(setup(spec, models, system, num_workers, sharding), tracer)
 
 
 def _profile_tenant_heat(

@@ -10,9 +10,9 @@ timeline) is untouched — and plants one
 :meth:`~repro.serving.updates.EmbeddingUpdateEngine.apply_update` call
 per batch into the simulator.
 
-``run_scenario`` / ``run_cluster_scenario`` accept a spec via their
-``updates`` field and drive the stream interleaved with reads on the
-shared kernel; see ``docs/SERVING.md`` ("Live updates").
+A scenario carries a spec in its ``updates`` field, and
+:func:`~repro.workload.scenario.run` plants the stream interleaved with
+reads on the shared kernel; see ``docs/SERVING.md`` ("Live updates").
 """
 
 from __future__ import annotations

@@ -82,7 +82,7 @@ class TestFleetBasics:
         assert stats.completed == 40
         assert fleet_conserves(stats)
         # Round-robin splits an even request count exactly in half.
-        per_host = [n.stats.completed for n in result.cluster.nodes]
+        per_host = [n.stats.completed for n in result.front.nodes]
         assert per_host == [20, 20]
 
     def test_per_host_stats_sum_to_cluster_totals(self):
@@ -95,7 +95,7 @@ class TestFleetBasics:
             [toy_model()],
         )
         stats = result.stats
-        nodes = result.cluster.nodes
+        nodes = result.front.nodes
         for attr in ("completed", "dropped", "inflight", "goodput"):
             assert getattr(stats, attr) == sum(
                 getattr(n.stats, attr) for n in nodes
@@ -129,8 +129,8 @@ class TestFleetBasics:
             ),
             [toy_model()],
         )
-        routes = result.cluster.router.routes_by_host
-        for node in result.cluster.nodes:
+        routes = result.front.router.routes_by_host
+        for node in result.front.nodes:
             assert routes.get(node.name, 0) == node.stats.submitted
 
 
@@ -150,7 +150,7 @@ class TestLifecycle:
         assert stats.completed == 40  # graceful: nothing lost
         assert stats.dropped == 0 and stats.rejected == 0
         assert fleet_conserves(stats)
-        host0, host1 = result.cluster.nodes
+        host0, host1 = result.front.nodes
         # host1 took traffic before the drain, none after: host0 ends
         # with strictly more.
         assert 0 < host1.stats.submitted < host0.stats.submitted
@@ -170,7 +170,7 @@ class TestLifecycle:
         )
         result = run_cluster_scenario(spec, [toy_model()])
         stats = result.stats
-        host1 = result.cluster.node("host1")
+        host1 = result.front.node("host1")
         assert host1.stats.dropped > 0, "fail found no backlog to shed"
         assert host1.stats.drops_by_reason == {"host_down": host1.stats.dropped}
         # Dispatched batches still completed on the dead host's devices.
@@ -195,11 +195,11 @@ class TestLifecycle:
             router="round_robin",
         )
         result = run_cluster_scenario(spec, [toy_model()])
-        host1 = result.cluster.node("host1")
+        host1 = result.front.node("host1")
         assert host1.routable
         # Took traffic both before the drain and after the restore, but
         # missed the window in between.
-        host0 = result.cluster.node("host0")
+        host0 = result.front.node("host0")
         assert 0 < host1.stats.submitted < host0.stats.submitted
         assert result.stats.completed == 60
         assert fleet_conserves(result.stats)
@@ -272,7 +272,7 @@ class TestPlacement:
         result = run_cluster_scenario(
             spec, [toy_model("hot", seed=1), toy_model("cold", seed=2)]
         )
-        nodes = result.cluster.nodes
+        nodes = result.front.nodes
         assert [n.stats.submitted_by_model.get("cold", 0) for n in nodes] == [
             0,
             0,
@@ -341,6 +341,20 @@ class TestPlacement:
             UserPopulation(8, alpha=alpha)
 
     @pytest.mark.parametrize(
+        "knobs, match",
+        [
+            (dict(n_users=0), "n_users"),
+            (dict(alpha=float("nan")), "alpha"),
+            (dict(reuse=float("nan")), "reuse"),
+            (dict(reuse=1.5), "reuse"),
+        ],
+        ids=["n_users-zero", "alpha-nan", "reuse-nan", "reuse-above-one"],
+    )
+    def test_user_spec_refuses_what_its_population_would(self, knobs, match):
+        with pytest.raises(ValueError, match=match):
+            UserSpec(**{"n_users": 8, **knobs})
+
+    @pytest.mark.parametrize(
         "options, match",
         [
             (dict(router="least_loaded", least_loaded_by="bogus"), "load signal"),
@@ -378,7 +392,7 @@ class TestClusterResetAudit:
             users=UserSpec(n_users=32, seed=9),
             embcache_slots=256,
         )
-        return run_cluster_scenario(spec, [toy_model()]).cluster
+        return run_cluster_scenario(spec, [toy_model()]).front
 
     @staticmethod
     def _public(obj):

@@ -124,7 +124,7 @@ class TestFaultGaugeResetAudit:
                 ),
             ),
         )
-        return run_cluster_scenario(spec, [toy_model()]).cluster
+        return run_cluster_scenario(spec, [toy_model()]).front
 
     def test_tolerance_gauges_reset_indistinguishable_from_fresh(self):
         cluster = self._tolerant_cluster()

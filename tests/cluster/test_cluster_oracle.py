@@ -69,7 +69,7 @@ def test_one_host_cluster_matches_standalone_bitwise(seed):
         ),
         models(),
     )
-    host = clustered.cluster.nodes[0].stats
+    host = clustered.front.nodes[0].stats
     ref = standalone.stats
 
     # Raw per-request records: values AND timestamps, exact equality.

@@ -229,7 +229,7 @@ class TestClusterTolerance:
         assert stats.completed == 60
         assert stats.retries > 0
         assert stats.dropped == stats.retries  # each shed attempt retried
-        assert result.tolerance["retries"] == float(stats.retries)
+        assert stats.tolerance_summary()["retries"] == float(stats.retries)
         assert [e["kind"] for e in result.fault_log] == [
             "fail_slow",
             "host_fail",
@@ -332,7 +332,7 @@ class TestClusterTolerance:
         assert stats.logical_settled == stats.logical_submitted == 60
         assert stats.breaker_ejections > 0
         assert stats.breaker_probes > 0
-        assert result.tolerance["breaker_ejections"] == float(
+        assert stats.tolerance_summary()["breaker_ejections"] == float(
             stats.breaker_ejections
         )
 

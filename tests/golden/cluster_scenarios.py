@@ -51,7 +51,7 @@ def _cluster_spec(router: str) -> ClusterSpec:
 
 
 def _record(result) -> Dict[str, Any]:
-    router = result.cluster.router
+    router = result.front.router
     record: Dict[str, Any] = {
         "summary": {key: result.summary[key] for key in SUMMARY_KEYS},
         "per_host": {
@@ -63,7 +63,7 @@ def _record(result) -> Dict[str, Any]:
         "rejects_by_reason": dict(result.stats.rejects_by_reason),
         "drops_by_reason": {
             node.name: dict(node.stats.drops_by_reason)
-            for node in result.cluster.nodes
+            for node in result.front.nodes
             if node.stats.drops_by_reason
         },
     }

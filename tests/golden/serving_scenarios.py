@@ -67,7 +67,7 @@ def _record(result) -> Dict[str, Any]:
         "lanes": result.lanes,
         "drops_by_reason": dict(result.stats.drops_by_reason),
         "rejects_by_reason": dict(result.stats.rejects_by_reason),
-        "host": result.server.hostpool_summary(),
+        "host": result.front.hostpool_summary(),
     }
 
 
@@ -160,7 +160,7 @@ def _placed(name: str, seed: int, num_workers: int, sharding, tracer) -> Dict[st
     )
     return {
         "summary": _summary(result),
-        "host": result.server.hostpool_summary(),
+        "host": result.front.hostpool_summary(),
         "shards": {
             model: {str(shard): row for shard, row in per_shard.items()}
             for model, per_shard in result.stats.shard_summary().items()

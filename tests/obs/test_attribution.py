@@ -18,18 +18,16 @@ from __future__ import annotations
 import pytest
 
 from repro.cluster import ClusterSpec, run_cluster_scenario
-from repro.host.system import build_system
-from repro.models.runner import BackendKind, required_capacity_pages
 from repro.obs import Tracer, attribute_p99, build_request_trees, exclusive_times
-from repro.serving import InferenceServer, age_device, make_model_updatable
-from repro.serving.server import ServingConfig
+from repro.serving import age_device
 from repro.workload import (
     OpenLoopGenerator,
     ScenarioSpec,
     TenantSpec,
-    UpdateStream,
     UpdateStreamSpec,
+    run,
     run_workload,
+    setup,
 )
 
 from ..serving.conftest import build_server, toy_model
@@ -111,33 +109,27 @@ def _aged_device_trace(update_rate: float) -> Tracer:
     """One BENCH_updates-style cell (aged SSD + interleaved updates),
     with admission limits opened so queueing policy doesn't mask where
     the device itself spends the tail."""
-    model = toy_model("m", seed=1)
-    make_model_updatable(model)
-    system = build_system(min_capacity_pages=required_capacity_pages(model))
-    server = InferenceServer(
-        system,
-        ServingConfig(
-            max_inflight_requests=1024, max_inflight_batches_per_worker=8
+    read_rate, n_requests = 300.0, 120
+    spec = ScenarioSpec(
+        name="aged",
+        tenants=(
+            TenantSpec(model="m", rate=read_rate, n_requests=n_requests, batch_size=2),
+        ),
+        backend="ssd",
+        max_inflight_requests=1024,
+        max_inflight_batches_per_worker=8,
+        seed=7,
+        updates=UpdateStreamSpec(
+            rate=update_rate,
+            n_updates=max(1, int(update_rate * n_requests / read_rate)),
+            rows_per_update=32,
+            policy="interleave",
         ),
     )
-    tracer = Tracer().install(server.sim)
-    server.register_model(model, BackendKind.SSD)
-    age_device(system)
-    read_rate, n_requests, seed = 300.0, 120, 7
-    spec = UpdateStreamSpec(
-        rate=update_rate,
-        n_updates=max(1, int(update_rate * n_requests / read_rate)),
-        rows_per_update=32,
-        policy="interleave",
-    )
-    engine = spec.make_engine(server)
-    stream = UpdateStream(spec, model, seed=seed)
-    stream.schedule(server.sim, engine)
-    generator = OpenLoopGenerator(
-        model.name, rate=read_rate, n_requests=n_requests, batch_size=2
-    )
-    run_workload(server, generator, seed=seed)
-    server.sim.run_until(lambda: stream.done and engine.idle)
+    built = setup(spec, [toy_model("m", seed=1)])
+    age_device(built.front.system)
+    tracer = Tracer()
+    run(built, tracer)
     return tracer
 
 

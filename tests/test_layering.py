@@ -72,11 +72,24 @@ a cluster's (or a node's) ``drain`` / ``fail`` / ``restore`` — besides
 the ``Cluster`` methods of those names, which hand the call to the node.
 A loop of its own over lifecycle events (``HostEvent`` was one) is the
 second schedule coming back.
+
+Every run has one driver: ``repro.workload.scenario.run`` plants the
+update stream and drives the traffic of a standalone server and of a
+fleet alike, so under ``src/`` only it calls ``run_workload``,
+``UpdateStream`` and ``make_engine`` (``run_offered_load``, the serving
+layer's own open-loop front end, also calls ``run_workload``).  A
+second place that does (three hand-built harnesses around
+``age_device`` once did) is a second driver.
+
+Every rule reads ``src/`` through :func:`_parse` and
+:func:`_scoped_calls`, both memoized on the source text, so a planted
+mutant re-parses and re-walks only the module it changed.
 """
 
 from __future__ import annotations
 
 import ast
+import functools
 import re
 from pathlib import Path
 
@@ -84,11 +97,17 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 MAY_IMPORT_OBS = ("repro.obs", "repro.experiments")
 
 
+@functools.lru_cache(maxsize=None)
+def _parse(source: str) -> ast.Module:
+    """``ast.parse`` memoized on the text; callers only read the tree."""
+    return ast.parse(source)
+
+
 def _imported_modules(path: Path):
     """Absolute dotted names of everything ``path`` imports."""
     parts = path.relative_to(SRC).with_suffix("").parts
     package = parts[:-1]  # a package's __init__ resolves like its modules
-    for node in ast.walk(ast.parse(path.read_text())):
+    for node in ast.walk(_parse(path.read_text())):
         if isinstance(node, ast.Import):
             for alias in node.names:
                 yield alias.name
@@ -138,7 +157,7 @@ def _counter_writes(sources) -> list:
     for path, source in sources.items():
         if path.startswith("repro/sim/"):
             continue
-        for node in ast.walk(ast.parse(source)):
+        for node in ast.walk(_parse(source)):
             if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
                 targets = getattr(node, "targets", None) or [node.target]
                 names = [
@@ -185,7 +204,7 @@ def test_no_switch_selects_a_twin_implementation():
     for path in sorted((SRC / "repro").rglob("*.py")):
         if path.stem.endswith("_scalar"):
             offenders.append(f"{path.relative_to(SRC)}: module named for a scalar twin")
-        for node in ast.walk(ast.parse(path.read_text())):
+        for node in ast.walk(_parse(path.read_text())):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 args = node.args
                 named = args.posonlyargs + args.args + args.kwonlyargs
@@ -244,7 +263,7 @@ def _closure_offenders(source: str, names) -> list:
         node.name: {
             item.name: item for item in node.body if isinstance(item, ast.FunctionDef)
         }
-        for node in ast.parse(source).body
+        for node in _parse(source).body
         if isinstance(node, ast.ClassDef)
     }
     offenders = []
@@ -317,7 +336,7 @@ def _stage_classes(sources) -> list:
     return [
         f"{path}: {node.name}"
         for path, source in sorted(sources.items())
-        for node in ast.walk(ast.parse(source))
+        for node in ast.walk(_parse(source))
         if isinstance(node, ast.ClassDef) and node.name.endswith("EmbeddingStage")
     ]
 
@@ -329,7 +348,7 @@ def _named(node: ast.AST) -> str:
 def _stage_switches(path: str, source: str) -> list:
     """Code that asks which kind of stage (or worker) it was handed."""
     offenders = []
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(_parse(source)):
         if (
             isinstance(node, ast.Call)
             and _named(node.func) == "isinstance"
@@ -415,28 +434,35 @@ def _is_stage(receiver: ast.AST, scope: str) -> bool:
     )
 
 
-def _calls(sources, method: str, receiver=lambda node, scope: True) -> list:
-    """``(path, line, scope)`` of every ``<receiver>.method(...)`` call."""
+@functools.lru_cache(maxsize=None)
+def _scoped_calls(source: str) -> tuple:
+    """``(call, scope)`` for every call in ``source``; ``scope`` is the
+    dotted name of the enclosing function or class ("" at module level)."""
     found = []
 
-    def visit(path: str, node: ast.AST, scope: str) -> None:
+    def visit(node: ast.AST, scope: str) -> None:
         for child in ast.iter_child_nodes(node):
             inner = scope
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 inner = f"{scope}.{child.name}" if scope else child.name
-            func = getattr(child, "func", None)
-            if (
-                isinstance(child, ast.Call)
-                and isinstance(func, ast.Attribute)
-                and func.attr == method
-                and receiver(func.value, scope)
-            ):
-                found.append((path, child.lineno, scope or "<module>"))
-            visit(path, child, inner)
+            if isinstance(child, ast.Call):
+                found.append((child, scope))
+            visit(child, inner)
 
-    for path, source in sources.items():
-        visit(path, ast.parse(source), "")
-    return found
+    visit(_parse(source), "")
+    return tuple(found)
+
+
+def _calls(sources, method: str, receiver=lambda node, scope: True) -> list:
+    """``(path, line, scope)`` of every ``<receiver>.method(...)`` call."""
+    return [
+        (path, call.lineno, scope or "<module>")
+        for path, source in sources.items()
+        for call, scope in _scoped_calls(source)
+        if isinstance(call.func, ast.Attribute)
+        and call.func.attr == method
+        and receiver(call.func.value, scope)
+    ]
 
 
 def _second_paths(sources) -> list:
@@ -562,14 +588,14 @@ def _per_bag_loops(path: str, source: str) -> list:
                         offenders.append(f"{path}:{child.lineno}: {scope or '<module>'}")
             visit(child, inner)
 
-    visit(ast.parse(source), "")
+    visit(_parse(source), "")
     return offenders
 
 
 def _loops_in(source: str, function: str) -> list:
     (node,) = [
         node
-        for node in ast.parse(source).body
+        for node in _parse(source).body
         if isinstance(node, ast.FunctionDef) and node.name == function
     ]
     return [
@@ -662,7 +688,7 @@ def _ranks_or_summarizes(path: str, source: str) -> list:
     """Every mention (import, call, attribute) of the rank rule or the
     latency summary in one module's code — docstrings do not count."""
     offenders = []
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(_parse(source)):
         name = (
             node.name.rpartition(".")[2]
             if isinstance(node, ast.alias)
@@ -791,16 +817,15 @@ def _second_lifecycle_schedules(sources) -> list:
         if (path, scope) not in MAY_CALL_LIFECYCLE
     ]
     for path, source in sources.items():
-        for node in ast.walk(ast.parse(source)):
-            func = getattr(node, "func", None)
+        for call, _ in _scoped_calls(source):
+            func = call.func
             if (
-                isinstance(node, ast.Call)
-                and isinstance(func, ast.Call)
+                isinstance(func, ast.Call)
                 and _named(func.func) == "getattr"
                 and func.args
                 and _holds_hosts(func.args[0])
             ):
-                strays.append(f"{path}:{node.lineno}: getattr")
+                strays.append(f"{path}:{call.lineno}: getattr")
     return strays
 
 
@@ -833,7 +858,7 @@ def test_the_lifecycle_rule_sees_a_planted_loop_and_direct_calls():
     ):
         mutant = dict(sources, **{runner: sources[runner].replace(hop, f"{hop}        {call}\n")})
         assert _second_lifecycle_schedules(mutant) == [
-            f"{runner}:{line}: run_cluster_scenario"
+            f"{runner}:{line}: setup_cluster"
         ], call
     # A drain on anything else (a queue) is not a lifecycle call.
     unrelated = dict(sources, **{runner: sources[runner].replace(hop, f"{hop}        queue.drain()\n")})
@@ -846,4 +871,67 @@ def test_the_lifecycle_rule_sees_a_planted_loop_and_direct_calls():
     moved = dict(sources, **{INJECTOR: injector.replace(handler, "    def _do_host_park(")})
     assert _second_lifecycle_schedules(moved) == [
         f"{INJECTOR}:{call_line}: FaultInjector._do_host_park"
+    ]
+
+
+SCENARIO = "repro/workload/scenario.py"
+MAY_DRIVE = {
+    "run_workload": {(SCENARIO, "run"), ("repro/serving/server.py", "run_offered_load")},
+    "UpdateStream": {(SCENARIO, "run")},
+    "make_engine": {(SCENARIO, "run")},
+}
+
+
+def _callers(sources, name: str) -> list:
+    """``(path, line, scope)`` of every call to ``name`` or ``<x>.name``."""
+    return [
+        (path, call.lineno, scope or "<module>")
+        for path, source in sources.items()
+        for call, scope in _scoped_calls(source)
+        if _named(call.func) == name
+    ]
+
+
+def _second_drivers(sources) -> list:
+    """Traffic or an update stream started outside the one driver."""
+    return sorted(
+        f"{path}:{line}: {scope} calls {name}"
+        for name, allowed in MAY_DRIVE.items()
+        for path, line, scope in _callers(sources, name)
+        if (path, scope) not in allowed
+    )
+
+
+def test_one_driver():
+    sources = _src_sources()
+    assert _second_drivers(sources) == []
+    # The allowances are used: each allowed caller is where it is named.
+    for name, allowed in MAY_DRIVE.items():
+        assert {(p, s) for p, _, s in _callers(sources, name)} == allowed, name
+
+
+def test_the_driver_rule_sees_a_planted_harness_and_a_renamed_driver():
+    sources = _src_sources()
+    # The deleted harnesses' shape, planted where a fleet is set up.
+    fleet = "repro/cluster/scenario.py"
+    hop = "    return Built(scenario, cluster, servers, generators, injector)\n"
+    assert sources[fleet].count(hop) == 1
+    line = sources[fleet][: sources[fleet].index(hop)].count("\n") + 1
+    harness = (
+        "    engine = scenario.updates.make_engine(servers)\n"
+        "    stream = UpdateStream(scenario.updates, cluster.models['m'])\n"
+        "    generators_module.run_workload(cluster, generators)\n"
+    )
+    mutant = dict(sources, **{fleet: sources[fleet].replace(hop, harness + hop)})
+    assert _second_drivers(mutant) == [
+        f"{fleet}:{line}: setup_cluster calls make_engine",
+        f"{fleet}:{line + 1}: setup_cluster calls UpdateStream",
+        f"{fleet}:{line + 2}: setup_cluster calls run_workload",
+    ]
+    # The allowance is by function: the driver under another name is a stray.
+    renamed = sources[SCENARIO].replace("def run(built", "def serve(built")
+    assert renamed != sources[SCENARIO]
+    strays = _second_drivers(dict(sources, **{SCENARIO: renamed}))
+    assert [s.rpartition(": ")[2] for s in strays] == [
+        "serve calls make_engine", "serve calls UpdateStream", "serve calls run_workload",
     ]

@@ -135,20 +135,20 @@ class TestStopInstantMatchesPolling:
         assert server.stats.settled == 6
         assert server.stats.inflight == 3
 
-    @pytest.mark.parametrize("drive", [run_workload, polled_run_workload])
-    def test_hit_limit_raises_and_names_the_limit(self, drive):
+    @pytest.mark.parametrize("runner", [run_workload, polled_run_workload])
+    def test_hit_limit_raises_and_names_the_limit(self, runner):
         server = build_server(toy_model())
         with pytest.raises(SimError, match="limit reached") as err:
-            drive(server, open_loop(n=24, rate=1000.0), seed=5, limit=0.004)
+            runner(server, open_loop(n=24, rate=1000.0), seed=5, limit=0.004)
         assert "pending_events=" in str(err.value)
         assert 0 < server.stats.settled < 24
 
     def test_hit_limit_stops_at_the_same_instant(self):
         instants = []
-        for drive in (run_workload, polled_run_workload):
+        for runner in (run_workload, polled_run_workload):
             server = build_server(toy_model())
             with pytest.raises(SimError):
-                drive(server, open_loop(n=24, rate=1000.0), seed=5, limit=0.004)
+                runner(server, open_loop(n=24, rate=1000.0), seed=5, limit=0.004)
             instants.append(stop_instant(server))
         assert instants[0] == instants[1]
 

@@ -8,7 +8,6 @@ from repro.workload import (
     ArrivalTrace,
     ClosedLoopGenerator,
     OpenLoopGenerator,
-    TraceReplayGenerator,
     poisson_gaps,
     run_workload,
     uniform_gaps,
@@ -156,7 +155,7 @@ class TestTraceReplay:
         server = build_server(model)
         trace = ArrivalTrace.poisson(model.name, 2000.0, 15, rng_or_seed=4)
         start = server.sim.now
-        gen = TraceReplayGenerator(trace, batch_size=2)
+        gen = OpenLoopGenerator(trace.model, arrivals=trace.times, batch_size=2)
         gen.schedule(server, np.random.default_rng(0))
         server.sim.run_until(lambda: server.stats.settled >= 15)
         assert server.stats.submitted == 15
@@ -171,9 +170,8 @@ class TestTraceReplay:
         def once():
             model = toy_model()
             server = build_server(model)
-            return run_workload(
-                server, TraceReplayGenerator(trace, batch_size=2), seed=21
-            )
+            generator = OpenLoopGenerator(trace.model, arrivals=trace.times, batch_size=2)
+            return run_workload(server, generator, seed=21)
 
         a, b = once(), once()
         assert a.latencies == b.latencies
@@ -197,7 +195,9 @@ class TestTraceReplay:
         trace = ArrivalTrace.uniform(model.name, 1000.0, 12)
         stats = run_workload(
             server,
-            TraceReplayGenerator(trace, batch_size=2, samplers=samplers),
+            OpenLoopGenerator(
+                trace.model, arrivals=trace.times, batch_size=2, samplers=samplers
+            ),
             seed=2,
         )
         assert stats.completed == 12

@@ -14,6 +14,8 @@ from repro.workload import (
 
 from ..serving.conftest import toy_model
 
+NAN = float("nan")
+
 
 def open_tenant(model="toy", rate=1500.0, n=16, **kwargs):
     return TenantSpec(
@@ -54,6 +56,45 @@ class TestSpecValidation:
         knobs = {"rate": 500.0, "n_updates": 4, field: value}
         with pytest.raises(ValueError, match=field):
             UpdateStreamSpec(**knobs)
+
+    @pytest.mark.parametrize(
+        "arrival, knobs, match",
+        [
+            ("open", {"rate": NAN}, "rate"),
+            ("closed", {"rate": NAN}, "rate"),
+            ("open", {"slo_s": NAN}, "slo_s"),
+            ("closed", {"think_time_s": NAN}, "think_time_s"),
+            ("closed", {"think_time_s": -1.0}, "think_time_s"),
+            ("open", {"locality_k": NAN}, "locality_k"),
+            ("open", {"zipf_alpha": NAN}, "zipf_alpha"),
+            ("open", {"batch_size": 0}, "batch_size"),
+        ],
+        ids=[
+            "open-rate-nan", "closed-rate-nan", "slo-nan", "think-nan",
+            "think-negative", "locality-nan", "zipf-nan", "batch-zero",
+        ],
+    )
+    def test_tenant_refuses_nan_and_out_of_range(self, arrival, knobs, match):
+        base = {
+            "open": {"rate": 100.0, "n_requests": 4},
+            "closed": {"num_clients": 2, "requests_per_client": 2},
+        }[arrival]
+        with pytest.raises(ValueError, match=match):
+            TenantSpec(model="m", arrival=arrival, **{**base, **knobs})
+
+    @pytest.mark.parametrize(
+        "knobs",
+        [
+            {"dense_time_scale": NAN},
+            {"drop_headroom_s": NAN},
+            {"drop_headroom_s": -1e-3},
+        ],
+        ids=["dense-scale-nan", "headroom-nan", "headroom-negative"],
+    )
+    def test_scenario_refuses_nan_and_out_of_range(self, knobs):
+        (field,) = knobs
+        with pytest.raises(ValueError, match=field):
+            ScenarioSpec(name="bad", tenants=(open_tenant(),), **knobs)
 
     def test_total_requests(self):
         spec = ScenarioSpec(

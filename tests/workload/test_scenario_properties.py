@@ -121,7 +121,7 @@ def test_scenario_invariants(spec: ScenarioSpec):
     # Host-pool gauges stay coherent for any pool configuration: every
     # completed request ran exactly one dense job, and a settled server
     # holds no SLS workers.
-    host = result.server.hostpool_summary()
+    host = result.front.hostpool_summary()
     assert host["dense"]["jobs"] == stats.completed
     assert host["host_sls"]["in_use"] == 0.0
     assert 0.0 <= host["host_sls"]["utilization"] <= 1.0 + 1e-9
@@ -223,7 +223,7 @@ def test_cluster_scenario_invariants(spec: ClusterSpec):
     ]
     result = run_cluster_scenario(spec, models)
     stats = result.stats
-    nodes = result.cluster.nodes
+    nodes = result.front.nodes
 
     # Fleet conservation: every submission reached one terminal state,
     # through any combination of drains, failures and router rejections.

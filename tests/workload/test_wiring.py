@@ -1,10 +1,11 @@
 """The one wiring path from spec to settled run.
 
-``run_scenario``, ``build_cluster`` and ``run_cluster_scenario`` compose
-``prepare_models`` -> ``host_system`` -> register -> ``drive``.  The two
-regressions here are what the second, hand-threaded copy of that
-sequence got wrong: a fleet ignored ``layout="frequency"``, and the
-standalone runner's private backend walker crashed on sharded stages.
+``setup`` and ``setup_cluster`` compose ``prepare_models`` ->
+``host_system`` -> register -> generators -> fault arming, and one
+``run`` drives either.  The two regressions here are what the second,
+hand-threaded copy of that sequence got wrong: a fleet ignored
+``layout="frequency"``, and the standalone runner's private backend
+walker crashed on sharded stages.
 """
 
 from __future__ import annotations
@@ -12,19 +13,19 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.cluster import ClusterSpec, replica_model, run_cluster_scenario
+from repro.cluster import ClusterSpec, replica_model, run_cluster_scenario, setup_cluster
 from repro.embedding.placement import LayoutMigrator
 from repro.ftl.layout import FrequencyLayout
-from repro.serving import InferenceServer
 from repro.serving.sharding import RowShardPolicy, TableShardPolicy
 from repro.workload import (
+    RunResult,
     ScenarioSpec,
     TenantSpec,
     UpdateStreamSpec,
-    drive,
-    host_system,
     prepare_models,
+    run,
     run_scenario,
+    setup,
 )
 
 from ..serving.conftest import toy_model
@@ -62,7 +63,7 @@ class TestFleetHonoursLayout:
         )
         result = run_cluster_scenario(spec, [toy_model()])
         assert result.summary["completed"] == 24
-        for node in result.cluster.nodes:
+        for node in result.front.nodes:
             # Walk the stage directly: the assertion must not depend on
             # the iterator this PR introduces.
             backends = node.server.workers["toy"][0].stage.by_shard[0]
@@ -87,7 +88,7 @@ class TestFleetHonoursLayout:
     def test_modulo_fleet_keeps_identity_layout(self):
         spec = ClusterSpec(name="fleet-modulo", scenario=zipf_scenario(), n_hosts=2)
         result = run_cluster_scenario(spec, [toy_model()])
-        for node in result.cluster.nodes:
+        for node in result.front.nodes:
             assert all(t.layout is None for t in attached_tables(node.server))
             assert node.server.system.device.ftl.layout_migrator is None
 
@@ -102,10 +103,10 @@ class TestShardedLayoutMigration:
         spec = zipf_scenario(layout="frequency", layout_migration_budget=8)
         result = run_scenario(spec, [toy_model()], num_workers=2, sharding=sharding)
         assert result.summary["completed"] == 24
-        tables = attached_tables(result.server)
+        tables = attached_tables(result.front)
         assert tables and len({id(t) for t in tables}) == len(tables)
         registered = []
-        for device in result.server.system.devices:
+        for device in result.front.system.devices:
             migrator = device.ftl.layout_migrator
             for entry in getattr(migrator, "entries", ()):
                 assert entry.table.device is device
@@ -117,10 +118,10 @@ class TestShardedLayoutMigration:
 class TestBackendsIterator:
     def test_replicated_workers_yield_every_replica(self):
         result = run_scenario(zipf_scenario(), [toy_model()], num_workers=2)
-        tables = attached_tables(result.server)
+        tables = attached_tables(result.front)
         assert len(tables) == 4  # 2 tables x 2 devices
         assert {id(t.device) for t in tables} == {
-            id(d) for d in result.server.system.devices
+            id(d) for d in result.front.system.devices
         }
 
     def test_dram_backends_are_yielded_unattached(self):
@@ -128,8 +129,8 @@ class TestBackendsIterator:
             name="dram", tenants=zipf_scenario().tenants, backend="dram", seed=3
         )
         result = run_scenario(spec, [toy_model()])
-        assert len(list(result.server.backends())) == 2
-        assert attached_tables(result.server) == []
+        assert len(list(result.front.backends())) == 2
+        assert attached_tables(result.front) == []
 
 
 class TestReplica:
@@ -157,24 +158,48 @@ class TestReplica:
             assert clone.tables[name].data is table.data
 
 
-class TestComposedSeam:
-    def test_hand_composition_equals_run_scenario(self):
-        """A caller that needs to act between build and run composes the
-        three steps itself and gets the runner's result."""
+def set_up(front: str, scenario: ScenarioSpec):
+    """``scenario`` set up standalone or as a two-host fleet."""
+    if front == "server":
+        return setup(scenario, [toy_model()])
+    fleet = ClusterSpec(name="fleet", scenario=scenario, n_hosts=2)
+    return setup_cluster(fleet, [toy_model()])
+
+
+class TestSetupThenRun:
+    @pytest.mark.parametrize("front", ["server", "fleet"])
+    def test_setup_starts_nothing(self, front):
+        built = set_up(front, zipf_scenario())
+        assert built.front.sim.now == 0
+        assert built.front.stats.submitted == 0
+        assert all(server.stats.submitted == 0 for server in built.servers)
+
+    @pytest.mark.parametrize("front", ["server", "fleet"])
+    def test_per_host_is_each_hosts_own_summary(self, front):
+        built = set_up(front, zipf_scenario())
+        result = run(built)
+        assert isinstance(result, RunResult) and result.front is built.front
+        assert result.summary["completed"] == 24
+        assert result.per_host == {s.name: s.stats.summary() for s in built.servers}
+        assert list(result.per_host) == [f"host{i}" for i in range(len(built.servers))]
+
+    def test_updates_and_layout_run_after_setup(self):
+        """The update stream and layout migration are planted by ``run``,
+        so a caller acting between the halves sees neither yet."""
         spec = zipf_scenario(
             layout="frequency",
+            layout_migration_budget=8,
             updates=UpdateStreamSpec(rate=500.0, n_updates=4, rows_per_update=4),
         )
         expected = run_scenario(spec, [toy_model()])
-
-        by_name = prepare_models(spec, [toy_model()])
-        server = InferenceServer(host_system(spec, by_name), spec.serving_config())
-        server.register_model(by_name["toy"], spec.backend_kind)
-        generators = [spec.tenants[0].to_generator(by_name["toy"], seed=spec.seed)]
-        stats, updates = drive(server, [server], spec, generators)
-        assert stats.summary() == expected.summary
-        assert updates == expected.updates
-        assert updates["update_pages_written"] > 0
+        built = setup(spec, [toy_model()])
+        assert built.front.system.device.ftl.layout_migrator is None
+        assert built.front.stats.update_pages_written == 0
+        result = run(built)
+        assert result.summary == expected.summary
+        assert result.updates == expected.updates
+        assert result.updates["update_pages_written"] > 0
+        assert built.front.system.device.ftl.layout_migrator is not None
 
     def test_prepare_models_rejects_unknown_tenant(self):
         with pytest.raises(KeyError, match="toy"):
