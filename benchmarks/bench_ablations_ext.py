@@ -1,6 +1,7 @@
 """Benchmarks for the design-choice ablations and the multi-SSD extension."""
 
 from repro.experiments import ablations, ext_multi_ssd
+from repro.experiments.claims import check
 
 from conftest import attach_rows, run_once
 
@@ -8,16 +9,13 @@ from conftest import attach_rows, run_once
 def test_ablation_translation_cost(benchmark):
     result = run_once(benchmark, ablations.run_translation_cost, fast=True)
     attach_rows(benchmark, result, ["value", "ndp_speedup"])
-    speedups = [float(r["ndp_speedup"]) for r in result.rows]
-    assert speedups == sorted(speedups, reverse=True)
+    check(result)
 
 
 def test_ablation_channel_scaling(benchmark):
     result = run_once(benchmark, ablations.run_channel_scaling, fast=True)
     attach_rows(benchmark, result, ["value", "base_ms", "ndp_ms"])
-    by_channels = {int(r["value"]): r for r in result.rows}
-    lo, hi = min(by_channels), max(by_channels)
-    assert float(by_channels[lo]["ndp_ms"]) > float(by_channels[hi]["ndp_ms"])
+    check(result)
 
 
 def test_ablation_embcache_and_window(benchmark):
@@ -34,10 +32,11 @@ def test_ablation_embcache_and_window(benchmark):
     benchmark.extra_info["window"] = [
         {"window": r["value"], "ndp_ms": r["ndp_ms"]} for r in window_result.rows
     ]
+    check(cache_result)
+    check(window_result)
 
 
 def test_extension_multi_ssd_scaling(benchmark):
     result = run_once(benchmark, ext_multi_ssd.run, fast=True)
     attach_rows(benchmark, result, ["devices", "ndp_ms", "ndp_speedup"])
-    by_devices = {int(r["devices"]): float(r["ndp_ms"]) for r in result.rows}
-    assert by_devices[4] < by_devices[1]
+    check(result)

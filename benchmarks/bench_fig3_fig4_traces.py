@@ -1,6 +1,7 @@
 """Benchmarks regenerating Figures 3 and 4 (trace characterization)."""
 
 from repro.experiments import fig3_reuse, fig4_locality
+from repro.experiments.claims import check
 
 from conftest import attach_rows, run_once
 
@@ -8,16 +9,10 @@ from conftest import attach_rows, run_once
 def test_fig3_reuse_distribution(benchmark):
     result = run_once(benchmark, fig3_reuse.run, fast=True)
     attach_rows(benchmark, result, ["page_size", "pages_for_30pct", "pages_for_50pct"])
-    for row in result.rows:
-        assert row["pages_for_30pct"] < 1000
-        assert row["pages_for_50pct"] < 10_000
+    check(result)
 
 
 def test_fig4_cache_capacity_sweep(benchmark):
     result = run_once(benchmark, fig4_locality.run, fast=True)
     attach_rows(benchmark, result, ["table", "cache_mb", "hit_rate"])
-    hits = [float(r["hit_rate"]) for r in result.rows]
-    assert min(hits) < 0.10 and max(hits) > 0.90
-    for row in result.rows:
-        if row["cache_mb"] >= 16:
-            assert float(row["reuse_capture"]) >= 0.4
+    check(result)

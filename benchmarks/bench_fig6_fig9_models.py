@@ -2,27 +2,18 @@
 (naive NDP speedup across the model zoo)."""
 
 from repro.experiments import fig6_end_to_end, fig9_naive_ndp
+from repro.experiments.claims import check
 
 from conftest import attach_rows, run_once
 
-MODELS = ("wnd", "mtwnd", "din", "dien", "ncf", "rm1", "rm3")
-
 
 def test_fig6_end_to_end_dram_vs_ssd(benchmark):
-    result = run_once(benchmark, fig6_end_to_end.run, fast=True, models=MODELS)
+    result = run_once(benchmark, fig6_end_to_end.run, fast=True)
     attach_rows(benchmark, result, ["model", "dram_ms", "ssd_ms", "slowdown"])
-    for row in result.rows:
-        if row["model"] in ("wnd", "mtwnd", "din", "dien", "ncf"):
-            assert float(row["slowdown"]) < 1.5, row["model"]
-        else:
-            assert float(row["slowdown"]) > 50.0, row["model"]
+    check(result)
 
 
 def test_fig9_naive_ndp_speedup(benchmark):
-    result = run_once(benchmark, fig9_naive_ndp.run, fast=True, models=MODELS)
+    result = run_once(benchmark, fig9_naive_ndp.run, fast=True)
     attach_rows(benchmark, result, ["model", "base_ms", "ndp_ms", "ndp_speedup"])
-    for row in result.rows:
-        if row["model"] in ("rm1", "rm3"):
-            assert float(row["ndp_speedup"]) > 2.0, row["model"]
-        else:
-            assert 0.8 < float(row["ndp_speedup"]) < 1.3, row["model"]
+    check(result)

@@ -10,7 +10,8 @@ import numpy as np
 from repro.embedding.backends import DramSlsBackend, NdpSlsBackend, SsdSlsBackend
 from repro.embedding.spec import Layout, TableSpec
 from repro.embedding.table import EmbeddingTable
-from repro.experiments import table1_params
+from repro.experiments import calibration, table1_params
+from repro.experiments.claims import check
 from repro.host.system import build_system
 from repro.sim.kernel import Simulator
 from repro.traces.locality import LocalityTraceGenerator
@@ -87,10 +88,6 @@ def test_micro_locality_trace_generation(benchmark):
 
 
 def test_calibration_device_envelope(benchmark):
-    from repro.experiments import calibration
-
     result = run_once(benchmark, calibration.run, fast=True)
     attach_rows(benchmark, result, ["metric", "measured"])
-    by_metric = {r["metric"]: float(r["measured"]) for r in result.rows}
-    assert 0.9 < by_metric["sequential_read_GB_s"] < 1.45
-    assert 8_000 < by_metric["random_read_iops"] < 20_000
+    check(result)

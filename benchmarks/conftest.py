@@ -2,8 +2,8 @@
 
 Each paper table/figure has one benchmark that runs its experiment in
 fast mode, attaches the headline metrics to ``benchmark.extra_info`` and
-asserts the paper's qualitative claims (a benchmark whose shape is wrong
-is worse than a slow one).
+asserts every paper claim on it with ``repro.experiments.claims.check``
+(a benchmark whose shape is wrong is worse than a slow one).
 
 Wall-clock claims are not made here: ``perf/`` (``python3 -m perf.run``,
 ``BENCHMARK.json``) records absolute ``host_req_per_s`` per commit, and

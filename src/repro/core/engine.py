@@ -32,7 +32,10 @@ from .extract import extract_vectors_paged
 from .request import PageWork, SlsRequestEntry, SlsState
 from .vecops import scatter_add_segments, scatter_add_vectors
 
-__all__ = ["NdpEngineConfig", "NdpSlsEngine", "SlsResultPayload"]
+__all__ = ["NdpEngineConfig", "NdpSlsEngine", "SlsResultPayload", "PROCESS_CHUNK_PAIRS"]
+
+# Config-processing CPU granularity: pairs scanned per ``ftl_core`` job.
+PROCESS_CHUNK_PAIRS = 512
 
 CompleteFn = Callable[[Any, Status], None]
 
@@ -53,9 +56,7 @@ class SlsResultPayload:
 class NdpEngineConfig:
     max_entries: int = 32                  # pending-SLS-request buffer size
     inflight_pages_window: int = 128       # page requests outstanding to flash
-    process_chunk_pairs: int = 512         # config-processing CPU granularity
     embcache_slots: int = 0                # 0 disables the SSD-side cache
-    use_page_cache: bool = True            # step 3b fast path
     # When the entry buffer is full, hold further config-write commands
     # device-side (the NVMe command stays outstanding, so queue depth
     # provides natural backpressure) instead of failing them.  Serving
@@ -87,12 +88,11 @@ class _PageJob(PageWork):
     def after_sched(self) -> None:
         engine = self.engine
         lpn = self.lpn
-        if engine.config.use_page_cache:
-            hit, content = engine.ftl.page_cache.peek(lpn)
-            if hit:
-                self.entry.page_cache_hits += 1
-                self.returned(content)
-                return
+        hit, content = engine.ftl.page_cache.peek(lpn)  # step 3b fast path
+        if hit:
+            self.entry.page_cache_hits += 1
+            self.returned(content)
+            return
         # Counted where flash is touched: an unmapped (TRIMmed) page
         # comes back as ``None`` without a read.
         if engine.ftl.ndp_read_mapped_page(lpn, self.returned):
@@ -351,7 +351,7 @@ class NdpSlsEngine:
         if remaining <= 0:
             self._finish_processing(entry)
             return
-        n = min(self.config.process_chunk_pairs, remaining)
+        n = min(PROCESS_CHUNK_PAIRS, remaining)
         cost = n * self.ftl.cpu.costs.sls_pair_s
         entry.cpu_config_process += cost
         # The continuation names a method, never itself: a closure that

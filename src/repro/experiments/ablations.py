@@ -202,11 +202,3 @@ def run(fast: bool = True, seed: int = 0) -> ExperimentResult:
         "Design-choice ablations (translation cost, channels, caches, window)",
         rows,
     )
-
-
-def main() -> None:  # pragma: no cover
-    print(run(fast=True).to_text())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -9,7 +9,7 @@ Section 5 of the paper fixes the prototype's envelope:
 
 This experiment measures each on the assembled device (not from the
 config constants), so any regression in the queueing model shows up as a
-calibration drift.  The test suite asserts the target ranges.
+calibration drift.  :mod:`repro.experiments.claims` holds the target ranges.
 """
 
 from __future__ import annotations
@@ -31,22 +31,26 @@ def _fresh_system() -> System:
     return System(cosmos_plus_config(min_capacity_pages=1 << 15))
 
 
+def _preload(ftl, n_pages: int) -> None:
+    """Map ``n_pages`` zero pages from LPN 0, so reads hit flash, not
+    the unmapped fast path."""
+
+    class _Region:
+        page_count = n_pages
+
+        def page_content(self, offset):
+            return np.zeros(ftl.page_bytes, dtype=np.uint8)
+
+    ftl.preload_region(0, _Region())
+
+
 def measure_sequential_bandwidth(n_bytes: int = 64 << 20) -> float:
     """Stream large coalesced reads; returns bytes/second."""
     system = _fresh_system()
     driver = system.driver
     ftl = system.device.ftl
-
-    # Preload a region so reads hit flash, not the unmapped fast path.
-    class _Region:
-        def __init__(self, pages):
-            self.page_count = pages
-
-        def page_content(self, offset):
-            return np.zeros(ftl.page_bytes, dtype=np.uint8)
-
     n_pages = n_bytes // ftl.page_bytes
-    ftl.preload_region(0, _Region(n_pages))
+    _preload(ftl, n_pages)
     lbas_per_cmd = 32  # 128KB transfers
     total_lbas = n_pages * ftl.lbas_per_page
     done = {"n": 0}
@@ -64,16 +68,8 @@ def measure_random_iops(n_cmds: int = 4000, seed: int = 0) -> float:
     system = _fresh_system()
     driver = system.driver
     ftl = system.device.ftl
-
-    class _Region:
-        def __init__(self, pages):
-            self.page_count = pages
-
-        def page_content(self, offset):
-            return np.zeros(ftl.page_bytes, dtype=np.uint8)
-
     n_pages = 1 << 14
-    ftl.preload_region(0, _Region(n_pages))
+    _preload(ftl, n_pages)
     rng = np.random.default_rng(seed)
     lbas = rng.integers(0, n_pages * ftl.lbas_per_page, size=n_cmds)
     done = {"n": 0}
@@ -101,32 +97,12 @@ def run(fast: bool = True, seed: int = 0) -> ExperimentResult:
     iops = measure_random_iops(n_cmds, seed)
     latency = measure_page_read_latency()
     rows = [
-        {
-            "metric": "sequential_read_GB_s",
-            "measured": seq_bw / 1e9,
-            "paper_target": "just under 1.4",
-        },
-        {
-            "metric": "random_read_iops",
-            "measured": iops,
-            "paper_target": "~10K (Sec 3.2)",
-        },
-        {
-            "metric": "page_read_latency_us",
-            "measured": latency * 1e6,
-            "paper_target": "10s-100s of us",
-        },
+        {"metric": "sequential_read_GB_s", "measured": seq_bw / 1e9},
+        {"metric": "random_read_iops", "measured": iops},
+        {"metric": "page_read_latency_us", "measured": latency * 1e6},
     ]
     return ExperimentResult(
         "calibration",
         "Device envelope vs the paper's prototype numbers",
         rows,
     )
-
-
-def main() -> None:  # pragma: no cover
-    print(run().to_text())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

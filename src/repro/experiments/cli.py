@@ -14,6 +14,7 @@ from typing import Callable, Dict
 from . import (
     ablations,
     calibration,
+    claims,
     ext_multi_ssd,
     ext_qos,
     fig3_reuse,
@@ -44,6 +45,7 @@ REGISTRY: Dict[str, Callable[..., ExperimentResult]] = {
     "calibration": calibration.run,
     "multi_ssd": ext_multi_ssd.run,
     "qos": ext_qos.run,
+    "claims": claims.run,
 }
 
 

@@ -13,6 +13,7 @@ from ..traces.locality import LocalityTraceGenerator
 __all__ = [
     "ExperimentResult",
     "render_table",
+    "format_cell",
     "locality_samplers",
     "speedup",
     "assert_policy_equivalence",
@@ -70,18 +71,8 @@ class ExperimentResult:
         notes = "".join(f"\nnote: {n}" for n in self.notes)
         return f"{header}\n{body}{notes}"
 
-    def column(self, key: str) -> List[object]:
-        return [row[key] for row in self.rows]
 
-    def filter(self, **conditions) -> List[Dict[str, object]]:
-        out = []
-        for row in self.rows:
-            if all(row.get(k) == v for k, v in conditions.items()):
-                out.append(row)
-        return out
-
-
-def _format_cell(value: object) -> str:
+def format_cell(value: object) -> str:
     if isinstance(value, float):
         if value == 0:
             return "0"
@@ -100,7 +91,7 @@ def render_table(rows: Sequence[Dict[str, object]]) -> str:
         for key in row:
             if key not in columns:
                 columns.append(key)
-    cells = [[_format_cell(row.get(c, "")) for c in columns] for row in rows]
+    cells = [[format_cell(row.get(c, "")) for c in columns] for row in rows]
     widths = [
         max(len(col), *(len(r[i]) for r in cells)) for i, col in enumerate(columns)
     ]

@@ -187,11 +187,3 @@ def run(fast: bool = True, seed: int = 0) -> ExperimentResult:
             "policies (replicate vs whole-table vs row scatter-gather)",
         ],
     )
-
-
-def main() -> None:  # pragma: no cover
-    print(run(fast=True).to_text())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -492,11 +492,3 @@ def run(fast: bool = True, seed: int = 0) -> ExperimentResult:
             "saturation; bounded host pools strictly raise p99 at 2x load",
         ],
     )
-
-
-def main() -> None:  # pragma: no cover
-    print(run(fast=True).to_text())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

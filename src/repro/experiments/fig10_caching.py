@@ -22,6 +22,7 @@ import numpy as np
 
 from ..core.engine import NdpEngineConfig
 from ..models import BackendKind, RunnerConfig, build_model
+from ..models.zoo import EMBEDDING_DOMINATED
 from ..serving.runner import ModelRunner
 from .common import ExperimentResult, locality_samplers, speedup
 
@@ -36,7 +37,7 @@ UNIVERSE = 8192
 def run(
     fast: bool = True,
     seed: int = 0,
-    models: Sequence[str] = ("rm1", "rm2", "rm3"),
+    models: Sequence[str] = EMBEDDING_DOMINATED,
     k_values: Sequence[int] = (0, 1, 2),
     batch_sizes: Optional[Sequence[int]] = None,
 ) -> ExperimentResult:
@@ -144,11 +145,3 @@ def _lookups(model, feature_name: str) -> int:
         if f.name == feature_name:
             return f.lookups
     raise KeyError(feature_name)
-
-
-def main() -> None:  # pragma: no cover
-    print(run(fast=True).to_text())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -169,11 +169,3 @@ def run(fast: bool = True, seed: int = 0) -> ExperimentResult:
         rows=rows,
         notes=a.notes + b.notes,
     )
-
-
-def main() -> None:  # pragma: no cover
-    print(run(fast=True).to_text())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -62,11 +62,3 @@ def run(
             f"a Zipf(alpha={alpha}) synthetic trace"
         ],
     )
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(run(fast=True).to_text())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

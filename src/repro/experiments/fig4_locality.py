@@ -79,11 +79,3 @@ def run(
             "proprietary production spread"
         ],
     )
-
-
-def main() -> None:  # pragma: no cover
-    print(run(fast=True).to_text())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

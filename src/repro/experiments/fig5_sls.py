@@ -59,11 +59,3 @@ def run(
         title="SparseLengthsSum latency: DRAM vs SSD (1M x 32 table, 80 lookups)",
         rows=rows,
     )
-
-
-def main() -> None:  # pragma: no cover
-    print(run(fast=True).to_text())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

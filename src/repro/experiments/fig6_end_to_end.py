@@ -59,11 +59,3 @@ def run(
         rows=rows,
         notes=["slowdown = ssd / dram steady-state latency"],
     )
-
-
-def main() -> None:  # pragma: no cover
-    print(run(fast=True).to_text())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -104,11 +104,3 @@ def run(
         title="SLS operator microbenchmark: SEQ/STR x baseline/NDP + FTL breakdown",
         rows=rows,
     )
-
-
-def main() -> None:  # pragma: no cover
-    print(run(fast=True).to_text())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

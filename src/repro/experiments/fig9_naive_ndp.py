@@ -61,11 +61,3 @@ def run(
         rows=rows,
         notes=["no pipelining or caching; random indices"],
     )
-
-
-def main() -> None:  # pragma: no cover
-    print(run(fast=True).to_text())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

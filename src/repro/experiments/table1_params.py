@@ -41,11 +41,3 @@ def run(fast: bool = True, seed: int = 0) -> ExperimentResult:
         title="Differentiating benchmark parameters (verified against models)",
         rows=rows,
     )
-
-
-def main() -> None:  # pragma: no cover
-    print(run().to_text())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -82,8 +82,7 @@ class DenseServiceModel:
 
     The default is the repo's existing cost model —
     ``model.dense_time(batch_size, host_cpu)``, whose GEMM terms already
-    scale with the batch — left bit-untouched so the default serving
-    path reproduces the pre-hostpool numbers exactly.  ``scale``
+    scale with the batch.  ``scale``
     multiplies every service time (a knob for studying dense/embedding
     overlap without rebuilding models); ``service_s_by_model`` maps a
     model name to an explicit *per-sample* service time, scaled linearly
@@ -111,10 +110,7 @@ class DenseServiceModel:
         override = self.service_s_by_model.get(model.name)
         if override is not None:
             return self.scale * override * batch_size
-        base = model.dense_time(batch_size, self.host_cpu)
-        # Skip the multiply at the default so the float is bit-identical
-        # to the legacy server's direct dense_time call.
-        return base if self.scale == 1.0 else self.scale * base
+        return self.scale * model.dense_time(batch_size, self.host_cpu)
 
 
 class HostSlsPool:

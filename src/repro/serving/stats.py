@@ -356,21 +356,6 @@ class ServingStats(SettleSignal):
             "mean_sls_wait_ms": mean_ms(self.sls_wait_s),
         }
 
-    def update_summary(self) -> Dict[str, float]:
-        """Live-update gauges (separate from :meth:`summary`, whose key
-        set is pinned by the serving golden).  All zeros for read-only
-        scenarios."""
-        return {
-            "update_batches": float(self.update_batches),
-            "update_rows": float(self.update_rows),
-            "update_invalidations": float(self.update_invalidations),
-            "update_partition_writes": float(self.update_partition_writes),
-            "update_pages_written": float(self.update_pages_written),
-            "update_writes_completed": float(self.update_writes_completed),
-            "update_writes_deferred": float(self.update_writes_deferred),
-            "mean_update_write_ms": mean_ms(self.update_write_latencies),
-        }
-
     def latency_breakdown(self) -> Dict[str, Dict[str, float]]:
         """Queue-wait vs. service split, with drops held apart.
 

@@ -18,15 +18,17 @@ from repro.cluster import (
     REASON_NO_HOST,
     ClusterSpec,
     ClusterStats,
+    UserClosedLoopGenerator,
     UserPopulation,
     UserSpec,
     build_cluster,
     replica_model,
     run_cluster_scenario,
+    setup_cluster,
 )
 from repro.faults import FaultEvent, FaultSpec
 from repro.serving.request import RequestState
-from repro.workload import ScenarioSpec, TenantSpec
+from repro.workload import ScenarioSpec, TenantSpec, run
 
 from ..serving.conftest import toy_model
 
@@ -132,6 +134,49 @@ class TestFleetBasics:
         routes = result.front.router.routes_by_host
         for node in result.front.nodes:
             assert routes.get(node.name, 0) == node.stats.submitted
+
+
+class TestUserClosedLoop:
+    """A ``"closed"`` tenant of a fleet with users: ``setup_cluster``
+    builds a :class:`UserClosedLoopGenerator` for it."""
+
+    CLIENTS, TURNS, USERS = 3, 5, 16
+
+    def _built(self):
+        tenant = TenantSpec(
+            model="toy", arrival="closed", num_clients=self.CLIENTS,
+            requests_per_client=self.TURNS, think_time_s=1e-4, batch_size=2,
+        )
+        spec = ClusterSpec(
+            name="closed-users",
+            scenario=ScenarioSpec(name="closed", tenants=(tenant,), backend="ndp", seed=11),
+            n_hosts=2, router="consistent_hash", users=UserSpec(n_users=self.USERS, seed=4),
+        )
+        return setup_cluster(spec, [toy_model()])
+
+    def test_clients_take_their_turns_as_population_users_reproducibly(self):
+        built = self._built()
+        assert [type(g) for g in built.generators] == [UserClosedLoopGenerator]
+        submit, users, outstanding = built.front.submit, [], [0, 0]  # now, peak
+
+        def recording_submit(model, batch, on_done=None):
+            users.append(batch.user_id)
+            outstanding[0] += 1
+            outstanding[1] = max(outstanding)
+
+            def done(request):
+                outstanding[0] -= 1
+                on_done(request)
+
+            return submit(model, batch, on_done=done)
+
+        built.front.submit = recording_submit
+        result = run(built)
+        assert result.stats.submitted == len(users) == self.CLIENTS * self.TURNS
+        assert all(0 <= user < self.USERS for user in users), users
+        assert outstanding == [0, self.CLIENTS]
+        # The same seed gives the same run.
+        assert run(self._built()).stats.latencies() == result.stats.latencies()
 
 
 class TestLifecycle:

@@ -11,10 +11,11 @@ recomputed from ``cfg`` and ``ftl.cpu.costs`` per page.
 ``repro.core.engine`` must produce the same scratchpad bytes, cache
 state, counters, payloads, instants and event count.
 
-``NdpEngineConfig`` and ``SlsResultPayload`` are imported, not copied
-(plain data, and the driver type-checks neither); the only addition is
-the no-op ``flush_gathers`` at the very end, which the update and
-migration call sites now invoke on every engine.
+``NdpEngineConfig``, ``SlsResultPayload`` and ``PROCESS_CHUNK_PAIRS``
+are imported, not copied (plain data, and the driver type-checks
+neither); the additions are the no-op ``flush_gathers`` at the very end,
+which the update and migration call sites now invoke on every engine,
+and an unconditional page-cache probe (its config switch went).
 
 Copied from commit b2c2e28463cbf3bfae06942808e12e2fb65d4935; do not edit
 to follow ``src/``.
@@ -29,7 +30,7 @@ import numpy as np
 
 from repro.core.config import SlsConfig
 from repro.core.embcache import DirectMappedEmbeddingCache
-from repro.core.engine import NdpEngineConfig, SlsResultPayload
+from repro.core.engine import PROCESS_CHUNK_PAIRS, NdpEngineConfig, SlsResultPayload
 from repro.core.extract import extract_vectors
 from repro.core.request import PageWork, SlsRequestEntry, SlsState
 from repro.core.vecops import scatter_add_vectors
@@ -201,7 +202,7 @@ class NdpSlsEngine:
         # Pay the per-pair scan cost in chunks so page scheduling and
         # translation interleave with processing on the single FTL core.
         total_pairs = cfg.num_inputs
-        chunk = self.config.process_chunk_pairs
+        chunk = PROCESS_CHUNK_PAIRS
         costs = self.ftl.cpu.costs
 
         def run_chunk(done_pairs: int) -> None:
@@ -341,12 +342,11 @@ class NdpSlsEngine:
         costs = self.ftl.cpu.costs
 
         def after_sched() -> None:
-            if self.config.use_page_cache:
-                hit, content = self.ftl.page_cache.peek(work.lpn)
-                if hit:
-                    entry.page_cache_hits += 1
-                    self._page_returned(entry, work, content)
-                    return
+            hit, content = self.ftl.page_cache.peek(work.lpn)
+            if hit:
+                entry.page_cache_hits += 1
+                self._page_returned(entry, work, content)
+                return
             entry.flash_pages_read += 1
             self.ftl.ndp_read_mapped_page(
                 work.lpn, lambda content: self._page_returned(entry, work, content)

@@ -37,28 +37,9 @@ class TestRenderTable:
 
 
 class TestExperimentResult:
-    def _result(self):
-        return ExperimentResult(
-            "figX",
-            "title",
-            rows=[
-                {"model": "a", "v": 1.0},
-                {"model": "b", "v": 2.0},
-                {"model": "a", "v": 3.0},
-            ],
-            notes=["hello"],
-        )
-
-    def test_filter(self):
-        result = self._result()
-        assert len(result.filter(model="a")) == 2
-        assert result.filter(model="c") == []
-
-    def test_column(self):
-        assert self._result().column("v") == [1.0, 2.0, 3.0]
-
     def test_to_text_includes_notes(self):
-        text = self._result().to_text()
+        result = ExperimentResult("figX", "title", rows=[{"model": "a"}], notes=["hello"])
+        text = result.to_text()
         assert "figX" in text and "note: hello" in text
 
 

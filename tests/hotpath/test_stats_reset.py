@@ -140,7 +140,6 @@ def test_serving_stats_reset():
     assert stats.update_writes_completed == 0
     assert stats.update_writes_deferred == 0
     assert stats.update_write_latencies == []
-    assert all(v == 0.0 for v in stats.update_summary().values())
     # In-flight tracking carries across the reset window.
     assert stats.inflight == 0
     assert stats.max_inflight == 0

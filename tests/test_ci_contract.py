@@ -8,6 +8,7 @@ ROADMAP still matches CI" guard.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import re
@@ -15,10 +16,26 @@ import subprocess
 import sys
 from pathlib import Path
 
+from repro.experiments.claims import CLAIMS
+
+from .experiments.tier1 import SLOW
 from .golden import FAMILIES, case_id
 
 REPO = Path(__file__).resolve().parent.parent
 TIER1_COMMAND = "python -m pytest -x -q"
+
+
+@functools.lru_cache(maxsize=None)
+def _collect(*args: str) -> str:
+    """``pytest --collect-only -q`` from where the tier-1 command runs."""
+    return subprocess.run(
+        [sys.executable, "-m", "pytest", "--collect-only", "-q", *args],
+        cwd=REPO,
+        env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
 
 
 def test_roadmap_documents_tier1_command():
@@ -78,14 +95,7 @@ def test_tier1_command_collects_the_bit_identity_pins():
     renamed out of collection or slow-marked silently.  Collects
     the way the tier-1 command does (same directory, same ``testpaths``),
     under the strictest filter in use."""
-    listing = subprocess.run(
-        [sys.executable, "-m", "pytest", "--collect-only", "-q", "-m", "not slow"],
-        cwd=REPO,
-        env={**os.environ, "PYTHONPATH": str(REPO / "src")},
-        capture_output=True,
-        text=True,
-        check=True,
-    ).stdout
+    listing = _collect("-m", "not slow")
     collected = set(listing.splitlines())
     for family_name, family in FAMILIES.items():
         cases = [f"test_every_file_has_the_envelope_and_every_scenario[{family_name}]"] + [
@@ -175,6 +185,25 @@ def test_tier1_command_collects_the_bit_identity_pins():
         "test_a_virtual_page_found_at_another_lpn_gives_its_own_rows",
     ):
         assert pin in listing, pin
+
+
+def test_tier1_command_collects_every_claim():
+    """Each paper claim is a tier-1 case under its id, so none is dropped
+    or renamed silently, and only the slow runs' claims are slow-marked."""
+    everything = set(_collect("tests/experiments/test_claims.py").splitlines())
+    unmarked = set(_collect("-m", "not slow").splitlines())
+    for claim in CLAIMS:
+        case = f"tests/experiments/test_claims.py::test_claim_holds[{claim.id}]"
+        assert case in everything, case
+        assert (case in unmarked) == (claim.source not in SLOW), case
+
+
+def test_ci_runs_the_paper_benchmarks():
+    """The figure benchmarks check every claim on the figures' own sizes."""
+    assert (
+        "python -m pytest benchmarks/bench_fig*.py benchmarks/bench_table1_and_micro.py "
+        "benchmarks/bench_ablations_ext.py --benchmark-disable -q"
+    ) in (REPO / ".github" / "workflows" / "ci.yml").read_text()
 
 
 def test_ci_coverage_job_enforces_serving_floor():
