@@ -11,6 +11,11 @@ the single hottest call otherwise.  ``seq`` is unique, so a comparison
 never reaches the callback.  A cancelled event keeps its heap slot with
 its callback set to ``None``.
 
+A planned series of events (an open-loop arrival schedule, an update
+stream) enters through :meth:`Simulator.schedule_series`: it reserves
+the series' sequence numbers at once but keeps only the next event in
+the heap, so the heap holds what is in flight, not what is planned.
+
 ``Simulator._heap`` and ``Simulator._seq`` are shared with
 :mod:`repro.sim.resources`, the other half of the engine: a ``Server``
 or a ``BandwidthPipe`` pushes its events itself instead of paying a call
@@ -25,7 +30,7 @@ from microseconds/milliseconds.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Optional, Sequence
 
 __all__ = [
     "Simulator",
@@ -67,6 +72,35 @@ class ScheduleHandle(list):
     @property
     def cancelled(self) -> bool:
         return self[_CALLBACK] is None
+
+
+class _Series:
+    """A :meth:`Simulator.schedule_series` in progress.  Its one event in
+    the heap is ``[times[i], seq + i, self.fire, args[i]]`` and ``next``
+    is ``i + 1``; ``fire`` pushes event ``next`` with its reserved key
+    before calling ``fn``.  An argument leaves ``args`` when its event is
+    pushed, so it is released once the event has fired."""
+
+    __slots__ = ("heap", "times", "seq", "fn", "args", "next")
+
+    def __init__(self, heap: list, times: list, seq: int, fn: Callable[[Any], None], args: list):
+        self.heap = heap
+        self.times = times
+        self.seq = seq
+        self.fn = fn
+        self.args = args
+        heapq.heappush(heap, [times[0], seq, self.fire, args[0]])
+        args[0] = None
+        self.next = 1
+
+    def fire(self, arg: Any) -> None:
+        i = self.next
+        if i < len(self.times):
+            args = self.args
+            heapq.heappush(self.heap, [self.times[i], self.seq + i, self.fire, args[i]])
+            args[i] = None
+            self.next = i + 1
+        self.fn(arg)
 
 
 class Simulator:
@@ -120,6 +154,40 @@ class Simulator:
         event = ScheduleHandle((self.now + delay, self._seq, fn, arg))
         heapq.heappush(self._heap, event)
         return event
+
+    def schedule_series(
+        self, times: Sequence[float], fn: Callable[[Any], None], args: Sequence[Any]
+    ) -> None:
+        """Run ``fn(args[i])`` at each absolute ``times[i]``.
+
+        ``times`` must ascend from ``now``.  The series takes
+        ``len(times)`` consecutive sequence numbers now, exactly as that
+        many :meth:`schedule_at` calls would, but only its next event is
+        in the heap: dispatching event ``i`` pushes event ``i + 1`` with
+        its reserved key before calling ``fn``.  Every event keeps the
+        ``(time, seq)`` it would have had and is in the heap before
+        anything with a later key can run, so dispatch order,
+        :meth:`is_latest`, ``event_count`` and :attr:`pending_events` are
+        those of scheduling each event eagerly.  Nothing can cancel a
+        series.
+        """
+        times = list(map(float, times))
+        args = list(args)
+        if len(times) != len(args):
+            raise SimError(
+                f"series of {len(times)} times has {len(args)} arguments"
+            )
+        prev = self.now
+        for t in times:
+            if not t >= prev:
+                raise SimError(
+                    f"series time {t} is before {prev} (now={self.now})"
+                )
+            prev = t
+        if not times:
+            return
+        _Series(self._heap, times, self._seq + 1, fn, args)
+        self._seq += len(times)
 
     def is_latest(self, handle: ScheduleHandle) -> bool:
         """Whether nothing has been scheduled since ``handle`` was.
@@ -231,4 +299,15 @@ class Simulator:
 
     @property
     def pending_events(self) -> int:
-        return sum(1 for e in self._heap if e[_CALLBACK] is not None)
+        """Events that will still run: live heap entries, plus the events
+        of each series that are not in the heap yet."""
+        pending = 0
+        for event in self._heap:
+            callback = event[_CALLBACK]
+            if callback is None:
+                continue
+            pending += 1
+            series = getattr(callback, "__self__", None)
+            if type(series) is _Series:
+                pending += len(series.times) - series.next
+        return pending

@@ -15,7 +15,7 @@ from typing import Union
 
 import numpy as np
 
-__all__ = ["ArrivalTrace", "poisson_gaps", "uniform_gaps"]
+__all__ = ["ArrivalTrace", "arrival_offsets", "poisson_gaps", "uniform_gaps"]
 
 RngOrSeed = Union[int, np.random.Generator]
 
@@ -41,11 +41,27 @@ def uniform_gaps(rate: float, n: int) -> np.ndarray:
     return np.full(n, 1.0 / rate)
 
 
+def arrival_offsets(times) -> np.ndarray:
+    """``times`` as a float64 vector of arrival offsets from a run's
+    start, refusing what no run can replay: more than one dimension, a
+    non-finite or negative offset, or a step back in time."""
+    times = np.asarray(times, dtype=np.float64)
+    if times.ndim != 1:
+        raise ValueError("times must be one-dimensional")
+    if not np.all(np.isfinite(times)):
+        raise ValueError("arrival times must be finite")
+    if times.size and times[0] < 0:
+        raise ValueError("arrival times must be >= 0")
+    if np.any(np.diff(times) < 0):
+        raise ValueError("arrival times must be ascending")
+    return times
+
+
 @dataclass(frozen=True)
 class ArrivalTrace:
     """Absolute arrival offsets (seconds from run start) for one model.
 
-    ``times`` must be non-negative and ascending.  Build one from an
+    ``times`` must be finite, non-negative and ascending.  Build one from an
     arrival process (:meth:`poisson`, :meth:`uniform`), from recorded
     gaps (:meth:`from_gaps`), or directly from the ``t_arrival`` stamps
     of a finished run's requests — then hand its ``times`` to
@@ -59,14 +75,7 @@ class ArrivalTrace:
     times: np.ndarray
 
     def __post_init__(self) -> None:
-        times = np.asarray(self.times, dtype=np.float64)
-        if times.ndim != 1:
-            raise ValueError("times must be one-dimensional")
-        if times.size and times[0] < 0:
-            raise ValueError("arrival times must be >= 0")
-        if np.any(np.diff(times) < 0):
-            raise ValueError("arrival times must be ascending")
-        object.__setattr__(self, "times", times)
+        object.__setattr__(self, "times", arrival_offsets(self.times))
 
     # ------------------------------------------------------------------
     @classmethod

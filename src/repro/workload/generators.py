@@ -29,21 +29,28 @@ pass :mod:`repro.traces` generators (``LocalityTraceGenerator.generate``
 :func:`repro.workload.scenario.tenant_samplers`).
 
 Determinism: one RNG is shared by every generator in a run and consumed
-in a deterministic order — open-loop draws happen at schedule time in
-generator order (for ``run_offered_load`` this order is bit-identical
-to the pre-workload implementation), closed-loop draws happen in
-simulated-event order, which the discrete-event kernel makes
-reproducible.  Same seed, same latency distribution.
+in a deterministic order — open-loop draws (the gaps, then one batch per
+arrival) all happen at schedule time in generator order (for
+``run_offered_load`` this order is bit-identical to the pre-workload
+implementation), closed-loop draws happen in simulated-event order,
+which the discrete-event kernel makes reproducible.  Same seed, same
+latency distribution.  An open-loop schedule enters the simulator as one
+:meth:`~repro.sim.kernel.Simulator.schedule_series`: every arrival keeps
+the event key one ``schedule_at`` per arrival gave it, but only the next
+one waits in the event heap.
 """
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
 from ..models.base import IndexSampler
+from .arrivals import arrival_offsets
 
 __all__ = [
     "LoadGenerator",
@@ -127,14 +134,12 @@ class OpenLoopGenerator(LoadGenerator):
         if process not in ("poisson", "uniform"):
             raise ValueError(f"unknown arrival process {process!r}")
         if arrivals is None:
-            if rate is None or rate <= 0:
-                raise ValueError(f"rate for {model!r} must be positive")
+            if rate is None or not 0 < rate < math.inf:
+                raise ValueError(f"rate for {model!r} must be positive and finite")
             if n_requests < 1:
                 raise ValueError("n_requests must be >= 1")
         else:
-            arrivals = np.asarray(arrivals, dtype=np.float64)
-            if np.any(np.diff(arrivals) < 0):
-                raise ValueError("arrivals must be ascending")
+            arrivals = arrival_offsets(arrivals)
             n_requests = int(arrivals.size)
         self.rate = rate
         self.n_requests = n_requests
@@ -150,25 +155,20 @@ class OpenLoopGenerator(LoadGenerator):
         server.models[self.model]  # KeyError early for unknown models
         if self.arrivals is not None:
             times = sim.now + self.arrivals
-            for t in times:
-                batch = self._sample(server, rng)
-                sim.schedule_at(
-                    float(t), lambda b=batch: self._submit(server, b)
-                )
-            return
-        if self.process == "poisson":
-            gaps = rng.exponential(1.0 / self.rate, size=self.n_requests)
         else:
-            gaps = np.full(self.n_requests, 1.0 / self.rate)
-        # Sequential accumulation, not cumsum: float addition order is
-        # part of the bit-identity contract with the legacy loop.
-        arrival = sim.now
-        for gap in gaps:
-            arrival += float(gap)
-            batch = self._sample(server, rng)
-            sim.schedule_at(
-                arrival, lambda b=batch: self._submit(server, b)
-            )
+            if self.process == "poisson":
+                gaps = rng.exponential(1.0 / self.rate, size=self.n_requests)
+            else:
+                gaps = np.full(self.n_requests, 1.0 / self.rate)
+            # Sequential accumulation, not cumsum: float addition order is
+            # part of the bit-identity contract with the legacy loop.
+            times = []
+            arrival = sim.now
+            for gap in gaps:
+                arrival += float(gap)
+                times.append(arrival)
+        batches = [self._sample(server, rng) for _ in range(len(times))]
+        sim.schedule_series(times, partial(self._submit, server), batches)
 
 
 class ClosedLoopGenerator(LoadGenerator):
@@ -202,8 +202,8 @@ class ClosedLoopGenerator(LoadGenerator):
             raise ValueError("num_clients must be >= 1")
         if requests_per_client < 1:
             raise ValueError("requests_per_client must be >= 1")
-        if think_time_s < 0:
-            raise ValueError("think_time_s must be >= 0")
+        if not 0 <= think_time_s < math.inf:
+            raise ValueError("think_time_s must be finite and >= 0")
         if think not in ("exponential", "fixed"):
             raise ValueError(f"unknown think-time model {think!r}")
         self.num_clients = num_clients

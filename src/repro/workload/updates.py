@@ -18,6 +18,7 @@ reads on the shared kernel; see ``docs/SERVING.md`` ("Live updates").
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -146,8 +147,11 @@ class UpdateStream:
     def schedule(self, sim, engine: EmbeddingUpdateEngine) -> None:
         """Plant every batch into ``sim`` relative to the current time."""
         base = sim.now
-        for i, offset in enumerate(self.offsets):
-            sim.schedule_at(base + offset, lambda i=i: self._apply(engine, i))
+        sim.schedule_series(
+            [base + offset for offset in self.offsets],
+            partial(self._apply, engine),
+            range(len(self.offsets)),
+        )
 
     def _apply(self, engine: EmbeddingUpdateEngine, i: int) -> None:
         engine.apply_update(

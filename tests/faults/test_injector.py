@@ -393,9 +393,9 @@ class TestScenarioIntegration:
     def test_fault_free_spec_schedules_nothing(self):
         injector = FaultInjector(FaultSpec())
         system = build_system(min_capacity_pages=1 << 12)
-        heap_before = len(system.sim._heap)
+        pending_before = system.sim.pending_events
         injector.arm_server(SimpleNamespace(sim=system.sim, system=system))
-        assert len(system.sim._heap) == heap_before
+        assert system.sim.pending_events == pending_before
         assert injector.stats.injected == 0
 
     def test_device_index_out_of_range_raises_at_fire_time(self):

@@ -7,7 +7,8 @@ sorted latencies and ``stats.summary()``), the completed count and the
 simulator's event count: digests replay, and only the event count may be
 refreshed, by a change that names the hops it fused.
 
-``tests/sim/test_pipe_ties.py`` reads the census of the same runs.  It
+``tests/sim/test_pipe_ties.py`` reads the census of the same runs, and
+``tests/sim/test_series.py`` how deep the event heap got in them.  It
 is taken test-side: deliveries are recognised by wrapping the callback
 handed to ``BandwidthPipe.transfer``, and every dispatched event is seen
 by giving the kernel module a ``heapq`` whose ``heappop`` reports what
@@ -54,7 +55,13 @@ class Census:
     """Groups dispatched events by instant; keeps the groups in which a
     delivery met anything but deliveries of its own pipe.  An event is
     held as its ``(callback, arg)`` until its instant closes; only a
-    kept group is ever put into words (:meth:`report`)."""
+    kept group is ever put into words (:meth:`report`).
+
+    ``start_depth`` is the heap's length at the run's first pop (what
+    set-up and the generators planted) and ``max_depth`` its longest at
+    any pop; :func:`observed` sets ``planted``, the requests the run's
+    generators planted, and ``series``, its generators plus its update
+    stream."""
 
     heappush = staticmethod(heapq.heappush)
 
@@ -64,8 +71,17 @@ class Census:
         self.ties = []          # (instant, group)
         self.deliveries = 0
         self.events = 0
+        self.start_depth = 0    # None: the next pop records its depth
+        self.max_depth = 0
+        self.planted = 0
+        self.series = 0
 
     def heappop(self, heap):
+        depth = len(heap)
+        if depth > self.max_depth:
+            self.max_depth = depth
+        if self.start_depth is None:
+            self.start_depth = depth
         event = heapq.heappop(heap)
         time, _seq, callback, arg = event
         if callback is None:                    # cancelled: never dispatched
@@ -116,7 +132,10 @@ def observed(name: str, seed: int) -> Tuple[Dict[str, object], Census]:
     under a census; the record and the census it left."""
     with census_installed() as census:
         built = setup(BY_NAME[name], seed, SCALE)
+        census.start_depth = None
         run(built)
+    census.planted = sum(generator.total_requests for generator in built.generators)
+    census.series = len(built.generators) + (built.update_stream is not None)
     seen = observe(built)
     record = {
         "sim_digest": seen.digest,

@@ -46,6 +46,13 @@ def test_containers_alive_per_queued_unit():
     assert counts["gc page move"] <= 6, counts
     assert counts["NDP page in flight"] <= 3.5, counts
     assert counts["SLS op in flight"] <= 7.5, counts
+    # A planned arrival keeps only its drawn batch (four containers) and
+    # a planned update batch nothing: a series holds its arguments in one
+    # list with one event in the heap.  One ``schedule_at`` per event
+    # added the lambda, its defaults and closure tuples and the heap
+    # entry (8 and 4).
+    assert counts["planned arrival"] <= 4.5, counts
+    assert counts["planned update batch"] <= 0.5, counts
 
 
 def test_what_a_queued_request_keeps_alive():

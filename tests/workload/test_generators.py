@@ -15,6 +15,8 @@ from repro.workload import (
 
 from ..serving.conftest import build_server, toy_model
 
+NAN, INF = float("nan"), float("inf")
+
 
 class TestArrivalTrace:
     def test_poisson_trace_shape(self):
@@ -68,6 +70,30 @@ class TestGeneratorValidation:
             )
         gen = ClosedLoopGenerator("m", num_clients=3, requests_per_client=4)
         assert gen.total_requests == 12
+
+    @pytest.mark.parametrize(
+        "make, match",
+        [
+            (lambda: OpenLoopGenerator("m", rate=NAN, n_requests=5), "rate"),
+            (lambda: OpenLoopGenerator("m", rate=INF, n_requests=5), "rate"),
+            (lambda: OpenLoopGenerator("m", arrivals=[0.0, NAN, 1.0]), "finite"),
+            (lambda: OpenLoopGenerator("m", arrivals=[0.0, INF]), "finite"),
+            (lambda: OpenLoopGenerator("m", arrivals=[-1.0, 0.0]), ">= 0"),
+            (lambda: ArrivalTrace("m", np.array([0.0, NAN])), "finite"),
+            (lambda: ClosedLoopGenerator("m", 1, 1, think_time_s=NAN), "think_time_s"),
+            (lambda: ClosedLoopGenerator("m", 1, 1, think_time_s=INF), "think_time_s"),
+        ],
+        ids=[
+            "rate-nan", "rate-inf", "arrivals-nan", "arrivals-inf",
+            "arrivals-negative", "trace-nan", "think-nan", "think-inf",
+        ],
+    )
+    def test_non_finite_or_negative_inputs_are_refused(self, make, match):
+        # Regression: each was accepted.  A NaN rate blew up mid-run as a
+        # SimError, an infinite one put every arrival at t = now, and NaN
+        # passed the trace's ``< 0`` checks.
+        with pytest.raises(ValueError, match=match):
+            make()
 
     def test_unknown_model_raises_at_schedule(self):
         server = build_server(toy_model())

@@ -60,6 +60,7 @@ from repro.nvme.commands import NvmeCommand, Opcode  # noqa: E402
 from repro.serving import InferenceServer, ServingConfig  # noqa: E402
 from repro.sim.kernel import Simulator  # noqa: E402
 from repro.ssd.presets import small_ssd  # noqa: E402
+from repro.workload import OpenLoopGenerator, UpdateStream, UpdateStreamSpec  # noqa: E402
 
 __all__ = ["collector_ledger", "repro_garbage", "unit_counts", "request_counts"]
 
@@ -176,6 +177,32 @@ def _containers_per_ndp_page(n: int) -> float:
     return (queued(few + n) - queued(few)) / n
 
 
+def _containers_per_planned(n: int) -> Dict[str, float]:
+    """Containers alive per event a run *plans* before it starts: ``n``
+    open-loop arrivals (the batch drawn for each included) and ``n``
+    update batches (drawn when the stream is built, so only what
+    scheduling adds), planted on a DRAM server whose simulator does not
+    run."""
+    model = bench_model(4096)
+    server = InferenceServer(build_system(), ServingConfig())
+    server.register_model(model, "dram")
+    rng = np.random.default_rng(0)
+
+    def arrivals(count: int) -> OpenLoopGenerator:
+        return OpenLoopGenerator(MODEL, rate=1000.0, n_requests=count, batch_size=BATCH_SIZE)
+
+    arrivals(8).schedule(server, rng)  # fills the per-shape caches
+    generator = arrivals(n)
+    spec = UpdateStreamSpec(rate=10.0, n_updates=n, rows_per_update=16)
+    stream, engine = UpdateStream(spec, model), spec.make_engine([server])
+    return {
+        "planned arrival": _containers_per_call(lambda: generator.schedule(server, rng), 1) / n,
+        "planned update batch": (
+            _containers_per_call(lambda: stream.schedule(server.sim, engine), 1) / n
+        ),
+    }
+
+
 def unit_counts(n: int = 1000) -> Dict[str, float]:
     """GC-tracked containers alive per unit after queueing ``n`` of each on
     a small device *without running the simulator*: the record, the bound
@@ -183,7 +210,9 @@ def unit_counts(n: int = 1000) -> Dict[str, float]:
     page is queued by its op, so there the simulator runs up to the pump
     that queues them (plus its ``PageWork``: the arrays themselves are not
     tracked); an SLS op is counted as admitted — the entry, its three
-    queues, the command record, its next stage and the queue entry."""
+    queues, the command record, its next stage and the queue entry.  A
+    planned arrival or update batch is counted once planted, before the
+    simulator runs (:func:`_containers_per_planned`)."""
     device = small_ssd(Simulator())
     ftl = device.ftl
     ftl.preload_pages(0, [b"\0" * ftl.page_bytes])
@@ -205,6 +234,7 @@ def unit_counts(n: int = 1000) -> Dict[str, float]:
         "gc page move": _containers_per_call(lambda: ftl.gc._move_page(0, 0, _noop), n),
         "NDP page in flight": _containers_per_ndp_page(n),
         "SLS op in flight": _containers_per_call(admit_sls_op, n),
+        **_containers_per_planned(n),
     }
 
 
