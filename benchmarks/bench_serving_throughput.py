@@ -41,7 +41,8 @@ from repro.core.engine import NdpEngineConfig
 from repro.host.system import build_system
 from repro.models.dlrm import DlrmConfig, DlrmModel
 from repro.models.runner import BackendKind, required_capacity_pages
-from repro.serving import InferenceServer, ServingConfig, run_offered_load
+from repro.serving import InferenceServer, ServingConfig
+from repro.workload import OpenLoopGenerator, run_workload
 
 try:
     from conftest import run_once  # pytest-benchmark path (rootdir import)
@@ -110,11 +111,11 @@ def run_sweep(
     for kind in backends:
         for rps in offered_rps:
             server = build_server(kind)
-            stats = run_offered_load(
+            stats = run_workload(
                 server,
-                {"serve-rm": rps},
-                n_requests=n_requests,
-                batch_size=batch_size,
+                OpenLoopGenerator(
+                    "serve-rm", rate=rps, n_requests=n_requests, batch_size=batch_size
+                ),
                 seed=seed,
             )
             summary = stats.summary()
@@ -148,11 +149,11 @@ def run_host_contention(
 
     def one(resource: str, config: ServingConfig, workers) -> None:
         server = build_server(BackendKind.NDP, config)
-        stats = run_offered_load(
+        stats = run_workload(
             server,
-            {"serve-rm": overload_rps},
-            n_requests=n_requests,
-            batch_size=batch_size,
+            OpenLoopGenerator(
+                "serve-rm", rate=overload_rps, n_requests=n_requests, batch_size=batch_size
+            ),
             seed=seed,
         )
         summary = stats.summary()

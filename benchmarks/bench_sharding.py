@@ -46,9 +46,9 @@ from repro.serving import (
     RowShardPolicy,
     ServingConfig,
     TableShardPolicy,
-    run_offered_load,
 )
 from repro.ssd.presets import cosmos_plus_config
+from repro.workload import OpenLoopGenerator, run_workload
 
 OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_sharding.json"
 
@@ -104,11 +104,9 @@ def run_cell(smoke: bool, policy_name: str, n_devices: int) -> Dict[str, float]:
     model = build_model(smoke)
     server = build_server(model, policy_name, n_devices)
     n_requests = 12 if smoke else 48
-    stats = run_offered_load(
+    stats = run_workload(
         server,
-        {model.name: 4000.0},
-        n_requests=n_requests,
-        batch_size=4,
+        OpenLoopGenerator(model.name, rate=4000.0, n_requests=n_requests, batch_size=4),
         seed=3,
     )
     per_shard = stats.shard_summary().get(model.name, {})

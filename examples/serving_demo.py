@@ -37,8 +37,8 @@ from repro.serving import (
     RowShardPolicy,
     ServingConfig,
     TableShardPolicy,
-    run_offered_load,
 )
+from repro.workload import OpenLoopGenerator, run_workload
 
 # None selects the legacy replicate path (ReplicatePolicy is equivalent).
 POLICIES = {
@@ -93,11 +93,12 @@ def main() -> None:
     )
 
     # Mixed open-loop Poisson traffic; deterministic for a given seed.
-    stats = run_offered_load(
+    stats = run_workload(
         server,
-        {"rm-small": 800.0, "wnd": 800.0},   # requests/s each
-        n_requests=50,
-        batch_size=2,
+        [
+            OpenLoopGenerator(name, rate=800.0, n_requests=50, batch_size=2)  # requests/s
+            for name in ("rm-small", "wnd")
+        ],
         seed=42,
     )
 

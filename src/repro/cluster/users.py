@@ -182,7 +182,6 @@ class UserOpenLoopGenerator(_UserTrafficMixin, OpenLoopGenerator):
         rate: Optional[float] = None,
         n_requests: int = 0,
         batch_size: int = 1,
-        process: str = "poisson",
         arrivals: Optional[np.ndarray] = None,
     ):
         super().__init__(
@@ -190,7 +189,6 @@ class UserOpenLoopGenerator(_UserTrafficMixin, OpenLoopGenerator):
             rate=rate,
             n_requests=n_requests,
             batch_size=batch_size,
-            process=process,
             arrivals=arrivals,
         )
         self.population = population
@@ -206,7 +204,6 @@ class UserClosedLoopGenerator(_UserTrafficMixin, ClosedLoopGenerator):
         num_clients: int,
         requests_per_client: int,
         think_time_s: float = 0.0,
-        think: str = "exponential",
         batch_size: int = 1,
     ):
         super().__init__(
@@ -214,7 +211,6 @@ class UserClosedLoopGenerator(_UserTrafficMixin, ClosedLoopGenerator):
             num_clients=num_clients,
             requests_per_client=requests_per_client,
             think_time_s=think_time_s,
-            think=think,
             batch_size=batch_size,
         )
         self.population = population

@@ -61,7 +61,6 @@ class EmbStageResult:
     per_table: Dict[str, SlsOpResult]
     start_time: float
     end_time: float
-    breakdown: Breakdown = field(default_factory=Breakdown)
     per_shard: Dict[int, Dict[str, SlsOpResult]] = field(default_factory=dict)
     # Graceful degradation: table name -> sorted batch-bag indices whose
     # lookups were skipped because their piece's device is down;
@@ -144,19 +143,16 @@ class _Batch:
         stage = self.stage
         values: Dict[str, np.ndarray] = {}
         per_table: Dict[str, SlsOpResult] = {}
-        breakdown = Breakdown()
         for name, bags in self.bags_by_table.items():
             result = stage.gathered(name, len(bags), self.per_shard)
             per_table[name] = result
             values[name] = result.values
-            breakdown.merge(result.breakdown)
         self.on_done(
             EmbStageResult(
                 values=values,
                 per_table=per_table,
                 start_time=self.start,
                 end_time=stage.sim.now,
-                breakdown=breakdown,
                 per_shard=self.per_shard,
                 missing_by_table=self.missing_by_table,
             )

@@ -23,7 +23,7 @@ and across policies (up to float32 accumulation order).
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, List
 
 import numpy as np
 
@@ -34,16 +34,10 @@ from ..embedding.stage import EmbeddingStage
 from ..embedding.table import EmbeddingTable
 from ..host.system import System
 from ..models.dlrm import DlrmConfig, DlrmModel
-from ..models.runner import BackendKind, required_capacity_pages
-from ..serving import (
-    InferenceServer,
-    ReplicatePolicy,
-    RowShardPolicy,
-    ServingConfig,
-    TableShardPolicy,
-    run_offered_load,
-)
+from ..models.runner import required_capacity_pages
+from ..serving import ReplicatePolicy, RowShardPolicy, TableShardPolicy
 from ..ssd.presets import cosmos_plus_config
+from ..workload import scenario
 from .common import ExperimentResult, assert_policy_equivalence, speedup
 
 __all__ = ["run"]
@@ -100,40 +94,47 @@ def _serve_model() -> DlrmModel:
     )
 
 
-def _serve_server(model: DlrmModel, policy_name: str, n_devices: int) -> InferenceServer:
+def _serve_setup(
+    model: DlrmModel, policy_name: str, n_devices: int, seed: int
+) -> scenario.Built:
+    """One NDP server, ``model`` registered under the named policy on
+    ``n_devices`` workers, with the comparison's open-loop traffic."""
+    spec = scenario.ScenarioSpec(
+        name=f"multi-ssd-{policy_name}",
+        tenants=(
+            scenario.TenantSpec(
+                model.name,
+                rate=SERVE_RATE,
+                n_requests=SERVE_REQUESTS,
+                batch_size=SERVE_BATCH,
+            ),
+        ),
+        backend="ndp",
+        max_batch_requests=4,
+        # dense_stage off: this comparison isolates how the *embedding*
+        # stage scales with devices (the dense tower is device-agnostic).
+        dense_stage=False,
+        seed=seed,
+    )
     system = System(
         cosmos_plus_config(
             min_capacity_pages=required_capacity_pages(model),
             ndp=NdpEngineConfig(queue_when_full=True),
         )
     )
-    server = InferenceServer(
-        system,
-        # dense_stage off: this comparison isolates how the *embedding*
-        # stage scales with devices (the dense tower is device-agnostic).
-        ServingConfig(max_batch_requests=4, dense_stage=False),
-    )
-    server.register_model(
-        model,
-        BackendKind.NDP,
+    return scenario.setup(
+        spec,
+        [model],
+        system=system,
         num_workers=n_devices,
         sharding=POLICIES[policy_name](),
     )
-    return server
 
 
 def _serve_policy(n_devices: int, policy_name: str, seed: int) -> float:
     """Offered-load throughput (req/s) under one sharding policy."""
-    model = _serve_model()
-    server = _serve_server(model, policy_name, n_devices)
-    stats = run_offered_load(
-        server,
-        {model.name: SERVE_RATE},
-        n_requests=SERVE_REQUESTS,
-        batch_size=SERVE_BATCH,
-        seed=seed,
-    )
-    return stats.throughput_rps()
+    built = _serve_setup(_serve_model(), policy_name, n_devices, seed)
+    return scenario.run(built).stats.throughput_rps()
 
 
 def run(fast: bool = True, seed: int = 0) -> ExperimentResult:
@@ -147,7 +148,7 @@ def run(fast: bool = True, seed: int = 0) -> ExperimentResult:
     rows = []
     assert_policy_equivalence(
         _serve_model,
-        lambda model, name: _serve_server(model, name, max(device_counts)),
+        lambda model, name: _serve_setup(model, name, max(device_counts), seed).front,
         list(POLICIES),
         batch_size=SERVE_BATCH,
         seed=seed,

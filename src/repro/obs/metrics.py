@@ -48,7 +48,7 @@ class PeriodicSampler:
         period_s: float,
         max_samples: Optional[int] = None,
     ):
-        if period_s <= 0:
+        if not period_s > 0:
             raise ValueError("sampler period must be positive")
         if max_samples is not None and max_samples < 1:
             raise ValueError("max_samples must be None or >= 1")

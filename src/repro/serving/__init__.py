@@ -30,11 +30,11 @@ load shape against the simulated stack:
 * :class:`~repro.serving.stats.ServingStats` — per-request latency
   percentiles (p50/p95/p99), throughput, goodput (completions within
   deadline), per-lane, per-shard and host-pool work breakdowns.
-* :class:`~repro.serving.server.InferenceServer` — ties it together;
-  :func:`~repro.serving.server.run_offered_load` drives open-loop
-  Poisson experiments (a thin front-end over :mod:`repro.workload`,
-  which adds closed-loop clients, trace replay and declarative
-  multi-tenant scenarios).
+* :class:`~repro.serving.server.InferenceServer` — ties it together.
+  Traffic enters it from :mod:`repro.workload`, the layer above:
+  :func:`~repro.workload.run_workload` drives open-loop, closed-loop
+  and replayed clients against it, and ``run(setup(spec))`` runs a
+  declarative multi-tenant scenario.
 * :class:`~repro.serving.runner.ModelRunner` — the paper figures' runs:
   a list of batches through a server with one batch in flight.
 
@@ -62,7 +62,7 @@ from .queue import RequestQueue
 from .request import InferenceRequest, RequestState
 from .runner import ModelRunner, ModelRunResult
 from .scheduler import BatchScheduler, ModelWorker
-from .server import InferenceServer, ServingConfig, run_offered_load
+from .server import InferenceServer, ServingConfig
 from .sharding import (
     LookupRowMapping,
     ModuloRowMapping,
@@ -92,7 +92,6 @@ __all__ = [
     "ServingStats",
     "InferenceServer",
     "ServingConfig",
-    "run_offered_load",
     "ModelRunner",
     "ModelRunResult",
     "ShardingPolicy",

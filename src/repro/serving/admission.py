@@ -65,10 +65,10 @@ class AdmissionConfig:
     priority_by_model: Mapping[str, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.drop_headroom_s < 0:
+        if not self.drop_headroom_s >= 0:
             raise ValueError("drop_headroom_s must be >= 0")
         for model, slo in self.slo_by_model.items():
-            if slo <= 0:
+            if not slo > 0:
                 raise ValueError(f"SLO for {model!r} must be positive")
         for model, quota in self.quota_by_model.items():
             if quota < 1:

@@ -33,8 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional
 
-import numpy as np
-
 from ..embedding.backends.base import SlsBackend
 from ..embedding.spec import Layout
 from ..embedding.stage import EmbeddingStage
@@ -50,7 +48,7 @@ from .scheduler import BatchScheduler, ModelWorker
 from .sharding import ReplicatePolicy, ShardingPolicy
 from .stats import ServingStats
 
-__all__ = ["ServingConfig", "InferenceServer", "run_offered_load"]
+__all__ = ["ServingConfig", "InferenceServer"]
 
 
 @dataclass(frozen=True)
@@ -642,58 +640,3 @@ class InferenceServer:
     def run_until_settled(self, limit: float = float("inf")) -> float:
         """Advance the simulator until every admitted request completed."""
         return self.sim.run_until(lambda: self.queue.inflight == 0, limit)
-
-
-def run_offered_load(
-    server: InferenceServer,
-    loads: Dict[str, float],
-    n_requests: int,
-    batch_size: int = 1,
-    seed: int = 0,
-    samplers=None,
-    rng: Optional[np.random.Generator] = None,
-    arrivals: Optional[Dict[str, "np.ndarray"]] = None,
-) -> ServingStats:
-    """Open-loop Poisson arrival experiment against ``server``.
-
-    ``loads`` maps registered model names to offered request rates
-    (requests per simulated second); each model contributes ``n_requests``
-    arrivals.  Batches and inter-arrival gaps are drawn from one seeded
-    RNG, so the whole experiment is deterministic: same seed, same
-    latency distribution.  Returns the server's stats object.
-
-    Reproducibility hooks (used by :mod:`repro.workload`): ``rng``
-    supplies the generator directly (``seed`` is then ignored), and
-    ``arrivals`` maps model names to pre-generated *absolute* arrival
-    times (offsets from the current simulated time) replayed verbatim
-    instead of drawing Poisson gaps — see
-    :meth:`repro.workload.ArrivalTrace.poisson` for recording the trace
-    a seeded run would use.  This function is now a thin front-end over
-    :class:`repro.workload.OpenLoopGenerator` /
-    :func:`repro.workload.run_workload`; the scheduling order (per model:
-    gaps first, then one batch per arrival) is kept bit-identical to the
-    pre-workload implementation for any fixed seed.
-    """
-    # Function-level import: repro.workload builds *on* the serving layer,
-    # so the package-level dependency must point that way only.
-    from ..workload.generators import OpenLoopGenerator, run_workload
-
-    if not loads:
-        raise ValueError("need at least one (model, rate) load")
-    generators = []
-    for model_name, rate in loads.items():
-        if model_name not in server.models:
-            raise KeyError(model_name)
-        generators.append(
-            OpenLoopGenerator(
-                model_name,
-                rate=rate,
-                n_requests=n_requests,
-                batch_size=batch_size,
-                samplers=samplers,
-                arrivals=None if arrivals is None else arrivals[model_name],
-            )
-        )
-    if rng is None:
-        rng = np.random.default_rng(seed)
-    return run_workload(server, generators, rng=rng)

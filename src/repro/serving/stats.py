@@ -177,20 +177,12 @@ class ServingStats(SettleSignal):
         # Tail tolerance (server side): queued requests cancelled by a
         # router timeout before dispatch.
         self.timeout_cancels = 0
-        # Live embedding updates (repro.serving.updates): commit batches
-        # applied against this server's registrations, distinct rows
-        # committed, cache entries invalidated / written through, device
-        # page writes issued and completed (with per-write latencies),
-        # and writes the throttled policy deferred behind reads.  All
+        # Live embedding updates (repro.serving.updates): device page
+        # writes this server's registrations issued and completed.  The
+        # engine's summary() has the rest of the update gauges.  Both
         # stay zero for read-only scenarios.
-        self.update_batches = 0
-        self.update_rows = 0
-        self.update_invalidations = 0
-        self.update_partition_writes = 0
         self.update_pages_written = 0
         self.update_writes_completed = 0
-        self.update_write_latencies: List[float] = []
-        self.update_writes_deferred = 0
 
     # PR 2's unified stats contract: every component with counters
     # exposes ``reset_stats()``; for ServingStats it is the same window

@@ -70,6 +70,16 @@ __all__ = [
 UPDATE_POLICIES = ("interleave", "throttled")
 
 
+def check_write_schedule(
+    policy: str, min_gap_s: float, defer_s: float, max_defer_s: float
+) -> None:
+    """Refuse a write scheduling the engine cannot run (NaN included)."""
+    if policy not in UPDATE_POLICIES:
+        raise ValueError(f"policy must be one of {UPDATE_POLICIES}")
+    if not min_gap_s >= 0 or not defer_s > 0 or not max_defer_s >= 0:
+        raise ValueError("min_gap_s and max_defer_s must be >= 0 and defer_s > 0")
+
+
 def make_model_updatable(model) -> None:
     """Wrap every table of ``model`` in an updatable overlay, in place.
 
@@ -131,10 +141,7 @@ class EmbeddingUpdateEngine:
         self.servers: List[InferenceServer] = list(servers)
         if not self.servers:
             raise ValueError("need at least one server")
-        if policy not in UPDATE_POLICIES:
-            raise ValueError(f"policy must be one of {UPDATE_POLICIES}")
-        if min_gap_s < 0 or defer_s <= 0 or max_defer_s < 0:
-            raise ValueError("gaps must be >= 0 and defer_s > 0")
+        check_write_schedule(policy, min_gap_s, defer_s, max_defer_s)
         self.policy = policy
         self.min_gap_s = min_gap_s
         self.defer_s = defer_s
@@ -205,13 +212,11 @@ class EmbeddingUpdateEngine:
             # 2) Coherence + device writes per server holding the model.
             seen_tables: Dict[int, None] = {}
             for server in holders:
-                server.stats.update_batches += 1
-                server.stats.update_rows += distinct
                 # Every placed piece of the table that holds any of the
                 # rows, with the rows as that piece numbers them.
                 for worker in server.workers[model_name]:
                     for backend, local_rows in worker.stage.route(table_name, rows):
-                        self._cohere_backend(server, backend, local_rows)
+                        self._cohere_backend(backend, local_rows)
                         table = backend.table
                         if table.attached and id(table) not in seen_tables:
                             seen_tables[id(table)] = None
@@ -221,9 +226,7 @@ class EmbeddingUpdateEngine:
                 commit_ctx.__exit__(None, None, None)
         return distinct
 
-    def _cohere_backend(
-        self, server: InferenceServer, backend, local_rows: np.ndarray
-    ) -> None:
+    def _cohere_backend(self, backend, local_rows: np.ndarray) -> None:
         """Fix the materialized caches a backend fronts.
 
         The DRAM backend and every read-through layer (flash images, FTL
@@ -237,7 +240,6 @@ class EmbeddingUpdateEngine:
             if backend.host_cache is not None:
                 dropped = backend.host_cache.invalidate_many(local_rows)
                 self.invalidations += dropped
-                server.stats.update_invalidations += dropped
             return
         if isinstance(backend, NdpSlsBackend):
             table = backend.table
@@ -246,7 +248,6 @@ class EmbeddingUpdateEngine:
                     local_rows, table.get_rows(local_rows)
                 )
                 self.partition_writes += written
-                server.stats.update_partition_writes += written
             if table.attached:
                 device = table.device
                 table_key = table.base_lba // device.ftl.lbas_per_page
@@ -256,7 +257,6 @@ class EmbeddingUpdateEngine:
                     table_key, table.storage_ids(local_rows)
                 )
                 self.invalidations += dropped
-                server.stats.update_invalidations += dropped
 
     # ------------------------------------------------------------------
     # Device write path
@@ -312,7 +312,6 @@ class EmbeddingUpdateEngine:
         past_deadline = now >= item.enqueued_at + self.max_defer_s
         if item.server.stats.inflight > 0 and not past_deadline:
             self.writes_deferred += 1
-            item.server.stats.update_writes_deferred += 1
             self._schedule_recheck(lane, self.defer_s)
             return
         # Off-peak batch drain: flush the whole backlog as one burst.
@@ -356,7 +355,6 @@ class EmbeddingUpdateEngine:
             self.writes_completed += 1
             self.write_latencies.append(latency)
             item.server.stats.update_writes_completed += 1
-            item.server.stats.update_write_latencies.append(latency)
             self._pump(lane)
 
         if write_span is not None:

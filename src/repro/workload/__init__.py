@@ -2,8 +2,8 @@
 
 The paper evaluates RecSSD under *load*: production-shaped id streams
 (Figs 3/4) and latency-vs-throughput serving curves (Fig 6).  The seed
-repo drove the serving layer one way — open-loop Poisson arrivals via
-``run_offered_load`` — which neither models how clients actually behave
+repo drove the serving layer one way — open-loop Poisson arrivals —
+which neither models how clients actually behave
 (closed-loop: a client waits for its answer, thinks, asks again) nor
 replays realistic locality through the stack.  This package is the
 missing workload half of the serving story:
@@ -12,13 +12,13 @@ missing workload half of the serving story:
   :class:`ArrivalTrace`, a recorded/pre-generated arrival-time trace
   that makes any run exactly replayable.
 * :mod:`repro.workload.generators` — one :class:`LoadGenerator`
-  interface over open-loop (Poisson/uniform) arrivals, closed-loop
-  client populations with think time, and trace replay; feed them Fig
-  3/4-shaped id streams by passing :mod:`repro.traces` generators as
-  per-table samplers.  :func:`run_workload` drives any mix of
-  generators against one :class:`~repro.serving.InferenceServer`.
-  ``repro.serving.run_offered_load`` is now a thin front-end over
-  :class:`OpenLoopGenerator` (bit-identical for existing seeds).
+  interface over open-loop Poisson arrivals, closed-loop client
+  populations with think time, and trace replay (constant gaps replay
+  an :meth:`ArrivalTrace.uniform`); feed them Fig 3/4-shaped id
+  streams by passing :mod:`repro.traces` generators as per-table
+  samplers.  :func:`run_workload` drives any mix of generators against
+  one :class:`~repro.serving.InferenceServer` — the one way traffic
+  enters a server.
 * :mod:`repro.workload.scenario` — declarative multi-tenant mixes:
   :class:`TenantSpec` (model x client population x arrival process x
   SLO deadline x priority/quota) under one :class:`ScenarioSpec`, run

@@ -65,10 +65,10 @@ class ArrivalTrace:
     arrival process (:meth:`poisson`, :meth:`uniform`), from recorded
     gaps (:meth:`from_gaps`), or directly from the ``t_arrival`` stamps
     of a finished run's requests — then hand its ``times`` to
-    :class:`~repro.workload.generators.OpenLoopGenerator` as ``arrivals``
-    (or to ``run_offered_load(arrivals=...)``), or the trace to a
-    ``"replay"`` :class:`~repro.workload.scenario.TenantSpec`, to replay
-    the exact sequence.
+    :class:`~repro.workload.generators.OpenLoopGenerator` as
+    ``arrivals``, or the trace to a ``"replay"``
+    :class:`~repro.workload.scenario.TenantSpec`, to replay the exact
+    sequence.
     """
 
     model: str

@@ -11,7 +11,7 @@ reached a terminal state (complete, rejected or dropped).
 The two client models and what they measure:
 
 * :class:`OpenLoopGenerator` — arrivals fire on their own clock
-  (Poisson or deterministic), regardless of how the server keeps up.
+  (Poisson), regardless of how the server keeps up.
   The right model for *overload* studies: offered load can exceed
   capacity, so queues grow and admission policy matters.  Given
   ``arrivals`` (an :class:`~repro.workload.arrivals.ArrivalTrace`'s
@@ -30,11 +30,11 @@ pass :mod:`repro.traces` generators (``LocalityTraceGenerator.generate``
 
 Determinism: one RNG is shared by every generator in a run and consumed
 in a deterministic order — open-loop draws (the gaps, then one batch per
-arrival) all happen at schedule time in generator order (for
-``run_offered_load`` this order is bit-identical to the pre-workload
-implementation), closed-loop draws happen in simulated-event order,
-which the discrete-event kernel makes reproducible.  Same seed, same
-latency distribution.  An open-loop schedule enters the simulator as one
+arrival) all happen at schedule time in generator order (bit-identical
+to the pre-workload open-loop loop), closed-loop draws happen in
+simulated-event order, which the discrete-event kernel makes
+reproducible.  Same seed, same latency distribution.  An open-loop
+schedule enters the simulator as one
 :meth:`~repro.sim.kernel.Simulator.schedule_series`: every arrival keeps
 the event key one ``schedule_at`` per arrival gave it, but only the next
 one waits in the event heap.
@@ -89,16 +89,6 @@ class LoadGenerator(ABC):
         model = server.models[self.model]  # KeyError for unknown models
         return model.sample_batch(rng, self.batch_size, samplers=self.samplers)
 
-    def _submit(self, server, batch, on_done=None):
-        """Submission indirection every generator funnels through.
-
-        A pure pass-through here (bit-identical to calling
-        ``server.submit`` inline); cluster-aware generators
-        (:mod:`repro.cluster.users`) override it together with
-        ``_sample`` to attach user identity for locality-aware routing.
-        """
-        return server.submit(self.model, batch, on_done=on_done)
-
     def __repr__(self) -> str:
         return (
             f"{type(self).__name__}({self.model}, "
@@ -109,15 +99,13 @@ class LoadGenerator(ABC):
 class OpenLoopGenerator(LoadGenerator):
     """Open-loop arrivals: requests fire on their own clock.
 
-    ``process`` picks the arrival process: ``"poisson"`` (exponential
-    gaps — the seed's ``run_offered_load`` behaviour) or ``"uniform"``
-    (constant gaps).  ``arrivals`` instead replays pre-generated
-    absolute offsets (an :class:`ArrivalTrace`'s ``times``), skipping
-    the gap draws entirely.
+    ``rate`` draws Poisson arrivals (exponential gaps).  ``arrivals``
+    instead replays pre-generated absolute offsets (an
+    :class:`ArrivalTrace`'s ``times``), skipping the gap draws entirely.
 
     Draw order per generator (gap vector first, then one batch per
-    arrival) is bit-identical to the pre-workload ``run_offered_load``
-    loop, so existing seeded experiments reproduce exactly.
+    arrival) is bit-identical to the pre-workload open-loop loop, so
+    existing seeded experiments reproduce exactly.
     """
 
     def __init__(
@@ -126,13 +114,10 @@ class OpenLoopGenerator(LoadGenerator):
         rate: Optional[float] = None,
         n_requests: int = 0,
         batch_size: int = 1,
-        process: str = "poisson",
         samplers: Samplers = None,
         arrivals: Optional[np.ndarray] = None,
     ):
         super().__init__(model, batch_size, samplers)
-        if process not in ("poisson", "uniform"):
-            raise ValueError(f"unknown arrival process {process!r}")
         if arrivals is None:
             if rate is None or not 0 < rate < math.inf:
                 raise ValueError(f"rate for {model!r} must be positive and finite")
@@ -143,7 +128,6 @@ class OpenLoopGenerator(LoadGenerator):
             n_requests = int(arrivals.size)
         self.rate = rate
         self.n_requests = n_requests
-        self.process = process
         self.arrivals = arrivals
 
     @property
@@ -156,10 +140,7 @@ class OpenLoopGenerator(LoadGenerator):
         if self.arrivals is not None:
             times = sim.now + self.arrivals
         else:
-            if self.process == "poisson":
-                gaps = rng.exponential(1.0 / self.rate, size=self.n_requests)
-            else:
-                gaps = np.full(self.n_requests, 1.0 / self.rate)
+            gaps = rng.exponential(1.0 / self.rate, size=self.n_requests)
             # Sequential accumulation, not cumsum: float addition order is
             # part of the bit-identity contract with the legacy loop.
             times = []
@@ -168,7 +149,7 @@ class OpenLoopGenerator(LoadGenerator):
                 arrival += float(gap)
                 times.append(arrival)
         batches = [self._sample(server, rng) for _ in range(len(times))]
-        sim.schedule_series(times, partial(self._submit, server), batches)
+        sim.schedule_series(times, partial(server.submit, self.model), batches)
 
 
 class ClosedLoopGenerator(LoadGenerator):
@@ -177,9 +158,9 @@ class ClosedLoopGenerator(LoadGenerator):
     Each client keeps exactly one request outstanding: submit, wait for
     the terminal callback (complete, rejected *or* dropped — a shed
     request still consumes one of the client's turns), think, submit
-    again, for ``requests_per_client`` turns.  ``think_time_s`` is the
-    mean think time; ``think="exponential"`` draws it per turn (the
-    classic interactive-user model), ``"fixed"`` uses the constant.
+    again, for ``requests_per_client`` turns.  Think times are drawn per
+    turn, exponential with mean ``think_time_s`` (the classic
+    interactive-user model).
 
     Offered load self-throttles: the aggregate rate can never exceed
     ``num_clients / (mean_response + think_time)``, so sweeping
@@ -193,7 +174,6 @@ class ClosedLoopGenerator(LoadGenerator):
         num_clients: int,
         requests_per_client: int,
         think_time_s: float = 0.0,
-        think: str = "exponential",
         batch_size: int = 1,
         samplers: Samplers = None,
     ):
@@ -204,12 +184,9 @@ class ClosedLoopGenerator(LoadGenerator):
             raise ValueError("requests_per_client must be >= 1")
         if not 0 <= think_time_s < math.inf:
             raise ValueError("think_time_s must be finite and >= 0")
-        if think not in ("exponential", "fixed"):
-            raise ValueError(f"unknown think-time model {think!r}")
         self.num_clients = num_clients
         self.requests_per_client = requests_per_client
         self.think_time_s = think_time_s
-        self.think = think
 
     @property
     def total_requests(self) -> int:
@@ -218,9 +195,7 @@ class ClosedLoopGenerator(LoadGenerator):
     def _think_delay(self, rng: np.random.Generator) -> float:
         if self.think_time_s == 0.0:
             return 0.0
-        if self.think == "exponential":
-            return float(rng.exponential(self.think_time_s))
-        return self.think_time_s
+        return float(rng.exponential(self.think_time_s))
 
     def schedule(self, server, rng: np.random.Generator) -> None:
         server.models[self.model]  # KeyError early for unknown models
@@ -241,29 +216,27 @@ class ClosedLoopGenerator(LoadGenerator):
                 lambda: self._client_turn(server, rng, remaining - 1),
             )
 
-        self._submit(server, batch, on_done=done)
+        server.submit(self.model, batch, on_done=done)
 
 
 def run_workload(
     server,
     generators: Union[LoadGenerator, Sequence[LoadGenerator]],
     seed: int = 0,
-    rng: Optional[np.random.Generator] = None,
     limit: float = float("inf"),
 ):
     """Drive ``generators`` against ``server`` until all traffic settled.
 
     Returns the server's :class:`~repro.serving.stats.ServingStats`.
-    One RNG (from ``rng`` or ``seed``) is shared by every generator, so
-    a whole multi-tenant run is reproducible from a single seed.
+    One RNG, seeded with ``seed``, is shared by every generator, so a
+    whole multi-tenant run is reproducible from a single seed.
     """
     gens: List[LoadGenerator] = (
         [generators] if isinstance(generators, LoadGenerator) else list(generators)
     )
     if not gens:
         raise ValueError("need at least one load generator")
-    if rng is None:
-        rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     base = server.stats.settled
     total = 0
     for generator in gens:

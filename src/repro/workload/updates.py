@@ -23,7 +23,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ..serving.updates import UPDATE_POLICIES, EmbeddingUpdateEngine
+from ..serving.updates import EmbeddingUpdateEngine, check_write_schedule
 from ..traces.powerlaw import ZipfTraceGenerator
 
 __all__ = ["UpdateStreamSpec", "UpdateStream"]
@@ -68,8 +68,7 @@ class UpdateStreamSpec:
             raise ValueError("rows_per_update must be >= 1")
         if self.zipf_alpha is not None and not self.zipf_alpha > 0:
             raise ValueError("zipf_alpha must be positive")
-        if self.policy not in UPDATE_POLICIES:
-            raise ValueError(f"policy must be one of {UPDATE_POLICIES}")
+        check_write_schedule(self.policy, self.min_gap_s, self.defer_s, self.max_defer_s)
 
     def make_engine(self, servers) -> EmbeddingUpdateEngine:
         return EmbeddingUpdateEngine(

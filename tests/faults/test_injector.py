@@ -20,9 +20,9 @@ from repro.embedding.table import EmbeddingTable
 from repro.faults import FaultEvent, FaultInjector, FaultSpec
 from repro.host.system import build_system
 from repro.models.runner import BackendKind
-from repro.serving import TableShardPolicy, run_offered_load
+from repro.serving import TableShardPolicy
 from repro.serving.request import RequestState
-from repro.workload import run_scenario
+from repro.workload import OpenLoopGenerator, run_scenario, run_workload
 
 from ..serving.conftest import build_server, toy_model
 from .test_spec import open_scenario
@@ -208,8 +208,10 @@ class TestReadErrors:
             server.system,
             [FaultEvent(t=0.0, kind="read_errors", fraction=0.7, seed=3)],
         )
-        stats = run_offered_load(
-            server, {"toy": 4000.0}, n_requests=24, batch_size=2, seed=1
+        stats = run_workload(
+            server,
+            OpenLoopGenerator("toy", rate=4000.0, n_requests=24, batch_size=2),
+            seed=1,
         )
         assert conserves(stats)
         assert stats.completed == stats.submitted
@@ -234,8 +236,10 @@ class TestNdpCrash:
                 FaultEvent(t=0.05, kind="ndp_restore"),
             ],
         )
-        stats = run_offered_load(
-            server, {"toy": 2000.0}, n_requests=40, batch_size=2, seed=2
+        stats = run_workload(
+            server,
+            OpenLoopGenerator("toy", rate=2000.0, n_requests=40, batch_size=2),
+            seed=2,
         )
         assert conserves(stats)
         assert stats.completed == stats.submitted
@@ -270,8 +274,10 @@ class TestNdpCrash:
     def test_fallback_reset_stats_cascades(self):
         server = build_server(toy_model(), kind=BackendKind.NDP)
         server.system.device.ndp.down = True
-        run_offered_load(
-            server, {"toy": 2000.0}, n_requests=6, batch_size=1, seed=3
+        run_workload(
+            server,
+            OpenLoopGenerator("toy", rate=2000.0, n_requests=6, batch_size=1),
+            seed=3,
         )
         backend = self._backend(server)
         assert backend.fallback_ops > 0
@@ -289,8 +295,10 @@ class TestDeviceDown:
             sharding=TableShardPolicy(),
         )
         arm(server.system, [FaultEvent(t=0.0, kind="device_down", device=1)])
-        stats = run_offered_load(
-            server, {"toy": 2000.0}, n_requests=20, batch_size=2, seed=4
+        stats = run_workload(
+            server,
+            OpenLoopGenerator("toy", rate=2000.0, n_requests=20, batch_size=2),
+            seed=4,
         )
         assert conserves(stats)
         assert stats.completed == stats.submitted          # nothing failed
@@ -312,8 +320,10 @@ class TestDeviceDown:
                 FaultEvent(t=0.004, kind="device_up", device=1),
             ],
         )
-        stats = run_offered_load(
-            server, {"toy": 2000.0}, n_requests=40, batch_size=2, seed=4
+        stats = run_workload(
+            server,
+            OpenLoopGenerator("toy", rate=2000.0, n_requests=40, batch_size=2),
+            seed=4,
         )
         assert conserves(stats)
         assert 0 < stats.degraded < stats.completed

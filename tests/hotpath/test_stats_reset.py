@@ -114,14 +114,8 @@ def test_serving_stats_reset():
     stats.record_completion(req)
     assert stats.completed == 1 and stats.latencies
     # Live-update gauges are part of the same reset surface.
-    stats.update_batches = 3
-    stats.update_rows = 40
-    stats.update_invalidations = 5
-    stats.update_partition_writes = 6
     stats.update_pages_written = 7
     stats.update_writes_completed = 7
-    stats.update_writes_deferred = 2
-    stats.update_write_latencies.append(0.001)
     stats.reset()
     assert stats.submitted == 0
     assert stats.completed == 0
@@ -132,14 +126,8 @@ def test_serving_stats_reset():
     assert stats.first_arrival is None and stats.last_completion is None
     assert stats.requests_per_batch.count == 0
     assert stats.throughput_rps() == 0.0
-    assert stats.update_batches == 0
-    assert stats.update_rows == 0
-    assert stats.update_invalidations == 0
-    assert stats.update_partition_writes == 0
     assert stats.update_pages_written == 0
     assert stats.update_writes_completed == 0
-    assert stats.update_writes_deferred == 0
-    assert stats.update_write_latencies == []
     # In-flight tracking carries across the reset window.
     assert stats.inflight == 0
     assert stats.max_inflight == 0

@@ -48,6 +48,9 @@ def test_sampler_validates_knobs():
         PeriodicSampler(sim, lambda: {}, 0.0)
     with pytest.raises(ValueError):
         PeriodicSampler(sim, lambda: {}, 1.0, max_samples=0)
+    # Regression: a NaN period was accepted, then start() died with a SimError.
+    with pytest.raises(ValueError, match="period"):
+        PeriodicSampler(sim, lambda: {}, float("nan"))
 
 
 def test_serving_probe_reads_live_server_shape():

@@ -13,8 +13,8 @@ from repro.serving import (
     RequestQueue,
     RequestState,
     ServingConfig,
-    run_offered_load,
 )
+from repro.workload import OpenLoopGenerator, run_workload
 
 from .conftest import build_server, toy_model
 
@@ -53,6 +53,12 @@ class TestAdmissionConfig:
             AdmissionConfig(slo_by_model={"m": 0.0})
         with pytest.raises(ValueError, match="quota"):
             AdmissionConfig(quota_by_model={"m": 0})
+        # Regression: NaN was accepted for both; a NaN SLO then missed
+        # every deadline of a run that reported no error.
+        with pytest.raises(ValueError, match="drop_headroom_s"):
+            AdmissionConfig(drop_headroom_s=float("nan"))
+        with pytest.raises(ValueError, match="SLO"):
+            AdmissionConfig(slo_by_model={"m": float("nan")})
 
     def test_describe_round_trips_knobs(self):
         config = AdmissionConfig(
@@ -324,11 +330,12 @@ class TestServerQuotasAndPriorities:
                 admission=admission,
             ),
         )
-        stats = run_offered_load(
+        stats = run_workload(
             server,
-            {"hi": 3000.0, "lo": 3000.0},
-            n_requests=30,
-            batch_size=2,
+            [
+                OpenLoopGenerator(name, rate=3000.0, n_requests=30, batch_size=2)
+                for name in ("hi", "lo")
+            ],
             seed=5,
         )
         lanes = stats.lane_summary()
@@ -414,8 +421,10 @@ class TestStatsInvariantsUnderReset:
                 max_inflight_requests=6, admission=admission
             ),
         )
-        stats = run_offered_load(
-            server, {model.name: 6000.0}, n_requests=40, batch_size=2, seed=9
+        stats = run_workload(
+            server,
+            OpenLoopGenerator(model.name, rate=6000.0, n_requests=40, batch_size=2),
+            seed=9,
         )
         assert stats.rejected > 0, "overload should reject at the limit"
         assert stats.settled == 40

@@ -34,9 +34,9 @@ from repro.serving import (
     ServingConfig,
     ServingStats,
     TableShardPolicy,
-    run_offered_load,
 )
 from repro.sim.kernel import Simulator
+from repro.workload import OpenLoopGenerator, run_workload
 
 from .conftest import build_server, toy_model
 
@@ -115,8 +115,10 @@ class TestOracleBitIdentity:
                     return request
 
                 server.submit = submit
-            run_offered_load(
-                server, {"toy": RATE}, n_requests=N_REQUESTS, batch_size=2, seed=3
+            run_workload(
+                server,
+                OpenLoopGenerator("toy", rate=RATE, n_requests=N_REQUESTS, batch_size=2),
+                seed=3,
             )
             results.append((outputs_of(server), requests))
         return results
@@ -154,8 +156,10 @@ class TestOracleBitIdentity:
         )
         default = build_server(toy_model())
         for server in (one, default):
-            run_offered_load(
-                server, {"toy": RATE}, n_requests=N_REQUESTS, batch_size=2, seed=5
+            run_workload(
+                server,
+                OpenLoopGenerator("toy", rate=RATE, n_requests=N_REQUESTS, batch_size=2),
+                seed=5,
             )
         assert outputs_of(one) == outputs_of(default)
 
@@ -280,8 +284,10 @@ class TestDenseWorkerPool:
 class TestHostContention:
     def _p99(self, config):
         server = build_server(toy_model(), serving_config=config)
-        stats = run_offered_load(
-            server, {"toy": RATE}, n_requests=N_REQUESTS, batch_size=2, seed=7
+        stats = run_workload(
+            server,
+            OpenLoopGenerator("toy", rate=RATE, n_requests=N_REQUESTS, batch_size=2),
+            seed=7,
         )
         return server, stats.percentile(0.99)
 
@@ -366,8 +372,10 @@ class TestHostContention:
             num_workers=num_workers,
             sharding=TableShardPolicy(),
         )
-        stats = run_offered_load(
-            server, {"toy": RATE}, n_requests=N_REQUESTS, batch_size=2, seed=7
+        stats = run_workload(
+            server,
+            OpenLoopGenerator("toy", rate=RATE, n_requests=N_REQUESTS, batch_size=2),
+            seed=7,
         )
         tables = len(server.models["toy"].features)
         assert stats.sls_ops == stats.batches_dispatched * (tables + merges)
@@ -426,7 +434,11 @@ class TestHostPoolResetAudit:
                 dense_service_s_by_model={"toy": 2e-4},
             ),
         )
-        run_offered_load(server, {"toy": RATE}, n_requests=12, batch_size=2, seed=2)
+        run_workload(
+            server,
+            OpenLoopGenerator("toy", rate=RATE, n_requests=12, batch_size=2),
+            seed=2,
+        )
         return server.stats
 
     def test_host_gauges_populate_then_reset_clean(self):

@@ -6,7 +6,8 @@ import pytest
 from repro.host.system import SystemConfig
 from repro.models.base import Batch, SparseFeature
 from repro.models.runner import BackendKind
-from repro.serving import RequestState, ServingConfig, run_offered_load
+from repro.serving import RequestState, ServingConfig
+from repro.workload import OpenLoopGenerator, run_workload
 
 from .conftest import build_server, toy_model
 
@@ -274,8 +275,10 @@ class TestOfferedLoadAndDeterminism:
     def _run(self, seed=11, kind=BackendKind.NDP):
         model = toy_model()
         server = build_server(model, kind=kind)
-        stats = run_offered_load(
-            server, {model.name: 1500.0}, n_requests=30, batch_size=2, seed=seed
+        stats = run_workload(
+            server,
+            OpenLoopGenerator(model.name, rate=1500.0, n_requests=30, batch_size=2),
+            seed=seed,
         )
         return stats
 

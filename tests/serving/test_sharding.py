@@ -24,9 +24,9 @@ from repro.serving import (
     RowShardPolicy,
     ServingStats,
     TableShardPolicy,
-    run_offered_load,
 )
 from repro.embedding.stage import scatter_bags
+from repro.workload import OpenLoopGenerator, run_workload
 
 from .conftest import build_server, toy_model
 
@@ -195,15 +195,19 @@ class TestEquivalence:
         """Explicit ReplicatePolicy must take the legacy path exactly."""
         model_a = toy_model()
         server_a = build_server(model_a, num_workers=2)
-        stats_a = run_offered_load(
-            server_a, {model_a.name: 1500.0}, n_requests=20, batch_size=2, seed=5
+        stats_a = run_workload(
+            server_a,
+            OpenLoopGenerator(model_a.name, rate=1500.0, n_requests=20, batch_size=2),
+            seed=5,
         )
         model_b = toy_model()
         server_b = build_server(
             model_b, num_workers=2, sharding=ReplicatePolicy()
         )
-        stats_b = run_offered_load(
-            server_b, {model_b.name: 1500.0}, n_requests=20, batch_size=2, seed=5
+        stats_b = run_workload(
+            server_b,
+            OpenLoopGenerator(model_b.name, rate=1500.0, n_requests=20, batch_size=2),
+            seed=5,
         )
         assert stats_a.latencies == stats_b.latencies  # bitwise simulated times
         assert stats_a.summary() == stats_b.summary()
@@ -254,8 +258,10 @@ class TestEquivalence:
 
     def test_offered_load_through_sharded_server(self):
         server, model = build_sharded(RowShardPolicy(threshold_rows=1024))
-        stats = run_offered_load(
-            server, {model.name: 1500.0}, n_requests=30, batch_size=2, seed=11
+        stats = run_workload(
+            server,
+            OpenLoopGenerator(model.name, rate=1500.0, n_requests=30, batch_size=2),
+            seed=11,
         )
         assert stats.completed + stats.rejected == 30
         assert stats.throughput_rps() > 0

@@ -22,6 +22,7 @@ schedules actually collide on rows instead of passing in the night.
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.models.runner import BackendKind
@@ -240,3 +241,10 @@ def test_scenario_with_updates_invariants(spec: ScenarioSpec):
     summary = result.summary
     assert summary["p50_ms"] <= summary["p95_ms"] <= summary["p99_ms"]
     assert summary["p99_ms"] <= summary["max_ms"]
+
+
+@pytest.mark.parametrize("knob", ["min_gap_s", "defer_s", "max_defer_s"])
+def test_engine_refuses_a_nan_write_timing(knob):
+    # Regression: ``min_gap_s < 0 or defer_s <= 0 ...`` let NaN through.
+    with pytest.raises(ValueError, match=knob):
+        EmbeddingUpdateEngine(build_server(toy_model()), **{knob: float("nan")})

@@ -250,6 +250,14 @@ def test_ci_runs_layout_bench_smoke():
     assert "shift_recovery_frac" in ci
 
 
+def test_ci_runs_every_example():
+    """Nothing in tier-1 runs the walkthroughs under ``examples/``; CI
+    runs each one, so an API change that breaks one fails the push."""
+    ci = (REPO / ".github" / "workflows" / "ci.yml").read_text()
+    assert 'for example in examples/*.py; do echo "== $example"; python "$example" || exit 1; done' in ci
+    assert sorted(REPO.glob("examples/*.py")), "examples/ is empty"
+
+
 def test_ci_runs_the_benchmark_harness_tests_and_quick_smoke():
     """perf/ sits outside ``testpaths``, so its own tests and the
     every-workload ``correct: true`` check run only because CI names

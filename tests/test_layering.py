@@ -76,10 +76,17 @@ second schedule coming back.
 Every run has one driver: ``repro.workload.scenario.run`` plants the
 update stream and drives the traffic of a standalone server and of a
 fleet alike, so under ``src/`` only it calls ``run_workload``,
-``UpdateStream`` and ``make_engine`` (``run_offered_load``, the serving
-layer's own open-loop front end, also calls ``run_workload``).  A
-second place that does (three hand-built harnesses around
-``age_device`` once did) is a second driver.
+``UpdateStream`` and ``make_engine``.  A second place that does (three
+hand-built harnesses around ``age_device`` once did, and the serving
+layer's own open-loop front end ``run_offered_load``) is a second
+driver.
+
+Traffic comes from above: ``repro.workload`` drives servers,
+``repro.cluster`` builds fleets of them and ``repro.experiments`` runs
+both, so no module beneath them imports any of the three — a
+function-level import included (``run_offered_load`` hid its upward
+import of ``repro.workload`` inside its body).  ``repro.obs``, the
+passive top tier, is not beneath them.
 
 Every rule reads ``src/`` through :func:`_parse` and
 :func:`_scoped_calls`, both memoized on the source text, so a planted
@@ -103,19 +110,25 @@ def _parse(source: str) -> ast.Module:
     return ast.parse(source)
 
 
-def _imported_modules(path: Path):
-    """Absolute dotted names of everything ``path`` imports."""
-    parts = path.relative_to(SRC).with_suffix("").parts
-    package = parts[:-1]  # a package's __init__ resolves like its modules
-    for node in ast.walk(_parse(path.read_text())):
+def _imports(path: str, source: str):
+    """``(line, absolute dotted name)`` of everything ``source`` imports,
+    at any depth; ``path`` is its file relative to ``src/``."""
+    package = Path(path).parts[:-1]  # a package's __init__ resolves like its modules
+    for node in ast.walk(_parse(source)):
         if isinstance(node, ast.Import):
             for alias in node.names:
-                yield alias.name
+                yield node.lineno, alias.name
         elif isinstance(node, ast.ImportFrom):
             base = package[: len(package) - node.level + 1] if node.level else ()
             module = ".".join(base + tuple(filter(None, [node.module])))
             for alias in node.names:
-                yield f"{module}.{alias.name}"
+                yield node.lineno, f"{module}.{alias.name}"
+
+
+def _imported_modules(path: Path):
+    """Absolute dotted names of everything ``path`` imports."""
+    for _, target in _imports(str(path.relative_to(SRC)), path.read_text()):
+        yield target
 
 
 def test_no_lower_layer_imports_obs():
@@ -876,7 +889,7 @@ def test_the_lifecycle_rule_sees_a_planted_loop_and_direct_calls():
 
 SCENARIO = "repro/workload/scenario.py"
 MAY_DRIVE = {
-    "run_workload": {(SCENARIO, "run"), ("repro/serving/server.py", "run_offered_load")},
+    "run_workload": {(SCENARIO, "run")},
     "UpdateStream": {(SCENARIO, "run")},
     "make_engine": {(SCENARIO, "run")},
 }
@@ -935,3 +948,47 @@ def test_the_driver_rule_sees_a_planted_harness_and_a_renamed_driver():
     assert [s.rpartition(": ")[2] for s in strays] == [
         "serve calls make_engine", "serve calls UpdateStream", "serve calls run_workload",
     ]
+
+
+TRAFFIC_TIERS = ("repro.workload", "repro.cluster", "repro.experiments")
+ABOVE_SERVERS = TRAFFIC_TIERS + ("repro.obs",)
+
+
+def _within(name: str, packages) -> bool:
+    return any(name == p or name.startswith(p + ".") for p in packages)
+
+
+def _upward_imports(sources) -> list:
+    """``path:line: target`` of every import of a traffic tier from a
+    module beneath the three."""
+    return [
+        f"{path}:{line}: {target}"
+        for path, source in sorted(sources.items())
+        if not _within(".".join(Path(path).with_suffix("").parts), ABOVE_SERVERS)
+        for line, target in _imports(path, source)
+        if _within(target, TRAFFIC_TIERS)
+    ]
+
+
+def test_traffic_comes_from_above():
+    assert _upward_imports(_src_sources()) == []
+
+
+def test_the_layer_order_rule_sees_a_planted_function_level_import():
+    sources = _src_sources()
+    server = "repro/serving/server.py"
+    hop = "        return self.sim.run_until(lambda: self.queue.inflight == 0, limit)\n"
+    assert sources[server].count(hop) == 1
+    line = sources[server][: sources[server].index(hop)].count("\n") + 1
+    # The deleted front end's import, hidden in a method body.
+    for planted, target in (
+        ("from ..workload.generators import run_workload", "repro.workload.generators.run_workload"),
+        ("import repro.cluster.scenario", "repro.cluster.scenario"),
+        ("from .. import experiments", "repro.experiments"),
+    ):
+        mutant = dict(sources, **{server: sources[server].replace(hop, f"        {planted}\n{hop}")})
+        assert _upward_imports(mutant) == [f"{server}:{line}: {target}"], planted
+    # Inside the traffic tiers (and in obs) the same import is no offence.
+    for inside in ("repro/cluster/users.py", "repro/obs/__init__.py"):
+        lifted = dict(sources, **{inside: "from ..workload.scenario import run\n" + sources[inside]})
+        assert _upward_imports(lifted) == [], inside

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.serving import ServingConfig, run_offered_load
+from repro.serving import ServingConfig
 from repro.workload import (
     ArrivalTrace,
     ClosedLoopGenerator,
@@ -54,8 +54,6 @@ class TestGeneratorValidation:
             OpenLoopGenerator("m", rate=None, n_requests=5)
         with pytest.raises(ValueError, match="n_requests"):
             OpenLoopGenerator("m", rate=100.0, n_requests=0)
-        with pytest.raises(ValueError, match="process"):
-            OpenLoopGenerator("m", rate=100.0, n_requests=5, process="bursty")
         gen = OpenLoopGenerator("m", arrivals=np.array([0.0, 0.1]))
         assert gen.total_requests == 2
 
@@ -64,10 +62,6 @@ class TestGeneratorValidation:
             ClosedLoopGenerator("m", num_clients=0, requests_per_client=1)
         with pytest.raises(ValueError, match="requests_per_client"):
             ClosedLoopGenerator("m", num_clients=1, requests_per_client=0)
-        with pytest.raises(ValueError, match="think"):
-            ClosedLoopGenerator(
-                "m", num_clients=1, requests_per_client=1, think="gaussian"
-            )
         gen = ClosedLoopGenerator("m", num_clients=3, requests_per_client=4)
         assert gen.total_requests == 12
 
@@ -145,7 +139,7 @@ class TestClosedLoop:
         assert a.latencies == b.latencies
         assert a.summary() == b.summary()
 
-    def test_fixed_think_time_slower_than_zero_think(self):
+    def test_think_time_slower_than_zero_think(self):
         def tput(think):
             model = toy_model()
             server = build_server(model)
@@ -154,7 +148,6 @@ class TestClosedLoop:
                 num_clients=2,
                 requests_per_client=6,
                 think_time_s=think,
-                think="fixed",
             )
             return run_workload(server, gen, seed=3).throughput_rps()
 

@@ -1,7 +1,7 @@
-"""``run_offered_load`` on the workload stack stays bit-identical.
+"""Open-loop traffic on the workload stack stays bit-identical.
 
-The refactor moved open-loop scheduling into
-:class:`repro.workload.OpenLoopGenerator`; these tests pin the contract
+Open-loop scheduling lives in :class:`repro.workload.OpenLoopGenerator`
+driven by :func:`repro.workload.run_workload`; these tests pin the contract
 that existing seeded experiments (benchmarks, figures, golden numbers)
 reproduce *exactly*: the legacy generation order — per model, one gap
 vector, then one sampled batch per arrival, all from a single shared
@@ -11,7 +11,7 @@ replayed verbatim against an inline copy of the pre-refactor loop.
 
 import numpy as np
 
-from repro.serving import run_offered_load
+from repro.workload import ArrivalTrace, OpenLoopGenerator, run_workload
 
 from ..serving.conftest import build_server, toy_model
 
@@ -43,21 +43,26 @@ def legacy_run_offered_load(
 
 
 class TestBitIdenticalRefactor:
-    def _pair(self, models=None, loads=None, seed=0, **kwargs):
+    def _pair(self, n_requests, batch_size, models=None, loads=None, seed=0):
         if models is None:
             models = [toy_model()]
             loads = {"toy": 1500.0}
         legacy = legacy_run_offered_load(
             build_server([m for m in map(_clone, models)]),
             loads,
+            n_requests,
+            batch_size=batch_size,
             seed=seed,
-            **kwargs,
         )
-        current = run_offered_load(
+        current = run_workload(
             build_server([m for m in map(_clone, models)]),
-            loads,
+            [
+                OpenLoopGenerator(
+                    name, rate=rate, n_requests=n_requests, batch_size=batch_size
+                )
+                for name, rate in loads.items()
+            ],
             seed=seed,
-            **kwargs,
         )
         return legacy, current
 
@@ -77,37 +82,25 @@ class TestBitIdenticalRefactor:
         assert legacy.latencies == current.latencies
         assert legacy.completed_by_model == current.completed_by_model
 
-    def test_explicit_rng_matches_seed(self):
-        a = run_offered_load(
-            build_server(toy_model()),
-            {"toy": 1500.0},
-            n_requests=20,
-            batch_size=2,
-            seed=23,
-        )
-        b = run_offered_load(
-            build_server(toy_model()),
-            {"toy": 1500.0},
-            n_requests=20,
-            batch_size=2,
-            seed=999,  # must be ignored when rng is given
-            rng=np.random.default_rng(23),
-        )
-        assert a.latencies == b.latencies
+    def test_the_seed_alone_decides_the_run(self):
+        def once(seed):
+            return run_workload(
+                build_server(toy_model()),
+                OpenLoopGenerator("toy", rate=1500.0, n_requests=20, batch_size=2),
+                seed=seed,
+            )
+
+        assert once(23).latencies == once(23).latencies
+        assert once(23).latencies != once(999).latencies
 
     def test_pregenerated_arrivals_replay_identically(self):
-        from repro.workload import ArrivalTrace
-
         trace = ArrivalTrace.poisson("toy", 1500.0, 25, rng_or_seed=42)
 
         def once():
-            return run_offered_load(
+            return run_workload(
                 build_server(toy_model()),
-                {"toy": 1500.0},
-                n_requests=25,
-                batch_size=2,
+                OpenLoopGenerator("toy", batch_size=2, arrivals=trace.times),
                 seed=7,
-                arrivals={"toy": trace.times},
             )
 
         a, b = once(), once()
@@ -116,16 +109,18 @@ class TestBitIdenticalRefactor:
         assert a.first_arrival == trace.times[0]
 
     def test_replicate_policy_serving_bit_identical(self):
-        """The ISSUE's regression bar: legacy ReplicatePolicy serving
-        behaviour through run_offered_load is unchanged."""
+        """Legacy replicated serving (no policy) and an explicit
+        ReplicatePolicy serve open-loop traffic identically."""
         from repro.serving import ReplicatePolicy
 
         def run(sharding):
             server = build_server(
                 toy_model(), num_workers=2, sharding=sharding
             )
-            return run_offered_load(
-                server, {"toy": 1500.0}, n_requests=24, batch_size=2, seed=11
+            return run_workload(
+                server,
+                OpenLoopGenerator("toy", rate=1500.0, n_requests=24, batch_size=2),
+                seed=11,
             )
 
         none_stats = run(None)

@@ -57,6 +57,14 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match=field):
             UpdateStreamSpec(**knobs)
 
+    @pytest.mark.parametrize("field", ["min_gap_s", "defer_s", "max_defer_s"])
+    @pytest.mark.parametrize("value", [NAN, -1.0])
+    def test_update_stream_write_timing_refused_at_construction(self, field, value):
+        # Regression: NaN was accepted, and -1.0 failed only when a run
+        # built the update engine.
+        with pytest.raises(ValueError, match=field):
+            UpdateStreamSpec(rate=500.0, n_updates=4, **{field: value})
+
     @pytest.mark.parametrize(
         "arrival, knobs, match",
         [
