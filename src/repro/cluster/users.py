@@ -27,7 +27,7 @@ modelled.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -167,9 +167,14 @@ class _UserTrafficMixin:
 
     population: UserPopulation
 
-    def _sample(self, server, rng: np.random.Generator) -> Batch:
+    def _sample(self, server, rng: np.random.Generator, n: int) -> List[Batch]:
+        # One request at a time: each draws its user from the run's RNG,
+        # and so do the user's samplers.
         model = server.models[self.model]  # KeyError for unknown models
-        return self.population.sample_user_batch(model, rng, self.batch_size)
+        return [
+            self.population.sample_user_batch(model, rng, self.batch_size)
+            for _ in range(n)
+        ]
 
 
 class UserOpenLoopGenerator(_UserTrafficMixin, OpenLoopGenerator):

@@ -3,7 +3,7 @@
 Caffe2's ``SparseLengthsSum(table, indices, lengths)`` — the paper's
 operator — reads one flat index vector plus where each bag ends.
 :class:`Bags` is that pair, made once where the ids are drawn
-(``RecModel.sample_batch``) or handed in (:meth:`Bags.of`), and read as
+(``RecModel.sample_batches``) or handed in (:meth:`Bags.of`), and read as
 ``.ids`` / ``.offsets`` / ``.rids`` by every layer below: the scheduler
 coalesces requests with :meth:`Bags.concat`, the stage splits row shards
 and the NDP backend its cold remainder with :meth:`Bags.select`, and the

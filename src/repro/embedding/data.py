@@ -42,7 +42,8 @@ class TableData(ABC):
 
     def _check_ids(self, ids: np.ndarray) -> np.ndarray:
         ids = np.asarray(ids, dtype=np.int64)
-        if ids.size and (ids.min() < 0 or ids.max() >= self.rows):
+        # One reduction: a negative id read as uint64 is >= 2**63.
+        if ids.size and ids.view(np.uint64).max() >= self.rows:
             raise IndexError(
                 f"row id out of range [0, {self.rows}) "
                 f"(got min={ids.min()}, max={ids.max()})"

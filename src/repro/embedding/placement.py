@@ -25,7 +25,6 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from ..traces.analysis import row_frequencies
 from .table import EmbeddingTable
 
 __all__ = [
@@ -33,12 +32,20 @@ __all__ = [
     "LayoutMigrator",
     "heat_from_rows",
     "profile_heat",
+    "row_frequencies",
 ]
 
 
-def heat_from_rows(rows: np.ndarray, num_rows: int) -> np.ndarray:
-    """Per-row access counts (the frequency histogram layout packs by)."""
-    return row_frequencies(rows, num_rows)
+def row_frequencies(trace: np.ndarray, num_rows: int) -> np.ndarray:
+    """Per-row access counts over ``[0, num_rows)`` — the heat histogram
+    frequency-based layout packs by."""
+    trace = np.asarray(trace, dtype=np.int64).reshape(-1)
+    if trace.size and (trace.min() < 0 or trace.max() >= num_rows):
+        raise ValueError("row id out of range for frequency histogram")
+    return np.bincount(trace, minlength=num_rows).astype(np.float64)
+
+
+heat_from_rows = row_frequencies
 
 
 def profile_heat(

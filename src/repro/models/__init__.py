@@ -1,6 +1,6 @@
 """Recommendation model zoo and the backend wiring its tables run on."""
 
-from .base import Batch, IndexSampler, RecModel, SparseFeature, uniform_sampler
+from .base import Batch, IndexSampler, RecModel, SparseFeature
 from .dien import DienConfig, DienModel
 from .din import DinConfig, DinModel
 from .dlrm import DlrmConfig, DlrmModel
@@ -22,7 +22,6 @@ __all__ = [
     "IndexSampler",
     "RecModel",
     "SparseFeature",
-    "uniform_sampler",
     "DienConfig",
     "DienModel",
     "DinConfig",

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -13,9 +13,17 @@ from ..embedding.spec import TableSpec
 from ..embedding.table import EmbeddingTable
 from ..host.cpu import HostCpu
 
-__all__ = ["SparseFeature", "Batch", "RecModel", "IndexSampler", "uniform_sampler"]
+__all__ = ["SparseFeature", "Batch", "RecModel", "IndexSampler"]
 
-IndexSampler = Callable[[int], np.ndarray]  # n -> row ids
+# n -> row ids.  ``RecModel.sample_batches`` draws each feature's sampler
+# once for all its batches, where the first batch would have drawn it, so
+# a sampler given for more than one batch is a stream of its own: drawing
+# ``n`` then ``m`` ids returns what ``n + m`` at once would, it shares no
+# RNG (the run's included), and no two features share it.  The trace
+# generators' ``generate`` meets this; a user's sampler
+# (``repro.cluster.users``) draws from the run's RNG and so is only ever
+# given for one batch.
+IndexSampler = Callable[[int], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -61,8 +69,19 @@ class Batch:
     user_id: Optional[int] = None
 
 
-def uniform_sampler(rows: int, rng: np.random.Generator) -> IndexSampler:
-    return lambda n: rng.integers(0, rows, size=n, dtype=np.int64)
+def _stream(
+    name: str, sampler: IndexSampler, n: int, n_ids: int
+) -> Sequence[np.ndarray]:
+    """``n`` batches' ``n_ids`` ids each, from one draw of ``sampler``."""
+    rows = as_ids(sampler(n * n_ids))
+    if rows.size != n * n_ids:
+        raise ValueError(
+            f"sampler for {name!r} returned {rows.size} ids, "
+            f"not the {n * n_ids} asked for"
+        )
+    # One batch keeps the array itself: a view would be a second array
+    # object per request.
+    return (rows,) if n == 1 else rows.reshape(n, n_ids)
 
 
 class RecModel(ABC):
@@ -91,25 +110,45 @@ class RecModel(ABC):
         samplers: Optional[Dict[str, IndexSampler]] = None,
     ) -> Batch:
         """Draw a batch; ``samplers`` overrides per-feature index sources."""
-        dense = rng.standard_normal((batch_size, self.dense_in)).astype(np.float32)
-        bags: Dict[str, Bags] = {}
-        for feature in self.features:
-            sampler = (samplers or {}).get(feature.name) or uniform_sampler(
-                feature.spec.rows, rng
-            )
-            # One flat draw per feature, cut into bags where it lands: a
-            # sequence feature keeps every id its own bag.
-            n_ids = batch_size * feature.lookups
-            rows = as_ids(sampler(n_ids))
-            if rows.size != n_ids:
-                raise ValueError(
-                    f"sampler for {feature.name!r} returned {rows.size} ids, "
-                    f"not the {n_ids} asked for"
+        return self.sample_batches(rng, batch_size, 1, samplers)[0]
+
+    def sample_batches(
+        self,
+        rng: np.random.Generator,
+        batch_size: int,
+        n: int,
+        samplers: Optional[Dict[str, IndexSampler]] = None,
+    ) -> List[Batch]:
+        """Draw ``n`` batches: what ``n`` calls of :meth:`sample_batch` give.
+
+        Each sampler's stream is drawn once, for all ``n`` batches, where
+        the first batch would have drawn it, and cut per batch — which
+        the :data:`IndexSampler` contract makes equal to ``n`` draws.
+        ``rng`` keeps its per-batch order: the dense inputs, then the
+        features without a sampler, in feature order.
+        """
+        samplers = samplers or {}
+        streams: Dict[str, Sequence[np.ndarray]] = {}
+        batches: List[Batch] = []
+        for i in range(n):
+            dense = rng.standard_normal((batch_size, self.dense_in)).astype(np.float32)
+            bags: Dict[str, Bags] = {}
+            for feature in self.features:
+                # One flat draw per feature, cut into bags where it lands: a
+                # sequence feature keeps every id its own bag.
+                n_ids = batch_size * feature.lookups
+                sampler = samplers.get(feature.name)
+                if sampler is None:
+                    rows = rng.integers(0, feature.spec.rows, size=n_ids, dtype=np.int64)
+                else:
+                    if not i:
+                        streams[feature.name] = _stream(feature.name, sampler, n, n_ids)
+                    rows = streams[feature.name][i]
+                bags[feature.name] = Bags.uniform(
+                    rows, batch_size * feature.bags_per_sample
                 )
-            bags[feature.name] = Bags.uniform(
-                rows, batch_size * feature.bags_per_sample
-            )
-        return Batch(dense=dense, bags=bags, batch_size=batch_size)
+            batches.append(Batch(dense=dense, bags=bags, batch_size=batch_size))
+        return batches
 
     # ------------------------------------------------------------------
     # Embedding-output reshaping

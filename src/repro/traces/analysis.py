@@ -7,6 +7,7 @@ from typing import Dict, List, Sequence
 import numpy as np
 
 from ..embedding.caches import SetAssociativeLru
+from ..embedding.placement import row_frequencies
 
 __all__ = [
     "unique_fraction",
@@ -32,15 +33,6 @@ def rows_to_pages(trace: np.ndarray, row_bytes: int, page_bytes: int) -> np.ndar
         raise ValueError("page must be at least one row")
     rows_per_page = page_bytes // row_bytes
     return np.asarray(trace, dtype=np.int64) // rows_per_page
-
-
-def row_frequencies(trace: np.ndarray, num_rows: int) -> np.ndarray:
-    """Per-row access counts over ``[0, num_rows)`` — the heat histogram
-    frequency-based layout packs by (:mod:`repro.embedding.placement`)."""
-    trace = np.asarray(trace, dtype=np.int64).reshape(-1)
-    if trace.size and (trace.min() < 0 or trace.max() >= num_rows):
-        raise ValueError("row id out of range for frequency histogram")
-    return np.bincount(trace, minlength=num_rows).astype(np.float64)
 
 
 def reuse_cdf(page_trace: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -36,7 +36,7 @@ _SPREAD_MULT = 2_654_435_761
 
 def unique_fraction_for_k(k: float) -> float:
     """Target fraction of first-touch accesses for locality parameter K."""
-    if k < 0:
+    if not k >= 0:
         raise ValueError("K must be >= 0")
     return 1.0 - _Q_BASE * math.exp(-_Q_RATE * k)
 
@@ -64,8 +64,8 @@ class LocalityTraceGenerator:
         """
         if table_rows < 1:
             raise ValueError("table_rows must be >= 1")
-        if stack_scale <= 0 or stack_window < 1:
-            raise ValueError("stack parameters must be positive")
+        if not 0 < stack_scale < math.inf or stack_window < 1:
+            raise ValueError("stack parameters must be positive and finite")
         if universe is not None and not 1 <= universe <= table_rows:
             raise ValueError("universe must be in [1, table_rows]")
         self.table_rows = table_rows

@@ -22,18 +22,23 @@ The two client models and what they measure:
   speed (the classic interactive-client model), so latency-vs-load
   curves come from sweeping the population, not a rate knob.
 
-Both draw lookup ids through the model's ``sample_batch`` —
+Both draw lookup ids through the model's ``sample_batches`` —
 pass :mod:`repro.traces` generators (``LocalityTraceGenerator.generate``
 / ``ZipfTraceGenerator.generate``) as per-table ``samplers`` to push Fig
 3/4-shaped id streams through the full serving path (see
-:func:`repro.workload.scenario.tenant_samplers`).
+:func:`repro.workload.scenario.tenant_samplers`).  An open-loop schedule
+draws each sampler's stream once, for all its arrivals, and cuts it per
+request; a closed-loop client draws one request at a time.
 
 Determinism: one RNG is shared by every generator in a run and consumed
-in a deterministic order — open-loop draws (the gaps, then one batch per
-arrival) all happen at schedule time in generator order (bit-identical
-to the pre-workload open-loop loop), closed-loop draws happen in
-simulated-event order, which the discrete-event kernel makes
-reproducible.  Same seed, same latency distribution.  An open-loop
+in a deterministic order — open-loop draws (the gaps, then per arrival
+the dense inputs and the ids of tables without a sampler) all happen at
+schedule time in generator order (bit-identical to the pre-workload
+open-loop loop, which drew every stream per request too: a sampler is
+a stream of its own, see :data:`~repro.models.base.IndexSampler`),
+closed-loop draws happen in simulated-event order, which the
+discrete-event kernel makes reproducible.  Same seed, same latency
+distribution.  An open-loop
 schedule enters the simulator as one
 :meth:`~repro.sim.kernel.Simulator.schedule_series`: every arrival keeps
 the event key one ``schedule_at`` per arrival gave it, but only the next
@@ -49,7 +54,7 @@ from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
-from ..models.base import IndexSampler
+from ..models.base import Batch, IndexSampler
 from .arrivals import arrival_offsets
 
 __all__ = [
@@ -85,9 +90,10 @@ class LoadGenerator(ABC):
         happen in simulated time via ``server.submit``.
         """
 
-    def _sample(self, server, rng: np.random.Generator):
+    def _sample(self, server, rng: np.random.Generator, n: int) -> List[Batch]:
+        """The next ``n`` requests' batches, drawn in one go."""
         model = server.models[self.model]  # KeyError for unknown models
-        return model.sample_batch(rng, self.batch_size, samplers=self.samplers)
+        return model.sample_batches(rng, self.batch_size, n, self.samplers)
 
     def __repr__(self) -> str:
         return (
@@ -103,9 +109,11 @@ class OpenLoopGenerator(LoadGenerator):
     instead replays pre-generated absolute offsets (an
     :class:`ArrivalTrace`'s ``times``), skipping the gap draws entirely.
 
-    Draw order per generator (gap vector first, then one batch per
-    arrival) is bit-identical to the pre-workload open-loop loop, so
-    existing seeded experiments reproduce exactly.
+    Draw order per generator (gap vector first, then the whole
+    schedule's batches through ``sample_batches``: each sampler stream
+    once, the shared RNG once per arrival) is bit-identical to the
+    pre-workload loop's one batch per arrival, so existing seeded
+    experiments reproduce exactly.
     """
 
     def __init__(
@@ -148,7 +156,7 @@ class OpenLoopGenerator(LoadGenerator):
             for gap in gaps:
                 arrival += float(gap)
                 times.append(arrival)
-        batches = [self._sample(server, rng) for _ in range(len(times))]
+        batches = self._sample(server, rng, len(times))
         sim.schedule_series(times, partial(server.submit, self.model), batches)
 
 
@@ -203,7 +211,7 @@ class ClosedLoopGenerator(LoadGenerator):
             self._client_turn(server, rng, self.requests_per_client)
 
     def _client_turn(self, server, rng: np.random.Generator, remaining: int) -> None:
-        batch = self._sample(server, rng)
+        (batch,) = self._sample(server, rng, 1)
 
         def done(_request, remaining=remaining):
             if remaining <= 1:

@@ -56,6 +56,26 @@ class TestVirtualData:
         with pytest.raises(IndexError):
             data.get_rows(np.array([-1]))
 
+    @pytest.mark.parametrize(
+        "ids, lo, hi",
+        [
+            ([3, -1, 9], -1, 9),                 # negative: >= 2**63 as uint64
+            ([0, 10, 4], 0, 10),                 # equal to rows
+            ([-(2**63), 2**63 - 1], -(2**63), 2**63 - 1),
+        ],
+    )
+    def test_out_of_range_message_names_the_extremes(self, ids, lo, hi):
+        message = rf"row id out of range \[0, 10\) \(got min={lo}, max={hi}\)"
+        for data in (VirtualTableData(10, 4), DenseTableData.random(10, 4)):
+            with pytest.raises(IndexError, match=message):
+                data.get_rows(np.array(ids, dtype=np.int64))
+
+    def test_every_row_in_range_passes(self):
+        data = DenseTableData.random(10, 4)
+        ids = np.array([0, 9, 5, 0], dtype=np.int64)
+        assert np.array_equal(data.get_rows(ids), data.values[ids])
+        assert data.get_rows(np.zeros(0, dtype=np.int64)).shape == (0, 4)
+
     def test_different_seeds_differ(self):
         a = VirtualTableData(100, 8, seed=1)
         b = VirtualTableData(100, 8, seed=2)

@@ -258,6 +258,20 @@ def test_ci_runs_every_example():
     assert sorted(REPO.glob("examples/*.py")), "examples/ is empty"
 
 
+def test_ci_imports_every_subpackage_on_its_own():
+    """A package that imports only after another one loaded (an import
+    cycle, as ``repro.traces`` had through ``repro.embedding``) passes
+    every test that imports the other first; CI imports each package
+    under ``src/repro`` in a fresh interpreter."""
+    ci = (REPO / ".github" / "workflows" / "ci.yml").read_text()
+    assert (
+        'for init in src/repro/*/__init__.py; do pkg="repro.$(basename "$(dirname "$init")")"; '
+        'echo "== $pkg"; python -c "import $pkg" || exit 1; done'
+    ) in ci
+    packages = sorted(REPO.glob("src/repro/*/__init__.py"))
+    assert len(packages) >= 17, packages
+
+
 def test_ci_runs_the_benchmark_harness_tests_and_quick_smoke():
     """perf/ sits outside ``testpaths``, so its own tests and the
     every-workload ``correct: true`` check run only because CI names

@@ -1,9 +1,15 @@
 """Trace generators: the paper's K calibration, Zipf skew, analytics."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro
 from repro.traces.analysis import (
     lru_page_hit_rate,
     reuse_cdf,
@@ -78,6 +84,63 @@ class TestLocalityMechanics:
             LocalityTraceGenerator(10, k=-1)
         with pytest.raises(ValueError):
             LocalityTraceGenerator(10, k=0, universe=11)
+
+    def test_nan_k_is_refused(self):
+        # A NaN K made every lookup fresh (unique fraction 1.0) silently.
+        with pytest.raises(ValueError, match="K"):
+            unique_fraction_for_k(float("nan"))
+        with pytest.raises(ValueError, match="K"):
+            LocalityTraceGenerator(10, k=float("nan"))
+
+    @pytest.mark.parametrize("scale", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_stack_scale_must_be_positive_and_finite(self, scale):
+        # NaN / inf used to fail only at the first re-reference.
+        with pytest.raises(ValueError, match="stack"):
+            LocalityTraceGenerator(10, k=1, stack_scale=scale)
+
+
+def _split_draws_equal_one_draw(make, a, b):
+    """``generate(a)`` then ``generate(b)`` is ``generate(a + b)``: the
+    contract a sampler drawn once for many batches rests on."""
+    split, whole = make(), make()
+    first, second = split.generate(a), split.generate(b)
+    got = np.concatenate([first, second])
+    assert got.dtype == np.int64 and first.size == a and second.size == b
+    assert np.array_equal(got, whole.generate(a + b))
+
+
+class TestStreams:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        rows=st.integers(1, 5000),
+        k=st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+        universe=st.one_of(st.none(), st.integers(1, 64)),
+        seed=st.integers(0, 2**16),
+        a=st.integers(0, 300),
+        b=st.integers(0, 300),
+    )
+    def test_locality_stream_splits(self, rows, k, universe, seed, a, b):
+        universe = None if universe is None else min(universe, rows)
+        _split_draws_equal_one_draw(
+            lambda: LocalityTraceGenerator(
+                rows, k=k, seed=seed, stack_scale=8.0, universe=universe
+            ),
+            a,
+            b,
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        rows=st.integers(1, 5000),
+        alpha=st.floats(0.1, 2.0),
+        seed=st.integers(0, 2**16),
+        a=st.integers(0, 300),
+        b=st.integers(0, 300),
+    )
+    def test_zipf_stream_splits(self, rows, alpha, seed, a, b):
+        _split_draws_equal_one_draw(
+            lambda: ZipfTraceGenerator(rows, alpha, seed=seed), a, b
+        )
 
 
 class TestZipf:
@@ -225,3 +288,18 @@ class TestAnalysisEdgeCases:
         ]
         with pytest.raises(ValueError):
             row_frequencies(np.array([6]), num_rows=6)
+
+
+@pytest.mark.parametrize(
+    "module", ["repro.traces", "repro.traces.powerlaw", "repro.traces.locality"]
+)
+def test_traces_import_first_in_a_fresh_interpreter(module):
+    """``repro.traces`` imported before ``repro.embedding`` used to die in
+    an import cycle (``traces.analysis`` -> ``embedding`` ->
+    ``embedding.placement`` -> ``traces.analysis``)."""
+    src = Path(repro.__file__).resolve().parent.parent
+    subprocess.run(
+        [sys.executable, "-c", f"import {module}"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        check=True,
+    )

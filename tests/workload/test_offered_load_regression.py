@@ -6,11 +6,14 @@ that existing seeded experiments (benchmarks, figures, golden numbers)
 reproduce *exactly*: the legacy generation order — per model, one gap
 vector, then one sampled batch per arrival, all from a single shared
 RNG, arrival times accumulated by sequential float addition — is
-replayed verbatim against an inline copy of the pre-refactor loop.
+replayed verbatim against an inline copy of the pre-refactor loop,
+with uniform ids and with per-table Zipf streams (which the generator
+now draws once per schedule, not once per request).
 """
 
 import numpy as np
 
+from repro.traces import ZipfTraceGenerator
 from repro.workload import ArrivalTrace, OpenLoopGenerator, run_workload
 
 from ..serving.conftest import build_server, toy_model
@@ -43,22 +46,35 @@ def legacy_run_offered_load(
 
 
 class TestBitIdenticalRefactor:
-    def _pair(self, n_requests, batch_size, models=None, loads=None, seed=0):
+    def _pair(
+        self, n_requests, batch_size, models=None, loads=None, seed=0, samplers=None
+    ):
+        """``samplers`` builds a fresh sampler dict for a list of models,
+        one per side, so neither side reads a stream the other drew."""
         if models is None:
             models = [toy_model()]
             loads = {"toy": 1500.0}
+        samplers = samplers or (lambda _models: None)
+        legacy_models = list(map(_clone, models))
         legacy = legacy_run_offered_load(
-            build_server([m for m in map(_clone, models)]),
+            build_server(legacy_models),
             loads,
             n_requests,
             batch_size=batch_size,
             seed=seed,
+            samplers=samplers(legacy_models),
         )
+        current_models = list(map(_clone, models))
+        current_samplers = samplers(current_models)
         current = run_workload(
-            build_server([m for m in map(_clone, models)]),
+            build_server(current_models),
             [
                 OpenLoopGenerator(
-                    name, rate=rate, n_requests=n_requests, batch_size=batch_size
+                    name,
+                    rate=rate,
+                    n_requests=n_requests,
+                    batch_size=batch_size,
+                    samplers=current_samplers,
                 )
                 for name, rate in loads.items()
             ],
@@ -81,6 +97,32 @@ class TestBitIdenticalRefactor:
         )
         assert legacy.latencies == current.latencies
         assert legacy.completed_by_model == current.completed_by_model
+
+    def test_zipf_samplers_bit_identical(self):
+        """Each table's Zipf stream is drawn once for the whole schedule
+        and cut per request; the oracle draws it per request."""
+        for seed in (0, 11):
+            legacy, current = self._pair(
+                seed=seed, n_requests=30, batch_size=2, samplers=_zipf_samplers()
+            )
+            assert legacy.latencies == current.latencies, seed
+            assert legacy.summary() == current.summary(), seed
+
+    def test_zipf_on_some_tables_bit_identical(self):
+        """A uniform table beside a Zipf one: the shared RNG still draws
+        per request, dense then the uniform table, between the streams."""
+        models = [("a", 1), ("b", 2)]
+        loads = {"a": 900.0, "b": 1200.0}
+        legacy, current = self._pair(
+            models=models,
+            loads=loads,
+            seed=5,
+            n_requests=15,
+            batch_size=2,
+            samplers=_zipf_samplers(every=2),
+        )
+        assert legacy.latencies == current.latencies
+        assert legacy.summary() == current.summary()
 
     def test_the_seed_alone_decides_the_run(self):
         def once(seed):
@@ -134,3 +176,18 @@ def _clone(spec):
         name, seed = spec
         return toy_model(name=name, seed=seed)
     return toy_model()
+
+
+def _zipf_samplers(every=1):
+    """``models -> samplers``: fresh Zipf samplers for every
+    ``every``-th table of the models, each seeded by its position."""
+
+    def build(models):
+        features = [f for model in models for f in model.features]
+        return {
+            f.name: ZipfTraceGenerator(f.spec.rows, alpha=0.9, seed=3 + i).generate
+            for i, f in enumerate(features)
+            if i % every == 0
+        }
+
+    return build
