@@ -35,6 +35,7 @@ from typing import Mapping, Optional, Sequence, Tuple, Union
 from ..faults.injector import FaultInjector
 from ..faults.tolerance import ToleranceConfig
 from ..models.base import RecModel
+from ..params import Count, Fraction, NonNeg, PosCount, check_domains
 from ..serving.server import InferenceServer
 from ..sim.kernel import Simulator
 from ..workload.generators import LoadGenerator
@@ -72,19 +73,13 @@ class UserSpec:
     router; tenant ``locality_k``/``zipf_alpha`` samplers are replaced
     by the users' deterministic row profiles."""
 
-    n_users: int
-    alpha: float = 1.05
-    reuse: float = 1.0
-    seed: int = 0
+    n_users: PosCount
+    alpha: NonNeg = 1.05
+    reuse: Fraction = 1.0
+    seed: Count = 0
 
-    def __post_init__(self) -> None:
-        # UserPopulation's own rules, checked when the spec is written.
-        if self.n_users < 1:
-            raise ValueError("n_users must be >= 1")
-        if not self.alpha >= 0:
-            raise ValueError("alpha must be >= 0")
-        if not 0.0 <= self.reuse <= 1.0:
-            raise ValueError("reuse must be in [0, 1]")
+    # UserPopulation's own domains, checked when the spec is written.
+    __post_init__ = check_domains
 
     def population(self) -> UserPopulation:
         return UserPopulation(
@@ -108,23 +103,22 @@ class ClusterSpec:
 
     name: str
     scenario: ScenarioSpec
-    n_hosts: int = 2
+    n_hosts: PosCount = 2
     router: str = "round_robin"          # round_robin | least_loaded | consistent_hash
     least_loaded_by: str = "inflight"
-    router_vnodes: int = 64
-    router_spread: int = 1
+    router_vnodes: PosCount = 64
+    router_spread: PosCount = 1
     placement: Optional[Mapping[str, Tuple[int, ...]]] = None
     users: Optional[UserSpec] = None
-    num_workers: int = 1
-    embcache_slots: int = 0
+    num_workers: PosCount = 1
+    embcache_slots: Count = 0
     # Tail tolerance (timeouts / retries / hedging / circuit breaker)
     # for the cluster front-end.  None keeps submit bit-identical to
     # the pre-fault-layer cluster.
     tolerance: Optional[ToleranceConfig] = None
 
     def __post_init__(self) -> None:
-        if self.n_hosts < 1:
-            raise ValueError("n_hosts must be >= 1")
+        check_domains(self)
         self.make_router()  # ValueError early: unknown policy, bad options
         hosts = {f"host{i}" for i in range(self.n_hosts)}
         faults = self.scenario.faults

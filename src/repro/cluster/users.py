@@ -27,11 +27,13 @@ modelled.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 import numpy as np
 
 from ..models.base import Batch, IndexSampler, RecModel, SparseFeature
+from ..params import Count, Fraction, NonNeg, PosCount, check_domains
 from ..workload.generators import ClosedLoopGenerator, OpenLoopGenerator
 
 __all__ = [
@@ -53,6 +55,7 @@ def _mix64(x: np.ndarray) -> np.ndarray:
     return x ^ (x >> np.uint64(31))
 
 
+@dataclass(eq=False)
 class UserPopulation:
     """A Zipf-popular user base with per-user embedding-row profiles.
 
@@ -65,29 +68,19 @@ class UserPopulation:
     traffic, 0.0 = anonymous traffic that no router can exploit).
     """
 
-    def __init__(
-        self,
-        n_users: int,
-        alpha: float = 1.05,
-        seed: int = 0,
-        reuse: float = 1.0,
-    ):
-        if n_users < 1:
-            raise ValueError("n_users must be >= 1")
-        if not alpha >= 0:
-            raise ValueError("alpha must be >= 0")
-        if not 0.0 <= reuse <= 1.0:
-            raise ValueError("reuse must be in [0, 1]")
-        self.n_users = n_users
-        self.alpha = alpha
-        self.seed = seed
-        self.reuse = reuse
-        weights = 1.0 / np.arange(1, n_users + 1, dtype=np.float64) ** alpha
+    n_users: PosCount
+    alpha: NonNeg = 1.05
+    seed: Count = 0
+    reuse: Fraction = 1.0
+
+    def __post_init__(self) -> None:
+        check_domains(self)
+        weights = 1.0 / np.arange(1, self.n_users + 1, dtype=np.float64) ** self.alpha
         self._cdf = np.cumsum(weights)
         self._cdf /= self._cdf[-1]
         # Rank -> user id: popularity must not correlate with id order,
         # or hashing ids would accidentally sort hot users together.
-        self._perm = np.random.default_rng(seed).permutation(n_users)
+        self._perm = np.random.default_rng(self.seed).permutation(self.n_users)
 
     # ------------------------------------------------------------------
     def draw(self, rng: np.random.Generator) -> int:
@@ -154,12 +147,6 @@ class UserPopulation:
         batch = model.sample_batch(rng, batch_size, samplers=samplers)
         batch.user_id = user
         return batch
-
-    def __repr__(self) -> str:
-        return (
-            f"UserPopulation(n_users={self.n_users}, alpha={self.alpha}, "
-            f"reuse={self.reuse})"
-        )
 
 
 class _UserTrafficMixin:

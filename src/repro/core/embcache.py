@@ -44,8 +44,6 @@ class DirectMappedEmbeddingCache:
     """Direct-mapped vector cache with a fixed slot count."""
 
     def __init__(self, slots: int):
-        if slots < 0:
-            raise ValueError("slots must be >= 0")
         self.slots = slots
         self._tag_table = np.full(slots, -1, dtype=np.int64)
         self._tag_row = np.full(slots, -1, dtype=np.int64)

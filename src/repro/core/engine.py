@@ -24,6 +24,7 @@ import numpy as np
 
 from ..ftl.ftl import GreedyFtl
 from ..nvme.commands import NvmeCommand, SlbaCodec, Status
+from ..params import Count, PosCount, check_domains
 from ..sim.kernel import Simulator
 from ..sim.stats import Breakdown
 from .config import SlsConfig
@@ -54,9 +55,9 @@ class SlsResultPayload:
 
 @dataclass(frozen=True)
 class NdpEngineConfig:
-    max_entries: int = 32                  # pending-SLS-request buffer size
-    inflight_pages_window: int = 128       # page requests outstanding to flash
-    embcache_slots: int = 0                # 0 disables the SSD-side cache
+    max_entries: PosCount = 32             # pending-SLS-request buffer size
+    inflight_pages_window: PosCount = 128  # page requests outstanding to flash
+    embcache_slots: Count = 0              # 0 disables the SSD-side cache
     # When the entry buffer is full, hold further config-write commands
     # device-side (the NVMe command stays outstanding, so queue depth
     # provides natural backpressure) instead of failing them.  Serving
@@ -67,7 +68,9 @@ class NdpEngineConfig:
     # rejects again.  Held commands occupy driver qpair slots, so this
     # must stay below the aggregate queue depth (default 8x64) or the
     # result reads that free entries can never issue.
-    max_queued_configs: int = 64
+    max_queued_configs: Count = 64
+
+    __post_init__ = check_domains
 
 
 @dataclass(slots=True, eq=False, kw_only=True)

@@ -24,6 +24,7 @@ import numpy as np
 
 from ..nvme.commands import NvmeCommand, NvmeCompletion, Opcode
 from ..nvme.queues import QueuePair
+from ..params import NonNeg, PosCount, check_domains
 from ..sim.kernel import Simulator
 from ..sim.units import us
 from ..ssd.device import SsdDevice
@@ -35,14 +36,12 @@ CompletionCallback = Callable[[NvmeCompletion], None]
 
 @dataclass(frozen=True)
 class DriverConfig:
-    num_qpairs: int = 8
-    queue_depth: int = 64
-    submit_cost_s: float = us(3.0)
-    complete_cost_s: float = us(2.0)
+    num_qpairs: PosCount = 8
+    queue_depth: PosCount = 64
+    submit_cost_s: NonNeg = us(3.0)
+    complete_cost_s: NonNeg = us(2.0)
 
-    def __post_init__(self) -> None:
-        if self.num_qpairs < 1 or self.queue_depth < 1:
-            raise ValueError("qpairs and depth must be >= 1")
+    __post_init__ = check_domains
 
 
 class UnvmeDriver:

@@ -48,8 +48,8 @@ class SetAssociativeLru:
     """
 
     def __init__(self, capacity: int, ways: int = 16):
-        if capacity < 0:
-            raise ValueError("capacity must be >= 0")
+        if not 0 <= capacity < np.inf:
+            raise ValueError(f"capacity must be finite and >= 0, got {capacity}")
         if ways < 1:
             raise ValueError("ways must be >= 1")
         self.capacity = capacity

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
+from ..params import PosCount, check_domains
 from ..quant import EmbDtype, QuantSpec
 
 __all__ = ["Layout", "TableSpec"]
@@ -27,16 +28,12 @@ class Layout(Enum):
 @dataclass(frozen=True)
 class TableSpec:
     name: str
-    rows: int
-    dim: int
+    rows: PosCount
+    dim: PosCount
     quant: QuantSpec = field(default_factory=QuantSpec)
     layout: Layout = Layout.ONE_PER_PAGE
 
-    def __post_init__(self) -> None:
-        if self.rows < 1:
-            raise ValueError("rows must be >= 1")
-        if self.dim < 1:
-            raise ValueError("dim must be >= 1")
+    __post_init__ = check_domains
 
     # ------------------------------------------------------------------
     @property
@@ -68,8 +65,4 @@ class TableSpec:
         the name is suffixed so the shard is distinguishable in logs and
         on-device placement (``events@s2`` is shard 2 of ``events``).
         """
-        if rows < 1:
-            raise ValueError("a row shard must own at least one row")
-        return TableSpec(
-            f"{self.name}@s{shard_index}", rows, self.dim, self.quant, self.layout
-        )
+        return replace(self, name=f"{self.name}@s{shard_index}", rows=rows)

@@ -53,7 +53,9 @@ fixed-seed faulty runs are bit-reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Annotated, Optional, Tuple
+
+from ..params import Count, Domain, Fraction, Pos, check_domains
 
 __all__ = ["FAULT_KINDS", "FaultEvent", "FaultSpec"]
 
@@ -78,23 +80,20 @@ _HOST_KINDS = ("host_fail", "host_drain", "host_restore")
 class FaultEvent:
     """One scheduled fault (or repair) at simulated time ``t``."""
 
-    t: float
+    t: Annotated[float, Domain(0.0, text="a finite time >= 0")]
     kind: str
     host: Optional[str] = None
-    device: int = 0
-    factor: float = 10.0
-    fraction: float = 0.01
-    seed: int = 0
+    device: Count = 0
+    factor: Pos = 10.0
+    fraction: Fraction = 0.01
+    seed: Count = 0
 
     def __post_init__(self) -> None:
-        if not self.t >= 0:
-            raise ValueError("fault time must be >= 0")
+        check_domains(self)
         if self.kind not in FAULT_KINDS:
             raise ValueError(
                 f"unknown fault kind {self.kind!r} (have {FAULT_KINDS})"
             )
-        if self.device < 0:
-            raise ValueError("device index must be >= 0")
         if self.kind == "fail_slow" and not self.factor > 1.0:
             raise ValueError("fail_slow factor must be > 1")
         if self.kind == "read_errors" and not (0.0 < self.fraction < 1.0):

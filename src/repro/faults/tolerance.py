@@ -29,8 +29,10 @@ each logical request in a retry/hedge state machine:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional
+from dataclasses import asdict, dataclass
+from typing import Annotated, Dict, Optional
+
+from ..params import Count, Domain, NonNeg, Pos, PosCount, check_domains
 
 __all__ = [
     "REASON_TIMEOUT",
@@ -50,59 +52,28 @@ REASON_HEDGE = "hedge_cancelled"
 class BreakerConfig:
     """Per-host circuit breaker on completion-latency EWMA."""
 
-    latency_threshold_s: float
-    ewma_alpha: float = 0.2
-    min_samples: int = 8
-    probe_after_s: float = 0.05
+    latency_threshold_s: Pos
+    ewma_alpha: Annotated[float, Domain(0.0, 1.0, lo_open=True)] = 0.2
+    min_samples: PosCount = 8
+    probe_after_s: Pos = 0.05
 
-    def __post_init__(self) -> None:
-        if not self.latency_threshold_s > 0:
-            raise ValueError("latency_threshold_s must be positive")
-        if not 0.0 < self.ewma_alpha <= 1.0:
-            raise ValueError("ewma_alpha must be in (0, 1]")
-        if self.min_samples < 1:
-            raise ValueError("min_samples must be >= 1")
-        if not self.probe_after_s > 0:
-            raise ValueError("probe_after_s must be positive")
+    __post_init__ = check_domains
 
 
 @dataclass(frozen=True)
 class ToleranceConfig:
     """Fleet tail-tolerance knobs; ``None``/0 disables each mechanism."""
 
-    timeout_s: Optional[float] = None
-    max_retries: int = 0
-    backoff_s: float = 0.0
-    hedge_after_s: Optional[float] = None
+    timeout_s: Optional[Pos] = None
+    max_retries: Count = 0
+    backoff_s: NonNeg = 0.0
+    hedge_after_s: Optional[Pos] = None
     breaker: Optional[BreakerConfig] = None
 
-    def __post_init__(self) -> None:
-        if self.timeout_s is not None and not self.timeout_s > 0:
-            raise ValueError("timeout_s must be positive")
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
-        if not self.backoff_s >= 0:
-            raise ValueError("backoff_s must be >= 0")
-        if self.hedge_after_s is not None and not self.hedge_after_s > 0:
-            raise ValueError("hedge_after_s must be positive")
+    __post_init__ = check_domains
 
     def describe(self) -> Dict[str, object]:
-        return {
-            "timeout_s": self.timeout_s,
-            "max_retries": self.max_retries,
-            "backoff_s": self.backoff_s,
-            "hedge_after_s": self.hedge_after_s,
-            "breaker": (
-                None
-                if self.breaker is None
-                else {
-                    "latency_threshold_s": self.breaker.latency_threshold_s,
-                    "ewma_alpha": self.breaker.ewma_alpha,
-                    "min_samples": self.breaker.min_samples,
-                    "probe_after_s": self.breaker.probe_after_s,
-                }
-            ),
-        }
+        return asdict(self)
 
 
 _CLOSED, _OPEN, _HALF_OPEN = "closed", "open", "half_open"

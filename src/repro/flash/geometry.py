@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
+from ..params import PosCount, check_domains
+
 __all__ = ["FlashGeometry", "PhysAddr"]
 
 
@@ -26,17 +28,14 @@ class PhysAddr(NamedTuple):
 class FlashGeometry:
     """Static shape of the flash array."""
 
-    channels: int = 8
-    ways: int = 4
-    blocks_per_die: int = 64
-    pages_per_block: int = 128
-    page_bytes: int = 16 * 1024
+    channels: PosCount = 8
+    ways: PosCount = 4
+    blocks_per_die: PosCount = 64
+    pages_per_block: PosCount = 128
+    page_bytes: PosCount = 16 * 1024
 
     def __post_init__(self) -> None:
-        for field_name in ("channels", "ways", "blocks_per_die", "pages_per_block", "page_bytes"):
-            value = getattr(self, field_name)
-            if value < 1:
-                raise ValueError(f"{field_name} must be >= 1, got {value}")
+        check_domains(self)
         # Derived counts, worked out once (``addr`` and the FTL read them
         # per page).  Not fields: equality, hash and repr stay those of
         # the five above, and the frozen dataclass keeps them read-only.

@@ -13,8 +13,11 @@ baseline path the whole host command waits.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Annotated
 
 import numpy as np
+
+from ..params import Count, Domain, check_domains
 
 __all__ = ["ReliabilityConfig", "ReadRetryModel", "UncorrectableError"]
 
@@ -27,15 +30,11 @@ class UncorrectableError(RuntimeError):
 class ReliabilityConfig:
     """Probability a read attempt fails ECC, and the retry budget."""
 
-    read_fail_probability: float = 0.0
-    max_read_retries: int = 3
-    seed: int = 0
+    read_fail_probability: Annotated[float, Domain(0.0, 1.0, hi_open=True)] = 0.0
+    max_read_retries: Count = 3
+    seed: Count = 0
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.read_fail_probability < 1.0:
-            raise ValueError("read_fail_probability must be in [0, 1)")
-        if self.max_read_retries < 0:
-            raise ValueError("max_read_retries must be >= 0")
+    __post_init__ = check_domains
 
 
 class ReadRetryModel:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..params import NonNeg, Pos, check_domains
 from ..sim.units import MB_S, us
 
 __all__ = ["FlashTiming"]
@@ -19,17 +20,13 @@ __all__ = ["FlashTiming"]
 class FlashTiming:
     """Per-operation NAND and channel-bus timing."""
 
-    t_read_s: float = us(60.0)        # array read to die register (tR)
-    t_program_s: float = us(800.0)    # page program (tPROG)
-    t_erase_s: float = us(3000.0)     # block erase (tBERS)
-    channel_bw_bytes_s: float = MB_S(160.0)  # per-channel bus bandwidth
-    t_cmd_s: float = us(1.0)          # command/addr cycles per operation
+    t_read_s: NonNeg = us(60.0)       # array read to die register (tR)
+    t_program_s: NonNeg = us(800.0)   # page program (tPROG)
+    t_erase_s: NonNeg = us(3000.0)    # block erase (tBERS)
+    channel_bw_bytes_s: Pos = MB_S(160.0)    # per-channel bus bandwidth
+    t_cmd_s: NonNeg = us(1.0)         # command/addr cycles per operation
 
-    def __post_init__(self) -> None:
-        if min(self.t_read_s, self.t_program_s, self.t_erase_s, self.t_cmd_s) < 0:
-            raise ValueError("timings must be non-negative")
-        if self.channel_bw_bytes_s <= 0:
-            raise ValueError("channel bandwidth must be positive")
+    __post_init__ = check_domains
 
     def transfer_time(self, size_bytes: int) -> float:
         """Channel-bus occupancy for moving ``size_bytes`` to/from a die."""

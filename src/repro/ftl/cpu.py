@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..params import NonNeg, check_domains
 from ..sim.kernel import Simulator
 from ..sim.resources import Server
 from ..sim.units import us
@@ -30,24 +31,26 @@ class FtlCpuCosts:
     """Firmware path costs in seconds (defaults calibrated to the paper)."""
 
     # Conventional IO path
-    cmd_fetch_s: float = us(6.0)           # host_core: SQ fetch + parse
-    cmd_complete_s: float = us(5.0)        # host_core: CQ post + doorbell
-    dma_setup_s: float = us(4.0)           # host_core: per data DMA descriptor
-    io_miss_s: float = us(70.0)            # ftl_core: map+schedule+track (flash path)
-    io_hit_s: float = us(16.0)             # ftl_core: page-cache hit fast path
-    io_extra_page_s: float = us(5.0)       # ftl_core: each additional page of a
+    cmd_fetch_s: NonNeg = us(6.0)          # host_core: SQ fetch + parse
+    cmd_complete_s: NonNeg = us(5.0)       # host_core: CQ post + doorbell
+    dma_setup_s: NonNeg = us(4.0)          # host_core: per data DMA descriptor
+    io_miss_s: NonNeg = us(70.0)           # ftl_core: map+schedule+track (flash path)
+    io_hit_s: NonNeg = us(16.0)            # ftl_core: page-cache hit fast path
+    io_extra_page_s: NonNeg = us(5.0)      # ftl_core: each additional page of a
                                            # multi-page command (map + queue fill)
-    write_accept_s: float = us(25.0)       # ftl_core: write buffering + map update
-    gc_page_move_s: float = us(40.0)       # ftl_core: per valid page migrated
+    write_accept_s: NonNeg = us(25.0)      # ftl_core: write buffering + map update
+    gc_page_move_s: NonNeg = us(40.0)      # ftl_core: per valid page migrated
 
     # RecSSD NDP path (Section 4.1)
-    sls_entry_alloc_s: float = us(15.0)    # allocate + init SLS request entry
-    sls_pair_s: float = us(2.0)            # config processing per (id, result) pair
-    sls_page_sched_s: float = us(3.0)      # feed one page request to scheduler
-    sls_translate_fixed_s: float = us(8.0)   # per returned flash page
-    sls_translate_byte_s: float = 0.03e-6  # per accumulated embedding byte
-    sls_cache_hit_vec_s: float = us(6.0)   # accumulate one vector from emb. cache
-    sls_result_page_s: float = us(8.0)     # stage one result page for host DMA
+    sls_entry_alloc_s: NonNeg = us(15.0)   # allocate + init SLS request entry
+    sls_pair_s: NonNeg = us(2.0)           # config processing per (id, result) pair
+    sls_page_sched_s: NonNeg = us(3.0)     # feed one page request to scheduler
+    sls_translate_fixed_s: NonNeg = us(8.0)  # per returned flash page
+    sls_translate_byte_s: NonNeg = 0.03e-6  # per accumulated embedding byte
+    sls_cache_hit_vec_s: NonNeg = us(6.0)  # accumulate one vector from emb. cache
+    sls_result_page_s: NonNeg = us(8.0)    # stage one result page for host DMA
+
+    __post_init__ = check_domains
 
 
 class FtlCpu:

@@ -12,9 +12,10 @@ import math
 from dataclasses import dataclass
 from functools import partial
 from itertools import zip_longest
-from typing import Any, Callable, Iterable, Optional
+from typing import Annotated, Any, Callable, Iterable, Optional
 
 from ..flash.array import FlashArray
+from ..params import Count, Domain, PosCount, check_domains
 from ..sim.kernel import Simulator
 from ..sim.resettable import register_resettable
 from .blocks import BlockManager, OutOfSpaceError
@@ -125,18 +126,14 @@ class _PageWrite:
 
 @dataclass(frozen=True)
 class FtlConfig:
-    lba_bytes: int = 4096
-    overprovision: float = 0.25
-    page_cache_pages: int = 4096          # 64 MiB of 16 KiB pages
-    gc_low_watermark: int = 2
-    gc_high_watermark: int = 4
-    wear_threshold: int = 64
+    lba_bytes: Annotated[int, Domain(512, integral=True)] = 4096
+    overprovision: Annotated[float, Domain(0.0, 1.0, hi_open=True)] = 0.25
+    page_cache_pages: Count = 4096        # 64 MiB of 16 KiB pages
+    gc_low_watermark: PosCount = 2
+    gc_high_watermark: PosCount = 4
+    wear_threshold: PosCount = 64
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.overprovision < 1.0:
-            raise ValueError("overprovision must be in [0, 1)")
-        if self.lba_bytes < 512:
-            raise ValueError("lba_bytes must be >= 512")
+    __post_init__ = check_domains
 
 
 class GreedyFtl:

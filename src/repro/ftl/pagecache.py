@@ -20,8 +20,6 @@ class PageCache:
     """LRU page cache with pin counts."""
 
     def __init__(self, capacity_pages: int):
-        if capacity_pages < 0:
-            raise ValueError("capacity must be >= 0")
         self.capacity = capacity_pages
         self._entries: "OrderedDict[int, Any]" = OrderedDict()
         self._pins: Dict[int, int] = {}

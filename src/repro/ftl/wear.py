@@ -21,8 +21,6 @@ __all__ = ["WearLeveler"]
 
 class WearLeveler:
     def __init__(self, ftl: "GreedyFtl", threshold: int = 64):
-        if threshold < 1:
-            raise ValueError("threshold must be >= 1")
         self.ftl = ftl
         self.threshold = threshold
         self.migrations = 0

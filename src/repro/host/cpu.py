@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..params import NonNeg, Pos, check_domains
 from ..sim.units import GB_S, ns, us
 
 __all__ = ["HostCpuConfig", "HostCpu"]
@@ -19,15 +20,17 @@ __all__ = ["HostCpuConfig", "HostCpu"]
 
 @dataclass(frozen=True)
 class HostCpuConfig:
-    gemm_gflops_large: float = 40.0
-    gemm_gflops_small: float = 8.0
-    gemm_small_flops: float = 20.0e6    # per-call FLOPs below which "small"
-    gru_gflops: float = 2.0             # per-step recurrent cells
-    mem_bw_bytes_s: float = GB_S(20.0)
-    random_access_bytes_s: float = GB_S(1.0)   # DRAM SLS gather rate (paper)
-    op_overhead_s: float = us(2.0)
-    sls_per_lookup_s: float = ns(40.0)   # index arithmetic per lookup
-    accumulate_bytes_s: float = GB_S(8.0)  # host-side vector accumulate
+    gemm_gflops_large: Pos = 40.0
+    gemm_gflops_small: Pos = 8.0
+    gemm_small_flops: NonNeg = 20.0e6   # per-call FLOPs below which "small"
+    gru_gflops: Pos = 2.0               # per-step recurrent cells
+    mem_bw_bytes_s: Pos = GB_S(20.0)
+    random_access_bytes_s: Pos = GB_S(1.0)     # DRAM SLS gather rate (paper)
+    op_overhead_s: NonNeg = us(2.0)
+    sls_per_lookup_s: NonNeg = ns(40.0)  # index arithmetic per lookup
+    accumulate_bytes_s: Pos = GB_S(8.0)  # host-side vector accumulate
+
+    __post_init__ = check_domains
 
 
 class HostCpu:

@@ -9,6 +9,7 @@ import numpy as np
 
 from ..embedding.spec import Layout, TableSpec
 from ..host.cpu import HostCpu
+from ..params import PosCount, check_domains
 from .base import RecModel, SparseFeature
 from .layers import AttentionUnit, GruLayer, Mlp, sigmoid
 
@@ -18,14 +19,16 @@ __all__ = ["DienConfig", "DienModel"]
 @dataclass(frozen=True)
 class DienConfig:
     name: str
-    item_rows: int
-    dim: int
-    history: int
-    gru_hidden: int
-    attention_hidden: int
+    item_rows: PosCount
+    dim: PosCount
+    history: PosCount
+    gru_hidden: PosCount
+    attention_hidden: PosCount
     top_mlp: Tuple[int, ...]
-    dense_in: int = 16
+    dense_in: PosCount = 16
     layout: Layout = Layout.PACKED
+
+    __post_init__ = check_domains
 
     def features(self) -> List[SparseFeature]:
         def table(suffix: str, lookups: int, sequence: bool) -> SparseFeature:

@@ -9,6 +9,7 @@ import numpy as np
 
 from ..embedding.spec import Layout, TableSpec
 from ..host.cpu import HostCpu
+from ..params import PosCount, check_domains
 from .base import RecModel, SparseFeature
 from .layers import AttentionUnit, Mlp, sigmoid
 
@@ -18,13 +19,15 @@ __all__ = ["DinConfig", "DinModel"]
 @dataclass(frozen=True)
 class DinConfig:
     name: str
-    item_rows: int
-    dim: int
-    history: int
-    attention_hidden: int
+    item_rows: PosCount
+    dim: PosCount
+    history: PosCount
+    attention_hidden: PosCount
     top_mlp: Tuple[int, ...]
-    dense_in: int = 16
+    dense_in: PosCount = 16
     layout: Layout = Layout.PACKED
+
+    __post_init__ = check_domains
 
     def features(self) -> List[SparseFeature]:
         def table(suffix: str, lookups: int, sequence: bool) -> SparseFeature:

@@ -14,6 +14,7 @@ import numpy as np
 
 from ..embedding.spec import Layout, TableSpec
 from ..host.cpu import HostCpu
+from ..params import PosCount, check_domains
 from .base import RecModel, SparseFeature
 from .layers import Mlp, sigmoid
 
@@ -23,14 +24,16 @@ __all__ = ["DlrmConfig", "DlrmModel"]
 @dataclass(frozen=True)
 class DlrmConfig:
     name: str
-    dense_in: int
+    dense_in: PosCount
     bottom_mlp: Tuple[int, ...]      # hidden dims; output dim is appended
     top_mlp: Tuple[int, ...]         # hidden dims; input/output appended
-    num_tables: int
-    table_rows: int
-    dim: int
-    lookups: int
+    num_tables: PosCount
+    table_rows: PosCount
+    dim: PosCount
+    lookups: PosCount
     layout: Layout = Layout.ONE_PER_PAGE
+
+    __post_init__ = check_domains
 
     def features(self) -> List[SparseFeature]:
         return [

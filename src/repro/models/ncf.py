@@ -14,6 +14,7 @@ import numpy as np
 
 from ..embedding.spec import Layout, TableSpec
 from ..host.cpu import HostCpu
+from ..params import PosCount, check_domains
 from .base import RecModel, SparseFeature
 from .layers import Mlp, sigmoid
 
@@ -23,12 +24,14 @@ __all__ = ["NcfConfig", "NcfModel"]
 @dataclass(frozen=True)
 class NcfConfig:
     name: str
-    user_rows: int
-    item_rows: int
-    dim: int
+    user_rows: PosCount
+    item_rows: PosCount
+    dim: PosCount
     mlp_dims: Tuple[int, ...]
-    dense_in: int = 16            # context features
+    dense_in: PosCount = 16       # context features
     layout: Layout = Layout.PACKED
+
+    __post_init__ = check_domains
 
     def features(self) -> List[SparseFeature]:
         def table(suffix: str, rows: int) -> SparseFeature:

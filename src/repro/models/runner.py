@@ -14,6 +14,7 @@ from ..embedding.backends import DramSlsBackend, NdpSlsBackend, SsdSlsBackend
 from ..embedding.caches import SetAssociativeLru, StaticPartitionCache
 from ..embedding.table import EmbeddingTable
 from ..host.system import System
+from ..params import Count, check_domains
 from ..ssd.presets import preload_capacity_pages
 from .base import RecModel
 
@@ -29,16 +30,18 @@ class BackendKind(str, Enum):
 @dataclass(frozen=True)
 class RunnerConfig:
     kind: BackendKind
-    host_cache_entries: int = 0     # baseline per-table LRU (16-way)
-    partition_entries: int = 0      # NDP per-table static partition
+    host_cache_entries: Count = 0   # baseline per-table LRU (16-way)
+    partition_entries: Count = 0    # NDP per-table static partition
     coalesce: bool = False
     compute_outputs: bool = True
     pipelined: bool = True
-    warmup_batches: int = 1
+    warmup_batches: Count = 1
     # Pre-fill the SSD page cache with small packed tables, modelling the
     # steady state the paper measures ("average latency results across many
     # batches") without simulating dozens of warm-up batches.
     prewarm_page_cache: bool = False
+
+    __post_init__ = check_domains
 
 
 def required_capacity_pages(model: RecModel, page_bytes: int = 16 * 1024) -> int:

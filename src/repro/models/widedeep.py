@@ -9,6 +9,7 @@ import numpy as np
 
 from ..embedding.spec import Layout, TableSpec
 from ..host.cpu import HostCpu
+from ..params import PosCount, check_domains
 from .base import RecModel, SparseFeature
 from .layers import Mlp, sigmoid
 
@@ -18,15 +19,17 @@ __all__ = ["WideDeepConfig", "WideDeepModel", "MultiTaskWideDeepModel"]
 @dataclass(frozen=True)
 class WideDeepConfig:
     name: str
-    dense_in: int
+    dense_in: PosCount
     deep_mlp: Tuple[int, ...]         # hidden dims of the deep tower
-    num_tables: int
-    table_rows: int
-    dim: int
-    lookups: int = 1
-    num_tasks: int = 1                # >1 -> multi-task towers (MTWND)
+    num_tables: PosCount
+    table_rows: PosCount
+    dim: PosCount
+    lookups: PosCount = 1
+    num_tasks: PosCount = 1           # >1 -> multi-task towers (MTWND)
     tower_mlp: Tuple[int, ...] = (256,)
     layout: Layout = Layout.PACKED
+
+    __post_init__ = check_domains
 
     def features(self) -> List[SparseFeature]:
         return [

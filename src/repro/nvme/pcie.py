@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
+from ..params import NonNeg, Pos, check_domains
 from ..sim.kernel import Simulator
 from ..sim.resources import BandwidthPipe
 from ..sim.units import GB_S, us
@@ -16,14 +17,10 @@ __all__ = ["PcieConfig", "PcieLink"]
 class PcieConfig:
     """Defaults approximate PCIe Gen2 x8 (the Cosmos+ host link)."""
 
-    bandwidth_bytes_s: float = GB_S(3.2)
-    latency_s: float = us(1.0)
+    bandwidth_bytes_s: Pos = GB_S(3.2)
+    latency_s: NonNeg = us(1.0)
 
-    def __post_init__(self) -> None:
-        if self.bandwidth_bytes_s <= 0:
-            raise ValueError("bandwidth must be positive")
-        if self.latency_s < 0:
-            raise ValueError("latency must be >= 0")
+    __post_init__ = check_domains
 
 
 class PcieLink:

@@ -14,6 +14,8 @@ from enum import Enum
 
 import numpy as np
 
+from .params import Pos, check_domains
+
 __all__ = ["EmbDtype", "QuantSpec", "encode_vectors", "decode_vectors"]
 
 
@@ -44,14 +46,12 @@ class QuantSpec:
     """Element type plus the scale used for INT8 tables."""
 
     dtype: EmbDtype = EmbDtype.FP32
-    scale: float = 1.0 / 64.0
+    scale: Pos = 1.0 / 64.0
 
     def row_bytes(self, dim: int) -> int:
         return dim * self.dtype.bytes_per_element
 
-    def __post_init__(self) -> None:
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
+    __post_init__ = check_domains
 
 
 def encode_vectors(values: np.ndarray, spec: QuantSpec) -> np.ndarray:

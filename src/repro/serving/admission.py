@@ -24,8 +24,10 @@ Terminal accounting (see :class:`~repro.serving.stats.ServingStats`):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, Mapping, Optional
+
+from ..params import NonNeg, check_domains
 
 __all__ = [
     "AdmissionConfig",
@@ -59,19 +61,18 @@ class AdmissionConfig:
     """
 
     deadline_drop: bool = False
-    drop_headroom_s: float = 0.0
+    drop_headroom_s: NonNeg = 0.0
     slo_by_model: Mapping[str, float] = field(default_factory=dict)
     quota_by_model: Mapping[str, int] = field(default_factory=dict)
     priority_by_model: Mapping[str, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if not self.drop_headroom_s >= 0:
-            raise ValueError("drop_headroom_s must be >= 0")
+        check_domains(self)
         for model, slo in self.slo_by_model.items():
             if not slo > 0:
                 raise ValueError(f"SLO for {model!r} must be positive")
         for model, quota in self.quota_by_model.items():
-            if quota < 1:
+            if not quota >= 1:
                 raise ValueError(f"quota for {model!r} must be >= 1")
 
     # ------------------------------------------------------------------
@@ -90,10 +91,4 @@ class AdmissionConfig:
 
     def describe(self) -> Dict[str, object]:
         """Compact knob dump for experiment/benchmark report rows."""
-        return {
-            "deadline_drop": self.deadline_drop,
-            "drop_headroom_s": self.drop_headroom_s,
-            "slo_by_model": dict(self.slo_by_model),
-            "quota_by_model": dict(self.quota_by_model),
-            "priority_by_model": dict(self.priority_by_model),
-        }
+        return asdict(self)

@@ -40,6 +40,7 @@ from ..embedding.table import TablePageContent
 from ..host.system import System
 from ..models.base import Batch, RecModel
 from ..models.runner import BackendKind, RunnerConfig, build_backends
+from ..params import Count, Pos, PosCount, check_domains
 from .admission import REASON_DEADLINE, AdmissionConfig
 from .hostpool import HostResourceModel
 from .queue import RequestQueue
@@ -55,17 +56,17 @@ __all__ = ["ServingConfig", "InferenceServer"]
 class ServingConfig:
     # Admission limit: requests in flight (queued + dispatched) across
     # all models; arrivals beyond it are rejected.
-    max_inflight_requests: int = 64
+    max_inflight_requests: PosCount = 64
     # Most requests coalesced into one batched SLS op per table.
-    max_batch_requests: int = 8
+    max_batch_requests: PosCount = 8
     # Coalesced batches a single worker keeps outstanding.  >=2 keeps the
     # device busy while a finished batch's results post-process.
-    max_inflight_batches_per_worker: int = 2
+    max_inflight_batches_per_worker: PosCount = 2
     # Global cap on concurrently dispatched batches across all models (a
     # bounded host dispatch pool); None = per-worker limits only.  Freed
     # slots are re-awarded priority-class-first, so QoS priority lanes
     # need a cap (or another shared constraint) to arbitrate.
-    max_inflight_batches_total: Optional[int] = None
+    max_inflight_batches_total: Optional[PosCount] = None
     # Run the model's dense tower after the embedding stage (on the host
     # NN worker pool, as in the inference pipeline).
     dense_stage: bool = True
@@ -83,29 +84,16 @@ class ServingConfig:
     # host NN timeline, k is a pool of k workers, 0 means unbounded
     # (every dense job starts immediately — the "∞" point of
     # host-contention sweeps).
-    host_sls_workers: Optional[int] = None
-    dense_workers: int = 1
+    host_sls_workers: Optional[PosCount] = None
+    dense_workers: Count = 1
     # Dense service-time model: a global multiplier on each model's
     # dense_time(), and optional per-sample overrides by model name
     # (scaled linearly with batch size) for contention studies.
-    dense_time_scale: float = 1.0
+    dense_time_scale: Pos = 1.0
     dense_service_s_by_model: Optional[Dict[str, float]] = None
 
     def __post_init__(self) -> None:
-        for name in (
-            "max_inflight_requests",
-            "max_batch_requests",
-            "max_inflight_batches_per_worker",
-            "max_inflight_batches_total",
-            "host_sls_workers",
-        ):
-            value = getattr(self, name)
-            if value is not None and value < 1:
-                raise ValueError(f"{name} must be >= 1")
-        if self.dense_workers < 0:
-            raise ValueError("dense_workers must be >= 0 (0 = unbounded)")
-        if not self.dense_time_scale > 0:
-            raise ValueError("dense_time_scale must be positive")
+        check_domains(self)
         for model, service in (self.dense_service_s_by_model or {}).items():
             if not service > 0:
                 raise ValueError(f"dense service override for {model!r} must be positive")

@@ -70,16 +70,6 @@ __all__ = [
 UPDATE_POLICIES = ("interleave", "throttled")
 
 
-def check_write_schedule(
-    policy: str, min_gap_s: float, defer_s: float, max_defer_s: float
-) -> None:
-    """Refuse a write scheduling the engine cannot run (NaN included)."""
-    if policy not in UPDATE_POLICIES:
-        raise ValueError(f"policy must be one of {UPDATE_POLICIES}")
-    if not min_gap_s >= 0 or not defer_s > 0 or not max_defer_s >= 0:
-        raise ValueError("min_gap_s and max_defer_s must be >= 0 and defer_s > 0")
-
-
 def make_model_updatable(model) -> None:
     """Wrap every table of ``model`` in an updatable overlay, in place.
 
@@ -141,7 +131,10 @@ class EmbeddingUpdateEngine:
         self.servers: List[InferenceServer] = list(servers)
         if not self.servers:
             raise ValueError("need at least one server")
-        check_write_schedule(policy, min_gap_s, defer_s, max_defer_s)
+        if policy not in UPDATE_POLICIES:
+            raise ValueError(f"policy must be one of {UPDATE_POLICIES}")
+        if not min_gap_s >= 0 or not defer_s > 0 or not max_defer_s >= 0:  # NaN too
+            raise ValueError("min_gap_s and max_defer_s must be >= 0 and defer_s > 0")
         self.policy = policy
         self.min_gap_s = min_gap_s
         self.defer_s = defer_s

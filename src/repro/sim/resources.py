@@ -134,8 +134,10 @@ class BandwidthPipe:
         latency_s: float = 0.0,
         name: str = "pipe",
     ):
-        if bandwidth_bytes_per_s <= 0:
-            raise SimError("bandwidth must be positive")
+        if not bandwidth_bytes_per_s > 0:
+            raise SimError(f"bandwidth must be positive, got {bandwidth_bytes_per_s}")
+        if not 0 <= latency_s < float("inf"):
+            raise SimError(f"latency must be finite and >= 0, got {latency_s}")
         self.sim = sim
         self.name = name
         self.bandwidth = bandwidth_bytes_per_s

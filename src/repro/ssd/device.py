@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Annotated, Dict, Optional
 
 from ..core.engine import NdpEngineConfig, NdpSlsEngine
 from ..flash.array import FlashArray
@@ -16,6 +16,7 @@ from ..nvme.commands import SlbaCodec
 from ..nvme.controller import NvmeController
 from ..nvme.pcie import PcieConfig, PcieLink
 from ..nvme.queues import QueuePair
+from ..params import Domain, check_domains
 from ..sim.kernel import Simulator
 
 __all__ = ["SsdConfig", "SsdDevice"]
@@ -33,7 +34,9 @@ class SsdConfig:
     # Minimum table size/alignment (Section 4.3's SLBA request-id codec),
     # in LBAs.  Tables are placed at multiples of this; request ids stay
     # far below it, so `slba % alignment` recovers the id.
-    slba_alignment_lbas: int = 1 << 14
+    slba_alignment_lbas: Annotated[int, Domain(2, integral=True)] = 1 << 14
+
+    __post_init__ = check_domains
 
 
 class SsdDevice:

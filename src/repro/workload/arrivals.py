@@ -29,15 +29,15 @@ def _as_rng(rng_or_seed: RngOrSeed) -> np.random.Generator:
 def poisson_gaps(rate: float, n: int, rng_or_seed: RngOrSeed = 0) -> np.ndarray:
     """``n`` exponential inter-arrival gaps for a Poisson process at
     ``rate`` requests per simulated second."""
-    if rate <= 0:
-        raise ValueError("rate must be positive")
+    if not 0 < rate < np.inf:
+        raise ValueError(f"rate must be positive and finite, got {rate}")
     return _as_rng(rng_or_seed).exponential(1.0 / rate, size=n)
 
 def uniform_gaps(rate: float, n: int) -> np.ndarray:
     """``n`` deterministic gaps (constant ``1/rate``) — the zero-variance
     arrival process, useful for isolating service-time variance."""
-    if rate <= 0:
-        raise ValueError("rate must be positive")
+    if not 0 < rate < np.inf:
+        raise ValueError(f"rate must be positive and finite, got {rate}")
     return np.full(n, 1.0 / rate)
 
 

@@ -32,6 +32,7 @@ from ..faults.spec import FaultSpec
 from ..host.system import System, build_system
 from ..models.base import IndexSampler, RecModel
 from ..models.runner import BackendKind, required_capacity_pages
+from ..params import Count, Int, NonNeg, Pos, PosCount, check_domains
 from ..serving import AdmissionConfig, InferenceServer, ServingConfig
 from ..serving.sharding import RowShardPolicy
 from ..serving.updates import make_model_updatable
@@ -93,6 +94,11 @@ def tenant_samplers(
     return samplers
 
 
+# The fields each arrival model needs set (non-zero, not None).
+_ARRIVAL_NEEDS = {"open": ("rate", "n_requests"), "replay": ("trace",),
+                  "closed": ("num_clients", "requests_per_client")}
+
+
 @dataclass(frozen=True)
 class TenantSpec:
     """One tenant's traffic and QoS contract.
@@ -110,45 +116,26 @@ class TenantSpec:
 
     model: str
     arrival: str = "open"
-    rate: float = 0.0
-    n_requests: int = 0
-    num_clients: int = 0
-    requests_per_client: int = 0
-    think_time_s: float = 0.0
+    rate: NonNeg = 0.0
+    n_requests: Count = 0
+    num_clients: Count = 0
+    requests_per_client: Count = 0
+    think_time_s: NonNeg = 0.0
     trace: Optional[ArrivalTrace] = None
-    batch_size: int = 1
-    slo_s: Optional[float] = None
-    priority: int = 0
-    quota: Optional[int] = None
-    locality_k: Optional[float] = None
-    zipf_alpha: Optional[float] = None
+    batch_size: PosCount = 1
+    slo_s: Optional[Pos] = None
+    priority: Int = 0
+    quota: Optional[PosCount] = None
+    locality_k: Optional[NonNeg] = None
+    zipf_alpha: Optional[Pos] = None
 
     def __post_init__(self) -> None:
-        if self.arrival not in ("open", "closed", "replay"):
+        check_domains(self)
+        needs = _ARRIVAL_NEEDS.get(self.arrival)
+        if needs is None:
             raise ValueError(f"unknown arrival model {self.arrival!r}")
-        if self.arrival == "open" and (not self.rate > 0 or self.n_requests < 1):
-            raise ValueError(f"open tenant {self.model!r} needs rate and n_requests")
-        if self.arrival == "closed" and (
-            self.num_clients < 1 or self.requests_per_client < 1
-        ):
-            raise ValueError(
-                f"closed tenant {self.model!r} needs num_clients and "
-                f"requests_per_client"
-            )
-        if self.arrival == "replay" and self.trace is None:
-            raise ValueError(f"replay tenant {self.model!r} needs a trace")
-        if not self.rate >= 0:
-            raise ValueError("rate must be >= 0")
-        if not self.think_time_s >= 0:
-            raise ValueError("think_time_s must be >= 0")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.slo_s is not None and not self.slo_s > 0:
-            raise ValueError("slo_s must be positive")
-        if self.locality_k is not None and not self.locality_k >= 0:
-            raise ValueError("locality_k must be >= 0")
-        if self.zipf_alpha is not None and not self.zipf_alpha > 0:
-            raise ValueError("zipf_alpha must be positive")
+        if not all(getattr(self, name) for name in needs):
+            raise ValueError(f"{self.arrival} tenant {self.model!r} needs {' and '.join(needs)}")
 
     @property
     def total_requests(self) -> int:
@@ -196,20 +183,20 @@ class ScenarioSpec:
     name: str
     tenants: Tuple[TenantSpec, ...]
     backend: str = "ndp"                 # dram | ssd | ndp
-    max_inflight_requests: int = 64
-    max_batch_requests: int = 8
-    max_inflight_batches_per_worker: int = 2
-    max_inflight_batches_total: Optional[int] = None
+    max_inflight_requests: PosCount = 64
+    max_batch_requests: PosCount = 8
+    max_inflight_batches_per_worker: PosCount = 2
+    max_inflight_batches_total: Optional[PosCount] = None
     dense_stage: bool = True
     # Host resource model (repro.serving.hostpool): bounded host SLS /
     # dense NN worker pools.  Defaults keep the seed's behaviour
     # bit-identically; dense_workers=0 means unbounded ("∞" sweeps).
-    host_sls_workers: Optional[int] = None
-    dense_workers: int = 1
-    dense_time_scale: float = 1.0
+    host_sls_workers: Optional[PosCount] = None
+    dense_workers: Count = 1
+    dense_time_scale: Pos = 1.0
     deadline_drop: bool = False
-    drop_headroom_s: float = 0.0
-    seed: int = 0
+    drop_headroom_s: NonNeg = 0.0
+    seed: Count = 0
     # Fault schedule (repro.faults), the one for every run.  Standalone,
     # events address this server's devices and name no host (the
     # injector refuses one before traffic starts); on a fleet every event
@@ -227,20 +214,13 @@ class ScenarioSpec:
     # GC-piggybacked migrator (at most that many rows re-packed per
     # reclaimed victim block) fed by an online HeatTracker.
     layout: str = "modulo"
-    layout_profile_batches: int = 32
-    layout_migration_budget: int = 0
+    layout_profile_batches: Count = 32
+    layout_migration_budget: Count = 0
 
     def __post_init__(self) -> None:
+        check_domains(self)
         if self.layout not in ("modulo", "frequency"):
             raise ValueError(f"unknown layout {self.layout!r} (modulo|frequency)")
-        if self.layout_profile_batches < 0:
-            raise ValueError("layout_profile_batches must be >= 0")
-        if self.layout_migration_budget < 0:
-            raise ValueError("layout_migration_budget must be >= 0")
-        if not self.dense_time_scale > 0:
-            raise ValueError("dense_time_scale must be positive")
-        if not self.drop_headroom_s >= 0:
-            raise ValueError("drop_headroom_s must be >= 0")
         if not self.tenants:
             raise ValueError("scenario needs at least one tenant")
         names = [t.model for t in self.tenants]

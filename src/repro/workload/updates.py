@@ -23,7 +23,8 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ..serving.updates import EmbeddingUpdateEngine, check_write_schedule
+from ..params import Int, NonNeg, Pos, PosCount, check_domains
+from ..serving.updates import UPDATE_POLICIES, EmbeddingUpdateEngine
 from ..traces.powerlaw import ZipfTraceGenerator
 
 __all__ = ["UpdateStreamSpec", "UpdateStream"]
@@ -47,28 +48,22 @@ class UpdateStreamSpec:
     read generators' shared RNG.
     """
 
-    rate: float
-    n_updates: int
-    rows_per_update: int = 8
+    rate: Pos
+    n_updates: PosCount
+    rows_per_update: PosCount = 8
     model: Optional[str] = None
     tables: Optional[Tuple[str, ...]] = None
-    zipf_alpha: Optional[float] = None
+    zipf_alpha: Optional[Pos] = None
     policy: str = "interleave"
-    min_gap_s: float = 0.0
-    defer_s: float = 200e-6
-    max_defer_s: float = 5e-3
-    seed_offset: int = 7919
+    min_gap_s: NonNeg = 0.0
+    defer_s: Pos = 200e-6
+    max_defer_s: NonNeg = 5e-3
+    seed_offset: Int = 7919
 
     def __post_init__(self) -> None:
-        if not self.rate > 0:
-            raise ValueError("update rate must be positive")
-        if self.n_updates < 1:
-            raise ValueError("n_updates must be >= 1")
-        if self.rows_per_update < 1:
-            raise ValueError("rows_per_update must be >= 1")
-        if self.zipf_alpha is not None and not self.zipf_alpha > 0:
-            raise ValueError("zipf_alpha must be positive")
-        check_write_schedule(self.policy, self.min_gap_s, self.defer_s, self.max_defer_s)
+        check_domains(self)
+        if self.policy not in UPDATE_POLICIES:
+            raise ValueError(f"policy must be one of {UPDATE_POLICIES}")
 
     def make_engine(self, servers) -> EmbeddingUpdateEngine:
         return EmbeddingUpdateEngine(

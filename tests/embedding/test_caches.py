@@ -43,6 +43,12 @@ class TestSetAssociativeLru:
         assert cache.lookup(1) is None  # set 1 untouched
         assert cache.occupancy == 2
 
+    @pytest.mark.parametrize("capacity", [float("nan"), float("inf"), -1])
+    def test_capacity_must_be_finite_and_non_negative(self, capacity):
+        # Regression: max(1, nan) is 1, so a NaN capacity built 16 slots.
+        with pytest.raises(ValueError, match="capacity"):
+            SetAssociativeLru(capacity)
+
     def test_zero_capacity(self):
         cache = SetAssociativeLru(0)
         cache.insert(1, vec(1))

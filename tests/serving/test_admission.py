@@ -59,6 +59,9 @@ class TestAdmissionConfig:
             AdmissionConfig(drop_headroom_s=float("nan"))
         with pytest.raises(ValueError, match="SLO"):
             AdmissionConfig(slo_by_model={"m": float("nan")})
+        # Regression: ``quota < 1`` let a NaN quota through.
+        with pytest.raises(ValueError, match="quota"):
+            AdmissionConfig(quota_by_model={"m": float("nan")})
 
     def test_describe_round_trips_knobs(self):
         config = AdmissionConfig(

@@ -127,3 +127,20 @@ class TestBandwidthPipe:
     def test_bad_bandwidth_rejected(self, sim):
         with pytest.raises(SimError):
             BandwidthPipe(sim, bandwidth_bytes_per_s=0)
+
+    @pytest.mark.parametrize(
+        "knobs",
+        [
+            {"bandwidth_bytes_per_s": math.nan},
+            {"latency_s": math.nan},
+            {"latency_s": math.inf},
+            {"latency_s": -1e-6},
+        ],
+        ids=["bandwidth-nan", "latency-nan", "latency-inf", "latency-negative"],
+    )
+    def test_bad_bandwidth_or_latency_refused(self, sim, knobs):
+        # Regression: a NaN bandwidth or latency was accepted, and one
+        # transfer then ran the clock to NaN.
+        with pytest.raises(SimError, match="bandwidth|latency"):
+            BandwidthPipe(sim, **{"bandwidth_bytes_per_s": 1e6, **knobs})
+        assert sim.now == 0.0 and sim.pending_events == 0

@@ -262,14 +262,19 @@ def test_ci_imports_every_subpackage_on_its_own():
     """A package that imports only after another one loaded (an import
     cycle, as ``repro.traces`` had through ``repro.embedding``) passes
     every test that imports the other first; CI imports each package
-    under ``src/repro`` in a fresh interpreter."""
+    under ``src/repro``, and each top-level module beside them
+    (``repro.params``, which nearly every layer imports, among them), in
+    a fresh interpreter."""
     ci = (REPO / ".github" / "workflows" / "ci.yml").read_text()
     assert (
-        'for init in src/repro/*/__init__.py; do pkg="repro.$(basename "$(dirname "$init")")"; '
-        'echo "== $pkg"; python -c "import $pkg" || exit 1; done'
+        'for path in src/repro/*/__init__.py src/repro/*.py; do mod="${path#src/}"; '
+        'mod="${mod%.py}"; mod="${mod%/__init__}"; mod="${mod//\\//.}"; '
+        'echo "== $mod"; python -c "import $mod" || exit 1; done'
     ) in ci
     packages = sorted(REPO.glob("src/repro/*/__init__.py"))
     assert len(packages) >= 17, packages
+    modules = {path.name for path in REPO.glob("src/repro/*.py")}
+    assert {"params.py", "quant.py"} <= modules, modules
 
 
 def test_ci_runs_the_benchmark_harness_tests_and_quick_smoke():

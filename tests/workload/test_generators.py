@@ -42,6 +42,25 @@ class TestArrivalTrace:
         with pytest.raises(ValueError, match="rate"):
             uniform_gaps(-1.0, 5)
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: poisson_gaps(NAN, 5),
+            lambda: poisson_gaps(INF, 5),
+            lambda: uniform_gaps(NAN, 5),
+            lambda: uniform_gaps(INF, 5),
+            lambda: ArrivalTrace.uniform("m", INF, 5),
+            lambda: ArrivalTrace.poisson("m", NAN, 5),
+        ],
+        ids=["poisson-nan", "poisson-inf", "uniform-nan", "uniform-inf",
+             "trace-uniform-inf", "trace-poisson-nan"],
+    )
+    def test_rate_must_be_finite(self, make):
+        # Regression: NaN drew NaN gaps; an infinite rate put every
+        # arrival at t = 0, which OpenLoopGenerator refuses.
+        with pytest.raises(ValueError, match="rate"):
+            make()
+
     def test_same_seed_same_trace(self):
         a = ArrivalTrace.poisson("m", 800.0, 30, rng_or_seed=9)
         b = ArrivalTrace.poisson("m", 800.0, 30, rng_or_seed=9)
