@@ -25,9 +25,16 @@ PAIR_BYTES = 8  # (input_id: u32, result_id: u32)
 
 def sorted_pairs(ids: np.ndarray, rids: np.ndarray) -> np.ndarray:
     """``[n, 2]`` (input_id, result_id) pairs sorted by input id, then
-    result id — the page-ordered scan of Section 4.3."""
-    pairs = np.stack([ids, rids], axis=1)
-    return pairs[np.lexsort((rids, ids))]
+    result id — the page-ordered scan of Section 4.3.
+
+    ``rids`` ascend, as a :class:`~repro.core.bags.Bags`' do, so a stable
+    sort by input id alone leaves equal ids in result-id order.
+    """
+    order = ids.argsort(kind="stable")
+    pairs = np.empty((order.size, 2), dtype=np.int64)
+    pairs[:, 0] = ids[order]
+    pairs[:, 1] = rids[order]
+    return pairs
 
 
 def build_pairs(bags) -> np.ndarray:
@@ -54,8 +61,14 @@ class SlsConfig:
     table_rows: Optional[int] = None  # for validation when known
 
     def __post_init__(self) -> None:
-        self.pairs = np.asarray(self.pairs, dtype=np.int64)
-        if self.pairs.ndim != 2 or self.pairs.shape[1] != 2:
+        pairs = np.asarray(self.pairs)
+        if pairs.dtype != np.int64:
+            # A cast would read 1.5 as row 1 and True as row 1.
+            if pairs.size and pairs.dtype.kind not in "iu":
+                raise TypeError(f"pairs must be integers, got dtype {pairs.dtype}")
+            pairs = pairs.astype(np.int64)
+        self.pairs = pairs
+        if pairs.ndim != 2 or pairs.shape[1] != 2:
             raise ValueError("pairs must be an [n, 2] array")
         if self.num_results < 1:
             raise ValueError("num_results must be >= 1")
@@ -63,14 +76,17 @@ class SlsConfig:
             raise ValueError("vec_dim must be >= 1")
         if self.rows_per_page < 1:
             raise ValueError("rows_per_page must be >= 1")
-        if self.pairs.size:
-            if not np.all(np.diff(self.pairs[:, 0]) >= 0):
+        if pairs.size:
+            ids = pairs[:, 0]
+            if np.count_nonzero(ids[1:] < ids[:-1]):
                 raise ValueError("pairs must be sorted by input id")
-            if self.pairs[:, 0].min() < 0:
+            # Sorted: the least and greatest ids are the ends.
+            if ids[0] < 0:
                 raise ValueError("negative input id")
-            if self.pairs[:, 1].min() < 0 or self.pairs[:, 1].max() >= self.num_results:
+            # One reduction: a negative id read as uint64 is >= 2**63.
+            if pairs[:, 1].view(np.uint64).max() >= self.num_results:
                 raise ValueError("result id out of range")
-            if self.table_rows is not None and self.pairs[:, 0].max() >= self.table_rows:
+            if self.table_rows is not None and ids[-1] >= self.table_rows:
                 raise ValueError("input id exceeds table rows")
 
     # ------------------------------------------------------------------

@@ -30,7 +30,7 @@ from ..sim.stats import Breakdown
 from .config import SlsConfig
 from .embcache import DirectMappedEmbeddingCache
 from .extract import extract_vectors_paged
-from .request import PageWork, SlsRequestEntry, SlsState
+from .request import SlsRequestEntry, SlsState
 from .vecops import scatter_add_segments, scatter_add_vectors
 
 __all__ = ["NdpEngineConfig", "NdpSlsEngine", "SlsResultPayload", "PROCESS_CHUNK_PAIRS"]
@@ -41,7 +41,7 @@ PROCESS_CHUNK_PAIRS = 512
 CompleteFn = Callable[[Any, Status], None]
 
 
-@dataclass
+@dataclass(slots=True, eq=False)
 class SlsResultPayload:
     """Returned by the result-read command."""
 
@@ -73,16 +73,21 @@ class NdpEngineConfig:
     __post_init__ = check_domains
 
 
-@dataclass(slots=True, eq=False, kw_only=True)
-class _PageJob(PageWork):
-    """A :class:`PageWork` of one entry from its bucket to its translate
-    (steps 2b-5).  ``_process_config`` builds it, translate cost and all,
-    and it waits in the entry's ``pending_pages``; from ``_pump`` on the
-    stage callbacks are its bound methods, one frame each, so a page in
-    flight is this record and the bound method queued for it.  The entry
-    refers to it only while it waits: before it is issued, and from its
-    translate to the entry's next gather."""
+@dataclass(slots=True, eq=False)
+class _PageJob:
+    """The inputs of one entry that live on one flash page, from their
+    bucket to their translate (steps 2b-5): pairs ``[lo, hi)`` of the
+    entry's ``ranks`` and ``result_ids``.  ``_process_config`` builds it,
+    translate cost and all, and it waits in the entry's
+    ``pending_pages``; from ``_pump`` on the stage callbacks are its bound
+    methods, one frame each, so a page in flight is this record and the
+    bound method queued for it.  The entry refers to it only while it
+    waits: before it is issued, and from its translate to the entry's
+    next gather."""
 
+    lpn: int
+    lo: int
+    hi: int
     engine: "NdpSlsEngine"
     entry: SlsRequestEntry
     translate_s: float
@@ -126,12 +131,12 @@ class _PageJob(PageWork):
             # fault clears.
             entry.uncorrectable_pages += 1
         else:
-            entry.gather_pending.append((self, self.content))
+            entry.gather_pending.append(self)
             emb_cache = self.engine.emb_cache
             if emb_cache.slots > 0:
                 # The tags decide which later probes hit; the vectors
                 # follow at the entry's gather.
-                emb_cache.insert_tags(entry.table_base_lpn, self.ranks)
+                emb_cache.insert_tags(entry.table_base_lpn, entry.ranks[self.lo : self.hi])
         entry.pages_done += 1
         entry.pages_inflight -= 1
         if entry.pages_done == entry.pages_total:
@@ -295,7 +300,7 @@ class NdpSlsEngine:
         rows = pairs[:, 0]
         result_ids = pairs[:, 1]
 
-        if cfg.table_rows is not None and rows.size and rows.max() >= cfg.table_rows:
+        if cfg.table_rows is not None and rows.size and rows[-1] >= cfg.table_rows:
             self._fail_entry(entry, "input id exceeds table rows")
             return
 
@@ -314,32 +319,38 @@ class NdpSlsEngine:
 
         # Bucket misses by page.  The input is sorted by id, so a page
         # starts wherever the page index differs from its neighbour's;
-        # each bucket is the page's record for the rest of its life.
-        if rows.size:
+        # a bucket is its page's ``[lo, hi)`` of the entry's pairs, and
+        # its record for the rest of its life.
+        n = rows.size
+        if n:
+            entry.ranks = rows
+            entry.result_ids = result_ids
             page_idx = rows // cfg.rows_per_page
-            slots = rows % cfg.rows_per_page
-            starts = np.flatnonzero(page_idx[1:] != page_idx[:-1]) + 1
-            bounds = [0, *starts.tolist(), rows.size]
-            lpns = entry.table_base_lpn + page_idx[bounds[:-1]]
+            first = np.empty(n, dtype=bool)
+            first[0] = True
+            np.not_equal(page_idx[1:], page_idx[:-1], out=first[1:])
+            (firsts,) = first.nonzero()
+            lpns = page_idx[firsts]
+            lpns += entry.table_base_lpn
+            bounds = firsts.tolist()
+            bounds.append(n)
+            lpn_list = lpns.tolist()
             costs = self.ftl.cpu.costs
             row_bytes = cfg.row_bytes
             fixed_s, byte_s = costs.sls_translate_fixed_s, costs.sls_translate_byte_s
-            # Views, not copies: ``slots`` belongs to this entry and
-            # nothing writes ``cfg.pairs``.
-            jobs = [
-                _PageJob(
-                    lpn,
-                    slots[lo:hi],
-                    result_ids[lo:hi],
-                    rows[lo:hi],
-                    engine=self,
-                    entry=entry,
-                    translate_s=fixed_s + ((hi - lo) * row_bytes) * byte_s,
-                )
-                for lpn, lo, hi in zip(lpns.tolist(), bounds, bounds[1:])
-            ]
-            order = self._interleave_by_channel(lpns).tolist()
-            entry.pending_pages.extend([jobs[i] for i in order])
+            entry.pending_pages.extend(
+                [
+                    _PageJob(
+                        lpn_list[i],
+                        bounds[i],
+                        bounds[i + 1],
+                        self,
+                        entry,
+                        fixed_s + ((bounds[i + 1] - bounds[i]) * row_bytes) * byte_s,
+                    )
+                    for i in self._interleave_by_channel(lpns).tolist()
+                ]
+            )
         entry.pages_total = len(entry.pending_pages)
         entry.cache_work_pending = (
             entry.cache_vectors is not None and len(entry.cache_vectors) > 0
@@ -420,14 +431,17 @@ class NdpSlsEngine:
         if lpns.size < 2:
             return np.arange(lpns.size)
         geometry = self.ftl.geometry
-        ppns = self.ftl.mapping.lookup_many(lpns)
-        dies = (ppns // geometry.pages_per_block) // geometry.blocks_per_die
-        channels = np.where(ppns >= 0, dies // geometry.ways, 0)
-        by_channel = np.argsort(channels, kind="stable")
+        pages_per_channel = geometry.pages_per_block * geometry.blocks_per_die * geometry.ways
+        # An unmapped page (-1) counts as channel 0.
+        channels = np.maximum(self.ftl.mapping.lookup_many(lpns), 0)
+        channels //= pages_per_channel
+        by_channel = channels.argsort(kind="stable")
         grouped = channels[by_channel]
-        turn = np.empty(lpns.size, dtype=np.int64)
-        turn[by_channel] = np.arange(lpns.size) - np.searchsorted(grouped, grouped)
-        return np.lexsort((channels, turn))
+        turn = np.arange(lpns.size) - grouped.searchsorted(grouped)
+        # (turn, channel) is unique per page: one sort of a combined key.
+        turn *= int(grouped[-1]) + 1
+        turn += grouped
+        return by_channel[turn.argsort()]
 
     def _fail_entry(self, entry: SlsRequestEntry, reason: str) -> None:
         entry.state = SlsState.FAILED
@@ -493,30 +507,29 @@ class NdpSlsEngine:
         stands, and as no gather outlives a change to the table, every
         entry owing one ``(table, rank)`` fills in the same bytes.
         """
-        pending = entry.gather_pending
-        if not pending:
+        jobs = entry.gather_pending
+        if not jobs:
             return
         entry.gather_pending = []
         cfg = entry.config
-        works, contents = zip(*pending)
         base_lpn = entry.table_base_lpn
-        slots = [work.slots for work in works]
-        ranks = np.concatenate([work.ranks for work in works])
+        his = [job.hi for job in jobs]
+        sizes = [job.hi - job.lo for job in jobs]
+        # One index reads every page's pairs, pages in completion order:
+        # output row ``k`` inside page ``i``'s block is pair ``k + hi_i - end_i``.
+        ends = np.add.accumulate(sizes)
+        index = np.arange(ends[-1]) + np.subtract(his, ends).repeat(sizes)
+        ranks = entry.ranks[index]
         vectors = extract_vectors_paged(
-            contents,
-            [work.lpn - base_lpn for work in works],
-            slots,
+            [job.content for job in jobs],
+            [job.lpn - base_lpn for job in jobs],
+            sizes,
             ranks,
             cfg.vec_dim,
             cfg.rows_per_page,
             cfg.quant,
         )
-        scatter_add_segments(
-            entry.scratchpad,
-            np.concatenate([work.result_ids for work in works]),
-            vectors,
-            [page_slots.size for page_slots in slots],
-        )
+        scatter_add_segments(entry.scratchpad, entry.result_ids[index], vectors, sizes)
         if self.emb_cache.slots > 0:
             self.emb_cache.fill_many(base_lpn, ranks, vectors)
 

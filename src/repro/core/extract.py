@@ -10,9 +10,9 @@ entire command's or entry's pages so virtual pages of one table collapse
 into a single gather instead of one Python call chain per page (critical
 for ONE_PER_PAGE layouts, where every row is its own page):
 :func:`extract_vectors_many` takes a flat (page, slot) list and groups it
-(the SSD read path); :func:`extract_vectors_paged` takes pages and their
-slot arrays as the caller already grouped them, and the storage ranks it
-already holds (the NDP engine's per-entry gather).
+(the SSD read path); :func:`extract_vectors_paged` takes pages, the
+storage ranks the caller already holds grouped page by page, and how
+many fall on each page (the NDP engine's per-entry gather).
 """
 
 from __future__ import annotations
@@ -139,26 +139,25 @@ def extract_vectors_many(
 def extract_vectors_paged(
     contents: Sequence[Any],
     page_indices: Sequence[int],
-    slots: Sequence[np.ndarray],
+    sizes: Sequence[int],
     ranks: np.ndarray,
     vec_dim: int,
     rows_per_page: int,
     quant: QuantSpec,
 ) -> np.ndarray:
-    """Batch extract, page by page: ``slots[i]`` of page ``contents[i]``,
-    blocks concatenated in that order.
+    """Batch extract, page by page: the next ``sizes[i]`` of ``ranks``
+    from page ``contents[i]``, blocks concatenated in that order.
 
     ``page_indices[i]`` is where the caller expects page ``i`` to sit in
-    its table, and ``ranks`` the concatenation of ``page_indices[i] *
-    rows_per_page + slots[i]`` — the storage ranks a caller that
-    bucketed rows into pages already holds.  When every page is a
-    virtual page of one table *and is the page the caller expects*
-    (``content.page_index``, never the LPN it was read from, says which
-    rows a virtual page holds) the batch is one gather at ``ranks``, with
-    no per-page numpy work.  Anything else — a raw buffer, ``None``,
-    two tables, a virtual page found somewhere else — is one
-    :func:`extract_vectors` per page, with its slot-range and shape
-    checks.
+    its table, and ``ranks`` holds storage ranks on that page — the ranks
+    a caller that bucketed rows into pages already holds.  When every
+    page is a virtual page of one table *and is the page the caller
+    expects* (``content.page_index``, never the LPN it was read from,
+    says which rows a virtual page holds) the batch is one gather at
+    ``ranks``, with no per-page numpy work.  Anything else — a raw
+    buffer, ``None``, two tables, a virtual page found somewhere else —
+    is one :func:`extract_vectors` per page at the in-page slots of its
+    block, with its slot-range and shape checks.
     """
     table = getattr(contents[0], "table", None)
     if table is not None:
@@ -167,9 +166,10 @@ def extract_vectors_paged(
                 break
         else:
             return _table_vectors(table, ranks, vec_dim)
-    return np.concatenate(
-        [
-            extract_vectors(content, page_slots, vec_dim, rows_per_page, quant)
-            for content, page_slots in zip(contents, slots)
-        ]
-    )
+    slots = ranks % rows_per_page
+    blocks = []
+    lo = 0
+    for content, n in zip(contents, sizes):
+        blocks.append(extract_vectors(content, slots[lo : lo + n], vec_dim, rows_per_page, quant))
+        lo += n
+    return np.concatenate(blocks)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Callable, Deque, List, Optional, Tuple
+from typing import Any, Callable, Deque, List, Optional
 
 import numpy as np
 
@@ -47,15 +47,19 @@ class SlsRequestEntry:
     table_base_lpn: int
     state: SlsState = SlsState.ALLOCATED
 
-    # Reformatted input configuration: page-ordered work units.
-    pending_pages: Deque[PageWork] = field(default_factory=deque)
+    # Reformatted input configuration: the pairs that go to flash (cache
+    # hits removed), page by page in id order, and the page-ordered work
+    # units (the engine's page records) that address them.
+    ranks: Optional[np.ndarray] = None       # storage rank in the table, per pair
+    result_ids: Optional[np.ndarray] = None  # accumulation destination, per pair
+    pending_pages: Deque[Any] = field(default_factory=deque)
     pages_total: int = 0
     pages_done: int = 0
     pages_inflight: int = 0
-    # Translated pages whose rows are not yet in the scratchpad:
-    # ``(work, page content)`` in completion order.  The engine extracts
-    # and accumulates them in one batch (``NdpSlsEngine._gather``).
-    gather_pending: List[Tuple[PageWork, Any]] = field(default_factory=list)
+    # Translated pages whose rows are not yet in the scratchpad, in
+    # completion order.  The engine extracts and accumulates them in one
+    # batch (``NdpSlsEngine._gather``).
+    gather_pending: List[Any] = field(default_factory=list)
 
     # Fast-path work resolved from the SSD-side embedding cache: dense
     # [n, dim] vectors and their accumulation targets (batch probe result).
@@ -102,11 +106,13 @@ class SlsRequestEntry:
 
     def breakdown(self) -> Breakdown:
         """Figure 8's four FTL time components for this request."""
-        bd = Breakdown()
-        bd.add("config_write", max(0.0, self.t_config_written - self.t_start))
-        bd.add("config_process", self.cpu_config_process)
-        bd.add("translation", self.cpu_translation)
         elapsed = max(0.0, self.t_work_done - self.t_config_written)
         flash_wait = elapsed - self.cpu_config_process - self.cpu_translation
-        bd.add("flash_read", max(0.0, flash_wait))
-        return bd
+        return Breakdown(
+            {
+                "config_write": max(0.0, self.t_config_written - self.t_start),
+                "config_process": self.cpu_config_process,
+                "translation": self.cpu_translation,
+                "flash_read": max(0.0, flash_wait),
+            }
+        )

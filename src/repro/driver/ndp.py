@@ -9,9 +9,7 @@ timing breakdown) to the caller.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Set
-
-import numpy as np
+from typing import Any, Callable, Set
 
 from ..core.config import SlsConfig
 from ..core.engine import SlsResultPayload
@@ -43,6 +41,57 @@ class SlsTiming:
 SlsCallback = Callable[[SlsResultPayload, SlsTiming], None]
 
 
+@dataclass(slots=True, eq=False)
+class _SlsOp:
+    """One SLS op of a session from submit to result: the completions of
+    its config-write and result-read halves are its bound methods."""
+
+    session: "NdpSlsSession"
+    rid: int
+    slba: int
+    result_nlb: int
+    submit_time: float
+    # The result read is issued from the config write's completion, where
+    # the tracer's span stack is empty: the caller's span (the backend's
+    # sls_op), captured at submit, parents both command halves.
+    op_span: Any
+    on_done: SlsCallback
+    config_done_time: float = 0.0
+
+    def config_done(self, cpl) -> None:
+        session = self.session
+        driver = session.driver
+        self.config_done_time = driver.sim.now
+        if not cpl.ok:
+            session._inflight_rids.discard(self.rid)
+            raise NdpError(f"SLS config write failed: {cpl.status}")
+        cmd = NvmeCommand(opcode=Opcode.READ, slba=self.slba, nlb=self.result_nlb, ndp=True)
+        tracer = driver.sim.tracer
+        if tracer is not None and self.op_span is not None:
+            tracer.push(self.op_span)
+            try:
+                driver.submit(cmd, self.result_done)
+            finally:
+                tracer.pop()
+        else:
+            driver.submit(cmd, self.result_done)
+
+    def result_done(self, cpl) -> None:
+        session = self.session
+        session._inflight_rids.discard(self.rid)
+        payload = cpl.payload
+        if not cpl.ok or not isinstance(payload, SlsResultPayload):
+            raise NdpError(f"SLS result read failed: {cpl.status}")
+        session.ops_completed += 1
+        timing = SlsTiming(
+            submit_time=self.submit_time,
+            config_done_time=self.config_done_time,
+            result_time=session.driver.sim.now,
+            breakdown=payload.breakdown,
+        )
+        self.on_done(payload, timing)
+
+
 class NdpSlsSession:
     """Issues NDP SLS operations through a :class:`UnvmeDriver`."""
 
@@ -68,60 +117,25 @@ class NdpSlsSession:
         """Run one SLS op: config write, then result read when ready."""
         rid = self._allocate_rid()
         config.request_id = rid
+        driver = self.driver
         slba = self.codec.encode(config.table_base_lba, rid)
-        submit_time = self.driver.sim.now
-        config_nlb = self.driver.nlb_for_bytes(config.encoded_bytes)
-        result_nlb = self.driver.nlb_for_bytes(config.result_bytes)
-        # The result read is issued from the config write's completion
-        # callback, where the tracer's span stack is empty — capture the
-        # caller's span (the backend's sls_op) now so both command halves
-        # parent under the same op.
-        tracer = self.driver.sim.tracer
-        op_span = tracer.current if tracer is not None else None
-
-        def config_done(cpl) -> None:
-            if not cpl.ok:
-                self._inflight_rids.discard(rid)
-                raise NdpError(f"SLS config write failed: {cpl.status}")
-            tracer = self.driver.sim.tracer
-            cmd = NvmeCommand(
-                opcode=Opcode.READ, slba=slba, nlb=result_nlb, ndp=True
-            )
-            if tracer is not None and op_span is not None:
-                tracer.push(op_span)
-                try:
-                    self.driver.submit(cmd, result_done)
-                finally:
-                    tracer.pop()
-            else:
-                self.driver.submit(cmd, result_done)
-
-        config_done_time = {"t": 0.0}
-
-        def config_done_wrapper(cpl) -> None:
-            config_done_time["t"] = self.driver.sim.now
-            config_done(cpl)
-
-        def result_done(cpl) -> None:
-            self._inflight_rids.discard(rid)
-            if not cpl.ok or not isinstance(cpl.payload, SlsResultPayload):
-                raise NdpError(f"SLS result read failed: {cpl.status}")
-            self.ops_completed += 1
-            timing = SlsTiming(
-                submit_time=submit_time,
-                config_done_time=config_done_time["t"],
-                result_time=self.driver.sim.now,
-                breakdown=cpl.payload.breakdown,
-            )
-            on_done(cpl.payload, timing)
-
-        self.driver.submit(
+        tracer = driver.sim.tracer
+        op = _SlsOp(
+            self,
+            rid,
+            slba,
+            driver.nlb_for_bytes(config.result_bytes),
+            driver.sim.now,
+            tracer.current if tracer is not None else None,
+            on_done,
+        )
+        driver.submit(
             NvmeCommand(
                 opcode=Opcode.WRITE,
                 slba=slba,
-                nlb=config_nlb,
+                nlb=driver.nlb_for_bytes(config.encoded_bytes),
                 ndp=True,
                 data=config,
             ),
-            config_done_wrapper,
+            op.config_done,
         )

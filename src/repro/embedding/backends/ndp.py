@@ -13,18 +13,61 @@ over the flat ids, a segment-sum for the per-bag hot partials, and
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
 import numpy as np
 
 from ...core.bags import Bags
 from ...core.vecops import segment_sum
+from ...host.system import System
 from ...sim.stats import Breakdown
 from ..caches import StaticPartitionCache
 from ..table import EmbeddingTable
 from .base import SlsBackend, SlsOpResult
 
 __all__ = ["NdpSlsBackend"]
+
+
+@dataclass(slots=True, eq=False)
+class _NdpOp:
+    """One op from its offload to its result: the device's completion and
+    the host's finish are its bound methods."""
+
+    system: System
+    row_bytes: int
+    start: float
+    host_cost: float         # per-op overhead plus the host partition's sums
+    partial: np.ndarray      # per-result host partition sums
+    breakdown: Breakdown
+    stats: Dict[str, float]
+    on_done: Callable[[SlsOpResult], None]
+    values: Optional[np.ndarray] = None
+
+    def ndp_done(self, payload, _timing) -> None:
+        stats = self.stats
+        self.breakdown.merge(payload.breakdown)
+        stats["flash_pages_read"] = float(payload.flash_pages_read)
+        stats["ssd_page_cache_hits"] = float(payload.page_cache_hits)
+        stats["emb_cache_hits"] = float(payload.emb_cache_hits)
+        if payload.uncorrectable_pages:
+            stats["uncorrectable_pages"] = float(payload.uncorrectable_pages)
+        # Post-process: merge SSD partial sums with host partition sums.
+        merge_cost = self.system.host_cpu.accumulate_time(len(self.partial), self.row_bytes)
+        self.breakdown.add("host_merge", merge_cost)
+        self.values = payload.values + self.partial
+        self.system.sim.schedule(self.host_cost + merge_cost, self.finish)
+
+    def finish(self) -> None:
+        self.on_done(
+            SlsOpResult(
+                values=self.values,
+                start_time=self.start,
+                end_time=self.system.sim.now,
+                breakdown=self.breakdown,
+                stats=self.stats,
+            )
+        )
 
 
 class NdpSlsBackend(SlsBackend):
@@ -84,62 +127,28 @@ class NdpSlsBackend(SlsBackend):
         if device is not None and getattr(device.ndp, "down", False):
             self._start_fallback(bags, on_done)
             return
-        sim = self.system.sim
-        host_cpu = self.system.host_cpu
         table = self.table
-        start = sim.now
         breakdown = Breakdown()
         stats: Dict[str, float] = {}
-        n_results = len(bags)
-        partial = np.zeros((n_results, table.spec.dim), dtype=np.float32)
+        partial = np.zeros((len(bags), table.spec.dim), dtype=np.float32)
 
         cold, split_cost = self._split_partition(bags, partial, breakdown, stats)
-        host_cost = host_cpu.config.op_overhead_s + split_cost
-
+        op = _NdpOp(
+            self.system,
+            table.spec.row_bytes,
+            self.system.sim.now,
+            self.system.host_cpu.config.op_overhead_s + split_cost,
+            partial,
+            breakdown,
+            stats,
+            on_done,
+        )
         if stats["cold_lookups"] == 0:
             # Everything was served from the host partition.
-            def finish_local() -> None:
-                on_done(
-                    SlsOpResult(
-                        values=partial,
-                        start_time=start,
-                        end_time=sim.now,
-                        breakdown=breakdown,
-                        stats=stats,
-                    )
-                )
-
-            sim.schedule(host_cost, finish_local)
+            op.values = partial
+            self.system.sim.schedule(op.host_cost, op.finish)
             return
-
-        config = table.make_sls_config(cold)
-
-        def ndp_done(payload, timing) -> None:
-            breakdown.merge(payload.breakdown)
-            stats["flash_pages_read"] = float(payload.flash_pages_read)
-            stats["ssd_page_cache_hits"] = float(payload.page_cache_hits)
-            stats["emb_cache_hits"] = float(payload.emb_cache_hits)
-            if payload.uncorrectable_pages:
-                stats["uncorrectable_pages"] = float(payload.uncorrectable_pages)
-            # Post-process: merge SSD partial sums with host partition sums.
-            merge_cost = host_cpu.accumulate_time(n_results, table.spec.row_bytes)
-            breakdown.add("host_merge", merge_cost)
-            values = payload.values + partial
-
-            def finish() -> None:
-                on_done(
-                    SlsOpResult(
-                        values=values,
-                        start_time=start,
-                        end_time=sim.now,
-                        breakdown=breakdown,
-                        stats=stats,
-                    )
-                )
-
-            sim.schedule(host_cost + merge_cost, finish)
-
-        self.system.session_for(self.table.device).sls(config, ndp_done)
+        self.system.session_for(table.device).sls(table.make_sls_config(cold), op.ndp_done)
 
     # ------------------------------------------------------------------
     def _start_fallback(self, bags: Bags, on_done: Callable[[SlsOpResult], None]) -> None:

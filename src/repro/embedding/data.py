@@ -41,7 +41,13 @@ class TableData(ABC):
         keep and write into; ids must be in range."""
 
     def _check_ids(self, ids: np.ndarray) -> np.ndarray:
-        ids = np.asarray(ids, dtype=np.int64)
+        ids = np.asarray(ids)
+        if ids.dtype != np.int64:
+            # A cast would serve 1.9 as row 1, True as row 1 and NaN as
+            # an int64 minimum; an empty array passes, as in ``as_ids``.
+            if ids.size and ids.dtype.kind not in "iu":
+                raise TypeError(f"row ids must be integers, got dtype {ids.dtype}")
+            ids = ids.astype(np.int64)
         # One reduction: a negative id read as uint64 is >= 2**63.
         if ids.size and ids.view(np.uint64).max() >= self.rows:
             raise IndexError(
@@ -88,9 +94,16 @@ class VirtualTableData(TableData):
 
     def get_rows(self, ids: np.ndarray) -> np.ndarray:
         ids = self._check_ids(ids)
-        out = self._pool[ids % self._pool.shape[0]]  # fancy index: already a copy
-        stamp = ((ids * _HASH_MULT + self.seed) % _STAMP_PRIME).astype(np.float32)
-        out[:, 0] = stamp / _STAMP_PRIME - 0.5
+        out = self._pool.take(ids % self._pool.shape[0], axis=0)  # already a copy
+        # ((ids * mult + seed) % prime) / prime - 0.5, each step in place
+        # on the one temporary of its dtype.
+        hashed = ids * _HASH_MULT
+        hashed += self.seed
+        hashed %= _STAMP_PRIME
+        stamp = hashed.astype(np.float32)
+        stamp /= _STAMP_PRIME
+        stamp -= 0.5
+        out[:, 0] = stamp
         return out
 
 

@@ -98,8 +98,9 @@ class Breakdown:
         return self.components.get(name, 0.0)
 
     def merge(self, other: "Breakdown") -> "Breakdown":
+        components = self.components
         for name, value in other.components.items():
-            self.add(name, value)
+            components[name] = components.get(name, 0.0) + value
         return self
 
     def scaled(self, factor: float) -> "Breakdown":

@@ -62,20 +62,61 @@ class TestValidation:
         assert config.num_inputs == 3
 
     def test_unsorted_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="pairs must be sorted by input id"):
             make_config(pairs=np.array([[5, 0], [1, 0]]))
 
+    def test_unsorted_with_minimum_not_first_rejected(self):
+        """The bounds are read off the ends only once the order is known:
+        an unsorted array whose least id sits inside it is still refused."""
+        with pytest.raises(ValueError, match="pairs must be sorted by input id"):
+            make_config(pairs=np.array([[2, 0], [1, 0], [3, 1]]))
+        with pytest.raises(ValueError, match="pairs must be sorted by input id"):
+            make_config(pairs=np.array([[0, 0], [-1, 0], [3, 1]]))
+
     def test_result_id_out_of_range(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="result id out of range"):
             make_config(pairs=np.array([[1, 5]]), num_results=2)
 
+    def test_result_id_equal_to_num_results_rejected(self):
+        with pytest.raises(ValueError, match="result id out of range"):
+            make_config(pairs=np.array([[1, 0], [2, 2]]), num_results=2)
+
+    def test_negative_result_id_rejected(self):
+        with pytest.raises(ValueError, match="result id out of range"):
+            make_config(pairs=np.array([[1, 1], [2, -1]]), num_results=2)
+
     def test_input_exceeds_rows(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="input id exceeds table rows"):
             make_config(pairs=np.array([[200, 0]]), table_rows=100)
 
+    def test_last_row_accepted_and_one_past_it_rejected(self):
+        config = make_config(pairs=np.array([[3, 0], [99, 1]]), table_rows=100)
+        assert config.num_inputs == 2
+        with pytest.raises(ValueError, match="input id exceeds table rows"):
+            make_config(pairs=np.array([[3, 0], [100, 1]]), table_rows=100)
+
     def test_negative_input(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="negative input id"):
             make_config(pairs=np.array([[-1, 0]]))
+
+    def test_sorted_with_negative_first_id_rejected(self):
+        with pytest.raises(ValueError, match="negative input id"):
+            make_config(pairs=np.array([[-3, 0], [1, 1], [1, 0]]))
+
+    @pytest.mark.parametrize(
+        "pairs, dtype",
+        [([[1.5, 0.0]], "float64"), ([[1.0, 0.0]], "float64"), ([[True, False]], "bool")],
+    )
+    def test_non_integer_pairs_refused(self, pairs, dtype):
+        """A cast read ``[[1.5, 0.0]]`` as ``[[1, 0]]`` without a word."""
+        with pytest.raises(TypeError, match=f"pairs must be integers, got dtype {dtype}"):
+            make_config(pairs=np.array(pairs))
+
+    def test_other_integer_dtypes_become_int64(self):
+        config = make_config(pairs=np.array([[0, 1], [5, 0]], dtype=np.int32))
+        assert config.pairs.dtype == np.int64
+        assert config.pairs.tolist() == [[0, 1], [5, 0]]
+        assert make_config(pairs=np.zeros((0, 2))).num_inputs == 0
 
 
 class TestSizes:

@@ -283,7 +283,7 @@ def test_a_second_gather_adds_to_a_nonzero_scratchpad(monkeypatch):
 
     def spy(engine, entry):
         if entry.gather_pending:
-            sizes = [work.slots.size for work, _ in entry.gather_pending]
+            sizes = [work.hi - work.lo for work in entry.gather_pending]
             gathers.append((max(sizes), len(sizes), bool(entry.scratchpad.any())))
         gather(engine, entry)
 

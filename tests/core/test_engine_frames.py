@@ -1,4 +1,4 @@
-"""What one more flash page costs an SLS op, in Python frames.
+"""What an SLS op costs, in Python frames: per flash page, and once.
 
 The engine's host time scales with pages per op (16 on the bench model,
 150-350 on the paper's RM1-RM3), and a frame is the unit of that cost
@@ -9,12 +9,17 @@ costs from its bucket at config time to its translate — engine, FTL CPU
 queue, mapping lookup, flash die and bus, kernel dispatch.  The count
 depends on no clock and, with the collector off (a plugin's
 ``gc.callbacks`` entry is a Python frame per pass), repeats exactly.
+
+What an op pays once — its config built from the bags, checked, written,
+bucketed and interleaved, its pages gathered, its result read back — is
+the intercept of the line through a 16- and a 64-page op.
 """
 
 import gc
 import sys
 
 import numpy as np
+import pytest
 
 from .test_engine import make_stack
 
@@ -23,6 +28,14 @@ from .test_engine import make_stack
 # flash / the virtual page, and a `_pump` for every page past the 128-page
 # window.  One more hop per stage is 25.5.
 FRAMES_PER_PAGE = 25
+
+
+# 249 at the parent of the op-level rewrite on CPython 3.11 (210 after
+# it): config checks that read the bounds off a sorted array, page
+# buckets as ``[lo, hi)`` of arrays the entry holds once, one gather
+# index, a record per op in the session and the NDP backend.  CPython
+# 3.12 inlines comprehensions, so it counts fewer.
+FIXED_FRAMES_PER_OP = 214
 
 
 def python_calls(run) -> int:
@@ -45,14 +58,16 @@ def python_calls(run) -> int:
     return calls
 
 
-def frames_for_one_op(pages: int) -> int:
+def frames_for_one_op(pages: int, build_config: bool = False) -> int:
     system, table = make_stack()
-    config = table.make_sls_config([np.arange(pages)])
+    bags = [np.arange(pages)]
+    config = table.make_sls_config(bags)
     payloads = []
 
     def one_op() -> None:
+        sls_config = table.make_sls_config(bags) if build_config else config
         # No stop predicate: ``run_until`` would call one per event.
-        system.ndp_session.sls(config, lambda payload, _timing: payloads.append(payload))
+        system.ndp_session.sls(sls_config, lambda payload, _timing: payloads.append(payload))
         system.sim.run()
 
     calls = python_calls(one_op)
@@ -65,3 +80,12 @@ def test_a_page_costs_a_bounded_number_of_frames():
     assert (small, large) == (frames_for_one_op(64), frames_for_one_op(192))
     per_page = (large - small) / 128
     assert per_page <= FRAMES_PER_PAGE, per_page
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="pinned on CPython 3.11")
+def test_an_op_pays_a_bounded_number_of_frames_once():
+    small, large = frames_for_one_op(16, True), frames_for_one_op(64, True)
+    per_page = (large - small) / 48
+    fixed = small - 16 * per_page
+    assert per_page <= FRAMES_PER_PAGE, per_page
+    assert fixed <= FIXED_FRAMES_PER_OP, fixed

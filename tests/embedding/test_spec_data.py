@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.embedding.data import DenseTableData, VirtualTableData
+from repro.embedding.data import DenseTableData, UpdatableTableData, VirtualTableData
 from repro.embedding.spec import Layout, TableSpec
 from repro.quant import EmbDtype, QuantSpec, decode_vectors, encode_vectors
 
@@ -76,6 +76,29 @@ class TestVirtualData:
         assert np.array_equal(data.get_rows(ids), data.values[ids])
         assert data.get_rows(np.zeros(0, dtype=np.int64)).shape == (0, 4)
 
+    @pytest.mark.parametrize(
+        "ids, dtype",
+        [([1.9], "float64"), ([np.nan], "float64"), ([0.0, 2.0], "float32"), ([True, False], "bool")],
+    )
+    def test_non_integer_ids_are_refused(self, ids, dtype):
+        """A cast served 1.9 as row 1 and True as row 1, and a NaN became
+        the int64 minimum (an ``IndexError`` naming it, and a warning)."""
+        message = f"row ids must be integers, got dtype {dtype}"
+        for data in (
+            VirtualTableData(10, 4),
+            DenseTableData.random(10, 4),
+            UpdatableTableData(VirtualTableData(10, 4)),
+        ):
+            with pytest.raises(TypeError, match=message):
+                data.get_rows(np.array(ids, dtype=dtype))
+
+    def test_other_integer_dtypes_and_empty_ids_pass(self):
+        data = DenseTableData.random(10, 4)
+        want = data.values[[3, 9]]
+        for dtype in (np.int32, np.uint8, np.uint64):
+            assert np.array_equal(data.get_rows(np.array([3, 9], dtype=dtype)), want)
+        assert data.get_rows(np.array([])).shape == (0, 4)
+
     def test_different_seeds_differ(self):
         a = VirtualTableData(100, 8, seed=1)
         b = VirtualTableData(100, 8, seed=2)
@@ -103,6 +126,22 @@ class TestGetRowsHandsBackItsOwnArray:
         got[:] = 7.0
         assert np.array_equal(data._pool, pool)
         assert np.array_equal(data.get_rows(self.IDS), want)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        ids=st.lists(st.integers(0, 10**6 - 1), max_size=40),
+        seed=st.integers(0, 2**31),
+        pool_rows=st.sampled_from([1, 64, 4096]),
+    )
+    def test_virtual_rows_bit_for_bit(self, ids, seed, pool_rows):
+        from repro.embedding.data import _HASH_MULT, _STAMP_PRIME
+
+        ids = np.array(ids, dtype=np.int64)
+        data = VirtualTableData(10**6, 8, seed=seed, pool_rows=pool_rows)
+        want = data._pool[ids % data._pool.shape[0]]
+        stamp = ((ids * _HASH_MULT + seed) % _STAMP_PRIME).astype(np.float32)
+        want[:, 0] = stamp / _STAMP_PRIME - 0.5
+        assert data.get_rows(ids).tobytes() == want.tobytes()
 
     def test_dense_rows_are_a_copy(self):
         values = np.random.default_rng(0).standard_normal((1000, 4)).astype(np.float32)

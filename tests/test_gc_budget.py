@@ -37,7 +37,7 @@ def test_containers_alive_per_queued_unit():
     """One record, the bound method that is its next stage and the queue
     entry — not a closure per stage (the closure chains held 14, 13, 28).
     An NDP page waiting for its scheduling job is those three and no
-    fourth (the job *is* the ``PageWork``); an admitted SLS op is its
+    fourth (the job *is* the page record); an admitted SLS op is its
     entry, the entry's three queues and those three (its six closures and
     their cells made it 14)."""
     counts = unit_counts()

@@ -267,6 +267,8 @@ CLOSURE_FREE = {
         "NdpSlsEngine._pump", "_PageJob.*", "_Command.*",
     ),
     "repro/embedding/stage.py": ("EmbeddingStage.start", "_Batch.*", "_Piece.*"),
+    "repro/driver/ndp.py": ("NdpSlsSession.sls", "_SlsOp.*"),
+    "repro/embedding/backends/ndp.py": ("NdpSlsBackend._start", "_NdpOp.*"),
 }
 
 

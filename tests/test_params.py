@@ -53,7 +53,9 @@ ALLOWED = {
     "repro.core.request.PageWork": RECORD,
     "repro.core.request.SlsRequestEntry": RECORD,
     "repro.driver.ndp.SlsTiming": RESULT,
+    "repro.driver.ndp._SlsOp": RECORD,
     "repro.embedding.backends.base.SlsOpResult": RESULT,
+    "repro.embedding.backends.ndp._NdpOp": RECORD,
     "repro.embedding.stage.EmbStageResult": RESULT,
     "repro.embedding.stage._Batch": RECORD,
     "repro.embedding.stage._Piece": RECORD,

@@ -1,0 +1,74 @@
+"""``tools/perf_pairs.py``'s report, on canned runs: the row CHANGES.md
+quotes is the parent's median [quartiles], the change's median, their
+ratio and the change's wins on the side BENCHMARK.json calls better."""
+
+from __future__ import annotations
+
+import sys
+from pathlib import Path
+
+import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+
+from perf_pairs import end_to_end_metrics, format_table, metric_row, quartiles  # noqa: E402
+
+
+def result(rate: float, setup: float, p50: float = 0.99, failed: int = 0) -> dict:
+    return {
+        "correct": True,
+        "attempted": 3000,
+        "failed": failed,
+        "metrics": {
+            "host_req_per_s": {"value": rate, "unit": "req/s"},
+            "setup_s": {"value": setup, "unit": "s"},
+            "sim_p50_ms": {"value": p50, "unit": "ms"},
+        },
+    }
+
+
+PARENT = [1400.0, 1350.0, 1500.0, 1420.0, 1380.0]
+CHANGE = [1560.0, 1500.0, 1490.0, 1600.0, 1550.0]
+
+
+def test_quartiles_are_inclusive():
+    assert quartiles([1.0, 2.0, 3.0, 4.0, 5.0]) == (2.0, 3.0, 4.0)
+    assert quartiles([7.0]) == (7.0, 7.0, 7.0)
+
+
+def test_a_higher_is_better_row():
+    row = metric_row("host_req_per_s", "higher", PARENT, CHANGE)
+    assert row == "| host_req_per_s | 1,400 [1,380, 1,420] | 1,550 | 1.107x | 4/5 |"
+
+
+def test_a_lower_is_better_row_counts_the_other_side():
+    parent = [0.0340, 0.0335, 0.0350]
+    change = [0.0330, 0.0340, 0.0345]
+    assert metric_row("setup_s", "lower", parent, change) == (
+        "| setup_s | 0.034 [0.03375, 0.0345] | 0.034 | 1.000x | 2/3 |"
+    )
+
+
+def test_rows_refuse_unpaired_runs_and_unknown_directions():
+    with pytest.raises(ValueError, match="same non-zero number"):
+        metric_row("setup_s", "lower", [1.0], [1.0, 2.0])
+    with pytest.raises(ValueError, match="better must be"):
+        metric_row("setup_s", "sideways", [1.0], [1.0])
+
+
+def test_the_table_says_whether_simulated_numbers_moved():
+    runs = [(result(p, 0.03), result(c, 0.03)) for p, c in zip(PARENT, CHANGE)]
+    table = format_table("ndp_serve", 13, [("host_req_per_s", "higher"), ("setup_s", "lower")], runs)
+    lines = table.splitlines()
+    assert lines[0] == "ndp_serve, seed 13, 5 pairs (parent median [quartiles] -> change)"
+    assert lines[4] == "| host_req_per_s | 1,400 [1,380, 1,420] | 1,550 | 1.107x | 4/5 |"
+    assert lines[5] == "| setup_s | 0.03 [0.03, 0.03] | 0.03 | 1.000x | 0/5 |"
+    assert lines[-1] == "sim_* identical in every run: yes; failed operations: 0; correct: yes"
+    runs[2] = (runs[2][0], result(1490.0, 0.03, p50=1.01, failed=2))
+    moved = format_table("ndp_serve", 13, [("host_req_per_s", "higher")], runs)
+    assert moved.splitlines()[-1] == "sim_* identical in every run: NO; failed operations: 2; correct: yes"
+
+
+def test_the_metrics_are_the_benchmarks_end_to_end_ones():
+    metrics = dict(end_to_end_metrics())
+    assert metrics["host_req_per_s"] == "higher" and metrics["setup_s"] == "lower"

@@ -208,8 +208,8 @@ def unit_counts(n: int = 1000) -> Dict[str, float]:
     a small device *without running the simulator*: the record, the bound
     method that is its next stage, and the queue entry holding it.  An NDP
     page is queued by its op, so there the simulator runs up to the pump
-    that queues them (plus its ``PageWork``: the arrays themselves are not
-    tracked); an SLS op is counted as admitted — the entry, its three
+    that queues them (its ``_PageJob`` holds two ints into its entry's
+    arrays, which are not tracked anyway); an SLS op is counted as admitted — the entry, its three
     queues, the command record, its next stage and the queue entry.  A
     planned arrival or update batch is counted once planted, before the
     simulator runs (:func:`_containers_per_planned`)."""

@@ -1,0 +1,166 @@
+#!/usr/bin/env python3
+"""Alternating before/after pairs of ``python3 -m perf.run`` for one workload.
+
+A host-clock claim is a comparison of two commits on a box whose speed
+drifts by 20-30 % within minutes, so the runs are taken in pairs and the
+side that goes first alternates.  This script checks out ``--against``
+and ``HEAD`` (committed files only, as the benchmark does) into two
+temporary ``git worktree``\\ s, runs the unchanged benchmark command
+
+    python3 -m perf.run --workload W --seed SEED --seconds S --trace 0
+
+in each, ``--pairs`` times, and prints one row per end-to-end metric:
+the parent's median [quartiles], the change's median, their ratio and
+how many pairs the change won (on the side ``BENCHMARK.json`` calls
+better) — the table ``CHANGES.md`` quotes.  It also says whether every
+``sim_*`` metric was identical in every run and how many operations
+failed.  The worktrees are removed afterwards; nothing in the repo is
+written.
+
+Usage (from the repo root)::
+
+    python3 tools/perf_pairs.py --against HEAD~1 --workload ndp_serve --pairs 10 --seconds 10
+    python3 tools/perf_pairs.py --against HEAD~1 --workload ndp_serve --pairs 5 --seed 7
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import Dict, List, Sequence, Tuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def quartiles(values: Sequence[float]) -> Tuple[float, float, float]:
+    """``(q1, median, q3)``, quartiles inclusive of the extremes."""
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, median, q3
+
+
+def _number(value: float) -> str:
+    """Four significant figures, thousands separated: 1,417 / 0.0215 / 72.3."""
+    if abs(value) >= 1000:
+        return f"{value:,.0f}"
+    return f"{value:.4g}"
+
+
+def metric_row(name: str, better: str, parent: Sequence[float], change: Sequence[float]) -> str:
+    """One Markdown table row for paired runs ``parent[i]`` / ``change[i]``."""
+    if len(parent) != len(change) or not parent:
+        raise ValueError("need the same non-zero number of runs on each side")
+    q1, parent_median, q3 = quartiles(parent)
+    change_median = statistics.median(change)
+    if better == "higher":
+        wins = sum(c > p for p, c in zip(parent, change))
+    elif better == "lower":
+        wins = sum(c < p for p, c in zip(parent, change))
+    else:
+        raise ValueError(f"better must be 'higher' or 'lower', got {better!r}")
+    ratio = change_median / parent_median if parent_median else float("nan")
+    return (
+        f"| {name} | {_number(parent_median)} [{_number(q1)}, {_number(q3)}] "
+        f"| {_number(change_median)} | {ratio:.3f}x | {wins}/{len(parent)} |"
+    )
+
+
+def format_table(
+    workload: str,
+    seed: int,
+    metrics: Sequence[Tuple[str, str]],
+    runs: Sequence[Tuple[dict, dict]],
+) -> str:
+    """The report for ``runs``, a list of ``(parent, change)`` result
+    objects as ``perf.run --workload`` prints them; ``metrics`` is
+    ``(name, better)`` per end-to-end metric, in table order."""
+    lines = [
+        f"{workload}, seed {seed}, {len(runs)} pairs (parent median [quartiles] -> change)",
+        "",
+        "| metric | parent | change | ratio | change wins |",
+        "| --- | --- | --- | --- | --- |",
+    ]
+    for name, better in metrics:
+        parent = [p["metrics"][name]["value"] for p, _ in runs]
+        change = [c["metrics"][name]["value"] for _, c in runs]
+        lines.append(metric_row(name, better, parent, change))
+    sims = {
+        json.dumps({k: v for k, v in result["metrics"].items() if k.startswith("sim_")}, sort_keys=True)
+        for pair in runs
+        for result in pair
+    }
+    failed = sum(result["failed"] for pair in runs for result in pair)
+    correct = all(result["correct"] for pair in runs for result in pair)
+    lines += [
+        "",
+        f"sim_* identical in every run: {'yes' if len(sims) == 1 else 'NO'}; "
+        f"failed operations: {failed}; correct: {'yes' if correct else 'NO'}",
+    ]
+    return "\n".join(lines)
+
+
+def end_to_end_metrics() -> List[Tuple[str, str]]:
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    return [(m["name"], m["better"]) for m in benchmark["end_to_end"]]
+
+
+def _git(*args: str) -> str:
+    return subprocess.run(
+        ["git", *args], cwd=ROOT, check=True, capture_output=True, text=True
+    ).stdout.strip()
+
+
+def _measure(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    command = [
+        sys.executable, "-m", "perf.run", "--workload", workload,
+        "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
+    ]
+    out = subprocess.run(command, cwd=tree, check=True, capture_output=True, text=True).stdout
+    return json.loads(out.strip().splitlines()[-1])
+
+
+def main(argv: Sequence[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--against", required=True, help="the parent revision")
+    parser.add_argument("--workload", required=True, help="a BENCHMARK.json workload")
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=10.0)
+    parser.add_argument("--seed", type=int, default=13)
+    args = parser.parse_args(argv)
+
+    revisions = {"parent": _git("rev-parse", args.against), "change": _git("rev-parse", "HEAD")}
+    runs: List[Tuple[dict, dict]] = []
+    with tempfile.TemporaryDirectory(prefix="perf-pairs-") as scratch:
+        trees: Dict[str, Path] = {}
+        try:
+            for side, revision in revisions.items():
+                tree = Path(scratch) / side
+                _git("worktree", "add", "--detach", str(tree), revision)
+                trees[side] = tree
+            for i in range(args.pairs):
+                order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+                result = {
+                    side: _measure(trees[side], args.workload, args.seed, args.seconds)
+                    for side in order
+                }
+                runs.append((result["parent"], result["change"]))
+                rate = [result[side]["metrics"]["host_req_per_s"]["value"] for side in ("parent", "change")]
+                print(f"pair {i + 1}/{args.pairs} ({order[0]} first): host_req_per_s "
+                      f"{rate[0]:,.0f} / {rate[1]:,.0f}", file=sys.stderr, flush=True)
+        finally:
+            for tree in trees.values():
+                _git("worktree", "remove", "--force", str(tree))
+            _git("worktree", "prune")
+    print(f"parent {revisions['parent'][:10]}, change {revisions['change'][:10]}")
+    print(format_table(args.workload, args.seed, end_to_end_metrics(), runs))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
