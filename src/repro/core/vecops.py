@@ -31,14 +31,16 @@ _SORT_THRESHOLD = 128
 def segment_sum(vectors: np.ndarray, ids: np.ndarray, n_out: int) -> np.ndarray:
     """Sum ``vectors`` rows into ``n_out`` buckets keyed by sorted ``ids``.
 
-    ``ids`` must be ascending (duplicates allowed).  Empty buckets stay
-    zero.  Equivalent to ``np.add.at(out, ids, vectors)`` but runs as one
-    ``np.add.reduceat`` pass.  A caller that holds the bucket boundaries
-    already (:class:`~repro.core.bags.Bags`) passes them to
-    :func:`segment_sum_offsets` instead of having them searched for.
+    ``ids`` must be ascending (duplicates allowed) and below ``n_out``.
+    Empty buckets stay zero.  Equivalent to ``np.add.at(out, ids,
+    vectors)`` but runs as one ``np.add.reduceat`` pass.  A caller that
+    holds the bucket boundaries already (:class:`~repro.core.bags.Bags`)
+    passes them to :func:`segment_sum_offsets` instead of having them
+    searched for.
     """
-    starts = np.searchsorted(ids, np.arange(n_out, dtype=ids.dtype))
-    return segment_sum_offsets(vectors, np.append(starts, ids.size))
+    return segment_sum_offsets(
+        vectors, ids.searchsorted(np.arange(n_out + 1, dtype=ids.dtype))
+    )
 
 
 def segment_sum_offsets(vectors: np.ndarray, offsets: np.ndarray) -> np.ndarray:
@@ -50,10 +52,10 @@ def segment_sum_offsets(vectors: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """
     starts = offsets[:-1]
     nonempty = offsets[1:] > starts
-    if starts.size and nonempty.all():
+    if starts.size and np.logical_and.reduce(nonempty):
         return np.add.reduceat(vectors, starts, axis=0)
     out = np.zeros((starts.size, vectors.shape[1]), dtype=vectors.dtype)
-    if nonempty.any():
+    if np.logical_or.reduce(nonempty):
         out[nonempty] = np.add.reduceat(vectors, starts[nonempty], axis=0)
     return out
 
@@ -98,16 +100,22 @@ def scatter_add_segments(
 
 
 def group_slices(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Group positions of ``keys`` by value.
+    """Group positions of integer ``keys`` by value.
 
     Returns ``(uniq, order, bounds)`` where ``order`` permutes positions
     so equal keys are contiguous (stable: original order within a group)
     and group ``i`` occupies ``order[bounds[i]:bounds[i+1]]`` with key
-    ``uniq[i]``.  This is the vectorized replacement for the
-    ``dict.setdefault(key, []).append(i)`` grouping loops.
+    ``uniq[i]`` (ascending, in ``keys``' dtype).  This is the vectorized
+    replacement for the ``dict.setdefault(key, []).append(i)`` grouping
+    loops: one stable sort, and a group starts wherever the sorted keys
+    change.
     """
-    uniq, inverse = np.unique(keys, return_inverse=True)
-    order = np.argsort(inverse, kind="stable")
-    counts = np.bincount(inverse, minlength=uniq.size)
-    bounds = np.concatenate(([0], np.cumsum(counts)))
-    return uniq, order, bounds
+    keys = np.asarray(keys)
+    order = keys.argsort(kind="stable")
+    ranked = keys[order]
+    n = ranked.size
+    starts = np.empty(n + 1, dtype=bool)
+    starts[0] = starts[n] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=starts[1:n])
+    bounds = starts.nonzero()[0]
+    return ranked[bounds[:-1]], order, bounds

@@ -123,12 +123,12 @@ class UnvmeDriver:
         return None
 
     def _issue(self, qp: QueuePair, cmd: NvmeCommand, on_done: CompletionCallback) -> None:
+        sim = self.sim
         qp.outstanding += 1
-        cmd.submit_time = self.sim.now
+        cmd.submit_time = sim.now
         self._callbacks[cmd.cid] = (on_done, qp)
         self.commands_issued += 1
         # Submission cost: build SQE + doorbell write from the host thread.
-        sim = self.sim
         train = self._train
         if (
             train is not None
@@ -170,22 +170,19 @@ class UnvmeDriver:
             if span is not None:
                 span.attrs["status"] = cpl.status.name
                 tracer.end(span)
-        self._drain_backlog()
-        on_done(cpl)
-
-    def _drain_backlog(self) -> None:
-        while self._backlog:
+        backlog = self._backlog
+        while backlog:
             qp = self._pick_qpair()
             if qp is None:
-                return
-            cmd, on_done = self._backlog.popleft()
-            self._issue(qp, cmd, on_done)
+                break
+            self._issue(qp, *backlog.popleft())
+        on_done(cpl)
 
     # ------------------------------------------------------------------
     # Convenience IO
     # ------------------------------------------------------------------
     def read(self, slba: int, nlb: int, on_done: CompletionCallback) -> None:
-        self.submit(NvmeCommand(opcode=Opcode.READ, slba=slba, nlb=nlb), on_done)
+        self.submit(NvmeCommand(Opcode.READ, slba, nlb), on_done)
 
     def write(
         self, slba: int, nlb: int, data: np.ndarray, on_done: CompletionCallback

@@ -18,6 +18,8 @@ this replaced is ``tests/embedding/reference_ssd_backend.py``.)
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -30,12 +32,156 @@ from ...core.vecops import (
     scatter_add_vectors,
     segment_sum,
 )
+from ...nvme.commands import NvmeCompletion, Status
 from ...sim.stats import Breakdown
 from ..caches import SetAssociativeLru
 from ..table import EmbeddingTable, TablePageContent
 from .base import SlsBackend, SlsOpResult
 
 __all__ = ["SsdSlsBackend"]
+
+
+@dataclass(slots=True, eq=False)
+class _SsdOp:
+    """One SLS op's block reads in flight.
+
+    A command's members are one slice ``[a, b)`` of the span-grouped
+    order (``rows_m`` / ``rids_m``), so everything a completion touches
+    is a view; the command's callback is ``partial(op.completed, a, b)``.
+
+    Miss vectors are gathered once for the whole op at its first
+    fast-route completion.  That is valid whenever a command's pages are
+    this table's virtual (preloaded) images — extraction from those is
+    definitionally ``table.get_rows`` — so such a completion only notes
+    its slice: the sum is owed to ``values`` and the refill to the host
+    cache.  Commands with an uncorrectable page, or pages rewritten
+    through the IO path (raw buffers), take the slow route: true
+    extraction, summed and refilled on the spot.  An update batch
+    committed after the gather has invalidated its rows in the host
+    cache; a refill made later than that re-reads its rows, so it cannot
+    put the pre-commit vectors back (the op's own sum keeps what it
+    gathered).
+    """
+
+    backend: "SsdSlsBackend"
+    on_done: Callable[[SlsOpResult], None]
+    values: np.ndarray
+    start: float
+    breakdown: Breakdown
+    stats: Dict[str, float]
+    host_tail: float
+    row_bytes: int
+    rows_m: np.ndarray              # external ids, span-grouped order
+    rids_m: np.ndarray
+    srows: np.ndarray               # storage ranks, miss order
+    member_order: np.ndarray
+    pending: int                    # commands not yet completed
+    accumulate_cost: float = 0.0
+    gathered: Optional[np.ndarray] = None       # vectors of ``rows_m``
+    gathered_at: int = 0                        # ``table.data.commits`` then
+    # Owed slices, in completion order: their positions and sizes.
+    owed_rows: List[int] = field(default_factory=list)
+    owed_sizes: List[int] = field(default_factory=list)
+
+    def completed(self, a: int, b: int, cpl: NvmeCompletion) -> None:
+        if cpl.status is not Status.SUCCESS:
+            raise RuntimeError(f"baseline SLS read failed: {cpl.status}")
+        backend = self.backend
+        table = backend.table
+        segments = cpl.payload.segments
+        for seg in segments:
+            content = seg.content
+            if type(content) is not TablePageContent or content.table is not table:
+                n_rows = self.slow_route(segments, a, b)
+                break
+        else:
+            if self.gathered is None:
+                self.gathered = table.get_rows(self.rows_m)
+                self.gathered_at = table.data.commits
+            self.owed_rows.extend(range(a, b))
+            self.owed_sizes.append(b - a)
+            host_cache = backend.host_cache
+            if host_cache is not None:
+                refill = self.gathered[a:b]
+                if table.data.commits != self.gathered_at:
+                    refill = table.get_rows(self.rows_m[a:b])
+                host_cache.insert_later(self.rows_m[a:b], refill)
+            n_rows = b - a
+        system = backend.system
+        self.accumulate_cost += system.host_cpu.accumulate_time(n_rows, self.row_bytes)
+        self.pending -= 1
+        if self.pending == 0:
+            self.settle()
+            self.breakdown.add("io_wait", system.sim.now - self.start)
+            self.breakdown.add("host_accumulate", self.accumulate_cost)
+            backend._finish(
+                system.sim,
+                self.host_tail + self.accumulate_cost,
+                self.values,
+                self.start,
+                self.breakdown,
+                self.stats,
+                self.on_done,
+            )
+
+    def settle(self) -> None:
+        """Sum the owed slices into ``values`` exactly as one
+        ``scatter_add_vectors`` per command, in completion order."""
+        sizes = self.owed_sizes
+        if not sizes:
+            return
+        which = np.array(self.owed_rows, dtype=np.intp)
+        scatter_add_segments(self.values, self.rids_m[which], self.gathered[which], sizes)
+        self.owed_rows = []
+        self.owed_sizes = []
+
+    def slow_route(self, segments, a: int, b: int) -> int:
+        table = self.backend.table
+        rpp = table.rows_per_page
+        base_lpn = (table.base_lba * table.lba_bytes) // table.page_bytes
+        quant, dim = table.spec.quant, table.spec.dim
+        got_rows = self.rows_m[a:b]
+        got_srows = self.srows[self.member_order[a:b]]
+        got_rids = self.rids_m[a:b]
+        bad_lpns = [seg.lpn for seg in segments if seg.content is None]
+        if bad_lpns:
+            # Uncorrectable pages: their rows contribute zeros and
+            # must not be inserted into the host cache (that would
+            # pin zeros past the fault).  Count them for quality
+            # accounting; the op still completes.
+            ok = ~np.isin(
+                base_lpn + got_srows // rpp,
+                np.asarray(bad_lpns, dtype=np.int64),
+            )
+            self.stats["uncorrectable_rows"] = self.stats.get(
+                "uncorrectable_rows", 0.0
+            ) + float(got_rows.size - int(np.count_nonzero(ok)))
+            got_rows = got_rows[ok]
+            got_srows = got_srows[ok]
+            got_rids = got_rids[ok]
+        if got_rows.size:
+            if len(segments) == 1:
+                # Single-page command (every non-coalesced command):
+                # one direct extract, no grouping machinery.
+                vecs = extract_vectors(
+                    segments[0].content, got_srows % rpp, dim, rpp, quant
+                )
+            else:
+                content_by_lpn = {seg.lpn: seg.content for seg in segments}
+                vecs = extract_vectors_many(
+                    content_by_lpn,
+                    base_lpn + got_srows // rpp,
+                    got_srows % rpp,
+                    dim,
+                    rpp,
+                    quant,
+                )
+            self.settle()       # float32 sums keep completion order
+            scatter_add_vectors(self.values, got_rids, vecs)
+            host_cache = self.backend.host_cache
+            if host_cache is not None:
+                host_cache.insert_many(got_rows, vecs)
+        return got_rows.size
 
 
 class SsdSlsBackend(SlsBackend):
@@ -55,7 +201,6 @@ class SsdSlsBackend(SlsBackend):
     # ------------------------------------------------------------------
     def _start(self, bags: Bags, on_done: Callable[[SlsOpResult], None]) -> None:
         sim = self.system.sim
-        driver = self.system.driver_for(self.table.device)
         host_cpu = self.system.host_cpu
         table = self.table
         start = sim.now
@@ -63,7 +208,8 @@ class SsdSlsBackend(SlsBackend):
         # Before the cache sees them: -1 is its empty-tag value, and an id
         # past the table can land in the last page's padding.
         table.data._check_ids(rows)
-        values = np.zeros((len(bags), table.spec.dim), dtype=np.float32)
+        n_bags = len(bags)
+        values = np.zeros((n_bags, table.spec.dim), dtype=np.float32)
         breakdown = Breakdown()
         stats: Dict[str, float] = {
             "lookups": float(rows.size),
@@ -71,14 +217,15 @@ class SsdSlsBackend(SlsBackend):
             "commands": 0.0,
         }
         host_tail = host_cpu.config.op_overhead_s
+        row_bytes = table.spec.row_bytes
 
         # ---- host cache filter (one batched probe) -----------------------
         if self.host_cache is not None and rows.size:
             hit_mask, hit_vecs = self.host_cache.probe_filter(rows)
             if hit_vecs is not None:
                 n_hits = hit_vecs.shape[0]
-                values += segment_sum(hit_vecs, rids[hit_mask], len(bags))
-                cost = host_cpu.accumulate_time(n_hits, table.spec.row_bytes)
+                values += segment_sum(hit_vecs, rids[hit_mask], n_bags)
+                cost = host_cpu.accumulate_time(n_hits, row_bytes)
                 breakdown.add("cache_hit_accumulate", cost)
                 host_tail += cost
                 stats["cache_hits"] = float(n_hits)
@@ -93,153 +240,27 @@ class SsdSlsBackend(SlsBackend):
             self._finish(sim, host_tail, values, start, breakdown, stats, on_done)
             return
 
-        # ---- group misses by LBA run (mask/unique, no dict loop) ---------
+        # ---- group misses by LBA run (one stable sort, no dict loop) -----
         # Translate once to storage ranks: spans, page indices and slots
         # all address the (possibly heat-packed) physical placement,
         # while ``rows`` keeps the external ids for cache keys/values.
         srows = table.storage_ids(rows)
         spans = table.lba_span_of_storage(srows)  # [n, 2] (first_lba, nlb)
-        encode = int(spans[:, 1].max()) + 1
-        uniq_keys, member_order, bounds = group_slices(
-            spans[:, 0] * encode + spans[:, 1]
-        )
-        span_first = uniq_keys // encode
-        span_nlb = uniq_keys % encode
-        commands = self._plan_command_ranges(span_first, span_nlb)
+        span_nlb = spans[:, 1]
+        encode = int(np.maximum.reduce(span_nlb)) + 1
+        uniq_keys, member_order, bounds = group_slices(spans[:, 0] * encode + span_nlb)
+        commands = self._plan_command_ranges(uniq_keys // encode, uniq_keys % encode)
         stats["commands"] = float(len(commands))
         stats["unique_blocks"] = float(uniq_keys.size)
 
-        pending = {"n": len(commands), "accumulate_cost": 0.0}
-        rpp = table.rows_per_page
-        page_bytes = table.page_bytes
-        base_lpn = (table.base_lba * table.lba_bytes) // page_bytes
-        quant = table.spec.quant
-        dim = table.spec.dim
-        row_bytes = table.spec.row_bytes
-        host_cache = self.host_cache
-
-        # A command's members are one slice of the span-grouped order, so
-        # in that order everything a completion touches is a view.
-        rows_m = rows[member_order]
-        rids_m = rids[member_order]
-        position = np.arange(rows.size)
-
-        # Miss vectors, gathered once for the whole op at its first
-        # fast-route completion.  Valid whenever a command's pages are
-        # this table's virtual (preloaded) images — extraction from those
-        # is definitionally ``table.get_rows`` — so such a completion only
-        # notes its slice: the sum is owed to ``values`` and the refill to
-        # the host cache.  Commands with an uncorrectable page, or pages
-        # rewritten through the IO path (raw buffers), take the slow
-        # route: true extraction, summed and refilled on the spot.  An
-        # update batch committed after the gather has invalidated its
-        # rows in the host cache; a refill made later than that re-reads
-        # its rows, so it cannot put the pre-commit vectors back (the
-        # op's own sum keeps what it gathered).
-        gathered: List[np.ndarray] = []
-        owed: List[Tuple[int, int]] = []         # completion order
-
-        def settle() -> None:
-            """Sum the owed slices into ``values`` exactly as one
-            ``scatter_add_vectors`` per command, in completion order."""
-            if not owed:
-                return
-            if len(owed) == 1:
-                a, b = owed[0]
-                which = slice(a, b)
-            else:
-                which = np.concatenate([position[a:b] for a, b in owed])
-            scatter_add_segments(
-                values, rids_m[which], gathered[0][which], [b - a for a, b in owed]
-            )
-            owed.clear()
-
-        def slow_route(segments, a: int, b: int) -> int:
-            got_rows = rows_m[a:b]
-            got_srows = srows[member_order[a:b]]
-            got_rids = rids_m[a:b]
-            bad_lpns = [seg.lpn for seg in segments if seg.content is None]
-            if bad_lpns:
-                # Uncorrectable pages: their rows contribute zeros and
-                # must not be inserted into the host cache (that would
-                # pin zeros past the fault).  Count them for quality
-                # accounting; the op still completes.
-                ok = ~np.isin(
-                    base_lpn + got_srows // rpp,
-                    np.asarray(bad_lpns, dtype=np.int64),
-                )
-                stats["uncorrectable_rows"] = stats.get(
-                    "uncorrectable_rows", 0.0
-                ) + float(got_rows.size - int(np.count_nonzero(ok)))
-                got_rows = got_rows[ok]
-                got_srows = got_srows[ok]
-                got_rids = got_rids[ok]
-            if got_rows.size:
-                if len(segments) == 1:
-                    # Single-page command (every non-coalesced command):
-                    # one direct extract, no grouping machinery.
-                    vecs = extract_vectors(
-                        segments[0].content, got_srows % rpp, dim, rpp, quant
-                    )
-                else:
-                    content_by_lpn = {seg.lpn: seg.content for seg in segments}
-                    vecs = extract_vectors_many(
-                        content_by_lpn,
-                        base_lpn + got_srows // rpp,
-                        got_srows % rpp,
-                        dim,
-                        rpp,
-                        quant,
-                    )
-                settle()        # float32 sums keep completion order
-                scatter_add_vectors(values, got_rids, vecs)
-                if host_cache is not None:
-                    host_cache.insert_many(got_rows, vecs)
-            return got_rows.size
-
-        def make_handler(a: int, b: int):
-            def handle(cpl) -> None:
-                if not cpl.ok:
-                    raise RuntimeError(f"baseline SLS read failed: {cpl.status}")
-                segments = cpl.payload.segments
-                if all(
-                    type(seg.content) is TablePageContent and seg.content.table is table
-                    for seg in segments
-                ):
-                    if not gathered:
-                        gathered.append(table.get_rows(rows_m))
-                        pending["gathered_at"] = table.data.commits
-                    owed.append((a, b))
-                    if host_cache is not None:
-                        refill = gathered[0][a:b]
-                        if table.data.commits != pending["gathered_at"]:
-                            refill = table.get_rows(rows_m[a:b])
-                        host_cache.insert_later(rows_m[a:b], refill)
-                    n_rows = b - a
-                else:
-                    n_rows = slow_route(segments, a, b)
-                pending["accumulate_cost"] += host_cpu.accumulate_time(n_rows, row_bytes)
-                pending["n"] -= 1
-                if pending["n"] == 0:
-                    settle()
-                    io_wait = sim.now - start
-                    breakdown.add("io_wait", io_wait)
-                    breakdown.add("host_accumulate", pending["accumulate_cost"])
-                    self._finish(
-                        sim,
-                        host_tail + pending["accumulate_cost"],
-                        values,
-                        start,
-                        breakdown,
-                        stats,
-                        on_done,
-                    )
-
-            return handle
-
+        op = _SsdOp(
+            self, on_done, values, start, breakdown, stats, host_tail, row_bytes,
+            rows[member_order], rids[member_order], srows, member_order, len(commands),
+        )
+        read = self.system.driver_for(table.device).read
         edges = bounds.tolist()
         for slba, nlb, lo, hi in commands:
-            driver.read(slba, nlb, make_handler(edges[lo], edges[hi]))
+            read(slba, nlb, partial(op.completed, edges[lo], edges[hi]))
 
     def _plan_command_ranges(
         self, span_first: np.ndarray, span_nlb: np.ndarray
@@ -251,20 +272,17 @@ class SsdSlsBackend(SlsBackend):
         included (the extra blocks ride along in the transfer), as long
         as the command stays within the max transfer size.
         """
-        n = span_first.size
+        firsts, nlbs = span_first.tolist(), span_nlb.tolist()
+        n = len(firsts)
+        if not self.coalesce:
+            return list(zip(firsts, nlbs, range(n), range(1, n + 1)))
         if n == 0:
             return []
-        if not self.coalesce:
-            return [
-                (int(span_first[i]), int(span_nlb[i]), i, i + 1) for i in range(n)
-            ]
         commands: List[Tuple[int, int, int, int]] = []
-        cur_start = int(span_first[0])
-        cur_nlb = int(span_nlb[0])
+        cur_start, cur_nlb = firsts[0], nlbs[0]
         lo = 0
         for i in range(1, n):
-            lba = int(span_first[i])
-            nlb = int(span_nlb[i])
+            lba, nlb = firsts[i], nlbs[i]
             if (lba + nlb - cur_start) <= self.max_coalesce_lbas:
                 cur_nlb = max(cur_nlb, lba + nlb - cur_start)
             else:
@@ -276,15 +294,8 @@ class SsdSlsBackend(SlsBackend):
 
     # ------------------------------------------------------------------
     def _finish(self, sim, tail_cost, values, start, breakdown, stats, on_done) -> None:
-        def finish() -> None:
-            on_done(
-                SlsOpResult(
-                    values=values,
-                    start_time=start,
-                    end_time=sim.now,
-                    breakdown=breakdown,
-                    stats=stats,
-                )
-            )
+        sim.schedule_call(tail_cost, self._deliver, (values, start, breakdown, stats, on_done))
 
-        sim.schedule(tail_cost, finish)
+    def _deliver(self, done: tuple) -> None:
+        values, start, breakdown, stats, on_done = done
+        on_done(SlsOpResult(values, start, self.system.sim.now, breakdown, stats))

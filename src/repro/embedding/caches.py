@@ -29,9 +29,19 @@ from typing import Dict, Iterable, List, Optional
 
 import numpy as np
 
+from ..params import Domain
 from ..sim.resettable import register_resettable
 
 __all__ = ["SetAssociativeLru", "StaticPartitionCache", "profile_hot_rows"]
+
+_CAPACITY = Domain(0, integral=True)
+_WAYS = Domain(1, integral=True)
+
+
+def _count_unique(keys: np.ndarray) -> int:
+    """How many distinct values ``keys`` holds (sorts ``keys`` in place)."""
+    keys.sort()
+    return int(keys.size and 1 + (keys[1:] != keys[:-1]).sum())
 
 
 class SetAssociativeLru:
@@ -48,10 +58,12 @@ class SetAssociativeLru:
     """
 
     def __init__(self, capacity: int, ways: int = 16):
-        if not 0 <= capacity < np.inf:
-            raise ValueError(f"capacity must be finite and >= 0, got {capacity}")
-        if ways < 1:
-            raise ValueError("ways must be >= 1")
+        if capacity not in _CAPACITY:
+            raise ValueError(
+                f"SetAssociativeLru.capacity must be {_CAPACITY}, got {capacity!r}"
+            )
+        if ways not in _WAYS:
+            raise ValueError(f"SetAssociativeLru.ways must be {_WAYS}, got {ways!r}")
         self.capacity = capacity
         self.ways = min(ways, capacity) if capacity else ways
         # Round sets UP: flooring capacity // ways silently shrinks any
@@ -150,7 +162,7 @@ class SetAssociativeLru:
         if free:
             w = free.pop()
         else:
-            w = int(np.argmin(self._stamps[s]))
+            w = int(self._stamps[s].argmin())
             victim = int(self._tags[s, w])
             del self._slot_of[victim]
             self._evictions += 1
@@ -243,16 +255,16 @@ class SetAssociativeLru:
         keys = np.ascontiguousarray(keys, dtype=np.int64)
         n = keys.size
         if self.capacity == 0 or not self._slot_of or n == 0:
-            uniq_missing = int(np.unique(keys).size)
+            uniq_missing = _count_unique(keys.copy())
             self.misses += uniq_missing
             self.hits += n - uniq_missing
             return np.zeros(n, dtype=bool), None
         sets = keys % self.sets
         eq = self._tags[sets] == keys[:, None]
-        hit_mask = eq.any(axis=1)
-        hit_idx = np.flatnonzero(hit_mask)
+        hit_mask = np.logical_or.reduce(eq, axis=1)
+        hit_idx = hit_mask.nonzero()[0]
         n_miss = n - hit_idx.size
-        uniq_missing = int(np.unique(keys[~hit_mask]).size)
+        uniq_missing = _count_unique(keys[~hit_mask])
         self.hits += int(hit_idx.size) + (n_miss - uniq_missing)
         self.misses += uniq_missing
         if hit_idx.size == 0:
@@ -267,33 +279,29 @@ class SetAssociativeLru:
         """Insert a batch; equivalent to ``insert`` per row, in order.
 
         Tag/LRU bookkeeping runs element-wise (dict and freelist updates
-        are inherently per-key) but the vector payloads are written in one
-        scatter at the end, which is where the per-row cost was.
+        are inherently per-key; a stamp is written before the next key, as
+        an eviction reads its set's stamps) but the vector payloads are
+        written in one scatter at the end, which is where the per-row cost
+        was.
         """
         if self.capacity == 0 or keys.size == 0:
             return
         if self._owed_keys:
             self._settle()
-        if keys.size < 4:
-            # Tiny refills (single-page commands): per-key insert beats the
-            # array bookkeeping below.
-            for key, value in zip(keys.tolist(), values):
-                self.insert(key, value)
-            return
         values = np.asarray(values)
         self._ensure_storage(values[0])
         slot_of = self._slot_of
         sets = self.sets
         counter = self._counter
         stamps_flat = self._stamps.reshape(-1)
-        slots = np.empty(keys.size, dtype=np.int64)
-        for i, key in enumerate(keys.tolist()):
+        slots = []
+        for key in keys.tolist():
             counter += 1
             slot = slot_of.get(key)
             if slot is None:
                 slot = self._allocate_slot(key % sets, key)
             stamps_flat[slot] = counter
-            slots[i] = slot
+            slots.append(slot)
         self._counter = counter
         # Duplicate keys resolve to the same slot; element-order assignment
         # keeps the last value, matching the sequential overwrite.

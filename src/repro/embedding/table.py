@@ -290,17 +290,19 @@ class EmbeddingTable:
         grouping *and* in-page slot extraction)."""
         ranks = np.asarray(ranks, dtype=np.int64)
         rpp = self.rows_per_page
-        page_idx = ranks // rpp
-        slot = ranks % rpp
+        lba_bytes = self.lba_bytes
+        row_bytes = self.spec.row_bytes
         byte_start = (
-            self.base_lba * self.lba_bytes
-            + page_idx * self.page_bytes
-            + slot * self.spec.row_bytes
+            self.base_lba * lba_bytes
+            + ranks // rpp * self.page_bytes
+            + ranks % rpp * row_bytes
         )
-        byte_end = byte_start + self.spec.row_bytes - 1
-        first = byte_start // self.lba_bytes
-        last = byte_end // self.lba_bytes
-        return np.stack([first, last - first + 1], axis=1)
+        first = byte_start // lba_bytes
+        last = (byte_start + (row_bytes - 1)) // lba_bytes
+        spans = np.empty((ranks.size, 2), dtype=np.int64)
+        spans[:, 0] = first
+        spans[:, 1] = last - first + 1
+        return spans
 
     # ------------------------------------------------------------------
     # Data access (canonical values = quantization round trip)

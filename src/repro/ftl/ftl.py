@@ -48,7 +48,10 @@ class _PageRead:
     content: Any = None
 
     def cached(self) -> None:
-        self.deliver(self.content, True)
+        if self.listed:
+            self.on_done([self.content])
+        else:
+            self.on_done(self.content, True)
 
     def after_cpu(self) -> None:
         ftl = self.ftl
@@ -60,13 +63,10 @@ class _PageRead:
         # it would turn a transient fault into a permanent zero-page.
         if content is not None:
             self.ftl.page_cache.insert(self.lpn, content)
-        self.deliver(content, False)
-
-    def deliver(self, content: Any, hit: bool) -> None:
         if self.listed:
             self.on_done([content])
         else:
-            self.on_done(content, hit)
+            self.on_done(content, False)
 
 
 @dataclass(slots=True, eq=False)

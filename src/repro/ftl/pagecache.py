@@ -11,15 +11,22 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Any, Dict, Optional
 
+from ..params import Domain
 from ..sim.resettable import register_resettable
 
 __all__ = ["PageCache"]
+
+_PAGES = Domain(0, integral=True)
 
 
 class PageCache:
     """LRU page cache with pin counts."""
 
     def __init__(self, capacity_pages: int):
+        if capacity_pages not in _PAGES:
+            raise ValueError(
+                f"PageCache.capacity_pages must be {_PAGES}, got {capacity_pages!r}"
+            )
         self.capacity = capacity_pages
         self._entries: "OrderedDict[int, Any]" = OrderedDict()
         self._pins: Dict[int, int] = {}
@@ -56,13 +63,18 @@ class PageCache:
             self._entries.move_to_end(lpn)
             self._entries[lpn] = content
             return
-        while len(self._entries) >= self.capacity:
-            if not self._evict_one():
+        entries = self._entries
+        while len(entries) >= self.capacity:
+            if not self._pins:
+                entries.popitem(last=False)
+                self.evictions += 1
+            elif not self._evict_one():
                 self.insert_failures += 1
                 return  # everything pinned; drop the insert
-        self._entries[lpn] = content
+        entries[lpn] = content
 
     def _evict_one(self) -> bool:
+        """Evict the least recently used unpinned page, if there is one."""
         for lpn in self._entries:
             if self._pins.get(lpn, 0) == 0:
                 del self._entries[lpn]

@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Optional
 
+import numpy as np
+
 __all__ = [
     "Opcode",
     "NvmeCommand",
@@ -61,14 +63,27 @@ class NvmeCommand:
     nsid: int = 1
     ndp: bool = False
     data: Any = None
-    cid: int = field(default_factory=lambda: next(_cid_counter))
+    cid: int = field(default_factory=_cid_counter.__next__)
     submit_time: float = 0.0
 
     def __post_init__(self) -> None:
+        if type(self.slba) is not int or type(self.nlb) is not int:
+            self.slba = _lba_field("slba", self.slba)
+            self.nlb = _lba_field("nlb", self.nlb)
         if self.slba < 0:
             raise ValueError("slba must be >= 0")
         if self.opcode not in (Opcode.FLUSH,) and self.nlb < 1:
             raise ValueError("nlb must be >= 1")
+
+
+def _lba_field(name: str, value: Any) -> int:
+    """``value`` as a Python int: a numpy integer converts, anything else
+    (a float, NaN, a bool) is refused rather than read as an address."""
+    if type(value) is int:
+        return value
+    if isinstance(value, np.integer):
+        return int(value)
+    raise TypeError(f"NvmeCommand.{name} must be an integer, got {value!r}")
 
 
 @dataclass

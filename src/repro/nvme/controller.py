@@ -7,7 +7,7 @@ commands to the attached SLS engine, DMAs data, and posts completions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Callable, Dict, List, Optional
 
@@ -62,23 +62,42 @@ class _Fetch:
 
 
 @dataclass(slots=True, eq=False)
-class _Read:
-    """A conventional read: pages from the FTL -> DMA -> completion."""
+class _Command:
+    """A fetched command on its way out: completion CPU time -> CQ entry
+    over PCIe -> posted with ``payload`` and ``status``."""
 
     ctrl: "NvmeController"
     qp: QueuePair
     cmd: NvmeCommand
+    payload: Any = field(default=None, kw_only=True)
+    status: Status = field(default=Status.SUCCESS, kw_only=True)
+
+    def complete(self) -> None:
+        cpu = self.ctrl.ftl.cpu
+        cpu.host_core.submit(cpu.costs.cmd_complete_s, self.completion_ready)
+
+    def completion_ready(self) -> None:
+        self.ctrl.pcie.d2h.transfer(COMPLETION_BYTES, self.post)
+
+    def post(self) -> None:
+        ctrl = self.ctrl
+        ctrl.inflight -= 1
+        self.qp.cq.post(NvmeCompletion(self.cmd.cid, self.status, self.payload, ctrl.sim.now))
+
+
+@dataclass(slots=True, eq=False)
+class _Read(_Command):
+    """A conventional read: pages from the FTL -> DMA -> completion."""
+
     lpns: List[int]
     tracer: Any
     span: Any
-    payload: Optional[ReadPayload] = None
 
     def on_contents(self, contents: List[Any]) -> None:
         if self.span is not None:
             self.tracer.end(self.span)
-        cmd = self.cmd
-        lba_bytes = self.ctrl.ftl.config.lba_bytes
-        page_bytes = self.ctrl.ftl.page_bytes
+        ctrl, cmd = self.ctrl, self.cmd
+        lba_bytes, page_bytes = ctrl.lba_bytes, ctrl.page_bytes
         total_bytes = cmd.nlb * lba_bytes
         start_byte = cmd.slba * lba_bytes
         end_byte = start_byte + total_bytes
@@ -88,27 +107,20 @@ class _Read:
             seg_start = max(start_byte, page_start)
             seg_end = min(end_byte, page_start + page_bytes)
             segments.append(
-                ReadSegment(
-                    lpn=lpn,
-                    content=content,
-                    offset=seg_start - page_start,
-                    nbytes=seg_end - seg_start,
-                )
+                ReadSegment(lpn, content, seg_start - page_start, seg_end - seg_start)
             )
-        self.payload = ReadPayload(segments=segments, nbytes=total_bytes)
-        self.ctrl.dma_to_host(total_bytes, self.data_sent)
+        self.payload = ReadPayload(segments, total_bytes)
+        cpu = ctrl.ftl.cpu
+        cpu.host_core.submit(cpu.costs.dma_setup_s, self.dma_ready)
 
-    def data_sent(self) -> None:
-        self.ctrl.complete(self.qp, self.cmd, self.payload)
+    def dma_ready(self) -> None:
+        self.ctrl.pcie.d2h.transfer(self.payload.nbytes, self.complete)
 
 
 @dataclass(slots=True, eq=False)
-class _Write:
+class _Write(_Command):
     """A write command whose pages are on their way into the FTL."""
 
-    ctrl: "NvmeController"
-    qp: QueuePair
-    cmd: NvmeCommand
     remaining: int
     tracer: Any
     span: Any
@@ -124,24 +136,7 @@ class _Write:
         if self.remaining == 0:
             if self.span is not None:
                 self.tracer.end(self.span)
-            self.ctrl.complete(self.qp, self.cmd, None)
-
-
-@dataclass(slots=True, eq=False)
-class _Completion:
-    """Completion CPU time -> CQ entry over PCIe -> posted."""
-
-    ctrl: "NvmeController"
-    qp: QueuePair
-    cpl: NvmeCompletion
-
-    def after_cpu(self) -> None:
-        self.ctrl.pcie.to_host(COMPLETION_BYTES, self.post)
-
-    def post(self) -> None:
-        self.ctrl.inflight -= 1
-        self.cpl.complete_time = self.ctrl.sim.now
-        self.qp.cq.post(self.cpl)
+            self.complete()
 
 
 class NvmeController:
@@ -158,6 +153,12 @@ class NvmeController:
         self.writes_served = 0
         self.inflight = 0
         self._fetch: Dict[int, _Fetch] = {}
+        # The FTL's geometry, read once: the per-command path reads these
+        # instead of the FTL's derived properties.
+        self.lba_bytes = ftl.config.lba_bytes
+        self.page_bytes = ftl.page_bytes
+        self.lbas_per_page = ftl.lbas_per_page
+        self.logical_lbas = ftl.logical_lbas
 
     # ------------------------------------------------------------------
     # Queue registration / doorbells
@@ -181,7 +182,7 @@ class NvmeController:
         if fetch.cmd is None:
             fetch.active = False
             return
-        self.pcie.to_device(COMMAND_BYTES, fetch.after_xfer)
+        self.pcie.h2d.transfer(COMMAND_BYTES, fetch.after_xfer)
 
     # ------------------------------------------------------------------
     # Dispatch
@@ -219,11 +220,13 @@ class NvmeController:
     # Conventional read
     # ------------------------------------------------------------------
     def _do_read(self, qp: QueuePair, cmd: NvmeCommand) -> None:
-        if cmd.slba + cmd.nlb > self.ftl.logical_lbas:
+        slba, nlb = cmd.slba, cmd.nlb
+        if slba + nlb > self.logical_lbas:
             self.complete(qp, cmd, None, Status.LBA_OUT_OF_RANGE)
             return
         self.reads_served += 1
-        lpns = list(self.ftl.lpn_range_for_lbas(cmd.slba, cmd.nlb))
+        lbas_per_page = self.lbas_per_page
+        lpns = list(range(slba // lbas_per_page, (slba + nlb - 1) // lbas_per_page + 1))
         tracer = self.sim.tracer
         read_span = None
         if tracer is not None:
@@ -239,11 +242,10 @@ class NvmeController:
     # covered by the range; partially covered pages are left intact.
     # ------------------------------------------------------------------
     def _do_trim(self, qp: QueuePair, cmd: NvmeCommand) -> None:
-        lba_bytes = self.ftl.config.lba_bytes
-        if cmd.slba + cmd.nlb > self.ftl.logical_lbas:
+        if cmd.slba + cmd.nlb > self.logical_lbas:
             self.complete(qp, cmd, None, Status.LBA_OUT_OF_RANGE)
             return
-        lbas_per_page = self.ftl.lbas_per_page
+        lbas_per_page = self.lbas_per_page
         first_full = -(-cmd.slba // lbas_per_page)
         last_full = (cmd.slba + cmd.nlb) // lbas_per_page
         lpns = list(range(first_full, last_full))
@@ -260,8 +262,8 @@ class NvmeController:
     # Conventional write
     # ------------------------------------------------------------------
     def _do_write(self, qp: QueuePair, cmd: NvmeCommand) -> None:
-        lba_bytes = self.ftl.config.lba_bytes
-        if cmd.slba + cmd.nlb > self.ftl.logical_lbas:
+        lba_bytes = self.lba_bytes
+        if cmd.slba + cmd.nlb > self.logical_lbas:
             self.complete(qp, cmd, None, Status.LBA_OUT_OF_RANGE)
             return
         if isinstance(cmd.data, PageImagePayload):
@@ -287,8 +289,8 @@ class NvmeController:
         (virtual table pages stay read-through after the rewrite).
         """
         payload: PageImagePayload = cmd.data
-        lba_bytes = self.ftl.config.lba_bytes
-        lbas_per_page = self.ftl.lbas_per_page
+        lba_bytes = self.lba_bytes
+        lbas_per_page = self.lbas_per_page
         total_bytes = cmd.nlb * lba_bytes
         if (
             cmd.slba % lbas_per_page != 0
@@ -312,8 +314,8 @@ class NvmeController:
         self.pcie.to_device(total_bytes, write.images_arrived)
 
     def _write_pages(self, qp: QueuePair, cmd: NvmeCommand, data: np.ndarray) -> None:
-        lba_bytes = self.ftl.config.lba_bytes
-        page_bytes = self.ftl.page_bytes
+        lba_bytes = self.lba_bytes
+        page_bytes = self.page_bytes
         start_byte = cmd.slba * lba_bytes
         end_byte = start_byte + data.size
         lpns = list(self.ftl.lpn_range_for_lbas(cmd.slba, cmd.nlb))
@@ -341,7 +343,7 @@ class NvmeController:
     def _read_modify_write(
         self, lpn: int, chunk: np.ndarray, offset: int, on_done: Callable[[], None]
     ) -> None:
-        page_bytes = self.ftl.page_bytes
+        page_bytes = self.page_bytes
 
         def after_read(content: Any, _hit: bool) -> None:
             page = page_content_to_bytes(content, page_bytes).copy()
@@ -371,6 +373,4 @@ class NvmeController:
         payload: Any = None,
         status: Status = Status.SUCCESS,
     ) -> None:
-        cpu = self.ftl.cpu
-        cpl = NvmeCompletion(cid=cmd.cid, status=status, payload=payload)
-        cpu.host_core.submit(cpu.costs.cmd_complete_s, _Completion(self, qp, cpl).after_cpu)
+        _Command(self, qp, cmd, payload=payload, status=status).complete()

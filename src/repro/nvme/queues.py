@@ -43,10 +43,6 @@ class SubmissionQueue:
     def __len__(self) -> int:
         return len(self._ring)
 
-    @property
-    def full(self) -> bool:
-        return len(self._ring) >= self.depth
-
 
 class CompletionQueue:
     """Bounded ring written by the controller, polled by the host driver."""
@@ -88,4 +84,4 @@ class QueuePair:
 
     @property
     def can_submit(self) -> bool:
-        return self.outstanding < self.depth and not self.sq.full
+        return self.outstanding < self.depth and len(self.sq._ring) < self.depth

@@ -49,6 +49,17 @@ class TestSetAssociativeLru:
         with pytest.raises(ValueError, match="capacity"):
             SetAssociativeLru(capacity)
 
+    @pytest.mark.parametrize("capacity", [2.5, 16.0, "8", None])
+    def test_capacity_must_be_an_integer(self, capacity):
+        # 2.5 used to die in numpy ("cannot be interpreted as an integer").
+        with pytest.raises(ValueError, match="SetAssociativeLru.capacity must be an integer"):
+            SetAssociativeLru(capacity)
+
+    @pytest.mark.parametrize("ways", [0, -1, 1.5, float("nan")])
+    def test_ways_must_be_a_positive_integer(self, ways):
+        with pytest.raises(ValueError, match="SetAssociativeLru.ways must be an integer"):
+            SetAssociativeLru(32, ways=ways)
+
     def test_zero_capacity(self):
         cache = SetAssociativeLru(0)
         cache.insert(1, vec(1))

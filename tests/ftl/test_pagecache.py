@@ -97,3 +97,21 @@ class TestPinning:
         cache.unpin(1)
         cache.insert(2, "b")     # still pinned once
         assert cache.peek(1) == (True, "a")
+
+
+@pytest.mark.parametrize("capacity", [float("nan"), float("inf"), -1, 2.5, 3.0, "4", None])
+def test_an_out_of_domain_capacity_is_refused(capacity):
+    # NaN never evicted, -1 failed every insert, 2.5 held 3 pages.
+    with pytest.raises(ValueError, match="PageCache.capacity_pages must be an integer"):
+        PageCache(capacity)
+
+
+def test_eviction_with_nothing_pinned_takes_the_lru_page():
+    cache = PageCache(3)
+    for lpn in (1, 2, 3):
+        cache.insert(lpn, lpn)
+    cache.lookup(1)
+    cache.insert(4, 4)          # evicts 2
+    cache.insert(5, 5)          # evicts 3
+    assert [lpn for lpn in (1, 2, 3, 4, 5) if cache.peek(lpn)[0]] == [1, 4, 5]
+    assert cache.evictions == 2 and cache.insert_failures == 0

@@ -1,5 +1,6 @@
 """NVMe command model and the SLBA request-id codec."""
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -17,6 +18,33 @@ class TestCommand:
             NvmeCommand(opcode=Opcode.READ, slba=-1, nlb=1)
         with pytest.raises(ValueError):
             NvmeCommand(opcode=Opcode.READ, slba=0, nlb=0)
+
+    @pytest.mark.parametrize("field", ["slba", "nlb"])
+    @pytest.mark.parametrize("value", [float("nan"), 2.5, 1.0, True, np.bool_(True), "1", None])
+    def test_a_non_integer_address_is_refused(self, field, value):
+        # NaN passed the controller's range check (it compares false) and
+        # died inside an event callback; True read LBA 1.
+        args = {"slba": 0, "nlb": 1, field: value}
+        with pytest.raises(TypeError, match=f"NvmeCommand.{field} must be an integer"):
+            NvmeCommand(opcode=Opcode.READ, **args)
+
+    def test_numpy_integers_are_read_as_ints(self):
+        cmd = NvmeCommand(opcode=Opcode.READ, slba=np.int64(7), nlb=np.uint32(2))
+        assert (cmd.slba, cmd.nlb) == (7, 2)
+        assert type(cmd.slba) is int and type(cmd.nlb) is int
+
+    def test_the_driver_refuses_a_nan_read_when_it_is_issued(self):
+        from repro.driver.unvme import UnvmeDriver
+        from repro.sim.kernel import Simulator
+        from repro.ssd.presets import small_ssd
+
+        sim = Simulator()
+        driver = UnvmeDriver(sim, small_ssd(sim))
+        with pytest.raises(TypeError, match="slba"):
+            driver.read(float("nan"), 1, lambda cpl: None)
+        with pytest.raises(TypeError, match="nlb"):
+            driver.read(0, 2.5, lambda cpl: None)
+        assert driver.commands_issued == 0 and not sim.pending_events
 
     def test_flush_allows_zero_nlb(self):
         NvmeCommand(opcode=Opcode.FLUSH, slba=0, nlb=0)

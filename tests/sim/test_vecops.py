@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.core.vecops import group_slices, scatter_add_vectors, segment_sum
 
@@ -56,3 +57,31 @@ class TestGroupSlices:
             assert list(idx) == sorted(idx)
             seen.extend(idx.tolist())
         assert sorted(seen) == list(range(keys.size))
+
+
+def unique_form(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``group_slices`` as it was: ``np.unique(return_inverse)`` + ``bincount``."""
+    uniq, inverse = np.unique(keys, return_inverse=True)
+    order = np.argsort(inverse, kind="stable")
+    counts = np.bincount(inverse, minlength=uniq.size)
+    bounds = np.concatenate(([0], np.cumsum(counts)))
+    return uniq, order, bounds
+
+
+@given(
+    dtype=st.sampled_from([np.int64, np.int32, np.int16, np.uint8, np.uint64]),
+    values=st.lists(st.integers(0, 40), max_size=80)
+    | st.lists(st.integers(0, 255), max_size=20),
+)
+def test_group_slices_equals_the_unique_form(dtype, values):
+    keys = np.array(values, dtype=dtype)
+    got, expected = group_slices(keys), unique_form(keys)
+    for a, b in zip(got, expected):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert np.array_equal(a, b)
+
+
+def test_group_slices_of_nothing():
+    uniq, order, bounds = group_slices(np.zeros(0, dtype=np.int64))
+    assert (uniq.size, order.size, bounds.tolist()) == (0, 0, [0])
+    assert uniq.dtype == np.int64 and order.dtype == np.intp and bounds.dtype == np.intp

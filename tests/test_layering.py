@@ -258,7 +258,7 @@ CLOSURE_FREE = {
         "NvmeController._fetch_next", "NvmeController._do_read", "NvmeController.complete",
         "NvmeController.dma_to_host", "NvmeController.dma_to_device",
         "NvmeController._do_write_images",
-        "_Fetch.*", "_Read.*", "_Write.*", "_Completion.*",
+        "_Fetch.*", "_Command.*", "_Read.*", "_Write.*",
     ),
     "repro/driver/unvme.py": ("UnvmeDriver._on_cq_post", "UnvmeDriver._deliver"),
     "repro/core/engine.py": (
@@ -269,6 +269,9 @@ CLOSURE_FREE = {
     "repro/embedding/stage.py": ("EmbeddingStage.start", "_Batch.*", "_Piece.*"),
     "repro/driver/ndp.py": ("NdpSlsSession.sls", "_SlsOp.*"),
     "repro/embedding/backends/ndp.py": ("NdpSlsBackend._start", "_NdpOp.*"),
+    "repro/embedding/backends/ssd.py": (
+        "SsdSlsBackend._start", "SsdSlsBackend._finish", "SsdSlsBackend._deliver", "_SsdOp.*",
+    ),
 }
 
 

@@ -56,6 +56,7 @@ ALLOWED = {
     "repro.driver.ndp._SlsOp": RECORD,
     "repro.embedding.backends.base.SlsOpResult": RESULT,
     "repro.embedding.backends.ndp._NdpOp": RECORD,
+    "repro.embedding.backends.ssd._SsdOp": RECORD,
     "repro.embedding.stage.EmbStageResult": RESULT,
     "repro.embedding.stage._Batch": RECORD,
     "repro.embedding.stage._Piece": RECORD,

@@ -4,6 +4,7 @@ ratio and the change's wins on the side BENCHMARK.json calls better."""
 
 from __future__ import annotations
 
+import json
 import sys
 from pathlib import Path
 
@@ -11,7 +12,16 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 
-from perf_pairs import end_to_end_metrics, format_table, metric_row, quartiles  # noqa: E402
+from perf_pairs import (  # noqa: E402
+    end_to_end_bounds,
+    end_to_end_metrics,
+    format_table,
+    metric_row,
+    quartiles,
+    regressions,
+    verdict,
+    workloads_named,
+)
 
 
 def result(rate: float, setup: float, p50: float = 0.99, failed: int = 0) -> dict:
@@ -72,3 +82,45 @@ def test_the_table_says_whether_simulated_numbers_moved():
 def test_the_metrics_are_the_benchmarks_end_to_end_ones():
     metrics = dict(end_to_end_metrics())
     assert metrics["host_req_per_s"] == "higher" and metrics["setup_s"] == "lower"
+
+
+BOUNDS = [("host_req_per_s", "higher", 0.25), ("setup_s", "lower", 0.25), ("sim_p50_ms", "lower", 0.2)]
+
+
+def test_the_verdict_names_each_workload_metric_past_its_bound():
+    steady = [(result(p, 0.03), result(c, 0.03)) for p, c in zip(PARENT, CHANGE)]
+    # Medians: rate 1,400 -> 1,000 (-28.6 %, past 25 %); setup 0.030 ->
+    # 0.0374 (+24.7 %, inside 25 %); p50 0.99 -> 1.2 (+21 %, past 20 %).
+    slower = [
+        (result(p, 0.03), result(c, 0.0374, p50=1.2))
+        for p, c in zip(PARENT, [1000.0, 990.0, 1010.0, 1500.0, 950.0])
+    ]
+    runs = {"ndp_serve": steady, "ssd_serve": slower}
+    assert regressions(runs, BOUNDS) == ["ssd_serve host_req_per_s", "ssd_serve sim_p50_ms"]
+    assert verdict(regressions(runs, BOUNDS)) == (
+        "worse than the parent beyond a BENCHMARK.json bound: "
+        "ssd_serve host_req_per_s, ssd_serve sim_p50_ms"
+    )
+    assert verdict(regressions({"ndp_serve": steady}, BOUNDS)) == (
+        "worse than the parent beyond a BENCHMARK.json bound: none"
+    )
+
+
+def test_the_verdict_judges_medians_not_single_pairs():
+    # One change run far worse, the median well inside the bound.
+    runs = {"dram_serve": [(result(1000.0, 0.03), result(c, 0.03)) for c in (10.0, 990.0, 1010.0)]}
+    assert regressions(runs, BOUNDS) == []
+
+
+def test_workloads_repeat_or_are_all():
+    benchmark = json.loads((Path(__file__).resolve().parent.parent / "BENCHMARK.json").read_text())
+    assert workloads_named(["all"]) == [w["name"] for w in benchmark["workloads"]]
+    assert workloads_named(["ssd_serve", "dram_serve", "ssd_serve"]) == ["ssd_serve", "dram_serve"]
+    with pytest.raises(ValueError, match="unknown workload"):
+        workloads_named(["ssd_srve"])
+
+
+def test_the_bounds_are_the_benchmarks():
+    bounds = {name: (better, bound) for name, better, bound in end_to_end_bounds()}
+    assert bounds["host_req_per_s"] == ("higher", 0.25)
+    assert [(n, b) for n, (b, _) in bounds.items()] == end_to_end_metrics()

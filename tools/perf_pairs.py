@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Alternating before/after pairs of ``python3 -m perf.run`` for one workload.
+"""Alternating before/after pairs of ``python3 -m perf.run``, per workload.
 
 A host-clock claim is a comparison of two commits on a box whose speed
 drifts by 20-30 % within minutes, so the runs are taken in pairs and the
@@ -9,18 +9,23 @@ temporary ``git worktree``\\ s, runs the unchanged benchmark command
 
     python3 -m perf.run --workload W --seed SEED --seconds S --trace 0
 
-in each, ``--pairs`` times, and prints one row per end-to-end metric:
-the parent's median [quartiles], the change's median, their ratio and
-how many pairs the change won (on the side ``BENCHMARK.json`` calls
-better) — the table ``CHANGES.md`` quotes.  It also says whether every
-``sim_*`` metric was identical in every run and how many operations
-failed.  The worktrees are removed afterwards; nothing in the repo is
-written.
+in each, ``--pairs`` times per workload, and prints one table per
+workload with one row per end-to-end metric: the parent's median
+[quartiles], the change's median, their ratio and how many pairs the
+change won (on the side ``BENCHMARK.json`` calls better) — the table
+``CHANGES.md`` quotes.  Each table also says whether every ``sim_*``
+metric was identical in every run and how many operations failed.  The
+last line names every (workload, end-to-end metric) whose change median
+is worse than the parent's by more than its ``BENCHMARK.json`` bound.
+``--workload`` repeats, or is ``all``; the worktrees are made once and
+removed afterwards; nothing in the repo is written.
 
 Usage (from the repo root)::
 
     python3 tools/perf_pairs.py --against HEAD~1 --workload ndp_serve --pairs 10 --seconds 10
     python3 tools/perf_pairs.py --against HEAD~1 --workload ndp_serve --pairs 5 --seed 7
+    python3 tools/perf_pairs.py --against HEAD~1 --workload ssd_serve --workload dram_serve
+    python3 tools/perf_pairs.py --against HEAD~1 --workload all --pairs 3
 """
 
 from __future__ import annotations
@@ -105,9 +110,61 @@ def format_table(
     return "\n".join(lines)
 
 
+def regressions(
+    runs: Dict[str, Sequence[Tuple[dict, dict]]],
+    bounds: Sequence[Tuple[str, str, float]],
+) -> List[str]:
+    """``"workload metric"`` for every end-to-end metric, ``(name,
+    better, bound)``, whose change median is worse than the parent median
+    by more than ``bound`` (a fraction of the parent median), per
+    workload's paired runs."""
+    worse = []
+    for workload, pairs in runs.items():
+        for name, better, bound in bounds:
+            parent = statistics.median(p["metrics"][name]["value"] for p, _ in pairs)
+            change = statistics.median(c["metrics"][name]["value"] for _, c in pairs)
+            if better == "higher":
+                regressed = change < parent * (1.0 - bound)
+            elif better == "lower":
+                regressed = change > parent * (1.0 + bound)
+            else:
+                raise ValueError(f"better must be 'higher' or 'lower', got {better!r}")
+            if regressed:
+                worse.append(f"{workload} {name}")
+    return worse
+
+
+def verdict(worse: Sequence[str]) -> str:
+    """The report's last line, from :func:`regressions`."""
+    return "worse than the parent beyond a BENCHMARK.json bound: " + (
+        ", ".join(worse) if worse else "none"
+    )
+
+
+def _benchmark() -> dict:
+    return json.loads((ROOT / "BENCHMARK.json").read_text())
+
+
+def end_to_end_bounds() -> List[Tuple[str, str, float]]:
+    return [(m["name"], m["better"], m["bound"]) for m in _benchmark()["end_to_end"]]
+
+
 def end_to_end_metrics() -> List[Tuple[str, str]]:
-    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
-    return [(m["name"], m["better"]) for m in benchmark["end_to_end"]]
+    return [(name, better) for name, better, _ in end_to_end_bounds()]
+
+
+def workloads_named(names: Sequence[str]) -> List[str]:
+    """``--workload`` values in order, ``all`` standing for every
+    ``BENCHMARK.json`` workload; an unknown name is refused."""
+    known = [w["name"] for w in _benchmark()["workloads"]]
+    chosen: List[str] = []
+    for name in names:
+        for workload in known if name == "all" else [name]:
+            if workload not in known:
+                raise ValueError(f"unknown workload {workload!r}; known: {', '.join(known)}")
+            if workload not in chosen:
+                chosen.append(workload)
+    return chosen
 
 
 def _git(*args: str) -> str:
@@ -128,14 +185,21 @@ def _measure(tree: Path, workload: str, seed: int, seconds: float) -> dict:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--against", required=True, help="the parent revision")
-    parser.add_argument("--workload", required=True, help="a BENCHMARK.json workload")
+    parser.add_argument(
+        "--workload", required=True, action="append",
+        help="a BENCHMARK.json workload, or all; repeat for several",
+    )
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=10.0)
     parser.add_argument("--seed", type=int, default=13)
     args = parser.parse_args(argv)
 
+    try:
+        workloads = workloads_named(args.workload)
+    except ValueError as exc:
+        parser.error(str(exc))
     revisions = {"parent": _git("rev-parse", args.against), "change": _git("rev-parse", "HEAD")}
-    runs: List[Tuple[dict, dict]] = []
+    runs: Dict[str, List[Tuple[dict, dict]]] = {w: [] for w in workloads}
     with tempfile.TemporaryDirectory(prefix="perf-pairs-") as scratch:
         trees: Dict[str, Path] = {}
         try:
@@ -143,22 +207,27 @@ def main(argv: Sequence[str] | None = None) -> int:
                 tree = Path(scratch) / side
                 _git("worktree", "add", "--detach", str(tree), revision)
                 trees[side] = tree
-            for i in range(args.pairs):
-                order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-                result = {
-                    side: _measure(trees[side], args.workload, args.seed, args.seconds)
-                    for side in order
-                }
-                runs.append((result["parent"], result["change"]))
-                rate = [result[side]["metrics"]["host_req_per_s"]["value"] for side in ("parent", "change")]
-                print(f"pair {i + 1}/{args.pairs} ({order[0]} first): host_req_per_s "
-                      f"{rate[0]:,.0f} / {rate[1]:,.0f}", file=sys.stderr, flush=True)
+            for workload in workloads:
+                for i in range(args.pairs):
+                    order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+                    result = {
+                        side: _measure(trees[side], workload, args.seed, args.seconds)
+                        for side in order
+                    }
+                    runs[workload].append((result["parent"], result["change"]))
+                    rate = [result[side]["metrics"]["host_req_per_s"]["value"] for side in ("parent", "change")]
+                    print(f"{workload} pair {i + 1}/{args.pairs} ({order[0]} first): host_req_per_s "
+                          f"{rate[0]:,.0f} / {rate[1]:,.0f}", file=sys.stderr, flush=True)
         finally:
             for tree in trees.values():
                 _git("worktree", "remove", "--force", str(tree))
             _git("worktree", "prune")
     print(f"parent {revisions['parent'][:10]}, change {revisions['change'][:10]}")
-    print(format_table(args.workload, args.seed, end_to_end_metrics(), runs))
+    for workload, pairs in runs.items():
+        print()
+        print(format_table(workload, args.seed, end_to_end_metrics(), pairs))
+    print()
+    print(verdict(regressions(runs, end_to_end_bounds())))
     return 0
 
 
