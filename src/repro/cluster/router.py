@@ -38,6 +38,7 @@ from abc import ABC, abstractmethod
 from bisect import bisect_right
 from typing import Dict, List, Sequence, Tuple
 
+from ..params import PosCount, checked
 from .node import ClusterNode
 
 __all__ = [
@@ -173,11 +174,8 @@ class ConsistentHashRouter(Router):
     non-primary replica under read spreading.
     """
 
-    def __init__(self, vnodes: int = 64, spread: int = 1) -> None:
-        if vnodes < 1:
-            raise ValueError("vnodes must be >= 1")
-        if spread < 1:
-            raise ValueError("spread must be >= 1")
+    @checked
+    def __init__(self, vnodes: PosCount = 64, spread: PosCount = 1) -> None:
         super().__init__()
         self.vnodes = vnodes
         self.spread = spread
@@ -244,11 +242,12 @@ class ConsistentHashRouter(Router):
         return f"ConsistentHashRouter(vnodes={self.vnodes}, spread={self.spread})"
 
 
+@checked
 def make_router(
     kind: str,
     least_loaded_by: str = "inflight",
-    hash_vnodes: int = 64,
-    hash_spread: int = 1,
+    hash_vnodes: PosCount = 64,
+    hash_spread: PosCount = 1,
 ) -> Router:
     """Router factory for declarative specs (``ClusterSpec.router``)."""
     if kind == "round_robin":

@@ -33,6 +33,7 @@ from ...core.vecops import (
     segment_sum,
 )
 from ...nvme.commands import NvmeCompletion, Status
+from ...params import PosCount, checked
 from ...sim.stats import Breakdown
 from ..caches import SetAssociativeLru
 from ..table import EmbeddingTable, TablePageContent
@@ -185,13 +186,14 @@ class _SsdOp:
 
 
 class SsdSlsBackend(SlsBackend):
+    @checked
     def __init__(
         self,
         system,
         table: EmbeddingTable,
         host_cache: Optional[SetAssociativeLru] = None,
         coalesce: bool = False,
-        max_coalesce_lbas: int = 32,
+        max_coalesce_lbas: PosCount = 32,
     ):
         super().__init__(system, table)
         self.host_cache = host_cache

@@ -29,13 +29,10 @@ from typing import Dict, Iterable, List, Optional
 
 import numpy as np
 
-from ..params import Domain
+from ..params import Count, PosCount, checked
 from ..sim.resettable import register_resettable
 
 __all__ = ["SetAssociativeLru", "StaticPartitionCache", "profile_hot_rows"]
-
-_CAPACITY = Domain(0, integral=True)
-_WAYS = Domain(1, integral=True)
 
 
 def _count_unique(keys: np.ndarray) -> int:
@@ -57,13 +54,8 @@ class SetAssociativeLru:
     refill moves) starts by settling what ``insert_later`` left owed.
     """
 
-    def __init__(self, capacity: int, ways: int = 16):
-        if capacity not in _CAPACITY:
-            raise ValueError(
-                f"SetAssociativeLru.capacity must be {_CAPACITY}, got {capacity!r}"
-            )
-        if ways not in _WAYS:
-            raise ValueError(f"SetAssociativeLru.ways must be {_WAYS}, got {ways!r}")
+    @checked
+    def __init__(self, capacity: Count, ways: PosCount = 16):
         self.capacity = capacity
         self.ways = min(ways, capacity) if capacity else ways
         # Round sets UP: flooring capacity // ways silently shrinks any

@@ -14,6 +14,8 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
+from ..params import Count, PosCount, checked
+
 __all__ = [
     "TableData",
     "DenseTableData",
@@ -83,9 +85,8 @@ class VirtualTableData(TableData):
     mismatches are detectable) while generation stays vectorized.
     """
 
-    def __init__(self, rows: int, dim: int, seed: int = 0, pool_rows: int = 4096):
-        if rows < 1 or dim < 1 or pool_rows < 1:
-            raise ValueError("rows, dim, pool_rows must be >= 1")
+    @checked
+    def __init__(self, rows: PosCount, dim: PosCount, seed: Count = 0, pool_rows: PosCount = 4096):
         self.rows = rows
         self.dim = dim
         self.seed = seed

@@ -25,6 +25,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
+from ..params import Count, Fraction, PosCount, checked
 from .table import EmbeddingTable
 
 __all__ = [
@@ -78,19 +79,14 @@ class HeatTracker:
     which keeps replays reproducible).
     """
 
+    @checked
     def __init__(
         self,
-        num_rows: int,
-        decay: float = 0.5,
-        decay_every: int = 50_000,
+        num_rows: PosCount,
+        decay: Fraction = 0.5,
+        decay_every: PosCount = 50_000,
         initial: Optional[np.ndarray] = None,
     ):
-        if num_rows < 1:
-            raise ValueError("num_rows must be >= 1")
-        if not 0.0 <= decay <= 1.0:
-            raise ValueError("decay must be in [0, 1]")
-        if decay_every < 1:
-            raise ValueError("decay_every must be >= 1")
         self.num_rows = num_rows
         self.decay = decay
         self.decay_every = decay_every
@@ -141,9 +137,8 @@ class LayoutMigrator:
     invalidated for exactly the ranks whose occupant changed.
     """
 
-    def __init__(self, budget_rows: int = 256):
-        if budget_rows < 0:
-            raise ValueError("budget_rows must be >= 0")
+    @checked
+    def __init__(self, budget_rows: Count = 256):
         self.budget_rows = budget_rows
         self.entries: List[_TableEntry] = []
         self.repacks = 0

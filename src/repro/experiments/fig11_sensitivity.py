@@ -12,13 +12,15 @@
 
 from __future__ import annotations
 
-from typing import Sequence
+from functools import partial
+from typing import Optional
 
 import numpy as np
 
 from ..models import BackendKind, DlrmConfig, DlrmModel, RunnerConfig
 from ..quant import EmbDtype, QuantSpec
 from ..embedding.spec import Layout, TableSpec
+from ..embedding.table import EmbeddingTable
 from ..serving.runner import ModelRunner
 from .common import ExperimentResult, speedup
 
@@ -26,23 +28,6 @@ __all__ = ["run_feature_quant", "run_indices_tables", "run"]
 
 BASE_ROWS = 65_536
 BASE_BATCH = 32
-
-
-def _measure(config: DlrmConfig, seed: int, batch: int, n_batches: int) -> tuple[float, float]:
-    rng = np.random.default_rng(seed)
-    batches = [DlrmModel(config, seed=seed).sample_batch(rng, batch)
-               for _ in range(n_batches)]
-    base = ModelRunner(
-        DlrmModel(config, seed=seed),
-        RunnerConfig(kind=BackendKind.SSD, pipelined=False),
-    ).run_batches(batches)
-    ndp = ModelRunner(
-        DlrmModel(config, seed=seed),
-        RunnerConfig(kind=BackendKind.NDP, pipelined=False),
-    ).run_batches(batches)
-    if not np.allclose(base.outputs[-1], ndp.outputs[-1], rtol=1e-4, atol=1e-5):
-        raise AssertionError("fig11: NDP outputs diverge from baseline")
-    return base.steady_latency, ndp.steady_latency
 
 
 def _rm3_like(name: str, dim: int, lookups: int, tables: int) -> DlrmConfig:
@@ -63,7 +48,7 @@ def run_feature_quant(fast: bool = True, seed: int = 0) -> ExperimentResult:
         for dtype in dtypes:
             config = _rm3_like("fig11a", dim=dim, lookups=20, tables=4)
             quant = QuantSpec(dtype=dtype)
-            base_s, ndp_s = _measure_quant(config, quant, seed, BASE_BATCH, n_batches)
+            base_s, ndp_s = _measure(config, quant, seed, BASE_BATCH, n_batches)
             rows.append(
                 {
                     "dim": dim,
@@ -88,8 +73,6 @@ class _QuantDlrm(DlrmModel):
         self._quant = quant
         super().__init__(config, seed=seed)
         # Rebuild tables with the quantized spec.
-        from ..embedding.table import EmbeddingTable
-
         for i, feature in enumerate(list(self.features)):
             spec = TableSpec(
                 name=feature.spec.name,
@@ -102,22 +85,25 @@ class _QuantDlrm(DlrmModel):
             self.tables[feature.name] = EmbeddingTable(spec, seed=seed + i * 1009 + 1)
 
 
-def _measure_quant(
-    config: DlrmConfig, quant: QuantSpec, seed: int, batch: int, n_batches: int
+def _measure(
+    config: DlrmConfig, quant: Optional[QuantSpec], seed: int, batch: int, n_batches: int
 ) -> tuple[float, float]:
+    """Steady SSD and NDP latencies over the same batches; ``quant`` (when
+    given) is the tables' element type, and loosens the output check."""
+    make = DlrmModel if quant is None else partial(_QuantDlrm, quant=quant)
+    rtol, atol = (1e-4, 1e-5) if quant is None else (1e-3, 1e-4)
     rng = np.random.default_rng(seed)
-    batches = [_QuantDlrm(config, quant, seed=seed).sample_batch(rng, batch)
-               for _ in range(n_batches)]
+    batches = [make(config, seed=seed).sample_batch(rng, batch) for _ in range(n_batches)]
     base = ModelRunner(
-        _QuantDlrm(config, quant, seed=seed),
+        make(config, seed=seed),
         RunnerConfig(kind=BackendKind.SSD, pipelined=False),
     ).run_batches(batches)
     ndp = ModelRunner(
-        _QuantDlrm(config, quant, seed=seed),
+        make(config, seed=seed),
         RunnerConfig(kind=BackendKind.NDP, pipelined=False),
     ).run_batches(batches)
-    if not np.allclose(base.outputs[-1], ndp.outputs[-1], rtol=1e-3, atol=1e-4):
-        raise AssertionError("fig11a: NDP outputs diverge from baseline")
+    if not np.allclose(base.outputs[-1], ndp.outputs[-1], rtol=rtol, atol=atol):
+        raise AssertionError(f"{config.name}: NDP outputs diverge from baseline")
     return base.steady_latency, ndp.steady_latency
 
 
@@ -128,7 +114,7 @@ def run_indices_tables(fast: bool = True, seed: int = 0) -> ExperimentResult:
     rows = []
     for lookups in indices_sweep:
         config = _rm3_like("fig11b_idx", dim=32, lookups=lookups, tables=4)
-        base_s, ndp_s = _measure(config, seed, BASE_BATCH, n_batches)
+        base_s, ndp_s = _measure(config, None, seed, BASE_BATCH, n_batches)
         rows.append(
             {
                 "sweep": "indices",
@@ -140,7 +126,7 @@ def run_indices_tables(fast: bool = True, seed: int = 0) -> ExperimentResult:
         )
     for tables in tables_sweep:
         config = _rm3_like("fig11b_tab", dim=32, lookups=20, tables=tables)
-        base_s, ndp_s = _measure(config, seed, BASE_BATCH, n_batches)
+        base_s, ndp_s = _measure(config, None, seed, BASE_BATCH, n_batches)
         rows.append(
             {
                 "sweep": "tables",

@@ -38,6 +38,8 @@ from typing import Optional
 
 import numpy as np
 
+from ..params import PosCount, checked
+
 __all__ = ["FrequencyLayout"]
 
 
@@ -50,12 +52,11 @@ class FrequencyLayout:
     simulator — caches are invalidated eagerly) can detect staleness.
     """
 
-    def __init__(self, ext_of: np.ndarray, rows_per_page: int):
+    @checked
+    def __init__(self, ext_of: np.ndarray, rows_per_page: PosCount):
         ext_of = np.asarray(ext_of, dtype=np.int64)
         if ext_of.size < 1:
             raise ValueError("rows must be >= 1")
-        if rows_per_page < 1:
-            raise ValueError("rows_per_page must be >= 1")
         self.rows = int(ext_of.size)
         self.rows_per_page = rows_per_page
         self._ext_of = ext_of.copy()

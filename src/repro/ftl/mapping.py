@@ -16,6 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from ..flash.geometry import FlashGeometry
+from ..params import PosCount, checked
 
 __all__ = ["MappingTable", "UNMAPPED"]
 
@@ -26,9 +27,8 @@ _MAX_PAGES = 2**31 - 1
 class MappingTable:
     """Dense ``int32`` L2P / P2L arrays plus per-block valid-page counters."""
 
-    def __init__(self, geometry: FlashGeometry, logical_pages: int):
-        if logical_pages < 1:
-            raise ValueError("logical_pages must be >= 1")
+    @checked
+    def __init__(self, geometry: FlashGeometry, logical_pages: PosCount):
         if geometry.total_pages > _MAX_PAGES:
             raise ValueError(
                 f"geometry has {geometry.total_pages} pages; int32 mapping "

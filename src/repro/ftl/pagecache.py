@@ -11,22 +11,17 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Any, Dict, Optional
 
-from ..params import Domain
+from ..params import Count, checked
 from ..sim.resettable import register_resettable
 
 __all__ = ["PageCache"]
-
-_PAGES = Domain(0, integral=True)
 
 
 class PageCache:
     """LRU page cache with pin counts."""
 
-    def __init__(self, capacity_pages: int):
-        if capacity_pages not in _PAGES:
-            raise ValueError(
-                f"PageCache.capacity_pages must be {_PAGES}, got {capacity_pages!r}"
-            )
+    @checked
+    def __init__(self, capacity_pages: Count):
         self.capacity = capacity_pages
         self._entries: "OrderedDict[int, Any]" = OrderedDict()
         self._pins: Dict[int, int] = {}

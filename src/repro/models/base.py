@@ -12,6 +12,7 @@ from ..core.bags import Bags, BagsLike, as_ids
 from ..embedding.spec import TableSpec
 from ..embedding.table import EmbeddingTable
 from ..host.cpu import HostCpu
+from ..params import Count, checked
 
 __all__ = ["SparseFeature", "Batch", "RecModel", "IndexSampler"]
 
@@ -87,7 +88,8 @@ def _stream(
 class RecModel(ABC):
     """A recommendation model: tables + dense tower(s) + cost model."""
 
-    def __init__(self, name: str, dense_in: int, features: Sequence[SparseFeature], seed: int = 0):
+    @checked
+    def __init__(self, name: str, dense_in: Count, features: Sequence[SparseFeature], seed: Count = 0):
         self.name = name
         self.dense_in = dense_in
         self.features = list(features)

@@ -13,9 +13,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Optional
+from typing import Annotated, Any, Optional
 
 import numpy as np
+
+from ..params import Domain, checked
 
 __all__ = [
     "Opcode",
@@ -106,9 +108,8 @@ class SlbaCodec:
     must be smaller than it, so ``slba % alignment`` recovers the id.
     """
 
-    def __init__(self, alignment_lbas: int):
-        if alignment_lbas < 2:
-            raise ValueError("alignment must be >= 2 LBAs")
+    @checked
+    def __init__(self, alignment_lbas: Annotated[int, Domain(2, integral=True)]):
         self.alignment = alignment_lbas
 
     def validate_table_base(self, table_base_lba: int) -> None:

@@ -5,6 +5,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Deque, Optional
 
+from ..params import Count, PosCount, checked
 from .commands import NvmeCommand, NvmeCompletion
 
 __all__ = ["SubmissionQueue", "CompletionQueue", "QueuePair", "QueueFullError"]
@@ -18,8 +19,6 @@ class SubmissionQueue:
     """Bounded ring written by the host, drained by the controller."""
 
     def __init__(self, qid: int, depth: int):
-        if depth < 1:
-            raise ValueError("queue depth must be >= 1")
         self.qid = qid
         self.depth = depth
         self._ring: Deque[NvmeCommand] = deque()
@@ -75,7 +74,8 @@ class CompletionQueue:
 class QueuePair:
     """One SQ/CQ pair; NVMe IO queues map 1:1 in this model."""
 
-    def __init__(self, qid: int, depth: int):
+    @checked
+    def __init__(self, qid: Count, depth: PosCount):
         self.qid = qid
         self.depth = depth
         self.sq = SubmissionQueue(qid, depth)

@@ -28,6 +28,8 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
+from ..params import Pos, PosCount, checked
+
 __all__ = ["PeriodicSampler", "serving_probe"]
 
 
@@ -41,17 +43,14 @@ class PeriodicSampler:
     bound is reached.
     """
 
+    @checked
     def __init__(
         self,
         sim,
         probe: Callable[[], Mapping[str, float]],
-        period_s: float,
-        max_samples: Optional[int] = None,
+        period_s: Pos,
+        max_samples: Optional[PosCount] = None,
     ):
-        if not period_s > 0:
-            raise ValueError("sampler period must be positive")
-        if max_samples is not None and max_samples < 1:
-            raise ValueError("max_samples must be None or >= 1")
         self.sim = sim
         self.probe = probe
         self.period_s = period_s

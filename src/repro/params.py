@@ -1,23 +1,27 @@
-"""Declared parameter domains: which values a config field accepts.
+"""Declared parameter domains: which values a field or an argument accepts.
 
 A config dataclass types each numeric field with an alias below (or
-``Optional[...]`` of one, or ``Annotated[float, Domain(...)]``) and sets
-``__post_init__ = check_domains``, or calls it first in its own, then checks
-rules across fields by hand.  Every domain is finite.  Records made per
-request never call it.  :func:`declared` is the checker's table and the knob
-space a sweep walks.  A leaf: this module imports nothing from ``repro``.
+``Optional[...]`` of one, ``Annotated[float, Domain(...)]`` or a map to one,
+``Dict[str, Pos]``) and sets ``__post_init__ = check_domains``, or calls it
+first in its own, then checks rules across fields by hand.  A constructor,
+or a function taking outside input, types its parameters alike under
+:func:`checked`.  Every domain is finite.  Records made per request never
+call either.  :func:`declared` is the checker's table and the knob space a
+sweep walks.  A leaf: this module imports nothing from ``repro``.
 """
 
 from __future__ import annotations
 
+import collections.abc
+import functools
 import math
 import typing
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, is_dataclass
 from numbers import Integral, Real
-from typing import Annotated, Dict, Tuple
+from typing import Annotated, Any, Callable, Dict, Optional, Tuple
 
 __all__ = ["Domain", "NonNeg", "Pos", "Fraction", "Count", "PosCount", "Int",
-           "check_domains", "declared"]
+           "check_domains", "checked", "declared"]
 
 
 @dataclass(frozen=True)
@@ -57,33 +61,74 @@ Count = Annotated[int, Domain(0, integral=True)]
 PosCount = Annotated[int, Domain(1, integral=True)]
 Int = Annotated[int, Domain(integral=True)]
 
-# class -> ((field, domain, None allowed), ...), resolved on first use.
-_SPECS: Dict[type, Tuple[Tuple[str, Domain, bool], ...]] = {}
+
+# owner (a dataclass or an unwrapped function) -> ((name, position in a call
+# or None, domain, None allowed, a map to such values), ...), resolved once.
+_Arg = Tuple[str, Optional[int], Domain, bool, bool]
+_SPECS: Dict[Any, Tuple[_Arg, ...]] = {}
 
 
-def _spec(cls: type) -> Tuple[Tuple[str, Domain, bool], ...]:
-    if cls not in _SPECS:
-        hints = typing.get_type_hints(cls, include_extras=True)
+def _spec(owner: Any) -> Tuple[_Arg, ...]:
+    if owner not in _SPECS:
+        hints = typing.get_type_hints(owner, include_extras=True)
+        if isinstance(owner, type):
+            named = [(field.name, None) for field in fields(owner)]
+        else:
+            code = owner.__code__
+            names = code.co_varnames[: code.co_argcount + code.co_kwonlyargcount]
+            named = [(name, i if i < code.co_argcount else None) for i, name in enumerate(names)]
         found = []
-        for field in fields(cls):
-            hint = hints[field.name]
+        for name, position in named:
+            hint = hints.get(name)
             optional = type(None) in typing.get_args(hint)  # Optional[Alias]
-            for arg in typing.get_args(hint) if optional else (hint,):
-                found += [(field.name, meta, optional) for meta in getattr(arg, "__metadata__", ())
-                          if isinstance(meta, Domain)]
-        _SPECS[cls] = tuple(found)
-    return _SPECS[cls]
+            hint = typing.get_args(hint)[0] if optional else hint
+            keyed = typing.get_origin(hint) in (dict, collections.abc.Mapping)
+            hint = typing.get_args(hint)[-1] if keyed and typing.get_args(hint) else hint
+            found += [(name, position, meta, optional, keyed)
+                      for meta in getattr(hint, "__metadata__", ()) if isinstance(meta, Domain)]
+        _SPECS[owner] = tuple(found)
+    return _SPECS[owner]
 
 
-def declared(cls: type) -> Dict[str, Domain]:
-    """Field name -> :class:`Domain` for each declared field of ``cls``."""
-    return {name: domain for name, domain, _ in _spec(cls)}
+def declared(owner: Any) -> Dict[str, Domain]:
+    """Name -> :class:`Domain` for each declared field of dataclass ``owner``,
+    or each declared parameter of a function or of a class's ``__init__``."""
+    if isinstance(owner, type) and not is_dataclass(owner):
+        owner = owner.__init__
+    return {name: domain for name, _, domain, _, _ in _spec(getattr(owner, "__wrapped__", owner))}
+
+
+def _refuse(owner: str, arg: _Arg, value: Any) -> None:
+    name, _, domain, optional, keyed = arg
+    if value is None and optional:
+        return
+    for key, item in value.items() if keyed else ((None, value),):
+        if item not in domain:
+            where = name if key is None else f"{name}[{key!r}]"
+            raise ValueError(f"{owner}.{where} must be {domain}, got {item!r}")
 
 
 def check_domains(obj: object) -> None:
     """Refuse any declared field of dataclass ``obj`` outside its domain,
     with a ``ValueError`` naming the class, the field and the value."""
-    for name, domain, optional in _spec(type(obj)):
-        value = getattr(obj, name)
-        if value not in domain and not (optional and value is None):
-            raise ValueError(f"{type(obj).__name__}.{name} must be {domain}, got {value!r}")
+    for arg in _spec(type(obj)):
+        _refuse(type(obj).__name__, arg, getattr(obj, arg[0]))
+
+
+def checked(func: Callable[..., Any]) -> Callable[..., Any]:
+    """Check each declared argument passed to ``func`` before its body runs;
+    the ``ValueError`` names the owner (the class, for an ``__init__``).
+    Defaults are not checked."""
+    owner = func.__qualname__.removesuffix(".__init__")
+
+    @functools.wraps(func)
+    def check_then_call(*args, **kwargs):
+        for arg in _SPECS.get(func) or _spec(func):
+            name, position = arg[:2]
+            if position is not None and position < len(args):
+                _refuse(owner, arg, args[position])
+            elif name in kwargs:
+                _refuse(owner, arg, kwargs[name])
+        return func(*args, **kwargs)
+
+    return check_then_call

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from typing import Dict, Mapping, Optional
 
-from ..params import NonNeg, check_domains
+from ..params import Int, NonNeg, Pos, PosCount, check_domains
 
 __all__ = [
     "AdmissionConfig",
@@ -62,18 +62,11 @@ class AdmissionConfig:
 
     deadline_drop: bool = False
     drop_headroom_s: NonNeg = 0.0
-    slo_by_model: Mapping[str, float] = field(default_factory=dict)
-    quota_by_model: Mapping[str, int] = field(default_factory=dict)
-    priority_by_model: Mapping[str, int] = field(default_factory=dict)
+    slo_by_model: Mapping[str, Pos] = field(default_factory=dict)
+    quota_by_model: Mapping[str, PosCount] = field(default_factory=dict)
+    priority_by_model: Mapping[str, Int] = field(default_factory=dict)
 
-    def __post_init__(self) -> None:
-        check_domains(self)
-        for model, slo in self.slo_by_model.items():
-            if not slo > 0:
-                raise ValueError(f"SLO for {model!r} must be positive")
-        for model, quota in self.quota_by_model.items():
-            if not quota >= 1:
-                raise ValueError(f"quota for {model!r} must be >= 1")
+    __post_init__ = check_domains
 
     # ------------------------------------------------------------------
     def slo_for(self, model: str) -> Optional[float]:

@@ -67,6 +67,7 @@ from typing import Callable, Deque, Dict, Mapping, Optional, Tuple
 
 from ..host.cpu import HostCpu
 from ..models.base import RecModel
+from ..params import Pos, PosCount, checked
 from .stats import ServingStats, mean_ms
 
 __all__ = [
@@ -89,19 +90,13 @@ class DenseServiceModel:
     with batch size, overriding the model's own cost model.
     """
 
+    @checked
     def __init__(
         self,
         host_cpu: HostCpu,
-        scale: float = 1.0,
-        service_s_by_model: Optional[Mapping[str, float]] = None,
+        scale: Pos = 1.0,
+        service_s_by_model: Optional[Mapping[str, Pos]] = None,
     ):
-        if not scale > 0:
-            raise ValueError("dense_time_scale must be positive")
-        for name, service in (service_s_by_model or {}).items():
-            if not service > 0:
-                raise ValueError(
-                    f"dense service override for {name!r} must be positive"
-                )
         self.host_cpu = host_cpu
         self.scale = scale
         self.service_s_by_model = dict(service_s_by_model or {})
@@ -131,9 +126,8 @@ class HostSlsPool:
     worker frees without a batch having completed.
     """
 
-    def __init__(self, sim, workers: Optional[int], stats: ServingStats):
-        if workers is not None and workers < 1:
-            raise ValueError("host_sls_workers must be None or >= 1")
+    @checked
+    def __init__(self, sim, workers: Optional[PosCount], stats: ServingStats):
         self.sim = sim
         self.workers = workers
         self.stats = stats
@@ -208,15 +202,14 @@ class DenseWorkerPool:
     ``workers=None`` is unbounded: every job starts immediately.
     """
 
+    @checked
     def __init__(
         self,
         sim,
-        workers: Optional[int],
+        workers: Optional[PosCount],
         stats: ServingStats,
         service_model: DenseServiceModel,
     ):
-        if workers is not None and workers < 1:
-            raise ValueError("dense pool workers must be None or >= 1")
         self.sim = sim
         self.workers = workers
         self.stats = stats

@@ -32,6 +32,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Deque, Dict, List, Optional
 
+from ..params import PosCount, checked
 from .admission import REASON_CAPACITY, REASON_QUOTA, AdmissionConfig
 from .request import InferenceRequest
 
@@ -42,11 +43,10 @@ class RequestQueue:
     """Bounded multi-lane FIFO: round-robin within a priority class,
     strict precedence across classes."""
 
+    @checked
     def __init__(
-        self, max_inflight: int, admission: Optional[AdmissionConfig] = None
+        self, max_inflight: PosCount, admission: Optional[AdmissionConfig] = None
     ):
-        if max_inflight < 1:
-            raise ValueError("max_inflight must be >= 1")
         self.max_inflight = max_inflight
         self.admission = admission or AdmissionConfig()
         self.inflight = 0          # admitted and not yet released

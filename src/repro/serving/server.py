@@ -40,7 +40,7 @@ from ..embedding.table import TablePageContent
 from ..host.system import System
 from ..models.base import Batch, RecModel
 from ..models.runner import BackendKind, RunnerConfig, build_backends
-from ..params import Count, Pos, PosCount, check_domains
+from ..params import Count, Pos, PosCount, check_domains, checked
 from .admission import REASON_DEADLINE, AdmissionConfig
 from .hostpool import HostResourceModel
 from .queue import RequestQueue
@@ -90,13 +90,9 @@ class ServingConfig:
     # dense_time(), and optional per-sample overrides by model name
     # (scaled linearly with batch size) for contention studies.
     dense_time_scale: Pos = 1.0
-    dense_service_s_by_model: Optional[Dict[str, float]] = None
+    dense_service_s_by_model: Optional[Dict[str, Pos]] = None
 
-    def __post_init__(self) -> None:
-        check_domains(self)
-        for model, service in (self.dense_service_s_by_model or {}).items():
-            if not service > 0:
-                raise ValueError(f"dense service override for {model!r} must be positive")
+    __post_init__ = check_domains
 
 
 class InferenceServer:
@@ -165,12 +161,13 @@ class InferenceServer:
     # ------------------------------------------------------------------
     # Model registration
     # ------------------------------------------------------------------
+    @checked
     def register_model(
         self,
         model: RecModel,
         kind: BackendKind,
         runner_config: Optional[RunnerConfig] = None,
-        num_workers: int = 1,
+        num_workers: PosCount = 1,
         partition_profiles=None,
         sharding: Optional[ShardingPolicy] = None,
     ) -> List[ModelWorker]:
@@ -198,8 +195,6 @@ class InferenceServer:
         """
         if model.name in self.models:
             raise ValueError(f"model {model.name!r} already registered")
-        if num_workers < 1:
-            raise ValueError("num_workers must be >= 1")
         config = runner_config or RunnerConfig(kind=kind)
         if config.kind is not kind:
             raise ValueError("runner_config.kind must match kind")

@@ -43,6 +43,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..params import PosCount, checked
+
 __all__ = [
     "RowMapping",
     "ModuloRowMapping",
@@ -94,8 +96,9 @@ class ModuloRowMapping(RowMapping):
     """Hash partitioning: global id ``g`` lives on shard ``g % N`` as
     local id ``g // N`` (both closed-form; nothing materialized)."""
 
-    def __init__(self, rows: int, num_shards: int):
-        if num_shards < 1 or rows < num_shards:
+    @checked
+    def __init__(self, rows: PosCount, num_shards: PosCount):
+        if rows < num_shards:
             raise ValueError("need rows >= num_shards >= 1")
         self.rows = rows
         self.num_shards = num_shards
@@ -278,12 +281,10 @@ class ReplicatePolicy(ShardingPolicy):
 
 
 def _table_weight(feature, balance_by: str) -> float:
-    if balance_by == "bytes":
+    if balance_by == "bytes":  # the policies refuse any other value
         return float(feature.spec.logical_bytes)
-    if balance_by == "traffic":
-        # Expected lookups per sample times row bytes: bandwidth demand.
-        return float(feature.lookups * feature.spec.row_bytes)
-    raise ValueError(f"unknown balance_by {balance_by!r} (bytes|traffic)")
+    # Expected lookups per sample times row bytes: bandwidth demand.
+    return float(feature.lookups * feature.spec.row_bytes)
 
 
 def _assign_whole(features, num_shards: int, balance_by: str) -> Dict[str, int]:
@@ -342,14 +343,13 @@ class RowShardPolicy(ShardingPolicy):
 
     name = "row"
 
+    @checked
     def __init__(
         self,
-        threshold_rows: int = 1 << 15,
+        threshold_rows: PosCount = 1 << 15,
         profiles: Optional[Dict[str, np.ndarray]] = None,
         balance_by: str = "traffic",
     ):
-        if threshold_rows < 1:
-            raise ValueError("threshold_rows must be >= 1")
         self.threshold_rows = threshold_rows
         self.profiles = dict(profiles or {})
         self.balance_by = balance_by

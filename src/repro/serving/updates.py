@@ -51,7 +51,7 @@ worked GC-interference example.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Iterable, List, Optional, Union
+from typing import Annotated, Dict, Iterable, List, Optional, Union
 
 import numpy as np
 
@@ -59,6 +59,7 @@ from ..embedding.backends import DramSlsBackend, NdpSlsBackend, SsdSlsBackend
 from ..embedding.data import UpdatableTableData
 from ..embedding.table import EmbeddingTable, TablePageContent
 from ..nvme.payload import PageImagePayload
+from ..params import Count, Domain, NonNeg, Pos, PosCount, checked
 from .server import InferenceServer
 
 __all__ = [
@@ -118,13 +119,14 @@ class EmbeddingUpdateEngine:
     the selected scheduling ``policy``.
     """
 
+    @checked
     def __init__(
         self,
         servers: Union[InferenceServer, Iterable[InferenceServer]],
         policy: str = "interleave",
-        min_gap_s: float = 0.0,
-        defer_s: float = 200e-6,
-        max_defer_s: float = 5e-3,
+        min_gap_s: NonNeg = 0.0,
+        defer_s: Pos = 200e-6,
+        max_defer_s: NonNeg = 5e-3,
     ):
         if isinstance(servers, InferenceServer):
             servers = [servers]
@@ -133,8 +135,6 @@ class EmbeddingUpdateEngine:
             raise ValueError("need at least one server")
         if policy not in UPDATE_POLICIES:
             raise ValueError(f"policy must be one of {UPDATE_POLICIES}")
-        if not min_gap_s >= 0 or not defer_s > 0 or not max_defer_s >= 0:  # NaN too
-            raise ValueError("min_gap_s and max_defer_s must be >= 0 and defer_s > 0")
         self.policy = policy
         self.min_gap_s = min_gap_s
         self.defer_s = defer_s
@@ -402,13 +402,14 @@ class _FillerRegion:
         return self._page
 
 
+@checked
 def age_device(
     system,
     device=None,
-    fill_fraction: float = 0.92,
-    target_free_per_die: Optional[int] = None,
-    max_overwrites: Optional[int] = None,
-    batch: int = 64,
+    fill_fraction: Annotated[float, Domain(0.0, 1.0, lo_open=True)] = 0.92,
+    target_free_per_die: Optional[Count] = None,
+    max_overwrites: Optional[Count] = None,
+    batch: PosCount = 64,
     reset_stats: bool = True,
 ) -> Dict[str, float]:
     """Age ``device`` so sustained writes immediately contend with GC.
@@ -428,8 +429,6 @@ def age_device(
     Returns an aging report; by default FTL/GC/wear gauges are reset so
     subsequent measurements start clean.
     """
-    if not 0.0 < fill_fraction <= 1.0:
-        raise ValueError("fill_fraction must be in (0, 1]")
     device = device if device is not None else system.device
     ftl = device.ftl
     sim = system.sim

@@ -32,6 +32,8 @@ from __future__ import annotations
 import heapq
 from typing import Any, Callable, Optional, Sequence
 
+from ..params import NonNeg, checked
+
 __all__ = [
     "Simulator",
     "SimError",
@@ -106,7 +108,8 @@ class _Series:
 class Simulator:
     """Event-driven simulator with a monotonically advancing clock."""
 
-    def __init__(self, start_time: float = 0.0):
+    @checked
+    def __init__(self, start_time: NonNeg = 0.0):
         # Current simulated time in seconds.  A plain attribute (reading
         # it is the most frequent operation in a run) that only the
         # kernel writes.

@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 from typing import Dict, Iterable, List, Optional
 
+from ..params import Fraction, checked
+
 __all__ = [
     "Accumulator",
     "Breakdown",
@@ -13,7 +15,8 @@ __all__ = [
 ]
 
 
-def rank_quantile(sorted_values: List[float], q: float) -> float:
+@checked
+def rank_quantile(sorted_values: List[float], q: Fraction) -> float:
     """Quantile ``q`` in [0, 1] of an ascending-sorted list.
 
     Picks index ``round(q * (n - 1))`` — the only rank rule: every
@@ -24,8 +27,6 @@ def rank_quantile(sorted_values: List[float], q: float) -> float:
     ``tests/test_layering.py`` keeps a second rule out of ``src/`` and
     ``benchmarks/``.
     """
-    if not 0.0 <= q <= 1.0:
-        raise ValueError("q must be in [0, 1]")
     if not sorted_values:
         return 0.0
     idx = min(len(sorted_values) - 1, int(round(q * (len(sorted_values) - 1))))

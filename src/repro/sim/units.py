@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from ..params import Pos, checked
+
 __all__ = [
     "us",
     "ms",
@@ -56,7 +58,6 @@ def GB_S(value: float) -> float:
     return value * 1e9
 
 
-def seconds_per_byte(bandwidth_bytes_per_s: float) -> float:
-    if bandwidth_bytes_per_s <= 0:
-        raise ValueError("bandwidth must be positive")
+@checked
+def seconds_per_byte(bandwidth_bytes_per_s: Pos) -> float:
     return 1.0 / bandwidth_bytes_per_s

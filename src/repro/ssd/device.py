@@ -16,7 +16,7 @@ from ..nvme.commands import SlbaCodec
 from ..nvme.controller import NvmeController
 from ..nvme.pcie import PcieConfig, PcieLink
 from ..nvme.queues import QueuePair
-from ..params import Domain, check_domains
+from ..params import Domain, PosCount, check_domains, checked
 from ..sim.kernel import Simulator
 
 __all__ = ["SsdConfig", "SsdDevice"]
@@ -78,10 +78,9 @@ class SsdDevice:
     # ------------------------------------------------------------------
     # Table placement (aligned for the SLBA request-id codec)
     # ------------------------------------------------------------------
-    def allocate_table_region(self, n_pages: int) -> int:
+    @checked
+    def allocate_table_region(self, n_pages: PosCount) -> int:
         """Reserve an aligned LBA range for a table; returns the base LBA."""
-        if n_pages < 1:
-            raise ValueError("n_pages must be >= 1")
         align = self.codec.alignment
         base = -(-self._next_table_lba // align) * align
         n_lbas = n_pages * self.ftl.lbas_per_page

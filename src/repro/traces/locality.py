@@ -19,6 +19,8 @@ from typing import List, Optional
 
 import numpy as np
 
+from ..params import Count, NonNeg, Pos, PosCount, checked
+
 __all__ = ["unique_fraction_for_k", "LocalityTraceGenerator"]
 
 # q(K): probability a lookup is a *fresh* row.  Fit to the paper's
@@ -34,24 +36,24 @@ _Q_RATE = 0.637
 _SPREAD_MULT = 2_654_435_761
 
 
-def unique_fraction_for_k(k: float) -> float:
+@checked
+def unique_fraction_for_k(k: NonNeg) -> float:
     """Target fraction of first-touch accesses for locality parameter K."""
-    if not k >= 0:
-        raise ValueError("K must be >= 0")
     return 1.0 - _Q_BASE * math.exp(-_Q_RATE * k)
 
 
 class LocalityTraceGenerator:
     """Generates per-table row-id streams with tunable temporal locality."""
 
+    @checked
     def __init__(
         self,
-        table_rows: int,
-        k: float,
-        seed: int = 0,
-        stack_scale: float = 96.0,
-        stack_window: int = 4096,
-        universe: Optional[int] = None,
+        table_rows: PosCount,
+        k: NonNeg,
+        seed: Count = 0,
+        stack_scale: Pos = 96.0,
+        stack_window: PosCount = 4096,
+        universe: Optional[PosCount] = None,
     ):
         """``universe`` bounds the pool fresh draws come from.
 
@@ -62,11 +64,7 @@ class LocalityTraceGenerator:
         smaller than the table — the regime where the paper's 2K-entry
         static partition asymptotically serves ~25% of accesses.
         """
-        if table_rows < 1:
-            raise ValueError("table_rows must be >= 1")
-        if not 0 < stack_scale < math.inf or stack_window < 1:
-            raise ValueError("stack parameters must be positive and finite")
-        if universe is not None and not 1 <= universe <= table_rows:
+        if universe is not None and universe > table_rows:
             raise ValueError("universe must be in [1, table_rows]")
         self.table_rows = table_rows
         self.k = k

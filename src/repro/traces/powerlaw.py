@@ -12,17 +12,16 @@ from typing import List
 
 import numpy as np
 
+from ..params import Count, Pos, PosCount, checked
+
 __all__ = ["ZipfTraceGenerator"]
 
 
 class ZipfTraceGenerator:
     """Samples row ids with popularity rank ``r`` proportional to r^-alpha."""
 
-    def __init__(self, table_rows: int, alpha: float, seed: int = 0):
-        if table_rows < 1:
-            raise ValueError("table_rows must be >= 1")
-        if not alpha > 0:
-            raise ValueError("alpha must be positive")
+    @checked
+    def __init__(self, table_rows: PosCount, alpha: Pos, seed: Count = 0):
         self.table_rows = table_rows
         self.alpha = alpha
         self._rng = np.random.default_rng(seed)

@@ -15,6 +15,8 @@ from typing import Union
 
 import numpy as np
 
+from ..params import Count, Pos, checked
+
 __all__ = ["ArrivalTrace", "arrival_offsets", "poisson_gaps", "uniform_gaps"]
 
 RngOrSeed = Union[int, np.random.Generator]
@@ -26,18 +28,16 @@ def _as_rng(rng_or_seed: RngOrSeed) -> np.random.Generator:
     return np.random.default_rng(rng_or_seed)
 
 
-def poisson_gaps(rate: float, n: int, rng_or_seed: RngOrSeed = 0) -> np.ndarray:
+@checked
+def poisson_gaps(rate: Pos, n: Count, rng_or_seed: RngOrSeed = 0) -> np.ndarray:
     """``n`` exponential inter-arrival gaps for a Poisson process at
     ``rate`` requests per simulated second."""
-    if not 0 < rate < np.inf:
-        raise ValueError(f"rate must be positive and finite, got {rate}")
     return _as_rng(rng_or_seed).exponential(1.0 / rate, size=n)
 
-def uniform_gaps(rate: float, n: int) -> np.ndarray:
+@checked
+def uniform_gaps(rate: Pos, n: Count) -> np.ndarray:
     """``n`` deterministic gaps (constant ``1/rate``) — the zero-variance
     arrival process, useful for isolating service-time variance."""
-    if not 0 < rate < np.inf:
-        raise ValueError(f"rate must be positive and finite, got {rate}")
     return np.full(n, 1.0 / rate)
 
 

@@ -47,7 +47,6 @@ one waits in the event heap.
 
 from __future__ import annotations
 
-import math
 from abc import ABC, abstractmethod
 from functools import partial
 from typing import Dict, List, Optional, Sequence, Union
@@ -55,6 +54,7 @@ from typing import Dict, List, Optional, Sequence, Union
 import numpy as np
 
 from ..models.base import Batch, IndexSampler
+from ..params import Count, NonNeg, PosCount, checked
 from .arrivals import arrival_offsets
 
 __all__ = [
@@ -70,9 +70,8 @@ Samplers = Optional[Dict[str, IndexSampler]]
 class LoadGenerator(ABC):
     """One source of inference traffic for a single registered model."""
 
-    def __init__(self, model: str, batch_size: int = 1, samplers: Samplers = None):
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+    @checked
+    def __init__(self, model: str, batch_size: PosCount = 1, samplers: Samplers = None):
         self.model = model
         self.batch_size = batch_size
         self.samplers = samplers
@@ -116,19 +115,20 @@ class OpenLoopGenerator(LoadGenerator):
     experiments reproduce exactly.
     """
 
+    @checked
     def __init__(
         self,
         model: str,
-        rate: Optional[float] = None,
-        n_requests: int = 0,
-        batch_size: int = 1,
+        rate: Optional[NonNeg] = None,
+        n_requests: Count = 0,
+        batch_size: PosCount = 1,
         samplers: Samplers = None,
         arrivals: Optional[np.ndarray] = None,
     ):
         super().__init__(model, batch_size, samplers)
-        if arrivals is None:
-            if rate is None or not 0 < rate < math.inf:
-                raise ValueError(f"rate for {model!r} must be positive and finite")
+        if arrivals is None:  # without a trace, a rate draws the arrivals
+            if not rate:
+                raise ValueError(f"rate for {model!r} must be positive")
             if n_requests < 1:
                 raise ValueError("n_requests must be >= 1")
         else:
@@ -176,22 +176,17 @@ class ClosedLoopGenerator(LoadGenerator):
     saturation instead of diverging.
     """
 
+    @checked
     def __init__(
         self,
         model: str,
-        num_clients: int,
-        requests_per_client: int,
-        think_time_s: float = 0.0,
-        batch_size: int = 1,
+        num_clients: PosCount,
+        requests_per_client: PosCount,
+        think_time_s: NonNeg = 0.0,
+        batch_size: PosCount = 1,
         samplers: Samplers = None,
     ):
         super().__init__(model, batch_size, samplers)
-        if num_clients < 1:
-            raise ValueError("num_clients must be >= 1")
-        if requests_per_client < 1:
-            raise ValueError("requests_per_client must be >= 1")
-        if not 0 <= think_time_s < math.inf:
-            raise ValueError("think_time_s must be finite and >= 0")
         self.num_clients = num_clients
         self.requests_per_client = requests_per_client
         self.think_time_s = think_time_s

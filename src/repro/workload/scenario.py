@@ -20,7 +20,7 @@ reports each tenant's goodput and tail latency.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -136,6 +136,10 @@ class TenantSpec:
             raise ValueError(f"unknown arrival model {self.arrival!r}")
         if not all(getattr(self, name) for name in needs):
             raise ValueError(f"{self.arrival} tenant {self.model!r} needs {' and '.join(needs)}")
+        if self.arrival == "replay" and self.trace.model != self.model:
+            raise ValueError(
+                f"replay tenant {self.model!r} has a trace recorded for {self.trace.model!r}"
+            )
 
     @property
     def total_requests(self) -> int:
@@ -221,6 +225,8 @@ class ScenarioSpec:
         check_domains(self)
         if self.layout not in ("modulo", "frequency"):
             raise ValueError(f"unknown layout {self.layout!r} (modulo|frequency)")
+        if self.layout_migration_budget and self.layout != "frequency":
+            raise ValueError("layout_migration_budget needs layout='frequency'")
         if not self.tenants:
             raise ValueError("scenario needs at least one tenant")
         names = [t.model for t in self.tenants]
@@ -255,17 +261,9 @@ class ScenarioSpec:
         )
 
     def serving_config(self) -> ServingConfig:
-        return ServingConfig(
-            max_inflight_requests=self.max_inflight_requests,
-            max_batch_requests=self.max_batch_requests,
-            max_inflight_batches_per_worker=self.max_inflight_batches_per_worker,
-            max_inflight_batches_total=self.max_inflight_batches_total,
-            dense_stage=self.dense_stage,
-            admission=self.admission_config(),
-            host_sls_workers=self.host_sls_workers,
-            dense_workers=self.dense_workers,
-            dense_time_scale=self.dense_time_scale,
-        )
+        mine = {f.name for f in fields(self)}  # the ServingConfig fields repeated here
+        repeated = {f.name: getattr(self, f.name) for f in fields(ServingConfig) if f.name in mine}
+        return ServingConfig(admission=self.admission_config(), **repeated)
 
     @property
     def total_requests(self) -> int:
@@ -445,7 +443,7 @@ def run(built: Built, tracer=None) -> RunResult:
     scenario, front = built.scenario, built.front
     if tracer is not None:
         tracer.install(front.sim)
-    if scenario.layout == "frequency" and scenario.layout_migration_budget > 0:
+    if scenario.layout_migration_budget > 0:
         _install_layout_migration(built.servers, scenario.layout_migration_budget)
     engine = stream = None
     if scenario.updates is not None:

@@ -23,7 +23,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ..params import Int, NonNeg, Pos, PosCount, check_domains
+from ..params import Count, Int, NonNeg, Pos, PosCount, check_domains, checked
 from ..serving.updates import UPDATE_POLICIES, EmbeddingUpdateEngine
 from ..traces.powerlaw import ZipfTraceGenerator
 
@@ -84,7 +84,8 @@ class UpdateStream:
     with read traffic on the simulator.
     """
 
-    def __init__(self, spec: UpdateStreamSpec, model, seed: int = 0):
+    @checked
+    def __init__(self, spec: UpdateStreamSpec, model, seed: Count = 0):
         self.spec = spec
         self.model_name = model.name
         self.applied = 0

@@ -168,9 +168,9 @@ class TestConsistentHash:
         assert router.routes_spread == 0
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="vnodes"):
+        with pytest.raises(ValueError, match=r"ConsistentHashRouter\.vnodes must be"):
             ConsistentHashRouter(vnodes=0)
-        with pytest.raises(ValueError, match="spread"):
+        with pytest.raises(ValueError, match=r"ConsistentHashRouter\.spread must be"):
             ConsistentHashRouter(spread=0)
 
 

@@ -46,7 +46,7 @@ class TestSetAssociativeLru:
     @pytest.mark.parametrize("capacity", [float("nan"), float("inf"), -1])
     def test_capacity_must_be_finite_and_non_negative(self, capacity):
         # Regression: max(1, nan) is 1, so a NaN capacity built 16 slots.
-        with pytest.raises(ValueError, match="capacity"):
+        with pytest.raises(ValueError, match=r"SetAssociativeLru\.capacity must be"):
             SetAssociativeLru(capacity)
 
     @pytest.mark.parametrize("capacity", [2.5, 16.0, "8", None])

@@ -63,9 +63,9 @@ class TestHeatTracker:
         assert tracker.heat.tolist() == [1.0, 2.0, 3.0]
         with pytest.raises(ValueError):
             HeatTracker(3, initial=np.zeros(4))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"HeatTracker\.num_rows must be"):
             HeatTracker(0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"HeatTracker\.decay must be"):
             HeatTracker(3, decay=1.5)
 
 

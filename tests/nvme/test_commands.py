@@ -71,7 +71,7 @@ class TestSlbaCodec:
             codec.encode(64, 64)
 
     def test_tiny_alignment_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"SlbaCodec\.alignment_lbas must be"):
             SlbaCodec(1)
 
     @given(

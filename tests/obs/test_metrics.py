@@ -44,12 +44,12 @@ def test_sampler_stop_cancels_pending_tick():
 
 def test_sampler_validates_knobs():
     sim = Simulator()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"PeriodicSampler\.period_s must be"):
         PeriodicSampler(sim, lambda: {}, 0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"PeriodicSampler\.max_samples must be"):
         PeriodicSampler(sim, lambda: {}, 1.0, max_samples=0)
     # Regression: a NaN period was accepted, then start() died with a SimError.
-    with pytest.raises(ValueError, match="period"):
+    with pytest.raises(ValueError, match=r"PeriodicSampler\.period_s must be"):
         PeriodicSampler(sim, lambda: {}, float("nan"))
 
 

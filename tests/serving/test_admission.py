@@ -49,18 +49,18 @@ class TestAdmissionConfig:
     def test_validation(self):
         with pytest.raises(ValueError, match="drop_headroom_s"):
             AdmissionConfig(drop_headroom_s=-1.0)
-        with pytest.raises(ValueError, match="SLO"):
+        with pytest.raises(ValueError, match=r"AdmissionConfig\.slo_by_model\['m'\] must be"):
             AdmissionConfig(slo_by_model={"m": 0.0})
-        with pytest.raises(ValueError, match="quota"):
+        with pytest.raises(ValueError, match=r"AdmissionConfig\.quota_by_model\['m'\] must be"):
             AdmissionConfig(quota_by_model={"m": 0})
         # Regression: NaN was accepted for both; a NaN SLO then missed
         # every deadline of a run that reported no error.
         with pytest.raises(ValueError, match="drop_headroom_s"):
             AdmissionConfig(drop_headroom_s=float("nan"))
-        with pytest.raises(ValueError, match="SLO"):
+        with pytest.raises(ValueError, match=r"AdmissionConfig\.slo_by_model\['m'\] must be"):
             AdmissionConfig(slo_by_model={"m": float("nan")})
         # Regression: ``quota < 1`` let a NaN quota through.
-        with pytest.raises(ValueError, match="quota"):
+        with pytest.raises(ValueError, match=r"AdmissionConfig\.quota_by_model\['m'\] must be"):
             AdmissionConfig(quota_by_model={"m": float("nan")})
 
     def test_describe_round_trips_knobs(self):

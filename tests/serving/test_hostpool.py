@@ -210,7 +210,7 @@ class TestHostSlsPool:
     def test_invalid_worker_count_rejected(self):
         sim = Simulator()
         stats = ServingStats(sim)
-        with pytest.raises(ValueError, match="host_sls_workers"):
+        with pytest.raises(ValueError, match=r"HostSlsPool\.workers must be"):
             HostSlsPool(sim, 0, stats)
 
     def test_on_free_fires_only_with_empty_wait_queue(self):
@@ -268,13 +268,13 @@ class TestDenseWorkerPool:
         assert pool.service_model.service_s(model, 4) == pytest.approx(8e-3)
 
     def test_service_model_validation(self):
-        with pytest.raises(ValueError, match="dense_time_scale"):
+        with pytest.raises(ValueError, match=r"DenseServiceModel\.scale must be"):
             DenseServiceModel(None, scale=0.0)
-        with pytest.raises(ValueError, match="override"):
+        with pytest.raises(ValueError, match=r"DenseServiceModel\.service_s_by_model\['m'\] must be"):
             DenseServiceModel(None, service_s_by_model={"m": -1.0})
-        with pytest.raises(ValueError, match="dense_time_scale"):
+        with pytest.raises(ValueError, match=r"DenseServiceModel\.scale must be"):
             DenseServiceModel(None, scale=math.nan)
-        with pytest.raises(ValueError, match="override"):
+        with pytest.raises(ValueError, match=r"DenseServiceModel\.service_s_by_model\['m'\] must be"):
             DenseServiceModel(None, service_s_by_model={"m": math.nan})
 
 
@@ -406,9 +406,9 @@ class TestHostContention:
             ("dense_workers", -1, "dense_workers"),
             ("host_sls_workers", 0, "host_sls_workers"),
             ("dense_time_scale", 0.0, "dense_time_scale"),
-            ("dense_service_s_by_model", {"m": -1.0}, "override for 'm'"),
+            ("dense_service_s_by_model", {"m": -1.0}, r"ServingConfig\.dense_service_s_by_model\['m'\] must be"),
             ("dense_time_scale", math.nan, "dense_time_scale"),
-            ("dense_service_s_by_model", {"m": math.nan}, "override for 'm'"),
+            ("dense_service_s_by_model", {"m": math.nan}, r"ServingConfig\.dense_service_s_by_model\['m'\] must be"),
         ],
         ids=[
             "dense_workers", "host_sls_workers", "dense_time_scale", "service_override",

@@ -39,7 +39,7 @@ class TestAdmission:
             q.release()
 
     def test_bad_limit_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"RequestQueue\.max_inflight must be"):
             RequestQueue(max_inflight=0)
 
     def test_dispatched_requests_still_count_against_limit(self):

@@ -246,5 +246,5 @@ def test_scenario_with_updates_invariants(spec: ScenarioSpec):
 @pytest.mark.parametrize("knob", ["min_gap_s", "defer_s", "max_defer_s"])
 def test_engine_refuses_a_nan_write_timing(knob):
     # Regression: ``min_gap_s < 0 or defer_s <= 0 ...`` let NaN through.
-    with pytest.raises(ValueError, match=knob):
+    with pytest.raises(ValueError, match=rf"EmbeddingUpdateEngine\.{knob} must be"):
         EmbeddingUpdateEngine(build_server(toy_model()), **{knob: float("nan")})

@@ -36,6 +36,23 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="slo_s"):
             open_tenant(slo_s=-0.1)
 
+    def test_replay_trace_must_be_recorded_for_the_tenant_model(self):
+        trace = ArrivalTrace.uniform("other", 100.0, 5)
+        with pytest.raises(ValueError, match="'m'.*'other'"):
+            TenantSpec(model="m", arrival="replay", trace=trace)
+        assert TenantSpec(model="other", arrival="replay", trace=trace).total_requests == 5
+
+    def test_migration_budget_needs_the_frequency_layout(self):
+        with pytest.raises(ValueError, match="layout_migration_budget"):
+            ScenarioSpec(
+                name="modulo", tenants=(open_tenant(),), layout_migration_budget=64
+            )
+        spec = ScenarioSpec(
+            name="freq", tenants=(open_tenant(),), layout="frequency",
+            layout_migration_budget=64,
+        )
+        assert spec.layout_migration_budget == 64
+
     def test_scenario_requirements(self):
         with pytest.raises(ValueError, match="at least one tenant"):
             ScenarioSpec(name="empty", tenants=())
