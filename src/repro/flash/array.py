@@ -16,8 +16,7 @@ from typing import Any, Callable, List, Optional
 
 from ..sim.kernel import Simulator
 from ..sim.resources import Server
-from ..sim.stats import Accumulator
-from .geometry import FlashGeometry, PhysAddr
+from .geometry import FlashGeometry
 from .reliability import ReadRetryModel, ReliabilityConfig, UncorrectableError
 from .store import FlashStore
 from .timing import FlashTiming
@@ -41,7 +40,6 @@ class _PageRead:
     xfer: float  # as the channel had it at submit
     ppn: int
     failed: bool
-    start: float
     on_done: ReadCallback
 
     def die_done(self) -> None:
@@ -49,7 +47,7 @@ class _PageRead:
 
     def bus_done(self) -> None:
         array = self.array
-        array.read_latency.add(array.sim.now - self.start)
+        array.reads_completed += 1
         self.on_done(None if self.failed else array.store.read(self.ppn))
 
 
@@ -140,7 +138,8 @@ class FlashArray:
             FlashChannel(sim, c, self.geometry.ways, self.timing, self.geometry.page_bytes)
             for c in range(self.geometry.channels)
         ]
-        self.read_latency = Accumulator()
+        # Page reads whose data is on-chip (a failed read counts too).
+        self.reads_completed = 0
         self.uncorrectable_reads = 0
 
     # ------------------------------------------------------------------
@@ -164,9 +163,7 @@ class FlashArray:
             self.uncorrectable_reads += 1
         channel = self.channels[die // geometry.ways]
         channel.reads += 1
-        read = _PageRead(
-            self, channel.bus, channel.page_xfer_s, ppn, failed, self.sim.now, on_done
-        )
+        read = _PageRead(self, channel.bus, channel.page_xfer_s, ppn, failed, on_done)
         # Each retry costs another command + tR on the die before the
         # data transfer.
         channel.dies[die % geometry.ways].submit(
@@ -175,12 +172,18 @@ class FlashArray:
 
     def program(self, ppn: int, content: Any, on_done: DoneCallback) -> None:
         """Program ``content`` into page ``ppn`` (store updated at completion)."""
-        addr = self.geometry.addr(ppn)
-        channel = self.channels[addr.channel]
+        geometry = self.geometry
+        if not 0 <= ppn < geometry.total_pages:
+            raise ValueError(f"ppn {ppn} out of range [0, {geometry.total_pages})")
+        # As in read: the die's channel and way, without the PhysAddr.
+        die = ppn // geometry.pages_per_die
+        channel = self.channels[die // geometry.ways]
         channel.programs += 1
         channel.bus.submit(
             channel.page_xfer_s,
-            _PageProgram(self, channel, channel.dies[addr.way], ppn, content, on_done).bus_done,
+            _PageProgram(
+                self, channel, channel.dies[die % geometry.ways], ppn, content, on_done
+            ).bus_done,
         )
 
     def erase(self, block_id: int, on_done: DoneCallback) -> None:

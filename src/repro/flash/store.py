@@ -43,18 +43,24 @@ class FlashStore:
 
     # ------------------------------------------------------------------
     def program(self, ppn: int, content: Any) -> None:
-        addr = self.geometry.addr(ppn)
-        block_id = self.geometry.block_id(addr.channel, addr.way, addr.block)
+        geometry = self.geometry
+        if not 0 <= ppn < geometry.total_pages:
+            raise ValueError(f"ppn {ppn} out of range [0, {geometry.total_pages})")
+        # PPNs are page-major within a block and blocks are numbered
+        # densely (FlashGeometry), so no PhysAddr is needed.
+        pages_per_block = geometry.pages_per_block
+        block_id = ppn // pages_per_block
+        page = ppn % pages_per_block
         if self.is_programmed(ppn):
             raise FlashStoreError(f"program to non-erased page ppn={ppn}")
         if self.enforce_sequential:
             expected = self._write_point.get(block_id, 0)
-            if addr.page != expected:
+            if page != expected:
                 raise FlashStoreError(
-                    f"out-of-order program in block {block_id}: page {addr.page}, "
+                    f"out-of-order program in block {block_id}: page {page}, "
                     f"expected {expected}"
                 )
-        self._write_point[block_id] = addr.page + 1
+        self._write_point[block_id] = page + 1
         self._content[ppn] = content
         self.program_count += 1
 

@@ -8,10 +8,15 @@ model the two cores the way the RecSSD firmware uses them:
 * ``ftl_core``  — FTL work proper: mapping, page scheduling, and for
   RecSSD the SLS config processing and translation (vector accumulation).
 
-Both are single-server FIFO stations, so firmware work serializes exactly
-as it does on the prototype — this contention is what produces the
+Both are single-server stations, so firmware work serializes exactly as
+it does on the prototype — this contention is what produces the
 baseline's ~10K IOPS command-bound random-read ceiling and the
 "Translation is roughly half of FTL time" behaviour in Fig 8.
+``host_core`` serves its jobs in arrival order, so it is a closed-form
+:class:`~repro.sim.resources.Core` whose DMA and CQ-entry jobs hand off
+to the device-to-host link in one event; ``ftl_core`` orders flash
+scheduling, SLS work and GC moves by priority, so it is a queued
+:class:`~repro.sim.resources.Server`.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from dataclasses import dataclass
 
 from ..params import NonNeg, check_domains
 from ..sim.kernel import Simulator
-from ..sim.resources import Server
+from ..sim.resources import Core, Server
 from ..sim.units import us
 
 __all__ = ["FtlCpuCosts", "FtlCpu"]
@@ -54,12 +59,12 @@ class FtlCpuCosts:
 
 
 class FtlCpu:
-    """The two firmware cores as FIFO servers."""
+    """The two firmware cores."""
 
     def __init__(self, sim: Simulator, costs: FtlCpuCosts | None = None):
         self.sim = sim
         self.costs = costs or FtlCpuCosts()
-        self.host_core = Server(sim, capacity=1, name="arm.host_core")
+        self.host_core = Core(sim, name="arm.host_core")
         self.ftl_core = Server(sim, capacity=1, name="arm.ftl_core")
 
     @property

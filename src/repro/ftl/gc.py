@@ -32,8 +32,6 @@ class GarbageCollector:
         self.moves_aborted = 0
         self.blocks_reclaimed = 0
         self.stalls = 0
-        # Every move's success hook: bound once, not once per moved page.
-        self._on_moved = self._page_moved
 
     def reset_stats(self) -> None:
         """Clear the GC gauges benchmarks read (not collection state)."""
@@ -104,17 +102,13 @@ class GarbageCollector:
             if remaining == 0:
                 self._erase_victim(die, victim, span, lpns)
 
+        # Each copy lands within the victim's die, reserve included.
+        # Should that be consumed mid-migration (e.g. a victim with more
+        # valid pages than one block's remnant), the move goes cross-die
+        # rather than wedging the collector.
+        on_moved = self._page_moved
         for lpn in lpns:
-            self._move_page(die, lpn, move_done)
-
-    def _move_page(self, die: int, lpn: int, on_done) -> None:
-        # Within the victim's die, reserve included.  Should that be
-        # consumed mid-migration (e.g. a victim with more valid pages than
-        # one block's remnant), the move goes cross-die rather than
-        # wedging the collector.
-        PageMove(
-            self, lpn, on_done, die=die, reserve=0, on_moved=self._on_moved
-        ).start()
+            PageMove(self, lpn, move_done, die=die, reserve=0, on_moved=on_moved).start()
 
     def _page_moved(self) -> None:
         self.pages_moved += 1

@@ -46,26 +46,27 @@ class PageMove:
         self.old_ppn = ftl.mapping.lookup(self.lpn)
         ftl.flash.read(self.old_ppn, self.after_read)
 
-    def stale(self) -> bool:
-        return self.owner.ftl.mapping.lookup(self.lpn) != self.old_ppn
+    # Each stage first checks that the lpn still maps to the page being
+    # moved; a foreground rewrite makes the copy stale and aborts.
 
     def abort(self) -> None:
         self.owner.moves_aborted += 1
         self.on_done()
 
     def after_read(self, content: Any) -> None:
-        if self.stale():
+        ftl = self.owner.ftl
+        if ftl.mapping.lookup(self.lpn) != self.old_ppn:
             self.abort()
             return
         self.content = content
-        cpu = self.owner.ftl.cpu
+        cpu = ftl.cpu
         cpu.ftl_core.submit(cpu.costs.gc_page_move_s, self.after_cpu, priority=2)
 
     def after_cpu(self) -> None:
-        if self.stale():
+        ftl = self.owner.ftl
+        if ftl.mapping.lookup(self.lpn) != self.old_ppn:
             self.abort()
             return
-        ftl = self.owner.ftl
         try:
             self.new_ppn = ftl.blocks.allocate_page(self.die, self.reserve)
         except OutOfSpaceError:
@@ -77,10 +78,11 @@ class PageMove:
         # and this completion.  The programmed page is then garbage (never
         # mapped, reclaimed on the next erase of its block) but the
         # mapping stays correct.
-        if self.stale():
+        mapping = self.owner.ftl.mapping
+        if mapping.lookup(self.lpn) != self.old_ppn:
             self.abort()
             return
-        self.owner.ftl.mapping.map(self.lpn, self.new_ppn)
+        mapping.map(self.lpn, self.new_ppn)
         if self.on_moved is not None:
             self.on_moved()
         self.on_done()

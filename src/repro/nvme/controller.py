@@ -63,8 +63,9 @@ class _Fetch:
 
 @dataclass(slots=True, eq=False)
 class _Command:
-    """A fetched command on its way out: completion CPU time -> CQ entry
-    over PCIe -> posted with ``payload`` and ``status``."""
+    """A fetched command on its way out: completion CPU time, then the CQ
+    entry over PCIe (one hand-off event) -> posted with ``payload`` and
+    ``status``."""
 
     ctrl: "NvmeController"
     qp: QueuePair
@@ -73,11 +74,11 @@ class _Command:
     status: Status = field(default=Status.SUCCESS, kw_only=True)
 
     def complete(self) -> None:
-        cpu = self.ctrl.ftl.cpu
-        cpu.host_core.submit(cpu.costs.cmd_complete_s, self.completion_ready)
-
-    def completion_ready(self) -> None:
-        self.ctrl.pcie.d2h.transfer(COMPLETION_BYTES, self.post)
+        ctrl = self.ctrl
+        cpu = ctrl.ftl.cpu
+        ctrl.pcie.d2h.transfer_after(
+            cpu.host_core, cpu.costs.cmd_complete_s, COMPLETION_BYTES, self.post
+        )
 
     def post(self) -> None:
         ctrl = self.ctrl
@@ -87,7 +88,8 @@ class _Command:
 
 @dataclass(slots=True, eq=False)
 class _Read(_Command):
-    """A conventional read: pages from the FTL -> DMA -> completion."""
+    """A conventional read: pages from the FTL -> DMA set-up and data
+    over PCIe (one hand-off event) -> completion."""
 
     lpns: List[int]
     tracer: Any
@@ -111,10 +113,9 @@ class _Read(_Command):
             )
         self.payload = ReadPayload(segments, total_bytes)
         cpu = ctrl.ftl.cpu
-        cpu.host_core.submit(cpu.costs.dma_setup_s, self.dma_ready)
-
-    def dma_ready(self) -> None:
-        self.ctrl.pcie.d2h.transfer(self.payload.nbytes, self.complete)
+        ctrl.pcie.d2h.transfer_after(
+            cpu.host_core, cpu.costs.dma_setup_s, self.payload.nbytes, self.complete
+        )
 
 
 @dataclass(slots=True, eq=False)
@@ -357,7 +358,7 @@ class NvmeController:
     # ------------------------------------------------------------------
     def dma_to_host(self, nbytes: int, on_done: Callable[[], None]) -> None:
         cpu = self.ftl.cpu
-        cpu.host_core.submit(cpu.costs.dma_setup_s, partial(self.pcie.to_host, nbytes, on_done))
+        self.pcie.d2h.transfer_after(cpu.host_core, cpu.costs.dma_setup_s, nbytes, on_done)
 
     def dma_to_device(self, nbytes: int, on_done: Callable[[], None]) -> None:
         cpu = self.ftl.cpu

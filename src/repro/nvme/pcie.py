@@ -39,8 +39,8 @@ class PcieLink:
     def to_device(self, size_bytes: int, on_done: Callable[[], None]) -> None:
         self.h2d.transfer(size_bytes, on_done)
 
-    def to_host(self, size_bytes: int, on_done: Callable[[], None]) -> None:
-        self.d2h.transfer(size_bytes, on_done)
+    # Nothing moves to the host on its own: every device-to-host transfer
+    # follows a host-core job, ``d2h.transfer_after`` (NvmeController).
 
     @property
     def bytes_to_device(self) -> int:

@@ -17,11 +17,12 @@ the series' sequence numbers at once but keeps only the next event in
 the heap, so the heap holds what is in flight, not what is planned.
 
 ``Simulator._heap`` and ``Simulator._seq`` are shared with
-:mod:`repro.sim.resources`, the other half of the engine: a ``Server``
-or a ``BandwidthPipe`` pushes its events itself instead of paying a call
-into the kernel per job.  Nothing outside ``repro.sim`` touches them
-(``tests/test_layering.py``); a layer that needs to know whether its
-event is still the newest asks :meth:`Simulator.is_latest`.
+:mod:`repro.sim.resources`, the other half of the engine: a ``Server``,
+a ``Core`` or a ``BandwidthPipe`` pushes its events itself instead of
+paying a call into the kernel per job, and a ``Core`` reads the heap to
+tell whether its last event has run.  Nothing outside ``repro.sim``
+touches them (``tests/test_layering.py``); a layer that needs to know
+whether its event is still the newest asks :meth:`Simulator.is_latest`.
 
 Time is a float in **seconds**.  Helpers in :mod:`repro.sim.units` convert
 from microseconds/milliseconds.

@@ -1,16 +1,20 @@
 """Queueing resources for the DES kernel.
 
 * :class:`Server` — a priority-FIFO single- or multi-server station with
-  per-job service times, used for contended hardware (FTL CPU cores,
+  per-job service times, used for contended hardware (the FTL core,
   flash dies and channel buses).
+* :class:`Core` — a one-server, one-priority station admitted in closed
+  form (the controller's host-interface core).
 * :class:`BandwidthPipe` — a link that serializes transfers (PCIe):
   FIFO occupancy plus propagation latency, in closed form.
 
 Most events of a device run are ``Server`` completions, so a job costs
 one Python frame here and none in the kernel: ``submit`` (free server)
 and ``_finish`` (hand-off to the next queued job) push the completion
-event onto the simulator's heap themselves.  A pipe transfer is one
-event: its delivery, pushed when the transfer is admitted.
+event onto the simulator's heap themselves.  A ``Core`` job and a pipe
+transfer are one event each, pushed at admission; a core job that ends
+in a transfer (:meth:`BandwidthPipe.transfer_after`) is one event for
+both, at the delivery.
 """
 
 from __future__ import annotations
@@ -20,7 +24,10 @@ from typing import Callable, Optional
 
 from .kernel import _NO_ARG, SimError, Simulator
 
-__all__ = ["Server", "BandwidthPipe"]
+__all__ = ["Server", "Core", "BandwidthPipe"]
+
+# The last event of a core that has run no job: dispatched before time 0.
+_NEVER = [float("-inf")]
 
 
 class Server:
@@ -109,6 +116,75 @@ class Server:
         return self.busy_time / (span * self.capacity)
 
 
+class Core:
+    """A one-server FIFO station whose jobs all have one priority.
+
+    Service times are known on arrival and the queue never reorders, so
+    a job's end is known when it is admitted — ``max(now, free_at) +
+    service_time``, the float operations :class:`Server` performs when
+    the job starts — and ``submit`` pushes the completion itself: one
+    event and one frame per job, nothing when the server frees.  The
+    completion takes its place among *same-instant* events of other
+    resources from the admission rather than from the previous job's
+    completion; ``tests/sim/test_pipe_ties.py`` shows that no benchmark
+    workload can observe it, and ``tests/sim/test_engine_equivalence.py``
+    holds the core to a ``Server``.  ``busy_time`` and ``jobs_started``
+    count a job at admission.
+    """
+
+    def __init__(self, sim: Simulator, name: str = "core"):
+        self.sim = sim
+        self.name = name
+        # When the server finishes the last admitted job.
+        self._free_at = sim.now
+        # The event of this core's jobs that dispatches last: a
+        # completion, or the delivery a completion rides.
+        self._last = _NEVER
+        self.jobs_started = 0
+        self.busy_time = 0.0
+
+    def _admit(self, service_time: float) -> float:
+        """Count a job and return its end."""
+        if not service_time >= 0:
+            raise SimError(f"negative service time {service_time}")
+        self.jobs_started += 1
+        self.busy_time += service_time
+        now = self.sim.now
+        free_at = self._free_at
+        self._free_at = end = (free_at if free_at > now else now) + service_time
+        return end
+
+    def submit(self, service_time: float, on_done: Callable[[], None]) -> None:
+        """Enqueue a job needing ``service_time`` seconds of the server;
+        ``on_done()`` runs when it completes."""
+        # _admit, in this frame.
+        if not service_time >= 0:
+            raise SimError(f"negative service time {service_time}")
+        self.jobs_started += 1
+        self.busy_time += service_time
+        sim = self.sim
+        now = sim.now
+        free_at = self._free_at
+        self._free_at = end = (free_at if free_at > now else now) + service_time
+        sim._seq += 1
+        event = [end, sim._seq, on_done, _NO_ARG]
+        heappush(sim._heap, event)
+        if end >= self._last[0]:
+            self._last = event
+
+    @property
+    def idle(self) -> bool:
+        """Whether every event this core's jobs pushed has been
+        dispatched — false up to and including the instant of the last,
+        until it has run."""
+        last = self._last
+        due = last[0]
+        now = self.sim.now
+        if due != now:
+            return due < now
+        return all(event is not last for event in self.sim._heap)
+
+
 class BandwidthPipe:
     """A link that serializes transfers at a fixed bandwidth plus latency.
 
@@ -160,6 +236,33 @@ class BandwidthPipe:
         self._free_at = end = (free_at if free_at > now else now) + occupancy
         sim._seq += 1
         heappush(sim._heap, [end + self.latency, sim._seq, on_done, _NO_ARG])
+
+    def transfer_after(
+        self, core: Core, service_time: float, size_bytes: int, on_done: Callable[[], None]
+    ) -> None:
+        """Run a ``service_time`` job on ``core``, move ``size_bytes``
+        through the link when it ends, then call ``on_done`` — one event,
+        at the delivery.
+
+        The transfer is admitted at the job's end, known now, with the
+        float operations ``transfer`` would perform then.  That is exact
+        only while every transfer of this pipe enters here from ``core``:
+        the pipe then admits in ``core``'s FIFO order, as it would have.
+        """
+        if not size_bytes >= 0:
+            raise SimError(f"negative transfer size {size_bytes}")
+        start = core._admit(service_time)
+        self.bytes_transferred += size_bytes
+        occupancy = size_bytes / self.bandwidth
+        self.busy_time += occupancy
+        free_at = self._free_at
+        self._free_at = end = (free_at if free_at > start else start) + occupancy
+        sim = self.sim
+        sim._seq += 1
+        event = [end + self.latency, sim._seq, on_done, _NO_ARG]
+        heappush(sim._heap, event)
+        if event[0] >= core._last[0]:
+            core._last = event
 
     def utilization(self) -> float:
         """Fraction of elapsed time the bus is occupied by the transfers

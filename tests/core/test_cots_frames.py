@@ -26,10 +26,14 @@ from .test_engine_frames import python_calls
 # 86 at the parent of the block-read rewrite on CPython 3.11 (64 after
 # it): the controller reads the FTL's geometry once, a read carries its
 # own completion stages, no PCIe / DMA / deliver hops, a command's
-# callback is a ``partial`` of the op record's bound method.
-FRAMES_PER_PAGE = 65
-# 88 with the host LRU at that parent (66 after it).
-FRAMES_PER_PAGE_LRU = 67
+# callback is a ``partial`` of the op record's bound method.  58 since
+# the host core admits in closed form (no ``_finish`` per fetch, DMA
+# and completion job), its DMA and CQ-entry jobs hand off to the PCIe
+# link in one event (no ``dma_ready`` / ``completion_ready``), and a
+# flash read keeps a counter, not a latency accumulator.
+FRAMES_PER_PAGE = 58
+# 88 with the host LRU at that parent (66 after it, 60 since).
+FRAMES_PER_PAGE_LRU = 60
 
 # 112 at that parent (73 after it), 133 with the LRU (82 after it): one
 # stable sort for the span groups and for the unique misses, geometry

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.ftl.mover import PageMove
 from repro.sim.kernel import Simulator
 from repro.ssd.presets import small_ssd
 
@@ -19,6 +20,13 @@ def fill(sim, ftl, lpns, tag=0):
         payload = np.full(ftl.page_bytes, (lpn + tag) % 251, dtype=np.uint8)
         ftl.write_page(lpn, payload, lambda: done.__setitem__("n", done["n"] + 1))
     sim.run_until(lambda: done["n"] == len(lpns))
+
+
+def gc_move(ftl, die, lpn, on_done):
+    """One of the page moves ``GarbageCollector._migrate_block`` starts:
+    the copy lands in the victim's ``die``, reserve included, and a
+    completed move counts in ``pages_moved``."""
+    PageMove(ftl.gc, lpn, on_done, die=die, reserve=0, on_moved=ftl.gc._page_moved).start()
 
 
 def read_all(sim, ftl, lpns):
@@ -87,7 +95,7 @@ class TestMigrationRewriteRace:
         fill(sim, ftl, [0], tag=0)
         programs_before = ftl.flash.total_programs
         finished = []
-        ftl.gc._move_page(0, 0, lambda: finished.append(True))
+        gc_move(ftl, 0, 0, lambda: finished.append(True))
         # The migration's flash read is now in flight; retire the lpn the
         # way a completed foreground overwrite would (deterministically,
         # via trim) before the read callback runs.
@@ -117,7 +125,7 @@ class TestMigrationRewriteRace:
         fill(sim, ftl, [0], tag=0)
         old_ppn = ftl.mapping.lookup(0)
         finished = []
-        ftl.gc._move_page(0, 0, lambda: finished.append(True))
+        gc_move(ftl, 0, 0, lambda: finished.append(True))
         sim.run()
         assert finished == [True]
         assert ftl.gc.pages_moved == 1

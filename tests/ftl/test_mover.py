@@ -14,7 +14,7 @@ import pytest
 from repro.ftl.blocks import OutOfSpaceError
 from repro.ssd.presets import small_ssd
 
-from .test_gc_wear import fill
+from .test_gc_wear import fill, gc_move
 
 LPN = 0
 OWNERS = ("gc", "wear")
@@ -30,7 +30,7 @@ def ftl(sim):
 def start_move(ftl, owner: str, finished: list) -> object:
     on_done = partial(finished.append, True)
     if owner == "gc":
-        ftl.gc._move_page(ftl._die_of_ppn(ftl.mapping.lookup(LPN)), LPN, on_done)
+        gc_move(ftl, ftl._die_of_ppn(ftl.mapping.lookup(LPN)), LPN, on_done)
         return ftl.gc
     ftl.wear._move_page(LPN, on_done)
     return ftl.wear
@@ -46,8 +46,8 @@ def foreground_remap(ftl) -> int:
 def run_into(sim, ftl, stage: str) -> None:
     """Advance until the move's ``stage`` is the one in flight."""
     if stage == "cpu":
-        reads = ftl.flash.read_latency.count
-        sim.run_until(lambda: ftl.flash.read_latency.count > reads)
+        reads = ftl.flash.reads_completed
+        sim.run_until(lambda: ftl.flash.reads_completed > reads)
     elif stage == "program":
         programs = ftl.flash.total_programs()
         sim.run_until(lambda: ftl.flash.total_programs() > programs)

@@ -132,7 +132,9 @@ FAMILIES: Dict[str, Family] = {
         variants={"traced": traced(cluster_scenarios.SCENARIOS)},
     ),
     "updates": Family("updates_golden.json", serving_scenarios.UPDATES),
-    "runner": Family("runner_golden.json", runner_scenarios.SCENARIOS),
+    "runner": Family(
+        "runner_golden.json", runner_scenarios.SCENARIOS, refreshable=("sim_events",)
+    ),
     "calibration": Family("calibration_golden.json", {"fast": calibration_fast}),
     "digests": Family(
         "perf_digests.json",

@@ -10,9 +10,10 @@ commit it was written on and whether ``src/`` was clean there.
 With ``--check``, re-records the same scenarios and compares them with
 their files.  If any value moves that its family does not declare
 refreshable, nothing is written and the command fails, naming every
-moved value.  Otherwise the refreshable fields that moved (today, the
-digests' ``sim_events``, after a change that fused events and names the
-hops in ``CHANGES.md``) are written, and the file records the commit
+moved value.  Otherwise the refreshable fields that moved (today,
+``sim_events`` of the digests and of the runner scenarios, after a
+change that fused events and names the hops in ``CHANGES.md``) are
+written, and the file records the commit
 they were refreshed on top of; the rest of its provenance stays.
 """
 

@@ -10,9 +10,12 @@ refreshed, by a change that names the hops it fused.
 ``tests/sim/test_pipe_ties.py`` reads the census of the same runs, and
 ``tests/sim/test_series.py`` how deep the event heap got in them.  It
 is taken test-side: deliveries are recognised by wrapping the callback
-handed to ``BandwidthPipe.transfer``, and every dispatched event is seen
-by giving the kernel module a ``heapq`` whose ``heappop`` reports what
-it popped.  Nothing in ``src/`` knows, and no simulated number moves.
+handed to ``BandwidthPipe.transfer`` and ``BandwidthPipe.transfer_after``
+(a core job that hands off to the pipe), completions of a closed-form
+``Core`` by wrapping the one handed to ``Core.submit``, and every
+dispatched event is seen by giving the kernel module a ``heapq`` whose
+``heappop`` reports what it popped.  Nothing in ``src/`` knows, and no
+simulated number moves.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from typing import Dict, Iterator, Tuple
 
 from perf.workloads import BY_NAME, WORKLOADS, observe, run, setup
 from repro.sim import kernel
-from repro.sim.resources import BandwidthPipe
+from repro.sim.resources import BandwidthPipe, Core
 
 SCALE = 0.1
 SEEDS = (13, 7)
@@ -43,9 +46,28 @@ class Delivery:
         self.on_done()
 
 
+class CoreJob:
+    """A ``Core`` job's ``on_done``, remembering its core and whether the
+    core was still busy when the job was admitted (``queued``): a
+    ``Server`` would have pushed that completion only when the job
+    started, not at admission."""
+
+    __slots__ = ("core", "queued", "on_done")
+
+    def __init__(self, core, queued, on_done):
+        self.core = core
+        self.queued = queued
+        self.on_done = on_done
+
+    def __call__(self) -> None:
+        self.on_done()
+
+
 def describe(callback, arg) -> str:
     if type(callback) is Delivery:
         return f"delivery of {callback.pipe.name!r}"
+    if type(callback) is CoreJob:
+        return f"{'queued ' if callback.queued else ''}completion of {callback.core.name!r}"
     owner = getattr(callback, "__self__", None)
     what = getattr(callback, "__qualname__", type(callback).__name__)
     return f"{what} of {getattr(owner, 'name', owner)!r} ({arg!r})"
@@ -53,9 +75,14 @@ def describe(callback, arg) -> str:
 
 class Census:
     """Groups dispatched events by instant; keeps the groups in which a
-    delivery met anything but deliveries of its own pipe.  An event is
-    held as its ``(callback, arg)`` until its instant closes; only a
-    kept group is ever put into words (:meth:`report`).
+    delivery met anything but deliveries of its own pipe (``ties``), and
+    those in which an event scheduled after a queued core completion was
+    admitted runs at that completion's instant (``core_ties``: a
+    ``Server``, pushing the completion when the job starts, may have
+    run that event first).  ``core_shared`` counts the instants a queued
+    core completion shares with anything else.  An event is held as its
+    ``(callback, arg)`` until its instant closes; only a kept group is
+    ever put into words (:meth:`report`).
 
     ``start_depth`` is the heap's length at the run's first pop (what
     set-up and the generators planted) and ``max_depth`` its longest at
@@ -69,6 +96,8 @@ class Census:
         self.instant = None
         self.group = []         # (callback, arg) of the current instant
         self.ties = []          # (instant, group)
+        self.core_ties = []     # (instant, group)
+        self.core_shared = 0
         self.deliveries = 0
         self.events = 0
         self.start_depth = 0    # None: the next pop records its depth
@@ -101,27 +130,55 @@ class Census:
             callback.pipe if type(callback) is Delivery else None for callback, _ in group
         }) > 1:                                 # a delivery and something else
             self.ties.append((self.instant, group))
+        # Events at one instant run in sequence order, so those after a
+        # queued completion were scheduled after its admission.
+        for i, (callback, _) in enumerate(group):
+            if type(callback) is CoreJob and callback.queued:
+                if len(group) > 1:
+                    self.core_shared += 1
+                if any(
+                    type(later) is not CoreJob or later.core is not callback.core
+                    for later, _ in group[i + 1:]
+                ):
+                    self.core_ties.append((self.instant, group))
+                break
         self.group = []
 
-    def report(self) -> str:
+    def report(self, ties=None) -> str:
         return "\n".join(
             f"t={instant!r}: " + " | ".join(describe(*event) for event in group)
-            for instant, group in self.ties
+            for instant, group in (self.ties if ties is None else ties)
         )
 
 
 @contextmanager
 def census_installed() -> Iterator[Census]:
     census = Census()
-    transfer = BandwidthPipe.transfer
+    transfer, transfer_after, submit = (
+        BandwidthPipe.transfer, BandwidthPipe.transfer_after, Core.submit
+    )
     BandwidthPipe.transfer = lambda pipe, size_bytes, on_done: transfer(
         pipe, size_bytes, Delivery(pipe, on_done)
+    )
+    BandwidthPipe.transfer_after = (
+        lambda pipe, core, service_time, size_bytes, on_done: transfer_after(
+            pipe, core, service_time, size_bytes, Delivery(pipe, on_done)
+        )
+    )
+    # Busy: the last admitted job ends now or later (at ``now``, its
+    # completion may still be due — counted as queued either way).
+    Core.submit = lambda core, service_time, on_done: submit(
+        core,
+        service_time,
+        CoreJob(core, core.jobs_started > 0 and core._free_at >= core.sim.now, on_done),
     )
     kernel.heapq = census
     try:
         yield census
     finally:
-        BandwidthPipe.transfer = transfer
+        BandwidthPipe.transfer, BandwidthPipe.transfer_after, Core.submit = (
+            transfer, transfer_after, submit
+        )
         kernel.heapq = heapq
         census.close()
 

@@ -55,7 +55,7 @@ class TestPcie:
         link = PcieLink(sim, PcieConfig(bandwidth_bytes_s=1e6, latency_s=0.0))
         done = []
         link.to_device(1000, lambda: done.append(("h2d", sim.now)))
-        link.to_host(1000, lambda: done.append(("d2h", sim.now)))
+        link.d2h.transfer(1000, lambda: done.append(("d2h", sim.now)))
         sim.run()
         assert done[0][1] == pytest.approx(1e-3)
         assert done[1][1] == pytest.approx(1e-3)
@@ -63,7 +63,7 @@ class TestPcie:
     def test_byte_counters(self, sim):
         link = PcieLink(sim, PcieConfig(bandwidth_bytes_s=1e6))
         link.to_device(100, lambda: None)
-        link.to_host(250, lambda: None)
+        link.d2h.transfer(250, lambda: None)
         sim.run()
         assert link.bytes_to_device == 100
         assert link.bytes_to_host == 250

@@ -22,6 +22,16 @@ simulator.
   real ones (``tests/sim/test_pipe_ties.py``) — everything observable
   equals the staged run, with one event fewer per transfer on a pipe
   that has latency.
+* A stream on the closed-form ``Core`` — its own jobs, jobs handed off
+  to a pipe only it feeds (``transfer_after``), and jobs on other
+  servers — against a one-server ``Server`` whose completions call the
+  staged pipe.  The core pushes a queued completion at admission and a
+  hand-off pushes only its delivery, so on every stream in which no
+  core completion or delivery shares its float instant with an event
+  of another resource, the dispatch sequence, ``busy_time``,
+  ``jobs_started`` and the byte counters are equal, with one event
+  fewer per hand-off (two on a pipe with latency) — and, where nothing
+  is handed off, ``idle`` read in every callback is equal too.
 """
 
 from __future__ import annotations
@@ -52,12 +62,13 @@ LATENCIES = (0.0, 1e-6, 0.013)
 
 @dataclass(frozen=True)
 class Op:
-    kind: str                   # "job" | "xfer"
+    kind: str                   # "job" | "xfer" | "core" | "handoff"
     target: int                 # resource index (taken modulo the count)
     amount: float               # service time, or bytes for a transfer
     priority: int
     at: float                   # issue time, for a root op
     parent: Optional[int]       # issued from inside this op's completion
+    size: int = 0               # bytes a hand-off moves after its job
 
 
 @dataclass(frozen=True)
@@ -245,3 +256,199 @@ def test_constructors_refuse_the_same_bad_inputs(resources):
         resources.BandwidthPipe(sim, 0.0)
     with pytest.raises(SimError, match="bandwidth"):
         resources.BandwidthPipe(sim, -1.0)
+
+
+@dataclass(frozen=True)
+class CoreProgram:
+    capacities: Tuple[int, ...]         # of the other servers
+    pipe: Tuple[float, float]           # the hand-off pipe's (bandwidth, latency)
+    ops: Tuple[Op, ...]
+
+
+@st.composite
+def core_programs(draw, handoffs: bool) -> CoreProgram:
+    capacities = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=2)))
+    pipe = draw(st.tuples(st.sampled_from(BANDWIDTHS), st.sampled_from(LATENCIES)))
+    kinds = ("core", "core", "handoff", "handoff", "job") if handoffs else ("core", "core", "job")
+    ops = []
+    for i in range(draw(st.integers(1, 24))):
+        kind = draw(st.sampled_from(kinds))
+        ops.append(
+            Op(
+                kind=kind,
+                target=draw(st.integers(0, 1)),
+                amount=draw(st.sampled_from(SERVICE_TIMES)),
+                priority=draw(st.integers(0, 1)) if kind == "job" else 0,
+                at=draw(st.sampled_from(TIMES)),
+                parent=draw(st.one_of(st.none(), st.integers(0, i - 1))) if i else None,
+                # A hand-off's transfer starts inside the run, where a
+                # staged pipe could not refuse it at admission.
+                size=draw(st.sampled_from(SIZES[:-1])) if kind == "handoff" else 0,
+            )
+        )
+    return CoreProgram(capacities, pipe, tuple(ops))
+
+
+def execute_core(resources, program: CoreProgram):
+    """Run ``program`` with ``resources``' core (the engine's ``Core``, the
+    reference's one-server ``Server``) and hand-offs; return all that is
+    observable."""
+    sim = Simulator()
+    bandwidth, latency = program.pipe
+    pipe = resources.BandwidthPipe(sim, bandwidth, latency)
+    if resources is engine:
+        core = engine.Core(sim)
+
+        def handoff(service_time, size, done):
+            pipe.transfer_after(core, service_time, size, done)
+    else:
+        core = reference.Server(sim, capacity=1)
+
+        def handoff(service_time, size, done):
+            core.submit(service_time, lambda: pipe.transfer(size, done))
+    servers = [resources.Server(sim, capacity=c) for c in program.capacities]
+    children = defaultdict(list)
+    for i, op in enumerate(program.ops):
+        children[op.parent].append(i)
+    log = []
+    idle = []
+
+    def issue(i: int) -> None:
+        op = program.ops[i]
+
+        def done() -> None:
+            log.append((sim.now, i))
+            idle.append(core.idle)
+            for child in children[i]:
+                issue(child)
+
+        try:
+            if op.kind == "core":
+                core.submit(op.amount, done)
+            elif op.kind == "handoff":
+                handoff(op.amount, op.size, done)
+            else:
+                servers[op.target % len(servers)].submit(op.amount, done, priority=op.priority)
+        except SimError as error:
+            log.append((sim.now, f"raised {i}: {error}"))
+
+    for i in children[None]:
+        sim.schedule_at(program.ops[i].at, partial(issue, i))
+    end = sim.run()
+    return {
+        "log": log,
+        "idle": idle,
+        "end": end,
+        "event_count": sim.event_count,
+        "pending": sim.pending_events,
+        "core": (core.busy_time, core.jobs_started, core.idle),
+        "servers": [(s.busy_time, s.jobs_started, s.jobs_completed) for s in servers],
+        "pipe": (pipe.bytes_transferred, pipe.utilization()),
+    }
+
+
+def a_core_event_ties(program: CoreProgram, seen) -> bool:
+    """Whether a core completion or a delivery shares its float instant
+    with an event of another resource or a root issue."""
+    sharing = defaultdict(set)
+    for op in program.ops:
+        if op.parent is None:
+            sharing[op.at].add("root")
+    for instant, what in seen["log"]:
+        if isinstance(what, int):
+            op = program.ops[what]
+            if op.kind == "job":
+                sharing[instant].add(("job", op.target % len(program.capacities)))
+            else:
+                sharing[instant].add(op.kind)
+    return any(len(who) > 1 and who & {"core", "handoff"} for who in sharing.values())
+
+
+def _core_equal(program: CoreProgram, handoffs: bool) -> None:
+    want = execute_core(reference, program)
+    assume(not a_core_event_ties(program, want))
+    got = execute_core(engine, program)
+    handed_off = sum(
+        isinstance(what, int) and program.ops[what].kind == "handoff" for _, what in want["log"]
+    )
+    hops = handed_off * (2 if program.pipe[1] > 0 else 1)
+    assert got.pop("event_count") == want.pop("event_count") - hops
+    if handoffs:
+        # A hand-off keeps the core busy until its delivery, where the
+        # Server freed at the job's end.
+        got.pop("idle"), want.pop("idle")
+    assert got == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(core_programs(handoffs=False))
+def test_the_closed_form_core_is_the_server_when_no_completion_ties(program):
+    _core_equal(program, handoffs=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(core_programs(handoffs=True))
+def test_core_then_pipe_is_server_then_staged_pipe_when_nothing_ties(program):
+    _core_equal(program, handoffs=True)
+
+
+def test_core_streams_exercise_every_path():
+    """One fixed stream reaches the free, queued and hand-off paths, a
+    hand-off queued on the pipe, and a refusal."""
+    core = partial(Op, "core", 0, priority=0, at=0.0, parent=None)
+    program = CoreProgram(
+        capacities=(1,),
+        pipe=(4e9, 0.1),
+        ops=(
+            core(amount=0.3),                                       # free core
+            core(amount=0.2),                                       # queued
+            Op("handoff", 0, 0.25, 0, 0.0, None, size=8),           # queued, then the pipe
+            Op("handoff", 0, 0.0, 0, 0.0, None, size=4),            # queues on the pipe
+            Op("core", 0, 0.3, 0, 0.0, 1),                          # from a callback
+            core(amount=-1.0),                                      # refused: negative
+        ),
+    )
+    seen = execute_core(engine, program)
+    staged = execute_core(reference, program)
+    assert seen.pop("event_count") == staged.pop("event_count") - 4
+    seen.pop("idle"), staged.pop("idle")
+    assert seen == staged
+    done = {what: instant for instant, what in seen["log"] if isinstance(what, int)}
+    assert list(done) == [0, 1, 2, 3, 4]
+    assert sum(isinstance(what, str) for _, what in seen["log"]) == 1
+    # The hand-offs leave the core at 0.75 and share the pipe; job 4 took
+    # the core at 0.75.
+    assert done[2] == 0.3 + 0.2 + 0.25 + 8 / 4e9 + 0.1
+    assert done[3] == 0.3 + 0.2 + 0.25 + 8 / 4e9 + 4 / 4e9 + 0.1
+    assert done[4] == 0.3 + 0.2 + 0.25 + 0.3
+
+
+def test_the_core_is_busy_until_its_last_event_has_run():
+    """``idle`` is false up to and including the instant of the core's
+    last event — a completion, or the delivery a completion rides — until
+    that event has run; ``run_until`` on it stops right after it."""
+    sim = Simulator()
+    core = engine.Core(sim)
+    pipe = engine.BandwidthPipe(sim, 1e6, 1e-3)
+    seen = []
+    probe = lambda: seen.append((sim.now, core.idle))  # noqa: E731
+    sim.schedule(1e-3, probe)                           # runs before the completion
+    assert core.idle
+    core.submit(1e-3, probe)
+    assert not core.idle
+    sim.run_until(lambda: core.idle)
+    assert seen == [(1e-3, False), (1e-3, True)] and sim.now == 1e-3
+    # A hand-off admitted at 1e-3: the job ends at 2e-3, the transfer at
+    # 3e-3, the delivery is at 4e-3.
+    sim.schedule_at(2e-3, probe)                        # job over, delivery due
+    sim.schedule_at(4e-3, probe)                        # runs before the delivery
+    pipe.transfer_after(core, 1e-3, 1000, probe)
+    sim.run_until(lambda: core.idle)
+    assert seen[2:] == [(2e-3, False), (4e-3, False), (4e-3, True)]
+    assert sim.now == 4e-3 and core.jobs_started == 2 and pipe.bytes_transferred == 1000
+    # A job admitted after a hand-off can finish before its delivery.
+    pipe.transfer_after(core, 1e-3, 1000, probe)
+    core.submit(0.0, probe)
+    sim.run_until(lambda: core.idle)
+    assert [idle for _, idle in seen[5:]] == [False, True]
+    assert sim.now == 4e-3 + 1e-3 + 1e-3 + 1e-3

@@ -1,11 +1,11 @@
-"""Tests for Server (priority queueing) and BandwidthPipe."""
+"""Tests for Server (priority queueing), Core and BandwidthPipe."""
 
 import math
 
 import pytest
 
 from repro.sim.kernel import SimError, Simulator
-from repro.sim.resources import BandwidthPipe, Server
+from repro.sim.resources import BandwidthPipe, Core, Server
 
 
 class TestServer:
@@ -144,3 +144,18 @@ class TestBandwidthPipe:
         with pytest.raises(SimError, match="bandwidth|latency"):
             BandwidthPipe(sim, **{"bandwidth_bytes_per_s": 1e6, **knobs})
         assert sim.now == 0.0 and sim.pending_events == 0
+
+
+class TestCore:
+    @pytest.mark.parametrize("service_time", [-1e-6, math.nan], ids=["negative", "nan"])
+    def test_bad_service_time_refused_before_anything_counts(self, sim, service_time):
+        core = Core(sim)
+        pipe = BandwidthPipe(sim, bandwidth_bytes_per_s=1e6)
+        with pytest.raises(SimError, match="service time"):
+            core.submit(service_time, lambda: None)
+        with pytest.raises(SimError, match="service time"):
+            pipe.transfer_after(core, service_time, 10, lambda: None)
+        with pytest.raises(SimError, match="transfer size"):
+            pipe.transfer_after(core, 1e-6, math.nan, lambda: None)
+        assert (core.jobs_started, core.busy_time, pipe.bytes_transferred) == (0, 0.0, 0)
+        assert core.idle and sim.pending_events == 0

@@ -252,7 +252,6 @@ CLOSURE_FREE = {
         "GreedyFtl._program_done", "_PageRead.*", "_PagesRead.*", "_PageWrite.*",
     ),
     "repro/ftl/mover.py": ("PageMove.*",),
-    "repro/ftl/gc.py": ("GarbageCollector._move_page",),
     "repro/ftl/wear.py": ("WearLeveler._move_page",),
     "repro/nvme/controller.py": (
         "NvmeController._fetch_next", "NvmeController._do_read", "NvmeController.complete",

@@ -16,6 +16,7 @@ from perf_pairs import (  # noqa: E402
     end_to_end_bounds,
     end_to_end_metrics,
     format_table,
+    frames_table,
     metric_row,
     quartiles,
     regressions,
@@ -124,3 +125,20 @@ def test_the_bounds_are_the_benchmarks():
     bounds = {name: (better, bound) for name, better, bound in end_to_end_bounds()}
     assert bounds["host_req_per_s"] == ("higher", 0.25)
     assert [(n, b) for n, (b, _) in bounds.items()] == end_to_end_metrics()
+
+
+def test_the_frames_table_is_frames_per_request_parent_to_change():
+    def side(frames, requests):
+        return {"frames": frames, "requests": requests}
+
+    counts = [
+        ("aged_update_mix", side(2_500_000, 100), side(2_250_000, 100)),
+        ("dram_serve", side(9_000, 300), side(9_000, 300)),
+    ]
+    lines = frames_table(13, counts).splitlines()
+    assert lines[0] == (
+        "Python frames per request, seed 13, 1/10 scale, collector off (parent -> change)"
+    )
+    assert lines[2:4] == ["| workload | parent | change | ratio |", "| --- | --- | --- | --- |"]
+    assert lines[4] == "| aged_update_mix | 25,000 | 22,500 | 0.900x |"
+    assert lines[5] == "| dram_serve | 30 | 30 | 1.000x |"

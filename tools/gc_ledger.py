@@ -55,6 +55,7 @@ from perf.workloads import BATCH_SIZE, MODEL, WORKLOADS, bench_model, run, setup
 from repro.core.engine import NdpEngineConfig  # noqa: E402
 from repro.embedding.spec import TableSpec  # noqa: E402
 from repro.embedding.table import EmbeddingTable  # noqa: E402
+from repro.ftl.mover import PageMove  # noqa: E402
 from repro.host.system import build_system  # noqa: E402
 from repro.nvme.commands import NvmeCommand, Opcode  # noqa: E402
 from repro.serving import InferenceServer, ServingConfig  # noqa: E402
@@ -231,7 +232,9 @@ def unit_counts(n: int = 1000) -> Dict[str, float]:
     return {
         "FlashArray.read": _containers_per_call(lambda: ftl.flash.read(ppn, _noop), n),
         "Ftl.read_pages([lpn])": _containers_per_call(lambda: ftl.read_pages([0], _noop), n),
-        "gc page move": _containers_per_call(lambda: ftl.gc._move_page(0, 0, _noop), n),
+        "gc page move": _containers_per_call(
+            lambda: PageMove(ftl.gc, 0, _noop, die=0, reserve=0, on_moved=_noop).start(), n
+        ),
         "NDP page in flight": _containers_per_ndp_page(n),
         "SLS op in flight": _containers_per_call(admit_sls_op, n),
         **_containers_per_planned(n),

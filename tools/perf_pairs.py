@@ -20,12 +20,20 @@ is worse than the parent's by more than its ``BENCHMARK.json`` bound.
 ``--workload`` repeats, or is ``all``; the worktrees are made once and
 removed afterwards; nothing in the repo is written.
 
+``--frames`` adds an exact count beside the clock: in each worktree it
+runs each chosen workload once more at 1/10 scale under
+``sys.setprofile``, with the collector off, and prints the Python
+frames per completed request, parent -> change.  The count depends on
+no clock, so one run per side is the whole measurement; ``--pairs 0``
+prints only it.
+
 Usage (from the repo root)::
 
     python3 tools/perf_pairs.py --against HEAD~1 --workload ndp_serve --pairs 10 --seconds 10
     python3 tools/perf_pairs.py --against HEAD~1 --workload ndp_serve --pairs 5 --seed 7
     python3 tools/perf_pairs.py --against HEAD~1 --workload ssd_serve --workload dram_serve
     python3 tools/perf_pairs.py --against HEAD~1 --workload all --pairs 3
+    python3 tools/perf_pairs.py --against HEAD~1 --workload all --pairs 0 --frames
 """
 
 from __future__ import annotations
@@ -110,6 +118,24 @@ def format_table(
     return "\n".join(lines)
 
 
+def frames_table(seed: int, counts: Sequence[Tuple[str, dict, dict]]) -> str:
+    """The ``--frames`` report: ``counts`` holds ``(workload, parent,
+    change)``, each side ``{"frames": n, "requests": m}`` as
+    :data:`FRAMES_SCRIPT` prints it."""
+    lines = [
+        f"Python frames per request, seed {seed}, 1/10 scale, collector off (parent -> change)",
+        "",
+        "| workload | parent | change | ratio |",
+        "| --- | --- | --- | --- |",
+    ]
+    for workload, parent, change in counts:
+        before, after = (side["frames"] / side["requests"] for side in (parent, change))
+        lines.append(
+            f"| {workload} | {_number(before)} | {_number(after)} | {after / before:.3f}x |"
+        )
+    return "\n".join(lines)
+
+
 def regressions(
     runs: Dict[str, Sequence[Tuple[dict, dict]]],
     bounds: Sequence[Tuple[str, str, float]],
@@ -182,6 +208,31 @@ def _measure(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(out.strip().splitlines()[-1])
 
 
+# Run in a worktree: set up one workload at 1/10 scale, then count the
+# Python frames its run enters.
+FRAMES_SCRIPT = """
+import gc, json, sys
+from perf.workloads import BY_NAME, observe, run, setup
+built = setup(BY_NAME[sys.argv[1]], int(sys.argv[2]), 0.1)
+calls = 0
+def count(_frame, event, _arg):
+    global calls
+    if event == "call":
+        calls += 1
+gc.disable()
+sys.setprofile(count)
+run(built)
+sys.setprofile(None)
+print(json.dumps({"frames": calls, "requests": observe(built).completed}))
+"""
+
+
+def _count_frames(tree: Path, workload: str, seed: int) -> dict:
+    command = [sys.executable, "-c", FRAMES_SCRIPT, workload, str(seed)]
+    out = subprocess.run(command, cwd=tree, check=True, capture_output=True, text=True).stdout
+    return json.loads(out.strip().splitlines()[-1])
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--against", required=True, help="the parent revision")
@@ -192,7 +243,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=10.0)
     parser.add_argument("--seed", type=int, default=13)
+    parser.add_argument(
+        "--frames", action="store_true",
+        help="also count Python frames per request, once per side at 1/10 scale",
+    )
     args = parser.parse_args(argv)
+    if args.pairs < 0:
+        parser.error("--pairs must be >= 0")
 
     try:
         workloads = workloads_named(args.workload)
@@ -200,6 +257,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         parser.error(str(exc))
     revisions = {"parent": _git("rev-parse", args.against), "change": _git("rev-parse", "HEAD")}
     runs: Dict[str, List[Tuple[dict, dict]]] = {w: [] for w in workloads}
+    counts: List[Tuple[str, dict, dict]] = []
     with tempfile.TemporaryDirectory(prefix="perf-pairs-") as scratch:
         trees: Dict[str, Path] = {}
         try:
@@ -218,16 +276,26 @@ def main(argv: Sequence[str] | None = None) -> int:
                     rate = [result[side]["metrics"]["host_req_per_s"]["value"] for side in ("parent", "change")]
                     print(f"{workload} pair {i + 1}/{args.pairs} ({order[0]} first): host_req_per_s "
                           f"{rate[0]:,.0f} / {rate[1]:,.0f}", file=sys.stderr, flush=True)
+                if args.frames:
+                    counts.append((workload, *(
+                        _count_frames(trees[side], workload, args.seed)
+                        for side in ("parent", "change")
+                    )))
         finally:
             for tree in trees.values():
                 _git("worktree", "remove", "--force", str(tree))
             _git("worktree", "prune")
     print(f"parent {revisions['parent'][:10]}, change {revisions['change'][:10]}")
-    for workload, pairs in runs.items():
+    if args.pairs:
+        for workload, pairs in runs.items():
+            print()
+            print(format_table(workload, args.seed, end_to_end_metrics(), pairs))
+    if counts:
         print()
-        print(format_table(workload, args.seed, end_to_end_metrics(), pairs))
-    print()
-    print(verdict(regressions(runs, end_to_end_bounds())))
+        print(frames_table(args.seed, counts))
+    if args.pairs:
+        print()
+        print(verdict(regressions(runs, end_to_end_bounds())))
     return 0
 
 
