@@ -4,7 +4,10 @@ The paper's host stack uses UNVMe: a low-latency userspace library that
 polls for completions and uses the maximum number of threads/command
 queues.  We model per-command submission and completion-handling costs
 and the queue-depth backpressure of the qpairs; polling pickup is
-immediate (dedicated spinning threads).
+immediate (dedicated spinning threads), so the driver registers its
+completion handler with each CQ together with the handling cost, and a
+completion is handled ``complete_cost_s`` after its entry lands, in the
+same event.
 
 Commands issued back to back (one SLS op's block reads) reach their
 submission queues at one instant, ``submit_cost_s`` later.  They ride one
@@ -60,8 +63,6 @@ class UnvmeDriver:
             device.create_qpair(self.config.queue_depth)
             for _ in range(self.config.num_qpairs)
         ]
-        # qids are device-global: a second driver's pairs do not start at 1.
-        self._qpair_of: Dict[int, QueuePair] = {qp.qid: qp for qp in self._qpairs}
         self._callbacks: Dict[int, tuple[CompletionCallback, QueuePair]] = {}
         self._backlog: Deque[tuple[NvmeCommand, CompletionCallback]] = deque()
         # Open ``nvme.cmd`` spans by cid (tracing only; empty otherwise).
@@ -75,7 +76,7 @@ class UnvmeDriver:
         self._train_issued_at = 0.0
         self._train_event = None
         for qp in self._qpairs:
-            qp.cq.set_notify(self._on_cq_post)
+            qp.cq.set_pickup(self._deliver, self.config.complete_cost_s)
         self.commands_issued = 0
 
     # ------------------------------------------------------------------
@@ -117,7 +118,7 @@ class UnvmeDriver:
             if idx >= n:
                 idx -= n
             qp = qpairs[idx]
-            if qp.can_submit:
+            if qp.outstanding < qp.depth:      # QueuePair.can_submit
                 self._rr = idx + 1 if idx + 1 < n else 0
                 return qp
         return None
@@ -150,14 +151,8 @@ class UnvmeDriver:
             sq.push(cmd)
 
     # ------------------------------------------------------------------
-    # Completion (polling)
+    # Completion (polling): a CQ entry, ``complete_cost_s`` after it lands
     # ------------------------------------------------------------------
-    def _on_cq_post(self, qid: int) -> None:
-        cpl = self._qpair_of[qid].cq.poll()
-        if cpl is None:
-            return
-        self.sim.schedule_call(self.config.complete_cost_s, self._deliver, cpl)
-
     def _deliver(self, cpl: NvmeCompletion) -> None:
         entry = self._callbacks.pop(cpl.cid, None)
         if entry is None:

@@ -7,13 +7,15 @@ because the NDP operator returns pre-accumulated results it cannot
 populate an LRU cache, so the hottest rows (from input profiling) are
 statically pinned in host DRAM instead (Section 4.2).
 
-Both caches are array-native: tags, LRU stamps and values live in dense
-numpy storage so the serving hot path can probe a whole batch of rows in
-a handful of vector operations (``lookup_many`` / ``insert_many`` /
-``partition_mask``), while the LRU's per-key entry points stay O(1)
-through a key -> slot dict.  The behaviour is bit-identical to the
-dict-model caches kept in ``tests/embedding/reference_caches.py`` (see
-``tests/hotpath/test_cache_equivalence.py``).
+The LRU keeps its vectors in one dense numpy array and its bookkeeping
+in plain Python: a key -> slot dict, and per set a list of resident keys
+from least to most recently used.  A probe or refill of one key is a
+dict lookup plus a list ``remove`` / ``append`` (16 entries at most), an
+eviction a ``pop(0)``, and a batch's vectors move in one fancy index —
+no numpy call per key.  The static partition is array-native: a whole
+batch of rows is one ``searchsorted``.  The behaviour is bit-identical
+to the dict-model caches kept in ``tests/embedding/reference_caches.py``
+(see ``tests/hotpath/test_cache_equivalence.py``).
 
 The LRU's refills may be *owed*: ``insert_later`` only records a batch,
 and everything owed lands, in the order it was handed over, as one
@@ -35,20 +37,15 @@ from ..sim.resettable import register_resettable
 __all__ = ["SetAssociativeLru", "StaticPartitionCache", "profile_hot_rows"]
 
 
-def _count_unique(keys: np.ndarray) -> int:
-    """How many distinct values ``keys`` holds (sorts ``keys`` in place)."""
-    keys.sort()
-    return int(keys.size and 1 + (keys[1:] != keys[:-1]).sum())
-
-
 class SetAssociativeLru:
     """Set-associative LRU cache of row -> vector, with batch probes.
 
-    Storage is one tag/stamp slot per (set, way): ``_tags`` holds the key
-    (-1 = empty), ``_stamps`` a monotonically increasing access counter
-    (the LRU order), and ``_values`` the cached vectors, lazily allocated
-    from the first inserted value's shape/dtype (one cache caches one
-    table's vectors).  Keys must be non-negative integers.
+    ``_slot_of`` maps each resident key to its slot (``set * ways +
+    way``) in ``_values``, the cached vectors, lazily allocated from the
+    first inserted value's shape/dtype (one cache caches one table's
+    vectors).  ``_recency[s]`` lists set ``s``'s resident keys from least
+    to most recently used, and ``_free[s]`` its unused ways.  Keys must
+    be non-negative integers.
 
     Everything below that touches that state (or ``evictions``, which a
     refill moves) starts by settling what ``insert_later`` left owed.
@@ -65,14 +62,12 @@ class SetAssociativeLru:
         self.sets = (
             max(1, -(-capacity // max(1, self.ways))) if capacity else 0
         )
-        self._tags = np.full((self.sets, self.ways), -1, dtype=np.int64)
-        self._stamps = np.zeros((self.sets, self.ways), dtype=np.int64)
         self._values: Optional[np.ndarray] = None        # [sets*ways, *vshape]
         self._slot_of: Dict[int, int] = {}               # key -> set*ways + way
+        self._recency: List[List[int]] = [[] for _ in range(self.sets)]
         self._free: List[List[int]] = [
             list(range(self.ways - 1, -1, -1)) for _ in range(self.sets)
         ]
-        self._counter = 0
         # Refill batches handed over by insert_later and not yet made.
         self._owed_keys: List[np.ndarray] = []
         self._owed_values: List[np.ndarray] = []
@@ -130,8 +125,10 @@ class SetAssociativeLru:
         if slot is None:
             self.misses += 1
             return None
-        self._counter += 1
-        self._stamps.flat[slot] = self._counter
+        key = int(key)
+        recency = self._recency[key % self.sets]
+        recency.remove(key)
+        recency.append(key)
         self.hits += 1
         return self._values[slot]
 
@@ -141,26 +138,25 @@ class SetAssociativeLru:
         if self._owed_keys:
             self._settle()
         self._ensure_storage(value)
-        self._counter += 1
-        slot = self._slot_of.get(key)
-        if slot is None:
-            slot = self._allocate_slot(int(key) % self.sets, int(key))
-        self._stamps.flat[slot] = self._counter
-        self._values[slot] = value
+        self._values[self._claim(int(key))] = value
 
-    def _allocate_slot(self, s: int, key: int) -> int:
-        """Claim a way in set ``s`` for ``key`` (free way, else evict LRU)."""
-        free = self._free[s]
-        if free:
-            w = free.pop()
+    def _claim(self, key: int) -> int:
+        """Make ``key`` its set's most recently used and return its slot:
+        its own if resident, else a free way, else the LRU key's."""
+        s = key % self.sets
+        recency = self._recency[s]
+        slot = self._slot_of.get(key)
+        if slot is not None:
+            recency.remove(key)
         else:
-            w = int(self._stamps[s].argmin())
-            victim = int(self._tags[s, w])
-            del self._slot_of[victim]
-            self._evictions += 1
-        self._tags[s, w] = key
-        slot = s * self.ways + w
-        self._slot_of[key] = slot
+            free = self._free[s]
+            if free:
+                slot = s * self.ways + free.pop()
+            else:
+                slot = self._slot_of.pop(recency.pop(0))
+                self._evictions += 1
+            self._slot_of[key] = slot
+        recency.append(key)
         return slot
 
     def invalidate(self, key: int) -> bool:
@@ -175,9 +171,9 @@ class SetAssociativeLru:
         slot = self._slot_of.pop(key, None)
         if slot is None:
             return False
-        s, w = slot // self.ways, slot % self.ways
-        self._tags[s, w] = -1
-        self._free[s].append(w)
+        s = slot // self.ways
+        self._recency[s].remove(key)
+        self._free[s].append(slot % self.ways)
         self.invalidations += 1
         return True
 
@@ -197,37 +193,46 @@ class SetAssociativeLru:
     # ------------------------------------------------------------------
     # Batch interface
     # ------------------------------------------------------------------
+    def _probe(self, keys: np.ndarray) -> tuple[list, list, set]:
+        """``lookup``'s recency update for every resident key of
+        ``keys``, in order; returns the hit positions, their slots and
+        the set of keys that missed."""
+        slot_of, recency_of, sets = self._slot_of, self._recency, self.sets
+        hit_at: List[int] = []
+        slots: List[int] = []
+        missed = set()
+        for i, key in enumerate(keys.tolist()):
+            slot = slot_of.get(key)
+            if slot is None:
+                missed.add(key)
+            else:
+                recency = recency_of[key % sets]
+                recency.remove(key)
+                recency.append(key)
+                hit_at.append(i)
+                slots.append(slot)
+        return hit_at, slots, missed
+
+    def _hits(self, n: int, hit_at: list, slots: list) -> tuple[np.ndarray, Optional[np.ndarray]]:
+        hit_mask = np.zeros(n, dtype=bool)
+        if not slots:
+            return hit_mask, None
+        hit_mask[hit_at] = True
+        return hit_mask, self._values[slots]
+
     def lookup_many(self, keys: np.ndarray) -> tuple[np.ndarray, Optional[np.ndarray]]:
         """Probe a batch; equivalent to ``lookup`` per key, in order.
 
         Returns ``(hit_mask, vectors)`` with ``vectors`` holding the
         cached values of the hit positions (``None`` when nothing hit).
-        Stats and LRU stamps match the sequential outcome exactly:
-        membership cannot change mid-batch, and for repeated keys the
-        last probe's recency wins — which is what element-order fancy
-        assignment produces.
         """
         if self._owed_keys:
             self._settle()
         keys = np.ascontiguousarray(keys, dtype=np.int64)
-        n = keys.size
-        if self.capacity == 0 or not self._slot_of or n == 0:
-            self.misses += n
-            return np.zeros(n, dtype=bool), None
-        sets = keys % self.sets
-        eq = self._tags[sets] == keys[:, None]
-        hit_mask = eq.any(axis=1)
-        hit_idx = np.flatnonzero(hit_mask)
-        n_hits = hit_idx.size
-        self.hits += int(n_hits)
-        self.misses += n - int(n_hits)
-        if n_hits == 0:
-            self._counter += n
-            return hit_mask, None
-        slots = sets[hit_idx] * self.ways + eq[hit_idx].argmax(axis=1)
-        self._stamps.flat[slots] = self._counter + 1 + hit_idx
-        self._counter += n
-        return hit_mask, self._values[slots]
+        hit_at, slots, _missed = self._probe(keys)
+        self.hits += len(slots)
+        self.misses += keys.size - len(slots)
+        return self._hits(keys.size, hit_at, slots)
 
     def probe_filter(self, keys: np.ndarray) -> tuple[np.ndarray, Optional[np.ndarray]]:
         """The SSD backend's cache filter, as one batch.
@@ -245,36 +250,17 @@ class SetAssociativeLru:
         if self._owed_keys:
             self._settle()
         keys = np.ascontiguousarray(keys, dtype=np.int64)
-        n = keys.size
-        if self.capacity == 0 or not self._slot_of or n == 0:
-            uniq_missing = _count_unique(keys.copy())
-            self.misses += uniq_missing
-            self.hits += n - uniq_missing
-            return np.zeros(n, dtype=bool), None
-        sets = keys % self.sets
-        eq = self._tags[sets] == keys[:, None]
-        hit_mask = np.logical_or.reduce(eq, axis=1)
-        hit_idx = hit_mask.nonzero()[0]
-        n_miss = n - hit_idx.size
-        uniq_missing = _count_unique(keys[~hit_mask])
-        self.hits += int(hit_idx.size) + (n_miss - uniq_missing)
-        self.misses += uniq_missing
-        if hit_idx.size == 0:
-            self._counter += n
-            return hit_mask, None
-        slots = sets[hit_idx] * self.ways + eq[hit_idx].argmax(axis=1)
-        self._stamps.flat[slots] = self._counter + 1 + hit_idx
-        self._counter += n
-        return hit_mask, self._values[slots]
+        hit_at, slots, missed = self._probe(keys)
+        self.hits += keys.size - len(missed)
+        self.misses += len(missed)
+        return self._hits(keys.size, hit_at, slots)
 
     def insert_many(self, keys: np.ndarray, values: np.ndarray) -> None:
         """Insert a batch; equivalent to ``insert`` per row, in order.
 
-        Tag/LRU bookkeeping runs element-wise (dict and freelist updates
-        are inherently per-key; a stamp is written before the next key, as
-        an eviction reads its set's stamps) but the vector payloads are
-        written in one scatter at the end, which is where the per-row cost
-        was.
+        Recency and slots are claimed key by key (an eviction reads its
+        set's order, which the keys before it moved); the vectors land in
+        one scatter at the end.
         """
         if self.capacity == 0 or keys.size == 0:
             return
@@ -282,22 +268,10 @@ class SetAssociativeLru:
             self._settle()
         values = np.asarray(values)
         self._ensure_storage(values[0])
-        slot_of = self._slot_of
-        sets = self.sets
-        counter = self._counter
-        stamps_flat = self._stamps.reshape(-1)
-        slots = []
-        for key in keys.tolist():
-            counter += 1
-            slot = slot_of.get(key)
-            if slot is None:
-                slot = self._allocate_slot(key % sets, key)
-            stamps_flat[slot] = counter
-            slots.append(slot)
-        self._counter = counter
+        claim = self._claim
         # Duplicate keys resolve to the same slot; element-order assignment
         # keeps the last value, matching the sequential overwrite.
-        self._values[slots] = values
+        self._values[[claim(key) for key in keys.tolist()]] = values
 
     # ------------------------------------------------------------------
     @property
@@ -332,12 +306,7 @@ class SetAssociativeLru:
         """Per-set keys from least- to most-recently used."""
         if self._owed_keys:
             self._settle()
-        out: List[List[int]] = []
-        for s in range(self.sets):
-            occupied = np.flatnonzero(self._tags[s] != -1)
-            order = occupied[np.argsort(self._stamps[s][occupied], kind="stable")]
-            out.append([int(self._tags[s, w]) for w in order])
-        return out
+        return [list(recency) for recency in self._recency]
 
 
 def profile_hot_rows(trace_rows: Iterable[np.ndarray], capacity: int) -> np.ndarray:

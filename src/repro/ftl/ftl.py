@@ -219,9 +219,7 @@ class GreedyFtl:
         ``on_done(content, cache_hit)`` runs after firmware + flash time.
         Unmapped pages return ``None`` content via the fast path.
         """
-        self._read_one(_PageRead(self, lpn, on_done, False))
-
-    def _read_one(self, read: _PageRead) -> None:
+        read = _PageRead(self, lpn, on_done, False)
         self.host_page_reads += 1
         costs = self.cpu.costs
         hit, read.content = self.page_cache.lookup(read.lpn)
@@ -246,7 +244,17 @@ class GreedyFtl:
             self.sim.call_soon(partial(on_done, []))
             return
         if len(lpns) == 1:
-            self._read_one(_PageRead(self, lpns[0], on_done, True))
+            # read_page, in this frame.
+            read = _PageRead(self, lpns[0], on_done, True)
+            self.host_page_reads += 1
+            costs = self.cpu.costs
+            hit, read.content = self.page_cache.lookup(read.lpn)
+            if not hit:
+                read.ppn = self.mapping.lookup(read.lpn)
+                if read.ppn != UNMAPPED:
+                    self.cpu.ftl_core.submit(costs.io_miss_s, read.after_cpu)
+                    return
+            self.cpu.ftl_core.submit(costs.io_hit_s, read.cached)
             return
         self.host_page_reads += len(lpns)
         read = _PagesRead(self, lpns, on_done, [None] * len(lpns), [])

@@ -49,14 +49,16 @@ class Status(Enum):
     INTERNAL_ERROR = 0x6
 
 
-@dataclass
+@dataclass(slots=True)
 class NvmeCommand:
     """A submission-queue entry.
 
     ``ndp`` models the unused command bit that routes the command to the
     SLS engine instead of the conventional IO path.  ``data`` carries the
     payload object for writes (bytes for conventional IO, an
-    ``SlsConfig`` for NDP config writes).
+    ``SlsConfig`` for NDP config writes).  ``obs_span`` is the command's
+    open ``nvme.cmd`` span while tracing (the driver sets it at submit),
+    so the controller can parent FTL work under it.
     """
 
     opcode: Opcode
@@ -67,6 +69,7 @@ class NvmeCommand:
     data: Any = None
     cid: int = field(default_factory=_cid_counter.__next__)
     submit_time: float = 0.0
+    obs_span: Any = None
 
     def __post_init__(self) -> None:
         if type(self.slba) is not int or type(self.nlb) is not int:
@@ -88,7 +91,7 @@ def _lba_field(name: str, value: Any) -> int:
     raise TypeError(f"NvmeCommand.{name} must be an integer, got {value!r}")
 
 
-@dataclass
+@dataclass(slots=True)
 class NvmeCompletion:
     cid: int
     status: Status = Status.SUCCESS

@@ -42,12 +42,19 @@ __all__ = ["NvmeController"]
 @dataclass(slots=True, eq=False)
 class _Fetch:
     """The fetch state of one queue pair.  Fetches are serial per SQ, so
-    this lives as long as the pair and holds the command being fetched."""
+    this lives as long as the pair and holds the command being fetched
+    (``None``: the fetcher is idle).  Its ``doorbell`` is the SQ's: an
+    idle fetcher pops the command it was rung for, and each fetch, once
+    dispatched, pops the next one the same way."""
 
     ctrl: "NvmeController"
     qp: QueuePair
-    active: bool = False
     cmd: Optional[NvmeCommand] = None
+
+    def doorbell(self, _qid: int) -> None:
+        if self.cmd is None:
+            self.cmd = self.qp.sq._ring.popleft()
+            self.ctrl.pcie.h2d.transfer(COMMAND_BYTES, self.after_xfer)
 
     def after_xfer(self) -> None:
         cpu = self.ctrl.ftl.cpu
@@ -56,34 +63,43 @@ class _Fetch:
     def after_cpu(self) -> None:
         ctrl = self.ctrl
         ctrl.commands_fetched += 1
-        ctrl.inflight += 1
-        ctrl._dispatch(self.qp, self.cmd)
-        ctrl._fetch_next(self.qp.qid)
+        cmd = self.cmd
+        if cmd.opcode is Opcode.READ and not cmd.ndp:
+            ctrl._do_read(self.qp, cmd)
+        else:
+            ctrl._dispatch(self.qp, cmd)
+        ring = self.qp.sq._ring
+        if ring:
+            self.cmd = ring.popleft()
+            ctrl.pcie.h2d.transfer(COMMAND_BYTES, self.after_xfer)
+        else:
+            self.cmd = None
 
 
 @dataclass(slots=True, eq=False)
 class _Command:
     """A fetched command on its way out: completion CPU time, then the CQ
-    entry over PCIe (one hand-off event) -> posted with ``payload`` and
-    ``status``."""
+    entry over PCIe and the driver's pickup of it (one hand-off event,
+    ``pickup_s`` after the entry lands) -> posted with ``payload`` and
+    ``status``, stamped with the instant it landed."""
 
     ctrl: "NvmeController"
     qp: QueuePair
     cmd: NvmeCommand
     payload: Any = field(default=None, kw_only=True)
     status: Status = field(default=Status.SUCCESS, kw_only=True)
+    landed: float = field(default=0.0, kw_only=True)
 
     def complete(self) -> None:
         ctrl = self.ctrl
         cpu = ctrl.ftl.cpu
-        ctrl.pcie.d2h.transfer_after(
-            cpu.host_core, cpu.costs.cmd_complete_s, COMPLETION_BYTES, self.post
+        self.landed = ctrl.pcie.d2h.transfer_after(
+            cpu.host_core, cpu.costs.cmd_complete_s, COMPLETION_BYTES, self.post,
+            self.qp.cq.pickup_s,
         )
 
     def post(self) -> None:
-        ctrl = self.ctrl
-        ctrl.inflight -= 1
-        self.qp.cq.post(NvmeCompletion(self.cmd.cid, self.status, self.payload, ctrl.sim.now))
+        self.qp.cq.post(NvmeCompletion(self.cmd.cid, self.status, self.payload, self.landed))
 
 
 @dataclass(slots=True, eq=False)
@@ -152,8 +168,6 @@ class NvmeController:
         self.commands_fetched = 0
         self.reads_served = 0
         self.writes_served = 0
-        self.inflight = 0
-        self._fetch: Dict[int, _Fetch] = {}
         # The FTL's geometry, read once: the per-command path reads these
         # instead of the FTL's derived properties.
         self.lba_bytes = ftl.config.lba_bytes
@@ -168,22 +182,7 @@ class NvmeController:
         if qp.qid in self.qpairs:
             raise ValueError(f"qpair {qp.qid} already attached")
         self.qpairs[qp.qid] = qp
-        self._fetch[qp.qid] = _Fetch(self, qp)
-        qp.sq.set_doorbell(self._doorbell)
-
-    def _doorbell(self, qid: int) -> None:
-        fetch = self._fetch[qid]
-        if not fetch.active:
-            fetch.active = True
-            self._fetch_next(qid)
-
-    def _fetch_next(self, qid: int) -> None:
-        fetch = self._fetch[qid]
-        fetch.cmd = fetch.qp.sq.pop()
-        if fetch.cmd is None:
-            fetch.active = False
-            return
-        self.pcie.h2d.transfer(COMMAND_BYTES, fetch.after_xfer)
+        qp.sq.set_doorbell(_Fetch(self, qp).doorbell)
 
     # ------------------------------------------------------------------
     # Dispatch
@@ -233,7 +232,7 @@ class NvmeController:
         if tracer is not None:
             read_span = tracer.begin(
                 "ftl.read",
-                parent=getattr(cmd, "obs_span", None),
+                parent=cmd.obs_span,
                 pages=len(lpns),
             )
         self.ftl.read_pages(lpns, _Read(self, qp, cmd, lpns, tracer, read_span).on_contents)
@@ -306,7 +305,7 @@ class NvmeController:
         if tracer is not None:
             write_span = tracer.begin(
                 "ftl.write",
-                parent=getattr(cmd, "obs_span", None),
+                parent=cmd.obs_span,
                 pages=len(payload.contents),
             )
         write = _Write(
@@ -325,7 +324,7 @@ class NvmeController:
         if tracer is not None:
             write_span = tracer.begin(
                 "ftl.write",
-                parent=getattr(cmd, "obs_span", None),
+                parent=cmd.obs_span,
                 pages=len(lpns),
             )
         page_written = _Write(self, qp, cmd, len(lpns), tracer, write_span).page_written

@@ -40,7 +40,7 @@ def page_content_to_bytes(content: Any, page_bytes: int) -> np.ndarray:
     raise TypeError(f"cannot materialize page content of type {type(content)!r}")
 
 
-@dataclass
+@dataclass(slots=True)
 class ReadSegment:
     """One contiguous byte range within a single logical page."""
 
@@ -66,7 +66,7 @@ class PageImagePayload:
     nbytes: int
 
 
-@dataclass
+@dataclass(slots=True)
 class ReadPayload:
     """Ordered segments covering the LBA range of a read command."""
 

@@ -1,4 +1,4 @@
-"""NVMe submission/completion queue pairs with doorbell callbacks."""
+"""NVMe submission/completion queue pairs with doorbell and pickup callbacks."""
 
 from __future__ import annotations
 
@@ -44,31 +44,35 @@ class SubmissionQueue:
 
 
 class CompletionQueue:
-    """Bounded ring written by the controller, polled by the host driver."""
+    """Written by the controller, drained by the host driver's pickup.
+
+    The polling driver registers its pickup with :meth:`set_pickup`: a
+    handler and the host time between an entry landing and the handler
+    running (its completion-handling cost).  The controller schedules
+    the pickup when it sends the entry, so landing and pickup are one
+    event, at ``landing + pickup_s``; :meth:`post` runs then and hands
+    the entry straight to the handler.
+    """
 
     def __init__(self, qid: int, depth: int):
         self.qid = qid
         self.depth = depth
-        self._ring: Deque[NvmeCompletion] = deque()
-        self._on_post: Optional[Callable[[int], None]] = None
+        self._pickup: Optional[Callable[[NvmeCompletion], None]] = None
+        self.pickup_s = 0.0
         self.completed = 0
 
-    def set_notify(self, callback: Callable[[int], None]) -> None:
-        """Notify hook used by the polling driver model (stands in for the
-        host noticing a phase-bit flip on its next poll)."""
-        self._on_post = callback
+    def set_pickup(self, deliver: Callable[[NvmeCompletion], None], pickup_s: float) -> None:
+        """``deliver(cpl)`` runs ``pickup_s`` after each entry lands (the
+        driver noticing the phase-bit flip on its next poll and handling
+        the entry)."""
+        self._pickup = deliver
+        self.pickup_s = pickup_s
 
     def post(self, cpl: NvmeCompletion) -> None:
-        self._ring.append(cpl)
+        if self._pickup is None:
+            raise RuntimeError(f"CQ{self.qid} has no pickup registered")
         self.completed += 1
-        if self._on_post is not None:
-            self._on_post(self.qid)
-
-    def poll(self) -> Optional[NvmeCompletion]:
-        return self._ring.popleft() if self._ring else None
-
-    def __len__(self) -> int:
-        return len(self._ring)
+        self._pickup(cpl)
 
 
 class QueuePair:
@@ -84,4 +88,6 @@ class QueuePair:
 
     @property
     def can_submit(self) -> bool:
-        return self.outstanding < self.depth and len(self.sq._ring) < self.depth
+        # A ring never holds more commands than are outstanding, so the
+        # ring is below depth whenever this is.
+        return self.outstanding < self.depth

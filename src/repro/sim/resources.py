@@ -11,16 +11,19 @@
 Most events of a device run are ``Server`` completions, so a job costs
 one Python frame here and none in the kernel: ``submit`` (free server)
 and ``_finish`` (hand-off to the next queued job) push the completion
-event onto the simulator's heap themselves.  A ``Core`` job and a pipe
-transfer are one event each, pushed at admission; a core job that ends
-in a transfer (:meth:`BandwidthPipe.transfer_after`) is one event for
-both, at the delivery.
+event onto the simulator's heap themselves.  A ``Server`` queues each
+priority in its own FIFO, so the hand-off pops the front of the
+lowest-numbered non-empty one.  A ``Core`` job and a pipe transfer are
+one event each, pushed at admission; a core job that ends in a transfer
+(:meth:`BandwidthPipe.transfer_after`) is one event for both, at the
+delivery or a fixed delay after it.
 """
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
-from typing import Callable, Optional
+from collections import deque
+from heapq import heappush
+from typing import Callable, Deque, Dict, List, Optional
 
 from .kernel import _NO_ARG, SimError, Simulator
 
@@ -40,6 +43,13 @@ class Server:
     deferrable computation (e.g. the FTL schedules flash page requests
     ahead of SLS translation work).  Tracks utilization (``busy_time``)
     and job counts; it keeps no queue-length history.
+
+    Each priority has its own FIFO, holding a queued job as two entries
+    (service time, then callback) rather than a tuple, and ``_queues``
+    keeps the FIFOs in priority order: lowest number first, FIFO within
+    one number, as one heap of ``(priority, seq, ...)`` would order
+    them.  A FIFO stays once made, so a server that has seen ``k``
+    priorities scans at most ``k`` deques to hand itself on.
     """
 
     def __init__(self, sim: Simulator, capacity: int = 1, name: str = "server"):
@@ -49,8 +59,9 @@ class Server:
         self.name = name
         self.capacity = capacity
         self._busy = 0
-        self._heap: list[tuple[int, int, float, Callable[[], None]]] = []
-        self._seq = 0
+        queue: Deque = deque()
+        self._queue_of: Dict[int, Deque] = {0: queue}
+        self._queues: List[Deque] = [queue]       # in priority order
         self.jobs_started = 0
         self.jobs_completed = 0
         self.busy_time = 0.0
@@ -77,20 +88,32 @@ class Server:
             sim._seq += 1
             heappush(sim._heap, [sim.now + service_time, sim._seq, self._on_finish, on_done])
         else:
-            self._seq += 1
-            heappush(self._heap, (priority, self._seq, service_time, on_done))
+            queue = self._queue_of.get(priority)
+            if queue is None:
+                queue = self._new_queue(priority)
+            queue.append(service_time)
+            queue.append(on_done)
+
+    def _new_queue(self, priority: int) -> Deque:
+        queue: Deque = deque()
+        self._queue_of[priority] = queue
+        self._queues = list(map(self._queue_of.get, sorted(self._queue_of)))
+        return queue
 
     def _finish(self, on_done: Callable[[], None]) -> None:
         self.jobs_completed += 1
-        if self._heap:
-            # The server passes straight to the next queued job: _busy
-            # stays as it is.
-            _prio, _seq, service_time, callback = heappop(self._heap)
-            self.jobs_started += 1
-            self.busy_time += service_time
-            sim = self.sim
-            sim._seq += 1
-            heappush(sim._heap, [sim.now + service_time, sim._seq, self._on_finish, callback])
+        for queue in self._queues:
+            if queue:
+                # The server passes straight to the next queued job:
+                # _busy stays as it is.
+                service_time = queue.popleft()
+                callback = queue.popleft()
+                self.jobs_started += 1
+                self.busy_time += service_time
+                sim = self.sim
+                sim._seq += 1
+                heappush(sim._heap, [sim.now + service_time, sim._seq, self._on_finish, callback])
+                break
         else:
             self._busy -= 1
         on_done()
@@ -102,11 +125,11 @@ class Server:
 
     @property
     def queue_length(self) -> int:
-        return len(self._heap)
+        return sum(map(len, self._queues)) // 2
 
     @property
     def idle(self) -> bool:
-        return self._busy == 0 and not self._heap
+        return self._busy == 0 and not any(self._queues)
 
     def utilization(self, elapsed: Optional[float] = None) -> float:
         """Fraction of server-seconds spent busy over ``elapsed`` seconds."""
@@ -129,7 +152,11 @@ class Core:
     completion; ``tests/sim/test_pipe_ties.py`` shows that no benchmark
     workload can observe it, and ``tests/sim/test_engine_equivalence.py``
     holds the core to a ``Server``.  ``busy_time`` and ``jobs_started``
-    count a job at admission.
+    count a job at admission.  A job handed on to a pipe
+    (:meth:`BandwidthPipe.transfer_after`) is one event at its delivery,
+    or ``then_s`` after it: the core reads busy until the last event its
+    jobs pushed — a completion, a delivery or such a later pickup — has
+    run.
     """
 
     def __init__(self, sim: Simulator, name: str = "core"):
@@ -143,21 +170,9 @@ class Core:
         self.jobs_started = 0
         self.busy_time = 0.0
 
-    def _admit(self, service_time: float) -> float:
-        """Count a job and return its end."""
-        if not service_time >= 0:
-            raise SimError(f"negative service time {service_time}")
-        self.jobs_started += 1
-        self.busy_time += service_time
-        now = self.sim.now
-        free_at = self._free_at
-        self._free_at = end = (free_at if free_at > now else now) + service_time
-        return end
-
     def submit(self, service_time: float, on_done: Callable[[], None]) -> None:
         """Enqueue a job needing ``service_time`` seconds of the server;
         ``on_done()`` runs when it completes."""
-        # _admit, in this frame.
         if not service_time >= 0:
             raise SimError(f"negative service time {service_time}")
         self.jobs_started += 1
@@ -238,31 +253,47 @@ class BandwidthPipe:
         heappush(sim._heap, [end + self.latency, sim._seq, on_done, _NO_ARG])
 
     def transfer_after(
-        self, core: Core, service_time: float, size_bytes: int, on_done: Callable[[], None]
-    ) -> None:
+        self,
+        core: Core,
+        service_time: float,
+        size_bytes: int,
+        on_done: Callable[[], None],
+        then_s: float = 0.0,
+    ) -> float:
         """Run a ``service_time`` job on ``core``, move ``size_bytes``
-        through the link when it ends, then call ``on_done`` — one event,
-        at the delivery.
+        through the link when it ends, then call ``on_done`` ``then_s``
+        seconds after the delivery — one event, at ``delivery + then_s``
+        (the float an event scheduled ``then_s`` ahead from the delivery
+        would have).  Returns the delivery instant.
 
-        The transfer is admitted at the job's end, known now, with the
-        float operations ``transfer`` would perform then.  That is exact
-        only while every transfer of this pipe enters here from ``core``:
-        the pipe then admits in ``core``'s FIFO order, as it would have.
+        The job is admitted on ``core`` as :meth:`Core.submit` would, and
+        the transfer at the job's end, known now, with the float
+        operations ``transfer`` would perform then.  That is exact only
+        while every transfer of this pipe enters here from ``core``: the
+        pipe then admits in ``core``'s FIFO order, as it would have.
         """
         if not size_bytes >= 0:
             raise SimError(f"negative transfer size {size_bytes}")
-        start = core._admit(service_time)
+        if not service_time >= 0:
+            raise SimError(f"negative service time {service_time}")
+        core.jobs_started += 1
+        core.busy_time += service_time
+        sim = self.sim
+        now = sim.now
+        free_at = core._free_at
+        core._free_at = start = (free_at if free_at > now else now) + service_time
         self.bytes_transferred += size_bytes
         occupancy = size_bytes / self.bandwidth
         self.busy_time += occupancy
         free_at = self._free_at
         self._free_at = end = (free_at if free_at > start else start) + occupancy
-        sim = self.sim
+        delivered = end + self.latency
         sim._seq += 1
-        event = [end + self.latency, sim._seq, on_done, _NO_ARG]
+        event = [delivered + then_s, sim._seq, on_done, _NO_ARG]
         heappush(sim._heap, event)
         if event[0] >= core._last[0]:
             core._last = event
+        return delivered
 
     def utilization(self) -> float:
         """Fraction of elapsed time the bus is occupied by the transfers

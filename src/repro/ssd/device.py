@@ -94,9 +94,5 @@ class SsdDevice:
         return base
 
     # ------------------------------------------------------------------
-    @property
-    def idle(self) -> bool:
-        return self.ftl.idle and self.controller.inflight == 0
-
     def capacity_bytes(self) -> int:
         return self.config.geometry.capacity_bytes

@@ -10,8 +10,17 @@ span grouping, command planning, the one gather and sum, the result).
 Counted with ``sys.setprofile`` and the collector off, as in
 ``test_engine_frames.py``; with a host LRU the op also probes it once
 and refills it once per command.
+
+Frames do not see numpy: a call into a numpy C function is a
+``c_call`` event, not a frame, and the host LRU's cost was in such calls
+(an ``argmin`` over a set's stamps per eviction, a dozen calls per
+probe).  So the op with the LRU also has a numpy budget: the same line
+through a 16- and a 64-page op, counting ``c_call`` events whose
+function belongs to numpy, with a full cache that evicts a row per
+command.
 """
 
+import gc
 import sys
 
 import numpy as np
@@ -30,26 +39,79 @@ from .test_engine_frames import python_calls
 # the host core admits in closed form (no ``_finish`` per fetch, DMA
 # and completion job), its DMA and CQ-entry jobs hand off to the PCIe
 # link in one event (no ``dma_ready`` / ``completion_ready``), and a
-# flash read keeps a counter, not a latency accumulator.
-FRAMES_PER_PAGE = 58
-# 88 with the host LRU at that parent (66 after it, 60 since).
-FRAMES_PER_PAGE_LRU = 60
+# flash read keeps a counter, not a latency accumulator.  47 since the
+# doorbell is the fetcher's bound method and pops its command (no
+# ``_doorbell`` / ``_fetch_next`` / ``pop``), a fetched read skips
+# ``_dispatch``, a one-page ``read_pages`` works in its own frame, the
+# hand-off admits its core job in its own frame (no ``_admit``), a
+# flash read skips the retry model when no read errors are configured,
+# the qpair pick reads ``outstanding < depth`` (no ``can_submit``) and
+# the driver's pickup rides the CQ entry's event (no ``_on_cq_post`` /
+# ``poll`` / ``schedule_call``).
+FRAMES_PER_PAGE = 47
+# 88 with the host LRU at that parent (66 after it, 60 before the last
+# step, 49 since).
+FRAMES_PER_PAGE_LRU = 49
 
 # 112 at that parent (73 after it), 133 with the LRU (82 after it): one
 # stable sort for the span groups and for the unique misses, geometry
 # read once per op, commands planned from ``tolist()``, one record per op.
-FIXED_FRAMES_PER_OP = 76
-FIXED_FRAMES_PER_OP_LRU = 85
+# 76 / 85 before the last step.
+FIXED_FRAMES_PER_OP = 59
+FIXED_FRAMES_PER_OP_LRU = 69
+
+# With a full host LRU, CPython 3.11, numpy 2: 1 per command and 45 once
+# while the LRU kept numpy tag and stamp rows (an ``argmin`` per
+# eviction; a probe of ``%``, a broadcast compare, ``any``, ``nonzero``,
+# a unique count and a stamp scatter).  Since it keeps a recency list
+# per set, a key costs no numpy call: the probe is a ``tolist``, a mask
+# and one gather, the refill a ``tolist`` and one scatter.
+NUMPY_CALLS_PER_PAGE_LRU = 0
+FIXED_NUMPY_CALLS_PER_OP_LRU = 41
 
 
-def frames_for_one_op(pages: int, lru: bool) -> int:
+def numpy_calls(run) -> int:
+    """How many calls ``run`` makes into numpy's C functions (``c_call``
+    events whose function, or the object it is bound to, belongs to
+    numpy), with the collector off.  The profiler reports a ``c_call``
+    for a builtin function or method only: ``np.zeros``, ``arr.tolist``
+    and ``np.add.at`` count, a ufunc called directly (``np.maximum(a,
+    b)``) and a function behind numpy's array-function dispatcher
+    (``np.concatenate``) do not."""
+    calls = 0
+
+    def on_event(_frame, event, arg):
+        nonlocal calls
+        if event == "c_call":
+            module = getattr(arg, "__module__", None) or type(
+                getattr(arg, "__self__", None)
+            ).__module__
+            if module.startswith("numpy"):
+                calls += 1
+
+    enabled = gc.isenabled()
+    gc.disable()
+    sys.setprofile(on_event)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+        if enabled:
+            gc.enable()
+    return calls
+
+
+def frames_for_one_op(pages: int, lru: bool, count=python_calls, full: bool = False) -> int:
     system, table = make_stack()
     cache = None
     if lru:
         # One unrelated resident row: the probe takes its usual route,
-        # and every row of the op misses and is refilled.
-        cache = SetAssociativeLru(4096)
-        cache.insert(2047, table.get_rows(np.array([2047]))[0])
+        # and every row of the op misses and is refilled.  A ``full``
+        # cache holds 16 unrelated rows in its one set, so each refill
+        # also evicts one.
+        cache = SetAssociativeLru(16 if full else 4096)
+        resident = np.arange(2032, 2048) if full else np.array([2047])
+        cache.insert_many(resident, table.get_rows(resident))
     backend = SsdSlsBackend(system, table, host_cache=cache)
     bags = [np.arange(pages)]
     results = []
@@ -60,8 +122,10 @@ def frames_for_one_op(pages: int, lru: bool) -> int:
         if cache is not None:
             cache.occupancy      # the owed refills land here
 
-    calls = python_calls(one_op)
+    calls = count(one_op)
     assert results[0].stats["commands"] == pages
+    if full:
+        assert cache.evictions == pages
     return calls
 
 
@@ -81,3 +145,17 @@ def test_a_cots_op_costs_a_bounded_number_of_frames(lru, per_page_bound, fixed_b
     fixed = small - 16 * per_page
     assert per_page <= per_page_bound, per_page
     assert fixed <= fixed_bound, fixed
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="pinned on CPython 3.11")
+def test_a_cots_op_with_the_host_lru_makes_a_bounded_number_of_numpy_calls():
+    def calls(pages: int) -> int:
+        return frames_for_one_op(pages, True, count=numpy_calls, full=True)
+
+    calls(16)
+    small, large = calls(16), calls(64)
+    assert large == calls(64)
+    per_page = (large - small) / 48
+    fixed = small - 16 * per_page
+    assert per_page <= NUMPY_CALLS_PER_PAGE_LRU, per_page
+    assert fixed <= FIXED_NUMPY_CALLS_PER_OP_LRU, fixed

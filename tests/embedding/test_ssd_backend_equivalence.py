@@ -218,12 +218,8 @@ def run(program: Program, backend_cls, spy=None) -> dict:
         # The counters first: reading one makes any refill still owed.
         seen["cache"] = {name: getattr(cache, name) for name in CACHE_COUNTERS}
         seen["cache_state"] = (
-            cache._tags.tobytes(),
-            cache._stamps.tobytes(),
-            None if cache._values is None else cache._values.tobytes(),
-            cache._free,
-            cache._counter,
-            sorted(cache._slot_of.items()),
+            sorted((key, value.tobytes()) for key, value in cache.contents().items()),
+            cache.recency_order(),
         )
     return seen
 

@@ -75,12 +75,33 @@ class TestGarbageCollection:
         sim.run()  # let background GC finish
         assert ftl.blocks.min_free_per_die >= 1
 
-    def test_gc_moves_pages(self, sim, device):
-        ftl = device.ftl
-        lpns = list(range(ftl.logical_pages // 2))
-        for round_no in range(5):
-            fill(sim, ftl, lpns, tag=round_no)
-        assert ftl.gc.pages_moved >= 0  # greedy victims are mostly empty
+    def test_gc_moves_pages(self, sim):
+        """Collecting a victim that still holds valid pages moves each of
+        them out of it, and each reads back the content it was written
+        with, from its new flash page."""
+        ftl = small_ssd(sim, pages_per_block=64).ftl
+        geometry = ftl.geometry
+        per_block = geometry.pages_per_block
+        # Writes stripe over the dies: this closes one block on each.
+        fill(sim, ftl, range(geometry.dies * per_block))
+        victim = ftl.mapping.lookup(0) // per_block
+        valid = ftl.mapping.valid_lpns_in_block(victim)
+        kept = valid[:24]
+        for lpn in valid[24:]:
+            ftl.trim_page(lpn)
+        ftl.gc._migrate_block(victim // geometry.blocks_per_die, victim)
+        sim.run()
+        assert ftl.gc.pages_moved == len(kept) == 24
+        assert ftl.gc.blocks_reclaimed == 1
+        ftl.mapping.check_consistency()
+        assert ftl.mapping.valid_lpns_in_block(victim) == []
+        assert all(ftl.mapping.lookup(lpn) // per_block != victim for lpn in kept)
+        for lpn in kept:
+            ftl.page_cache.invalidate(lpn)      # read the moved copy, not a cached one
+        contents = read_all(sim, ftl, kept)
+        for lpn in kept:
+            assert contents[lpn] is not None, lpn
+            assert (contents[lpn] == lpn % 251).all(), f"lpn {lpn} lost in its move"
         assert ftl.flash.store.erase_count == ftl.gc.blocks_reclaimed + ftl.wear.migrations
 
 

@@ -11,7 +11,9 @@ refreshed, by a change that names the hops it fused.
 ``tests/sim/test_series.py`` how deep the event heap got in them.  It
 is taken test-side: deliveries are recognised by wrapping the callback
 handed to ``BandwidthPipe.transfer`` and ``BandwidthPipe.transfer_after``
-(a core job that hands off to the pipe), completions of a closed-form
+(a core job that hands off to the pipe; with ``then_s``, the one event
+is the driver's pickup of a CQ entry, that long after it lands, and is
+counted as a delivery at that instant), completions of a closed-form
 ``Core`` by wrapping the one handed to ``Core.submit``, and every
 dispatched event is seen by giving the kernel module a ``heapq`` whose
 ``heappop`` reports what it popped.  Nothing in ``src/`` knows, and no
@@ -161,8 +163,8 @@ def census_installed() -> Iterator[Census]:
         pipe, size_bytes, Delivery(pipe, on_done)
     )
     BandwidthPipe.transfer_after = (
-        lambda pipe, core, service_time, size_bytes, on_done: transfer_after(
-            pipe, core, service_time, size_bytes, Delivery(pipe, on_done)
+        lambda pipe, core, service_time, size_bytes, on_done, then_s=0.0: transfer_after(
+            pipe, core, service_time, size_bytes, Delivery(pipe, on_done), then_s
         )
     )
     # Busy: the last admitted job ends now or later (at ``now``, its

@@ -33,15 +33,17 @@ class TestQueues:
         assert sq.pop() is b
         assert sq.pop() is None
 
-    def test_cq_notify_and_poll(self):
+    def test_cq_hands_each_entry_to_its_pickup(self):
         qp = QueuePair(1, depth=4)
-        notified = []
-        qp.cq.set_notify(notified.append)
+        with pytest.raises(RuntimeError, match="no pickup"):
+            qp.cq.post(NvmeCompletion(cid=8))
+        picked = []
+        qp.cq.set_pickup(picked.append, 2e-6)
+        assert qp.cq.pickup_s == 2e-6
         qp.cq.post(NvmeCompletion(cid=9))
-        assert notified == [1]
-        cpl = qp.cq.poll()
-        assert cpl.cid == 9
-        assert qp.cq.poll() is None
+        qp.cq.post(NvmeCompletion(cid=10))
+        assert [cpl.cid for cpl in picked] == [9, 10]
+        assert qp.cq.completed == 2
 
     def test_can_submit_tracks_outstanding(self):
         qp = QueuePair(1, depth=1)

@@ -3,10 +3,11 @@
 for the event-engine fast path and for the one-event pipe transfer.
 
 Hypothesis draws job streams in which same-instant ties are the common
-case — zero and repeated service times, capacities 1-3, two priorities,
-submits issued from inside completion callbacks, and bad inputs mixed
-in — and each stream runs on both implementations against a fresh
-simulator.
+case — zero and repeated service times, capacities 1-3, priorities on
+both sides of 0 (the engine keeps a FIFO per priority where the
+reference keeps one heap), submits issued from inside completion
+callbacks, and bad inputs mixed in — and each stream runs on both
+implementations against a fresh simulator.
 
 * A stream without transfers (``Server`` only): the dispatch sequence
   ``(sim.now, job id)``, the event count and every counter are equal,
@@ -31,7 +32,15 @@ simulator.
   of another resource, the dispatch sequence, ``busy_time``,
   ``jobs_started`` and the byte counters are equal, with one event
   fewer per hand-off (two on a pipe with latency) — and, where nothing
-  is handed off, ``idle`` read in every callback is equal too.
+  is handed off, ``idle`` read in every callback is equal too.  A
+  hand-off may also carry ``then_s`` (the driver's pickup of a CQ
+  entry): one event at ``delivery + then_s`` against the staged pipe
+  followed by ``schedule_call(then_s)``, one more event fewer, and the
+  delivery instant it returns is the staged pipe's.  These streams
+  draw core service times no sum of the other times meets (and none
+  zero, which puts a completion at its issue's instant), so most of
+  them have no tie and the equality runs on them instead of filtering
+  them out.
 """
 
 from __future__ import annotations
@@ -53,6 +62,14 @@ from . import reference_resources as reference
 # negative value is the bad input.
 TIMES = (0.0, 0.0, 1e-6, 1e-6, 2.5e-6, 0.1, 0.3)
 SERVICE_TIMES = TIMES + (-1.0,)
+# Repeats make same-priority FIFO order matter; -5 and 7 are outside the
+# priorities the device uses.
+PRIORITIES = (-5, 0, 0, 1, 1, 2, 7)
+# A core job's service time on the core streams: odd values, so a core
+# completion rarely lands on a root's or another server's instant.
+CORE_TIMES = (1.7e-6, 2.9e-6, 0.13, -1.0)
+# A hand-off's pickup delay (0.0: the pickup is the delivery).
+THEN_S = (0.0, 2e-6, 0.7e-6)
 SIZES = (0, 4096, 4096, 16384, 3, -1)
 # PCIe's own (3.2 GB/s, 1 us) and values no sum of TIMES lands on; 0.0
 # makes the bus-finish the delivery.
@@ -62,13 +79,14 @@ LATENCIES = (0.0, 1e-6, 0.013)
 
 @dataclass(frozen=True)
 class Op:
-    kind: str                   # "job" | "xfer" | "core" | "handoff"
+    kind: str                   # "job" | "xfer" | "core" | "handoff" | "pickup"
     target: int                 # resource index (taken modulo the count)
     amount: float               # service time, or bytes for a transfer
     priority: int
     at: float                   # issue time, for a root op
     parent: Optional[int]       # issued from inside this op's completion
     size: int = 0               # bytes a hand-off moves after its job
+    then: float = 0.0           # a pickup's delay after the delivery
 
 
 @dataclass(frozen=True)
@@ -99,7 +117,7 @@ def programs(draw, transfers: bool) -> Program:
                 kind=kind,
                 target=draw(st.integers(0, 1)),
                 amount=draw(st.sampled_from(SIZES if kind == "xfer" else SERVICE_TIMES)),
-                priority=draw(st.integers(0, 1)),
+                priority=draw(st.sampled_from(PRIORITIES)),
                 at=draw(st.sampled_from(TIMES)),
                 parent=draw(st.one_of(st.none(), st.integers(0, i - 1))) if i else None,
             )
@@ -269,7 +287,9 @@ class CoreProgram:
 def core_programs(draw, handoffs: bool) -> CoreProgram:
     capacities = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=2)))
     pipe = draw(st.tuples(st.sampled_from(BANDWIDTHS), st.sampled_from(LATENCIES)))
-    kinds = ("core", "core", "handoff", "handoff", "job") if handoffs else ("core", "core", "job")
+    kinds = (
+        ("core", "core", "handoff", "pickup", "job") if handoffs else ("core", "core", "job")
+    )
     ops = []
     for i in range(draw(st.integers(1, 24))):
         kind = draw(st.sampled_from(kinds))
@@ -277,13 +297,14 @@ def core_programs(draw, handoffs: bool) -> CoreProgram:
             Op(
                 kind=kind,
                 target=draw(st.integers(0, 1)),
-                amount=draw(st.sampled_from(SERVICE_TIMES)),
-                priority=draw(st.integers(0, 1)) if kind == "job" else 0,
+                amount=draw(st.sampled_from(SERVICE_TIMES if kind == "job" else CORE_TIMES)),
+                priority=draw(st.sampled_from(PRIORITIES)) if kind == "job" else 0,
                 at=draw(st.sampled_from(TIMES)),
                 parent=draw(st.one_of(st.none(), st.integers(0, i - 1))) if i else None,
                 # A hand-off's transfer starts inside the run, where a
                 # staged pipe could not refuse it at admission.
-                size=draw(st.sampled_from(SIZES[:-1])) if kind == "handoff" else 0,
+                size=draw(st.sampled_from(SIZES[:-1])) if kind in ("handoff", "pickup") else 0,
+                then=draw(st.sampled_from(THEN_S)) if kind == "pickup" else 0.0,
             )
         )
     return CoreProgram(capacities, pipe, tuple(ops))
@@ -296,16 +317,24 @@ def execute_core(resources, program: CoreProgram):
     sim = Simulator()
     bandwidth, latency = program.pipe
     pipe = resources.BandwidthPipe(sim, bandwidth, latency)
+    delivered = {}              # op -> the instant its transfer delivered
     if resources is engine:
         core = engine.Core(sim)
 
-        def handoff(service_time, size, done):
-            pipe.transfer_after(core, service_time, size, done)
+        def handoff(i, service_time, size, done, then_s=0.0):
+            delivered[i] = pipe.transfer_after(core, service_time, size, done, then_s)
     else:
         core = reference.Server(sim, capacity=1)
 
-        def handoff(service_time, size, done):
-            core.submit(service_time, lambda: pipe.transfer(size, done))
+        def handoff(i, service_time, size, done, then_s=None):
+            def arrived():
+                delivered[i] = sim.now
+                if then_s is None:
+                    done()
+                else:
+                    sim.schedule_call(then_s, lambda _arg: done(), None)
+
+            core.submit(service_time, lambda: pipe.transfer(size, arrived))
     servers = [resources.Server(sim, capacity=c) for c in program.capacities]
     children = defaultdict(list)
     for i, op in enumerate(program.ops):
@@ -326,7 +355,9 @@ def execute_core(resources, program: CoreProgram):
             if op.kind == "core":
                 core.submit(op.amount, done)
             elif op.kind == "handoff":
-                handoff(op.amount, op.size, done)
+                handoff(i, op.amount, op.size, done)
+            elif op.kind == "pickup":
+                handoff(i, op.amount, op.size, done, op.then)
             else:
                 servers[op.target % len(servers)].submit(op.amount, done, priority=op.priority)
         except SimError as error:
@@ -338,6 +369,7 @@ def execute_core(resources, program: CoreProgram):
     return {
         "log": log,
         "idle": idle,
+        "delivered": delivered,
         "end": end,
         "event_count": sim.event_count,
         "pending": sim.pending_events,
@@ -361,17 +393,19 @@ def a_core_event_ties(program: CoreProgram, seen) -> bool:
                 sharing[instant].add(("job", op.target % len(program.capacities)))
             else:
                 sharing[instant].add(op.kind)
-    return any(len(who) > 1 and who & {"core", "handoff"} for who in sharing.values())
+    return any(
+        len(who) > 1 and who & {"core", "handoff", "pickup"} for who in sharing.values()
+    )
 
 
 def _core_equal(program: CoreProgram, handoffs: bool) -> None:
     want = execute_core(reference, program)
     assume(not a_core_event_ties(program, want))
     got = execute_core(engine, program)
-    handed_off = sum(
-        isinstance(what, int) and program.ops[what].kind == "handoff" for _, what in want["log"]
-    )
-    hops = handed_off * (2 if program.pipe[1] > 0 else 1)
+    kinds = [program.ops[what].kind for _, what in want["log"] if isinstance(what, int)]
+    hops = (kinds.count("handoff") + kinds.count("pickup")) * (
+        2 if program.pipe[1] > 0 else 1
+    ) + kinds.count("pickup")
     assert got.pop("event_count") == want.pop("event_count") - hops
     if handoffs:
         # A hand-off keeps the core busy until its delivery, where the
@@ -423,6 +457,32 @@ def test_core_streams_exercise_every_path():
     assert done[4] == 0.3 + 0.2 + 0.25 + 0.3
 
 
+def test_a_pickup_is_one_event_then_s_after_its_delivery():
+    """One fixed stream: two hand-offs with a pickup delay, one queued
+    behind a core job and one issued from its callback with a zero
+    delay, against a ``Server``, the staged pipe and ``schedule_call``."""
+    program = CoreProgram(
+        capacities=(1,),
+        pipe=(4e9, 0.1),
+        ops=(
+            Op("core", 0, 0.3, 0, 0.0, None),                              # free core
+            Op("pickup", 0, 0.25, 0, 0.0, None, size=8, then=2e-6),        # queued
+            Op("pickup", 0, 0.13, 0, 0.0, 1, size=4, then=0.0),            # from a callback
+        ),
+    )
+    seen = execute_core(engine, program)
+    staged = execute_core(reference, program)
+    # Per pickup the staged side has the job's end, the bus-finish, the
+    # latency hop and the scheduled call; the engine has one event.
+    assert seen.pop("event_count") == staged.pop("event_count") - 2 * 3
+    seen.pop("idle"), staged.pop("idle")
+    assert seen == staged
+    landed = 0.3 + 0.25 + 8 / 4e9 + 0.1
+    done = {what: instant for instant, what in seen["log"]}
+    assert seen["delivered"][1] == landed and done[1] == landed + 2e-6
+    assert done[2] == seen["delivered"][2] == (landed + 2e-6 + 0.13) + 4 / 4e9 + 0.1
+
+
 def test_the_core_is_busy_until_its_last_event_has_run():
     """``idle`` is false up to and including the instant of the core's
     last event — a completion, or the delivery a completion rides — until
@@ -452,3 +512,9 @@ def test_the_core_is_busy_until_its_last_event_has_run():
     sim.run_until(lambda: core.idle)
     assert [idle for _, idle in seen[5:]] == [False, True]
     assert sim.now == 4e-3 + 1e-3 + 1e-3 + 1e-3
+    # A hand-off with a pickup delay: busy at its delivery, until the
+    # pickup ``then_s`` later has run.
+    delivered = pipe.transfer_after(core, 1e-3, 1000, probe, 5e-4)
+    sim.schedule_at(delivered, probe)
+    sim.run_until(lambda: core.idle)
+    assert seen[7:] == [(delivered, False), (delivered + 5e-4, True)]

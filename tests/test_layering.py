@@ -247,19 +247,19 @@ CLOSURE_FREE = {
         "FlashArray._erased", "_PageRead.*", "_PageProgram.*",
     ),
     "repro/ftl/ftl.py": (
-        "GreedyFtl.read_page", "GreedyFtl._read_one", "GreedyFtl.read_pages",
+        "GreedyFtl.read_page", "GreedyFtl.read_pages",
         "GreedyFtl.write_page", "GreedyFtl._do_write", "GreedyFtl.program_page",
         "GreedyFtl._program_done", "_PageRead.*", "_PagesRead.*", "_PageWrite.*",
     ),
     "repro/ftl/mover.py": ("PageMove.*",),
     "repro/ftl/wear.py": ("WearLeveler._move_page",),
     "repro/nvme/controller.py": (
-        "NvmeController._fetch_next", "NvmeController._do_read", "NvmeController.complete",
+        "NvmeController._do_read", "NvmeController.complete",
         "NvmeController.dma_to_host", "NvmeController.dma_to_device",
         "NvmeController._do_write_images",
         "_Fetch.*", "_Command.*", "_Read.*", "_Write.*",
     ),
-    "repro/driver/unvme.py": ("UnvmeDriver._on_cq_post", "UnvmeDriver._deliver"),
+    "repro/driver/unvme.py": ("UnvmeDriver._issue", "UnvmeDriver._deliver"),
     "repro/core/engine.py": (
         "NdpSlsEngine._admit", "NdpSlsEngine.handle_result_read",
         "NdpSlsEngine._stage_results", "NdpSlsEngine._accumulate_cache_hits",
@@ -315,17 +315,15 @@ def test_the_per_unit_path_builds_no_closure():
 def test_the_closure_rule_sees_a_planted_lambda_and_a_renamed_function():
     module = "repro/driver/unvme.py"
     source = (SRC / module).read_text()
-    hop = "schedule_call(self.config.complete_cost_s, self._deliver, cpl)"
-    assert hop in source
-    planted = source.replace(
-        hop, "schedule(self.config.complete_cost_s, lambda: self._deliver(cpl))"
-    )
+    hop = "self._ring_doorbells, train"
+    assert source.count(hop) == 1
+    planted = source.replace(hop, "lambda: self._ring_doorbells(train), None")
     assert _closure_offenders(planted, CLOSURE_FREE[module]) == [
-        f"UnvmeDriver._on_cq_post:{source[: source.index(hop)].count(chr(10)) + 1}: Lambda"
+        f"UnvmeDriver._issue:{source[: source.index(hop)].count(chr(10)) + 1}: Lambda"
     ]
-    renamed = source.replace("def _on_cq_post(", "def _on_post(")
+    renamed = source.replace("def _deliver(", "def _pick_up(")
     assert _closure_offenders(renamed, CLOSURE_FREE[module]) == [
-        "UnvmeDriver._on_cq_post: no such function"
+        "UnvmeDriver._deliver: no such function"
     ]
     # The SLS op too: its stages are a record's bound methods.
     module = "repro/core/engine.py"

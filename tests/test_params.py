@@ -87,6 +87,7 @@ ALLOWED = {
     "repro.models.zoo.TableOneRow": "the paper's Table 1, transcribed",
     "repro.nvme.commands.NvmeCommand": RECORD,
     "repro.nvme.commands.NvmeCompletion": RECORD,
+    "repro.nvme.controller._Command": RECORD,
     "repro.nvme.controller._Read": RECORD,
     "repro.nvme.controller._Write": RECORD,
     "repro.nvme.payload.ReadSegment": RECORD,

@@ -127,18 +127,24 @@ def test_the_bounds_are_the_benchmarks():
     assert [(n, b) for n, (b, _) in bounds.items()] == end_to_end_metrics()
 
 
-def test_the_frames_table_is_frames_per_request_parent_to_change():
-    def side(frames, requests):
-        return {"frames": frames, "requests": requests}
+def test_the_frames_table_is_frames_and_numpy_calls_per_request_parent_to_change():
+    def side(frames, numpy_calls, requests):
+        return {"frames": frames, "numpy_calls": numpy_calls, "requests": requests}
 
     counts = [
-        ("aged_update_mix", side(2_500_000, 100), side(2_250_000, 100)),
-        ("dram_serve", side(9_000, 300), side(9_000, 300)),
+        ("aged_update_mix", side(2_500_000, 40_000, 100), side(2_250_000, 30_000, 100)),
+        ("dram_serve", side(9_000, 0, 300), side(9_000, 0, 300)),
     ]
     lines = frames_table(13, counts).splitlines()
     assert lines[0] == (
-        "Python frames per request, seed 13, 1/10 scale, collector off (parent -> change)"
+        "Python frames and numpy calls per request, seed 13, 1/10 scale, collector off "
+        "(parent -> change)"
     )
-    assert lines[2:4] == ["| workload | parent | change | ratio |", "| --- | --- | --- | --- |"]
-    assert lines[4] == "| aged_update_mix | 25,000 | 22,500 | 0.900x |"
-    assert lines[5] == "| dram_serve | 30 | 30 | 1.000x |"
+    assert lines[2:4] == [
+        "| workload | frames parent | frames change | ratio "
+        "| numpy calls parent | numpy calls change | ratio |",
+        "| --- | --- | --- | --- | --- | --- | --- |",
+    ]
+    assert lines[4] == "| aged_update_mix | 25,000 | 22,500 | 0.900x | 400 | 300 | 0.750x |"
+    # No numpy call on either side: no ratio to print.
+    assert lines[5] == "| dram_serve | 30 | 30 | 1.000x | 0 | 0 | - |"

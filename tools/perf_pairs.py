@@ -20,12 +20,18 @@ is worse than the parent's by more than its ``BENCHMARK.json`` bound.
 ``--workload`` repeats, or is ``all``; the worktrees are made once and
 removed afterwards; nothing in the repo is written.
 
-``--frames`` adds an exact count beside the clock: in each worktree it
+``--frames`` adds two exact counts beside the clock: in each worktree it
 runs each chosen workload once more at 1/10 scale under
 ``sys.setprofile``, with the collector off, and prints the Python
-frames per completed request, parent -> change.  The count depends on
-no clock, so one run per side is the whole measurement; ``--pairs 0``
-prints only it.
+frames and the calls into numpy's C functions (``c_call`` events whose
+function, or the object it is bound to, belongs to numpy) per completed
+request, parent -> change.  A frame count does not see numpy work, so
+a change that moves work between the two shows in the second column
+(the profiler reports builtin functions and methods only, so a ufunc
+called directly or a function behind numpy's array-function
+dispatcher, e.g. ``np.concatenate``, is not counted).
+The counts depend on no clock, so one run per side is the whole
+measurement; ``--pairs 0`` prints only them.
 
 Usage (from the repo root)::
 
@@ -120,19 +126,23 @@ def format_table(
 
 def frames_table(seed: int, counts: Sequence[Tuple[str, dict, dict]]) -> str:
     """The ``--frames`` report: ``counts`` holds ``(workload, parent,
-    change)``, each side ``{"frames": n, "requests": m}`` as
-    :data:`FRAMES_SCRIPT` prints it."""
+    change)``, each side ``{"frames": n, "numpy_calls": k, "requests": m}``
+    as :data:`FRAMES_SCRIPT` prints it."""
     lines = [
-        f"Python frames per request, seed {seed}, 1/10 scale, collector off (parent -> change)",
+        "Python frames and numpy calls per request, seed "
+        f"{seed}, 1/10 scale, collector off (parent -> change)",
         "",
-        "| workload | parent | change | ratio |",
-        "| --- | --- | --- | --- |",
+        "| workload | frames parent | frames change | ratio "
+        "| numpy calls parent | numpy calls change | ratio |",
+        "| --- | --- | --- | --- | --- | --- | --- |",
     ]
     for workload, parent, change in counts:
-        before, after = (side["frames"] / side["requests"] for side in (parent, change))
-        lines.append(
-            f"| {workload} | {_number(before)} | {_number(after)} | {after / before:.3f}x |"
-        )
+        cells = []
+        for count in ("frames", "numpy_calls"):
+            before, after = (side[count] / side["requests"] for side in (parent, change))
+            ratio = f"{after / before:.3f}x" if before else "-"
+            cells += [_number(before), _number(after), ratio]
+        lines.append(f"| {workload} | " + " | ".join(cells) + " |")
     return "\n".join(lines)
 
 
@@ -209,21 +219,28 @@ def _measure(tree: Path, workload: str, seed: int, seconds: float) -> dict:
 
 
 # Run in a worktree: set up one workload at 1/10 scale, then count the
-# Python frames its run enters.
+# Python frames its run enters and the calls it makes into numpy's C
+# functions.
 FRAMES_SCRIPT = """
 import gc, json, sys
 from perf.workloads import BY_NAME, observe, run, setup
 built = setup(BY_NAME[sys.argv[1]], int(sys.argv[2]), 0.1)
-calls = 0
-def count(_frame, event, _arg):
-    global calls
+calls = numpy_calls = 0
+def count(_frame, event, arg):
+    global calls, numpy_calls
     if event == "call":
         calls += 1
+    elif event == "c_call":
+        module = getattr(arg, "__module__", None) or type(getattr(arg, "__self__", None)).__module__
+        if module.startswith("numpy"):
+            numpy_calls += 1
 gc.disable()
 sys.setprofile(count)
 run(built)
 sys.setprofile(None)
-print(json.dumps({"frames": calls, "requests": observe(built).completed}))
+print(json.dumps({
+    "frames": calls, "numpy_calls": numpy_calls, "requests": observe(built).completed,
+}))
 """
 
 
@@ -245,7 +262,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=13)
     parser.add_argument(
         "--frames", action="store_true",
-        help="also count Python frames per request, once per side at 1/10 scale",
+        help="also count Python frames and numpy calls per request, once per side at 1/10 scale",
     )
     args = parser.parse_args(argv)
     if args.pairs < 0:
