@@ -38,7 +38,7 @@ consistent-hash routing is judged on in ``benchmarks/bench_cluster.py``.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from ..serving.request import InferenceRequest, RequestState
 from ..serving import stats as host_stats

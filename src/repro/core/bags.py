@@ -51,7 +51,7 @@ def _uniform_layout(n: int, length: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _offsets_of(counts) -> np.ndarray:
     offsets = np.zeros(len(counts) + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
+    np.add.accumulate(counts, out=offsets[1:])
     return offsets
 
 
@@ -80,8 +80,9 @@ class Bags:
     def rids(self) -> np.ndarray:
         rids = self._rids
         if rids is None:
-            rids = self._rids = np.repeat(
-                np.arange(len(self), dtype=np.int64), np.diff(self.offsets)
+            offsets = self.offsets
+            rids = self._rids = np.arange(len(self), dtype=np.int64).repeat(
+                offsets[1:] - offsets[:-1]
             )
         return rids
 

@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..quant import EmbDtype, QuantSpec
+from ..quant import QuantSpec
 from .bags import Bags
 
 __all__ = ["SlsConfig", "CONFIG_HEADER_BYTES", "PAIR_BYTES", "build_pairs", "sorted_pairs"]
@@ -61,7 +61,9 @@ class SlsConfig:
     table_rows: Optional[int] = None  # for validation when known
 
     def __post_init__(self) -> None:
-        pairs = np.asarray(self.pairs)
+        pairs = self.pairs
+        if not isinstance(pairs, np.ndarray):
+            pairs = np.asarray(pairs)
         if pairs.dtype != np.int64:
             # A cast would read 1.5 as row 1 and True as row 1.
             if pairs.size and pairs.dtype.kind not in "iu":
@@ -77,14 +79,16 @@ class SlsConfig:
         if self.rows_per_page < 1:
             raise ValueError("rows_per_page must be >= 1")
         if pairs.size:
+            # Where an op's ids are checked: the engine reads its bounds
+            # off the sorted ends and checks nothing again.
             ids = pairs[:, 0]
-            if np.count_nonzero(ids[1:] < ids[:-1]):
+            if np.logical_or.reduce(ids[1:] < ids[:-1]):
                 raise ValueError("pairs must be sorted by input id")
             # Sorted: the least and greatest ids are the ends.
             if ids[0] < 0:
                 raise ValueError("negative input id")
             # One reduction: a negative id read as uint64 is >= 2**63.
-            if pairs[:, 1].view(np.uint64).max() >= self.num_results:
+            if np.maximum.reduce(pairs[:, 1].view(np.uint64)) >= self.num_results:
                 raise ValueError("result id out of range")
             if self.table_rows is not None and ids[-1] >= self.table_rows:
                 raise ValueError("input id exceeds table rows")

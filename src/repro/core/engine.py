@@ -22,7 +22,8 @@ from typing import Any, Callable, Deque, Dict, Optional
 
 import numpy as np
 
-from ..ftl.ftl import GreedyFtl
+from ..flash.array import PageRead
+from ..ftl.ftl import FLASH_READ, PAGE_CACHED, GreedyFtl
 from ..nvme.commands import NvmeCommand, SlbaCodec, Status
 from ..params import Count, PosCount, check_domains
 from ..sim.kernel import Simulator
@@ -74,16 +75,17 @@ class NdpEngineConfig:
 
 
 @dataclass(slots=True, eq=False)
-class _PageJob:
+class _PageJob(PageRead):
     """The inputs of one entry that live on one flash page, from their
     bucket to their translate (steps 2b-5): pairs ``[lo, hi)`` of the
     entry's ``ranks`` and ``result_ids``.  ``_process_config`` builds it,
     translate cost and all, and it waits in the entry's
     ``pending_pages``; from ``_pump`` on the stage callbacks are its bound
-    methods, one frame each, so a page in flight is this record and the
-    bound method queued for it.  The entry refers to it only while it
-    waits: before it is issued, and from its translate to the entry's
-    next gather."""
+    methods, one frame each, and it is its own flash read (die and bus
+    stages included), so a page in flight is this record and the bound
+    method queued for it.  The entry refers to it only while it waits:
+    before it is issued, and from its translate to the entry's next
+    gather."""
 
     lpn: int
     lo: int
@@ -94,19 +96,16 @@ class _PageJob:
     content: Any = None
 
     def after_sched(self) -> None:
-        engine = self.engine
-        lpn = self.lpn
-        hit, content = engine.ftl.page_cache.peek(lpn)  # step 3b fast path
-        if hit:
-            self.entry.page_cache_hits += 1
-            self.returned(content)
-            return
-        # Counted where flash is touched: an unmapped (TRIMmed) page
-        # comes back as ``None`` without a read.
-        if engine.ftl.ndp_read_mapped_page(lpn, self.returned):
+        # Step 3b: the page cache, else flash.  Counted where flash is
+        # touched: an unmapped (TRIMmed) page comes back as ``None``
+        # without a read.
+        outcome = self.engine.ftl.ndp_read(self, self.lpn)
+        if outcome == FLASH_READ:
             self.entry.flash_pages_read += 1
+        elif outcome == PAGE_CACHED:
+            self.entry.page_cache_hits += 1
 
-    def returned(self, content: Any) -> None:
+    def landed(self, content: Any) -> None:
         self.content = content
         engine = self.engine
         # The inflight window bounds *flash* occupancy; once the page data is
@@ -120,7 +119,7 @@ class _PageJob:
         entry = self.entry
         entry.cpu_translation += self.translate_s
         entry.pages_inflight += 1
-        engine.ftl.cpu.ftl_core.submit(self.translate_s, self.after_translate, priority=1)
+        engine.ftl_core.submit(self.translate_s, self.after_translate, 1)
 
     def after_translate(self) -> None:
         entry = self.entry
@@ -204,6 +203,7 @@ class NdpSlsEngine:
     ):
         self.sim = sim
         self.ftl = ftl
+        self.ftl_core = ftl.cpu.ftl_core
         self.controller = controller
         self.codec = codec
         self.config = config or NdpEngineConfig()
@@ -287,7 +287,7 @@ class NdpSlsEngine:
         self.entries[request_id] = entry
         self.requests_started += 1
         self._account_active_change()
-        self.ftl.cpu.ftl_core.submit(
+        self.ftl_core.submit(
             self.ftl.cpu.costs.sls_entry_alloc_s, _Command(self, entry, done).after_alloc
         )
 
@@ -371,7 +371,7 @@ class NdpSlsEngine:
         # The continuation names a method, never itself: a closure that
         # does is a cycle, entry and all, that only the cyclic collector
         # frees.
-        self.ftl.cpu.ftl_core.submit(
+        self.ftl_core.submit(
             cost, partial(self._process_chunk, entry, done_pairs + n), priority=1
         )
 
@@ -458,7 +458,7 @@ class NdpSlsEngine:
             return
         cost = len(entry.cache_result_ids) * self.ftl.cpu.costs.sls_cache_hit_vec_s
         entry.cpu_translation += cost
-        self.ftl.cpu.ftl_core.submit(
+        self.ftl_core.submit(
             cost, partial(self._apply_cache_hits, entry), priority=1
         )
 
@@ -496,7 +496,7 @@ class NdpSlsEngine:
     def _gather(self, entry: SlsRequestEntry) -> None:
         """Extract every translated page's rows in one batch and accumulate.
 
-        ``_PageJob.returned`` charges each page's CPU time at its own instant;
+        ``_PageJob.landed`` charges each page's CPU time at its own instant;
         the values are read here, at the first instant anyone can
         observe them: when the entry's work is done, before a cache-hit
         chunk accumulates, and — through :meth:`flush_gathers` — before
@@ -525,6 +525,9 @@ class NdpSlsEngine:
             [job.lpn - base_lpn for job in jobs],
             sizes,
             ranks,
+            # The entry's ranks ascend (the config proved its pairs
+            # sorted), so its last bounds every page's: no reduction.
+            int(entry.ranks[-1]),
             cfg.vec_dim,
             cfg.rows_per_page,
             cfg.quant,
@@ -574,7 +577,7 @@ class NdpSlsEngine:
 
     def _stage_results(self, read: _Command) -> None:
         n_pages = read.entry.config.result_pages(self.ftl.page_bytes)
-        self.ftl.cpu.ftl_core.submit(
+        self.ftl_core.submit(
             n_pages * self.ftl.cpu.costs.sls_result_page_s, read.after_stage, priority=1
         )
 

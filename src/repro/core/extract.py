@@ -67,23 +67,25 @@ def extract_vectors(
     return _extract_from_buffer(content, slots, vec_dim, rows_per_page, quant)
 
 
-def _table_vectors(table: Any, ranks: np.ndarray, vec_dim: int) -> np.ndarray:
+def _table_vectors(table: Any, ranks: np.ndarray, top: int, vec_dim: int) -> np.ndarray:
     """Canonical vectors stored at storage ``ranks`` of ``table``.
 
     What ``TablePageContent.vectors`` returns page by page, for any
     number of pages at once: the table's layout resolves each rank to
     the row stored there, and ranks past the table's end (the tail of
-    its last page) are zero.
+    its last page) are zero.  ``ranks`` are int64 and non-negative, and
+    ``top`` is at least the largest of them: the caller proved both, so
+    the ranks are neither reduced nor checked again.
     """
 
     def gather(stored: np.ndarray) -> np.ndarray:
-        got = table.get_rows(table.external_ids(stored))
+        got = table.rows_at(stored)
         if got.shape != (stored.size, vec_dim):
             raise ValueError("virtual page returned wrong vector shape")
         return got
 
     rows = table.spec.rows
-    if int(ranks.max()) < rows:
+    if top < rows:
         return gather(ranks)
     out = np.zeros((ranks.size, vec_dim), dtype=np.float32)
     in_range = ranks < rows
@@ -123,9 +125,8 @@ def extract_vectors_many(
         getattr(content, "table", None) is table for content in contents
     ):
         page_index = np.array([content.page_index for content in contents])
-        return _table_vectors(
-            table, page_index[inverse] * rows_per_page + slots, vec_dim
-        )
+        ranks = page_index[inverse] * rows_per_page + slots
+        return _table_vectors(table, ranks, int(ranks.max()), vec_dim)
     out = np.zeros((slots.size, vec_dim), dtype=np.float32)
     for gi, content in enumerate(contents):
         if content is not None:
@@ -141,6 +142,7 @@ def extract_vectors_paged(
     page_indices: Sequence[int],
     sizes: Sequence[int],
     ranks: np.ndarray,
+    top: int,
     vec_dim: int,
     rows_per_page: int,
     quant: QuantSpec,
@@ -150,7 +152,8 @@ def extract_vectors_paged(
 
     ``page_indices[i]`` is where the caller expects page ``i`` to sit in
     its table, and ``ranks`` holds storage ranks on that page — the ranks
-    a caller that bucketed rows into pages already holds.  When every
+    a caller that bucketed rows into pages already holds: int64, none
+    negative and none above ``top``.  When every
     page is a virtual page of one table *and is the page the caller
     expects* (``content.page_index``, never the LPN it was read from,
     says which rows a virtual page holds) the batch is one gather at
@@ -165,7 +168,7 @@ def extract_vectors_paged(
             if getattr(content, "table", None) is not table or content.page_index != page_index:
                 break
         else:
-            return _table_vectors(table, ranks, vec_dim)
+            return _table_vectors(table, ranks, top, vec_dim)
     slots = ranks % rows_per_page
     blocks = []
     lo = 0

@@ -13,7 +13,7 @@ from typing import Any, Callable, Set
 
 from ..core.config import SlsConfig
 from ..core.engine import SlsResultPayload
-from ..nvme.commands import NvmeCommand, Opcode, Status
+from ..nvme.commands import NvmeCommand, Opcode
 from ..sim.stats import Breakdown
 from .unvme import UnvmeDriver
 

@@ -38,7 +38,7 @@ class _NdpOp:
     row_bytes: int
     start: float
     host_cost: float         # per-op overhead plus the host partition's sums
-    partial: np.ndarray      # per-result host partition sums
+    partial: Optional[np.ndarray]  # per-result host partition sums, if any
     breakdown: Breakdown
     stats: Dict[str, float]
     on_done: Callable[[SlsOpResult], None]
@@ -53,9 +53,13 @@ class _NdpOp:
         if payload.uncorrectable_pages:
             stats["uncorrectable_pages"] = float(payload.uncorrectable_pages)
         # Post-process: merge SSD partial sums with host partition sums.
-        merge_cost = self.system.host_cpu.accumulate_time(len(self.partial), self.row_bytes)
+        values = payload.values
+        merge_cost = self.system.host_cpu.accumulate_time(len(values), self.row_bytes)
         self.breakdown.add("host_merge", merge_cost)
-        self.values = payload.values + self.partial
+        # Without a partition there is nothing to add: ``values`` is the
+        # device's scratchpad, which no ``-0.0`` reaches (sums start at
+        # ``+0.0``), so adding zeros would not change a bit.
+        self.values = values if self.partial is None else values + self.partial
         self.system.sim.schedule(self.host_cost + merge_cost, self.finish)
 
     def finish(self) -> None:
@@ -88,13 +92,14 @@ class NdpSlsBackend(SlsBackend):
     def _split_partition(
         self,
         bags: Bags,
-        partial: np.ndarray,
+        partial: Optional[np.ndarray],
         breakdown: Breakdown,
         stats: Dict[str, float],
     ) -> tuple[Bags, float]:
         """Host half of Section 4.2: sum profiled-hot rows host-side.
 
-        Fills ``partial`` with the per-result hot sums and returns the cold
+        Fills ``partial`` (``None`` exactly when there is no partition)
+        with the per-result hot sums and returns the cold
         remainder (the same bags, hot ids removed) plus the host CPU time
         the split cost.
         """
@@ -130,7 +135,9 @@ class NdpSlsBackend(SlsBackend):
         table = self.table
         breakdown = Breakdown()
         stats: Dict[str, float] = {}
-        partial = np.zeros((len(bags), table.spec.dim), dtype=np.float32)
+        partial = None
+        if self.partition is not None:
+            partial = np.zeros((len(bags), table.spec.dim), dtype=np.float32)
 
         cold, split_cost = self._split_partition(bags, partial, breakdown, stats)
         op = _NdpOp(
@@ -144,8 +151,12 @@ class NdpSlsBackend(SlsBackend):
             on_done,
         )
         if stats["cold_lookups"] == 0:
-            # Everything was served from the host partition.
-            op.values = partial
+            # Everything was served from the host partition (or there
+            # was nothing to look up).
+            op.values = (
+                partial if partial is not None
+                else np.zeros((len(bags), table.spec.dim), dtype=np.float32)
+            )
             self.system.sim.schedule(op.host_cost, op.finish)
             return
         self.system.session_for(table.device).sls(table.make_sls_config(cold), op.ndp_done)

@@ -97,7 +97,8 @@ class _SsdOp:
                 break
         else:
             if self.gathered is None:
-                self.gathered = table.get_rows(self.rows_m)
+                # ``_start`` checked the op's ids: nothing checks them again.
+                self.gathered = table.rows_at(self.srows[self.member_order])
                 self.gathered_at = table.data.commits
             self.owed_rows.extend(range(a, b))
             self.owed_sizes.append(b - a)
@@ -105,7 +106,7 @@ class _SsdOp:
             if host_cache is not None:
                 refill = self.gathered[a:b]
                 if table.data.commits != self.gathered_at:
-                    refill = table.get_rows(self.rows_m[a:b])
+                    refill = table.rows_at(self.srows[self.member_order[a:b]])
                 host_cache.insert_later(self.rows_m[a:b], refill)
             n_rows = b - a
         system = backend.system

@@ -37,10 +37,15 @@ class TableData(ABC):
     # vectors it read earlier compares this to know they may be stale.
     commits = 0
 
-    @abstractmethod
     def get_rows(self, ids: np.ndarray) -> np.ndarray:
         """Return a fresh float32 ``[len(ids), dim]`` array the caller may
-        keep and write into; ids must be in range."""
+        keep and write into; ids must be integers in range (checked)."""
+        return self.take_rows(self._check_ids(ids))
+
+    @abstractmethod
+    def take_rows(self, ids: np.ndarray) -> np.ndarray:
+        """:meth:`get_rows` of int64 ``ids`` whose caller has proven every
+        one in range: nothing checks them again."""
 
     def _check_ids(self, ids: np.ndarray) -> np.ndarray:
         ids = np.asarray(ids)
@@ -72,8 +77,7 @@ class DenseTableData(TableData):
         rng = np.random.default_rng(seed)
         return cls(rng.standard_normal((rows, dim)).astype(np.float32) * 0.1)
 
-    def get_rows(self, ids: np.ndarray) -> np.ndarray:
-        ids = self._check_ids(ids)
+    def take_rows(self, ids: np.ndarray) -> np.ndarray:
         return self.values[ids]  # fancy index: already a copy
 
 
@@ -93,8 +97,7 @@ class VirtualTableData(TableData):
         rng = np.random.default_rng(seed)
         self._pool = rng.standard_normal((min(pool_rows, rows), dim)).astype(np.float32) * 0.1
 
-    def get_rows(self, ids: np.ndarray) -> np.ndarray:
-        ids = self._check_ids(ids)
+    def take_rows(self, ids: np.ndarray) -> np.ndarray:
         out = self._pool.take(ids % self._pool.shape[0], axis=0)  # already a copy
         # ((ids * mult + seed) % prime) / prime - 0.5, each step in place
         # on the one temporary of its dtype.
@@ -178,9 +181,8 @@ class UpdatableTableData(TableData):
         self.rows_written += int(uids.size)
         return int(uids.size)
 
-    def get_rows(self, ids: np.ndarray) -> np.ndarray:
-        ids = self._check_ids(ids)
-        out = self.base.get_rows(ids)
+    def take_rows(self, ids: np.ndarray) -> np.ndarray:
+        out = self.base.take_rows(ids)
         if self._ids.size and ids.size:
             pos = np.searchsorted(self._ids, ids)
             clipped = np.minimum(pos, self._ids.size - 1)
@@ -216,6 +218,6 @@ class MappedTableData(TableData):
     def commits(self) -> int:
         return self.parent.commits
 
-    def get_rows(self, ids: np.ndarray) -> np.ndarray:
-        ids = self._check_ids(ids)
-        return self.parent.get_rows(self.global_ids[ids])
+    def take_rows(self, ids: np.ndarray) -> np.ndarray:
+        # Every global id was checked against the parent at construction.
+        return self.parent.take_rows(self.global_ids[ids])

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 
 from ..params import PosCount, check_domains
-from ..quant import EmbDtype, QuantSpec
+from ..quant import QuantSpec
 
 __all__ = ["Layout", "TableSpec"]
 

@@ -20,7 +20,7 @@ from ..ftl.layout import FrequencyLayout
 from ..quant import EmbDtype, decode_vectors, encode_vectors
 from ..ssd.device import SsdDevice
 from .data import MappedTableData, TableData, VirtualTableData
-from .spec import Layout, TableSpec
+from .spec import TableSpec
 
 __all__ = ["TablePageContent", "TableRegion", "EmbeddingTable"]
 
@@ -75,6 +75,9 @@ class TablePageContent:
         return buf
 
 
+_new_page = object.__new__
+
+
 class TableRegion:
     """Flash-store region adapter covering the whole table."""
 
@@ -85,7 +88,12 @@ class TableRegion:
     def page_content(self, offset: int) -> Optional[TablePageContent]:
         if not 0 <= offset < self.page_count:
             return None
-        return TablePageContent(self.table, offset)
+        # ``TablePageContent(self.table, offset)`` without the frame of its
+        # ``__init__``: every flash read of a virtual page builds one.
+        page = _new_page(TablePageContent)
+        page.table = self.table
+        page.page_index = offset
+        return page
 
 
 class EmbeddingTable:
@@ -308,12 +316,21 @@ class EmbeddingTable:
     # Data access (canonical values = quantization round trip)
     # ------------------------------------------------------------------
     def get_rows(self, ids: np.ndarray) -> np.ndarray:
-        raw = self.data.get_rows(ids)
+        return self._canonical(self.data.get_rows(ids))
+
+    def rows_at(self, ranks: np.ndarray) -> np.ndarray:
+        """Canonical vectors stored at storage ``ranks``: :meth:`get_rows`
+        of the rows the layout puts there, for int64 ranks whose caller
+        has proven every one in ``[0, rows)`` — nothing checks them again."""
+        ids = ranks if self.layout is None else self.layout.external_ids(ranks)
+        return self._canonical(self.data.take_rows(ids))
+
+    def _canonical(self, raw: np.ndarray) -> np.ndarray:
         quant = self.spec.quant
         if quant.dtype is EmbDtype.FP32:
             # The FP32 round trip is the identity, and ``raw`` is already
-            # a fresh array (the ``TableData.get_rows`` contract).
-            return np.asarray(raw, dtype=np.float32)
+            # a fresh float32 array (the ``TableData.get_rows`` contract).
+            return raw
         return decode_vectors(encode_vectors(raw, quant), quant)
 
     def ref_sls(self, bags: BagsLike) -> np.ndarray:

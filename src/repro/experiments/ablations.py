@@ -18,7 +18,7 @@ DESIGN.md inventory calls these out for ablation:
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 

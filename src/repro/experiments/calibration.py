@@ -18,7 +18,6 @@ from typing import List
 
 import numpy as np
 
-from ..driver.unvme import DriverConfig, UnvmeDriver
 from ..host.system import System
 from ..ssd.presets import cosmos_plus_config
 from .common import ExperimentResult

@@ -19,7 +19,7 @@ import numpy as np
 
 from ..models import BackendKind, DlrmConfig, DlrmModel, RunnerConfig
 from ..quant import EmbDtype, QuantSpec
-from ..embedding.spec import Layout, TableSpec
+from ..embedding.spec import TableSpec
 from ..embedding.table import EmbeddingTable
 from ..serving.runner import ModelRunner
 from .common import ExperimentResult, speedup

@@ -17,7 +17,7 @@ so both are swapped together.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List
 
 from ..flash.reliability import ReadRetryModel, ReliabilityConfig
 from .spec import FaultEvent, FaultSpec

@@ -21,7 +21,7 @@ from .reliability import ReadRetryModel, ReliabilityConfig, UncorrectableError
 from .store import FlashStore
 from .timing import FlashTiming
 
-__all__ = ["FlashChannel", "FlashArray"]
+__all__ = ["FlashChannel", "FlashArray", "PageRead"]
 
 ReadCallback = Callable[[Any], None]
 DoneCallback = Callable[[], None]
@@ -31,16 +31,22 @@ DoneCallback = Callable[[], None]
 # and as it never refers to itself the last stage returning frees it.
 
 
-@dataclass(slots=True, eq=False)
-class _PageRead:
-    """Die phase (tR) -> bus phase (transfer) -> data on-chip."""
+class PageRead:
+    """A page read in flight: die phase (tR) -> bus phase (transfer) ->
+    :meth:`landed` with the content, ``None`` for an uncorrectable read.
+
+    :meth:`FlashArray.admit` fills the slots and queues :meth:`die_done`.
+    A reader that is itself a record in flight (an FTL page read, a GC
+    page move, an NDP page) extends this class and is its own flash read;
+    :meth:`FlashArray.read` wraps a bare callback in one."""
+
+    __slots__ = ("array", "bus", "xfer", "ppn", "failed")
 
     array: "FlashArray"
     bus: Server
-    xfer: float  # as the channel had it at submit
+    xfer: float  # as the channel had it at admission
     ppn: int
     failed: bool
-    on_done: ReadCallback
 
     def die_done(self) -> None:
         self.bus.submit(self.xfer, self.bus_done)
@@ -48,7 +54,19 @@ class _PageRead:
     def bus_done(self) -> None:
         array = self.array
         array.reads_completed += 1
-        self.on_done(None if self.failed else array.store.read(self.ppn))
+        self.landed(None if self.failed else array.store.read(self.ppn))
+
+    def landed(self, content: Any) -> None:
+        raise NotImplementedError
+
+
+class _CallbackRead(PageRead):
+    """:meth:`FlashArray.read`'s record: ``on_done(content)`` on landing."""
+
+    __slots__ = ("landed",)
+
+    def __init__(self, on_done: ReadCallback):
+        self.landed = on_done
 
 
 @dataclass(slots=True, eq=False)
@@ -149,6 +167,11 @@ class FlashArray:
         Uncorrectable reads (reliability model) deliver ``None`` after the
         full retry sequence, as a real drive would report a media error.
         """
+        self.admit(_CallbackRead(on_done), ppn)
+
+    def admit(self, read: PageRead, ppn: int) -> None:
+        """Start ``read`` of page ``ppn``: :meth:`read` for a reader that
+        is its own :class:`PageRead`, whose ``landed`` gets the content."""
         geometry = self.geometry
         if not 0 <= ppn < geometry.total_pages:
             raise ValueError(f"ppn {ppn} out of range [0, {geometry.total_pages})")
@@ -168,7 +191,11 @@ class FlashArray:
             reliability.reads += 1      # retries_for_read's count, without the call
         channel = self.channels[die // geometry.ways]
         channel.reads += 1
-        read = _PageRead(self, channel.bus, channel.page_xfer_s, ppn, failed, on_done)
+        read.array = self
+        read.bus = channel.bus
+        read.xfer = channel.page_xfer_s
+        read.ppn = ppn
+        read.failed = failed
         # Each retry costs another command + tR on the die before the
         # data transfer.
         channel.dies[die % geometry.ways].submit(

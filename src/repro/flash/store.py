@@ -10,7 +10,7 @@ again, and pages are programmed sequentially within a block.
 from __future__ import annotations
 
 from itertools import repeat
-from typing import Any, Dict, Optional, Sequence
+from typing import Any, Dict, Sequence
 
 from .geometry import FlashGeometry
 
@@ -69,12 +69,12 @@ class FlashStore:
         content = self._content.get(ppn)
         if content is not None:
             return content
-        block_id = ppn // self.geometry.pages_per_block
+        block_id, page = divmod(ppn, self.geometry.pages_per_block)
         region_entry = self._regions.get(block_id)
         if region_entry is None:
             return None
         region, base, stride = region_entry
-        return region.page_content(base + (ppn % self.geometry.pages_per_block) * stride)
+        return region.page_content(base + page * stride)
 
     def is_programmed(self, ppn: int) -> bool:
         if ppn in self._content:

@@ -9,7 +9,7 @@ Cosmos+ greedy FTL does.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Optional
+from typing import Deque, List, Optional
 
 import numpy as np
 

@@ -14,21 +14,24 @@ from functools import partial
 from itertools import zip_longest
 from typing import Annotated, Any, Callable, Iterable, Optional
 
-from ..flash.array import FlashArray
+from ..flash.array import FlashArray, PageRead
 from ..params import Count, Domain, PosCount, check_domains
 from ..sim.kernel import Simulator
 from ..sim.resettable import register_resettable
 from .blocks import BlockManager, OutOfSpaceError
-from .cpu import FtlCpu, FtlCpuCosts
+from .cpu import FtlCpu
 from .gc import GarbageCollector
 from .mapping import UNMAPPED, MappingTable
 from .pagecache import PageCache
 from .wear import WearLeveler
 
-__all__ = ["FtlConfig", "GreedyFtl"]
+__all__ = ["FtlConfig", "GreedyFtl", "PAGE_CACHED", "FLASH_READ", "UNMAPPED_PAGE"]
 
 ReadDone = Callable[[Any, bool], None]  # (content, cache_hit)
 Done = Callable[[], None]
+
+# What :meth:`GreedyFtl.ndp_read` did with a page.
+PAGE_CACHED, FLASH_READ, UNMAPPED_PAGE = 0, 1, 2
 
 
 # A page in flight is one record whose bound methods are the stage
@@ -36,15 +39,15 @@ Done = Callable[[], None]
 
 
 @dataclass(slots=True, eq=False)
-class _PageRead:
+class _PageRead(PageRead):
     """``read_page``, or ``read_pages`` of a single page (``listed``: the
-    caller wants ``[content]`` back, not ``(content, cache_hit)``)."""
+    caller wants ``[content]`` back, not ``(content, cache_hit)``); a
+    miss is its own flash read."""
 
     ftl: "GreedyFtl"
     lpn: int
     on_done: Callable
     listed: bool
-    ppn: int = UNMAPPED
     content: Any = None
 
     def cached(self) -> None:
@@ -56,9 +59,9 @@ class _PageRead:
     def after_cpu(self) -> None:
         ftl = self.ftl
         ftl.flash_page_reads += 1
-        ftl.flash.read(self.ppn, self.after_flash)
+        ftl.flash.admit(self, self.ppn)
 
-    def after_flash(self, content: Any) -> None:
+    def landed(self, content: Any) -> None:
         # None means the flash gave up (uncorrectable read): caching
         # it would turn a transient fault into a permanent zero-page.
         if content is not None:
@@ -321,10 +324,30 @@ class GreedyFtl:
         return self.geometry.die_index(addr.channel, addr.way)
 
     # ------------------------------------------------------------------
-    # NDP hook: scheduled flash page read without the IO-command overhead.
-    # The SLS scheduling layer pays its own (cheaper) per-page CPU cost and
-    # calls this to touch flash directly, exploiting internal parallelism.
+    # NDP hooks: scheduled flash page reads without the IO-command
+    # overhead.  The SLS scheduling layer pays its own (cheaper) per-page
+    # CPU cost and calls these to touch flash directly, exploiting
+    # internal parallelism.
     # ------------------------------------------------------------------
+    def ndp_read(self, read: PageRead, lpn: int) -> int:
+        """Read logical page ``lpn`` into ``read``: its ``landed(content)``
+        runs in this frame with the page cache's copy (``PAGE_CACHED``),
+        when the flash read's data is on-chip (``FLASH_READ``, the one
+        outcome that reads flash), or with ``None`` at the next event for
+        an unmapped page (``UNMAPPED_PAGE``).  The page cache is probed
+        without recency or statistics."""
+        cached = self.page_cache.entries
+        if lpn in cached:
+            read.landed(cached[lpn])
+            return PAGE_CACHED
+        ppn = self.mapping.l2p[lpn]
+        if ppn == UNMAPPED:
+            self.sim.call_soon(partial(read.landed, None))
+            return UNMAPPED_PAGE
+        self.flash_page_reads += 1
+        self.flash.admit(read, ppn)
+        return FLASH_READ
+
     def ndp_read_mapped_page(self, lpn: int, on_done: Callable[[Any], None]) -> bool:
         """``on_done(content)`` with the page's content; returns whether a
         flash read was issued for it (an unmapped page is ``None`` without

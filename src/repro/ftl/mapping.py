@@ -51,16 +51,20 @@ class MappingTable:
         )
         self._l2p = entries[:logical_pages]
         self._p2l = entries[logical_pages:]
+        # ``l2p[lpn]`` is :meth:`lookup` as a plain int, no numpy scalar
+        # on the way: a read-only view of the L2P array, no copy.
+        self.l2p = memoryview(self._l2p).toreadonly()
         self._valid_per_block = np.zeros(geometry.total_blocks, dtype=np.int32)
 
     # ------------------------------------------------------------------
     def lookup(self, lpn: int) -> int:
         """Return PPN for ``lpn`` or ``UNMAPPED``."""
-        return int(self._l2p[lpn])
+        return self.l2p[lpn]
 
     def lookup_many(self, lpns: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`lookup`: PPN (or ``UNMAPPED``) per LPN, as ``int32``."""
-        return self._l2p[np.asarray(lpns, dtype=np.int64)]
+        """Vectorized :meth:`lookup`: PPN (or ``UNMAPPED``) per LPN of an
+        integer array, as ``int32``."""
+        return self._l2p[lpns]
 
     def reverse(self, ppn: int) -> int:
         """Return LPN mapped to ``ppn`` or ``UNMAPPED``."""

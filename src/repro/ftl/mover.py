@@ -8,7 +8,8 @@ before paying for an allocation + program that could never be remapped
 before the mover's own callbacks ran).
 
 A move in flight is one :class:`PageMove` whose bound methods are the
-stage callbacks.  Its owner says where the copy should land (``die``,
+stage callbacks; it is its own flash read (a
+:class:`~repro.flash.array.PageRead`).  Its owner says where the copy should land (``die``,
 ``reserve``: its first :meth:`BlockManager.allocate_page`; out of space
 there, any page anywhere), counts ``moves_aborted``, and passes what a
 completed move should tell it as data: ``on_moved``, or ``None``.
@@ -19,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Optional, Union
 
+from ..flash.array import PageRead
 from .blocks import OutOfSpaceError
 from .mapping import UNMAPPED
 
@@ -30,7 +32,7 @@ __all__ = ["PageMove"]
 
 
 @dataclass(slots=True, eq=False)
-class PageMove:
+class PageMove(PageRead):
     owner: Union["GarbageCollector", "WearLeveler"]
     lpn: int
     on_done: Callable[[], None]
@@ -44,7 +46,7 @@ class PageMove:
     def start(self) -> None:
         ftl = self.owner.ftl
         self.old_ppn = ftl.mapping.lookup(self.lpn)
-        ftl.flash.read(self.old_ppn, self.after_read)
+        ftl.flash.admit(self, self.old_ppn)
 
     # Each stage first checks that the lpn still maps to the page being
     # moved; a foreground rewrite makes the copy stale and aborts.
@@ -53,7 +55,7 @@ class PageMove:
         self.owner.moves_aborted += 1
         self.on_done()
 
-    def after_read(self, content: Any) -> None:
+    def landed(self, content: Any) -> None:
         ftl = self.owner.ftl
         if ftl.mapping.lookup(self.lpn) != self.old_ppn:
             self.abort()

@@ -9,7 +9,7 @@ request buffer, and the SSD-side embedding cache.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 from ..params import Count, checked
 from ..sim.resettable import register_resettable
@@ -23,7 +23,10 @@ class PageCache:
     @checked
     def __init__(self, capacity_pages: Count):
         self.capacity = capacity_pages
-        self._entries: "OrderedDict[int, Any]" = OrderedDict()
+        # Cached pages by LPN, least recently used first.  Readers that
+        # must not touch recency or statistics (``GreedyFtl.ndp_read``)
+        # probe it directly; only this class writes it.
+        self.entries: "OrderedDict[int, Any]" = OrderedDict()
         self._pins: Dict[int, int] = {}
         self.hits = 0
         self.misses = 0
@@ -37,28 +40,28 @@ class PageCache:
         if self.capacity == 0:
             self.misses += 1
             return False, None
-        if lpn in self._entries:
+        if lpn in self.entries:
             self.hits += 1
-            self._entries.move_to_end(lpn)
-            return True, self._entries[lpn]
+            self.entries.move_to_end(lpn)
+            return True, self.entries[lpn]
         self.misses += 1
         return False, None
 
     def peek(self, lpn: int) -> tuple[bool, Any]:
         """Probe without recency update or stat counting."""
-        if lpn in self._entries:
-            return True, self._entries[lpn]
+        if lpn in self.entries:
+            return True, self.entries[lpn]
         return False, None
 
     def insert(self, lpn: int, content: Any) -> None:
         """Insert/refresh ``lpn``; evicts LRU unpinned entries as needed."""
         if self.capacity == 0:
             return
-        if lpn in self._entries:
-            self._entries.move_to_end(lpn)
-            self._entries[lpn] = content
+        if lpn in self.entries:
+            self.entries.move_to_end(lpn)
+            self.entries[lpn] = content
             return
-        entries = self._entries
+        entries = self.entries
         while len(entries) >= self.capacity:
             if not self._pins:
                 entries.popitem(last=False)
@@ -70,15 +73,15 @@ class PageCache:
 
     def _evict_one(self) -> bool:
         """Evict the least recently used unpinned page, if there is one."""
-        for lpn in self._entries:
+        for lpn in self.entries:
             if self._pins.get(lpn, 0) == 0:
-                del self._entries[lpn]
+                del self.entries[lpn]
                 self.evictions += 1
                 return True
         return False
 
     def invalidate(self, lpn: int) -> None:
-        self._entries.pop(lpn, None)
+        self.entries.pop(lpn, None)
 
     # ------------------------------------------------------------------
     def pin(self, lpn: int) -> None:
@@ -94,7 +97,7 @@ class PageCache:
     # ------------------------------------------------------------------
     @property
     def size(self) -> int:
-        return len(self._entries)
+        return len(self.entries)
 
     @property
     def hit_rate(self) -> float:

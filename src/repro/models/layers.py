@@ -7,7 +7,7 @@ is what the paper's end-to-end latency decomposes into.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 

@@ -20,7 +20,7 @@ to restore the paper's 1M.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from .base import RecModel
 from .dien import DienConfig, DienModel

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Annotated, Any, Optional
+from typing import Annotated, Any
 
 import numpy as np
 

@@ -10,7 +10,7 @@ real bytes when a test or host consumer needs them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, List, Optional
+from typing import Any, List
 
 import numpy as np
 

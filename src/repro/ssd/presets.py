@@ -14,7 +14,6 @@ not affect the results — access patterns do).
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 from typing import Iterable, Optional
 
 from ..core.engine import NdpEngineConfig

@@ -47,27 +47,32 @@ from .test_engine_frames import python_calls
 # flash read skips the retry model when no read errors are configured,
 # the qpair pick reads ``outstanding < depth`` (no ``can_submit``) and
 # the driver's pickup rides the CQ entry's event (no ``_on_cq_post`` /
-# ``poll`` / ``schedule_call``).
-FRAMES_PER_PAGE = 47
+# ``poll`` / ``schedule_call``).  45 since the FTL's page read is its
+# own flash read (a ``PageRead``: no second record) and an L2P lookup
+# reads a memoryview (no numpy scalar).
+FRAMES_PER_PAGE = 45
 # 88 with the host LRU at that parent (66 after it, 60 before the last
-# step, 49 since).
-FRAMES_PER_PAGE_LRU = 49
+# step, 49 before the flash read record went, 47 since).
+FRAMES_PER_PAGE_LRU = 47
 
 # 112 at that parent (73 after it), 133 with the LRU (82 after it): one
 # stable sort for the span groups and for the unique misses, geometry
 # read once per op, commands planned from ``tolist()``, one record per op.
-# 76 / 85 before the last step.
-FIXED_FRAMES_PER_OP = 59
-FIXED_FRAMES_PER_OP_LRU = 69
+# 76 / 85 before the last step; 59 / 69 while the gather checked the
+# op's ids again (``TableData._check_ids`` after ``_start``'s) and a
+# ``Bags`` built its offsets and ``rids`` through numpy's wrappers.
+FIXED_FRAMES_PER_OP = 49
+FIXED_FRAMES_PER_OP_LRU = 59
 
 # With a full host LRU, CPython 3.11, numpy 2: 1 per command and 45 once
 # while the LRU kept numpy tag and stamp rows (an ``argmin`` per
 # eviction; a probe of ``%``, a broadcast compare, ``any``, ``nonzero``,
 # a unique count and a stamp scatter).  Since it keeps a recency list
 # per set, a key costs no numpy call: the probe is a ``tolist``, a mask
-# and one gather, the refill a ``tolist`` and one scatter.
+# and one gather, the refill a ``tolist`` and one scatter.  41 once
+# until the gather stopped checking the ids ``_start`` had checked.
 NUMPY_CALLS_PER_PAGE_LRU = 0
-FIXED_NUMPY_CALLS_PER_OP_LRU = 41
+FIXED_NUMPY_CALLS_PER_OP_LRU = 32
 
 
 def numpy_calls(run) -> int:

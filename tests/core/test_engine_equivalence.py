@@ -152,6 +152,22 @@ def engine_and_cache_state(engine) -> dict:
     }
 
 
+def deliver(device, swapped: dict) -> None:
+    """Every flash read of a page now mapped at an LPN of ``swapped``
+    lands with that content instead of the page's own: the seam both
+    engines' reads cross (``FlashArray.read`` for the reference's
+    ``ndp_read_mapped_page``, a ``_PageJob`` admitted by ``ndp_read``)."""
+    store, reverse = device.flash.store, device.ftl.mapping.reverse
+    read = store.read
+
+    def read_swapped(ppn: int):
+        lpn = reverse(ppn)
+        return swapped[lpn] if lpn in swapped else read(ppn)
+
+    if swapped:
+        store.read = read_swapped
+
+
 def run(program: Program, engine_cls) -> dict:
     quant = QuantSpec(dtype=program.dtype)
     rpp = TableSpec("t", 1, program.dim, quant, program.layout).rows_per_page(PAGE_BYTES)
@@ -185,10 +201,7 @@ def run(program: Program, engine_cls) -> dict:
 
     # Uncorrectable pages: the flash read hands the engine None.
     bad_lpns = {base_lpn + page for page in program.bad_pages}
-    read_page = device.ftl.ndp_read_mapped_page
-    device.ftl.ndp_read_mapped_page = lambda lpn, on_done: read_page(
-        lpn, (lambda _content: on_done(None)) if lpn in bad_lpns else on_done
-    )
+    deliver(device, {lpn: None for lpn in bad_lpns})
 
     ops = list(program.ops)
     if program.dense_page:
@@ -320,11 +333,7 @@ def run_one_entry(engine_cls, rewritten=None, delivered=None) -> dict:
         sim.run_until(lambda: bool(written))
         assert written[0].ok
         device.ftl.page_cache.invalidate(base_lpn + rewritten)    # read it from flash
-    swapped = {base_lpn + page: make(table) for page, make in (delivered or {}).items()}
-    read_page = device.ftl.ndp_read_mapped_page
-    device.ftl.ndp_read_mapped_page = lambda lpn, on_done: read_page(
-        lpn, (lambda _content: on_done(swapped[lpn])) if lpn in swapped else on_done
-    )
+    deliver(device, {base_lpn + page: make(table) for page, make in (delivered or {}).items()})
     # Bag p reads three rows of page p; the last bag reads every page.
     in_page = np.array([1, 7, ENTRY_RPP - 1])
     bags = [page * ENTRY_RPP + in_page for page in range(ENTRY_PAGES)]

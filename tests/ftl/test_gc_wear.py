@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.ftl.mover import PageMove
-from repro.sim.kernel import Simulator
 from repro.ssd.presets import small_ssd
 
 

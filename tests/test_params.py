@@ -76,7 +76,6 @@ ALLOWED = {
     "repro.embedding.stage.EmbStageResult": RESULT,
     "repro.embedding.stage._Batch": RECORD,
     "repro.embedding.stage._Piece": RECORD,
-    "repro.flash.array._PageRead": RECORD,
     "repro.flash.array._PageProgram": RECORD,
     "repro.ftl.ftl._PageRead": RECORD,
     "repro.ftl.ftl._PagesRead": RECORD,

@@ -137,8 +137,8 @@ def test_the_frames_table_is_frames_and_numpy_calls_per_request_parent_to_change
     ]
     lines = frames_table(13, counts).splitlines()
     assert lines[0] == (
-        "Python frames and numpy calls per request, seed 13, 1/10 scale, collector off "
-        "(parent -> change)"
+        "Python frames and numpy calls per request, serving phase, seed 13, 1/10 scale, "
+        "collector off (parent -> change)"
     )
     assert lines[2:4] == [
         "| workload | frames parent | frames change | ratio "
@@ -148,3 +148,29 @@ def test_the_frames_table_is_frames_and_numpy_calls_per_request_parent_to_change
     assert lines[4] == "| aged_update_mix | 25,000 | 22,500 | 0.900x | 400 | 300 | 0.750x |"
     # No numpy call on either side: no ratio to print.
     assert lines[5] == "| dram_serve | 30 | 30 | 1.000x | 0 | 0 | - |"
+    # Nothing drained on either side: no drain table.
+    assert len(lines) == 6
+
+
+def test_the_update_drain_is_counted_apart_in_totals():
+    """The drain after the last request is not serving work: its frames
+    (perf's stop predicate runs once per drained event) stay out of the
+    per-request row and get a totals row of their own."""
+    def side(frames, numpy_calls, requests, drain_frames, drain_numpy_calls):
+        return {
+            "frames": frames, "numpy_calls": numpy_calls, "requests": requests,
+            "drain_frames": drain_frames, "drain_numpy_calls": drain_numpy_calls,
+        }
+
+    counts = [
+        ("aged_update_mix", side(250_000, 4_000, 100, 500_000, 9_000),
+         side(240_000, 4_000, 100, 400_000, 9_000)),
+        ("ndp_serve", side(90_000, 3_000, 100, 0, 0), side(80_000, 2_000, 100, 0, 0)),
+    ]
+    lines = frames_table(13, counts).splitlines()
+    assert lines[4] == "| aged_update_mix | 2,500 | 2,400 | 0.960x | 40 | 40 | 1.000x |"
+    assert lines[5] == "| ndp_serve | 900 | 800 | 0.889x | 30 | 20 | 0.667x |"
+    assert lines[6:9] == ["", "Update drain after the last request, totals (parent -> change)", ""]
+    assert lines[11:] == [
+        "| aged_update_mix | 500,000 | 400,000 | 0.800x | 9,000 | 9,000 | 1.000x |"
+    ]

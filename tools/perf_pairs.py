@@ -25,7 +25,10 @@ runs each chosen workload once more at 1/10 scale under
 ``sys.setprofile``, with the collector off, and prints the Python
 frames and the calls into numpy's C functions (``c_call`` events whose
 function, or the object it is bound to, belongs to numpy) per completed
-request, parent -> change.  A frame count does not see numpy work, so
+request, parent -> change.  They count the serving phase
+(``run_workload``) only; the update drain after the last request (the
+updates still in flight, with perf's stop predicate called per event)
+is counted apart and printed as totals in a second table.  A frame count does not see numpy work, so
 a change that moves work between the two shows in the second column
 (the profiler reports builtin functions and methods only, so a ufunc
 called directly or a function behind numpy's array-function
@@ -127,22 +130,39 @@ def format_table(
 def frames_table(seed: int, counts: Sequence[Tuple[str, dict, dict]]) -> str:
     """The ``--frames`` report: ``counts`` holds ``(workload, parent,
     change)``, each side ``{"frames": n, "numpy_calls": k, "requests": m}``
-    as :data:`FRAMES_SCRIPT` prints it."""
-    lines = [
-        "Python frames and numpy calls per request, seed "
-        f"{seed}, 1/10 scale, collector off (parent -> change)",
-        "",
+    for the serving phase, plus ``drain_frames`` / ``drain_numpy_calls``
+    for the update drain after it, as :data:`FRAMES_SCRIPT` prints them.
+    A workload whose runs drain nothing has no drain row."""
+
+    def row(workload: str, sides, per) -> str:
+        cells = []
+        for count in ("frames", "numpy_calls"):
+            before, after = (per(side, count) for side in sides)
+            ratio = f"{after / before:.3f}x" if before else "-"
+            cells += [_number(before), _number(after), ratio]
+        return f"| {workload} | " + " | ".join(cells) + " |"
+
+    header = [
         "| workload | frames parent | frames change | ratio "
         "| numpy calls parent | numpy calls change | ratio |",
         "| --- | --- | --- | --- | --- | --- | --- |",
     ]
-    for workload, parent, change in counts:
-        cells = []
-        for count in ("frames", "numpy_calls"):
-            before, after = (side[count] / side["requests"] for side in (parent, change))
-            ratio = f"{after / before:.3f}x" if before else "-"
-            cells += [_number(before), _number(after), ratio]
-        lines.append(f"| {workload} | " + " | ".join(cells) + " |")
+    lines = [
+        "Python frames and numpy calls per request, serving phase, seed "
+        f"{seed}, 1/10 scale, collector off (parent -> change)",
+        "",
+        *header,
+    ]
+    for workload, *sides in counts:
+        lines.append(row(workload, sides, lambda side, count: side[count] / side["requests"]))
+    drains = [
+        (workload, *sides) for workload, *sides in counts
+        if any(side.get("drain_frames", 0) for side in sides)
+    ]
+    if drains:
+        lines += ["", "Update drain after the last request, totals (parent -> change)", "", *header]
+        for workload, *sides in drains:
+            lines.append(row(workload, sides, lambda side, count: side.get(f"drain_{count}", 0)))
     return "\n".join(lines)
 
 
@@ -219,27 +239,40 @@ def _measure(tree: Path, workload: str, seed: int, seconds: float) -> dict:
 
 
 # Run in a worktree: set up one workload at 1/10 scale, then count the
-# Python frames its run enters and the calls it makes into numpy's C
-# functions.
+# Python frames and the calls into numpy's C functions of each phase of
+# its run — serving, and the update drain after it — apart: ``run``
+# opens a tracer span around each, and the counter is on only inside one.
 FRAMES_SCRIPT = """
 import gc, json, sys
 from perf.workloads import BY_NAME, observe, run, setup
 built = setup(BY_NAME[sys.argv[1]], int(sys.argv[2]), 0.1)
-calls = numpy_calls = 0
-def count(_frame, event, arg):
-    global calls, numpy_calls
-    if event == "call":
-        calls += 1
-    elif event == "c_call":
-        module = getattr(arg, "__module__", None) or type(getattr(arg, "__self__", None)).__module__
-        if module.startswith("numpy"):
-            numpy_calls += 1
+tallies = {}
+
+class Phases:
+    def span(self, name, phase=None):
+        return Phase(tallies.setdefault(name, [0, 0]))
+
+class Phase:
+    def __init__(self, tally):
+        self.tally = tally
+    def count(self, _frame, event, arg):
+        if event == "call":
+            self.tally[0] += 1
+        elif event == "c_call":
+            module = getattr(arg, "__module__", None) or type(getattr(arg, "__self__", None)).__module__
+            if module.startswith("numpy"):
+                self.tally[1] += 1
+    def __enter__(self):
+        sys.setprofile(self.count)
+    def __exit__(self, *_):
+        sys.setprofile(None)
+
 gc.disable()
-sys.setprofile(count)
-run(built)
-sys.setprofile(None)
+run(built, Phases())
+serve, drain = tallies["run_workload"], tallies.get("update_drain", [0, 0])
 print(json.dumps({
-    "frames": calls, "numpy_calls": numpy_calls, "requests": observe(built).completed,
+    "frames": serve[0], "numpy_calls": serve[1], "requests": observe(built).completed,
+    "drain_frames": drain[0], "drain_numpy_calls": drain[1],
 }))
 """
 
