@@ -475,9 +475,11 @@ class NdpSlsEngine:
     def _pump(self) -> None:
         feed = self._feed_queue
         window = self.config.inflight_pages_window
-        cpu = self.ftl.cpu
-        submit, sched_s = cpu.ftl_core.submit, cpu.costs.sls_page_sched_s
-        while self._inflight_pages < window and feed:
+        submit, sched_s = self.ftl_core.submit, self.ftl.cpu.costs.sls_page_sched_s
+        # A submit never runs its callback in this frame, so the count is
+        # a local until the loop ends.
+        inflight = self._inflight_pages
+        while inflight < window and feed:
             entry = feed.popleft()
             pending = entry.pending_pages
             if not pending:
@@ -487,8 +489,9 @@ class NdpSlsEngine:
                 # Round-robin: move the entry to the back so concurrent SLS
                 # requests interleave page by page (fair sharing, Sec 4.1).
                 feed.append(entry)
-            self._inflight_pages += 1
+            inflight += 1
             submit(sched_s, page.after_sched)
+        self._inflight_pages = inflight
 
     # ------------------------------------------------------------------
     # Translation, the numeric half (steps 4-5)

@@ -99,15 +99,15 @@ class VirtualTableData(TableData):
 
     def take_rows(self, ids: np.ndarray) -> np.ndarray:
         out = self._pool.take(ids % self._pool.shape[0], axis=0)  # already a copy
-        # ((ids * mult + seed) % prime) / prime - 0.5, each step in place
-        # on the one temporary of its dtype.
+        # ((ids * mult + seed) % prime) / prime - 0.5: the integer steps in
+        # place on one temporary, the division straight to float32 (the
+        # cast of a value below 2**24 is exact) and the subtraction into
+        # the stamp column.
         hashed = ids * _HASH_MULT
-        hashed += self.seed
+        if self.seed:
+            hashed += self.seed
         hashed %= _STAMP_PRIME
-        stamp = hashed.astype(np.float32)
-        stamp /= _STAMP_PRIME
-        stamp -= 0.5
-        out[:, 0] = stamp
+        np.subtract(np.true_divide(hashed, _STAMP_PRIME, dtype=np.float32), 0.5, out=out[:, 0])
         return out
 
 

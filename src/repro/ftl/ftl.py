@@ -351,7 +351,8 @@ class GreedyFtl:
     def ndp_read_mapped_page(self, lpn: int, on_done: Callable[[Any], None]) -> bool:
         """``on_done(content)`` with the page's content; returns whether a
         flash read was issued for it (an unmapped page is ``None`` without
-        one)."""
+        one).  The callback form of :meth:`ndp_read`, for a caller that is
+        not its own :class:`PageRead`; it does not probe the page cache."""
         ppn = self.mapping.lookup(lpn)
         if ppn == UNMAPPED:
             self.sim.call_soon(lambda: on_done(None))

@@ -23,8 +23,9 @@ from .test_gc_wear import fill
 # stage called ``PageMove.stale``, the collector started every move
 # through a method of its own and each flash read fed a latency
 # accumulator nothing read; 40 while each flash read called the retry
-# model with no read errors configured.
-FRAMES_PER_MOVE = 39
+# model with no read errors configured; 39 while the move's flash read
+# was a record of its own (the move is a ``PageRead`` now).
+FRAMES_PER_MOVE = 38
 
 
 def frames_for_a_migration(valid: int) -> int:
