@@ -56,7 +56,7 @@ class TableData(ABC):
                 raise TypeError(f"row ids must be integers, got dtype {ids.dtype}")
             ids = ids.astype(np.int64)
         # One reduction: a negative id read as uint64 is >= 2**63.
-        if ids.size and ids.view(np.uint64).max() >= self.rows:
+        if ids.size and np.maximum.reduce(ids.view(np.uint64)) >= self.rows:
             raise IndexError(
                 f"row id out of range [0, {self.rows}) "
                 f"(got min={ids.min()}, max={ids.max()})"

@@ -316,20 +316,22 @@ class EmbeddingTable:
     # Data access (canonical values = quantization round trip)
     # ------------------------------------------------------------------
     def get_rows(self, ids: np.ndarray) -> np.ndarray:
-        return self._canonical(self.data.get_rows(ids))
+        raw = self.data.get_rows(ids)
+        quant = self.spec.quant
+        if quant.dtype is EmbDtype.FP32:
+            # The FP32 round trip is the identity, and ``raw`` is already
+            # a fresh float32 array (the ``TableData.get_rows`` contract).
+            return raw
+        return decode_vectors(encode_vectors(raw, quant), quant)
 
     def rows_at(self, ranks: np.ndarray) -> np.ndarray:
         """Canonical vectors stored at storage ``ranks``: :meth:`get_rows`
         of the rows the layout puts there, for int64 ranks whose caller
         has proven every one in ``[0, rows)`` — nothing checks them again."""
         ids = ranks if self.layout is None else self.layout.external_ids(ranks)
-        return self._canonical(self.data.take_rows(ids))
-
-    def _canonical(self, raw: np.ndarray) -> np.ndarray:
+        raw = self.data.take_rows(ids)
         quant = self.spec.quant
         if quant.dtype is EmbDtype.FP32:
-            # The FP32 round trip is the identity, and ``raw`` is already
-            # a fresh float32 array (the ``TableData.get_rows`` contract).
             return raw
         return decode_vectors(encode_vectors(raw, quant), quant)
 

@@ -61,8 +61,8 @@ FRAMES_PER_PAGE_LRU = 47
 # 76 / 85 before the last step; 59 / 69 while the gather checked the
 # op's ids again (``TableData._check_ids`` after ``_start``'s) and a
 # ``Bags`` built its offsets and ``rids`` through numpy's wrappers.
-FIXED_FRAMES_PER_OP = 49
-FIXED_FRAMES_PER_OP_LRU = 59
+FIXED_FRAMES_PER_OP = 47
+FIXED_FRAMES_PER_OP_LRU = 57
 
 # With a full host LRU, CPython 3.11, numpy 2: 1 per command and 45 once
 # while the LRU kept numpy tag and stamp rows (an ``argmin`` per
@@ -72,7 +72,7 @@ FIXED_FRAMES_PER_OP_LRU = 59
 # and one gather, the refill a ``tolist`` and one scatter.  41 once
 # until the gather stopped checking the ids ``_start`` had checked.
 NUMPY_CALLS_PER_PAGE_LRU = 0
-FIXED_NUMPY_CALLS_PER_OP_LRU = 32
+FIXED_NUMPY_CALLS_PER_OP_LRU = 30
 
 
 def numpy_calls(run) -> int:

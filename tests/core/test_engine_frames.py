@@ -53,19 +53,19 @@ NUMPY_CALLS_PER_PAGE = 0
 # entry rides the entry's own event (no ``_on_cq_post`` / ``poll`` /
 # ``schedule_call``), a doorbell pops the command it was rung for, the
 # hand-off admits its core job in its own frame and a queue pair's
-# check is ``outstanding < depth``.  160 since the gather reuses the
+# check is ``outstanding < depth``.  159 since the gather reuses the
 # bound the config proved (no ``external_ids``, ``_check_ids`` or
 # ``_amax`` on the device side) and the config's checks call numpy's
 # reductions directly.  CPython 3.12 inlines comprehensions, so it
 # counts fewer.
-FIXED_FRAMES_PER_OP = 160
+FIXED_FRAMES_PER_OP = 159
 # numpy 2: 43 while the op's ids were range-checked four times (config,
 # ``_process_config``, ``_table_vectors``'s ``ranks.max()``,
 # ``TableData._check_ids``), ``max()`` went through numpy's Python
 # ``_amax``, ``MappingTable.lookup_many`` cast its int64 input, and a
 # ``Bags`` offset column went through ``np.cumsum``'s wrapper and its
 # ``rids`` through ``np.diff``.
-FIXED_NUMPY_CALLS_PER_OP = 28
+FIXED_NUMPY_CALLS_PER_OP = 27
 
 
 def python_calls(run) -> int:
