@@ -11,14 +11,22 @@ locality) for an RM3 model and compares:
 The crossover is the paper's point: host LRU wins when locality is high;
 once most lookups must come off flash, RecSSD's internal bandwidth wins,
 and static partitioning recovers the host-DRAM benefit on top.
+
+Each system is a scenario spec whose tenant carries its backend config
+(the host LRU, the static partition) and the same recorded batches.
 """
 
 import numpy as np
 
 from repro.core.engine import NdpEngineConfig
-from repro.experiments.common import locality_samplers
+from repro.experiments.common import (
+    figure_run,
+    figure_spec,
+    hit_rate,
+    locality_samplers,
+    steady_interval,
+)
 from repro.models import BackendKind, RunnerConfig, build_model
-from repro.serving.runner import ModelRunner
 
 
 def study(k: int, batch_size: int = 16, n_batches: int = 4) -> None:
@@ -34,36 +42,32 @@ def study(k: int, batch_size: int = 16, n_batches: int = 4) -> None:
         for _ in range(n_batches)
     ]
 
-    base = ModelRunner(
+    base, r_base = figure_run(
+        figure_spec("rm3", batches, RunnerConfig(kind=BackendKind.SSD, host_cache_entries=2048)),
         build_model("rm3"),
-        RunnerConfig(kind=BackendKind.SSD, host_cache_entries=2048),
     )
-    r_base = base.run_batches(batches)
-
-    cache = ModelRunner(
+    cache, r_cache = figure_run(
+        figure_spec("rm3", batches, RunnerConfig(kind=BackendKind.NDP)),
         build_model("rm3"),
-        RunnerConfig(kind=BackendKind.NDP),
-        ndp_engine_config=NdpEngineConfig(embcache_slots=65536),
+        ndp=NdpEngineConfig(embcache_slots=65536),
     )
-    r_cache = cache.run_batches(batches)
-
-    part = ModelRunner(
+    part, r_part = figure_run(
+        figure_spec("rm3", batches, RunnerConfig(kind=BackendKind.NDP, partition_entries=2048)),
         build_model("rm3"),
-        RunnerConfig(kind=BackendKind.NDP, partition_entries=2048),
+        ndp=NdpEngineConfig(embcache_slots=65536),
         partition_profiles=profiles,
-        ndp_engine_config=NdpEngineConfig(embcache_slots=65536),
     )
-    r_part = part.run_batches(batches)
+    base_s, cache_s, part_s = map(steady_interval, (r_base, r_cache, r_part))
 
     print(f"\n=== K={k} ({'high' if k == 0 else 'low'} locality) ===")
-    print(f"baseline SSD + host LRU : {r_base.steady_latency * 1e3:8.2f} ms "
-          f"(LRU hit rate {base.host_cache_hit_rate():.0%})")
-    print(f"RecSSD + SSD cache      : {r_cache.steady_latency * 1e3:8.2f} ms "
-          f"(SSD cache hit rate {cache.ssd_emb_cache_hit_rate():.0%}, "
-          f"speedup {r_base.steady_latency / r_cache.steady_latency:.2f}x)")
-    print(f"RecSSD + static part.   : {r_part.steady_latency * 1e3:8.2f} ms "
-          f"(partition hit rate {part.partition_hit_rate():.0%}, "
-          f"speedup {r_base.steady_latency / r_part.steady_latency:.2f}x)")
+    print(f"baseline SSD + host LRU : {base_s * 1e3:8.2f} ms "
+          f"(LRU hit rate {hit_rate(b.host_cache for b in base.backends()):.0%})")
+    print(f"RecSSD + SSD cache      : {cache_s * 1e3:8.2f} ms "
+          f"(SSD cache hit rate {hit_rate([cache.system.device.ndp.emb_cache]):.0%}, "
+          f"speedup {base_s / cache_s:.2f}x)")
+    print(f"RecSSD + static part.   : {part_s * 1e3:8.2f} ms "
+          f"(partition hit rate {hit_rate(b.partition for b in part.backends()):.0%}, "
+          f"speedup {base_s / part_s:.2f}x)")
 
 
 def main() -> None:

@@ -133,6 +133,8 @@ class ClusterSpec:
                     f"fault event targets unknown host {event.host!r} "
                     f"(fleet has {self.n_hosts} hosts)"
                 )
+        if self.users is not None and any(t.requests for t in self.scenario.tenants):
+            raise ValueError("user-keyed traffic draws every request; a tenant records its own")
         tenants = {t.model for t in self.scenario.tenants}
         for model, indices in (self.placement or {}).items():
             if model not in tenants:
@@ -188,6 +190,7 @@ def build_cluster(
         cluster.register_model(
             by_name[tenant.model],
             scenario.backend_kind,
+            runner_config=tenant.backend,
             num_workers=spec.num_workers,
             hosts=placement.get(tenant.model),
         )

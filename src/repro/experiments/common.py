@@ -1,14 +1,21 @@
-"""Experiment scaffolding: results, text tables, locality samplers."""
+"""Experiment scaffolding: results, text tables, locality samplers, and
+the paper figures' runs as scenario specs, with their statistics."""
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..host.system import build_system
 from ..models.base import IndexSampler, RecModel
+from ..models.runner import RunnerConfig, required_capacity_pages
+from ..sim.stats import Accumulator
 from ..traces.locality import LocalityTraceGenerator
+from ..workload.arrivals import ArrivalTrace
+from ..workload.scenario import ScenarioSpec, TenantSpec, run, setup
 
 __all__ = [
     "ExperimentResult",
@@ -17,7 +24,72 @@ __all__ = [
     "locality_samplers",
     "speedup",
     "assert_policy_equivalence",
+    "figure_spec",
+    "figure_run",
+    "steady_interval",
+    "stage_means",
+    "hit_rate",
 ]
+
+
+def figure_spec(model: str, batches, backend: RunnerConfig, pipelined: bool = True) -> ScenarioSpec:
+    """A paper-figure run (Figs 6, 9, 10, 11) as a scenario: one tenant
+    whose recorded ``batches`` are one request each, one batch in flight
+    and every batch admitted.  Pipelined (Section 4.2) hands every batch
+    over at the start, so batch ``i+1``'s embeddings overlap batch
+    ``i``'s dense stage; serial is one closed-loop client, no think time."""
+    if pipelined:
+        arrivals = dict(arrival="replay", trace=ArrivalTrace(model, np.zeros(len(batches))))
+    else:
+        arrivals = dict(arrival="closed", num_clients=1, requests_per_client=len(batches))
+    return ScenarioSpec(
+        name=model,
+        tenants=(TenantSpec(model, backend=backend, requests=tuple(batches), **arrivals),),
+        backend=backend.kind.value,
+        max_inflight_requests=sys.maxsize,
+        max_batch_requests=1,
+        max_inflight_batches_per_worker=1,
+        compute_outputs=True,
+    )
+
+
+def figure_run(spec: ScenarioSpec, model: RecModel, ndp=None, partition_profiles=None):
+    """``run(setup(spec))`` on the figures' host (one SSD sized for
+    ``model``, a 16K-page cache, the ``ndp`` engine config): the server
+    and the requests its tenant submitted, in order."""
+    system = build_system(required_capacity_pages(model), page_cache_pages=16 * 1024, ndp=ndp)
+    built = setup(spec, [model], system=system, partition_profiles=partition_profiles)
+    run(built)
+    return built.front, built.generators[0].submitted
+
+
+def steady_interval(requests, warmup_batches: int = 1) -> float:
+    """Mean inter-completion interval after ``warmup_batches`` (with one
+    request left, its finish time over the request count)."""
+    steady = requests[min(warmup_batches, len(requests) - 1) :]
+    if len(steady) < 2:
+        return (steady[-1].t_done - requests[0].t_arrival) / len(requests)
+    return (steady[-1].t_done - steady[0].t_done) / (len(steady) - 1)
+
+
+def stage_means(server, requests) -> Tuple[float, float]:
+    """Mean embedding-stage latency and dense service time after the
+    first request (with one request, of that one)."""
+    emb, dense = Accumulator(), Accumulator()
+    service_s = server.hostpool.service_model.service_s
+    for request in requests[min(1, len(requests) - 1) :]:
+        emb.add(request.t_emb_done - request.t_dispatch)
+        dense.add(service_s(server.models[request.model], request.batch.batch_size))
+    return emb.mean, dense.mean
+
+
+def hit_rate(caches) -> float:
+    """Pooled hit rate of ``caches``, ``None`` skipped: every backend's
+    ``host_cache`` or ``partition``, or a device's ``ndp.emb_cache``."""
+    caches = [cache for cache in caches if cache is not None]
+    hits = sum(cache.hits for cache in caches)
+    total = sum(cache.hits + cache.misses for cache in caches)
+    return hits / total if total else 0.0
 
 
 def assert_policy_equivalence(

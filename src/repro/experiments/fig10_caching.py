@@ -23,8 +23,15 @@ import numpy as np
 from ..core.engine import NdpEngineConfig
 from ..models import BackendKind, RunnerConfig, build_model
 from ..models.zoo import EMBEDDING_DOMINATED
-from ..serving.runner import ModelRunner
-from .common import ExperimentResult, locality_samplers, speedup
+from .common import (
+    ExperimentResult,
+    figure_run,
+    figure_spec,
+    hit_rate,
+    locality_samplers,
+    speedup,
+    steady_interval,
+)
 
 __all__ = ["run"]
 
@@ -75,57 +82,42 @@ def run(
                     for _ in range(n_batches)
                 ]
 
-                base_runner = ModelRunner(
-                    build_model(name, seed=seed),
-                    RunnerConfig(
-                        kind=BackendKind.SSD,
-                        host_cache_entries=HOST_CACHE_ENTRIES,
-                        warmup_batches=warmup,
-                    ),
-                )
-                base = base_runner.run_batches(batches)
+                def measure(config, **kwargs):
+                    spec = figure_spec(name, batches, config)
+                    return figure_run(spec, build_model(name, seed=seed), **kwargs)
 
-                cache_runner = ModelRunner(
-                    build_model(name, seed=seed),
-                    RunnerConfig(kind=BackendKind.NDP, warmup_batches=warmup),
-                    ndp_engine_config=NdpEngineConfig(embcache_slots=EMBCACHE_SLOTS),
+                ndp = NdpEngineConfig(embcache_slots=EMBCACHE_SLOTS)
+                base_server, base = measure(
+                    RunnerConfig(BackendKind.SSD, host_cache_entries=HOST_CACHE_ENTRIES)
                 )
-                ndp_cache = cache_runner.run_batches(batches)
-
-                part_runner = ModelRunner(
-                    build_model(name, seed=seed),
-                    RunnerConfig(
-                        kind=BackendKind.NDP,
-                        partition_entries=PARTITION_ENTRIES,
-                        warmup_batches=warmup,
-                    ),
+                cache_server, ndp_cache = measure(RunnerConfig(BackendKind.NDP), ndp=ndp)
+                part_server, ndp_part = measure(
+                    RunnerConfig(BackendKind.NDP, partition_entries=PARTITION_ENTRIES),
+                    ndp=ndp,
                     partition_profiles=profiles,
-                    ndp_engine_config=NdpEngineConfig(embcache_slots=EMBCACHE_SLOTS),
                 )
-                ndp_part = part_runner.run_batches(batches)
 
-                ref = base.outputs[-1]
+                ref = base[-1].output
                 for candidate, label in ((ndp_cache, "cache"), (ndp_part, "part")):
-                    if not np.allclose(candidate.outputs[-1], ref, rtol=1e-4, atol=1e-5):
+                    if not np.allclose(candidate[-1].output, ref, rtol=1e-4, atol=1e-5):
                         raise AssertionError(f"fig10: {name} {label} outputs diverge")
 
+                base_s, cache_s, part_s = (
+                    steady_interval(r, warmup) for r in (base, ndp_cache, ndp_part)
+                )
                 rows.append(
                     {
                         "model": name,
                         "K": k,
                         "batch": batch,
-                        "base_ms": base.steady_latency * 1e3,
-                        "ndp_cache_ms": ndp_cache.steady_latency * 1e3,
-                        "speedup_cache": speedup(
-                            base.steady_latency, ndp_cache.steady_latency
-                        ),
-                        "ndp_part_ms": ndp_part.steady_latency * 1e3,
-                        "speedup_part": speedup(
-                            base.steady_latency, ndp_part.steady_latency
-                        ),
-                        "lru_hit": base_runner.host_cache_hit_rate(),
-                        "ssd_cache_hit": cache_runner.ssd_emb_cache_hit_rate(),
-                        "part_hit": part_runner.partition_hit_rate(),
+                        "base_ms": base_s * 1e3,
+                        "ndp_cache_ms": cache_s * 1e3,
+                        "speedup_cache": speedup(base_s, cache_s),
+                        "ndp_part_ms": part_s * 1e3,
+                        "speedup_part": speedup(base_s, part_s),
+                        "lru_hit": hit_rate(b.host_cache for b in base_server.backends()),
+                        "ssd_cache_hit": hit_rate([cache_server.system.device.ndp.emb_cache]),
+                        "part_hit": hit_rate(b.partition for b in part_server.backends()),
                     }
                 )
     return ExperimentResult(

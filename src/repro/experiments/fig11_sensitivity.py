@@ -21,8 +21,7 @@ from ..models import BackendKind, DlrmConfig, DlrmModel, RunnerConfig
 from ..quant import EmbDtype, QuantSpec
 from ..embedding.spec import TableSpec
 from ..embedding.table import EmbeddingTable
-from ..serving.runner import ModelRunner
-from .common import ExperimentResult, speedup
+from .common import ExperimentResult, figure_run, figure_spec, speedup, steady_interval
 
 __all__ = ["run_feature_quant", "run_indices_tables", "run"]
 
@@ -94,17 +93,16 @@ def _measure(
     rtol, atol = (1e-4, 1e-5) if quant is None else (1e-3, 1e-4)
     rng = np.random.default_rng(seed)
     batches = [make(config, seed=seed).sample_batch(rng, batch) for _ in range(n_batches)]
-    base = ModelRunner(
-        make(config, seed=seed),
-        RunnerConfig(kind=BackendKind.SSD, pipelined=False),
-    ).run_batches(batches)
-    ndp = ModelRunner(
-        make(config, seed=seed),
-        RunnerConfig(kind=BackendKind.NDP, pipelined=False),
-    ).run_batches(batches)
-    if not np.allclose(base.outputs[-1], ndp.outputs[-1], rtol=rtol, atol=atol):
+    base, ndp = (
+        figure_run(
+            figure_spec(config.name, batches, RunnerConfig(kind), pipelined=False),
+            make(config, seed=seed),
+        )[1]
+        for kind in (BackendKind.SSD, BackendKind.NDP)
+    )
+    if not np.allclose(base[-1].output, ndp[-1].output, rtol=rtol, atol=atol):
         raise AssertionError(f"{config.name}: NDP outputs diverge from baseline")
-    return base.steady_latency, ndp.steady_latency
+    return steady_interval(base), steady_interval(ndp)
 
 
 def run_indices_tables(fast: bool = True, seed: int = 0) -> ExperimentResult:

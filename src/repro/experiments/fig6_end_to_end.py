@@ -14,8 +14,7 @@ import numpy as np
 
 from ..models import BackendKind, RunnerConfig, build_model
 from ..models.zoo import MODEL_NAMES
-from ..serving.runner import ModelRunner
-from .common import ExperimentResult, speedup
+from .common import ExperimentResult, figure_run, figure_spec, speedup, stage_means, steady_interval
 
 __all__ = ["run"]
 
@@ -34,23 +33,23 @@ def run(
     for name in models:
         batches = [build_model(name, seed=seed).sample_batch(rng, batch_size)
                    for _ in range(n_batches)]
-        dram = ModelRunner(
-            build_model(name, seed=seed), RunnerConfig(kind=BackendKind.DRAM)
-        ).run_batches(batches)
-        ssd = ModelRunner(
-            build_model(name, seed=seed),
-            RunnerConfig(kind=BackendKind.SSD, prewarm_page_cache=True),
-        ).run_batches(batches)
-        if not np.allclose(dram.outputs[-1], ssd.outputs[-1], rtol=1e-4, atol=1e-5):
+        specs = (
+            figure_spec(name, batches, RunnerConfig(BackendKind.DRAM)),
+            figure_spec(name, batches, RunnerConfig(BackendKind.SSD, prewarm_page_cache=True)),
+        )
+        (_, dram), (server, ssd) = (figure_run(s, build_model(name, seed=seed)) for s in specs)
+        if not np.allclose(dram[-1].output, ssd[-1].output, rtol=1e-4, atol=1e-5):
             raise AssertionError(f"fig6: {name} SSD outputs diverge from DRAM")
+        dram_s, ssd_s = steady_interval(dram), steady_interval(ssd)
+        ssd_emb_s, ssd_dense_s = stage_means(server, ssd)
         rows.append(
             {
                 "model": name,
-                "dram_ms": dram.steady_latency * 1e3,
-                "ssd_ms": ssd.steady_latency * 1e3,
-                "slowdown": speedup(ssd.steady_latency, dram.steady_latency),
-                "ssd_emb_ms": ssd.mean_emb_latency * 1e3,
-                "ssd_dense_ms": ssd.mean_dense_latency * 1e3,
+                "dram_ms": dram_s * 1e3,
+                "ssd_ms": ssd_s * 1e3,
+                "slowdown": speedup(ssd_s, dram_s),
+                "ssd_emb_ms": ssd_emb_s * 1e3,
+                "ssd_dense_ms": ssd_dense_s * 1e3,
             }
         )
     return ExperimentResult(

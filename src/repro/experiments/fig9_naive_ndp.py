@@ -13,8 +13,7 @@ import numpy as np
 
 from ..models import BackendKind, RunnerConfig, build_model
 from ..models.zoo import MODEL_NAMES
-from ..serving.runner import ModelRunner
-from .common import ExperimentResult, speedup
+from .common import ExperimentResult, figure_run, figure_spec, speedup, steady_interval
 
 __all__ = ["run"]
 
@@ -33,26 +32,24 @@ def run(
     for name in models:
         batches = [build_model(name, seed=seed).sample_batch(rng, batch_size)
                    for _ in range(n_batches)]
-        base = ModelRunner(
-            build_model(name, seed=seed),
-            RunnerConfig(
-                kind=BackendKind.SSD, pipelined=False, prewarm_page_cache=True
-            ),
-        ).run_batches(batches)
-        ndp = ModelRunner(
-            build_model(name, seed=seed),
-            RunnerConfig(
-                kind=BackendKind.NDP, pipelined=False, prewarm_page_cache=True
-            ),
-        ).run_batches(batches)
-        if not np.allclose(base.outputs[-1], ndp.outputs[-1], rtol=1e-4, atol=1e-5):
+        base, ndp = (
+            figure_run(
+                figure_spec(name, batches, config, pipelined=False), build_model(name, seed=seed)
+            )[1]
+            for config in (
+                RunnerConfig(BackendKind.SSD, prewarm_page_cache=True),
+                RunnerConfig(BackendKind.NDP, prewarm_page_cache=True),
+            )
+        )
+        if not np.allclose(base[-1].output, ndp[-1].output, rtol=1e-4, atol=1e-5):
             raise AssertionError(f"fig9: {name} NDP outputs diverge from baseline")
+        base_s, ndp_s = steady_interval(base), steady_interval(ndp)
         rows.append(
             {
                 "model": name,
-                "base_ms": base.steady_latency * 1e3,
-                "ndp_ms": ndp.steady_latency * 1e3,
-                "ndp_speedup": speedup(base.steady_latency, ndp.steady_latency),
+                "base_ms": base_s * 1e3,
+                "ndp_ms": ndp_s * 1e3,
+                "ndp_speedup": speedup(base_s, ndp_s),
             }
         )
     return ExperimentResult(

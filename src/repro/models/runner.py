@@ -1,5 +1,6 @@
-"""Model wiring: a model's tables on storage backends, the per-run knobs,
-and the device size the tables need (``repro.serving.runner`` runs them).
+"""Model wiring: a model's tables on storage backends, their knobs, and
+the device size the tables need (a scenario tenant's ``backend`` carries
+the knobs to ``register_model``).
 """
 
 from __future__ import annotations
@@ -32,10 +33,6 @@ class RunnerConfig:
     kind: BackendKind
     host_cache_entries: Count = 0   # baseline per-table LRU (16-way)
     partition_entries: Count = 0    # NDP per-table static partition
-    coalesce: bool = False
-    compute_outputs: bool = True
-    pipelined: bool = True
-    warmup_batches: Count = 1
     # Pre-fill the SSD page cache with small packed tables, modelling the
     # steady state the paper measures ("average latency results across many
     # batches") without simulating dozens of warm-up batches.
@@ -94,9 +91,7 @@ def build_backends(
             cache = None
             if config.host_cache_entries > 0:
                 cache = SetAssociativeLru(config.host_cache_entries, ways=16)
-            backends[feature.name] = SsdSlsBackend(
-                system, table, host_cache=cache, coalesce=config.coalesce
-            )
+            backends[feature.name] = SsdSlsBackend(system, table, host_cache=cache)
         else:
             partition = None
             if config.partition_entries > 0:

@@ -34,9 +34,7 @@ load shape against the simulated stack:
   Traffic enters it from :mod:`repro.workload`, the layer above:
   :func:`~repro.workload.run_workload` drives open-loop, closed-loop
   and replayed clients against it, and ``run(setup(spec))`` runs a
-  declarative multi-tenant scenario.
-* :class:`~repro.serving.runner.ModelRunner` — the paper figures' runs:
-  a list of batches through a server with one batch in flight.
+  declarative multi-tenant scenario — the paper figures' runs included.
 
 See ``docs/SERVING.md`` for the request lifecycle walkthrough and the
 "Workloads & QoS" guide, ``examples/serving_demo.py`` /
@@ -60,7 +58,6 @@ from .hostpool import (
 )
 from .queue import RequestQueue
 from .request import InferenceRequest, RequestState
-from .runner import ModelRunner, ModelRunResult
 from .scheduler import BatchScheduler, ModelWorker
 from .server import InferenceServer, ServingConfig
 from .sharding import (
@@ -92,8 +89,6 @@ __all__ = [
     "ServingStats",
     "InferenceServer",
     "ServingConfig",
-    "ModelRunner",
-    "ModelRunResult",
     "ShardingPolicy",
     "ReplicatePolicy",
     "TableShardPolicy",

@@ -28,7 +28,9 @@ pass :mod:`repro.traces` generators (``LocalityTraceGenerator.generate``
 3/4-shaped id streams through the full serving path (see
 :func:`repro.workload.scenario.tenant_samplers`).  An open-loop schedule
 draws each sampler's stream once, for all its arrivals, and cuts it per
-request; a closed-loop client draws one request at a time.
+request; a closed-loop client draws one request at a time.  Handed
+recorded batches (:meth:`LoadGenerator.use_batches`), a generator draws
+none, and only then keeps the requests it submitted.
 
 Determinism: one RNG is shared by every generator in a run and consumed
 in a deterministic order — open-loop draws (the gaps, then per arrival
@@ -49,6 +51,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from functools import partial
+from itertools import islice
 from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
@@ -75,6 +78,7 @@ class LoadGenerator(ABC):
         self.model = model
         self.batch_size = batch_size
         self.samplers = samplers
+        self.recorded = self.submitted = None  # see use_batches
 
     @property
     @abstractmethod
@@ -89,9 +93,18 @@ class LoadGenerator(ABC):
         happen in simulated time via ``server.submit``.
         """
 
+    def use_batches(self, batches: Sequence[Batch]) -> "LoadGenerator":
+        """Submit ``batches`` in order instead of drawing them, and keep
+        every request submitted in :attr:`submitted`."""
+        self.recorded = iter(batches)
+        self.submitted = []
+        return self
+
     def _sample(self, server, rng: np.random.Generator, n: int) -> List[Batch]:
         """The next ``n`` requests' batches, drawn in one go."""
         model = server.models[self.model]  # KeyError for unknown models
+        if self.recorded is not None:
+            return list(islice(self.recorded, n))
         return model.sample_batches(rng, self.batch_size, n, self.samplers)
 
     def __repr__(self) -> str:
@@ -157,7 +170,14 @@ class OpenLoopGenerator(LoadGenerator):
                 arrival += float(gap)
                 times.append(arrival)
         batches = self._sample(server, rng, len(times))
-        sim.schedule_series(times, partial(server.submit, self.model), batches)
+        submit = partial(server.submit, self.model)
+        if self.submitted is not None:
+            submit = partial(_kept, self.submitted, submit)
+        sim.schedule_series(times, submit, batches)
+
+
+def _kept(submitted: list, submit, batch: Batch) -> None:
+    submitted.append(submit(batch))
 
 
 class ClosedLoopGenerator(LoadGenerator):
@@ -219,7 +239,9 @@ class ClosedLoopGenerator(LoadGenerator):
                 lambda: self._client_turn(server, rng, remaining - 1),
             )
 
-        server.submit(self.model, batch, on_done=done)
+        request = server.submit(self.model, batch, on_done=done)
+        if self.submitted is not None:
+            self.submitted.append(request)
 
 
 def run_workload(

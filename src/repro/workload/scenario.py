@@ -30,8 +30,8 @@ from ..embedding.placement import HeatTracker, LayoutMigrator, profile_heat
 from ..faults.injector import FaultInjector
 from ..faults.spec import FaultSpec
 from ..host.system import System, build_system
-from ..models.base import IndexSampler, RecModel
-from ..models.runner import BackendKind, required_capacity_pages
+from ..models.base import Batch, IndexSampler, RecModel
+from ..models.runner import BackendKind, RunnerConfig, required_capacity_pages
 from ..params import Count, Int, NonNeg, Pos, PosCount, check_domains
 from ..serving import AdmissionConfig, InferenceServer, ServingConfig
 from ..serving.sharding import RowShardPolicy
@@ -112,6 +112,11 @@ class TenantSpec:
     and ``quota`` feed the admission config's lane maps.  ``locality_k``
     / ``zipf_alpha`` shape the lookup id stream after the paper's
     Fig 4 / Fig 3 trace characterizations.
+
+    ``backend`` carries the tables' knobs (host LRU, NDP partition,
+    page-cache prewarm) to ``register_model``.  ``requests`` are recorded
+    batches, one per arrival, submitted in order instead of drawn; the
+    tenant's generator keeps what it submitted (``.submitted``).
     """
 
     model: str
@@ -128,6 +133,8 @@ class TenantSpec:
     quota: Optional[PosCount] = None
     locality_k: Optional[NonNeg] = None
     zipf_alpha: Optional[Pos] = None
+    backend: Optional[RunnerConfig] = None
+    requests: Optional[Tuple[Batch, ...]] = None
 
     def __post_init__(self) -> None:
         check_domains(self)
@@ -140,6 +147,14 @@ class TenantSpec:
             raise ValueError(
                 f"replay tenant {self.model!r} has a trace recorded for {self.trace.model!r}"
             )
+        recorded = -1 if self.requests is None else len(self.requests)
+        if recorded == 0 or recorded > 0 and recorded != self.total_requests:
+            raise ValueError(
+                f"tenant {self.model!r} records {recorded} requests "
+                f"for {self.total_requests} arrivals"
+            )
+        if recorded > 0 and (self.locality_k is not None or self.zipf_alpha is not None):
+            raise ValueError(f"tenant {self.model!r} records its requests: nothing to shape")
 
     @property
     def total_requests(self) -> int:
@@ -156,15 +171,15 @@ class TenantSpec:
             model, self.locality_k, self.zipf_alpha, seed=seed
         )
         if self.arrival == "open":
-            return OpenLoopGenerator(
+            generator = OpenLoopGenerator(
                 self.model,
                 rate=self.rate,
                 n_requests=self.n_requests,
                 batch_size=self.batch_size,
                 samplers=samplers,
             )
-        if self.arrival == "closed":
-            return ClosedLoopGenerator(
+        elif self.arrival == "closed":
+            generator = ClosedLoopGenerator(
                 self.model,
                 num_clients=self.num_clients,
                 requests_per_client=self.requests_per_client,
@@ -172,12 +187,16 @@ class TenantSpec:
                 batch_size=self.batch_size,
                 samplers=samplers,
             )
-        return OpenLoopGenerator(
-            self.model,
-            arrivals=self.trace.times,
-            batch_size=self.batch_size,
-            samplers=samplers,
-        )
+        else:
+            generator = OpenLoopGenerator(
+                self.model,
+                arrivals=self.trace.times,
+                batch_size=self.batch_size,
+                samplers=samplers,
+            )
+        if self.requests is not None:
+            generator.use_batches(self.requests)
+        return generator
 
 
 @dataclass(frozen=True)
@@ -192,6 +211,8 @@ class ScenarioSpec:
     max_inflight_batches_per_worker: PosCount = 2
     max_inflight_batches_total: Optional[PosCount] = None
     dense_stage: bool = True
+    # Each request's model output, computed (host wall-clock only).
+    compute_outputs: bool = False
     # Host resource model (repro.serving.hostpool): bounded host SLS /
     # dense NN worker pools.  Defaults keep the seed's behaviour
     # bit-identically; dense_workers=0 means unbounded ("∞" sweeps).
@@ -232,7 +253,13 @@ class ScenarioSpec:
         names = [t.model for t in self.tenants]
         if len(set(names)) != len(names):
             raise ValueError("one lane per tenant: tenant models must be unique")
-        BackendKind(self.backend)  # ValueError for unknown backends
+        kind = BackendKind(self.backend)  # ValueError for unknown backends
+        for t in self.tenants:
+            if t.backend is not None and t.backend.kind != kind:
+                raise ValueError(
+                    f"tenant {t.model!r} has a {t.backend.kind.value} backend "
+                    f"in a {kind.value} scenario"
+                )
         if self.updates is not None and self.updates.model is not None:
             if self.updates.model not in names:
                 raise ValueError(
@@ -400,6 +427,7 @@ def setup(
     system: Optional[System] = None,
     num_workers: int = 1,
     sharding=None,
+    partition_profiles=None,
 ) -> Built:
     """The set-up half of a standalone run: one server, built and
     registered, its generators made and its fault schedule armed.
@@ -408,7 +436,8 @@ def setup(
     tenant specs name (a sequence or a name-keyed mapping).  ``system``
     defaults to a fresh :func:`host_system`; ``num_workers`` /
     ``sharding`` pass through to ``register_model`` so scenarios can run
-    against multi-SSD layouts too.
+    against multi-SSD layouts too, and so do each tenant's ``backend``
+    and ``partition_profiles`` (per-table ids for an NDP partition).
     """
     by_name = prepare_models(spec, models, sharding)
     if system is None:
@@ -418,7 +447,9 @@ def setup(
         server.register_model(
             by_name[tenant.model],
             spec.backend_kind,
+            runner_config=tenant.backend,
             num_workers=num_workers,
+            partition_profiles=partition_profiles,
             sharding=sharding,
         )
     injector = None

@@ -126,17 +126,13 @@ def run(program: Program, backend_cls, spy=None) -> dict:
     server.register_model(
         model,
         BackendKind.SSD,
-        RunnerConfig(
-            kind=BackendKind.SSD,
-            host_cache_entries=program.host_cache_entries,
-            coalesce=program.coalesce,
-        ),
+        RunnerConfig(kind=BackendKind.SSD, host_cache_entries=program.host_cache_entries),
     )
     stage = server.workers[model.name][0].stage
     built = stage.by_shard[0]["t"]
     assert type(built) is SsdSlsBackend
     backend = stage.by_shard[0]["t"] = backend_cls(
-        system, table, host_cache=built.host_cache, coalesce=built.coalesce
+        system, table, host_cache=built.host_cache, coalesce=program.coalesce
     )
     cache = backend.host_cache
     updates = EmbeddingUpdateEngine(server)

@@ -1,29 +1,31 @@
 """Zoo-wide integration: every benchmark model produces identical outputs
 on DRAM, baseline-SSD and NDP backends (small batches; marked slow)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from repro.experiments.common import figure_run, figure_spec, stage_means
 from repro.models import BackendKind, RunnerConfig, build_model
 from repro.models.zoo import MODEL_NAMES
-from repro.serving.runner import ModelRunner
 
 pytestmark = pytest.mark.slow
 
 SMALL_ROWS = 8192  # shrink tables so rm2 stays test-sized
 
 
+def run_on(kind, name, batches, compute_outputs=True):
+    spec = figure_spec(name, batches, RunnerConfig(kind=kind))
+    spec = dataclasses.replace(spec, compute_outputs=compute_outputs)
+    return figure_run(spec, build_model(name, seed=1, table_rows=SMALL_ROWS))
+
+
 @pytest.mark.parametrize("name", MODEL_NAMES)
 def test_backend_equivalence(name):
     rng = np.random.default_rng(0)
     batches = [build_model(name, seed=1, table_rows=SMALL_ROWS).sample_batch(rng, 2)]
-    outputs = {}
-    for kind in BackendKind:
-        runner = ModelRunner(
-            build_model(name, seed=1, table_rows=SMALL_ROWS),
-            RunnerConfig(kind=kind),
-        )
-        outputs[kind] = runner.run_batches(batches).outputs[0]
+    outputs = {kind: run_on(kind, name, batches)[1][0].output for kind in BackendKind}
     assert np.allclose(
         outputs[BackendKind.DRAM], outputs[BackendKind.SSD], rtol=1e-4, atol=1e-5
     )
@@ -38,12 +40,9 @@ def test_latency_ordering_holds_per_model(name):
     (for the embedding stage; pooled across the model's tables)."""
     rng = np.random.default_rng(1)
     batches = [build_model(name, seed=1, table_rows=SMALL_ROWS).sample_batch(rng, 4)]
-    lat = {}
-    for kind in BackendKind:
-        runner = ModelRunner(
-            build_model(name, seed=1, table_rows=SMALL_ROWS),
-            RunnerConfig(kind=kind, compute_outputs=False),
-        )
-        lat[kind] = runner.run_batches(batches).mean_emb_latency
+    lat = {
+        kind: stage_means(*run_on(kind, name, batches, compute_outputs=False))[0]
+        for kind in BackendKind
+    }
     assert lat[BackendKind.DRAM] <= lat[BackendKind.NDP]
     assert lat[BackendKind.NDP] <= lat[BackendKind.SSD] * 1.6  # NDP ~ at worst close

@@ -123,8 +123,8 @@ def test_tier1_command_collects_the_bit_identity_pins():
     )
     assert len(router_options) == 3, router_options   # one per router option
     for pin in (
-        "tests/models/test_runner.py::TestRegistration::"
-        "test_more_tables_than_ndp_entries_is_refused_at_construction",
+        "tests/experiments/test_figure_runs.py::TestRegistration::"
+        "test_more_tables_than_ndp_entries_is_refused_at_set_up",
         "tests/serving/test_server.py::TestPrewarmAtRegistration::"
         "test_first_request_reads_no_flash_page[ssd]",
         "tests/serving/test_server.py::TestPrewarmAtRegistration::"

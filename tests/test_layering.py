@@ -53,7 +53,9 @@ one code.  A batch reaches an embedding stage only through
 one-batch call experiments make on a bare stage), a dense stage is timed
 only by ``DenseServiceModel.service_s``, and ``repro.embedding`` holds no
 ``pipeline`` module — a second driver with its own dense timeline is the
-twin ``ModelRunner`` used to run on.
+twin the figures' runs once had.  Traffic is driven only by
+``workload.scenario.run`` (the one-driver rule: ``run_workload``, the
+update stream and ``run_until_settled``).
 
 SLS input is ``(ids, offsets)`` end to end: one ``repro.core.bags.Bags``
 made where the ids are drawn, read flat by every layer below.  Under
@@ -514,22 +516,26 @@ def test_the_one_path_rule_sees_a_planted_start_a_dense_timing_and_a_pipeline():
         assert sources[path].count(hop) == 1, hop
         return sources[path][: sources[path].index(hop)].count("\n") + 1
 
-    runner = "repro/serving/runner.py"
-    hop = "server.run_until_settled()"
+    # Where the paper figures' runs are set up: a stage started, or a
+    # dense stage timed, beside the server that already does both.
+    common = "repro/experiments/common.py"
+    hop = "    run(built)\n    return built.front"
     for planted in (
-        "self.server.workers[name][0].stage.start(batches[0].bags, print)",
-        "worker_stage.start(batches[0].bags, print)",
+        "built.front.workers[model.name][0].stage.start(spec.tenants[0].requests[0].bags, print)",
+        "worker_stage.start(spec.tenants[0].requests[0].bags, print)",
     ):
-        mutant = dict(sources, **{runner: sources[runner].replace(hop, planted)})
+        mutant = dict(sources, **{common: sources[common].replace(hop, f"    {planted}\n{hop}")})
         assert _second_paths(mutant) == [
-            f"{runner}:{line_of(runner, hop)}: ModelRunner.run_batches"
+            f"{common}:{line_of(common, hop)}: figure_run"
         ], planted
-    hop = "service_s(self.model, request.batch.batch_size)"
+    hop = "service_s(server.models[request.model], request.batch.batch_size)"
     mutant = dict(
         sources,
-        **{runner: sources[runner].replace(hop, "self.model.dense_time(1, self.system.host_cpu)")},
+        **{common: sources[common].replace(
+            hop, "server.models[request.model].dense_time(1, server.system.host_cpu)"
+        )},
     )
-    assert _second_paths(mutant) == [f"{runner}:{line_of(runner, hop)}: ModelRunner.run_batches"]
+    assert _second_paths(mutant) == [f"{common}:{line_of(common, hop)}: stage_means"]
 
     # The stage's own ``self.start`` counts outside ``run_sync`` too.
     stage = "repro/embedding/stage.py"
@@ -894,6 +900,12 @@ MAY_DRIVE = {
     "run_workload": {(SCENARIO, "run")},
     "UpdateStream": {(SCENARIO, "run")},
     "make_engine": {(SCENARIO, "run")},
+    # The sharding-equivalence check settles one fixed batch on a server
+    # its caller built under each policy: one request, no traffic.
+    "run_until_settled": {
+        (SCENARIO, "run"),
+        ("repro/experiments/common.py", "assert_policy_equivalence"),
+    },
 }
 
 
@@ -943,12 +955,29 @@ def test_the_driver_rule_sees_a_planted_harness_and_a_renamed_driver():
         f"{fleet}:{line + 1}: setup_cluster calls UpdateStream",
         f"{fleet}:{line + 2}: setup_cluster calls run_workload",
     ]
+    # The deleted figure harness's shape: submit every batch, then settle.
+    common = "repro/experiments/common.py"
+    hop = "    run(built)\n    return built.front"
+    assert sources[common].count(hop) == 1
+    line = sources[common][: sources[common].index(hop)].count("\n") + 1
+    harness = (
+        "    for batch in spec.tenants[0].requests:\n"
+        "        built.front.submit(model.name, batch)\n"
+        "    built.front.run_until_settled()\n"
+    )
+    mutant = dict(sources, **{common: sources[common].replace(hop, harness + hop)})
+    assert _second_drivers(mutant) == [
+        f"{common}:{line + 2}: figure_run calls run_until_settled",
+    ]
     # The allowance is by function: the driver under another name is a stray.
     renamed = sources[SCENARIO].replace("def run(built", "def serve(built")
     assert renamed != sources[SCENARIO]
     strays = _second_drivers(dict(sources, **{SCENARIO: renamed}))
     assert [s.rpartition(": ")[2] for s in strays] == [
-        "serve calls make_engine", "serve calls UpdateStream", "serve calls run_workload",
+        "serve calls make_engine",
+        "serve calls UpdateStream",
+        "serve calls run_workload",
+        "serve calls run_until_settled",
     ]
 
 

@@ -37,6 +37,7 @@ from repro.embedding.table import EmbeddingTable
 from repro.faults.spec import FaultEvent
 from repro.faults.tolerance import BreakerConfig
 from repro.flash.geometry import FlashGeometry
+from repro.host.system import build_system
 from repro.models.dien import DienConfig
 from repro.models.din import DinConfig
 from repro.models.dlrm import DlrmConfig, DlrmModel
@@ -46,7 +47,6 @@ from repro.models.widedeep import MultiTaskWideDeepModel, WideDeepConfig
 from repro.params import Domain, check_domains, declared
 from repro.serving.admission import AdmissionConfig
 from repro.serving.hostpool import HostResourceModel
-from repro.serving.runner import ModelRunner
 from repro.serving.queue import RequestQueue
 from repro.serving.server import ServingConfig
 from repro.serving.sharding import ModuloRowMapping, RowShardPolicy
@@ -93,7 +93,6 @@ ALLOWED = {
     "repro.nvme.payload.PageImagePayload": RECORD,
     "repro.nvme.payload.ReadPayload": RECORD,
     "repro.serving.request.InferenceRequest": RECORD + "; an inf deadline means never",
-    "repro.serving.runner.ModelRunResult": RESULT,
     "repro.serving.sharding.ShardPlan": "built by a sharding policy; validate() holds it to the model",
     "repro.workload.scenario.RunResult": RESULT,
     # Classes (or single parameters, ``module.Class.param``) whose
@@ -120,7 +119,6 @@ ALLOWED = {
     "repro.sim.resources.BandwidthPipe": "refuses its own arguments with SimError, as repro.sim does",
     "repro.sim.resources.Server": "refuses its own arguments with SimError, as repro.sim does",
     "repro.serving.hostpool.HostResourceModel": "hands every number straight to a checked pool",
-    "repro.serving.runner.ModelRunner": "hands page_cache_pages straight to its SSD's checked FtlConfig",
     "repro.sim.stats.Breakdown": RECORD,
 }
 
@@ -305,7 +303,7 @@ def accepted(cls, domains) -> list:
 def test_walk_finds_every_dataclass_and_constructor():
     assert len(DATACLASSES) >= 69, sorted(DATACLASSES)
     assert len(DECLARING) >= 29, sorted(DECLARING)
-    assert len(CONSTRUCTORS) >= 51, sorted(CONSTRUCTORS)
+    assert len(CONSTRUCTORS) >= 50, sorted(CONSTRUCTORS)
     assert len(CHECKED) >= 36, sorted(CHECKED)
 
 
@@ -434,9 +432,7 @@ def test_out_of_domain_constructor_arguments_are_refused(where, build):
         ("DenseServiceModel.scale", lambda: HostResourceModel(None, None, None, dense_time_scale=0.0)),
         ("DenseWorkerPool.workers", lambda: HostResourceModel(None, None, None, dense_workers=-1)),
         ("VirtualTableData.seed", lambda: EmbeddingTable(TableSpec(name="t", rows=8, dim=4), seed=-1)),
-        ("FtlConfig.page_cache_pages", lambda: ModelRunner(
-            DlrmModel(EXAMPLES[DlrmConfig]()), RunnerConfig(kind=BackendKind.SSD),
-            page_cache_pages=math.nan)),
+        ("FtlConfig.page_cache_pages", lambda: build_system(page_cache_pages=math.nan)),
     ],
 )
 def test_pass_through_constructors_are_checked_where_the_number_lands(where, build):
