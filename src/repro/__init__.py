@@ -5,12 +5,8 @@ greedy FTL, NVMe/PCIe, the in-FTL NDP SparseLengthsSum engine, host driver
 and caches, and the eight benchmark recommendation models — everything the
 paper's evaluation needs, in Python.
 
-Quickstart::
-
-    from repro import quickstart_sls
-    result = quickstart_sls()          # NDP SLS on a simulated Cosmos+ SSD
-
-See ``examples/`` and ``repro.experiments`` for the paper's tables/figures.
+See ``examples/quickstart.py`` for one SLS operation on every backend, and
+``repro.experiments`` for the paper's tables/figures.
 """
 
 from __future__ import annotations
@@ -20,23 +16,4 @@ __version__ = "1.0.0"
 from . import quant
 from .quant import EmbDtype, QuantSpec
 
-__all__ = ["quant", "EmbDtype", "QuantSpec", "quickstart_sls", "__version__"]
-
-
-def quickstart_sls():
-    """Run one NDP SLS operation end to end; returns the backend result."""
-    import numpy as np
-
-    from .embedding.backends import NdpSlsBackend
-    from .embedding.spec import Layout, TableSpec
-    from .embedding.table import EmbeddingTable
-    from .host.system import build_system
-
-    system = build_system(min_capacity_pages=1 << 16)
-    table = EmbeddingTable(
-        TableSpec("quickstart", rows=8192, dim=32, layout=Layout.ONE_PER_PAGE)
-    )
-    table.attach(system.device)
-    rng = np.random.default_rng(0)
-    bags = [rng.integers(0, 8192, size=40) for _ in range(16)]
-    return NdpSlsBackend(system, table).run_sync(bags)
+__all__ = ["quant", "EmbDtype", "QuantSpec", "__version__"]

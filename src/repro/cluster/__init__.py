@@ -27,11 +27,7 @@ from .scenario import (
     setup_cluster,
 )
 from .stats import ClusterStats
-from .users import (
-    UserClosedLoopGenerator,
-    UserOpenLoopGenerator,
-    UserPopulation,
-)
+from .users import UserOpenLoopGenerator, UserPopulation
 
 __all__ = [
     "Cluster",
@@ -44,7 +40,6 @@ __all__ = [
     "REASON_NO_HOST",
     "RoundRobinRouter",
     "Router",
-    "UserClosedLoopGenerator",
     "UserOpenLoopGenerator",
     "UserPopulation",
     "UserSpec",

@@ -10,17 +10,16 @@ single-server surface the workload layer drives (``.sim``, ``.models``,
 generator, scenario and trace in :mod:`repro.workload` runs against a
 fleet unchanged.
 
-Placement and replication: :meth:`register_model` places a model on a
-subset of hosts (default: all).  The first placed host registers the
-*original* :class:`~repro.models.base.RecModel`; every other host gets a
+Placement and replication: :meth:`register_model` places a model on
+every host.  The first host registers the *original*
+:class:`~repro.models.base.RecModel`; every other host gets a
 :func:`replica_model` clone whose tables share the original's data
 and heat profile — the same
 :meth:`~repro.embedding.table.EmbeddingTable.replica` a single server's
 replicated workers use, so results are identical wherever a request
 lands, and a 1-host cluster is bit-identical to the standalone server
 (the oracle regression in ``tests/cluster/test_cluster_oracle.py``).
-Placing a hot model on extra hosts is the table-replication knob; read
-*spreading* within a placement is the router's job
+Read *spreading* across the hosts is the router's job
 (:class:`~repro.cluster.router.ConsistentHashRouter` ``spread``).
 
 The submit path adds **zero** simulator events and **zero** RNG draws:
@@ -113,12 +112,12 @@ class _Call:
         return self.cluster.tolerance  # type: ignore[return-value]
 
     def _pick_node(self, exclude: Sequence[ClusterNode]) -> Optional[ClusterNode]:
-        """Route among routable placed hosts, preferring ones not already
+        """Route among routable hosts, preferring ones not already
         carrying a live attempt of this call (the *alternate replica*)."""
-        placed = self.cluster.placement[self.model_name]
+        nodes = self.cluster.nodes
         candidates = [
-            n for n in placed if n.routable and n not in exclude
-        ] or [n for n in placed if n.routable]
+            n for n in nodes if n.routable and n not in exclude
+        ] or [n for n in nodes if n.routable]
         if not candidates:
             return None
         return self.cluster.router.route(self.key, self.model_name, candidates)
@@ -336,8 +335,6 @@ class Cluster:
                 self.sim, self.nodes, tolerance.breaker, stats=self.stats
             )
         self.models: Dict[str, RecModel] = {}
-        # model -> the ClusterNodes it is placed on (placement order).
-        self.placement: Dict[str, List[ClusterNode]] = {}
         # Routing key for anonymous batches (no user_id): a fleet-wide
         # submission sequence number, so hash routing still spreads them.
         self._next_key = 0
@@ -374,45 +371,24 @@ class Cluster:
         kind: BackendKind,
         runner_config: Optional[RunnerConfig] = None,
         num_workers: int = 1,
-        sharding=None,
-        hosts: Optional[Sequence[int]] = None,
     ) -> None:
-        """Place ``model`` on ``hosts`` (indices; default all).
+        """Place ``model`` on every host.
 
         Per host this is exactly a standalone ``register_model`` — its
-        own workers/devices/sharding plan — with the first placed host
-        holding the original model and the rest :func:`replica_model`
-        clones sharing its table data.  Placing a hot model on more
-        hosts is the replication knob the router's read spreading then
-        exploits.
+        own workers and devices — with the first host holding the
+        original model and the rest :func:`replica_model` clones sharing
+        its table data.
         """
         if model.name in self.models:
             raise ValueError(f"model {model.name!r} already registered")
-        indices = list(range(len(self.nodes))) if hosts is None else list(hosts)
-        if not indices:
-            raise ValueError(f"model {model.name!r} placed on no hosts")
-        if len(set(indices)) != len(indices):
-            raise ValueError(f"duplicate placement for {model.name!r}")
-        for index in indices:
-            if not 0 <= index < len(self.nodes):
-                raise ValueError(
-                    f"placement host {index} out of range for "
-                    f"{len(self.nodes)} hosts"
-                )
-        placed: List[ClusterNode] = []
-        for order, index in enumerate(indices):
-            node = self.nodes[index]
-            instance = model if order == 0 else replica_model(model)
+        for order, node in enumerate(self.nodes):
             node.server.register_model(
-                instance,
+                model if order == 0 else replica_model(model),
                 kind,
                 runner_config=runner_config,
                 num_workers=num_workers,
-                sharding=sharding,
             )
-            placed.append(node)
         self.models[model.name] = model
-        self.placement[model.name] = placed
 
     # ------------------------------------------------------------------
     # Request path
@@ -432,9 +408,9 @@ class Cluster:
         is ``batch.user_id`` when present (locality-aware policies hash
         it), else a fleet-wide submission counter.
         """
-        nodes = self.placement.get(model_name)
-        if nodes is None:
+        if model_name not in self.models:
             raise KeyError(f"model {model_name!r} not registered")
+        nodes = self.nodes
         if batch.user_id is not None:
             key = batch.user_id
         else:

@@ -66,7 +66,7 @@ class ClusterNode:
 
     @property
     def queued(self) -> int:
-        """Waiting for dispatch (the shallower load signal)."""
+        """Waiting for dispatch."""
         return self.server.queue.queued
 
     @property

@@ -8,8 +8,8 @@ policies, in increasing locality awareness:
 * :class:`RoundRobinRouter` — even spread, no locality.  The baseline
   every locality claim is measured against.
 * :class:`LeastLoadedRouter` — pick the routable host with the fewest
-  in-flight (or queued) requests.  Best instantaneous balance, still no
-  locality: a user's rows end up cached on every host.
+  in-flight requests.  Best instantaneous balance, still no locality: a
+  user's rows end up cached on every host.
 * :class:`ConsistentHashRouter` — hash the user (or request) id onto a
   ring of virtual nodes so repeat users land on the same host while keys
   redistribute minimally when a host drains or fails.  ``spread > 1``
@@ -50,6 +50,8 @@ __all__ = [
 ]
 
 _M64 = (1 << 64) - 1
+# Virtual points each host puts on a consistent-hash ring.
+_VNODES = 64
 
 
 def _mix64(x: int) -> int:
@@ -125,35 +127,21 @@ class RoundRobinRouter(Router):
 
 
 class LeastLoadedRouter(Router):
-    """Route to the routable host with the lightest load.
-
-    ``by="inflight"`` counts everything admitted and not yet completed
-    (the queueing-theory signal); ``by="queued"`` counts only requests
-    waiting for dispatch.  Ties go to the earliest host in placement
-    order, keeping runs deterministic.
+    """Route to the routable host with the fewest requests admitted and
+    not yet completed (the queueing-theory signal).  Ties go to the
+    earliest host in placement order, keeping runs deterministic.
     """
 
-    def __init__(self, by: str = "inflight") -> None:
-        if by not in ("inflight", "queued"):
-            raise ValueError(f"unknown load signal {by!r}")
-        super().__init__()
-        self.by = by
-
     def _pick(self, key, model, nodes, live):
-        if self.by == "inflight":
-            return min(live, key=lambda n: n.inflight)
-        return min(live, key=lambda n: n.queued)
-
-    def __repr__(self) -> str:
-        return f"LeastLoadedRouter(by={self.by!r})"
+        return min(live, key=lambda n: n.inflight)
 
 
 class ConsistentHashRouter(Router):
     """Locality-aware routing: hash the user id onto a ring of hosts.
 
-    Each placed host contributes ``vnodes`` virtual points to a hash
-    ring; a request walks the ring clockwise from its key's hash to the
-    first routable host.  Properties the cluster tier leans on:
+    Each placed host contributes 64 virtual points to a hash ring; a
+    request walks the ring clockwise from its key's hash to the first
+    routable host.  Properties the cluster tier leans on:
 
     * **cache locality** — a given user always lands on the same host
       (while it is up), so that host's embedding caches hold the user's
@@ -175,9 +163,8 @@ class ConsistentHashRouter(Router):
     """
 
     @checked
-    def __init__(self, vnodes: PosCount = 64, spread: PosCount = 1) -> None:
+    def __init__(self, spread: PosCount = 1) -> None:
         super().__init__()
-        self.vnodes = vnodes
         self.spread = spread
         # (model, placed-host names) -> sorted [(point, node index)].
         # Placement is stable per model, so rings build once; liveness is
@@ -201,7 +188,7 @@ class ConsistentHashRouter(Router):
             ring = []
             for index, node in enumerate(nodes):
                 base = _name_hash(node.name)
-                for v in range(self.vnodes):
+                for v in range(_VNODES):
                     ring.append((_mix64(base ^ _mix64(v)), index))
             ring.sort()
             self._rings[signature] = ring
@@ -239,21 +226,16 @@ class ConsistentHashRouter(Router):
         return choice
 
     def __repr__(self) -> str:
-        return f"ConsistentHashRouter(vnodes={self.vnodes}, spread={self.spread})"
+        return f"ConsistentHashRouter(spread={self.spread})"
 
 
 @checked
-def make_router(
-    kind: str,
-    least_loaded_by: str = "inflight",
-    hash_vnodes: PosCount = 64,
-    hash_spread: PosCount = 1,
-) -> Router:
+def make_router(kind: str, hash_spread: PosCount = 1) -> Router:
     """Router factory for declarative specs (``ClusterSpec.router``)."""
     if kind == "round_robin":
         return RoundRobinRouter()
     if kind == "least_loaded":
-        return LeastLoadedRouter(by=least_loaded_by)
+        return LeastLoadedRouter()
     if kind == "consistent_hash":
-        return ConsistentHashRouter(vnodes=hash_vnodes, spread=hash_spread)
+        return ConsistentHashRouter(spread=hash_spread)
     raise ValueError(f"unknown router {kind!r}")

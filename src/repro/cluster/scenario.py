@@ -3,7 +3,7 @@
 A :class:`ClusterSpec` wraps one single-host
 :class:`~repro.workload.scenario.ScenarioSpec` (tenants, server knobs,
 QoS, seed — every host is configured identically from it) and adds the
-fleet dimensions: host count, router policy, per-model placement,
+fleet dimensions: host count, router policy,
 user-keyed traffic (:class:`UserSpec`) and tail tolerance.  The fault
 schedule is the scenario's own ``faults``: on a fleet every event names
 its host, and a host's drain, fail and restore are the ``host_drain`` /
@@ -30,7 +30,7 @@ single-host stack.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence, Tuple, Union
+from typing import Mapping, Optional, Sequence, Union
 
 from ..faults.injector import FaultInjector
 from ..faults.tolerance import ToleranceConfig
@@ -50,11 +50,7 @@ from ..workload.scenario import (
 )
 from .cluster import Cluster
 from .router import make_router
-from .users import (
-    UserClosedLoopGenerator,
-    UserOpenLoopGenerator,
-    UserPopulation,
-)
+from .users import UserOpenLoopGenerator, UserPopulation
 
 __all__ = [
     "UserSpec",
@@ -93,10 +89,9 @@ class ClusterSpec:
 
     ``scenario`` configures every host identically (admission, batching,
     host pools, backend) and carries the tenants, seed and fault
-    schedule; every fault event must name a host of this fleet.
-    ``placement`` maps model names to host-index tuples (models absent
-    from it go on every host) — placing a hot model on more hosts is the
-    replication knob.  ``embcache_slots`` sizes the per-device NDP
+    schedule; every fault event must name a host of this fleet.  Every
+    model is placed on every host.  ``users`` drives open-loop or replay
+    tenants only.  ``embcache_slots`` sizes the per-device NDP
     embedding cache (0 = off, the standalone default) — the cache whose
     hit rate locality-aware routing is measured on.
     """
@@ -105,10 +100,7 @@ class ClusterSpec:
     scenario: ScenarioSpec
     n_hosts: PosCount = 2
     router: str = "round_robin"          # round_robin | least_loaded | consistent_hash
-    least_loaded_by: str = "inflight"
-    router_vnodes: PosCount = 64
     router_spread: PosCount = 1
-    placement: Optional[Mapping[str, Tuple[int, ...]]] = None
     users: Optional[UserSpec] = None
     num_workers: PosCount = 1
     embcache_slots: Count = 0
@@ -133,28 +125,14 @@ class ClusterSpec:
                     f"fault event targets unknown host {event.host!r} "
                     f"(fleet has {self.n_hosts} hosts)"
                 )
-        if self.users is not None and any(t.requests for t in self.scenario.tenants):
-            raise ValueError("user-keyed traffic draws every request; a tenant records its own")
-        tenants = {t.model for t in self.scenario.tenants}
-        for model, indices in (self.placement or {}).items():
-            if model not in tenants:
-                raise ValueError(f"placement names unknown model {model!r}")
-            if not indices:
-                raise ValueError(f"model {model!r} placed on no hosts")
-            for index in indices:
-                if not 0 <= index < self.n_hosts:
-                    raise ValueError(
-                        f"placement host {index} out of range for "
-                        f"{self.n_hosts} hosts"
-                    )
+        if self.users is not None:
+            if any(t.requests for t in self.scenario.tenants):
+                raise ValueError("user-keyed traffic draws every request; a tenant records its own")
+            if any(t.arrival == "closed" for t in self.scenario.tenants):
+                raise ValueError("user-keyed traffic is open-loop; a closed tenant has no arrival times")
 
     def make_router(self):
-        return make_router(
-            self.router,
-            least_loaded_by=self.least_loaded_by,
-            hash_vnodes=self.router_vnodes,
-            hash_spread=self.router_spread,
-        )
+        return make_router(self.router, hash_spread=self.router_spread)
 
 
 def build_cluster(
@@ -169,8 +147,8 @@ def build_cluster(
     placement, so every host's replica shares the update overlay and
     carries the heat profile), one
     :func:`~repro.workload.scenario.host_system` per host, then the
-    scenario's models registered per the placement map — original
-    instance on the first placed host, replicas elsewhere.
+    scenario's models registered on every host — original instance on
+    the first, replicas elsewhere.
     """
     scenario = spec.scenario
     by_name = prepare_models(scenario, models)
@@ -185,14 +163,12 @@ def build_cluster(
         for index in range(spec.n_hosts)
     ]
     cluster = Cluster(servers, spec.make_router(), tolerance=spec.tolerance)
-    placement = spec.placement or {}
     for tenant in scenario.tenants:
         cluster.register_model(
             by_name[tenant.model],
             scenario.backend_kind,
             runner_config=tenant.backend,
             num_workers=spec.num_workers,
-            hosts=placement.get(tenant.model),
         )
     return cluster
 
@@ -231,15 +207,6 @@ def _user_generator(
             population,
             rate=tenant.rate,
             n_requests=tenant.n_requests,
-            batch_size=tenant.batch_size,
-        )
-    if tenant.arrival == "closed":
-        return UserClosedLoopGenerator(
-            tenant.model,
-            population,
-            num_clients=tenant.num_clients,
-            requests_per_client=tenant.requests_per_client,
-            think_time_s=tenant.think_time_s,
             batch_size=tenant.batch_size,
         )
     return UserOpenLoopGenerator(

@@ -71,12 +71,12 @@ class ClusterStats(SettleSignal):
         # formula would overcount the workload's stop predicate.
         self.tolerance_active = False
         self._settle_watch = None
-        self.reset()
+        self.reset_stats()
         register_resettable(self)
         for node in self._nodes:
             node.server.recorders.append(self)
 
-    def reset(self) -> None:
+    def reset_stats(self) -> None:
         """Discard the cluster-level window (router rejections plus the
         tolerance layer's retry/hedge/breaker counters).
 
@@ -110,9 +110,6 @@ class ClusterStats(SettleSignal):
         self.breaker_ejections = 0   # hosts ejected by the health tracker
         self.breaker_probes = 0      # half-open probe admissions
         self.breaker_restores = 0    # probes that closed the breaker again
-
-    def reset_stats(self) -> None:
-        self.reset()
 
     # ------------------------------------------------------------------
     # Recording (called by the cluster front-end and by every host)

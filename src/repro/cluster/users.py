@@ -4,8 +4,8 @@ Production recommendation traffic is *user-correlated*: one user's
 requests keep touching the same embedding rows (their interaction
 history), and user popularity is heavy-tailed.  :class:`UserPopulation`
 models exactly that — a Zipf-popular user base where each user owns a
-deterministic per-table row profile — and the ``User*Generator``
-subclasses stamp the drawn user onto every :class:`~repro.models.Batch`
+deterministic per-table row profile — and :class:`UserOpenLoopGenerator`
+stamps the drawn user onto every :class:`~repro.models.Batch`
 (``batch.user_id``) so the cluster front-end can route on it.
 
 Why this separates the routers (``benchmarks/bench_cluster.py``):
@@ -34,12 +34,11 @@ import numpy as np
 
 from ..models.base import Batch, IndexSampler, RecModel, SparseFeature
 from ..params import Count, Fraction, NonNeg, PosCount, check_domains
-from ..workload.generators import ClosedLoopGenerator, OpenLoopGenerator
+from ..workload.generators import OpenLoopGenerator
 
 __all__ = [
     "UserPopulation",
     "UserOpenLoopGenerator",
-    "UserClosedLoopGenerator",
 ]
 
 _GOLD = np.uint64(0x9E3779B97F4A7C15)
@@ -149,22 +148,7 @@ class UserPopulation:
         return batch
 
 
-class _UserTrafficMixin:
-    """Replaces a generator's batch sampling with user-keyed sampling."""
-
-    population: UserPopulation
-
-    def _sample(self, server, rng: np.random.Generator, n: int) -> List[Batch]:
-        # One request at a time: each draws its user from the run's RNG,
-        # and so do the user's samplers.
-        model = server.models[self.model]  # KeyError for unknown models
-        return [
-            self.population.sample_user_batch(model, rng, self.batch_size)
-            for _ in range(n)
-        ]
-
-
-class UserOpenLoopGenerator(_UserTrafficMixin, OpenLoopGenerator):
+class UserOpenLoopGenerator(OpenLoopGenerator):
     """Open-loop arrivals where every request belongs to a drawn user."""
 
     def __init__(
@@ -185,24 +169,11 @@ class UserOpenLoopGenerator(_UserTrafficMixin, OpenLoopGenerator):
         )
         self.population = population
 
-
-class UserClosedLoopGenerator(_UserTrafficMixin, ClosedLoopGenerator):
-    """Closed-loop clients whose turns each belong to a drawn user."""
-
-    def __init__(
-        self,
-        model: str,
-        population: UserPopulation,
-        num_clients: int,
-        requests_per_client: int,
-        think_time_s: float = 0.0,
-        batch_size: int = 1,
-    ):
-        super().__init__(
-            model,
-            num_clients=num_clients,
-            requests_per_client=requests_per_client,
-            think_time_s=think_time_s,
-            batch_size=batch_size,
-        )
-        self.population = population
+    def _sample(self, server, rng: np.random.Generator, n: int) -> List[Batch]:
+        # One request at a time: each draws its user from the run's RNG,
+        # and so do the user's samplers.
+        model = server.models[self.model]  # KeyError for unknown models
+        return [
+            self.population.sample_user_batch(model, rng, self.batch_size)
+            for _ in range(n)
+        ]

@@ -38,7 +38,18 @@ class RunnerConfig:
     # batches") without simulating dozens of warm-up batches.
     prewarm_page_cache: bool = False
 
-    __post_init__ = check_domains
+    def __post_init__(self) -> None:
+        check_domains(self)
+        # Each cache belongs to one backend; any other would ignore it.
+        for knob, owner in (
+            ("host_cache_entries", BackendKind.SSD),
+            ("partition_entries", BackendKind.NDP),
+        ):
+            if getattr(self, knob) and self.kind != owner:
+                raise ValueError(
+                    f"RunnerConfig.{knob} is for the {owner.value} backend, "
+                    f"not {BackendKind(self.kind).value}"
+                )
 
 
 def required_capacity_pages(model: RecModel, page_bytes: int = 16 * 1024) -> int:
@@ -95,13 +106,9 @@ def build_backends(
         else:
             partition = None
             if config.partition_entries > 0:
-                profile = (partition_profiles or {}).get(feature.name)
-                if profile is None:
-                    raise ValueError(
-                        f"partition requested but no profile for {feature.name}"
-                    )
+                # register_model refuses a partition without a profile.
                 partition = StaticPartitionCache.from_profile(
-                    table, profile, config.partition_entries
+                    table, partition_profiles[feature.name], config.partition_entries
                 )
             backends[feature.name] = NdpSlsBackend(system, table, partition=partition)
     return backends

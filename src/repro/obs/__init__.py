@@ -10,7 +10,7 @@ Three layers, all passive with respect to the simulated timeline:
   (:func:`serving_probe`), sampled into a sim-time series.
 * :mod:`repro.obs.analysis` / :mod:`repro.obs.export` — request-tree
   reconstruction, exact exclusive-time latency attribution
-  (:func:`attribute_p99`, :func:`critical_path`) and Chrome/Perfetto +
+  (:func:`attribute_p99`) and Chrome/Perfetto +
   CSV export (``tools/trace_export.py``).
 
 The stats-reset registry every counter-bearing class registers into
@@ -29,7 +29,6 @@ from .analysis import (
     attribute_p99,
     build_forest,
     build_request_trees,
-    critical_path,
     exclusive_times,
 )
 from .export import (
@@ -56,7 +55,6 @@ __all__ = [
     "build_forest",
     "build_request_trees",
     "exclusive_times",
-    "critical_path",
     "attribute_p99",
     "to_chrome_trace",
     "write_chrome_trace",

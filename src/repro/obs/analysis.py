@@ -1,4 +1,4 @@
-"""Trace analysis: span forests, critical paths, and p99 attribution.
+"""Trace analysis: span forests and p99 attribution.
 
 Works on the plain span lists a :class:`~repro.obs.tracer.Tracer`
 records.  The central primitive is an *exact exclusive-time
@@ -27,7 +27,7 @@ on that device work.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Tuple, Union
 
 from ..sim.stats import rank_quantile
 from .tracer import Span, Tracer
@@ -37,7 +37,6 @@ __all__ = [
     "build_forest",
     "build_request_trees",
     "exclusive_times",
-    "critical_path",
     "attribute_p99",
 ]
 
@@ -163,36 +162,6 @@ def exclusive_times(tree: SpanNode) -> Dict[str, float]:
     if tree.span.t1 > tree.span.t0:
         _attribute(tree, tree.span.t0, tree.span.t1, out)
     return out
-
-
-def critical_path(tree: SpanNode) -> List[Dict[str, float]]:
-    """The last-finisher chain from the root down.
-
-    At each level, descend into the child that finishes last (the one
-    gating the parent's completion); report each hop's name, interval
-    and exclusive time within its own subtree.  For a request tree this
-    reads as "the request ended when *dense* ended, which ended when
-    ...".
-    """
-    path: List[Dict[str, float]] = []
-    node: Optional[SpanNode] = tree
-    while node is not None:
-        exclusive = exclusive_times(node)
-        path.append(
-            {
-                "name": node.name,
-                "t0": node.span.t0,
-                "t1": node.span.t1,
-                "duration_s": node.span.duration,
-                "exclusive_s": exclusive.get(node.name, 0.0),
-            }
-        )
-        node = max(
-            node.children,
-            key=lambda n: (n.span.t1, n.span.t0),
-            default=None,
-        )
-    return path
 
 
 def attribute_p99(

@@ -61,7 +61,6 @@ from .request import InferenceRequest, RequestState
 from .scheduler import BatchScheduler, ModelWorker
 from .server import InferenceServer, ServingConfig
 from .sharding import (
-    LookupRowMapping,
     ModuloRowMapping,
     ReplicatePolicy,
     RowShardPolicy,
@@ -96,7 +95,6 @@ __all__ = [
     "ShardPlan",
     "TablePlacement",
     "ModuloRowMapping",
-    "LookupRowMapping",
     "DenseServiceModel",
     "DenseWorkerPool",
     "HostResourceModel",

@@ -82,10 +82,10 @@ class ServingStats(SettleSignal):
         self.sim = sim
         self.inflight = 0
         self._settle_watch = None
-        self.reset()
+        self.reset_stats()
         register_resettable(self)
 
-    def reset(self) -> None:
+    def reset_stats(self) -> None:
         """Discard all recorded history (e.g. benchmark warm-up batches).
 
         In-flight requests keep being tracked: their completions after a
@@ -111,12 +111,6 @@ class ServingStats(SettleSignal):
         self.latencies: List[float] = []
         self.queue_delays: List[float] = []
         self.emb_latencies: List[float] = []
-        # Arrival-to-shed waits of DROPPED requests (``t_drop`` stamps).
-        # Kept apart from ``queue_delays``/``latencies`` on purpose: a
-        # dropped request never had a service phase, and folding its
-        # wait into the completed-request histograms would drag p50
-        # around under heavy shedding (see ``latency_breakdown``).
-        self.drop_waits: List[float] = []
         # Admitted-request arrival stamps: the realized arrival process
         # (repro.traces.analysis.interarrival_stats characterizes it, and
         # an ArrivalTrace built from it replays the run).
@@ -184,12 +178,6 @@ class ServingStats(SettleSignal):
         self.update_pages_written = 0
         self.update_writes_completed = 0
 
-    # PR 2's unified stats contract: every component with counters
-    # exposes ``reset_stats()``; for ServingStats it is the same window
-    # reset (the in-flight gauge keeps tracking live requests).
-    def reset_stats(self) -> None:
-        self.reset()
-
     # ------------------------------------------------------------------
     # Recording (called by the server/scheduler)
     # ------------------------------------------------------------------
@@ -223,8 +211,6 @@ class ServingStats(SettleSignal):
         self.inflight -= 1
         self._bump(self.dropped_by_model, request.model)
         self._bump(self.drops_by_reason, request.drop_reason or "deadline")
-        if request.t_drop >= 0:
-            self.drop_waits.append(request.drop_wait)
         self._settle()
 
     def record_dispatch(self, requests: List[InferenceRequest]) -> None:
@@ -346,43 +332,6 @@ class ServingStats(SettleSignal):
             # worker / a host SLS worker (0.0 with unbounded pools).
             "mean_dense_wait_ms": mean_ms(self.dense_wait_s),
             "mean_sls_wait_ms": mean_ms(self.sls_wait_s),
-        }
-
-    def latency_breakdown(self) -> Dict[str, Dict[str, float]]:
-        """Queue-wait vs. service split, with drops held apart.
-
-        ``completed`` decomposes each finished request's latency into
-        queue wait (``t_dispatch - t_arrival``) and service time
-        (dispatch to done); ``dropped`` reports only the shed waits
-        (``t_drop - t_arrival``) — dropped requests never reach service
-        and are excluded from the service-time histogram entirely.
-        Separate from :meth:`summary`, whose key set the serving golden
-        pins.
-        """
-        service_s = [
-            latency - wait
-            for latency, wait in zip(self.latencies, self.queue_delays)
-        ]
-        queue_sorted = sorted(self.queue_delays)
-        service_sorted = sorted(service_s)
-        drop_sorted = sorted(self.drop_waits)
-        return {
-            "completed": {
-                "count": float(self.completed),
-                "mean_queue_ms": mean_ms(self.queue_delays),
-                "p50_queue_ms": rank_quantile(queue_sorted, 0.50) * 1e3,
-                "p99_queue_ms": rank_quantile(queue_sorted, 0.99) * 1e3,
-                "mean_service_ms": mean_ms(service_s),
-                "p50_service_ms": rank_quantile(service_sorted, 0.50) * 1e3,
-                "p99_service_ms": rank_quantile(service_sorted, 0.99) * 1e3,
-            },
-            "dropped": {
-                "count": float(self.dropped),
-                "waits_recorded": float(len(self.drop_waits)),
-                "mean_wait_ms": mean_ms(self.drop_waits),
-                "p50_wait_ms": rank_quantile(drop_sorted, 0.50) * 1e3,
-                "max_wait_ms": drop_sorted[-1] * 1e3 if drop_sorted else 0.0,
-            },
         }
 
     def lane_summary(self) -> Dict[str, Dict[str, float]]:

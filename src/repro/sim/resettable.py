@@ -12,9 +12,8 @@ its constructor.  The registry is a :class:`weakref.WeakSet`, so
 registration never extends an object's lifetime and short-lived
 benchmark fixtures vanish from it with their last strong reference.
 
-:func:`reset_all` clears every live registered object (``reset_stats()``
-preferred, ``reset()`` as the fallback the older classes expose), and
-the audit test reduces to: build a stack, dirty it, ``reset_all()``,
+:func:`reset_all` calls every live registered object's
+``reset_stats()``, and the audit test reduces to: build a stack, dirty it, ``reset_all()``,
 assert zeros — one surface, however many classes register.
 """
 
@@ -36,15 +35,12 @@ _REGISTRY: "weakref.WeakSet" = weakref.WeakSet()
 def register_resettable(obj) -> None:
     """Add ``obj`` (weakly) to the global reset registry.
 
-    ``obj`` must expose ``reset_stats()`` or ``reset()``; registering
-    anything else raises immediately, so a class cannot register a
-    surface the auditor can't clear.
+    ``obj`` must expose ``reset_stats()``; registering anything else
+    raises immediately, so a class cannot register a surface the auditor
+    can't clear.
     """
-    reset = getattr(obj, "reset_stats", None) or getattr(obj, "reset", None)
-    if not callable(reset):
-        raise TypeError(
-            f"{type(obj).__name__} has neither reset_stats() nor reset()"
-        )
+    if not callable(getattr(obj, "reset_stats", None)):
+        raise TypeError(f"{type(obj).__name__} has no reset_stats()")
     _REGISTRY.add(obj)
 
 
@@ -57,10 +53,7 @@ def reset_all() -> int:
     """Reset every live registered object; returns how many were reset."""
     objs = live_resettables()
     for obj in objs:
-        reset = getattr(obj, "reset_stats", None)
-        if not callable(reset):
-            reset = obj.reset
-        reset()
+        obj.reset_stats()
     return len(objs)
 
 

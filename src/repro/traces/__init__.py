@@ -12,10 +12,7 @@ end-to-end serving runs.
 from .analysis import (
     interarrival_stats,
     lru_page_hit_rate,
-    reuse_cdf,
     rows_to_pages,
-    stack_distances,
-    unique_fraction,
 )
 from .locality import LocalityTraceGenerator, unique_fraction_for_k
 from .powerlaw import ZipfTraceGenerator
@@ -23,10 +20,7 @@ from .powerlaw import ZipfTraceGenerator
 __all__ = [
     "interarrival_stats",
     "lru_page_hit_rate",
-    "reuse_cdf",
     "rows_to_pages",
-    "stack_distances",
-    "unique_fraction",
     "LocalityTraceGenerator",
     "unique_fraction_for_k",
     "ZipfTraceGenerator",

@@ -1,8 +1,8 @@
-"""Trace analytics: reuse distributions, stack distances, cache sweeps."""
+"""Trace analytics: row-to-page mapping, LRU page-cache sweeps, arrival shape."""
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
 import numpy as np
 
@@ -10,21 +10,11 @@ from ..embedding.caches import SetAssociativeLru
 from ..embedding.placement import row_frequencies
 
 __all__ = [
-    "unique_fraction",
     "rows_to_pages",
     "row_frequencies",
-    "reuse_cdf",
     "lru_page_hit_rate",
-    "stack_distances",
     "interarrival_stats",
 ]
-
-
-def unique_fraction(trace: np.ndarray) -> float:
-    trace = np.asarray(trace)
-    if trace.size == 0:
-        return 0.0
-    return float(np.unique(trace).size) / trace.size
 
 
 def rows_to_pages(trace: np.ndarray, row_bytes: int, page_bytes: int) -> np.ndarray:
@@ -33,25 +23,6 @@ def rows_to_pages(trace: np.ndarray, row_bytes: int, page_bytes: int) -> np.ndar
         raise ValueError("page must be at least one row")
     rows_per_page = page_bytes // row_bytes
     return np.asarray(trace, dtype=np.int64) // rows_per_page
-
-
-def reuse_cdf(page_trace: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Figure 3's curve: cumulative hit share vs pages (ascending hit count).
-
-    Returns ``(pages_fraction, cumulative_hits_fraction)`` where index i
-    covers the i+1 least-hit pages.  Edge cases are exact, not
-    accidental: an empty trace yields two empty arrays (no 0/0), and a
-    single-element trace yields ``([1.0], [1.0])`` — one page carrying
-    all hits.
-    """
-    page_trace = np.asarray(page_trace, dtype=np.int64)
-    if page_trace.size == 0:
-        return np.zeros(0), np.zeros(0)
-    _ids, counts = np.unique(page_trace, return_counts=True)
-    counts = np.sort(counts)
-    cum = np.cumsum(counts, dtype=np.float64)
-    pages_fraction = np.arange(1, counts.size + 1, dtype=np.float64) / counts.size
-    return pages_fraction, cum / cum[-1]
 
 
 def lru_page_hit_rate(
@@ -99,25 +70,3 @@ def interarrival_stats(times: Sequence[float]) -> Dict[str, float]:
         "rate": 1.0 / mean,
         "cv": float(gaps.std() / mean),
     }
-
-
-def stack_distances(trace: Sequence[int]) -> List[int]:
-    """LRU stack distance per access; -1 marks first touches.
-
-    Empty traces yield ``[]`` and a single access yields ``[-1]`` — the
-    first touch of its item, never an index into an empty stack.
-    """
-    stack: List[int] = []
-    out: List[int] = []
-    for item in trace:
-        item = int(item)
-        try:
-            d = stack.index(item)
-        except ValueError:
-            out.append(-1)
-            stack.insert(0, item)
-            continue
-        out.append(d)
-        stack.pop(d)
-        stack.insert(0, item)
-    return out

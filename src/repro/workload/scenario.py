@@ -26,7 +26,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..core.engine import NdpEngineConfig
-from ..embedding.placement import HeatTracker, LayoutMigrator, profile_heat
+from ..embedding.placement import profile_heat
 from ..faults.injector import FaultInjector
 from ..faults.spec import FaultSpec
 from ..host.system import System, build_system
@@ -34,7 +34,6 @@ from ..models.base import Batch, IndexSampler, RecModel
 from ..models.runner import BackendKind, RunnerConfig, required_capacity_pages
 from ..params import Count, Int, NonNeg, Pos, PosCount, check_domains
 from ..serving import AdmissionConfig, InferenceServer, ServingConfig
-from ..serving.sharding import RowShardPolicy
 from ..serving.updates import make_model_updatable
 from ..sim.kernel import Simulator
 from ..traces.locality import LocalityTraceGenerator
@@ -143,17 +142,18 @@ class TenantSpec:
             raise ValueError(f"unknown arrival model {self.arrival!r}")
         if not all(getattr(self, name) for name in needs):
             raise ValueError(f"{self.arrival} tenant {self.model!r} needs {' and '.join(needs)}")
+        if not self.total_requests:  # a replay trace of no arrivals
+            raise ValueError(f"{self.arrival} tenant {self.model!r} has no arrivals")
         if self.arrival == "replay" and self.trace.model != self.model:
             raise ValueError(
                 f"replay tenant {self.model!r} has a trace recorded for {self.trace.model!r}"
             )
-        recorded = -1 if self.requests is None else len(self.requests)
-        if recorded == 0 or recorded > 0 and recorded != self.total_requests:
+        if self.requests is not None and len(self.requests) != self.total_requests:
             raise ValueError(
-                f"tenant {self.model!r} records {recorded} requests "
+                f"tenant {self.model!r} records {len(self.requests)} requests "
                 f"for {self.total_requests} arrivals"
             )
-        if recorded > 0 and (self.locality_k is not None or self.zipf_alpha is not None):
+        if self.requests is not None and (self.locality_k is not None or self.zipf_alpha is not None):
             raise ValueError(f"tenant {self.model!r} records its requests: nothing to shape")
 
     @property
@@ -235,19 +235,13 @@ class ScenarioSpec:
     # "modulo" keeps the legacy identity layout; "frequency" profiles
     # each tenant's id distribution for ``layout_profile_batches``
     # batches before registration and heat-packs table pages from it.
-    # A positive ``layout_migration_budget`` additionally installs the
-    # GC-piggybacked migrator (at most that many rows re-packed per
-    # reclaimed victim block) fed by an online HeatTracker.
     layout: str = "modulo"
     layout_profile_batches: Count = 32
-    layout_migration_budget: Count = 0
 
     def __post_init__(self) -> None:
         check_domains(self)
         if self.layout not in ("modulo", "frequency"):
             raise ValueError(f"unknown layout {self.layout!r} (modulo|frequency)")
-        if self.layout_migration_budget and self.layout != "frequency":
-            raise ValueError("layout_migration_budget needs layout='frequency'")
         if not self.tenants:
             raise ValueError("scenario needs at least one tenant")
         names = [t.model for t in self.tenants]
@@ -368,7 +362,6 @@ def _update_target(scenario: ScenarioSpec) -> str:
 def prepare_models(
     scenario: ScenarioSpec,
     models: Union[Sequence[RecModel], Mapping[str, RecModel]],
-    sharding=None,
 ) -> Dict[str, RecModel]:
     """First step of every run: the scenario's models, by name, made
     ready to register.
@@ -380,8 +373,7 @@ def prepare_models(
     ``layout="frequency"``, the tenants' heat profiles
     (:meth:`~repro.embedding.table.EmbeddingTable.replica` and
     ``row_shard`` carry the profile, so every copy packs the same
-    layout).  The same histogram seeds a :class:`RowShardPolicy`'s
-    frequency-range partitioning.
+    layout).
     """
     by_name = (
         dict(models)
@@ -397,8 +389,6 @@ def prepare_models(
         for name, per_table in _profile_tenant_heat(scenario, by_name).items():
             for table_name, heat in per_table.items():
                 by_name[name].tables[table_name].set_heat(heat)
-                if isinstance(sharding, RowShardPolicy):
-                    sharding.profiles.setdefault(table_name, heat)
     return by_name
 
 
@@ -439,7 +429,7 @@ def setup(
     against multi-SSD layouts too, and so do each tenant's ``backend``
     and ``partition_profiles`` (per-table ids for an NDP partition).
     """
-    by_name = prepare_models(spec, models, sharding)
+    by_name = prepare_models(spec, models)
     if system is None:
         system = host_system(spec, by_name)
     server = InferenceServer(system, spec.serving_config())
@@ -463,10 +453,9 @@ def run(built: Built, tracer=None) -> RunResult:
     """The run half of every run: drive a :class:`Built` to quiescence.
 
     Installs ``tracer`` (a :class:`repro.obs.Tracer`) on the front end's
-    simulator, layout migration on the hosts' devices and the update
-    stream on the kernel, drives the read traffic, lets in-flight device
-    work finish (a no-op unless losing hedge / timed-out attempts are
-    still running) and drains the update writes scheduled past the last
+    simulator and the update stream on the kernel, drives the read
+    traffic, lets in-flight device work finish (a no-op unless losing
+    hedge / timed-out attempts are still running) and drains the update writes scheduled past the last
     read.  Deterministic for a fixed scenario seed; spans observe the
     run without perturbing it, so results are bit-identical with or
     without a tracer.
@@ -474,8 +463,6 @@ def run(built: Built, tracer=None) -> RunResult:
     scenario, front = built.scenario, built.front
     if tracer is not None:
         tracer.install(front.sim)
-    if scenario.layout_migration_budget > 0:
-        _install_layout_migration(built.servers, scenario.layout_migration_budget)
     engine = stream = None
     if scenario.updates is not None:
         engine = scenario.updates.make_engine(built.servers)
@@ -550,31 +537,3 @@ def _profile_tenant_heat(
                 per_table[feature.name] = heat
     return heat_by_model
 
-
-def _install_layout_migration(
-    servers: Sequence[InferenceServer], budget_rows: int
-) -> None:
-    """Wire GC-piggybacked re-packing for every heat-packed table.
-
-    One :class:`LayoutMigrator` per device (installed as
-    ``ftl.layout_migrator``); every attached backend table carrying a
-    :class:`~repro.ftl.layout.FrequencyLayout` gets a
-    :class:`HeatTracker` seeded from its load-time profile and installed
-    as ``table.heat_tracker`` so the backend request funnel feeds it.
-    """
-    migrators: Dict[int, LayoutMigrator] = {}
-    seen = set()
-    for server in servers:
-        for backend in server.backends():
-            table = backend.table
-            if not table.attached or table.layout is None or id(table) in seen:
-                continue
-            seen.add(id(table))
-            tracker = HeatTracker(table.spec.rows, initial=table.heat)
-            table.heat_tracker = tracker
-            device = table.device
-            migrator = migrators.get(id(device))
-            if migrator is None:
-                migrator = migrators[id(device)] = LayoutMigrator(budget_rows)
-                device.ftl.layout_migrator = migrator
-            migrator.register(table, tracker)

@@ -18,17 +18,15 @@ from repro.cluster import (
     REASON_NO_HOST,
     ClusterSpec,
     ClusterStats,
-    UserClosedLoopGenerator,
     UserPopulation,
     UserSpec,
     build_cluster,
     replica_model,
     run_cluster_scenario,
-    setup_cluster,
 )
 from repro.faults import FaultEvent, FaultSpec
 from repro.serving.request import RequestState
-from repro.workload import ScenarioSpec, TenantSpec, run
+from repro.workload import ScenarioSpec, TenantSpec
 
 from ..serving.conftest import toy_model
 
@@ -136,47 +134,19 @@ class TestFleetBasics:
             assert routes.get(node.name, 0) == node.stats.submitted
 
 
-class TestUserClosedLoop:
-    """A ``"closed"`` tenant of a fleet with users: ``setup_cluster``
-    builds a :class:`UserClosedLoopGenerator` for it."""
-
-    CLIENTS, TURNS, USERS = 3, 5, 16
-
-    def _built(self):
+class TestUserKeyedTenants:
+    def test_a_closed_tenant_is_refused(self):
+        """User-keyed traffic is drawn open-loop; a closed tenant's turns
+        have no arrival times to key."""
         tenant = TenantSpec(
-            model="toy", arrival="closed", num_clients=self.CLIENTS,
-            requests_per_client=self.TURNS, think_time_s=1e-4, batch_size=2,
+            model="toy", arrival="closed", num_clients=3, requests_per_client=5
         )
-        spec = ClusterSpec(
-            name="closed-users",
-            scenario=ScenarioSpec(name="closed", tenants=(tenant,), backend="ndp", seed=11),
-            n_hosts=2, router="consistent_hash", users=UserSpec(n_users=self.USERS, seed=4),
-        )
-        return setup_cluster(spec, [toy_model()])
-
-    def test_clients_take_their_turns_as_population_users_reproducibly(self):
-        built = self._built()
-        assert [type(g) for g in built.generators] == [UserClosedLoopGenerator]
-        submit, users, outstanding = built.front.submit, [], [0, 0]  # now, peak
-
-        def recording_submit(model, batch, on_done=None):
-            users.append(batch.user_id)
-            outstanding[0] += 1
-            outstanding[1] = max(outstanding)
-
-            def done(request):
-                outstanding[0] -= 1
-                on_done(request)
-
-            return submit(model, batch, on_done=done)
-
-        built.front.submit = recording_submit
-        result = run(built)
-        assert result.stats.submitted == len(users) == self.CLIENTS * self.TURNS
-        assert all(0 <= user < self.USERS for user in users), users
-        assert outstanding == [0, self.CLIENTS]
-        # The same seed gives the same run.
-        assert run(self._built()).stats.latencies() == result.stats.latencies()
+        with pytest.raises(ValueError, match="user-keyed traffic is open-loop"):
+            ClusterSpec(
+                name="closed-users",
+                scenario=ScenarioSpec(name="closed", tenants=(tenant,)),
+                users=UserSpec(n_users=16),
+            )
 
 
 class TestLifecycle:
@@ -297,35 +267,6 @@ class TestLifecycle:
 
 
 class TestPlacement:
-    def test_placement_subsets_hold_traffic(self):
-        scenario = ScenarioSpec(
-            name="placed",
-            tenants=(
-                TenantSpec(model="hot", arrival="open", rate=1000.0, n_requests=20),
-                TenantSpec(model="cold", arrival="open", rate=1000.0, n_requests=20),
-            ),
-            backend="ndp",
-            seed=3,
-        )
-        spec = ClusterSpec(
-            name="placement",
-            scenario=scenario,
-            n_hosts=3,
-            router="round_robin",
-            placement={"cold": (2,)},  # hot defaults to all three hosts
-        )
-        result = run_cluster_scenario(
-            spec, [toy_model("hot", seed=1), toy_model("cold", seed=2)]
-        )
-        nodes = result.front.nodes
-        assert [n.stats.submitted_by_model.get("cold", 0) for n in nodes] == [
-            0,
-            0,
-            20,
-        ]
-        assert all(n.stats.submitted_by_model.get("hot", 0) > 0 for n in nodes)
-        assert fleet_conserves(result.stats)
-
     def test_replicas_share_table_data(self):
         model = toy_model()
         clone = replica_model(model)
@@ -356,21 +297,7 @@ class TestPlacement:
                     request.values[name], expected, rtol=1e-5
                 )
 
-    def test_placement_validation(self):
-        with pytest.raises(ValueError, match="out of range"):
-            ClusterSpec(
-                name="bad",
-                scenario=open_scenario(),
-                n_hosts=2,
-                placement={"toy": (5,)},
-            )
-        with pytest.raises(ValueError, match="unknown model"):
-            ClusterSpec(
-                name="bad",
-                scenario=open_scenario(),
-                n_hosts=2,
-                placement={"nope": (0,)},
-            )
+    def test_fault_event_validation(self):
         with pytest.raises(ValueError, match="unknown host"):
             ClusterSpec(
                 name="bad",
@@ -402,11 +329,9 @@ class TestPlacement:
     @pytest.mark.parametrize(
         "options, match",
         [
-            (dict(router="least_loaded", least_loaded_by="bogus"), "load signal"),
-            (dict(router="consistent_hash", router_vnodes=0), "vnodes"),
             (dict(router="consistent_hash", router_spread=0), "spread"),
         ],
-        ids=["least_loaded_by", "router_vnodes", "router_spread"],
+        ids=["router_spread"],
     )
     def test_router_options_validated_at_construction(self, options, match):
         """The spec builds the router it describes, options included —
@@ -477,9 +402,7 @@ class TestClusterResetAudit:
         assert self._public(cluster.stats) == self._public(
             fresh_cluster_stats
         ), "Cluster.reset_stats() left a ClusterStats attribute dirty"
-        fresh_router = type(router)(
-            vnodes=router.vnodes, spread=router.spread
-        )
+        fresh_router = type(router)(spread=router.spread)
         assert self._public(router) == self._public(fresh_router), (
             "Cluster.reset_stats() left a router attribute dirty"
         )

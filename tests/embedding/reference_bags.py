@@ -87,7 +87,7 @@ def scatter_bags(bags: Sequence[np.ndarray], mapping) -> Dict[int, List[np.ndarr
     """Split per-result bags into shard-local per-result bags.
 
     ``mapping`` answers ``shard_of(ids)`` and ``local_ids(ids)`` (a
-    :class:`~repro.serving.sharding.RowMapping`).  Returns only the
+    :class:`~repro.serving.sharding.ModuloRowMapping`).  Returns only the
     shards that received at least one lookup; each shard's value is
     ``len(bags)`` bags of *shard-local* ids (possibly empty bags), in the
     same order, so a shard's partial SLS lines up row-for-row with the

@@ -35,7 +35,7 @@ from repro.core.bags import Bags
 from repro.embedding import EmbeddingTable, Layout, TableSpec
 from repro.embedding.stage import scatter_bags
 from repro.host.system import build_system
-from repro.serving.sharding import LookupRowMapping, ModuloRowMapping
+from repro.serving.sharding import ModuloRowMapping
 
 from . import reference_bags
 
@@ -169,9 +169,27 @@ def test_make_sls_config_pairs_match_with_and_without_a_layout(lists):
     assert RAN["make_sls_config"]
 
 
+class LookupMapping:
+    """Any row -> shard assignment: shards of uneven size whose rows
+    interleave, each shard's local ids ascending in global id."""
+
+    def __init__(self, shard_of: np.ndarray):
+        self._shard = np.asarray(shard_of, dtype=np.int64)
+        self._local = np.empty_like(self._shard)
+        for shard in np.unique(self._shard):
+            mask = self._shard == shard
+            self._local[mask] = np.arange(np.count_nonzero(mask))
+
+    def shard_of(self, ids: np.ndarray) -> np.ndarray:
+        return self._shard[np.asarray(ids, dtype=np.int64)]
+
+    def local_ids(self, ids: np.ndarray) -> np.ndarray:
+        return self._local[np.asarray(ids, dtype=np.int64)]
+
+
 MAPPINGS = (
     ModuloRowMapping(ROWS, 3),
-    LookupRowMapping.from_weights(np.random.default_rng(2).random(ROWS) ** 4, 4),
+    LookupMapping(np.random.default_rng(2).choice(4, size=ROWS, p=[0.55, 0.25, 0.15, 0.05])),
 )
 
 

@@ -204,7 +204,7 @@ class TestPipelining:
         assert stage_means(server, requests)[0] > 0
 
     def test_empty_batches_rejected(self):
-        with pytest.raises(ValueError, match="records 0 requests"):
+        with pytest.raises(ValueError, match="replay tenant 'tiny' has no arrivals"):
             figure_spec("tiny", [], RunnerConfig(kind=BackendKind.DRAM))
 
     def test_more_batches_than_the_admission_limit(self):

@@ -116,7 +116,7 @@ def test_serving_stats_reset():
     # Live-update gauges are part of the same reset surface.
     stats.update_pages_written = 7
     stats.update_writes_completed = 7
-    stats.reset()
+    stats.reset_stats()
     assert stats.submitted == 0
     assert stats.completed == 0
     assert stats.rejected == 0

@@ -9,7 +9,6 @@ from repro.obs import (
     attribute_p99,
     build_forest,
     build_request_trees,
-    critical_path,
     exclusive_times,
 )
 from repro.sim.stats import rank_quantile
@@ -73,15 +72,6 @@ def test_exclusive_times_child_exceeding_parent_is_clipped():
     ex = exclusive_times(roots[0])
     assert ex == {"wide": 6.0}
     assert sum(ex.values()) == roots[0].span.duration
-
-
-def test_critical_path_follows_last_finisher():
-    tr = _tree_tracer()
-    roots, _ = build_forest(tr)
-    path = critical_path(roots[0])
-    assert [row["name"] for row in path] == ["root", "b"]
-    assert path[0]["exclusive_s"] == 5.0
-    assert path[1]["duration_s"] == 2.0
 
 
 def test_build_request_trees_grafts_batch_subtree():

@@ -18,27 +18,11 @@ class _Stats:
         self.n = 0
 
 
-class _Legacy:
-    """Only the older ``reset()`` spelling."""
-
-    def __init__(self):
-        self.n = 5
+class _ResetOnly:
+    """A ``reset()`` but no ``reset_stats()``."""
 
     def reset(self):
-        self.n = 0
-
-
-class _Both:
-    """Has both; ``reset_stats`` must win (``reset`` may cascade wider)."""
-
-    def __init__(self):
-        self.called = None
-
-    def reset_stats(self):
-        self.called = "reset_stats"
-
-    def reset(self):
-        self.called = "reset"
+        pass
 
 
 @pytest.fixture(autouse=True)
@@ -52,23 +36,17 @@ def isolated_registry():
 
 
 def test_reset_all_clears_registered_objects():
-    a, b = _Stats(), _Legacy()
+    a, b = _Stats(), _Stats()
     register_resettable(a)
     register_resettable(b)
     assert reset_all() == 2
     assert a.n == 0 and b.n == 0
 
 
-def test_reset_stats_preferred_over_reset():
-    obj = _Both()
-    register_resettable(obj)
-    reset_all()
-    assert obj.called == "reset_stats"
-
-
 def test_rejects_object_without_reset_surface():
-    with pytest.raises(TypeError):
-        register_resettable(object())
+    for obj in (object(), _ResetOnly()):
+        with pytest.raises(TypeError, match="has no reset_stats"):
+            register_resettable(obj)
 
 
 def test_registration_is_weak():

@@ -371,7 +371,7 @@ class TestStatsInvariantsUnderReset:
         stats = server.stats
         live = stats.inflight
         assert live > 0
-        stats.reset()
+        stats.reset_stats()
         # Fresh window: nothing submitted yet, live requests still gauged.
         assert stats.submitted == 0
         assert stats.inflight == live

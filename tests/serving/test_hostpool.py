@@ -14,7 +14,7 @@ The tentpole contract of the hostpool PR, pinned here:
 * **Contention** — bounding either pool strictly raises p99 at
   saturation, and the pool gauges (wait breakdowns, utilization) report.
 * **Reset audit** — every gauge the host pools add to ``ServingStats``
-  clears on ``reset()``/``reset_stats()``, audited by introspection
+  clears on ``reset_stats()``, audited by introspection
   against a freshly built object so new fields cannot dodge the check.
 """
 
@@ -442,7 +442,7 @@ class TestHostPoolResetAudit:
         return server.stats
 
     def test_host_gauges_populate_then_reset_clean(self):
-        """Introspection audit: after reset(), every attribute — the
+        """Introspection audit: after reset_stats(), every attribute — the
         host-pool gauges and anything added since — matches a freshly
         built ServingStats, so new fields cannot dodge the reset."""
         stats = self._served_stats()
@@ -467,7 +467,7 @@ class TestHostPoolResetAudit:
         assert set(recorded) == set(expected)
         for key, value in expected.items():
             assert state(recorded[key]) == state(value), (
-                f"reset() left {key!r} dirty"
+                f"reset_stats() left {key!r} dirty"
             )
 
     def test_summary_reports_host_wait_keys(self):
@@ -475,7 +475,7 @@ class TestHostPoolResetAudit:
         summary = stats.summary()
         assert summary["mean_dense_wait_ms"] >= 0.0
         assert summary["mean_sls_wait_ms"] >= 0.0
-        stats.reset()
+        stats.reset_stats()
         summary = stats.summary()
         assert summary["mean_dense_wait_ms"] == 0.0
         assert summary["mean_sls_wait_ms"] == 0.0

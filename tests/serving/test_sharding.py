@@ -9,7 +9,7 @@ The contract under test (ISSUE 3 / docs/SERVING.md):
   backend for whole-table placement, and within float32
   accumulation-order tolerance on ssd/ndp and for row-split merges.
 * Per-shard stats account for every lookup exactly once, and
-  ``ServingStats.reset()`` restores the whole object (per-shard maps
+  ``ServingStats.reset_stats()`` restores the whole object (per-shard maps
   included) to a fresh state, per PR 2's unified reset contract.
 """
 
@@ -18,7 +18,6 @@ import pytest
 
 from repro.models.runner import BackendKind
 from repro.serving import (
-    LookupRowMapping,
     ModuloRowMapping,
     ReplicatePolicy,
     RowShardPolicy,
@@ -64,7 +63,6 @@ class TestRowMappings:
             [mapping.global_ids(s) for s in range(num_shards)]
         )
         assert sorted(seen.tolist()) == list(range(1000))
-        assert sum(mapping.shard_rows(s) for s in range(num_shards)) == 1000
 
     def test_modulo_local_roundtrip(self):
         mapping = ModuloRowMapping(997, 3)  # prime rows: uneven shards
@@ -76,40 +74,6 @@ class TestRowMappings:
             assert np.all(np.diff(gids) > 0)  # ascending: order preserved
             mask = shards == s
             assert np.array_equal(gids[locals_[mask]], ids[mask])
-
-    def test_lookup_mapping_from_weights_balances_traffic(self):
-        # Classic Zipf weights (rank r gets 1/r): heavily skewed but no
-        # single row exceeds a shard's fair share, so frequency ranges
-        # can and must balance summed traffic tightly.
-        weights = 1.0 / np.arange(1, 4097, dtype=np.float64)
-        rng = np.random.default_rng(1)
-        rng.shuffle(weights)
-        mapping = LookupRowMapping.from_weights(weights, 4)
-        per_shard = [
-            weights[mapping.global_ids(s)].sum() for s in range(4)
-        ]
-        assert max(per_shard) < 1.5 * min(per_shard)
-        seen = np.concatenate([mapping.global_ids(s) for s in range(4)])
-        assert sorted(seen.tolist()) == list(range(4096))
-
-    def test_lookup_mapping_roundtrip_and_order(self):
-        weights = np.arange(100, dtype=np.float64)[::-1].copy()
-        mapping = LookupRowMapping.from_weights(weights, 3)
-        ids = np.arange(100)
-        shards = mapping.shard_of(ids)
-        locals_ = mapping.local_ids(ids)
-        for s in range(3):
-            gids = mapping.global_ids(s)
-            assert np.all(np.diff(gids) > 0)
-            mask = shards == s
-            assert np.array_equal(gids[locals_[mask]], ids[mask])
-
-    def test_degenerate_weights_fall_back_to_equal_ranges(self):
-        # One row holds all the traffic: naive cuts would empty shards.
-        weights = np.zeros(64)
-        weights[0] = 1.0
-        mapping = LookupRowMapping.from_weights(weights, 4)
-        assert all(mapping.shard_rows(s) >= 1 for s in range(4))
 
     def test_scatter_bags_preserves_bag_structure(self):
         mapping = ModuloRowMapping(100, 3)
@@ -162,15 +126,6 @@ class TestPlans:
         assert all(p.mapping is not None for p in plan.placements.values())
         small = RowShardPolicy(threshold_rows=1 << 20).plan(model, 2)
         assert all(p.mapping is None for p in small.placements.values())
-
-    def test_row_policy_profile_shapes_checked(self):
-        model = toy_model(num_tables=1)
-        policy = RowShardPolicy(
-            threshold_rows=1,
-            profiles={model.features[0].name: np.ones(7)},  # wrong length
-        )
-        with pytest.raises(ValueError, match="weights"):
-            policy.plan(model, 2)
 
     def test_more_shards_than_tables_leaves_idle_shards(self):
         model = toy_model(num_tables=2)
@@ -266,27 +221,6 @@ class TestEquivalence:
         assert stats.completed + stats.rejected == 30
         assert stats.throughput_rps() > 0
 
-    def test_frequency_profile_row_sharding_serves(self):
-        model = toy_model(num_tables=2)
-        rng = np.random.default_rng(3)
-        profiles = {
-            f.name: rng.zipf(1.5, size=f.spec.rows).astype(float)
-            for f in model.features
-        }
-        server = build_server(
-            model,
-            num_workers=2,
-            sharding=RowShardPolicy(threshold_rows=1024, profiles=profiles),
-        )
-        requests = serve_fixed_requests(server, model, n_requests=4)
-        for request in requests:
-            reference = model.reference_emb(request.batch)
-            for name, expect in reference.items():
-                np.testing.assert_allclose(
-                    request.values[name], expect, rtol=RTOL, atol=ATOL
-                )
-
-
 # ----------------------------------------------------------------------
 # Per-shard stats accounting + the reset audit
 # ----------------------------------------------------------------------
@@ -317,7 +251,7 @@ class TestShardStats:
 
     def test_reset_restores_fresh_state(self):
         """The PR 2 reset contract, audited attribute-by-attribute: after
-        reset() (== reset_stats()), every recorded counter — per-model
+        reset_stats(), every recorded counter — per-model
         and per-shard maps included — matches a freshly built object."""
         server, model = build_sharded(TableShardPolicy())
         serve_fixed_requests(server, model, n_requests=4)
@@ -338,14 +272,14 @@ class TestShardStats:
         assert set(recorded) == set(expected)
         for key, value in expected.items():
             assert state(recorded[key]) == state(value), (
-                f"reset() left {key!r} dirty"
+                f"reset_stats() left {key!r} dirty"
             )
         assert stats.shard_summary() == {}
 
     def test_post_reset_window_counts_fresh_work(self):
         server, model = build_sharded(TableShardPolicy())
         serve_fixed_requests(server, model, n_requests=3)
-        server.stats.reset()
+        server.stats.reset_stats()
         serve_fixed_requests(server, model, n_requests=2, seed=9)
         assert server.stats.completed == 2
         per_shard = server.stats.shard_summary()[model.name]

@@ -121,7 +121,7 @@ def test_tier1_command_collects_the_bit_identity_pins():
         listing,
         re.M,
     )
-    assert len(router_options) == 3, router_options   # one per router option
+    assert len(router_options) == 1, router_options   # one per router option
     for pin in (
         "tests/experiments/test_figure_runs.py::TestRegistration::"
         "test_more_tables_than_ndp_entries_is_refused_at_set_up",

@@ -30,7 +30,7 @@ import repro
 import repro.params
 from repro.cluster.router import make_router
 from repro.cluster.scenario import ClusterSpec, UserSpec
-from repro.cluster.users import UserClosedLoopGenerator, UserOpenLoopGenerator, UserPopulation
+from repro.cluster.users import UserOpenLoopGenerator, UserPopulation
 from repro.embedding.placement import HeatTracker, LayoutMigrator
 from repro.embedding.spec import TableSpec
 from repro.embedding.table import EmbeddingTable
@@ -97,7 +97,6 @@ ALLOWED = {
     "repro.workload.scenario.RunResult": RESULT,
     # Classes (or single parameters, ``module.Class.param``) whose
     # ``__init__`` takes a numeric parameter it does not declare, and why.
-    "repro.cluster.users.UserClosedLoopGenerator": "hands every number straight to ClosedLoopGenerator",
     "repro.cluster.users.UserOpenLoopGenerator": "hands every number straight to OpenLoopGenerator",
     "repro.core.embcache.DirectMappedEmbeddingCache": "built by NdpSlsEngine from its checked NdpEngineConfig",
     "repro.embedding.table.EmbeddingTable": "its seed only seeds a VirtualTableData, which checks it",
@@ -303,7 +302,7 @@ def accepted(cls, domains) -> list:
 def test_walk_finds_every_dataclass_and_constructor():
     assert len(DATACLASSES) >= 69, sorted(DATACLASSES)
     assert len(DECLARING) >= 29, sorted(DECLARING)
-    assert len(CONSTRUCTORS) >= 50, sorted(CONSTRUCTORS)
+    assert len(CONSTRUCTORS) >= 49, sorted(CONSTRUCTORS)
     assert len(CHECKED) >= 36, sorted(CHECKED)
 
 
@@ -407,7 +406,6 @@ PROBES = [
     ("ClosedLoopGenerator.num_clients", lambda: ClosedLoopGenerator("m", num_clients=2.5, requests_per_client=2)),
     ("ClosedLoopGenerator.requests_per_client",
      lambda: ClosedLoopGenerator("m", num_clients=2, requests_per_client=math.nan)),
-    ("make_router.hash_vnodes", lambda: make_router("consistent_hash", hash_vnodes=math.nan)),
     ("make_router.hash_spread", lambda: make_router("consistent_hash", hash_spread=2.5)),
     ("ZipfTraceGenerator.table_rows", lambda: ZipfTraceGenerator(table_rows=math.nan, alpha=1.0)),
     ("ZipfTraceGenerator.table_rows", lambda: ZipfTraceGenerator(table_rows=2.5, alpha=1.0)),
@@ -425,7 +423,6 @@ def test_out_of_domain_constructor_arguments_are_refused(where, build):
     "where, build",
     [
         ("OpenLoopGenerator.rate", lambda: UserOpenLoopGenerator("m", None, rate=math.nan)),
-        ("ClosedLoopGenerator.num_clients", lambda: UserClosedLoopGenerator("m", None, 0, 1)),
         ("RecModel.seed", lambda: DlrmModel(EXAMPLES[DlrmConfig](), seed=-1)),
         ("RecModel.seed", lambda: MultiTaskWideDeepModel(
             dataclasses.replace(EXAMPLES[WideDeepConfig](), num_tasks=2), seed=0.5)),

@@ -10,15 +10,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro
-from repro.traces.analysis import (
-    lru_page_hit_rate,
-    reuse_cdf,
-    rows_to_pages,
-    stack_distances,
-    unique_fraction,
-)
+from repro.traces.analysis import lru_page_hit_rate, rows_to_pages
 from repro.traces.locality import LocalityTraceGenerator, unique_fraction_for_k
 from repro.traces.powerlaw import ZipfTraceGenerator
+
+
+def unique_fraction(trace: np.ndarray) -> float:
+    return np.unique(trace).size / trace.size
 
 
 class TestLocalityCalibration:
@@ -190,23 +188,11 @@ class TestZipf:
 
 
 class TestAnalysis:
-    def test_unique_fraction_edges(self):
-        assert unique_fraction(np.array([])) == 0.0
-        assert unique_fraction(np.array([1, 1, 1])) == pytest.approx(1 / 3)
-        assert unique_fraction(np.array([1, 2, 3])) == 1.0
-
     def test_rows_to_pages(self):
         pages = rows_to_pages(np.array([0, 1, 63, 64]), row_bytes=64, page_bytes=4096)
         assert list(pages) == [0, 0, 0, 1]
         with pytest.raises(ValueError):
             rows_to_pages(np.array([0]), row_bytes=128, page_bytes=64)
-
-    def test_reuse_cdf_monotone_and_normalized(self):
-        trace = np.array([0] * 10 + [1] * 5 + list(range(2, 12)))
-        frac_pages, cum_hits = reuse_cdf(trace)
-        assert cum_hits[-1] == pytest.approx(1.0)
-        assert np.all(np.diff(cum_hits) >= 0)
-        assert frac_pages[-1] == pytest.approx(1.0)
 
     def test_lru_hit_rate_extremes(self):
         same = np.zeros(100, dtype=np.int64)
@@ -214,37 +200,9 @@ class TestAnalysis:
         distinct = np.arange(100)
         assert lru_page_hit_rate(distinct, 16) == 0.0
 
-    @given(trace=st.lists(st.integers(0, 8), min_size=1, max_size=60))
-    @settings(max_examples=40, deadline=None)
-    def test_stack_distances_vs_bruteforce(self, trace):
-        got = stack_distances(trace)
-        # Brute-force: distance = number of distinct items since last access.
-        last_seen = {}
-        for i, item in enumerate(trace):
-            if item not in last_seen:
-                assert got[i] == -1
-            else:
-                between = set(trace[last_seen[item] + 1 : i])
-                between.discard(item)
-                assert got[i] == len(between)
-            last_seen[item] = i
-
 
 class TestAnalysisEdgeCases:
     """Satellite sweep: empty/single traces and cache-geometry agreement."""
-
-    def test_reuse_cdf_empty(self):
-        frac, cum = reuse_cdf(np.zeros(0, dtype=np.int64))
-        assert frac.size == 0 and cum.size == 0
-
-    def test_reuse_cdf_single_element(self):
-        frac, cum = reuse_cdf(np.array([42]))
-        assert frac.tolist() == [1.0]
-        assert cum.tolist() == [1.0]
-
-    def test_stack_distances_empty_and_single(self):
-        assert stack_distances([]) == []
-        assert stack_distances([5]) == [-1]
 
     def test_lru_hit_rate_empty(self):
         assert lru_page_hit_rate(np.zeros(0, dtype=np.int64), 16) == 0.0

@@ -42,16 +42,13 @@ class TestSpecValidation:
             TenantSpec(model="m", arrival="replay", trace=trace)
         assert TenantSpec(model="other", arrival="replay", trace=trace).total_requests == 5
 
-    def test_migration_budget_needs_the_frequency_layout(self):
-        with pytest.raises(ValueError, match="layout_migration_budget"):
-            ScenarioSpec(
-                name="modulo", tenants=(open_tenant(),), layout_migration_budget=64
-            )
-        spec = ScenarioSpec(
-            name="freq", tenants=(open_tenant(),), layout="frequency",
-            layout_migration_budget=64,
-        )
-        assert spec.layout_migration_budget == 64
+    def test_a_tenant_with_no_arrivals_is_refused(self):
+        """An empty replay trace is refused like an open tenant of zero
+        requests; the trace object alone used to pass the check."""
+        with pytest.raises(ValueError, match="open tenant 'toy' needs rate and n_requests"):
+            TenantSpec(model="toy", arrival="open", rate=100.0, n_requests=0)
+        with pytest.raises(ValueError, match="replay tenant 'toy' has no arrivals"):
+            TenantSpec(model="toy", arrival="replay", trace=ArrivalTrace("toy", []))
 
     def test_scenario_requirements(self):
         with pytest.raises(ValueError, match="at least one tenant"):

@@ -192,21 +192,28 @@ def cluster_spec_strategy():
             ),
         )
 
-    return st.integers(1, 3).flatmap(
-        lambda n_hosts: st.builds(
+    def users(spec: ScenarioSpec):
+        # User-keyed traffic is open-loop: a closed tenant rules it out.
+        if any(t.arrival == "closed" for t in spec.tenants):
+            return st.none()
+        return st.sampled_from([None, UserSpec(n_users=32, alpha=1.1, reuse=0.8, seed=3)])
+
+    def fleet(n_hosts: int, spec: ScenarioSpec):
+        return st.builds(
             ClusterSpec,
             name=st.just("prop-cluster"),
-            scenario=scenario(n_hosts),
+            scenario=st.just(spec),
             n_hosts=st.just(n_hosts),
             router=st.sampled_from(
                 ["round_robin", "least_loaded", "consistent_hash"]
             ),
             router_spread=st.sampled_from([1, 2]),
-            users=st.sampled_from(
-                [None, UserSpec(n_users=32, alpha=1.1, reuse=0.8, seed=3)]
-            ),
+            users=users(spec),
             embcache_slots=st.sampled_from([0, 128]),
         )
+
+    return st.integers(1, 3).flatmap(
+        lambda n_hosts: scenario(n_hosts).flatmap(lambda spec: fleet(n_hosts, spec))
     )
 
 

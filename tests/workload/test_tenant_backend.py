@@ -29,12 +29,28 @@ class TestValidation:
     def test_one_recorded_request_per_arrival(self):
         with pytest.raises(ValueError, match="records 3 requests for 2 arrivals"):
             TenantSpec("toy", rate=100.0, n_requests=2, requests=batches(3))
-        with pytest.raises(ValueError, match="records 0 requests"):
-            TenantSpec("toy", arrival="replay", trace=ArrivalTrace("toy", []), requests=())
+        with pytest.raises(ValueError, match="records 0 requests for 2 arrivals"):
+            TenantSpec("toy", rate=100.0, n_requests=2, requests=())
         tenant = TenantSpec(
             "toy", arrival="closed", num_clients=2, requests_per_client=2, requests=batches(4)
         )
         assert tenant.total_requests == len(tenant.requests) == 4
+
+    @pytest.mark.parametrize(
+        "kind, knob, owner",
+        [
+            (BackendKind.NDP, "host_cache_entries", "ssd"),
+            (BackendKind.DRAM, "host_cache_entries", "ssd"),
+            (BackendKind.SSD, "partition_entries", "ndp"),
+            (BackendKind.DRAM, "partition_entries", "ndp"),
+        ],
+    )
+    def test_a_cache_knob_of_another_backend_is_refused(self, kind, knob, owner):
+        """``build_backends`` reads each cache knob for one backend only;
+        set on any other it used to be dropped without a word."""
+        with pytest.raises(ValueError, match=rf"RunnerConfig\.{knob} is for the {owner} backend, not {kind.value}"):
+            RunnerConfig(kind=kind, **{knob: 64})
+        assert getattr(RunnerConfig(kind=BackendKind(owner), **{knob: 64}), knob) == 64
 
     def test_recorded_requests_are_not_shaped(self):
         with pytest.raises(ValueError, match="nothing to shape"):

@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from repro.cluster import ClusterSpec, replica_model, run_cluster_scenario, setup_cluster
-from repro.embedding.placement import LayoutMigrator
 from repro.ftl.layout import FrequencyLayout
 from repro.serving.sharding import RowShardPolicy, TableShardPolicy
 from repro.workload import (
@@ -55,10 +54,10 @@ def attached_tables(server):
 
 
 class TestFleetHonoursLayout:
-    def test_every_host_packs_by_frequency_and_migrates(self):
+    def test_every_host_packs_by_frequency(self):
         spec = ClusterSpec(
             name="fleet-layout",
-            scenario=zipf_scenario(layout="frequency", layout_migration_budget=8),
+            scenario=zipf_scenario(layout="frequency"),
             n_hosts=2,
         )
         result = run_cluster_scenario(spec, [toy_model()])
@@ -69,15 +68,10 @@ class TestFleetHonoursLayout:
             backends = node.server.workers["toy"][0].stage.by_shard[0]
             assert len(backends) == 2
             for backend in backends.values():
-                table = backend.table
-                assert isinstance(table.layout, FrequencyLayout), node.name
-                assert table.heat_tracker is not None
-            for device in node.server.system.devices:
-                assert isinstance(device.ftl.layout_migrator, LayoutMigrator)
-                assert len(device.ftl.layout_migrator.entries) == 2
+                assert isinstance(backend.table.layout, FrequencyLayout), node.name
 
     def test_one_host_fleet_equals_standalone_under_frequency_layout(self):
-        scenario = zipf_scenario(layout="frequency", layout_migration_budget=8)
+        scenario = zipf_scenario(layout="frequency")
         fleet = run_cluster_scenario(
             ClusterSpec(name="oracle", scenario=scenario, n_hosts=1), [toy_model()]
         )
@@ -93,25 +87,18 @@ class TestFleetHonoursLayout:
             assert node.server.system.device.ftl.layout_migrator is None
 
 
-class TestShardedLayoutMigration:
+class TestShardedFrequencyLayout:
     @pytest.mark.parametrize(
         "sharding",
         [TableShardPolicy(), RowShardPolicy(), RowShardPolicy(threshold_rows=1024)],
         ids=["table", "row-default", "row-split"],
     )
-    def test_each_shard_table_registers_once_with_its_device(self, sharding):
-        spec = zipf_scenario(layout="frequency", layout_migration_budget=8)
+    def test_each_shard_table_is_attached_once_and_heat_packed(self, sharding):
+        spec = zipf_scenario(layout="frequency")
         result = run_scenario(spec, [toy_model()], num_workers=2, sharding=sharding)
         assert result.summary["completed"] == 24
         tables = attached_tables(result.front)
         assert tables and len({id(t) for t in tables}) == len(tables)
-        registered = []
-        for device in result.front.system.devices:
-            migrator = device.ftl.layout_migrator
-            for entry in getattr(migrator, "entries", ()):
-                assert entry.table.device is device
-                registered.append(entry.table)
-        assert sorted(map(id, registered)) == sorted(map(id, tables))
         assert all(isinstance(t.layout, FrequencyLayout) for t in tables)
 
 
@@ -183,23 +170,20 @@ class TestSetupThenRun:
         assert result.per_host == {s.name: s.stats.summary() for s in built.servers}
         assert list(result.per_host) == [f"host{i}" for i in range(len(built.servers))]
 
-    def test_updates_and_layout_run_after_setup(self):
-        """The update stream and layout migration are planted by ``run``,
-        so a caller acting between the halves sees neither yet."""
+    def test_updates_run_after_setup(self):
+        """The update stream is planted by ``run``, so a caller acting
+        between the halves does not see it yet."""
         spec = zipf_scenario(
             layout="frequency",
-            layout_migration_budget=8,
             updates=UpdateStreamSpec(rate=500.0, n_updates=4, rows_per_update=4),
         )
         expected = run_scenario(spec, [toy_model()])
         built = setup(spec, [toy_model()])
-        assert built.front.system.device.ftl.layout_migrator is None
         assert built.front.stats.update_pages_written == 0
         result = run(built)
         assert result.summary == expected.summary
         assert result.updates == expected.updates
         assert result.updates["update_pages_written"] > 0
-        assert built.front.system.device.ftl.layout_migrator is not None
 
     def test_prepare_models_rejects_unknown_tenant(self):
         with pytest.raises(KeyError, match="toy"):
