@@ -69,6 +69,14 @@ class TestLeastLoaded:
         nodes[2].inflight = 2
         assert router.route(0, "m", nodes).name == "host1"
 
+    def test_load_signal_is_inflight_not_queued(self):
+        router = LeastLoadedRouter()
+        nodes = fleet(2)
+        nodes[0].queued = 4
+        nodes[1].queued = 1
+        nodes[1].inflight = 9
+        assert router.route(0, "m", nodes).name == "host0"
+
     def test_ignores_unroutable_even_if_idle(self):
         router = LeastLoadedRouter()
         nodes = fleet(2)
@@ -153,6 +161,14 @@ class TestConsistentHash:
         for key in range(100):
             router.route(key, "m", nodes)
         assert router.routes_spread == 0
+
+    def test_every_host_has_64_ring_points(self):
+        router = ConsistentHashRouter()
+        nodes = fleet(3)
+        ring = router._ring("m", nodes)
+        assert len(ring) == 3 * 64
+        assert sorted(index for _, index in ring) == sorted(list(range(3)) * 64)
+        assert router._ring("m", nodes) is ring  # built once per placement
 
     def test_validation(self):
         with pytest.raises(ValueError, match=r"ConsistentHashRouter\.spread must be"):

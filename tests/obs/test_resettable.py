@@ -7,6 +7,9 @@ import gc
 import pytest
 
 from repro.obs import register_resettable, reset_all
+from repro.serving.request import InferenceRequest
+from repro.serving.stats import ServingStats
+from repro.sim.kernel import Simulator
 from repro.sim.resettable import clear_registry, live_resettables
 
 
@@ -64,3 +67,19 @@ def test_double_registration_is_idempotent():
     register_resettable(obj)
     register_resettable(obj)
     assert len(live_resettables()) == 1
+
+
+def test_serving_stats_reset_through_the_registry():
+    """``ServingStats`` speaks the one protocol: registered, a sweep
+    returns it to a fresh object's summary."""
+    stats = ServingStats(Simulator())
+    fresh = ServingStats(Simulator()).summary()
+    request = InferenceRequest(model="m", batch=None)
+    stats.record_arrival(request)
+    request.t_dispatch, request.t_done = 0.1, 0.2
+    stats.record_dispatch([request])
+    stats.record_completion(request)
+    assert stats.summary() != fresh
+    register_resettable(stats)
+    assert reset_all() == 1
+    assert stats.summary() == fresh

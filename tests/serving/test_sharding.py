@@ -13,6 +13,8 @@ The contract under test (ISSUE 3 / docs/SERVING.md):
   included) to a fresh state, per PR 2's unified reset contract.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,7 @@ from repro.serving import (
     ReplicatePolicy,
     RowShardPolicy,
     ServingStats,
+    TablePlacement,
     TableShardPolicy,
 )
 from repro.embedding.stage import scatter_bags
@@ -75,6 +78,11 @@ class TestRowMappings:
             mask = shards == s
             assert np.array_equal(gids[locals_[mask]], ids[mask])
 
+    def test_modulo_mapping_needs_a_row_per_shard(self):
+        with pytest.raises(ValueError, match="rows >= num_shards"):
+            ModuloRowMapping(2, 3)
+        assert ModuloRowMapping(3, 3).global_ids(2).tolist() == [2]
+
     def test_scatter_bags_preserves_bag_structure(self):
         mapping = ModuloRowMapping(100, 3)
         bags = [np.array([0, 1, 2, 3]), np.array([], dtype=np.int64), np.array([99])]
@@ -118,6 +126,32 @@ class TestPlans:
         counts = [len(plan.tables_on(s)) for s in range(3)]
         assert sum(counts) == 5
         assert max(counts) - min(counts) <= 1  # equal tables: LPT balances
+
+    def test_table_policy_balances_lookup_bandwidth(self):
+        """A table weighs lookups per sample times row bytes; the
+        heaviest goes first to the least-loaded shard."""
+        weights = {"a": (8, 64), "b": (4, 64), "c": (3, 64), "d": (1, 192), "e": (2, 64)}
+        features = [
+            SimpleNamespace(name=name, lookups=lookups, spec=SimpleNamespace(row_bytes=row_bytes))
+            for name, (lookups, row_bytes) in weights.items()
+        ]
+        plan = TableShardPolicy().plan(SimpleNamespace(features=features), 2)
+        homes = {name: p.shards[0] for name, p in plan.placements.items()}
+        # 512 -> shard 0; 256, 192, 192 -> shard 1 (each while lighter); 128 -> shard 0.
+        assert homes == {"a": 0, "b": 1, "c": 1, "d": 1, "e": 0}
+
+    @pytest.mark.parametrize(
+        "shards, mapping, match",
+        [
+            ((), None, "at least one shard"),
+            ((0, 1), None, "exactly one shard"),
+            ((0, 1), ModuloRowMapping(100, 3), "mapping shard count"),
+        ],
+        ids=["no-shard", "whole-on-two", "mapping-count"],
+    )
+    def test_placement_shape_is_checked(self, shards, mapping, match):
+        with pytest.raises(ValueError, match=match):
+            TablePlacement("t", shards, mapping)
 
     def test_row_policy_splits_large_and_homes_small(self):
         model = toy_model(num_tables=3)  # 4096-row tables

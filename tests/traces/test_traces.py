@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro
-from repro.traces.analysis import lru_page_hit_rate, rows_to_pages
+from repro.traces.analysis import interarrival_stats, lru_page_hit_rate, rows_to_pages
 from repro.traces.locality import LocalityTraceGenerator, unique_fraction_for_k
 from repro.traces.powerlaw import ZipfTraceGenerator
 
@@ -199,6 +199,35 @@ class TestAnalysis:
         assert lru_page_hit_rate(same, 16) == pytest.approx(0.99)
         distinct = np.arange(100)
         assert lru_page_hit_rate(distinct, 16) == 0.0
+
+
+class TestInterarrivalStats:
+    """The arrival-shape label the ``qos`` experiment puts on its load."""
+
+    @pytest.mark.parametrize("times", [[], [0.5]], ids=["empty", "single"])
+    def test_fewer_than_two_arrivals_have_no_gap(self, times):
+        assert interarrival_stats(times) == {"n": float(len(times)), "rate": 0.0, "cv": 0.0}
+
+    def test_coincident_arrivals_have_no_rate(self):
+        assert interarrival_stats([2.0, 2.0, 2.0]) == {"n": 3.0, "rate": 0.0, "cv": 0.0}
+
+    def test_uniform_arrivals_have_zero_cv(self):
+        stats = interarrival_stats(np.arange(50) * 0.004)
+        assert stats["n"] == 50.0
+        assert stats["rate"] == pytest.approx(250.0)
+        assert stats["cv"] == pytest.approx(0.0, abs=1e-9)
+
+    def test_gaps_are_taken_in_time_order(self):
+        # Gaps 1, 3 once sorted: mean 2, population std 1.
+        stats = interarrival_stats([4.0, 0.0, 1.0])
+        assert stats["rate"] == pytest.approx(0.5)
+        assert stats["cv"] == pytest.approx(0.5)
+
+    def test_poisson_arrivals_have_cv_near_one(self):
+        gaps = np.random.default_rng(0).exponential(1e-3, size=20_000)
+        stats = interarrival_stats(np.cumsum(gaps))
+        assert stats["rate"] == pytest.approx(1e3, rel=0.03)
+        assert stats["cv"] == pytest.approx(1.0, abs=0.03)
 
 
 class TestAnalysisEdgeCases:

@@ -2,11 +2,15 @@
 the host LRU and the static partition reach ``register_model`` from a
 spec, and recorded batches are submitted in order instead of drawn."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.cluster import ClusterSpec, UserSpec, setup_cluster
+from repro.embedding.spec import Layout
 from repro.models import BackendKind, RunnerConfig, build_model
+from repro.models.dlrm import DlrmModel
 from repro.workload import ArrivalTrace, ScenarioSpec, TenantSpec, run, setup
 
 from ..serving.conftest import toy_model
@@ -51,6 +55,25 @@ class TestValidation:
         with pytest.raises(ValueError, match=rf"RunnerConfig\.{knob} is for the {owner} backend, not {kind.value}"):
             RunnerConfig(kind=kind, **{knob: 64})
         assert getattr(RunnerConfig(kind=BackendKind(owner), **{knob: 64}), knob) == 64
+
+    @pytest.mark.parametrize("kind", list(BackendKind), ids=lambda k: k.value)
+    def test_page_cache_prewarm_is_taken_on_every_backend(self, kind):
+        """``prewarm_page_cache`` is set for every kind by the end-to-end
+        example; it fills the page cache with packed tables where they
+        live on flash and is a no-op on DRAM."""
+        backend = RunnerConfig(kind=kind, prewarm_page_cache=True)
+        spec = ScenarioSpec(
+            name=f"prewarm-{kind.value}",
+            tenants=(TenantSpec("packed", rate=2000.0, n_requests=4, backend=backend),),
+            backend=kind.value,
+        )
+        packed = DlrmModel(
+            dataclasses.replace(toy_model().config, name="packed", layout=Layout.PACKED), seed=1
+        )
+        built = setup(spec, [packed])
+        cache = built.front.system.device.ftl.page_cache
+        assert (cache.size > 0) == (kind is not BackendKind.DRAM)
+        assert run(built).summary["completed"] == 4
 
     def test_recorded_requests_are_not_shaped(self):
         with pytest.raises(ValueError, match="nothing to shape"):

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.cluster import ClusterSpec, replica_model, run_cluster_scenario, setup_cluster
+from repro.embedding.placement import HeatTracker, LayoutMigrator
 from repro.ftl.layout import FrequencyLayout
 from repro.serving.sharding import RowShardPolicy, TableShardPolicy
 from repro.workload import (
@@ -100,6 +101,35 @@ class TestShardedFrequencyLayout:
         tables = attached_tables(result.front)
         assert tables and len({id(t) for t in tables}) == len(tables)
         assert all(isinstance(t.layout, FrequencyLayout) for t in tables)
+
+    @pytest.mark.parametrize(
+        "sharding",
+        [TableShardPolicy(), RowShardPolicy(), RowShardPolicy(threshold_rows=1024)],
+        ids=["table", "row-default", "row-split"],
+    )
+    def test_a_hand_wired_migrator_takes_each_shard_table_on_its_device(self, sharding):
+        """Online re-packing is wired by hand, as ``bench_layout.py``
+        does: one migrator per device, one tracker per piece.  Every
+        piece registers with the device it lives on, and the backend
+        funnel feeds each tracker its own (local) row ids."""
+        built = setup(zipf_scenario(layout="frequency"), [toy_model()], num_workers=2, sharding=sharding)
+        tables = attached_tables(built.front)
+        migrators = {}
+        for table in tables:
+            table.heat_tracker = HeatTracker(table.spec.rows)
+            migrator = migrators.setdefault(id(table.device), LayoutMigrator(budget_rows=8))
+            table.device.ftl.layout_migrator = migrator
+            migrator.register(table, table.heat_tracker)
+        result = run(built)
+        assert result.summary["completed"] == 24
+        registered = []
+        for device in built.front.system.devices:
+            for entry in getattr(device.ftl.layout_migrator, "entries", ()):
+                assert entry.table.device is device
+                registered.append(entry.table)
+        assert sorted(map(id, registered)) == sorted(map(id, tables))
+        # 24 requests x 2 samples x 2 tables x 8 lookups, each row once.
+        assert sum(t.heat_tracker.rows_recorded for t in tables) == 24 * 2 * 2 * 8
 
 
 class TestBackendsIterator:
