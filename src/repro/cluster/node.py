@@ -65,11 +65,6 @@ class ClusterNode:
         return self.server.queue.inflight
 
     @property
-    def queued(self) -> int:
-        """Waiting for dispatch."""
-        return self.server.queue.queued
-
-    @property
     def stats(self):
         return self.server.stats
 

@@ -68,9 +68,6 @@ class System:
     def ndp_session(self) -> NdpSlsSession:
         return self._sessions[id(self.device)]
 
-    def run_until(self, predicate, limit: float = float("inf")) -> float:
-        return self.sim.run_until(predicate, limit)
-
     @property
     def now(self) -> float:
         return self.sim.now

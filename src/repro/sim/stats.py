@@ -120,10 +120,6 @@ class Breakdown:
     def copy(self) -> "Breakdown":
         return Breakdown(dict(self.components))
 
-    def reset(self) -> None:
-        """Clear all accumulated components (benchmark warm-up discard)."""
-        self.components.clear()
-
     def __repr__(self) -> str:
         parts = ", ".join(f"{k}={v * 1e6:.1f}us" for k, v in self.components.items())
         return f"Breakdown({parts})"

@@ -49,7 +49,7 @@ class TestFailIdempotency:
     def test_double_fail_sheds_only_once(self):
         cluster = backlogged_cluster()
         node = cluster.node("host0")
-        queued = node.queued
+        queued = node.server.queue.queued
         assert queued > 0
         shed = cluster.fail("host0")
         assert shed == queued
@@ -66,7 +66,7 @@ class TestFailIdempotency:
         # failing the draining host sheds it — exactly once.
         cluster = backlogged_cluster()
         node = cluster.node("host1")
-        queued = node.queued
+        queued = node.server.queue.queued
         assert queued > 0
         cluster.drain("host1")
         assert node.state is NodeState.DRAINING

@@ -3,7 +3,7 @@
 Benchmarks discard warm-up iterations by calling ``reset_stats()`` /
 ``reset()``; a counter that survives the reset silently inflates the
 measured window.  These tests pin the full reset surface across the
-caches, Breakdown, ServingStats, the backends and the FTL — and, since
+caches, ServingStats, the backends and the FTL — and, since
 the ``repro.obs`` resettable registry, audit all of them through the
 one ``reset_all()`` surface their constructors register into.
 """
@@ -21,7 +21,6 @@ from repro.host.system import build_system
 from repro.obs import reset_all
 from repro.sim.resettable import clear_registry, live_resettables
 from repro.sim.kernel import Simulator
-from repro.sim.stats import Breakdown
 from repro.serving.stats import ServingStats
 from repro.serving.request import InferenceRequest
 
@@ -92,14 +91,6 @@ def test_embcache_reset_clears_all_counters():
     )
     assert cache.invalidations == 0
     assert cache.occupancy == 1   # contents survive
-
-
-def test_breakdown_reset():
-    bd = Breakdown({"a": 1.0})
-    bd.add("b", 2.0)
-    bd.reset()
-    assert bd.components == {}
-    assert bd.total == 0.0
 
 
 def test_serving_stats_reset():

@@ -20,6 +20,7 @@ from repro.experiments.claims import CLAIMS
 
 from .experiments.tier1 import SLOW
 from .golden import FAMILIES, case_id
+from .test_layering import RULES
 
 REPO = Path(__file__).resolve().parent.parent
 TIER1_COMMAND = "python -m pytest -x -q"
@@ -130,9 +131,6 @@ def test_tier1_command_collects_the_bit_identity_pins():
         "tests/serving/test_server.py::TestPrewarmAtRegistration::"
         "test_a_replicated_registration_warms_every_device",
         "tests/models/test_capacity.py::test_attach_never_runs_out_of_blocks",
-        "tests/test_layering.py::test_one_execution_path",
-        "tests/test_layering.py::"
-        "test_the_one_path_rule_sees_a_planted_start_a_dense_timing_and_a_pipeline",
         "tests/sim/test_engine_equivalence.py::test_same_dispatch_sequence_counters_and_errors",
         "tests/sim/test_engine_equivalence.py::test_pipe_laws_hold_on_every_stream",
         "tests/sim/test_engine_equivalence.py::test_same_dispatch_sequence_when_no_delivery_ties",
@@ -157,13 +155,8 @@ def test_tier1_command_collects_the_bit_identity_pins():
         "tests/embedding/test_backends.py::TestNdpBackend::test_split_partition_matches_a_per_bag_oracle",
         "tests/core/test_engine_lifetime.py::test_entry_is_dead_after_its_result_read_with_the_collector_off",
         "tests/test_gc_budget.py::test_containers_alive_per_queued_unit",
-        "tests/test_layering.py::test_the_per_unit_path_builds_no_closure",
-        "tests/test_layering.py::test_one_embedding_stage_and_nobody_asks_which",
-        "tests/test_layering.py::test_the_stage_rules_see_a_second_stage_a_switch_and_a_closure",
         "tests/cluster/test_fleet_counters.py::test_fleet_counters_equal_the_sum_over_hosts",
         "tests/cluster/test_fleet_counters.py::test_fleet_derived_metrics_are_the_shared_definition_over_its_hosts",
-        "tests/test_layering.py::test_a_number_is_computed_one_way",
-        "tests/test_layering.py::test_the_one_way_rules_see_a_second_rank_rule_a_fleet_fork_and_an_instrument",
         "tests/obs/test_attribution.py::test_p99_threshold_is_the_p99_serving_stats_reports",
         "tests/obs/test_analysis.py::test_attribute_pct_50_is_the_shared_rank_rule",
         "tests/embedding/test_bags_reference.py::test_ref_sls_matches_the_parents_sums_bit_for_bit",
@@ -172,8 +165,6 @@ def test_tier1_command_collects_the_bit_identity_pins():
         "tests/embedding/test_bags_reference.py::test_the_reference_is_the_per_bag_code_and_src_is_not",
         "tests/core/test_bags.py::TestIdsAreIntegers::test_float_ids_are_refused_not_truncated",
         "tests/serving/test_server.py::TestLifecycle::test_submit_rejects_a_wrong_bag_count",
-        "tests/test_layering.py::test_nobody_but_bags_of_walks_bag_by_bag",
-        "tests/test_layering.py::test_the_per_bag_rule_sees_a_planted_loop",
         "tests/test_gc_budget.py::test_what_a_queued_request_keeps_alive",
         "tests/core/test_engine_frames.py::test_a_page_costs_a_bounded_number_of_frames",
         "tests/core/test_engine.py::TestBreakdownAndStats::"
@@ -185,6 +176,19 @@ def test_tier1_command_collects_the_bit_identity_pins():
         "test_a_virtual_page_found_at_another_lpn_gives_its_own_rows",
     ):
         assert pin in listing, pin
+    # The layering rules these rest on: each one's holds case and every
+    # case planted in its row.
+    rules = {rule.name: rule for rule in RULES}
+    for name in (
+        "one-execution-path",
+        "closure-free-per-unit-path",
+        "one-embedding-stage",
+        "a-number-is-computed-one-way",
+        "no-per-bag-walk",
+    ):
+        assert f"tests/test_layering.py::test_rule_holds[{name}]" in collected, name
+        for i, _ in enumerate(rules[name].planted):
+            assert f"tests/test_layering.py::test_planted_case[{name}-{i}]" in collected, (name, i)
 
 
 def test_tier1_command_collects_every_claim():

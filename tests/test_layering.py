@@ -1,473 +1,162 @@
-"""Layering rules the source tree is held to.
+"""The rules the source tree is held to, as one table: a new rule is one row.
 
-No upward imports: ``repro.obs`` is the passive top tier.  Only
-``repro.obs`` itself and ``repro.experiments`` may import it.  A lower
-layer that does (as six did through ``obs.resettable`` before it moved
-to ``repro.sim``) makes importing ``repro.ftl`` execute the whole
-tracing/export tier.
-
-The event heap belongs to ``repro.sim``: ``Simulator._heap`` and
-``Simulator._seq`` are shared between the kernel and its resources and
-with nobody else (``kernel.py`` says so).  A layer that wants to know
-about event order asks through a public query (``Simulator.is_latest``).
-So do a resource's counters: ``jobs_started``, ``jobs_completed``,
-``busy_time`` and ``bytes_transferred`` are written only by the
-``Server`` / ``BandwidthPipe`` that owns them, one job or transfer at a
-time, so ``jobs_started - jobs_completed == busy`` and the utilisation
-they give hold with no exception a caller made by hand.
-
-One path per job: the hot path's scalar twins and the ``vectorized=`` /
-``batch_reads`` switches that selected them are gone; what a suite still
-compares against lives under ``tests/``, out of ``src/``'s reach.
-
-One record per unit of work in flight: the functions every flash page,
-FTL page and NVMe command passes through build no closure.  What waits in
-a queue is a small ``__slots__`` record whose bound methods are the stage
-callbacks — a ``def`` or ``lambda`` per stage is 3-6 GC-tracked
-containers per queued page, which CPython's cyclic collector then walks
-on every pass (``tests/test_gc_budget.py`` holds the counts).  And
-``src/`` leaves the collector alone: its thresholds are the process's,
-not a library's to flip (``docs/ARCHITECTURE.md``, *Kernel*, has the
-measurement).
-
-One embedding stage: where a table piece lives is data the stage holds,
-so a replica, a table-sharded and a row-sharded registration run the
-same class.  A second ``*EmbeddingStage``, an ``isinstance`` against one
-or a ``device_index`` compared with 0 (the old "-1 means sharded"
-sentinel) is the fork coming back; the stage's per-batch records are
-held to the per-unit closure rule too.
-
-A number is computed one way: ``repro.sim.stats.rank_quantile`` is the
-only rank rule, so no interpolating ``np.percentile`` / ``np.quantile``
-/ ``statistics.quantiles`` under ``src/`` or ``benchmarks/`` (a second
-rule reports a different sample as "p99": at n=60 index 58 vs 59).  A
-fleet's derived numbers are ``repro.serving.stats``'s definitions over
-its hosts' windows, so ``cluster/stats.py`` never ranks or summarizes a
-population itself.  And a counter is an attribute on the object that
-owns it: ``repro.obs`` exports no instrument class (``inc`` / ``set`` /
-``observe``) for a hot path to call per bump.
-
-One execution path: the paper figures' runs and the serving stack are
-one code.  A batch reaches an embedding stage only through
-``BatchScheduler._dispatch`` (``EmbeddingStage.run_sync`` is the
-one-batch call experiments make on a bare stage), a dense stage is timed
-only by ``DenseServiceModel.service_s``, and ``repro.embedding`` holds no
-``pipeline`` module — a second driver with its own dense timeline is the
-twin the figures' runs once had.  Traffic is driven only by
-``workload.scenario.run`` (the one-driver rule: ``run_workload``, the
-update stream and ``run_until_settled``).
-
-SLS input is ``(ids, offsets)`` end to end: one ``repro.core.bags.Bags``
-made where the ids are drawn, read flat by every layer below.  Under
-``core``, ``embedding``, ``serving`` and ``models`` no loop or
-comprehension walks bag by bag except ``Bags.of`` (the one flatten) and
-``Bags.__iter__`` (the sequence protocol tests and ``perf/checks.py``
-read), and ``flatten_bags`` / ``build_pairs`` — the public spellings of
-``Bags.of`` — hold no loop at all.  A per-bag ``np.asarray`` +
-``np.full`` + ``np.concatenate`` in each of six layers was 40 % of
-``dram_serve``'s calls.
-
-Host lifecycle has one scheduler: a fleet's drain, fail and restore are
-``host_drain`` / ``host_fail`` / ``host_restore`` events on
-``ScenarioSpec.faults``, so under ``src/`` only the fault injector calls
-a cluster's (or a node's) ``drain`` / ``fail`` / ``restore`` — besides
-the ``Cluster`` methods of those names, which hand the call to the node.
-A loop of its own over lifecycle events (``HostEvent`` was one) is the
-second schedule coming back.
-
-Every run has one driver: ``repro.workload.scenario.run`` plants the
-update stream and drives the traffic of a standalone server and of a
-fleet alike, so under ``src/`` only it calls ``run_workload``,
-``UpdateStream`` and ``make_engine``.  A second place that does (three
-hand-built harnesses around ``age_device`` once did, and the serving
-layer's own open-loop front end ``run_offered_load``) is a second
-driver.
-
-Traffic comes from above: ``repro.workload`` drives servers,
-``repro.cluster`` builds fleets of them and ``repro.experiments`` runs
-both, so no module beneath them imports any of the three — a
-function-level import included (``run_offered_load`` hid its upward
-import of ``repro.workload`` inside its body).  ``repro.obs``, the
-passive top tier, is not beneath them.
-
-Every rule reads ``src/`` through :func:`_parse` and
-:func:`_scoped_calls`, both memoized on the source text, so a planted
-mutant re-parses and re-walks only the module it changed.
+A row is a rule's name, the trees it reads, a finder mapping ``({path:
+text}, allowlist)`` to offender strings, the allowlist, why the rule holds,
+and planted cases.  ``test_rule_holds``: every finder finds nothing on the
+tree, and finds something without any one allowlist entry.
+``test_planted_case``: one edit ``(file, old, new, expected)`` to a copy of
+the sources (``old`` occurs once; ``""`` plants a file) and the finder finds
+exactly ``expected``, ``{L}`` / ``{L+n}`` being the line ``old`` starts on
+(plus ``n``); a "not an offence" case expects ``[]``.  Files under ``src/``
+are keyed from ``src/``, other trees from the repo root.  Every finder reads
+a file through :func:`_nodes`, one parse and walk memoized on the text.
 """
 
 from __future__ import annotations
 
 import ast
 import functools
+import gc
 import re
+from collections import defaultdict
 from pathlib import Path
+from types import SimpleNamespace
+from typing import Callable
 
-SRC = Path(__file__).resolve().parent.parent / "src"
-MAY_IMPORT_OBS = ("repro.obs", "repro.experiments")
+import pytest
 
-
-@functools.lru_cache(maxsize=None)
-def _parse(source: str) -> ast.Module:
-    """``ast.parse`` memoized on the text; callers only read the tree."""
-    return ast.parse(source)
-
-
-def _imports(path: str, source: str):
-    """``(line, absolute dotted name)`` of everything ``source`` imports,
-    at any depth; ``path`` is its file relative to ``src/``."""
-    package = Path(path).parts[:-1]  # a package's __init__ resolves like its modules
-    for node in ast.walk(_parse(source)):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                yield node.lineno, alias.name
-        elif isinstance(node, ast.ImportFrom):
-            base = package[: len(package) - node.level + 1] if node.level else ()
-            module = ".".join(base + tuple(filter(None, [node.module])))
-            for alias in node.names:
-                yield node.lineno, f"{module}.{alias.name}"
-
-
-def _imported_modules(path: Path):
-    """Absolute dotted names of everything ``path`` imports."""
-    for _, target in _imports(str(path.relative_to(SRC)), path.read_text()):
-        yield target
-
-
-def test_no_lower_layer_imports_obs():
-    offenders = []
-    for path in sorted((SRC / "repro").rglob("*.py")):
-        name = ".".join(path.relative_to(SRC).with_suffix("").parts)
-        if name.startswith(MAY_IMPORT_OBS):
-            continue
-        offenders += [
-            f"{name} imports {target}"
-            for target in _imported_modules(path)
-            if target == "repro.obs" or target.startswith("repro.obs.")
-        ]
-    assert not offenders, offenders
-
-
-def test_only_repro_sim_touches_the_event_heap():
-    # Any ``<expr>._heap`` / ``<expr>._seq`` on something other than
-    # ``self``: an object's own private queue (``Server`` and the FTL
-    # have them) is its business, somebody else's is not.
-    foreign = re.compile(r"(?<!\bself)\._(?:heap|seq)\b")
-    offenders = [
-        f"{path.relative_to(SRC)}:{number}: {line.strip()}"
-        for path in sorted((SRC / "repro").rglob("*.py"))
-        if "sim" not in path.relative_to(SRC / "repro").parts[:1]
-        for number, line in enumerate(path.read_text().splitlines(), 1)
-        if foreign.search(line)
-    ]
-    assert not offenders, offenders
-
-
+ROOT = Path(__file__).resolve().parent.parent
+# Every tree whose files may import a name through a ``src`` module.
+IMPORTERS = ("src", "tests", "tools", "perf", "benchmarks", "examples")
+SRC, SRC_AND_BENCHMARKS = ("src",), ("src", "benchmarks")
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+_COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+_LOOPS = (ast.For, ast.AsyncFor, ast.While, *_COMPREHENSIONS)
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
 RESOURCE_COUNTERS = ("jobs_started", "jobs_completed", "busy_time", "bytes_transferred")
-
-
-def _counter_writes(sources) -> list:
-    """``path:line: counter`` of every assignment (or ``setattr``) to a
-    resource counter outside ``repro/sim``."""
-    offenders = []
-    for path, source in sources.items():
-        if path.startswith("repro/sim/"):
-            continue
-        for node in ast.walk(_parse(source)):
-            if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
-                targets = getattr(node, "targets", None) or [node.target]
-                names = [
-                    leaf.attr
-                    for target in targets
-                    for leaf in ast.walk(target)
-                    if isinstance(leaf, ast.Attribute)
-                ]
-            elif isinstance(node, ast.Call) and _named(node.func) == "setattr":
-                names = [arg.value for arg in node.args[1:2] if isinstance(arg, ast.Constant)]
-            else:
-                continue
-            offenders += [
-                f"{path}:{node.lineno}: {name}" for name in names if name in RESOURCE_COUNTERS
-            ]
-    return offenders
-
-
-def test_only_repro_sim_writes_a_resource_counter():
-    assert _counter_writes(_src_sources()) == []
-
-
-def test_the_counter_rule_sees_planted_writes():
-    sources = _src_sources()
-    flash = "repro/flash/array.py"
-    hop = "        channel.reads += 1\n"
-    assert sources[flash].count(hop) == 1
-    line = sources[flash][: sources[flash].index(hop)].count("\n") + 2
-    for write, name in (
-        ("channel.bus.jobs_started += 2", "jobs_started"),
-        ("channel.dies[0].jobs_completed -= 1", "jobs_completed"),
-        ("channel.bus.busy_time, channel.reads = 0.0, 0", "busy_time"),
-        ("setattr(channel.bus, 'bytes_transferred', 0)", "bytes_transferred"),
-    ):
-        planted = dict(sources, **{flash: sources[flash].replace(hop, f"{hop}        {write}\n")})
-        assert _counter_writes(planted) == [f"{flash}:{line}: {name}"], write
-    # The owners write them, and only the owners are exempt.
-    owner = _counter_writes({"repro/elsewhere.py": sources["repro/sim/resources.py"]})
-    assert {found.rpartition(": ")[2] for found in owner} == set(RESOURCE_COUNTERS)
-
-
-def test_no_switch_selects_a_twin_implementation():
-    offenders = []
-    for path in sorted((SRC / "repro").rglob("*.py")):
-        if path.stem.endswith("_scalar"):
-            offenders.append(f"{path.relative_to(SRC)}: module named for a scalar twin")
-        for node in ast.walk(_parse(path.read_text())):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                args = node.args
-                named = args.posonlyargs + args.args + args.kwonlyargs
-                offenders += [
-                    f"{path.relative_to(SRC)}:{node.lineno}: {node.name}({arg.arg}=)"
-                    for arg in named
-                    if arg.arg in ("vectorized", "batch_reads")
-                ]
-    assert not offenders, offenders
-
-
-def test_src_never_imports_from_tests():
-    offenders = [
-        f"{path.relative_to(SRC)} imports {target}"
-        for path in sorted(SRC.rglob("*.py"))
-        for target in _imported_modules(path)
-        if target == "tests" or target.startswith("tests.")
-    ]
-    assert not offenders, offenders
-
-
+LIFECYCLE = ("drain", "fail", "restore")
+SCENARIO = "repro/workload/scenario.py"
+DRIVES = ("run_workload", "UpdateStream", "make_engine", "run_until_settled")
+TRAFFIC_TIERS = ("repro.workload", "repro.cluster", "repro.experiments")
+FLEET_STATS = "repro/cluster/stats.py"
+SECOND_RANK_RULE = re.compile(
+    r"\b(?:np|numpy)\.(?:nan)?(?:percentile|quantile)\b"
+    r"|\bstatistics\.quantiles\b"
+    r"|\bfrom\s+(?:numpy|statistics)\s+import\b.*\b(?:percentile|quantiles?)\b"
+)
+PER_BAG_FREE = ("core", "embedding", "serving", "models")
+BAGS = "repro/core/bags.py"
+# The public spellings of ``Bags.of``: they hold no loop at all.
+LOOP_FREE = {"repro/embedding/backends/base.py": "flatten_bags", "repro/core/config.py": "build_pairs"}
+_WRAPPERS = ("enumerate", "zip", "reversed", "list", "tuple", "iter", "range", "len")
+_BAG, _BAGS = re.compile(r"(?:\w*_)?bag"), re.compile(r"(?:\w*_)?bags")
 # Per module, the functions on the per-page / per-command path; ``Class.*``
 # holds every method of a record class to the rule.
 CLOSURE_FREE = {
-    "repro/flash/array.py": (
-        "FlashArray.read", "FlashArray.admit", "FlashArray.program", "FlashArray.erase",
-        "FlashArray._erased", "PageRead.*", "_CallbackRead.*", "_PageProgram.*",
-    ),
-    "repro/ftl/ftl.py": (
-        "GreedyFtl.read_page", "GreedyFtl.read_pages", "GreedyFtl.ndp_read",
-        "GreedyFtl.write_page", "GreedyFtl._do_write", "GreedyFtl.program_page",
-        "GreedyFtl._program_done", "_PageRead.*", "_PagesRead.*", "_PageWrite.*",
-    ),
-    "repro/ftl/mover.py": ("PageMove.*",),
-    "repro/ftl/wear.py": ("WearLeveler._move_page",),
-    "repro/nvme/controller.py": (
-        "NvmeController._do_read", "NvmeController.complete",
-        "NvmeController.dma_to_host", "NvmeController.dma_to_device",
-        "NvmeController._do_write_images",
-        "_Fetch.*", "_Command.*", "_Read.*", "_Write.*",
-    ),
-    "repro/driver/unvme.py": ("UnvmeDriver._issue", "UnvmeDriver._deliver"),
-    "repro/core/engine.py": (
-        "NdpSlsEngine._admit", "NdpSlsEngine.handle_result_read",
-        "NdpSlsEngine._stage_results", "NdpSlsEngine._accumulate_cache_hits",
-        "NdpSlsEngine._pump", "_PageJob.*", "_Command.*",
-    ),
-    "repro/embedding/stage.py": ("EmbeddingStage.start", "_Batch.*", "_Piece.*"),
-    "repro/driver/ndp.py": ("NdpSlsSession.sls", "_SlsOp.*"),
-    "repro/embedding/backends/ndp.py": ("NdpSlsBackend._start", "_NdpOp.*"),
-    "repro/embedding/backends/ssd.py": (
-        "SsdSlsBackend._start", "SsdSlsBackend._finish", "SsdSlsBackend._deliver", "_SsdOp.*",
-    ),
+    "repro/flash/array.py": "FlashArray.read FlashArray.admit FlashArray.program FlashArray.erase "
+    "FlashArray._erased PageRead.* _CallbackRead.* _PageProgram.*",
+    "repro/ftl/ftl.py": "GreedyFtl.read_page GreedyFtl.read_pages GreedyFtl.ndp_read GreedyFtl.write_page "
+    "GreedyFtl._do_write GreedyFtl.program_page GreedyFtl._program_done "
+    "_PageRead.* _PagesRead.* _PageWrite.*",
+    "repro/ftl/mover.py": "PageMove.*",
+    "repro/ftl/wear.py": "WearLeveler._move_page",
+    "repro/nvme/controller.py": "NvmeController._do_read NvmeController.complete NvmeController.dma_to_host "
+    "NvmeController.dma_to_device NvmeController._do_write_images _Fetch.* _Command.* _Read.* _Write.*",
+    "repro/driver/unvme.py": "UnvmeDriver._issue UnvmeDriver._deliver",
+    "repro/core/engine.py": "NdpSlsEngine._admit NdpSlsEngine.handle_result_read NdpSlsEngine._stage_results "
+    "NdpSlsEngine._accumulate_cache_hits NdpSlsEngine._pump _PageJob.* _Command.*",
+    "repro/embedding/stage.py": "EmbeddingStage.start _Batch.* _Piece.*",
+    "repro/driver/ndp.py": "NdpSlsSession.sls _SlsOp.*",
+    "repro/embedding/backends/ndp.py": "NdpSlsBackend._start _NdpOp.*",
+    "repro/embedding/backends/ssd.py": "SsdSlsBackend._start SsdSlsBackend._finish SsdSlsBackend._deliver "
+    "_SsdOp.*",
 }
+# A file outside ``src/`` takes a name from a ``src`` module only by a
+# ``from repro... import``, so of such a file only those are parsed.
+_FROM_SRC = re.compile(r"^[ \t]*from[ \t]+repro\b[\w.]*[ \t]+import[ \t]*(?:\([^)]*\)|.*)", re.M)
 
 
-def _closure_offenders(source: str, names) -> list:
-    """Which of ``names`` build a closure (or are missing) in ``source``."""
-    classes = {
-        node.name: {
-            item.name: item for item in node.body if isinstance(item, ast.FunctionDef)
-        }
-        for node in _parse(source).body
-        if isinstance(node, ast.ClassDef)
+@functools.cache
+def _tree(scope: tuple) -> dict:
+    """``{path: text}`` of every module under the trees of ``scope``."""
+    return {
+        str(path.relative_to(ROOT / name if name == "src" else ROOT)): path.read_text()
+        for name in scope
+        for path in sorted((ROOT / name).rglob("*.py"))
     }
-    offenders = []
-    for name in names:
-        owner, method = name.split(".")
-        methods = classes.get(owner, {})
-        held = methods if method == "*" else {method: methods.get(method)}
-        if not held:
-            offenders.append(f"{name}: no such class")
-        for method, node in held.items():
-            if node is None:
-                offenders.append(f"{owner}.{method}: no such function")
-                continue
-            offenders += [
-                f"{owner}.{method}:{inner.lineno}: {type(inner).__name__}"
-                for inner in ast.walk(node)
-                if inner is not node
-                and isinstance(inner, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
-            ]
-    return offenders
 
 
-def test_the_per_unit_path_builds_no_closure():
-    offenders = [
-        f"{module}: {offender}"
-        for module, names in CLOSURE_FREE.items()
-        for offender in _closure_offenders((SRC / module).read_text(), names)
-    ]
-    assert not offenders, offenders
+@functools.cache
+def _nodes(source: str) -> dict:
+    """Every node of ``source`` by type, as ``(node, scope)`` in walk order;
+    ``scope`` is the enclosing function or class, dotted ("" at module level)."""
+    found = defaultdict(list)
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if not isinstance(child, ast.expr_context):
+                found[type(child)].append((child, scope))
+                visit(child, f"{scope}.{child.name}".lstrip(".") if isinstance(child, _SCOPES) else scope)
+
+    # A syntax tree holds no cycle, so a collector pass while one is built
+    # finds nothing: it would only walk every node kept so far.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        tree = ast.parse(source)
+        found[ast.Module].append((tree, ""))
+        visit(tree, "")
+    finally:
+        if collecting:
+            gc.enable()
+    return found
 
 
-def test_the_closure_rule_sees_a_planted_lambda_and_a_renamed_function():
-    module = "repro/driver/unvme.py"
-    source = (SRC / module).read_text()
-    hop = "self._ring_doorbells, train"
-    assert source.count(hop) == 1
-    planted = source.replace(hop, "lambda: self._ring_doorbells(train), None")
-    assert _closure_offenders(planted, CLOSURE_FREE[module]) == [
-        f"UnvmeDriver._issue:{source[: source.index(hop)].count(chr(10)) + 1}: Lambda"
-    ]
-    renamed = source.replace("def _deliver(", "def _pick_up(")
-    assert _closure_offenders(renamed, CLOSURE_FREE[module]) == [
-        "UnvmeDriver._deliver: no such function"
-    ]
-    # The SLS op too: its stages are a record's bound methods.
-    module = "repro/core/engine.py"
-    source = (SRC / module).read_text()
-    hop = "_Command(self, entry, done).after_alloc"
-    assert source.count(hop) == 1
-    planted = source.replace(hop, "lambda: _Command(self, entry, done).after_alloc()")
-    assert _closure_offenders(planted, CLOSURE_FREE[module]) == [
-        f"NdpSlsEngine._admit:{source[: source.index(hop)].count(chr(10)) + 1}: Lambda"
-    ]
-
-
-def test_src_leaves_the_collector_alone():
-    offenders = [
-        f"{path.relative_to(SRC)} imports {target}"
-        for path in sorted(SRC.rglob("*.py"))
-        for target in _imported_modules(path)
-        if target == "gc" or target.startswith("gc.")
-    ]
-    assert not offenders, offenders
-
-
-def _stage_classes(sources) -> list:
-    """``path: Class`` for every class named ``*EmbeddingStage``."""
-    return [
-        f"{path}: {node.name}"
-        for path, source in sorted(sources.items())
-        for node in ast.walk(_parse(source))
-        if isinstance(node, ast.ClassDef) and node.name.endswith("EmbeddingStage")
-    ]
+def _of(source: str, *kinds) -> list:
+    """``(node, scope)`` of every node of ``kinds``, in source order."""
+    found = [pair for kind in kinds for pair in _nodes(source)[kind]]
+    return sorted(found, key=lambda pair: (pair[0].lineno, pair[0].col_offset))
 
 
 def _named(node: ast.AST) -> str:
     return getattr(node, "id", None) or getattr(node, "attr", None) or ""
 
 
-def _stage_switches(path: str, source: str) -> list:
-    """Code that asks which kind of stage (or worker) it was handed."""
-    offenders = []
-    for node in ast.walk(_parse(source)):
-        if (
-            isinstance(node, ast.Call)
-            and _named(node.func) == "isinstance"
-            and len(node.args) == 2
-        ):
-            kinds = getattr(node.args[1], "elts", [node.args[1]])
-            if any(_named(kind).endswith("EmbeddingStage") for kind in kinds):
-                offenders.append(f"{path}:{node.lineno}: isinstance against a stage")
-        elif isinstance(node, ast.Compare):
-            sides = [node.left, *node.comparators]
-            if any(_named(side) == "device_index" for side in sides) and any(
-                isinstance(side, ast.Constant) and side.value == 0 for side in sides
-            ):
-                offenders.append(f"{path}:{node.lineno}: device_index compared with 0")
-    return offenders
+def _within(name: str, *scopes: str) -> bool:
+    return any(name == scope or name.startswith(scope + ".") for scope in scopes)
 
 
-def _src_sources() -> dict:
-    return {
-        str(path.relative_to(SRC)): path.read_text()
-        for path in sorted((SRC / "repro").rglob("*.py"))
-    }
+def _dotted(path: str) -> str:
+    return ".".join(Path(path).with_suffix("").parts)
 
 
-def test_one_embedding_stage_and_nobody_asks_which():
-    sources = _src_sources()
-    assert _stage_classes(sources) == ["repro/embedding/stage.py: EmbeddingStage"]
-    offenders = [
-        offender
-        for path, source in sources.items()
-        for offender in _stage_switches(path, source)
-    ]
-    assert not offenders, offenders
-
-
-def test_the_stage_rules_see_a_second_stage_a_switch_and_a_closure():
-    sources = _src_sources()
-    fork = "repro/serving/sharding.py"
-    planted = dict(sources)
-    planted[fork] += "\n\nclass ShardedEmbeddingStage(EmbeddingStage):\n    pass\n"
-    assert _stage_classes(planted) == [
-        "repro/embedding/stage.py: EmbeddingStage",
-        f"{fork}: ShardedEmbeddingStage",
-    ]
-
-    server = "repro/serving/server.py"
-    hop = "yield from worker.stage.backends()"
-    assert hop in sources[server]
-    line = sources[server][: sources[server].index(hop)].count("\n") + 1
-    for switch, finding in (
-        ("isinstance(worker.stage, (EmbeddingStage, list))", "isinstance against a stage"),
-        ("isinstance(worker.stage, sharding.ShardedEmbeddingStage)", "isinstance against a stage"),
-        ("worker.device_index < 0", "device_index compared with 0"),
-        ("0 == device_index", "device_index compared with 0"),
-    ):
-        mutant = sources[server].replace(hop, f"if {switch}: {hop}")
-        assert _stage_switches(server, mutant) == [f"{server}:{line}: {finding}"]
-    assert _stage_switches(server, sources[server]) == []
-
-    stage = "repro/embedding/stage.py"
-    hop = "pool.acquire(piece.launch)"
-    assert hop in sources[stage]
-    line = sources[stage][: sources[stage].index(hop)].count("\n") + 1
-    mutant = sources[stage].replace(hop, "pool.acquire(lambda: piece.launch())")
-    assert _closure_offenders(mutant, CLOSURE_FREE[stage]) == [
-        f"EmbeddingStage.start:{line}: Lambda"
-    ]
-    renamed = sources[stage].replace("class _Piece:", "class _Job:")
-    assert _closure_offenders(renamed, CLOSURE_FREE[stage]) == ["_Piece.*: no such class"]
-
-
-MAY_START_A_STAGE = {
-    ("repro/serving/scheduler.py", "BatchScheduler._dispatch"),
-    ("repro/embedding/stage.py", "EmbeddingStage.run_sync"),
-}
-MAY_TIME_DENSE = {("repro/serving/hostpool.py", "DenseServiceModel.service_s")}
-
-
-def _is_stage(receiver: ast.AST, scope: str) -> bool:
-    name = _named(receiver)
-    return name.lower().endswith("stage") or (
-        name == "self" and scope.startswith("EmbeddingStage.")
-    )
-
-
-@functools.lru_cache(maxsize=None)
-def _scoped_calls(source: str) -> tuple:
-    """``(call, scope)`` for every call in ``source``; ``scope`` is the
-    dotted name of the enclosing function or class ("" at module level)."""
+@functools.cache
+def _imports(path: str, source: str) -> tuple:
+    """``(line, module, name)`` of every import in ``source`` at any depth,
+    relative ones made absolute; ``name`` is None for ``import module``."""
+    package = Path(path).parts[:-1]  # a package's __init__ resolves like its modules
     found = []
-
-    def visit(node: ast.AST, scope: str) -> None:
-        for child in ast.iter_child_nodes(node):
-            inner = scope
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                inner = f"{scope}.{child.name}" if scope else child.name
-            if isinstance(child, ast.Call):
-                found.append((child, scope))
-            visit(child, inner)
-
-    visit(_parse(source), "")
+    for node, _ in _of(source, ast.Import, ast.ImportFrom):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, alias.name, None) for alias in node.names]
+            continue
+        base = package[: len(package) - node.level + 1] if node.level else ()
+        module = ".".join(base + tuple(filter(None, [node.module])))
+        found += [(node.lineno, module, alias.name) for alias in node.names]
     return tuple(found)
+
+
+def _imports_of(packages, exempt=(), form: str = "{path} imports {target}") -> Callable:
+    """A finder: every import of ``packages`` (a function-level one too) by
+    a module outside ``exempt``."""
+    return lambda sources, allowed: [
+        form.format(path=path, module=_dotted(path), line=line, target=target)
+        for path, source in sources.items()
+        if not _within(_dotted(path), *exempt)
+        for line, module, name in _imports(path, source)
+        for target in [f"{module}.{name}" if name else module]
+        if _within(target, *packages)
+    ]
 
 
 def _calls(sources, method: str, receiver=lambda node, scope: True) -> list:
@@ -475,106 +164,120 @@ def _calls(sources, method: str, receiver=lambda node, scope: True) -> list:
     return [
         (path, call.lineno, scope or "<module>")
         for path, source in sources.items()
-        for call, scope in _scoped_calls(source)
-        if isinstance(call.func, ast.Attribute)
-        and call.func.attr == method
+        for call, scope in _nodes(source)[ast.Call]
+        if isinstance(call.func, ast.Attribute) and call.func.attr == method
         and receiver(call.func.value, scope)
     ]
 
 
-def _second_paths(sources) -> list:
+@functools.cache
+def _matches(pattern: re.Pattern, source: str) -> tuple:
+    if not pattern.search(source):
+        return ()
+    lines = enumerate(source.splitlines(), 1)
+    return tuple(f"{number}: {line.strip()}" for number, line in lines if pattern.search(line))
+
+
+def _lines(pattern: re.Pattern, skip=lambda path, allowed: False) -> Callable:
+    """A finder: ``path:line: text`` of every line ``pattern`` matches."""
+    return lambda sources, allowed: [
+        f"{path}:{found}" for path, source in sources.items() if not skip(path, allowed)
+        for found in _matches(pattern, source)
+    ]
+
+
+def _free_of(sources, table: dict, kinds) -> list:
+    """Every node of ``kinds`` inside a function ``table`` names per module
+    (``Class.*``: every method), and each named function that is missing."""
+    offenders = []
+    for module, names in table.items():
+        index = _nodes(sources[module])
+        classes = {node.name for node, scope in index[ast.ClassDef] if not scope}
+        defs = [
+            f"{scope}.{node.name}".lstrip(".")
+            for node, scope in index[ast.FunctionDef] if scope in classes | {""}
+        ]
+        inner = _of(sources[module], *kinds)
+        for name in names.split():
+            held = [each for each in defs if each.startswith(name[:-1])] if name.endswith(".*") else [name]
+            offenders += [] if held else [f"{module}: {name}: no such class"]
+            for each in held:
+                offenders += [] if each in defs else [f"{module}: {each}: no such function"]
+                offenders += [
+                    f"{module}: {each}:{node.lineno}: {type(node).__name__}" for node, scope in inner
+                    if _within(scope, each)
+                ]
+    return offenders
+
+
+def _counter_writes(sources, allowed) -> list:
+    """Every write (or ``setattr``) of a resource counter that the allowlist does not allow."""
+    offenders = []
+    for path, source in sources.items():
+        index = _nodes(source)
+        writes = [
+            (node.lineno, node.attr) for node, _ in index[ast.Attribute] if isinstance(node.ctx, ast.Store)
+        ] + [
+            (call.lineno, arg.value) for call, _ in index[ast.Call] if _named(call.func) == "setattr"
+            for arg in call.args[1:2] if isinstance(arg, ast.Constant)
+        ]
+        offenders += [
+            f"{path}:{line}: {name}" for line, name in sorted(writes)
+            if name in RESOURCE_COUNTERS and not any(path.startswith(p) and name == c for p, c in allowed)
+        ]
+    return offenders
+
+
+def _twin_switches(sources, allowed) -> list:
+    twins = [f"{path}: module named for a scalar twin" for path in sources if path.endswith("_scalar.py")]
+    return twins + [
+        f"{path}:{node.lineno}: {node.name}({arg.arg}=)"
+        for path, source in sources.items()
+        for node, _ in _of(source, ast.FunctionDef, ast.AsyncFunctionDef)
+        for arg in node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+        if arg.arg in ("vectorized", "batch_reads")
+    ]
+
+
+def _stage_forks(sources, allowed) -> list:
+    """A second ``*EmbeddingStage`` class, and code that asks which kind of
+    stage (or worker) it was handed."""
+    offenders = []
+    for path, source in sources.items():
+        classes = [node.name for node, _ in _nodes(source)[ast.ClassDef]]
+        offenders += [f"{path}: {name}" for name in classes if name.endswith("EmbeddingStage")]
+        for node, _ in _of(source, ast.Call, ast.Compare):
+            against = node.args[1:] if isinstance(node, ast.Call) and _named(node.func) == "isinstance" else []
+            kinds = [kind for arg in against for kind in getattr(arg, "elts", [arg])]
+            sides = [node.left, *node.comparators] if isinstance(node, ast.Compare) else []
+            if any(_named(kind).endswith("EmbeddingStage") for kind in kinds):
+                offenders.append(f"{path}:{node.lineno}: isinstance against a stage")
+            elif "device_index" in map(_named, sides) and any(getattr(s, "value", None) == 0 for s in sides):
+                offenders.append(f"{path}:{node.lineno}: device_index compared with 0")
+    return [offender for offender in offenders if offender not in allowed]
+
+
+def _second_paths(sources, allowed) -> list:
     """Stage starts and dense timings outside their one caller, and any
     ``pipeline`` module under ``repro/embedding``."""
-    strays = [
-        f"{path}:{line}: {scope}"
-        for allowed, found in (
-            (MAY_START_A_STAGE, _calls(sources, "start", _is_stage)),
-            (MAY_TIME_DENSE, _calls(sources, "dense_time")),
+    def is_stage(receiver: ast.AST, scope: str) -> bool:
+        return _named(receiver).lower().endswith("stage") or (
+            _named(receiver) == "self" and scope.startswith("EmbeddingStage.")
         )
-        for path, line, scope in found
-        if (path, scope) not in allowed
-    ]
-    return strays + [
+
+    return [
+        f"{path}:{line}: {scope}"
+        for method, receiver in (("start", is_stage), ("dense_time", lambda node, scope: True))
+        for path, line, scope in _calls(sources, method, receiver)
+        if (method, path, scope) not in allowed
+    ] + [
         f"{path}: a pipeline module"
-        for path in sources
-        if path.startswith("repro/embedding/") and Path(path).stem == "pipeline"
+        for path in sources if path.startswith("repro/embedding/") and Path(path).stem == "pipeline"
     ]
-
-
-def test_one_execution_path():
-    sources = _src_sources()
-    assert _second_paths(sources) == []
-    # The allowances are used: each allowed caller is where it is named.
-    assert {(p, s) for p, _, s in _calls(sources, "start", _is_stage)} == MAY_START_A_STAGE
-    assert {(p, s) for p, _, s in _calls(sources, "dense_time")} == MAY_TIME_DENSE
-
-
-def test_the_one_path_rule_sees_a_planted_start_a_dense_timing_and_a_pipeline():
-    sources = _src_sources()
-
-    def line_of(path: str, hop: str) -> int:
-        assert sources[path].count(hop) == 1, hop
-        return sources[path][: sources[path].index(hop)].count("\n") + 1
-
-    # Where the paper figures' runs are set up: a stage started, or a
-    # dense stage timed, beside the server that already does both.
-    common = "repro/experiments/common.py"
-    hop = "    run(built)\n    return built.front"
-    for planted in (
-        "built.front.workers[model.name][0].stage.start(spec.tenants[0].requests[0].bags, print)",
-        "worker_stage.start(spec.tenants[0].requests[0].bags, print)",
-    ):
-        mutant = dict(sources, **{common: sources[common].replace(hop, f"    {planted}\n{hop}")})
-        assert _second_paths(mutant) == [
-            f"{common}:{line_of(common, hop)}: figure_run"
-        ], planted
-    hop = "service_s(server.models[request.model], request.batch.batch_size)"
-    mutant = dict(
-        sources,
-        **{common: sources[common].replace(
-            hop, "server.models[request.model].dense_time(1, server.system.host_cpu)"
-        )},
-    )
-    assert _second_paths(mutant) == [f"{common}:{line_of(common, hop)}: stage_means"]
-
-    # The stage's own ``self.start`` counts outside ``run_sync`` too.
-    stage = "repro/embedding/stage.py"
-    hop = "            yield from by_table.values()"
-    mutant = dict(
-        sources,
-        **{stage: sources[stage].replace(hop, hop + "\n        self.start({}, print)")},
-    )
-    assert _second_paths(mutant) == [f"{stage}:{line_of(stage, hop) + 1}: EmbeddingStage.backends"]
-
-    assert _second_paths(dict(sources, **{"repro/embedding/pipeline.py": ""})) == [
-        "repro/embedding/pipeline.py: a pipeline module"
-    ]
-
-
-# Where SLS input travels as one ``Bags`` record.  ``Bags.of`` is the
-# only place a list of per-result arrays is walked (and ``__iter__`` the
-# only place one is handed back out); everybody else reads the flat
-# ``ids`` / ``offsets`` / ``rids``.
-PER_BAG_FREE = ("core", "embedding", "serving", "models")
-BAGS = "repro/core/bags.py"
-MAY_WALK_BAGS = {(BAGS, "Bags.of"), (BAGS, "Bags.__iter__")}
-LOOP_FREE = {
-    "repro/embedding/backends/base.py": "flatten_bags",
-    "repro/core/config.py": "build_pairs",
-}
-_LOOPS = (ast.For, ast.AsyncFor, ast.While)
-_COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
-_WRAPPERS = ("enumerate", "zip", "reversed", "list", "tuple", "iter", "range", "len")
-
-
-def _names_bags(name: str, plural: bool) -> bool:
-    stem = "bags" if plural else "bag"
-    return name == stem or name.endswith("_" + stem)
 
 
 def _iterated(node: ast.AST):
-    """What a loop's iterable walks, through ``enumerate`` / ``zip`` /
-    ``range(len(...))`` and the like: the innermost expressions."""
+    """The innermost expressions an iterable walks, through ``zip`` / ``range(len(...))`` and the like."""
     if isinstance(node, ast.Call) and _named(node.func) in _WRAPPERS:
         for arg in node.args:
             yield from _iterated(arg)
@@ -584,230 +287,38 @@ def _iterated(node: ast.AST):
         yield node
 
 
-def _per_bag_loops(path: str, source: str) -> list:
-    """``path:line: scope`` of every loop or comprehension that walks
-    something named ``bags`` / ``*_bags`` or binds a ``bag`` / ``*_bag``."""
-    offenders = []
-
-    def visit(node: ast.AST, scope: str) -> None:
-        for child in ast.iter_child_nodes(node):
-            inner = scope
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                inner = f"{scope}.{child.name}" if scope else child.name
-            walks = []
-            if isinstance(child, (ast.For, ast.AsyncFor)):
-                walks = [(child.target, child.iter)]
-            elif isinstance(child, _COMPREHENSIONS):
-                walks = [(gen.target, gen.iter) for gen in child.generators]
-            for target, iterable in walks:
-                bound = [_named(name) for name in ast.walk(target)]
-                walked = [_named(expr) for expr in _iterated(iterable)]
-                if any(_names_bags(name, plural=False) for name in bound) or any(
-                    _names_bags(name, plural=True) for name in walked
-                ):
-                    if (path, scope) not in MAY_WALK_BAGS:
-                        offenders.append(f"{path}:{child.lineno}: {scope or '<module>'}")
-            visit(child, inner)
-
-    visit(_parse(source), "")
-    return offenders
-
-
-def _loops_in(source: str, function: str) -> list:
-    (node,) = [
-        node
-        for node in _parse(source).body
-        if isinstance(node, ast.FunctionDef) and node.name == function
-    ]
+def _per_bag_walks(sources, allowed) -> list:
+    """Every loop or comprehension that walks something named ``bags`` /
+    ``*_bags`` or binds a ``bag`` / ``*_bag``, and any loop in ``LOOP_FREE``."""
     return [
-        f"{function}:{inner.lineno}: {type(inner).__name__}"
-        for inner in ast.walk(node)
-        if isinstance(inner, _LOOPS + _COMPREHENSIONS)
-    ]
-
-
-def _per_bag_sources() -> dict:
-    return {
-        path: source
-        for path, source in _src_sources().items()
-        if path.split("/")[1] in PER_BAG_FREE
-    }
-
-
-def test_nobody_but_bags_of_walks_bag_by_bag():
-    sources = _per_bag_sources()
-    assert BAGS in sources and len(sources) > 30
-    offenders = [
-        offender
-        for path, source in sources.items()
-        for offender in _per_bag_loops(path, source)
-    ]
-    assert not offenders, offenders
-    # The allowance is used: without it the one flatten is an offender.
-    unallowed = _per_bag_loops("elsewhere.py", sources[BAGS])
-    assert [found.rpartition(": ")[2] for found in unallowed] == ["Bags.of"]
-    for path, function in LOOP_FREE.items():
-        assert _loops_in(sources[path], function) == []
-
-
-def test_the_per_bag_rule_sees_a_planted_loop():
-    sources = _per_bag_sources()
-    dram = "repro/embedding/backends/dram.py"
-    hop = "n_lookups = bags.ids.size"
-    assert hop in sources[dram]
-    line = sources[dram][: sources[dram].index(hop)].count("\n") + 1
-    for loop in (
-        "n_lookups = sum(bag.size for bag in bags)",
-        "n_lookups = sum([len(b) for b in cold_bags])",
-        "n_lookups = sum(bags[i].size for i in range(len(bags)))",
-        "n_lookups = sum(x.size for _, x in enumerate(request.batch.bags[name]))",
-        "n_lookups = sum(len(one_bag) for one_bag in zip(things, others))",
-    ):
-        planted = sources[dram].replace(hop, loop)
-        assert _per_bag_loops(dram, planted) == [f"{dram}:{line}: DramSlsBackend._start"], loop
-    # Per table, per shard and per request are not per bag.
-    for fine in (
-        "n_lookups = sum(len(bags) for name, bags in bags_by_table.items())",
-        "n_lookups = sum(len(part) for part in parts)",
-        "n_lookups = len([name for name in request.batch.bags.keys()])",
-    ):
-        assert _per_bag_loops(dram, sources[dram].replace(hop, fine)) == [], fine
-    # Bags.of's walk, anywhere else in its own module, is an offender.
-    moved = sources[BAGS].replace("    def of(cls, bags", "    def flatten(cls, bags")
-    assert [o.rpartition(": ")[2] for o in _per_bag_loops(BAGS, moved)] == ["Bags.flatten"]
-
-    base = "repro/embedding/backends/base.py"
-    hop = "    bags = Bags.of(bags)\n    return bags.ids, bags.rids"
-    assert hop in sources[base]
-    looped = sources[base].replace(
-        hop, "    rows = [as_ids(b) for b in bags]\n    return np.concatenate(rows), None"
-    )
-    assert [o.partition(":")[0] for o in _loops_in(looped, "flatten_bags")] == ["flatten_bags"]
-    assert _per_bag_loops(base, looped) == [
-        f"{base}:{sources[base][: sources[base].index(hop)].count(chr(10)) + 1}: flatten_bags"
-    ]
-
-
-BENCHMARKS = SRC.parent / "benchmarks"
-SECOND_RANK_RULE = re.compile(
-    r"\b(?:np|numpy)\.(?:nan)?(?:percentile|quantile)\b"
-    r"|\bstatistics\.quantiles\b"
-    r"|\bfrom\s+(?:numpy|statistics)\s+import\b.*\b(?:percentile|quantiles?)\b"
-)
-
-
-def _second_rank_rules(sources) -> list:
-    return [
-        f"{path}:{number}: {line.strip()}"
-        for path, source in sources.items()
-        for number, line in enumerate(source.splitlines(), 1)
-        if SECOND_RANK_RULE.search(line)
-    ]
-
-
-def _ranks_or_summarizes(path: str, source: str) -> list:
-    """Every mention (import, call, attribute) of the rank rule or the
-    latency summary in one module's code — docstrings do not count."""
-    offenders = []
-    for node in ast.walk(_parse(source)):
-        name = (
-            node.name.rpartition(".")[2]
-            if isinstance(node, ast.alias)
-            else _named(node)
+        f"{path}:{node.lineno}: {scope or '<module>'}"
+        for path, source in sources.items() if path.split("/")[1] in PER_BAG_FREE
+        for node, scope in _of(source, ast.For, ast.AsyncFor, *_COMPREHENSIONS)
+        if (path, scope) not in allowed and any(
+            any(_BAG.fullmatch(_named(name)) for name in ast.walk(walk.target))
+            or any(_BAGS.fullmatch(_named(expr)) for expr in _iterated(walk.iter))
+            for walk in getattr(node, "generators", [node])
         )
-        if name in ("rank_quantile", "summarize_latencies"):
-            offenders.append(f"{path}:{node.lineno}: {name}")
-    return offenders
+    ] + _free_of(sources, LOOP_FREE, _LOOPS)
 
 
-def _instrument_classes(exports: dict) -> list:
-    return sorted(
-        name
-        for name, obj in exports.items()
-        if isinstance(obj, type)
-        and any(hasattr(obj, method) for method in ("inc", "set", "observe"))
-    )
-
-
-def _obs_exports() -> dict:
-    import repro.obs
-
-    return {name: getattr(repro.obs, name) for name in repro.obs.__all__}
-
-
-def _rank_rule_sources() -> dict:
-    sources = _src_sources()
-    sources.update(
-        (f"benchmarks/{path.name}", path.read_text())
-        for path in sorted(BENCHMARKS.glob("*.py"))
-    )
-    return sources
-
-
-FLEET_STATS = "repro/cluster/stats.py"
-
-
-def test_a_number_is_computed_one_way():
-    sources = _rank_rule_sources()
-    assert any(path.startswith("benchmarks/") for path in sources)
-    assert _second_rank_rules(sources) == []
-    assert _ranks_or_summarizes(FLEET_STATS, sources[FLEET_STATS]) == []
-    assert _instrument_classes(_obs_exports()) == []
-
-
-def test_the_one_way_rules_see_a_second_rank_rule_a_fleet_fork_and_an_instrument():
-    sources = _rank_rule_sources()
-    bench = "benchmarks/bench_updates.py"
-    hop = 'lat = summarize_latencies(stats.latencies)'
-    assert hop in sources[bench]
-    line = sources[bench][: sources[bench].index(hop)].count("\n") + 1
-    for second in (
-        "np.percentile(stats.latencies, 99)",
-        "numpy.quantile(stats.latencies, 0.99)",
-        "statistics.quantiles(stats.latencies, n=100)[98]",
-    ):
-        planted = dict(sources)
-        planted[bench] = sources[bench].replace(hop, f"p99 = {second}")
-        assert _second_rank_rules(planted) == [f"{bench}:{line}: p99 = {second}"]
-    planted = dict(sources)
-    planted["repro/sim/stats.py"] += "\nfrom statistics import mean, quantiles\n"
-    assert len(_second_rank_rules(planted)) == 1
-
-    hop = "return host_stats.latency_quantile(self.latencies(), q)"
-    assert hop in sources[FLEET_STATS]
-    line = sources[FLEET_STATS][: sources[FLEET_STATS].index(hop)].count("\n") + 1
-    for fork, name in (
-        ("return rank_quantile(sorted(self.latencies()), q)", "rank_quantile"),
-        ("return sim_stats.summarize_latencies(self.latencies())['p99_ms']",
-         "summarize_latencies"),
-    ):
-        mutant = sources[FLEET_STATS].replace(hop, fork)
-        assert _ranks_or_summarizes(FLEET_STATS, mutant) == [
-            f"{FLEET_STATS}:{line}: {name}"
-        ]
-    imported = sources[FLEET_STATS].replace(
-        "from .node import ClusterNode",
-        "from ..sim.stats import rank_quantile as pick\nfrom .node import ClusterNode",
-    )
-    assert len(_ranks_or_summarizes(FLEET_STATS, imported)) == 1
-
-    class Counter:
-        def inc(self):
-            pass
-
-    class Sampler:
-        def start(self):
-            pass
-
-    exports = dict(_obs_exports(), Counter=Counter, Sampler=Sampler)
-    assert _instrument_classes(exports) == ["Counter"]
-
-
-LIFECYCLE = ("drain", "fail", "restore")
-INJECTOR = "repro/faults/injector.py"
-MAY_CALL_LIFECYCLE = {
-    (INJECTOR, f"FaultInjector._do_host_{action}") for action in LIFECYCLE
-} | {("repro/cluster/cluster.py", f"Cluster.{action}") for action in LIFECYCLE}
+def _second_ways(sources, allowed) -> list:
+    """A second rank rule, the fleet's stats ranking or summarizing a population
+    itself (docstrings do not count), and a ``repro.obs`` instrument class."""
+    fleet = [
+        f"{FLEET_STATS}:{node.lineno}: {name}"
+        for node, _ in _of(sources[FLEET_STATS], ast.alias, ast.Name, ast.Attribute)
+        for name in [node.name.rpartition(".")[2] if isinstance(node, ast.alias) else _named(node)]
+        if name in ("rank_quantile", "summarize_latencies")
+    ]
+    instruments = [
+        f"{path}:{node.lineno}: {node.name}"
+        for path, source in sources.items() if path.startswith("repro/obs/")
+        for node, _ in _nodes(source)[ast.ClassDef]
+        if not node.name.startswith("_")
+        and {"inc", "set", "observe"} & {item.name for item in node.body if isinstance(item, ast.FunctionDef)}
+    ]
+    return _lines(SECOND_RANK_RULE)(sources, allowed) + fleet + instruments
 
 
 def _holds_hosts(receiver: ast.AST, scope: str = "") -> bool:
@@ -819,207 +330,369 @@ def _holds_hosts(receiver: ast.AST, scope: str = "") -> bool:
     return _named(receiver).lower().endswith(("cluster", "node", "nodes"))
 
 
-def _lifecycle_calls(sources) -> list:
-    """``(path, line, scope)`` of every ``drain`` / ``fail`` / ``restore``
-    call on a cluster or a node."""
-    return sorted(
-        found
-        for action in LIFECYCLE
-        for found in _calls(sources, action, _holds_hosts)
-    )
-
-
-def _second_lifecycle_schedules(sources) -> list:
-    """Lifecycle calls outside their allowed callers, and any
-    ``getattr(<cluster or node>, ...)(...)`` — a lifecycle call by name."""
-    strays = [
-        f"{path}:{line}: {scope}"
-        for path, line, scope in _lifecycle_calls(sources)
-        if (path, scope) not in MAY_CALL_LIFECYCLE
-    ]
-    for path, source in sources.items():
-        for call, _ in _scoped_calls(source):
-            func = call.func
-            if (
-                isinstance(func, ast.Call)
-                and _named(func.func) == "getattr"
-                and func.args
-                and _holds_hosts(func.args[0])
-            ):
-                strays.append(f"{path}:{call.lineno}: getattr")
-    return strays
-
-
-def test_host_lifecycle_has_one_scheduler():
-    sources = _src_sources()
-    assert _second_lifecycle_schedules(sources) == []
-    # The allowances are used: each allowed caller is where it is named.
-    assert {(p, s) for p, _, s in _lifecycle_calls(sources)} == MAY_CALL_LIFECYCLE
-
-
-def test_the_lifecycle_rule_sees_a_planted_loop_and_direct_calls():
-    sources = _src_sources()
-    runner = "repro/cluster/scenario.py"
-    hop = "        injector.arm_cluster(cluster)\n"
-    assert sources[runner].count(hop) == 1
-    line = sources[runner][: sources[runner].index(hop)].count("\n") + 2
-    # The deleted HostEvent loop, over lifecycle fault events.
-    loop = (
-        "        for e in spec.scenario.faults.events:\n"
-        "            cluster.sim.schedule_at(e.t, lambda e=e: "
-        "getattr(cluster, e.kind[5:])(e.host))\n"
-    )
-    mutant = dict(sources, **{runner: sources[runner].replace(hop, hop + loop)})
-    assert _second_lifecycle_schedules(mutant) == [f"{runner}:{line + 1}: getattr"]
-    for call in (
-        'cluster.drain("host1")',
-        'cluster.node("host1").fail()',
-        "cluster.nodes[0].restore()",
-        "node.drain()",
-    ):
-        mutant = dict(sources, **{runner: sources[runner].replace(hop, f"{hop}        {call}\n")})
-        assert _second_lifecycle_schedules(mutant) == [
-            f"{runner}:{line}: setup_cluster"
-        ], call
-    # A drain on anything else (a queue) is not a lifecycle call.
-    unrelated = dict(sources, **{runner: sources[runner].replace(hop, f"{hop}        queue.drain()\n")})
-    assert _second_lifecycle_schedules(unrelated) == []
-    # The injector's allowance is by handler: a new caller there is a stray.
-    injector = sources[INJECTOR]
-    handler, call = "    def _do_host_drain(", "cluster.drain(event.host)"
-    assert injector.count(handler) == injector.count(call) == 1
-    call_line = injector[: injector.index(call)].count("\n") + 1
-    moved = dict(sources, **{INJECTOR: injector.replace(handler, "    def _do_host_park(")})
-    assert _second_lifecycle_schedules(moved) == [
-        f"{INJECTOR}:{call_line}: FaultInjector._do_host_park"
-    ]
-
-
-SCENARIO = "repro/workload/scenario.py"
-MAY_DRIVE = {
-    "run_workload": {(SCENARIO, "run")},
-    "UpdateStream": {(SCENARIO, "run")},
-    "make_engine": {(SCENARIO, "run")},
-    # The sharding-equivalence check settles one fixed batch on a server
-    # its caller built under each policy: one request, no traffic.
-    "run_until_settled": {
-        (SCENARIO, "run"),
-        ("repro/experiments/common.py", "assert_policy_equivalence"),
-    },
-}
-
-
-def _callers(sources, name: str) -> list:
-    """``(path, line, scope)`` of every call to ``name`` or ``<x>.name``."""
-    return [
-        (path, call.lineno, scope or "<module>")
+def _second_lifecycle_schedules(sources, allowed) -> list:
+    """Lifecycle calls outside their allowed callers, and any ``getattr(<cluster or node>, ...)(...)``."""
+    calls = sorted(found for action in LIFECYCLE for found in _calls(sources, action, _holds_hosts))
+    return [f"{path}:{line}: {scope}" for path, line, scope in calls if (path, scope) not in allowed] + [
+        f"{path}:{call.lineno}: getattr"
         for path, source in sources.items()
-        for call, scope in _scoped_calls(source)
-        if _named(call.func) == name
+        for call, _ in _nodes(source)[ast.Call]
+        if isinstance(call.func, ast.Call) and _named(call.func.func) == "getattr"
+        and call.func.args and _holds_hosts(call.func.args[0])
     ]
 
 
-def _second_drivers(sources) -> list:
+def _second_drivers(sources, allowed) -> list:
     """Traffic or an update stream started outside the one driver."""
     return sorted(
-        f"{path}:{line}: {scope} calls {name}"
-        for name, allowed in MAY_DRIVE.items()
-        for path, line, scope in _callers(sources, name)
-        if (path, scope) not in allowed
+        f"{path}:{call.lineno}: {scope or '<module>'} calls {name}"
+        for path, source in sources.items()
+        for call, scope in _nodes(source)[ast.Call]
+        for name in [_named(call.func)]
+        if name in DRIVES and (name, path, scope or "<module>") not in allowed
     )
 
 
-def test_one_driver():
-    sources = _src_sources()
-    assert _second_drivers(sources) == []
-    # The allowances are used: each allowed caller is where it is named.
-    for name, allowed in MAY_DRIVE.items():
-        assert {(p, s) for p, _, s in _callers(sources, name)} == allowed, name
+@functools.cache
+def _kept(source: str) -> frozenset:
+    """Every name ``source`` reads, inside a quoted annotation too, or lists
+    in its ``__all__``."""
+    index = _nodes(source)
+    kept = {node.id for node, _ in index[ast.Name]}
+    annotations = [node.annotation for kind in (ast.arg, ast.AnnAssign) for node, _ in index[kind]]
+    annotations += [node.returns for kind in _FUNCTIONS[:2] for node, _ in index[kind]]
+    for node in (inner for annotation in filter(None, annotations) for inner in ast.walk(annotation)):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            try:
+                quoted = ast.parse(node.value, mode="eval")
+            except SyntaxError:
+                continue
+            kept |= {name.id for name in ast.walk(quoted) if isinstance(name, ast.Name)}
+    for node, scope in index[ast.Assign]:
+        if not scope and any(_named(target) == "__all__" for target in node.targets):
+            kept |= {elt.value for elt in node.value.elts if isinstance(elt, ast.Constant)}
+    return frozenset(kept)
 
 
-def test_the_driver_rule_sees_a_planted_harness_and_a_renamed_driver():
-    sources = _src_sources()
-    # The deleted harnesses' shape, planted where a fleet is set up.
-    fleet = "repro/cluster/scenario.py"
-    hop = "    return Built(scenario, cluster, servers, generators, injector)\n"
-    assert sources[fleet].count(hop) == 1
-    line = sources[fleet][: sources[fleet].index(hop)].count("\n") + 1
-    harness = (
-        "    engine = scenario.updates.make_engine(servers)\n"
-        "    stream = UpdateStream(scenario.updates, cluster.models['m'])\n"
-        "    generators_module.run_workload(cluster, generators)\n"
-    )
-    mutant = dict(sources, **{fleet: sources[fleet].replace(hop, harness + hop)})
-    assert _second_drivers(mutant) == [
-        f"{fleet}:{line}: setup_cluster calls make_engine",
-        f"{fleet}:{line + 1}: setup_cluster calls UpdateStream",
-        f"{fleet}:{line + 2}: setup_cluster calls run_workload",
-    ]
-    # The deleted figure harness's shape: submit every batch, then settle.
-    common = "repro/experiments/common.py"
-    hop = "    run(built)\n    return built.front"
-    assert sources[common].count(hop) == 1
-    line = sources[common][: sources[common].index(hop)].count("\n") + 1
-    harness = (
-        "    for batch in spec.tenants[0].requests:\n"
-        "        built.front.submit(model.name, batch)\n"
-        "    built.front.run_until_settled()\n"
-    )
-    mutant = dict(sources, **{common: sources[common].replace(hop, harness + hop)})
-    assert _second_drivers(mutant) == [
-        f"{common}:{line + 2}: figure_run calls run_until_settled",
-    ]
-    # The allowance is by function: the driver under another name is a stray.
-    renamed = sources[SCENARIO].replace("def run(built", "def serve(built")
-    assert renamed != sources[SCENARIO]
-    strays = _second_drivers(dict(sources, **{SCENARIO: renamed}))
-    assert [s.rpartition(": ")[2] for s in strays] == [
-        "serve calls make_engine",
-        "serve calls UpdateStream",
-        "serve calls run_workload",
-        "serve calls run_until_settled",
-    ]
+@functools.cache
+def _from_src(source: str) -> str:
+    return "\n".join(match.group().strip() for match in _FROM_SRC.finditer(source))
 
 
-TRAFFIC_TIERS = ("repro.workload", "repro.cluster", "repro.experiments")
-ABOVE_SERVERS = TRAFFIC_TIERS + ("repro.obs",)
-
-
-def _within(name: str, packages) -> bool:
-    return any(name == p or name.startswith(p + ".") for p in packages)
-
-
-def _upward_imports(sources) -> list:
-    """``path:line: target`` of every import of a traffic tier from a
-    module beneath the three."""
+def _unused_imports(sources, allowed) -> list:
+    """``src/path:line: name`` for each module-level import of a ``src/``
+    module that it never reads or exports and no file imports from it."""
+    taken = defaultdict(set)
+    for path, source in sources.items():
+        for _, module, name in _imports(path, source if path.startswith("repro/") else _from_src(source)):
+            taken[module].add(name)
     return [
-        f"{path}:{line}: {target}"
-        for path, source in sorted(sources.items())
-        if not _within(".".join(Path(path).with_suffix("").parts), ABOVE_SERVERS)
-        for line, target in _imports(path, source)
-        if _within(target, TRAFFIC_TIERS)
+        f"src/{path}:{node.lineno}: {name}"
+        for path, source in sources.items() if path.startswith("repro/")
+        # A name bound at module level, also under a top-level ``if`` / ``try``.
+        for node, scope in _of(source, ast.Import, ast.ImportFrom)
+        if not scope and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+        for name in [alias.asname or alias.name.partition(".")[0]]
+        if name not in _kept(source) and name not in taken[_dotted(path).removesuffix(".__init__")]
     ]
 
 
-def test_traffic_comes_from_above():
-    assert _upward_imports(_src_sources()) == []
+def rule(name: str, scope: tuple, find: Callable, allowed, why: str, *planted: tuple) -> SimpleNamespace:
+    allowed = frozenset(allowed)
+    return SimpleNamespace(name=name, scope=scope, find=find, allowed=allowed, why=why, planted=planted)
 
 
-def test_the_layer_order_rule_sees_a_planted_function_level_import():
-    sources = _src_sources()
-    server = "repro/serving/server.py"
-    hop = "        return self.sim.run_until(lambda: self.queue.inflight == 0, limit)\n"
-    assert sources[server].count(hop) == 1
-    line = sources[server][: sources[server].index(hop)].count("\n") + 1
-    # The deleted front end's import, hidden in a method body.
-    for planted, target in (
-        ("from ..workload.generators import run_workload", "repro.workload.generators.run_workload"),
-        ("import repro.cluster.scenario", "repro.cluster.scenario"),
-        ("from .. import experiments", "repro.experiments"),
-    ):
-        mutant = dict(sources, **{server: sources[server].replace(hop, f"        {planted}\n{hop}")})
-        assert _upward_imports(mutant) == [f"{server}:{line}: {target}"], planted
-    # Inside the traffic tiers (and in obs) the same import is no offence.
-    for inside in ("repro/cluster/users.py", "repro/obs/__init__.py"):
-        lifted = dict(sources, **{inside: "from ..workload.scenario import run\n" + sources[inside]})
-        assert _upward_imports(lifted) == [], inside
+def plant(file: str, old: str, new: str, *expected: str) -> tuple:
+    return file, old, new, expected
+
+
+FUTURE = "from __future__ import annotations\n"
+FLASH, FTL, KERNEL = "repro/flash/array.py", "repro/ftl/ftl.py", "repro/sim/kernel.py"
+SERVER, STAGE = "repro/serving/server.py", "repro/embedding/stage.py"
+DRAM, BASE = "repro/embedding/backends/dram.py", "repro/embedding/backends/base.py"
+COMMON, FLEET, OBS = "repro/experiments/common.py", "repro/cluster/scenario.py", "repro/obs/__init__.py"
+INJECTOR = "repro/faults/injector.py"
+COUNTED = "        channel.reads += 1\n"
+SETTLE = "        return self.sim.run_until(lambda: self.queue.inflight == 0, limit)\n"
+FIGURE_RUN = "    run(built)\n    return built.front"
+LOOKUPS = "n_lookups = bags.ids.size"
+BENCH, P99 = "benchmarks/bench_updates.py", "lat = summarize_latencies(stats.latencies)"
+FLEET_P99 = "return host_stats.latency_quantile(self.latencies(), q)"
+ARM = "        injector.arm_cluster(cluster)\n"
+BUILT = "    return Built(scenario, cluster, servers, generators, injector)\n"
+BACKENDS = "yield from worker.stage.backends()"
+
+RULES = (
+    rule(
+        "obs-is-the-top-tier", SRC,
+        _imports_of(("repro.obs",), ("repro.obs", "repro.experiments"), "{module} imports {target}"), (),
+        "``repro.obs`` is the passive top tier: only it and ``repro.experiments`` may import it.  A lower "
+        "layer that did (six, through ``obs.resettable``) made importing ``repro.ftl`` execute the whole "
+        "tracing tier.",
+        plant(FTL, FUTURE, FUTURE + "from ..obs import Tracer\n", "repro.ftl.ftl imports repro.obs.Tracer"),
+        plant(KERNEL, "import heapq\n", "import heapq\nimport repro.obs.tracer\n",
+              "repro.sim.kernel imports repro.obs.tracer"),
+        plant(COMMON, FUTURE, FUTURE + "from ..obs import Tracer\n")),
+    rule(
+        "only-sim-touches-the-event-heap", SRC,
+        _lines(re.compile(r"(?<!\bself)\._(?:heap|seq)\b"), lambda path, sim: path.startswith(tuple(sim))),
+        {"repro/sim/"},
+        "``Simulator._heap`` / ``._seq`` are shared by the kernel and its resources only (``kernel.py``); a "
+        "layer asks ``Simulator.is_latest`` about event order.  An object's own ``self._heap`` is its "
+        "business.",
+        plant(SERVER, SETTLE, f"        s = self.sim._seq\n{SETTLE}", f"{SERVER}:{{L}}: s = self.sim._seq"),
+        plant(SERVER, SETTLE, f"        h = self.sim._heap\n{SETTLE}", f"{SERVER}:{{L}}: h = self.sim._heap"),
+        plant(SERVER, SETTLE, f"        s = self._seq\n{SETTLE}")),
+    rule(
+        "only-sim-writes-a-resource-counter", SRC, _counter_writes,
+        {("repro/sim/", counter) for counter in RESOURCE_COUNTERS},
+        "Only the owning ``Server`` / ``BandwidthPipe`` writes them, one job or transfer at a time, so "
+        "``jobs_started - jobs_completed == busy`` and the utilisation hold with no exception made by hand.",
+        *(plant(FLASH, COUNTED, f"        {write}\n{COUNTED}", f"{FLASH}:{{L}}: {name}") for write, name in (
+            ("channel.bus.jobs_started += 2", "jobs_started"),
+            ("channel.dies[0].jobs_completed -= 1", "jobs_completed"),
+            ("channel.bus.busy_time, channel.reads = 0.0, 0", "busy_time"),
+            ("setattr(channel.bus, 'bytes_transferred', 0)", "bytes_transferred"),
+        ))),
+    rule(
+        "no-switch-selects-a-twin", SRC, _twin_switches, (),
+        "One path per job: the hot path's scalar twins and the switches that selected them are gone; what a "
+        "suite still compares against lives under ``tests/``.",
+        plant(FTL, "def read_page(self, lpn: int,", "def read_page(self, lpn: int, vectorized: bool,",
+              f"{FTL}:{{L}}: read_page(vectorized=)"),
+        plant(FTL, "def read_page(self, lpn: int,", "def read_page(self, lpn: int, *, batch_reads=True,",
+              f"{FTL}:{{L}}: read_page(batch_reads=)"),
+        plant("repro/ftl/ftl_scalar.py", "", "", "repro/ftl/ftl_scalar.py: module named for a scalar twin"),
+        plant("repro/core/scalars.py", "", "def pick(ids, vectorized_ids):\n    vectorized = ids\n")),
+    rule(
+        "src-never-imports-tests", SRC, _imports_of(("tests",)), (),
+        "What a suite compares against (the frozen per-bag code, the scalar twins' replays) lives under "
+        "``tests/``, out of ``src/``'s reach.",
+        plant(DRAM, FUTURE, FUTURE + "from tests.embedding.reference_bags import ref_sls\n",
+              f"{DRAM} imports tests.embedding.reference_bags.ref_sls"),
+        plant(DRAM, FUTURE, FUTURE + "from . import tests\n"),  # repro.embedding.backends.tests
+    ),
+    rule(
+        "closure-free-per-unit-path", SRC,
+        lambda sources, allowed: _free_of(sources, CLOSURE_FREE, _FUNCTIONS), (),
+        "What waits in a queue on the per-page / per-command path is a ``__slots__`` record whose bound "
+        "methods are the stage callbacks: a ``def`` or ``lambda`` per stage is 3-6 GC-tracked containers per "
+        "queued page, which CPython's cyclic collector walks on every pass (``tests/test_gc_budget.py`` "
+        "counts them).",
+        plant("repro/driver/unvme.py", "self._ring_doorbells, train",
+              "lambda: self._ring_doorbells(train), None",
+              "repro/driver/unvme.py: UnvmeDriver._issue:{L}: Lambda"),
+        plant("repro/driver/unvme.py", "def _deliver(", "def _pick_up(",
+              "repro/driver/unvme.py: UnvmeDriver._deliver: no such function"),
+        plant("repro/core/engine.py", "_Command(self, entry, done).after_alloc",
+              "lambda: _Command(self, entry, done).after_alloc()",
+              "repro/core/engine.py: NdpSlsEngine._admit:{L}: Lambda"),
+        plant(STAGE, "pool.acquire(piece.launch)", "pool.acquire(lambda: piece.launch())",
+              f"{STAGE}: EmbeddingStage.start:{{L}}: Lambda"),
+        plant(STAGE, "class _Piece:", "class _Job:", f"{STAGE}: _Piece.*: no such class")),
+    rule(
+        "src-leaves-the-collector-alone", SRC, _imports_of(("gc",)), (),
+        "The collector's thresholds are the process's, not a library's to flip (``docs/ARCHITECTURE.md``, "
+        "*Kernel*, has the measurement).",
+        plant(KERNEL, "import heapq\n", "import gc\nimport heapq\n", f"{KERNEL} imports gc"),
+        plant(KERNEL, "import heapq\n", "from gc import disable\nimport heapq\n",
+              f"{KERNEL} imports gc.disable"),
+        plant(KERNEL, "import heapq\n", "import heapq\nfrom ..ftl import gc\n"),  # the FTL's collector
+    ),
+    rule(
+        "one-embedding-stage", SRC, _stage_forks, {f"{STAGE}: EmbeddingStage"},
+        "Where a table piece lives is data the one stage holds, so replicas, table and row shards run one "
+        "class; a second ``*EmbeddingStage``, an ``isinstance`` against one or a ``device_index`` compared "
+        "with 0 (the old \"-1 means sharded\") is the fork coming back.",
+        plant("repro/serving/sharding.py", FUTURE,
+              FUTURE + "\n\nclass ShardedEmbeddingStage(EmbeddingStage):\n    pass\n",
+              "repro/serving/sharding.py: ShardedEmbeddingStage"),
+        *(plant(SERVER, BACKENDS, f"if {test}: {BACKENDS}", f"{SERVER}:{{L}}: {seen}") for test, seen in (
+            ("isinstance(worker.stage, (EmbeddingStage, list))", "isinstance against a stage"),
+            ("isinstance(worker.stage, sharding.ShardedEmbeddingStage)", "isinstance against a stage"),
+            ("worker.device_index < 0", "device_index compared with 0"),
+            ("0 == device_index", "device_index compared with 0"),
+        ))),
+    rule(
+        "one-execution-path", SRC, _second_paths,
+        {
+            ("start", "repro/serving/scheduler.py", "BatchScheduler._dispatch"),
+            ("start", STAGE, "EmbeddingStage.run_sync"),
+            ("dense_time", "repro/serving/hostpool.py", "DenseServiceModel.service_s"),
+        },
+        "The figures' runs and the serving stack are one code: a batch reaches a stage only through "
+        "``BatchScheduler._dispatch`` (``run_sync`` on a bare stage), a dense stage is timed only by "
+        "``DenseServiceModel.service_s``; an ``embedding/pipeline.py`` was the figures' second timeline.",
+        *(plant(COMMON, FIGURE_RUN, f"    {call}\n{FIGURE_RUN}", f"{COMMON}:{{L}}: figure_run") for call in (
+            "built.front.workers[model.name][0].stage.start(spec.tenants[0].requests[0].bags, print)",
+            "worker_stage.start(spec.tenants[0].requests[0].bags, print)",
+        )),
+        plant(COMMON, "service_s(server.models[request.model], request.batch.batch_size)",
+              "server.models[request.model].dense_time(1, server.system.host_cpu)",
+              f"{COMMON}:{{L}}: stage_means"),
+        # The stage's own ``self.start`` counts outside ``run_sync`` too.
+        plant(STAGE, "            yield from by_table.values()",
+              "            self.start({}, print)\n            yield from by_table.values()",
+              f"{STAGE}:{{L}}: EmbeddingStage.backends"),
+        plant("repro/embedding/pipeline.py", "", "", "repro/embedding/pipeline.py: a pipeline module")),
+    rule(
+        "no-per-bag-walk", SRC, _per_bag_walks, {(BAGS, "Bags.of")},
+        "SLS input is one flat ``Bags`` (``ids``, ``offsets``) from where the ids are drawn: under ``core``, "
+        "``embedding``, ``serving`` and ``models`` only ``Bags.of`` walks bag by bag, and its public "
+        "spellings hold no loop.  A per-bag ``asarray`` + ``full`` + ``concatenate`` in six layers was 40 % "
+        "of ``dram_serve``'s calls.",
+        *(plant(DRAM, LOOKUPS, loop, f"{DRAM}:{{L}}: DramSlsBackend._start") for loop in (
+            "n_lookups = sum(bag.size for bag in bags)",
+            "n_lookups = sum([len(b) for b in cold_bags])",
+            "n_lookups = sum(bags[i].size for i in range(len(bags)))",
+            "n_lookups = sum(x.size for _, x in enumerate(request.batch.bags[name]))",
+            "n_lookups = sum(len(one_bag) for one_bag in zip(things, others))",
+        )),
+        # Per table, per shard and per request are not per bag.
+        plant(DRAM, LOOKUPS, "n_lookups = sum(len(bags) for name, bags in bags_by_table.items())"),
+        plant(DRAM, LOOKUPS, "n_lookups = sum(len(part) for part in parts)"),
+        plant(DRAM, LOOKUPS, "n_lookups = len([name for name in request.batch.bags.keys()])"),
+        # Bags.of's walk, anywhere else in its own module, is an offender.
+        plant(BAGS, "    def of(cls, bags", "    def flatten(cls, bags", f"{BAGS}:{{L+6}}: Bags.flatten"),
+        plant(BASE, "    bags = Bags.of(bags)\n    return bags.ids, bags.rids",
+              "    rows = [as_ids(b) for b in bags]\n    return np.concatenate(rows), None",
+              f"{BASE}:{{L}}: flatten_bags", f"{BASE}: flatten_bags:{{L}}: ListComp")),
+    rule(
+        "a-number-is-computed-one-way", SRC_AND_BENCHMARKS, _second_ways, (),
+        "``rank_quantile`` is the only rank rule (``np.percentile`` reports another sample as \"p99\": at "
+        "n=60 index 58 vs 59); a fleet's numbers are ``repro.serving.stats``' definitions over its hosts' "
+        "windows; a counter is an attribute, not a ``repro.obs`` instrument (``inc`` / ``set`` / "
+        "``observe``).",
+        *(plant(BENCH, P99, f"p99 = {second}", f"{BENCH}:{{L}}: p99 = {second}") for second in (
+            "np.percentile(stats.latencies, 99)",
+            "numpy.quantile(stats.latencies, 0.99)",
+            "statistics.quantiles(stats.latencies, n=100)[98]",
+        )),
+        plant("repro/sim/stats.py", "def rank_quantile(",
+              "from statistics import mean, quantiles\ndef rank_quantile(",
+              "repro/sim/stats.py:{L}: from statistics import mean, quantiles"),
+        plant(FLEET_STATS, FLEET_P99, "return rank_quantile(sorted(self.latencies()), q)",
+              f"{FLEET_STATS}:{{L}}: rank_quantile"),
+        plant(FLEET_STATS, FLEET_P99, "return sim_stats.summarize_latencies(self.latencies())['p99_ms']",
+              f"{FLEET_STATS}:{{L}}: summarize_latencies"),
+        plant(FLEET_STATS, "from .node import ClusterNode",
+              "from ..sim.stats import rank_quantile as pick\nfrom .node import ClusterNode",
+              f"{FLEET_STATS}:{{L}}: rank_quantile"),
+        plant(OBS, "__all__ = [", "class Counter:\n    def inc(self):\n        pass\n\n\n__all__ = [",
+              f"{OBS}:{{L}}: Counter"),
+        plant(OBS, "__all__ = [", "class Sampler:\n    def start(self):\n        pass\n\n\n__all__ = [")),
+    rule(
+        "host-lifecycle-has-one-scheduler", SRC, _second_lifecycle_schedules,
+        {("repro/faults/injector.py", f"FaultInjector._do_host_{action}") for action in LIFECYCLE}
+        | {("repro/cluster/cluster.py", f"Cluster.{action}") for action in LIFECYCLE},
+        "Host drain / fail / restore are events on ``ScenarioSpec.faults``: only the fault injector calls "
+        "them (and the ``Cluster`` methods, which hand the call to the node).  A loop of its own over "
+        "lifecycle events (``HostEvent``) is a second schedule.",
+        # The deleted HostEvent loop, over lifecycle fault events.
+        plant(FLEET, ARM, "        for e in spec.scenario.faults.events:\n"
+              "            cluster.sim.schedule_at(e.t, lambda e=e: getattr(cluster, e.kind[5:])(e.host))\n"
+              + ARM, f"{FLEET}:{{L+1}}: getattr"),
+        *(plant(FLEET, ARM, f"        {call}\n{ARM}", f"{FLEET}:{{L}}: setup_cluster") for call in (
+            'cluster.drain("host1")', 'cluster.node("host1").fail()', "cluster.nodes[0].restore()",
+            "node.drain()",
+        )),
+        # A drain on anything else (a queue) is not a lifecycle call.
+        plant(FLEET, ARM, f"        queue.drain()\n{ARM}"),
+        # The injector's allowance is by handler: a new caller there is a stray.
+        plant(INJECTOR, "def _do_host_drain(", "def _do_host_park(",
+              f"{INJECTOR}:{{L+1}}: FaultInjector._do_host_park")),
+    rule(
+        "one-driver", SRC, _second_drivers,
+        {(name, SCENARIO, "run") for name in DRIVES}
+        # The sharding-equivalence check settles one fixed batch on a server
+        # its caller built under each policy: one request, no traffic.
+        | {("run_until_settled", COMMON, "assert_policy_equivalence")},
+        "``repro.workload.scenario.run`` alone plants the update stream and drives the traffic of a server "
+        "and of a fleet alike; another caller (the ``age_device`` harnesses, ``run_offered_load``) is a "
+        "second driver.",
+        # The deleted harnesses' shape, planted where a fleet is set up.
+        plant(FLEET, BUILT, "    engine = scenario.updates.make_engine(servers)\n"
+              "    stream = UpdateStream(scenario.updates, cluster.models['m'])\n"
+              f"    generators_module.run_workload(cluster, generators)\n{BUILT}",
+              f"{FLEET}:{{L}}: setup_cluster calls make_engine",
+              f"{FLEET}:{{L+1}}: setup_cluster calls UpdateStream",
+              f"{FLEET}:{{L+2}}: setup_cluster calls run_workload"),
+        # The deleted figure harness's shape: submit every batch, then settle.
+        plant(COMMON, FIGURE_RUN, "    for batch in spec.tenants[0].requests:\n"
+              "        built.front.submit(model.name, batch)\n"
+              f"    built.front.run_until_settled()\n{FIGURE_RUN}",
+              f"{COMMON}:{{L+2}}: figure_run calls run_until_settled"),
+        # The allowance is by function: the driver under another name is a stray.
+        plant(SCENARIO, "def run(built", "def serve(built", *(
+            f"{SCENARIO}:{{L+{k}}}: serve calls {name}"
+            for k, name in (
+                (16, "make_engine"), (17, "UpdateStream"), (23, "run_workload"), (24, "run_until_settled")
+            )
+        ))),
+    rule(
+        "traffic-comes-from-above", SRC,
+        _imports_of(TRAFFIC_TIERS, TRAFFIC_TIERS + ("repro.obs",), "{path}:{line}: {target}"), (),
+        "``repro.workload`` drives servers, ``repro.cluster`` builds fleets and ``repro.experiments`` runs "
+        "both: nothing beneath them imports them, in a function body either (``run_offered_load`` did).  "
+        "``repro.obs``, the passive top tier, is not beneath them.",
+        *(plant(SERVER, SETTLE, f"        {line}\n{SETTLE}", f"{SERVER}:{{L}}: {seen}") for line, seen in (
+            ("from ..workload.generators import run_workload", "repro.workload.generators.run_workload"),
+            ("import repro.cluster.scenario", "repro.cluster.scenario"),
+            ("from .. import experiments", "repro.experiments"),
+        )),
+        # Inside the traffic tiers (and in obs) the same import is no offence.
+        plant("repro/cluster/users.py", FUTURE, FUTURE + "from ..workload.scenario import run\n"),
+        plant(OBS, "from ..sim.resettable import (",
+              "from ..workload.scenario import run\nfrom ..sim.resettable import (")),
+    rule(
+        "no-unused-import", IMPORTERS, _unused_imports, (),
+        "An import nothing reads is dead weight at import time and a false lead (``FtlCpuCosts`` outlived "
+        "its user).  A module-level name (also under a top-level ``if`` / ``try``) is read, quoted "
+        "annotations too, listed in ``__all__``, or imported from the module by a file of the six importer "
+        "trees.",
+        plant("repro/planted.py", "", (
+            f"{FUTURE}import json\nfrom typing import TYPE_CHECKING, Any, Optional\n"
+            "from .core.config import SlsConfig\nfrom .flash.array import PageRead\nif TYPE_CHECKING:\n"
+            "    from .ftl.ftl import GreedyFtl\n__all__ = ['PageRead']\ndef f(ftl: 'GreedyFtl') -> Any:\n"
+            "    return SlsConfig\n"
+        ), "src/repro/planted.py:2: json", "src/repro/planted.py:3: Optional"),
+        # Out of ``__all__`` but imported from ``repro.obs`` by other files.
+        plant(OBS, '    "Tracer",\n', ""),
+        plant(OBS, "from .metrics import PeriodicSampler, serving_probe",
+              "from .metrics import PeriodicSampler, sample_every, serving_probe",
+              f"src/{OBS}:{{L}}: sample_every")),
+)
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _forget_the_trees():
+    """Later test modules should not walk these trees on every collector pass."""
+    yield
+    for memo in (_tree, _nodes, _imports, _matches, _kept, _from_src):
+        memo.cache_clear()
+
+
+@pytest.mark.parametrize("rule", RULES, ids=[rule.name for rule in RULES])
+def test_rule_holds(rule):
+    sources = _tree(rule.scope)
+    assert rule.find(sources, rule.allowed) == [], rule.why
+    for entry in rule.allowed:
+        assert rule.find(sources, rule.allowed - {entry}), f"allowance never used: {entry}"
+    assert any(expected for *_, expected in rule.planted), "no planted offence"
+
+
+@pytest.mark.parametrize(
+    "rule, case",
+    [(rule, case) for rule in RULES for case in rule.planted],
+    ids=[f"{rule.name}-{i}" for rule in RULES for i, _ in enumerate(rule.planted)],
+)
+def test_planted_case(rule, case):
+    file, old, new, expected = case
+    sources = dict(_tree(rule.scope))
+    text = sources.get(file, "")  # "" plants a new file
+    assert text.count(old) == 1, old
+    line = text[: text.index(old)].count("\n") + 1
+    sources[file] = text.replace(old, new)
+    at = [re.sub(r"\{L(?:\+(\d+))?\}", lambda m: str(line + int(m.group(1) or 0)), each) for each in expected]
+    assert rule.find(sources, rule.allowed) == at
