@@ -21,11 +21,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, List, Optional
+from typing import Callable, Deque, Dict, List, Optional, Union
 
 import numpy as np
 
-from ..nvme.commands import NvmeCommand, NvmeCompletion, Opcode
+from ..nvme.commands import BlockRead, NvmeCommand, NvmeCompletion, Opcode
 from ..nvme.queues import QueuePair
 from ..params import NonNeg, PosCount, check_domains
 from ..sim.kernel import Simulator
@@ -34,7 +34,9 @@ from ..ssd.device import SsdDevice
 
 __all__ = ["DriverConfig", "UnvmeDriver"]
 
-CompletionCallback = Callable[[NvmeCompletion], None]
+Command = Union[NvmeCommand, BlockRead]
+Completion = Union[NvmeCompletion, BlockRead]
+CompletionCallback = Callable[[Completion], None]
 
 
 @dataclass(frozen=True)
@@ -63,14 +65,15 @@ class UnvmeDriver:
             device.create_qpair(self.config.queue_depth)
             for _ in range(self.config.num_qpairs)
         ]
-        self._callbacks: Dict[int, tuple[CompletionCallback, QueuePair]] = {}
-        self._backlog: Deque[tuple[NvmeCommand, CompletionCallback]] = deque()
+        # Issued commands by cid; each carries its qpair and callback.
+        self._callbacks: Dict[int, Command] = {}
+        self._backlog: Deque[Command] = deque()
         # Open ``nvme.cmd`` spans by cid (tracing only; empty otherwise).
         # Completion delivery only sees the cid, so the span handle has
         # to survive the submit -> deliver gap here.
         self._cmd_spans: Dict[int, object] = {}
         self._rr = 0
-        # The open doorbell train: its (sq, cmd) pairs, the instant they
+        # The open doorbell train: its commands, the instant they
         # were issued and the event that will push them; None once it ran.
         self._train: Optional[List[tuple]] = None
         self._train_issued_at = 0.0
@@ -82,7 +85,7 @@ class UnvmeDriver:
     # ------------------------------------------------------------------
     # Submission
     # ------------------------------------------------------------------
-    def submit(self, cmd: NvmeCommand, on_done: CompletionCallback) -> None:
+    def submit(self, cmd: Command, on_done: CompletionCallback) -> None:
         """Issue ``cmd``; queues locally when every qpair is at full depth."""
         tracer = self.sim.tracer
         if tracer is not None:
@@ -100,16 +103,14 @@ class UnvmeDriver:
             )
             self._cmd_spans[cmd.cid] = span
             cmd.obs_span = span
-        qp = self._pick_qpair()
-        if qp is None:
-            self._backlog.append((cmd, on_done))
-            return
-        self._issue(qp, cmd, on_done)
+        cmd.on_done = on_done
+        if not self._issue(cmd):
+            self._backlog.append(cmd)
 
-    def _pick_qpair(self) -> Optional[QueuePair]:
-        # Round-robin scan starting where the last pick left off; same
-        # selection sequence as the itertools.cycle original, without the
-        # per-call iterator and property overhead on the hot path.
+    def _issue(self, cmd: Command) -> bool:
+        """Issue ``cmd`` on the first qpair below full depth, in a
+        round-robin scan from where the last issue left off (the
+        itertools.cycle original's sequence); False if there is none."""
         qpairs = self._qpairs
         n = len(qpairs)
         rr = self._rr
@@ -119,15 +120,15 @@ class UnvmeDriver:
                 idx -= n
             qp = qpairs[idx]
             if qp.outstanding < qp.depth:      # QueuePair.can_submit
-                self._rr = idx + 1 if idx + 1 < n else 0
-                return qp
-        return None
-
-    def _issue(self, qp: QueuePair, cmd: NvmeCommand, on_done: CompletionCallback) -> None:
+                break
+        else:
+            return False
+        self._rr = idx + 1 if idx + 1 < n else 0
         sim = self.sim
         qp.outstanding += 1
+        cmd.qp = qp
         cmd.submit_time = sim.now
-        self._callbacks[cmd.cid] = (on_done, qp)
+        self._callbacks[cmd.cid] = cmd
         self.commands_issued += 1
         # Submission cost: build SQE + doorbell write from the host thread.
         train = self._train
@@ -136,29 +137,29 @@ class UnvmeDriver:
             and self._train_issued_at == sim.now
             and sim.is_latest(self._train_event)
         ):
-            train.append((qp.sq, cmd))
-            return
-        self._train = train = [(qp.sq, cmd)]
+            train.append(cmd)
+            return True
+        self._train = train = [cmd]
         self._train_issued_at = sim.now
         self._train_event = sim.schedule_call(
             self.config.submit_cost_s, self._ring_doorbells, train
         )
+        return True
 
-    def _ring_doorbells(self, train: List[tuple]) -> None:
+    def _ring_doorbells(self, train: List[Command]) -> None:
         if train is self._train:
             self._train = None
-        for sq, cmd in train:
-            sq.push(cmd)
+        for cmd in train:
+            cmd.qp.sq.push(cmd)
 
     # ------------------------------------------------------------------
     # Completion (polling): a CQ entry, ``complete_cost_s`` after it lands
     # ------------------------------------------------------------------
-    def _deliver(self, cpl: NvmeCompletion) -> None:
-        entry = self._callbacks.pop(cpl.cid, None)
-        if entry is None:
+    def _deliver(self, cpl: Completion) -> None:
+        cmd = self._callbacks.pop(cpl.cid, None)
+        if cmd is None:
             raise RuntimeError(f"completion for unknown cid {cpl.cid}")
-        on_done, qp = entry
-        qp.outstanding -= 1
+        cmd.qp.outstanding -= 1
         tracer = self.sim.tracer
         if tracer is not None:
             span = self._cmd_spans.pop(cpl.cid, None)
@@ -166,18 +167,15 @@ class UnvmeDriver:
                 span.attrs["status"] = cpl.status.name
                 tracer.end(span)
         backlog = self._backlog
-        while backlog:
-            qp = self._pick_qpair()
-            if qp is None:
-                break
-            self._issue(qp, *backlog.popleft())
-        on_done(cpl)
+        while backlog and self._issue(backlog[0]):
+            backlog.popleft()
+        cmd.on_done(cpl)
 
     # ------------------------------------------------------------------
     # Convenience IO
     # ------------------------------------------------------------------
     def read(self, slba: int, nlb: int, on_done: CompletionCallback) -> None:
-        self.submit(NvmeCommand(Opcode.READ, slba, nlb), on_done)
+        self.submit(BlockRead(slba, nlb), on_done)
 
     def write(
         self, slba: int, nlb: int, data: np.ndarray, on_done: CompletionCallback

@@ -32,7 +32,7 @@ from ...core.vecops import (
     scatter_add_vectors,
     segment_sum,
 )
-from ...nvme.commands import NvmeCompletion, Status
+from ...nvme.commands import BlockRead, Status
 from ...params import PosCount, checked
 from ...sim.stats import Breakdown
 from ..caches import SetAssociativeLru
@@ -84,12 +84,12 @@ class _SsdOp:
     owed_rows: List[int] = field(default_factory=list)
     owed_sizes: List[int] = field(default_factory=list)
 
-    def completed(self, a: int, b: int, cpl: NvmeCompletion) -> None:
+    def completed(self, a: int, b: int, cpl: BlockRead) -> None:
         if cpl.status is not Status.SUCCESS:
             raise RuntimeError(f"baseline SLS read failed: {cpl.status}")
         backend = self.backend
         table = backend.table
-        segments = cpl.payload.segments
+        segments = cpl.segments
         for seg in segments:
             content = seg.content
             if type(content) is not TablePageContent or content.table is not table:

@@ -25,7 +25,7 @@ from .mapping import UNMAPPED, MappingTable
 from .pagecache import PageCache
 from .wear import WearLeveler
 
-__all__ = ["FtlConfig", "GreedyFtl", "PAGE_CACHED", "FLASH_READ", "UNMAPPED_PAGE"]
+__all__ = ["FtlConfig", "GreedyFtl", "HostRead", "PAGE_CACHED", "FLASH_READ", "UNMAPPED_PAGE"]
 
 ReadDone = Callable[[Any, bool], None]  # (content, cache_hit)
 Done = Callable[[], None]
@@ -38,72 +38,73 @@ PAGE_CACHED, FLASH_READ, UNMAPPED_PAGE = 0, 1, 2
 # callbacks (a single deferred call is a ``partial``).
 
 
-@dataclass(slots=True, eq=False)
-class _PageRead(PageRead):
-    """``read_page``, or ``read_pages`` of a single page (``listed``: the
-    caller wants ``[content]`` back, not ``(content, cache_hit)``); a
-    miss is its own flash read."""
+class HostRead(PageRead):
+    """A host read of bytes ``[offset, offset + nbytes)`` of logical page
+    ``lpn`` (:meth:`GreedyFtl.read`), or of one such page per entry of
+    ``pages``; a one-page miss is its own flash read.  :meth:`pages_read`
+    runs once each ``content`` is in (``None``: unmapped or
+    uncorrectable)."""
 
-    ftl: "GreedyFtl"
-    lpn: int
-    on_done: Callable
-    listed: bool
-    content: Any = None
+    __slots__ = ("ftl", "lpn", "offset", "nbytes", "content", "pages", "pending")
 
-    def cached(self) -> None:
-        if self.listed:
-            self.on_done([self.content])
-        else:
-            self.on_done(self.content, True)
+    def __init__(self, lpn: int, offset: int = 0, nbytes: int = 0):
+        self.lpn = lpn
+        self.offset = offset
+        self.nbytes = nbytes
+        self.content = None
+        self.pages = None
 
-    def after_cpu(self) -> None:
+    def pages_read(self) -> None:
+        raise NotImplementedError
+
+    def after_lookup(self) -> None:
         ftl = self.ftl
         ftl.flash_page_reads += 1
         ftl.flash.admit(self, self.ppn)
 
     def landed(self, content: Any) -> None:
+        self.content = content
         # None means the flash gave up (uncorrectable read): caching
         # it would turn a transient fault into a permanent zero-page.
         if content is not None:
             self.ftl.page_cache.insert(self.lpn, content)
-        if self.listed:
-            self.on_done([content])
-        else:
-            self.on_done(content, False)
+        self.pages_read()
 
-
-@dataclass(slots=True, eq=False)
-class _PagesRead:
-    """``read_pages`` of several pages: one firmware cost for the command,
-    then one flash read per mapped miss; ``on_done`` gets every page's
-    content once the last read lands."""
-
-    ftl: "GreedyFtl"
-    lpns: list[int]
-    on_done: Callable[[list[Any]], None]
-    contents: list[Any]
-    misses: list[int]
-    pending: int = 0
-
-    def after_cpu(self) -> None:
+    def after_lookups(self, misses: list["HostRead"]) -> None:
         ftl = self.ftl
-        lookup, read = ftl.mapping.lookup, ftl.flash.read
-        for i in self.misses:
-            ppn = lookup(self.lpns[i])
+        l2p, read = ftl.mapping.l2p, ftl.flash.read
+        self.pending = 0
+        for page in misses:
+            ppn = l2p[page.lpn]
             if ppn != UNMAPPED:
                 self.pending += 1
                 ftl.flash_page_reads += 1
-                read(ppn, partial(self.after_flash, i))
+                read(ppn, partial(self.page_landed, page))
         if not self.pending:
-            self.on_done(self.contents)
+            self.pages_read()
 
-    def after_flash(self, i: int, content: Any) -> None:
-        self.contents[i] = content
-        if content is not None:  # don't cache uncorrectable reads
-            self.ftl.page_cache.insert(self.lpns[i], content)
+    def page_landed(self, page: "HostRead", content: Any) -> None:
+        page.content = content
+        if content is not None:  # as in ``landed``
+            self.ftl.page_cache.insert(page.lpn, content)
         self.pending -= 1
         if not self.pending:
-            self.on_done(self.contents)
+            self.pages_read()
+
+
+class _PageCallback(HostRead):
+    """:meth:`GreedyFtl.read_page`'s record: ``on_done(content, hit)``,
+    ``hit`` unless the page was read from flash."""
+
+    __slots__ = ("on_done",)
+
+    def __init__(self, lpn: int, on_done: ReadDone):
+        super().__init__(lpn)
+        self.ppn = UNMAPPED
+        self.on_done = on_done
+
+    def pages_read(self) -> None:
+        self.on_done(self.content, self.ppn == UNMAPPED)
 
 
 @dataclass(slots=True, eq=False)
@@ -216,61 +217,50 @@ class GreedyFtl:
     # ------------------------------------------------------------------
     # Foreground read path
     # ------------------------------------------------------------------
-    def read_page(self, lpn: int, on_done: ReadDone) -> None:
-        """Read logical page ``lpn`` through the page cache.
+    def read(self, read: HostRead) -> None:
+        """Read ``read``'s page(s) through the page cache; its
+        ``pages_read()`` runs after firmware (+ flash) time.
 
-        ``on_done(content, cache_hit)`` runs after firmware + flash time.
-        Unmapped pages return ``None`` content via the fast path.
+        One page: a hit, or a miss on an unmapped page, costs the
+        firmware ``io_hit_s``; a mapped miss costs ``io_miss_s`` and is
+        then ``read``'s own flash read.  Several pages: the firmware pays
+        the command cost once plus a small per-extra-page cost (mapping
+        lookup + channel-queue fill), so large sequential commands stream
+        at near-flash bandwidth instead of per-page command cost —
+        matching the prototype's ~1.3GB/s sequential envelope.  Each page
+        probes the page cache; once the firmware is done, each miss that
+        is mapped is one :meth:`FlashArray.read`, issued in page order.
         """
-        read = _PageRead(self, lpn, on_done, False)
-        self.host_page_reads += 1
+        read.ftl = self
         costs = self.cpu.costs
-        hit, read.content = self.page_cache.lookup(read.lpn)
-        if not hit:
-            read.ppn = self.mapping.lookup(read.lpn)
-            if read.ppn != UNMAPPED:
-                self.cpu.ftl_core.submit(costs.io_miss_s, read.after_cpu)
-                return
-        self.cpu.ftl_core.submit(costs.io_hit_s, read.cached)
-
-    def read_pages(self, lpns: list[int], on_done: Callable[[list[Any]], None]) -> None:
-        """Read the logical pages of one command; ``on_done(contents)``.
-
-        The firmware pays the full command cost once plus a small per-extra-
-        page cost (mapping lookup + channel-queue fill), so large sequential
-        commands stream at near-flash bandwidth instead of per-page command
-        cost — matching the prototype's ~1.3GB/s sequential envelope.  Each
-        page probes the page cache; once the firmware is done, each miss
-        that is mapped is one :meth:`FlashArray.read`, issued in page order.
-        """
-        if not lpns:
-            self.sim.call_soon(partial(on_done, []))
-            return
-        if len(lpns) == 1:
-            # read_page, in this frame.
-            read = _PageRead(self, lpns[0], on_done, True)
+        pages = read.pages
+        if pages is None:
             self.host_page_reads += 1
-            costs = self.cpu.costs
             hit, read.content = self.page_cache.lookup(read.lpn)
             if not hit:
-                read.ppn = self.mapping.lookup(read.lpn)
-                if read.ppn != UNMAPPED:
-                    self.cpu.ftl_core.submit(costs.io_miss_s, read.after_cpu)
+                read.ppn = ppn = self.mapping.l2p[read.lpn]
+                if ppn != UNMAPPED:
+                    self.cpu.ftl_core.submit(costs.io_miss_s, read.after_lookup)
                     return
-            self.cpu.ftl_core.submit(costs.io_hit_s, read.cached)
+            self.cpu.ftl_core.submit(costs.io_hit_s, read.pages_read)
             return
-        self.host_page_reads += len(lpns)
-        read = _PagesRead(self, lpns, on_done, [None] * len(lpns), [])
-        lookup, contents, misses = self.page_cache.lookup, read.contents, read.misses
-        for i, lpn in enumerate(lpns):
-            hit, contents[i] = lookup(lpn)
+        self.host_page_reads += len(pages)
+        lookup = self.page_cache.lookup
+        misses = []
+        for page in pages:
+            hit, page.content = lookup(page.lpn)
             if not hit:
-                misses.append(i)
-        costs = self.cpu.costs
+                misses.append(page)
         base = costs.io_miss_s if misses else costs.io_hit_s
         self.cpu.ftl_core.submit(
-            base + (len(lpns) - 1) * costs.io_extra_page_s, read.after_cpu
+            base + (len(pages) - 1) * costs.io_extra_page_s,
+            partial(read.after_lookups, misses),
         )
+
+    def read_page(self, lpn: int, on_done: ReadDone) -> None:
+        """:meth:`read` of page ``lpn``; ``on_done(content, cache_hit)``.
+        Unmapped pages return ``None`` content via the fast path."""
+        self.read(_PageCallback(lpn, on_done))
 
     # ------------------------------------------------------------------
     # Foreground write path

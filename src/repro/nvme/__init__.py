@@ -3,6 +3,7 @@
 from .commands import (
     COMMAND_BYTES,
     COMPLETION_BYTES,
+    BlockRead,
     NvmeCommand,
     NvmeCompletion,
     Opcode,
@@ -10,21 +11,20 @@ from .commands import (
     Status,
 )
 from .controller import NvmeController
-from .payload import ReadPayload, ReadSegment, page_content_to_bytes
+from .payload import page_content_to_bytes
 from .pcie import PcieConfig, PcieLink
 from .queues import CompletionQueue, QueueFullError, QueuePair, SubmissionQueue
 
 __all__ = [
     "COMMAND_BYTES",
     "COMPLETION_BYTES",
+    "BlockRead",
     "NvmeCommand",
     "NvmeCompletion",
     "Opcode",
     "SlbaCodec",
     "Status",
     "NvmeController",
-    "ReadPayload",
-    "ReadSegment",
     "page_content_to_bytes",
     "PcieConfig",
     "PcieLink",

@@ -7,28 +7,24 @@ commands to the attached SLS engine, DMAs data, and posts completions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable, Dict, List, Optional
 
 import numpy as np
 
-from ..ftl.ftl import GreedyFtl
+from ..ftl.ftl import GreedyFtl, HostRead
 from ..sim.kernel import Simulator
 from .commands import (
     COMMAND_BYTES,
     COMPLETION_BYTES,
+    BlockRead,
     NvmeCommand,
     NvmeCompletion,
     Opcode,
     Status,
 )
-from .payload import (
-    PageImagePayload,
-    ReadPayload,
-    ReadSegment,
-    page_content_to_bytes,
-)
+from .payload import PageImagePayload, page_content_to_bytes
 from .pcie import PcieLink
 from .queues import QueuePair
 
@@ -49,7 +45,7 @@ class _Fetch:
 
     ctrl: "NvmeController"
     qp: QueuePair
-    cmd: Optional[NvmeCommand] = None
+    cmd: Any = None                     # an NvmeCommand or a BlockRead
 
     def doorbell(self, _qid: int) -> None:
         if self.cmd is None:
@@ -64,10 +60,26 @@ class _Fetch:
         ctrl = self.ctrl
         ctrl.commands_fetched += 1
         cmd = self.cmd
-        if cmd.opcode is Opcode.READ and not cmd.ndp:
-            ctrl._do_read(self.qp, cmd)
-        else:
+        if type(cmd) is not BlockRead:
             ctrl._dispatch(self.qp, cmd)
+        elif cmd.slba + cmd.nlb > ctrl.logical_lbas:
+            ctrl.complete(self.qp, cmd, None, Status.LBA_OUT_OF_RANGE)
+        else:
+            # A conventional read: its page fields, then the FTL.
+            ctrl.reads_served += 1
+            cmd.ctrl = ctrl
+            slba, lbas_per_page = cmd.slba, ctrl.lbas_per_page
+            first, last = slba // lbas_per_page, (slba + cmd.nlb - 1) // lbas_per_page
+            cmd.nbytes = cmd.nlb * ctrl.lba_bytes
+            if first == last:
+                cmd.lpn = first
+                cmd.offset = (slba - first * lbas_per_page) * ctrl.lba_bytes
+            else:
+                cmd.pages = ctrl._pages(cmd, first, last)
+            tracer = ctrl.sim.tracer
+            if tracer is not None:
+                cmd.span = tracer.begin("ftl.read", parent=cmd.obs_span, pages=last - first + 1)
+            ctrl.ftl.read(cmd)
         ring = self.qp.sq._ring
         if ring:
             self.cmd = ring.popleft()
@@ -77,67 +89,12 @@ class _Fetch:
 
 
 @dataclass(slots=True, eq=False)
-class _Command:
-    """A fetched command on its way out: completion CPU time, then the CQ
-    entry over PCIe and the driver's pickup of it (one hand-off event,
-    ``pickup_s`` after the entry lands) -> posted with ``payload`` and
-    ``status``, stamped with the instant it landed."""
+class _Write:
+    """A write command whose pages are on their way into the FTL."""
 
     ctrl: "NvmeController"
     qp: QueuePair
     cmd: NvmeCommand
-    payload: Any = field(default=None, kw_only=True)
-    status: Status = field(default=Status.SUCCESS, kw_only=True)
-    landed: float = field(default=0.0, kw_only=True)
-
-    def complete(self) -> None:
-        ctrl = self.ctrl
-        cpu = ctrl.ftl.cpu
-        self.landed = ctrl.pcie.d2h.transfer_after(
-            cpu.host_core, cpu.costs.cmd_complete_s, COMPLETION_BYTES, self.post,
-            self.qp.cq.pickup_s,
-        )
-
-    def post(self) -> None:
-        self.qp.cq.post(NvmeCompletion(self.cmd.cid, self.status, self.payload, self.landed))
-
-
-@dataclass(slots=True, eq=False)
-class _Read(_Command):
-    """A conventional read: pages from the FTL -> DMA set-up and data
-    over PCIe (one hand-off event) -> completion."""
-
-    lpns: List[int]
-    tracer: Any
-    span: Any
-
-    def on_contents(self, contents: List[Any]) -> None:
-        if self.span is not None:
-            self.tracer.end(self.span)
-        ctrl, cmd = self.ctrl, self.cmd
-        lba_bytes, page_bytes = ctrl.lba_bytes, ctrl.page_bytes
-        total_bytes = cmd.nlb * lba_bytes
-        start_byte = cmd.slba * lba_bytes
-        end_byte = start_byte + total_bytes
-        segments: List[ReadSegment] = []
-        for lpn, content in zip(self.lpns, contents):
-            page_start = lpn * page_bytes
-            seg_start = max(start_byte, page_start)
-            seg_end = min(end_byte, page_start + page_bytes)
-            segments.append(
-                ReadSegment(lpn, content, seg_start - page_start, seg_end - seg_start)
-            )
-        self.payload = ReadPayload(segments, total_bytes)
-        cpu = ctrl.ftl.cpu
-        ctrl.pcie.d2h.transfer_after(
-            cpu.host_core, cpu.costs.dma_setup_s, self.payload.nbytes, self.complete
-        )
-
-
-@dataclass(slots=True, eq=False)
-class _Write(_Command):
-    """A write command whose pages are on their way into the FTL."""
-
     remaining: int
     tracer: Any
     span: Any
@@ -153,7 +110,7 @@ class _Write(_Command):
         if self.remaining == 0:
             if self.span is not None:
                 self.tracer.end(self.span)
-            self.complete()
+            self.ctrl.complete(self.qp, self.cmd)
 
 
 class NvmeController:
@@ -191,15 +148,13 @@ class NvmeController:
         if cmd.ndp:
             self._dispatch_ndp(qp, cmd)
             return
-        if cmd.opcode is Opcode.READ:
-            self._do_read(qp, cmd)
-        elif cmd.opcode is Opcode.WRITE:
+        if cmd.opcode is Opcode.WRITE:
             self._do_write(qp, cmd)
         elif cmd.opcode is Opcode.FLUSH:
             self.complete(qp, cmd, None, Status.SUCCESS)
         elif cmd.opcode is Opcode.DSM:
             self._do_trim(qp, cmd)
-        else:  # pragma: no cover - enum is closed
+        else:  # a conventional read is a BlockRead
             self.complete(qp, cmd, None, Status.INVALID_FIELD)
 
     def _dispatch_ndp(self, qp: QueuePair, cmd: NvmeCommand) -> None:
@@ -219,23 +174,16 @@ class NvmeController:
     # ------------------------------------------------------------------
     # Conventional read
     # ------------------------------------------------------------------
-    def _do_read(self, qp: QueuePair, cmd: NvmeCommand) -> None:
-        slba, nlb = cmd.slba, cmd.nlb
-        if slba + nlb > self.logical_lbas:
-            self.complete(qp, cmd, None, Status.LBA_OUT_OF_RANGE)
-            return
-        self.reads_served += 1
-        lbas_per_page = self.lbas_per_page
-        lpns = list(range(slba // lbas_per_page, (slba + nlb - 1) // lbas_per_page + 1))
-        tracer = self.sim.tracer
-        read_span = None
-        if tracer is not None:
-            read_span = tracer.begin(
-                "ftl.read",
-                parent=cmd.obs_span,
-                pages=len(lpns),
-            )
-        self.ftl.read_pages(lpns, _Read(self, qp, cmd, lpns, tracer, read_span).on_contents)
+    def _pages(self, read: BlockRead, first: int, last: int) -> List[HostRead]:
+        """Pages ``first..last`` of a read, each with the bytes it asked for."""
+        page_bytes = self.page_bytes
+        start = read.slba * self.lba_bytes
+        end = start + read.nbytes
+        pages = []
+        for lpn in range(first, last + 1):
+            at = lpn * page_bytes
+            pages.append(HostRead(lpn, max(start - at, 0), min(end, at + page_bytes) - max(start, at)))
+        return pages
 
     # ------------------------------------------------------------------
     # TRIM (dataset management deallocate): drop mappings for whole pages
@@ -373,4 +321,17 @@ class NvmeController:
         payload: Any = None,
         status: Status = Status.SUCCESS,
     ) -> None:
-        _Command(self, qp, cmd, payload=payload, status=status).complete()
+        self.post(qp, NvmeCompletion(cmd.cid, status, payload))
+
+    def post(self, qp: QueuePair, cpl: Any) -> None:
+        """Post ``cpl`` (an :class:`NvmeCompletion`, or a :class:`BlockRead`
+        as its own) to ``qp``'s CQ: completion CPU time, then the entry
+        over PCIe and the driver's pickup of it (one hand-off event,
+        ``pickup_s`` after the entry lands), stamped with the instant it
+        landed."""
+        cpu = self.ftl.cpu
+        cq = qp.cq
+        cpl.complete_time = self.pcie.d2h.transfer_after(
+            cpu.host_core, cpu.costs.cmd_complete_s, COMPLETION_BYTES, partial(cq.post, cpl),
+            cq.pickup_s,
+        )

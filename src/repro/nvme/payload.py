@@ -1,7 +1,8 @@
 """Payload objects carried by simulated NVMe data transfers.
 
-Read data is returned as a list of page *segments* referencing the page
-content objects held by the flash store/page cache.  Carrying references
+Read data is returned as page *segments* referencing the page content
+objects held by the flash store/page cache (a
+:class:`~repro.nvme.commands.BlockRead` is its own).  Carrying references
 (rather than copying 16KB byte buffers per access) keeps the simulator
 fast while preserving data identity end-to-end; ``to_bytes`` materializes
 real bytes when a test or host consumer needs them.
@@ -15,8 +16,6 @@ from typing import Any, List
 import numpy as np
 
 __all__ = [
-    "ReadSegment",
-    "ReadPayload",
     "PageImagePayload",
     "page_content_to_bytes",
 ]
@@ -40,16 +39,6 @@ def page_content_to_bytes(content: Any, page_bytes: int) -> np.ndarray:
     raise TypeError(f"cannot materialize page content of type {type(content)!r}")
 
 
-@dataclass(slots=True)
-class ReadSegment:
-    """One contiguous byte range within a single logical page."""
-
-    lpn: int
-    content: Any
-    offset: int
-    nbytes: int
-
-
 @dataclass
 class PageImagePayload:
     """Full-page write images carried by reference, one content per LPN.
@@ -64,24 +53,3 @@ class PageImagePayload:
 
     contents: List[Any]
     nbytes: int
-
-
-@dataclass(slots=True)
-class ReadPayload:
-    """Ordered segments covering the LBA range of a read command."""
-
-    segments: List[ReadSegment]
-    nbytes: int
-
-    def to_bytes(self, page_bytes: int) -> np.ndarray:
-        """Concatenate all segments into one uint8 buffer."""
-        parts = []
-        for seg in self.segments:
-            page = page_content_to_bytes(seg.content, page_bytes)
-            parts.append(page[seg.offset : seg.offset + seg.nbytes])
-        if not parts:
-            return np.zeros(0, dtype=np.uint8)
-        out = np.concatenate(parts)
-        if out.size != self.nbytes:
-            raise AssertionError("payload size mismatch")
-        return out

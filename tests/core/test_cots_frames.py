@@ -49,11 +49,23 @@ from .test_engine_frames import python_calls
 # the driver's pickup rides the CQ entry's event (no ``_on_cq_post`` /
 # ``poll`` / ``schedule_call``).  45 since the FTL's page read is its
 # own flash read (a ``PageRead``: no second record) and an L2P lookup
-# reads a memoryview (no numpy scalar).
-FRAMES_PER_PAGE = 45
+# reads a memoryview (no numpy scalar).  36 since a block read is one
+# record from the driver's submit to its pickup (a ``BlockRead``: the
+# command, its page read and its completion; no ``NvmeCommand`` and its
+# ``__post_init__``, ``_Read``, ``_PageRead``, ``ReadSegment``,
+# ``ReadPayload`` or ``NvmeCompletion``: six ``__init__`` frames and a
+# ``__post_init__`` for one), the FTL reads the L2P memoryview itself
+# (no ``MappingTable.lookup``), the qpair pick is part of the issue (no
+# ``_pick_qpair``), the fetch starts a read itself (no ``_do_read``) and
+# the CQ entry's event is the CQ's ``post`` (no ``_Command.post``); the
+# payload's ``segments`` are one property frame.
+FRAMES_PER_PAGE = 36
 # 88 with the host LRU at that parent (66 after it, 60 before the last
-# step, 49 before the flash read record went, 47 since).
-FRAMES_PER_PAGE_LRU = 47
+# step, 49 before the flash read record went, 47 before the one block
+# read record, 38 since).
+FRAMES_PER_PAGE_LRU = 38
+# ``__init__`` frames per block read: the ``BlockRead``'s own.
+INIT_FRAMES_PER_PAGE = 1
 
 # 112 at that parent (73 after it), 133 with the LRU (82 after it): one
 # stable sort for the span groups and for the unique misses, geometry
@@ -150,6 +162,36 @@ def test_a_cots_op_costs_a_bounded_number_of_frames(lru, per_page_bound, fixed_b
     fixed = small - 16 * per_page
     assert per_page <= per_page_bound, per_page
     assert fixed <= fixed_bound, fixed
+
+
+def init_frames(run) -> int:
+    """How many ``__init__`` frames ``run`` enters (a record built in
+    Python: a dataclass's generated one included), collector off."""
+    calls = 0
+
+    def on_event(frame, event, _arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_name == "__init__":
+            calls += 1
+
+    enabled = gc.isenabled()
+    gc.disable()
+    sys.setprofile(on_event)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+        if enabled:
+            gc.enable()
+    return calls
+
+
+@pytest.mark.parametrize("lru", [False, True])
+def test_a_block_read_builds_one_record(lru):
+    frames_for_one_op(16, lru)
+    small = frames_for_one_op(16, lru, count=init_frames)
+    large = frames_for_one_op(64, lru, count=init_frames)
+    assert (large - small) / 48 == INIT_FRAMES_PER_PAGE
 
 
 @pytest.mark.skipif(sys.version_info < (3, 11), reason="pinned on CPython 3.11")

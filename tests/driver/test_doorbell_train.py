@@ -24,15 +24,28 @@ from repro.ssd.presets import small_ssd
 
 
 class PerCommandDriver(UnvmeDriver):
-    """Copied from commit ce0b2752faea3761a0d03fd27667ae24ad84d4f2."""
+    """The issue of commit ce0b2752faea3761a0d03fd27667ae24ad84d4f2, one
+    push event per command, on this driver's command fields (a command
+    carries its qpair and callback) and with its round-robin pick folded
+    in, as ``UnvmeDriver._issue`` has it."""
 
-    def _issue(self, qp, cmd, on_done) -> None:
+    def _issue(self, cmd) -> bool:
+        n = len(self._qpairs)
+        for k in range(n):
+            qp = self._qpairs[(self._rr + k) % n]
+            if qp.outstanding < qp.depth:
+                break
+        else:
+            return False
+        self._rr = (self._rr + k + 1) % n
         qp.outstanding += 1
+        cmd.qp = qp
         cmd.submit_time = self.sim.now
-        self._callbacks[cmd.cid] = (on_done, qp)
+        self._callbacks[cmd.cid] = cmd
         self.commands_issued += 1
         # Submission cost: build SQE + doorbell write from the host thread.
         self.sim.schedule_call(self.config.submit_cost_s, qp.sq.push, cmd)
+        return True
 
 
 # ("issue", slba) | ("issue in 1 us", slba) | ("schedule", delay in submit

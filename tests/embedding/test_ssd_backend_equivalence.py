@@ -29,6 +29,7 @@ from repro.embedding.spec import Layout, TableSpec
 from repro.embedding.table import TablePageContent
 from repro.host.system import build_system
 from repro.models.runner import BackendKind, RunnerConfig
+from repro.nvme.commands import BlockRead
 from repro.quant import EmbDtype, QuantSpec
 from repro.serving import EmbeddingUpdateEngine, InferenceServer, make_model_updatable
 
@@ -153,15 +154,28 @@ def run(program: Program, backend_cls, spy=None) -> dict:
     sim.run_until(lambda: len(written) == len(raw_pages))
     assert all(cpl.ok for cpl in written)
 
-    # Uncorrectable pages: the FTL hands the controller None.
+    # Uncorrectable pages: the FTL hands the controller None (a block
+    # read's page is swapped to a class that drops their content once
+    # they are in, the page cache keeping its copy).
     bad_lpns = {base_lpn + page % n_pages for page in program.bad_pages}
-    read_pages = device.ftl.read_pages
-    device.ftl.read_pages = lambda lpns, on_done: read_pages(
-        lpns,
-        lambda contents: on_done(
-            [None if lpn in bad_lpns else c for lpn, c in zip(lpns, contents)]
-        ),
-    )
+
+    class Uncorrectable(BlockRead):
+        __slots__ = ()
+
+        def pages_read(self) -> None:
+            for page in self.segments:
+                if page.lpn in bad_lpns:
+                    page.content = None
+            BlockRead.pages_read(self)
+
+    ftl_read = device.ftl.read
+
+    def read(host_read) -> None:
+        if type(host_read) is BlockRead:
+            host_read.__class__ = Uncorrectable
+        ftl_read(host_read)
+
+    device.ftl.read = read
     if spy is not None:
         spy(backend, driver)
 

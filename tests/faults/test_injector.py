@@ -24,6 +24,7 @@ from repro.serving import TableShardPolicy
 from repro.serving.request import RequestState
 from repro.workload import OpenLoopGenerator, run_scenario, run_workload
 
+from ..ftl.host_read import read_pages
 from ..serving.conftest import build_server, toy_model
 from .test_spec import open_scenario
 
@@ -43,7 +44,7 @@ def build_mapped_system(page_cache_pages: int = 0):
 def timed_read(system, lpn: int) -> tuple[float, object]:
     done = []
     before = system.sim.now
-    system.device.ftl.read_pages([lpn], done.append)
+    read_pages(system.device.ftl, [lpn], done.append)
     system.sim.run_until(lambda: bool(done))
     return system.sim.now - before, done[0][0]
 
@@ -152,7 +153,7 @@ class TestReadErrors:
             )
             system.sim.run_until(lambda: injector.stats.injected >= 1)
             done = []
-            system.device.ftl.read_pages(list(range(64)), done.append)
+            read_pages(system.device.ftl, list(range(64)), done.append)
             system.sim.run_until(lambda: bool(done))
             return [c is None for c in done[0]], system.sim.now
 
@@ -171,7 +172,7 @@ class TestReadErrors:
         )
         system.sim.run_until(lambda: injector.stats.injected >= 1)
         done = []
-        system.device.ftl.read_pages(list(range(64)), done.append)
+        read_pages(system.device.ftl, list(range(64)), done.append)
         system.sim.run_until(lambda: bool(done))
         lost = [i for i, c in enumerate(done[0]) if c is None]
         assert lost
@@ -183,7 +184,7 @@ class TestReadErrors:
         # hit); with the error stream advanced it may now succeed.
         hits_before = cache.hits
         done2 = []
-        system.device.ftl.read_pages([lost[0]], done2.append)
+        read_pages(system.device.ftl, [lost[0]], done2.append)
         system.sim.run_until(lambda: bool(done2))
         assert cache.hits == hits_before
 

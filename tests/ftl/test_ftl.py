@@ -7,6 +7,8 @@ from hypothesis import example, given, settings, strategies as st
 from repro.sim.kernel import Simulator
 from repro.ssd.presets import small_ssd
 
+from .host_read import read_pages
+
 
 @pytest.fixture
 def device(sim):
@@ -226,7 +228,7 @@ class TestReadPages:
         )
         reads_before = ftl.flash_page_reads
         got = []
-        ftl.read_pages(lpns, got.append)
+        read_pages(ftl, lpns, got.append)
         sim.run_until(lambda: bool(got))
         assert issued == [ftl.mapping.lookup(lpn) for lpn in (6, 0, 3, 0)]
         assert ftl.flash_page_reads - reads_before == 4
@@ -243,7 +245,7 @@ class TestReadPages:
         first, got = [], []
         ftl.read_page(0, lambda content, hit: first.append(content))
         sim.run_until(lambda: servers[0].busy > 0)
-        ftl.read_pages([dies, 0, 2 * dies, 1], got.append)
+        read_pages(ftl, [dies, 0, 2 * dies, 1], got.append)
         max_queued = 0
         while sim.step():
             for die in servers:

@@ -26,6 +26,8 @@ from repro.embedding.spec import Layout, TableSpec
 from repro.embedding.table import EmbeddingTable
 from repro.host.system import build_system
 
+from ..ftl.host_read import read_pages
+
 __all__ = ["SCENARIOS"]
 
 
@@ -174,7 +176,8 @@ def scenario_ssd_raw_io() -> Dict[str, Any]:
 
 
 def scenario_read_pages_direct() -> Dict[str, Any]:
-    """Drive Ftl.read_pages directly: mapped, unmapped and cached pages."""
+    """Drive Ftl.read directly (``tests/ftl/host_read.py``): mapped,
+    unmapped and cached pages."""
     system = build_system(min_capacity_pages=1 << 16)
     table = _attached(system, TableSpec(name="rp", rows=4096, dim=16, layout=Layout.PACKED))
     ftl = system.device.ftl
@@ -186,7 +189,7 @@ def scenario_read_pages_direct() -> Dict[str, Any]:
         size = int(rng.integers(1, 12))
         lpns = [int(base_lpn + rng.integers(0, n_pages + 2)) for _ in range(size)]
         done: List[Any] = []
-        ftl.read_pages(lpns, done.append)
+        read_pages(ftl, lpns, done.append)
         system.sim.run_until(lambda: bool(done))
         contents = done[0]
         calls.append(

@@ -1,8 +1,8 @@
-"""Ftl.read_pages vs the frozen per-page reference, randomized.
+"""Ftl.read of several pages vs the frozen per-page reference, randomized.
 
 Two identically-built systems run the same randomized multi-page read
 sequences — mixing mapped, unmapped, cached and duplicate pages, plus
-pages rewritten through the IO path — one through ``Ftl.read_pages``,
+pages rewritten through the IO path — one through ``Ftl.read`` (``tests/ftl/host_read.py``),
 one through the per-page cascade kept in
 ``tests/ftl/reference_read_pages.py``.  Completion times, contents,
 and every FTL/flash/page-cache counter must match exactly.
@@ -19,6 +19,7 @@ from repro.flash.reliability import ReadRetryModel, ReliabilityConfig
 from repro.host.system import build_system
 from repro.nvme.payload import page_content_to_bytes
 
+from ..ftl.host_read import read_pages
 from ..ftl.reference_read_pages import read_pages_scalar
 
 
@@ -38,7 +39,7 @@ def read_pages_sync(system, lpns, reference=False):
     if reference:
         read_pages_scalar(system.device.ftl, list(lpns), done.append)
     else:
-        system.device.ftl.read_pages(list(lpns), done.append)
+        read_pages(system.device.ftl, list(lpns), done.append)
     system.sim.run_until(lambda: bool(done))
     return system.sim.now, done[0]
 

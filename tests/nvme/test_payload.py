@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.nvme.payload import ReadPayload, ReadSegment, page_content_to_bytes
+from repro.ftl.ftl import HostRead
+from repro.nvme.commands import BlockRead
+from repro.nvme.payload import page_content_to_bytes
 from repro.sim import units
 
 
@@ -38,30 +40,31 @@ class TestPageContentToBytes:
 
 
 class TestReadPayload:
+    """A read's payload is its ``BlockRead``: the segments' bytes, in order."""
+
+    @staticmethod
+    def read_of(*segments, nbytes):
+        read = BlockRead(0, 2)
+        read.pages = []
+        for lpn, content, offset, size in segments:
+            page = HostRead(lpn, offset, size)
+            page.content = content
+            read.pages.append(page)
+        read.nbytes = nbytes
+        return read
+
     def test_concatenates_segments_in_order(self):
         page_a = np.arange(64, dtype=np.uint8)
         page_b = np.arange(64, 128, dtype=np.uint8)
-        payload = ReadPayload(
-            segments=[
-                ReadSegment(lpn=0, content=page_a, offset=32, nbytes=32),
-                ReadSegment(lpn=1, content=page_b, offset=0, nbytes=16),
-            ],
-            nbytes=48,
-        )
-        out = payload.to_bytes(64)
+        read = self.read_of((0, page_a, 32, 32), (1, page_b, 0, 16), nbytes=48)
+        out = read.payload.to_bytes(64)
         assert np.array_equal(out[:32], page_a[32:])
         assert np.array_equal(out[32:], page_b[:16])
 
     def test_size_mismatch_detected(self):
-        payload = ReadPayload(
-            segments=[ReadSegment(lpn=0, content=None, offset=0, nbytes=8)],
-            nbytes=9,
-        )
+        read = self.read_of((0, None, 0, 8), nbytes=9)
         with pytest.raises(AssertionError):
-            payload.to_bytes(64)
-
-    def test_empty(self):
-        assert ReadPayload(segments=[], nbytes=0).to_bytes(64).size == 0
+            read.payload.to_bytes(64)
 
 
 class TestUnits:

@@ -42,7 +42,10 @@ def test_containers_alive_per_queued_unit():
     their cells made it 14)."""
     counts = unit_counts()
     assert counts["FlashArray.read"] <= 4, counts
-    assert counts["Ftl.read_pages([lpn])"] <= 6, counts
+    # A block read queued on the FTL core is the one record from driver
+    # to CQ (the command, its page read and its completion) and its
+    # bound stage.
+    assert counts["Ftl.read(BlockRead)"] <= 6, counts
     # The move is its own flash read: no second record and bound method
     # while the read is queued on its die (4 before).
     assert counts["gc page move"] <= 2.5, counts

@@ -55,13 +55,14 @@ _BAG, _BAGS = re.compile(r"(?:\w*_)?bag"), re.compile(r"(?:\w*_)?bags")
 CLOSURE_FREE = {
     "repro/flash/array.py": "FlashArray.read FlashArray.admit FlashArray.program FlashArray.erase "
     "FlashArray._erased PageRead.* _CallbackRead.* _PageProgram.*",
-    "repro/ftl/ftl.py": "GreedyFtl.read_page GreedyFtl.read_pages GreedyFtl.ndp_read GreedyFtl.write_page "
+    "repro/ftl/ftl.py": "GreedyFtl.read GreedyFtl.read_page GreedyFtl.ndp_read GreedyFtl.write_page "
     "GreedyFtl._do_write GreedyFtl.program_page GreedyFtl._program_done "
-    "_PageRead.* _PagesRead.* _PageWrite.*",
+    "HostRead.* _PageCallback.* _PageWrite.*",
     "repro/ftl/mover.py": "PageMove.*",
     "repro/ftl/wear.py": "WearLeveler._move_page",
-    "repro/nvme/controller.py": "NvmeController._do_read NvmeController.complete NvmeController.dma_to_host "
-    "NvmeController.dma_to_device NvmeController._do_write_images _Fetch.* _Command.* _Read.* _Write.*",
+    "repro/nvme/commands.py": "BlockRead.*",
+    "repro/nvme/controller.py": "NvmeController._pages NvmeController.complete NvmeController.post "
+    "NvmeController.dma_to_host NvmeController.dma_to_device NvmeController._do_write_images _Fetch.* _Write.*",
     "repro/driver/unvme.py": "UnvmeDriver._issue UnvmeDriver._deliver",
     "repro/core/engine.py": "NdpSlsEngine._admit NdpSlsEngine.handle_result_read NdpSlsEngine._stage_results "
     "NdpSlsEngine._accumulate_cache_hits NdpSlsEngine._pump _PageJob.* _Command.*",

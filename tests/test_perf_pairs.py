@@ -5,6 +5,7 @@ ratio and the change's wins on the side BENCHMARK.json calls better."""
 from __future__ import annotations
 
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -13,12 +14,16 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 
 from perf_pairs import (  # noqa: E402
+    ROOT,
     end_to_end_bounds,
     end_to_end_metrics,
+    extract,
     format_table,
     frames_table,
+    main,
     metric_row,
     quartiles,
+    record_rows,
     regressions,
     verdict,
     workloads_named,
@@ -174,3 +179,49 @@ def test_the_update_drain_is_counted_apart_in_totals():
     assert lines[11:] == [
         "| aged_update_mix | 500,000 | 400,000 | 0.800x | 9,000 | 9,000 | 1.000x |"
     ]
+
+
+def test_a_recorded_row_per_workload_seed_and_side():
+    runs = {"ssd_serve": [(result(p, 0.03), result(c, 0.031)) for p, c in zip(PARENT, CHANGE)]}
+    revisions = {"parent": "a" * 40, "change": "b" * 40}
+    metrics = [("host_req_per_s", "higher"), ("setup_s", "lower")]
+    parent, change = record_rows(revisions, 13, metrics, runs, ["ssd_serve setup_s", "ndp_serve setup_s"])
+    assert (parent["side"], change["side"]) == ("parent", "change")
+    assert parent["metrics"]["host_req_per_s"] == {"median": 1400.0, "q1": 1380.0, "q3": 1420.0}
+    assert change["metrics"]["host_req_per_s"]["median"] == 1550.0
+    # 4/5 pairs to the change on the rate, 1/5 to the parent; setup_s
+    # is lower-better, 0.03 < 0.031 in every pair.
+    assert (change["wins"], parent["wins"]) == (
+        {"host_req_per_s": 4, "setup_s": 0}, {"host_req_per_s": 1, "setup_s": 5}
+    )
+    for row in (parent, change):
+        assert (row["parent"], row["change"], row["workload"], row["seed"]) == (
+            "a" * 40, "b" * 40, "ssd_serve", 13
+        )
+        assert row["pairs"] == 5 and row["sim_identical"] and row["failed"] == 0
+        assert row["worse"] == ["setup_s"]
+    json.dumps(parent)
+
+
+def test_record_refuses_a_file_under_perf(capsys):
+    with pytest.raises(SystemExit):
+        main(["--against", "HEAD", "--workload", "ssd_serve", "--pairs", "0",
+              "--record", str(ROOT / "perf" / "pairs.jsonl")])
+    assert "--record writes outside perf/" in capsys.readouterr().err
+
+
+def test_a_tree_is_the_committed_files_and_git_is_untouched(tmp_path):
+    """``git archive``: the revision's files and no ``.git`` entry (a
+    worktree would have written ``.git/worktrees/``)."""
+    def worktrees() -> str:
+        return subprocess.run(
+            ["git", "worktree", "list", "--porcelain"], cwd=ROOT, capture_output=True, text=True
+        ).stdout
+
+    before = worktrees()
+    extract("HEAD", tmp_path / "tree")
+    assert (tmp_path / "tree" / "BENCHMARK.json").read_bytes() == subprocess.run(
+        ["git", "show", "HEAD:BENCHMARK.json"], cwd=ROOT, capture_output=True, check=True
+    ).stdout
+    assert not (tmp_path / "tree" / ".git").exists()
+    assert worktrees() == before

@@ -57,7 +57,7 @@ from repro.embedding.spec import TableSpec  # noqa: E402
 from repro.embedding.table import EmbeddingTable  # noqa: E402
 from repro.ftl.mover import PageMove  # noqa: E402
 from repro.host.system import build_system  # noqa: E402
-from repro.nvme.commands import NvmeCommand, Opcode  # noqa: E402
+from repro.nvme.commands import BlockRead, NvmeCommand, Opcode  # noqa: E402
 from repro.serving import InferenceServer, ServingConfig  # noqa: E402
 from repro.sim.kernel import Simulator  # noqa: E402
 from repro.ssd.presets import small_ssd  # noqa: E402
@@ -204,6 +204,14 @@ def _containers_per_planned(n: int) -> Dict[str, float]:
     }
 
 
+def _block_read(lpn: int, lba_bytes: int) -> BlockRead:
+    """A one-LBA read of page ``lpn``, its page fields filled as the
+    controller fills them before :meth:`GreedyFtl.read`."""
+    read = BlockRead(lpn, 1)
+    read.lpn, read.offset, read.nbytes = lpn, 0, lba_bytes
+    return read
+
+
 def unit_counts(n: int = 1000) -> Dict[str, float]:
     """GC-tracked containers alive per unit after queueing ``n`` of each on
     a small device *without running the simulator*: the record, the bound
@@ -231,7 +239,9 @@ def unit_counts(n: int = 1000) -> Dict[str, float]:
 
     return {
         "FlashArray.read": _containers_per_call(lambda: ftl.flash.read(ppn, _noop), n),
-        "Ftl.read_pages([lpn])": _containers_per_call(lambda: ftl.read_pages([0], _noop), n),
+        "Ftl.read(BlockRead)": _containers_per_call(
+            lambda: ftl.read(_block_read(0, ftl.config.lba_bytes)), n
+        ),
         "gc page move": _containers_per_call(
             lambda: PageMove(ftl.gc, 0, _noop, die=0, reserve=0, on_moved=_noop).start(), n
         ),

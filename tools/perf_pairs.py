@@ -3,9 +3,10 @@
 
 A host-clock claim is a comparison of two commits on a box whose speed
 drifts by 20-30 % within minutes, so the runs are taken in pairs and the
-side that goes first alternates.  This script checks out ``--against``
-and ``HEAD`` (committed files only, as the benchmark does) into two
-temporary ``git worktree``\\ s, runs the unchanged benchmark command
+side that goes first alternates.  This script extracts ``--against`` and
+``HEAD`` (committed files only, as the benchmark does) into two
+temporary directories with ``git archive`` — nothing in the repo, its
+``.git`` included, is written — runs the unchanged benchmark command
 
     python3 -m perf.run --workload W --seed SEED --seconds S --trace 0
 
@@ -17,10 +18,14 @@ change won (on the side ``BENCHMARK.json`` calls better) — the table
 metric was identical in every run and how many operations failed.  The
 last line names every (workload, end-to-end metric) whose change median
 is worse than the parent's by more than its ``BENCHMARK.json`` bound.
-``--workload`` repeats, or is ``all``; the worktrees are made once and
-removed afterwards; nothing in the repo is written.
+``--workload`` repeats, or is ``all``; the trees are extracted once and
+removed afterwards.
 
-``--frames`` adds two exact counts beside the clock: in each worktree it
+``--record FILE`` appends the same numbers as JSON lines, one row per
+(workload, seed, side) — :func:`record_rows` — to a file outside
+``perf/``, so a change can cite rows instead of pasting tables.
+
+``--frames`` adds two exact counts beside the clock: in each tree it
 runs each chosen workload once more at 1/10 scale under
 ``sys.setprofile``, with the collector off, and prints the Python
 frames and the calls into numpy's C functions (``c_call`` events whose
@@ -43,6 +48,7 @@ Usage (from the repo root)::
     python3 tools/perf_pairs.py --against HEAD~1 --workload ssd_serve --workload dram_serve
     python3 tools/perf_pairs.py --against HEAD~1 --workload all --pairs 3
     python3 tools/perf_pairs.py --against HEAD~1 --workload all --pairs 0 --frames
+    python3 tools/perf_pairs.py --against HEAD~1 --workload ssd_serve --record tools/ledger/pairs.jsonl
 """
 
 from __future__ import annotations
@@ -190,6 +196,52 @@ def regressions(
     return worse
 
 
+def record_rows(
+    revisions: Dict[str, str],
+    seed: int,
+    metrics: Sequence[Tuple[str, str]],
+    runs: Dict[str, Sequence[Tuple[dict, dict]]],
+    worse: Sequence[str],
+) -> List[dict]:
+    """The ``--record`` rows: per workload and side, each end-to-end
+    metric's median and quartiles over the side's runs and the pairs the
+    side won, whether every ``sim_*`` metric was identical in every run
+    of the workload, the failed operations and the workload's verdict
+    (the metrics :func:`regressions` named for it)."""
+    rows = []
+    for workload, pairs in runs.items():
+        sims = {
+            json.dumps({k: v for k, v in r["metrics"].items() if k.startswith("sim_")}, sort_keys=True)
+            for pair in pairs
+            for r in pair
+        }
+        for index, side in enumerate(("parent", "change")):
+            values, wins = {}, {}
+            for name, better in metrics:
+                own = [pair[index]["metrics"][name]["value"] for pair in pairs]
+                other = [pair[1 - index]["metrics"][name]["value"] for pair in pairs]
+                q1, median, q3 = quartiles(own)
+                values[name] = {"median": median, "q1": q1, "q3": q3}
+                wins[name] = sum(
+                    (mine > theirs) if better == "higher" else (mine < theirs)
+                    for mine, theirs in zip(own, other)
+                )
+            rows.append({
+                "parent": revisions["parent"],
+                "change": revisions["change"],
+                "workload": workload,
+                "seed": seed,
+                "side": side,
+                "pairs": len(pairs),
+                "metrics": values,
+                "wins": wins,
+                "sim_identical": len(sims) == 1,
+                "failed": sum(pair[index]["failed"] for pair in pairs),
+                "worse": [w.split(" ", 1)[1] for w in worse if w.split(" ", 1)[0] == workload],
+            })
+    return rows
+
+
 def verdict(worse: Sequence[str]) -> str:
     """The report's last line, from :func:`regressions`."""
     return "worse than the parent beyond a BENCHMARK.json bound: " + (
@@ -229,6 +281,19 @@ def _git(*args: str) -> str:
     ).stdout.strip()
 
 
+def extract(revision: str, tree: Path) -> None:
+    """The committed files of ``revision`` into the directory ``tree``
+    (``git archive | tar -x``): no worktree, nothing under ``.git``."""
+    tree.mkdir(parents=True)
+    archive = subprocess.Popen(["git", "archive", revision], cwd=ROOT, stdout=subprocess.PIPE)
+    try:
+        subprocess.run(["tar", "-x", "-C", str(tree)], stdin=archive.stdout, check=True)
+    finally:
+        archive.stdout.close()
+        if archive.wait() != 0:
+            raise subprocess.CalledProcessError(archive.returncode, ["git", "archive", revision])
+
+
 def _measure(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     command = [
         sys.executable, "-m", "perf.run", "--workload", workload,
@@ -238,7 +303,7 @@ def _measure(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(out.strip().splitlines()[-1])
 
 
-# Run in a worktree: set up one workload at 1/10 scale, then count the
+# Run in an extracted tree: set up one workload at 1/10 scale, then count the
 # Python frames and the calls into numpy's C functions of each phase of
 # its run — serving, and the update drain after it — apart: ``run``
 # opens a tracer span around each, and the counter is on only inside one.
@@ -297,9 +362,15 @@ def main(argv: Sequence[str] | None = None) -> int:
         "--frames", action="store_true",
         help="also count Python frames and numpy calls per request, once per side at 1/10 scale",
     )
+    parser.add_argument(
+        "--record", type=Path, metavar="FILE",
+        help="append one JSON row per (workload, seed, side) to FILE (not under perf/)",
+    )
     args = parser.parse_args(argv)
     if args.pairs < 0:
         parser.error("--pairs must be >= 0")
+    if args.record is not None and (ROOT / "perf") in args.record.resolve().parents:
+        parser.error("--record writes outside perf/")
 
     try:
         workloads = workloads_named(args.workload)
@@ -309,32 +380,25 @@ def main(argv: Sequence[str] | None = None) -> int:
     runs: Dict[str, List[Tuple[dict, dict]]] = {w: [] for w in workloads}
     counts: List[Tuple[str, dict, dict]] = []
     with tempfile.TemporaryDirectory(prefix="perf-pairs-") as scratch:
-        trees: Dict[str, Path] = {}
-        try:
-            for side, revision in revisions.items():
-                tree = Path(scratch) / side
-                _git("worktree", "add", "--detach", str(tree), revision)
-                trees[side] = tree
-            for workload in workloads:
-                for i in range(args.pairs):
-                    order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-                    result = {
-                        side: _measure(trees[side], workload, args.seed, args.seconds)
-                        for side in order
-                    }
-                    runs[workload].append((result["parent"], result["change"]))
-                    rate = [result[side]["metrics"]["host_req_per_s"]["value"] for side in ("parent", "change")]
-                    print(f"{workload} pair {i + 1}/{args.pairs} ({order[0]} first): host_req_per_s "
-                          f"{rate[0]:,.0f} / {rate[1]:,.0f}", file=sys.stderr, flush=True)
-                if args.frames:
-                    counts.append((workload, *(
-                        _count_frames(trees[side], workload, args.seed)
-                        for side in ("parent", "change")
-                    )))
-        finally:
-            for tree in trees.values():
-                _git("worktree", "remove", "--force", str(tree))
-            _git("worktree", "prune")
+        trees = {side: Path(scratch) / side for side in revisions}
+        for side, revision in revisions.items():
+            extract(revision, trees[side])
+        for workload in workloads:
+            for i in range(args.pairs):
+                order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+                result = {
+                    side: _measure(trees[side], workload, args.seed, args.seconds)
+                    for side in order
+                }
+                runs[workload].append((result["parent"], result["change"]))
+                rate = [result[side]["metrics"]["host_req_per_s"]["value"] for side in ("parent", "change")]
+                print(f"{workload} pair {i + 1}/{args.pairs} ({order[0]} first): host_req_per_s "
+                      f"{rate[0]:,.0f} / {rate[1]:,.0f}", file=sys.stderr, flush=True)
+            if args.frames:
+                counts.append((workload, *(
+                    _count_frames(trees[side], workload, args.seed)
+                    for side in ("parent", "change")
+                )))
     print(f"parent {revisions['parent'][:10]}, change {revisions['change'][:10]}")
     if args.pairs:
         for workload, pairs in runs.items():
@@ -344,8 +408,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         print()
         print(frames_table(args.seed, counts))
     if args.pairs:
+        worse = regressions(runs, end_to_end_bounds())
         print()
-        print(verdict(regressions(runs, end_to_end_bounds())))
+        print(verdict(worse))
+        if args.record is not None:
+            rows = record_rows(revisions, args.seed, end_to_end_metrics(), runs, worse)
+            with args.record.open("a") as out:
+                out.writelines(json.dumps(row, sort_keys=True) + "\n" for row in rows)
+            print(f"recorded {len(rows)} rows in {args.record}")
     return 0
 
 
