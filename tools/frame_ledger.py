@@ -26,8 +26,9 @@ baseline (``ssd``, with its host LRU) and on ``ndp``, as
 totals and the requests completed; the report divides.
 
 ``FRAMES.json`` keeps the rows per interpreter (``major.minor``), with
-the numpy version the numpy calls were counted on;
-``tests/test_frame_ledger.py`` holds a fresh count to them.  Usage (from
+the numpy version they were counted on (numpy's Python-level frames and
+its builtins both count); ``tests/test_frame_ledger.py`` holds a fresh
+count to them.  Usage (from
 the repo root; ``perf`` is imported as a library)::
 
     PYTHONPATH=src python tools/frame_ledger.py            # print the rows
