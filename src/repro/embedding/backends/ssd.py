@@ -10,8 +10,8 @@ The hot path is batch-first: the cache filter and LBA-span grouping run
 as numpy array operations, and a completed command only notes which
 slice of the op's rows it delivered — the op gathers its
 miss vectors once, sums them into the result once (at its last
-completion) and hands each refill to the host cache to make before the
-cache is next looked at.  No per-row Python between the serving layer
+completion), and the host cache makes the refills it was owed before
+it is next looked at.  No per-row Python between the serving layer
 and the driver, and no numpy call per command.  (The per-command route
 this replaced is ``tests/embedding/reference_ssd_backend.py``.)
 """
@@ -32,7 +32,7 @@ from ...core.vecops import (
     scatter_add_vectors,
     segment_sum,
 )
-from ...nvme.commands import BlockRead, Status
+from ...nvme.commands import BlockRead
 from ...params import PosCount, checked
 from ...sim.stats import Breakdown
 from ..caches import SetAssociativeLru
@@ -47,21 +47,22 @@ class _SsdOp:
     """One SLS op's block reads in flight.
 
     A command's members are one slice ``[a, b)`` of the span-grouped
-    order (``rows_m`` / ``rids_m``), so everything a completion touches
-    is a view; the command's callback is ``partial(op.completed, a, b)``.
+    order (``rows_m`` / ``rids_m``), so a completion notes two ints; the
+    command's callback is ``partial(op.completed, a, b)``.
 
     Miss vectors are gathered once for the whole op at its first
     fast-route completion.  That is valid whenever a command's pages are
     this table's virtual (preloaded) images — extraction from those is
     definitionally ``table.get_rows`` — so such a completion only notes
-    its slice: the sum is owed to ``values`` and the refill to the host
-    cache.  Commands with an uncorrectable page, or pages rewritten
+    its slice: the sum is owed to ``values``, the refill to the host
+    cache in ``refill`` (the cache's newest note while no other op has
+    opened one since).  Commands with an uncorrectable page, or pages rewritten
     through the IO path (raw buffers), take the slow route: true
     extraction, summed and refilled on the spot.  An update batch
     committed after the gather has invalidated its rows in the host
-    cache; a refill made later than that re-reads its rows, so it cannot
-    put the pre-commit vectors back (the op's own sum keeps what it
-    gathered).
+    cache; a completion later than that refills the rows the table holds
+    then, so it cannot put the pre-commit vectors back (the op's own sum
+    keeps what it gathered).
     """
 
     backend: "SsdSlsBackend"
@@ -72,7 +73,7 @@ class _SsdOp:
     stats: Dict[str, float]
     host_tail: float
     row_bytes: int
-    rows_m: np.ndarray              # external ids, span-grouped order
+    rows_m: List[int]               # external ids, span-grouped order
     rids_m: np.ndarray
     srows: np.ndarray               # storage ranks, miss order
     member_order: np.ndarray
@@ -83,18 +84,22 @@ class _SsdOp:
     # Owed slices, in completion order: their positions and sizes.
     owed_rows: List[int] = field(default_factory=list)
     owed_sizes: List[int] = field(default_factory=list)
+    refill: Optional[List[int]] = None
 
     def completed(self, a: int, b: int, cpl: BlockRead) -> None:
-        if cpl.status is not Status.SUCCESS:
+        if not cpl.ok:
             raise RuntimeError(f"baseline SLS read failed: {cpl.status}")
         backend = self.backend
         table = backend.table
-        segments = cpl.segments
-        for seg in segments:
-            content = seg.content
-            if type(content) is not TablePageContent or content.table is not table:
-                n_rows = self.slow_route(segments, a, b)
-                break
+        pages = cpl.pages
+        if pages is None:
+            content = cpl.content
+            virtual = type(content) is TablePageContent and content.table is table
+        else:
+            virtual = all(type(p.content) is TablePageContent and p.content.table is table
+                          for p in pages)
+        if not virtual:
+            n_rows = self.slow_route((cpl,) if pages is None else pages, a, b)
         else:
             if self.gathered is None:
                 # ``_start`` checked the op's ids: nothing checks them again.
@@ -104,10 +109,14 @@ class _SsdOp:
             self.owed_sizes.append(b - a)
             host_cache = backend.host_cache
             if host_cache is not None:
-                refill = self.gathered[a:b]
                 if table.data.commits != self.gathered_at:
-                    refill = table.rows_at(self.srows[self.member_order[a:b]])
-                host_cache.insert_later(self.rows_m[a:b], refill)
+                    fresh = table.rows_at(self.srows[self.member_order[a:b]])
+                    host_cache.insert_many(np.array(self.rows_m[a:b], dtype=np.int64), fresh)
+                else:
+                    refill = self.refill
+                    if refill is None or host_cache.owing is not refill:
+                        refill = self.refill = host_cache.owe(self.rows_m, self.gathered)
+                    refill.extend(range(a, b))
             n_rows = b - a
         system = backend.system
         self.accumulate_cost += system.host_cpu.accumulate_time(n_rows, self.row_bytes)
@@ -133,7 +142,7 @@ class _SsdOp:
         if not sizes:
             return
         which = np.array(self.owed_rows, dtype=np.intp)
-        scatter_add_segments(self.values, self.rids_m[which], self.gathered[which], sizes)
+        scatter_add_segments(self.values, self.rids_m[which], self.gathered.take(which, 0), sizes)
         self.owed_rows = []
         self.owed_sizes = []
 
@@ -142,7 +151,7 @@ class _SsdOp:
         rpp = table.rows_per_page
         base_lpn = (table.base_lba * table.lba_bytes) // table.page_bytes
         quant, dim = table.spec.quant, table.spec.dim
-        got_rows = self.rows_m[a:b]
+        got_rows = np.array(self.rows_m[a:b], dtype=np.int64)
         got_srows = self.srows[self.member_order[a:b]]
         got_rids = self.rids_m[a:b]
         bad_lpns = [seg.lpn for seg in segments if seg.content is None]
@@ -248,17 +257,18 @@ class SsdSlsBackend(SlsBackend):
         # all address the (possibly heat-packed) physical placement,
         # while ``rows`` keeps the external ids for cache keys/values.
         srows = table.storage_ids(rows)
-        spans = table.lba_span_of_storage(srows)  # [n, 2] (first_lba, nlb)
-        span_nlb = spans[:, 1]
-        encode = int(np.maximum.reduce(span_nlb)) + 1
-        uniq_keys, member_order, bounds = group_slices(spans[:, 0] * encode + span_nlb)
-        commands = self._plan_command_ranges(uniq_keys // encode, uniq_keys % encode)
+        first, last = table.lba_bounds_of_storage(srows)
+        # A row's bytes cross fewer than ``row_bytes`` LBA boundaries, so
+        # ``first * row_bytes + (last - first)`` sorts spans by (first, nlb).
+        spans, member_order, bounds = group_slices(first * (row_bytes - 1) + last)
+        span_first, span_gap = np.divmod(spans, row_bytes)
+        commands = self._plan_command_ranges(span_first, span_gap + 1)
         stats["commands"] = float(len(commands))
-        stats["unique_blocks"] = float(uniq_keys.size)
+        stats["unique_blocks"] = float(spans.size)
 
         op = _SsdOp(
             self, on_done, values, start, breakdown, stats, host_tail, row_bytes,
-            rows[member_order], rids[member_order], srows, member_order, len(commands),
+            rows[member_order].tolist(), rids[member_order], srows, member_order, len(commands),
         )
         read = self.system.driver_for(table.device).read
         edges = bounds.tolist()
@@ -279,8 +289,6 @@ class SsdSlsBackend(SlsBackend):
         n = len(firsts)
         if not self.coalesce:
             return list(zip(firsts, nlbs, range(n), range(1, n + 1)))
-        if n == 0:
-            return []
         commands: List[Tuple[int, int, int, int]] = []
         cur_start, cur_nlb = firsts[0], nlbs[0]
         lo = 0

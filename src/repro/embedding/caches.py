@@ -17,12 +17,13 @@ batch of rows is one ``searchsorted``.  The behaviour is bit-identical
 to the dict-model caches kept in ``tests/embedding/reference_caches.py``
 (see ``tests/hotpath/test_cache_equivalence.py``).
 
-The LRU's refills may be *owed*: ``insert_later`` only records a batch,
-and everything owed lands, in the order it was handed over, as one
-``insert_many`` before the next method or property that reads or writes
-tags, stamps, values or ``evictions`` does anything else.  No caller can
-tell an owed refill from one already made — in particular an
-``invalidate`` always finds the refill it is meant to drop.
+The LRU's refills may be *owed*: ``owe`` opens a note its caller keeps
+appending positions to (the SSD backend's block reads note their slices
+there), and everything owed lands, in the order it was handed over,
+before the next method or property that reads or writes keys, recency,
+values or ``evictions`` does anything else.  No caller can tell an owed
+refill from one already made — in particular an ``invalidate`` always
+finds the refill it is meant to drop.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ class SetAssociativeLru:
     be non-negative integers.
 
     Everything below that touches that state (or ``evictions``, which a
-    refill moves) starts by settling what ``insert_later`` left owed.
+    refill moves) starts by settling what ``owe`` left owed.
     """
 
     @checked
@@ -68,9 +69,10 @@ class SetAssociativeLru:
         self._free: List[List[int]] = [
             list(range(self.ways - 1, -1, -1)) for _ in range(self.sets)
         ]
-        # Refill batches handed over by insert_later and not yet made.
-        self._owed_keys: List[np.ndarray] = []
-        self._owed_values: List[np.ndarray] = []
+        # Refills owed, oldest first, as ``owe`` noted them: ``(keys,
+        # values, at)``; ``owing`` is the ``at`` its owner may extend.
+        self._owed: List[tuple] = []
+        self.owing: Optional[List[int]] = None
         self.hits = 0
         self.misses = 0
         self._evictions = 0
@@ -78,48 +80,69 @@ class SetAssociativeLru:
         register_resettable(self)
 
     # ------------------------------------------------------------------
-    # Owed refills
-    # ------------------------------------------------------------------
-    def insert_later(self, keys: np.ndarray, values: np.ndarray) -> None:
-        """``insert_many(keys, values)``, made no later than the next look
-        at the cache.  The arrays are kept, not copied: the caller must
-        not write to them afterwards."""
-        if self.capacity and keys.size:
-            self._owed_keys.append(keys)
-            self._owed_values.append(values)
+    def owe(self, keys: List[int], values: np.ndarray) -> List[int]:
+        """Owe the refill of ``keys[i]`` with ``values[i]``, in order, for
+        each position ``i`` the caller appends to the returned ``at`` while
+        ``owing`` is ``at`` (a later ``owe`` or a settle ends that).  Both
+        are kept, not copied: the caller must not write to them again."""
+        self.owing = at = []
+        if self.capacity:
+            self._owed.append((keys, values, at))
+        return at
 
     def _settle(self) -> None:
-        keys, values = self._owed_keys, self._owed_values
-        self._owed_keys, self._owed_values = [], []
-        if len(keys) == 1:
-            self.insert_many(keys[0], values[0])
-        else:
-            self.insert_many(np.concatenate(keys), np.concatenate(values))
+        owed = self._owed
+        self._owed = []
+        self.owing = None
+        for keys, values, at in owed:
+            values = values.take(at, 0)
+            slots = self._claim(map(keys.__getitem__, at), values)
+            self._values[slots] = values
+
+    def _claim(self, keys: Iterable[int], values: np.ndarray) -> List[int]:
+        """Make each key, in order, its set's most recently used (an
+        eviction reads the order the keys before it left) and return the
+        slots for ``values``' rows; a repeated key's last row is kept."""
+        shape = values.shape[1:]
+        if self._values is None:
+            self._values = np.zeros((self.sets * self.ways,) + shape, values.dtype)
+        elif self._values.shape[1:] != shape:
+            raise ValueError(f"cache values must share one shape: got {shape}, "
+                             f"cache holds {self._values.shape[1:]}")
+        slot_of, recency_of, free_of = self._slot_of, self._recency, self._free
+        sets, ways = self.sets, self.ways
+        slots: List[int] = []
+        evicted = 0
+        for key in keys:
+            s = key % sets
+            recency = recency_of[s]
+            slot = slot_of.get(key)
+            if slot is not None:
+                recency.remove(key)
+            else:
+                free = free_of[s]
+                if free:
+                    slot = s * ways + free.pop()
+                else:
+                    slot = slot_of.pop(recency.pop(0))
+                    evicted += 1
+                slot_of[key] = slot
+            recency.append(key)
+            slots.append(slot)
+        self._evictions += evicted
+        return slots
 
     @property
     def evictions(self) -> int:
-        if self._owed_keys:
+        if self._owed:
             self._settle()
         return self._evictions
-
-    # ------------------------------------------------------------------
-    def _ensure_storage(self, value: np.ndarray) -> None:
-        value = np.asarray(value)
-        if self._values is None:
-            self._values = np.zeros(
-                (self.sets * self.ways,) + value.shape, dtype=value.dtype
-            )
-        elif self._values.shape[1:] != value.shape:
-            raise ValueError(
-                f"cache values must share one shape: got {value.shape}, "
-                f"cache holds {self._values.shape[1:]}"
-            )
 
     # ------------------------------------------------------------------
     # Scalar interface
     # ------------------------------------------------------------------
     def lookup(self, key: int) -> Optional[np.ndarray]:
-        if self._owed_keys:
+        if self._owed:
             self._settle()
         slot = self._slot_of.get(key)
         if slot is None:
@@ -135,29 +158,10 @@ class SetAssociativeLru:
     def insert(self, key: int, value: np.ndarray) -> None:
         if self.capacity == 0:
             return
-        if self._owed_keys:
+        if self._owed:
             self._settle()
-        self._ensure_storage(value)
-        self._values[self._claim(int(key))] = value
-
-    def _claim(self, key: int) -> int:
-        """Make ``key`` its set's most recently used and return its slot:
-        its own if resident, else a free way, else the LRU key's."""
-        s = key % self.sets
-        recency = self._recency[s]
-        slot = self._slot_of.get(key)
-        if slot is not None:
-            recency.remove(key)
-        else:
-            free = self._free[s]
-            if free:
-                slot = s * self.ways + free.pop()
-            else:
-                slot = self._slot_of.pop(recency.pop(0))
-                self._evictions += 1
-            self._slot_of[key] = slot
-        recency.append(key)
-        return slot
+        slot = self._claim((int(key),), np.asarray(value)[np.newaxis])[0]
+        self._values[slot] = value
 
     def invalidate(self, key: int) -> bool:
         """Drop ``key`` if cached (a row overwritten by a live update).
@@ -166,7 +170,7 @@ class SetAssociativeLru:
         the next way allocated in that set; returns whether the key was
         resident.
         """
-        if self._owed_keys:
+        if self._owed:
             self._settle()
         slot = self._slot_of.pop(key, None)
         if slot is None:
@@ -186,7 +190,7 @@ class SetAssociativeLru:
         return dropped
 
     def __contains__(self, key: int) -> bool:
-        if self._owed_keys:
+        if self._owed:
             self._settle()
         return key in self._slot_of
 
@@ -218,7 +222,7 @@ class SetAssociativeLru:
         if not slots:
             return hit_mask, None
         hit_mask[hit_at] = True
-        return hit_mask, self._values[slots]
+        return hit_mask, self._values.take(slots, 0)
 
     def lookup_many(self, keys: np.ndarray) -> tuple[np.ndarray, Optional[np.ndarray]]:
         """Probe a batch; equivalent to ``lookup`` per key, in order.
@@ -226,7 +230,7 @@ class SetAssociativeLru:
         Returns ``(hit_mask, vectors)`` with ``vectors`` holding the
         cached values of the hit positions (``None`` when nothing hit).
         """
-        if self._owed_keys:
+        if self._owed:
             self._settle()
         keys = np.ascontiguousarray(keys, dtype=np.int64)
         hit_at, slots, _missed = self._probe(keys)
@@ -247,7 +251,7 @@ class SetAssociativeLru:
         ``hits += #hit-elements + #repeat-misses`` and ``misses +=
         #unique-missing-keys``.
         """
-        if self._owed_keys:
+        if self._owed:
             self._settle()
         keys = np.ascontiguousarray(keys, dtype=np.int64)
         hit_at, slots, missed = self._probe(keys)
@@ -256,27 +260,18 @@ class SetAssociativeLru:
         return self._hits(keys.size, hit_at, slots)
 
     def insert_many(self, keys: np.ndarray, values: np.ndarray) -> None:
-        """Insert a batch; equivalent to ``insert`` per row, in order.
-
-        Recency and slots are claimed key by key (an eviction reads its
-        set's order, which the keys before it moved); the vectors land in
-        one scatter at the end.
-        """
+        """Insert a batch; equivalent to ``insert`` per row, in order."""
         if self.capacity == 0 or keys.size == 0:
             return
-        if self._owed_keys:
+        if self._owed:
             self._settle()
-        values = np.asarray(values)
-        self._ensure_storage(values[0])
-        claim = self._claim
-        # Duplicate keys resolve to the same slot; element-order assignment
-        # keeps the last value, matching the sequential overwrite.
-        self._values[[claim(key) for key in keys.tolist()]] = values
+        slots = self._claim(keys.tolist(), np.asarray(values))
+        self._values[slots] = values
 
     # ------------------------------------------------------------------
     @property
     def occupancy(self) -> int:
-        if self._owed_keys:
+        if self._owed:
             self._settle()
         return len(self._slot_of)
 
@@ -286,7 +281,7 @@ class SetAssociativeLru:
         return self.hits / total if total else 0.0
 
     def reset_stats(self) -> None:
-        if self._owed_keys:
+        if self._owed:
             self._settle()          # an owed refill's evictions predate the reset
         self.hits = 0
         self.misses = 0
@@ -298,13 +293,13 @@ class SetAssociativeLru:
     # ------------------------------------------------------------------
     def contents(self) -> Dict[int, np.ndarray]:
         """Key -> value snapshot."""
-        if self._owed_keys:
+        if self._owed:
             self._settle()
         return {key: self._values[slot] for key, slot in self._slot_of.items()}
 
     def recency_order(self) -> List[List[int]]:
         """Per-set keys from least- to most-recently used."""
-        if self._owed_keys:
+        if self._owed:
             self._settle()
         return [list(recency) for recency in self._recency]
 

@@ -293,24 +293,23 @@ class EmbeddingTable:
         return self.lba_span_of_storage(self.storage_ids(rows))
 
     def lba_span_of_storage(self, ranks: np.ndarray) -> np.ndarray:
-        """Per-rank ``(first_lba, nlb)`` for already-translated storage
-        ranks (backends translate once and reuse the ranks for span
-        grouping *and* in-page slot extraction)."""
-        ranks = np.asarray(ranks, dtype=np.int64)
-        rpp = self.rows_per_page
-        lba_bytes = self.lba_bytes
+        """Per-rank ``(first_lba, nlb)`` of already-translated storage ranks."""
+        first, last = self.lba_bounds_of_storage(np.asarray(ranks, dtype=np.int64))
+        return np.stack((first, last - first + 1), axis=1)
+
+    def lba_bounds_of_storage(self, ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """First and last LBA of each int64 storage rank's bytes (backends
+        translate once, for span grouping *and* in-page slot extraction)."""
         row_bytes = self.spec.row_bytes
-        byte_start = (
-            self.base_lba * lba_bytes
-            + ranks // rpp * self.page_bytes
-            + ranks % rpp * row_bytes
-        )
-        first = byte_start // lba_bytes
-        last = (byte_start + (row_bytes - 1)) // lba_bytes
-        spans = np.empty((ranks.size, 2), dtype=np.int64)
-        spans[:, 0] = first
-        spans[:, 1] = last - first + 1
-        return spans
+        lba_bytes = self.lba_bytes
+        page, slot = np.divmod(ranks, self.rows_per_page)
+        byte = page * self.page_bytes
+        byte += slot * row_bytes
+        byte += self.base_lba * lba_bytes
+        first = byte // lba_bytes
+        byte += row_bytes - 1
+        np.floor_divide(byte, lba_bytes, out=byte)
+        return first, byte
 
     # ------------------------------------------------------------------
     # Data access (canonical values = quantization round trip)

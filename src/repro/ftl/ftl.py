@@ -94,17 +94,17 @@ class HostRead(PageRead):
 
 class _PageCallback(HostRead):
     """:meth:`GreedyFtl.read_page`'s record: ``on_done(content, hit)``,
-    ``hit`` unless the page was read from flash."""
+    ``hit`` on a page-cache hit only (a miss sets ``ppn``)."""
 
     __slots__ = ("on_done",)
 
     def __init__(self, lpn: int, on_done: ReadDone):
         super().__init__(lpn)
-        self.ppn = UNMAPPED
+        self.ppn = None
         self.on_done = on_done
 
     def pages_read(self) -> None:
-        self.on_done(self.content, self.ppn == UNMAPPED)
+        self.on_done(self.content, self.ppn is None)
 
 
 @dataclass(slots=True, eq=False)

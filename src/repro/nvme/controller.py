@@ -161,9 +161,7 @@ class NvmeController:
         if self.ndp_engine is None:
             self.complete(qp, cmd, None, Status.INVALID_FIELD)
             return
-        done: Callable[[Any, Status], None] = lambda payload, status: self.complete(
-            qp, cmd, payload, status
-        )
+        done = partial(self.complete, qp, cmd)
         if cmd.opcode is Opcode.WRITE:
             self.ndp_engine.handle_config_write(cmd, done)
         elif cmd.opcode is Opcode.READ:

@@ -9,7 +9,7 @@ command's cost and its intercept what an op pays once (cache probe,
 span grouping, command planning, the one gather and sum, the result).
 Counted with ``sys.setprofile`` and the collector off, as in
 ``test_engine_frames.py``; with a host LRU the op also probes it once
-and refills it once per command.
+and owes it a refill per command, made when the cache is next read.
 
 Frames do not see numpy: a call into a numpy C function is a
 ``c_call`` event, not a frame, and the host LRU's cost was in such calls
@@ -57,13 +57,17 @@ from .test_engine_frames import python_calls
 # ``__post_init__`` for one), the FTL reads the L2P memoryview itself
 # (no ``MappingTable.lookup``), the qpair pick is part of the issue (no
 # ``_pick_qpair``), the fetch starts a read itself (no ``_do_read``) and
-# the CQ entry's event is the CQ's ``post`` (no ``_Command.post``); the
-# payload's ``segments`` are one property frame.
-FRAMES_PER_PAGE = 36
+# the CQ entry's event is the CQ's ``post`` (no ``_Command.post``).  35
+# since the completion reads the read's ``pages`` itself (no
+# ``segments`` property frame).
+FRAMES_PER_PAGE = 35
 # 88 with the host LRU at that parent (66 after it, 60 before the last
 # step, 49 before the flash read record went, 47 before the one block
-# read record, 38 since).
-FRAMES_PER_PAGE_LRU = 38
+# read record, 38 while a completion handed its refill over in an
+# ``insert_later`` frame and the settle claimed each key in a frame of
+# its own).  Since a completion notes its slice in the LRU's newest note
+# (a list ``extend``), the LRU costs a command no frame.
+FRAMES_PER_PAGE_LRU = 35
 # ``__init__`` frames per block read: the ``BlockRead``'s own.
 INIT_FRAMES_PER_PAGE = 1
 
@@ -72,9 +76,11 @@ INIT_FRAMES_PER_PAGE = 1
 # read once per op, commands planned from ``tolist()``, one record per op.
 # 76 / 85 before the last step; 59 / 69 while the gather checked the
 # op's ids again (``TableData._check_ids`` after ``_start``'s) and a
-# ``Bags`` built its offsets and ``rids`` through numpy's wrappers.
+# ``Bags`` built its offsets and ``rids`` through numpy's wrappers; 47 /
+# 57 while the owed refills landed through ``insert_many`` and its
+# ``_ensure_storage``.
 FIXED_FRAMES_PER_OP = 47
-FIXED_FRAMES_PER_OP_LRU = 57
+FIXED_FRAMES_PER_OP_LRU = 54
 
 # With a full host LRU, CPython 3.11, numpy 2: 1 per command and 45 once
 # while the LRU kept numpy tag and stamp rows (an ``argmin`` per
@@ -82,9 +88,14 @@ FIXED_FRAMES_PER_OP_LRU = 57
 # a unique count and a stamp scatter).  Since it keeps a recency list
 # per set, a key costs no numpy call: the probe is a ``tolist``, a mask
 # and one gather, the refill a ``tolist`` and one scatter.  41 once
-# until the gather stopped checking the ids ``_start`` had checked.
+# until the gather stopped checking the ids ``_start`` had checked, 30
+# until the spans became a ``(first, last)`` pair of arrays (no ``[n,
+# 2]`` array, ``maximum`` reduce or key decode).  27 since: the op's
+# rows are a list of ints (one ``tolist``) a refill note indexes in
+# Python, the op's owed positions become one index array, and the owed
+# vectors are ``take``n (half a fancy index's cost).
 NUMPY_CALLS_PER_PAGE_LRU = 0
-FIXED_NUMPY_CALLS_PER_OP_LRU = 30
+FIXED_NUMPY_CALLS_PER_OP_LRU = 27
 
 
 def numpy_calls(run) -> int:

@@ -56,9 +56,11 @@ NUMPY_CALLS_PER_PAGE = 0
 # check is ``outstanding < depth``.  159 since the gather reuses the
 # bound the config proved (no ``external_ids``, ``_check_ids`` or
 # ``_amax`` on the device side) and the config's checks call numpy's
-# reductions directly.  CPython 3.12 inlines comprehensions, so it
-# counts fewer.
-FIXED_FRAMES_PER_OP = 159
+# reductions directly (153 measured).  151 since the controller hands
+# the engine ``partial(complete, qp, cmd)`` for an NDP command, not a
+# ``lambda`` whose call is a frame of its own.  CPython 3.12 inlines
+# comprehensions, so it counts fewer.
+FIXED_FRAMES_PER_OP = 151
 # numpy 2: 43 while the op's ids were range-checked four times (config,
 # ``_process_config``, ``_table_vectors``'s ``ranks.max()``,
 # ``TableData._check_ids``), ``max()`` went through numpy's Python

@@ -14,17 +14,24 @@ interleave inside one op) and ``None`` (uncorrectable) pages.  Compared
 with ``==``: every op's result as bytes, its ``stats``, ``breakdown``
 and instants, the cache's tags, stamps, values, freelists and counters,
 the update engine's summary, ``sim.now`` and ``sim.event_count``.
+
+Two host-LRU cases are pinned as well, against the dict-model cache
+(``reference_caches.py``) and the parent commit's values: two ops whose
+completions interleave (A, B, A), and an update commit between an op's
+gather and its last completion.  A refill batched per op fails both.
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.embedding.backends.ssd import SsdSlsBackend
+from repro.embedding.backends.ssd import SsdSlsBackend, _SsdOp
 from repro.embedding.spec import Layout, TableSpec
 from repro.embedding.table import TablePageContent
 from repro.host.system import build_system
@@ -34,7 +41,9 @@ from repro.quant import EmbDtype, QuantSpec
 from repro.serving import EmbeddingUpdateEngine, InferenceServer, make_model_updatable
 
 from ..conftest import OneTableModel
+from .reference_caches import ScalarSetAssociativeLru
 from .reference_ssd_backend import PerCommandSsdSlsBackend
+from .test_ssd_refill_coherence import log_completions, ssd_server
 
 PAGE_BYTES = 16 * 1024
 US = 1e-6
@@ -311,3 +320,143 @@ def test_a_slow_route_command_finds_the_earlier_slices_summed(monkeypatch):
     assert [(slices, nonzero) for _, _, slices, nonzero in settles] == [(3, False), (6, True)]
     assert settles[0][0] == settles[1][0]
     assert got == run_reference(program)
+
+
+# The two cases below, pinned on the parent commit (997b99a) as
+# ``values_digest`` of the ops' results, in delivery order.
+INTERLEAVED_VALUES = "b6a831abcf19ec6353ee716d8760d34d8ee8e3b49b60d3bd3a77d3c2fab574f3"
+COMMITTED_VALUES = "3a70ed45e01bdca244e11f0975adc07386d18fd319e2b3b6718b183b1bd6d15c"
+
+
+def values_digest(results) -> str:
+    """sha256 of every result value as ``float.hex`` (signed zeros too)."""
+    hexes = " ".join(float(x).hex() for result in results for x in result.values.ravel())
+    return hashlib.sha256(hexes.encode()).hexdigest()
+
+
+def full_lru_server():
+    """A one-table SSD server (one row per page) whose host LRU is one
+    16-way set already holding 16 unrelated rows, so every refill evicts,
+    and the dict-model cache holding the same."""
+    server, model, backend = ssd_server(host_cache_entries=16)
+    cache, table = backend.host_cache, backend.table
+    assert cache.sets == 1
+    resident = np.arange(4000, 4016)
+    cache.insert_many(resident, table.get_rows(resident))
+    reference = ScalarSetAssociativeLru(cache.capacity, ways=cache.ways)
+    for row, vector in zip(resident.tolist(), table.get_rows(resident)):
+        reference.insert(row, vector)
+    return server, model, backend, reference
+
+
+def warm_page_cache(backend, rows) -> None:
+    """Read ``rows``' pages once through the FTL (not the host LRU): their
+    next block read hits the device page cache, so it completes ahead of
+    a flash read issued before it."""
+    table = backend.table
+    ftl, sim = table.device.ftl, backend.system.sim
+    base_lpn = table.base_lba // ftl.lbas_per_page
+    read = []
+    for row in rows:
+        ftl.read_page(base_lpn + row, lambda _content, _hit: read.append(row))
+    sim.run_until(lambda: len(read) == len(rows))
+
+
+def cache_state(cache) -> tuple:
+    return (
+        cache.evictions,
+        cache.invalidations,
+        cache.recency_order(),
+        sorted((key, value.tobytes()) for key, value in cache.contents().items()),
+    )
+
+
+def interleaved_ops() -> tuple:
+    """Op A over rows 0 and 32, op B over row 1, both started at one
+    instant; rows 0 and 1 sit in the page cache, so the completions go
+    A, B, A.  Returns the LRU's state, the dict model's after the same
+    probes and refills in completion order, and the values' digest."""
+    server, _model, backend, reference = full_lru_server()
+    sim, table = server.system.sim, backend.table
+    warm_page_cache(backend, [0, 1])
+    completed = log_completions(backend)
+    results = []
+    backend.start([np.array([0, 32])], results.append)
+    backend.start([np.array([1])], results.append)
+    sim.run_until(lambda: len(results) == 2)
+    assert completed == [0, 1, 32]
+    for row in (0, 32, 1):
+        assert reference.lookup(row) is None
+    for row in completed:
+        reference.insert(row, table.get_rows(np.array([row]))[0])
+    return cache_state(backend.host_cache), cache_state(reference), values_digest(results)
+
+
+def a_commit_mid_op() -> tuple:
+    """One op over rows 5, 911 and 1822; after its first completion (the
+    op's gather) an update commit rewrites rows 5 and 1822.  Row 5's
+    refill is owed when the commit's invalidation lands (it must land
+    first, then go); 1822's read completes after the commit, so its
+    refill carries the committed vector while the op's sum keeps the
+    gathered one.  Returns what :func:`interleaved_ops` does."""
+    server, model, backend, reference = full_lru_server()
+    sim, table = server.system.sim, backend.table
+    (table_name,) = model.tables
+    rows = [5, 911, 1822]
+    completed = log_completions(backend)
+    results = []
+    backend.start([np.array([row]) for row in rows], results.append)
+    sim.run_until(lambda: len(completed) >= 1)
+    assert completed == [5]
+    for row in rows:
+        assert reference.lookup(row) is None
+    reference.insert(5, table.get_rows(np.array([5]))[0])
+    committed = np.array([5, 1822])
+    new = (table.get_rows(committed) + np.float32(0.75)).astype(np.float32)
+    assert EmbeddingUpdateEngine(server).apply_update(model.name, table_name, committed, new) == 2
+    reference.invalidate_many(committed)
+    sim.run_until(lambda: bool(results))
+    sim.run()                                          # the update's page writes
+    assert completed == rows
+    for row in completed[1:]:
+        reference.insert(row, table.get_rows(np.array([row]))[0])
+    return cache_state(backend.host_cache), cache_state(reference), values_digest(results)
+
+
+def plant_a_refill_per_op(monkeypatch) -> None:
+    """The batching the host LRU must not do: an op's refills made at once
+    at its last completion, from its gather."""
+    real = _SsdOp.completed
+    positions = {}
+
+    def completed(op, a, b, cpl) -> None:
+        cache = op.backend.host_cache
+        op.backend.host_cache = None
+        try:
+            real(op, a, b, cpl)
+        finally:
+            op.backend.host_cache = cache
+        positions.setdefault(id(op), []).extend(range(a, b))
+        if op.pending == 0:
+            at = positions.pop(id(op))
+            cache.insert_many(np.array(op.rows_m)[at], op.gathered[at])
+
+    monkeypatch.setattr(_SsdOp, "completed", completed)
+
+
+@pytest.mark.parametrize(
+    "case, values",
+    [(interleaved_ops, INTERLEAVED_VALUES), (a_commit_mid_op, COMMITTED_VALUES)],
+    ids=["interleaved", "commit_mid_op"],
+)
+def test_refills_land_in_completion_order_with_the_vectors_each_completion_saw(case, values):
+    got, want, digest = case()
+    assert got == want
+    assert digest == values
+
+
+@pytest.mark.parametrize("case", [interleaved_ops, a_commit_mid_op], ids=["interleaved", "commit_mid_op"])
+def test_a_refill_batch_per_op_fails_the_cases(monkeypatch, case):
+    plant_a_refill_per_op(monkeypatch)
+    got, want, _digest = case()
+    assert got != want

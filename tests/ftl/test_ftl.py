@@ -41,6 +41,7 @@ class TestReadWrite:
     def test_unmapped_read_returns_none(self, sim, device):
         content, hit, _t = read_page_sync(sim, device.ftl, 3)
         assert content is None
+        assert not hit  # missed the page cache, as a flash read does
 
     def test_cache_hit_faster_than_miss(self, sim, device):
         ftl = device.ftl

@@ -309,3 +309,23 @@ def test_pyproject_declares_slow_marker_and_cov_extra():
     pyproject = (REPO / "pyproject.toml").read_text()
     assert 'slow' in pyproject and "markers" in pyproject
     assert "pytest-cov" in pyproject, "[test] extra lost pytest-cov"
+
+
+def test_ci_installs_the_numpy_the_frame_ledger_was_pinned_on():
+    """``tests/test_frame_ledger.py`` skips unless numpy's major.minor is
+    the one ``tools/ledger/FRAMES.json`` records for the interpreter, and
+    ``pip install -e .`` resolves ``numpy>=1.24`` to whatever is newest:
+    the leg of each pinned interpreter installs that numpy before
+    tier-1, or the gate runs only by chance."""
+    ci = (REPO / ".github" / "workflows" / "ci.yml").read_text()
+    pins = json.loads((REPO / "tools" / "ledger" / "FRAMES.json").read_text())
+    assert pins
+    legs = re.search(r'python-version: \[([^\]]*)\]', ci).group(1)
+    for interpreter, pin in pins.items():
+        assert f'"{interpreter}"' in legs, interpreter
+        step = (
+            f"        if: matrix.python-version == '{interpreter}'\n"
+            f'        run: pip install "numpy=={pin["numpy"]}.*"\n'
+        )
+        assert step in ci, step
+        assert ci.index(step) < ci.index(f"{TIER1_COMMAND} --durations=15")

@@ -61,7 +61,8 @@ CLOSURE_FREE = {
     "repro/ftl/mover.py": "PageMove.*",
     "repro/ftl/wear.py": "WearLeveler._move_page",
     "repro/nvme/commands.py": "BlockRead.*",
-    "repro/nvme/controller.py": "NvmeController._pages NvmeController.complete NvmeController.post "
+    "repro/nvme/controller.py": "NvmeController._dispatch_ndp NvmeController._pages NvmeController.complete "
+    "NvmeController.post "
     "NvmeController.dma_to_host NvmeController.dma_to_device NvmeController._do_write_images _Fetch.* _Write.*",
     "repro/driver/unvme.py": "UnvmeDriver._issue UnvmeDriver._deliver",
     "repro/core/engine.py": "NdpSlsEngine._admit NdpSlsEngine.handle_result_read NdpSlsEngine._stage_results "

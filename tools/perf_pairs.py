@@ -307,10 +307,14 @@ def _measure(tree: Path, workload: str, seed: int, seconds: float) -> dict:
 # Python frames and the calls into numpy's C functions of each phase of
 # its run — serving, and the update drain after it — apart: ``run``
 # opens a tracer span around each, and the counter is on only inside one.
+# argv: workload, seed[, scale, counts].  A warm-up run of one request,
+# uncounted, first: a process's first run also pays first-use work (imports,
+# caches) that no later run does.  Each count prints one JSON line.
 FRAMES_SCRIPT = """
 import gc, json, sys
 from perf.workloads import BY_NAME, observe, run, setup
-built = setup(BY_NAME[sys.argv[1]], int(sys.argv[2]), 0.1)
+workload, seed = BY_NAME[sys.argv[1]], int(sys.argv[2])
+scale, counts = (float(sys.argv[3]), int(sys.argv[4])) if len(sys.argv) > 3 else (0.1, 1)
 tallies = {}
 
 class Phases:
@@ -333,12 +337,16 @@ class Phase:
         sys.setprofile(None)
 
 gc.disable()
-run(built, Phases())
-serve, drain = tallies["run_workload"], tallies.get("update_drain", [0, 0])
-print(json.dumps({
-    "frames": serve[0], "numpy_calls": serve[1], "requests": observe(built).completed,
-    "drain_frames": drain[0], "drain_numpy_calls": drain[1],
-}))
+run(setup(workload, seed, 1 / workload.n_requests))
+for _ in range(counts):
+    tallies.clear()
+    built = setup(workload, seed, scale)
+    run(built, Phases())
+    serve, drain = tallies["run_workload"], tallies.get("update_drain", [0, 0])
+    print(json.dumps({
+        "frames": serve[0], "numpy_calls": serve[1], "requests": observe(built).completed,
+        "drain_frames": drain[0], "drain_numpy_calls": drain[1],
+    }))
 """
 
 
