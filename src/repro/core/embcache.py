@@ -5,12 +5,19 @@ cache is direct mapped: no LRU metadata updates on access, one tag
 compare per probe.  Entries are whole embedding vectors keyed by
 ``(table, row)``.
 
-Tags live in dense int64 arrays and vectors in one float32 block, so the
-NDP engine probes a whole SLS config's input list in a few vector ops
-(:meth:`probe_many`) — bit-equivalent to the element-wise loop it
-replaced.  Caches holding mixed vector widths (multiple models with
-different embedding dims on one device) transparently fall back to
-per-slot object storage.
+Tags live in two lists of Python ints and vectors in one float32 block.
+Every batch operation is one pass over its rows' ints — a probe plus
+one gather of the hit vectors, a claim with no numpy call at all, a
+fill plus one scatter — whatever the batch size.  Caches holding mixed
+vector widths (multiple models with different embedding dims on one
+device) transparently fall back to per-slot object storage.
+
+The slot of ``(table, row)`` is ``(row * 2654435761 + table * 97) %
+slots`` in Python ints, which never wrap; it equals the same formula in
+numpy int64 (the cache's earlier form, and every pinned digest's) only
+while ``row * 2654435761 + table * 97 < 2**63``, i.e. for rows below
+about 3.47e9.  The tables built here hold far fewer (the benchmark's
+409,600); ``tests/core/test_embcache.py`` pins the bound.
 
 An insert has two halves.  :meth:`insert_tags` claims the rows' slots —
 everything that decides which later probe hits, and every counter —
@@ -23,21 +30,16 @@ tagger's promise to fill what it owes.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..sim.resettable import register_resettable
-from .vecops import group_slices
 
 __all__ = ["DirectMappedEmbeddingCache"]
 
 _HASH_MULT = 2654435761
 _TABLE_MULT = 97
-# insert_tags batches up to this size take the per-row loop: ~1 us a
-# row against ~35 us flat for the np.unique + group_slices route
-# (crossover at 24-32 rows); one-row-per-page tables tag one row a page.
-_ELEMENTWISE_MAX = 16
 
 
 class DirectMappedEmbeddingCache:
@@ -45,8 +47,8 @@ class DirectMappedEmbeddingCache:
 
     def __init__(self, slots: int):
         self.slots = slots
-        self._tag_table = np.full(slots, -1, dtype=np.int64)
-        self._tag_row = np.full(slots, -1, dtype=np.int64)
+        self._tag_table = [-1] * slots
+        self._tag_row = [-1] * slots
         self._values: Optional[np.ndarray] = None   # [slots, dim] dense storage
         self._values_obj: Optional[Dict[int, np.ndarray]] = None  # mixed-dim fallback
         self._occupied = 0
@@ -65,26 +67,32 @@ class DirectMappedEmbeddingCache:
         # row index and the table id.
         return (row * _HASH_MULT + table_key * _TABLE_MULT) % self.slots
 
-    def _slots_of(self, table_key: int, rows: np.ndarray) -> np.ndarray:
-        return (rows * _HASH_MULT + table_key * _TABLE_MULT) % self.slots
-
     def _get_value(self, slot: int) -> np.ndarray:
         if self._values_obj is not None:
             return self._values_obj[slot]
         return self._values[slot]
 
-    def _ensure_storage(self, vector: np.ndarray) -> None:
+    def _ensure_storage(self, shape: Tuple[int, ...]) -> None:
         if self._values_obj is not None:
             return
         if self._values is None:
-            self._values = np.zeros(
-                (self.slots,) + np.asarray(vector).shape, dtype=np.float32
-            )
-        elif self._values.shape[1:] != np.asarray(vector).shape:
+            self._values = np.zeros((self.slots,) + shape, dtype=np.float32)
+        elif self._values.shape[1:] != shape:
             # Mixed vector widths: migrate to per-slot object storage.
-            occupied = np.flatnonzero(self._tag_row != -1)
-            self._values_obj = {int(s): self._values[s] for s in occupied}
+            self._values_obj = {
+                slot: self._values[slot] for slot, row in enumerate(self._tag_row) if row != -1
+            }
             self._values = None
+
+    @property
+    def tags(self) -> Dict[int, Tuple[int, int]]:
+        """Slot -> ``(table, row)`` of every tagged slot, in slot order (a
+        copy: the cache's own tags are not exposed)."""
+        return {
+            slot: (table, row)
+            for slot, (table, row) in enumerate(zip(self._tag_table, self._tag_row))
+            if row != -1
+        }
 
     # ------------------------------------------------------------------
     # Scalar interface
@@ -103,7 +111,7 @@ class DirectMappedEmbeddingCache:
         return None
 
     def insert(self, table_key: int, row: int, vector: np.ndarray) -> None:
-        self.insert_many(table_key, [row], np.asarray(vector)[None])
+        self.insert_many(table_key, [int(row)], np.asarray(vector)[None])
 
     # ------------------------------------------------------------------
     # Batch interface
@@ -111,31 +119,36 @@ class DirectMappedEmbeddingCache:
     def probe_many(
         self, table_key: int, rows: np.ndarray
     ) -> tuple[np.ndarray, Optional[np.ndarray]]:
-        """Probe a batch of rows; equivalent to ``lookup`` per row, in order.
+        """Probe an array of rows; equivalent to ``lookup`` per row, in order.
 
         Returns ``(hit_mask, vectors)``, ``vectors`` holding the cached
         values of the hit positions only (``None`` when nothing hit).
         """
-        rows = np.ascontiguousarray(rows, dtype=np.int64)
-        n = rows.size
+        n = len(rows)
         if self.slots == 0 or self._occupied == 0 or n == 0:
             self.misses += n
             return np.zeros(n, dtype=bool), None
         if self.settle is not None:
             self.settle()
-        slots = self._slots_of(table_key, rows)
-        hit_mask = (self._tag_row[slots] == rows) & (self._tag_table[slots] == table_key)
-        n_hits = int(np.count_nonzero(hit_mask))
+        tag_table, tag_row, slots = self._tag_table, self._tag_row, self.slots
+        base = table_key * _TABLE_MULT
+        mask = []
+        hit_slots = []
+        for row in rows.tolist():
+            slot = (row * _HASH_MULT + base) % slots
+            hit = tag_row[slot] == row and tag_table[slot] == table_key
+            mask.append(hit)
+            if hit:
+                hit_slots.append(slot)
+        n_hits = len(hit_slots)
         self.hits += n_hits
         self.misses += n - n_hits
+        hit_mask = np.fromiter(mask, bool, n)
         if n_hits == 0:
             return hit_mask, None
-        hit_slots = slots[hit_mask]
         if self._values_obj is not None:
-            vectors = np.stack([self._values_obj[int(s)] for s in hit_slots])
-        else:
-            vectors = self._values[hit_slots]
-        return hit_mask, vectors
+            return hit_mask, np.stack([self._values_obj[s] for s in hit_slots])
+        return hit_mask, self._values.take(hit_slots, axis=0)
 
     def lookup_many(
         self, table_key: int, rows: np.ndarray
@@ -153,126 +166,88 @@ class DirectMappedEmbeddingCache:
         Equivalent to one ``insert`` per first occurrence of a row (the
         paper's firmware dedupes per page); later occurrences are ignored.
         """
+        rows = np.asarray(rows).tolist()
         self.insert_tags(table_key, rows)
         self.fill_many(table_key, rows, vectors)
 
-    def insert_tags(self, table_key: int, rows: np.ndarray) -> None:
+    def insert_tags(self, table_key: int, rows: Sequence[int]) -> None:
         """Claim the slots of ``rows`` in order; their vectors are owed.
 
-        The tag half of ``insert_many``: the first occurrence of each
-        row takes its slot, later occurrences are ignored.  Conflict
-        accounting matches the sequential outcome, including batch
-        entries displacing each other when distinct rows hash to one
-        slot.  Small batches run exactly that loop; larger ones the
-        equivalent vector route.
+        The tag half of ``insert_many``, over Python ints: the first
+        occurrence of each row takes its slot, later occurrences are
+        ignored, and distinct rows hashing to one slot displace each
+        other in turn, each counted as the sequential ``insert`` would.
         """
-        if self.slots == 0 or len(rows) == 0:
+        if self.slots == 0:
             return
-        if len(rows) <= _ELEMENTWISE_MAX:
-            tag_table, tag_row = self._tag_table, self._tag_row
-            seen = set()
-            for row in np.asarray(rows).tolist():
-                if row in seen:
-                    continue
-                seen.add(row)
-                slot = self._slot(table_key, row)
-                old_row = tag_row[slot]
-                if old_row == -1:
-                    self._occupied += 1
-                elif old_row != row or tag_table[slot] != table_key:
-                    self.conflict_evictions += 1
-                tag_table[slot] = table_key
-                tag_row[slot] = row
-            self.inserts += len(seen)
-            return
-        rows = np.ascontiguousarray(rows, dtype=np.int64)
-        # First occurrence of each row, preserving arrival order.
-        _uniq, first = np.unique(rows, return_index=True)
-        urows = rows[np.sort(first)]
-        slots = self._slots_of(table_key, urows)
-        uniq_slots, order, bounds = group_slices(slots)
-        counts = np.diff(bounds)
-        # Entries after the first in one slot each displace a different row
-        # (rows are unique here), plus the first displaces any pre-existing
-        # foreign tag.
-        conflicts = int((counts - 1).sum())
-        existing_row = self._tag_row[uniq_slots]
-        existing_table = self._tag_table[uniq_slots]
-        occupied = existing_row != -1
-        first_rows = urows[order[bounds[:-1]]]
-        conflicts += int(
-            np.count_nonzero(
-                occupied & ((existing_row != first_rows) | (existing_table != table_key))
-            )
-        )
+        tag_table, tag_row, slots = self._tag_table, self._tag_row, self.slots
+        base = table_key * _TABLE_MULT
+        firsts = dict.fromkeys(rows)
+        claimed = conflicts = 0
+        for row in firsts:
+            slot = (row * _HASH_MULT + base) % slots
+            old_row = tag_row[slot]
+            if old_row == -1:
+                claimed += 1
+            elif old_row != row or tag_table[slot] != table_key:
+                conflicts += 1
+            tag_table[slot] = table_key
+            tag_row[slot] = row
+        self._occupied += claimed
         self.conflict_evictions += conflicts
-        self.inserts += int(urows.size)
-        self._occupied += int(np.count_nonzero(~occupied))
-        self._tag_table[uniq_slots] = table_key
-        self._tag_row[uniq_slots] = urows[order[bounds[1:] - 1]]
+        self.inserts += len(firsts)
 
-    def fill_many(self, table_key: int, rows: np.ndarray, vectors: np.ndarray) -> None:
+    def fill_many(self, table_key: int, rows: Sequence[int], vectors: np.ndarray) -> None:
         """Store the vectors owed to ``rows`` since their ``insert_tags``.
 
-        Only a row that still holds its slot is written (the first
-        occurrence's vector, as ``insert`` per first occurrence stores);
-        where another row has taken the slot since, the vector is
-        dropped — that row's tagger owes the slot's vector now.
+        ``rows`` are Python ints and ``vectors`` an array whose row
+        ``i`` is owed to ``rows[i]``.  Only a row that still holds its
+        slot is written (the first occurrence's vector, as ``insert``
+        per first occurrence stores); where another row has taken the
+        slot since, the vector is dropped — that row's tagger owes the
+        slot's vector now.
         """
         if self.slots == 0 or len(rows) == 0:
             return
-        rows = np.ascontiguousarray(rows, dtype=np.int64)
-        vectors = np.asarray(vectors)
-        self._ensure_storage(vectors[0])
-        slots = self._slots_of(table_key, rows)
-        held = np.flatnonzero(
-            (self._tag_row[slots] == rows) & (self._tag_table[slots] == table_key)
-        )
-        # One row holds a slot, so a repeated slot is a repeated row.
-        uniq_slots, first = np.unique(slots[held], return_index=True)
-        value_src = held[first]
+        self._ensure_storage(vectors.shape[1:])
+        tag_table, tag_row, slots = self._tag_table, self._tag_row, self.slots
+        base = table_key * _TABLE_MULT
+        # Slot -> position of the first row that fills it: one row holds
+        # a slot, so a repeated slot is a repeated row.
+        fills: Dict[int, int] = {}
+        for i, row in enumerate(rows):
+            slot = (row * _HASH_MULT + base) % slots
+            if tag_row[slot] == row and tag_table[slot] == table_key and slot not in fills:
+                fills[slot] = i
+        if not fills:
+            return
         if self._values_obj is not None:
-            for s, v in zip(uniq_slots.tolist(), value_src.tolist()):
-                self._values_obj[s] = vectors[v]
+            for slot, i in fills.items():
+                self._values_obj[slot] = vectors[i]
         else:
-            self._values[uniq_slots] = vectors[value_src]
+            self._values[np.array(list(fills))] = vectors.take(list(fills.values()), axis=0)
 
     # ------------------------------------------------------------------
     # Invalidation (live update write-through)
     # ------------------------------------------------------------------
     def invalidate(self, table_key: int, row: int) -> bool:
         """Drop ``(table, row)`` if resident; returns whether it was."""
-        if self.slots == 0 or self._occupied == 0:
-            return False
-        slot = self._slot(table_key, row)
-        if self._tag_row[slot] != row or self._tag_table[slot] != table_key:
-            return False
-        self._tag_table[slot] = -1
-        self._tag_row[slot] = -1
-        self._occupied -= 1
-        self.invalidations += 1
-        return True
+        return self.invalidate_many(table_key, [int(row)]) == 1
 
     def invalidate_many(self, table_key: int, rows: np.ndarray) -> int:
-        """Invalidate a batch of rows; returns how many were resident.
-
-        Direct mapping means at most one of several distinct rows
-        hashing to a slot is resident, so a vectorized unique-row tag
-        compare matches the sequential loop exactly.
-        """
-        rows = np.ascontiguousarray(rows, dtype=np.int64)
-        if self.slots == 0 or self._occupied == 0 or rows.size == 0:
+        """Invalidate a batch of rows; returns how many were resident."""
+        if self.slots == 0 or self._occupied == 0:
             return 0
-        urows = np.unique(rows)
-        slots = self._slots_of(table_key, urows)
-        mask = (self._tag_row[slots] == urows) & (self._tag_table[slots] == table_key)
-        dropped = int(np.count_nonzero(mask))
-        if dropped:
-            hit_slots = slots[mask]
-            self._tag_table[hit_slots] = -1
-            self._tag_row[hit_slots] = -1
-            self._occupied -= dropped
-            self.invalidations += dropped
+        tag_table, tag_row, slots = self._tag_table, self._tag_row, self.slots
+        base = table_key * _TABLE_MULT
+        dropped = 0
+        for row in dict.fromkeys(np.asarray(rows).tolist()):
+            slot = (row * _HASH_MULT + base) % slots
+            if tag_row[slot] == row and tag_table[slot] == table_key:
+                tag_table[slot] = tag_row[slot] = -1
+                dropped += 1
+        self._occupied -= dropped
+        self.invalidations += dropped
         return dropped
 
     # ------------------------------------------------------------------
@@ -293,8 +268,8 @@ class DirectMappedEmbeddingCache:
         self.invalidations = 0
 
     def clear(self) -> None:
-        self._tag_table.fill(-1)
-        self._tag_row.fill(-1)
+        self._tag_table = [-1] * self.slots
+        self._tag_row = [-1] * self.slots
         self._values = None
         self._values_obj = None
         self._occupied = 0

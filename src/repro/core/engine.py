@@ -135,7 +135,7 @@ class _PageJob(PageRead):
             if emb_cache.slots > 0:
                 # The tags decide which later probes hit; the vectors
                 # follow at the entry's gather.
-                emb_cache.insert_tags(entry.table_base_lpn, entry.ranks[self.lo : self.hi])
+                emb_cache.insert_tags(entry.table_base_lpn, entry.rank_ints[self.lo : self.hi])
         entry.pages_done += 1
         entry.pages_inflight -= 1
         if entry.pages_done == entry.pages_total:
@@ -309,8 +309,8 @@ class NdpSlsEngine:
         if self.emb_cache.slots > 0 and rows.size:
             table_key = entry.table_base_lpn
             hit_mask, hit_vectors = self.emb_cache.probe_many(table_key, rows)
-            entry.emb_cache_hits = int(np.count_nonzero(hit_mask))
             if hit_vectors is not None:
+                entry.emb_cache_hits = len(hit_vectors)
                 entry.cache_vectors = hit_vectors
                 entry.cache_result_ids = result_ids[hit_mask]
                 keep = ~hit_mask
@@ -325,6 +325,9 @@ class NdpSlsEngine:
         if n:
             entry.ranks = rows
             entry.result_ids = result_ids
+            if self.emb_cache.slots > 0:
+                # The pages' claims slice these, one list per op.
+                entry.rank_ints = rows.tolist()
             page_idx = rows // cfg.rows_per_page
             first = np.empty(n, dtype=bool)
             first[0] = True
@@ -516,16 +519,19 @@ class NdpSlsEngine:
         entry.gather_pending = []
         cfg = entry.config
         base_lpn = entry.table_base_lpn
-        his = [job.hi for job in jobs]
-        sizes = [job.hi - job.lo for job in jobs]
-        # One index reads every page's pairs, pages in completion order:
-        # output row ``k`` inside page ``i``'s block is pair ``k + hi_i - end_i``.
-        ends = np.add.accumulate(sizes)
-        index = np.arange(ends[-1]) + np.subtract(his, ends).repeat(sizes)
+        # One index reads every page's pairs ``[lo, hi)``, pages in
+        # completion order.
+        contents, page_indices, sizes, index = [], [], [], []
+        for job in jobs:
+            contents.append(job.content)
+            page_indices.append(job.lpn - base_lpn)
+            sizes.append(job.hi - job.lo)
+            index += range(job.lo, job.hi)
+        index = np.array(index)
         ranks = entry.ranks[index]
         vectors = extract_vectors_paged(
-            [job.content for job in jobs],
-            [job.lpn - base_lpn for job in jobs],
+            contents,
+            page_indices,
             sizes,
             ranks,
             # The entry's ranks ascend (the config proved its pairs
@@ -537,7 +543,7 @@ class NdpSlsEngine:
         )
         scatter_add_segments(entry.scratchpad, entry.result_ids[index], vectors, sizes)
         if self.emb_cache.slots > 0:
-            self.emb_cache.fill_many(base_lpn, ranks, vectors)
+            self.emb_cache.fill_many(base_lpn, ranks.tolist(), vectors)
 
     def flush_gathers(self) -> None:
         """Read now what every translated page still owes its entry.

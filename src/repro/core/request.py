@@ -52,6 +52,8 @@ class SlsRequestEntry:
     # units (the engine's page records) that address them.
     ranks: Optional[np.ndarray] = None       # storage rank in the table, per pair
     result_ids: Optional[np.ndarray] = None  # accumulation destination, per pair
+    # ``ranks`` as Python ints, for the embedding cache's claims (cache on).
+    rank_ints: Optional[List[int]] = field(default=None, init=False)
     pending_pages: Deque[Any] = field(default_factory=deque)
     pages_total: int = 0
     pages_done: int = 0

@@ -20,25 +20,19 @@ __all__ = ["EmbDtype", "QuantSpec", "encode_vectors", "decode_vectors"]
 
 
 class EmbDtype(Enum):
-    FP32 = "fp32"
-    FP16 = "fp16"
-    INT8 = "int8"
+    """An element type; its width and numpy dtype are attributes of the
+    member, so reading one calls no function."""
 
-    @property
-    def bytes_per_element(self) -> int:
-        return _BYTES_PER_ELEMENT[self]
+    FP32 = "fp32", np.float32
+    FP16 = "fp16", np.float16
+    INT8 = "int8", np.int8
 
-    @property
-    def numpy_dtype(self) -> np.dtype:
-        return _NUMPY_DTYPE[self]
-
-
-_BYTES_PER_ELEMENT = {EmbDtype.FP32: 4, EmbDtype.FP16: 2, EmbDtype.INT8: 1}
-_NUMPY_DTYPE = {
-    EmbDtype.FP32: np.dtype(np.float32),
-    EmbDtype.FP16: np.dtype(np.float16),
-    EmbDtype.INT8: np.dtype(np.int8),
-}
+    def __new__(cls, value: str, numpy_type: type):
+        member = object.__new__(cls)
+        member._value_ = value
+        member.numpy_dtype = np.dtype(numpy_type)
+        member.bytes_per_element = member.numpy_dtype.itemsize
+        return member
 
 
 @dataclass(frozen=True)

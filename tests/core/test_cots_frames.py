@@ -78,9 +78,11 @@ INIT_FRAMES_PER_PAGE = 1
 # op's ids again (``TableData._check_ids`` after ``_start``'s) and a
 # ``Bags`` built its offsets and ``rids`` through numpy's wrappers; 47 /
 # 57 while the owed refills landed through ``insert_many`` and its
-# ``_ensure_storage``.
-FIXED_FRAMES_PER_OP = 47
-FIXED_FRAMES_PER_OP_LRU = 54
+# ``_ensure_storage``; 47 / 54 while ``EmbDtype.bytes_per_element`` was a
+# property looking the width up by ``Enum.__hash__`` (two frames of a
+# ``TableSpec.row_bytes``'s four, read twice per op).
+FIXED_FRAMES_PER_OP = 43
+FIXED_FRAMES_PER_OP_LRU = 50
 
 # With a full host LRU, CPython 3.11, numpy 2: 1 per command and 45 once
 # while the LRU kept numpy tag and stamp rows (an ``argmin`` per

@@ -87,6 +87,20 @@ class TestDirectMapped:
         assert cache.conflict_evictions >= 48
 
 
+def test_slots_equal_the_int64_hash_up_to_its_wrap():
+    """The slot hash runs on Python ints, which never wrap, so it equals
+    the int64 form only while ``row * 2654435761 + table * 97 < 2**63``
+    (the bound the module documents)."""
+    cache = DirectMappedEmbeddingCache(8191)
+    table = 5
+    top = (2**63 - 1 - table * 97) // 2654435761     # the last row under the bound
+    rows = np.array([0, 1, 40_000_000, top, top + 1], dtype=np.int64)
+    int64_slots = ((rows * 2654435761 + table * 97) % cache.slots).tolist()
+    slots = [cache._slot(table, row) for row in rows.tolist()]
+    assert slots[:4] == int64_slots[:4]
+    assert slots[4] != int64_slots[4]
+
+
 class InsertAtOnceModel:
     """The cache as plain Python: a dict ``slot -> (table, row, vector)``
     where a page's vectors are stored with its tags, one ``insert`` per
@@ -143,28 +157,21 @@ COUNTERS = ("hits", "misses", "inserts", "conflict_evictions", "invalidations", 
 
 def _tags(cache):
     """Slot -> (table, row) for every occupied slot."""
-    return {
-        slot: (int(cache._tag_table[slot]), int(cache._tag_row[slot]))
-        for slot in np.flatnonzero(cache._tag_row != -1).tolist()
-    }
+    return cache.tags
 
 
 def _resident(cache):
     """Slot -> (table, row, vector) for every occupied slot."""
-    out = {}
-    for slot in np.flatnonzero(cache._tag_row != -1).tolist():
-        out[slot] = (
-            int(cache._tag_table[slot]),
-            int(cache._tag_row[slot]),
-            np.asarray(cache._get_value(slot)).tolist(),
-        )
-    return out
+    return {
+        slot: (table, row, np.asarray(cache._get_value(slot)).tolist())
+        for slot, (table, row) in cache.tags.items()
+    }
 
 
 class TestInsertManyMatchesInsertLoop:
-    """``insert_many`` picks its route (per-row loop or vector ops) on the
-    batch length alone; either way it must leave the cache exactly as a
-    sequential ``insert`` of each row's first occurrence would."""
+    """``insert_many`` of a batch must leave the cache exactly as a
+    sequential ``insert`` of each row's first occurrence would, whatever
+    the batch's length."""
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -212,11 +219,6 @@ class TestInsertManyMatchesInsertLoop:
                 ), counter
         assert (batched._values_obj is not None) == (looped._values_obj is not None)
 
-    def test_both_routes_are_exercised(self):
-        from repro.core import embcache
-
-        assert 0 < embcache._ELEMENTWISE_MAX < 64
-
 
 # ----------------------------------------------------------------------
 # Tags at the page, vectors at the gather
@@ -226,7 +228,7 @@ def _vector(table, row, version, dim):
 
 
 ROW = st.integers(0, 40)
-# Short pages (the per-row loop) and pages past _ELEMENTWISE_MAX (the vector route).
+# Short pages (up to 8 rows) and long ones (17-24 rows).
 ROWS = st.one_of(st.lists(ROW, min_size=1, max_size=8), st.lists(ROW, min_size=17, max_size=24))
 STEP = st.one_of(
     st.tuples(st.just("page"), st.integers(0, 3), ROWS),            # entry, its page's rows
@@ -265,7 +267,7 @@ class TestTagsNowVectorsAtTheGather:
             pages, owed[entry] = owed[entry], []
             if pages:
                 rows, vectors = zip(*pages)
-                cache.fill_many(entry % 3, np.concatenate(rows), np.concatenate(vectors))
+                cache.fill_many(entry % 3, sum(rows, []), np.concatenate(vectors))
                 fills.append(entry)
 
         settle_order = []
@@ -277,8 +279,8 @@ class TestTagsNowVectorsAtTheGather:
                 vectors = np.stack(
                     [_vector(table, row, versions.get((table, row), 0), dims[table]) for row in rows]
                 )
-                cache.insert_tags(table, np.asarray(rows))
-                owed[who].append((np.asarray(rows), vectors))
+                cache.insert_tags(table, rows)
+                owed[who].append((rows, vectors))
                 model.insert_many(table, rows, vectors)
             elif kind == "gather":
                 gather(who)
@@ -303,9 +305,9 @@ class TestTagsNowVectorsAtTheGather:
 
     def test_an_owed_vector_is_dropped_once_another_row_holds_the_slot(self):
         cache = DirectMappedEmbeddingCache(8)       # rows 8 apart share a slot
-        cache.insert_tags(0, np.array([3]))
+        cache.insert_tags(0, [3])
         cache.insert_many(0, np.array([11]), np.stack([vec(11)]))
-        cache.fill_many(0, np.array([3]), np.stack([vec(3)]))
+        cache.fill_many(0, [3], np.stack([vec(3)]))
         assert cache.lookup(0, 3) is None
         assert cache.lookup(0, 11)[0] == 11.0
         assert cache.conflict_evictions == 1 and cache.inserts == 2
@@ -314,8 +316,8 @@ class TestTagsNowVectorsAtTheGather:
     def test_every_reader_settles_first(self, reader):
         cache = DirectMappedEmbeddingCache(8)
         cache.insert(0, 1, vec(1))                   # storage exists: unfilled reads as zeros
-        cache.insert_tags(0, np.array([2]))
-        cache.settle = lambda: cache.fill_many(0, np.array([2]), np.stack([vec(2)]))
+        cache.insert_tags(0, [2])
+        cache.settle = lambda: cache.fill_many(0, [2], np.stack([vec(2)]))
         got = {
             "lookup": lambda: cache.lookup(0, 2),
             "lookup_many": lambda: cache.lookup_many(0, np.array([2]))[1][0],

@@ -143,12 +143,8 @@ def engine_and_cache_state(engine) -> dict:
         "engine": {name: getattr(engine, name) for name in ENGINE_COUNTERS},
         "entries": len(engine.entries),
         "cache": {name: getattr(cache, name) for name in CACHE_COUNTERS},
-        "cache_tags": (cache._tag_table.tobytes(), cache._tag_row.tobytes()),
-        "cache_vectors": [
-            cache.lookup(tag, row).tobytes()
-            for tag, row in zip(cache._tag_table.tolist(), cache._tag_row.tolist())
-            if tag >= 0
-        ],
+        "cache_tags": cache.tags,
+        "cache_vectors": [cache.lookup(tag, row).tobytes() for tag, row in cache.tags.values()],
     }
 
 

@@ -21,6 +21,8 @@ import sys
 import numpy as np
 import pytest
 
+from repro.core.engine import NdpEngineConfig
+
 from .test_engine import make_stack
 
 # 18: 8 in the four Server jobs (sched, die, bus, translate), 1 record
@@ -40,6 +42,13 @@ FRAMES_PER_PAGE = 18
 FRAMES_PER_PAGE_PAST_WINDOW = 18.5
 # An NDP page makes no call into numpy's C functions.
 NUMPY_CALLS_PER_PAGE = 0
+# With the SSD-side embedding cache on, a page also claims its rows'
+# slots at its translate: one ``insert_tags`` frame over Python ints, and
+# no numpy call (2, ``np.asarray`` and ``tolist``, while the claim took
+# the page's ranks as an array and compared numpy scalar tags).
+CACHE_SLOTS = 4096
+FRAMES_PER_PAGE_CACHE = 19
+NUMPY_CALLS_PER_PAGE_CACHE = 0
 
 
 # 249 at the parent of the op-level rewrite on CPython 3.11 (210 after
@@ -58,16 +67,29 @@ NUMPY_CALLS_PER_PAGE = 0
 # ``_amax`` on the device side) and the config's checks call numpy's
 # reductions directly (153 measured).  151 since the controller hands
 # the engine ``partial(complete, qp, cmd)`` for an NDP command, not a
-# ``lambda`` whose call is a frame of its own.  CPython 3.12 inlines
-# comprehensions, so it counts fewer.
-FIXED_FRAMES_PER_OP = 151
+# ``lambda`` whose call is a frame of its own.  145 since the gather
+# builds its index, contents and page indices in one loop over its pages
+# (no list comprehensions) and a ``TableSpec.row_bytes`` reads its
+# element width off the ``EmbDtype`` member (no property and
+# ``Enum.__hash__`` frame).  CPython 3.12 inlines comprehensions, so it
+# counts fewer.
+FIXED_FRAMES_PER_OP = 145
 # numpy 2: 43 while the op's ids were range-checked four times (config,
 # ``_process_config``, ``_table_vectors``'s ``ranks.max()``,
 # ``TableData._check_ids``), ``max()`` went through numpy's Python
 # ``_amax``, ``MappingTable.lookup_many`` cast its int64 input, and a
 # ``Bags`` offset column went through ``np.cumsum``'s wrapper and its
-# ``rids`` through ``np.diff``.
-FIXED_NUMPY_CALLS_PER_OP = 27
+# ``rids`` through ``np.diff``; 27 while the gather built its index with
+# ``np.add.accumulate``, ``np.arange`` and ``repeat`` (one ``np.array``
+# of a list now).
+FIXED_NUMPY_CALLS_PER_OP = 25
+# The cache adds 5 frames per op: the probe, its settle's
+# ``flush_gathers`` and an empty ``_gather``, the fill and its
+# ``_ensure_storage``; and 6 numpy calls: the probe's ``tolist`` and hit
+# mask, the ranks' ``tolist`` the claims slice, and the fill's
+# ``tolist``, slot array and ``take`` of the vectors it stores.
+FIXED_FRAMES_PER_OP_CACHE = 150
+FIXED_NUMPY_CALLS_PER_OP_CACHE = 31
 
 
 def python_calls(run) -> int:
@@ -90,11 +112,18 @@ def python_calls(run) -> int:
     return calls
 
 
-def frames_for_one_op(pages: int, build_config: bool = False, count=python_calls) -> int:
-    system, table = make_stack()
+def frames_for_one_op(
+    pages: int, build_config: bool = False, count=python_calls, cache_slots: int = 0
+) -> int:
+    system, table = make_stack(NdpEngineConfig(embcache_slots=cache_slots))
     bags = [np.arange(pages)]
     config = table.make_sls_config(bags)
     payloads = []
+    if cache_slots:
+        # One unrelated resident row, uncounted: the op's probe walks
+        # every row, and each misses, is read and claims its slot.
+        system.ndp_session.sls(table.make_sls_config([np.array([2047])]), lambda *_: None)
+        system.sim.run()
 
     def one_op() -> None:
         sls_config = table.make_sls_config(bags) if build_config else config
@@ -140,3 +169,32 @@ def test_an_op_makes_a_bounded_number_of_numpy_calls():
     fixed = small - 16 * per_page
     assert per_page <= NUMPY_CALLS_PER_PAGE, per_page
     assert fixed <= FIXED_NUMPY_CALLS_PER_OP, fixed
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="pinned on CPython 3.11")
+def test_with_the_embedding_cache_on_an_op_and_a_page_cost_bounded_frames():
+    def frames(pages: int) -> int:
+        return frames_for_one_op(pages, True, cache_slots=CACHE_SLOTS)
+
+    small, large = frames(16), frames(64)
+    assert large == frames(64)
+    per_page = (large - small) / 48
+    fixed = small - 16 * per_page
+    assert per_page <= FRAMES_PER_PAGE_CACHE, per_page
+    assert fixed <= FIXED_FRAMES_PER_OP_CACHE, fixed
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="pinned on CPython 3.11")
+def test_with_the_embedding_cache_on_a_page_makes_no_numpy_call():
+    from .test_cots_frames import numpy_calls
+
+    def calls(pages: int) -> int:
+        return frames_for_one_op(pages, True, count=numpy_calls, cache_slots=CACHE_SLOTS)
+
+    calls(16)
+    small, large = calls(16), calls(64)
+    assert large == calls(64)
+    per_page = (large - small) / 48
+    fixed = small - 16 * per_page
+    assert per_page <= NUMPY_CALLS_PER_PAGE_CACHE, per_page
+    assert fixed <= FIXED_NUMPY_CALLS_PER_OP_CACHE, fixed

@@ -224,9 +224,9 @@ def test_a_conflicting_row_takes_the_slot_while_the_vector_is_owed():
     z_box = submit(server, table, [rank_z])
     x_box = submit(server, table, [rank_a, rank_b])
     sim.run_until(lambda: cache.inserts == 1)
-    assert cache._tag_row[slot] == rank_a
+    assert cache.tags[slot] == (key, rank_a)
     sim.run_until(lambda: cache.inserts == 2)
-    assert cache._tag_row[slot] == rank_z and cache.conflict_evictions == 1
+    assert cache.tags[slot] == (key, rank_z) and cache.conflict_evictions == 1
     z, x = engine.entries.values()
     assert (z.pages_done, z.pages_total) == (1, 1) and (x.pages_done, x.pages_total) == (1, 2)
     sim.run_until(lambda: bool(z_box and x_box))

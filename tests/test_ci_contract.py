@@ -212,13 +212,15 @@ def test_ci_runs_the_paper_benchmarks():
 
 def test_ci_coverage_job_enforces_serving_floor():
     """The coverage job measures the serving tiers — including the
-    live-update write path's workload and FTL halves, and the
-    scatter-gather stage the serving layer dispatches through — with a
-    >=85% floor and uploads the report as an artifact."""
+    live-update write path's workload and FTL halves, the
+    scatter-gather stage the serving layer dispatches through and the
+    NDP engine's SSD-side embedding cache — with a >=85% floor and
+    uploads the report as an artifact."""
     ci = (REPO / ".github" / "workflows" / "ci.yml").read_text()
     assert "--cov=repro.serving" in ci
     assert "--cov=repro.embedding.stage" in ci
     assert "--cov=repro.core.bags" in ci
+    assert "--cov=repro.core.embcache" in ci
     assert "--cov=repro.cluster" in ci
     assert "--cov=repro.workload" in ci
     assert "--cov=repro.ftl" in ci

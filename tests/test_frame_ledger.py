@@ -1,7 +1,7 @@
 """Host cost per request, per layer, held to its pinned count.
 
 ``tools/frame_ledger.py`` counts Python frames and numpy calls per layer
-for three benchmark workloads (their update drain apart) and ``rm1`` on
+for four benchmark workloads (their update drain apart) and ``rm1`` on
 ``ssd`` and ``ndp``; ``tools/ledger/FRAMES.json`` pins the counts per
 interpreter.  A count that grows past its headroom fails here, naming the
 row and the layer; one that falls asks for a re-pin, so that the pinned

@@ -18,10 +18,11 @@ interpreter: this script runs each row below at a fixed small size under
   methods only: a ufunc called directly, or a function behind numpy's
   array-function dispatcher, is not one), charged the same way.
 
-Rows: three ``BENCHMARK.json`` workloads through ``perf.workloads``
+Rows: four ``BENCHMARK.json`` workloads through ``perf.workloads``
 (serving only; the update drain after the last request is its own
-``/drain`` row), and the paper's ``rm1`` served from a spec on the COTS
-baseline (``ssd``, with its host LRU) and on ``ndp``, as
+``/drain`` row; ``cluster_chash`` is the one that runs the NDP engine's
+SSD-side embedding cache), and the paper's ``rm1`` served from a spec
+on the COTS baseline (``ssd``, with its host LRU) and on ``ndp``, as
 ``tests/workload/test_tenant_backend.py`` builds them.  A row holds
 totals and the requests completed; the report divides.
 
@@ -172,6 +173,7 @@ ROWS: Tuple[Callable[[], Dict[str, dict]], ...] = (
     lambda: _workload_rows("aged_update_mix"),
     lambda: _rm1_rows(RunnerConfig(kind=BackendKind.SSD, host_cache_entries=2048)),
     lambda: _rm1_rows(RunnerConfig(kind=BackendKind.NDP)),
+    lambda: _workload_rows("cluster_chash"),
 )
 
 
