@@ -10,7 +10,7 @@ weak SSD CPU can process them in one page-ordered scan.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -59,6 +59,10 @@ class SlsConfig:
     quant: QuantSpec = field(default_factory=QuantSpec)
     rows_per_page: int = 1            # layout: vectors packed per flash page
     table_rows: Optional[int] = None  # for validation when known
+    # ``(pairs, input ids as Python ints)`` as ``__post_init__`` checked them.
+    _checked: Tuple[Optional[np.ndarray], List[int]] = field(
+        default=(None, []), init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         pairs = self.pairs
@@ -78,11 +82,13 @@ class SlsConfig:
             raise ValueError("vec_dim must be >= 1")
         if self.rows_per_page < 1:
             raise ValueError("rows_per_page must be >= 1")
-        if pairs.size:
-            # Where an op's ids are checked: the engine reads its bounds
-            # off the sorted ends and checks nothing again.
-            ids = pairs[:, 0]
-            if np.logical_or.reduce(ids[1:] < ids[:-1]):
+        # Where an op's ids are checked: the engine reads its bounds off
+        # the sorted ends and checks nothing again.  It buckets the ids as
+        # the Python ints checked here (``input_ids``).
+        ids = pairs[:, 0].tolist()
+        self._checked = (pairs, ids)
+        if ids:
+            if ids != sorted(ids):
                 raise ValueError("pairs must be sorted by input id")
             # Sorted: the least and greatest ids are the ends.
             if ids[0] < 0:
@@ -95,6 +101,13 @@ class SlsConfig:
 
     # ------------------------------------------------------------------
     @property
+    def input_ids(self) -> List[int]:
+        """The pairs' input ids as Python ints: the list the checks read,
+        while ``pairs`` is still the array they checked."""
+        checked, ids = self._checked
+        return ids if checked is self.pairs else self.pairs[:, 0].tolist()
+
+    @property
     def num_inputs(self) -> int:
         return int(self.pairs.shape[0])
 
@@ -105,7 +118,7 @@ class SlsConfig:
     @property
     def encoded_bytes(self) -> int:
         """Size of the config blob DMAed to the SSD."""
-        return CONFIG_HEADER_BYTES + self.num_inputs * PAIR_BYTES
+        return CONFIG_HEADER_BYTES + len(self.pairs) * PAIR_BYTES
 
     @property
     def result_bytes(self) -> int:

@@ -18,7 +18,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Callable, Deque, Dict, Optional
+from itertools import chain, islice, zip_longest
+from typing import Any, Callable, Deque, Dict, List, Optional
 
 import numpy as np
 
@@ -130,7 +131,10 @@ class _PageJob(PageRead):
             # fault clears.
             entry.uncorrectable_pages += 1
         else:
-            entry.gather_pending.append(self)
+            pending = entry.gather_pending
+            if not pending:
+                self.engine._owing[entry] = None
+            pending.append(self)
             emb_cache = self.engine.emb_cache
             if emb_cache.slots > 0:
                 # The tags decide which later probes hit; the vectors
@@ -204,6 +208,9 @@ class NdpSlsEngine:
         self.sim = sim
         self.ftl = ftl
         self.ftl_core = ftl.cpu.ftl_core
+        # Fixed by the FTL's geometry: read once, not per command.
+        self._lbas_per_page = ftl.lbas_per_page
+        self._page_bytes = ftl.page_bytes
         self.controller = controller
         self.codec = codec
         self.config = config or NdpEngineConfig()
@@ -215,6 +222,9 @@ class NdpSlsEngine:
         # Translated pages tag the cache at once and owe it their vectors
         # until their entry's gather; no reader sees one missing.
         self.emb_cache.settle = self.flush_gathers
+        # The entries whose ``gather_pending`` is not empty, in the order
+        # their first page since their last gather was translated.
+        self._owing: Dict[SlsRequestEntry, None] = {}
         # Round-robin feed order across entries with pending pages.
         self._feed_queue: Deque[SlsRequestEntry] = deque()
         self._inflight_pages = 0
@@ -245,7 +255,7 @@ class NdpSlsEngine:
         if table_base_lba != sls_config.table_base_lba:
             done(None, Status.INVALID_FIELD)
             return
-        lbas_per_page = self.ftl.lbas_per_page
+        lbas_per_page = self._lbas_per_page
         if table_base_lba % lbas_per_page != 0:
             done(None, Status.INVALID_FIELD)
             return
@@ -297,85 +307,87 @@ class NdpSlsEngine:
         entry.state = SlsState.PROCESSING
         cfg = entry.config
         pairs = cfg.pairs
-        rows = pairs[:, 0]
+        ranks = pairs[:, 0]
         result_ids = pairs[:, 1]
+        rows = cfg.input_ids
 
-        if cfg.table_rows is not None and rows.size and rows[-1] >= cfg.table_rows:
+        if cfg.table_rows is not None and rows and rows[-1] >= cfg.table_rows:
             self._fail_entry(entry, "input id exceeds table rows")
             return
 
         # Embedding-cache fast path (step 2a): hits skip flash entirely.
         # One batched probe replaces the per-pair lookup loop.
-        if self.emb_cache.slots > 0 and rows.size:
-            table_key = entry.table_base_lpn
-            hit_mask, hit_vectors = self.emb_cache.probe_many(table_key, rows)
+        if self.emb_cache.slots > 0 and rows:
+            hit_mask, hit_vectors = self.emb_cache.probe_many(entry.table_base_lpn, ranks)
             if hit_vectors is not None:
                 entry.emb_cache_hits = len(hit_vectors)
                 entry.cache_vectors = hit_vectors
                 entry.cache_result_ids = result_ids[hit_mask]
                 keep = ~hit_mask
-                rows = rows[keep]
+                ranks = ranks[keep]
                 result_ids = result_ids[keep]
+                rows = ranks.tolist()
 
-        # Bucket misses by page.  The input is sorted by id, so a page
-        # starts wherever the page index differs from its neighbour's;
-        # a bucket is its page's ``[lo, hi)`` of the entry's pairs, and
-        # its record for the rest of its life.
-        n = rows.size
-        if n:
-            entry.ranks = rows
+        # Bucket misses by page in one pass over the ids.  They are sorted,
+        # so a page ends at the first id at or past its end (one past the
+        # last id ends the last page); a bucket is its page's ``[lo, hi)``
+        # of the entry's pairs, and its record for the rest of its life.
+        if rows:
+            entry.ranks = ranks
             entry.result_ids = result_ids
-            if self.emb_cache.slots > 0:
-                # The pages' claims slice these, one list per op.
-                entry.rank_ints = rows.tolist()
-            page_idx = rows // cfg.rows_per_page
-            first = np.empty(n, dtype=bool)
-            first[0] = True
-            np.not_equal(page_idx[1:], page_idx[:-1], out=first[1:])
-            (firsts,) = first.nonzero()
-            lpns = page_idx[firsts]
-            lpns += entry.table_base_lpn
-            bounds = firsts.tolist()
-            bounds.append(n)
-            lpn_list = lpns.tolist()
+            # The gather's bound and the pages' cache claims read these.
+            entry.rank_ints = rows
+            rows_per_page = cfg.rows_per_page
+            base_lpn = entry.table_base_lpn
             costs = self.ftl.cpu.costs
             row_bytes = cfg.row_bytes
             fixed_s, byte_s = costs.sls_translate_fixed_s, costs.sls_translate_byte_s
-            entry.pending_pages.extend(
-                [
-                    _PageJob(
-                        lpn_list[i],
-                        bounds[i],
-                        bounds[i + 1],
-                        self,
-                        entry,
-                        fixed_s + ((bounds[i + 1] - bounds[i]) * row_bytes) * byte_s,
+            jobs = []
+            lo = 0
+            page = rows[0] // rows_per_page
+            end = (page + 1) * rows_per_page
+            for hi, row in enumerate(chain(islice(rows, 1, None), (rows[-1] + rows_per_page,)), 1):
+                if row >= end:
+                    jobs.append(
+                        _PageJob(
+                            base_lpn + page,
+                            lo,
+                            hi,
+                            self,
+                            entry,
+                            fixed_s + ((hi - lo) * row_bytes) * byte_s,
+                        )
                     )
-                    for i in self._interleave_by_channel(lpns).tolist()
-                ]
-            )
+                    lo = hi
+                    page = row // rows_per_page
+                    end = (page + 1) * rows_per_page
+            entry.pending_pages.extend(self._interleave_by_channel(jobs))
         entry.pages_total = len(entry.pending_pages)
         entry.cache_work_pending = (
             entry.cache_vectors is not None and len(entry.cache_vectors) > 0
         )
 
-        self._process_chunk(entry, 0)
+        self._process_chunk(entry, len(pairs))
 
-    def _process_chunk(self, entry: SlsRequestEntry, done_pairs: int) -> None:
+    def _process_chunk(self, entry: SlsRequestEntry, remaining: int) -> None:
         """Pay the per-pair scan cost in chunks so page scheduling and
         translation interleave with processing on the single FTL core."""
-        remaining = entry.config.num_inputs - done_pairs
         if remaining <= 0:
             self._finish_processing(entry)
             return
         n = min(PROCESS_CHUNK_PAIRS, remaining)
         cost = n * self.ftl.cpu.costs.sls_pair_s
         entry.cpu_config_process += cost
+        remaining -= n
         # The continuation names a method, never itself: a closure that
         # does is a cycle, entry and all, that only the cyclic collector
         # frees.
         self.ftl_core.submit(
-            cost, partial(self._process_chunk, entry, done_pairs + n), priority=1
+            cost,
+            partial(self._process_chunk, entry, remaining)
+            if remaining
+            else partial(self._finish_processing, entry),
+            priority=1,
         )
 
     def _finish_processing(self, entry: SlsRequestEntry) -> None:
@@ -383,7 +395,8 @@ class NdpSlsEngine:
         entry.state = SlsState.GATHERING
         if entry.pages_total:
             self._feed_queue.append(entry)
-        self._accumulate_cache_hits(entry)
+        if entry.cache_work_pending:
+            self._accumulate_cache_hits(entry)
         self._pump()
         self._maybe_finish(entry)
 
@@ -417,10 +430,10 @@ class NdpSlsEngine:
             table_base_lba, rid = self.codec.decode(cmd.slba)
             self._waiting_rids.discard(rid)
             self._admit(
-                cmd.data, rid, table_base_lba // self.ftl.lbas_per_page, done
+                cmd.data, rid, table_base_lba // self._lbas_per_page, done
             )
 
-    def _interleave_by_channel(self, lpns: np.ndarray) -> np.ndarray:
+    def _interleave_by_channel(self, pages: List[_PageJob]) -> List[_PageJob]:
         """Issue order of an entry's pages: round-robin across flash channels.
 
         The prototype feeds page requests into the FTL's per-channel
@@ -429,22 +442,19 @@ class NdpSlsEngine:
         time (table pages are contiguous within a block).  Interleaving by
         channel reproduces the per-channel-queue parallelism: turn ``k``
         takes the ``k``-th page of every channel that still has one, in
-        channel order.  Returns positions into ``lpns``.
+        channel order.  ``pages`` come in LPN order.
         """
-        if lpns.size < 2:
-            return np.arange(lpns.size)
         geometry = self.ftl.geometry
         pages_per_channel = geometry.pages_per_block * geometry.blocks_per_die * geometry.ways
-        # An unmapped page (-1) counts as channel 0.
-        channels = np.maximum(self.ftl.mapping.lookup_many(lpns), 0)
-        channels //= pages_per_channel
-        by_channel = channels.argsort(kind="stable")
-        grouped = channels[by_channel]
-        turn = np.arange(lpns.size) - grouped.searchsorted(grouped)
-        # (turn, channel) is unique per page: one sort of a combined key.
-        turn *= int(grouped[-1]) + 1
-        turn += grouped
-        return by_channel[turn.argsort()]
+        l2p = self.ftl.mapping.l2p
+        # One queue per channel, pages in LPN order; turn ``k`` is the
+        # ``k``-th page of each, ``None`` where a channel has run out.
+        lanes = [[] for _ in range(geometry.channels)]
+        for page in pages:
+            ppn = l2p[page.lpn]
+            # An unmapped page (-1) counts as channel 0.
+            lanes[ppn // pages_per_channel if ppn >= 0 else 0].append(page)
+        return list(filter(None, chain.from_iterable(zip_longest(*lanes))))
 
     def _fail_entry(self, entry: SlsRequestEntry, reason: str) -> None:
         entry.state = SlsState.FAILED
@@ -456,9 +466,6 @@ class NdpSlsEngine:
 
     # ------------------------------------------------------------------
     def _accumulate_cache_hits(self, entry: SlsRequestEntry) -> None:
-        if entry.cache_vectors is None or len(entry.cache_vectors) == 0:
-            entry.cache_work_pending = False
-            return
         cost = len(entry.cache_result_ids) * self.ftl.cpu.costs.sls_cache_hit_vec_s
         entry.cpu_translation += cost
         self.ftl_core.submit(
@@ -517,33 +524,31 @@ class NdpSlsEngine:
         if not jobs:
             return
         entry.gather_pending = []
+        del self._owing[entry]
         cfg = entry.config
-        base_lpn = entry.table_base_lpn
         # One index reads every page's pairs ``[lo, hi)``, pages in
         # completion order.
-        contents, page_indices, sizes, index = [], [], [], []
+        index, sizes = [], []
         for job in jobs:
-            contents.append(job.content)
-            page_indices.append(job.lpn - base_lpn)
-            sizes.append(job.hi - job.lo)
-            index += range(job.lo, job.hi)
+            lo, hi = job.lo, job.hi
+            index += range(lo, hi)
+            sizes.append(hi - lo)
         index = np.array(index)
         ranks = entry.ranks[index]
         vectors = extract_vectors_paged(
-            contents,
-            page_indices,
-            sizes,
+            jobs,
+            entry.table_base_lpn,
             ranks,
             # The entry's ranks ascend (the config proved its pairs
             # sorted), so its last bounds every page's: no reduction.
-            int(entry.ranks[-1]),
+            entry.rank_ints[-1],
             cfg.vec_dim,
             cfg.rows_per_page,
             cfg.quant,
         )
         scatter_add_segments(entry.scratchpad, entry.result_ids[index], vectors, sizes)
         if self.emb_cache.slots > 0:
-            self.emb_cache.fill_many(base_lpn, ranks.tolist(), vectors)
+            self.emb_cache.fill_many(entry.table_base_lpn, ranks.tolist(), vectors)
 
     def flush_gathers(self) -> None:
         """Read now what every translated page still owes its entry.
@@ -551,9 +556,10 @@ class NdpSlsEngine:
         Whoever is about to change a table's values or layout under this
         device (an update commit, a layout re-pack) calls this first: a
         page contributes the rows it held at its translate instant.  So
-        does every reader of the embedding cache (its ``settle``).
+        does every reader of the embedding cache (its ``settle``).  Only
+        the entries that owe a gather are visited.
         """
-        for entry in self.entries.values():
+        for entry in list(self._owing):
             self._gather(entry)
 
     # ------------------------------------------------------------------
@@ -585,7 +591,7 @@ class NdpSlsEngine:
             entry.result_waiters.append(read.deliver)
 
     def _stage_results(self, read: _Command) -> None:
-        n_pages = read.entry.config.result_pages(self.ftl.page_bytes)
+        n_pages = read.entry.config.result_pages(self._page_bytes)
         self.ftl_core.submit(
             n_pages * self.ftl.cpu.costs.sls_result_page_s, read.after_stage, priority=1
         )

@@ -10,9 +10,10 @@ entire command's or entry's pages so virtual pages of one table collapse
 into a single gather instead of one Python call chain per page (critical
 for ONE_PER_PAGE layouts, where every row is its own page):
 :func:`extract_vectors_many` takes a flat (page, slot) list and groups it
-(the SSD read path); :func:`extract_vectors_paged` takes pages, the
-storage ranks the caller already holds grouped page by page, and how
-many fall on each page (the NDP engine's per-entry gather).
+(the SSD read path); :func:`extract_vectors_paged` takes page records
+(content, LPN, how many pairs fall on the page) and the storage ranks
+the caller already holds grouped page by page (the NDP engine's
+per-entry gather).
 """
 
 from __future__ import annotations
@@ -67,6 +68,13 @@ def extract_vectors(
     return _extract_from_buffer(content, slots, vec_dim, rows_per_page, quant)
 
 
+def _rows_at(table: Any, stored: np.ndarray, vec_dim: int) -> np.ndarray:
+    got = table.rows_at(stored)
+    if got.shape != (stored.size, vec_dim):
+        raise ValueError("virtual page returned wrong vector shape")
+    return got
+
+
 def _table_vectors(table: Any, ranks: np.ndarray, top: int, vec_dim: int) -> np.ndarray:
     """Canonical vectors stored at storage ``ranks`` of ``table``.
 
@@ -77,20 +85,13 @@ def _table_vectors(table: Any, ranks: np.ndarray, top: int, vec_dim: int) -> np.
     ``top`` is at least the largest of them: the caller proved both, so
     the ranks are neither reduced nor checked again.
     """
-
-    def gather(stored: np.ndarray) -> np.ndarray:
-        got = table.rows_at(stored)
-        if got.shape != (stored.size, vec_dim):
-            raise ValueError("virtual page returned wrong vector shape")
-        return got
-
     rows = table.spec.rows
     if top < rows:
-        return gather(ranks)
+        return _rows_at(table, ranks, vec_dim)
     out = np.zeros((ranks.size, vec_dim), dtype=np.float32)
     in_range = ranks < rows
     if np.any(in_range):
-        out[in_range] = gather(ranks[in_range])
+        out[in_range] = _rows_at(table, ranks[in_range], vec_dim)
     return out
 
 
@@ -138,22 +139,21 @@ def extract_vectors_many(
 
 
 def extract_vectors_paged(
-    contents: Sequence[Any],
-    page_indices: Sequence[int],
-    sizes: Sequence[int],
+    pages: Sequence[Any],
+    base_lpn: int,
     ranks: np.ndarray,
     top: int,
     vec_dim: int,
     rows_per_page: int,
     quant: QuantSpec,
 ) -> np.ndarray:
-    """Batch extract, page by page: the next ``sizes[i]`` of ``ranks``
-    from page ``contents[i]``, blocks concatenated in that order.
+    """Batch extract, page by page: ``page.hi - page.lo`` of ``ranks``
+    from each ``page.content``, blocks concatenated in ``pages`` order.
 
-    ``page_indices[i]`` is where the caller expects page ``i`` to sit in
-    its table, and ``ranks`` holds storage ranks on that page — the ranks
-    a caller that bucketed rows into pages already holds: int64, none
-    negative and none above ``top``.  When every
+    ``page.lpn - base_lpn`` is where the caller expects the page to sit
+    in its table, and ``ranks`` holds storage ranks on that page — the
+    ranks a caller that bucketed rows into pages already holds: int64,
+    none negative and none above ``top``.  When every
     page is a virtual page of one table *and is the page the caller
     expects* (``content.page_index``, never the LPN it was read from,
     says which rows a virtual page holds) the batch is one gather at
@@ -162,17 +162,19 @@ def extract_vectors_paged(
     is one :func:`extract_vectors` per page at the in-page slots of its
     block, with its slot-range and shape checks.
     """
-    table = getattr(contents[0], "table", None)
+    table = getattr(pages[0].content, "table", None)
     if table is not None:
-        for content, page_index in zip(contents, page_indices):
-            if getattr(content, "table", None) is not table or content.page_index != page_index:
+        for page in pages:
+            content = page.content
+            if getattr(content, "table", None) is not table or content.page_index != page.lpn - base_lpn:
                 break
         else:
             return _table_vectors(table, ranks, top, vec_dim)
     slots = ranks % rows_per_page
     blocks = []
     lo = 0
-    for content, n in zip(contents, sizes):
-        blocks.append(extract_vectors(content, slots[lo : lo + n], vec_dim, rows_per_page, quant))
-        lo += n
+    for page in pages:
+        hi = lo + page.hi - page.lo
+        blocks.append(extract_vectors(page.content, slots[lo:hi], vec_dim, rows_per_page, quant))
+        lo = hi
     return np.concatenate(blocks)

@@ -24,7 +24,7 @@ class NdpError(RuntimeError):
     pass
 
 
-@dataclass
+@dataclass(slots=True, eq=False)
 class SlsTiming:
     """Host-observed timing of one SLS operation."""
 

@@ -349,17 +349,18 @@ class EmbeddingTable:
     # NDP config construction
     # ------------------------------------------------------------------
     def make_sls_config(self, bags: BagsLike) -> SlsConfig:
-        if not self.attached:
+        if self.device is None:
             raise RuntimeError("table must be attached before issuing SLS")
         bags = Bags.of(bags)
         # The device addresses storage ranks: with a layout the ids are
         # translated so the NDP engine's page math (rank //
         # rows_per_page) walks the heat-packed placement.  Pairs then
         # sort by rank — the page-ordered scan the weak SSD CPU needs.
+        ids = bags.ids if self.layout is None else self.layout.storage_ids(bags.ids)
         return SlsConfig(
             table_base_lba=self.base_lba,
             request_id=0,  # assigned by the driver session
-            pairs=sorted_pairs(self.storage_ids(bags.ids), bags.rids),
+            pairs=sorted_pairs(ids, bags.rids),
             num_results=len(bags),
             vec_dim=self.spec.dim,
             quant=self.spec.quant,

@@ -22,8 +22,8 @@ gather for an entry of virtual pages, a call per content as soon as one
 page is a raw buffer, and a call per content when a virtual page is not
 the page its LPN says — ``content.page_index`` names a page's rows.
 
-The channel interleave (``np.lexsort`` against the dict of deques) has
-its own property at the end.
+The channel interleave (one loop over the pages' L2P entries against the
+dict of deques) has its own property at the end.
 """
 
 from __future__ import annotations
@@ -427,14 +427,20 @@ def test_interleave_is_the_round_robin_drain(channels, ways):
     """``_interleave_by_channel`` orders an entry's pages exactly as
     draining per-channel deques round-robin did (-1: an unmapped page,
     which counts as channel 0)."""
-    geometry = SimpleNamespace(pages_per_block=4, blocks_per_die=2, ways=ways)
+    geometry = SimpleNamespace(pages_per_block=4, blocks_per_die=2, ways=ways, channels=8)
     ppn_of = [-1 if c < 0 else ((c * ways) * 2 + i % 2) * 4 + i % 4 for i, c in enumerate(channels)]
     ftl = SimpleNamespace(
         geometry=geometry,
-        mapping=SimpleNamespace(lookup_many=lambda lpns: np.asarray(ppn_of, dtype=np.int64)[lpns]),
+        mapping=SimpleNamespace(
+            l2p=ppn_of, lookup_many=lambda lpns: np.asarray(ppn_of, dtype=np.int64)[lpns]
+        ),
     )
     lpns = np.arange(len(channels), dtype=np.int64)
-    order = NdpSlsEngine._interleave_by_channel(SimpleNamespace(ftl=ftl), lpns)
+    pages = [SimpleNamespace(lpn=lpn) for lpn in lpns.tolist()]
+    order = np.array(
+        [page.lpn for page in NdpSlsEngine._interleave_by_channel(SimpleNamespace(ftl=ftl), pages)],
+        dtype=np.int64,
+    )
 
     entry = SimpleNamespace(
         pending_pages=reference.deque(

@@ -71,9 +71,14 @@ NUMPY_CALLS_PER_PAGE_CACHE = 0
 # builds its index, contents and page indices in one loop over its pages
 # (no list comprehensions) and a ``TableSpec.row_bytes`` reads its
 # element width off the ``EmbDtype`` member (no property and
-# ``Enum.__hash__`` frame).  CPython 3.12 inlines comprehensions, so it
-# counts fewer.
-FIXED_FRAMES_PER_OP = 145
+# ``Enum.__hash__`` frame).  135 since the engine reads the FTL's
+# ``lbas_per_page`` / ``page_bytes`` once, ``make_sls_config`` reads the
+# table's layout without the ``attached`` / ``storage_ids`` hops, the
+# gather's shape check is a function (no closure built per call), the
+# last config chunk hands straight to ``_finish_processing`` and the
+# cache-hit step is called only when there are hits.  CPython 3.12
+# inlines comprehensions, so it counts fewer.
+FIXED_FRAMES_PER_OP = 135
 # numpy 2: 43 while the op's ids were range-checked four times (config,
 # ``_process_config``, ``_table_vectors``'s ``ranks.max()``,
 # ``TableData._check_ids``), ``max()`` went through numpy's Python
@@ -81,15 +86,21 @@ FIXED_FRAMES_PER_OP = 145
 # ``Bags`` offset column went through ``np.cumsum``'s wrapper and its
 # ``rids`` through ``np.diff``; 27 while the gather built its index with
 # ``np.add.accumulate``, ``np.arange`` and ``repeat`` (one ``np.array``
-# of a list now).
-FIXED_NUMPY_CALLS_PER_OP = 25
-# The cache adds 5 frames per op: the probe, its settle's
-# ``flush_gathers`` and an empty ``_gather``, the fill and its
-# ``_ensure_storage``; and 6 numpy calls: the probe's ``tolist`` and hit
-# mask, the ranks' ``tolist`` the claims slice, and the fill's
-# ``tolist``, slot array and ``take`` of the vectors it stores.
-FIXED_FRAMES_PER_OP_CACHE = 150
-FIXED_NUMPY_CALLS_PER_OP_CACHE = 31
+# of a list now); 25 while the config's checks, the page buckets and the
+# channel interleave were numpy passes over the op's ids (``reduce`` x2
+# and ``view``; ``empty``, ``nonzero`` and three ``tolist``; ``lookup_many``
+# with ``argsort`` x2, ``arange`` and ``searchsorted``) and the table
+# cast its ids with ``asarray``.  Of the 15, 6 build the test's ``Bags``.
+FIXED_NUMPY_CALLS_PER_OP = 15
+# The cache adds 4 frames per op: the probe, its settle's
+# ``flush_gathers`` (which visits only the entries that owe a gather:
+# it called an empty ``_gather`` per live entry, 150 frames, before),
+# the fill and its ``_ensure_storage``; and 5 numpy calls: the probe's
+# ``tolist`` and hit mask, and the fill's ``tolist``, slot array and
+# ``take`` of the vectors it stores (the claims slice the ids the config
+# checked).
+FIXED_FRAMES_PER_OP_CACHE = 139
+FIXED_NUMPY_CALLS_PER_OP_CACHE = 20
 
 
 def python_calls(run) -> int:

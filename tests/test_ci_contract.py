@@ -213,14 +213,17 @@ def test_ci_runs_the_paper_benchmarks():
 def test_ci_coverage_job_enforces_serving_floor():
     """The coverage job measures the serving tiers — including the
     live-update write path's workload and FTL halves, the
-    scatter-gather stage the serving layer dispatches through and the
-    NDP engine's SSD-side embedding cache — with a >=85% floor and
-    uploads the report as an artifact."""
+    scatter-gather stage the serving layer dispatches through, the
+    NDP engine's SSD-side embedding cache, and the NDP engine with the
+    SLS config it checks — with a >=85% floor and uploads the report as
+    an artifact."""
     ci = (REPO / ".github" / "workflows" / "ci.yml").read_text()
     assert "--cov=repro.serving" in ci
     assert "--cov=repro.embedding.stage" in ci
     assert "--cov=repro.core.bags" in ci
     assert "--cov=repro.core.embcache" in ci
+    assert "--cov=repro.core.engine" in ci
+    assert "--cov=repro.core.config" in ci
     assert "--cov=repro.cluster" in ci
     assert "--cov=repro.workload" in ci
     assert "--cov=repro.ftl" in ci

@@ -1,8 +1,9 @@
 """Host cost per request, per layer, held to its pinned count.
 
 ``tools/frame_ledger.py`` counts Python frames and numpy calls per layer
-for four benchmark workloads (their update drain apart) and ``rm1`` on
-``ssd`` and ``ndp``; ``tools/ledger/FRAMES.json`` pins the counts per
+for four benchmark workloads (their update drain apart), ``rm1`` on
+``ssd`` and ``ndp`` and a garbage-collection page move;
+``tools/ledger/FRAMES.json`` pins the counts per
 interpreter.  A count that grows past its headroom fails here, naming the
 row and the layer; one that falls asks for a re-pin, so that the pinned
 file's diff is what a change did to host work.  Counts differ between
@@ -25,6 +26,7 @@ import frame_ledger  # noqa: E402
 from frame_ledger import count_rows, interpreter, moved, numpy_version, pinned  # noqa: E402
 
 from repro.flash.store import FlashStore  # noqa: E402
+from repro.ftl.mover import PageMove  # noqa: E402
 
 PINS = pinned().get(interpreter())
 if PINS is None:
@@ -58,3 +60,13 @@ class TestLedger:
                  for name, row in rows.items() if name == "ssd_serve"}
         (line,) = moved({"ssd_serve": rows["ssd_serve"]}, fewer, ("frames",))
         assert line.startswith("ssd_serve: ftl frames fell (re-pin with") and "--write" in line
+
+    @pytest.mark.parametrize("stage", ["landed", "after_cpu", "after_program"])
+    def test_an_extra_call_per_gc_page_move_stage_is_named(self, monkeypatch, stage):
+        method = getattr(PageMove, stage)
+        monkeypatch.setattr(PageMove, stage, lambda move, *args: method(move, *args))
+        pin = {"gc/page_move": PINS["rows"]["gc/page_move"]}
+        lines = moved(pin, frame_ledger.gc_move_rows(), ("frames",))
+        assert lines and all(
+            line.startswith("gc/page_move: ") and " frames grew" in line for line in lines
+        ), lines

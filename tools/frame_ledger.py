@@ -21,10 +21,14 @@ interpreter: this script runs each row below at a fixed small size under
 Rows: four ``BENCHMARK.json`` workloads through ``perf.workloads``
 (serving only; the update drain after the last request is its own
 ``/drain`` row; ``cluster_chash`` is the one that runs the NDP engine's
-SSD-side embedding cache), and the paper's ``rm1`` served from a spec
+SSD-side embedding cache), the paper's ``rm1`` served from a spec
 on the COTS baseline (``ssd``, with its host LRU) and on ``ndp``, as
-``tests/workload/test_tenant_backend.py`` builds them.  A row holds
-totals and the requests completed; the report divides.
+``tests/workload/test_tenant_backend.py`` builds them, and
+``gc/page_move``: a garbage-collection page move, the difference of two
+migrations of one victim holding 8 and 40 valid pages (as
+``tests/ftl/test_gc_frames.py`` builds them), which no workload row
+moves at its size.  A row holds totals and the requests completed (the
+GC row: its 32 moves); the report divides.
 
 ``FRAMES.json`` keeps the rows per interpreter (``major.minor``), with
 the numpy version they were counted on (numpy's Python-level frames and
@@ -55,16 +59,23 @@ import numpy as np  # noqa: E402
 from perf.layers import LAYERS, layer_of  # noqa: E402
 from perf.workloads import BY_NAME, observe, run, setup  # noqa: E402
 from repro.models import BackendKind, RunnerConfig, build_model  # noqa: E402
+from repro.sim.kernel import Simulator  # noqa: E402
+from repro.ssd.presets import small_ssd  # noqa: E402
 from repro.workload import ScenarioSpec, TenantSpec  # noqa: E402
 from repro.workload import run as run_spec  # noqa: E402
 from repro.workload import setup as setup_spec  # noqa: E402
 
-__all__ = ["FRAMES", "ROWS", "Counter", "count_rows", "interpreter", "numpy_version", "pinned", "moved"]
+__all__ = [
+    "FRAMES", "ROWS", "Counter", "count_rows", "gc_move_rows", "interpreter", "numpy_version",
+    "pinned", "moved",
+]
 
 FRAMES = _ROOT / "tools" / "ledger" / "FRAMES.json"
 SEED = 13
 WORKLOAD_SCALE = 0.02       # 20 of a BENCHMARK.json workload's 1,000 requests
 RM1_REQUESTS = 2
+# Valid pages of the two GC victims: the row is the 32 moves between them.
+GC_VALID = (8, 40)
 # Each row is first run once with one request, uncounted: what a process
 # builds on first use (a ``functools.lru_cache`` entry per batch shape,
 # ``abc``'s subclass caches) is then built whatever ran before.
@@ -167,6 +178,41 @@ def _rm1_rows(backend: RunnerConfig) -> Dict[str, dict]:
     return {f"rm1/{backend.kind.value}": _row(counter, int(result.summary["completed"]))}
 
 
+def _migration(valid: int) -> Counter:
+    """Count one GC migration of a victim block holding ``valid`` pages."""
+    sim = Simulator()
+    ftl = small_ssd(sim, pages_per_block=64).ftl
+    geometry = ftl.geometry
+    # Writes stripe over the dies: this closes one block on each.
+    payload = np.zeros(ftl.page_bytes, dtype=np.uint8)
+    for lpn in range(geometry.dies * geometry.pages_per_block):
+        ftl.write_page(lpn, payload, lambda: None)
+    sim.run()
+    victim = ftl.mapping.lookup(0) // geometry.pages_per_block
+    for lpn in ftl.mapping.valid_lpns_in_block(victim)[valid:]:
+        ftl.trim_page(lpn)
+    with Counter() as counter:
+        ftl.gc._migrate_block(victim // geometry.blocks_per_die, victim)
+        sim.run()
+    assert ftl.gc.pages_moved == valid and ftl.gc.blocks_reclaimed == 1
+    return counter
+
+
+def gc_move_rows() -> Dict[str, dict]:
+    """``gc/page_move``: what the larger migration counted beyond the
+    smaller, per layer, over the moves between them."""
+    _migration(GC_VALID[0])
+    small, large = (_migration(valid).tally for valid in GC_VALID)
+    return {
+        "gc/page_move": {
+            "requests": GC_VALID[1] - GC_VALID[0],
+            **{count: {layer: large[count][layer] - small[count][layer]
+                       for layer in LAYERS if large[count][layer] != small[count][layer]}
+               for count in COUNTS},
+        }
+    }
+
+
 ROWS: Tuple[Callable[[], Dict[str, dict]], ...] = (
     lambda: _workload_rows("ssd_serve"),
     lambda: _workload_rows("ndp_serve"),
@@ -174,6 +220,7 @@ ROWS: Tuple[Callable[[], Dict[str, dict]], ...] = (
     lambda: _rm1_rows(RunnerConfig(kind=BackendKind.SSD, host_cache_entries=2048)),
     lambda: _rm1_rows(RunnerConfig(kind=BackendKind.NDP)),
     lambda: _workload_rows("cluster_chash"),
+    gc_move_rows,
 )
 
 
