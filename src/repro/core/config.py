@@ -60,8 +60,8 @@ class SlsConfig:
     rows_per_page: int = 1            # layout: vectors packed per flash page
     table_rows: Optional[int] = None  # for validation when known
     # ``(pairs, input ids as Python ints)`` as ``__post_init__`` checked them.
-    _checked: Tuple[Optional[np.ndarray], List[int]] = field(
-        default=(None, []), init=False, repr=False, compare=False
+    _checked: Optional[Tuple[np.ndarray, List[int]]] = field(
+        default=None, init=False, repr=False, compare=False
     )
 
     def __post_init__(self) -> None:

@@ -112,6 +112,7 @@ class EmbeddingTable:
         self.device: Optional[SsdDevice] = None
         self.base_lba: Optional[int] = None
         self._page_bytes: Optional[int] = None
+        self._rows_per_page: Optional[int] = None
         # Row -> page layout.  None keeps the legacy identity placement
         # (row i at rank i) with zero per-op overhead; ``set_heat``
         # before ``attach`` selects heat-ordered packing instead.
@@ -211,6 +212,7 @@ class EmbeddingTable:
             raise RuntimeError(f"table {self.spec.name} already attached")
         self.device = device
         self._page_bytes = device.ftl.page_bytes
+        self._rows_per_page = self.spec.rows_per_page(self._page_bytes)
         self._build_layout()
         n_pages = self.spec.table_pages(self._page_bytes)
         self.base_lba = device.allocate_table_region(n_pages)
@@ -231,6 +233,7 @@ class EmbeddingTable:
         device = system.device
         self.device = device
         self._page_bytes = device.ftl.page_bytes
+        self._rows_per_page = self.spec.rows_per_page(self._page_bytes)
         self._build_layout()
         n_pages = self.spec.table_pages(self._page_bytes)
         self.base_lba = device.allocate_table_region(n_pages)
@@ -273,7 +276,10 @@ class EmbeddingTable:
 
     @property
     def rows_per_page(self) -> int:
-        return self.spec.rows_per_page(self.page_bytes)
+        # Fixed at attach by the spec and the device's page size.
+        if self._rows_per_page is None:
+            raise RuntimeError("table not attached to a device")
+        return self._rows_per_page
 
     @property
     def lba_bytes(self) -> int:
