@@ -10,7 +10,7 @@ weak SSD CPU can process them in one page-ordered scan.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
@@ -59,10 +59,8 @@ class SlsConfig:
     quant: QuantSpec = field(default_factory=QuantSpec)
     rows_per_page: int = 1            # layout: vectors packed per flash page
     table_rows: Optional[int] = None  # for validation when known
-    # ``(pairs, input ids as Python ints)`` as ``__post_init__`` checked them.
-    _checked: Optional[Tuple[np.ndarray, List[int]]] = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    # ``(pairs, their input ids as Python ints)`` as ``__post_init__`` checked them.
+    _checked: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         pairs = self.pairs
@@ -82,9 +80,8 @@ class SlsConfig:
             raise ValueError("vec_dim must be >= 1")
         if self.rows_per_page < 1:
             raise ValueError("rows_per_page must be >= 1")
-        # Where an op's ids are checked: the engine reads its bounds off
-        # the sorted ends and checks nothing again.  It buckets the ids as
-        # the Python ints checked here (``input_ids``).
+        # Where an op's ids are checked: the engine buckets these ints
+        # (``input_ids``), reads its bounds off the ends, checks nothing again.
         ids = pairs[:, 0].tolist()
         self._checked = (pairs, ids)
         if ids:
@@ -102,8 +99,7 @@ class SlsConfig:
     # ------------------------------------------------------------------
     @property
     def input_ids(self) -> List[int]:
-        """The pairs' input ids as Python ints: the list the checks read,
-        while ``pairs`` is still the array they checked."""
+        """The input ids as Python ints: the checked list, while ``pairs`` is unchanged."""
         checked, ids = self._checked
         return ids if checked is self.pairs else self.pairs[:, 0].tolist()
 

@@ -171,11 +171,14 @@ class _Command:
         engine._process_config(self.entry)
 
     def deliver(self) -> None:
-        if self.entry.state is SlsState.FAILED:
-            self.engine._release_entry(self.entry.request_id)
+        engine, entry = self.engine, self.entry
+        if entry.state is SlsState.FAILED:
+            engine._release_entry(entry.request_id)
             self.done(None, Status.INVALID_FIELD)
             return
-        self.engine._stage_results(self)
+        n_pages = entry.config.result_pages(engine._page_bytes)
+        cost = n_pages * engine.ftl.cpu.costs.sls_result_page_s
+        engine.ftl_core.submit(cost, self.after_stage, priority=1)
 
     def after_stage(self) -> None:
         self.engine.controller.dma_to_host(self.entry.config.result_bytes, self.result_sent)
@@ -222,8 +225,7 @@ class NdpSlsEngine:
         # Translated pages tag the cache at once and owe it their vectors
         # until their entry's gather; no reader sees one missing.
         self.emb_cache.settle = self.flush_gathers
-        # The entries whose ``gather_pending`` is not empty, in the order
-        # their first page since their last gather was translated.
+        # The entries whose ``gather_pending`` is not empty (the settle's).
         self._owing: Dict[SlsRequestEntry, None] = {}
         # Round-robin feed order across entries with pending pages.
         self._feed_queue: Deque[SlsRequestEntry] = deque()
@@ -348,16 +350,8 @@ class NdpSlsEngine:
             end = (page + 1) * rows_per_page
             for hi, row in enumerate(chain(islice(rows, 1, None), (rows[-1] + rows_per_page,)), 1):
                 if row >= end:
-                    jobs.append(
-                        _PageJob(
-                            base_lpn + page,
-                            lo,
-                            hi,
-                            self,
-                            entry,
-                            fixed_s + ((hi - lo) * row_bytes) * byte_s,
-                        )
-                    )
+                    translate_s = fixed_s + ((hi - lo) * row_bytes) * byte_s
+                    jobs.append(_PageJob(base_lpn + page, lo, hi, self, entry, translate_s))
                     lo = hi
                     page = row // rows_per_page
                     end = (page + 1) * rows_per_page
@@ -378,16 +372,11 @@ class NdpSlsEngine:
         n = min(PROCESS_CHUNK_PAIRS, remaining)
         cost = n * self.ftl.cpu.costs.sls_pair_s
         entry.cpu_config_process += cost
-        remaining -= n
         # The continuation names a method, never itself: a closure that
         # does is a cycle, entry and all, that only the cyclic collector
         # frees.
         self.ftl_core.submit(
-            cost,
-            partial(self._process_chunk, entry, remaining)
-            if remaining
-            else partial(self._finish_processing, entry),
-            priority=1,
+            cost, partial(self._process_chunk, entry, remaining - n), priority=1
         )
 
     def _finish_processing(self, entry: SlsRequestEntry) -> None:
@@ -447,8 +436,7 @@ class NdpSlsEngine:
         geometry = self.ftl.geometry
         pages_per_channel = geometry.pages_per_block * geometry.blocks_per_die * geometry.ways
         l2p = self.ftl.mapping.l2p
-        # One queue per channel, pages in LPN order; turn ``k`` is the
-        # ``k``-th page of each, ``None`` where a channel has run out.
+        # A queue per channel; turn ``k`` is each one's ``k``-th page or ``None``.
         lanes = [[] for _ in range(geometry.channels)]
         for page in pages:
             ppn = l2p[page.lpn]
@@ -556,8 +544,8 @@ class NdpSlsEngine:
         Whoever is about to change a table's values or layout under this
         device (an update commit, a layout re-pack) calls this first: a
         page contributes the rows it held at its translate instant.  So
-        does every reader of the embedding cache (its ``settle``).  Only
-        the entries that owe a gather are visited.
+        does every reader of the embedding cache (its ``settle``): only
+        the entries that owe a gather.
         """
         for entry in list(self._owing):
             self._gather(entry)
@@ -589,12 +577,6 @@ class NdpSlsEngine:
             read.deliver()
         else:
             entry.result_waiters.append(read.deliver)
-
-    def _stage_results(self, read: _Command) -> None:
-        n_pages = read.entry.config.result_pages(self._page_bytes)
-        self.ftl_core.submit(
-            n_pages * self.ftl.cpu.costs.sls_result_page_s, read.after_stage, priority=1
-        )
 
     # ------------------------------------------------------------------
     @property

@@ -10,10 +10,9 @@ entire command's or entry's pages so virtual pages of one table collapse
 into a single gather instead of one Python call chain per page (critical
 for ONE_PER_PAGE layouts, where every row is its own page):
 :func:`extract_vectors_many` takes a flat (page, slot) list and groups it
-(the SSD read path); :func:`extract_vectors_paged` takes page records
-(content, LPN, how many pairs fall on the page) and the storage ranks
-the caller already holds grouped page by page (the NDP engine's
-per-entry gather).
+(the SSD read path); :func:`extract_vectors_paged` takes page records and
+the storage ranks the caller already holds grouped page by page (the NDP
+engine's per-entry gather).
 """
 
 from __future__ import annotations
@@ -68,13 +67,6 @@ def extract_vectors(
     return _extract_from_buffer(content, slots, vec_dim, rows_per_page, quant)
 
 
-def _rows_at(table: Any, stored: np.ndarray, vec_dim: int) -> np.ndarray:
-    got = table.rows_at(stored)
-    if got.shape != (stored.size, vec_dim):
-        raise ValueError("virtual page returned wrong vector shape")
-    return got
-
-
 def _table_vectors(table: Any, ranks: np.ndarray, top: int, vec_dim: int) -> np.ndarray:
     """Canonical vectors stored at storage ``ranks`` of ``table``.
 
@@ -85,13 +77,20 @@ def _table_vectors(table: Any, ranks: np.ndarray, top: int, vec_dim: int) -> np.
     ``top`` is at least the largest of them: the caller proved both, so
     the ranks are neither reduced nor checked again.
     """
+
+    def gather(stored: np.ndarray) -> np.ndarray:
+        got = table.rows_at(stored)
+        if got.shape != (stored.size, vec_dim):
+            raise ValueError("virtual page returned wrong vector shape")
+        return got
+
     rows = table.spec.rows
     if top < rows:
-        return _rows_at(table, ranks, vec_dim)
+        return gather(ranks)
     out = np.zeros((ranks.size, vec_dim), dtype=np.float32)
     in_range = ranks < rows
     if np.any(in_range):
-        out[in_range] = _rows_at(table, ranks[in_range], vec_dim)
+        out[in_range] = gather(ranks[in_range])
     return out
 
 

@@ -52,8 +52,7 @@ class SlsRequestEntry:
     # units (the engine's page records) that address them.
     ranks: Optional[np.ndarray] = None       # storage rank in the table, per pair
     result_ids: Optional[np.ndarray] = None  # accumulation destination, per pair
-    # ``ranks`` as Python ints: the bound of every page's ranks, and the
-    # rows the embedding cache's claims slice (cache on).
+    # ``ranks`` as Python ints: every page's bound, the cache's claims.
     rank_ints: Optional[List[int]] = field(default=None, init=False)
     pending_pages: Deque[Any] = field(default_factory=deque)
     pages_total: int = 0

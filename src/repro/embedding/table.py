@@ -112,7 +112,6 @@ class EmbeddingTable:
         self.device: Optional[SsdDevice] = None
         self.base_lba: Optional[int] = None
         self._page_bytes: Optional[int] = None
-        self._rows_per_page: Optional[int] = None
         # Row -> page layout.  None keeps the legacy identity placement
         # (row i at rank i) with zero per-op overhead; ``set_heat``
         # before ``attach`` selects heat-ordered packing instead.
@@ -212,7 +211,6 @@ class EmbeddingTable:
             raise RuntimeError(f"table {self.spec.name} already attached")
         self.device = device
         self._page_bytes = device.ftl.page_bytes
-        self._rows_per_page = self.spec.rows_per_page(self._page_bytes)
         self._build_layout()
         n_pages = self.spec.table_pages(self._page_bytes)
         self.base_lba = device.allocate_table_region(n_pages)
@@ -233,7 +231,6 @@ class EmbeddingTable:
         device = system.device
         self.device = device
         self._page_bytes = device.ftl.page_bytes
-        self._rows_per_page = self.spec.rows_per_page(self._page_bytes)
         self._build_layout()
         n_pages = self.spec.table_pages(self._page_bytes)
         self.base_lba = device.allocate_table_region(n_pages)
@@ -276,10 +273,7 @@ class EmbeddingTable:
 
     @property
     def rows_per_page(self) -> int:
-        # Fixed at attach by the spec and the device's page size.
-        if self._rows_per_page is None:
-            raise RuntimeError("table not attached to a device")
-        return self._rows_per_page
+        return self.spec.rows_per_page(self.page_bytes)
 
     @property
     def lba_bytes(self) -> int:

@@ -80,11 +80,9 @@ INIT_FRAMES_PER_PAGE = 1
 # 57 while the owed refills landed through ``insert_many`` and its
 # ``_ensure_storage``; 47 / 54 while ``EmbDtype.bytes_per_element`` was a
 # property looking the width up by ``Enum.__hash__`` (two frames of a
-# ``TableSpec.row_bytes``'s four, read twice per op); 43 / 50 while an
-# ``EmbeddingTable.rows_per_page`` read derived the count from the spec
-# and the page size (three frames, not one).
-FIXED_FRAMES_PER_OP = 41
-FIXED_FRAMES_PER_OP_LRU = 48
+# ``TableSpec.row_bytes``'s four, read twice per op).
+FIXED_FRAMES_PER_OP = 43
+FIXED_FRAMES_PER_OP_LRU = 50
 
 # With a full host LRU, CPython 3.11, numpy 2: 1 per command and 45 once
 # while the LRU kept numpy tag and stamp rows (an ``argmin`` per

@@ -74,10 +74,11 @@ NUMPY_CALLS_PER_PAGE_CACHE = 0
 # ``Enum.__hash__`` frame).  135 since the engine reads the FTL's
 # ``lbas_per_page`` / ``page_bytes`` once, ``make_sls_config`` reads the
 # table's layout without the ``attached`` / ``storage_ids`` hops, the
-# gather's shape check is a function (no closure built per call), the
-# last config chunk hands straight to ``_finish_processing`` and the
-# cache-hit step is called only when there are hits.  CPython 3.12
-# inlines comprehensions, so it counts fewer.
+# result read stages its pages in ``deliver`` (no ``_stage_results``),
+# the cache-hit step is called only when there are hits and the config
+# hands the engine its checked ids (one ``input_ids`` frame, where the
+# bucketing was a list comprehension).  CPython 3.12 inlines
+# comprehensions, so it counts fewer.
 FIXED_FRAMES_PER_OP = 135
 # numpy 2: 43 while the op's ids were range-checked four times (config,
 # ``_process_config``, ``_table_vectors``'s ``ranks.max()``,

@@ -65,7 +65,7 @@ CLOSURE_FREE = {
     "NvmeController.post "
     "NvmeController.dma_to_host NvmeController.dma_to_device NvmeController._do_write_images _Fetch.* _Write.*",
     "repro/driver/unvme.py": "UnvmeDriver._issue UnvmeDriver._deliver",
-    "repro/core/engine.py": "NdpSlsEngine._admit NdpSlsEngine.handle_result_read NdpSlsEngine._stage_results "
+    "repro/core/engine.py": "NdpSlsEngine._admit NdpSlsEngine.handle_result_read "
     "NdpSlsEngine._accumulate_cache_hits NdpSlsEngine._pump _PageJob.* _Command.*",
     "repro/embedding/stage.py": "EmbeddingStage.start _Batch.* _Piece.*",
     "repro/driver/ndp.py": "NdpSlsSession.sls _SlsOp.*",
