@@ -28,13 +28,11 @@ def sorted_pairs(ids: np.ndarray, rids: np.ndarray) -> np.ndarray:
     result id — the page-ordered scan of Section 4.3.
 
     ``rids`` ascend, as a :class:`~repro.core.bags.Bags`' do, so a stable
-    sort by input id alone leaves equal ids in result-id order.
+    sort by input id alone leaves equal ids in result-id order.  The
+    array is column-major: each column is one contiguous run.
     """
     order = ids.argsort(kind="stable")
-    pairs = np.empty((order.size, 2), dtype=np.int64)
-    pairs[:, 0] = ids[order]
-    pairs[:, 1] = rids[order]
-    return pairs
+    return np.array((ids[order], rids[order]), dtype=np.int64).T
 
 
 def build_pairs(bags) -> np.ndarray:
@@ -82,7 +80,7 @@ class SlsConfig:
             raise ValueError("rows_per_page must be >= 1")
         # Where an op's ids are checked: the engine buckets these ints
         # (``input_ids``), reads its bounds off the ends, checks nothing again.
-        ids = pairs[:, 0].tolist()
+        ids, rids = pairs.T.tolist()
         self._checked = (pairs, ids)
         if ids:
             if ids != sorted(ids):
@@ -90,8 +88,9 @@ class SlsConfig:
             # Sorted: the least and greatest ids are the ends.
             if ids[0] < 0:
                 raise ValueError("negative input id")
-            # One reduction: a negative id read as uint64 is >= 2**63.
-            if np.maximum.reduce(pairs[:, 1].view(np.uint64)) >= self.num_results:
+            # A bag's ids share its result id: its distinct values are few.
+            distinct = set(rids)
+            if min(distinct) < 0 or max(distinct) >= self.num_results:
                 raise ValueError("result id out of range")
             if self.table_rows is not None and ids[-1] >= self.table_rows:
                 raise ValueError("input id exceeds table rows")

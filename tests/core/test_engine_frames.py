@@ -91,8 +91,8 @@ FIXED_FRAMES_PER_OP = 135
 # channel interleave were numpy passes over the op's ids (``reduce`` x2
 # and ``view``; ``empty``, ``nonzero`` and three ``tolist``; ``lookup_many``
 # with ``argsort`` x2, ``arange`` and ``searchsorted``) and the table
-# cast its ids with ``asarray``.  Of the 15, 6 build the test's ``Bags``.
-FIXED_NUMPY_CALLS_PER_OP = 15
+# cast its ids with ``asarray``.  Of the 13, 6 build the test's ``Bags``.
+FIXED_NUMPY_CALLS_PER_OP = 13
 # The cache adds 4 frames per op: the probe, its settle's
 # ``flush_gathers`` (which visits only the entries that owe a gather:
 # it called an empty ``_gather`` per live entry, 150 frames, before),
@@ -101,7 +101,7 @@ FIXED_NUMPY_CALLS_PER_OP = 15
 # ``take`` of the vectors it stores (the claims slice the ids the config
 # checked).
 FIXED_FRAMES_PER_OP_CACHE = 139
-FIXED_NUMPY_CALLS_PER_OP_CACHE = 20
+FIXED_NUMPY_CALLS_PER_OP_CACHE = 18
 
 
 def python_calls(run) -> int:
