@@ -45,7 +45,7 @@ def build_pairs(bags) -> np.ndarray:
     return sorted_pairs(bags.ids, bags.rids)
 
 
-@dataclass
+@dataclass(slots=True)
 class SlsConfig:
     """One NDP SLS operation over a single embedding table."""
 

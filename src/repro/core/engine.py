@@ -298,7 +298,7 @@ class NdpSlsEngine:
         entry.init_scratchpad()
         self.entries[request_id] = entry
         self.requests_started += 1
-        self._account_active_change()
+        self._account_active_change(entry)
         self.ftl_core.submit(
             self.ftl.cpu.costs.sls_entry_alloc_s, _Command(self, entry, done).after_alloc
         )
@@ -389,14 +389,15 @@ class NdpSlsEngine:
         self._pump()
         self._maybe_finish(entry)
 
-    def _account_active_change(self) -> None:
+    def _account_active_change(self, admitted: Optional[SlsRequestEntry] = None) -> None:
         """Update the overlap clock and concurrency gauges on entry add/remove."""
         now = self.sim.now
         if self._active_prev >= 2:
             self.overlap_seconds += now - self._active_since
         n = len(self.entries)
-        if n >= 2:
-            for e in self.entries.values():
+        if n >= 2 and admitted is not None:
+            # Past two, every other live entry was marked when it first shared the buffer.
+            for e in self.entries.values() if n == 2 else (admitted,):
                 if not e.overlapped:
                     e.overlapped = True
                     self.requests_overlapped += 1

@@ -40,7 +40,7 @@ class PageWork:
     ranks: Optional[np.ndarray] = None  # storage rank in the table, per pair
 
 
-@dataclass(eq=False)
+@dataclass(slots=True, weakref_slot=True, eq=False)
 class SlsRequestEntry:
     request_id: int
     config: SlsConfig

@@ -23,7 +23,7 @@ from ..table import EmbeddingTable
 __all__ = ["SlsOpResult", "SlsBackend", "flatten_bags"]
 
 
-@dataclass
+@dataclass(slots=True)
 class SlsOpResult:
     values: np.ndarray
     start_time: float

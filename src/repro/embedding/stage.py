@@ -48,7 +48,7 @@ from .backends.base import SlsBackend, SlsOpResult
 __all__ = ["EmbStageResult", "EmbeddingStage", "scatter_bags"]
 
 
-@dataclass
+@dataclass(slots=True)
 class EmbStageResult:
     """One embedding stage's output: per-table pooled values + accounting.
 

@@ -104,9 +104,9 @@ class FlashChannel:
         self.channel_id = channel_id
         self.page_bytes = page_bytes
         self.timing = timing
-        self.bus = Server(sim, capacity=1, name=f"ch{channel_id}.bus")
+        self.bus = Server(sim, name=f"ch{channel_id}.bus")
         self.dies = [
-            Server(sim, capacity=1, name=f"ch{channel_id}.die{w}") for w in range(ways)
+            Server(sim, name=f"ch{channel_id}.die{w}") for w in range(ways)
         ]
         self.reads = 0
         self.programs = 0

@@ -65,7 +65,7 @@ class FtlCpu:
         self.sim = sim
         self.costs = costs or FtlCpuCosts()
         self.host_core = Core(sim, name="arm.host_core")
-        self.ftl_core = Server(sim, capacity=1, name="arm.ftl_core")
+        self.ftl_core = Server(sim, name="arm.ftl_core")
 
     @property
     def idle(self) -> bool:

@@ -50,7 +50,7 @@ class SparseFeature:
         return self.lookups if self.sequence else 1
 
 
-@dataclass
+@dataclass(slots=True)
 class Batch:
     """One request's inputs.
 

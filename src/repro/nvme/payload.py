@@ -39,7 +39,7 @@ def page_content_to_bytes(content: Any, page_bytes: int) -> np.ndarray:
     raise TypeError(f"cannot materialize page content of type {type(content)!r}")
 
 
-@dataclass
+@dataclass(slots=True)
 class PageImagePayload:
     """Full-page write images carried by reference, one content per LPN.
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Dict, Optional
+from typing import Any, Callable, Dict, Optional
 
 import numpy as np
 
@@ -32,7 +32,7 @@ class RequestState(Enum):
 # queue removal (timeout/hedge cancellation) must never match a
 # different-but-equal request, and field comparison through the
 # numpy-backed Batch is ill-defined anyway.
-@dataclass(eq=False)
+@dataclass(slots=True, eq=False)
 class InferenceRequest:
     """One in-flight inference request.
 
@@ -76,6 +76,7 @@ class InferenceRequest:
     values: Dict[str, np.ndarray] = field(default_factory=dict)
     output: Optional[np.ndarray] = None
     on_done: Optional[Callable[["InferenceRequest"], None]] = None
+    obs_batch: Any = None  # the tracer's span of the batch it was dispatched in
 
     @property
     def latency(self) -> float:

@@ -558,7 +558,7 @@ class InferenceServer:
         emb_end = (
             request.t_emb_done if request.t_emb_done >= 0 else request.t_done
         )
-        batch_span = getattr(request, "obs_batch", None)
+        batch_span = request.obs_batch
         emb_attrs = {"batch_sid": batch_span.sid} if batch_span is not None else {}
         tracer.add("emb", request.t_dispatch, emb_end, parent=root, **emb_attrs)
         if request.t_dense_start >= 0:

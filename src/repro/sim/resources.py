@@ -1,8 +1,8 @@
 """Queueing resources for the DES kernel.
 
-* :class:`Server` — a priority-FIFO single- or multi-server station with
-  per-job service times, used for contended hardware (the FTL core,
-  flash dies and channel buses).
+* :class:`Server` — a one-server priority-FIFO station with per-job
+  service times, used for contended hardware (the FTL core, flash dies
+  and channel buses).
 * :class:`Core` — a one-server, one-priority station admitted in closed
   form (the controller's host-interface core).
 * :class:`BandwidthPipe` — a link that serializes transfers (PCIe):
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from collections import deque
 from heapq import heappush
-from typing import Callable, Deque, Dict, List, Optional
+from typing import Callable, Deque, Dict, List
 
 from .kernel import _NO_ARG, SimError, Simulator
 
@@ -34,9 +34,9 @@ _NEVER = [float("-inf")]
 
 
 class Server:
-    """Priority-FIFO station with ``capacity`` parallel servers.
+    """One-server priority-FIFO station.
 
-    Jobs are submitted with an explicit service time; when a server becomes
+    Jobs are submitted with an explicit service time; when the server becomes
     free the highest-priority (lowest number), oldest job starts, and its
     completion callback runs when the service time elapses.  Priorities
     model firmware polling loops that refill hardware queues before doing
@@ -52,12 +52,9 @@ class Server:
     priorities scans at most ``k`` deques to hand itself on.
     """
 
-    def __init__(self, sim: Simulator, capacity: int = 1, name: str = "server"):
-        if capacity < 1:
-            raise SimError(f"server capacity must be >= 1, got {capacity}")
+    def __init__(self, sim: Simulator, name: str = "server"):
         self.sim = sim
         self.name = name
-        self.capacity = capacity
         self._busy = 0
         queue: Deque = deque()
         self._queue_of: Dict[int, Deque] = {0: queue}
@@ -72,14 +69,14 @@ class Server:
     def submit(
         self, service_time: float, on_done: Callable[[], None], priority: int = 0
     ) -> None:
-        """Enqueue a job needing ``service_time`` seconds of a server;
+        """Enqueue a job needing ``service_time`` seconds of the server;
         ``on_done()`` runs when it completes.  Every job is one start, one
         completion and one completion event, so ``jobs_started -
         jobs_completed == busy`` at every instant."""
         if not service_time >= 0:
             raise SimError(f"negative service time {service_time}")
-        if self._busy < self.capacity:
-            self._busy += 1
+        if not self._busy:
+            self._busy = 1
             self.jobs_started += 1
             self.busy_time += service_time
             # sim.schedule_call(service_time, self._finish, on_done), in
@@ -115,7 +112,7 @@ class Server:
                 heappush(sim._heap, [sim.now + service_time, sim._seq, self._on_finish, callback])
                 break
         else:
-            self._busy -= 1
+            self._busy = 0
         on_done()
 
     # ------------------------------------------------------------------
@@ -131,12 +128,12 @@ class Server:
     def idle(self) -> bool:
         return self._busy == 0 and not any(self._queues)
 
-    def utilization(self, elapsed: Optional[float] = None) -> float:
-        """Fraction of server-seconds spent busy over ``elapsed`` seconds."""
-        span = self.sim.now if elapsed is None else elapsed
+    def utilization(self) -> float:
+        """Fraction of elapsed time the server is busy with the jobs started so far."""
+        span = self.sim.now
         if span <= 0:
             return 0.0
-        return self.busy_time / (span * self.capacity)
+        return self.busy_time / span
 
 
 class Core:

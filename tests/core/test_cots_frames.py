@@ -159,7 +159,6 @@ def frames_for_one_op(pages: int, lru: bool, count=python_calls, full: bool = Fa
     return calls
 
 
-@pytest.mark.skipif(sys.version_info < (3, 11), reason="pinned on CPython 3.11")
 @pytest.mark.parametrize(
     "lru, per_page_bound, fixed_bound",
     [
@@ -207,7 +206,6 @@ def test_a_block_read_builds_one_record(lru):
     assert (large - small) / 48 == INIT_FRAMES_PER_PAGE
 
 
-@pytest.mark.skipif(sys.version_info < (3, 11), reason="pinned on CPython 3.11")
 def test_a_cots_op_with_the_host_lru_makes_a_bounded_number_of_numpy_calls():
     def calls(pages: int) -> int:
         return frames_for_one_op(pages, True, count=numpy_calls, full=True)

@@ -19,7 +19,6 @@ import gc
 import sys
 
 import numpy as np
-import pytest
 
 from repro.core.engine import NdpEngineConfig
 
@@ -155,7 +154,6 @@ def test_a_page_costs_a_bounded_number_of_frames():
     assert per_page <= FRAMES_PER_PAGE_PAST_WINDOW, per_page
 
 
-@pytest.mark.skipif(sys.version_info < (3, 11), reason="pinned on CPython 3.11")
 def test_an_op_pays_a_bounded_number_of_frames_once():
     small, large = frames_for_one_op(16, True), frames_for_one_op(64, True)
     per_page = (large - small) / 48
@@ -164,7 +162,6 @@ def test_an_op_pays_a_bounded_number_of_frames_once():
     assert fixed <= FIXED_FRAMES_PER_OP, fixed
 
 
-@pytest.mark.skipif(sys.version_info < (3, 11), reason="pinned on CPython 3.11")
 def test_an_op_makes_a_bounded_number_of_numpy_calls():
     """What a frame count cannot see: the op's calls into numpy's C
     functions, config build included (``numpy_calls`` in
@@ -183,7 +180,6 @@ def test_an_op_makes_a_bounded_number_of_numpy_calls():
     assert fixed <= FIXED_NUMPY_CALLS_PER_OP, fixed
 
 
-@pytest.mark.skipif(sys.version_info < (3, 11), reason="pinned on CPython 3.11")
 def test_with_the_embedding_cache_on_an_op_and_a_page_cost_bounded_frames():
     def frames(pages: int) -> int:
         return frames_for_one_op(pages, True, cache_slots=CACHE_SLOTS)
@@ -196,7 +192,6 @@ def test_with_the_embedding_cache_on_an_op_and_a_page_cost_bounded_frames():
     assert fixed <= FIXED_FRAMES_PER_OP_CACHE, fixed
 
 
-@pytest.mark.skipif(sys.version_info < (3, 11), reason="pinned on CPython 3.11")
 def test_with_the_embedding_cache_on_a_page_makes_no_numpy_call():
     from .test_cots_frames import numpy_calls
 

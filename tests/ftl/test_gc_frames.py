@@ -8,10 +8,6 @@ else, so the slope is a move's cost.  Counted with ``sys.setprofile``
 and the collector off, as in ``tests/core/test_engine_frames.py``.
 """
 
-import sys
-
-import pytest
-
 from repro.sim.kernel import Simulator
 from repro.ssd.presets import small_ssd
 
@@ -48,7 +44,6 @@ def frames_for_a_migration(valid: int) -> int:
     return calls
 
 
-@pytest.mark.skipif(sys.version_info < (3, 11), reason="pinned on CPython 3.11")
 def test_a_gc_page_move_costs_a_bounded_number_of_frames():
     small, large = frames_for_a_migration(8), frames_for_a_migration(40)
     assert (small, large) == (frames_for_a_migration(8), frames_for_a_migration(40))

@@ -3,11 +3,11 @@
 for the event-engine fast path and for the one-event pipe transfer.
 
 Hypothesis draws job streams in which same-instant ties are the common
-case — zero and repeated service times, capacities 1-3, priorities on
-both sides of 0 (the engine keeps a FIFO per priority where the
-reference keeps one heap), submits issued from inside completion
-callbacks, and bad inputs mixed in — and each stream runs on both
-implementations against a fresh simulator.
+case — zero and repeated service times, one or two one-server
+stations, priorities on both sides of 0 (the engine keeps a FIFO per
+priority where the reference keeps one heap), submits issued from
+inside completion callbacks, and bad inputs mixed in — and each stream
+runs on both implementations against a fresh simulator.
 
 * A stream without transfers (``Server`` only): the dispatch sequence
   ``(sim.now, job id)``, the event count and every counter are equal,
@@ -96,7 +96,7 @@ class Op:
 
 @dataclass(frozen=True)
 class Program:
-    capacities: Tuple[int, ...]
+    servers: int
     pipes: Tuple[Tuple[float, float], ...]      # (bandwidth, latency)
     ops: Tuple[Op, ...]
 
@@ -105,7 +105,7 @@ class Program:
 def programs(
     draw, transfers: bool, sizes=SIZES, latencies=LATENCIES
 ) -> Program:
-    capacities = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=2)))
+    servers = draw(st.integers(1, 2))
     pipes = tuple(
         draw(
             st.lists(
@@ -129,13 +129,13 @@ def programs(
                 parent=draw(st.one_of(st.none(), st.integers(0, i - 1))) if i else None,
             )
         )
-    return Program(capacities, pipes, tuple(ops))
+    return Program(servers, pipes, tuple(ops))
 
 
 def execute(resources, program: Program):
     """Run ``program`` on ``resources``' classes; return all that is observable."""
     sim = Simulator()
-    servers = [resources.Server(sim, capacity=c) for c in program.capacities]
+    servers = [resources.Server(sim) for _ in range(program.servers)]
     pipes = [resources.BandwidthPipe(sim, bw, latency) for bw, latency in program.pipes]
     children = defaultdict(list)
     for i, op in enumerate(program.ops):
@@ -267,7 +267,7 @@ def test_streams_exercise_every_path():
     queued, hand-off, latency-hop and refusal paths."""
     job = partial(Op, "job", 0, priority=0, at=0.0, parent=None)
     program = Program(
-        capacities=(1,),
+        servers=1,
         pipes=((4e9, 0.1),),
         ops=(
             job(amount=0.3),                                        # free server
@@ -293,8 +293,6 @@ def test_streams_exercise_every_path():
 @pytest.mark.parametrize("resources", [engine, reference], ids=["engine", "reference"])
 def test_constructors_refuse_the_same_bad_inputs(resources):
     sim = Simulator()
-    with pytest.raises(SimError, match="capacity"):
-        resources.Server(sim, capacity=0)
     with pytest.raises(SimError, match="bandwidth"):
         resources.BandwidthPipe(sim, 0.0)
     with pytest.raises(SimError, match="bandwidth"):
@@ -303,14 +301,14 @@ def test_constructors_refuse_the_same_bad_inputs(resources):
 
 @dataclass(frozen=True)
 class CoreProgram:
-    capacities: Tuple[int, ...]         # of the other servers
+    servers: int                        # the other servers
     pipe: Tuple[float, float]           # the hand-off pipe's (bandwidth, latency)
     ops: Tuple[Op, ...]
 
 
 @st.composite
 def core_programs(draw, handoffs: bool) -> CoreProgram:
-    capacities = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=2)))
+    servers = draw(st.integers(1, 2))
     pipe = draw(st.tuples(st.sampled_from(BANDWIDTHS), st.sampled_from(LATENCIES)))
     kinds = (
         ("core", "core", "handoff", "pickup", "job") if handoffs else ("core", "core", "job")
@@ -332,7 +330,7 @@ def core_programs(draw, handoffs: bool) -> CoreProgram:
                 then=draw(st.sampled_from(THEN_S)) if kind == "pickup" else 0.0,
             )
         )
-    return CoreProgram(capacities, pipe, tuple(ops))
+    return CoreProgram(servers, pipe, tuple(ops))
 
 
 def execute_core(resources, program: CoreProgram):
@@ -349,7 +347,7 @@ def execute_core(resources, program: CoreProgram):
         def handoff(i, service_time, size, done, then_s=0.0):
             delivered[i] = pipe.transfer_after(core, service_time, size, done, then_s)
     else:
-        core = reference.Server(sim, capacity=1)
+        core = reference.Server(sim)
 
         def handoff(i, service_time, size, done, then_s=None):
             def arrived():
@@ -360,7 +358,7 @@ def execute_core(resources, program: CoreProgram):
                     sim.schedule_call(then_s, lambda _arg: done(), None)
 
             core.submit(service_time, lambda: pipe.transfer(size, arrived))
-    servers = [resources.Server(sim, capacity=c) for c in program.capacities]
+    servers = [resources.Server(sim) for _ in range(program.servers)]
     children = defaultdict(list)
     for i, op in enumerate(program.ops):
         children[op.parent].append(i)
@@ -415,7 +413,7 @@ def a_core_event_ties(program: CoreProgram, seen) -> bool:
         if isinstance(what, int):
             op = program.ops[what]
             if op.kind == "job":
-                sharing[instant].add(("job", op.target % len(program.capacities)))
+                sharing[instant].add(("job", op.target % program.servers))
             else:
                 sharing[instant].add(op.kind)
     return any(
@@ -456,7 +454,7 @@ def test_core_streams_exercise_every_path():
     hand-off queued on the pipe, and a refusal."""
     core = partial(Op, "core", 0, priority=0, at=0.0, parent=None)
     program = CoreProgram(
-        capacities=(1,),
+        servers=1,
         pipe=(4e9, 0.1),
         ops=(
             core(amount=0.3),                                       # free core
@@ -487,7 +485,7 @@ def test_a_pickup_is_one_event_then_s_after_its_delivery():
     behind a core job and one issued from its callback with a zero
     delay, against a ``Server``, the staged pipe and ``schedule_call``."""
     program = CoreProgram(
-        capacities=(1,),
+        servers=1,
         pipe=(4e9, 0.1),
         ops=(
             Op("core", 0, 0.3, 0, 0.0, None),                              # free core

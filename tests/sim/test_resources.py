@@ -10,23 +10,15 @@ from repro.sim.resources import BandwidthPipe, Core, Server
 
 class TestServer:
     def test_single_server_serializes(self, sim):
-        server = Server(sim, capacity=1)
+        server = Server(sim)
         done = []
         server.submit(1e-6, lambda: done.append(sim.now))
         server.submit(1e-6, lambda: done.append(sim.now))
         sim.run()
         assert done == pytest.approx([1e-6, 2e-6])
 
-    def test_parallel_capacity(self, sim):
-        server = Server(sim, capacity=3)
-        done = []
-        for _ in range(3):
-            server.submit(1e-6, lambda: done.append(sim.now))
-        sim.run()
-        assert done == pytest.approx([1e-6] * 3)
-
     def test_fifo_within_priority(self, sim):
-        server = Server(sim, capacity=1)
+        server = Server(sim)
         order = []
         server.submit(1e-6, lambda: order.append("busy"))
         for name in ("a", "b", "c"):
@@ -35,7 +27,7 @@ class TestServer:
         assert order == ["busy", "a", "b", "c"]
 
     def test_priority_jumps_queue(self, sim):
-        server = Server(sim, capacity=1)
+        server = Server(sim)
         order = []
         server.submit(1e-6, lambda: order.append("busy"))
         server.submit(1e-6, lambda: order.append("low1"), priority=1)
@@ -45,7 +37,7 @@ class TestServer:
         assert order == ["busy", "high", "low1", "low2"]
 
     def test_running_job_not_preempted(self, sim):
-        server = Server(sim, capacity=1)
+        server = Server(sim)
         order = []
         server.submit(10e-6, lambda: order.append("long"))
         sim.run(until=1e-6)
@@ -54,7 +46,7 @@ class TestServer:
         assert order == ["long", "urgent"]
 
     def test_utilization_and_counters(self, sim):
-        server = Server(sim, capacity=1)
+        server = Server(sim)
         for _ in range(4):
             server.submit(1e-6, lambda: None)
         sim.run()
@@ -74,12 +66,8 @@ class TestServer:
             server.submit(math.nan, lambda: None)
         assert server.busy_time == 0.0 and server.idle
 
-    def test_zero_capacity_rejected(self, sim):
-        with pytest.raises(SimError):
-            Server(sim, capacity=0)
-
     def test_queue_length(self, sim):
-        server = Server(sim, capacity=1)
+        server = Server(sim)
         for _ in range(5):
             server.submit(1e-6, lambda: None)
         assert server.queue_length == 4

@@ -62,16 +62,15 @@ def test_containers_alive_per_queued_unit():
 
 def test_what_a_queued_request_keeps_alive():
     """Six containers (the ``Batch``, its ``bags`` dict, one ``Bags`` per
-    table, the request, its ``values`` dict) and ~1.5 kB on CPython 3.11:
+    table, the request, its ``values`` dict) and ~1.4 kB on CPython 3.11:
     each table's bags are one id array behind one slotted record.  As a
     list of two views of it they are as many containers — numpy arrays
     are not GC-tracked — but a 112-byte array header per bag on top of
-    the list: ~480 bytes more per queued request (2,028 at the parent
-    against 1,516), whatever the interpreter's own object sizes."""
+    the list: ~480 bytes more per queued request (1,907 against 1,427),
+    whatever the interpreter's own object sizes."""
     counts = request_counts()
     as_lists = request_counts(as_lists=True)
     assert counts["containers"] <= as_lists["containers"], (counts, as_lists)
     assert as_lists["bytes"] - counts["bytes"] >= 400, (counts, as_lists)
-    if sys.version_info >= (3, 11):     # 3.10 gives every instance a dict
-        assert counts["containers"] <= 6.5, counts
-        assert counts["bytes"] <= 1600, counts
+    assert counts["containers"] <= 6.5, counts
+    assert counts["bytes"] <= 1600, counts

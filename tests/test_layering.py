@@ -400,6 +400,18 @@ def _unused_imports(sources, allowed) -> list:
     ]
 
 
+def _dict_backed_records(sources, allowed) -> list:
+    """Every ``@dataclass`` that is neither ``slots=True`` nor ``frozen=True``."""
+    return [
+        f"{path}:{node.lineno}: {node.name}"
+        for path, source in sources.items()
+        for node, _ in _nodes(source)[ast.ClassDef] if (path, node.name) not in allowed
+        for decorator in node.decorator_list if _named(getattr(decorator, "func", decorator)) == "dataclass"
+        if not any(word.arg in ("slots", "frozen") and getattr(word.value, "value", None) is True
+                   for word in getattr(decorator, "keywords", ()))
+    ]
+
+
 def rule(name: str, scope: tuple, find: Callable, allowed, why: str, *planted: tuple) -> SimpleNamespace:
     allowed = frozenset(allowed)
     return SimpleNamespace(name=name, scope=scope, find=find, allowed=allowed, why=why, planted=planted)
@@ -424,6 +436,7 @@ FLEET_P99 = "return host_stats.latency_quantile(self.latencies(), q)"
 ARM = "        injector.arm_cluster(cluster)\n"
 BUILT = "    return Built(scenario, cluster, servers, generators, injector)\n"
 BACKENDS = "yield from worker.stage.backends()"
+ENTRY, PAYLOAD = "repro/core/request.py", "repro/nvme/payload.py"
 
 RULES = (
     rule(
@@ -647,6 +660,19 @@ RULES = (
         plant("repro/cluster/users.py", FUTURE, FUTURE + "from ..workload.scenario import run\n"),
         plant(OBS, "from ..sim.resettable import (",
               "from ..workload.scenario import run\nfrom ..sim.resettable import (")),
+    rule(
+        "records-are-slotted-or-frozen", SRC, _dict_backed_records,
+        {(SCENARIO, "Built"), (SCENARIO, "RunResult"), (COMMON, "ExperimentResult"),
+         ("repro/cluster/users.py", "UserPopulation")},
+        "A record built per op or per request has no instance dict: its fields are slots (an SLS request's "
+        "buffer entry is read about ten times per NDP page), or it is a frozen spec.  The allowlist is made "
+        "once per run: ``Built`` is what ``setup`` hands ``run``, ``RunResult`` what ``run`` returns, "
+        "``ExperimentResult`` one figure or table, ``UserPopulation`` one fleet's user base.",
+        plant(ENTRY, "@dataclass(slots=True, weakref_slot=True, eq=False)\n", "@dataclass(eq=False)\n",
+              f"{ENTRY}:{{L+1}}: SlsRequestEntry"),
+        plant(PAYLOAD, "@dataclass(slots=True)\n", "@dataclasses.dataclass(slots=False)\n",
+              f"{PAYLOAD}:{{L+1}}: PageImagePayload"),
+        plant(PAYLOAD, "@dataclass(slots=True)\n", "@dataclass(frozen=True)\n")),
     rule(
         "no-unused-import", IMPORTERS, _unused_imports, (),
         "An import nothing reads is dead weight at import time and a false lead (``FtlCpuCosts`` outlived "
