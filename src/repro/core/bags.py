@@ -7,7 +7,8 @@ operator — reads one flat index vector plus where each bag ends.
 ``.ids`` / ``.offsets`` / ``.rids`` by every layer below: the scheduler
 coalesces requests with :meth:`Bags.concat`, the stage splits row shards
 and the NDP backend its cold remainder with :meth:`Bags.select`, and the
-table sums with ``segment_sum_offsets``.  Nothing below the seam walks
+table sums with one ``np.add.reduceat`` at ``.starts`` where the bags are
+proven non-empty, else with ``segment_sum_offsets``.  Nothing below the seam walks
 bag by bag; :meth:`Bags.of` is the one place a list of arrays is
 flattened (``tests/test_layering.py`` holds ``src/`` to that).
 """
@@ -39,14 +40,15 @@ def as_ids(values) -> np.ndarray:
 
 
 @lru_cache(maxsize=256)
-def _uniform_layout(n: int, length: int) -> tuple[np.ndarray, np.ndarray]:
-    """``(offsets, rids)`` of ``n`` bags of ``length`` ids, read-only so
-    every batch of that shape can share the one pair."""
+def _uniform_layout(n: int, length: int) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """``(offsets, rids, starts)`` of ``n`` bags of ``length`` ids,
+    read-only so every batch of that shape can share them; ``starts`` is
+    None when the bags are empty."""
     offsets = np.arange(n + 1, dtype=np.int64) * length
     rids = np.repeat(np.arange(n, dtype=np.int64), length)
     offsets.setflags(write=False)
     rids.setflags(write=False)
-    return offsets, rids
+    return offsets, rids, offsets[:-1] if length else None
 
 
 def _offsets_of(counts) -> np.ndarray:
@@ -65,16 +67,29 @@ class Bags:
     batch with the request it came from, by every uniform batch of one
     shape — so nobody writes into them.
 
+    ``starts`` is ``offsets[:-1]`` when every bag is known to hold at
+    least one id — :meth:`uniform` bags of non-zero length, and a
+    :meth:`concat` of such parts — and None otherwise: the table pools
+    bags with starts in one ``np.add.reduceat`` and checks the others
+    for empty bags (``segment_sum_offsets``).
+
     ``len``, iteration and indexing behave like the list of per-result
     arrays this replaces; each bag comes back as a view of ``ids``.
     """
 
-    __slots__ = ("ids", "offsets", "_rids")
+    __slots__ = ("ids", "offsets", "_rids", "starts")
 
-    def __init__(self, ids: np.ndarray, offsets: np.ndarray, rids: np.ndarray | None = None):
+    def __init__(
+        self,
+        ids: np.ndarray,
+        offsets: np.ndarray,
+        rids: np.ndarray | None = None,
+        starts: np.ndarray | None = None,
+    ):
         self.ids = ids
         self.offsets = offsets
         self._rids = rids
+        self.starts = starts
 
     @property
     def rids(self) -> np.ndarray:
@@ -118,10 +133,18 @@ class Bags:
             return parts[0] if parts else cls.of(())
         offsets = [parts[0].offsets]
         base = parts[0].ids.size
+        nonempty = parts[0].starts is not None
         for part in parts[1:]:
             offsets.append(part.offsets[1:] + base)
             base += part.ids.size
-        return cls(np.concatenate([part.ids for part in parts]), np.concatenate(offsets))
+            if part.starts is None:
+                nonempty = False
+        offsets = np.concatenate(offsets)
+        return cls(
+            np.concatenate([part.ids for part in parts]),
+            offsets,
+            starts=offsets[:-1] if nonempty else None,
+        )
 
     def select(self, keep: np.ndarray) -> "Bags":
         """The same bags holding only the ids at ``keep`` — a boolean

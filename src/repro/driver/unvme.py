@@ -104,8 +104,11 @@ class UnvmeDriver:
             self._cmd_spans[cmd.cid] = span
             cmd.obs_span = span
         cmd.on_done = on_done
-        if not self._issue(cmd):
-            self._backlog.append(cmd)
+        # While the backlog holds a command every qpair is full: a slot
+        # frees only in ``_deliver``, which refills it from the backlog.
+        backlog = self._backlog
+        if backlog or not self._issue(cmd):
+            backlog.append(cmd)
 
     def _issue(self, cmd: Command) -> bool:
         """Issue ``cmd`` on the first qpair below full depth, in a
@@ -166,8 +169,10 @@ class UnvmeDriver:
             if span is not None:
                 span.attrs["status"] = cpl.status.name
                 tracer.end(span)
+        # The one slot this completion freed goes to the oldest waiting
+        # command; every other qpair is still full.
         backlog = self._backlog
-        while backlog and self._issue(backlog[0]):
+        if backlog and self._issue(backlog[0]):
             backlog.popleft()
         cmd.on_done(cpl)
 

@@ -108,6 +108,12 @@ class SlsBackend(ABC):
     def _start(self, bags: Bags, on_done: Callable[[SlsOpResult], None]) -> None:
         """Backend-specific implementation behind :meth:`start`."""
 
+    def _deliver(self, done: tuple) -> None:
+        """A ``sim.schedule_call`` target that completes an op now:
+        ``done`` is ``(values, start, breakdown, stats, on_done)``."""
+        values, start, breakdown, stats, on_done = done
+        on_done(SlsOpResult(values, start, self.system.sim.now, breakdown, stats))
+
     @property
     def available(self) -> bool:
         """False when the backing device is fail-stopped.

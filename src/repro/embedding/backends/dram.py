@@ -16,7 +16,6 @@ class DramSlsBackend(SlsBackend):
 
     def _start(self, bags: Bags, on_done: Callable[[SlsOpResult], None]) -> None:
         sim = self.system.sim
-        start = sim.now
         values = self.table.ref_sls(bags)
         n_lookups = bags.ids.size
         latency = self.system.host_cpu.dram_sls_time(
@@ -24,16 +23,4 @@ class DramSlsBackend(SlsBackend):
         )
         breakdown = Breakdown({"host_gather": latency})
         stats = {"lookups": float(n_lookups)}
-
-        def finish() -> None:
-            on_done(
-                SlsOpResult(
-                    values=values,
-                    start_time=start,
-                    end_time=sim.now,
-                    breakdown=breakdown,
-                    stats=stats,
-                )
-            )
-
-        sim.schedule(latency, finish)
+        sim.schedule_call(latency, self._deliver, (values, sim.now, breakdown, stats, on_done))

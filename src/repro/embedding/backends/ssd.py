@@ -306,7 +306,3 @@ class SsdSlsBackend(SlsBackend):
     # ------------------------------------------------------------------
     def _finish(self, sim, tail_cost, values, start, breakdown, stats, on_done) -> None:
         sim.schedule_call(tail_cost, self._deliver, (values, start, breakdown, stats, on_done))
-
-    def _deliver(self, done: tuple) -> None:
-        values, start, breakdown, stats, on_done = done
-        on_done(SlsOpResult(values, start, self.system.sim.now, breakdown, stats))

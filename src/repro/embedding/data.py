@@ -98,7 +98,9 @@ class VirtualTableData(TableData):
         self._pool = rng.standard_normal((min(pool_rows, rows), dim)).astype(np.float32) * 0.1
 
     def take_rows(self, ids: np.ndarray) -> np.ndarray:
-        out = self._pool.take(ids % self._pool.shape[0], axis=0)  # already a copy
+        # The ids are proven in [0, rows), so wrapping is ``ids % pool_rows``
+        # without the temporary; a take is already a copy.
+        out = self._pool.take(ids, axis=0, mode="wrap")
         # ((ids * mult + seed) % prime) / prime - 0.5: the integer steps in
         # place on one temporary, the division straight to float32 (the
         # cast of a value below 2**24 is exact) and the subtraction into

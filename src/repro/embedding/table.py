@@ -338,12 +338,19 @@ class EmbeddingTable:
         """In-DRAM reference SparseLengthsSum over per-result bags.
 
         One gather over the flat ids + one segment reduce at the bag
-        offsets (the DRAM backend's hot path at serving scale).
+        offsets (the DRAM backend's hot path at serving scale): straight
+        at ``bags.starts`` when the bags carry them (none is empty), else
+        through ``segment_sum_offsets``, which checks — the same
+        ``np.add.reduceat`` either way.
         """
         bags = Bags.of(bags)
         if bags.ids.size == 0:
             return np.zeros((len(bags), self.spec.dim), dtype=np.float32)
-        return segment_sum_offsets(self.get_rows(bags.ids), bags.offsets)
+        rows = self.get_rows(bags.ids)
+        starts = bags.starts
+        if starts is not None:
+            return np.add.reduceat(rows, starts, axis=0)
+        return segment_sum_offsets(rows, bags.offsets)
 
     # ------------------------------------------------------------------
     # NDP config construction

@@ -88,6 +88,10 @@ class DenseServiceModel:
     overlap without rebuilding models); ``service_s_by_model`` maps a
     model name to an explicit *per-sample* service time, scaled linearly
     with batch size, overriding the model's own cost model.
+
+    ``dense_time`` depends only on the model's layer dims, the batch size
+    and the frozen ``host_cpu.config``, so its value is kept per
+    ``(model, batch_size)`` and forgotten when that config is swapped.
     """
 
     @checked
@@ -100,12 +104,22 @@ class DenseServiceModel:
         self.host_cpu = host_cpu
         self.scale = scale
         self.service_s_by_model = dict(service_s_by_model or {})
+        self._dense_config = None
+        self._dense_s: Dict[Tuple[RecModel, int], float] = {}
 
     def service_s(self, model: RecModel, batch_size: int) -> float:
         override = self.service_s_by_model.get(model.name)
         if override is not None:
             return self.scale * override * batch_size
-        return self.scale * model.dense_time(batch_size, self.host_cpu)
+        config = self.host_cpu.config
+        if config is not self._dense_config:
+            self._dense_config = config
+            self._dense_s = {}
+        key = (model, batch_size)
+        dense = self._dense_s.get(key)
+        if dense is None:
+            dense = self._dense_s[key] = model.dense_time(batch_size, self.host_cpu)
+        return self.scale * dense
 
 
 class HostSlsPool:

@@ -56,6 +56,9 @@ class RequestQueue:
         # configured priorities everything lives in class 0 and the
         # behaviour is exactly the seed's single rotation.
         self._rotations: Dict[int, Deque[str]] = {}
+        # The same rotations, highest class first: sorted when a class
+        # first appears instead of on every scan.
+        self._by_priority: List[Deque[str]] = []
 
     # ------------------------------------------------------------------
     def offer(self, request: InferenceRequest) -> bool:
@@ -86,9 +89,11 @@ class RequestQueue:
 
     def _rotation_for(self, model: str) -> Deque[str]:
         priority = self.admission.priority_for(model)
-        rotation = self._rotations.get(priority)
+        rotations = self._rotations
+        rotation = rotations.get(priority)
         if rotation is None:
-            rotation = self._rotations[priority] = deque()
+            rotation = rotations[priority] = deque()
+            self._by_priority = list(map(rotations.get, sorted(rotations, reverse=True)))
         return rotation
 
     # ------------------------------------------------------------------
@@ -102,8 +107,7 @@ class RequestQueue:
         position until popped; lanes whose ``ready`` check fails (e.g.
         no free worker) are skipped this round without losing their turn.
         """
-        for priority in sorted(self._rotations, reverse=True):
-            rotation = self._rotations[priority]
+        for rotation in self._by_priority:
             for i in range(len(rotation)):
                 model = rotation[i]
                 if ready is None or ready(model):

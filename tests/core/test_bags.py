@@ -177,6 +177,24 @@ def test_concat_lays_requests_end_to_end_and_spans_slice_them_back(requests, as_
         assert np.array_equal(values[lo:hi], TABLE.ref_sls(arrays(lists)))
 
 
+@settings(max_examples=100, deadline=None)
+@given(shapes=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 3)), min_size=1, max_size=4))
+def test_starts_are_carried_only_where_no_bag_is_empty(shapes):
+    # (n, length) per part: uniform bags carry starts when they hold ids,
+    # and a concat when every part does.
+    parts = [Bags.uniform(np.arange(n * length, dtype=np.int64), n) for n, length in shapes]
+    for part, (n, length) in zip(parts, shapes):
+        assert (part.starts is not None) == (n * length > 0)
+    merged = Bags.concat(parts)
+    proven = all(part.starts is not None for part in parts)
+    assert (merged.starts is not None) == proven
+    if proven:
+        assert np.array_equal(merged.starts, merged.offsets[:-1])
+        assert np.all(merged.offsets[1:] > merged.starts)
+    assert Bags.of(list(merged)).starts is None
+    assert merged.select(np.ones(merged.ids.size, dtype=bool)).starts is None
+
+
 def test_concat_of_nothing_is_an_empty_batch():
     nothing = Bags.concat([])
     assert len(nothing) == 0 and nothing.ids.size == 0 and nothing.offsets.tolist() == [0]

@@ -120,3 +120,75 @@ class TestNdpSession:
             timing.result_time - timing.submit_time
         )
         assert timing.breakdown.total > 0
+
+
+class _LoopDriver(UnvmeDriver):
+    """The parent's backlog handling, kept as the reference: every submit
+    scans the qpairs, and a completion retries the backlog until a scan
+    fails."""
+
+    def submit(self, cmd, on_done):
+        cmd.on_done = on_done
+        if not self._issue(cmd):
+            self._backlog.append(cmd)
+
+    def _deliver(self, cpl):
+        cmd = self._callbacks.pop(cpl.cid)
+        cmd.qp.outstanding -= 1
+        backlog = self._backlog
+        while backlog and self._issue(backlog[0]):
+            backlog.popleft()
+        cmd.on_done(cpl)
+
+
+def _failed_scans(driver):
+    """Wrap ``driver._issue`` to count the scans that found no free qpair."""
+    failed = [0]
+    issue = driver._issue
+
+    def counted(cmd):
+        if issue(cmd):
+            return True
+        failed[0] += 1
+        return False
+
+    driver._issue = counted
+    return failed
+
+
+class TestBacklogScans:
+    """While the backlog holds a command every qpair is full, so a submit
+    goes straight to the backlog and a completion issues only the one
+    command it made room for: the same completions at the same instants
+    as the loop form, without its failed scans."""
+
+    def _run(self, driver_cls):
+        sim = Simulator()
+        driver = driver_cls(sim, small_ssd(sim), DriverConfig(num_qpairs=1, queue_depth=2))
+        failed = _failed_scans(driver)
+        done = []
+
+        def note(i):
+            def on_done(cpl):
+                done.append((i, sim.now))
+                if i == 1:
+                    # A submit from a completion while the backlog is full.
+                    driver.read(9, 1, note(6))
+            return on_done
+
+        for i in range(6):
+            driver.read(i, 1, note(i))
+        sim.run_until(lambda: len(done) == 7)
+        assert driver.outstanding == 0
+        return done, failed[0]
+
+    def test_same_completions_as_the_loop_without_its_failed_scans(self):
+        done, failed = self._run(UnvmeDriver)
+        reference, reference_failed = self._run(_LoopDriver)
+        assert done == reference
+        assert [i for i, _ in done] == [0, 1, 2, 3, 4, 5, 6]
+        # Only the submit that found the qpair full with the backlog
+        # still empty scans in vain; the loop form scanned once more per
+        # backlogged submit and per completion.
+        assert failed == 1
+        assert reference_failed == 9

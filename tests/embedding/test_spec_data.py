@@ -49,6 +49,24 @@ class TestVirtualData:
         b = data.get_rows(np.array([64]))
         assert not np.array_equal(a, b)
 
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_take_rows_is_the_modulo_pool_fetch_bit_for_bit(self, seed):
+        # The pool fetch wraps ids in [0, rows) onto the pool; it must
+        # equal ``pool[ids % pool_rows]`` with its stamp column, bit for
+        # bit, at both ends of the pool and of the table and on repeats.
+        rows, pool_rows = 10_000, 64
+        data = VirtualTableData(rows, 8, seed=seed, pool_rows=pool_rows)
+        ids = np.array([0, pool_rows - 1, pool_rows, rows - 1, 5, 5, pool_rows, 0], dtype=np.int64)
+        want = data._pool[ids % pool_rows]
+        hashed = (ids * 2_654_435_761 + seed) % 1_000_003
+        want[:, 0] = (hashed / 1_000_003).astype(np.float32) - np.float32(0.5)
+        got = data.take_rows(ids)
+        assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+        assert np.array_equal(data.get_rows(ids).view(np.uint32), want.view(np.uint32))
+        for bad in (-1, rows):
+            with pytest.raises(IndexError):
+                data.get_rows(np.array([0, bad]))
+
     def test_out_of_range(self):
         data = VirtualTableData(10, 4)
         with pytest.raises(IndexError):

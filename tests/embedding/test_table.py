@@ -3,6 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.core.bags import Bags
+from repro.core.vecops import segment_sum_offsets
+from repro.embedding import table as table_module
 from repro.embedding.spec import Layout, TableSpec
 from repro.embedding.table import EmbeddingTable, TablePageContent, TableRegion
 from repro.quant import EmbDtype, QuantSpec, decode_vectors, encode_vectors
@@ -62,6 +65,38 @@ class TestReference:
         manual = table.get_rows(np.array([1])) + table.get_rows(np.array([2]))
         assert np.allclose(ref[0], manual[0], rtol=1e-6)
         assert np.all(ref[1] == 0)
+
+    def test_uniform_bags_pool_as_the_checked_segment_sum(self, system):
+        # Bags.uniform proves every bag non-empty, so ref_sls reduces at
+        # its starts directly; the sums are segment_sum_offsets' to the bit.
+        table = make_table(system, rows=512, dim=8)
+        ids = np.random.default_rng(5).integers(0, 512, size=48, dtype=np.int64)
+        for n in (1, 3, 48):
+            bags = Bags.uniform(ids, n)
+            assert bags.starts is not None
+            want = segment_sum_offsets(table.get_rows(ids), bags.offsets)
+            got = table.ref_sls(bags)
+            assert [v.hex() for v in got.ravel().tolist()] == [v.hex() for v in want.ravel().tolist()]
+
+    def test_a_select_that_empties_a_bag_pools_through_the_checked_path(self, system, monkeypatch):
+        table = make_table(system, rows=512, dim=8)
+        bags = Bags.uniform(np.arange(12, dtype=np.int64) * 7, 3)
+        keep = np.ones(12, dtype=bool)
+        keep[4:8] = False                           # bag 1 loses every id
+        selected = bags.select(keep)
+        assert selected.starts is None
+        checked = []
+
+        def spy(vectors, offsets):
+            checked.append(offsets)
+            return segment_sum_offsets(vectors, offsets)
+
+        monkeypatch.setattr(table_module, "segment_sum_offsets", spy)
+        got = table.ref_sls(selected)
+        assert len(checked) == 1
+        assert np.all(got[1] == 0)
+        want = segment_sum_offsets(table.get_rows(selected.ids), selected.offsets)
+        assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
 
     def test_quantized_ref_uses_canonical_values(self, system):
         table = make_table(

@@ -153,6 +153,29 @@ class TestQueuePriorityLanes:
         assert q.next_model(lambda m: m != "hi") == "lo"
         assert q.next_model() == "hi"
 
+    def test_classes_that_appear_later_take_their_place(self):
+        # The classes are kept in order as they appear: a higher and then
+        # a lower class arrive after the first, each while lanes of the
+        # classes before it still wait.
+        q = RequestQueue(16, AdmissionConfig(priority_by_model={"hi": 5, "lo": -3}))
+        q.offer(make_request("mid", 1))
+        assert q.next_model() == "mid"
+        q.offer(make_request("hi", 2))
+        assert q.next_model() == "hi"
+        q.offer(make_request("lo", 3))
+        assert q.next_model() == "hi"
+        assert q.next_model(lambda m: m != "hi") == "mid"
+        assert q.next_model(lambda m: m == "lo") == "lo"
+        order = []
+        while len(q):
+            order.append(q.next_model())
+            q.pop_batch(order[-1], 1)
+        assert order == ["hi", "mid", "lo"]
+        # A class emptied and refilled keeps its place.
+        q.offer(make_request("lo", 4))
+        q.offer(make_request("hi", 5))
+        assert q.next_model() == "hi"
+
 
 class TestQueueExpiredFilter:
     def test_on_expired_consumes_requests(self):

@@ -21,10 +21,12 @@ The tentpole contract of the hostpool PR, pinned here:
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from repro.host.cpu import HostCpu
 from repro.models.runner import BackendKind
 from repro.serving import (
     DenseServiceModel,
@@ -223,6 +225,20 @@ class TestHostSlsPool:
         assert freed == []
         pool.release()
         assert freed == [sim.now]
+
+
+class TestDenseServiceModel:
+    def test_kept_service_time_is_dense_time_until_the_config_changes(self):
+        model = toy_model()
+        cpu = HostCpu()
+        service = DenseServiceModel(cpu, scale=2.0)
+        for batch_size in (1, 4, 1):
+            assert service.service_s(model, batch_size) == 2.0 * model.dense_time(batch_size, cpu)
+        before = service.service_s(model, 4)
+        cpu.config = replace(cpu.config, op_overhead_s=cpu.config.op_overhead_s * 3)
+        after = service.service_s(model, 4)
+        assert after == 2.0 * model.dense_time(4, cpu)
+        assert after > before
 
 
 class TestDenseWorkerPool:

@@ -1,7 +1,7 @@
 """Host cost per request, per layer, held to its pinned count.
 
 ``tools/frame_ledger.py`` counts Python frames and numpy calls per layer
-for four benchmark workloads (their update drain apart), ``rm1`` on
+for the five benchmark workloads (their update drain apart), ``rm1`` on
 ``ssd`` and ``ndp`` and a garbage-collection page move;
 ``tools/ledger/FRAMES.json`` pins the counts per
 interpreter.  A count that grows past its headroom fails here, naming the

@@ -70,8 +70,9 @@ CLOSURE_FREE = {
     "repro/embedding/stage.py": "EmbeddingStage.start _Batch.* _Piece.*",
     "repro/driver/ndp.py": "NdpSlsSession.sls _SlsOp.*",
     "repro/embedding/backends/ndp.py": "NdpSlsBackend._start _NdpOp.*",
-    "repro/embedding/backends/ssd.py": "SsdSlsBackend._start SsdSlsBackend._finish SsdSlsBackend._deliver "
-    "_SsdOp.*",
+    "repro/embedding/backends/ssd.py": "SsdSlsBackend._start SsdSlsBackend._finish _SsdOp.*",
+    "repro/embedding/backends/dram.py": "DramSlsBackend._start",
+    "repro/embedding/backends/base.py": "SlsBackend._deliver",
 }
 # A file outside ``src/`` takes a name from a ``src`` module only by a
 # ``from repro... import``, so of such a file only those are parsed.

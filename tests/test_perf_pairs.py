@@ -14,8 +14,10 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 
 from perf_pairs import (  # noqa: E402
+    CELL_SCRIPT,
     FRAMES_SCRIPT,
     ROOT,
+    cells_named,
     end_to_end_bounds,
     end_to_end_metrics,
     extract,
@@ -239,3 +241,28 @@ def test_two_frame_counts_in_one_process_agree():
     first, second = (json.loads(line) for line in out.strip().splitlines()[-2:])
     assert first["requests"] == 20 and first["drain_frames"] > 0
     assert first == second
+
+
+def test_a_cell_process_prints_one_result_in_the_workloads_shape():
+    """``--cell``: at least three set-up + run repetitions of the ledger's
+    spec, whose simulated numbers agree, as one ``perf.run``-shaped line
+    that the table, the verdict and the recorded rows read unchanged."""
+    ledger = ROOT / "tools" / "frame_ledger.py"
+    out = subprocess.run(
+        [sys.executable, "-c", CELL_SCRIPT, str(ledger), "ncf/ndp", "13", "2", "0"],
+        cwd=ROOT, capture_output=True, text=True, check=True,
+    ).stdout
+    line = json.loads(out.strip().splitlines()[-1])
+    assert line["correct"] and line["failed"] == 0 and line["attempted"] == 6
+    assert sorted(line["metrics"]) == sorted(name for name, _ in end_to_end_metrics())
+    table = format_table("ncf/ndp", 13, end_to_end_metrics(), [(line, line)])
+    assert "sim_* identical in every run: yes" in table
+
+
+def test_cells_are_the_ledgers_and_an_unknown_one_is_refused(capsys):
+    assert cells_named(["rm1/ssd", "ncf/ndp", "rm1/ssd"]) == ["rm1/ssd", "ncf/ndp"]
+    with pytest.raises(ValueError, match="unknown cell 'rm2/ssd'"):
+        cells_named(["rm2/ssd"])
+    with pytest.raises(SystemExit):
+        main(["--against", "HEAD", "--pairs", "0"])
+    assert "give --workload or --cell" in capsys.readouterr().err

@@ -14,16 +14,23 @@ interpreter: this script runs each row below at a fixed small size under
   wrappers) is charged to the nearest caller inside one, as ``perf``
   charges their time;
 * numpy calls: ``c_call`` events whose function, or the object it is
-  bound to, belongs to numpy (the profiler reports builtin functions and
-  methods only: a ufunc called directly, or a function behind numpy's
-  array-function dispatcher, is not one), charged the same way.
+  bound to, belongs to numpy, charged the same way.  The profiler
+  reports builtin functions and methods only, so this count sees
+  builtin-method calls only: a ufunc called directly (``ids % n``, a
+  compare, ``np.add``), a slice, or a function behind numpy's
+  array-function dispatcher (``np.concatenate``) is not one, while a
+  ufunc's method (``np.logical_and.reduce``, ``np.add.reduceat``) and
+  an array method (``ndarray.take``) are.  Removing operator work can
+  therefore leave this count where it was.
 
-Rows: four ``BENCHMARK.json`` workloads through ``perf.workloads``
+Rows: the five ``BENCHMARK.json`` workloads through ``perf.workloads``
 (serving only; the update drain after the last request is its own
 ``/drain`` row; ``cluster_chash`` is the one that runs the NDP engine's
-SSD-side embedding cache), the paper's ``rm1`` served from a spec
-on the COTS baseline (``ssd``, with its host LRU) and on ``ndp``, as
-``tests/workload/test_tenant_backend.py`` builds them, and
+SSD-side embedding cache, ``dram_serve`` the one that runs no device),
+the paper's ``rm1`` served from a spec on the COTS baseline (``ssd``,
+with its host LRU) and on ``ndp``, as
+``tests/workload/test_tenant_backend.py`` builds them (:func:`cell_spec`,
+which also builds the model cells ``tools/perf_pairs.py --cell`` times), and
 ``gc/page_move``: a garbage-collection page move, the difference of two
 migrations of one victim holding 8 and 40 valid pages (as
 ``tests/ftl/test_gc_frames.py`` builds them), which no workload row
@@ -66,14 +73,14 @@ from repro.workload import run as run_spec  # noqa: E402
 from repro.workload import setup as setup_spec  # noqa: E402
 
 __all__ = [
-    "FRAMES", "ROWS", "Counter", "count_rows", "gc_move_rows", "interpreter", "numpy_version",
-    "pinned", "moved",
+    "FRAMES", "ROWS", "CELLS", "Counter", "cell_spec", "setup_cell", "count_rows", "gc_move_rows",
+    "interpreter", "numpy_version", "pinned", "moved",
 ]
 
 FRAMES = _ROOT / "tools" / "ledger" / "FRAMES.json"
 SEED = 13
 WORKLOAD_SCALE = 0.02       # 20 of a BENCHMARK.json workload's 1,000 requests
-RM1_REQUESTS = 2
+CELL_REQUESTS = 2
 # Valid pages of the two GC victims: the row is the 32 moves between them.
 GC_VALID = (8, 40)
 # Each row is first run once with one request, uncounted: what a process
@@ -160,22 +167,42 @@ def _workload_rows(name: str) -> Dict[str, dict]:
     return rows
 
 
-def _rm1_rows(backend: RunnerConfig) -> Dict[str, dict]:
-    def spec(requests: int) -> ScenarioSpec:
-        return ScenarioSpec(
-            name=f"rm1-{backend.kind.value}",
-            tenants=(
-                TenantSpec("rm1", rate=2000.0, n_requests=requests, batch_size=2, backend=backend),
-            ),
-            backend=backend.kind.value,
-            seed=SEED,
-        )
+# A model cell is ``model/backend``: the model served alone from a spec on
+# the COTS baseline (``ssd``, with its host LRU) or on ``ndp``.
+CELL_BACKENDS = {
+    "ssd": RunnerConfig(kind=BackendKind.SSD, host_cache_entries=2048),
+    "ndp": RunnerConfig(kind=BackendKind.NDP),
+}
+CELLS = tuple(f"{model}/{backend}" for model in ("rm1", "rm3", "ncf") for backend in CELL_BACKENDS)
 
-    run_spec(setup_spec(spec(WARM_REQUESTS), [build_model("rm1")]))
-    built = setup_spec(spec(RM1_REQUESTS), [build_model("rm1")])
+
+def cell_spec(cell: str, requests: int, seed: int = SEED) -> ScenarioSpec:
+    """The spec of ``cell`` (one of :data:`CELLS`) for ``requests`` requests."""
+    model, backend = cell.split("/")
+    return ScenarioSpec(
+        name=f"{model}-{backend}",
+        tenants=(
+            TenantSpec(
+                model, rate=2000.0, n_requests=requests, batch_size=2,
+                backend=CELL_BACKENDS[backend],
+            ),
+        ),
+        backend=backend,
+        seed=seed,
+    )
+
+
+def setup_cell(cell: str, requests: int, seed: int = SEED):
+    """``cell``'s spec set up with a fresh model, ready for ``run``."""
+    return setup_spec(cell_spec(cell, requests, seed), [build_model(cell.split("/")[0])])
+
+
+def _cell_rows(cell: str) -> Dict[str, dict]:
+    run_spec(setup_cell(cell, WARM_REQUESTS))
+    built = setup_cell(cell, CELL_REQUESTS)
     with Counter() as counter:
         result = run_spec(built)
-    return {f"rm1/{backend.kind.value}": _row(counter, int(result.summary["completed"]))}
+    return {cell: _row(counter, int(result.summary["completed"]))}
 
 
 def _migration(valid: int) -> Counter:
@@ -217,9 +244,10 @@ ROWS: Tuple[Callable[[], Dict[str, dict]], ...] = (
     lambda: _workload_rows("ssd_serve"),
     lambda: _workload_rows("ndp_serve"),
     lambda: _workload_rows("aged_update_mix"),
-    lambda: _rm1_rows(RunnerConfig(kind=BackendKind.SSD, host_cache_entries=2048)),
-    lambda: _rm1_rows(RunnerConfig(kind=BackendKind.NDP)),
+    lambda: _cell_rows("rm1/ssd"),
+    lambda: _cell_rows("rm1/ndp"),
     lambda: _workload_rows("cluster_chash"),
+    lambda: _workload_rows("dram_serve"),
     gc_move_rows,
 )
 

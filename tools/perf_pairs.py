@@ -21,8 +21,19 @@ is worse than the parent's by more than its ``BENCHMARK.json`` bound.
 ``--workload`` repeats, or is ``all``; the trees are extracted once and
 removed afterwards.
 
+``--cell`` (repeats) does the same for a model cell of
+``tools/frame_ledger.py`` — ``rm1/ssd``, ``rm1/ndp``, ``rm3/ssd``,
+``rm3/ndp``, ``ncf/ssd`` or ``ncf/ndp``: the model served alone from the
+spec that ledger's ``cell_spec`` builds — which no ``BENCHMARK.json``
+workload runs.  Each process sets up and runs :data:`CELL_REQUESTS`
+requests for ``--seconds`` (at least three times) after one uncounted
+request; its host rate is the requests over the median run, its
+``sim_*`` numbers the run's latency percentiles and throughput.  The
+change tree's ledger builds the spec on both sides, so both serve the
+same cell; the code that serves it is each tree's own.
+
 ``--record FILE`` appends the same numbers as JSON lines, one row per
-(workload, seed, side) — :func:`record_rows` — to a file outside
+(workload or cell, seed, side) — :func:`record_rows` — to a file outside
 ``perf/``, so a change can cite rows instead of pasting tables.
 
 ``--frames`` adds two exact counts beside the clock: in each tree it
@@ -49,6 +60,7 @@ Usage (from the repo root)::
     python3 tools/perf_pairs.py --against HEAD~1 --workload all --pairs 3
     python3 tools/perf_pairs.py --against HEAD~1 --workload all --pairs 0 --frames
     python3 tools/perf_pairs.py --against HEAD~1 --workload ssd_serve --record tools/ledger/pairs.jsonl
+    python3 tools/perf_pairs.py --against HEAD~1 --cell rm1/ssd --cell rm1/ndp --pairs 6
 """
 
 from __future__ import annotations
@@ -350,6 +362,72 @@ for _ in range(counts):
 """
 
 
+# Run in an extracted tree: time one model cell (see the module docstring).
+# The tree's ``repro`` and ``perf`` are imported before the ledger, whose
+# own imports then resolve to them.  argv: ledger, cell, seed, requests,
+# seconds.  ``correct`` says that every repetition completed every
+# request and simulated the same numbers.
+CELL_SCRIPT = """
+import importlib.util, json, resource, statistics, sys, time
+sys.path[:0] = ["src", "."]
+import perf, repro
+from repro.workload import run
+spec = importlib.util.spec_from_file_location("frame_ledger", sys.argv[1])
+ledger = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(ledger)
+cell, seed, requests, seconds = sys.argv[2], int(sys.argv[3]), int(sys.argv[4]), float(sys.argv[5])
+run(ledger.setup_cell(cell, 1, seed))
+setups, runs, sims, failed = [], [], set(), 0
+start = time.perf_counter()
+while len(runs) < 3 or time.perf_counter() - start < seconds:
+    began = time.perf_counter()
+    built = ledger.setup_cell(cell, requests, seed)
+    ready = time.perf_counter()
+    summary = run(built).summary
+    runs.append(time.perf_counter() - ready)
+    setups.append(ready - began)
+    failed += int(summary["submitted"] - summary["completed"])
+    sims.add((summary["p50_ms"], summary["p99_ms"], summary["throughput_rps"]))
+p50, p99, throughput = min(sims)
+metrics = {
+    "setup_s": statistics.median(setups),
+    "host_req_per_s": requests / statistics.median(runs),
+    "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+    "sim_p50_ms": p50, "sim_p99_ms": p99, "sim_throughput_rps": throughput,
+}
+print(json.dumps({
+    "correct": len(sims) == 1 and not failed, "attempted": requests * len(runs), "failed": failed,
+    "metrics": {name: {"value": value} for name, value in metrics.items()},
+}))
+"""
+# Requests per set-up + run of a cell: a run of rm1/ssd, the slowest, is
+# about 0.6 s at this size, one of ncf about 10 ms.
+CELL_REQUESTS = 16
+
+
+def _measure_cell(tree: Path, ledger: Path, cell: str, seed: int, seconds: float) -> dict:
+    command = [
+        sys.executable, "-c", CELL_SCRIPT, str(ledger), cell, str(seed), str(CELL_REQUESTS), str(seconds),
+    ]
+    out = subprocess.run(command, cwd=tree, check=True, capture_output=True, text=True).stdout
+    return json.loads(out.strip().splitlines()[-1])
+
+
+def cells_named(names: Sequence[str]) -> List[str]:
+    """``--cell`` values in order; a name not in the ledger's ``CELLS`` is refused."""
+    if str(ROOT / "tools") not in sys.path:
+        sys.path.insert(0, str(ROOT / "tools"))
+    from frame_ledger import CELLS
+
+    chosen: List[str] = []
+    for name in names:
+        if name not in CELLS:
+            raise ValueError(f"unknown cell {name!r}; known: {', '.join(CELLS)}")
+        if name not in chosen:
+            chosen.append(name)
+    return chosen
+
+
 def _count_frames(tree: Path, workload: str, seed: int) -> dict:
     command = [sys.executable, "-c", FRAMES_SCRIPT, workload, str(seed)]
     out = subprocess.run(command, cwd=tree, check=True, capture_output=True, text=True).stdout
@@ -360,8 +438,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--against", required=True, help="the parent revision")
     parser.add_argument(
-        "--workload", required=True, action="append",
+        "--workload", action="append", default=[],
         help="a BENCHMARK.json workload, or all; repeat for several",
+    )
+    parser.add_argument(
+        "--cell", action="append", default=[],
+        help="a model cell of tools/frame_ledger.py (rm1/ssd, ...); repeat for several",
     )
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=10.0)
@@ -380,31 +462,36 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.record is not None and (ROOT / "perf") in args.record.resolve().parents:
         parser.error("--record writes outside perf/")
 
+    if not args.workload and not args.cell:
+        parser.error("give --workload or --cell")
     try:
         workloads = workloads_named(args.workload)
+        cells = cells_named(args.cell)
     except ValueError as exc:
         parser.error(str(exc))
     revisions = {"parent": _git("rev-parse", args.against), "change": _git("rev-parse", "HEAD")}
-    runs: Dict[str, List[Tuple[dict, dict]]] = {w: [] for w in workloads}
+    runs: Dict[str, List[Tuple[dict, dict]]] = {name: [] for name in workloads + cells}
     counts: List[Tuple[str, dict, dict]] = []
     with tempfile.TemporaryDirectory(prefix="perf-pairs-") as scratch:
         trees = {side: Path(scratch) / side for side in revisions}
         for side, revision in revisions.items():
             extract(revision, trees[side])
-        for workload in workloads:
+        ledger = trees["change"] / "tools" / "frame_ledger.py"
+        for name in workloads + cells:
             for i in range(args.pairs):
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                 result = {
-                    side: _measure(trees[side], workload, args.seed, args.seconds)
+                    side: _measure_cell(trees[side], ledger, name, args.seed, args.seconds)
+                    if name in cells else _measure(trees[side], name, args.seed, args.seconds)
                     for side in order
                 }
-                runs[workload].append((result["parent"], result["change"]))
+                runs[name].append((result["parent"], result["change"]))
                 rate = [result[side]["metrics"]["host_req_per_s"]["value"] for side in ("parent", "change")]
-                print(f"{workload} pair {i + 1}/{args.pairs} ({order[0]} first): host_req_per_s "
+                print(f"{name} pair {i + 1}/{args.pairs} ({order[0]} first): host_req_per_s "
                       f"{rate[0]:,.0f} / {rate[1]:,.0f}", file=sys.stderr, flush=True)
-            if args.frames:
-                counts.append((workload, *(
-                    _count_frames(trees[side], workload, args.seed)
+            if args.frames and name in workloads:
+                counts.append((name, *(
+                    _count_frames(trees[side], name, args.seed)
                     for side in ("parent", "change")
                 )))
     print(f"parent {revisions['parent'][:10]}, change {revisions['change'][:10]}")
